@@ -297,7 +297,7 @@ def _load_pipeline_models(model_dir: str) -> pipeline.PipelineModels:
             type_matcher=(pipeline.load_matcher(type_path)
                           if os.path.isfile(type_path) else None),
         )
-    except ValueError as exc:
+    except (ValueError, ParseError) as exc:
         raise DataError(f"{model_dir}: {exc}") from exc
 
 
@@ -305,8 +305,22 @@ def _load_e2e_model(path: str) -> e2e.E2EModel:
     _require_file(path)
     try:
         return e2e.load_e2e(path)
-    except ValueError as exc:
+    except (ValueError, ParseError) as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _e2e_variant(args: argparse.Namespace,
+                 model: e2e.E2EModel) -> tuple[str, e2e.E2EVariant]:
+    """The variant the snapshot was trained as, by name and with the
+    answer-time out-degree sort; ``--variant`` must name the same one."""
+    try:
+        name = e2e.variant_name(model.variant)
+    except ValueError as exc:
+        raise DataError(f"{args.model}: {exc}") from exc
+    if args.variant != name:
+        raise UsageError(f"--variant {args.variant} does not match "
+                         f"{args.model}, which was trained as {name}")
+    return name, e2e.variant_from_name(name, args.out_degree_sort)
 
 
 def _answer_mode(args: argparse.Namespace) -> str:
@@ -323,29 +337,25 @@ def _answer_mode(args: argparse.Namespace) -> str:
 
 def _answer_lines(args: argparse.Namespace, kb, index,
                   stream: TextIO) -> Iterator[str]:
-    mode = _answer_mode(args)
-    if mode == "pipeline":
-        models = _load_pipeline_models(args.pipeline)
-        for line in stream:
-            question = line.strip()
-            if not question:
-                continue
+    """One JSON record per non-blank line, all from one answering session."""
+    questions = (q for q in (line.strip() for line in stream) if q)
+    if _answer_mode(args) == "pipeline":
+        session = pipeline.PipelineSession(
+            _load_pipeline_models(args.pipeline), kb, index)
+        for question in questions:
             try:
-                pred = pipeline.predict(args.strategy, question, models,
-                                        kb, index)
+                pred = session.predict(args.strategy, question)
             except (NoCandidates, NoRelation) as exc:
                 yield _error_record(question, exc)
                 continue
             yield pipeline.answer_record(question, pred, kb, args.strategy)
         return
     model = _load_e2e_model(args.model)
-    variant = e2e.variant_from_name(args.variant, args.out_degree_sort)
-    for line in stream:
-        question = line.strip()
-        if not question:
-            continue
+    name, variant = _e2e_variant(args, model)
+    session = e2e.E2ESession(model, kb, index, variant)
+    for question in questions:
         try:
-            top = e2e.answer(model, kb, index, question, variant, k=1)[0]
+            top = session.answer(question, k=1)[0]
         except NoCandidates as exc:
             yield _error_record(question, exc)
             continue
@@ -359,7 +369,7 @@ def _answer_lines(args: argparse.Namespace, kb, index,
             "objects": lookup_objects(kb, top.fact.subject,
                                       top.fact.relation),
             "scores": scores,
-            "variant": args.variant,
+            "variant": name,
         }, sort_keys=True)
 
 
@@ -405,13 +415,13 @@ def cmd_eval(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     elif args.model is not None:
         if args.variant is None:
             raise UsageError("--model needs --variant")
-        variant = e2e.variant_from_name(args.variant, args.out_degree_sort)
-        strategy = evalharness.E2EStrategy(_load_e2e_model(args.model),
-                                           variant, kb, index)
-        name = args.variant + ("+od" if args.out_degree_sort else "")
+        model = _load_e2e_model(args.model)
+        name, variant = _e2e_variant(args, model)
+        strategy = evalharness.E2EStrategy(model, variant, kb, index)
+        name += "+od" if args.out_degree_sort else ""
     else:
         raise UsageError("pass one of --oracle, --pipeline, or --model")
-    report = evalharness.evaluate(strategy, dataset, kb, jobs=args.jobs)
+    report = evalharness.evaluate(strategy, dataset, kb)
     json_path, txt_path = evalharness.report_write({name: report}, args.out)
     print(f"{name}: accuracy {report.accuracy:.4f} over {report.n} "
           f"questions -> {json_path}")
@@ -508,7 +518,6 @@ def build_parser() -> _Parser:
                    dest="out_degree_sort")
     p.add_argument("--oracle", action="store_true",
                    help="use gold-keyed oracle stages")
-    p.add_argument("--jobs", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_eval)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from qakb.nn import (
     Adam,
     Dense,
     EmbeddingTable,
+    EncodeCache,
     GRUCell,
     LSTMCell,
     OOV_TOKEN,
@@ -37,6 +38,8 @@ from qakb.nn import (
 )
 from qakb.nn.io import (
     load_params,
+    malformed_payload,
+    meta_path,
     read_model_meta,
     restore_params,
     save_params,
@@ -52,6 +55,7 @@ from qakb.nn.tensor import (
     as_tensor,
     concat,
     dot,
+    no_grad,
     param,
     reshape,
     row,
@@ -132,6 +136,16 @@ def variant_from_name(name: str, out_degree_sort: bool = False) -> E2EVariant:
     if out_degree_sort:
         return replace(base, out_degree_sort=True)
     return base
+
+
+def variant_name(variant: E2EVariant) -> str:
+    """The name a variant goes by, ignoring the answer-time out-degree
+    sort; ValueError when no named variant has its switches."""
+    base = replace(variant, out_degree_sort=False)
+    for name, known in VARIANTS.items():
+        if known == base:
+            return name
+    raise ValueError(f"no named variant has the switches {base.to_dict()}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +336,25 @@ class FactScore:
 
 
 def score_fact(model: E2EModel, q_vec: Tensor, fact: Fact,
-               kb: KnowledgeBase, variant: E2EVariant) -> FactScore:
-    """Cosine channels and head-combined score for one fact (eval mode)."""
+               kb: KnowledgeBase, variant: E2EVariant,
+               encode: Optional[Callable[[Sequence[str]], Tensor]] = None
+               ) -> FactScore:
+    """Cosine channels and head-combined score for one fact (eval mode).
+
+    ``encode`` maps the subject, relation and type tokens to their
+    encodings; it defaults to running the model's encoder.
+    """
+    if encode is None:
+        encode = model.encode_text
     s_tokens = tokenize(subject_text(kb, fact.subject, variant.type_in_label))
-    cos_qs = cosine(q_vec, model.encode_text(s_tokens))
-    cos_qp = cosine(q_vec, model.encode_text(_relation_tokens(fact.relation)))
+    cos_qs = cosine(q_vec, encode(s_tokens))
+    cos_qp = cosine(q_vec, encode(_relation_tokens(fact.relation)))
     if variant.type_as_task:
         label = notable_type(kb, fact.subject)
         if label is None:
             cos_qt = as_tensor(0.0)
         else:
-            cos_qt = cosine(q_vec, model.encode_text(tokenize(label)))
+            cos_qt = cosine(q_vec, encode(tokenize(label)))
         combined = model.head.combined(cos_qs, cos_qp, cos_qt)
         s_qt = float(cos_qt.data)
     else:
@@ -503,28 +525,55 @@ def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
 # Answering
 # ---------------------------------------------------------------------------
 
+class E2ESession:
+    """Answers a stream of questions with one model, graph-free.
+
+    Encodings of subject labels, relation paths and type labels are filled
+    on first use and kept for the session, so memory is bounded by the
+    KB's texts; question encodings are not kept.  A session must not
+    outlive a change to the model's weights.
+    """
+
+    def __init__(self, model: E2EModel, kb: KnowledgeBase, index: AliasIndex,
+                 variant: E2EVariant):
+        self.model = model
+        self.kb = kb
+        self.index = index
+        self.variant = variant
+        # looked up on each miss, so a session needs no usable model
+        # until it answers
+        self.texts = EncodeCache(lambda tokens: self.model.encode_text(tokens))
+
+    def answer(self, question: str, k: int = 1) -> list[FactScore]:
+        """Top-k candidate facts, highest combined score first."""
+        kb, variant = self.kb, self.variant
+        cands = retrieve_question_candidates(self.index, question)
+        if not cands:
+            raise NoCandidates(f"no candidate entities for {question!r}")
+        with no_grad():
+            q_vec = self.model.encode_text(tokenize(question))
+            scored = [
+                score_fact(self.model, q_vec, kb.facts[i], kb, variant,
+                           self.texts)
+                for cand in cands for i in kb.by_subject.get(cand.id, ())
+            ]
+        if not scored:
+            raise NoCandidates(f"candidates for {question!r} hold no facts")
+        scored.sort(key=lambda fs: (-fs.combined, fs.fact.subject,
+                                    fs.fact.relation, fs.fact.object))
+        if variant.out_degree_sort:
+            top = scored[0].combined
+            tied = [fs for fs in scored if fs.combined >= top - SCORE_TIE_TOL]
+            rest = scored[len(tied):]
+            tied.sort(key=lambda fs: -out_degree(kb, fs.fact.subject))
+            scored = tied + rest
+        return scored[:k]
+
+
 def answer(model: E2EModel, kb: KnowledgeBase, index: AliasIndex,
            question: str, variant: E2EVariant, k: int = 1) -> list[FactScore]:
-    """Top-k candidate facts for a question, highest combined score first."""
-    cands = retrieve_question_candidates(index, question)
-    if not cands:
-        raise NoCandidates(f"no candidate entities for {question!r}")
-    q_vec = model.encode_text(tokenize(question))
-    scored: list[FactScore] = []
-    for cand in cands:
-        for i in kb.by_subject.get(cand.id, ()):
-            scored.append(score_fact(model, q_vec, kb.facts[i], kb, variant))
-    if not scored:
-        raise NoCandidates(f"candidates for {question!r} hold no facts")
-    scored.sort(key=lambda fs: (-fs.combined, fs.fact.subject,
-                                fs.fact.relation, fs.fact.object))
-    if variant.out_degree_sort:
-        top = scored[0].combined
-        tied = [fs for fs in scored if fs.combined >= top - SCORE_TIE_TOL]
-        rest = scored[len(tied):]
-        tied.sort(key=lambda fs: -out_degree(kb, fs.fact.subject))
-        scored = tied + rest
-    return scored[:k]
+    """Top-k candidate facts for one question, from a fresh session."""
+    return E2ESession(model, kb, index, variant).answer(question, k)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +591,9 @@ def save_e2e(model: E2EModel, path: str) -> None:
 
 def load_e2e(path: str) -> E2EModel:
     meta = read_model_meta(path, "e2e")
-    cfg = TrainConfig(**meta["config"])
-    variant = E2EVariant(**meta["variant"])
-    model = E2EModel(meta["vocab"], cfg, variant, np.random.default_rng(0))
+    with malformed_payload(meta_path(path)):
+        cfg = TrainConfig(**meta["config"])
+        variant = E2EVariant(**meta["variant"])
+        model = E2EModel(meta["vocab"], cfg, variant, np.random.default_rng(0))
     restore_params(model.parameters(), load_params(path))
     return model

@@ -26,20 +26,18 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from qakb.aliasindex import AliasIndex, tokenize
 from qakb.datagen import QuestionInstance, make_question
-from qakb.e2e import E2EModel, E2EVariant
-from qakb.e2e import answer as e2e_answer
+from qakb.e2e import E2EModel, E2ESession, E2EVariant
 from qakb.errors import EmptyEvalSet, NoCandidates, NoRelation
 from qakb.kb import Fact, KnowledgeBase, build_kb, notable_type, out_degree
 from qakb.nn.tensor import Tensor, as_tensor
-from qakb.pipeline import PipelineModels, predict
+from qakb.pipeline import PipelineModels, PipelineSession
 
 logger = logging.getLogger(__name__)
 
@@ -113,7 +111,7 @@ def classify_error(kb: KnowledgeBase, gold: Fact,
 
 
 def evaluate(strategy, dataset: Sequence[QuestionInstance],
-             kb: KnowledgeBase, jobs: int = 1) -> EvalReport:
+             kb: KnowledgeBase) -> EvalReport:
     """Score a strategy on a question set.
 
     ``strategy`` needs ``predict(question) -> (entity, relation) | None``
@@ -123,12 +121,7 @@ def evaluate(strategy, dataset: Sequence[QuestionInstance],
         raise EmptyEvalSet("no questions to evaluate")
     context = tuple(getattr(strategy, "context_fields", ()))
     start = time.perf_counter()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(strategy.predict,
-                                    [q.text for q in dataset]))
-    else:
-        outputs = [strategy.predict(q.text) for q in dataset]
+    outputs = [strategy.predict(q.text) for q in dataset]
     counts = {cls: 0 for cls in ERROR_CLASSES}
     correct = 0
     for q, predicted in zip(dataset, outputs):
@@ -151,12 +144,18 @@ def evaluate(strategy, dataset: Sequence[QuestionInstance],
 
 @dataclass
 class PipelineStrategy:
-    """Makes the staged predictor evaluable."""
+    """Makes the staged predictor evaluable.  One answering session serves
+    every question, so build a new strategy after changing weights."""
 
     name: str
     models: PipelineModels
     kb: KnowledgeBase
     index: AliasIndex
+    session: PipelineSession = field(init=False, repr=False,
+                                     compare=False)
+
+    def __post_init__(self) -> None:
+        self.session = PipelineSession(self.models, self.kb, self.index)
 
     @property
     def context_fields(self) -> tuple[str, ...]:
@@ -164,7 +163,7 @@ class PipelineStrategy:
 
     def predict(self, question: str) -> Optional[tuple[str, str]]:
         try:
-            p = predict(self.name, question, self.models, self.kb, self.index)
+            p = self.session.predict(self.name, question)
         except (NoCandidates, NoRelation):
             return None
         return p.entity, p.relation
@@ -172,12 +171,18 @@ class PipelineStrategy:
 
 @dataclass
 class E2EStrategy:
-    """Makes an end-to-end model evaluable."""
+    """Makes an end-to-end model evaluable.  One answering session serves
+    every question, so build a new strategy after changing weights."""
 
     model: E2EModel
     variant: E2EVariant
     kb: KnowledgeBase
     index: AliasIndex
+    session: E2ESession = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.session = E2ESession(self.model, self.kb, self.index,
+                                  self.variant)
 
     @property
     def context_fields(self) -> tuple[str, ...]:
@@ -190,8 +195,7 @@ class E2EStrategy:
 
     def predict(self, question: str) -> Optional[tuple[str, str]]:
         try:
-            top = e2e_answer(self.model, self.kb, self.index, question,
-                             self.variant, k=1)
+            top = self.session.answer(question, k=1)
         except NoCandidates:
             return None
         return top[0].fact.subject, top[0].fact.relation

@@ -466,18 +466,27 @@ def save_kb(kb: KnowledgeBase, path: str) -> None:
 
 
 def load_kb(path: str) -> KnowledgeBase:
-    """Read a snapshot written by :func:`save_kb`."""
+    """Read a snapshot written by :func:`save_kb`; ParseError when the
+    bytes are not one."""
     with open(path, "rb") as fh:
         magic = fh.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
             raise ParseError(f"bad snapshot header {magic!r}", 1)
-        payload = json.loads(zlib.decompress(fh.read()).decode("utf-8"))
-    facts = [Fact(s, r, o) for s, r, o in payload["facts"]]
-    alias_pairs = [(e, a) for e, aliases in payload["aliases"] for a in aliases]
-    kb = build_kb(facts, alias_pairs, [tuple(p) for p in payload["types"]])
-    for mid in payload.get("extra_entities", ()):
-        if mid not in kb.entities:
-            kb.entities[mid] = EntityRecord(id=mid)
+        blob = fh.read()
+    try:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and
+        # unpacking a record of the wrong length
+        payload = json.loads(zlib.decompress(blob).decode("utf-8"))
+        facts = [Fact(s, r, o) for s, r, o in payload["facts"]]
+        alias_pairs = [(e, a) for e, aliases in payload["aliases"]
+                       for a in aliases]
+        kb = build_kb(facts, alias_pairs, [tuple(p) for p in payload["types"]])
+        for mid in payload.get("extra_entities", ()):
+            if mid not in kb.entities:
+                kb.entities[mid] = EntityRecord(id=mid)
+    except (zlib.error, ValueError, KeyError, TypeError, AttributeError,
+            IndexError) as exc:
+        raise ParseError(f"truncated or garbled snapshot ({exc!r})", 1) from exc
     return kb
 
 

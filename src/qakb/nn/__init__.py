@@ -12,6 +12,7 @@ from qakb.nn.io import (
 from qakb.nn.layers import (
     Dense,
     EmbeddingTable,
+    EncodeCache,
     GRUCell,
     LSTMCell,
     OOV_TOKEN,
@@ -31,15 +32,17 @@ from qakb.nn.losses import (
     loss_hinge_qat_type,
 )
 from qakb.nn.optim import Adam
-from qakb.nn.tensor import Tensor, as_tensor, param
+from qakb.nn.tensor import Tensor, as_tensor, no_grad, param
 
 __all__ = [
     "TrainConfig",
     "Tensor",
     "as_tensor",
+    "no_grad",
     "param",
     "Dense",
     "EmbeddingTable",
+    "EncodeCache",
     "GRUCell",
     "LSTMCell",
     "OOV_TOKEN",

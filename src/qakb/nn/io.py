@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
-from typing import Iterable
+from contextlib import contextmanager
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,9 +33,27 @@ def write_model_meta(path: str, kind: str, payload: dict) -> None:
         fh.write(json.dumps(meta, sort_keys=True, separators=(",", ":")))
 
 
+@contextmanager
+def malformed_payload(path: str) -> Iterator[None]:
+    """Report a snapshot or sidecar whose decoded payload has the wrong
+    shape (a missing key, a value of the wrong type) as a ParseError."""
+    try:
+        yield
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ParseError(f"{path}: malformed payload ({exc!r})", 1) from exc
+
+
 def read_model_meta(path: str, kind: str) -> dict:
-    with open(meta_path(path), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    """The sidecar of a snapshot; ParseError when it is not a JSON object,
+    ValueError when it describes another kind of model."""
+    with open(meta_path(path), "rb") as fh:
+        raw = fh.read()
+    try:
+        meta = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ParseError(f"{meta_path(path)}: not JSON ({exc})", 1) from exc
+    if not isinstance(meta, dict):
+        raise ParseError(f"{meta_path(path)}: not a JSON object", 1)
     if meta.get("kind") != kind:
         raise ValueError(
             f"model at {path} is a {meta.get('kind')!r}, expected {kind!r}"
@@ -60,24 +80,31 @@ def save_params(params: dict[str, Tensor], path: str) -> None:
 
 
 def load_params(path: str) -> dict[str, np.ndarray]:
+    """Read a table written by :func:`save_params`; ParseError when the
+    bytes are not one."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise ParseError(f"bad model header {magic!r}", 1)
-        (count,) = struct.unpack("<I", fh.read(4))
-        out: dict[str, np.ndarray] = {}
+        data = fh.read()
+    buf = io.BytesIO(data)
+    magic = buf.read(len(MODEL_MAGIC))
+    if magic != MODEL_MAGIC:
+        raise ParseError(f"bad model header {magic!r}", 1)
+    out: dict[str, np.ndarray] = {}
+    try:
+        (count,) = struct.unpack("<I", buf.read(4))
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
+            (name_len,) = struct.unpack("<H", buf.read(2))
+            name = buf.read(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<B", buf.read(1))
             shape = tuple(
-                struct.unpack("<I", fh.read(4))[0] for _ in range(ndim)
+                struct.unpack("<I", buf.read(4))[0] for _ in range(ndim)
             )
-            size = int(np.prod(shape)) if shape else 1
-            raw = fh.read(size * 8)
-            if len(raw) != size * 8:
+            size = math.prod(shape)
+            if size * 8 > len(data) - buf.tell():
                 raise ParseError(f"truncated data for parameter {name!r}", 1)
+            raw = buf.read(size * 8)
             out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ParseError(f"truncated or garbled snapshot ({exc})", 1) from exc
     return out
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -246,6 +246,26 @@ def self_attention(states: Tensor) -> Tensor:
         return states
     scores = mul(matmul(states, transpose(states)), 1.0 / math.sqrt(h))
     return matmul(softmax_rows(scores), states)
+
+
+class EncodeCache:
+    """Encodings keyed by token tuple, each computed by ``encode`` on first
+    use and then reused.
+
+    Entries are never invalidated, so a cache must not outlive a change to
+    the weights behind ``encode``: answering sessions own one each.
+    """
+
+    def __init__(self, encode: Callable[[tuple[str, ...]], Tensor]):
+        self._encode = encode
+        self.table: dict[tuple[str, ...], Tensor] = {}
+
+    def __call__(self, tokens: Sequence[str]) -> Tensor:
+        key = tuple(tokens)
+        vec = self.table.get(key)
+        if vec is None:
+            vec = self.table[key] = self._encode(key)
+        return vec
 
 
 def attention_matrix(states: Tensor) -> np.ndarray:

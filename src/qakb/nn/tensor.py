@@ -5,11 +5,15 @@ calling :meth:`Tensor.backward` on a scalar walks the graph in reverse
 topological order and accumulates gradients into every tensor created
 with ``requires_grad=True``.  Only the handful of primitives the models
 need are implemented; anything else is composed from them.
+
+Inside :func:`no_grad` no graph is recorded, which is how inference runs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+import contextvars
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -125,11 +129,30 @@ def param(data, requires_grad: bool = True) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=requires_grad)
 
 
+# Per thread (and per asyncio task): a no_grad block in one thread leaves
+# graph building on in every other.
+_grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "qakb_grad_enabled", default=True
+)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph inside the block: new nodes get no parents, no
+    backward closure and ``requires_grad=False``."""
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
+
+
 def _make(
     data: np.ndarray, parents: Sequence[Tensor], backward_builder
 ) -> Tensor:
-    """Create a node, attaching the graph only if a parent needs it."""
-    track = any(p.requires_grad for p in parents)
+    """Create a node, attaching the graph only if a parent needs it and
+    graph recording is on."""
+    track = _grad_enabled.get() and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=track)
     if track:
         out._parents = tuple(parents)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from qakb.nn import (
     Adam,
     Dense,
     EmbeddingTable,
+    EncodeCache,
     GRUCell,
     LSTMCell,
     TrainConfig,
@@ -40,19 +41,19 @@ from qakb.nn import (
 )
 from qakb.nn.io import (
     load_params,
+    malformed_payload,
+    meta_path,
     read_model_meta,
     restore_params,
     save_params,
     write_model_meta,
 )
 from qakb.nn.losses import loss_binary_ce, loss_categorical_ce
-from qakb.nn.tensor import Tensor, concat, reshape, softmax_rows
+from qakb.nn.tensor import Tensor, concat, no_grad, reshape, softmax_rows
 
 logger = logging.getLogger(__name__)
 
 TAG_ORDER = ("c", "e")
-
-STRATEGIES = ("p-qa", "p-qa-out", "p-qa-type", "p-qa-out-type", "p-qa-type-out")
 
 
 def matcher_tokens(text: str) -> list[str]:
@@ -119,22 +120,56 @@ class MatcherModel:
         )
         return last
 
+    def match(self, q_vec: Tensor, t_vec: Tensor, mode: str = "eval",
+              rng: Optional[np.random.Generator] = None) -> Tensor:
+        """Match score in (0, 1) of two encodings, as a scalar tensor."""
+        joint = dropout(concat([q_vec, t_vec]), self.cfg.dropout_p, mode, rng)
+        return reshape(self.head(self.hidden(joint)), ())
+
     def forward(self, question: str, text: str, mode: str = "eval",
                 rng: Optional[np.random.Generator] = None) -> Tensor:
         """Match score in (0, 1) as a scalar tensor."""
-        joint = concat([self.encode(tokenize(question)),
-                        self.encode(matcher_tokens(text))])
-        joint = dropout(joint, self.cfg.dropout_p, mode, rng)
-        return reshape(self.head(self.hidden(joint)), ())
+        return self.match(self.encode(tokenize(question)),
+                          self.encode(matcher_tokens(text)), mode, rng)
 
-    def score(self, question: str, text: str) -> float:
-        return float(self.forward(question, text).data)
+    def score(self, question: str, text: str,
+              encodings: Optional["MatchEncodings"] = None) -> float:
+        """Match score of one pair.  An answering session passes its
+        ``encodings`` of this matcher, so each side is encoded once."""
+        if encodings is None:
+            encodings = MatchEncodings(self)
+        return float(self.match(encodings.question(question),
+                                encodings.text(text)).data)
 
     def parameters(self) -> dict[str, Tensor]:
         params = {f"{self.name}.embedding": self.embedding.vectors}
         for part in (self.fwd, self.bwd, self.hidden, self.head):
             params.update(part.parameters())
         return params
+
+
+class MatchEncodings:
+    """One matcher's encodings within an answering session.
+
+    Relation paths and type labels are encoded on first use and kept for
+    the session, keyed by token tuple.  Only the latest question's
+    encoding is kept, so memory is bounded by the KB's texts however many
+    questions arrive.
+    """
+
+    def __init__(self, matcher: MatcherModel):
+        self.matcher = matcher
+        self.texts = EncodeCache(lambda tokens: matcher.encode(tokens))
+        self._question: Optional[tuple[str, Tensor]] = None
+
+    def question(self, question: str) -> Tensor:
+        if self._question is None or self._question[0] != question:
+            vec = self.matcher.encode(tokenize(question))
+            self._question = (question, vec)
+        return self._question[1]
+
+    def text(self, text: str) -> Tensor:
+        return self.texts(matcher_tokens(text))
 
 
 @dataclass
@@ -235,7 +270,8 @@ def train_matcher(pairs: Sequence[MatcherPair], cfg: TrainConfig,
 def tag_question(model, question: Union[str, Sequence[str]]) -> LabeledQuestion:
     """Argmax tag per token."""
     tokens = tokenize(question) if isinstance(question, str) else list(question)
-    probs = model.forward(tokens)
+    with no_grad():
+        probs = model.forward(tokens)
     tags = tuple(TAG_ORDER[int(i)] for i in np.argmax(probs.data, axis=1))
     return LabeledQuestion(tokens=tuple(tokens), tags=tags)
 
@@ -272,48 +308,50 @@ class Prediction:
 
 
 def _question_candidates(
-    question: str, models: PipelineModels, index: AliasIndex
+    session: "PipelineSession", question: str
 ) -> tuple[list[CandidateEntity], list[str]]:
     """Detected-span candidates, falling back to whole-question grams.
 
     The fallback covers both an all-context tagging (no spans) and spans
-    that match nothing in the index.
+    that match nothing in the index.  Raises NoCandidates when both come
+    up empty.
     """
-    labeled = tag_question(models.tagger, question)
+    labeled = tag_question(session.models.tagger, question)
     span_list = spans(labeled)
     merged: dict[str, CandidateEntity] = {}
     for span_text in span_list:
-        for cand in retrieve_candidates(index, span_text):
+        for cand in retrieve_candidates(session.index, span_text):
             prev = merged.get(cand.id)
             if prev is None or cand.score > prev.score:
                 merged[cand.id] = cand
     cands = sorted(merged.values(), key=lambda c: (-c.score, c.id))
     if not cands:
-        cands = retrieve_question_candidates(index, question)
+        cands = retrieve_question_candidates(session.index, question)
+    if not cands:
+        raise NoCandidates(f"no candidate entities for {question!r}")
     return cands, span_list
 
 
-def _relation_scores(
-    question: str, models: PipelineModels, kb: KnowledgeBase,
-    cands: Sequence[CandidateEntity],
-) -> dict[str, float]:
-    relations = sorted({r for c in cands for r in relations_of(kb, c.id)})
+def _relation_scores(session: "PipelineSession", question: str,
+                     cands: Sequence[CandidateEntity]) -> dict[str, float]:
+    relations = sorted({r for c in cands
+                        for r in relations_of(session.kb, c.id)})
     if not relations:
         raise NoRelation(f"no relations for candidates of {question!r}")
-    return {r: models.relation_matcher.score(question, r) for r in relations}
+    return {r: session.relation_score(question, r) for r in relations}
 
 
 def _argmax_relation(scores: dict[str, float]) -> str:
     return min(scores, key=lambda r: (-scores[r], r))
 
 
-def _type_score(question: str, models: PipelineModels, kb: KnowledgeBase,
+def _type_score(session: "PipelineSession", question: str,
                 entity: str) -> float:
     """Type-matcher score for an entity; untyped entities contribute 0."""
-    label = notable_type(kb, entity)
+    label = notable_type(session.kb, entity)
     if label is None:
         return 0.0
-    return models.type_matcher.score(question, label)
+    return session.type_score(question, label)
 
 
 def _require_type_matcher(models: PipelineModels, strategy: str) -> None:
@@ -333,15 +371,17 @@ def _base_trace(span_list: list[str], cands: Sequence[CandidateEntity],
     }
 
 
-def predict_p_qa(question: str, models: PipelineModels, kb: KnowledgeBase,
-                 index: AliasIndex) -> Prediction:
-    """Baseline: argmax relation over all candidates, first holder wins."""
-    cands, span_list = _question_candidates(question, models, index)
-    if not cands:
-        raise NoCandidates(f"no candidate entities for {question!r}")
-    rel_scores = _relation_scores(question, models, kb, cands)
+def _rank_holders(session: "PipelineSession", question: str,
+                  strategy: str) -> Prediction:
+    """Argmax relation over all candidates; among its holders the first
+    wins (p-qa), or the one of highest out-degree (p-qa-out)."""
+    kb = session.kb
+    cands, span_list = _question_candidates(session, question)
+    rel_scores = _relation_scores(session, question, cands)
     best_rel = _argmax_relation(rel_scores)
     holders = [c for c in cands if best_rel in relations_of(kb, c.id)]
+    if strategy == "p-qa-out":
+        holders.sort(key=lambda c: (-out_degree(kb, c.id), -c.score, c.id))
     top = holders[0]
     trace = _base_trace(span_list, cands, rel_scores)
     trace["holders"] = [[c.id, out_degree(kb, c.id), c.score] for c in holders]
@@ -350,32 +390,13 @@ def predict_p_qa(question: str, models: PipelineModels, kb: KnowledgeBase,
                       s=rel_scores[best_rel], trace=trace)
 
 
-def predict_p_qa_out(question: str, models: PipelineModels, kb: KnowledgeBase,
-                     index: AliasIndex) -> Prediction:
-    """Re-rank the holders of the argmax relation by out-degree."""
-    cands, span_list = _question_candidates(question, models, index)
-    if not cands:
-        raise NoCandidates(f"no candidate entities for {question!r}")
-    rel_scores = _relation_scores(question, models, kb, cands)
-    best_rel = _argmax_relation(rel_scores)
-    holders = [c for c in cands if best_rel in relations_of(kb, c.id)]
-    holders.sort(key=lambda c: (-out_degree(kb, c.id), -c.score, c.id))
-    top = holders[0]
-    trace = _base_trace(span_list, cands, rel_scores)
-    trace["holders"] = [[c.id, out_degree(kb, c.id), c.score] for c in holders]
-    return Prediction(entity=top.id, relation=best_rel,
-                      s_r=rel_scores[best_rel], s_t=None,
-                      s=rel_scores[best_rel], trace=trace)
-
-
-def predict_p_qa_type(question: str, models: PipelineModels, kb: KnowledgeBase,
-                      index: AliasIndex) -> Prediction:
+def _rank_pairs(session: "PipelineSession", question: str,
+                strategy: str) -> Prediction:
     """Rank (entity, best-own-relation) pairs by type + relation score."""
-    _require_type_matcher(models, "p-qa-type")
-    cands, span_list = _question_candidates(question, models, index)
-    if not cands:
-        raise NoCandidates(f"no candidate entities for {question!r}")
-    rel_scores = _relation_scores(question, models, kb, cands)
+    kb = session.kb
+    _require_type_matcher(session.models, strategy)
+    cands, span_list = _question_candidates(session, question)
+    rel_scores = _relation_scores(session, question, cands)
     entries = []
     for cand in cands:
         own = {r: rel_scores[r] for r in relations_of(kb, cand.id)}
@@ -383,7 +404,7 @@ def predict_p_qa_type(question: str, models: PipelineModels, kb: KnowledgeBase,
             continue
         best_rel = _argmax_relation(own)
         s_r = own[best_rel]
-        s_t = _type_score(question, models, kb, cand.id)
+        s_t = _type_score(session, question, cand.id)
         entries.append((cand, best_rel, s_r, s_t, s_t + s_r))
     entries.sort(key=lambda e: (-e[4], -out_degree(kb, e[0].id), -e[0].score,
                                 e[0].id))
@@ -394,28 +415,22 @@ def predict_p_qa_type(question: str, models: PipelineModels, kb: KnowledgeBase,
                       s=s, trace=trace)
 
 
-def predict_combo(order: str, question: str, models: PipelineModels,
-                  kb: KnowledgeBase, index: AliasIndex) -> Prediction:
-    """Disambiguate argmax-relation holders by out-degree and type score.
-
-    ``out_then_type`` ranks by out-degree and breaks ties with the type
-    score; ``type_then_out`` does the reverse.  Either way the second
-    criterion only matters among candidates tied under the first.
-    """
-    if order not in ("out_then_type", "type_then_out"):
-        raise ValueError(f"unknown combo order {order!r}")
-    _require_type_matcher(models, order)
-    cands, span_list = _question_candidates(question, models, index)
-    if not cands:
-        raise NoCandidates(f"no candidate entities for {question!r}")
-    rel_scores = _relation_scores(question, models, kb, cands)
+def _rank_combo(session: "PipelineSession", question: str,
+                strategy: str) -> Prediction:
+    """Disambiguate argmax-relation holders by out-degree then type score
+    (p-qa-out-type) or the reverse (p-qa-type-out); the second criterion
+    only matters among candidates tied under the first."""
+    kb = session.kb
+    _require_type_matcher(session.models, strategy)
+    cands, span_list = _question_candidates(session, question)
+    rel_scores = _relation_scores(session, question, cands)
     best_rel = _argmax_relation(rel_scores)
     holders = [c for c in cands if best_rel in relations_of(kb, c.id)]
-    typed = {c.id: _type_score(question, models, kb, c.id) for c in holders}
-    if order == "out_then_type":
-        key = lambda c: (-out_degree(kb, c.id), -typed[c.id], -c.score, c.id)
-    else:
+    typed = {c.id: _type_score(session, question, c.id) for c in holders}
+    if strategy == "p-qa-type-out":
         key = lambda c: (-typed[c.id], -out_degree(kb, c.id), -c.score, c.id)
+    else:
+        key = lambda c: (-out_degree(kb, c.id), -typed[c.id], -c.score, c.id)
     holders.sort(key=key)
     top = holders[0]
     s_r = rel_scores[best_rel]
@@ -428,20 +443,90 @@ def predict_combo(order: str, question: str, models: PipelineModels,
                       s=s_t + s_r, trace=trace)
 
 
+_RANKINGS = {
+    "p-qa": _rank_holders,
+    "p-qa-out": _rank_holders,
+    "p-qa-type": _rank_pairs,
+    "p-qa-out-type": _rank_combo,
+    "p-qa-type-out": _rank_combo,
+}
+
+STRATEGIES = tuple(_RANKINGS)
+
+_COMBO_ORDERS = {"out_then_type": "p-qa-out-type",
+                 "type_then_out": "p-qa-type-out"}
+
+
+def _session_scorer(matcher) -> Optional[Callable[[str, str], float]]:
+    """``score(question, text)`` for one session: a recurrent matcher
+    reuses the session's encodings; any other matcher (an oracle, say) is
+    called as it is."""
+    if isinstance(matcher, MatcherModel):
+        encodings = MatchEncodings(matcher)
+        return lambda question, text: matcher.score(question, text, encodings)
+    return None if matcher is None else matcher.score
+
+
+class PipelineSession:
+    """Answers a stream of questions with one set of stages, graph-free.
+
+    Each recurrent matcher encodes a relation path or type label once per
+    session and a question once per question (see MatchEncodings).  A
+    session must not outlive a change to the models' weights.
+    """
+
+    def __init__(self, models: PipelineModels, kb: KnowledgeBase,
+                 index: AliasIndex):
+        self.models = models
+        self.kb = kb
+        self.index = index
+        self.relation_score = _session_scorer(models.relation_matcher)
+        self.type_score = _session_scorer(models.type_matcher)
+
+    def predict(self, strategy: str, question: str) -> Prediction:
+        """One answer under a ranking strategy named as on the CLI."""
+        try:
+            rank = _RANKINGS[strategy]
+        except KeyError:
+            raise ValueError(f"unknown strategy {strategy!r}") from None
+        with no_grad():
+            return rank(self, question, strategy)
+
+
 def predict(strategy: str, question: str, models: PipelineModels,
             kb: KnowledgeBase, index: AliasIndex) -> Prediction:
-    """Dispatch a prediction strategy by CLI name."""
-    if strategy == "p-qa":
-        return predict_p_qa(question, models, kb, index)
-    if strategy == "p-qa-out":
-        return predict_p_qa_out(question, models, kb, index)
-    if strategy == "p-qa-type":
-        return predict_p_qa_type(question, models, kb, index)
-    if strategy == "p-qa-out-type":
-        return predict_combo("out_then_type", question, models, kb, index)
-    if strategy == "p-qa-type-out":
-        return predict_combo("type_then_out", question, models, kb, index)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    """One answer from a fresh session."""
+    return PipelineSession(models, kb, index).predict(strategy, question)
+
+
+def predict_p_qa(question: str, models: PipelineModels, kb: KnowledgeBase,
+                 index: AliasIndex) -> Prediction:
+    """Baseline: argmax relation over all candidates, first holder wins."""
+    return predict("p-qa", question, models, kb, index)
+
+
+def predict_p_qa_out(question: str, models: PipelineModels, kb: KnowledgeBase,
+                     index: AliasIndex) -> Prediction:
+    """Re-rank the holders of the argmax relation by out-degree."""
+    return predict("p-qa-out", question, models, kb, index)
+
+
+def predict_p_qa_type(question: str, models: PipelineModels, kb: KnowledgeBase,
+                      index: AliasIndex) -> Prediction:
+    """Rank (entity, best-own-relation) pairs by type + relation score."""
+    return predict("p-qa-type", question, models, kb, index)
+
+
+def predict_combo(order: str, question: str, models: PipelineModels,
+                  kb: KnowledgeBase, index: AliasIndex) -> Prediction:
+    """Disambiguate argmax-relation holders by out-degree and type score.
+
+    ``out_then_type`` ranks by out-degree and breaks ties with the type
+    score; ``type_then_out`` does the reverse.
+    """
+    if order not in _COMBO_ORDERS:
+        raise ValueError(f"unknown combo order {order!r}")
+    return predict(_COMBO_ORDERS[order], question, models, kb, index)
 
 
 def answer_record(question: str, prediction: Prediction, kb: KnowledgeBase,
@@ -476,8 +561,9 @@ def save_tagger(model: TaggerModel, path: str) -> None:
 
 def load_tagger(path: str) -> TaggerModel:
     meta = read_model_meta(path, "tagger")
-    cfg = TrainConfig(**meta["config"])
-    model = TaggerModel(meta["vocab"], cfg, np.random.default_rng(0))
+    with malformed_payload(meta_path(path)):
+        cfg = TrainConfig(**meta["config"])
+        model = TaggerModel(meta["vocab"], cfg, np.random.default_rng(0))
     restore_params(model.parameters(), load_params(path))
     return model
 
@@ -493,8 +579,9 @@ def save_matcher(model: MatcherModel, path: str) -> None:
 
 def load_matcher(path: str) -> MatcherModel:
     meta = read_model_meta(path, "matcher")
-    cfg = TrainConfig(**meta["config"])
-    model = MatcherModel(meta["vocab"], cfg, np.random.default_rng(0),
-                         name=meta["name"])
+    with malformed_payload(meta_path(path)):
+        cfg = TrainConfig(**meta["config"])
+        model = MatcherModel(meta["vocab"], cfg, np.random.default_rng(0),
+                             name=meta["name"])
     restore_params(model.parameters(), load_params(path))
     return model

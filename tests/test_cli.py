@@ -350,6 +350,116 @@ class TestAnswer:
         assert outs[0] == outs[1]
 
 
+@pytest.fixture(scope="module")
+def snapshots(tmp_path_factory):
+    """A small benchmark with a qa-t and a qa-t-mwst snapshot, made once
+    for the tests that only read or copy them."""
+    root = tmp_path_factory.mktemp("snapshots")
+    bench = root / "bench"
+    assert main(["synth", "--seed", "1", "--out", str(bench),
+                 "--entities", "14", "--relations", "3"]) == 0
+    models = {}
+    for variant in ("qa-t", "qa-t-mwst"):
+        models[variant] = root / f"{variant}.nn"
+        assert main(["train-e2e", "--kb", str(bench / "kb.qakb"),
+                     "--questions", str(bench / "train.tsv"),
+                     "--out", str(models[variant]), "--variant", variant,
+                     "--epochs", "1", "--hidden-size", "4",
+                     "--embed-dim", "6", "--max-len", "6"]) == 0
+    return bench, models
+
+
+class TestSnapshotVariant:
+    """answer and eval take the variant from the snapshot's meta; a
+    --variant naming another is a usage error that names both."""
+
+    @pytest.mark.parametrize("trained, asked", [("qa-t-mwst", "qa-t"),
+                                                ("qa-t", "qa-t-mwst")])
+    def test_mismatch_is_usage_error(self, snapshots, capsys, tmp_path,
+                                     trained, asked):
+        bench, models = snapshots
+        capsys.readouterr()
+        qfile = tmp_path / "q.txt"
+        qfile.write_text((bench / "test.tsv").read_text().splitlines()[0]
+                         .split("\t")[3] + "\n")
+        for cmd in (["answer", "--questions", str(qfile)],
+                    ["eval", "--questions", str(bench / "test.tsv"),
+                     "--out", str(tmp_path / "rep")]):
+            code, stdout, err = run(capsys, *cmd, "--kb",
+                                    str(bench / "kb.qakb"), "--model",
+                                    str(models[trained]), "--variant", asked)
+            assert code == 1, cmd
+            assert stdout == ""
+            assert f"--variant {asked} " in err and trained in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "rep").exists()
+
+    def test_records_carry_the_snapshot_variant(self, snapshots, capsys,
+                                                tmp_path):
+        bench, models = snapshots
+        capsys.readouterr()
+        qfile = tmp_path / "q.txt"
+        qfile.write_text((bench / "test.tsv").read_text().splitlines()[0]
+                         .split("\t")[3] + "\n")
+        code, stdout, _ = run(capsys, "answer", "--kb", str(bench / "kb.qakb"),
+                              "--model", str(models["qa-t-mwst"]),
+                              "--variant", "qa-t-mwst", "--out-degree-sort",
+                              "--questions", str(qfile))
+        assert code == 0
+        record = json.loads(stdout)
+        assert record["variant"] == "qa-t-mwst"
+        assert "s_qt" in record["scores"]
+
+
+class TestCorruptSnapshots:
+    """A truncated or garbled KB, .nn or .meta.json exits 2 with a one-line
+    error, never a traceback."""
+
+    @staticmethod
+    def _damage(path, how):
+        data = bytearray(path.read_bytes())
+        if how.startswith("truncate"):
+            path.write_bytes(bytes(data[:int(how.split(":")[1])]))
+        elif how.startswith("garble"):
+            start = int(how.split(":")[1])
+            for i in range(start, min(start + 64, len(data))):
+                data[i] ^= 0xA5
+            path.write_bytes(bytes(data))
+        else:
+            path.write_text(how)
+
+    @pytest.mark.parametrize("target, how", [
+        ("kb", "truncate:200"),
+        ("kb", "garble:40"),
+        ("nn", "truncate:100"),
+        ("nn", "garble:5"),
+        ("meta", "truncate:30"),
+        ("meta", "garble:0"),
+        ("meta", '{"kind": "e2e", "config": 5}'),
+        ("meta", "[1, 2]"),
+    ])
+    def test_exits_2_without_traceback(self, snapshots, capsys, tmp_path,
+                                       target, how):
+        bench, models = snapshots
+        capsys.readouterr()
+        kb, model = tmp_path / "kb.qakb", tmp_path / "m.nn"
+        kb.write_bytes((bench / "kb.qakb").read_bytes())
+        model.write_bytes(models["qa-t"].read_bytes())
+        meta = tmp_path / "m.nn.meta.json"
+        source = models["qa-t"]
+        meta.write_bytes((source.parent / (source.name + ".meta.json"))
+                         .read_bytes())
+        self._damage({"kb": kb, "nn": model, "meta": meta}[target], how)
+        qfile = tmp_path / "q.txt"
+        qfile.write_text("anything\n")
+        code, stdout, err = run(capsys, "answer", "--kb", str(kb),
+                                "--model", str(model), "--variant", "qa-t",
+                                "--questions", str(qfile))
+        assert code == 2, err
+        assert stdout == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestEval:
     def test_oracle_eval_writes_reports(self, bench, tmp_path, capsys):
         out = tmp_path / "rep"
@@ -362,16 +472,6 @@ class TestEval:
         assert report["p-qa-out(oracle)"]["accuracy"] == 1.0
         assert (out / "report.txt").is_file()
         assert "accuracy" in stdout
-
-    def test_jobs_flag_matches_sequential(self, bench, tmp_path, capsys):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out, jobs in ((a, "1"), (b, "3")):
-            assert main(["eval", "--kb", str(bench / "kb.qakb"),
-                         "--questions", str(bench / "test.tsv"),
-                         "--oracle", "--strategy", "p-qa",
-                         "--out", str(out), "--jobs", jobs]) == 0
-        assert (a / "report.json").read_bytes() == \
-            (b / "report.json").read_bytes()
 
     def test_requires_a_model_source(self, bench, tmp_path, capsys):
         code, _, _ = run(capsys, "eval", "--kb", str(bench / "kb.qakb"),

@@ -10,8 +10,10 @@ from qakb.aliasindex import build_index, tokenize
 from qakb.datagen import NegativePools, make_question
 from qakb.e2e import (
     E2EModel,
+    E2ESession,
     E2EVariant,
     VARIANTS,
+    _relation_tokens,
     answer,
     load_e2e,
     pad_states,
@@ -20,9 +22,11 @@ from qakb.e2e import (
     subject_text,
     train_e2e,
     variant_from_name,
+    variant_name,
 )
 from qakb.errors import EmptySequence, EmptyTrainingSet, NoCandidates
-from qakb.kb import Fact, build_kb
+from qakb.evalharness import SyntheticSpec, generate_synthetic
+from qakb.kb import Fact, build_kb, notable_type
 from qakb.nn import TrainConfig, cosine
 from qakb.nn.tensor import as_tensor, param, tsum
 from qakb.pipeline import save_matcher, MatcherModel
@@ -453,6 +457,123 @@ class TestAnswer:
         resorted = answer(model, kb, index, "who sings yesterday",
                           variant_from_name("qa-t", out_degree_sort=True), k=6)
         assert [fs.fact for fs in resorted] == [fs.fact for fs in base]
+
+
+def _kb_texts(kb, variant):
+    """Every token tuple a session may encode for this KB: subject labels,
+    relation paths and type labels."""
+    texts = {tuple(tokenize(subject_text(kb, f.subject, variant.type_in_label)))
+             for f in kb.facts}
+    texts |= {tuple(_relation_tokens(f.relation)) for f in kb.facts}
+    texts |= {tuple(tokenize(notable_type(kb, f.subject)))
+              for f in kb.facts if notable_type(kb, f.subject) is not None}
+    return texts
+
+
+class TestSession:
+    """A session answers exactly as fresh one-shot calls do, bit for bit,
+    while encoding each KB text once."""
+
+    @pytest.fixture(scope="class")
+    def synth(self):
+        kb, train, test = generate_synthetic(
+            SyntheticSpec(seed=2, n_entities=10, collision_rate=0.4))
+        index = build_index(kb)
+        qs = train + test
+        questions = [q.text for q in qs] + ["zzz qqq"]
+        pools = NegativePools(
+            d_rr={}, subject_pools=[[] for _ in qs],
+            predicate_pools=[[f.relation for f in kb.facts
+                              if f.relation != q.gold.relation][:2]
+                             for q in qs])
+        return kb, index, qs, pools, questions
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_reused_session_matches_one_shot(self, synth, name):
+        kb, index, qs, pools, questions = synth
+        model, _ = train_e2e(qs, kb, pools, VARIANTS[name],
+                             small_cfg(epochs=1))
+        for od in (False, True):
+            variant = variant_from_name(name, out_degree_sort=od)
+            session = E2ESession(model, kb, index, variant)
+            for _ in range(2):
+                for q in questions:
+                    try:
+                        expect = answer(model, kb, index, q, variant, k=50)
+                    except NoCandidates:
+                        with pytest.raises(NoCandidates):
+                            session.answer(q, k=50)
+                        continue
+                    assert session.answer(q, k=50) == expect
+                    # and equal to the uncached, graph-building path
+                    q_vec = model.encode_text(tokenize(q))
+                    assert expect == [score_fact(model, q_vec, fs.fact, kb,
+                                                 variant) for fs in expect]
+            assert 0 < len(session.texts.table) <= len(_kb_texts(kb, variant))
+
+    def test_each_kb_text_encoded_once(self, synth):
+        kb, index, qs, pools, questions = synth
+        variant = VARIANTS["qa-t-mwst"]
+        model, _ = train_e2e(qs, kb, pools, variant, small_cfg(epochs=1))
+        session = E2ESession(model, kb, index, variant)
+        calls = []
+        encode = model.encode_text
+
+        def counting(tokens, *args):
+            calls.append(tuple(tokens))
+            return encode(tokens, *args)
+
+        model.encode_text = counting
+        for q in questions:
+            try:
+                session.answer(q)
+            except NoCandidates:
+                pass
+        kb_calls = [t for t in calls if t in _kb_texts(kb, variant)]
+        assert len(kb_calls) == len(set(kb_calls)) == len(session.texts.table)
+        calls.clear()
+        answered = 0
+        for q in questions:
+            try:
+                session.answer(q)
+                answered += 1
+            except NoCandidates:
+                pass
+        assert len(calls) == answered  # only the questions themselves
+
+    def test_new_session_sees_weight_change(self):
+        kb = song_kb()
+        qs, pools = song_training_set(kb)
+        variant = VARIANTS["qa-t"]
+        model, _ = train_e2e(qs, kb, pools, variant, small_cfg())
+        index = build_index(kb)
+        q = "who sings yesterday"
+        before = E2ESession(model, kb, index, variant).answer(q, k=4)
+        model.encoder.lstm._p["W_i"].data += 0.37
+        after = E2ESession(model, kb, index, variant).answer(q, k=4)
+        assert after != before
+        assert after == answer(model, kb, index, q, variant, k=4)
+
+    def test_answers_record_no_graph(self):
+        kb = song_kb()
+        qs, pools = song_training_set(kb)
+        model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-t"], small_cfg())
+        session = E2ESession(model, kb, build_index(kb), VARIANTS["qa-t"])
+        session.answer("who sings yesterday")
+        assert session.texts.table
+        for vec in session.texts.table.values():
+            assert vec._backward_fn is None and not vec.requires_grad
+
+
+class TestVariantName:
+    def test_round_trips_every_named_variant(self):
+        for name in VARIANTS:
+            assert variant_name(variant_from_name(name)) == name
+            assert variant_name(variant_from_name(name, True)) == name
+
+    def test_unnamed_switches_rejected(self):
+        with pytest.raises(ValueError):
+            variant_name(E2EVariant(qas_head=True, char_level=True))
 
 
 class TestTrainE2E:

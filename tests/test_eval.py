@@ -154,15 +154,6 @@ class TestEvaluate:
         with pytest.raises(EmptyEvalSet):
             evaluate(_FixedStrategy({}), [], kb)
 
-    def test_parallel_matches_sequential(self):
-        kb, qs = self._dataset()
-        gold = _FixedStrategy({q.text: (q.gold.subject, q.gold.relation)
-                               for q in qs})
-        seq = evaluate(gold, qs, kb, jobs=1)
-        par = evaluate(gold, qs, kb, jobs=3)
-        assert seq.accuracy == par.accuracy
-        assert seq.error_counts == par.error_counts
-
     def test_all_error_keys_present(self):
         kb, qs = self._dataset()
         rep = evaluate(_FixedStrategy({}), qs, kb)

@@ -5,14 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from qakb.aliasindex import build_index
-from qakb.datagen import LabeledQuestion
+from qakb.aliasindex import build_index, tokenize
+from qakb.datagen import LabeledQuestion, label_questions
 from qakb.errors import EmptyTrainingSet, NoCandidates, NoRelation
+from qakb.evalharness import SyntheticSpec, generate_synthetic
 from qakb.kb import Fact, build_kb
 from qakb.nn import TrainConfig, as_tensor
 from qakb.pipeline import (
+    STRATEGIES,
     MatcherModel,
     PipelineModels,
+    PipelineSession,
     TaggerModel,
     answer_record,
     load_matcher,
@@ -499,6 +502,93 @@ class TestPredictDispatcher:
         models = _models({"acme"}, {})
         with pytest.raises(ValueError):
             predict("p-qa-x", "who founded acme", models, kb, index)
+
+
+class TestSession:
+    """A session predicts exactly as fresh one-shot calls and the uncached
+    matcher do, bit for bit, while encoding each KB text once."""
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        kb, train, test = generate_synthetic(
+            SyntheticSpec(seed=4, n_entities=12, collision_rate=0.4))
+        qs = train + test
+        cfg = TrainConfig(epochs=2, batch_size=4, hidden_size=6, embed_dim=6,
+                          seed=3)
+        tagger, _ = train_tagger(label_questions(qs, kb)[0], cfg)
+        rng = np.random.default_rng(5)
+        vocab = sorted({t for q in qs for t in tokenize(q.text)}
+                       | {t for f in kb.facts
+                          for t in matcher_tokens(f.relation)}
+                       | {t for e in kb.entities.values() if e.notable_type
+                          for t in tokenize(e.notable_type)})
+        models = PipelineModels(
+            tagger=tagger,
+            relation_matcher=MatcherModel(vocab, cfg, rng, name="relation"),
+            type_matcher=MatcherModel(vocab, cfg, rng, name="type"),
+        )
+        questions = [q.text for q in qs] + ["zzz qqq"]
+        return kb, build_index(kb), models, questions
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_reused_session_matches_one_shot(self, stack, strategy):
+        kb, index, models, questions = stack
+        session = PipelineSession(models, kb, index)
+        for _ in range(2):
+            for q in questions:
+                try:
+                    expect = predict(strategy, q, models, kb, index)
+                except (NoCandidates, NoRelation) as exc:
+                    with pytest.raises(type(exc)):
+                        session.predict(strategy, q)
+                    continue
+                got = session.predict(strategy, q)
+                assert got == expect  # trace included
+                for rel, s_r in got.trace["relations"]:
+                    uncached = models.relation_matcher.forward(q, rel).data
+                    assert s_r == float(uncached)
+
+    def test_each_text_encoded_once(self, stack, monkeypatch):
+        kb, index, models, questions = stack
+        session = PipelineSession(models, kb, index)
+        calls = []
+        encode = MatcherModel.encode
+
+        def counting(self, tokens):
+            calls.append((self.name, tuple(tokens)))
+            return encode(self, tokens)
+
+        monkeypatch.setattr(MatcherModel, "encode", counting)
+        question_tokens = {tuple(tokenize(q)) for q in questions}
+        for rounds in range(2):
+            calls.clear()
+            asked = 0
+            for q in questions:
+                try:
+                    session.predict("p-qa-type", q)
+                    asked += 1
+                except NoCandidates:
+                    pass
+            texts = [c for c in calls if c[1] not in question_tokens]
+            assert len(texts) == len(set(texts))
+            if rounds:
+                assert texts == []
+            # one question encode per matcher and question
+            assert len(calls) - len(texts) == 2 * asked
+
+    def test_new_session_sees_weight_change(self, stack):
+        kb, index, models, questions = stack
+        q = questions[0]
+        before = PipelineSession(models, kb, index).predict("p-qa", q)
+        vectors = models.relation_matcher.embedding.vectors
+        saved = vectors.data.copy()
+        try:
+            vectors.data += 0.5
+            after = PipelineSession(models, kb, index).predict("p-qa", q)
+            assert after == predict("p-qa", q, models, kb, index)
+        finally:
+            vectors.data[...] = saved
+        assert after.trace["relations"] != before.trace["relations"]
 
 
 class TestAnswerRecord:

@@ -30,6 +30,7 @@ from qakb.errors import (
     NoRelation,
     ParseError,
     QAKBError,
+    ShapeMismatch,
 )
 from qakb.kb import KnowledgeBase, build_kb, load_kb, lookup_objects, save_kb
 from qakb.nn import TrainConfig
@@ -297,7 +298,7 @@ def _load_pipeline_models(model_dir: str) -> pipeline.PipelineModels:
             type_matcher=(pipeline.load_matcher(type_path)
                           if os.path.isfile(type_path) else None),
         )
-    except (ValueError, ParseError) as exc:
+    except (ValueError, ParseError, ShapeMismatch) as exc:
         raise DataError(f"{model_dir}: {exc}") from exc
 
 
@@ -305,7 +306,7 @@ def _load_e2e_model(path: str) -> e2e.E2EModel:
     _require_file(path)
     try:
         return e2e.load_e2e(path)
-    except (ValueError, ParseError) as exc:
+    except (ValueError, ParseError, ShapeMismatch) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 

@@ -259,6 +259,20 @@ def gen_type_pairs(
 # Relation dictionary and negative pools
 # ---------------------------------------------------------------------------
 
+def _trimmed_levenshtein(a: str, b: str) -> int:
+    """:func:`levenshtein` after stripping the common prefix and suffix,
+    which leave the distance unchanged; relation paths of one domain share
+    long ones."""
+    n = min(len(a), len(b))
+    lo = 0
+    while lo < n and a[lo] == b[lo]:
+        lo += 1
+    hi = 0
+    while hi < n - lo and a[-1 - hi] == b[-1 - hi]:
+        hi += 1
+    return levenshtein(a[lo:len(a) - hi], b[lo:len(b) - hi])
+
+
 def build_drr(
     relations: Iterable[str],
     truncate_above: int = DRR_TRUNCATE_ABOVE,
@@ -271,13 +285,16 @@ def build_drr(
     """
     rels = sorted(set(relations))
     limit = keep if len(rels) > truncate_above else None
+    dist = np.zeros((len(rels), len(rels)), dtype=np.int32)
+    for i, a in enumerate(rels):
+        for j in range(i + 1, len(rels)):
+            dist[i, j] = dist[j, i] = _trimmed_levenshtein(a, rels[j])
     out: dict[str, list[str]] = {}
-    for key in rels:
-        ranked = sorted(
-            (r for r in rels if r != key),
-            key=lambda r: (levenshtein(key, r), r),
-        )
-        out[key] = ranked[:limit] if limit is not None else ranked
+    for i, key in enumerate(rels):
+        # stable, so ties stay in name order; the key is the only
+        # relation at distance 0 and comes first
+        ranked = np.argsort(dist[i], kind="stable")[1:]
+        out[key] = [rels[j] for j in ranked[:limit]]
     return out
 
 

@@ -148,9 +148,22 @@ def variant_name(variant: E2EVariant) -> str:
     raise ValueError(f"no named variant has the switches {base.to_dict()}")
 
 
+def _describe(variant: E2EVariant) -> str:
+    """A variant's name, or its switches when no named variant has them."""
+    try:
+        return variant_name(variant)
+    except ValueError:
+        return str(replace(variant, out_degree_sort=False).to_dict())
+
+
 # ---------------------------------------------------------------------------
 # Encoders
 # ---------------------------------------------------------------------------
+
+# A word's char-GRU summary: ``WordEncoder.encode_chars``, or an
+# ``EncodeCache`` over it that training shares within one optimizer step.
+CharEncode = Callable[[str], Tensor]
+
 
 class WordEncoder:
     """Word-table rows, optionally extended with a char-GRU summary.
@@ -188,19 +201,28 @@ class WordEncoder:
         extra = self.char_gru.hidden_dim if self.char_level else 0
         return self.word_table.dim + extra
 
-    def encode_word(self, word: str) -> Tensor:
+    def encode_chars(self, chars: Sequence[str]) -> Tensor:
+        """The char-GRU's last state over a word's characters."""
+        _, last = run_recurrent(self.char_gru, self.char_table.embed(list(chars)))
+        return last
+
+    def encode_word(self, word: str, chars: Optional[CharEncode] = None
+                    ) -> Tensor:
+        """Word-table row, plus with char mode the char-GRU summary from
+        ``chars`` (default: :meth:`encode_chars`, run afresh)."""
         index = self.word_table.indices([word])[0]
         vec = row(self.word_table.vectors, index)
         if not self.char_level:
             return vec
-        chars = self.char_table.embed(list(word))
-        _, last = run_recurrent(self.char_gru, chars)
-        return concat([vec, last])
+        if chars is None:
+            chars = self.encode_chars
+        return concat([vec, chars(word)])
 
-    def encode_tokens(self, tokens: Sequence[str]) -> Tensor:
+    def encode_tokens(self, tokens: Sequence[str],
+                      chars: Optional[CharEncode] = None) -> Tensor:
         if not tokens:
             return zeros((0, self.dim))
-        return stack_rows([self.encode_word(tok) for tok in tokens])
+        return stack_rows([self.encode_word(tok, chars) for tok in tokens])
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"e2e.words": self.word_table.vectors}
@@ -240,11 +262,12 @@ def pad_states(states: Tensor, max_len: int) -> Tensor:
 
 def encode_sequence(se: SharedEncoder, we: WordEncoder,
                     tokens: Sequence[str], mode: str = "eval",
-                    rng: Optional[np.random.Generator] = None) -> Tensor:
+                    rng: Optional[np.random.Generator] = None,
+                    chars: Optional[CharEncode] = None) -> Tensor:
     """Token sequence → shared LSTM (→ self-attention) → flatten → dense."""
     if not tokens:
         raise EmptySequence("cannot encode an empty token sequence")
-    states, _ = run_recurrent(se.lstm, we.encode_tokens(tokens))
+    states, _ = run_recurrent(se.lstm, we.encode_tokens(tokens, chars))
     if se.self_attention_enabled:
         states = self_attention(states)
     padded = pad_states(states, se.max_len)
@@ -314,8 +337,10 @@ class E2EModel:
         self.head = ScoringHead(variant.head_mode)
 
     def encode_text(self, tokens: Sequence[str], mode: str = "eval",
-                    rng: Optional[np.random.Generator] = None) -> Tensor:
-        return encode_sequence(self.encoder, self.words, tokens, mode, rng)
+                    rng: Optional[np.random.Generator] = None,
+                    chars: Optional[CharEncode] = None) -> Tensor:
+        return encode_sequence(self.encoder, self.words, tokens, mode, rng,
+                               chars)
 
     def parameters(self) -> dict[str, Tensor]:
         params = dict(self.words.parameters())
@@ -402,19 +427,26 @@ def _training_vocab(dataset: Sequence[QuestionInstance],
 
 def _question_loss(model: E2EModel, kb: KnowledgeBase, q: QuestionInstance,
                    neg_subject: Optional[str], neg_pred: Optional[str],
-                   cfg: TrainConfig,
-                   rng: np.random.Generator) -> Optional[Tensor]:
-    """Margin loss for one question, or None when no channel is usable."""
+                   cfg: TrainConfig, rng: np.random.Generator,
+                   chars: Optional[CharEncode] = None) -> Optional[Tensor]:
+    """Margin loss for one question, or None when no channel is usable.
+
+    ``chars`` supplies the char-GRU summaries (see :class:`WordEncoder`).
+    """
     variant = model.variant
     head = model.head
-    q_vec = model.encode_text(tokenize(q.text), "train", rng)
+
+    def encode(tokens: Sequence[str]) -> Tensor:
+        return model.encode_text(tokens, "train", rng, chars)
+
+    q_vec = encode(tokenize(q.text))
 
     def enc_subject(entity: str) -> Tensor:
-        text = subject_text(kb, entity, variant.type_in_label)
-        return model.encode_text(tokenize(text), "train", rng)
+        return encode(tokenize(subject_text(kb, entity,
+                                            variant.type_in_label)))
 
     def enc_relation(relation: str) -> Tensor:
-        return model.encode_text(_relation_tokens(relation), "train", rng)
+        return encode(_relation_tokens(relation))
 
     pos_s = cosine(q_vec, enc_subject(q.gold.subject))
     pos_p = cosine(q_vec, enc_relation(q.gold.relation))
@@ -442,8 +474,8 @@ def _question_loss(model: E2EModel, kb: KnowledgeBase, q: QuestionInstance,
         t_neg = notable_type(kb, neg_subject)
         if t_pos is not None and t_neg is not None:
             type_pair = (
-                cosine(q_vec, model.encode_text(tokenize(t_pos), "train", rng)),
-                cosine(q_vec, model.encode_text(tokenize(t_neg), "train", rng)),
+                cosine(q_vec, encode(tokenize(t_pos))),
+                cosine(q_vec, encode(tokenize(t_neg))),
             )
 
     if neg_s is not None and neg_p is not None:
@@ -491,13 +523,17 @@ def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
         order = rng.permutation(len(dataset))
         total, counted = 0.0, 0
         for start in range(0, len(dataset), cfg.batch_size):
+            # the weights hold still until opt.step(), so within a batch
+            # each distinct word's char-GRU runs once and its gradient
+            # sums over every use
+            chars = EncodeCache(model.words.encode_chars)
             losses = []
             for i in order[start:start + cfg.batch_size]:
                 loss = _question_loss(
                     model, kb, dataset[i],
                     subj_samplers[i].draw() if i < len(subj_samplers) else None,
                     pred_samplers[i].draw() if i < len(pred_samplers) else None,
-                    cfg, rng,
+                    cfg, rng, chars,
                 )
                 if loss is None:
                     skipped += 1
@@ -531,17 +567,25 @@ class E2ESession:
     Encodings of subject labels, relation paths and type labels are filled
     on first use and kept for the session, so memory is bounded by the
     KB's texts; question encodings are not kept.  A session must not
-    outlive a change to the model's weights.
+    outlive a change to the model's weights.  ``variant`` must be the
+    model's own, except for the answer-time ``out_degree_sort``;
+    ValueError otherwise.
     """
 
     def __init__(self, model: E2EModel, kb: KnowledgeBase, index: AliasIndex,
                  variant: E2EVariant):
+        if (replace(variant, out_degree_sort=False)
+                != replace(model.variant, out_degree_sort=False)):
+            raise ValueError(
+                f"variant {_describe(variant)} does not match the model, "
+                f"which was trained as {_describe(model.variant)}"
+            )
         self.model = model
         self.kb = kb
         self.index = index
         self.variant = variant
-        # looked up on each miss, so a session needs no usable model
-        # until it answers
+        # looked up on each miss, so a wrapper put on the model's
+        # encode_text after the session was built still sees every miss
         self.texts = EncodeCache(lambda tokens: self.model.encode_text(tokens))
 
     def answer(self, question: str, k: int = 1) -> list[FactScore]:

@@ -15,8 +15,10 @@ import numpy as np
 from qakb.errors import ShapeMismatch
 from qakb.nn.tensor import (
     Tensor,
+    _make,
     concat,
     gather_rows,
+    logistic,
     matmul,
     mul,
     norm,
@@ -25,8 +27,6 @@ from qakb.nn.tensor import (
     row,
     sigmoid,
     softmax_rows,
-    stack_rows,
-    tanh,
     transpose,
     zeros,
 )
@@ -122,79 +122,153 @@ class Dense:
 
 
 class GRUCell:
-    """Gated recurrent unit: h' = (1-z)*n + z*h with reset-gated candidate."""
+    """Gated recurrent unit: h' = (1-z)*n + z*h with reset-gated candidate.
 
-    state_size = 1
+    The state is the one-array tuple ``(h,)``.
+    """
+
+    gates = ("z", "r", "n")
 
     def __init__(self, input_dim: int, hidden_dim: int,
                  rng: np.random.Generator, name: str = "gru"):
         self.input_dim, self.hidden_dim = input_dim, hidden_dim
         self.name = name
         self._p: dict[str, Tensor] = {}
-        for gate in ("z", "r", "n"):
+        for gate in self.gates:
             self._p[f"W_{gate}"] = param(glorot(rng, (hidden_dim, input_dim)))
             self._p[f"U_{gate}"] = param(glorot(rng, (hidden_dim, hidden_dim)))
             self._p[f"b_{gate}"] = param(np.zeros(hidden_dim))
 
-    def initial_state(self) -> Tensor:
-        return zeros((self.hidden_dim,))
+    def initial_state(self) -> tuple[np.ndarray]:
+        return (np.zeros(self.hidden_dim),)
 
-    def step(self, x: Tensor, h: Tensor) -> Tensor:
+    def step(self, x: np.ndarray, state: tuple[np.ndarray]):
+        """One timestep on arrays: the next state, and what
+        :meth:`step_backward` needs of this one (the input state first)."""
+        (h,) = state
         p = self._p
-        z = sigmoid(matmul(p["W_z"], x) + matmul(p["U_z"], h) + p["b_z"])
-        r = sigmoid(matmul(p["W_r"], x) + matmul(p["U_r"], h) + p["b_r"])
-        n = tanh(matmul(p["W_n"], x) + mul(r, matmul(p["U_n"], h)) + p["b_n"])
-        return (1.0 - z) * n + z * h
+        z = logistic(p["W_z"].data @ x + p["U_z"].data @ h + p["b_z"].data)
+        r = logistic(p["W_r"].data @ x + p["U_r"].data @ h + p["b_r"].data)
+        u_n = p["U_n"].data @ h
+        n = np.tanh(p["W_n"].data @ x + r * u_n + p["b_n"].data)
+        return ((1.0 - z) * n + z * h,), (h, z, r, n, u_n)
+
+    def step_backward(self, saved, d_state: tuple[np.ndarray]):
+        """Gradients of one step from the gradient of its output state:
+        (gradient of its input state, per gate the gradient of the
+        pre-activation that ``W`` and ``b`` feed, per gate the gradient of
+        the product ``U @ h``)."""
+        h, z, r, n, u_n = saved
+        (dh,) = d_state
+        p = self._p
+        da_n = dh * (1.0 - z) * (1.0 - n * n)
+        da_z = dh * (h - n) * z * (1.0 - z)
+        du_n = da_n * r
+        da_r = da_n * u_n * r * (1.0 - r)
+        dh_prev = (dh * z + da_z @ p["U_z"].data + da_r @ p["U_r"].data
+                   + du_n @ p["U_n"].data)
+        return (dh_prev,), (da_z, da_r, da_n), (da_z, da_r, du_n)
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"{self.name}.{k}": v for k, v in self._p.items()}
 
 
 class LSTMCell:
-    """Long short-term memory cell with the usual i/f/g/o gates."""
+    """Long short-term memory cell with the usual i/f/g/o gates.
 
-    state_size = 2
+    The state is the tuple ``(h, c)``.
+    """
+
+    gates = ("i", "f", "g", "o")
 
     def __init__(self, input_dim: int, hidden_dim: int,
                  rng: np.random.Generator, name: str = "lstm"):
         self.input_dim, self.hidden_dim = input_dim, hidden_dim
         self.name = name
         self._p: dict[str, Tensor] = {}
-        for gate in ("i", "f", "g", "o"):
+        for gate in self.gates:
             self._p[f"W_{gate}"] = param(glorot(rng, (hidden_dim, input_dim)))
             self._p[f"U_{gate}"] = param(glorot(rng, (hidden_dim, hidden_dim)))
             self._p[f"b_{gate}"] = param(np.zeros(hidden_dim))
 
-    def initial_state(self) -> tuple[Tensor, Tensor]:
-        return zeros((self.hidden_dim,)), zeros((self.hidden_dim,))
+    def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(self.hidden_dim), np.zeros(self.hidden_dim)
 
-    def step(self, x: Tensor, state: tuple[Tensor, Tensor]):
+    def step(self, x: np.ndarray, state: tuple[np.ndarray, np.ndarray]):
+        """One timestep on arrays: the next state, and what
+        :meth:`step_backward` needs of this one (the input ``h`` first)."""
         h, c = state
         p = self._p
-        i = sigmoid(matmul(p["W_i"], x) + matmul(p["U_i"], h) + p["b_i"])
-        f = sigmoid(matmul(p["W_f"], x) + matmul(p["U_f"], h) + p["b_f"])
-        g = tanh(matmul(p["W_g"], x) + matmul(p["U_g"], h) + p["b_g"])
-        o = sigmoid(matmul(p["W_o"], x) + matmul(p["U_o"], h) + p["b_o"])
+        i = logistic(p["W_i"].data @ x + p["U_i"].data @ h + p["b_i"].data)
+        f = logistic(p["W_f"].data @ x + p["U_f"].data @ h + p["b_f"].data)
+        g = np.tanh(p["W_g"].data @ x + p["U_g"].data @ h + p["b_g"].data)
+        o = logistic(p["W_o"].data @ x + p["U_o"].data @ h + p["b_o"].data)
         c_new = f * c + i * g
-        h_new = o * tanh(c_new)
-        return h_new, c_new
+        tanh_c = np.tanh(c_new)
+        return (o * tanh_c, c_new), (h, c, i, f, g, o, tanh_c)
+
+    def step_backward(self, saved, d_state: tuple[np.ndarray, np.ndarray]):
+        """Gradients of one step, as :meth:`GRUCell.step_backward`; every
+        gate's ``U @ h`` gradient is its pre-activation gradient."""
+        h, c, i, f, g, o, tanh_c = saved
+        dh, dc = d_state
+        p = self._p
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        da = (dc * g * i * (1.0 - i),
+              dc * c * f * (1.0 - f),
+              dc * i * (1.0 - g * g),
+              dh * tanh_c * o * (1.0 - o))
+        dh_prev = (da[0] @ p["U_i"].data + da[1] @ p["U_f"].data
+                   + da[2] @ p["U_g"].data + da[3] @ p["U_o"].data)
+        return (dh_prev, dc * f), da, da
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"{self.name}.{k}": v for k, v in self._p.items()}
 
 
-def _cell_outputs(cell, inputs: Tensor, positions: list[int]) -> list[Tensor]:
+def _recurrent_states(cell, inputs: Tensor, order: range) -> Tensor:
+    """The [T, h] output states of ``cell`` run over ``inputs`` in
+    ``order``, aligned with input positions, as one graph node.
+
+    The forward calls ``cell.step`` once per timestep.  The backward runs
+    ``cell.step_backward`` back through time and adds each gate's weight
+    and bias gradients once per sequence, as products over all timesteps.
+    """
+    x = np.ascontiguousarray(inputs.data)
+    states = np.empty((x.shape[0], cell.hidden_dim))
+    saved: list = [None] * x.shape[0]
     state = cell.initial_state()
-    outputs: list[Tensor] = []
-    for t in positions:
-        x = row(inputs, t)
-        if cell.state_size == 1:
-            state = cell.step(x, state)
-            outputs.append(state)
-        else:
-            state = cell.step(x, state)
-            outputs.append(state[0])
-    return outputs
+    for t in order:
+        state, saved[t] = cell.step(x[t], state)
+        states[t] = state[0]
+    p = cell._p
+
+    def backward(out: Tensor):
+        def fn():
+            n_gates, T, H = len(cell.gates), x.shape[0], cell.hidden_dim
+            d_pre = np.empty((n_gates, T, H))
+            d_rec = np.empty((n_gates, T, H))
+            d_state = tuple(np.zeros(H) for _ in cell.initial_state())
+            for t in reversed(order):
+                d_state = (d_state[0] + out.grad[t],) + d_state[1:]
+                d_state, d_pre[:, t], d_rec[:, t] = cell.step_backward(
+                    saved[t], d_state)
+            h_prev = np.stack([s[0] for s in saved])
+            d_x = np.zeros_like(x)
+            for k, gate in enumerate(cell.gates):
+                w, u, b = p[f"W_{gate}"], p[f"U_{gate}"], p[f"b_{gate}"]
+                if w.requires_grad:
+                    w.accumulate(d_pre[k].T @ x)
+                if u.requires_grad:
+                    u.accumulate(d_rec[k].T @ h_prev)
+                if b.requires_grad:
+                    b.accumulate(d_pre[k].sum(axis=0))
+                d_x += d_pre[k] @ w.data
+            if inputs.requires_grad:
+                inputs.accumulate(d_x)
+        return fn
+
+    return _make(states, (inputs, *p.values()), backward)
 
 
 def run_recurrent(cell, inputs: Tensor, direction: str = "forward"):
@@ -215,12 +289,9 @@ def run_recurrent(cell, inputs: Tensor, direction: str = "forward"):
     T = inputs.shape[0]
     if T == 0:
         return zeros((0, cell.hidden_dim)), zeros((cell.hidden_dim,))
-    positions = list(range(T)) if direction == "forward" else list(range(T - 1, -1, -1))
-    outputs = _cell_outputs(cell, inputs, positions)
-    last = outputs[-1]
-    if direction == "backward":
-        outputs = list(reversed(outputs))
-    return stack_rows(outputs), last
+    order = range(T) if direction == "forward" else range(T - 1, -1, -1)
+    states = _recurrent_states(cell, inputs, order)
+    return states, row(states, order[-1])
 
 
 def bidirectional_encode(cell_fwd, cell_bwd, inputs: Tensor):

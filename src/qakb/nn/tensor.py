@@ -269,12 +269,13 @@ def tanh(a: ArrayLike) -> Tensor:
     return _elementwise(a, np.tanh, lambda x, y: 1.0 - y ** 2)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """The logistic function on a raw array (the data of :func:`sigmoid`)."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a: ArrayLike) -> Tensor:
-    return _elementwise(
-        a,
-        lambda x: 1.0 / (1.0 + np.exp(-x)),
-        lambda x, y: y * (1.0 - y),
-    )
+    return _elementwise(a, logistic, lambda x, y: y * (1.0 - y))
 
 
 def relu(a: ArrayLike) -> Tensor:

@@ -95,7 +95,7 @@ class TestExitCodes:
         assert code == 2
         assert "bad.tsv" in err and "line 1" in err
 
-    def test_tampered_model_is_internal_error(self, capsys, bench, tmp_path):
+    def test_tampered_model_is_data_error(self, capsys, bench, tmp_path):
         model = tmp_path / "m.nn"
         code = main(["train-e2e", "--kb", str(bench / "kb.qakb"),
                      "--questions", str(bench / "train.tsv"),
@@ -114,8 +114,31 @@ class TestExitCodes:
         code, _, err = run(capsys, "answer", "--kb", str(bench / "kb.qakb"),
                            "--model", str(model), "--variant", "qa-t",
                            "--questions", str(qfile))
-        assert code == 3
-        assert "internal" in err
+        assert code == 2
+        assert "m.nn" in err and "Traceback" not in err
+
+    def test_tampered_pipeline_model_is_data_error(self, capsys, bench,
+                                                   tmp_path):
+        data = tmp_path / "data"
+        models = tmp_path / "models"
+        assert main(["gen-data", "--kb", str(bench / "kb.qakb"),
+                     "--questions", str(bench / "train.tsv"),
+                     "--out", str(data)]) == 0
+        assert main(["train-pipeline", "--data", str(data),
+                     "--out", str(models), "--epochs", "1",
+                     "--hidden-size", "4", "--embed-dim", "6"]) == 0
+        capsys.readouterr()
+        meta_file = models / "relation.nn.meta.json"
+        meta = json.loads(meta_file.read_text())
+        meta["config"]["hidden_size"] = 32
+        meta_file.write_text(json.dumps(meta))
+        qfile = tmp_path / "q.txt"
+        qfile.write_text("anything\n")
+        code, _, err = run(capsys, "answer", "--kb", str(bench / "kb.qakb"),
+                           "--pipeline", str(models), "--strategy", "p-qa",
+                           "--questions", str(qfile))
+        assert code == 2
+        assert "models" in err and "Traceback" not in err
 
     def test_wrong_kind_model_is_data_error(self, capsys, bench, tmp_path):
         data = tmp_path / "data"

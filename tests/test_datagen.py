@@ -250,6 +250,28 @@ class TestDrr:
             )
             assert d[key] == expected
 
+    @settings(deadline=None, max_examples=40)
+    @given(st.sets(st.tuples(st.sampled_from(["/synth/fact/", "/synth/fa/",
+                                              "/people/person/"]),
+                             st.text(alphabet="ab_/", max_size=4),
+                             st.sampled_from(["", "/name", "_of"])),
+                   min_size=2, max_size=10),
+           st.booleans())
+    def test_prefix_heavy_matches_oracle(self, parts, truncate):
+        """Shared prefixes and suffixes are stripped before the distance;
+        the lists must still be the all-pairs sort, cut or not."""
+        rels = {"".join(p) for p in parts}
+        keep = 3
+        d = (build_drr(rels, truncate_above=1, keep=keep) if truncate
+             else build_drr(rels))
+        assert set(d) == rels
+        for key in rels:
+            expected = sorted(
+                (r for r in rels if r != key),
+                key=lambda r: (_oracle_lev(key, r), r),
+            )
+            assert d[key] == (expected[:keep] if truncate else expected)
+
 
 def _pool_kb():
     """Sixty relations spread over subjects; m.s1/m.s2 share a label."""

@@ -1,5 +1,7 @@
 """Tests for the end-to-end ranking models."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,10 @@ from qakb.e2e import (
     E2ESession,
     E2EVariant,
     VARIANTS,
+    WordEncoder,
+    _question_loss,
     _relation_tokens,
+    _training_vocab,
     answer,
     load_e2e,
     pad_states,
@@ -25,9 +30,9 @@ from qakb.e2e import (
     variant_name,
 )
 from qakb.errors import EmptySequence, EmptyTrainingSet, NoCandidates
-from qakb.evalharness import SyntheticSpec, generate_synthetic
+from qakb.evalharness import E2EStrategy, SyntheticSpec, generate_synthetic
 from qakb.kb import Fact, build_kb, notable_type
-from qakb.nn import TrainConfig, cosine
+from qakb.nn import EncodeCache, TrainConfig, cosine
 from qakb.nn.tensor import as_tensor, param, tsum
 from qakb.pipeline import save_matcher, MatcherModel
 
@@ -124,10 +129,8 @@ class TestWordEncoder:
         we = m.words
         vec = we.encode_word("a")
         x = we.char_table.embed(["a"])
-        step = we.char_gru.step(
-            as_tensor(x.data[0]), we.char_gru.initial_state()
-        )
-        assert_array_equal(vec.data[-we.char_gru.hidden_dim:], step.data)
+        (h,), _ = we.char_gru.step(x.data[0], we.char_gru.initial_state())
+        assert_array_equal(vec.data[-we.char_gru.hidden_dim:], h)
 
     def test_unknown_words_distinguished_by_spelling(self):
         m = E2EModel(["cold", "dark"], small_cfg(),
@@ -565,6 +568,28 @@ class TestSession:
             assert vec._backward_fn is None and not vec.requires_grad
 
 
+class TestSessionVariantGuard:
+    def test_mismatched_variant_named_at_construction(self):
+        kb = song_kb()
+        model = E2EModel(["yesterday"], small_cfg(), VARIANTS["qa-t-mwst"],
+                         np.random.default_rng(0))
+        index = build_index(kb)
+        with pytest.raises(ValueError, match="qa-t.*qa-t-mwst"):
+            E2ESession(model, kb, index, VARIANTS["qa-t"])
+        with pytest.raises(ValueError, match="qa-t-mwst"):
+            answer(model, kb, index, "who sings yesterday", VARIANTS["qa-t"])
+        with pytest.raises(ValueError, match="qa-t-mwst"):
+            E2EStrategy(model, VARIANTS["qa-t"], kb, index)
+
+    def test_only_out_degree_sort_may_differ(self):
+        kb = song_kb()
+        model = E2EModel(["yesterday"], small_cfg(), VARIANTS["qa-t"],
+                         np.random.default_rng(0))
+        session = E2ESession(model, kb, build_index(kb),
+                             variant_from_name("qa-t", out_degree_sort=True))
+        assert session.variant.out_degree_sort
+
+
 class TestVariantName:
     def test_round_trips_every_named_variant(self):
         for name in VARIANTS:
@@ -648,6 +673,60 @@ class TestTrainE2E:
         _, c1 = train_e2e(qs, kb, pools, VARIANTS["qa-t"], small_cfg(seed=1))
         _, c2 = train_e2e(qs, kb, pools, VARIANTS["qa-t"], small_cfg(seed=2))
         assert c1 != c2
+
+
+class TestCharReuse:
+    """Within one optimizer step each distinct word's char-GRU runs once,
+    and the shared summary's gradient sums over all its uses."""
+
+    def test_each_distinct_word_runs_once_per_batch(self, monkeypatch):
+        kb = song_kb()
+        qs, pools = song_training_set(kb)
+        runs, uses = Counter(), Counter()
+        encode_chars = WordEncoder.encode_chars
+        encode_word = WordEncoder.encode_word
+
+        def counted_chars(self, chars):
+            runs[tuple(chars)] += 1
+            return encode_chars(self, chars)
+
+        def counted_word(self, word, chars=None):
+            uses[word] += 1
+            return encode_word(self, word, chars)
+
+        monkeypatch.setattr(WordEncoder, "encode_chars", counted_chars)
+        monkeypatch.setattr(WordEncoder, "encode_word", counted_word)
+        train_e2e(qs, kb, pools, VARIANTS["qa-t-mwst"],
+                  small_cfg(epochs=1, batch_size=len(qs)))
+        assert set(runs) == {tuple(word) for word in uses}
+        assert set(runs.values()) == {1}
+        assert sum(uses.values()) > 3 * len(uses)
+
+    @pytest.mark.parametrize("name", ["qa-t-w", "qa-t-mwst"])
+    def test_gradients_equal_per_occurrence_encoding(self, name):
+        kb = song_kb()
+        qs, pools = song_training_set(kb)
+        cfg = small_cfg()
+        model = E2EModel(_training_vocab(qs, kb), cfg, VARIANTS[name],
+                         np.random.default_rng(3))
+        params = model.parameters()
+        grads = []
+        for chars in (EncodeCache(model.words.encode_chars), None):
+            rng = np.random.default_rng(5)  # the same dropout masks
+            for p in params.values():
+                p.grad = None
+            total = None
+            for q, subj, pred in zip(qs, pools.subject_pools,
+                                     pools.predicate_pools):
+                loss = _question_loss(model, kb, q, subj[0], pred[0], cfg,
+                                      rng, chars)
+                total = loss if total is None else total + loss
+            total.backward()
+            grads.append({k: p.grad for k, p in params.items()})
+        shared, unshared = grads
+        assert shared["e2e.chars"] is not None
+        for k, g in unshared.items():
+            assert np.abs(shared[k] - g).max() <= 1e-12 * np.abs(g).max(), k
 
 
 class TestPersistence:

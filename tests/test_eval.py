@@ -2,12 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from qakb.aliasindex import build_index, tokenize
 from qakb.datagen import make_question, serialize_questions_tsv
-from qakb.e2e import VARIANTS, train_e2e, variant_from_name
+from qakb.e2e import E2EModel, VARIANTS, train_e2e, variant_from_name
 from qakb.datagen import NegativePools
 from qakb.errors import EmptyEvalSet
 from qakb.evalharness import (
@@ -348,12 +349,15 @@ class TestE2EStrategyAdapter:
             "qa-t-wt": ("type",),
             "qa-t-mwt": ("type",),
         }
+        cfg = TrainConfig(hidden_size=4, embed_dim=4, char_dim=3, max_len=6)
+
+        def strategy(variant):
+            model = E2EModel(["x"], cfg, variant, np.random.default_rng(0))
+            return E2EStrategy(model, variant, kb, idx)
+
         for name, expect in cases.items():
-            strat = E2EStrategy(None, VARIANTS[name], kb, idx)
-            assert strat.context_fields == expect
-        ods = E2EStrategy(None, variant_from_name("qa-t-mwt",
-                                                  out_degree_sort=True),
-                          kb, idx)
+            assert strategy(VARIANTS[name]).context_fields == expect
+        ods = strategy(variant_from_name("qa-t-mwt", out_degree_sort=True))
         assert ods.context_fields == ("out_degree", "type")
 
 

@@ -20,7 +20,19 @@ from qakb.nn import (
     run_recurrent,
     self_attention,
 )
-from qakb.nn.tensor import Tensor, param, tsum
+from qakb.nn.tensor import (
+    Tensor,
+    matmul,
+    mul,
+    no_grad,
+    param,
+    row,
+    sigmoid,
+    stack_rows,
+    tanh,
+    tsum,
+    zeros,
+)
 
 
 def _sigmoid(x):
@@ -168,6 +180,113 @@ class TestLSTM:
             return tsum(states)
 
         assert finite_diff_check(loss, list(cell.parameters().values())) < 1e-4
+
+
+def _oracle_gru_step(p, x, state):
+    (h,) = state
+    z = sigmoid(matmul(p["W_z"], x) + matmul(p["U_z"], h) + p["b_z"])
+    r = sigmoid(matmul(p["W_r"], x) + matmul(p["U_r"], h) + p["b_r"])
+    n = tanh(matmul(p["W_n"], x) + mul(r, matmul(p["U_n"], h)) + p["b_n"])
+    return ((1.0 - z) * n + z * h,)
+
+
+def _oracle_lstm_step(p, x, state):
+    h, c = state
+    i = sigmoid(matmul(p["W_i"], x) + matmul(p["U_i"], h) + p["b_i"])
+    f = sigmoid(matmul(p["W_f"], x) + matmul(p["U_f"], h) + p["b_f"])
+    g = tanh(matmul(p["W_g"], x) + matmul(p["U_g"], h) + p["b_g"])
+    o = sigmoid(matmul(p["W_o"], x) + matmul(p["U_o"], h) + p["b_o"])
+    c_new = f * c + i * g
+    return o * tanh(c_new), c_new
+
+
+def _oracle_run(cell, inputs, direction):
+    """The per-timestep graph of tensor primitives that the fused sequence
+    op replaces: one node per gate product, sum and nonlinearity."""
+    step = _oracle_gru_step if isinstance(cell, GRUCell) else _oracle_lstm_step
+    T = inputs.shape[0]
+    order = range(T) if direction == "forward" else range(T - 1, -1, -1)
+    state = tuple(zeros((cell.hidden_dim,)) for _ in cell.initial_state())
+    outputs = {}
+    for t in order:
+        state = step(cell._p, row(inputs, t), state)
+        outputs[t] = state[0]
+    return stack_rows([outputs[t] for t in range(T)]), outputs[order[-1]]
+
+
+FUSED_CASES = [(cell, direction, T)
+               for cell in (GRUCell, LSTMCell)
+               for direction in ("forward", "backward")
+               for T in (1, 2, 5)]
+
+
+def _case(cell_cls, T, x_grad, seed=47):
+    rng = np.random.default_rng(seed + T)
+    cell = cell_cls(3, 4, rng)
+    for p in cell.parameters().values():  # nonzero biases exercise db
+        p.data += rng.normal(scale=0.3, size=p.shape)
+    x = rng.normal(size=(T, 3))
+    x = param(x) if x_grad else Tensor(x)
+    w = rng.normal(size=(T, 4))
+    v = rng.normal(size=4)
+    return cell, x, w, v
+
+
+class TestFusedRecurrent:
+    """``run_recurrent`` as one graph node per sequence, against the
+    per-step graph it replaced."""
+
+    @pytest.mark.parametrize("cell_cls,direction,T", FUSED_CASES)
+    def test_forward_bit_identical_to_per_step_oracle(self, cell_cls,
+                                                      direction, T):
+        cell, x, _, _ = _case(cell_cls, T, x_grad=True)
+        states, last = run_recurrent(cell, x, direction)
+        o_states, o_last = _oracle_run(cell, x, direction)
+        np.testing.assert_array_equal(states.data, o_states.data)
+        np.testing.assert_array_equal(last.data, o_last.data)
+
+    @pytest.mark.parametrize("cell_cls,direction,T", FUSED_CASES)
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_gradients_match_per_step_oracle(self, cell_cls, direction, T,
+                                             x_grad):
+        cell, x, w, v = _case(cell_cls, T, x_grad)
+        leaves = list(cell.parameters().values()) + ([x] if x_grad else [])
+        grads = []
+        for run in (run_recurrent, _oracle_run):
+            for leaf in leaves:
+                leaf.grad = None
+            states, last = run(cell, x, direction)
+            (tsum(states * w) + tsum(last * v)).backward()
+            grads.append([leaf.grad.copy() for leaf in leaves])
+        for fused, oracle in zip(*grads):
+            # exact where the oracle is 0 (U at T = 1 sees only h = 0)
+            assert np.abs(fused - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        if not x_grad:
+            assert x.grad is None
+
+    @pytest.mark.parametrize("cell_cls,direction,T", FUSED_CASES)
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_finite_diff(self, cell_cls, direction, T, x_grad):
+        cell, x, w, v = _case(cell_cls, T, x_grad, seed=53)
+        leaves = list(cell.parameters().values()) + ([x] if x_grad else [])
+
+        def loss():
+            states, last = run_recurrent(cell, x, direction)
+            return tsum(states * w) + tsum(last * v)
+
+        assert finite_diff_check(loss, leaves) < 1e-4
+
+    @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
+    def test_one_graph_node_per_sequence(self, cell_cls):
+        cell, x, _, _ = _case(cell_cls, 5, x_grad=True)
+        states, last = run_recurrent(cell, x, "backward")
+        params = list(cell.parameters().values())
+        assert states._parents == (x, *params)
+        assert last._parents == (states,)
+        with no_grad():
+            quiet, _ = run_recurrent(cell, x, "backward")
+        assert quiet._parents == () and not quiet.requires_grad
+        np.testing.assert_array_equal(quiet.data, states.data)
 
 
 class TestBidirectional:

@@ -134,12 +134,14 @@ def build_index(kb: KnowledgeBase) -> AliasIndex:
             if not norm or norm in normed:
                 continue
             normed.append(norm)
+            # mids arrive sorted and each finishes before the next, so a
+            # mid already in a bucket is its last entry
             bucket = exact.setdefault(norm, [])
-            if mid not in bucket:
+            if not bucket or bucket[-1] != mid:
                 bucket.append(mid)
             for gram in all_ngrams(norm.split()):
                 gbucket = gram_to_entities.setdefault(gram, [])
-                if mid not in gbucket:
+                if not gbucket or gbucket[-1] != mid:
                     gbucket.append(mid)
         if normed:
             entity_aliases[mid] = normed

@@ -211,6 +211,7 @@ def cmd_gen_data(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     )
 
     table = datagen.build_relation_domains({f.relation for f in kb.facts})
+    inventory = datagen.type_inventory(kb)
     relation_pairs = []
     type_pairs = []
     for q in questions:
@@ -218,7 +219,7 @@ def cmd_gen_data(args: argparse.Namespace, config: Mapping[str, str]) -> int:
             datagen.gen_relation_pairs(q, q.gold.relation, table)
         )
         candidates = retrieve_question_candidates(index, q.text)
-        type_pairs.extend(datagen.gen_type_pairs(q, kb, candidates))
+        type_pairs.extend(datagen.gen_type_pairs(q, kb, candidates, inventory))
     datagen.write_matcher_pairs(
         os.path.join(args.out, "relation_pairs.tsv"), relation_pairs
     )

@@ -39,22 +39,40 @@ DRR_KEEP = 200
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Character-level edit distance (insert/delete/substitute, cost 1)."""
+    """Character-level edit distance (insert/delete/substitute, cost 1).
+
+    Myers' bit-vector algorithm in Hyyrö's edit-distance form: bit ``i``
+    of ``pv``/``mv`` says the column delta at row ``i`` of the DP matrix
+    is +1/-1, and one column costs a few word operations.  The longer
+    string is the bit-vector side, so Python ints cover any length, and
+    the loop runs over the shorter one.
+    """
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,
-                    current[j - 1] + 1,
-                    previous[j - 1] + (ca != cb),
-                )
-            )
-        previous = current
-    return previous[-1]
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    top = bit >> 1
+    pv, mv, score = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (mask & ~(xh | pv))
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        # row 0 grows by one per column, so a +1 enters at the bottom
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (mask & ~(xv | ph))
+        mv = ph & xv
+    return score
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +231,30 @@ def gen_relation_pairs(
     return pairs
 
 
+def type_inventory(kb: KnowledgeBase) -> list[str]:
+    """Every notable type label in the KB, sorted."""
+    return sorted(
+        {
+            rec.notable_type
+            for rec in kb.entities.values()
+            if rec.notable_type is not None
+        }
+    )
+
+
 def gen_type_pairs(
     q: QuestionInstance,
     kb: KnowledgeBase,
     candidates: Sequence[CandidateEntity],
+    inventory: Sequence[str],
     max_negatives: int = 10,
 ) -> list[MatcherPair]:
     """Question-type pairs: the gold subject's type against distractor types.
 
     Negatives are the notable types of the other retrieved candidates,
-    padded from the global type inventory; the positive is triplicated
-    like the relation pairs.  Questions whose gold subject has no type
-    yield no pairs.
+    padded from ``inventory`` (:func:`type_inventory` of ``kb``); the
+    positive is triplicated like the relation pairs.  Questions whose
+    gold subject has no type yield no pairs.
     """
     gold_rec = kb.entities.get(q.gold.subject)
     if gold_rec is None or gold_rec.notable_type is None:
@@ -238,13 +268,6 @@ def gen_type_pairs(
         if rec.notable_type != gold_type and rec.notable_type not in negatives:
             negatives.append(rec.notable_type)
     if len(negatives) < max_negatives:
-        inventory = sorted(
-            {
-                rec.notable_type
-                for rec in kb.entities.values()
-                if rec.notable_type is not None
-            }
-        )
         for label in inventory:
             if len(negatives) >= max_negatives:
                 break
@@ -277,24 +300,40 @@ def build_drr(
     relations: Iterable[str],
     truncate_above: int = DRR_TRUNCATE_ABOVE,
     keep: int = DRR_KEEP,
+    keys: Optional[Iterable[str]] = None,
 ) -> dict[str, list[str]]:
     """Per relation, the other relations sorted by ascending edit distance.
 
     Above ``truncate_above`` relations each list is cut to the nearest
     ``keep`` neighbours; only a few dozen are ever consumed per question.
+    ``keys`` limits the result to the rows of those relations (keys not
+    among ``relations`` get none), so k rows cost about k * len(relations)
+    distances; each row is the same as in the full dictionary.
     """
     rels = sorted(set(relations))
     limit = keep if len(rels) > truncate_above else None
-    dist = np.zeros((len(rels), len(rels)), dtype=np.int32)
-    for i, a in enumerate(rels):
-        for j in range(i + 1, len(rels)):
-            dist[i, j] = dist[j, i] = _trimmed_levenshtein(a, rels[j])
+    wanted = set(rels if keys is None else keys)
+    rows = [i for i, rel in enumerate(rels) if rel in wanted]
+    slot = {i: r for r, i in enumerate(rows)}
+    dist = np.zeros((len(rows), len(rels)), dtype=np.int32)
+    for r, i in enumerate(rows):
+        a = rels[i]
+        for j, b in enumerate(rels):
+            # s is b's own row (len(rows) if it has none): s == r is the
+            # key itself, and an earlier row s < r already holds the pair
+            s = slot.get(j, len(rows))
+            if s <= r:
+                continue
+            d = _trimmed_levenshtein(a, b)
+            dist[r, j] = d
+            if s < len(rows):
+                dist[s, i] = d
     out: dict[str, list[str]] = {}
-    for i, key in enumerate(rels):
+    for r, i in enumerate(rows):
         # stable, so ties stay in name order; the key is the only
         # relation at distance 0 and comes first
-        ranked = np.argsort(dist[i], kind="stable")[1:]
-        out[key] = [rels[j] for j in ranked[:limit]]
+        ranked = np.argsort(dist[r], kind="stable")[1:]
+        out[rels[i]] = [rels[j] for j in ranked[:limit]]
     return out
 
 
@@ -369,8 +408,15 @@ def build_negative_pools(
     subject_target: int = SUBJECT_POOL_SIZE,
     predicate_target: int = PREDICATE_POOL_SIZE,
 ) -> NegativePools:
-    """All per-question pools; each question gets its own derived seed."""
-    d_rr = build_drr({f.relation for f in kb.facts})
+    """All per-question pools; each question gets its own derived seed.
+
+    The relation dictionary holds only the rows of the gold relations,
+    the only ones :func:`gen_predicate_negatives` reads.
+    """
+    d_rr = build_drr(
+        {f.relation for f in kb.facts},
+        keys={q.gold.relation for q in questions},
+    )
     pools = NegativePools(d_rr=d_rr)
     for i, q in enumerate(questions):
         rng = np.random.default_rng(seed ^ i)

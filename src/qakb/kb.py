@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import re
 import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -25,6 +26,10 @@ SNAPSHOT_MAGIC = b"KBQA1"
 # Predicates (canonical form) recognized by the notable-type ingestion join.
 _TYPE_ASSIGN_RELATION = "/common/topic/notable_types"
 _TYPE_NAME_RELATIONS = ("/type/object/name", "/common/topic/notable_for")
+
+# An id spelled only with these characters has no prefix, slash, capital or
+# space, so canonicalize_mid returns it unchanged.
+_CANONICAL_MID = re.compile(r"[0-9a-z_.]+")
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +66,8 @@ def canonicalize_mid(raw: str) -> str:
     ("www.freebase.com/m/02mjmr") and full IRIs
     ("http://rdf.freebase.com/ns/m.02mjmr").  Idempotent on its own output.
     """
+    if _CANONICAL_MID.fullmatch(raw):
+        return raw
     out = _strip_id_prefix(raw).replace("/", ".").lower()
     if not out or any(c.isspace() for c in out):
         raise MalformedId(f"cannot canonicalize entity id {raw!r}")

@@ -102,7 +102,14 @@ def load_params(path: str) -> dict[str, np.ndarray]:
             if size * 8 > len(data) - buf.tell():
                 raise ParseError(f"truncated data for parameter {name!r}", 1)
             raw = buf.read(size * 8)
-            out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            try:
+                arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            except ValueError as exc:  # over 64 dims, or a zero-size shape
+                # whose other dims overflow numpy's size
+                raise ParseError(
+                    f"bad shape {shape} for parameter {name!r}", 1
+                ) from exc
+            out[name] = arr.copy()
     except (struct.error, UnicodeDecodeError) as exc:
         raise ParseError(f"truncated or garbled snapshot ({exc})", 1) from exc
     return out

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qakb.aliasindex import (
+    AliasIndex,
+    _norm_alias,
     all_ngrams,
     build_index,
     extract_ngrams,
@@ -12,6 +14,28 @@ from qakb.aliasindex import (
     tokenize,
 )
 from qakb.kb import build_kb
+
+
+def _oracle_index(kb):
+    """Index built with list-membership checks for every bucket."""
+    exact, grams, entity_aliases = {}, {}, {}
+    for mid in sorted(kb.entities):
+        normed = []
+        for alias in kb.entities[mid].aliases:
+            norm = _norm_alias(alias)
+            if not norm or norm in normed:
+                continue
+            normed.append(norm)
+            bucket = exact.setdefault(norm, [])
+            if mid not in bucket:
+                bucket.append(mid)
+            for gram in all_ngrams(norm.split()):
+                gbucket = grams.setdefault(gram, [])
+                if mid not in gbucket:
+                    gbucket.append(mid)
+        if normed:
+            entity_aliases[mid] = normed
+    return AliasIndex(exact, grams, entity_aliases)
 
 
 class TestTokenize:
@@ -106,6 +130,18 @@ class TestBuildIndex:
     def test_empty_kb(self):
         idx = build_index(build_kb([]))
         assert idx.exact == {} and idx.gram_to_entities == {}
+
+    @given(st.lists(
+        st.tuples(st.sampled_from(["m.b", "m.a", "m.c", "m.d"]),
+                  st.sampled_from(["a", "a b", "b a b", "a a", "A  b", "a b!",
+                                   "x y z", "y z", "?", "b a b a"])),
+        max_size=14))
+    def test_matches_membership_oracle(self, pairs):
+        """Shared aliases, grams repeated inside one mid's aliases and
+        aliases equal after normalisation leave every bucket as the
+        list-membership build makes it."""
+        kb = build_kb([], alias_pairs=pairs + pairs[:3])
+        assert build_index(kb) == _oracle_index(kb)
 
     def test_every_alias_reachable_via_exact(self, tiny_kb, tiny_index):
         for rec in tiny_kb.entities.values():

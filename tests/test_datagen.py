@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qakb import datagen
 from qakb.aliasindex import build_index, retrieve_question_candidates
 from qakb.datagen import (
     build_drr,
@@ -23,10 +24,12 @@ from qakb.datagen import (
     read_labeled_questions,
     read_matcher_pairs,
     serialize_questions_tsv,
+    type_inventory,
     write_labeled_questions,
     write_matcher_pairs,
 )
 from qakb.errors import LabelFailure, ParseError
+from qakb.evalharness import SyntheticSpec, generate_synthetic
 from qakb.kb import Fact, build_kb
 
 
@@ -64,6 +67,21 @@ class TestLevenshtein:
     @given(st.text(max_size=7), st.text(max_size=7))
     def test_matches_recursive_oracle(self, a, b):
         assert levenshtein(a, b) == _oracle_lev(a, b)
+
+    @settings(deadline=None)
+    @given(st.text(alphabet="ab xé世\U0001f600", max_size=80),
+           st.text(alphabet="ab xé世\U0001f600", max_size=80))
+    def test_long_strings_match_oracle(self, a, b):
+        """Past 64 characters the bit vectors are wider than a 64-bit
+        word; code points outside ASCII index the same way."""
+        assert levenshtein(a, b) == _oracle_lev(a, b)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])
+    def test_word_boundary_lengths(self, n):
+        a = "ab" * n
+        assert levenshtein(a[:n], a[1:n + 1]) == 2
+        assert levenshtein("x" * n, "") == n
+        assert levenshtein("x" * n, "x" * (n - 1) + "y") == 1
 
     @given(st.text(max_size=7), st.text(max_size=7))
     def test_symmetry_and_bounds(self, a, b):
@@ -208,7 +226,7 @@ class TestTypePairs:
             Fact("m.017hzy7", "/music/recording/releases", "m.0rel01"),
         )
         cands = retrieve_question_candidates(index, q.text)
-        pairs = gen_type_pairs(q, tiny_kb, cands)
+        pairs = gen_type_pairs(q, tiny_kb, cands, type_inventory(tiny_kb))
         positives = [p for p in pairs if p[2] == 1]
         assert len(positives) == 3
         assert all(p[1] == "musical recording" for p in positives)
@@ -219,7 +237,32 @@ class TestTypePairs:
     def test_untyped_gold_yields_nothing(self, tiny_kb):
         q = make_question("where is berlin ?",
                           Fact("m.0k3p", "/r/r/r", "m.x"))
-        assert gen_type_pairs(q, tiny_kb, []) == []
+        assert gen_type_pairs(q, tiny_kb, [], type_inventory(tiny_kb)) == []
+
+    def test_inventory_sorted_and_distinct(self, tiny_kb):
+        assert type_inventory(tiny_kb) == [
+            "country", "musical album", "musical recording", "us president",
+        ]
+
+    def test_pads_from_inventory_in_order(self, tiny_kb):
+        q = make_question("who is obama ?",
+                          Fact("m.02mjmr", "/r/r/r", "m.x"))
+        pairs = gen_type_pairs(q, tiny_kb, [], ["b", "us president", "a"])
+        assert [p[1] for p in pairs if p[2] == 0] == ["b", "a"]
+
+
+def _count_levenshtein(monkeypatch):
+    """Count calls of ``datagen.levenshtein``; the returned one-item list
+    holds the running total."""
+    calls = [0]
+    real = datagen.levenshtein
+
+    def counting(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(datagen, "levenshtein", counting)
+    return calls
 
 
 class TestDrr:
@@ -271,6 +314,36 @@ class TestDrr:
                 key=lambda r: (_oracle_lev(key, r), r),
             )
             assert d[key] == (expected[:keep] if truncate else expected)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.sets(st.text(alphabet="ab/", min_size=1, max_size=5),
+                   min_size=1, max_size=10),
+           st.sets(st.text(alphabet="ab/", min_size=1, max_size=5),
+                   max_size=6),
+           st.booleans())
+    def test_keys_select_rows_of_full_dictionary(self, rels, keys, truncate):
+        """Rows asked for by key equal the full dictionary's rows; keys
+        that are not relations get none, and truncation still counts
+        every relation."""
+        keys = keys | set(list(rels)[:2])
+        kwargs = {"truncate_above": 3, "keep": 2} if truncate else {}
+        full = build_drr(rels, **kwargs)
+        assert build_drr(rels, keys=keys, **kwargs) == {
+            k: full[k] for k in keys if k in rels
+        }
+
+    def test_no_keys_no_rows(self):
+        assert build_drr(["/r/a", "/r/b"], keys=[]) == {}
+        assert build_drr(["/r/a", "/r/b"], keys=["/r/zz"]) == {}
+
+    def test_each_pair_computed_once(self, monkeypatch):
+        rels = [f"/r/x{i}" for i in range(9)]
+        calls = _count_levenshtein(monkeypatch)
+        build_drr(rels)
+        assert calls[0] == 9 * 8 // 2
+        calls[0] = 0
+        build_drr(rels, keys=rels[:3])
+        assert calls[0] == 3 * 8 - 3
 
 
 def _pool_kb():
@@ -352,6 +425,40 @@ class TestPredicateNegatives:
 
 
 class TestNegativePools:
+    def _assert_pools_use_full_dictionary(self, kb, questions, seed=3):
+        pools = build_negative_pools(questions, kb, build_index(kb), seed)
+        full = build_drr({f.relation for f in kb.facts})
+        assert pools.predicate_pools == [
+            gen_predicate_negatives(q, kb, full) for q in questions
+        ]
+        assert set(pools.d_rr) == (
+            {q.gold.relation for q in questions} & set(full)
+        )
+
+    def test_tiny_kb_matches_full_dictionary(self, tiny_kb):
+        questions = [make_question(f"what about {f.subject} ?", f)
+                     for f in tiny_kb.facts[:4]]
+        questions.append(make_question(
+            "who is obama ?", Fact("m.02mjmr", "/not/in/kb", "m.x")))
+        self._assert_pools_use_full_dictionary(tiny_kb, questions)
+
+    def test_synthetic_kb_matches_full_dictionary(self):
+        kb, train, _ = generate_synthetic(
+            SyntheticSpec(seed=4, n_entities=40, n_relations=32))
+        assert len({f.relation for f in kb.facts}) >= 30
+        self._assert_pools_use_full_dictionary(kb, train[:12])
+
+    def test_distance_calls_scale_with_gold_relations(self, monkeypatch):
+        kb, train, _ = generate_synthetic(
+            SyntheticSpec(seed=4, n_entities=40, n_relations=32))
+        questions = train[:12]
+        n_rels = len({f.relation for f in kb.facts})
+        k = len({q.gold.relation for q in questions})
+        index = build_index(kb)
+        calls = _count_levenshtein(monkeypatch)
+        build_negative_pools(questions, kb, index, seed=3)
+        assert 0 < calls[0] <= k * (n_rels - 1)
+
     def test_deterministic_and_gold_free(self):
         kb = _pool_kb()
         index = build_index(kb)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from qakb.errors import MalformedId, ParseError
 from qakb.kb import (
     Fact,
+    _strip_id_prefix,
     NTObject,
     build_kb,
     canonicalize_mid,
@@ -64,6 +65,41 @@ class TestCanonicalizeMid:
             return
         assert canonicalize_mid(once) == once
         assert "/" not in once
+
+
+def _general_canonicalize_mid(raw):
+    """The canonicalisation every id took before the canonical-form
+    shortcut."""
+    out = _strip_id_prefix(raw).replace("/", ".").lower()
+    if not out or any(c.isspace() for c in out):
+        raise MalformedId(f"cannot canonicalize entity id {raw!r}")
+    return out
+
+
+_ID_TEXT = st.text(
+    alphabet=string.ascii_lowercase + string.digits + "_./:<> "
+    + "ABMZ" + "\u00e9\u0130\u212a\u00a0\u3000",
+    max_size=24,
+)
+
+
+class TestCanonicalizeMidShortcut:
+    @given(st.one_of(
+        _ID_TEXT,
+        st.tuples(st.sampled_from(["", "<", "http://h/", "HTTPS://x.y/ns/",
+                                   "www.freebase.com/", "ns/", "/", " "]),
+                  _ID_TEXT,
+                  st.sampled_from(["", ">", "/", " ", "\n"]))
+        .map("".join),
+    ))
+    def test_same_result_or_error_as_general_path(self, raw):
+        try:
+            expected = _general_canonicalize_mid(raw)
+        except MalformedId:
+            with pytest.raises(MalformedId):
+                canonicalize_mid(raw)
+            return
+        assert canonicalize_mid(raw) == expected
 
 
 class TestCanonicalizeRelation:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qakb.errors import QAKBError
+from qakb.errors import ParseError, QAKBError
 from qakb.kb import SNAPSHOT_MAGIC, load_kb
 from qakb.nn.io import MODEL_MAGIC, load_params, read_model_meta, save_params
 from qakb.nn.tensor import param
@@ -70,6 +70,16 @@ class TestLoadParams:
         data = path.read_bytes()
         _loads_or_rejects(load_params, path, data[:cut] + noise
                           + data[cut + len(noise):])
+
+    def test_zero_size_shape_too_big_for_numpy(self, path):
+        """A shape with a zero dimension passes the length check, but its
+        other dimensions multiply past what numpy can index."""
+        save_params({"a.w": param(np.arange(6.0).reshape(2, 3)),
+                     "b": param(np.asarray(1.5))}, str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[:11] + b"\x00\x00\x00\x08" + data[15:])
+        with pytest.raises(ParseError, match="bad shape"):
+            load_params(str(path))
 
 
 class TestReadModelMeta:

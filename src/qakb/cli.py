@@ -34,6 +34,7 @@ from qakb.errors import (
 )
 from qakb.kb import KnowledgeBase, build_kb, load_kb, lookup_objects, save_kb
 from qakb.nn import TrainConfig
+from qakb.nn.io import load_model, meta_path, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -60,8 +61,11 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Parse simple ``key=value`` lines; ``#`` comments and blanks skip."""
-    _require_file(path)
+    """Parse simple ``key=value`` lines; ``#`` comments and blanks skip.
+    A known key whose value does not cast to its type is a DataError."""
+    _require_files(path)
+    casts = {field: cast for field, cast, _ in _CONFIG_FIELDS}
+    casts["seed"] = int
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -71,7 +75,14 @@ def read_config_file(path: str) -> dict[str, str]:
             if "=" not in stripped:
                 raise DataError(f"{path}:{line_no}: expected key=value")
             key, _, value = stripped.partition("=")
-            out[key.strip()] = value.strip()
+            key, value = key.strip(), value.strip()
+            if key in casts:
+                try:
+                    casts[key](value)
+                except ValueError:
+                    raise DataError(f"{path}:{line_no}: {key}={value}: not "
+                                    f"a valid {casts[key].__name__}") from None
+            out[key] = value
     return out
 
 
@@ -83,23 +94,23 @@ def resolve_seed(flag: Optional[int], config: Mapping[str, str],
     if "seed" in config:
         return int(config["seed"])
     if SEED_ENV_VAR in env:
-        return int(env[SEED_ENV_VAR])
+        try:
+            return int(env[SEED_ENV_VAR])
+        except ValueError:
+            raise UsageError(f"{SEED_ENV_VAR}={env[SEED_ENV_VAR]}: not a "
+                             f"valid int") from None
     return DEFAULT_SEED
 
 
-def _require_file(path: str) -> None:
-    if not os.path.isfile(path):
-        raise DataError(f"{path}: no such file")
-
-
 def _require_files(*paths: Optional[str]) -> None:
+    """DataError naming the first given path that is not a file."""
     for path in paths:
-        if path is not None:
-            _require_file(path)
+        if path is not None and not os.path.isfile(path):
+            raise DataError(f"{path}: no such file")
 
 
 def _parse_file(path: str, parse_fn: Callable):
-    _require_file(path)
+    _require_files(path)
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_fn(fh)
@@ -108,23 +119,24 @@ def _parse_file(path: str, parse_fn: Callable):
 
 
 def _load_kb(path: str) -> KnowledgeBase:
-    _require_file(path)
+    _require_files(path)
     try:
         return load_kb(path)
     except (ParseError, MalformedId) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
+# TrainConfig fields settable by flag or config file: (field, type, flag)
 _CONFIG_FIELDS = (
-    ("epochs", int),
-    ("batch_size", int),
-    ("hidden_size", int),
-    ("embed_dim", int),
-    ("char_dim", int),
-    ("max_len", int),
-    ("learning_rate", float),
-    ("gamma", float),
-    ("dropout_p", float),
+    ("epochs", int, "--epochs"),
+    ("batch_size", int, "--batch-size"),
+    ("hidden_size", int, "--hidden-size"),
+    ("embed_dim", int, "--embed-dim"),
+    ("char_dim", int, "--char-dim"),
+    ("max_len", int, "--max-len"),
+    ("learning_rate", float, "--learning-rate"),
+    ("gamma", float, "--gamma"),
+    ("dropout_p", float, "--dropout"),
 )
 
 
@@ -132,7 +144,7 @@ def train_config(args: argparse.Namespace,
                  config: Mapping[str, str]) -> TrainConfig:
     """Build a TrainConfig from flags, config file, then class defaults."""
     kwargs = {"seed": resolve_seed(args.seed, config)}
-    for field, cast in _CONFIG_FIELDS:
+    for field, cast, _ in _CONFIG_FIELDS:
         value = getattr(args, field, None)
         if value is None and field in config:
             value = cast(config[field])
@@ -145,15 +157,8 @@ def train_config(args: argparse.Namespace,
 
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--batch-size", type=int, dest="batch_size")
-    sub.add_argument("--hidden-size", type=int, dest="hidden_size")
-    sub.add_argument("--embed-dim", type=int, dest="embed_dim")
-    sub.add_argument("--char-dim", type=int, dest="char_dim")
-    sub.add_argument("--max-len", type=int, dest="max_len")
-    sub.add_argument("--learning-rate", type=float, dest="learning_rate")
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--dropout", type=float, dest="dropout_p")
+    for field, cast, flag in _CONFIG_FIELDS:
+        sub.add_argument(flag, type=cast, dest=field)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +252,11 @@ def cmd_train_pipeline(args: argparse.Namespace,
     except ParseError as exc:
         raise DataError(f"{args.data}: {exc}") from exc
 
-    os.makedirs(args.out, exist_ok=True)
     tagger, tagger_curve = pipeline.train_tagger(tagged, cfg)
-    pipeline.save_tagger(tagger, os.path.join(args.out, "tagger.nn"))
+    save_model(tagger, os.path.join(args.out, "tagger.nn"))
     relation, rel_curve = pipeline.train_matcher(relation_pairs, cfg,
                                                  name="relation")
-    pipeline.save_matcher(relation, os.path.join(args.out, "relation.nn"))
+    save_model(relation, os.path.join(args.out, "relation.nn"))
     lines = [
         f"tagger: {len(tagged)} examples, final loss {tagger_curve[-1]:.4f}",
         f"relation: {len(relation_pairs)} pairs, "
@@ -261,7 +265,7 @@ def cmd_train_pipeline(args: argparse.Namespace,
     if type_pairs:
         typem, type_curve = pipeline.train_matcher(type_pairs, cfg,
                                                    name="type")
-        pipeline.save_matcher(typem, os.path.join(args.out, "type.nn"))
+        save_model(typem, os.path.join(args.out, "type.nn"))
         lines.append(f"type: {len(type_pairs)} pairs, "
                      f"final loss {type_curve[-1]:.4f}")
     else:
@@ -278,37 +282,39 @@ def cmd_train_e2e(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     variant = e2e.variant_from_name(args.variant)
     pools = datagen.build_negative_pools(questions, kb, index, cfg.seed)
     model, curve = e2e.train_e2e(questions, kb, pools, variant, cfg)
-    out_dir = os.path.dirname(args.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    e2e.save_e2e(model, args.out)
+    save_model(model, args.out)
     print(f"{args.variant}: {len(questions)} questions, "
           f"final loss {curve[-1]:.4f} -> {args.out}")
     return 0
 
 
-def _load_pipeline_models(model_dir: str) -> pipeline.PipelineModels:
-    tagger_path = os.path.join(model_dir, "tagger.nn")
-    relation_path = os.path.join(model_dir, "relation.nn")
-    type_path = os.path.join(model_dir, "type.nn")
-    _require_files(tagger_path, relation_path)
+def _load_model(cls, path: str):
+    """The snapshot at ``path`` (the file and its sidecar) as a ``cls``;
+    a missing or damaged snapshot is a DataError."""
+    _require_files(path, meta_path(path))
     try:
-        return pipeline.PipelineModels(
-            tagger=pipeline.load_tagger(tagger_path),
-            relation_matcher=pipeline.load_matcher(relation_path),
-            type_matcher=(pipeline.load_matcher(type_path)
-                          if os.path.isfile(type_path) else None),
-        )
-    except (ValueError, ParseError, ShapeMismatch) as exc:
-        raise DataError(f"{model_dir}: {exc}") from exc
-
-
-def _load_e2e_model(path: str) -> e2e.E2EModel:
-    _require_file(path)
-    try:
-        return e2e.load_e2e(path)
+        return load_model(cls, path)
     except (ValueError, ParseError, ShapeMismatch) as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _load_pipeline_models(model_dir: str,
+                          strategy: str) -> pipeline.PipelineModels:
+    """The stages in a train-pipeline directory; ``type.nn`` is optional
+    unless ``strategy`` consults the type."""
+    type_path = os.path.join(model_dir, "type.nn")
+    has_type = os.path.isfile(type_path)
+    if not has_type and "type" in pipeline.context_fields(strategy):
+        raise DataError(f"{type_path}: no such file; {strategy} needs the "
+                        f"type matcher")
+    return pipeline.PipelineModels(
+        tagger=_load_model(pipeline.TaggerModel,
+                           os.path.join(model_dir, "tagger.nn")),
+        relation_matcher=_load_model(pipeline.MatcherModel,
+                                     os.path.join(model_dir, "relation.nn")),
+        type_matcher=(_load_model(pipeline.MatcherModel, type_path)
+                      if has_type else None),
+    )
 
 
 def _e2e_variant(args: argparse.Namespace,
@@ -343,7 +349,7 @@ def _answer_lines(args: argparse.Namespace, kb, index,
     questions = (q for q in (line.strip() for line in stream) if q)
     if _answer_mode(args) == "pipeline":
         session = pipeline.PipelineSession(
-            _load_pipeline_models(args.pipeline), kb, index)
+            _load_pipeline_models(args.pipeline, args.strategy), kb, index)
         for question in questions:
             try:
                 pred = session.predict(args.strategy, question)
@@ -352,7 +358,7 @@ def _answer_lines(args: argparse.Namespace, kb, index,
                 continue
             yield pipeline.answer_record(question, pred, kb, args.strategy)
         return
-    model = _load_e2e_model(args.model)
+    model = _load_model(e2e.E2EModel, args.model)
     name, variant = _e2e_variant(args, model)
     session = e2e.E2ESession(model, kb, index, variant)
     for question in questions:
@@ -386,7 +392,7 @@ def cmd_answer(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     kb = _load_kb(args.kb)
     index = build_index(kb)
     if args.questions is not None:
-        _require_file(args.questions)
+        _require_files(args.questions)
         with open(args.questions, encoding="utf-8") as fh:
             for record in _answer_lines(args, kb, index, fh):
                 print(record)
@@ -410,14 +416,14 @@ def cmd_eval(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     elif args.pipeline is not None:
         if args.strategy is None:
             raise UsageError("--pipeline needs --strategy")
-        models = _load_pipeline_models(args.pipeline)
+        models = _load_pipeline_models(args.pipeline, args.strategy)
         strategy = evalharness.PipelineStrategy(args.strategy, models, kb,
                                                 index)
         name = args.strategy
     elif args.model is not None:
         if args.variant is None:
             raise UsageError("--model needs --variant")
-        model = _load_e2e_model(args.model)
+        model = _load_model(e2e.E2EModel, args.model)
         name, variant = _e2e_variant(args, model)
         strategy = evalharness.E2EStrategy(model, variant, kb, index)
         name += "+od" if args.out_degree_sort else ""

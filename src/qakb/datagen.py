@@ -24,15 +24,18 @@ from qakb.errors import LabelFailure, ParseError
 from qakb.kb import (
     Fact,
     KnowledgeBase,
+    aliases_of,
     canonicalize_mid,
     canonicalize_relation,
     relations_of,
+    tsv_rows,
 )
 
 log = logging.getLogger(__name__)
 
 SUBJECT_POOL_SIZE = 5
 PREDICATE_POOL_SIZE = 50
+TYPE_NEGATIVES = 10
 POSITIVE_COPIES = 3
 DRR_TRUNCATE_ABOVE = 2000
 DRR_KEEP = 200
@@ -93,15 +96,7 @@ def make_question(text: str, gold: Fact) -> QuestionInstance:
 def parse_questions_tsv(lines: Iterable[str]) -> list[QuestionInstance]:
     """Parse ``subject<TAB>relation<TAB>object<TAB>question`` lines."""
     out: list[QuestionInstance] = []
-    for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) < 4:
-            raise ParseError(
-                f"expected 4 tab-separated fields, got {len(fields)}", line_no
-            )
+    for fields in tsv_rows(lines, 4):
         gold = Fact(
             canonicalize_mid(fields[0]),
             canonicalize_relation(fields[1]),
@@ -247,7 +242,6 @@ def gen_type_pairs(
     kb: KnowledgeBase,
     candidates: Sequence[CandidateEntity],
     inventory: Sequence[str],
-    max_negatives: int = 10,
 ) -> list[MatcherPair]:
     """Question-type pairs: the gold subject's type against distractor types.
 
@@ -267,14 +261,14 @@ def gen_type_pairs(
             continue
         if rec.notable_type != gold_type and rec.notable_type not in negatives:
             negatives.append(rec.notable_type)
-    if len(negatives) < max_negatives:
+    if len(negatives) < TYPE_NEGATIVES:
         for label in inventory:
-            if len(negatives) >= max_negatives:
+            if len(negatives) >= TYPE_NEGATIVES:
                 break
             if label != gold_type and label not in negatives:
                 negatives.append(label)
     pairs: list[MatcherPair] = [(q.text, gold_type, 1)] * POSITIVE_COPIES
-    pairs.extend((q.text, label, 0) for label in negatives[:max_negatives])
+    pairs.extend((q.text, label, 0) for label in negatives[:TYPE_NEGATIVES])
     return pairs
 
 
@@ -337,40 +331,32 @@ def build_drr(
     return out
 
 
-def _same_label(kb: KnowledgeBase, a: str, b: str) -> bool:
-    ra, rb = kb.entities.get(a), kb.entities.get(b)
-    if ra is None or rb is None:
-        return False
-    return bool(set(ra.aliases) & set(rb.aliases))
-
-
 def gen_subject_negatives(
     q: QuestionInstance,
     candidates: Sequence[CandidateEntity],
     kb: KnowledgeBase,
     rng: np.random.Generator,
-    target: int = SUBJECT_POOL_SIZE,
 ) -> list[str]:
     """Negative subjects: same-label candidates (and the gold) excluded.
 
-    When fewer than ``target`` distinct negatives survive the filter the
-    pool is padded by resampling the survivors, so the gold's label never
-    leaks into its own negatives.
+    When fewer than SUBJECT_POOL_SIZE distinct negatives survive the
+    filter the pool is padded by resampling the survivors, so the gold's
+    label never leaks into its own negatives.
     """
     gold = q.gold.subject
     filtered: list[str] = []
     for cand in candidates:
         if cand.id == gold or cand.id in filtered:
             continue
-        if _same_label(kb, cand.id, gold):
+        if aliases_of(kb, cand.id) & aliases_of(kb, gold):
             continue
         filtered.append(cand.id)
     if not filtered:
         return []
-    if len(filtered) >= target:
+    if len(filtered) >= SUBJECT_POOL_SIZE:
         return filtered
     pool = list(filtered)
-    while len(pool) < target:
+    while len(pool) < SUBJECT_POOL_SIZE:
         pool.append(filtered[int(rng.integers(len(filtered)))])
     return pool
 
@@ -379,18 +365,17 @@ def gen_predicate_negatives(
     q: QuestionInstance,
     kb: KnowledgeBase,
     d_rr: dict[str, list[str]],
-    target: int = PREDICATE_POOL_SIZE,
 ) -> list[str]:
     """Negative predicates: the subject's other relations, then dictionary
-    neighbours of the gold relation until the target size."""
+    neighbours of the gold relation, up to PREDICATE_POOL_SIZE."""
     gold_rel = q.gold.relation
     pool = [r for r in relations_of(kb, q.gold.subject) if r != gold_rel]
     for rel in d_rr.get(gold_rel, ()):
-        if len(pool) >= target:
+        if len(pool) >= PREDICATE_POOL_SIZE:
             break
         if rel != gold_rel and rel not in pool:
             pool.append(rel)
-    return pool[:target]
+    return pool[:PREDICATE_POOL_SIZE]
 
 
 @dataclass(slots=True)
@@ -405,8 +390,6 @@ def build_negative_pools(
     kb: KnowledgeBase,
     index: AliasIndex,
     seed: int,
-    subject_target: int = SUBJECT_POOL_SIZE,
-    predicate_target: int = PREDICATE_POOL_SIZE,
 ) -> NegativePools:
     """All per-question pools; each question gets its own derived seed.
 
@@ -422,10 +405,10 @@ def build_negative_pools(
         rng = np.random.default_rng(seed ^ i)
         candidates = retrieve_question_candidates(index, q.text)
         pools.subject_pools.append(
-            gen_subject_negatives(q, candidates, kb, rng, subject_target)
+            gen_subject_negatives(q, candidates, kb, rng)
         )
         pools.predicate_pools.append(
-            gen_predicate_negatives(q, kb, d_rr, predicate_target)
+            gen_predicate_negatives(q, kb, d_rr)
         )
     return pools
 

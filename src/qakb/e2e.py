@@ -13,7 +13,7 @@ separate same-label subjects.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,6 @@ from qakb.datagen import NegativePools, QuestionInstance
 from qakb.errors import EmptySequence, EmptyTrainingSet, NoCandidates
 from qakb.kb import Fact, KnowledgeBase, notable_type, out_degree, primary_alias
 from qakb.nn import (
-    Adam,
     Dense,
     EmbeddingTable,
     EncodeCache,
@@ -33,17 +32,9 @@ from qakb.nn import (
     TrainConfig,
     cosine,
     dropout,
+    fit,
     run_recurrent,
     self_attention,
-)
-from qakb.nn.io import (
-    load_params,
-    malformed_payload,
-    meta_path,
-    read_model_meta,
-    restore_params,
-    save_params,
-    write_model_meta,
 )
 from qakb.nn.losses import (
     loss_hinge_qas,
@@ -110,9 +101,6 @@ class E2EVariant:
             return "qas"
         return "qat_type" if self.type_as_task else "qat"
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
 
 VARIANTS = {
     "qa-s": E2EVariant(qas_head=True),
@@ -133,9 +121,7 @@ def variant_from_name(name: str, out_degree_sort: bool = False) -> E2EVariant:
         base = VARIANTS[name]
     except KeyError:
         raise ValueError(f"unknown variant {name!r}") from None
-    if out_degree_sort:
-        return replace(base, out_degree_sort=True)
-    return base
+    return replace(base, out_degree_sort=out_degree_sort)
 
 
 def variant_name(variant: E2EVariant) -> str:
@@ -145,7 +131,7 @@ def variant_name(variant: E2EVariant) -> str:
     for name, known in VARIANTS.items():
         if known == base:
             return name
-    raise ValueError(f"no named variant has the switches {base.to_dict()}")
+    raise ValueError(f"no named variant has the switches {asdict(base)}")
 
 
 def _describe(variant: E2EVariant) -> str:
@@ -153,7 +139,7 @@ def _describe(variant: E2EVariant) -> str:
     try:
         return variant_name(variant)
     except ValueError:
-        return str(replace(variant, out_degree_sort=False).to_dict())
+        return str(asdict(replace(variant, out_degree_sort=False)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +204,6 @@ class WordEncoder:
             chars = self.encode_chars
         return concat([vec, chars(word)])
 
-    def encode_tokens(self, tokens: Sequence[str],
-                      chars: Optional[CharEncode] = None) -> Tensor:
-        if not tokens:
-            return zeros((0, self.dim))
-        return stack_rows([self.encode_word(tok, chars) for tok in tokens])
-
     def parameters(self) -> dict[str, Tensor]:
         params = {"e2e.words": self.word_table.vectors}
         if self.char_level:
@@ -258,21 +238,6 @@ def pad_states(states: Tensor, max_len: int) -> Tensor:
     if length > max_len:
         return stack_rows([row(states, i) for i in range(max_len)])
     return concat([states, zeros((max_len - length, width))], axis=0)
-
-
-def encode_sequence(se: SharedEncoder, we: WordEncoder,
-                    tokens: Sequence[str], mode: str = "eval",
-                    rng: Optional[np.random.Generator] = None,
-                    chars: Optional[CharEncode] = None) -> Tensor:
-    """Token sequence → shared LSTM (→ self-attention) → flatten → dense."""
-    if not tokens:
-        raise EmptySequence("cannot encode an empty token sequence")
-    states, _ = run_recurrent(se.lstm, we.encode_tokens(tokens, chars))
-    if se.self_attention_enabled:
-        states = self_attention(states)
-    padded = pad_states(states, se.max_len)
-    flat = reshape(padded, (se.max_len * se.lstm.hidden_dim,))
-    return dropout(se.dense(flat), se.dropout_p, mode, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +292,8 @@ class ScoringHead:
 class E2EModel:
     """Word encoder, shared sequence encoder, and scoring head."""
 
+    kind = "e2e"
+
     def __init__(self, vocab: Sequence[str], cfg: TrainConfig,
                  variant: E2EVariant, rng: np.random.Generator):
         self.cfg = cfg
@@ -339,14 +306,37 @@ class E2EModel:
     def encode_text(self, tokens: Sequence[str], mode: str = "eval",
                     rng: Optional[np.random.Generator] = None,
                     chars: Optional[CharEncode] = None) -> Tensor:
-        return encode_sequence(self.encoder, self.words, tokens, mode, rng,
-                               chars)
+        """Token sequence → shared LSTM (→ self-attention) → flatten →
+        dense, then dropout in train mode."""
+        if not tokens:
+            raise EmptySequence("cannot encode an empty token sequence")
+        se = self.encoder
+        words = stack_rows([self.words.encode_word(tok, chars)
+                            for tok in tokens])
+        states, _ = run_recurrent(se.lstm, words)
+        if se.self_attention_enabled:
+            states = self_attention(states)
+        padded = pad_states(states, se.max_len)
+        flat = reshape(padded, (se.max_len * se.lstm.hidden_dim,))
+        return dropout(se.dense(flat), se.dropout_p, mode, rng)
 
     def parameters(self) -> dict[str, Tensor]:
         params = dict(self.words.parameters())
         params.update(self.encoder.parameters())
         params.update(self.head.parameters())
         return params
+
+    def meta(self) -> dict:
+        """The snapshot sidecar's payload (see :mod:`qakb.nn.io`)."""
+        return {"vocab": list(self.words.word_table.vocab),
+                "config": asdict(self.cfg),
+                "variant": asdict(self.variant)}
+
+    @classmethod
+    def from_meta(cls, meta: dict) -> "E2EModel":
+        """An untrained model of the shape :meth:`meta` describes."""
+        return cls(meta["vocab"], TrainConfig(**meta["config"]),
+                   E2EVariant(**meta["variant"]), np.random.default_rng(0))
 
 
 @dataclass
@@ -514,44 +504,32 @@ def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
         raise EmptyTrainingSet("no questions to train on")
     rng = np.random.default_rng(cfg.seed)
     model = E2EModel(_training_vocab(dataset, kb), cfg, variant, rng)
-    opt = Adam(model.parameters(), lr=cfg.learning_rate)
     subj_samplers = [_PoolSampler(p, rng) for p in pools.subject_pools]
     pred_samplers = [_PoolSampler(p, rng) for p in pools.predicate_pools]
-    curve: list[float] = []
     skipped = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(dataset))
-        total, counted = 0.0, 0
-        for start in range(0, len(dataset), cfg.batch_size):
-            # the weights hold still until opt.step(), so within a batch
-            # each distinct word's char-GRU runs once and its gradient
-            # sums over every use
-            chars = EncodeCache(model.words.encode_chars)
-            losses = []
-            for i in order[start:start + cfg.batch_size]:
-                loss = _question_loss(
-                    model, kb, dataset[i],
-                    subj_samplers[i].draw() if i < len(subj_samplers) else None,
-                    pred_samplers[i].draw() if i < len(pred_samplers) else None,
-                    cfg, rng, chars,
-                )
-                if loss is None:
-                    skipped += 1
-                    continue
+
+    def batch_losses(batch: np.ndarray) -> list[Tensor]:
+        nonlocal skipped
+        # the weights hold still until the optimizer step, so within a
+        # batch each distinct word's char-GRU runs once and its gradient
+        # sums over every use
+        chars = EncodeCache(model.words.encode_chars)
+        losses = []
+        for i in batch:
+            loss = _question_loss(
+                model, kb, dataset[i],
+                subj_samplers[i].draw() if i < len(subj_samplers) else None,
+                pred_samplers[i].draw() if i < len(pred_samplers) else None,
+                cfg, rng, chars,
+            )
+            if loss is None:
+                skipped += 1
+            else:
                 losses.append(loss)
-            if not losses:
-                continue
-            batch_loss = losses[0]
-            for extra in losses[1:]:
-                batch_loss = batch_loss + extra
-            total += float(batch_loss.data)
-            counted += len(losses)
-            batch_loss = batch_loss * (1.0 / len(losses))
-            opt.zero_grad()
-            batch_loss.backward()
-            opt.step()
-        curve.append(total / max(counted, 1))
-        logger.debug("e2e epoch %d loss %.6f", epoch, curve[-1])
+        return losses
+
+    curve = fit(model.parameters(), len(dataset), batch_losses, cfg, rng,
+                "e2e")
     if skipped:
         logger.info("skipped %d question steps with no usable channel", skipped)
     return model, curve
@@ -619,25 +597,3 @@ def answer(model: E2EModel, kb: KnowledgeBase, index: AliasIndex,
     """Top-k candidate facts for one question, from a fresh session."""
     return E2ESession(model, kb, index, variant).answer(question, k)
 
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-def save_e2e(model: E2EModel, path: str) -> None:
-    save_params(model.parameters(), path)
-    write_model_meta(path, "e2e", {
-        "vocab": list(model.words.word_table.vocab),
-        "config": model.cfg.to_dict(),
-        "variant": model.variant.to_dict(),
-    })
-
-
-def load_e2e(path: str) -> E2EModel:
-    meta = read_model_meta(path, "e2e")
-    with malformed_payload(meta_path(path)):
-        cfg = TrainConfig(**meta["config"])
-        variant = E2EVariant(**meta["variant"])
-        model = E2EModel(meta["vocab"], cfg, variant, np.random.default_rng(0))
-    restore_params(model.parameters(), load_params(path))
-    return model

@@ -35,9 +35,10 @@ from qakb.aliasindex import AliasIndex, tokenize
 from qakb.datagen import QuestionInstance, make_question
 from qakb.e2e import E2EModel, E2ESession, E2EVariant
 from qakb.errors import EmptyEvalSet, NoCandidates, NoRelation
-from qakb.kb import Fact, KnowledgeBase, build_kb, notable_type, out_degree
+from qakb.kb import (Fact, KnowledgeBase, aliases_of, build_kb,
+                     notable_type, out_degree)
 from qakb.nn.tensor import Tensor, as_tensor
-from qakb.pipeline import PipelineModels, PipelineSession
+from qakb.pipeline import PipelineModels, PipelineSession, context_fields
 
 logger = logging.getLogger(__name__)
 
@@ -49,15 +50,6 @@ ERROR_CLASSES = (
     "indistinguishable",
     "no_candidates",
 )
-
-STRATEGY_CONTEXT = {
-    "p-qa": (),
-    "p-qa-out": ("out_degree",),
-    "p-qa-type": ("type",),
-    "p-qa-out-type": ("out_degree", "type"),
-    "p-qa-type-out": ("out_degree", "type"),
-}
-
 
 @dataclass
 class EvalReport:
@@ -78,11 +70,6 @@ class EvalReport:
         }
 
 
-def _labels(kb: KnowledgeBase, entity: str) -> set[str]:
-    rec = kb.entities.get(entity)
-    return set(rec.aliases) if rec is not None else set()
-
-
 def classify_error(kb: KnowledgeBase, gold: Fact,
                    predicted: Optional[tuple[str, str]],
                    context_fields: Sequence[str] = ()) -> Optional[str]:
@@ -98,7 +85,7 @@ def classify_error(kb: KnowledgeBase, gold: Fact,
     entity, relation = predicted
     if entity == gold.subject:
         return None if relation == gold.relation else "wrong_predicate"
-    if not (_labels(kb, entity) & _labels(kb, gold.subject)):
+    if not (aliases_of(kb, entity) & aliases_of(kb, gold.subject)):
         return "wrong_subject"
     same_type = notable_type(kb, entity) == notable_type(kb, gold.subject)
     same_degree = out_degree(kb, entity) == out_degree(kb, gold.subject)
@@ -159,7 +146,7 @@ class PipelineStrategy:
 
     @property
     def context_fields(self) -> tuple[str, ...]:
-        return STRATEGY_CONTEXT[self.name]
+        return context_fields(self.name)
 
     def predict(self, question: str) -> Optional[tuple[str, str]]:
         try:
@@ -230,24 +217,15 @@ class OracleTagger:
         return as_tensor(labels)
 
 
-class OracleRelationMatcher:
-    """Scores the gold relation 1.0 and everything else 0.0."""
+class OracleMatcher:
+    """Scores a question's gold text (its relation, or its subject's
+    notable type) 1.0 and every other text 0.0."""
 
-    def __init__(self, relation_by_question: dict[str, str]):
-        self.relation_by_question = relation_by_question
-
-    def score(self, question: str, text: str) -> float:
-        return 1.0 if self.relation_by_question.get(question) == text else 0.0
-
-
-class OracleTypeMatcher:
-    """Scores the gold subject's notable type 1.0, others 0.0."""
-
-    def __init__(self, type_by_question: dict[str, Optional[str]]):
-        self.type_by_question = type_by_question
+    def __init__(self, gold_by_question: dict[str, Optional[str]]):
+        self.gold_by_question = gold_by_question
 
     def score(self, question: str, text: str) -> float:
-        gold = self.type_by_question.get(question)
+        gold = self.gold_by_question.get(question)
         return 1.0 if gold is not None and gold == text else 0.0
 
 
@@ -270,8 +248,8 @@ def oracle_models(dataset: Sequence[QuestionInstance],
         types[q.text] = notable_type(kb, q.gold.subject)
     return PipelineModels(
         tagger=OracleTagger(spans),
-        relation_matcher=OracleRelationMatcher(relations),
-        type_matcher=OracleTypeMatcher(types),
+        relation_matcher=OracleMatcher(relations),
+        type_matcher=OracleMatcher(types),
     )
 
 

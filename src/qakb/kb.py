@@ -1,7 +1,7 @@
 """Triple-store knowledge base: parsing, construction and lookups.
 
 The knowledge base is built once from three inputs (a facts file, an alias
-file and one or more notable-type files) and is read-only afterwards.  All
+file and a notable-type file) and is read-only afterwards.  All
 entity ids are canonicalized to the dotted lowercase form ``m.xxxxx`` and
 all relations to slash-separated lowercase paths ``/a/b/c`` on the way in,
 so the rest of the package never sees raw dump spellings.
@@ -9,7 +9,6 @@ so the rest of the package never sees raw dump spellings.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import re
@@ -23,9 +22,8 @@ log = logging.getLogger(__name__)
 
 SNAPSHOT_MAGIC = b"KBQA1"
 
-# Predicates (canonical form) recognized by the notable-type ingestion join.
+# The predicate (canonical form) that assigns notable types in N-Triples.
 _TYPE_ASSIGN_RELATION = "/common/topic/notable_types"
-_TYPE_NAME_RELATIONS = ("/type/object/name", "/common/topic/notable_for")
 
 # An id spelled only with these characters has no prefix, slash, capital or
 # space, so canonicalize_mid returns it unchanged.
@@ -122,6 +120,20 @@ class KnowledgeBase:
 # TSV facts format
 # ---------------------------------------------------------------------------
 
+def tsv_rows(lines: Iterable[str], n_fields: int) -> Iterator[list[str]]:
+    """The tab-separated fields of each non-blank line; ParseError for a
+    line with fewer than ``n_fields``."""
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) < n_fields:
+            raise ParseError(f"expected {n_fields} tab-separated fields, "
+                             f"got {len(fields)}", line_no)
+        yield fields
+
+
 def parse_triples_tsv(stream: Iterable[str]) -> list[Fact]:
     """Parse ``subject<TAB>relation<TAB>objects`` lines into facts.
 
@@ -130,15 +142,7 @@ def parse_triples_tsv(stream: Iterable[str]) -> list[Fact]:
     order is preserved.
     """
     facts: list[Fact] = []
-    for line_no, line in enumerate(stream, start=1):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) < 3:
-            raise ParseError(
-                f"expected 3 tab-separated fields, got {len(fields)}", line_no
-            )
+    for fields in tsv_rows(stream, 3):
         subject = canonicalize_mid(fields[0])
         relation = canonicalize_relation(fields[1])
         for obj in fields[2].split():
@@ -272,21 +276,16 @@ def parse_ntriples(stream: Iterable[str]) -> Iterator[tuple[str, str, NTObject]]
 
 @dataclass(slots=True)
 class TypeData:
-    """Accumulated notable-type information, possibly from several files.
+    """Notable-type information parsed from a type file.
 
     ``direct`` pairs map an entity straight to a label; ``assignments``
     map an entity to a type id and are resolved against ``names`` (type id
-    to label) when both halves have been loaded.
+    to label).
     """
 
     direct: list[tuple[str, str]] = field(default_factory=list)
     assignments: list[tuple[str, str]] = field(default_factory=list)
     names: dict[str, str] = field(default_factory=dict)
-
-    def merge(self, other: "TypeData") -> None:
-        self.direct.extend(other.direct)
-        self.assignments.extend(other.assignments)
-        self.names.update(other.names)
 
     def resolve(self) -> list[tuple[str, str]]:
         """Join assignments with names; unresolvable type ids are dropped."""
@@ -330,13 +329,7 @@ def parse_type_lines(lines: Iterable[str]) -> TypeData:
                     (canonicalize_mid(subject), canonicalize_mid(obj.value))
                 )
     else:
-        for line_no, line in enumerate(buffered, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2:
-                raise ParseError("expected mid<TAB>label", line_no)
+        for fields in tsv_rows(buffered, 2):
             data.direct.append((canonicalize_mid(fields[0]), fields[1].strip().lower()))
     return data
 
@@ -344,13 +337,7 @@ def parse_type_lines(lines: Iterable[str]) -> TypeData:
 def parse_alias_lines(lines: Iterable[str]) -> list[tuple[str, str]]:
     """Parse ``mid<TAB>alias`` lines into (id, lowercased alias) pairs."""
     pairs: list[tuple[str, str]] = []
-    for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) < 2:
-            raise ParseError("expected mid<TAB>alias", line_no)
+    for fields in tsv_rows(lines, 2):
         alias = fields[1].strip().lower()
         if alias:
             pairs.append((canonicalize_mid(fields[0]), alias))
@@ -430,6 +417,13 @@ def out_degree(kb: KnowledgeBase, entity: str) -> int:
     return rec.out_degree if rec is not None else 0
 
 
+def aliases_of(kb: KnowledgeBase, entity: str) -> set[str]:
+    """An entity's aliases (empty if unknown); two entities share a label
+    when these intersect."""
+    rec = kb.entities.get(entity)
+    return set(rec.aliases) if rec is not None else set()
+
+
 def notable_type(kb: KnowledgeBase, entity: str) -> Optional[str]:
     rec = kb.entities.get(entity)
     return rec.notable_type if rec is not None else None
@@ -496,21 +490,3 @@ def load_kb(path: str) -> KnowledgeBase:
         raise ParseError(f"truncated or garbled snapshot ({exc!r})", 1) from exc
     return kb
 
-
-# ---------------------------------------------------------------------------
-# File-level convenience loaders
-# ---------------------------------------------------------------------------
-
-def load_facts_file(path: str) -> list[Fact]:
-    with io.open(path, "r", encoding="utf-8") as fh:
-        return parse_triples_tsv(fh)
-
-
-def load_alias_file(path: str) -> list[tuple[str, str]]:
-    with io.open(path, "r", encoding="utf-8") as fh:
-        return parse_alias_lines(fh)
-
-
-def load_type_file(path: str) -> TypeData:
-    with io.open(path, "r", encoding="utf-8") as fh:
-        return parse_type_lines(fh)

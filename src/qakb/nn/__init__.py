@@ -2,13 +2,7 @@
 
 from qakb.nn.config import TrainConfig
 from qakb.nn.gradcheck import finite_diff_check
-from qakb.nn.io import (
-    load_params,
-    load_word_vectors,
-    load_word_vectors_file,
-    restore_params,
-    save_params,
-)
+from qakb.nn.io import load_params, restore_params, save_params
 from qakb.nn.layers import (
     Dense,
     EmbeddingTable,
@@ -16,7 +10,6 @@ from qakb.nn.layers import (
     GRUCell,
     LSTMCell,
     OOV_TOKEN,
-    attention_matrix,
     bidirectional_encode,
     cosine,
     dropout,
@@ -31,7 +24,7 @@ from qakb.nn.losses import (
     loss_hinge_qat,
     loss_hinge_qat_type,
 )
-from qakb.nn.optim import Adam
+from qakb.nn.optim import Adam, fit
 from qakb.nn.tensor import Tensor, as_tensor, no_grad, param
 
 __all__ = [
@@ -46,7 +39,6 @@ __all__ = [
     "GRUCell",
     "LSTMCell",
     "OOV_TOKEN",
-    "attention_matrix",
     "bidirectional_encode",
     "cosine",
     "dropout",
@@ -59,10 +51,9 @@ __all__ = [
     "loss_hinge_qat",
     "loss_hinge_qat_type",
     "Adam",
+    "fit",
     "finite_diff_check",
     "save_params",
     "load_params",
     "restore_params",
-    "load_word_vectors",
-    "load_word_vectors_file",
 ]

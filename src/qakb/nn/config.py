@@ -24,9 +24,6 @@ class TrainConfig:
     gamma: float = 0.5
     dropout_p: float = 0.1
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
     def __post_init__(self) -> None:
         if self.gamma <= 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")

@@ -1,8 +1,14 @@
-"""Model parameter snapshots and word-vector loading.
+"""Model snapshots: a parameter table plus a JSON sidecar.
 
-Snapshot layout (magic ``NNQA1``): a little-endian table of named float64
-arrays — per entry a length-prefixed UTF-8 name, the rank, the dims as
-uint32, then the raw C-order data.
+A model snapshot is two files.  The ``.nn`` file (magic ``NNQA1``) is a
+little-endian table of named float64 arrays — per entry a
+length-prefixed UTF-8 name, the rank, the dims as uint32, then the raw
+C-order data.  Its ``.meta.json`` sidecar holds the model's ``kind`` and
+what is needed to rebuild it (vocabulary, config, ...).
+
+:func:`save_model` and :func:`load_model` handle both files for any model
+class that gives a ``kind`` class attribute, a ``meta()`` payload, a
+``from_meta(meta)`` constructor and ``parameters()``.
 """
 
 from __future__ import annotations
@@ -10,9 +16,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import struct
-from contextlib import contextmanager
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -24,23 +29,6 @@ MODEL_MAGIC = b"NNQA1"
 
 def meta_path(path: str) -> str:
     return path + ".meta.json"
-
-
-def write_model_meta(path: str, kind: str, payload: dict) -> None:
-    """Sidecar JSON describing a parameter snapshot (vocab, config, ...)."""
-    meta = {"kind": kind, **payload}
-    with open(meta_path(path), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, sort_keys=True, separators=(",", ":")))
-
-
-@contextmanager
-def malformed_payload(path: str) -> Iterator[None]:
-    """Report a snapshot or sidecar whose decoded payload has the wrong
-    shape (a missing key, a value of the wrong type) as a ParseError."""
-    try:
-        yield
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ParseError(f"{path}: malformed payload ({exc!r})", 1) from exc
 
 
 def read_model_meta(path: str, kind: str) -> dict:
@@ -130,34 +118,29 @@ def restore_params(params: dict[str, Tensor], loaded: dict[str, np.ndarray]) -> 
         tensor.data[...] = arr
 
 
-def load_word_vectors(lines: Iterable[str]) -> tuple[list[str], np.ndarray]:
-    """Parse ``token v1 .. vd`` lines into a vocabulary and matrix."""
-    tokens: list[str] = []
-    rows: list[list[float]] = []
-    dim = None
-    for line_no, line in enumerate(lines, start=1):
-        parts = line.rstrip("\n").split()
-        if not parts:
-            continue
-        if len(parts) < 2:
-            raise ParseError("expected token followed by numbers", line_no)
-        try:
-            values = [float(v) for v in parts[1:]]
-        except ValueError:
-            raise ParseError(f"non-numeric vector for {parts[0]!r}", line_no)
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            raise ParseError(
-                f"vector of length {len(values)}, expected {dim}", line_no
-            )
-        tokens.append(parts[0])
-        rows.append(values)
-    if dim is None:
-        raise ParseError("empty word-vector file", 1)
-    return tokens, np.asarray(rows, dtype=np.float64)
+def save_model(model, path: str) -> None:
+    """Write a model's parameters to ``path`` and its sidecar beside it,
+    creating the directory if need be."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    save_params(model.parameters(), path)
+    meta = {"kind": model.kind, **model.meta()}
+    with open(meta_path(path), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(meta, sort_keys=True, separators=(",", ":")))
 
 
-def load_word_vectors_file(path: str) -> tuple[list[str], np.ndarray]:
-    with io.open(path, "r", encoding="utf-8") as fh:
-        return load_word_vectors(fh)
+def load_model(cls, path: str):
+    """The model of class ``cls`` saved at ``path`` by :func:`save_model`.
+
+    ParseError when either file is not a snapshot or the sidecar lacks a
+    field or holds one of the wrong type, ValueError when the sidecar
+    names another kind or an invalid config, ShapeMismatch when the
+    parameters do not fit the model the sidecar describes.
+    """
+    meta = read_model_meta(path, cls.kind)
+    try:
+        model = cls.from_meta(meta)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ParseError(
+            f"{meta_path(path)}: malformed payload ({exc!r})", 1) from exc
+    restore_params(model.parameters(), load_params(path))
+    return model

@@ -1,7 +1,8 @@
 """Network building blocks on top of the autodiff tensor.
 
-Every layer exposes ``parameters() -> dict[name, Tensor]`` so optimizers
-and snapshots can address weights by stable hierarchical names.
+Dense layers and recurrent cells expose ``parameters() -> dict[name,
+Tensor]`` so optimizers and snapshots can address weights by stable
+hierarchical names; a model names its embedding tables' ``vectors``.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 class EmbeddingTable:
     """Token-to-vector lookup; unknown tokens share one trained row."""
 
-    def __init__(self, tokens: list[str], vectors: np.ndarray,
-                 trainable: bool = True):
+    def __init__(self, tokens: list[str], vectors: np.ndarray):
         if len(tokens) != vectors.shape[0]:
             raise ShapeMismatch(
                 f"{len(tokens)} tokens vs {vectors.shape[0]} vector rows"
@@ -56,27 +56,17 @@ class EmbeddingTable:
         if OOV_TOKEN not in self.vocab:
             raise ShapeMismatch(f"vocabulary must contain {OOV_TOKEN!r}")
         self.oov_index = self.vocab[OOV_TOKEN]
-        self.vectors = param(vectors, requires_grad=trainable)
+        self.vectors = param(vectors)
         self.dim = vectors.shape[1]
 
     @classmethod
     def random(cls, tokens: list[str], dim: int, rng: np.random.Generator,
-               scale: float = 0.1, trainable: bool = True) -> "EmbeddingTable":
+               scale: float = 0.1) -> "EmbeddingTable":
         toks = list(dict.fromkeys(tokens))
         if OOV_TOKEN not in toks:
             toks.append(OOV_TOKEN)
         vecs = rng.uniform(-scale, scale, size=(len(toks), dim))
-        return cls(toks, vecs, trainable=trainable)
-
-    @classmethod
-    def from_pretrained(cls, tokens: list[str], vectors: np.ndarray,
-                        trainable: bool = True) -> "EmbeddingTable":
-        toks = list(tokens)
-        vecs = vectors
-        if OOV_TOKEN not in toks:
-            toks = toks + [OOV_TOKEN]
-            vecs = np.vstack([vectors, np.zeros((1, vectors.shape[1]))])
-        return cls(toks, vecs, trainable=trainable)
+        return cls(toks, vecs)
 
     def indices(self, seq: list[str]) -> list[int]:
         return [self.vocab.get(tok, self.oov_index) for tok in seq]
@@ -84,9 +74,6 @@ class EmbeddingTable:
     def embed(self, seq: list[str]) -> Tensor:
         """Rows for a token sequence; empty input gives a [0, d] tensor."""
         return gather_rows(self.vectors, self.indices(seq))
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"embedding": self.vectors} if self.vectors.requires_grad else {}
 
 
 class Dense:
@@ -121,23 +108,32 @@ class Dense:
         return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
 
 
-class GRUCell:
+class _GatedCell:
+    """A recurrent cell's weights: per gate in the subclass's ``gates`` an
+    input weight ``W_*``, a recurrent weight ``U_*`` and a bias ``b_*``."""
+
+    def __init__(self, input_dim: int, hidden_dim: int,
+                 rng: np.random.Generator, name: Optional[str] = None):
+        self.input_dim, self.hidden_dim = input_dim, hidden_dim
+        self.name = name or self.default_name
+        self._p: dict[str, Tensor] = {}
+        for gate in self.gates:
+            self._p[f"W_{gate}"] = param(glorot(rng, (hidden_dim, input_dim)))
+            self._p[f"U_{gate}"] = param(glorot(rng, (hidden_dim, hidden_dim)))
+            self._p[f"b_{gate}"] = param(np.zeros(hidden_dim))
+
+    def parameters(self) -> dict[str, Tensor]:
+        return {f"{self.name}.{k}": v for k, v in self._p.items()}
+
+
+class GRUCell(_GatedCell):
     """Gated recurrent unit: h' = (1-z)*n + z*h with reset-gated candidate.
 
     The state is the one-array tuple ``(h,)``.
     """
 
     gates = ("z", "r", "n")
-
-    def __init__(self, input_dim: int, hidden_dim: int,
-                 rng: np.random.Generator, name: str = "gru"):
-        self.input_dim, self.hidden_dim = input_dim, hidden_dim
-        self.name = name
-        self._p: dict[str, Tensor] = {}
-        for gate in self.gates:
-            self._p[f"W_{gate}"] = param(glorot(rng, (hidden_dim, input_dim)))
-            self._p[f"U_{gate}"] = param(glorot(rng, (hidden_dim, hidden_dim)))
-            self._p[f"b_{gate}"] = param(np.zeros(hidden_dim))
+    default_name = "gru"
 
     def initial_state(self) -> tuple[np.ndarray]:
         return (np.zeros(self.hidden_dim),)
@@ -169,27 +165,15 @@ class GRUCell:
                    + du_n @ p["U_n"].data)
         return (dh_prev,), (da_z, da_r, da_n), (da_z, da_r, du_n)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {f"{self.name}.{k}": v for k, v in self._p.items()}
 
-
-class LSTMCell:
+class LSTMCell(_GatedCell):
     """Long short-term memory cell with the usual i/f/g/o gates.
 
     The state is the tuple ``(h, c)``.
     """
 
     gates = ("i", "f", "g", "o")
-
-    def __init__(self, input_dim: int, hidden_dim: int,
-                 rng: np.random.Generator, name: str = "lstm"):
-        self.input_dim, self.hidden_dim = input_dim, hidden_dim
-        self.name = name
-        self._p: dict[str, Tensor] = {}
-        for gate in self.gates:
-            self._p[f"W_{gate}"] = param(glorot(rng, (hidden_dim, input_dim)))
-            self._p[f"U_{gate}"] = param(glorot(rng, (hidden_dim, hidden_dim)))
-            self._p[f"b_{gate}"] = param(np.zeros(hidden_dim))
+    default_name = "lstm"
 
     def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(self.hidden_dim), np.zeros(self.hidden_dim)
@@ -221,9 +205,6 @@ class LSTMCell:
         dh_prev = (da[0] @ p["U_i"].data + da[1] @ p["U_f"].data
                    + da[2] @ p["U_g"].data + da[3] @ p["U_o"].data)
         return (dh_prev, dc * f), da, da
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {f"{self.name}.{k}": v for k, v in self._p.items()}
 
 
 def _recurrent_states(cell, inputs: Tensor, order: range) -> Tensor:
@@ -337,15 +318,6 @@ class EncodeCache:
         if vec is None:
             vec = self.table[key] = self._encode(key)
         return vec
-
-
-def attention_matrix(states: Tensor) -> np.ndarray:
-    """The attention weights alone (for inspection and tests)."""
-    T, h = states.shape
-    scores = states.data @ states.data.T / math.sqrt(h)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def dropout(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator]) -> Tensor:

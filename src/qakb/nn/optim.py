@@ -1,10 +1,17 @@
-"""First-order optimization: Adam with bias correction."""
+"""First-order optimization: Adam with bias correction, and the minibatch
+training loop every model shares."""
 
 from __future__ import annotations
 
+import logging
+from typing import Callable
+
 import numpy as np
 
+from qakb.nn.config import TrainConfig
 from qakb.nn.tensor import Tensor
+
+logger = logging.getLogger(__name__)
 
 
 class Adam:
@@ -37,3 +44,38 @@ class Adam:
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def fit(params: dict[str, Tensor], n: int,
+        batch_loss_fn: Callable[[np.ndarray], list[Tensor]],
+        cfg: TrainConfig, rng: np.random.Generator, name: str) -> list[float]:
+    """Train ``params`` with Adam over ``n`` examples; returns the mean loss
+    of each epoch.
+
+    Each epoch draws one ``rng.permutation(n)`` and walks it in slices of
+    ``cfg.batch_size``.  ``batch_loss_fn(batch)`` gets a slice of example
+    indices and returns the losses of its usable examples.  Their sum,
+    scaled by one over their count, takes one optimizer step; a batch
+    with no losses takes none.
+    """
+    opt = Adam(params, lr=cfg.learning_rate)
+    curve: list[float] = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        total, counted = 0.0, 0
+        for start in range(0, n, cfg.batch_size):
+            losses = batch_loss_fn(order[start:start + cfg.batch_size])
+            if not losses:
+                continue
+            batch_loss = losses[0]
+            for extra in losses[1:]:
+                batch_loss = batch_loss + extra
+            total += float(batch_loss.data)
+            counted += len(losses)
+            batch_loss = batch_loss * (1.0 / len(losses))
+            opt.zero_grad()
+            batch_loss.backward()
+            opt.step()
+        curve.append(total / max(counted, 1))
+        logger.debug("%s epoch %d loss %.6f", name, epoch, curve[-1])
+    return curve

@@ -12,8 +12,7 @@ answer per question.
 from __future__ import annotations
 
 import json
-import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -29,7 +28,6 @@ from qakb.datagen import LabeledQuestion, MatcherPair
 from qakb.errors import EmptyTrainingSet, NoCandidates, NoRelation
 from qakb.kb import KnowledgeBase, lookup_objects, notable_type, out_degree, relations_of
 from qakb.nn import (
-    Adam,
     Dense,
     EmbeddingTable,
     EncodeCache,
@@ -38,20 +36,10 @@ from qakb.nn import (
     TrainConfig,
     bidirectional_encode,
     dropout,
-)
-from qakb.nn.io import (
-    load_params,
-    malformed_payload,
-    meta_path,
-    read_model_meta,
-    restore_params,
-    save_params,
-    write_model_meta,
+    fit,
 )
 from qakb.nn.losses import loss_binary_ce, loss_categorical_ce
 from qakb.nn.tensor import Tensor, concat, no_grad, reshape, softmax_rows
-
-logger = logging.getLogger(__name__)
 
 TAG_ORDER = ("c", "e")
 
@@ -69,6 +57,8 @@ def matcher_tokens(text: str) -> list[str]:
 
 class TaggerModel:
     """Bidirectional LSTM with a per-token softmax over (c, e)."""
+
+    kind = "tagger"
 
     def __init__(self, vocab: Sequence[str], cfg: TrainConfig,
                  rng: np.random.Generator):
@@ -91,6 +81,17 @@ class TaggerModel:
             params.update(part.parameters())
         return params
 
+    def meta(self) -> dict:
+        """The snapshot sidecar's payload (see :mod:`qakb.nn.io`)."""
+        return {"name": "tagger", "vocab": list(self.embedding.vocab),
+                "config": asdict(self.cfg)}
+
+    @classmethod
+    def from_meta(cls, meta: dict) -> "TaggerModel":
+        """An untrained model of the shape :meth:`meta` describes."""
+        return cls(meta["vocab"], TrainConfig(**meta["config"]),
+                   np.random.default_rng(0))
+
 
 class MatcherModel:
     """Shared bidirectional GRU over question and candidate text.
@@ -101,6 +102,8 @@ class MatcherModel:
     matching score.  The hidden layer is what lets the score depend on
     the question-text interaction rather than on each side separately.
     """
+
+    kind = "matcher"
 
     def __init__(self, vocab: Sequence[str], cfg: TrainConfig,
                  rng: np.random.Generator, name: str = "matcher"):
@@ -147,6 +150,17 @@ class MatcherModel:
             params.update(part.parameters())
         return params
 
+    def meta(self) -> dict:
+        """The snapshot sidecar's payload (see :mod:`qakb.nn.io`)."""
+        return {"name": self.name, "vocab": list(self.embedding.vocab),
+                "config": asdict(self.cfg)}
+
+    @classmethod
+    def from_meta(cls, meta: dict) -> "MatcherModel":
+        """An untrained model of the shape :meth:`meta` describes."""
+        return cls(meta["vocab"], TrainConfig(**meta["config"]),
+                   np.random.default_rng(0), name=meta["name"])
+
 
 class MatchEncodings:
     """One matcher's encodings within an answering session.
@@ -191,11 +205,6 @@ class PipelineModels:
 # Training
 # ---------------------------------------------------------------------------
 
-def _batches(n: int, batch_size: int, order: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
-
-
 def train_tagger(data: Sequence[LabeledQuestion],
                  cfg: TrainConfig) -> tuple[TaggerModel, list[float]]:
     """Fit the span tagger; returns the model and per-epoch mean losses."""
@@ -204,27 +213,15 @@ def train_tagger(data: Sequence[LabeledQuestion],
     rng = np.random.default_rng(cfg.seed)
     vocab = sorted({tok for q in data for tok in q.tokens})
     model = TaggerModel(vocab, cfg, rng)
-    opt = Adam(model.parameters(), lr=cfg.learning_rate)
-    curve: list[float] = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(data))
-        total = 0.0
-        for batch in _batches(len(data), cfg.batch_size, order):
-            losses = []
-            for i in batch:
-                q = data[i]
-                gold = [1 if tag == "e" else 0 for tag in q.tags]
-                losses.append(loss_categorical_ce(model.forward(q.tokens), gold))
-            batch_loss = losses[0]
-            for extra in losses[1:]:
-                batch_loss = batch_loss + extra
-            total += float(batch_loss.data)
-            batch_loss = batch_loss * (1.0 / len(batch))
-            opt.zero_grad()
-            batch_loss.backward()
-            opt.step()
-        curve.append(total / len(data))
-        logger.debug("tagger epoch %d loss %.6f", epoch, curve[-1])
+
+    def batch_losses(batch: np.ndarray) -> list[Tensor]:
+        return [loss_categorical_ce(model.forward(data[i].tokens),
+                                    [1 if tag == "e" else 0
+                                     for tag in data[i].tags])
+                for i in batch]
+
+    curve = fit(model.parameters(), len(data), batch_losses, cfg, rng,
+                "tagger")
     return model, curve
 
 
@@ -239,27 +236,13 @@ def train_matcher(pairs: Sequence[MatcherPair], cfg: TrainConfig,
          for tok in tokenize(q) + matcher_tokens(text)}
     )
     model = MatcherModel(vocab, cfg, rng, name=name)
-    opt = Adam(model.parameters(), lr=cfg.learning_rate)
-    curve: list[float] = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(pairs))
-        total = 0.0
-        for batch in _batches(len(pairs), cfg.batch_size, order):
-            losses = []
-            for i in batch:
-                question, text, tag = pairs[i]
-                pred = model.forward(question, text, mode="train", rng=rng)
-                losses.append(loss_binary_ce(pred, tag))
-            batch_loss = losses[0]
-            for extra in losses[1:]:
-                batch_loss = batch_loss + extra
-            total += float(batch_loss.data)
-            batch_loss = batch_loss * (1.0 / len(batch))
-            opt.zero_grad()
-            batch_loss.backward()
-            opt.step()
-        curve.append(total / len(pairs))
-        logger.debug("%s epoch %d loss %.6f", name, epoch, curve[-1])
+
+    def batch_losses(batch: np.ndarray) -> list[Tensor]:
+        return [loss_binary_ce(model.forward(question, text, mode="train",
+                                             rng=rng), tag)
+                for question, text, tag in (pairs[i] for i in batch)]
+
+    curve = fit(model.parameters(), len(pairs), batch_losses, cfg, rng, name)
     return model, curve
 
 
@@ -354,11 +337,6 @@ def _type_score(session: "PipelineSession", question: str,
     return session.type_score(question, label)
 
 
-def _require_type_matcher(models: PipelineModels, strategy: str) -> None:
-    if models.type_matcher is None:
-        raise ValueError(f"{strategy} requires a type matcher")
-
-
 def _base_trace(span_list: list[str], cands: Sequence[CandidateEntity],
                 rel_scores: dict[str, float]) -> dict:
     return {
@@ -394,7 +372,6 @@ def _rank_pairs(session: "PipelineSession", question: str,
                 strategy: str) -> Prediction:
     """Rank (entity, best-own-relation) pairs by type + relation score."""
     kb = session.kb
-    _require_type_matcher(session.models, strategy)
     cands, span_list = _question_candidates(session, question)
     rel_scores = _relation_scores(session, question, cands)
     entries = []
@@ -421,7 +398,6 @@ def _rank_combo(session: "PipelineSession", question: str,
     (p-qa-out-type) or the reverse (p-qa-type-out); the second criterion
     only matters among candidates tied under the first."""
     kb = session.kb
-    _require_type_matcher(session.models, strategy)
     cands, span_list = _question_candidates(session, question)
     rel_scores = _relation_scores(session, question, cands)
     best_rel = _argmax_relation(rel_scores)
@@ -443,18 +419,26 @@ def _rank_combo(session: "PipelineSession", question: str,
                       s=s_t + s_r, trace=trace)
 
 
+# Each strategy's ranker and the context it consults besides the matcher
+# scores; a strategy that consults "type" needs the type matcher.
 _RANKINGS = {
-    "p-qa": _rank_holders,
-    "p-qa-out": _rank_holders,
-    "p-qa-type": _rank_pairs,
-    "p-qa-out-type": _rank_combo,
-    "p-qa-type-out": _rank_combo,
+    "p-qa": (_rank_holders, ()),
+    "p-qa-out": (_rank_holders, ("out_degree",)),
+    "p-qa-type": (_rank_pairs, ("type",)),
+    "p-qa-out-type": (_rank_combo, ("out_degree", "type")),
+    "p-qa-type-out": (_rank_combo, ("out_degree", "type")),
 }
 
 STRATEGIES = tuple(_RANKINGS)
 
-_COMBO_ORDERS = {"out_then_type": "p-qa-out-type",
-                 "type_then_out": "p-qa-type-out"}
+
+def context_fields(strategy: str) -> tuple[str, ...]:
+    """The context a strategy consults besides the matcher scores:
+    ``"out_degree"``, ``"type"``, both or neither."""
+    try:
+        return _RANKINGS[strategy][1]
+    except KeyError:
+        raise ValueError(f"unknown strategy {strategy!r}") from None
 
 
 def _session_scorer(matcher) -> Optional[Callable[[str, str], float]]:
@@ -485,48 +469,17 @@ class PipelineSession:
 
     def predict(self, strategy: str, question: str) -> Prediction:
         """One answer under a ranking strategy named as on the CLI."""
-        try:
-            rank = _RANKINGS[strategy]
-        except KeyError:
-            raise ValueError(f"unknown strategy {strategy!r}") from None
+        if ("type" in context_fields(strategy)
+                and self.models.type_matcher is None):
+            raise ValueError(f"{strategy} requires a type matcher")
         with no_grad():
-            return rank(self, question, strategy)
+            return _RANKINGS[strategy][0](self, question, strategy)
 
 
 def predict(strategy: str, question: str, models: PipelineModels,
             kb: KnowledgeBase, index: AliasIndex) -> Prediction:
     """One answer from a fresh session."""
     return PipelineSession(models, kb, index).predict(strategy, question)
-
-
-def predict_p_qa(question: str, models: PipelineModels, kb: KnowledgeBase,
-                 index: AliasIndex) -> Prediction:
-    """Baseline: argmax relation over all candidates, first holder wins."""
-    return predict("p-qa", question, models, kb, index)
-
-
-def predict_p_qa_out(question: str, models: PipelineModels, kb: KnowledgeBase,
-                     index: AliasIndex) -> Prediction:
-    """Re-rank the holders of the argmax relation by out-degree."""
-    return predict("p-qa-out", question, models, kb, index)
-
-
-def predict_p_qa_type(question: str, models: PipelineModels, kb: KnowledgeBase,
-                      index: AliasIndex) -> Prediction:
-    """Rank (entity, best-own-relation) pairs by type + relation score."""
-    return predict("p-qa-type", question, models, kb, index)
-
-
-def predict_combo(order: str, question: str, models: PipelineModels,
-                  kb: KnowledgeBase, index: AliasIndex) -> Prediction:
-    """Disambiguate argmax-relation holders by out-degree and type score.
-
-    ``out_then_type`` ranks by out-degree and breaks ties with the type
-    score; ``type_then_out`` does the reverse.
-    """
-    if order not in _COMBO_ORDERS:
-        raise ValueError(f"unknown combo order {order!r}")
-    return predict(_COMBO_ORDERS[order], question, models, kb, index)
 
 
 def answer_record(question: str, prediction: Prediction, kb: KnowledgeBase,
@@ -545,43 +498,3 @@ def answer_record(question: str, prediction: Prediction, kb: KnowledgeBase,
     }
     return json.dumps(record, sort_keys=True)
 
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-def save_tagger(model: TaggerModel, path: str) -> None:
-    save_params(model.parameters(), path)
-    write_model_meta(path, "tagger", {
-        "name": "tagger",
-        "vocab": list(model.embedding.vocab),
-        "config": model.cfg.to_dict(),
-    })
-
-
-def load_tagger(path: str) -> TaggerModel:
-    meta = read_model_meta(path, "tagger")
-    with malformed_payload(meta_path(path)):
-        cfg = TrainConfig(**meta["config"])
-        model = TaggerModel(meta["vocab"], cfg, np.random.default_rng(0))
-    restore_params(model.parameters(), load_params(path))
-    return model
-
-
-def save_matcher(model: MatcherModel, path: str) -> None:
-    save_params(model.parameters(), path)
-    write_model_meta(path, "matcher", {
-        "name": model.name,
-        "vocab": list(model.embedding.vocab),
-        "config": model.cfg.to_dict(),
-    })
-
-
-def load_matcher(path: str) -> MatcherModel:
-    meta = read_model_meta(path, "matcher")
-    with malformed_payload(meta_path(path)):
-        cfg = TrainConfig(**meta["config"])
-        model = MatcherModel(meta["vocab"], cfg, np.random.default_rng(0),
-                             name=meta["name"])
-    restore_params(model.parameters(), load_params(path))
-    return model

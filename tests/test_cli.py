@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shutil
 
 import pytest
 
@@ -157,6 +158,41 @@ class TestExitCodes:
                            "--variant", "qa-t", "--questions", str(qfile))
         assert code == 2
         assert "tagger" in err
+
+    @pytest.mark.parametrize("command", ["train-e2e", "train-pipeline"])
+    @pytest.mark.parametrize("key, value", [("epochs", "two"),
+                                            ("seed", "abc"),
+                                            ("dropout_p", "lots")])
+    def test_bad_config_value_is_data_error(self, capsys, bench, tmp_path,
+                                            command, key, value):
+        capsys.readouterr()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"hidden_size=4\n{key}={value}\n")
+        source = {"train-e2e": ["--kb", str(bench / "kb.qakb"),
+                                "--questions", str(bench / "train.tsv"),
+                                "--variant", "qa-t"],
+                  "train-pipeline": ["--data", str(tmp_path / "data")]}
+        code, stdout, err = run(capsys, command, *source[command], "--out",
+                                str(tmp_path / "out"), "--config", str(cfg))
+        assert code == 2
+        assert stdout == "" and "Traceback" not in err
+        assert f"run.cfg:2: {key}={value}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--entities", "10"],
+        ["train-e2e", "--kb", "kb.qakb", "--questions", "q.tsv",
+         "--variant", "qa-t"],
+    ])
+    def test_bad_seed_variable_is_usage_error(self, capsys, tmp_path,
+                                              monkeypatch, argv):
+        monkeypatch.setenv("QAKB_SEED", "abc")
+        code, stdout, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert stdout == "" and "Traceback" not in err
+        assert "QAKB_SEED=abc" in err
+        assert run(capsys, *argv, "--out", str(tmp_path / "o"),
+                   "--seed", "1")[0] != 1
 
 
 class TestSynth:
@@ -375,8 +411,9 @@ class TestAnswer:
 
 @pytest.fixture(scope="module")
 def snapshots(tmp_path_factory):
-    """A small benchmark with a qa-t and a qa-t-mwst snapshot, made once
-    for the tests that only read or copy them."""
+    """A small benchmark with a qa-t and a qa-t-mwst snapshot and a
+    trained pipeline directory, made once for the tests that only read or
+    copy them."""
     root = tmp_path_factory.mktemp("snapshots")
     bench = root / "bench"
     assert main(["synth", "--seed", "1", "--out", str(bench),
@@ -389,7 +426,87 @@ def snapshots(tmp_path_factory):
                      "--out", str(models[variant]), "--variant", variant,
                      "--epochs", "1", "--hidden-size", "4",
                      "--embed-dim", "6", "--max-len", "6"]) == 0
+    assert main(["gen-data", "--kb", str(bench / "kb.qakb"),
+                 "--questions", str(bench / "train.tsv"),
+                 "--out", str(root / "data")]) == 0
+    models["pipeline"] = root / "pipeline"
+    assert main(["train-pipeline", "--data", str(root / "data"),
+                 "--out", str(models["pipeline"]), "--epochs", "1",
+                 "--hidden-size", "4", "--embed-dim", "6"]) == 0
+    assert (models["pipeline"] / "type.nn").is_file()
     return bench, models
+
+
+def _answer_and_eval(capsys, tmp_path, bench, *model_args):
+    """(code, stdout, stderr) of ``answer`` and of ``eval`` on the
+    benchmark's KB with the given model flags."""
+    capsys.readouterr()
+    qfile = tmp_path / "q.txt"
+    qfile.write_text((bench / "test.tsv").read_text().splitlines()[0]
+                     .split("\t")[3] + "\n")
+    kb = str(bench / "kb.qakb")
+    return [run(capsys, "answer", "--kb", kb, "--questions", str(qfile),
+                *model_args),
+            run(capsys, "eval", "--kb", kb, "--questions",
+                str(bench / "test.tsv"), "--out", str(tmp_path / "rep"),
+                *model_args)]
+
+
+class TestMissingModelFiles:
+    """A snapshot is its .nn file and its .meta.json sidecar; either one
+    missing, or a type strategy without type.nn, exits 2 before any
+    question is answered."""
+
+    @pytest.mark.parametrize("name", ["qa-t", "tagger.nn", "relation.nn",
+                                      "type.nn"])
+    def test_missing_sidecar(self, snapshots, capsys, tmp_path, name):
+        bench, models = snapshots
+        if name == "qa-t":
+            model = tmp_path / "m.nn"
+            shutil.copy(models["qa-t"], model)  # without its sidecar
+            flags = ["--model", str(model), "--variant", "qa-t"]
+        else:
+            shutil.copytree(models["pipeline"], tmp_path / "p")
+            model = tmp_path / "p" / name
+            os.remove(f"{model}.meta.json")
+            flags = ["--pipeline", str(tmp_path / "p"),
+                     "--strategy", "p-qa-type"]
+        for code, stdout, err in _answer_and_eval(capsys, tmp_path, bench,
+                                                  *flags):
+            assert code == 2
+            assert stdout == ""
+            assert err == f"error: {model}.meta.json: no such file\n"
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("strategy", ["p-qa-type", "p-qa-out-type",
+                                          "p-qa-type-out"])
+    def test_type_strategy_without_type_matcher(self, snapshots, capsys,
+                                                tmp_path, strategy):
+        bench, models = snapshots
+        shutil.copytree(models["pipeline"], tmp_path / "p")
+        for name in ("type.nn", "type.nn.meta.json"):
+            os.remove(tmp_path / "p" / name)
+        for code, stdout, err in _answer_and_eval(
+                capsys, tmp_path, bench, "--pipeline", str(tmp_path / "p"),
+                "--strategy", strategy):
+            assert code == 2
+            assert stdout == ""
+            assert err.startswith(f"error: {tmp_path / 'p' / 'type.nn'}: ")
+            assert strategy in err and "Traceback" not in err
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("strategy", ["p-qa", "p-qa-out"])
+    def test_untyped_strategy_runs_without_type_matcher(
+            self, snapshots, capsys, tmp_path, strategy):
+        bench, models = snapshots
+        shutil.copytree(models["pipeline"], tmp_path / "p")
+        for name in ("type.nn", "type.nn.meta.json"):
+            os.remove(tmp_path / "p" / name)
+        for code, stdout, err in _answer_and_eval(
+                capsys, tmp_path, bench, "--pipeline", str(tmp_path / "p"),
+                "--strategy", strategy):
+            assert code == 0, err
+            assert stdout
 
 
 class TestSnapshotVariant:
@@ -481,6 +598,32 @@ class TestCorruptSnapshots:
         assert code == 2, err
         assert stdout == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["tagger.nn", "relation.nn", "type.nn"])
+    @pytest.mark.parametrize("target, how", [
+        ("nn", "truncate:100"),
+        ("nn", "garble:5"),
+        ("meta", "truncate:30"),
+        ("meta", "[1, 2]"),
+    ])
+    def test_pipeline_exits_2_without_traceback(self, snapshots, capsys,
+                                                tmp_path, name, target, how):
+        bench, models = snapshots
+        capsys.readouterr()
+        shutil.copytree(models["pipeline"], tmp_path / "p")
+        model = tmp_path / "p" / name
+        self._damage({"nn": model,
+                      "meta": tmp_path / "p" / f"{name}.meta.json"}[target],
+                     how)
+        qfile = tmp_path / "q.txt"
+        qfile.write_text("anything\n")
+        code, stdout, err = run(capsys, "answer", "--kb",
+                                str(bench / "kb.qakb"), "--pipeline",
+                                str(tmp_path / "p"), "--strategy",
+                                "p-qa-type", "--questions", str(qfile))
+        assert code == 2, err
+        assert stdout == ""
+        assert err.startswith(f"error: {model}: ") and "Traceback" not in err
 
 
 class TestEval:

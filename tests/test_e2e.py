@@ -20,9 +20,7 @@ from qakb.e2e import (
     _relation_tokens,
     _training_vocab,
     answer,
-    load_e2e,
     pad_states,
-    save_e2e,
     score_fact,
     subject_text,
     train_e2e,
@@ -34,7 +32,8 @@ from qakb.evalharness import E2EStrategy, SyntheticSpec, generate_synthetic
 from qakb.kb import Fact, build_kb, notable_type
 from qakb.nn import EncodeCache, TrainConfig, cosine
 from qakb.nn.tensor import as_tensor, param, tsum
-from qakb.pipeline import save_matcher, MatcherModel
+from qakb.nn.io import load_model, save_model
+from qakb.pipeline import MatcherModel
 
 
 def small_cfg(**overrides):
@@ -736,8 +735,8 @@ class TestPersistence:
         variant = VARIANTS["qa-t-mwt"]
         model, _ = train_e2e(qs, kb, pools, variant, small_cfg())
         path = str(tmp_path / "model.nn")
-        save_e2e(model, path)
-        loaded = load_e2e(path)
+        save_model(model, path)
+        loaded = load_model(E2EModel, path)
         assert loaded.variant == variant
         assert loaded.cfg == model.cfg
         for name, t in model.parameters().items():
@@ -749,8 +748,8 @@ class TestPersistence:
         variant = VARIANTS["qa-t-ws"]
         model, _ = train_e2e(qs, kb, pools, variant, small_cfg())
         path = str(tmp_path / "model.nn")
-        save_e2e(model, path)
-        loaded = load_e2e(path)
+        save_model(model, path)
+        loaded = load_model(E2EModel, path)
         index = build_index(kb)
         a = answer(model, kb, index, "what genre is yesterday", variant, k=4)
         b = answer(loaded, kb, index, "what genre is yesterday", variant, k=4)
@@ -761,9 +760,9 @@ class TestPersistence:
         rng = np.random.default_rng(0)
         matcher = MatcherModel(["a", "b"], small_cfg(), rng)
         path = str(tmp_path / "model.nn")
-        save_matcher(matcher, path)
+        save_model(matcher, path)
         with pytest.raises(ValueError):
-            load_e2e(path)
+            load_model(E2EModel, path)
 
     def test_save_is_byte_stable(self, tmp_path):
         kb = song_kb()
@@ -771,8 +770,8 @@ class TestPersistence:
         model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-t"],
                              small_cfg(epochs=1))
         p1, p2 = str(tmp_path / "a.nn"), str(tmp_path / "b.nn")
-        save_e2e(model, p1)
-        save_e2e(model, p2)
+        save_model(model, p1)
+        save_model(model, p2)
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
             assert f1.read() == f2.read()
         with open(p1 + ".meta.json", "rb") as f1, \

@@ -15,7 +15,7 @@ from qakb.evalharness import (
     ERROR_CLASSES,
     E2EStrategy,
     EvalReport,
-    OracleTypeMatcher,
+    OracleMatcher,
     PipelineStrategy,
     SyntheticSpec,
     classify_error,
@@ -195,7 +195,7 @@ class TestOracleStages:
         assert models.type_matcher.score(q.text, "not a type") == 0.0
 
     def test_type_matcher_handles_untyped_gold(self):
-        matcher = OracleTypeMatcher({"q": None})
+        matcher = OracleMatcher({"q": None})
         assert matcher.score("q", "anything") == 0.0
 
 

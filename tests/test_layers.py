@@ -12,7 +12,6 @@ from qakb.nn import (
     GRUCell,
     LSTMCell,
     OOV_TOKEN,
-    attention_matrix,
     bidirectional_encode,
     cosine,
     dropout,
@@ -321,11 +320,6 @@ class TestSelfAttention:
         mean = x.data.mean(axis=0)
         np.testing.assert_allclose(out.data[0], mean, atol=1e-12)
         np.testing.assert_allclose(out.data[1], mean, atol=1e-12)
-
-    def test_attention_rows_sum_to_one(self):
-        rng = np.random.default_rng(23)
-        a = attention_matrix(Tensor(rng.normal(size=(6, 4))))
-        np.testing.assert_allclose(a.sum(axis=1), np.ones(6), atol=1e-12)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(29)

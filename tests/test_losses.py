@@ -10,9 +10,10 @@ from qakb.errors import EmptySequence, ParseError, ShapeMismatch
 from qakb.nn import (
     Adam,
     Dense,
+    TrainConfig,
     finite_diff_check,
+    fit,
     load_params,
-    load_word_vectors,
     loss_binary_ce,
     loss_categorical_ce,
     loss_hinge_qas,
@@ -195,6 +196,45 @@ class TestAdam:
         assert float(unused.data) == 5.0
 
 
+class TestFit:
+    def test_batches_steps_and_curve(self):
+        """One permutation per epoch, walked in batch_size slices; a batch
+        without losses takes no step; the curve averages over the losses
+        actually counted."""
+        w = param(np.array(2.0))
+        seen, weights, sums, counts = [], [], [], []
+
+        def batch_losses(batch):
+            seen.append([int(i) for i in batch])
+            if 0 in batch:
+                return []
+            losses = [w * float(i) for i in batch]
+            weights.append(float(w.data))
+            sums.append(sum(float(loss.data) for loss in losses))
+            counts.append(len(losses))
+            return losses
+
+        cfg = TrainConfig(epochs=2, batch_size=2, learning_rate=0.1, seed=5)
+        curve = fit({"w": w}, 5, batch_losses, cfg,
+                    np.random.default_rng(5), "test")
+        rng = np.random.default_rng(5)
+        orders = [list(rng.permutation(5)) for _ in range(2)]
+        assert seen == [o[s:s + 2] for o in orders for s in (0, 2, 4)]
+        # each epoch skips the batch holding example 0; the other two step
+        assert len(set(weights + [float(w.data)])) == 5
+        for epoch in range(2):
+            mine = slice(2 * epoch, 2 * epoch + 2)
+            assert curve[epoch] == sum(sums[mine]) / sum(counts[mine])
+
+    def test_no_losses_at_all(self):
+        w = param(np.array(1.0))
+        cfg = TrainConfig(epochs=3, batch_size=4)
+        curve = fit({"w": w}, 6, lambda batch: [], cfg,
+                    np.random.default_rng(0), "test")
+        assert curve == [0.0, 0.0, 0.0]
+        assert float(w.data) == 1.0
+
+
 class TestSnapshots:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -248,21 +288,3 @@ class TestSnapshots:
         save_params(params, b)
         assert open(a, "rb").read() == open(b, "rb").read()
 
-
-class TestWordVectors:
-    def test_parse(self):
-        tokens, mat = load_word_vectors(["the 0.1 0.2\n", "cat -1 3\n"])
-        assert tokens == ["the", "cat"]
-        np.testing.assert_allclose(mat, [[0.1, 0.2], [-1.0, 3.0]])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ParseError):
-            load_word_vectors(["a 1 2\n", "b 1\n"])
-
-    def test_non_numeric(self):
-        with pytest.raises(ParseError):
-            load_word_vectors(["a x y\n"])
-
-    def test_empty_file(self):
-        with pytest.raises(ParseError):
-            load_word_vectors([])

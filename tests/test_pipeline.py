@@ -11,6 +11,7 @@ from qakb.errors import EmptyTrainingSet, NoCandidates, NoRelation
 from qakb.evalharness import SyntheticSpec, generate_synthetic
 from qakb.kb import Fact, build_kb
 from qakb.nn import TrainConfig, as_tensor
+from qakb.nn.io import load_model, save_model
 from qakb.pipeline import (
     STRATEGIES,
     MatcherModel,
@@ -18,16 +19,9 @@ from qakb.pipeline import (
     PipelineSession,
     TaggerModel,
     answer_record,
-    load_matcher,
-    load_tagger,
+    context_fields,
     matcher_tokens,
     predict,
-    predict_combo,
-    predict_p_qa,
-    predict_p_qa_out,
-    predict_p_qa_type,
-    save_matcher,
-    save_tagger,
     spans,
     tag_question,
     train_matcher,
@@ -233,7 +227,7 @@ class TestPredictPQA:
         index = build_index(kb)
         q = "what color is beta corp"
         models = _models({"beta", "corp"}, {(q, "/d/y/color"): 0.8})
-        p = predict_p_qa(q, models, kb, index)
+        p = predict("p-qa", q, models, kb, index)
         assert (p.entity, p.relation) == ("m.0bbb", "/d/y/color")
         assert p.s_t is None and p.s == p.s_r == 0.8
 
@@ -242,7 +236,7 @@ class TestPredictPQA:
         index = build_index(kb)
         q = "who founded acme"
         models = _models({"acme"}, {(q, "/d/x/founded"): 0.9})
-        p = predict_p_qa(q, models, kb, index)
+        p = predict("p-qa", q, models, kb, index)
         assert p.relation == "/d/x/founded"
         assert p.entity == "m.0a01"
 
@@ -253,7 +247,7 @@ class TestPredictPQA:
         )
         index = build_index(kb)
         models = _models({"widget"}, {}, rel_default=0.5)
-        p = predict_p_qa("about widget", models, kb, index)
+        p = predict("p-qa", "about widget", models, kb, index)
         assert p.relation == "/d/x/a"
 
     def test_all_context_falls_back_to_question_grams(self):
@@ -261,7 +255,7 @@ class TestPredictPQA:
         index = build_index(kb)
         q = "who founded acme"
         models = _models(set(), {(q, "/d/x/founded"): 0.9})
-        p = predict_p_qa(q, models, kb, index)
+        p = predict("p-qa", q, models, kb, index)
         assert p.entity == "m.0a01" and p.relation == "/d/x/founded"
 
     def test_unmatchable_question_raises(self):
@@ -269,14 +263,14 @@ class TestPredictPQA:
         index = build_index(kb)
         models = _models({"qqq"}, {})
         with pytest.raises(NoCandidates):
-            predict_p_qa("qqq zzz", models, kb, index)
+            predict("p-qa", "qqq zzz", models, kb, index)
 
     def test_empty_question_raises(self):
         kb = _ambiguous_kb()
         index = build_index(kb)
         models = _models(set(), {})
         with pytest.raises(NoCandidates):
-            predict_p_qa("", models, kb, index)
+            predict("p-qa", "", models, kb, index)
 
     def test_candidate_without_facts_raises_no_relation(self):
         kb = build_kb(
@@ -286,14 +280,14 @@ class TestPredictPQA:
         index = build_index(kb)
         models = _models({"ghost"}, {})
         with pytest.raises(NoRelation):
-            predict_p_qa("about ghost", models, kb, index)
+            predict("p-qa", "about ghost", models, kb, index)
 
     def test_trace_structure(self):
         kb = _ambiguous_kb()
         index = build_index(kb)
         q = "who founded acme"
         models = _models({"acme"}, {(q, "/d/x/founded"): 0.9})
-        p = predict_p_qa(q, models, kb, index)
+        p = predict("p-qa", q, models, kb, index)
         assert p.trace["spans"] == ["acme"]
         ids = [c[0] for c in p.trace["candidates"]]
         assert ids == ["m.0a01", "m.0g01"]
@@ -307,8 +301,8 @@ class TestPredictPQAOut:
         index = build_index(kb)
         q = "who founded acme"
         models = _models({"acme"}, {(q, "/d/x/founded"): 0.9})
-        baseline = predict_p_qa(q, models, kb, index)
-        ranked = predict_p_qa_out(q, models, kb, index)
+        baseline = predict("p-qa", q, models, kb, index)
+        ranked = predict("p-qa-out", q, models, kb, index)
         assert baseline.entity == "m.0a01"
         assert ranked.entity == "m.0g01"
         assert ranked.relation == baseline.relation == "/d/x/founded"
@@ -318,8 +312,8 @@ class TestPredictPQAOut:
         index = build_index(kb)
         q = "what color is beta corp"
         models = _models({"beta", "corp"}, {(q, "/d/y/color"): 0.8})
-        baseline = predict_p_qa(q, models, kb, index)
-        ranked = predict_p_qa_out(q, models, kb, index)
+        baseline = predict("p-qa", q, models, kb, index)
+        ranked = predict("p-qa-out", q, models, kb, index)
         assert (ranked.entity, ranked.relation) == (
             baseline.entity, baseline.relation
         )
@@ -332,7 +326,7 @@ class TestPredictPQAOut:
         index = build_index(kb)
         q = "who runs acme corp"
         models = _models({"acme", "corp"}, {}, rel_default=0.5)
-        p = predict_p_qa_out(q, models, kb, index)
+        p = predict("p-qa-out", q, models, kb, index)
         # both hold the relation with out-degree 1; "acme corp" scores
         # 2/(3*2) against the shorter alias and 2/(4*2) against the longer
         assert p.entity == "m.0zz1"
@@ -348,7 +342,7 @@ class TestPredictPQAType:
             {(q, "/d/x/founded"): 0.9},
             type_table={(q, "musical recording"): 0.9, (q, "film"): 0.1},
         )
-        p = predict_p_qa_type(q, models, kb, index)
+        p = predict("p-qa-type", q, models, kb, index)
         assert p.entity == "m.0g01"
         assert p.relation == "/d/x/founded"
         assert p.s == p.s_t + p.s_r
@@ -360,7 +354,7 @@ class TestPredictPQAType:
         q = "what color is beta corp"
         models = _models({"beta", "corp"}, {(q, "/d/y/color"): 0.8},
                          type_table={}, type_default=0.7)
-        p = predict_p_qa_type(q, models, kb, index)
+        p = predict("p-qa-type", q, models, kb, index)
         assert p.entity == "m.0bbb"
         assert p.s_t == 0.0
         assert p.s == p.s_r
@@ -378,7 +372,7 @@ class TestPredictPQAType:
             {(q, "/d/x/r1"): 0.9, (q, "/d/x/r2"): 0.7},
             type_table={(q, "t two"): 0.5},
         )
-        p = predict_p_qa_type(q, models, kb, index)
+        p = predict("p-qa-type", q, models, kb, index)
         assert (p.entity, p.relation) == ("m.0c2", "/d/x/r2")
         assert p.s == pytest.approx(1.2)
 
@@ -391,7 +385,7 @@ class TestPredictPQAType:
             {(q, "/d/x/founded"): 0.9},
             type_table={(q, "musical recording"): 0.9, (q, "film"): 0.1},
         )
-        p = predict_p_qa_type(q, models, kb, index)
+        p = predict("p-qa-type", q, models, kb, index)
         scores = [pair[4] for pair in p.trace["pairs"]]
         assert scores == sorted(scores, reverse=True)
 
@@ -399,8 +393,11 @@ class TestPredictPQAType:
         kb = _ambiguous_kb()
         index = build_index(kb)
         models = _models({"acme"}, {})
-        with pytest.raises(ValueError):
-            predict_p_qa_type("who founded acme", models, kb, index)
+        typed = [s for s in STRATEGIES if "type" in context_fields(s)]
+        assert typed == ["p-qa-type", "p-qa-out-type", "p-qa-type-out"]
+        for strategy in typed:
+            with pytest.raises(ValueError, match="type matcher"):
+                predict(strategy, "who founded acme", models, kb, index)
 
 
 class TestPredictCombo:
@@ -415,7 +412,7 @@ class TestPredictCombo:
         models = self._acme_models(
             q, {(q, "film"): 0.95, (q, "musical recording"): 0.05}
         )
-        p = predict_combo("out_then_type", q, models, kb, index)
+        p = predict("p-qa-out-type", q, models, kb, index)
         assert p.entity == "m.0g01"
 
     def test_type_first_overrides_degree(self):
@@ -425,7 +422,7 @@ class TestPredictCombo:
         models = self._acme_models(
             q, {(q, "film"): 0.95, (q, "musical recording"): 0.05}
         )
-        p = predict_combo("type_then_out", q, models, kb, index)
+        p = predict("p-qa-type-out", q, models, kb, index)
         assert p.entity == "m.0a01"
 
     def test_degree_tie_broken_by_type(self):
@@ -445,7 +442,7 @@ class TestPredictCombo:
         models = self._acme_models(
             q, {(q, "musical recording"): 0.9, (q, "film"): 0.1}
         )
-        p = predict_combo("out_then_type", q, models, kb, index)
+        p = predict("p-qa-out-type", q, models, kb, index)
         assert p.entity == "m.0g01"
         assert p.s == p.s_t + p.s_r
 
@@ -454,7 +451,7 @@ class TestPredictCombo:
         index = build_index(kb)
         q = "who founded acme"
         models = self._acme_models(q, {}, type_default=0.3)
-        p = predict_combo("type_then_out", q, models, kb, index)
+        p = predict("p-qa-type-out", q, models, kb, index)
         assert p.entity == "m.0g01"
 
     def test_single_holder_orders_agree(self):
@@ -463,8 +460,8 @@ class TestPredictCombo:
         q = "what color is beta corp"
         models = _models({"beta", "corp"}, {(q, "/d/y/color"): 0.8},
                          type_table={}, type_default=0.6)
-        first = predict_combo("out_then_type", q, models, kb, index)
-        second = predict_combo("type_then_out", q, models, kb, index)
+        first = predict("p-qa-out-type", q, models, kb, index)
+        second = predict("p-qa-type-out", q, models, kb, index)
         assert (first.entity, first.relation, first.s) == (
             second.entity, second.relation, second.s
         )
@@ -474,7 +471,7 @@ class TestPredictCombo:
         index = build_index(kb)
         models = _models({"acme"}, {}, type_table={})
         with pytest.raises(ValueError):
-            predict_combo("typefirst", "who founded acme", models, kb, index)
+            predict("p-qa-typefirst", "who founded acme", models, kb, index)
 
 
 class TestPredictDispatcher:
@@ -490,11 +487,10 @@ class TestPredictDispatcher:
         assert predict("p-qa", q, models, kb, index).entity == "m.0a01"
         assert predict("p-qa-out", q, models, kb, index).entity == "m.0g01"
         assert predict("p-qa-type", q, models, kb, index).entity == "m.0g01"
-        combo = predict("p-qa-out-type", q, models, kb, index)
-        direct = predict_combo("out_then_type", q, models, kb, index)
-        assert (combo.entity, combo.relation, combo.s) == (
-            direct.entity, direct.relation, direct.s
-        )
+        for combo in ("p-qa-out-type", "p-qa-type-out"):
+            p = predict(combo, q, models, kb, index)
+            assert (p.entity, p.relation) == ("m.0g01", "/d/x/founded")
+            assert p.s == p.s_t + p.s_r == 1.8
 
     def test_unknown_strategy_raises(self):
         kb = _ambiguous_kb()
@@ -502,6 +498,8 @@ class TestPredictDispatcher:
         models = _models({"acme"}, {})
         with pytest.raises(ValueError):
             predict("p-qa-x", "who founded acme", models, kb, index)
+        with pytest.raises(ValueError):
+            context_fields("p-qa-x")
 
 
 class TestSession:
@@ -597,7 +595,7 @@ class TestAnswerRecord:
         index = build_index(kb)
         q = "what color is beta corp"
         models = _models({"beta", "corp"}, {(q, "/d/y/color"): 0.8})
-        p = predict_p_qa(q, models, kb, index)
+        p = predict("p-qa", q, models, kb, index)
         record = json.loads(answer_record(q, p, kb, "p-qa"))
         assert record["question"] == q
         assert record["entity"] == "m.0bbb"
@@ -622,8 +620,8 @@ class TestPersistence:
     def test_tagger_round_trip(self, tmp_path):
         model = self._tagger()
         path = str(tmp_path / "tagger.nn")
-        save_tagger(model, path)
-        clone = load_tagger(path)
+        save_model(model, path)
+        clone = load_model(TaggerModel, path)
         toks = ["where", "was", "obama", "born"]
         assert np.array_equal(model.forward(toks).data, clone.forward(toks).data)
         assert tag_question(model, toks) == tag_question(clone, toks)
@@ -631,8 +629,8 @@ class TestPersistence:
     def test_matcher_round_trip(self, tmp_path):
         model = self._matcher()
         path = str(tmp_path / "rel.nn")
-        save_matcher(model, path)
-        clone = load_matcher(path)
+        save_model(model, path)
+        clone = load_model(MatcherModel, path)
         assert clone.name == "relmatcher"
         assert model.score("who founded acme", "/d/x/founded") == clone.score(
             "who founded acme", "/d/x/founded"
@@ -640,16 +638,19 @@ class TestPersistence:
 
     def test_kind_mismatch_raises(self, tmp_path):
         path = str(tmp_path / "rel.nn")
-        save_matcher(self._matcher(), path)
+        save_model(self._matcher(), path)
         with pytest.raises(ValueError):
-            load_tagger(path)
+            load_model(TaggerModel, path)
+        save_model(self._tagger(), path)
+        with pytest.raises(ValueError):
+            load_model(MatcherModel, path)
 
     def test_snapshots_are_byte_stable(self, tmp_path):
         model = self._matcher()
         first = str(tmp_path / "one.nn")
         second = str(tmp_path / "two.nn")
-        save_matcher(model, first)
-        save_matcher(model, second)
+        save_model(model, first)
+        save_model(model, second)
         for a, b in ((first, second),
                      (first + ".meta.json", second + ".meta.json")):
             with open(a, "rb") as fa, open(b, "rb") as fb:

@@ -62,7 +62,10 @@ class _Parser(argparse.ArgumentParser):
 
 def read_config_file(path: str) -> dict[str, str]:
     """Parse simple ``key=value`` lines; ``#`` comments and blanks skip.
-    A known key whose value does not cast to its type is a DataError."""
+
+    The keys are those some command reads (the training fields and
+    ``seed``), so one file can serve every command.  An unknown key, or a
+    value that does not cast to its key's type, is a DataError."""
     _require_files(path)
     casts = {field: cast for field, cast, _ in _CONFIG_FIELDS}
     casts["seed"] = int
@@ -76,12 +79,13 @@ def read_config_file(path: str) -> dict[str, str]:
                 raise DataError(f"{path}:{line_no}: expected key=value")
             key, _, value = stripped.partition("=")
             key, value = key.strip(), value.strip()
-            if key in casts:
-                try:
-                    casts[key](value)
-                except ValueError:
-                    raise DataError(f"{path}:{line_no}: {key}={value}: not "
-                                    f"a valid {casts[key].__name__}") from None
+            if key not in casts:
+                raise DataError(f"{path}:{line_no}: unknown key '{key}'")
+            try:
+                casts[key](value)
+            except ValueError:
+                raise DataError(f"{path}:{line_no}: {key}={value}: not "
+                                f"a valid {casts[key].__name__}") from None
             out[key] = value
     return out
 
@@ -109,21 +113,26 @@ def _require_files(*paths: Optional[str]) -> None:
             raise DataError(f"{path}: no such file")
 
 
-def _parse_file(path: str, parse_fn: Callable):
+def _read_file(path: str, read_fn: Callable):
+    """``read_fn(path)``; a missing file or a parse error is a DataError
+    naming ``path``."""
     _require_files(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_fn(fh)
+        return read_fn(path)
     except (ParseError, MalformedId) as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _parse_file(path: str, parse_fn: Callable):
+    """``parse_fn`` over the lines of the file at ``path``, as _read_file."""
+    def read(p: str):
+        with open(p, encoding="utf-8") as fh:
+            return parse_fn(fh)
+    return _read_file(path, read)
 
 
 def _load_kb(path: str) -> KnowledgeBase:
-    _require_files(path)
-    try:
-        return load_kb(path)
-    except (ParseError, MalformedId) as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return _read_file(path, load_kb)
 
 
 # TrainConfig fields settable by flag or config file: (field, type, flag)
@@ -244,13 +253,10 @@ def cmd_train_pipeline(args: argparse.Namespace,
     relation_path = os.path.join(args.data, "relation_pairs.tsv")
     type_path = os.path.join(args.data, "type_pairs.tsv")
     _require_files(tagged_path, relation_path)
-    try:
-        tagged = datagen.read_labeled_questions(tagged_path)
-        relation_pairs = datagen.read_matcher_pairs(relation_path)
-        type_pairs = (datagen.read_matcher_pairs(type_path)
-                      if os.path.isfile(type_path) else [])
-    except ParseError as exc:
-        raise DataError(f"{args.data}: {exc}") from exc
+    tagged = _read_file(tagged_path, datagen.read_labeled_questions)
+    relation_pairs = _read_file(relation_path, datagen.read_matcher_pairs)
+    type_pairs = (_read_file(type_path, datagen.read_matcher_pairs)
+                  if os.path.isfile(type_path) else [])
 
     tagger, tagger_curve = pipeline.train_tagger(tagged, cfg)
     save_model(tagger, os.path.join(args.out, "tagger.nn"))
@@ -331,11 +337,16 @@ def _e2e_variant(args: argparse.Namespace,
     return name, e2e.variant_from_name(name, args.out_degree_sort)
 
 
+_OUT_DEGREE_MODEL_ONLY = "--out-degree-sort applies only to --model"
+
+
 def _answer_mode(args: argparse.Namespace) -> str:
     has_pipeline = args.pipeline is not None
     has_model = args.model is not None
     if has_pipeline == has_model:
         raise UsageError("pass exactly one of --pipeline or --model")
+    if has_pipeline and args.out_degree_sort:
+        raise UsageError(_OUT_DEGREE_MODEL_ONLY)
     if has_pipeline and args.strategy is None:
         raise UsageError("--pipeline needs --strategy")
     if has_model and args.variant is None:
@@ -403,6 +414,8 @@ def cmd_answer(args: argparse.Namespace, config: Mapping[str, str]) -> int:
 
 
 def cmd_eval(args: argparse.Namespace, config: Mapping[str, str]) -> int:
+    if args.out_degree_sort and (args.oracle or args.pipeline is not None):
+        raise UsageError(_OUT_DEGREE_MODEL_ONLY)
     kb = _load_kb(args.kb)
     dataset = _parse_file(args.questions, datagen.parse_questions_tsv)
     index = build_index(kb)

@@ -36,22 +36,21 @@ from qakb.nn import (
     run_recurrent,
     self_attention,
 )
-from qakb.nn.losses import (
-    loss_hinge_qas,
-    loss_hinge_qat,
-    loss_hinge_qat_type,
-)
+from qakb.nn.layers import dropout_mask, padded_indices
+from qakb.nn.losses import loss_hinge_qas
 from qakb.nn.tensor import (
     Tensor,
     as_tensor,
     concat,
     dot,
+    gather_rows,
     no_grad,
+    pad_rows,
     param,
     reshape,
     row,
     stack_rows,
-    zeros,
+    tsum,
 )
 
 logger = logging.getLogger(__name__)
@@ -146,11 +145,6 @@ def _describe(variant: E2EVariant) -> str:
 # Encoders
 # ---------------------------------------------------------------------------
 
-# A word's char-GRU summary: ``WordEncoder.encode_chars``, or an
-# ``EncodeCache`` over it that training shares within one optimizer step.
-CharEncode = Callable[[str], Tensor]
-
-
 class WordEncoder:
     """Word-table rows, optionally extended with a char-GRU summary.
 
@@ -187,22 +181,19 @@ class WordEncoder:
         extra = self.char_gru.hidden_dim if self.char_level else 0
         return self.word_table.dim + extra
 
-    def encode_chars(self, chars: Sequence[str]) -> Tensor:
-        """The char-GRU's last state over a word's characters."""
-        _, last = run_recurrent(self.char_gru, self.char_table.embed(list(chars)))
-        return last
-
-    def encode_word(self, word: str, chars: Optional[CharEncode] = None
-                    ) -> Tensor:
-        """Word-table row, plus with char mode the char-GRU summary from
-        ``chars`` (default: :meth:`encode_chars`, run afresh)."""
-        index = self.word_table.indices([word])[0]
-        vec = row(self.word_table.vectors, index)
+    def encode_words(self, words: Sequence[str]) -> Tensor:
+        """[W, d] rows for the words: word-table rows, with char mode each
+        followed by the char-GRU's last state over the word's characters,
+        all the words running as one padded batch."""
+        vecs = self.word_table.embed(list(words))
         if not self.char_level:
-            return vec
-        if chars is None:
-            chars = self.encode_chars
-        return concat([vec, chars(word)])
+            return vecs
+        idx, lengths = padded_indices([self.char_table.indices(list(word))
+                                       for word in words])
+        _, last = run_recurrent(self.char_gru,
+                                gather_rows(self.char_table.vectors, idx),
+                                lengths=lengths)
+        return concat([vecs, last], axis=1)
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"e2e.words": self.word_table.vectors}
@@ -231,13 +222,11 @@ class SharedEncoder:
 
 
 def pad_states(states: Tensor, max_len: int) -> Tensor:
-    """Right-pad (with zero rows) or truncate a state matrix to max_len."""
-    length, width = states.shape
-    if length == max_len:
+    """Right-pad (with zero rows) or truncate the state rows of a [T, h]
+    or [B, T, h] tensor to max_len."""
+    if states.shape[-2] == max_len:
         return states
-    if length > max_len:
-        return stack_rows([row(states, i) for i in range(max_len)])
-    return concat([states, zeros((max_len - length, width))], axis=0)
+    return pad_rows(states, max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +269,25 @@ class ScoringHead:
             total = total + self.type_score(cos_qt)
         return total
 
+    def hinge_total(self, cos: Tensor, channels: Sequence[int],
+                    pos: np.ndarray, neg: np.ndarray, gamma: float) -> Tensor:
+        """Summed margin loss of hinge terms over a vector of cosines.
+
+        Cosine ``k`` is scaled by the weight of its channel ``channels[k]``
+        (subject, predicate, type); a term's side scores the sum of the
+        scaled cosines its row of ``pos`` or ``neg`` indexes, and adds
+        max(0, S_neg + gamma - S_pos).
+        """
+        if self.mode == "qas":
+            weights = self.W
+        else:
+            weights = stack_rows([self.w_a, self.w_b] + (
+                [self.w_c] if self.mode == "qat_type" else []))
+        scores = gather_rows(weights, channels) * cos
+        return tsum(loss_hinge_qas(tsum(gather_rows(scores, pos), axis=1),
+                                   tsum(gather_rows(scores, neg), axis=1),
+                                   gamma))
+
     def parameters(self) -> dict[str, Tensor]:
         if self.mode == "qas":
             return {"e2e.head.W": self.W}
@@ -303,22 +311,35 @@ class E2EModel:
                                      variant.self_attention)
         self.head = ScoringHead(variant.head_mode)
 
-    def encode_text(self, tokens: Sequence[str], mode: str = "eval",
-                    rng: Optional[np.random.Generator] = None,
-                    chars: Optional[CharEncode] = None) -> Tensor:
-        """Token sequence → shared LSTM (→ self-attention) → flatten →
-        dense, then dropout in train mode."""
-        if not tokens:
+    def encode_texts(self, texts: Sequence[Sequence[str]]) -> Tensor:
+        """[B, h] encodings of token sequences, as one padded batch.
+
+        Each distinct word is encoded once; the shared LSTM runs once over
+        all rows with their own lengths (then self-attention over each
+        row's own states); each row's states are truncated or zero-padded
+        to max_len, flattened, and passed through the dense layer.
+        """
+        if not texts or not all(texts):
             raise EmptySequence("cannot encode an empty token sequence")
         se = self.encoder
-        words = stack_rows([self.words.encode_word(tok, chars)
-                            for tok in tokens])
-        states, _ = run_recurrent(se.lstm, words)
+        words: dict[str, int] = {}
+        idx, lengths = padded_indices(
+            [[words.setdefault(tok, len(words)) for tok in text]
+             for text in texts])
+        inputs = gather_rows(self.words.encode_words(list(words)), idx)
+        states, _ = run_recurrent(se.lstm, inputs, lengths=lengths)
         if se.self_attention_enabled:
-            states = self_attention(states)
-        padded = pad_states(states, se.max_len)
-        flat = reshape(padded, (se.max_len * se.lstm.hidden_dim,))
-        return dropout(se.dense(flat), se.dropout_p, mode, rng)
+            states = self_attention(states, lengths)
+        flat = reshape(pad_states(states, se.max_len),
+                       (len(texts), se.max_len * se.lstm.hidden_dim))
+        return se.dense(flat)
+
+    def encode_text(self, tokens: Sequence[str], mode: str = "eval",
+                    rng: Optional[np.random.Generator] = None) -> Tensor:
+        """One token sequence's encoding (the one-row case of
+        :meth:`encode_texts`), then dropout in train mode."""
+        vec = row(self.encode_texts([tokens]), 0)
+        return dropout(vec, self.encoder.dropout_p, mode, rng)
 
     def parameters(self) -> dict[str, Tensor]:
         params = dict(self.words.parameters())
@@ -402,98 +423,121 @@ class _PoolSampler:
 
 def _training_vocab(dataset: Sequence[QuestionInstance],
                     kb: KnowledgeBase) -> list[str]:
+    """Every token of the questions, aliases, notable types and relation
+    paths, sorted; each distinct type and relation is split once."""
     toks: set[str] = set()
     for q in dataset:
         toks.update(tokenize(q.text))
+    types = set()
     for rec in kb.entities.values():
         for alias in rec.aliases:
             toks.update(tokenize(alias))
-        if rec.notable_type is not None:
-            toks.update(tokenize(rec.notable_type))
-    for fact in kb.facts:
-        toks.update(_relation_tokens(fact.relation))
+        types.add(rec.notable_type)
+    types.discard(None)
+    for label in types:
+        toks.update(tokenize(label))
+    for relation in {fact.relation for fact in kb.facts}:
+        toks.update(_relation_tokens(relation))
     return sorted(toks)
 
 
-def _question_loss(model: E2EModel, kb: KnowledgeBase, q: QuestionInstance,
-                   neg_subject: Optional[str], neg_pred: Optional[str],
-                   cfg: TrainConfig, rng: np.random.Generator,
-                   chars: Optional[CharEncode] = None) -> Optional[Tensor]:
-    """Margin loss for one question, or None when no channel is usable.
+SUBJECT, PREDICATE, TYPE = range(3)  # scoring-head channels
 
-    ``chars`` supplies the char-GRU summaries (see :class:`WordEncoder`).
+
+class _StepBatch:
+    """One optimizer step's questions, planned before any text is encoded.
+
+    :meth:`add` plans a question's loss and draws its dropout masks right
+    away, one per use of a text in the order the per-question loss reads
+    them, so the generator's stream is the one encoding each use on its
+    own would draw.  :meth:`loss` then encodes the step's distinct texts
+    once, as one batch, applies each use's own mask, takes every cosine
+    in one row-wise pass and sums the hinge terms.
     """
-    variant = model.variant
-    head = model.head
 
-    def encode(tokens: Sequence[str]) -> Tensor:
-        return model.encode_text(tokens, "train", rng, chars)
+    def __init__(self, model: E2EModel, kb: KnowledgeBase,
+                 rng: np.random.Generator):
+        self.model, self.kb, self.rng = model, kb, rng
+        self.texts: dict[tuple[str, ...], int] = {}
+        self.use_text: list[int] = []           # the text of each use
+        self.masks: list[np.ndarray] = []       # per question, a row per use
+        self.pairs: list[tuple[int, int]] = []  # (question use, other use)
+        self.channels: list[int] = []           # each pair's head channel
+        self.pos: list[tuple[int, ...]] = []    # each term's pairs, per side
+        self.neg: list[tuple[int, ...]] = []
+        self.questions = 0
 
-    q_vec = encode(tokenize(q.text))
+    def add(self, q: QuestionInstance, neg_subject: Optional[str],
+            neg_pred: Optional[str]) -> bool:
+        """Plan one question's loss; False when no channel is usable,
+        though its masks are drawn all the same."""
+        model, kb = self.model, self.kb
+        uses: list[tuple[str, ...]] = []
+        pairs: list[tuple[int, int]] = []
 
-    def enc_subject(entity: str) -> Tensor:
-        return encode(tokenize(subject_text(kb, entity,
-                                            variant.type_in_label)))
+        def cos(tokens: Sequence[str], channel: int) -> int:
+            uses.append(tuple(tokens))
+            pairs.append((len(uses) - 1, channel))
+            return len(pairs) - 1
 
-    def enc_relation(relation: str) -> Tensor:
-        return encode(_relation_tokens(relation))
+        def subject(entity: str) -> int:
+            return cos(tokenize(subject_text(
+                kb, entity, model.variant.type_in_label)), SUBJECT)
 
-    pos_s = cosine(q_vec, enc_subject(q.gold.subject))
-    pos_p = cosine(q_vec, enc_relation(q.gold.relation))
+        def relation(rel: str) -> int:
+            return cos(_relation_tokens(rel), PREDICATE)
 
-    if head.mode == "qas":
-        if neg_subject is None and neg_pred is None:
+        uses.append(tuple(tokenize(q.text)))
+        pos_s, pos_p = subject(q.gold.subject), relation(q.gold.relation)
+        neg_s = None if neg_subject is None else subject(neg_subject)
+        neg_p = None if neg_pred is None else relation(neg_pred)
+        terms = []
+        if model.head.mode == "qas":
+            if neg_s is not None or neg_p is not None:
+                terms.append(((pos_s, pos_p),
+                              (pos_s if neg_s is None else neg_s,
+                               pos_p if neg_p is None else neg_p)))
+        else:
+            if neg_s is not None:
+                terms.append(((pos_s,), (neg_s,)))
+            if neg_p is not None:
+                terms.append(((pos_p,), (neg_p,)))
+            if model.head.mode == "qat_type" and neg_subject is not None:
+                t_pos = notable_type(kb, q.gold.subject)
+                t_neg = notable_type(kb, neg_subject)
+                if t_pos is not None and t_neg is not None:
+                    terms.append(((cos(tokenize(t_pos), TYPE),),
+                                  (cos(tokenize(t_neg), TYPE),)))
+        p = model.cfg.dropout_p
+        mask = (dropout_mask((len(uses), model.cfg.hidden_size), p, self.rng)
+                if p > 0.0 else None)
+        if not terms:
+            return False
+        first_use, first_pair = len(self.use_text), len(self.pairs)
+        self.use_text += [self.texts.setdefault(t, len(self.texts))
+                          for t in uses]
+        if mask is not None:
+            self.masks.append(mask)
+        self.pairs += [(first_use, first_use + u) for u, _ in pairs]
+        self.channels += [channel for _, channel in pairs]
+        self.pos += [tuple(first_pair + k for k in side) for side, _ in terms]
+        self.neg += [tuple(first_pair + k for k in side) for _, side in terms]
+        self.questions += 1
+        return True
+
+    def loss(self) -> Optional[Tensor]:
+        """The summed loss of the usable questions; None if there are none."""
+        if not self.questions:
             return None
-        neg_s = pos_s if neg_subject is None else cosine(
-            q_vec, enc_subject(neg_subject)
-        )
-        neg_p = pos_p if neg_pred is None else cosine(
-            q_vec, enc_relation(neg_pred)
-        )
-        return loss_hinge_qas(head.combined(pos_s, pos_p),
-                              head.combined(neg_s, neg_p), cfg.gamma)
-
-    neg_s = None if neg_subject is None else cosine(
-        q_vec, enc_subject(neg_subject)
-    )
-    neg_p = None if neg_pred is None else cosine(q_vec, enc_relation(neg_pred))
-
-    type_pair = None
-    if head.mode == "qat_type" and neg_subject is not None:
-        t_pos = notable_type(kb, q.gold.subject)
-        t_neg = notable_type(kb, neg_subject)
-        if t_pos is not None and t_neg is not None:
-            type_pair = (
-                cosine(q_vec, encode(tokenize(t_pos))),
-                cosine(q_vec, encode(tokenize(t_neg))),
-            )
-
-    if neg_s is not None and neg_p is not None:
-        ss_pos, ss_neg = head.subject_score(pos_s), head.subject_score(neg_s)
-        sp_pos, sp_neg = head.predicate_score(pos_p), head.predicate_score(neg_p)
-        if type_pair is not None:
-            st_pos = head.type_score(type_pair[0])
-            st_neg = head.type_score(type_pair[1])
-            return loss_hinge_qat_type(ss_pos, ss_neg, sp_pos, sp_neg,
-                                       st_pos, st_neg, cfg.gamma)
-        return loss_hinge_qat(ss_pos, ss_neg, sp_pos, sp_neg, cfg.gamma)
-
-    terms = []
-    if neg_s is not None:
-        terms.append(loss_hinge_qas(head.subject_score(pos_s),
-                                    head.subject_score(neg_s), cfg.gamma))
-    if neg_p is not None:
-        terms.append(loss_hinge_qas(head.predicate_score(pos_p),
-                                    head.predicate_score(neg_p), cfg.gamma))
-    if type_pair is not None:
-        terms.append(loss_hinge_qas(head.type_score(type_pair[0]),
-                                    head.type_score(type_pair[1]), cfg.gamma))
-    if not terms:
-        return None
-    total = terms[0]
-    for extra in terms[1:]:
-        total = total + extra
-    return total
+        used = gather_rows(self.model.encode_texts(list(self.texts)),
+                           self.use_text)
+        if self.masks:
+            used = used * np.concatenate(self.masks)
+        left, right = np.array(self.pairs).T
+        return self.model.head.hinge_total(
+            cosine(gather_rows(used, left), gather_rows(used, right)),
+            self.channels, np.array(self.pos), np.array(self.neg),
+            self.model.cfg.gamma)
 
 
 def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
@@ -508,28 +552,21 @@ def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
     pred_samplers = [_PoolSampler(p, rng) for p in pools.predicate_pools]
     skipped = 0
 
-    def batch_losses(batch: np.ndarray) -> list[Tensor]:
+    def batch_loss(batch: np.ndarray) -> tuple[Optional[Tensor], int]:
         nonlocal skipped
-        # the weights hold still until the optimizer step, so within a
-        # batch each distinct word's char-GRU runs once and its gradient
-        # sums over every use
-        chars = EncodeCache(model.words.encode_chars)
-        losses = []
+        # the weights hold still until the optimizer step, so each
+        # distinct text is encoded once per step and its gradient sums
+        # over every use
+        step = _StepBatch(model, kb, rng)
         for i in batch:
-            loss = _question_loss(
-                model, kb, dataset[i],
-                subj_samplers[i].draw() if i < len(subj_samplers) else None,
-                pred_samplers[i].draw() if i < len(pred_samplers) else None,
-                cfg, rng, chars,
-            )
-            if loss is None:
+            if not step.add(
+                    dataset[i],
+                    subj_samplers[i].draw() if i < len(subj_samplers) else None,
+                    pred_samplers[i].draw() if i < len(pred_samplers) else None):
                 skipped += 1
-            else:
-                losses.append(loss)
-        return losses
+        return step.loss(), step.questions
 
-    curve = fit(model.parameters(), len(dataset), batch_losses, cfg, rng,
-                "e2e")
+    curve = fit(model.parameters(), len(dataset), batch_loss, cfg, rng, "e2e")
     if skipped:
         logger.info("skipped %d question steps with no usable channel", skipped)
     return model, curve

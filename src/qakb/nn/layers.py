@@ -22,12 +22,11 @@ from qakb.nn.tensor import (
     logistic,
     matmul,
     mul,
-    norm,
     param,
     relu,
+    reshape,
     row,
     sigmoid,
-    softmax_rows,
     transpose,
     zeros,
 )
@@ -110,7 +109,13 @@ class Dense:
 
 class _GatedCell:
     """A recurrent cell's weights: per gate in the subclass's ``gates`` an
-    input weight ``W_*``, a recurrent weight ``U_*`` and a bias ``b_*``."""
+    input weight ``W_*``, a recurrent weight ``U_*`` and a bias ``b_*``.
+
+    A step works on ``[n, h]`` states, one row per sequence still running,
+    and takes every gate's input projection ``x @ W.T`` precomputed:
+    :func:`run_recurrent` projects all timesteps in one product before its
+    time loop, with the gates' weights stacked (:meth:`stacked`).
+    """
 
     def __init__(self, input_dim: int, hidden_dim: int,
                  rng: np.random.Generator, name: Optional[str] = None):
@@ -121,9 +126,22 @@ class _GatedCell:
             self._p[f"W_{gate}"] = param(glorot(rng, (hidden_dim, input_dim)))
             self._p[f"U_{gate}"] = param(glorot(rng, (hidden_dim, hidden_dim)))
             self._p[f"b_{gate}"] = param(np.zeros(hidden_dim))
+        # per kind of weight, its tensors in gate order
+        self._kinds = {kind: [self._p[f"{kind}_{gate}"] for gate in self.gates]
+                       for kind in "WUb"}
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"{self.name}.{k}": v for k, v in self._p.items()}
+
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The gates' weights side by side, in ``gates`` order: ``W.T``
+        as [d, G*h], ``U`` as [G*h, h] and ``b`` as [G*h]."""
+        w, u, b = ([t.data for t in self._kinds[kind]] for kind in "WUb")
+        return np.concatenate(w).T.copy(), np.concatenate(u), np.concatenate(b)
+
+    def initial_state(self, rows: int) -> tuple[np.ndarray, ...]:
+        return tuple(np.zeros((rows, self.hidden_dim))
+                     for _ in self.state_parts)
 
 
 class GRUCell(_GatedCell):
@@ -133,37 +151,38 @@ class GRUCell(_GatedCell):
     """
 
     gates = ("z", "r", "n")
+    state_parts = ("h",)
     default_name = "gru"
 
-    def initial_state(self) -> tuple[np.ndarray]:
-        return (np.zeros(self.hidden_dim),)
-
-    def step(self, x: np.ndarray, state: tuple[np.ndarray]):
-        """One timestep on arrays: the next state, and what
+    def step(self, xw: np.ndarray, state: tuple[np.ndarray],
+             u: np.ndarray, b: np.ndarray):
+        """One timestep on arrays, from the [n, 3h] input projections
+        ``xw`` and the stacked ``u`` and ``b``: the next state, and what
         :meth:`step_backward` needs of this one (the input state first)."""
         (h,) = state
-        p = self._p
-        z = logistic(p["W_z"].data @ x + p["U_z"].data @ h + p["b_z"].data)
-        r = logistic(p["W_r"].data @ x + p["U_r"].data @ h + p["b_r"].data)
-        u_n = p["U_n"].data @ h
-        n = np.tanh(p["W_n"].data @ x + r * u_n + p["b_n"].data)
+        H = self.hidden_dim
+        uh = h @ u.T
+        zr = logistic(xw[:, :2 * H] + uh[:, :2 * H] + b[:2 * H])
+        z, r = zr[:, :H], zr[:, H:]
+        u_n = uh[:, 2 * H:]
+        n = np.tanh(xw[:, 2 * H:] + r * u_n + b[2 * H:])
         return ((1.0 - z) * n + z * h,), (h, z, r, n, u_n)
 
-    def step_backward(self, saved, d_state: tuple[np.ndarray]):
+    def step_backward(self, saved, d_state: tuple[np.ndarray],
+                      u: np.ndarray):
         """Gradients of one step from the gradient of its output state:
-        (gradient of its input state, per gate the gradient of the
-        pre-activation that ``W`` and ``b`` feed, per gate the gradient of
-        the product ``U @ h``)."""
+        (gradient of its input state, the [n, 3h] gradient of the
+        pre-activations that ``W`` and ``b`` feed, the [n, 3h] gradient of
+        the products ``U @ h``)."""
         h, z, r, n, u_n = saved
         (dh,) = d_state
-        p = self._p
         da_n = dh * (1.0 - z) * (1.0 - n * n)
         da_z = dh * (h - n) * z * (1.0 - z)
         du_n = da_n * r
         da_r = da_n * u_n * r * (1.0 - r)
-        dh_prev = (dh * z + da_z @ p["U_z"].data + da_r @ p["U_r"].data
-                   + du_n @ p["U_n"].data)
-        return (dh_prev,), (da_z, da_r, da_n), (da_z, da_r, du_n)
+        d_rec = np.concatenate([da_z, da_r, du_n], axis=1)
+        d_pre = np.concatenate([da_z, da_r, da_n], axis=1)
+        return (dh * z + d_rec @ u,), d_pre, d_rec
 
 
 class LSTMCell(_GatedCell):
@@ -173,106 +192,165 @@ class LSTMCell(_GatedCell):
     """
 
     gates = ("i", "f", "g", "o")
+    state_parts = ("h", "c")
     default_name = "lstm"
 
-    def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.zeros(self.hidden_dim), np.zeros(self.hidden_dim)
-
-    def step(self, x: np.ndarray, state: tuple[np.ndarray, np.ndarray]):
-        """One timestep on arrays: the next state, and what
-        :meth:`step_backward` needs of this one (the input ``h`` first)."""
+    def step(self, xw: np.ndarray, state: tuple[np.ndarray, np.ndarray],
+             u: np.ndarray, b: np.ndarray):
+        """One timestep on arrays, as :meth:`GRUCell.step` (the input
+        ``h`` first in what it keeps)."""
         h, c = state
-        p = self._p
-        i = logistic(p["W_i"].data @ x + p["U_i"].data @ h + p["b_i"].data)
-        f = logistic(p["W_f"].data @ x + p["U_f"].data @ h + p["b_f"].data)
-        g = np.tanh(p["W_g"].data @ x + p["U_g"].data @ h + p["b_g"].data)
-        o = logistic(p["W_o"].data @ x + p["U_o"].data @ h + p["b_o"].data)
+        H = self.hidden_dim
+        a = xw + h @ u.T + b
+        gates = logistic(a)
+        i, f, o = gates[:, :H], gates[:, H:2 * H], gates[:, 3 * H:]
+        g = np.tanh(a[:, 2 * H:3 * H])
         c_new = f * c + i * g
         tanh_c = np.tanh(c_new)
         return (o * tanh_c, c_new), (h, c, i, f, g, o, tanh_c)
 
-    def step_backward(self, saved, d_state: tuple[np.ndarray, np.ndarray]):
+    def step_backward(self, saved, d_state: tuple[np.ndarray, np.ndarray],
+                      u: np.ndarray):
         """Gradients of one step, as :meth:`GRUCell.step_backward`; every
         gate's ``U @ h`` gradient is its pre-activation gradient."""
         h, c, i, f, g, o, tanh_c = saved
         dh, dc = d_state
-        p = self._p
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        da = (dc * g * i * (1.0 - i),
-              dc * c * f * (1.0 - f),
-              dc * i * (1.0 - g * g),
-              dh * tanh_c * o * (1.0 - o))
-        dh_prev = (da[0] @ p["U_i"].data + da[1] @ p["U_f"].data
-                   + da[2] @ p["U_g"].data + da[3] @ p["U_o"].data)
-        return (dh_prev, dc * f), da, da
+        d_pre = np.concatenate([dc * g * i * (1.0 - i),
+                                dc * c * f * (1.0 - f),
+                                dc * i * (1.0 - g * g),
+                                dh * tanh_c * o * (1.0 - o)], axis=1)
+        return (d_pre @ u, dc * f), d_pre, d_pre
 
 
-def _recurrent_states(cell, inputs: Tensor, order: range) -> Tensor:
-    """The [T, h] output states of ``cell`` run over ``inputs`` in
-    ``order``, aligned with input positions, as one graph node.
+def _pack(lengths: np.ndarray, T: int, reverse: bool
+          ) -> tuple[np.ndarray, list[int]]:
+    """The packed order of a padded [B, T] batch: rows sorted longest
+    first, and per timestep only the rows still running, so each step
+    works on a prefix of the previous step's rows.
 
-    The forward calls ``cell.step`` once per timestep.  The backward runs
-    ``cell.step_backward`` back through time and adds each gate's weight
-    and bias gradients once per sequence, as products over all timesteps.
+    Returns ``(flat, offsets)``: step ``s`` reads the flat ``b * T + t``
+    positions ``flat[offsets[s]:offsets[s + 1]]``, which run right to
+    left within each row when ``reverse``.
     """
-    x = np.ascontiguousarray(inputs.data)
-    states = np.empty((x.shape[0], cell.hidden_dim))
-    saved: list = [None] * x.shape[0]
-    state = cell.initial_state()
-    for t in order:
-        state, saved[t] = cell.step(x[t], state)
-        states[t] = state[0]
-    p = cell._p
+    if lengths.shape[0] == 1:
+        steps = np.arange(lengths[0])
+        return (steps[::-1] if reverse else steps), list(range(lengths[0] + 1))
+    order = np.argsort(-lengths, kind="stable")
+    lens = lengths[order]
+    steps, rows = np.nonzero(np.arange(lens[0])[:, None] < lens)
+    pos = lens[rows] - 1 - steps if reverse else steps
+    offsets = np.searchsorted(steps, np.arange(lens[0] + 1))
+    return order[rows] * T + pos, offsets.tolist()
+
+
+def _recurrent_states(cell, inputs: Tensor, lengths: np.ndarray,
+                      reverse: bool) -> Tensor:
+    """The states of ``cell`` run over ``inputs`` ([T, d] as one row, or
+    [B, T, d] with row lengths ``lengths``), aligned with input positions
+    and zero past each row's length, as one graph node.
+
+    The forward projects every valid position's input through all the
+    gates in one product, then calls ``cell.step`` once per timestep on
+    the rows still running.  The backward runs ``cell.step_backward``
+    back through time and adds each weight's and bias's gradient once,
+    as products over every row and timestep.
+    """
+    x = inputs.data
+    T, d = x.shape[-2:]
+    B = lengths.shape[0]
+    H = cell.hidden_dim
+    flat, offsets = _pack(lengths, T, reverse)
+    xs = x.reshape(B * T, d)[flat]
+    w_t, u, b = cell.stacked()
+    xw = xs @ w_t
+    hs = np.empty((flat.shape[0], H))
+    saved: list = []
+    state = cell.initial_state(offsets[1] - offsets[0])
+    for s in range(len(offsets) - 1):
+        lo, hi = offsets[s], offsets[s + 1]
+        if hi - lo < state[0].shape[0]:  # rows that ended drop out
+            state = tuple(v[:hi - lo] for v in state)
+        state, keep = cell.step(xw[lo:hi], state, u, b)
+        saved.append(keep)
+        hs[lo:hi] = state[0]
+    states = np.zeros((B * T, H))
+    states[flat] = hs
 
     def backward(out: Tensor):
         def fn():
-            n_gates, T, H = len(cell.gates), x.shape[0], cell.hidden_dim
-            d_pre = np.empty((n_gates, T, H))
-            d_rec = np.empty((n_gates, T, H))
-            d_state = tuple(np.zeros(H) for _ in cell.initial_state())
-            for t in reversed(order):
-                d_state = (d_state[0] + out.grad[t],) + d_state[1:]
-                d_state, d_pre[:, t], d_rec[:, t] = cell.step_backward(
-                    saved[t], d_state)
-            h_prev = np.stack([s[0] for s in saved])
-            d_x = np.zeros_like(x)
-            for k, gate in enumerate(cell.gates):
-                w, u, b = p[f"W_{gate}"], p[f"U_{gate}"], p[f"b_{gate}"]
-                if w.requires_grad:
-                    w.accumulate(d_pre[k].T @ x)
-                if u.requires_grad:
-                    u.accumulate(d_rec[k].T @ h_prev)
-                if b.requires_grad:
-                    b.accumulate(d_pre[k].sum(axis=0))
-                d_x += d_pre[k] @ w.data
+            g = out.grad.reshape(B * T, H)[flat]
+            d_pre = np.empty(xw.shape)
+            d_rec = np.empty(xw.shape)
+            d_state = cell.initial_state(offsets[-1] - offsets[-2])
+            for s in reversed(range(len(saved))):
+                lo, hi = offsets[s], offsets[s + 1]
+                if hi - lo > d_state[0].shape[0]:  # rows that end here
+                    d_state = tuple(
+                        np.concatenate([v, np.zeros((hi - lo - len(v), H))])
+                        for v in d_state)
+                d_state = (d_state[0] + g[lo:hi],) + d_state[1:]
+                d_state, d_pre[lo:hi], d_rec[lo:hi] = cell.step_backward(
+                    saved[s], d_state, u)
+            h_prev = np.concatenate([keep[0] for keep in saved])
+            d_w, d_u = d_pre.T @ xs, d_rec.T @ h_prev
+            d_b = d_pre.sum(axis=0)
+            for kind, grad in (("W", d_w), ("U", d_u), ("b", d_b)):
+                for k, weight in enumerate(cell._kinds[kind]):
+                    if weight.requires_grad:
+                        weight.accumulate(grad[k * H:(k + 1) * H])
             if inputs.requires_grad:
-                inputs.accumulate(d_x)
+                d_x = np.zeros((B * T, d))
+                d_x[flat] = d_pre @ w_t.T
+                inputs.accumulate(d_x.reshape(x.shape))
         return fn
 
-    return _make(states, (inputs, *p.values()), backward)
+    return _make(states.reshape(x.shape[:-1] + (H,)),
+                 (inputs, *cell._p.values()),
+                 backward)
 
 
-def run_recurrent(cell, inputs: Tensor, direction: str = "forward"):
-    """Run a cell over [T, d] inputs; returns ([T, h] states, [h] last).
+def run_recurrent(cell, inputs: Tensor, direction: str = "forward",
+                  lengths: Optional[Sequence[int]] = None):
+    """Run a cell over one sequence or over a padded batch of them.
 
-    The backward direction processes the sequence right-to-left but the
-    returned state matrix stays aligned with input positions; ``last`` is
-    then the state computed at position 0.
+    ``inputs`` is [T, d], giving ([T, h] states, [h] last state); or
+    [B, T, d] with each row's ``lengths`` (default T), giving ([B, T, h]
+    states, zero past each row's length, and [B, h] last states, zero for
+    an empty row).  Inputs past a row's length are never read.  The
+    backward direction runs each row right to left, but the states stay
+    aligned with input positions; ``last`` is then the state computed at
+    position 0.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
-    if inputs.ndim != 2:
-        raise ShapeMismatch(f"recurrent input must be [T, d], got {inputs.shape}")
-    if inputs.shape[1] != cell.input_dim:
+    if inputs.ndim not in (2, 3):
         raise ShapeMismatch(
-            f"input dim {inputs.shape[1]}, cell expects {cell.input_dim}"
+            f"recurrent input must be [T, d] or [B, T, d], got {inputs.shape}")
+    if inputs.shape[-1] != cell.input_dim:
+        raise ShapeMismatch(
+            f"input dim {inputs.shape[-1]}, cell expects {cell.input_dim}"
         )
-    T = inputs.shape[0]
-    if T == 0:
-        return zeros((0, cell.hidden_dim)), zeros((cell.hidden_dim,))
-    order = range(T) if direction == "forward" else range(T - 1, -1, -1)
-    states = _recurrent_states(cell, inputs, order)
-    return states, row(states, order[-1])
+    reverse = direction == "backward"
+    H = cell.hidden_dim
+    if inputs.ndim == 2:
+        T = inputs.shape[0]
+        if T == 0:
+            return zeros((0, H)), zeros((H,))
+        states = _recurrent_states(cell, inputs, np.array([T]), reverse)
+        return states, row(states, 0 if reverse else T - 1)
+    B, T = inputs.shape[:2]
+    lens = np.full(B, T) if lengths is None else np.asarray(lengths,
+                                                             dtype=np.int64)
+    if lens.shape != (B,) or (B and (lens.min() < 0 or lens.max() > T)):
+        raise ShapeMismatch(f"{B} rows of length {T} need {B} lengths in "
+                            f"[0, {T}], got {lengths}")
+    if B == 0 or not lens.any():
+        return zeros((B, T, H)), zeros((B, H))
+    states = _recurrent_states(cell, inputs, lens, reverse)
+    last_t = 0 if reverse else np.maximum(lens - 1, 0)
+    return states, gather_rows(reshape(states, (B * T, H)),
+                               np.arange(B) * T + last_t)
 
 
 def bidirectional_encode(cell_fwd, cell_bwd, inputs: Tensor):
@@ -286,18 +364,60 @@ def bidirectional_encode(cell_fwd, cell_bwd, inputs: Tensor):
     return concat([states_f, states_b], axis=1), concat([last_f, last_b])
 
 
-def self_attention(states: Tensor) -> Tensor:
-    """Scaled dot-product attention of a state sequence against itself.
+def self_attention(states: Tensor,
+                   lengths: Optional[Sequence[int]] = None) -> Tensor:
+    """Scaled dot-product attention of a state sequence against itself,
+    as one graph node.
 
-    A = softmax(states statesᵀ / sqrt(h)) row-wise; output is A·states.
+    A = softmax(states statesᵀ / sqrt(h)) row-wise; the output is
+    A·states.  ``states`` is [T, h], or [B, T, h] with each row's
+    ``lengths`` (default T): a row attends only over its own first
+    ``length`` states, and its output past that length is zero.
     """
-    if states.ndim != 2:
-        raise ShapeMismatch(f"self_attention expects [T, h], got {states.shape}")
-    T, h = states.shape
+    if states.ndim not in (2, 3):
+        raise ShapeMismatch(
+            f"self_attention expects [T, h] or [B, T, h], got {states.shape}")
+    T, h = states.shape[-2:]
     if T == 0:
         return states
-    scores = mul(matmul(states, transpose(states)), 1.0 / math.sqrt(h))
-    return matmul(softmax_rows(scores), states)
+    x = states.data
+    scale = 1.0 / math.sqrt(h)
+    scores = (x @ np.swapaxes(x, -1, -2)) * scale
+    valid = None
+    if lengths is not None:
+        # an empty row attends over its first (all-zero) state, so no
+        # softmax row is empty
+        valid = np.arange(T) < np.maximum(np.asarray(lengths), 1)[:, None]
+        scores = np.where(valid[:, None, :], scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    out = attn @ x
+    if valid is not None:
+        out *= valid[..., None]
+
+    def backward(node: Tensor):
+        def fn():
+            g = node.grad if valid is None else node.grad * valid[..., None]
+            d_attn = g @ np.swapaxes(x, -1, -2)
+            d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1,
+                                                            keepdims=True))
+            d_scores *= scale
+            states.accumulate(np.swapaxes(attn, -1, -2) @ g + d_scores @ x
+                              + np.swapaxes(d_scores, -1, -2) @ x)
+        return fn
+
+    return _make(out, (states,), backward)
+
+
+def padded_indices(seqs: Sequence[Sequence[int]]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Index sequences right-padded with 0 into one [B, T] array, and
+    their lengths."""
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    idx = np.zeros((len(seqs), lengths.max(initial=0)), dtype=np.int64)
+    idx[np.arange(idx.shape[1]) < lengths[:, None]] = [
+        i for seq in seqs for i in seq]
+    return idx, lengths
 
 
 class EncodeCache:
@@ -320,6 +440,13 @@ class EncodeCache:
         return vec
 
 
+def dropout_mask(shape: tuple[int, ...], p: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """An inverted-dropout mask: each entry kept with probability 1 - p
+    and then scaled by 1 / (1 - p)."""
+    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+
+
 def dropout(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator]) -> Tensor:
     """Inverted dropout: train-time mask and rescale, eval-time identity."""
     if not 0.0 <= p < 1.0:
@@ -330,24 +457,44 @@ def dropout(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator]) 
         return x
     if rng is None:
         raise ValueError("train-mode dropout requires an rng")
-    mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    return mul(x, mask)
+    return mul(x, dropout_mask(x.shape, p, rng))
 
 
 _warned_zero_norm = False
 
 
 def cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two vectors; zero-norm inputs score 0."""
+    """Cosine similarity along the last axis, as one graph node: two
+    vectors give a scalar, two [n, h] matrices one value per row pair.
+
+    A pair with a zero-norm side scores 0 and passes no gradient.
+    """
     global _warned_zero_norm
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeMismatch(f"cosine expects equal-length vectors, got {a.shape} / {b.shape}")
-    na = float(np.linalg.norm(a.data))
-    nb = float(np.linalg.norm(b.data))
-    if na == 0.0 or nb == 0.0:
+    if a.shape != b.shape or a.ndim not in (1, 2):
+        raise ShapeMismatch(f"cosine expects equal-shape vectors or matrices, "
+                            f"got {a.shape} / {b.shape}")
+    x, y = a.data, b.data
+    nx = np.sqrt((x * x).sum(axis=-1))
+    ny = np.sqrt((y * y).sum(axis=-1))
+    dead = (nx == 0.0) | (ny == 0.0)
+    if dead.any():
         # first occurrence is worth surfacing; after that it is routine
         level = logging.DEBUG if _warned_zero_norm else logging.WARNING
         log.log(level, "cosine of a zero-norm vector; returning 0.0")
         _warned_zero_norm = True
-        return Tensor(0.0)
-    return matmul(a, b) / (norm(a) * norm(b))
+        nx, ny = np.where(dead, 1.0, nx), np.where(dead, 1.0, ny)
+    denom = nx * ny
+    cos = np.where(dead, 0.0, (x * y).sum(axis=-1) / denom)
+
+    def backward(out: Tensor):
+        def fn():
+            g = np.where(dead, 0.0, out.grad)
+            if a.requires_grad:
+                a.accumulate(((g / denom)[..., None] * y
+                              - (g * cos / (nx * nx))[..., None] * x))
+            if b.requires_grad:
+                b.accumulate(((g / denom)[..., None] * x
+                              - (g * cos / (ny * ny))[..., None] * y))
+        return fn
+
+    return _make(cos, (a, b), backward)

@@ -4,7 +4,7 @@ training loop every model shares."""
 from __future__ import annotations
 
 import logging
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -47,16 +47,16 @@ class Adam:
 
 
 def fit(params: dict[str, Tensor], n: int,
-        batch_loss_fn: Callable[[np.ndarray], list[Tensor]],
+        batch_loss_fn: Callable[[np.ndarray], tuple[Optional[Tensor], int]],
         cfg: TrainConfig, rng: np.random.Generator, name: str) -> list[float]:
     """Train ``params`` with Adam over ``n`` examples; returns the mean loss
     of each epoch.
 
     Each epoch draws one ``rng.permutation(n)`` and walks it in slices of
     ``cfg.batch_size``.  ``batch_loss_fn(batch)`` gets a slice of example
-    indices and returns the losses of its usable examples.  Their sum,
-    scaled by one over their count, takes one optimizer step; a batch
-    with no losses takes none.
+    indices and returns the summed loss of its usable examples and how
+    many there are.  The sum, scaled by one over the count, takes one
+    optimizer step; a batch with none takes none.
     """
     opt = Adam(params, lr=cfg.learning_rate)
     curve: list[float] = []
@@ -64,15 +64,13 @@ def fit(params: dict[str, Tensor], n: int,
         order = rng.permutation(n)
         total, counted = 0.0, 0
         for start in range(0, n, cfg.batch_size):
-            losses = batch_loss_fn(order[start:start + cfg.batch_size])
-            if not losses:
+            batch_loss, count = batch_loss_fn(
+                order[start:start + cfg.batch_size])
+            if not count:
                 continue
-            batch_loss = losses[0]
-            for extra in losses[1:]:
-                batch_loss = batch_loss + extra
             total += float(batch_loss.data)
-            counted += len(losses)
-            batch_loss = batch_loss * (1.0 / len(losses))
+            counted += count
+            batch_loss = batch_loss * (1.0 / count)
             opt.zero_grad()
             batch_loss.backward()
             opt.step()

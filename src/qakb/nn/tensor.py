@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import contextvars
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -60,7 +60,13 @@ class Tensor:
         self.grad += grad
 
     def backward(self) -> None:
-        """Backpropagate from a scalar node through the whole graph."""
+        """Backpropagate from a scalar node through the whole graph.
+
+        Each node lets go of its parents and its backward closure once
+        that has run, so the graph, whose closures refer back to their
+        nodes, is freed when the caller drops it rather than at the next
+        garbage collection; a graph is backpropagated once.
+        """
         if self.data.size != 1:
             raise ShapeMismatch(
                 f"backward requires a scalar, got shape {self.data.shape}"
@@ -84,6 +90,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn()
+                node._backward_fn, node._parents = None, ()
 
     # -- operator sugar ----------------------------------------------------
 
@@ -433,13 +440,15 @@ def take_column(a: ArrayLike, index: int) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def gather_rows(table: ArrayLike, indices: Iterable[int]) -> Tensor:
-    """Select rows by index (embedding lookup); duplicates accumulate."""
+def gather_rows(table: ArrayLike, indices) -> Tensor:
+    """Select rows by index (embedding lookup); duplicates accumulate.
+
+    An index array of shape S gives S followed by the row shape, so a
+    [B, T] array of word indices gives [B, T, d] word vectors.
+    """
     table = as_tensor(table)
-    idx = np.asarray(list(indices), dtype=np.int64)
-    data = table.data[idx].copy() if idx.size else np.zeros(
-        (0, table.data.shape[1])
-    )
+    idx = np.asarray(indices, dtype=np.int64)
+    data = table.data[idx]
 
     def backward(out: Tensor):
         def fn():
@@ -450,6 +459,25 @@ def gather_rows(table: ArrayLike, indices: Iterable[int]) -> Tensor:
         return fn
 
     return _make(data, (table,), backward)
+
+
+def pad_rows(a: ArrayLike, n: int) -> Tensor:
+    """The first ``n`` rows along the second-to-last axis, followed by
+    zero rows when there are fewer."""
+    a = as_tensor(a)
+    keep = min(a.shape[-2], n)
+    data = np.zeros(a.shape[:-2] + (n, a.shape[-1]))
+    data[..., :keep, :] = a.data[..., :keep, :]
+
+    def backward(out: Tensor):
+        def fn():
+            if a.requires_grad:
+                g = np.zeros_like(a.data)
+                g[..., :keep, :] = out.grad[..., :keep, :]
+                a.accumulate(g)
+        return fn
+
+    return _make(data, (a,), backward)
 
 
 def softmax_rows(a: ArrayLike) -> Tensor:
@@ -474,11 +502,6 @@ def softmax_rows(a: ArrayLike) -> Tensor:
 
 def dot(a: ArrayLike, b: ArrayLike) -> Tensor:
     return matmul(a, b)
-
-
-def norm(a: ArrayLike) -> Tensor:
-    """Euclidean norm of a vector (undefined gradient at exactly zero)."""
-    return sqrt(tsum(mul(a, a)))
 
 
 def zeros(shape: tuple[int, ...]) -> Tensor:

@@ -214,13 +214,14 @@ def train_tagger(data: Sequence[LabeledQuestion],
     vocab = sorted({tok for q in data for tok in q.tokens})
     model = TaggerModel(vocab, cfg, rng)
 
-    def batch_losses(batch: np.ndarray) -> list[Tensor]:
-        return [loss_categorical_ce(model.forward(data[i].tokens),
-                                    [1 if tag == "e" else 0
-                                     for tag in data[i].tags])
-                for i in batch]
+    def batch_loss(batch: np.ndarray) -> tuple[Tensor, int]:
+        losses = [loss_categorical_ce(model.forward(data[i].tokens),
+                                      [1 if tag == "e" else 0
+                                       for tag in data[i].tags])
+                  for i in batch]
+        return sum(losses[1:], losses[0]), len(losses)
 
-    curve = fit(model.parameters(), len(data), batch_losses, cfg, rng,
+    curve = fit(model.parameters(), len(data), batch_loss, cfg, rng,
                 "tagger")
     return model, curve
 
@@ -237,12 +238,13 @@ def train_matcher(pairs: Sequence[MatcherPair], cfg: TrainConfig,
     )
     model = MatcherModel(vocab, cfg, rng, name=name)
 
-    def batch_losses(batch: np.ndarray) -> list[Tensor]:
-        return [loss_binary_ce(model.forward(question, text, mode="train",
-                                             rng=rng), tag)
-                for question, text, tag in (pairs[i] for i in batch)]
+    def batch_loss(batch: np.ndarray) -> tuple[Tensor, int]:
+        losses = [loss_binary_ce(model.forward(question, text, mode="train",
+                                               rng=rng), tag)
+                  for question, text, tag in (pairs[i] for i in batch)]
+        return sum(losses[1:], losses[0]), len(losses)
 
-    curve = fit(model.parameters(), len(pairs), batch_losses, cfg, rng, name)
+    curve = fit(model.parameters(), len(pairs), batch_loss, cfg, rng, name)
     return model, curve
 
 

@@ -179,6 +179,57 @@ class TestExitCodes:
         assert f"run.cfg:2: {key}={value}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train-e2e", "train-pipeline"])
+    def test_unknown_config_key_is_data_error(self, capsys, bench, tmp_path,
+                                              command):
+        capsys.readouterr()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=1\nhiden_size=4\n")
+        source = {"train-e2e": ["--kb", str(bench / "kb.qakb"),
+                                "--questions", str(bench / "train.tsv"),
+                                "--variant", "qa-t"],
+                  "train-pipeline": ["--data", str(tmp_path / "data")]}
+        code, stdout, err = run(capsys, command, *source[command], "--out",
+                                str(tmp_path / "out"), "--config", str(cfg))
+        assert code == 2
+        assert stdout == "" and "Traceback" not in err
+        assert f"error: {cfg}:2: unknown key 'hiden_size'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_config_file_serves_every_command(self, capsys, bench,
+                                                  tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=3\nepochs=1\nhidden_size=4\nembed_dim=6\n"
+                       "max_len=6\n")
+        assert main(["synth", "--out", str(tmp_path / "b"), "--entities",
+                     "10", "--config", str(cfg)]) == 0
+        assert main(["train-e2e", "--kb", str(bench / "kb.qakb"),
+                     "--questions", str(bench / "train.tsv"), "--variant",
+                     "qa-t", "--out", str(tmp_path / "m.nn"), "--config",
+                     str(cfg)]) == 0
+
+    @pytest.mark.parametrize("name, line", [
+        ("tagged.tsv", "who\tc c\n"),
+        ("relation_pairs.tsv", "who is\t/a/b/c\n"),
+        ("type_pairs.tsv", "who is\tfilm\n"),
+    ])
+    def test_bad_pipeline_data_names_the_file(self, capsys, bench, tmp_path,
+                                              name, line):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--kb", str(bench / "kb.qakb"),
+                     "--questions", str(bench / "train.tsv"),
+                     "--out", str(data)]) == 0
+        target = data / name
+        target.write_text(target.read_text() + line)
+        bad_line = len(target.read_text().splitlines())
+        capsys.readouterr()
+        code, stdout, err = run(capsys, "train-pipeline", "--data", str(data),
+                                "--out", str(tmp_path / "models"),
+                                "--epochs", "1", "--hidden-size", "4")
+        assert code == 2
+        assert stdout == "" and "Traceback" not in err
+        assert err.startswith(f"error: {target}: line {bad_line}: ")
+
     @pytest.mark.parametrize("argv", [
         ["synth", "--entities", "10"],
         ["train-e2e", "--kb", "kb.qakb", "--questions", "q.tsv",
@@ -392,6 +443,20 @@ class TestAnswer:
                          "--model", str(e2e_model), "--questions",
                          str(qfile))
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["answer", "eval"])
+    def test_out_degree_sort_rejected_with_pipeline(self, capsys, tmp_path,
+                                                    command):
+        # rejected before any file is read, so none of these need exist
+        extra = (["--questions", str(tmp_path / "absent.tsv"), "--out",
+                  str(tmp_path / "rep")] if command == "eval" else [])
+        code, stdout, err = run(capsys, command, "--kb",
+                                str(tmp_path / "absent.qakb"), "--pipeline",
+                                str(tmp_path / "absent"), "--strategy",
+                                "p-qa", "--out-degree-sort", *extra)
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: --out-degree-sort applies only to --model\n"
 
     def test_deterministic_output(self, bench, e2e_model, capsys, tmp_path):
         qfile = tmp_path / "q.txt"
@@ -638,6 +703,16 @@ class TestEval:
         assert report["p-qa-out(oracle)"]["accuracy"] == 1.0
         assert (out / "report.txt").is_file()
         assert "accuracy" in stdout
+
+    def test_out_degree_sort_rejected_with_oracle(self, tmp_path, capsys):
+        code, stdout, err = run(capsys, "eval", "--kb",
+                                str(tmp_path / "absent.qakb"), "--questions",
+                                str(tmp_path / "absent.tsv"), "--oracle",
+                                "--strategy", "p-qa", "--out-degree-sort",
+                                "--out", str(tmp_path / "rep"))
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: --out-degree-sort applies only to --model\n"
 
     def test_requires_a_model_source(self, bench, tmp_path, capsys):
         code, _, _ = run(capsys, "eval", "--kb", str(bench / "kb.qakb"),

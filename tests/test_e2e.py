@@ -16,7 +16,7 @@ from qakb.e2e import (
     E2EVariant,
     VARIANTS,
     WordEncoder,
-    _question_loss,
+    _StepBatch,
     _relation_tokens,
     _training_vocab,
     answer,
@@ -30,7 +30,10 @@ from qakb.e2e import (
 from qakb.errors import EmptySequence, EmptyTrainingSet, NoCandidates
 from qakb.evalharness import E2EStrategy, SyntheticSpec, generate_synthetic
 from qakb.kb import Fact, build_kb, notable_type
-from qakb.nn import EncodeCache, TrainConfig, cosine
+import qakb.nn.layers
+import qakb.nn.tensor
+from qakb.nn import TrainConfig, cosine, fit
+from qakb.nn.losses import loss_hinge_qas, loss_hinge_qat, loss_hinge_qat_type
 from qakb.nn.tensor import as_tensor, param, tsum
 from qakb.nn.io import load_model, save_model
 from qakb.pipeline import MatcherModel
@@ -113,38 +116,39 @@ class TestWordEncoder:
         m = E2EModel(["alpha", "beta"], small_cfg(), E2EVariant(),
                      np.random.default_rng(0))
         assert m.words.dim == small_cfg().embed_dim
-        assert m.words.encode_word("alpha").shape == (8,)
+        assert m.words.encode_words(["alpha"]).shape == (1, 8)
 
     def test_dim_with_chars(self):
         m = E2EModel(["alpha", "beta"], small_cfg(),
                      E2EVariant(char_level=True), np.random.default_rng(0))
         cfg = small_cfg()
         assert m.words.dim == cfg.embed_dim + cfg.char_dim
-        assert m.words.encode_word("alpha").shape == (12,)
+        assert m.words.encode_words(["alpha"]).shape == (1, 12)
 
     def test_char_suffix_is_gru_last_state(self):
         m = E2EModel(["a", "bc"], small_cfg(),
                      E2EVariant(char_level=True), np.random.default_rng(3))
         we = m.words
-        vec = we.encode_word("a")
-        x = we.char_table.embed(["a"])
-        (h,), _ = we.char_gru.step(x.data[0], we.char_gru.initial_state())
-        assert_array_equal(vec.data[-we.char_gru.hidden_dim:], h)
+        vec = we.encode_words(["a"]).data[0]
+        x = we.char_table.embed(["a"]).data
+        w_t, u, b = we.char_gru.stacked()
+        (h,), _ = we.char_gru.step(x @ w_t, we.char_gru.initial_state(1),
+                                   u, b)
+        assert_array_equal(vec[-we.char_gru.hidden_dim:], h[0])
 
     def test_unknown_words_distinguished_by_spelling(self):
         m = E2EModel(["cold", "dark"], small_cfg(),
                      E2EVariant(char_level=True), np.random.default_rng(5))
         cfg = small_cfg()
-        a = m.words.encode_word("adc")
-        b = m.words.encode_word("add")
-        assert_array_equal(a.data[:cfg.embed_dim], b.data[:cfg.embed_dim])
-        assert not np.array_equal(a.data[cfg.embed_dim:], b.data[cfg.embed_dim:])
+        a, b = m.words.encode_words(["adc", "add"]).data
+        assert_array_equal(a[:cfg.embed_dim], b[:cfg.embed_dim])
+        assert not np.array_equal(a[cfg.embed_dim:], b[cfg.embed_dim:])
 
     def test_unknown_words_collapse_without_chars(self):
         m = E2EModel(["cold", "dark"], small_cfg(), E2EVariant(),
                      np.random.default_rng(5))
-        assert_array_equal(m.words.encode_word("abc").data,
-                           m.words.encode_word("abd").data)
+        a, b = m.words.encode_words(["abc", "abd"]).data
+        assert_array_equal(a, b)
 
     def test_char_alphabet_skips_oov_marker(self):
         m = E2EModel(["ab"], small_cfg(), E2EVariant(char_level=True),
@@ -674,31 +678,236 @@ class TestTrainE2E:
         assert c1 != c2
 
 
+def _per_text_loss(model, kb, q, neg_subject, neg_pred, cfg, rng):
+    """One question's loss as it was computed before batching: every use
+    of a text encoded on its own, in train mode with its own dropout mask,
+    and the cosines and hinges built per question."""
+    variant, head = model.variant, model.head
+
+    def encode(tokens):
+        return model.encode_text(tokens, "train", rng)
+
+    def enc_subject(entity):
+        return encode(tokenize(subject_text(kb, entity, variant.type_in_label)))
+
+    def enc_relation(relation):
+        return encode(_relation_tokens(relation))
+
+    q_vec = encode(tokenize(q.text))
+    pos_s = cosine(q_vec, enc_subject(q.gold.subject))
+    pos_p = cosine(q_vec, enc_relation(q.gold.relation))
+    if head.mode == "qas":
+        if neg_subject is None and neg_pred is None:
+            return None
+        neg_s = pos_s if neg_subject is None else cosine(
+            q_vec, enc_subject(neg_subject))
+        neg_p = pos_p if neg_pred is None else cosine(
+            q_vec, enc_relation(neg_pred))
+        return loss_hinge_qas(head.combined(pos_s, pos_p),
+                              head.combined(neg_s, neg_p), cfg.gamma)
+    neg_s = None if neg_subject is None else cosine(
+        q_vec, enc_subject(neg_subject))
+    neg_p = None if neg_pred is None else cosine(q_vec, enc_relation(neg_pred))
+    type_pair = None
+    if head.mode == "qat_type" and neg_subject is not None:
+        t_pos = notable_type(kb, q.gold.subject)
+        t_neg = notable_type(kb, neg_subject)
+        if t_pos is not None and t_neg is not None:
+            type_pair = (cosine(q_vec, encode(tokenize(t_pos))),
+                         cosine(q_vec, encode(tokenize(t_neg))))
+    if neg_s is not None and neg_p is not None:
+        ss = head.subject_score(pos_s), head.subject_score(neg_s)
+        sp = head.predicate_score(pos_p), head.predicate_score(neg_p)
+        if type_pair is not None:
+            st = head.type_score(type_pair[0]), head.type_score(type_pair[1])
+            return loss_hinge_qat_type(*ss, *sp, *st, cfg.gamma)
+        return loss_hinge_qat(*ss, *sp, cfg.gamma)
+    terms = []
+    if neg_s is not None:
+        terms.append(loss_hinge_qas(head.subject_score(pos_s),
+                                    head.subject_score(neg_s), cfg.gamma))
+    if neg_p is not None:
+        terms.append(loss_hinge_qas(head.predicate_score(pos_p),
+                                    head.predicate_score(neg_p), cfg.gamma))
+    if type_pair is not None:
+        terms.append(loss_hinge_qas(head.type_score(type_pair[0]),
+                                    head.type_score(type_pair[1]), cfg.gamma))
+    return sum(terms[1:], terms[0]) if terms else None
+
+
+def _per_text_train(dataset, kb, pools, variant, cfg):
+    """train_e2e with every loss from :func:`_per_text_loss`; returns the
+    model, the loss curve and the generator both drew from."""
+    from qakb.e2e import _PoolSampler
+
+    rng = np.random.default_rng(cfg.seed)
+    model = E2EModel(_training_vocab(dataset, kb), cfg, variant, rng)
+    subj = [_PoolSampler(p, rng) for p in pools.subject_pools]
+    pred = [_PoolSampler(p, rng) for p in pools.predicate_pools]
+
+    def batch_loss(batch):
+        losses = []
+        for i in batch:
+            loss = _per_text_loss(model, kb, dataset[i],
+                                  subj[i].draw() if i < len(subj) else None,
+                                  pred[i].draw() if i < len(pred) else None,
+                                  cfg, rng)
+            if loss is not None:
+                losses.append(loss)
+        return (sum(losses[1:], losses[0]) if losses else None), len(losses)
+
+    curve = fit(model.parameters(), len(dataset), batch_loss, cfg, rng, "e2e")
+    return model, curve, rng
+
+
+# every branch of the per-question loss: both negatives, one of them, none
+_NEGATIVES = [(0, 0), (None, 0), (0, None), (None, None)]
+
+
+def _step_gradients(model, kb, qs, pools, cfg, batched):
+    """Parameter gradients of one step's summed loss over ``qs`` with the
+    negatives of ``_NEGATIVES``, and the generator's next draw."""
+    rng = np.random.default_rng(5)
+    params = model.parameters()
+    for p in params.values():
+        p.grad = None
+    negs = [(None if s is None else pools.subject_pools[i][s],
+             None if p is None else pools.predicate_pools[i][p])
+            for i, (s, p) in enumerate(_NEGATIVES)]
+    if batched:
+        step = _StepBatch(model, kb, rng)
+        for q, (s, p) in zip(qs, negs):
+            step.add(q, s, p)
+        total = step.loss()
+    else:
+        losses = [_per_text_loss(model, kb, q, s, p, cfg, rng)
+                  for q, (s, p) in zip(qs, negs)]
+        losses = [loss for loss in losses if loss is not None]
+        total = sum(losses[1:], losses[0])
+    total.backward()
+    grads = {k: None if p.grad is None else p.grad.copy()
+             for k, p in params.items()}
+    return float(total.data), grads, rng.random()
+
+
+def _assert_grads_match(batched, oracle):
+    assert batched.keys() == oracle.keys()
+    for k, g in oracle.items():
+        if g is None:
+            assert batched[k] is None, k
+            continue
+        assert np.abs(batched[k] - g).max() <= 1e-12 * np.abs(g).max(), k
+
+
+class TestBatchedStep:
+    """One optimizer step encodes its distinct texts once, as one batch,
+    and gives the per-text path's loss, gradients and generator stream."""
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_gradients_match_per_text_oracle(self, name):
+        kb = song_kb()
+        qs, pools = song_training_set(kb)
+        cfg = small_cfg(dropout_p=0.3)
+        model = E2EModel(_training_vocab(qs, kb), cfg, VARIANTS[name],
+                         np.random.default_rng(3))
+        loss, grads, draw = _step_gradients(model, kb, qs, pools, cfg, True)
+        o_loss, o_grads, o_draw = _step_gradients(model, kb, qs, pools, cfg,
+                                                  False)
+        assert draw == o_draw
+        assert loss == pytest.approx(o_loss, rel=1e-12)
+        _assert_grads_match(grads, o_grads)
+        assert grads["e2e.lstm.W_i"] is not None
+
+    @pytest.mark.parametrize("name", ["qa-s", "qa-t", "qa-t-mwst"])
+    def test_epoch_matches_per_text_training(self, name, monkeypatch):
+        kb = song_kb()
+        qs, pools = song_training_set(kb)
+        cfg = small_cfg(epochs=1, dropout_p=0.3)
+        o_model, o_curve, o_rng = _per_text_train(qs, kb, pools,
+                                                  VARIANTS[name], cfg)
+        made = []
+        default_rng = np.random.default_rng
+
+        def recording(*args):
+            made.append(default_rng(*args))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        model, curve = train_e2e(qs, kb, pools, VARIANTS[name], cfg)
+        monkeypatch.undo()
+        assert made[0].random() == o_rng.random()
+        assert curve == pytest.approx(o_curve, rel=1e-12)
+        for k, p in model.parameters().items():
+            assert_allclose(p.data, o_model.parameters()[k].data,
+                            rtol=1e-9, atol=1e-12, err_msg=k)
+
+    def test_unusable_questions_still_draw_their_masks(self):
+        kb = song_kb()
+        qs, pools = song_training_set(kb)
+        cfg = small_cfg(dropout_p=0.3)
+        model = E2EModel(_training_vocab(qs, kb), cfg, VARIANTS["qa-t"],
+                         np.random.default_rng(3))
+        rng = np.random.default_rng(5)
+        step = _StepBatch(model, kb, rng)
+        assert not step.add(qs[0], None, None)
+        assert step.loss() is None and step.questions == 0
+        # the question, its subject and its relation were each masked
+        expect = np.random.default_rng(5)
+        expect.random((3, cfg.hidden_size))
+        assert rng.random() == expect.random()
+
+    @pytest.mark.parametrize("name, ceiling", [("qa-t", 10),
+                                               ("qa-t-mwst", 12)])
+    def test_graph_nodes_per_question_step(self, name, ceiling, monkeypatch):
+        """A deterministic count, so un-batching training fails here even
+        where timings are too noisy to tell (the per-text path made 107
+        and 215 nodes per question-step here)."""
+        kb = song_kb()
+        qs, pools = song_training_set(kb)
+        made = [0]
+        make = qakb.nn.tensor._make
+
+        def counting(*args):
+            made[0] += 1
+            return make(*args)
+
+        for module in (qakb.nn.tensor, qakb.nn.layers):
+            monkeypatch.setattr(module, "_make", counting)
+        train_e2e(qs, kb, pools, VARIANTS[name],
+                  small_cfg(epochs=1, batch_size=len(qs)))
+        assert made[0] / len(qs) <= ceiling
+
+
 class TestCharReuse:
     """Within one optimizer step each distinct word's char-GRU runs once,
-    and the shared summary's gradient sums over all its uses."""
+    in one batched run, and the shared summary's gradient sums over all
+    its uses."""
 
     def test_each_distinct_word_runs_once_per_batch(self, monkeypatch):
         kb = song_kb()
         qs, pools = song_training_set(kb)
-        runs, uses = Counter(), Counter()
-        encode_chars = WordEncoder.encode_chars
-        encode_word = WordEncoder.encode_word
+        runs, uses = [], Counter()
+        encode_words = WordEncoder.encode_words
+        loss = _StepBatch.loss
 
-        def counted_chars(self, chars):
-            runs[tuple(chars)] += 1
-            return encode_chars(self, chars)
+        def counted_words(self, words):
+            runs.append(list(words))
+            return encode_words(self, words)
 
-        def counted_word(self, word, chars=None):
-            uses[word] += 1
-            return encode_word(self, word, chars)
+        def counted_loss(self):
+            texts = list(self.texts)
+            for t in self.use_text:
+                uses.update(texts[t])
+            return loss(self)
 
-        monkeypatch.setattr(WordEncoder, "encode_chars", counted_chars)
-        monkeypatch.setattr(WordEncoder, "encode_word", counted_word)
+        monkeypatch.setattr(WordEncoder, "encode_words", counted_words)
+        monkeypatch.setattr(_StepBatch, "loss", counted_loss)
         train_e2e(qs, kb, pools, VARIANTS["qa-t-mwst"],
                   small_cfg(epochs=1, batch_size=len(qs)))
-        assert set(runs) == {tuple(word) for word in uses}
-        assert set(runs.values()) == {1}
+        assert len(runs) == 1
+        (words,) = runs
+        assert len(words) == len(set(words))
+        assert set(words) == set(uses)
         assert sum(uses.values()) > 3 * len(uses)
 
     @pytest.mark.parametrize("name", ["qa-t-w", "qa-t-mwst"])
@@ -708,24 +917,35 @@ class TestCharReuse:
         cfg = small_cfg()
         model = E2EModel(_training_vocab(qs, kb), cfg, VARIANTS[name],
                          np.random.default_rng(3))
-        params = model.parameters()
-        grads = []
-        for chars in (EncodeCache(model.words.encode_chars), None):
-            rng = np.random.default_rng(5)  # the same dropout masks
-            for p in params.values():
-                p.grad = None
-            total = None
-            for q, subj, pred in zip(qs, pools.subject_pools,
-                                     pools.predicate_pools):
-                loss = _question_loss(model, kb, q, subj[0], pred[0], cfg,
-                                      rng, chars)
-                total = loss if total is None else total + loss
-            total.backward()
-            grads.append({k: p.grad for k, p in params.items()})
-        shared, unshared = grads
+        _, shared, _ = _step_gradients(model, kb, qs, pools, cfg, True)
+        _, unshared, _ = _step_gradients(model, kb, qs, pools, cfg, False)
         assert shared["e2e.chars"] is not None
-        for k, g in unshared.items():
-            assert np.abs(shared[k] - g).max() <= 1e-12 * np.abs(g).max(), k
+        _assert_grads_match(shared, unshared)
+
+
+def _old_training_vocab(dataset, kb):
+    """The vocabulary as built before each distinct label was split once."""
+    toks = set()
+    for q in dataset:
+        toks.update(tokenize(q.text))
+    for rec in kb.entities.values():
+        for alias in rec.aliases:
+            toks.update(tokenize(alias))
+        if rec.notable_type is not None:
+            toks.update(tokenize(rec.notable_type))
+    for fact in kb.facts:
+        toks.update(_relation_tokens(fact.relation))
+    return sorted(toks)
+
+
+class TestTrainingVocab:
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_equals_walking_every_fact_and_entity(self, seed):
+        kb, train, test = generate_synthetic(
+            SyntheticSpec(seed=seed, n_entities=80, n_relations=9))
+        assert _training_vocab(train, kb) == _old_training_vocab(train, kb)
+        assert _training_vocab(test[:3], kb) == _old_training_vocab(test[:3],
+                                                                    kb)
 
 
 class TestPersistence:

@@ -21,6 +21,8 @@ from qakb.nn import (
 )
 from qakb.nn.tensor import (
     Tensor,
+    concat,
+    gather_rows,
     matmul,
     mul,
     no_grad,
@@ -29,6 +31,7 @@ from qakb.nn.tensor import (
     sigmoid,
     stack_rows,
     tanh,
+    transpose,
     tsum,
     zeros,
 )
@@ -181,34 +184,40 @@ class TestLSTM:
         assert finite_diff_check(loss, list(cell.parameters().values())) < 1e-4
 
 
-def _oracle_gru_step(p, x, state):
+def _oracle_gru_step(p, xw, state):
     (h,) = state
-    z = sigmoid(matmul(p["W_z"], x) + matmul(p["U_z"], h) + p["b_z"])
-    r = sigmoid(matmul(p["W_r"], x) + matmul(p["U_r"], h) + p["b_r"])
-    n = tanh(matmul(p["W_n"], x) + mul(r, matmul(p["U_n"], h)) + p["b_n"])
+    z = sigmoid(xw["z"] + matmul(p["U_z"], h) + p["b_z"])
+    r = sigmoid(xw["r"] + matmul(p["U_r"], h) + p["b_r"])
+    n = tanh(xw["n"] + mul(r, matmul(p["U_n"], h)) + p["b_n"])
     return ((1.0 - z) * n + z * h,)
 
 
-def _oracle_lstm_step(p, x, state):
+def _oracle_lstm_step(p, xw, state):
     h, c = state
-    i = sigmoid(matmul(p["W_i"], x) + matmul(p["U_i"], h) + p["b_i"])
-    f = sigmoid(matmul(p["W_f"], x) + matmul(p["U_f"], h) + p["b_f"])
-    g = tanh(matmul(p["W_g"], x) + matmul(p["U_g"], h) + p["b_g"])
-    o = sigmoid(matmul(p["W_o"], x) + matmul(p["U_o"], h) + p["b_o"])
+    i = sigmoid(xw["i"] + matmul(p["U_i"], h) + p["b_i"])
+    f = sigmoid(xw["f"] + matmul(p["U_f"], h) + p["b_f"])
+    g = tanh(xw["g"] + matmul(p["U_g"], h) + p["b_g"])
+    o = sigmoid(xw["o"] + matmul(p["U_o"], h) + p["b_o"])
     c_new = f * c + i * g
     return o * tanh(c_new), c_new
 
 
 def _oracle_run(cell, inputs, direction):
     """The per-timestep graph of tensor primitives that the fused sequence
-    op replaces: one node per gate product, sum and nonlinearity."""
+    op replaces: one node per gate product, sum and nonlinearity.  The
+    input projections ``x @ W.T`` of all gates and timesteps are one
+    product, as in the fused op, so the forward compares bit for bit."""
     step = _oracle_gru_step if isinstance(cell, GRUCell) else _oracle_lstm_step
-    T = inputs.shape[0]
+    T, H = inputs.shape[0], cell.hidden_dim
     order = range(T) if direction == "forward" else range(T - 1, -1, -1)
-    state = tuple(zeros((cell.hidden_dim,)) for _ in cell.initial_state())
+    stacked = transpose(matmul(inputs, concat(
+        [transpose(cell._p[f"W_{g}"]) for g in cell.gates], axis=1)))
+    proj = {g: transpose(gather_rows(stacked, range(k * H, (k + 1) * H)))
+            for k, g in enumerate(cell.gates)}
+    state = tuple(zeros((cell.hidden_dim,)) for _ in cell.state_parts)
     outputs = {}
     for t in order:
-        state = step(cell._p, row(inputs, t), state)
+        state = step(cell._p, {g: row(xw, t) for g, xw in proj.items()}, state)
         outputs[t] = state[0]
     return stack_rows([outputs[t] for t in range(T)]), outputs[order[-1]]
 
@@ -288,6 +297,86 @@ class TestFusedRecurrent:
         np.testing.assert_array_equal(quiet.data, states.data)
 
 
+def _ragged_case(cell_cls, lengths, seed=59):
+    """A cell with nonzero biases and a [B, T, 3] batch padded one step
+    past its longest row, whose padding holds junk the run must never
+    read."""
+    rng = np.random.default_rng(seed + sum(lengths))
+    cell = cell_cls(3, 4, rng)
+    for p in cell.parameters().values():
+        p.data += rng.normal(scale=0.3, size=p.shape)
+    x = param(rng.normal(size=(len(lengths), max(lengths) + 1, 3)))
+    return cell, x, rng
+
+
+RAGGED_CASES = [(cell, direction, lengths)
+                for cell in (GRUCell, LSTMCell)
+                for direction in ("forward", "backward")
+                for lengths in ((3,), (3, 1, 2), (1, 4, 4))]
+
+
+class TestBatchedRecurrent:
+    """``run_recurrent`` over a padded [B, T, d] batch with row lengths."""
+
+    @pytest.mark.parametrize("cell_cls,direction,lengths", RAGGED_CASES)
+    def test_rows_match_separate_runs(self, cell_cls, direction, lengths):
+        cell, x, _ = _ragged_case(cell_cls, lengths)
+        states, last = run_recurrent(cell, x, direction, lengths)
+        assert states.shape == x.shape[:2] + (4,)
+        assert last.shape == (len(lengths), 4)
+        for i, n in enumerate(lengths):
+            alone, alone_last = run_recurrent(cell, Tensor(x.data[i, :n]),
+                                              direction)
+            np.testing.assert_allclose(states.data[i, :n], alone.data,
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(last.data[i], alone_last.data,
+                                       rtol=1e-12, atol=1e-15)
+            assert not states.data[i, n:].any()
+
+    @pytest.mark.parametrize("cell_cls,direction,lengths", RAGGED_CASES)
+    def test_finite_diff(self, cell_cls, direction, lengths):
+        cell, x, rng = _ragged_case(cell_cls, lengths)
+        w = rng.normal(size=x.shape[:2] + (4,))
+        v = rng.normal(size=(len(lengths), 4))
+
+        def loss():
+            states, last = run_recurrent(cell, x, direction, lengths)
+            return tsum(states * w) + tsum(last * v)
+
+        leaves = list(cell.parameters().values()) + [x]
+        assert finite_diff_check(loss, leaves) < 1e-4
+        # padding is never read, so it gets no gradient
+        for i, n in enumerate(lengths):
+            assert not x.grad[i, n:].any()
+
+    def test_one_step_per_timestep_for_the_whole_batch(self, monkeypatch):
+        cell, x, _ = _ragged_case(LSTMCell, (3, 1, 2))
+        rows = []
+        step = LSTMCell.step
+
+        def counted(self, xw, state, u, b):
+            rows.append(xw.shape[0])
+            return step(self, xw, state, u, b)
+
+        monkeypatch.setattr(LSTMCell, "step", counted)
+        run_recurrent(cell, x, "forward", (3, 1, 2))
+        assert rows == [3, 2, 1]
+
+    def test_empty_rows_give_zeros(self):
+        cell, x, _ = _ragged_case(GRUCell, (2, 2))
+        states, last = run_recurrent(cell, x, "forward", (0, 2))
+        assert not states.data[0].any() and not last.data[0].any()
+        assert last.data[1].any()
+        states, last = run_recurrent(cell, x, "forward", (0, 0))
+        assert not states.data.any() and not last.data.any()
+
+    def test_bad_lengths_rejected(self):
+        cell, x, _ = _ragged_case(GRUCell, (2, 2))
+        for lengths in ((4, 1), (1,), (-1, 2)):
+            with pytest.raises(ShapeMismatch):
+                run_recurrent(cell, x, "forward", lengths)
+
+
 class TestBidirectional:
     def test_shapes_and_composition(self):
         rng = np.random.default_rng(19)
@@ -326,6 +415,31 @@ class TestSelfAttention:
         x = param(rng.normal(size=(4, 3)))
         w = Tensor(rng.normal(size=(4, 3)))
         assert finite_diff_check(lambda: tsum(self_attention(x) * w), [x]) < 1e-4
+
+
+class TestMaskedSelfAttention:
+    @pytest.mark.parametrize("lengths", [(4,), (4, 1, 3)])
+    def test_rows_attend_over_their_own_states(self, lengths):
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(len(lengths), 4, 3))
+        for i, n in enumerate(lengths):
+            x[i, n:] = 0.0  # padded states are zero, as run_recurrent leaves them
+        out = self_attention(Tensor(x), lengths)
+        for i, n in enumerate(lengths):
+            alone = self_attention(Tensor(x[i, :n]))
+            np.testing.assert_allclose(out.data[i, :n], alone.data,
+                                       rtol=1e-12, atol=1e-15)
+            assert not out.data[i, n:].any()
+
+    @pytest.mark.parametrize("lengths", [(4,), (4, 1, 3)])
+    def test_finite_diff(self, lengths):
+        rng = np.random.default_rng(67)
+        x = param(rng.normal(size=(len(lengths), 4, 3)))
+        w = rng.normal(size=x.shape)
+        assert finite_diff_check(
+            lambda: tsum(self_attention(x, lengths) * w), [x]) < 1e-4
+        for i, n in enumerate(lengths):
+            assert not x.grad[i, n:].any()
 
 
 class TestDropout:
@@ -387,3 +501,29 @@ class TestCosine:
         a = param(rng.normal(size=4) + 1.0)
         b = param(rng.normal(size=4) - 1.0)
         assert finite_diff_check(lambda: cosine(a, b), [a, b]) < 1e-4
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rows_match_vector_cosine(self, n):
+        rng = np.random.default_rng(47)
+        a, b = rng.normal(size=(n, 5)), rng.normal(size=(n, 5))
+        got = cosine(Tensor(a), Tensor(b))
+        assert got.shape == (n,)
+        for i in range(n):
+            assert got.data[i] == pytest.approx(
+                cosine(Tensor(a[i]), Tensor(b[i])).item(), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rows_gradcheck(self, n):
+        rng = np.random.default_rng(53)
+        a, b = param(rng.normal(size=(n, 4))), param(rng.normal(size=(n, 4)))
+        w = rng.normal(size=n)
+        assert finite_diff_check(lambda: tsum(cosine(a, b) * w), [a, b]) < 1e-4
+
+    def test_zero_norm_row_scores_zero_without_gradient(self):
+        a = param(np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0]]))
+        b = param(np.array([[2.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
+        cos = cosine(a, b)
+        assert cos.data[1] == 0.0 and cos.data[2] == 0.0
+        tsum(cos).backward()
+        assert a.grad[0].any() and b.grad[0].any()
+        assert not a.grad[1:].any() and not b.grad[1:].any()

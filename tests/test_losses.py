@@ -199,23 +199,23 @@ class TestAdam:
 class TestFit:
     def test_batches_steps_and_curve(self):
         """One permutation per epoch, walked in batch_size slices; a batch
-        without losses takes no step; the curve averages over the losses
-        actually counted."""
+        with no usable example takes no step; the curve averages over the
+        examples actually counted."""
         w = param(np.array(2.0))
         seen, weights, sums, counts = [], [], [], []
 
-        def batch_losses(batch):
+        def batch_loss(batch):
             seen.append([int(i) for i in batch])
             if 0 in batch:
-                return []
+                return None, 0
             losses = [w * float(i) for i in batch]
             weights.append(float(w.data))
             sums.append(sum(float(loss.data) for loss in losses))
             counts.append(len(losses))
-            return losses
+            return sum(losses[1:], losses[0]), len(losses)
 
         cfg = TrainConfig(epochs=2, batch_size=2, learning_rate=0.1, seed=5)
-        curve = fit({"w": w}, 5, batch_losses, cfg,
+        curve = fit({"w": w}, 5, batch_loss, cfg,
                     np.random.default_rng(5), "test")
         rng = np.random.default_rng(5)
         orders = [list(rng.permutation(5)) for _ in range(2)]
@@ -229,7 +229,7 @@ class TestFit:
     def test_no_losses_at_all(self):
         w = param(np.array(1.0))
         cfg = TrainConfig(epochs=3, batch_size=4)
-        curve = fit({"w": w}, 6, lambda batch: [], cfg,
+        curve = fit({"w": w}, 6, lambda batch: (None, 0), cfg,
                     np.random.default_rng(0), "test")
         assert curve == [0.0, 0.0, 0.0]
         assert float(w.data) == 1.0

@@ -131,9 +131,38 @@ class TestGradients:
         table = T.param(self.rng.normal(size=(5, 3)))
         _check(lambda: T.tsum(T.gather_rows(table, [1, 3, 1])), [table])
 
-    def test_norm(self):
-        x = T.param(self.rng.normal(size=(4,)) + 2.0)
-        _check(lambda: T.norm(x), [x])
+    def test_gather_rows_by_index_matrix(self):
+        """A [B, T] index array gives [B, T, d] rows; repeats accumulate."""
+        table = T.param(self.rng.normal(size=(5, 3)))
+        w = self.rng.normal(size=(2, 3, 3))
+        idx = np.array([[4, 0, 4], [1, 1, 2]])
+        np.testing.assert_array_equal(T.gather_rows(table, idx).data,
+                                      table.data[idx])
+        _check(lambda: T.tsum(T.gather_rows(table, idx) * w), [table])
+
+    @pytest.mark.parametrize("shape, n", [((4, 3), 6), ((4, 3), 2),
+                                          ((2, 4, 3), 6), ((2, 4, 3), 3)])
+    def test_pad_rows(self, shape, n):
+        x = T.param(self.rng.normal(size=shape))
+        out = T.pad_rows(x, n)
+        keep = min(shape[-2], n)
+        assert out.shape == shape[:-2] + (n, shape[-1])
+        np.testing.assert_array_equal(out.data[..., :keep, :],
+                                      x.data[..., :keep, :])
+        assert not out.data[..., keep:, :].any()
+        w = self.rng.normal(size=out.shape)
+        _check(lambda: T.tsum(T.pad_rows(x, n) * w), [x])
+
+    def test_backward_releases_the_graph(self):
+        """Each node drops its parents and closure once its backward ran,
+        so no reference cycle keeps a used graph alive."""
+        x = T.param(np.array([1.0, 2.0]))
+        mid = x * 3.0
+        loss = T.tsum(mid * mid)
+        loss.backward()
+        np.testing.assert_allclose(x.grad, 18.0 * x.data)
+        for node in (loss, mid):
+            assert node._parents == () and node._backward_fn is None
 
     def test_grad_accumulates_on_reuse(self):
         """A tensor used twice receives the sum of both contributions."""

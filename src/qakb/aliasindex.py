@@ -20,6 +20,7 @@ from typing import Optional
 from qakb.kb import KnowledgeBase
 
 _PUNCT = set(string.punctuation)
+MAX_NGRAM = 3  # longest gram, in tokens, that indexing and retrieval use
 
 
 def tokenize(text: str) -> list[str]:
@@ -58,15 +59,15 @@ def _contains_contiguous(outer: tuple[str, ...], inner: tuple[str, ...]) -> bool
     )
 
 
-def extract_ngrams(tokens: list[str], max_n: int = 3) -> list[str]:
-    """All contiguous 1..max_n grams, with contained grams pruned.
+def extract_ngrams(tokens: list[str]) -> list[str]:
+    """All contiguous 1..MAX_NGRAM grams, with contained grams pruned.
 
     A gram survives only if it is not a contiguous token run inside some
     longer gram of the same set.  Result is sorted longest-first, then
     lexicographically, for determinism.
     """
     grams: set[tuple[str, ...]] = set()
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_NGRAM + 1):
         for i in range(len(tokens) - n + 1):
             grams.add(tuple(tokens[i:i + n]))
     kept = [
@@ -77,11 +78,11 @@ def extract_ngrams(tokens: list[str], max_n: int = 3) -> list[str]:
     return [" ".join(g) for g in kept]
 
 
-def all_ngrams(tokens: list[str], max_n: int = 3) -> list[str]:
-    """All contiguous 1..max_n grams without pruning (deduplicated)."""
+def all_ngrams(tokens: list[str]) -> list[str]:
+    """All contiguous 1..MAX_NGRAM grams without pruning (deduplicated)."""
     seen: list[str] = []
     have: set[str] = set()
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_NGRAM + 1):
         for i in range(len(tokens) - n + 1):
             gram = " ".join(tokens[i:i + n])
             if gram not in have:
@@ -213,7 +214,7 @@ def retrieve_candidates(index: AliasIndex, span_text: str) -> list[CandidateEnti
 
 
 def retrieve_question_candidates(
-    index: AliasIndex, question_text: str, max_n: int = 3
+    index: AliasIndex, question_text: str
 ) -> list[CandidateEntity]:
     """Candidates drawn from every n-gram of a whole question.
 
@@ -223,7 +224,7 @@ def retrieve_question_candidates(
     """
     tokens = tokenize(question_text)
     hits: dict[str, str] = {}
-    for gram in all_ngrams(tokens, max_n):
+    for gram in all_ngrams(tokens):
         for entity in index.gram_to_entities.get(gram, ()):
             hits[entity] = _best_gram(hits.get(entity), gram)
     return _score_gram_hits(index, hits)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from qakb.nn import (
     OOV_TOKEN,
     TrainConfig,
     cosine,
-    dropout,
     fit,
     run_recurrent,
     self_attention,
@@ -40,9 +39,7 @@ from qakb.nn.layers import dropout_mask, padded_indices
 from qakb.nn.losses import loss_hinge_qas
 from qakb.nn.tensor import (
     Tensor,
-    as_tensor,
     concat,
-    dot,
     gather_rows,
     no_grad,
     pad_rows,
@@ -221,20 +218,21 @@ class SharedEncoder:
         return params
 
 
-def pad_states(states: Tensor, max_len: int) -> Tensor:
-    """Right-pad (with zero rows) or truncate the state rows of a [T, h]
-    or [B, T, h] tensor to max_len."""
-    if states.shape[-2] == max_len:
-        return states
-    return pad_rows(states, max_len)
-
-
 # ---------------------------------------------------------------------------
 # Scoring
 # ---------------------------------------------------------------------------
 
+SUBJECT, PREDICATE, TYPE = range(3)  # scoring-head channels
+
+
 class ScoringHead:
-    """Combines the per-channel cosine similarities into one fact score."""
+    """Combines per-channel cosine similarities into fact scores.
+
+    Each channel (subject, predicate and, for ``qat_type``, type) has one
+    trained weight: the two entries of ``W`` for ``qas``, else ``w_a``,
+    ``w_b`` and ``w_c``.  :meth:`scores` is the one routine that turns
+    cosines into scores, for training's hinge terms and for answering.
+    """
 
     def __init__(self, mode: str):
         if mode not in ("qas", "qat", "qat_type"):
@@ -248,45 +246,27 @@ class ScoringHead:
             if mode == "qat_type":
                 self.w_c = param(np.asarray(1.0))
 
-    def subject_score(self, cos_qs) -> Tensor:
-        return self.w_a * as_tensor(cos_qs)
-
-    def predicate_score(self, cos_qp) -> Tensor:
-        return self.w_b * as_tensor(cos_qp)
-
-    def type_score(self, cos_qt) -> Tensor:
-        return self.w_c * as_tensor(cos_qt)
-
-    def combined(self, cos_qs, cos_qp, cos_qt=None) -> Tensor:
-        if self.mode == "qas":
-            pair = concat([reshape(as_tensor(cos_qs), (1,)),
-                           reshape(as_tensor(cos_qp), (1,))])
-            return dot(self.W, pair)
-        total = self.subject_score(cos_qs) + self.predicate_score(cos_qp)
-        if self.mode == "qat_type":
-            if cos_qt is None:
-                raise ValueError("the qat_type head needs a type similarity")
-            total = total + self.type_score(cos_qt)
-        return total
-
-    def hinge_total(self, cos: Tensor, channels: Sequence[int],
-                    pos: np.ndarray, neg: np.ndarray, gamma: float) -> Tensor:
-        """Summed margin loss of hinge terms over a vector of cosines.
-
-        Cosine ``k`` is scaled by the weight of its channel ``channels[k]``
-        (subject, predicate, type); a term's side scores the sum of the
-        scaled cosines its row of ``pos`` or ``neg`` indexes, and adds
-        max(0, S_neg + gamma - S_pos).
-        """
+    def scores(self, cos: Tensor, channels: Sequence[int],
+               rows: np.ndarray) -> Tensor:
+        """One score per row of the index matrix ``rows``: the cosines
+        that row indexes, each scaled by the weight of its channel
+        ``channels[k]``, added left to right."""
         if self.mode == "qas":
             weights = self.W
         else:
             weights = stack_rows([self.w_a, self.w_b] + (
                 [self.w_c] if self.mode == "qat_type" else []))
-        scores = gather_rows(weights, channels) * cos
-        return tsum(loss_hinge_qas(tsum(gather_rows(scores, pos), axis=1),
-                                   tsum(gather_rows(scores, neg), axis=1),
-                                   gamma))
+        scaled = gather_rows(weights, channels) * cos
+        return tsum(gather_rows(scaled, rows), axis=1)
+
+    def hinge_total(self, cos: Tensor, channels: Sequence[int],
+                    pos: np.ndarray, neg: np.ndarray, gamma: float) -> Tensor:
+        """Summed margin loss of hinge terms over a vector of cosines: a
+        term scores each side by :meth:`scores` of its row of ``pos`` or
+        ``neg`` and adds max(0, S_neg + gamma - S_pos)."""
+        sides = reshape(self.scores(cos, channels, np.concatenate([pos, neg])),
+                        (2, len(pos)))
+        return tsum(loss_hinge_qas(row(sides, 0), row(sides, 1), gamma))
 
     def parameters(self) -> dict[str, Tensor]:
         if self.mode == "qas":
@@ -330,16 +310,14 @@ class E2EModel:
         states, _ = run_recurrent(se.lstm, inputs, lengths=lengths)
         if se.self_attention_enabled:
             states = self_attention(states, lengths)
-        flat = reshape(pad_states(states, se.max_len),
+        flat = reshape(pad_rows(states, se.max_len),
                        (len(texts), se.max_len * se.lstm.hidden_dim))
         return se.dense(flat)
 
-    def encode_text(self, tokens: Sequence[str], mode: str = "eval",
-                    rng: Optional[np.random.Generator] = None) -> Tensor:
-        """One token sequence's encoding (the one-row case of
-        :meth:`encode_texts`), then dropout in train mode."""
-        vec = row(self.encode_texts([tokens]), 0)
-        return dropout(vec, self.encoder.dropout_p, mode, rng)
+    def encode_text(self, tokens: Sequence[str]) -> Tensor:
+        """One token sequence's encoding: the one-row case of
+        :meth:`encode_texts`."""
+        return row(self.encode_texts([tokens]), 0)
 
     def parameters(self) -> dict[str, Tensor]:
         params = dict(self.words.parameters())
@@ -369,36 +347,6 @@ class FactScore:
     s_qp: float
     s_qt: Optional[float]
     combined: float
-
-
-def score_fact(model: E2EModel, q_vec: Tensor, fact: Fact,
-               kb: KnowledgeBase, variant: E2EVariant,
-               encode: Optional[Callable[[Sequence[str]], Tensor]] = None
-               ) -> FactScore:
-    """Cosine channels and head-combined score for one fact (eval mode).
-
-    ``encode`` maps the subject, relation and type tokens to their
-    encodings; it defaults to running the model's encoder.
-    """
-    if encode is None:
-        encode = model.encode_text
-    s_tokens = tokenize(subject_text(kb, fact.subject, variant.type_in_label))
-    cos_qs = cosine(q_vec, encode(s_tokens))
-    cos_qp = cosine(q_vec, encode(_relation_tokens(fact.relation)))
-    if variant.type_as_task:
-        label = notable_type(kb, fact.subject)
-        if label is None:
-            cos_qt = as_tensor(0.0)
-        else:
-            cos_qt = cosine(q_vec, encode(tokenize(label)))
-        combined = model.head.combined(cos_qs, cos_qp, cos_qt)
-        s_qt = float(cos_qt.data)
-    else:
-        combined = model.head.combined(cos_qs, cos_qp)
-        s_qt = None
-    return FactScore(fact=fact, s_qs=float(cos_qs.data),
-                     s_qp=float(cos_qp.data), s_qt=s_qt,
-                     combined=float(combined.data))
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +387,6 @@ def _training_vocab(dataset: Sequence[QuestionInstance],
     for relation in {fact.relation for fact in kb.facts}:
         toks.update(_relation_tokens(relation))
     return sorted(toks)
-
-
-SUBJECT, PREDICATE, TYPE = range(3)  # scoring-head channels
 
 
 class _StepBatch:
@@ -579,6 +524,10 @@ def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
 class E2ESession:
     """Answers a stream of questions with one model, graph-free.
 
+    A question's candidate facts are scored together: their subject,
+    relation and type texts' cosines against the question vector in one
+    row-wise :func:`cosine`, then one call to the head's
+    :meth:`ScoringHead.scores`, the routine training scores through.
     Encodings of subject labels, relation paths and type labels are filled
     on first use and kept for the session, so memory is bounded by the
     KB's texts; question encodings are not kept.  A session must not
@@ -609,15 +558,40 @@ class E2ESession:
         cands = retrieve_question_candidates(self.index, question)
         if not cands:
             raise NoCandidates(f"no candidate entities for {question!r}")
+        facts = [kb.facts[i] for cand in cands
+                 for i in kb.by_subject.get(cand.id, ())]
+        if not facts:
+            raise NoCandidates(f"candidates for {question!r} hold no facts")
+        channels = ([SUBJECT, PREDICATE, TYPE] if variant.type_as_task
+                    else [SUBJECT, PREDICATE])
+        # each fact's channel texts in channel order; an untyped subject
+        # has no type text and its type cosine is 0
+        texts: list[Optional[tuple[str, ...]]] = []
+        for fact in facts:
+            texts.append(tuple(tokenize(subject_text(
+                kb, fact.subject, variant.type_in_label))))
+            texts.append(tuple(_relation_tokens(fact.relation)))
+            if variant.type_as_task:
+                label = notable_type(kb, fact.subject)
+                texts.append(None if label is None else tuple(tokenize(label)))
+        live = [i for i, text in enumerate(texts) if text is not None]
+        cos = np.zeros(len(texts))
         with no_grad():
             q_vec = self.model.encode_text(tokenize(question))
-            scored = [
-                score_fact(self.model, q_vec, kb.facts[i], kb, variant,
-                           self.texts)
-                for cand in cands for i in kb.by_subject.get(cand.id, ())
-            ]
-        if not scored:
-            raise NoCandidates(f"candidates for {question!r} hold no facts")
+            encoded = stack_rows([self.texts(texts[i]) for i in live])
+            question_rows = Tensor(np.broadcast_to(q_vec.data, encoded.shape))
+            cos[live] = cosine(question_rows, encoded).data
+            combined = self.model.head.scores(
+                Tensor(cos), channels * len(facts),
+                np.arange(len(texts)).reshape(len(facts), len(channels))).data
+        scored = [
+            FactScore(fact=fact, s_qs=float(c[SUBJECT]),
+                      s_qp=float(c[PREDICATE]),
+                      s_qt=float(c[TYPE]) if variant.type_as_task else None,
+                      combined=float(total))
+            for fact, c, total in zip(
+                facts, cos.reshape(len(facts), len(channels)), combined)
+        ]
         scored.sort(key=lambda fs: (-fs.combined, fs.fact.subject,
                                     fs.fact.relation, fs.fact.object))
         if variant.out_degree_sort:

@@ -69,7 +69,7 @@ def save_params(params: dict[str, Tensor], path: str) -> None:
 
 def load_params(path: str) -> dict[str, np.ndarray]:
     """Read a table written by :func:`save_params`; ParseError when the
-    bytes are not one."""
+    bytes are not one or name a parameter twice."""
     with open(path, "rb") as fh:
         data = fh.read()
     buf = io.BytesIO(data)
@@ -82,6 +82,8 @@ def load_params(path: str) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack("<H", buf.read(2))
             name = buf.read(name_len).decode("utf-8")
+            if name in out:
+                raise ParseError(f"parameter {name!r} appears twice", 1)
             (ndim,) = struct.unpack("<B", buf.read(1))
             shape = tuple(
                 struct.unpack("<I", buf.read(4))[0] for _ in range(ndim)
@@ -104,10 +106,15 @@ def load_params(path: str) -> dict[str, np.ndarray]:
 
 
 def restore_params(params: dict[str, Tensor], loaded: dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into live tensors, checking names and shapes."""
+    """Copy loaded arrays into live tensors; ShapeMismatch unless the
+    snapshot holds exactly the model's parameters, each in its shape."""
     missing = sorted(set(params) - set(loaded))
     if missing:
         raise ShapeMismatch(f"snapshot lacks parameters: {missing}")
+    unexpected = sorted(set(loaded) - set(params))
+    if unexpected:
+        raise ShapeMismatch(f"snapshot holds parameters the model lacks: "
+                            f"{unexpected}")
     for name, tensor in params.items():
         arr = loaded[name]
         if arr.shape != tensor.data.shape:

@@ -59,12 +59,14 @@ class EmbeddingTable:
         self.dim = vectors.shape[1]
 
     @classmethod
-    def random(cls, tokens: list[str], dim: int, rng: np.random.Generator,
-               scale: float = 0.1) -> "EmbeddingTable":
+    def random(cls, tokens: list[str], dim: int,
+               rng: np.random.Generator) -> "EmbeddingTable":
+        """A table of ``tokens`` (plus the unknown-token row) with rows
+        drawn uniformly from [-0.1, 0.1]."""
         toks = list(dict.fromkeys(tokens))
         if OOV_TOKEN not in toks:
             toks.append(OOV_TOKEN)
-        vecs = rng.uniform(-scale, scale, size=(len(toks), dim))
+        vecs = rng.uniform(-0.1, 0.1, size=(len(toks), dim))
         return cls(toks, vecs)
 
     def indices(self, seq: list[str]) -> list[int]:

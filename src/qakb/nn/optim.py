@@ -17,12 +17,11 @@ logger = logging.getLogger(__name__)
 class Adam:
     """Adam over a named parameter table; iteration order is by name."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 0.001,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float = 0.001):
         self.params = dict(sorted(params.items()))
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}

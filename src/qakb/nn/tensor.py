@@ -297,14 +297,6 @@ def log(a: ArrayLike) -> Tensor:
     return _elementwise(a, np.log, lambda x, y: 1.0 / x)
 
 
-def exp(a: ArrayLike) -> Tensor:
-    return _elementwise(a, np.exp, lambda x, y: y)
-
-
-def sqrt(a: ArrayLike) -> Tensor:
-    return _elementwise(a, np.sqrt, lambda x, y: 0.5 / y)
-
-
 def clip(a: ArrayLike, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes only strictly inside the range."""
     a = as_tensor(a)
@@ -463,8 +455,10 @@ def gather_rows(table: ArrayLike, indices) -> Tensor:
 
 def pad_rows(a: ArrayLike, n: int) -> Tensor:
     """The first ``n`` rows along the second-to-last axis, followed by
-    zero rows when there are fewer."""
+    zero rows when there are fewer; ``a`` itself when it has ``n``."""
     a = as_tensor(a)
+    if a.shape[-2] == n:
+        return a
     keep = min(a.shape[-2], n)
     data = np.zeros(a.shape[:-2] + (n, a.shape[-1]))
     data[..., :keep, :] = a.data[..., :keep, :]
@@ -498,10 +492,6 @@ def softmax_rows(a: ArrayLike) -> Tensor:
         return fn
 
     return _make(data, (a,), backward)
-
-
-def dot(a: ArrayLike, b: ArrayLike) -> Tensor:
-    return matmul(a, b)
 
 
 def zeros(shape: tuple[int, ...]) -> Tensor:

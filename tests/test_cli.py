@@ -4,6 +4,7 @@ import io
 import json
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -106,7 +107,7 @@ class TestExitCodes:
         assert code == 0
         capsys.readouterr()
         meta_file = str(model) + ".meta.json"
-        meta = json.load(open(meta_file))
+        meta = json.loads(Path(meta_file).read_text())
         meta["config"]["hidden_size"] = 32
         with open(meta_file, "w") as fh:
             json.dump(meta, fh)
@@ -117,6 +118,27 @@ class TestExitCodes:
                            "--questions", str(qfile))
         assert code == 2
         assert "m.nn" in err and "Traceback" not in err
+
+    def test_snapshot_beside_another_variants_sidecar_is_data_error(
+            self, capsys, bench, tmp_path):
+        """A qa-t-mwt parameter table beside a qa-t-w sidecar (same
+        training data) holds a head weight the sidecar's model lacks."""
+        for variant in ("qa-t-w", "qa-t-mwt"):
+            assert main(["train-e2e", "--kb", str(bench / "kb.qakb"),
+                         "--questions", str(bench / "train.tsv"),
+                         "--out", str(tmp_path / f"{variant}.nn"),
+                         "--variant", variant, "--epochs", "1",
+                         "--hidden-size", "4", "--embed-dim", "6",
+                         "--max-len", "6"]) == 0
+        shutil.copy(tmp_path / "qa-t-mwt.nn", tmp_path / "qa-t-w.nn")
+        capsys.readouterr()
+        qfile = tmp_path / "q.txt"
+        qfile.write_text("anything\n")
+        code, _, err = run(capsys, "answer", "--kb", str(bench / "kb.qakb"),
+                           "--model", str(tmp_path / "qa-t-w.nn"),
+                           "--variant", "qa-t-w", "--questions", str(qfile))
+        assert code == 2
+        assert "e2e.head.w_c" in err and "Traceback" not in err
 
     def test_tampered_pipeline_model_is_data_error(self, capsys, bench,
                                                    tmp_path):
@@ -699,7 +721,7 @@ class TestEval:
                               "--oracle", "--strategy", "p-qa-out",
                               "--out", str(out))
         assert code == 0
-        report = json.load(open(out / "report.json"))
+        report = json.loads((out / "report.json").read_text())
         assert report["p-qa-out(oracle)"]["accuracy"] == 1.0
         assert (out / "report.txt").is_file()
         assert "accuracy" in stdout

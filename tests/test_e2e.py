@@ -1,5 +1,6 @@
 """Tests for the end-to-end ranking models."""
 
+import logging
 from collections import Counter
 
 import numpy as np
@@ -14,14 +15,14 @@ from qakb.e2e import (
     E2EModel,
     E2ESession,
     E2EVariant,
+    FactScore,
+    ScoringHead,
     VARIANTS,
     WordEncoder,
     _StepBatch,
     _relation_tokens,
     _training_vocab,
     answer,
-    pad_states,
-    score_fact,
     subject_text,
     train_e2e,
     variant_from_name,
@@ -32,9 +33,9 @@ from qakb.evalharness import E2EStrategy, SyntheticSpec, generate_synthetic
 from qakb.kb import Fact, build_kb, notable_type
 import qakb.nn.layers
 import qakb.nn.tensor
-from qakb.nn import TrainConfig, cosine, fit
+from qakb.nn import TrainConfig, cosine, dropout, fit
 from qakb.nn.losses import loss_hinge_qas, loss_hinge_qat, loss_hinge_qat_type
-from qakb.nn.tensor import as_tensor, param, tsum
+from qakb.nn.tensor import Tensor, as_tensor, pad_rows, param, row, tsum
 from qakb.nn.io import load_model, save_model
 from qakb.pipeline import MatcherModel
 
@@ -180,7 +181,8 @@ class TestEncodeSequence:
                      np.random.default_rng(0))
         rng = np.random.default_rng(1)
         assert_array_equal(
-            m.encode_text(["a", "b"], mode="train", rng=rng).data,
+            dropout(m.encode_text(["a", "b"]), m.cfg.dropout_p, "train",
+                    rng).data,
             m.encode_text(["a", "b"]).data,
         )
 
@@ -215,21 +217,23 @@ class TestEncodeSequence:
 
 
 class TestPadStates:
+    """tensor.pad_rows as the shared encoder pads its states to max_len."""
+
     def test_pads_with_zero_rows(self):
         states = as_tensor(np.arange(6.0).reshape(3, 2))
-        out = pad_states(states, 5)
+        out = pad_rows(states, 5)
         assert out.shape == (5, 2)
         assert_array_equal(out.data[:3], states.data)
         assert_array_equal(out.data[3:], np.zeros((2, 2)))
 
     def test_truncates_to_prefix(self):
         states = as_tensor(np.arange(10.0).reshape(5, 2))
-        out = pad_states(states, 2)
+        out = pad_rows(states, 2)
         assert_array_equal(out.data, states.data[:2])
 
     def test_exact_length_passthrough(self):
         states = as_tensor(np.ones((4, 3)))
-        assert pad_states(states, 4) is states
+        assert pad_rows(states, 4) is states
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -240,7 +244,7 @@ class TestPadStates:
     def test_shape_and_content_invariants(self, t, width, max_len):
         rng = np.random.default_rng(t * 100 + width * 10 + max_len)
         states = as_tensor(rng.normal(size=(t, width)))
-        out = pad_states(states, max_len)
+        out = pad_rows(states, max_len)
         assert out.shape == (max_len, width)
         keep = min(t, max_len)
         assert_array_equal(out.data[:keep], states.data[:keep])
@@ -248,49 +252,64 @@ class TestPadStates:
 
     def test_gradient_flows_through_padding(self):
         states = param(np.ones((2, 3)))
-        out = pad_states(states, 4)
+        out = pad_rows(states, 4)
         tsum(out * 2.0).backward()
         assert_array_equal(states.grad, np.full((2, 3), 2.0))
 
 
+def _scores(head, cos, channels, rows):
+    return list(head.scores(Tensor(cos), channels, np.array(rows)).data)
+
+
 class TestScoringHead:
     def test_unknown_mode(self):
-        from qakb.e2e import ScoringHead
         with pytest.raises(ValueError):
             ScoringHead("bogus")
 
     def test_qas_initial_weights_sum_channels(self):
-        from qakb.e2e import ScoringHead
         head = ScoringHead("qas")
-        assert_allclose(float(head.combined(0.25, 0.5).data), 0.75, rtol=0,
-                        atol=1e-12)
+        assert_allclose(_scores(head, [0.25, 0.5], [0, 1], [[0, 1]]), [0.75],
+                        rtol=0, atol=1e-12)
 
     def test_qat_initial_weights_sum_channels(self):
-        from qakb.e2e import ScoringHead
         head = ScoringHead("qat")
-        assert_allclose(float(head.combined(0.25, 0.5).data), 0.75, rtol=0,
-                        atol=1e-12)
+        assert_allclose(_scores(head, [0.25, 0.5], [0, 1], [[0, 1]]), [0.75],
+                        rtol=0, atol=1e-12)
 
     def test_qat_weights_scale_channels(self):
-        from qakb.e2e import ScoringHead
         head = ScoringHead("qat")
         head.w_a.data[...] = 2.0
         head.w_b.data[...] = -1.0
-        assert_allclose(float(head.combined(0.25, 0.5).data), 0.0, rtol=0,
-                        atol=1e-12)
-        assert_allclose(float(head.subject_score(0.25).data), 0.5, rtol=0,
+        assert_allclose(_scores(head, [0.25, 0.5], [0, 1], [[0, 1], [0, 0]]),
+                        [0.0, 1.0], rtol=0, atol=1e-12)
+        assert_allclose(_scores(head, [0.25], [0], [[0]]), [0.5], rtol=0,
                         atol=1e-12)
 
     def test_qat_type_adds_third_channel(self):
-        from qakb.e2e import ScoringHead
         head = ScoringHead("qat_type")
-        assert_allclose(float(head.combined(0.2, 0.3, 0.4).data), 0.9,
-                        rtol=0, atol=1e-12)
-        with pytest.raises(ValueError):
-            head.combined(0.2, 0.3)
+        assert_allclose(_scores(head, [0.2, 0.3, 0.4], [0, 1, 2], [[0, 1, 2]]),
+                        [0.9], rtol=0, atol=1e-12)
+        with pytest.raises(IndexError):
+            _scores(ScoringHead("qat"), [0.2, 0.3, 0.4], [0, 1, 2],
+                    [[0, 1, 2]])
+
+    def test_scores_add_scaled_channels_left_to_right(self):
+        rng = np.random.default_rng(3)
+        for mode, width in (("qas", 2), ("qat", 2), ("qat_type", 3)):
+            head = ScoringHead(mode)
+            weights = rng.normal(size=width)
+            for k, p in enumerate(head.parameters().values()):
+                p.data[...] = weights if mode == "qas" else weights[k]
+            cos = rng.uniform(-1.0, 1.0, size=(50, width))
+            got = _scores(head, cos.ravel(), list(range(width)) * 50,
+                          np.arange(50 * width).reshape(50, width))
+            for row_cos, score in zip(cos, got):
+                total = float(weights[0]) * float(row_cos[0])
+                for w, c in zip(weights[1:], row_cos[1:]):
+                    total += float(w) * float(c)
+                assert score == total, mode
 
     def test_parameter_names(self):
-        from qakb.e2e import ScoringHead
         assert set(ScoringHead("qas").parameters()) == {"e2e.head.W"}
         assert set(ScoringHead("qat_type").parameters()) == {
             "e2e.head.w_a", "e2e.head.w_b", "e2e.head.w_c"
@@ -318,15 +337,26 @@ class TestSubjectText:
         assert subject_text(kb, "m.0x1", True) == "germany"
 
 
+def _fact_score(model, kb, question, fact):
+    """The record a fresh session gives ``fact`` among a question's
+    answers."""
+    (fs,) = [fs for fs in E2ESession(model, kb, build_index(kb),
+                                     model.variant).answer(question, k=99)
+             if fs.fact == fact]
+    return fs
+
+
 class TestScoreFact:
+    """A fact's channel and combined scores as answering reports them."""
+
     def test_channels_and_combination(self):
         kb = song_kb()
         m = E2EModel(["yesterday", "music", "recording", "artist"],
                      small_cfg(), E2EVariant(), np.random.default_rng(9))
-        q_vec = m.encode_text(tokenize("yesterday"))
-        fs = score_fact(m, q_vec, kb.facts[0], kb, E2EVariant())
+        fs = _fact_score(m, kb, "yesterday", kb.facts[0])
         assert fs.s_qt is None
         assert_allclose(fs.combined, fs.s_qs + fs.s_qp, rtol=0, atol=1e-12)
+        q_vec = m.encode_text(tokenize("yesterday"))
         enc_subj = m.encode_text(tokenize("yesterday"))
         assert_allclose(fs.s_qs, float(cosine(q_vec, enc_subj).data),
                         rtol=0, atol=1e-12)
@@ -335,9 +365,8 @@ class TestScoreFact:
         kb = song_kb()
         m = E2EModel(["yesterday", "music", "recording", "artist"],
                      small_cfg(), E2EVariant(), np.random.default_rng(9))
-        q_vec = m.encode_text(tokenize("yesterday"))
-        fs = score_fact(m, q_vec, kb.facts[0], kb, E2EVariant())
-        assert abs(np.linalg.norm(q_vec.data)) > 0
+        fs = _fact_score(m, kb, "yesterday", kb.facts[0])
+        assert abs(np.linalg.norm(m.encode_text(["yesterday"]).data)) > 0
         assert_allclose(fs.s_qs, 1.0, rtol=0, atol=1e-9)
 
     def test_type_channel_present_for_task_variant(self):
@@ -345,26 +374,26 @@ class TestScoreFact:
         variant = VARIANTS["qa-t-mwt"]
         m = E2EModel(["yesterday"], small_cfg(), variant,
                      np.random.default_rng(9))
-        q_vec = m.encode_text(tokenize("yesterday"))
-        fs = score_fact(m, q_vec, kb.facts[0], kb, variant)
+        fs = _fact_score(m, kb, "yesterday", kb.facts[0])
         assert fs.s_qt is not None
         assert_allclose(fs.combined, fs.s_qs + fs.s_qp + fs.s_qt,
                         rtol=0, atol=1e-12)
 
-    def test_untyped_subject_gets_zero_type_score(self):
+    def test_untyped_subject_gets_zero_type_score(self, caplog):
         kb = build_kb([Fact("m.0x1", "/a/b/c", "m.0y1")], [("m.0x1", "thing")])
         variant = VARIANTS["qa-t-mwt"]
         m = E2EModel(["thing"], small_cfg(), variant, np.random.default_rng(9))
-        q_vec = m.encode_text(tokenize("thing"))
-        fs = score_fact(m, q_vec, kb.facts[0], kb, variant)
+        caplog.set_level(logging.DEBUG, logger="qakb.nn.layers")
+        fs = _fact_score(m, kb, "thing", kb.facts[0])
         assert fs.s_qt == 0.0
+        assert "zero-norm" not in caplog.text
 
     def test_relation_scored_by_path_segments(self):
-        kb = song_kb()
+        kb = build_kb([Fact("m.0x1", "/music/recording/artist", "m.0y1")],
+                      [("m.0x1", "music recording artist")])
         m = E2EModel(["music", "recording", "artist"], small_cfg(),
                      E2EVariant(), np.random.default_rng(9))
-        q_vec = m.encode_text(["music", "recording", "artist"])
-        fs = score_fact(m, q_vec, kb.facts[0], kb, E2EVariant())
+        fs = _fact_score(m, kb, "music recording artist", kb.facts[0])
         assert_allclose(fs.s_qp, 1.0, rtol=0, atol=1e-9)
 
 
@@ -476,6 +505,40 @@ def _kb_texts(kb, variant):
     return texts
 
 
+def _head_weights(head):
+    """The head's channel weights as floats, in channel order."""
+    if head.mode == "qas":
+        return [float(w) for w in head.W.data]
+    return [float(w.data) for w in head.parameters().values()]
+
+
+def _per_fact_scores(model, kb, question, facts, variant):
+    """Each fact scored on its own: every text encoded afresh, building a
+    graph, one cosine per channel, and the weighted channels added left
+    to right in plain floats."""
+    weights = _head_weights(model.head)
+    q_vec = model.encode_text(tokenize(question))
+
+    def cos(tokens):
+        return float(cosine(q_vec, model.encode_text(tokens)).data)
+
+    out = []
+    for fact in facts:
+        channels = [cos(tokenize(subject_text(kb, fact.subject,
+                                              variant.type_in_label))),
+                    cos(_relation_tokens(fact.relation))]
+        if variant.type_as_task:
+            label = notable_type(kb, fact.subject)
+            channels.append(0.0 if label is None else cos(tokenize(label)))
+        total = weights[0] * channels[0]
+        for w, c in zip(weights[1:], channels[1:]):
+            total += w * c
+        out.append(FactScore(fact=fact, s_qs=channels[0], s_qp=channels[1],
+                             s_qt=channels[2] if variant.type_as_task
+                             else None, combined=total))
+    return out
+
+
 class TestSession:
     """A session answers exactly as fresh one-shot calls do, bit for bit,
     while encoding each KB text once."""
@@ -512,9 +575,8 @@ class TestSession:
                         continue
                     assert session.answer(q, k=50) == expect
                     # and equal to the uncached, graph-building path
-                    q_vec = model.encode_text(tokenize(q))
-                    assert expect == [score_fact(model, q_vec, fs.fact, kb,
-                                                 variant) for fs in expect]
+                    assert expect == _per_fact_scores(
+                        model, kb, q, [fs.fact for fs in expect], variant)
             assert 0 < len(session.texts.table) <= len(_kb_texts(kb, variant))
 
     def test_each_kb_text_encoded_once(self, synth):
@@ -546,6 +608,25 @@ class TestSession:
             except NoCandidates:
                 pass
         assert len(calls) == answered  # only the questions themselves
+
+    def test_qas_combined_is_the_trained_score(self, synth):
+        """qa-s ranks by W[0] * s_qs + W[1] * s_qp, the score its hinge
+        is trained on, with no separate dot product."""
+        kb, index, qs, pools, questions = synth
+        model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-s"],
+                             small_cfg(epochs=1))
+        w0, w1 = _head_weights(model.head)
+        session = E2ESession(model, kb, index, VARIANTS["qa-s"])
+        checked = 0
+        for q in questions:
+            try:
+                scored = session.answer(q, k=50)
+            except NoCandidates:
+                continue
+            for fs in scored:
+                assert fs.combined == w0 * fs.s_qs + w1 * fs.s_qp
+                checked += 1
+        assert checked >= 20
 
     def test_new_session_sees_weight_change(self):
         kb = song_kb()
@@ -681,11 +762,12 @@ class TestTrainE2E:
 def _per_text_loss(model, kb, q, neg_subject, neg_pred, cfg, rng):
     """One question's loss as it was computed before batching: every use
     of a text encoded on its own, in train mode with its own dropout mask,
-    and the cosines and hinges built per question."""
+    and the cosines, channel scores and hinges built per question from
+    the head's weights."""
     variant, head = model.variant, model.head
 
     def encode(tokens):
-        return model.encode_text(tokens, "train", rng)
+        return dropout(model.encode_text(tokens), cfg.dropout_p, "train", rng)
 
     def enc_subject(entity):
         return encode(tokenize(subject_text(kb, entity, variant.type_in_label)))
@@ -703,8 +785,9 @@ def _per_text_loss(model, kb, q, neg_subject, neg_pred, cfg, rng):
             q_vec, enc_subject(neg_subject))
         neg_p = pos_p if neg_pred is None else cosine(
             q_vec, enc_relation(neg_pred))
-        return loss_hinge_qas(head.combined(pos_s, pos_p),
-                              head.combined(neg_s, neg_p), cfg.gamma)
+        w_s, w_p = row(head.W, 0), row(head.W, 1)
+        return loss_hinge_qas(w_s * pos_s + w_p * pos_p,
+                              w_s * neg_s + w_p * neg_p, cfg.gamma)
     neg_s = None if neg_subject is None else cosine(
         q_vec, enc_subject(neg_subject))
     neg_p = None if neg_pred is None else cosine(q_vec, enc_relation(neg_pred))
@@ -716,22 +799,22 @@ def _per_text_loss(model, kb, q, neg_subject, neg_pred, cfg, rng):
             type_pair = (cosine(q_vec, encode(tokenize(t_pos))),
                          cosine(q_vec, encode(tokenize(t_neg))))
     if neg_s is not None and neg_p is not None:
-        ss = head.subject_score(pos_s), head.subject_score(neg_s)
-        sp = head.predicate_score(pos_p), head.predicate_score(neg_p)
+        ss = head.w_a * pos_s, head.w_a * neg_s
+        sp = head.w_b * pos_p, head.w_b * neg_p
         if type_pair is not None:
-            st = head.type_score(type_pair[0]), head.type_score(type_pair[1])
+            st = head.w_c * type_pair[0], head.w_c * type_pair[1]
             return loss_hinge_qat_type(*ss, *sp, *st, cfg.gamma)
         return loss_hinge_qat(*ss, *sp, cfg.gamma)
     terms = []
     if neg_s is not None:
-        terms.append(loss_hinge_qas(head.subject_score(pos_s),
-                                    head.subject_score(neg_s), cfg.gamma))
+        terms.append(loss_hinge_qas(head.w_a * pos_s, head.w_a * neg_s,
+                                    cfg.gamma))
     if neg_p is not None:
-        terms.append(loss_hinge_qas(head.predicate_score(pos_p),
-                                    head.predicate_score(neg_p), cfg.gamma))
+        terms.append(loss_hinge_qas(head.w_b * pos_p, head.w_b * neg_p,
+                                    cfg.gamma))
     if type_pair is not None:
-        terms.append(loss_hinge_qas(head.type_score(type_pair[0]),
-                                    head.type_score(type_pair[1]), cfg.gamma))
+        terms.append(loss_hinge_qas(head.w_c * type_pair[0],
+                                    head.w_c * type_pair[1], cfg.gamma))
     return sum(terms[1:], terms[0]) if terms else None
 
 

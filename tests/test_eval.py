@@ -1,6 +1,7 @@
 """Tests for evaluation, the error taxonomy, and the synthetic benchmark."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,13 +376,13 @@ class TestReportWrite:
     def test_json_round_trip(self, tmp_path):
         reports = self._reports()
         json_path, _ = report_write(reports, str(tmp_path))
-        loaded = json.load(open(json_path))
+        loaded = json.loads(Path(json_path).read_text())
         assert loaded == {name: rep.to_dict() for name, rep in
                           reports.items()}
 
     def test_table_formats_one_decimal(self, tmp_path):
         _, txt_path = report_write(self._reports(), str(tmp_path))
-        text = open(txt_path).read()
+        text = Path(txt_path).read_text()
         assert "30.0%" in text
         assert "70.0%" in text
         assert "100.0%" in text
@@ -391,8 +392,8 @@ class TestReportWrite:
         d1, d2 = tmp_path / "a", tmp_path / "b"
         j1, t1 = report_write(self._reports(wall=0.1), str(d1))
         j2, t2 = report_write(self._reports(wall=99.9), str(d2))
-        assert open(j1, "rb").read() == open(j2, "rb").read()
-        assert open(t1, "rb").read() == open(t2, "rb").read()
+        assert Path(j1).read_bytes() == Path(j2).read_bytes()
+        assert Path(t1).read_bytes() == Path(t2).read_bytes()
 
     def test_empty_reports_rejected(self, tmp_path):
         with pytest.raises(EmptyEvalSet):

@@ -1,6 +1,7 @@
 """Knowledge-base parsing, construction and lookup behaviour."""
 
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -344,7 +345,7 @@ class TestSnapshot:
         a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
         save_kb(tiny_kb, a)
         save_kb(load_kb(a), b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

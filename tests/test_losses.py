@@ -1,6 +1,8 @@
 """Loss functions, the optimizer, and parameter snapshots."""
 
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from qakb.nn import (
     restore_params,
     save_params,
 )
+from qakb.nn.io import MODEL_MAGIC
 from qakb.nn.tensor import Tensor, param, softmax_rows, tsum
 
 
@@ -275,6 +278,21 @@ class TestSnapshots:
                 load_params(path),
             )
 
+    def test_unexpected_param_rejected(self, tmp_path):
+        path = str(tmp_path / "model.bin")
+        save_params({"w": param(np.zeros(2)), "extra": param(np.zeros(1))},
+                    path)
+        with pytest.raises(ShapeMismatch, match="extra"):
+            restore_params({"w": param(np.zeros(2))}, load_params(path))
+
+    def test_repeated_name_rejected(self, tmp_path):
+        entry = (struct.pack("<H", 1) + b"a" + struct.pack("<BI", 1, 1)
+                 + np.zeros(1).tobytes())
+        path = tmp_path / "model.bin"
+        path.write_bytes(MODEL_MAGIC + struct.pack("<I", 2) + entry * 2)
+        with pytest.raises(ParseError, match="'a'"):
+            load_params(str(path))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"WRONG")
@@ -286,5 +304,5 @@ class TestSnapshots:
         a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
         save_params(params, a)
         save_params(params, b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 

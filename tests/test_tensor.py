@@ -86,15 +86,14 @@ class TestGradients:
         x = T.param(self.rng.normal(size=(6,)))
         _check(lambda: T.tsum(T.tanh(x)), [x])
         _check(lambda: T.tsum(T.sigmoid(x)), [x])
-        _check(lambda: T.tsum(T.exp(x * 0.1)), [x])
 
     def test_relu_off_kink(self):
         x = T.param(np.array([-0.9, -0.3, 0.4, 1.2]))
         _check(lambda: T.tsum(T.relu(x)), [x])
 
-    def test_log_sqrt_positive(self):
+    def test_log_positive(self):
         x = T.param(np.abs(self.rng.normal(size=(5,))) + 0.5)
-        _check(lambda: T.tsum(T.log(x) + T.sqrt(x)), [x])
+        _check(lambda: T.tsum(T.log(x)), [x])
 
     def test_clip_inside_range(self):
         x = T.param(np.array([0.2, 0.5, 0.8]))

@@ -13,26 +13,25 @@ files, with file and line), 3 internal error.
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import logging
 import os
 import sys
-from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO
+from typing import Callable, Mapping, Optional, Sequence
 
 from qakb import datagen, e2e, evalharness, pipeline
-from qakb.aliasindex import build_index, retrieve_question_candidates
+from qakb.aliasindex import (AliasIndex, build_index,
+                             retrieve_question_candidates)
 from qakb.errors import (
     EmptyEvalSet,
     EmptyTrainingSet,
     LabelFailure,
     MalformedId,
-    NoCandidates,
-    NoRelation,
     ParseError,
     QAKBError,
     ShapeMismatch,
 )
-from qakb.kb import KnowledgeBase, build_kb, load_kb, lookup_objects, save_kb
+from qakb.kb import KnowledgeBase, build_kb, load_kb, save_kb
 from qakb.nn import TrainConfig
 from qakb.nn.io import load_model, meta_path, save_model
 
@@ -323,125 +322,84 @@ def _load_pipeline_models(model_dir: str,
     )
 
 
-def _e2e_variant(args: argparse.Namespace,
-                 model: e2e.E2EModel) -> tuple[str, e2e.E2EVariant]:
-    """The variant the snapshot was trained as, by name and with the
-    answer-time out-degree sort; ``--variant`` must name the same one."""
-    try:
-        name = e2e.variant_name(model.variant)
-    except ValueError as exc:
-        raise DataError(f"{args.model}: {exc}") from exc
-    if args.variant != name:
-        raise UsageError(f"--variant {args.variant} does not match "
-                         f"{args.model}, which was trained as {name}")
-    return name, e2e.variant_from_name(name, args.out_degree_sort)
+def _check_stack(args: argparse.Namespace) -> str:
+    """The one stack ``answer`` or ``eval`` runs: "oracle", "pipeline" or
+    "model".  Every stack flag given must belong to it; checked before any
+    file is read."""
+    stacks = {"oracle": getattr(args, "oracle", False),
+              "pipeline": args.pipeline is not None,
+              "model": args.model is not None}
+    chosen = [stack for stack, given in stacks.items() if given]
+    if len(chosen) != 1:
+        flags = [f"--{stack}" for stack in stacks if hasattr(args, stack)]
+        raise UsageError(f"pass exactly one of {', '.join(flags[:-1])} or "
+                         f"{flags[-1]}")
+    stack = chosen[0]
+    if stack == "model":
+        if args.strategy is not None:
+            raise UsageError("--strategy does not apply to --model")
+        if args.variant is None:
+            raise UsageError("--model needs --variant")
+        return stack
+    if args.out_degree_sort:
+        raise UsageError("--out-degree-sort applies only to --model")
+    if args.variant is not None:
+        raise UsageError("--variant applies only to --model")
+    if args.strategy is None:
+        raise UsageError(f"--{stack} needs --strategy")
+    return stack
 
 
-_OUT_DEGREE_MODEL_ONLY = "--out-degree-sort applies only to --model"
-
-
-def _answer_mode(args: argparse.Namespace) -> str:
-    has_pipeline = args.pipeline is not None
-    has_model = args.model is not None
-    if has_pipeline == has_model:
-        raise UsageError("pass exactly one of --pipeline or --model")
-    if has_pipeline and args.out_degree_sort:
-        raise UsageError(_OUT_DEGREE_MODEL_ONLY)
-    if has_pipeline and args.strategy is None:
-        raise UsageError("--pipeline needs --strategy")
-    if has_model and args.variant is None:
-        raise UsageError("--model needs --variant")
-    return "pipeline" if has_pipeline else "e2e"
-
-
-def _answer_lines(args: argparse.Namespace, kb, index,
-                  stream: TextIO) -> Iterator[str]:
-    """One JSON record per non-blank line, all from one answering session."""
-    questions = (q for q in (line.strip() for line in stream) if q)
-    if _answer_mode(args) == "pipeline":
-        session = pipeline.PipelineSession(
-            _load_pipeline_models(args.pipeline, args.strategy), kb, index)
-        for question in questions:
-            try:
-                pred = session.predict(args.strategy, question)
-            except (NoCandidates, NoRelation) as exc:
-                yield _error_record(question, exc)
-                continue
-            yield pipeline.answer_record(question, pred, kb, args.strategy)
-        return
-    model = _load_model(e2e.E2EModel, args.model)
-    name, variant = _e2e_variant(args, model)
-    session = e2e.E2ESession(model, kb, index, variant)
-    for question in questions:
+def _build_strategy(
+    args: argparse.Namespace, stack: str, kb: KnowledgeBase,
+    index: AliasIndex, dataset: Sequence[datagen.QuestionInstance] = (),
+) -> tuple[evalharness.Strategy, str]:
+    """The strategy for a checked ``stack`` and the name its report goes
+    by; the oracle's stages are keyed by ``dataset``.  A snapshot answers
+    as the variant it was trained as, which ``--variant`` must name."""
+    if stack == "model":
+        model = _load_model(e2e.E2EModel, args.model)
         try:
-            top = session.answer(question, k=1)[0]
-        except NoCandidates as exc:
-            yield _error_record(question, exc)
-            continue
-        scores = {"s_qs": top.s_qs, "s_qp": top.s_qp, "combined": top.combined}
-        if top.s_qt is not None:
-            scores["s_qt"] = top.s_qt
-        yield json.dumps({
-            "question": question,
-            "entity": top.fact.subject,
-            "relation": top.fact.relation,
-            "objects": lookup_objects(kb, top.fact.subject,
-                                      top.fact.relation),
-            "scores": scores,
-            "variant": name,
-        }, sort_keys=True)
-
-
-def _error_record(question: str, exc: QAKBError) -> str:
-    kind = {"NoCandidates": "no_candidates",
-            "NoRelation": "no_relation"}[type(exc).__name__]
-    return json.dumps({"question": question, "error": kind}, sort_keys=True)
+            name = e2e.variant_name(model.variant)
+        except ValueError as exc:
+            raise DataError(f"{args.model}: {exc}") from exc
+        if args.variant != name:
+            raise UsageError(f"--variant {args.variant} does not match "
+                             f"{args.model}, which was trained as {name}")
+        variant = e2e.variant_from_name(name, args.out_degree_sort)
+        return (evalharness.E2EStrategy(model, variant, kb, index),
+                name + ("+od" if args.out_degree_sort else ""))
+    if stack == "oracle":
+        models = evalharness.oracle_models(dataset, kb)
+        name = f"{args.strategy}(oracle)"
+    else:
+        models = _load_pipeline_models(args.pipeline, args.strategy)
+        name = args.strategy
+    return (evalharness.PipelineStrategy(args.strategy, models, kb, index),
+            name)
 
 
 def cmd_answer(args: argparse.Namespace, config: Mapping[str, str]) -> int:
-    _answer_mode(args)  # validate flags before touching any file
+    stack = _check_stack(args)
     kb = _load_kb(args.kb)
     index = build_index(kb)
-    if args.questions is not None:
-        _require_files(args.questions)
-        with open(args.questions, encoding="utf-8") as fh:
-            for record in _answer_lines(args, kb, index, fh):
-                print(record)
-    else:
-        for record in _answer_lines(args, kb, index, sys.stdin):
-            print(record, flush=True)
+    _require_files(args.questions)
+    strategy, _ = _build_strategy(args, stack, kb, index)
+    interactive = args.questions is None
+    with (contextlib.nullcontext(sys.stdin) if interactive
+          else open(args.questions, encoding="utf-8")) as stream:
+        for question in (line.strip() for line in stream):
+            if question:
+                print(strategy.answer_record(question), flush=interactive)
     return 0
 
 
 def cmd_eval(args: argparse.Namespace, config: Mapping[str, str]) -> int:
-    if args.out_degree_sort and (args.oracle or args.pipeline is not None):
-        raise UsageError(_OUT_DEGREE_MODEL_ONLY)
+    stack = _check_stack(args)
     kb = _load_kb(args.kb)
     dataset = _parse_file(args.questions, datagen.parse_questions_tsv)
     index = build_index(kb)
-    if args.oracle:
-        if args.strategy is None:
-            raise UsageError("--oracle needs --strategy")
-        models = evalharness.oracle_models(dataset, kb)
-        strategy = evalharness.PipelineStrategy(args.strategy, models, kb,
-                                                index)
-        name = f"{args.strategy}(oracle)"
-    elif args.pipeline is not None:
-        if args.strategy is None:
-            raise UsageError("--pipeline needs --strategy")
-        models = _load_pipeline_models(args.pipeline, args.strategy)
-        strategy = evalharness.PipelineStrategy(args.strategy, models, kb,
-                                                index)
-        name = args.strategy
-    elif args.model is not None:
-        if args.variant is None:
-            raise UsageError("--model needs --variant")
-        model = _load_model(e2e.E2EModel, args.model)
-        name, variant = _e2e_variant(args, model)
-        strategy = evalharness.E2EStrategy(model, variant, kb, index)
-        name += "+od" if args.out_degree_sort else ""
-    else:
-        raise UsageError("pass one of --oracle, --pipeline, or --model")
+    strategy, name = _build_strategy(args, stack, kb, index, dataset)
     report = evalharness.evaluate(strategy, dataset, kb)
     json_path, txt_path = evalharness.report_write({name: report}, args.out)
     print(f"{name}: accuracy {report.accuracy:.4f} over {report.n} "

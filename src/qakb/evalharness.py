@@ -27,16 +27,17 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from qakb.aliasindex import AliasIndex, tokenize
 from qakb.datagen import QuestionInstance, make_question
-from qakb.e2e import E2EModel, E2ESession, E2EVariant
+from qakb.e2e import E2EModel, E2ESession, E2EVariant, variant_name
 from qakb.errors import EmptyEvalSet, NoCandidates, NoRelation
 from qakb.kb import (Fact, KnowledgeBase, aliases_of, build_kb,
-                     notable_type, out_degree)
+                     lookup_objects, notable_type, out_degree)
 from qakb.nn.tensor import Tensor, as_tensor
 from qakb.pipeline import PipelineModels, PipelineSession, context_fields
 
@@ -129,8 +130,45 @@ def evaluate(strategy, dataset: Sequence[QuestionInstance],
 # Strategy adapters
 # ---------------------------------------------------------------------------
 
+class Strategy:
+    """What both adapters share.  A subclass's ``answer(question)`` gives
+    ``(entity, relation, scores)``, raising NoCandidates or NoRelation
+    when there is no answer, and its ``label`` is the ``(key, name)``
+    pair that names it in an answer record."""
+
+    kb: KnowledgeBase
+
+    def predict(self, question: str) -> Optional[tuple[str, str]]:
+        """``(entity, relation)``, or None when there is no answer."""
+        try:
+            entity, relation, _ = self.answer(question)
+        except (NoCandidates, NoRelation):
+            return None
+        return entity, relation
+
+    def answer_record(self, question: str) -> str:
+        """One JSON line: the answer with its objects and scores, or the
+        error that stopped it."""
+        try:
+            entity, relation, scores = self.answer(question)
+        except (NoCandidates, NoRelation) as exc:
+            error = ("no_candidates" if isinstance(exc, NoCandidates)
+                     else "no_relation")
+            return json.dumps({"question": question, "error": error},
+                              sort_keys=True)
+        key, name = self.label
+        return json.dumps({
+            "question": question,
+            "entity": entity,
+            "relation": relation,
+            "objects": lookup_objects(self.kb, entity, relation),
+            "scores": scores,
+            key: name,
+        }, sort_keys=True)
+
+
 @dataclass
-class PipelineStrategy:
+class PipelineStrategy(Strategy):
     """Makes the staged predictor evaluable.  One answering session serves
     every question, so build a new strategy after changing weights."""
 
@@ -148,16 +186,20 @@ class PipelineStrategy:
     def context_fields(self) -> tuple[str, ...]:
         return context_fields(self.name)
 
-    def predict(self, question: str) -> Optional[tuple[str, str]]:
-        try:
-            p = self.session.predict(self.name, question)
-        except (NoCandidates, NoRelation):
-            return None
-        return p.entity, p.relation
+    @property
+    def label(self) -> tuple[str, str]:
+        return "strategy", self.name
+
+    def answer(self, question: str) -> tuple[str, str, dict[str, float]]:
+        p = self.session.predict(self.name, question)
+        scores = {"s_r": p.s_r, "s": p.s}
+        if p.s_t is not None:
+            scores["s_t"] = p.s_t
+        return p.entity, p.relation, scores
 
 
 @dataclass
-class E2EStrategy:
+class E2EStrategy(Strategy):
     """Makes an end-to-end model evaluable.  One answering session serves
     every question, so build a new strategy after changing weights."""
 
@@ -180,12 +222,17 @@ class E2EStrategy:
             fields.append("type")
         return tuple(fields)
 
-    def predict(self, question: str) -> Optional[tuple[str, str]]:
-        try:
-            top = self.session.answer(question, k=1)
-        except NoCandidates:
-            return None
-        return top[0].fact.subject, top[0].fact.relation
+    @cached_property
+    def label(self) -> tuple[str, str]:
+        return "variant", variant_name(self.variant)
+
+    def answer(self, question: str) -> tuple[str, str, dict[str, float]]:
+        top = self.session.answer(question, k=1)[0]
+        scores = {"s_qs": top.s_qs, "s_qp": top.s_qp,
+                  "combined": top.combined}
+        if top.s_qt is not None:
+            scores["s_qt"] = top.s_qt
+        return top.fact.subject, top.fact.relation, scores
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ answer per question.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -26,7 +25,7 @@ from qakb.aliasindex import (
 )
 from qakb.datagen import LabeledQuestion, MatcherPair
 from qakb.errors import EmptyTrainingSet, NoCandidates, NoRelation
-from qakb.kb import KnowledgeBase, lookup_objects, notable_type, out_degree, relations_of
+from qakb.kb import KnowledgeBase, notable_type, out_degree, relations_of
 from qakb.nn import (
     Dense,
     EmbeddingTable,
@@ -352,27 +351,39 @@ def _base_trace(span_list: list[str], cands: Sequence[CandidateEntity],
 
 
 def _rank_holders(session: "PipelineSession", question: str,
-                  strategy: str) -> Prediction:
-    """Argmax relation over all candidates; among its holders the first
-    wins (p-qa), or the one of highest out-degree (p-qa-out)."""
+                  fields: tuple[str, ...]) -> Prediction:
+    """Argmax relation over all candidates; its holders are ordered by the
+    strategy's context ``fields`` in turn (highest out-degree, highest type
+    score), then by retrieval score and id, and the first wins.  Each field
+    after the first only matters among holders tied under those before."""
     kb = session.kb
     cands, span_list = _question_candidates(session, question)
     rel_scores = _relation_scores(session, question, cands)
     best_rel = _argmax_relation(rel_scores)
     holders = [c for c in cands if best_rel in relations_of(kb, c.id)]
-    if strategy == "p-qa-out":
-        holders.sort(key=lambda c: (-out_degree(kb, c.id), -c.score, c.id))
+    uses_type = "type" in fields
+    typed = ({c.id: _type_score(session, question, c.id) for c in holders}
+             if uses_type else {})
+    context = {"out_degree": lambda c: out_degree(kb, c.id),
+               "type": lambda c: typed[c.id]}
+    holders.sort(key=lambda c: (*(-context[f](c) for f in fields),
+                                -c.score, c.id))
     top = holders[0]
+    s_r = rel_scores[best_rel]
+    s_t = typed[top.id] if uses_type else None
     trace = _base_trace(span_list, cands, rel_scores)
-    trace["holders"] = [[c.id, out_degree(kb, c.id), c.score] for c in holders]
-    return Prediction(entity=top.id, relation=best_rel,
-                      s_r=rel_scores[best_rel], s_t=None,
-                      s=rel_scores[best_rel], trace=trace)
+    trace["holders"] = [
+        [c.id, out_degree(kb, c.id), *([typed[c.id]] if uses_type else []),
+         c.score] for c in holders
+    ]
+    return Prediction(entity=top.id, relation=best_rel, s_r=s_r, s_t=s_t,
+                      s=s_r if s_t is None else s_t + s_r, trace=trace)
 
 
 def _rank_pairs(session: "PipelineSession", question: str,
-                strategy: str) -> Prediction:
-    """Rank (entity, best-own-relation) pairs by type + relation score."""
+                fields: tuple[str, ...]) -> Prediction:
+    """Rank (entity, best-own-relation) pairs by type + relation score,
+    then out-degree; ``fields`` is ``("type",)``, which the score holds."""
     kb = session.kb
     cands, span_list = _question_candidates(session, question)
     rel_scores = _relation_scores(session, question, cands)
@@ -394,41 +405,15 @@ def _rank_pairs(session: "PipelineSession", question: str,
                       s=s, trace=trace)
 
 
-def _rank_combo(session: "PipelineSession", question: str,
-                strategy: str) -> Prediction:
-    """Disambiguate argmax-relation holders by out-degree then type score
-    (p-qa-out-type) or the reverse (p-qa-type-out); the second criterion
-    only matters among candidates tied under the first."""
-    kb = session.kb
-    cands, span_list = _question_candidates(session, question)
-    rel_scores = _relation_scores(session, question, cands)
-    best_rel = _argmax_relation(rel_scores)
-    holders = [c for c in cands if best_rel in relations_of(kb, c.id)]
-    typed = {c.id: _type_score(session, question, c.id) for c in holders}
-    if strategy == "p-qa-type-out":
-        key = lambda c: (-typed[c.id], -out_degree(kb, c.id), -c.score, c.id)
-    else:
-        key = lambda c: (-out_degree(kb, c.id), -typed[c.id], -c.score, c.id)
-    holders.sort(key=key)
-    top = holders[0]
-    s_r = rel_scores[best_rel]
-    s_t = typed[top.id]
-    trace = _base_trace(span_list, cands, rel_scores)
-    trace["holders"] = [
-        [c.id, out_degree(kb, c.id), typed[c.id], c.score] for c in holders
-    ]
-    return Prediction(entity=top.id, relation=best_rel, s_r=s_r, s_t=s_t,
-                      s=s_t + s_r, trace=trace)
-
-
 # Each strategy's ranker and the context it consults besides the matcher
-# scores; a strategy that consults "type" needs the type matcher.
+# scores, in the order the ranker breaks ties by it; a strategy that
+# consults "type" needs the type matcher.
 _RANKINGS = {
     "p-qa": (_rank_holders, ()),
     "p-qa-out": (_rank_holders, ("out_degree",)),
     "p-qa-type": (_rank_pairs, ("type",)),
-    "p-qa-out-type": (_rank_combo, ("out_degree", "type")),
-    "p-qa-type-out": (_rank_combo, ("out_degree", "type")),
+    "p-qa-out-type": (_rank_holders, ("out_degree", "type")),
+    "p-qa-type-out": (_rank_holders, ("type", "out_degree")),
 }
 
 STRATEGIES = tuple(_RANKINGS)
@@ -474,29 +459,13 @@ class PipelineSession:
         if ("type" in context_fields(strategy)
                 and self.models.type_matcher is None):
             raise ValueError(f"{strategy} requires a type matcher")
+        ranker, fields = _RANKINGS[strategy]
         with no_grad():
-            return _RANKINGS[strategy][0](self, question, strategy)
+            return ranker(self, question, fields)
 
 
 def predict(strategy: str, question: str, models: PipelineModels,
             kb: KnowledgeBase, index: AliasIndex) -> Prediction:
     """One answer from a fresh session."""
     return PipelineSession(models, kb, index).predict(strategy, question)
-
-
-def answer_record(question: str, prediction: Prediction, kb: KnowledgeBase,
-                  strategy: str) -> str:
-    """One JSON line describing an answer."""
-    scores: dict[str, float] = {"s_r": prediction.s_r, "s": prediction.s}
-    if prediction.s_t is not None:
-        scores["s_t"] = prediction.s_t
-    record = {
-        "question": question,
-        "entity": prediction.entity,
-        "relation": prediction.relation,
-        "objects": lookup_objects(kb, prediction.entity, prediction.relation),
-        "scores": scores,
-        "strategy": strategy,
-    }
-    return json.dumps(record, sort_keys=True)
 

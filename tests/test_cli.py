@@ -480,6 +480,31 @@ class TestAnswer:
         assert stdout == ""
         assert err == "error: --out-degree-sort applies only to --model\n"
 
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", ["--pipeline", "P", "--strategy", "p-qa", "--model", "M",
+                  "--variant", "qa-t"]),
+        ("eval", ["--oracle", "--strategy", "p-qa", "--model", "M",
+                  "--variant", "qa-t"]),
+        ("eval", ["--oracle", "--pipeline", "P", "--strategy", "p-qa"]),
+        ("answer", ["--pipeline", "P", "--strategy", "p-qa", "--variant",
+                    "qa-t"]),
+        ("answer", ["--model", "M", "--variant", "qa-t", "--strategy",
+                    "p-qa-type"]),
+    ])
+    def test_flag_of_another_stack_rejected(self, capsys, tmp_path, command,
+                                            flags):
+        # rejected before any file is read, so none of these need exist
+        paths = {"P": str(tmp_path / "absent"), "M": str(tmp_path / "m.nn")}
+        extra = (["--questions", str(tmp_path / "absent.tsv"), "--out",
+                  str(tmp_path / "rep")] if command == "eval" else [])
+        code, stdout, err = run(capsys, command, "--kb",
+                                str(tmp_path / "absent.qakb"),
+                                *(paths.get(f, f) for f in flags), *extra)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ") and "no such file" not in err
+        assert not (tmp_path / "rep").exists()
+
     def test_deterministic_output(self, bench, e2e_model, capsys, tmp_path):
         qfile = tmp_path / "q.txt"
         question = (bench / "test.tsv").read_text().splitlines()[0] \
@@ -537,6 +562,37 @@ def _answer_and_eval(capsys, tmp_path, bench, *model_args):
             run(capsys, "eval", "--kb", kb, "--questions",
                 str(bench / "test.tsv"), "--out", str(tmp_path / "rep"),
                 *model_args)]
+
+
+@pytest.mark.parametrize("stack, flags", [
+    ("pipeline", ["--strategy", "p-qa-out-type"]),
+    ("qa-t-mwst", ["--variant", "qa-t-mwst", "--out-degree-sort"]),
+])
+def test_answer_and_eval_agree(snapshots, capsys, tmp_path, stack, flags):
+    """Accuracy counted from answer's records over test.tsv is eval's."""
+    bench, models = snapshots
+    source = ["--pipeline" if stack == "pipeline" else "--model",
+              str(models[stack]), *flags]
+    rows = [line.split("\t")
+            for line in (bench / "test.tsv").read_text().splitlines()]
+    qfile = tmp_path / "q.txt"
+    qfile.write_text("".join(row[3] + "\n" for row in rows))
+    kb = str(bench / "kb.qakb")
+    capsys.readouterr()
+    code, stdout, _ = run(capsys, "answer", "--kb", kb, "--questions",
+                          str(qfile), *source)
+    assert code == 0
+    records = [json.loads(line) for line in stdout.splitlines()]
+    assert len(records) == len(rows)
+    correct = sum((rec.get("entity"), rec.get("relation")) == (s, r)
+                  for rec, (s, r, _, _) in zip(records, rows))
+    code, _, _ = run(capsys, "eval", "--kb", kb, "--questions",
+                     str(bench / "test.tsv"), "--out", str(tmp_path / "rep"),
+                     *source)
+    assert code == 0
+    (report,) = json.loads((tmp_path / "rep" / "report.json")
+                           .read_text()).values()
+    assert report["accuracy"] == correct / len(rows)
 
 
 class TestMissingModelFiles:

@@ -8,7 +8,8 @@ import pytest
 from qakb.aliasindex import build_index, tokenize
 from qakb.datagen import LabeledQuestion, label_questions
 from qakb.errors import EmptyTrainingSet, NoCandidates, NoRelation
-from qakb.evalharness import SyntheticSpec, generate_synthetic
+from qakb.evalharness import (PipelineStrategy, SyntheticSpec,
+                              generate_synthetic)
 from qakb.kb import Fact, build_kb
 from qakb.nn import TrainConfig, as_tensor
 from qakb.nn.io import load_model, save_model
@@ -18,7 +19,6 @@ from qakb.pipeline import (
     PipelineModels,
     PipelineSession,
     TaggerModel,
-    answer_record,
     context_fields,
     matcher_tokens,
     predict,
@@ -466,6 +466,19 @@ class TestPredictCombo:
             second.entity, second.relation, second.s
         )
 
+    @pytest.mark.parametrize("strategy, row_len", [
+        ("p-qa", 3), ("p-qa-out", 3), ("p-qa-out-type", 4),
+        ("p-qa-type-out", 4)])
+    def test_holder_rows_carry_type_only_when_consulted(self, strategy,
+                                                        row_len):
+        kb = _ambiguous_kb()
+        index = build_index(kb)
+        q = "who founded acme"
+        models = self._acme_models(q, {(q, "film"): 0.7})
+        p = predict(strategy, q, models, kb, index)
+        assert [len(row) for row in p.trace["holders"]] == [row_len] * 2
+        assert (p.s_t is None) == (row_len == 3)
+
     def test_unknown_order_raises(self):
         kb = _ambiguous_kb()
         index = build_index(kb)
@@ -595,8 +608,8 @@ class TestAnswerRecord:
         index = build_index(kb)
         q = "what color is beta corp"
         models = _models({"beta", "corp"}, {(q, "/d/y/color"): 0.8})
-        p = predict("p-qa", q, models, kb, index)
-        record = json.loads(answer_record(q, p, kb, "p-qa"))
+        strategy = PipelineStrategy("p-qa", models, kb, index)
+        record = json.loads(strategy.answer_record(q))
         assert record["question"] == q
         assert record["entity"] == "m.0bbb"
         assert record["relation"] == "/d/y/color"
@@ -604,6 +617,17 @@ class TestAnswerRecord:
         assert record["strategy"] == "p-qa"
         assert record["scores"]["s_r"] == 0.8
         assert "s_t" not in record["scores"]
+
+    def test_no_answer_records_name_the_error(self):
+        kb = build_kb([Fact("m.0a01", "/d/x/r", "m.objA")],
+                      [("m.0a01", "acme"), ("m.0ghost", "ghost")])
+        strategy = PipelineStrategy("p-qa", _models({"ghost"}, {}), kb,
+                                    build_index(kb))
+        for q, error in (("zzz", "no_candidates"),
+                         ("about ghost", "no_relation")):
+            assert json.loads(strategy.answer_record(q)) == {
+                "question": q, "error": error}
+            assert strategy.predict(q) is None
 
 
 class TestPersistence:

@@ -437,6 +437,10 @@ def read_labeled_questions(path: str) -> list[LabeledQuestion]:
             tags = tuple(fields[1].split())
             if len(tokens) != len(tags):
                 raise ParseError("token/tag length mismatch", line_no)
+            unknown = sorted(set(tags) - {"c", "e"})
+            if unknown:
+                raise ParseError(f"unknown tags {unknown}; expected c or e",
+                                 line_no)
             out.append(LabeledQuestion(tokens=tokens, tags=tags))
     return out
 

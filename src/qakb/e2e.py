@@ -185,11 +185,8 @@ class WordEncoder:
         vecs = self.word_table.embed(list(words))
         if not self.char_level:
             return vecs
-        idx, lengths = padded_indices([self.char_table.indices(list(word))
-                                       for word in words])
-        _, last = run_recurrent(self.char_gru,
-                                gather_rows(self.char_table.vectors, idx),
-                                lengths=lengths)
+        chars, lengths = self.char_table.embed_padded(words)
+        _, last = run_recurrent(self.char_gru, chars, lengths=lengths)
         return concat([vecs, last], axis=1)
 
     def parameters(self) -> dict[str, Tensor]:

@@ -24,7 +24,6 @@ from qakb.nn.tensor import (
     mul,
     param,
     relu,
-    reshape,
     row,
     sigmoid,
     transpose,
@@ -76,6 +75,14 @@ class EmbeddingTable:
         """Rows for a token sequence; empty input gives a [0, d] tensor."""
         return gather_rows(self.vectors, self.indices(seq))
 
+    def embed_padded(self, seqs: Sequence[Sequence[str]]
+                     ) -> tuple[Tensor, np.ndarray]:
+        """Rows for token sequences as one [B, T, d] batch, right-padded
+        with row 0, and the sequences' lengths."""
+        idx, lengths = padded_indices([self.indices(list(seq))
+                                       for seq in seqs])
+        return gather_rows(self.vectors, idx), lengths
+
 
 class Dense:
     """Affine map with an optional activation; accepts vectors or matrices."""
@@ -116,18 +123,28 @@ class _GatedCell:
     A step works on ``[n, h]`` states, one row per sequence still running,
     and takes every gate's input projection ``x @ W.T`` precomputed:
     :func:`run_recurrent` projects all timesteps in one product before its
-    time loop, with the gates' weights stacked (:meth:`stacked`).
+    time loop, with the gates' weights stacked (:meth:`stacked`).  Each
+    kind of weight is one array with the gates' blocks stacked in
+    ``gates`` order, and the per-gate parameters are views of its blocks,
+    so a run reads the stacked weights without copying them.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int,
                  rng: np.random.Generator, name: Optional[str] = None):
         self.input_dim, self.hidden_dim = input_dim, hidden_dim
         self.name = name or self.default_name
+        rows = len(self.gates) * hidden_dim
+        self._stacked = {"W": np.empty((rows, input_dim)),
+                         "U": np.empty((rows, hidden_dim)),
+                         "b": np.zeros(rows)}
         self._p: dict[str, Tensor] = {}
-        for gate in self.gates:
-            self._p[f"W_{gate}"] = param(glorot(rng, (hidden_dim, input_dim)))
-            self._p[f"U_{gate}"] = param(glorot(rng, (hidden_dim, hidden_dim)))
-            self._p[f"b_{gate}"] = param(np.zeros(hidden_dim))
+        for k, gate in enumerate(self.gates):
+            block = slice(k * hidden_dim, (k + 1) * hidden_dim)
+            self._stacked["W"][block] = glorot(rng, (hidden_dim, input_dim))
+            self._stacked["U"][block] = glorot(rng, (hidden_dim, hidden_dim))
+            for kind in "WUb":
+                self._p[f"{kind}_{gate}"] = Tensor(self._stacked[kind][block],
+                                                   requires_grad=True)
         # per kind of weight, its tensors in gate order
         self._kinds = {kind: [self._p[f"{kind}_{gate}"] for gate in self.gates]
                        for kind in "WUb"}
@@ -138,8 +155,8 @@ class _GatedCell:
     def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The gates' weights side by side, in ``gates`` order: ``W.T``
         as [d, G*h], ``U`` as [G*h, h] and ``b`` as [G*h]."""
-        w, u, b = ([t.data for t in self._kinds[kind]] for kind in "WUb")
-        return np.concatenate(w).T.copy(), np.concatenate(u), np.concatenate(b)
+        return (self._stacked["W"].T.copy(), self._stacked["U"],
+                self._stacked["b"])
 
     def initial_state(self, rows: int) -> tuple[np.ndarray, ...]:
         return tuple(np.zeros((rows, self.hidden_dim))
@@ -344,26 +361,27 @@ def run_recurrent(cell, inputs: Tensor, direction: str = "forward",
     B, T = inputs.shape[:2]
     lens = np.full(B, T) if lengths is None else np.asarray(lengths,
                                                              dtype=np.int64)
-    if lens.shape != (B,) or (B and (lens.min() < 0 or lens.max() > T)):
+    # plain ints: a batch is small, and answering runs one row at a time
+    ns = lens.tolist()
+    if lens.shape != (B,) or min(ns, default=0) < 0 or max(ns, default=0) > T:
         raise ShapeMismatch(f"{B} rows of length {T} need {B} lengths in "
                             f"[0, {T}], got {lengths}")
-    if B == 0 or not lens.any():
+    if not any(ns):
         return zeros((B, T, H)), zeros((B, H))
     states = _recurrent_states(cell, inputs, lens, reverse)
-    last_t = 0 if reverse else np.maximum(lens - 1, 0)
-    return states, gather_rows(reshape(states, (B * T, H)),
-                               np.arange(B) * T + last_t)
+    last_t = [0] * B if reverse else [max(n - 1, 0) for n in ns]
+    return states, gather_rows(states, (np.arange(B), last_t))
 
 
-def bidirectional_encode(cell_fwd, cell_bwd, inputs: Tensor):
-    """Concatenate forward and backward runs: ([T, 2h], [2h])."""
-    states_f, last_f = run_recurrent(cell_fwd, inputs, "forward")
-    states_b, last_b = run_recurrent(cell_bwd, inputs, "backward")
-    if inputs.shape[0] == 0:
-        return zeros((0, cell_fwd.hidden_dim + cell_bwd.hidden_dim)), concat(
-            [last_f, last_b]
-        )
-    return concat([states_f, states_b], axis=1), concat([last_f, last_b])
+def bidirectional_encode(cell_fwd, cell_bwd, inputs: Tensor,
+                         lengths: Optional[Sequence[int]] = None):
+    """Concatenate forward and backward runs: ([T, 2h], [2h]) for a
+    [T, d] sequence, or ([B, T, 2h], [B, 2h]) for a padded [B, T, d]
+    batch with row ``lengths``, as in :func:`run_recurrent`."""
+    states_f, last_f = run_recurrent(cell_fwd, inputs, "forward", lengths)
+    states_b, last_b = run_recurrent(cell_bwd, inputs, "backward", lengths)
+    return (concat([states_f, states_b], axis=-1),
+            concat([last_f, last_b], axis=-1))
 
 
 def self_attention(states: Tensor,
@@ -415,11 +433,11 @@ def padded_indices(seqs: Sequence[Sequence[int]]
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Index sequences right-padded with 0 into one [B, T] array, and
     their lengths."""
-    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
-    idx = np.zeros((len(seqs), lengths.max(initial=0)), dtype=np.int64)
-    idx[np.arange(idx.shape[1]) < lengths[:, None]] = [
-        i for seq in seqs for i in seq]
-    return idx, lengths
+    lengths = [len(seq) for seq in seqs]
+    T = max(lengths, default=0)
+    idx = np.array([[*seq, *[0] * (T - len(seq))] for seq in seqs],
+                   dtype=np.int64).reshape(len(seqs), T)
+    return idx, np.array(lengths, dtype=np.int64)
 
 
 class EncodeCache:

@@ -6,48 +6,59 @@ stay finite.
 
 from __future__ import annotations
 
+from typing import Optional, Sequence, Union
+
 import numpy as np
 
 from qakb.errors import EmptySequence, ShapeMismatch
-from qakb.nn.tensor import ArrayLike, Tensor, as_tensor, clip, log, relu, take_column, tmean
+from qakb.nn.tensor import (ArrayLike, Tensor, as_tensor, clip, log, relu,
+                            take_column, tsum)
 
 PROB_EPS = 1e-12
 
 
-def loss_categorical_ce(pred: Tensor, gold: list[int]) -> Tensor:
+def loss_categorical_ce(pred: Tensor, gold: list[int],
+                        lengths: Optional[Sequence[int]] = None) -> Tensor:
     """Binary cross-entropy averaged over sequence positions.
 
     ``pred`` is a [T, 2] matrix of per-position distributions; ``gold``
     holds 0/1 labels.  The per-position loss is
     -[y ln a + (1-y) ln(1-a)] with a the positive-class probability.
+    With ``lengths``, the rows of ``pred`` are consecutive sequences of
+    those lengths, and the loss is the sum of each sequence's own mean.
     """
     if pred.ndim != 2 or pred.shape[1] != 2:
         raise ShapeMismatch(f"expected [T, 2] predictions, got {pred.shape}")
-    if pred.shape[0] == 0:
+    lens = np.asarray([pred.shape[0]] if lengths is None else lengths,
+                      dtype=np.int64)
+    if not lens.all():
         raise EmptySequence("cannot score an empty tag sequence")
-    if pred.shape[0] != len(gold):
-        raise ShapeMismatch(
-            f"{pred.shape[0]} predictions vs {len(gold)} labels"
-        )
+    if pred.shape[0] != len(gold) or lens.sum() != len(gold):
+        raise ShapeMismatch(f"{pred.shape[0]} predictions vs {len(gold)} "
+                            f"labels in sequences of {lens.tolist()}")
     y = np.asarray(gold, dtype=np.float64)
-    if not set(np.unique(y)) <= {0.0, 1.0}:
+    if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     a = take_column(pred, 1)
     log_a = log(clip(a, PROB_EPS, 1.0))
     log_not_a = log(clip(1.0 - a, PROB_EPS, 1.0))
-    return -tmean(y * log_a + (1.0 - y) * log_not_a)
+    return -tsum((y * log_a + (1.0 - y) * log_not_a)
+                 * np.repeat(1.0 / lens, lens))
 
 
-def loss_binary_ce(a: ArrayLike, y: int) -> Tensor:
-    """Single-pair form: -[y ln a + (1-y) ln(1-a)]."""
-    if y not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {y!r}")
+def loss_binary_ce(a: ArrayLike, y: Union[int, Sequence[int]]) -> Tensor:
+    """Single-pair form: -[y ln a + (1-y) ln(1-a)].  A vector of
+    probabilities with a vector of labels gives each pair's loss."""
+    y = np.asarray(y)
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError(f"label must be 0 or 1, got {y.tolist()!r}")
     a = as_tensor(a)
-    if a.data.size != 1:
-        raise ShapeMismatch(f"expected a scalar probability, got {a.shape}")
+    if a.shape != y.shape:
+        raise ShapeMismatch(f"{a.shape} probabilities for {y.shape} labels")
+    y = y.astype(np.float64)
     log_a = log(clip(a, PROB_EPS, 1.0))
     log_not_a = log(clip(1.0 - a, PROB_EPS, 1.0))
-    return -(float(y) * log_a + (1.0 - float(y)) * log_not_a)
+    return -(y * log_a + (1.0 - y) * log_not_a)
 
 
 def loss_hinge_qas(s_pos: ArrayLike, s_neg: ArrayLike, gamma: float) -> Tensor:

@@ -331,12 +331,6 @@ def tsum(a: ArrayLike, axis: Optional[int] = None) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def tmean(a: ArrayLike, axis: Optional[int] = None) -> Tensor:
-    a = as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis), 1.0 / count)
-
-
 def reshape(a: ArrayLike, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
     data = a.data.reshape(shape)
@@ -436,15 +430,18 @@ def gather_rows(table: ArrayLike, indices) -> Tensor:
     """Select rows by index (embedding lookup); duplicates accumulate.
 
     An index array of shape S gives S followed by the row shape, so a
-    [B, T] array of word indices gives [B, T, d] word vectors.
+    [B, T] array of word indices gives [B, T, d] word vectors.  A tuple of
+    index arrays indexes the leading axes together, so ``(rows, steps)``
+    picks one [h] state per row of a [B, T, h] batch.
     """
     table = as_tensor(table)
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = (indices if isinstance(indices, tuple)
+           else np.asarray(indices, dtype=np.int64))
     data = table.data[idx]
 
     def backward(out: Tensor):
         def fn():
-            if table.requires_grad and idx.size:
+            if table.requires_grad and data.size:
                 g = np.zeros_like(table.data)
                 np.add.at(g, idx, out.grad)
                 table.accumulate(g)

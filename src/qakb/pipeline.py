@@ -38,7 +38,16 @@ from qakb.nn import (
     fit,
 )
 from qakb.nn.losses import loss_binary_ce, loss_categorical_ce
-from qakb.nn.tensor import Tensor, concat, no_grad, reshape, softmax_rows
+from qakb.nn.tensor import (
+    Tensor,
+    concat,
+    gather_rows,
+    no_grad,
+    reshape,
+    row,
+    softmax_rows,
+    tsum,
+)
 
 TAG_ORDER = ("c", "e")
 
@@ -67,12 +76,31 @@ class TaggerModel:
         self.bwd = LSTMCell(cfg.embed_dim, cfg.hidden_size, rng, name="tagger.bwd")
         self.head = Dense(2 * cfg.hidden_size, 2, rng, name="tagger.head")
 
+    def forward_batch(self, seqs: Sequence[Sequence[str]]) -> Tensor:
+        """Per-token class probabilities of every token of every sequence,
+        in order, shape [sum of lengths, 2]; column 1 is 'e'.  The BiLSTM
+        runs once over the sequences as one padded batch."""
+        inputs, lengths = self.embedding.embed_padded(seqs)
+        states, _ = bidirectional_encode(self.fwd, self.bwd, inputs, lengths)
+        B, T = inputs.shape[:2]
+        rows = reshape(states, (B * T, states.shape[-1]))
+        if lengths.sum() < B * T:  # drop the padding
+            rows = gather_rows(rows, np.flatnonzero(np.arange(T)
+                                                    < lengths[:, None]))
+        return softmax_rows(self.head(rows))
+
     def forward(self, tokens: Sequence[str]) -> Tensor:
-        """Per-token class probabilities, shape [T, 2]; column 1 is 'e'."""
-        states, _ = bidirectional_encode(
-            self.fwd, self.bwd, self.embedding.embed(list(tokens))
-        )
-        return softmax_rows(self.head(states))
+        """Per-token class probabilities, shape [T, 2]; the one-sequence
+        case of :meth:`forward_batch`."""
+        return self.forward_batch([tokens])
+
+    def loss(self, questions: Sequence[LabeledQuestion]) -> Tensor:
+        """Summed loss of tagged questions, one padded run over them all;
+        each question's loss is the mean over its own tokens."""
+        return loss_categorical_ce(
+            self.forward_batch([q.tokens for q in questions]),
+            [int(tag == "e") for q in questions for tag in q.tags],
+            [len(q.tags) for q in questions])
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"tagger.embedding": self.embedding.vectors}
@@ -116,23 +144,43 @@ class MatcherModel:
         self.head = Dense(cfg.hidden_size, 1, rng, activation="sigmoid",
                           name=f"{name}.head")
 
-    def encode(self, tokens: Sequence[str]) -> Tensor:
-        _, last = bidirectional_encode(
-            self.fwd, self.bwd, self.embedding.embed(list(tokens))
-        )
+    def encode_texts(self, texts: Sequence[Sequence[str]]) -> Tensor:
+        """[B, 2h] encodings of token sequences: the last states of both
+        GRU directions, as one padded batch; an empty sequence encodes
+        as zeros."""
+        _, last = bidirectional_encode(self.fwd, self.bwd,
+                                       *self.embedding.embed_padded(texts))
         return last
 
-    def match(self, q_vec: Tensor, t_vec: Tensor, mode: str = "eval",
-              rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Match score in (0, 1) of two encodings, as a scalar tensor."""
-        joint = dropout(concat([q_vec, t_vec]), self.cfg.dropout_p, mode, rng)
-        return reshape(self.head(self.hidden(joint)), ())
+    def encode(self, tokens: Sequence[str]) -> Tensor:
+        """One token sequence's [2h] encoding: the one-row case of
+        :meth:`encode_texts`."""
+        return row(self.encode_texts([tokens]), 0)
 
-    def forward(self, question: str, text: str, mode: str = "eval",
-                rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Match score in (0, 1) as a scalar tensor."""
-        return self.match(self.encode(tokenize(question)),
-                          self.encode(matcher_tokens(text)), mode, rng)
+    def match(self, q_vecs: Tensor, t_vecs: Tensor, mode: str = "eval",
+              rng: Optional[np.random.Generator] = None) -> Tensor:
+        """Match scores in (0, 1) of encodings: two [2h] vectors give a
+        scalar, two [n, 2h] matrices one score per row pair."""
+        joint = dropout(concat([q_vecs, t_vecs], axis=-1), self.cfg.dropout_p,
+                        mode, rng)
+        return reshape(self.head(self.hidden(joint)), q_vecs.shape[:-1])
+
+    def loss(self, pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
+             tags: Sequence[int], rng: np.random.Generator) -> Tensor:
+        """Summed binary cross-entropy of train-mode scores of (question
+        tokens, text tokens) pairs against their 0/1 ``tags``.
+
+        Each distinct token sequence, question or text, is encoded once
+        in one padded run, and its gradient sums over every pair that
+        uses it; dropout draws one mask row per pair, in pair order.
+        """
+        texts: dict[tuple[str, ...], int] = {}
+        sides = np.array([[texts.setdefault(tuple(toks), len(texts))
+                           for toks in pair] for pair in pairs])
+        encoded = self.encode_texts(list(texts))
+        scores = self.match(gather_rows(encoded, sides[:, 0]),
+                            gather_rows(encoded, sides[:, 1]), "train", rng)
+        return tsum(loss_binary_ce(scores, tags))
 
     def score(self, question: str, text: str,
               encodings: Optional["MatchEncodings"] = None) -> float:
@@ -214,11 +262,7 @@ def train_tagger(data: Sequence[LabeledQuestion],
     model = TaggerModel(vocab, cfg, rng)
 
     def batch_loss(batch: np.ndarray) -> tuple[Tensor, int]:
-        losses = [loss_categorical_ce(model.forward(data[i].tokens),
-                                      [1 if tag == "e" else 0
-                                       for tag in data[i].tags])
-                  for i in batch]
-        return sum(losses[1:], losses[0]), len(losses)
+        return model.loss([data[i] for i in batch]), len(batch)
 
     curve = fit(model.parameters(), len(data), batch_loss, cfg, rng,
                 "tagger")
@@ -231,17 +275,17 @@ def train_matcher(pairs: Sequence[MatcherPair], cfg: TrainConfig,
     if not pairs:
         raise EmptyTrainingSet("no matcher pairs to train on")
     rng = np.random.default_rng(cfg.seed)
-    vocab = sorted(
-        {tok for q, text, _ in pairs
-         for tok in tokenize(q) + matcher_tokens(text)}
-    )
+    seqs = [(tuple(tokenize(question)), tuple(matcher_tokens(text)))
+            for question, text, _ in pairs]
+    vocab = sorted({tok for q_toks, t_toks in seqs for tok in q_toks + t_toks})
     model = MatcherModel(vocab, cfg, rng, name=name)
+    tags = np.array([tag for _, _, tag in pairs])
 
     def batch_loss(batch: np.ndarray) -> tuple[Tensor, int]:
-        losses = [loss_binary_ce(model.forward(question, text, mode="train",
-                                               rng=rng), tag)
-                  for question, text, tag in (pairs[i] for i in batch)]
-        return sum(losses[1:], losses[0]), len(losses)
+        # the weights hold still until the optimizer step, so the step's
+        # pairs are scored as one batch
+        return (model.loss([seqs[i] for i in batch], tags[batch], rng),
+                len(batch))
 
     curve = fit(model.parameters(), len(pairs), batch_loss, cfg, rng, name)
     return model, curve

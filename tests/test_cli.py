@@ -232,6 +232,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name, line", [
         ("tagged.tsv", "who\tc c\n"),
+        ("tagged.tsv", "who is\tc E\n"),
         ("relation_pairs.tsv", "who is\t/a/b/c\n"),
         ("type_pairs.tsv", "who is\tfilm\n"),
     ])

@@ -7,6 +7,7 @@ import pytest
 
 from qakb.errors import ShapeMismatch
 from qakb.nn import (
+    Adam,
     Dense,
     EmbeddingTable,
     GRUCell,
@@ -16,6 +17,7 @@ from qakb.nn import (
     cosine,
     dropout,
     finite_diff_check,
+    restore_params,
     run_recurrent,
     self_attention,
 )
@@ -285,6 +287,19 @@ class TestFusedRecurrent:
         assert finite_diff_check(loss, leaves) < 1e-4
 
     @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
+    def test_stacked_weights_follow_the_gate_parameters(self, cell_cls):
+        cell, _, _, _ = _case(cell_cls, 2, x_grad=False)
+        params = cell.parameters()
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        Adam(params, lr=0.1).step()
+        restore_params(params, {k: p.data + 1.0 for k, p in params.items()})
+        w, u, b = cell.stacked()
+        for kind, got in (("W", w.T), ("U", u), ("b", b)):
+            np.testing.assert_array_equal(got, np.concatenate(
+                [params[f"{cell.name}.{kind}_{g}"].data for g in cell.gates]))
+
+    @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
     def test_one_graph_node_per_sequence(self, cell_cls):
         cell, x, _, _ = _case(cell_cls, 5, x_grad=True)
         states, last = run_recurrent(cell, x, "backward")
@@ -395,6 +410,38 @@ class TestBidirectional:
         states, last = bidirectional_encode(f, b, Tensor(np.zeros((0, 3))))
         assert states.shape == (0, 8)
         np.testing.assert_allclose(last.data, 0.0)
+
+    @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
+    @pytest.mark.parametrize("lengths", [(3,), (3, 1, 2), (0, 2, 1)])
+    def test_batch_rows_match_single_runs(self, cell_cls, lengths):
+        f, x, rng = _ragged_case(cell_cls, lengths)
+        b = cell_cls(3, 4, rng, "b")
+        states, last = bidirectional_encode(f, b, x, lengths)
+        assert states.shape == x.shape[:2] + (8,)
+        assert last.shape == (len(lengths), 8)
+        for i, n in enumerate(lengths):
+            alone, alone_last = bidirectional_encode(f, b,
+                                                     Tensor(x.data[i, :n]))
+            np.testing.assert_allclose(states.data[i, :n], alone.data,
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(last.data[i], alone_last.data,
+                                       rtol=1e-12, atol=1e-15)
+            assert not states.data[i, n:].any()
+
+    @pytest.mark.parametrize("lengths", [(3,), (3, 1, 2)])
+    def test_batch_finite_diff(self, lengths):
+        f, x, rng = _ragged_case(LSTMCell, lengths)
+        b = LSTMCell(3, 4, rng, "b")
+        w = rng.normal(size=x.shape[:2] + (8,))
+        v = rng.normal(size=(len(lengths), 8))
+
+        def loss():
+            states, last = bidirectional_encode(f, b, x, lengths)
+            return tsum(states * w) + tsum(last * v)
+
+        leaves = (list(f.parameters().values())
+                  + list(b.parameters().values()) + [x])
+        assert finite_diff_check(loss, leaves) < 1e-4
 
 
 class TestSelfAttention:

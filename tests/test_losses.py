@@ -25,7 +25,7 @@ from qakb.nn import (
     save_params,
 )
 from qakb.nn.io import MODEL_MAGIC
-from qakb.nn.tensor import Tensor, param, softmax_rows, tsum
+from qakb.nn.tensor import Tensor, param, sigmoid, softmax_rows, tsum
 
 
 class TestCategoricalCE:
@@ -71,6 +71,30 @@ class TestCategoricalCE:
 
         assert finite_diff_check(loss, [logits]) < 1e-4
 
+    @pytest.mark.parametrize("lengths", [(4,), (2, 1, 3)])
+    def test_lengths_sum_each_sequence_mean(self, lengths):
+        rng = np.random.default_rng(5)
+        logits = param(rng.normal(size=(sum(lengths), 2)))
+        gold = [int(g) for g in rng.integers(0, 2, size=sum(lengths))]
+        got = loss_categorical_ce(softmax_rows(logits), gold, lengths).item()
+        probs, start, want = softmax_rows(logits), 0, 0.0
+        for n in lengths:
+            want += loss_categorical_ce(
+                Tensor(probs.data[start:start + n]),
+                gold[start:start + n]).item()
+            start += n
+        assert got == pytest.approx(want, rel=1e-12)
+        assert finite_diff_check(
+            lambda: loss_categorical_ce(softmax_rows(logits), gold, lengths),
+            [logits]) < 1e-4
+
+    def test_lengths_must_cover_rows_and_be_nonempty(self):
+        pred = Tensor(np.full((3, 2), 0.5))
+        with pytest.raises(ShapeMismatch):
+            loss_categorical_ce(pred, [0, 1, 1], [1, 1])
+        with pytest.raises(EmptySequence):
+            loss_categorical_ce(pred, [0, 1, 1], [3, 0])
+
     @given(
         st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=1, max_size=8),
         st.data(),
@@ -102,6 +126,24 @@ class TestBinaryCE:
     def test_bad_label(self):
         with pytest.raises(ValueError):
             loss_binary_ce(0.5, 2)
+        with pytest.raises(ValueError):
+            loss_binary_ce(np.array([0.5, 0.5]), [1, 2])
+
+    @pytest.mark.parametrize("labels", [[1], [0, 1, 1]])
+    def test_vector_is_each_pair_loss(self, labels):
+        rng = np.random.default_rng(len(labels))
+        z = param(rng.normal(size=len(labels)))
+        probs = sigmoid(z).data
+        assert loss_binary_ce(probs, labels).data.tolist() == [
+            loss_binary_ce(float(a), y).item() for a, y in zip(probs, labels)]
+        assert finite_diff_check(
+            lambda: tsum(loss_binary_ce(sigmoid(z), labels)), [z]) < 1e-4
+
+    def test_shape_must_match_labels(self):
+        with pytest.raises(ShapeMismatch):
+            loss_binary_ce(np.array([0.5, 0.5]), 1)
+        with pytest.raises(ShapeMismatch):
+            loss_binary_ce(np.array([0.5, 0.5]), [1, 0, 1])
 
 
 class TestHinges:

@@ -4,15 +4,21 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
+import qakb.nn.layers
+import qakb.nn.tensor
 from qakb.aliasindex import build_index, tokenize
 from qakb.datagen import LabeledQuestion, label_questions
 from qakb.errors import EmptyTrainingSet, NoCandidates, NoRelation
 from qakb.evalharness import (PipelineStrategy, SyntheticSpec,
                               generate_synthetic)
 from qakb.kb import Fact, build_kb
-from qakb.nn import TrainConfig, as_tensor
+from qakb.nn import (TrainConfig, as_tensor, bidirectional_encode, dropout,
+                     finite_diff_check, fit, loss_binary_ce,
+                     loss_categorical_ce)
 from qakb.nn.io import load_model, save_model
+from qakb.nn.tensor import concat, reshape, softmax_rows
 from qakb.pipeline import (
     STRATEGIES,
     MatcherModel,
@@ -556,8 +562,8 @@ class TestSession:
                 got = session.predict(strategy, q)
                 assert got == expect  # trace included
                 for rel, s_r in got.trace["relations"]:
-                    uncached = models.relation_matcher.forward(q, rel).data
-                    assert s_r == float(uncached)
+                    # no session encodings: both sides encoded afresh
+                    assert s_r == models.relation_matcher.score(q, rel)
 
     def test_each_text_encoded_once(self, stack, monkeypatch):
         kb, index, models, questions = stack
@@ -679,3 +685,226 @@ class TestPersistence:
                      (first + ".meta.json", second + ".meta.json")):
             with open(a, "rb") as fa, open(b, "rb") as fb:
                 assert fa.read() == fb.read()
+
+
+# ---------------------------------------------------------------------------
+# Batched training against the per-example path it replaced
+# ---------------------------------------------------------------------------
+
+def _tagger_example_loss(model, q):
+    """One question's loss as it was computed before batching: its own
+    [T, d] BiLSTM run, head and mean over its tokens."""
+    states, _ = bidirectional_encode(model.fwd, model.bwd,
+                                     model.embedding.embed(list(q.tokens)))
+    return loss_categorical_ce(softmax_rows(model.head(states)),
+                               [1 if tag == "e" else 0 for tag in q.tags])
+
+
+def _matcher_example_loss(model, question, text, tag, rng):
+    """One pair's loss as it was computed before batching: each side
+    encoded on its own, in train mode with the pair's own dropout mask."""
+    def encode(tokens):
+        _, last = bidirectional_encode(model.fwd, model.bwd,
+                                       model.embedding.embed(list(tokens)))
+        return last
+
+    joint = dropout(concat([encode(tokenize(question)),
+                            encode(matcher_tokens(text))]),
+                    model.cfg.dropout_p, "train", rng)
+    return loss_binary_ce(reshape(model.head(model.hidden(joint)), ()), tag)
+
+
+def _sum(losses):
+    return sum(losses[1:], losses[0])
+
+
+# ragged lengths, a question repeated across examples, an unknown token
+_TAGGED = [
+    LabeledQuestion(("who", "founded", "acme", "corp"), ("c", "c", "e", "e")),
+    LabeledQuestion(("acme",), ("e",)),
+    LabeledQuestion(("what", "color", "is", "beta", "corp", "today"),
+                    ("c", "c", "c", "e", "e", "c")),
+    LabeledQuestion(("who", "founded", "acme", "corp"), ("c", "c", "e", "e")),
+    LabeledQuestion(("where", "is", "gamma"), ("c", "c", "e")),
+]
+
+# a question repeated across pairs, a text shared by pairs, ragged
+# lengths, and a question that tokenizes to nothing
+_PAIRS = [
+    ("who founded acme corp", "/business/company/founders", 1),
+    ("who founded acme corp", "/music/album/genre", 0),
+    ("", "/music/album/genre", 0),
+    ("what genre is it", "/music/album/genre", 1),
+    ("who founded acme corp", "musical recording", 0),
+    ("what genre is it", "film", 1),
+    ("acme", "/business/company/founders", 1),
+]
+
+_CFG = TrainConfig(seed=7, epochs=1, batch_size=3, hidden_size=5,
+                   embed_dim=4, dropout_p=0.3, learning_rate=0.01)
+
+
+def _tagger():
+    vocab = sorted({tok for q in _TAGGED[:-1] for tok in q.tokens})
+    return TaggerModel(vocab, _CFG, np.random.default_rng(3))
+
+
+def _matcher():
+    vocab = sorted({tok for q, t, _ in _PAIRS[:-1]
+                    for tok in tokenize(q) + matcher_tokens(t)})
+    return MatcherModel(vocab, _CFG, np.random.default_rng(3))
+
+
+def _pair_tokens(pairs):
+    return [(tokenize(q), matcher_tokens(t)) for q, t, _ in pairs]
+
+
+def _gradients(model, loss_fn):
+    """The loss and every parameter's gradient of ``loss_fn()``."""
+    params = model.parameters()
+    for p in params.values():
+        p.grad = None
+    total = loss_fn()
+    total.backward()
+    return float(total.data), {k: None if p.grad is None else p.grad.copy()
+                               for k, p in params.items()}
+
+
+def _assert_grads_match(batched, oracle):
+    assert batched.keys() == oracle.keys()
+    for k, g in oracle.items():
+        if g is None:
+            assert batched[k] is None, k
+            continue
+        assert np.abs(batched[k] - g).max() <= 1e-12 * np.abs(g).max(), k
+
+
+def _per_example_train(kind, data, cfg):
+    """train_tagger or train_matcher with every loss from the per-example
+    path; returns the model, the loss curve and the generator both drew
+    from."""
+    rng = np.random.default_rng(cfg.seed)
+    if kind == "tagger":
+        model = TaggerModel(sorted({tok for q in data for tok in q.tokens}),
+                            cfg, rng)
+
+        def batch_loss(batch):
+            return _sum([_tagger_example_loss(model, data[i])
+                         for i in batch]), len(batch)
+    else:
+        model = MatcherModel(sorted({tok for q, t, _ in data
+                                     for tok in tokenize(q)
+                                     + matcher_tokens(t)}), cfg, rng)
+
+        def batch_loss(batch):
+            return _sum([_matcher_example_loss(model, *data[i], rng)
+                         for i in batch]), len(batch)
+
+    curve = fit(model.parameters(), len(data), batch_loss, cfg, rng, kind)
+    return model, curve, rng
+
+
+class TestBatchedTraining:
+    """One optimizer step encodes its distinct token sequences once, in
+    one padded run, and gives the per-example path's loss, gradients and
+    generator stream."""
+
+    def test_tagger_gradients_match_per_example_oracle(self):
+        model = _tagger()
+        loss, grads = _gradients(model, lambda: model.loss(_TAGGED))
+        o_loss, o_grads = _gradients(model, lambda: _sum(
+            [_tagger_example_loss(model, q) for q in _TAGGED]))
+        assert loss == pytest.approx(o_loss, rel=1e-12)
+        _assert_grads_match(grads, o_grads)
+        assert grads["tagger.fwd.W_i"] is not None
+
+    def test_matcher_gradients_match_per_example_oracle(self):
+        model = _matcher()
+        rng, o_rng = np.random.default_rng(5), np.random.default_rng(5)
+        tags = [tag for *_, tag in _PAIRS]
+        loss, grads = _gradients(
+            model, lambda: model.loss(_pair_tokens(_PAIRS), tags, rng))
+        o_loss, o_grads = _gradients(model, lambda: _sum(
+            [_matcher_example_loss(model, *pair, o_rng) for pair in _PAIRS]))
+        assert rng.random() == o_rng.random()
+        assert loss == pytest.approx(o_loss, rel=1e-12)
+        _assert_grads_match(grads, o_grads)
+        assert grads["matcher.fwd.W_z"] is not None
+
+    @pytest.mark.parametrize("kind", ["tagger", "matcher"])
+    def test_epoch_matches_per_example_training(self, kind, monkeypatch):
+        data = _TAGGED if kind == "tagger" else _PAIRS
+        o_model, o_curve, o_rng = _per_example_train(kind, data, _CFG)
+        made = []
+        default_rng = np.random.default_rng
+
+        def recording(*args):
+            made.append(default_rng(*args))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        train = train_tagger if kind == "tagger" else train_matcher
+        model, curve = train(data, _CFG)
+        monkeypatch.undo()
+        assert made[0].random() == o_rng.random()
+        assert curve == pytest.approx(o_curve, rel=1e-12)
+        for k, p in model.parameters().items():
+            assert_allclose(p.data, o_model.parameters()[k].data,
+                            rtol=1e-9, atol=1e-12, err_msg=k)
+
+    @pytest.mark.parametrize("rows", [[1], [0, 2, 3]])
+    def test_tagger_loss_finite_diff(self, rows):
+        model = _tagger()
+        questions = [_TAGGED[i] for i in rows]
+        params = list(model.parameters().values())
+        assert finite_diff_check(lambda: model.loss(questions), params) < 1e-4
+
+    @pytest.mark.parametrize("rows", [[0], [2, 3, 4]])
+    def test_matcher_loss_finite_diff(self, rows):
+        model = _matcher()
+        pairs = [_PAIRS[i] for i in rows]
+        params = list(model.parameters().values())
+        # the same masks on every call, so the loss is a function
+        assert finite_diff_check(
+            lambda: model.loss(_pair_tokens(pairs), [t for *_, t in pairs],
+                               np.random.default_rng(9)), params) < 1e-4
+
+    def test_matcher_encodes_each_distinct_sequence_once(self, monkeypatch):
+        runs = []
+        encode_texts = MatcherModel.encode_texts
+
+        def counted(self, texts):
+            runs.append([tuple(t) for t in texts])
+            return encode_texts(self, texts)
+
+        monkeypatch.setattr(MatcherModel, "encode_texts", counted)
+        train_matcher(_PAIRS, TrainConfig(epochs=1, batch_size=len(_PAIRS),
+                                          hidden_size=4, embed_dim=4))
+        (texts,) = runs
+        assert len(texts) == len(set(texts))
+        assert set(texts) == {tuple(toks) for pair in _pair_tokens(_PAIRS)
+                              for toks in pair}
+
+    def test_graph_nodes_per_question_step(self, monkeypatch):
+        """A deterministic count, so un-batching training fails here even
+        where timings are too noisy to tell (the per-example path made
+        33 nodes per question-step here)."""
+        kb, train, _ = generate_synthetic(SyntheticSpec(seed=4,
+                                                        n_entities=12))
+        tagged = label_questions(train, kb)[0]
+        relations = sorted({f.relation for f in kb.facts})
+        pairs = [(q.text, rel, int(rel == q.gold.relation))
+                 for q in train for rel in relations]
+        made = [0]
+        make = qakb.nn.tensor._make
+
+        def counting(*args):
+            made[0] += 1
+            return make(*args)
+
+        for module in (qakb.nn.tensor, qakb.nn.layers):
+            monkeypatch.setattr(module, "_make", counting)
+        cfg = TrainConfig(epochs=1, hidden_size=4, embed_dim=4)
+        train_tagger(tagged, cfg)
+        train_matcher(pairs, cfg)
+        assert made[0] / (len(tagged) + len(pairs)) <= 8

@@ -50,6 +50,11 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+def relation_tokens(relation: str) -> list[str]:
+    """A relation path's tokens: its non-empty ``/`` segments."""
+    return [seg for seg in relation.split("/") if seg]
+
+
 def _contains_contiguous(outer: tuple[str, ...], inner: tuple[str, ...]) -> bool:
     if len(inner) >= len(outer):
         return False

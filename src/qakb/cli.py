@@ -7,7 +7,8 @@ fit the two model families, ``answer`` runs a line-in/JSON-out loop, and
 ``eval`` scores a strategy and writes report files.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad or missing input
-files, with file and line), 3 internal error.
+files, with file and line, or a path that cannot be read or written),
+3 internal error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import contextlib
 import logging
 import os
 import sys
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from qakb import datagen, e2e, evalharness, pipeline
 from qakb.aliasindex import (AliasIndex, build_index,
@@ -91,18 +92,24 @@ def read_config_file(path: str) -> dict[str, str]:
 
 def resolve_seed(flag: Optional[int], config: Mapping[str, str],
                  env: Mapping[str, str] = os.environ) -> int:
-    """Flag beats config file beats QAKB_SEED beats the default."""
+    """Flag beats config file beats QAKB_SEED beats the default.  A
+    negative seed, or a QAKB_SEED that is not an int, is a UsageError
+    naming its source."""
     if flag is not None:
-        return flag
-    if "seed" in config:
-        return int(config["seed"])
-    if SEED_ENV_VAR in env:
+        seed, source = flag, f"--seed {flag}"
+    elif "seed" in config:
+        seed, source = int(config["seed"]), f"--config seed={config['seed']}"
+    elif SEED_ENV_VAR in env:
+        source = f"{SEED_ENV_VAR}={env[SEED_ENV_VAR]}"
         try:
-            return int(env[SEED_ENV_VAR])
+            seed = int(env[SEED_ENV_VAR])
         except ValueError:
-            raise UsageError(f"{SEED_ENV_VAR}={env[SEED_ENV_VAR]}: not a "
-                             f"valid int") from None
-    return DEFAULT_SEED
+            raise UsageError(f"{source}: not a valid int") from None
+    else:
+        return DEFAULT_SEED
+    if seed < 0:
+        raise UsageError(f"{source}: a seed must be non-negative")
+    return seed
 
 
 def _require_files(*paths: Optional[str]) -> None:
@@ -353,7 +360,7 @@ def _check_stack(args: argparse.Namespace) -> str:
 def _build_strategy(
     args: argparse.Namespace, stack: str, kb: KnowledgeBase,
     index: AliasIndex, dataset: Sequence[datagen.QuestionInstance] = (),
-) -> tuple[evalharness.Strategy, str]:
+) -> tuple[Union[pipeline.PipelineStrategy, e2e.E2EStrategy], str]:
     """The strategy for a checked ``stack`` and the name its report goes
     by; the oracle's stages are keyed by ``dataset``.  A snapshot answers
     as the variant it was trained as, which ``--variant`` must name."""
@@ -367,7 +374,7 @@ def _build_strategy(
             raise UsageError(f"--variant {args.variant} does not match "
                              f"{args.model}, which was trained as {name}")
         variant = e2e.variant_from_name(name, args.out_degree_sort)
-        return (evalharness.E2EStrategy(model, variant, kb, index),
+        return (e2e.E2EStrategy(model, variant, kb, index),
                 name + ("+od" if args.out_degree_sort else ""))
     if stack == "oracle":
         models = evalharness.oracle_models(dataset, kb)
@@ -375,8 +382,7 @@ def _build_strategy(
     else:
         models = _load_pipeline_models(args.pipeline, args.strategy)
         name = args.strategy
-    return (evalharness.PipelineStrategy(args.strategy, models, kb, index),
-            name)
+    return pipeline.PipelineStrategy(args.strategy, models, kb, index), name
 
 
 def cmd_answer(args: argparse.Namespace, config: Mapping[str, str]) -> int:
@@ -390,7 +396,8 @@ def cmd_answer(args: argparse.Namespace, config: Mapping[str, str]) -> int:
           else open(args.questions, encoding="utf-8")) as stream:
         for question in (line.strip() for line in stream):
             if question:
-                print(strategy.answer_record(question), flush=interactive)
+                print(evalharness.answer_record(strategy, question),
+                      flush=interactive)
     return 0
 
 
@@ -526,6 +533,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, MalformedId, EmptyTrainingSet, EmptyEvalSet,
             LabelFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a path that cannot be read or written
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename
+              else f"error: {exc}", file=sys.stderr)
         return 2
     except QAKBError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

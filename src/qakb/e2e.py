@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from qakb.aliasindex import AliasIndex, retrieve_question_candidates, tokenize
+from qakb.aliasindex import (AliasIndex, relation_tokens,
+                             retrieve_question_candidates, tokenize)
 from qakb.datagen import NegativePools, QuestionInstance
 from qakb.errors import EmptySequence, EmptyTrainingSet, NoCandidates
 from qakb.kb import Fact, KnowledgeBase, notable_type, out_degree, primary_alias
@@ -53,10 +55,6 @@ from qakb.nn.tensor import (
 logger = logging.getLogger(__name__)
 
 SCORE_TIE_TOL = 1e-9
-
-
-def _relation_tokens(relation: str) -> list[str]:
-    return [seg for seg in relation.split("/") if seg]
 
 
 def subject_text(kb: KnowledgeBase, entity: str, type_in_label: bool) -> str:
@@ -382,7 +380,7 @@ def _training_vocab(dataset: Sequence[QuestionInstance],
     for label in types:
         toks.update(tokenize(label))
     for relation in {fact.relation for fact in kb.facts}:
-        toks.update(_relation_tokens(relation))
+        toks.update(relation_tokens(relation))
     return sorted(toks)
 
 
@@ -427,7 +425,7 @@ class _StepBatch:
                 kb, entity, model.variant.type_in_label)), SUBJECT)
 
         def relation(rel: str) -> int:
-            return cos(_relation_tokens(rel), PREDICATE)
+            return cos(relation_tokens(rel), PREDICATE)
 
         uses.append(tuple(tokenize(q.text)))
         pos_s, pos_p = subject(q.gold.subject), relation(q.gold.relation)
@@ -518,8 +516,9 @@ def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
 # Answering
 # ---------------------------------------------------------------------------
 
-class E2ESession:
-    """Answers a stream of questions with one model, graph-free.
+class E2EStrategy:
+    """One model answering a stream of questions graph-free, as one
+    session.
 
     A question's candidate facts are scored together: their subject,
     relation and type texts' cosines against the question vector in one
@@ -533,23 +532,41 @@ class E2ESession:
     ValueError otherwise.
     """
 
-    def __init__(self, model: E2EModel, kb: KnowledgeBase, index: AliasIndex,
-                 variant: E2EVariant):
+    def __init__(self, model: E2EModel, variant: E2EVariant,
+                 kb: KnowledgeBase, index: AliasIndex):
         if (replace(variant, out_degree_sort=False)
                 != replace(model.variant, out_degree_sort=False)):
             raise ValueError(
                 f"variant {_describe(variant)} does not match the model, "
                 f"which was trained as {_describe(model.variant)}"
             )
-        self.model = model
-        self.kb = kb
-        self.index = index
-        self.variant = variant
+        self.model, self.variant = model, variant
+        self.kb, self.index = kb, index
+        self.context_fields = tuple(
+            field for field, used in (
+                ("out_degree", variant.out_degree_sort),
+                ("type", variant.type_in_label or variant.type_as_task))
+            if used)
         # looked up on each miss, so a wrapper put on the model's
         # encode_text after the session was built still sees every miss
         self.texts = EncodeCache(lambda tokens: self.model.encode_text(tokens))
 
-    def answer(self, question: str, k: int = 1) -> list[FactScore]:
+    @cached_property
+    def label(self) -> tuple[str, str]:
+        """``("variant", name)``, looked up when first a record needs it."""
+        return "variant", variant_name(self.variant)
+
+    def answer(self, question: str) -> tuple[str, str, dict[str, float]]:
+        """The top fact as ``(subject, relation, scores)``; NoCandidates
+        when there is no answer."""
+        top = self.top(question)[0]
+        scores = {"s_qs": top.s_qs, "s_qp": top.s_qp,
+                  "combined": top.combined}
+        if top.s_qt is not None:
+            scores["s_qt"] = top.s_qt
+        return top.fact.subject, top.fact.relation, scores
+
+    def top(self, question: str, k: int = 1) -> list[FactScore]:
         """Top-k candidate facts, highest combined score first."""
         kb, variant = self.kb, self.variant
         cands = retrieve_question_candidates(self.index, question)
@@ -567,7 +584,7 @@ class E2ESession:
         for fact in facts:
             texts.append(tuple(tokenize(subject_text(
                 kb, fact.subject, variant.type_in_label))))
-            texts.append(tuple(_relation_tokens(fact.relation)))
+            texts.append(tuple(relation_tokens(fact.relation)))
             if variant.type_as_task:
                 label = notable_type(kb, fact.subject)
                 texts.append(None if label is None else tuple(tokenize(label)))
@@ -603,5 +620,5 @@ class E2ESession:
 def answer(model: E2EModel, kb: KnowledgeBase, index: AliasIndex,
            question: str, variant: E2EVariant, k: int = 1) -> list[FactScore]:
     """Top-k candidate facts for one question, from a fresh session."""
-    return E2ESession(model, kb, index, variant).answer(question, k)
+    return E2EStrategy(model, variant, kb, index).top(question, k)
 

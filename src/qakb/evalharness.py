@@ -26,20 +26,19 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from qakb.aliasindex import AliasIndex, tokenize
+from qakb.aliasindex import tokenize
 from qakb.datagen import QuestionInstance, make_question
-from qakb.e2e import E2EModel, E2ESession, E2EVariant, variant_name
+from qakb.e2e import E2EStrategy
 from qakb.errors import EmptyEvalSet, NoCandidates, NoRelation
 from qakb.kb import (Fact, KnowledgeBase, aliases_of, build_kb,
                      lookup_objects, notable_type, out_degree)
 from qakb.nn.tensor import Tensor, as_tensor
-from qakb.pipeline import PipelineModels, PipelineSession, context_fields
+from qakb.pipeline import PipelineModels, PipelineStrategy
 
 logger = logging.getLogger(__name__)
 
@@ -102,18 +101,17 @@ def evaluate(strategy, dataset: Sequence[QuestionInstance],
              kb: KnowledgeBase) -> EvalReport:
     """Score a strategy on a question set.
 
-    ``strategy`` needs ``predict(question) -> (entity, relation) | None``
-    and a ``context_fields`` attribute naming the context it uses.
+    ``strategy`` needs what :func:`predict` calls and a ``context_fields``
+    attribute naming the context it uses.
     """
     if not dataset:
         raise EmptyEvalSet("no questions to evaluate")
-    context = tuple(getattr(strategy, "context_fields", ()))
     start = time.perf_counter()
-    outputs = [strategy.predict(q.text) for q in dataset]
+    outputs = [predict(strategy, q.text) for q in dataset]
     counts = {cls: 0 for cls in ERROR_CLASSES}
     correct = 0
     for q, predicted in zip(dataset, outputs):
-        err = classify_error(kb, q.gold, predicted, context)
+        err = classify_error(kb, q.gold, predicted, strategy.context_fields)
         if err is None:
             correct += 1
         else:
@@ -127,112 +125,41 @@ def evaluate(strategy, dataset: Sequence[QuestionInstance],
 
 
 # ---------------------------------------------------------------------------
-# Strategy adapters
+# Answering through a strategy: a PipelineStrategy or an E2EStrategy (both
+# importable from here), whose ``answer(question)`` gives ``(entity,
+# relation, scores)`` or raises NoCandidates or NoRelation, whose ``label``
+# is the ``(key, name)`` pair naming it in an answer record, and whose
+# ``kb`` is the knowledge base it answers from.
 # ---------------------------------------------------------------------------
 
-class Strategy:
-    """What both adapters share.  A subclass's ``answer(question)`` gives
-    ``(entity, relation, scores)``, raising NoCandidates or NoRelation
-    when there is no answer, and its ``label`` is the ``(key, name)``
-    pair that names it in an answer record."""
-
-    kb: KnowledgeBase
-
-    def predict(self, question: str) -> Optional[tuple[str, str]]:
-        """``(entity, relation)``, or None when there is no answer."""
-        try:
-            entity, relation, _ = self.answer(question)
-        except (NoCandidates, NoRelation):
-            return None
-        return entity, relation
-
-    def answer_record(self, question: str) -> str:
-        """One JSON line: the answer with its objects and scores, or the
-        error that stopped it."""
-        try:
-            entity, relation, scores = self.answer(question)
-        except (NoCandidates, NoRelation) as exc:
-            error = ("no_candidates" if isinstance(exc, NoCandidates)
-                     else "no_relation")
-            return json.dumps({"question": question, "error": error},
-                              sort_keys=True)
-        key, name = self.label
-        return json.dumps({
-            "question": question,
-            "entity": entity,
-            "relation": relation,
-            "objects": lookup_objects(self.kb, entity, relation),
-            "scores": scores,
-            key: name,
-        }, sort_keys=True)
+def predict(strategy, question: str) -> Optional[tuple[str, str]]:
+    """``(entity, relation)``, or None when there is no answer."""
+    try:
+        entity, relation, _ = strategy.answer(question)
+    except (NoCandidates, NoRelation):
+        return None
+    return entity, relation
 
 
-@dataclass
-class PipelineStrategy(Strategy):
-    """Makes the staged predictor evaluable.  One answering session serves
-    every question, so build a new strategy after changing weights."""
-
-    name: str
-    models: PipelineModels
-    kb: KnowledgeBase
-    index: AliasIndex
-    session: PipelineSession = field(init=False, repr=False,
-                                     compare=False)
-
-    def __post_init__(self) -> None:
-        self.session = PipelineSession(self.models, self.kb, self.index)
-
-    @property
-    def context_fields(self) -> tuple[str, ...]:
-        return context_fields(self.name)
-
-    @property
-    def label(self) -> tuple[str, str]:
-        return "strategy", self.name
-
-    def answer(self, question: str) -> tuple[str, str, dict[str, float]]:
-        p = self.session.predict(self.name, question)
-        scores = {"s_r": p.s_r, "s": p.s}
-        if p.s_t is not None:
-            scores["s_t"] = p.s_t
-        return p.entity, p.relation, scores
-
-
-@dataclass
-class E2EStrategy(Strategy):
-    """Makes an end-to-end model evaluable.  One answering session serves
-    every question, so build a new strategy after changing weights."""
-
-    model: E2EModel
-    variant: E2EVariant
-    kb: KnowledgeBase
-    index: AliasIndex
-    session: E2ESession = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.session = E2ESession(self.model, self.kb, self.index,
-                                  self.variant)
-
-    @property
-    def context_fields(self) -> tuple[str, ...]:
-        fields = []
-        if self.variant.out_degree_sort:
-            fields.append("out_degree")
-        if self.variant.type_in_label or self.variant.type_as_task:
-            fields.append("type")
-        return tuple(fields)
-
-    @cached_property
-    def label(self) -> tuple[str, str]:
-        return "variant", variant_name(self.variant)
-
-    def answer(self, question: str) -> tuple[str, str, dict[str, float]]:
-        top = self.session.answer(question, k=1)[0]
-        scores = {"s_qs": top.s_qs, "s_qp": top.s_qp,
-                  "combined": top.combined}
-        if top.s_qt is not None:
-            scores["s_qt"] = top.s_qt
-        return top.fact.subject, top.fact.relation, scores
+def answer_record(strategy, question: str) -> str:
+    """One JSON line: the answer with its objects and scores, or the error
+    that stopped it."""
+    try:
+        entity, relation, scores = strategy.answer(question)
+    except (NoCandidates, NoRelation) as exc:
+        error = ("no_candidates" if isinstance(exc, NoCandidates)
+                 else "no_relation")
+        return json.dumps({"question": question, "error": error},
+                          sort_keys=True)
+    key, name = strategy.label
+    return json.dumps({
+        "question": question,
+        "entity": entity,
+        "relation": relation,
+        "objects": lookup_objects(strategy.kb, entity, relation),
+        "scores": scores,
+        key: name,
+    }, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +252,6 @@ class SyntheticSpec:
     twin_outdegree_gap: bool = True
     twin_type_distinct: bool = False
     test_fraction: float = 0.2
-    templates: Optional[dict[str, list[str]]] = None
 
     def __post_init__(self) -> None:
         if self.n_entities <= 0 or self.n_relations <= 0:
@@ -371,11 +297,7 @@ def generate_synthetic(
     taken: set[str] = set()
     relations = [f"/synth/fact/{_coin_word(rng, taken)}"
                  for _ in range(spec.n_relations)]
-    templates = spec.templates or default_templates(relations)
-    for rel, bodies in templates.items():
-        for body in bodies:
-            if "<alias>" not in body:
-                raise ValueError(f"template for {rel!r} lacks <alias>: {body!r}")
+    templates = default_templates(relations)
 
     n_collide = int(spec.collision_rate * spec.n_entities)
     facts: list[Fact] = []

@@ -307,7 +307,8 @@ def parse_type_lines(lines: Iterable[str]) -> TypeData:
 
     TSV lines are ``mid<TAB>label``.  N-Triples input (auto-detected by a
     first non-blank character of ``<``) contributes type assignments
-    (IRI objects) and type names (literal objects).
+    (IRI objects) and type names (literal objects).  A blank label or
+    name is dropped, so its entity stays untyped.
     """
     buffered = list(lines)
     first = next((ln for ln in buffered if ln.strip()), "")
@@ -317,9 +318,8 @@ def parse_type_lines(lines: Iterable[str]) -> TypeData:
     if first.lstrip().startswith("<"):
         for subject, predicate, obj in parse_ntriples(buffered):
             if obj.is_literal:
-                if obj.lang not in (None, "en"):
-                    continue
-                data.names[canonicalize_mid(subject)] = obj.value.lower()
+                if obj.value.strip() and obj.lang in (None, "en"):
+                    data.names[canonicalize_mid(subject)] = obj.value.lower()
             else:
                 relation = canonicalize_relation(predicate)
                 if relation != _TYPE_ASSIGN_RELATION:
@@ -330,7 +330,9 @@ def parse_type_lines(lines: Iterable[str]) -> TypeData:
                 )
     else:
         for fields in tsv_rows(buffered, 2):
-            data.direct.append((canonicalize_mid(fields[0]), fields[1].strip().lower()))
+            label = fields[1].strip().lower()
+            if label:
+                data.direct.append((canonicalize_mid(fields[0]), label))
     return data
 
 

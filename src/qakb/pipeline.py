@@ -19,6 +19,7 @@ import numpy as np
 from qakb.aliasindex import (
     AliasIndex,
     CandidateEntity,
+    relation_tokens,
     retrieve_candidates,
     retrieve_question_candidates,
     tokenize,
@@ -54,9 +55,7 @@ TAG_ORDER = ("c", "e")
 
 def matcher_tokens(text: str) -> list[str]:
     """Token sequence for matcher input; relation paths split on '/'."""
-    if text.startswith("/"):
-        return [seg for seg in text.split("/") if seg]
-    return tokenize(text)
+    return relation_tokens(text) if text.startswith("/") else tokenize(text)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +335,7 @@ class Prediction:
 
 
 def _question_candidates(
-    session: "PipelineSession", question: str
+    session: "PipelineStrategy", question: str
 ) -> tuple[list[CandidateEntity], list[str]]:
     """Detected-span candidates, falling back to whole-question grams.
 
@@ -360,7 +359,7 @@ def _question_candidates(
     return cands, span_list
 
 
-def _relation_scores(session: "PipelineSession", question: str,
+def _relation_scores(session: "PipelineStrategy", question: str,
                      cands: Sequence[CandidateEntity]) -> dict[str, float]:
     relations = sorted({r for c in cands
                         for r in relations_of(session.kb, c.id)})
@@ -373,7 +372,7 @@ def _argmax_relation(scores: dict[str, float]) -> str:
     return min(scores, key=lambda r: (-scores[r], r))
 
 
-def _type_score(session: "PipelineSession", question: str,
+def _type_score(session: "PipelineStrategy", question: str,
                 entity: str) -> float:
     """Type-matcher score for an entity; untyped entities contribute 0."""
     label = notable_type(session.kb, entity)
@@ -394,7 +393,7 @@ def _base_trace(span_list: list[str], cands: Sequence[CandidateEntity],
     }
 
 
-def _rank_holders(session: "PipelineSession", question: str,
+def _rank_holders(session: "PipelineStrategy", question: str,
                   fields: tuple[str, ...]) -> Prediction:
     """Argmax relation over all candidates; its holders are ordered by the
     strategy's context ``fields`` in turn (highest out-degree, highest type
@@ -424,7 +423,7 @@ def _rank_holders(session: "PipelineSession", question: str,
                       s=s_r if s_t is None else s_t + s_r, trace=trace)
 
 
-def _rank_pairs(session: "PipelineSession", question: str,
+def _rank_pairs(session: "PipelineStrategy", question: str,
                 fields: tuple[str, ...]) -> Prediction:
     """Rank (entity, best-own-relation) pairs by type + relation score,
     then out-degree; ``fields`` is ``("type",)``, which the score holds."""
@@ -482,34 +481,38 @@ def _session_scorer(matcher) -> Optional[Callable[[str, str], float]]:
     return None if matcher is None else matcher.score
 
 
-class PipelineSession:
-    """Answers a stream of questions with one set of stages, graph-free.
+class PipelineStrategy:
+    """One ranking strategy, named as on the CLI, over one set of stages:
+    answers a stream of questions graph-free, as one session.
 
     Each recurrent matcher encodes a relation path or type label once per
-    session and a question once per question (see MatchEncodings).  A
-    session must not outlive a change to the models' weights.
+    session and a question once per question (see MatchEncodings), so a
+    session must not outlive a change to the models' weights.  An unknown
+    strategy, or one that consults the type without a type matcher,
+    raises ValueError when the object is built.
     """
 
-    def __init__(self, models: PipelineModels, kb: KnowledgeBase,
+    def __init__(self, name: str, models: PipelineModels, kb: KnowledgeBase,
                  index: AliasIndex):
-        self.models = models
-        self.kb = kb
-        self.index = index
+        self.context_fields = context_fields(name)
+        if "type" in self.context_fields and models.type_matcher is None:
+            raise ValueError(f"{name} requires a type matcher")
+        self.name, self.label = name, ("strategy", name)
+        self.models, self.kb, self.index = models, kb, index
         self.relation_score = _session_scorer(models.relation_matcher)
         self.type_score = _session_scorer(models.type_matcher)
 
-    def predict(self, strategy: str, question: str) -> Prediction:
-        """One answer under a ranking strategy named as on the CLI."""
-        if ("type" in context_fields(strategy)
-                and self.models.type_matcher is None):
-            raise ValueError(f"{strategy} requires a type matcher")
-        ranker, fields = _RANKINGS[strategy]
+    def prediction(self, question: str) -> Prediction:
+        """The answer with its score decomposition and ranking trace."""
+        ranker, fields = _RANKINGS[self.name]
         with no_grad():
             return ranker(self, question, fields)
 
-
-def predict(strategy: str, question: str, models: PipelineModels,
-            kb: KnowledgeBase, index: AliasIndex) -> Prediction:
-    """One answer from a fresh session."""
-    return PipelineSession(models, kb, index).predict(strategy, question)
-
+    def answer(self, question: str) -> tuple[str, str, dict[str, float]]:
+        """``(entity, relation, scores)``; NoCandidates or NoRelation when
+        there is no answer."""
+        p = self.prediction(question)
+        scores = {"s_r": p.s_r, "s": p.s}
+        if p.s_t is not None:
+            scores["s_t"] = p.s_t
+        return p.entity, p.relation, scores

@@ -268,6 +268,69 @@ class TestExitCodes:
         assert run(capsys, *argv, "--out", str(tmp_path / "o"),
                    "--seed", "1")[0] != 1
 
+    @pytest.mark.parametrize("source, named", [
+        ("flag", "--seed -1"), ("config", "--config seed=-1"),
+        ("env", "QAKB_SEED=-2")])
+    @pytest.mark.parametrize("command", ["synth", "train-pipeline",
+                                         "train-e2e"])
+    def test_negative_seed_is_usage_error(self, capsys, bench, tmp_path,
+                                          monkeypatch, command, source,
+                                          named):
+        argv = _command_argv(command, bench, tmp_path)
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed=-1\n")
+            argv += ["--config", str(cfg)]
+        else:
+            monkeypatch.setenv("QAKB_SEED", "-2")
+        capsys.readouterr()
+        code, stdout, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert stdout == "" and "Traceback" not in err
+        assert err == f"error: {named}: a seed must be non-negative\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "synth", "train-pipeline",
+                                         "ingest"])
+    def test_unwritable_output_is_data_error(self, capsys, bench, tmp_path,
+                                             command):
+        """An existing file as the output directory, or an output file in
+        a missing directory, exits 2 naming the path."""
+        argv = _command_argv(command, bench, tmp_path)
+        if command == "ingest":
+            out = tmp_path / "absent" / "kb.qakb"
+        else:
+            out = tmp_path / "taken"
+            out.write_text("")
+        capsys.readouterr()
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert stdout == "" and "Traceback" not in err
+        assert err.startswith(f"error: {out}: ")
+
+
+def _command_argv(command, bench, tmp_path):
+    """Arguments, all but ``--out``, that run ``command`` on the bench."""
+    kb, train = str(bench / "kb.qakb"), str(bench / "train.tsv")
+    if command == "train-pipeline":
+        data = tmp_path / "data"
+        assert main(["gen-data", "--kb", kb, "--questions", train,
+                     "--out", str(data)]) == 0
+        return ["train-pipeline", "--data", str(data), "--epochs", "1",
+                "--hidden-size", "4"]
+    if command == "ingest":
+        facts = tmp_path / "facts.tsv"
+        facts.write_text("m.0a1\t/d/x/r\tm.0o1\n")
+        return ["ingest", "--facts", str(facts)]
+    return {"synth": ["synth", "--entities", "10"],
+            "train-e2e": ["train-e2e", "--kb", kb, "--questions", train,
+                          "--variant", "qa-t", "--epochs", "1",
+                          "--hidden-size", "4"],
+            "eval": ["eval", "--kb", kb, "--questions", train, "--oracle",
+                     "--strategy", "p-qa"]}[command]
+
 
 class TestSynth:
     def test_writes_benchmark_files(self, bench):
@@ -355,6 +418,43 @@ class TestIngest:
         assert code == 0
         assert out.is_file()
         assert "1 facts" in stdout
+
+    @pytest.mark.parametrize("types", [
+        "m.0a01\t   \nm.0a02\tfilm\n",
+        "<http://rdf.freebase.com/ns/m.0a01> "
+        "<http://rdf.freebase.com/ns/common.topic.notable_types> "
+        "<http://rdf.freebase.com/ns/m.0t> .\n"
+        '<http://rdf.freebase.com/ns/m.0t> '
+        '<http://rdf.freebase.com/ns/type.object.name> "" .\n'])
+    def test_blank_type_label_leaves_entity_untyped(self, tmp_path, capsys,
+                                                    types):
+        """A type-channel model answers for an entity whose type label is
+        blank, treating it as untyped."""
+        (tmp_path / "facts.tsv").write_text(
+            "m.0a01\t/d/x/founded\tm.0o1\nm.0a02\t/d/x/founded\tm.0o2\n")
+        (tmp_path / "aliases.tsv").write_text(
+            "m.0a01\tacme\nm.0a02\tacme\n")
+        (tmp_path / "types.txt").write_text(types)
+        (tmp_path / "q.tsv").write_text(
+            "m.0a01\t/d/x/founded\tm.0o1\twho founded acme\n")
+        kb, model = str(tmp_path / "kb.qakb"), str(tmp_path / "m.nn")
+        assert main(["ingest", "--facts", str(tmp_path / "facts.tsv"),
+                     "--aliases", str(tmp_path / "aliases.tsv"),
+                     "--types", str(tmp_path / "types.txt"),
+                     "--out", kb]) == 0
+        assert main(["train-e2e", "--kb", kb, "--questions",
+                     str(tmp_path / "q.tsv"), "--variant", "qa-t-mwst",
+                     "--out", model, "--epochs", "1", "--hidden-size", "4",
+                     "--max-len", "6"]) == 0
+        (tmp_path / "q.txt").write_text("who founded acme\n")
+        capsys.readouterr()
+        code, stdout, err = run(capsys, "answer", "--kb", kb, "--model",
+                                model, "--variant", "qa-t-mwst",
+                                "--questions", str(tmp_path / "q.txt"))
+        assert code == 0, err
+        record = json.loads(stdout)
+        assert record["relation"] == "/d/x/founded"
+        assert "s_qt" in record["scores"]
 
     def test_bad_facts_line_is_data_error(self, tmp_path, capsys):
         facts = tmp_path / "facts.tsv"

@@ -9,18 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from qakb.aliasindex import build_index, tokenize
+from qakb.aliasindex import build_index, relation_tokens, tokenize
 from qakb.datagen import NegativePools, make_question
 from qakb.e2e import (
     E2EModel,
-    E2ESession,
+    E2EStrategy,
     E2EVariant,
     FactScore,
     ScoringHead,
     VARIANTS,
     WordEncoder,
     _StepBatch,
-    _relation_tokens,
     _training_vocab,
     answer,
     subject_text,
@@ -29,7 +28,7 @@ from qakb.e2e import (
     variant_name,
 )
 from qakb.errors import EmptySequence, EmptyTrainingSet, NoCandidates
-from qakb.evalharness import E2EStrategy, SyntheticSpec, generate_synthetic
+from qakb.evalharness import SyntheticSpec, generate_synthetic
 from qakb.kb import Fact, build_kb, notable_type
 import qakb.nn.layers
 import qakb.nn.tensor
@@ -340,8 +339,8 @@ class TestSubjectText:
 def _fact_score(model, kb, question, fact):
     """The record a fresh session gives ``fact`` among a question's
     answers."""
-    (fs,) = [fs for fs in E2ESession(model, kb, build_index(kb),
-                                     model.variant).answer(question, k=99)
+    (fs,) = [fs for fs in E2EStrategy(model, model.variant, kb,
+                                      build_index(kb)).top(question, k=99)
              if fs.fact == fact]
     return fs
 
@@ -499,7 +498,7 @@ def _kb_texts(kb, variant):
     relation paths and type labels."""
     texts = {tuple(tokenize(subject_text(kb, f.subject, variant.type_in_label)))
              for f in kb.facts}
-    texts |= {tuple(_relation_tokens(f.relation)) for f in kb.facts}
+    texts |= {tuple(relation_tokens(f.relation)) for f in kb.facts}
     texts |= {tuple(tokenize(notable_type(kb, f.subject)))
               for f in kb.facts if notable_type(kb, f.subject) is not None}
     return texts
@@ -526,7 +525,7 @@ def _per_fact_scores(model, kb, question, facts, variant):
     for fact in facts:
         channels = [cos(tokenize(subject_text(kb, fact.subject,
                                               variant.type_in_label))),
-                    cos(_relation_tokens(fact.relation))]
+                    cos(relation_tokens(fact.relation))]
         if variant.type_as_task:
             label = notable_type(kb, fact.subject)
             channels.append(0.0 if label is None else cos(tokenize(label)))
@@ -564,16 +563,16 @@ class TestSession:
                              small_cfg(epochs=1))
         for od in (False, True):
             variant = variant_from_name(name, out_degree_sort=od)
-            session = E2ESession(model, kb, index, variant)
+            session = E2EStrategy(model, variant, kb, index)
             for _ in range(2):
                 for q in questions:
                     try:
                         expect = answer(model, kb, index, q, variant, k=50)
                     except NoCandidates:
                         with pytest.raises(NoCandidates):
-                            session.answer(q, k=50)
+                            session.top(q, k=50)
                         continue
-                    assert session.answer(q, k=50) == expect
+                    assert session.top(q, k=50) == expect
                     # and equal to the uncached, graph-building path
                     assert expect == _per_fact_scores(
                         model, kb, q, [fs.fact for fs in expect], variant)
@@ -583,7 +582,7 @@ class TestSession:
         kb, index, qs, pools, questions = synth
         variant = VARIANTS["qa-t-mwst"]
         model, _ = train_e2e(qs, kb, pools, variant, small_cfg(epochs=1))
-        session = E2ESession(model, kb, index, variant)
+        session = E2EStrategy(model, variant, kb, index)
         calls = []
         encode = model.encode_text
 
@@ -594,7 +593,7 @@ class TestSession:
         model.encode_text = counting
         for q in questions:
             try:
-                session.answer(q)
+                session.top(q)
             except NoCandidates:
                 pass
         kb_calls = [t for t in calls if t in _kb_texts(kb, variant)]
@@ -603,7 +602,7 @@ class TestSession:
         answered = 0
         for q in questions:
             try:
-                session.answer(q)
+                session.top(q)
                 answered += 1
             except NoCandidates:
                 pass
@@ -616,11 +615,11 @@ class TestSession:
         model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-s"],
                              small_cfg(epochs=1))
         w0, w1 = _head_weights(model.head)
-        session = E2ESession(model, kb, index, VARIANTS["qa-s"])
+        session = E2EStrategy(model, VARIANTS["qa-s"], kb, index)
         checked = 0
         for q in questions:
             try:
-                scored = session.answer(q, k=50)
+                scored = session.top(q, k=50)
             except NoCandidates:
                 continue
             for fs in scored:
@@ -635,9 +634,9 @@ class TestSession:
         model, _ = train_e2e(qs, kb, pools, variant, small_cfg())
         index = build_index(kb)
         q = "who sings yesterday"
-        before = E2ESession(model, kb, index, variant).answer(q, k=4)
+        before = E2EStrategy(model, variant, kb, index).top(q, k=4)
         model.encoder.lstm._p["W_i"].data += 0.37
-        after = E2ESession(model, kb, index, variant).answer(q, k=4)
+        after = E2EStrategy(model, variant, kb, index).top(q, k=4)
         assert after != before
         assert after == answer(model, kb, index, q, variant, k=4)
 
@@ -645,8 +644,8 @@ class TestSession:
         kb = song_kb()
         qs, pools = song_training_set(kb)
         model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-t"], small_cfg())
-        session = E2ESession(model, kb, build_index(kb), VARIANTS["qa-t"])
-        session.answer("who sings yesterday")
+        session = E2EStrategy(model, VARIANTS["qa-t"], kb, build_index(kb))
+        session.top("who sings yesterday")
         assert session.texts.table
         for vec in session.texts.table.values():
             assert vec._backward_fn is None and not vec.requires_grad
@@ -659,18 +658,17 @@ class TestSessionVariantGuard:
                          np.random.default_rng(0))
         index = build_index(kb)
         with pytest.raises(ValueError, match="qa-t.*qa-t-mwst"):
-            E2ESession(model, kb, index, VARIANTS["qa-t"])
+            E2EStrategy(model, VARIANTS["qa-t"], kb, index)
         with pytest.raises(ValueError, match="qa-t-mwst"):
             answer(model, kb, index, "who sings yesterday", VARIANTS["qa-t"])
-        with pytest.raises(ValueError, match="qa-t-mwst"):
-            E2EStrategy(model, VARIANTS["qa-t"], kb, index)
 
     def test_only_out_degree_sort_may_differ(self):
         kb = song_kb()
         model = E2EModel(["yesterday"], small_cfg(), VARIANTS["qa-t"],
                          np.random.default_rng(0))
-        session = E2ESession(model, kb, build_index(kb),
-                             variant_from_name("qa-t", out_degree_sort=True))
+        session = E2EStrategy(model,
+                              variant_from_name("qa-t", out_degree_sort=True),
+                              kb, build_index(kb))
         assert session.variant.out_degree_sort
 
 
@@ -773,7 +771,7 @@ def _per_text_loss(model, kb, q, neg_subject, neg_pred, cfg, rng):
         return encode(tokenize(subject_text(kb, entity, variant.type_in_label)))
 
     def enc_relation(relation):
-        return encode(_relation_tokens(relation))
+        return encode(relation_tokens(relation))
 
     q_vec = encode(tokenize(q.text))
     pos_s = cosine(q_vec, enc_subject(q.gold.subject))
@@ -1017,7 +1015,7 @@ def _old_training_vocab(dataset, kb):
         if rec.notable_type is not None:
             toks.update(tokenize(rec.notable_type))
     for fact in kb.facts:
-        toks.update(_relation_tokens(fact.relation))
+        toks.update(relation_tokens(fact.relation))
     return sorted(toks)
 
 

@@ -11,7 +11,7 @@ from qakb.aliasindex import build_index, tokenize
 from qakb.datagen import make_question, serialize_questions_tsv
 from qakb.e2e import E2EModel, VARIANTS, train_e2e, variant_from_name
 from qakb.datagen import NegativePools
-from qakb.errors import EmptyEvalSet
+from qakb.errors import EmptyEvalSet, NoCandidates
 from qakb.evalharness import (
     ERROR_CLASSES,
     E2EStrategy,
@@ -24,6 +24,7 @@ from qakb.evalharness import (
     evaluate,
     generate_synthetic,
     oracle_models,
+    predict,
     report_write,
 )
 from qakb.kb import Fact, build_kb, out_degree, save_kb
@@ -112,8 +113,10 @@ class _FixedStrategy:
         self.answers = answers
         self.context_fields = context_fields
 
-    def predict(self, question):
-        return self.answers.get(question)
+    def answer(self, question):
+        if self.answers.get(question) is None:
+            raise NoCandidates(question)
+        return (*self.answers[question], {})
 
 
 class TestEvaluate:
@@ -255,7 +258,7 @@ class TestSyntheticGenerator:
         base = PipelineStrategy("p-qa", models, kb, index)
         ranked = PipelineStrategy("p-qa-out", models, kb, index)
         for q in dataset:
-            assert base.predict(q.text) == ranked.predict(q.text)
+            assert predict(base, q.text) == predict(ranked, q.text)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -264,12 +267,6 @@ class TestSyntheticGenerator:
             SyntheticSpec(seed=1, collision_rate=1.5)
         with pytest.raises(ValueError):
             SyntheticSpec(seed=1, test_fraction=1.0)
-
-    def test_template_without_placeholder_rejected(self):
-        spec = SyntheticSpec(seed=1, n_entities=4, n_relations=1,
-                             templates={"/synth/fact/x": ["no placeholder"]})
-        with pytest.raises(ValueError):
-            generate_synthetic(spec)
 
     def test_default_templates_carry_relation_word(self):
         t = default_templates(["/synth/fact/waldo"])
@@ -338,9 +335,9 @@ class TestE2EStrategyAdapter:
         model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-t"], cfg)
         strat = E2EStrategy(model, VARIANTS["qa-t"], kb, build_index(kb))
         assert strat.context_fields == ()
-        assert strat.predict("who sings yesterday") == \
+        assert predict(strat, "who sings yesterday") == \
             ("m.0a1", "/music/recording/artist")
-        assert strat.predict("zzz") is None
+        assert predict(strat, "zzz") is None
 
     def test_context_fields_follow_variant(self):
         kb = build_kb([Fact("m.0a1", "/a/b/c", "m.0b1")], [("m.0a1", "x")])

@@ -244,6 +244,20 @@ class TestTypeIngestion:
         ]
         assert parse_type_lines(lines).resolve() == []
 
+    def test_blank_labels_dropped(self):
+        """A blank label or type name leaves its entity untyped, as a blank
+        alias is dropped."""
+        data = parse_type_lines(["m.0a1\t   \n", "m.0a2\tfilm\n"])
+        assert data.resolve() == [("m.0a2", "film")]
+        lines = [
+            "<http://rdf.freebase.com/ns/m.x> "
+            "<http://rdf.freebase.com/ns/common.topic.notable_types> "
+            "<http://rdf.freebase.com/ns/m.t> .",
+            '<http://rdf.freebase.com/ns/m.t> '
+            '<http://rdf.freebase.com/ns/type.object.name> "" .',
+        ]
+        assert parse_type_lines(lines).resolve() == []
+
 
 class TestBuildKb:
     def test_out_degree_counts_facts(self):

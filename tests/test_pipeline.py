@@ -11,8 +11,8 @@ import qakb.nn.tensor
 from qakb.aliasindex import build_index, tokenize
 from qakb.datagen import LabeledQuestion, label_questions
 from qakb.errors import EmptyTrainingSet, NoCandidates, NoRelation
-from qakb.evalharness import (PipelineStrategy, SyntheticSpec,
-                              generate_synthetic)
+from qakb.evalharness import (SyntheticSpec, answer_record,
+                              generate_synthetic, predict)
 from qakb.kb import Fact, build_kb
 from qakb.nn import (TrainConfig, as_tensor, bidirectional_encode, dropout,
                      finite_diff_check, fit, loss_binary_ce,
@@ -23,11 +23,10 @@ from qakb.pipeline import (
     STRATEGIES,
     MatcherModel,
     PipelineModels,
-    PipelineSession,
+    PipelineStrategy,
     TaggerModel,
     context_fields,
     matcher_tokens,
-    predict,
     spans,
     tag_question,
     train_matcher,
@@ -48,6 +47,11 @@ class SpanOracleTagger:
             dtype=float,
         ).reshape(len(tokens), 2)
         return as_tensor(rows)
+
+
+def _prediction(strategy, question, models, kb, index):
+    """The prediction of a fresh strategy object."""
+    return PipelineStrategy(strategy, models, kb, index).prediction(question)
 
 
 class TableMatcher:
@@ -233,7 +237,7 @@ class TestPredictPQA:
         index = build_index(kb)
         q = "what color is beta corp"
         models = _models({"beta", "corp"}, {(q, "/d/y/color"): 0.8})
-        p = predict("p-qa", q, models, kb, index)
+        p = _prediction("p-qa", q, models, kb, index)
         assert (p.entity, p.relation) == ("m.0bbb", "/d/y/color")
         assert p.s_t is None and p.s == p.s_r == 0.8
 
@@ -242,7 +246,7 @@ class TestPredictPQA:
         index = build_index(kb)
         q = "who founded acme"
         models = _models({"acme"}, {(q, "/d/x/founded"): 0.9})
-        p = predict("p-qa", q, models, kb, index)
+        p = _prediction("p-qa", q, models, kb, index)
         assert p.relation == "/d/x/founded"
         assert p.entity == "m.0a01"
 
@@ -253,7 +257,7 @@ class TestPredictPQA:
         )
         index = build_index(kb)
         models = _models({"widget"}, {}, rel_default=0.5)
-        p = predict("p-qa", "about widget", models, kb, index)
+        p = _prediction("p-qa", "about widget", models, kb, index)
         assert p.relation == "/d/x/a"
 
     def test_all_context_falls_back_to_question_grams(self):
@@ -261,7 +265,7 @@ class TestPredictPQA:
         index = build_index(kb)
         q = "who founded acme"
         models = _models(set(), {(q, "/d/x/founded"): 0.9})
-        p = predict("p-qa", q, models, kb, index)
+        p = _prediction("p-qa", q, models, kb, index)
         assert p.entity == "m.0a01" and p.relation == "/d/x/founded"
 
     def test_unmatchable_question_raises(self):
@@ -269,14 +273,14 @@ class TestPredictPQA:
         index = build_index(kb)
         models = _models({"qqq"}, {})
         with pytest.raises(NoCandidates):
-            predict("p-qa", "qqq zzz", models, kb, index)
+            _prediction("p-qa", "qqq zzz", models, kb, index)
 
     def test_empty_question_raises(self):
         kb = _ambiguous_kb()
         index = build_index(kb)
         models = _models(set(), {})
         with pytest.raises(NoCandidates):
-            predict("p-qa", "", models, kb, index)
+            _prediction("p-qa", "", models, kb, index)
 
     def test_candidate_without_facts_raises_no_relation(self):
         kb = build_kb(
@@ -286,14 +290,14 @@ class TestPredictPQA:
         index = build_index(kb)
         models = _models({"ghost"}, {})
         with pytest.raises(NoRelation):
-            predict("p-qa", "about ghost", models, kb, index)
+            _prediction("p-qa", "about ghost", models, kb, index)
 
     def test_trace_structure(self):
         kb = _ambiguous_kb()
         index = build_index(kb)
         q = "who founded acme"
         models = _models({"acme"}, {(q, "/d/x/founded"): 0.9})
-        p = predict("p-qa", q, models, kb, index)
+        p = _prediction("p-qa", q, models, kb, index)
         assert p.trace["spans"] == ["acme"]
         ids = [c[0] for c in p.trace["candidates"]]
         assert ids == ["m.0a01", "m.0g01"]
@@ -307,8 +311,8 @@ class TestPredictPQAOut:
         index = build_index(kb)
         q = "who founded acme"
         models = _models({"acme"}, {(q, "/d/x/founded"): 0.9})
-        baseline = predict("p-qa", q, models, kb, index)
-        ranked = predict("p-qa-out", q, models, kb, index)
+        baseline = _prediction("p-qa", q, models, kb, index)
+        ranked = _prediction("p-qa-out", q, models, kb, index)
         assert baseline.entity == "m.0a01"
         assert ranked.entity == "m.0g01"
         assert ranked.relation == baseline.relation == "/d/x/founded"
@@ -318,8 +322,8 @@ class TestPredictPQAOut:
         index = build_index(kb)
         q = "what color is beta corp"
         models = _models({"beta", "corp"}, {(q, "/d/y/color"): 0.8})
-        baseline = predict("p-qa", q, models, kb, index)
-        ranked = predict("p-qa-out", q, models, kb, index)
+        baseline = _prediction("p-qa", q, models, kb, index)
+        ranked = _prediction("p-qa-out", q, models, kb, index)
         assert (ranked.entity, ranked.relation) == (
             baseline.entity, baseline.relation
         )
@@ -332,7 +336,7 @@ class TestPredictPQAOut:
         index = build_index(kb)
         q = "who runs acme corp"
         models = _models({"acme", "corp"}, {}, rel_default=0.5)
-        p = predict("p-qa-out", q, models, kb, index)
+        p = _prediction("p-qa-out", q, models, kb, index)
         # both hold the relation with out-degree 1; "acme corp" scores
         # 2/(3*2) against the shorter alias and 2/(4*2) against the longer
         assert p.entity == "m.0zz1"
@@ -348,7 +352,7 @@ class TestPredictPQAType:
             {(q, "/d/x/founded"): 0.9},
             type_table={(q, "musical recording"): 0.9, (q, "film"): 0.1},
         )
-        p = predict("p-qa-type", q, models, kb, index)
+        p = _prediction("p-qa-type", q, models, kb, index)
         assert p.entity == "m.0g01"
         assert p.relation == "/d/x/founded"
         assert p.s == p.s_t + p.s_r
@@ -360,7 +364,7 @@ class TestPredictPQAType:
         q = "what color is beta corp"
         models = _models({"beta", "corp"}, {(q, "/d/y/color"): 0.8},
                          type_table={}, type_default=0.7)
-        p = predict("p-qa-type", q, models, kb, index)
+        p = _prediction("p-qa-type", q, models, kb, index)
         assert p.entity == "m.0bbb"
         assert p.s_t == 0.0
         assert p.s == p.s_r
@@ -378,7 +382,7 @@ class TestPredictPQAType:
             {(q, "/d/x/r1"): 0.9, (q, "/d/x/r2"): 0.7},
             type_table={(q, "t two"): 0.5},
         )
-        p = predict("p-qa-type", q, models, kb, index)
+        p = _prediction("p-qa-type", q, models, kb, index)
         assert (p.entity, p.relation) == ("m.0c2", "/d/x/r2")
         assert p.s == pytest.approx(1.2)
 
@@ -391,7 +395,7 @@ class TestPredictPQAType:
             {(q, "/d/x/founded"): 0.9},
             type_table={(q, "musical recording"): 0.9, (q, "film"): 0.1},
         )
-        p = predict("p-qa-type", q, models, kb, index)
+        p = _prediction("p-qa-type", q, models, kb, index)
         scores = [pair[4] for pair in p.trace["pairs"]]
         assert scores == sorted(scores, reverse=True)
 
@@ -403,7 +407,7 @@ class TestPredictPQAType:
         assert typed == ["p-qa-type", "p-qa-out-type", "p-qa-type-out"]
         for strategy in typed:
             with pytest.raises(ValueError, match="type matcher"):
-                predict(strategy, "who founded acme", models, kb, index)
+                PipelineStrategy(strategy, models, kb, index)
 
 
 class TestPredictCombo:
@@ -418,7 +422,7 @@ class TestPredictCombo:
         models = self._acme_models(
             q, {(q, "film"): 0.95, (q, "musical recording"): 0.05}
         )
-        p = predict("p-qa-out-type", q, models, kb, index)
+        p = _prediction("p-qa-out-type", q, models, kb, index)
         assert p.entity == "m.0g01"
 
     def test_type_first_overrides_degree(self):
@@ -428,7 +432,7 @@ class TestPredictCombo:
         models = self._acme_models(
             q, {(q, "film"): 0.95, (q, "musical recording"): 0.05}
         )
-        p = predict("p-qa-type-out", q, models, kb, index)
+        p = _prediction("p-qa-type-out", q, models, kb, index)
         assert p.entity == "m.0a01"
 
     def test_degree_tie_broken_by_type(self):
@@ -448,7 +452,7 @@ class TestPredictCombo:
         models = self._acme_models(
             q, {(q, "musical recording"): 0.9, (q, "film"): 0.1}
         )
-        p = predict("p-qa-out-type", q, models, kb, index)
+        p = _prediction("p-qa-out-type", q, models, kb, index)
         assert p.entity == "m.0g01"
         assert p.s == p.s_t + p.s_r
 
@@ -457,7 +461,7 @@ class TestPredictCombo:
         index = build_index(kb)
         q = "who founded acme"
         models = self._acme_models(q, {}, type_default=0.3)
-        p = predict("p-qa-type-out", q, models, kb, index)
+        p = _prediction("p-qa-type-out", q, models, kb, index)
         assert p.entity == "m.0g01"
 
     def test_single_holder_orders_agree(self):
@@ -466,8 +470,8 @@ class TestPredictCombo:
         q = "what color is beta corp"
         models = _models({"beta", "corp"}, {(q, "/d/y/color"): 0.8},
                          type_table={}, type_default=0.6)
-        first = predict("p-qa-out-type", q, models, kb, index)
-        second = predict("p-qa-type-out", q, models, kb, index)
+        first = _prediction("p-qa-out-type", q, models, kb, index)
+        second = _prediction("p-qa-type-out", q, models, kb, index)
         assert (first.entity, first.relation, first.s) == (
             second.entity, second.relation, second.s
         )
@@ -481,7 +485,7 @@ class TestPredictCombo:
         index = build_index(kb)
         q = "who founded acme"
         models = self._acme_models(q, {(q, "film"): 0.7})
-        p = predict(strategy, q, models, kb, index)
+        p = _prediction(strategy, q, models, kb, index)
         assert [len(row) for row in p.trace["holders"]] == [row_len] * 2
         assert (p.s_t is None) == (row_len == 3)
 
@@ -490,7 +494,7 @@ class TestPredictCombo:
         index = build_index(kb)
         models = _models({"acme"}, {}, type_table={})
         with pytest.raises(ValueError):
-            predict("p-qa-typefirst", "who founded acme", models, kb, index)
+            PipelineStrategy("p-qa-typefirst", models, kb, index)
 
 
 class TestPredictDispatcher:
@@ -503,11 +507,11 @@ class TestPredictDispatcher:
             {(q, "/d/x/founded"): 0.9},
             type_table={(q, "musical recording"): 0.9, (q, "film"): 0.1},
         )
-        assert predict("p-qa", q, models, kb, index).entity == "m.0a01"
-        assert predict("p-qa-out", q, models, kb, index).entity == "m.0g01"
-        assert predict("p-qa-type", q, models, kb, index).entity == "m.0g01"
+        assert _prediction("p-qa", q, models, kb, index).entity == "m.0a01"
+        assert _prediction("p-qa-out", q, models, kb, index).entity == "m.0g01"
+        assert _prediction("p-qa-type", q, models, kb, index).entity == "m.0g01"
         for combo in ("p-qa-out-type", "p-qa-type-out"):
-            p = predict(combo, q, models, kb, index)
+            p = _prediction(combo, q, models, kb, index)
             assert (p.entity, p.relation) == ("m.0g01", "/d/x/founded")
             assert p.s == p.s_t + p.s_r == 1.8
 
@@ -516,14 +520,15 @@ class TestPredictDispatcher:
         index = build_index(kb)
         models = _models({"acme"}, {})
         with pytest.raises(ValueError):
-            predict("p-qa-x", "who founded acme", models, kb, index)
+            PipelineStrategy("p-qa-x", models, kb, index)
         with pytest.raises(ValueError):
             context_fields("p-qa-x")
 
 
 class TestSession:
-    """A session predicts exactly as fresh one-shot calls and the uncached
-    matcher do, bit for bit, while encoding each KB text once."""
+    """A strategy object reused over a stream of questions predicts exactly
+    as fresh objects and the uncached matcher do, bit for bit, while
+    encoding each KB text once."""
 
     @pytest.fixture(scope="class")
     def stack(self):
@@ -550,16 +555,16 @@ class TestSession:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_reused_session_matches_one_shot(self, stack, strategy):
         kb, index, models, questions = stack
-        session = PipelineSession(models, kb, index)
+        session = PipelineStrategy(strategy, models, kb, index)
         for _ in range(2):
             for q in questions:
                 try:
-                    expect = predict(strategy, q, models, kb, index)
+                    expect = _prediction(strategy, q, models, kb, index)
                 except (NoCandidates, NoRelation) as exc:
                     with pytest.raises(type(exc)):
-                        session.predict(strategy, q)
+                        session.prediction(q)
                     continue
-                got = session.predict(strategy, q)
+                got = session.prediction(q)
                 assert got == expect  # trace included
                 for rel, s_r in got.trace["relations"]:
                     # no session encodings: both sides encoded afresh
@@ -567,7 +572,7 @@ class TestSession:
 
     def test_each_text_encoded_once(self, stack, monkeypatch):
         kb, index, models, questions = stack
-        session = PipelineSession(models, kb, index)
+        session = PipelineStrategy("p-qa-type", models, kb, index)
         calls = []
         encode = MatcherModel.encode
 
@@ -582,7 +587,7 @@ class TestSession:
             asked = 0
             for q in questions:
                 try:
-                    session.predict("p-qa-type", q)
+                    session.prediction(q)
                     asked += 1
                 except NoCandidates:
                     pass
@@ -596,13 +601,12 @@ class TestSession:
     def test_new_session_sees_weight_change(self, stack):
         kb, index, models, questions = stack
         q = questions[0]
-        before = PipelineSession(models, kb, index).predict("p-qa", q)
+        before = _prediction("p-qa", q, models, kb, index)
         vectors = models.relation_matcher.embedding.vectors
         saved = vectors.data.copy()
         try:
             vectors.data += 0.5
-            after = PipelineSession(models, kb, index).predict("p-qa", q)
-            assert after == predict("p-qa", q, models, kb, index)
+            after = _prediction("p-qa", q, models, kb, index)
         finally:
             vectors.data[...] = saved
         assert after.trace["relations"] != before.trace["relations"]
@@ -615,7 +619,7 @@ class TestAnswerRecord:
         q = "what color is beta corp"
         models = _models({"beta", "corp"}, {(q, "/d/y/color"): 0.8})
         strategy = PipelineStrategy("p-qa", models, kb, index)
-        record = json.loads(strategy.answer_record(q))
+        record = json.loads(answer_record(strategy, q))
         assert record["question"] == q
         assert record["entity"] == "m.0bbb"
         assert record["relation"] == "/d/y/color"
@@ -631,9 +635,9 @@ class TestAnswerRecord:
                                     build_index(kb))
         for q, error in (("zzz", "no_candidates"),
                          ("about ghost", "no_relation")):
-            assert json.loads(strategy.answer_record(q)) == {
+            assert json.loads(answer_record(strategy, q)) == {
                 "question": q, "error": error}
-            assert strategy.predict(q) is None
+            assert predict(strategy, q) is None
 
 
 class TestPersistence:

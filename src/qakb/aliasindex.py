@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 from qakb.kb import KnowledgeBase
 
@@ -191,13 +191,15 @@ def _best_gram(current: Optional[str], gram: str) -> str:
     return min(current, gram, key=lambda g: (-len(g.split()), g))
 
 
-def retrieve_candidates(index: AliasIndex, span_text: str) -> list[CandidateEntity]:
-    """Candidates for a detected entity span, exact matches first.
+def retrieve_candidates(index: AliasIndex, span: Union[str, Sequence[str]]
+                        ) -> list[CandidateEntity]:
+    """Candidates for a detected entity span, given as text or as its
+    tokens, exact matches first.
 
     Exact hits short-circuit the n-gram fallback entirely; the fallback
     unions all entities reached by the span's pruned grams.
     """
-    tokens = tokenize(span_text)
+    tokens = tokenize(span) if isinstance(span, str) else list(span)
     if not tokens:
         return []
     norm = " ".join(tokens)
@@ -219,15 +221,17 @@ def retrieve_candidates(index: AliasIndex, span_text: str) -> list[CandidateEnti
 
 
 def retrieve_question_candidates(
-    index: AliasIndex, question_text: str
+    index: AliasIndex, question: Union[str, Sequence[str]]
 ) -> list[CandidateEntity]:
-    """Candidates drawn from every n-gram of a whole question.
+    """Candidates drawn from every n-gram of a whole question, given as
+    text or as its tokens.
 
     Used when no entity span is available: all (unpruned) question grams
     are tried against the index, so any alias occurring anywhere in the
     question surfaces its entities.  Weighting is as in span fallback.
     """
-    tokens = tokenize(question_text)
+    tokens = (tokenize(question) if isinstance(question, str)
+              else list(question))
     hits: dict[str, str] = {}
     for gram in all_ngrams(tokens):
         for entity in index.gram_to_entities.get(gram, ()):

@@ -534,6 +534,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             LabelFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (``qakb answer ... | head -1``): end as
+        # a writer killed by SIGPIPE would, and point stdout at /dev/null
+        # so that the interpreter's flush at exit prints nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:  # a path that cannot be read or written
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename
               else f"error: {exc}", file=sys.stderr)

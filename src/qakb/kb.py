@@ -318,8 +318,9 @@ def parse_type_lines(lines: Iterable[str]) -> TypeData:
     if first.lstrip().startswith("<"):
         for subject, predicate, obj in parse_ntriples(buffered):
             if obj.is_literal:
-                if obj.value.strip() and obj.lang in (None, "en"):
-                    data.names[canonicalize_mid(subject)] = obj.value.lower()
+                name = obj.value.strip().lower()
+                if name and obj.lang in (None, "en"):
+                    data.names[canonicalize_mid(subject)] = name
             else:
                 relation = canonicalize_relation(predicate)
                 if relation != _TYPE_ASSIGN_RELATION:

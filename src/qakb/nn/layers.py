@@ -17,14 +17,12 @@ from qakb.errors import ShapeMismatch
 from qakb.nn.tensor import (
     Tensor,
     _make,
-    concat,
     gather_rows,
     logistic,
     matmul,
     mul,
     param,
     relu,
-    row,
     sigmoid,
     transpose,
     zeros,
@@ -120,11 +118,13 @@ class _GatedCell:
     """A recurrent cell's weights: per gate in the subclass's ``gates`` an
     input weight ``W_*``, a recurrent weight ``U_*`` and a bias ``b_*``.
 
-    A step works on ``[n, h]`` states, one row per sequence still running,
-    and takes every gate's input projection ``x @ W.T`` precomputed:
-    :func:`run_recurrent` projects all timesteps in one product before its
-    time loop, with the gates' weights stacked (:meth:`stacked`).  Each
-    kind of weight is one array with the gates' blocks stacked in
+    A step works on ``[n, h]`` states, one row per sequence still
+    running, or on ``[D, n, h]`` states with one such block per direction
+    of a run, the weights then stacked ``[D, ...]`` too.  It takes every
+    gate's input projection ``x @ W.T`` precomputed:
+    :func:`_recurrent_states` projects all timesteps in one product before
+    its time loop, with the gates' weights stacked (:meth:`stacked`).
+    Each kind of weight is one array with the gates' blocks stacked in
     ``gates`` order, and the per-gate parameters are views of its blocks,
     so a run reads the stacked weights without copying them.
     """
@@ -158,8 +158,9 @@ class _GatedCell:
         return (self._stacked["W"].T.copy(), self._stacked["U"],
                 self._stacked["b"])
 
-    def initial_state(self, rows: int) -> tuple[np.ndarray, ...]:
-        return tuple(np.zeros((rows, self.hidden_dim))
+    def initial_state(self, *rows: int) -> tuple[np.ndarray, ...]:
+        """Zero states of shape ``rows + (h,)``."""
+        return tuple(np.zeros(rows + (self.hidden_dim,))
                      for _ in self.state_parts)
 
 
@@ -175,32 +176,33 @@ class GRUCell(_GatedCell):
 
     def step(self, xw: np.ndarray, state: tuple[np.ndarray],
              u: np.ndarray, b: np.ndarray):
-        """One timestep on arrays, from the [n, 3h] input projections
-        ``xw`` and the stacked ``u`` and ``b``: the next state, and what
-        :meth:`step_backward` needs of this one (the input state first)."""
+        """One timestep on arrays, from the [..., n, 3h] input projections
+        ``xw`` and the stacked ``u`` ([..., 3h, h]) and ``b`` (broadcast
+        against ``xw``): the next state, and what :meth:`step_backward`
+        needs of this one (the input state first)."""
         (h,) = state
         H = self.hidden_dim
-        uh = h @ u.T
-        zr = logistic(xw[:, :2 * H] + uh[:, :2 * H] + b[:2 * H])
-        z, r = zr[:, :H], zr[:, H:]
-        u_n = uh[:, 2 * H:]
-        n = np.tanh(xw[:, 2 * H:] + r * u_n + b[2 * H:])
+        uh = h @ u.swapaxes(-1, -2)
+        zr = logistic(xw[..., :2 * H] + uh[..., :2 * H] + b[..., :2 * H])
+        z, r = zr[..., :H], zr[..., H:]
+        u_n = uh[..., 2 * H:]
+        n = np.tanh(xw[..., 2 * H:] + r * u_n + b[..., 2 * H:])
         return ((1.0 - z) * n + z * h,), (h, z, r, n, u_n)
 
     def step_backward(self, saved, d_state: tuple[np.ndarray],
                       u: np.ndarray):
         """Gradients of one step from the gradient of its output state:
-        (gradient of its input state, the [n, 3h] gradient of the
-        pre-activations that ``W`` and ``b`` feed, the [n, 3h] gradient of
-        the products ``U @ h``)."""
+        (gradient of its input state, the [..., n, 3h] gradient of the
+        pre-activations that ``W`` and ``b`` feed, the [..., n, 3h]
+        gradient of the products ``U @ h``)."""
         h, z, r, n, u_n = saved
         (dh,) = d_state
         da_n = dh * (1.0 - z) * (1.0 - n * n)
         da_z = dh * (h - n) * z * (1.0 - z)
         du_n = da_n * r
         da_r = da_n * u_n * r * (1.0 - r)
-        d_rec = np.concatenate([da_z, da_r, du_n], axis=1)
-        d_pre = np.concatenate([da_z, da_r, da_n], axis=1)
+        d_rec = np.concatenate([da_z, da_r, du_n], axis=-1)
+        d_pre = np.concatenate([da_z, da_r, da_n], axis=-1)
         return (dh * z + d_rec @ u,), d_pre, d_rec
 
 
@@ -220,10 +222,10 @@ class LSTMCell(_GatedCell):
         ``h`` first in what it keeps)."""
         h, c = state
         H = self.hidden_dim
-        a = xw + h @ u.T + b
+        a = xw + h @ u.swapaxes(-1, -2) + b
         gates = logistic(a)
-        i, f, o = gates[:, :H], gates[:, H:2 * H], gates[:, 3 * H:]
-        g = np.tanh(a[:, 2 * H:3 * H])
+        i, f, o = gates[..., :H], gates[..., H:2 * H], gates[..., 3 * H:]
+        g = np.tanh(a[..., 2 * H:3 * H])
         c_new = f * c + i * g
         tanh_c = np.tanh(c_new)
         return (o * tanh_c, c_new), (h, c, i, f, g, o, tanh_c)
@@ -238,95 +240,182 @@ class LSTMCell(_GatedCell):
         d_pre = np.concatenate([dc * g * i * (1.0 - i),
                                 dc * c * f * (1.0 - f),
                                 dc * i * (1.0 - g * g),
-                                dh * tanh_c * o * (1.0 - o)], axis=1)
+                                dh * tanh_c * o * (1.0 - o)], axis=-1)
         return (d_pre @ u, dc * f), d_pre, d_pre
 
 
-def _pack(lengths: np.ndarray, T: int, reverse: bool
-          ) -> tuple[np.ndarray, list[int]]:
+def _pack(lengths: np.ndarray, T: int, reverses: Sequence[bool]
+          ) -> tuple[list, list[int]]:
     """The packed order of a padded [B, T] batch: rows sorted longest
     first, and per timestep only the rows still running, so each step
     works on a prefix of the previous step's rows.
 
-    Returns ``(flat, offsets)``: step ``s`` reads the flat ``b * T + t``
-    positions ``flat[offsets[s]:offsets[s + 1]]``, which run right to
-    left within each row when ``reverse``.
+    Returns ``(flats, offsets)``: step ``s`` of direction ``k`` reads the
+    flat ``b * T + t`` positions ``flats[k][offsets[s]:offsets[s + 1]]``,
+    which run right to left within each row when ``reverses[k]``.  Every
+    direction runs the same rows at each step, so they share the offsets.
+    For one row of n >= 1 steps a forward direction's positions are the
+    basic slice ``0:n``.
     """
     if lengths.shape[0] == 1:
-        steps = np.arange(lengths[0])
-        return (steps[::-1] if reverse else steps), list(range(lengths[0] + 1))
+        n = int(lengths[0])
+        return ([np.arange(n - 1, -1, -1) if r else slice(0, n)
+                 for r in reverses], list(range(n + 1)))
     order = np.argsort(-lengths, kind="stable")
     lens = lengths[order]
     steps, rows = np.nonzero(np.arange(lens[0])[:, None] < lens)
-    pos = lens[rows] - 1 - steps if reverse else steps
+    starts = order[rows] * T
+    flats = [starts + (lens[rows] - 1 - steps if r else steps)
+             for r in reverses]
     offsets = np.searchsorted(steps, np.arange(lens[0] + 1))
-    return order[rows] * T + pos, offsets.tolist()
+    return flats, offsets.tolist()
 
 
-def _recurrent_states(cell, inputs: Tensor, lengths: np.ndarray,
-                      reverse: bool) -> Tensor:
-    """The states of ``cell`` run over ``inputs`` ([T, d] as one row, or
-    [B, T, d] with row lengths ``lengths``), aligned with input positions
-    and zero past each row's length, as one graph node.
+def _recurrent_states(cells: Sequence[_GatedCell], inputs: Tensor,
+                      lengths: np.ndarray, reverses: Sequence[bool]
+                      ) -> Tensor:
+    """The states of D same-kind ``cells``, cell ``k`` run over ``inputs``
+    ([T, d] as one row, or [B, T, d] with row lengths ``lengths``) right
+    to left when ``reverses[k]``, as one graph node.  The states are
+    aligned with input positions, cell ``k``'s in the ``k``-th block of h
+    columns, and zero past each row's length.
 
-    The forward projects every valid position's input through all the
-    gates in one product, then calls ``cell.step`` once per timestep on
-    the rows still running.  The backward runs ``cell.step_backward``
-    back through time and adds each weight's and bias's gradient once,
-    as products over every row and timestep.
+    The forward projects every valid position's input through each
+    cell's gates in one product per cell, then calls ``step`` once per
+    timestep on the states of the rows still running, every direction at
+    once: [D, n, h] states and weights stacked [D, ...] for two
+    directions, and for one the [n, h] states and the cell's own weights.
+    The backward runs ``step_backward`` back through time the same way
+    and adds each weight's and bias's gradient once, as products over
+    every row and timestep.
     """
     x = inputs.data
     T, d = x.shape[-2:]
-    B = lengths.shape[0]
+    B, D = lengths.shape[0], len(cells)
+    cell = cells[0]
     H = cell.hidden_dim
-    flat, offsets = _pack(lengths, T, reverse)
-    xs = x.reshape(B * T, d)[flat]
-    w_t, u, b = cell.stacked()
-    xw = xs @ w_t
-    hs = np.empty((flat.shape[0], H))
-    saved: list = []
-    state = cell.initial_state(offsets[1] - offsets[0])
+    lead = (D,) if D > 1 else ()  # the direction axis, if any
+    flats, offsets = _pack(lengths, T, reverses)
+    xs = [x.reshape(B * T, d)[flat] for flat in flats]
+    w_ts, us, bs = zip(*[c.stacked() for c in cells])
+    xw = [xs_k @ w_t for xs_k, w_t in zip(xs, w_ts)]
+    if D > 1:  # the directions' arrays stacked on a leading axis
+        xw, u, b = np.array(xw), np.array(us), np.array(bs)[:, None]
+    else:
+        (xw,), (u,), (b,) = xw, us, bs
+    outs, saved = [], []
+    state = cell.initial_state(*lead, offsets[1] - offsets[0])
     for s in range(len(offsets) - 1):
         lo, hi = offsets[s], offsets[s + 1]
-        if hi - lo < state[0].shape[0]:  # rows that ended drop out
-            state = tuple(v[:hi - lo] for v in state)
-        state, keep = cell.step(xw[lo:hi], state, u, b)
+        if hi - lo < state[0].shape[-2]:  # rows that ended drop out
+            state = tuple(v[..., :hi - lo, :] for v in state)
+        state, keep = cell.step(xw[..., lo:hi, :], state, u, b)
         saved.append(keep)
-        hs[lo:hi] = state[0]
-    states = np.zeros((B * T, H))
-    states[flat] = hs
+        outs.append(state[0])
+    hs = np.concatenate(outs, axis=-2).reshape(D, -1, H)
+    states = np.zeros((D, B * T, H))
+    for k, flat in enumerate(flats):
+        states[k][flat] = hs[k]
 
     def backward(out: Tensor):
         def fn():
-            g = out.grad.reshape(B * T, H)[flat]
+            grad = out.grad.reshape(B * T, D, H)
+            g = [grad[:, k][flat] for k, flat in enumerate(flats)]
+            g = np.array(g) if D > 1 else g[0]
             d_pre = np.empty(xw.shape)
             d_rec = np.empty(xw.shape)
-            d_state = cell.initial_state(offsets[-1] - offsets[-2])
+            d_state = cell.initial_state(*lead, offsets[-1] - offsets[-2])
             for s in reversed(range(len(saved))):
                 lo, hi = offsets[s], offsets[s + 1]
-                if hi - lo > d_state[0].shape[0]:  # rows that end here
-                    d_state = tuple(
-                        np.concatenate([v, np.zeros((hi - lo - len(v), H))])
-                        for v in d_state)
-                d_state = (d_state[0] + g[lo:hi],) + d_state[1:]
-                d_state, d_pre[lo:hi], d_rec[lo:hi] = cell.step_backward(
-                    saved[s], d_state, u)
-            h_prev = np.concatenate([keep[0] for keep in saved])
-            d_w, d_u = d_pre.T @ xs, d_rec.T @ h_prev
-            d_b = d_pre.sum(axis=0)
-            for kind, grad in (("W", d_w), ("U", d_u), ("b", d_b)):
-                for k, weight in enumerate(cell._kinds[kind]):
-                    if weight.requires_grad:
-                        weight.accumulate(grad[k * H:(k + 1) * H])
-            if inputs.requires_grad:
-                d_x = np.zeros((B * T, d))
-                d_x[flat] = d_pre @ w_t.T
+                if hi - lo > d_state[0].shape[-2]:  # rows that end here
+                    pad = np.zeros(lead + (hi - lo - d_state[0].shape[-2], H))
+                    d_state = tuple(np.concatenate([v, pad], axis=-2)
+                                    for v in d_state)
+                d_state = (d_state[0] + g[..., lo:hi, :],) + d_state[1:]
+                d_state, d_pre[..., lo:hi, :], d_rec[..., lo:hi, :] = (
+                    cell.step_backward(saved[s], d_state, u))
+            h_prev = np.concatenate([keep[0] for keep in saved], axis=-2)
+            d_pre, d_rec, h_prev = (a.reshape((D,) + a.shape[-2:])
+                                    for a in (d_pre, d_rec, h_prev))
+            d_x = np.zeros((B * T, d)) if inputs.requires_grad else None
+            for k, c in enumerate(cells):
+                d_w, d_u = d_pre[k].T @ xs[k], d_rec[k].T @ h_prev[k]
+                d_b = d_pre[k].sum(axis=0)
+                for kind, grad_k in (("W", d_w), ("U", d_u), ("b", d_b)):
+                    for j, weight in enumerate(c._kinds[kind]):
+                        if weight.requires_grad:
+                            weight.accumulate(grad_k[j * H:(j + 1) * H])
+                if d_x is not None:
+                    d_x[flats[k]] += d_pre[k] @ w_ts[k].T
+            if d_x is not None:
                 inputs.accumulate(d_x.reshape(x.shape))
         return fn
 
-    return _make(states.reshape(x.shape[:-1] + (H,)),
-                 (inputs, *cell._p.values()),
+    # directions side by side: [B * T, D * h]; one direction needs no copy
+    data = states[0] if D == 1 else states.transpose(1, 0, 2)
+    params = [p for c in cells for p in c._p.values()]
+    return _make(data.reshape(x.shape[:-1] + (D * H,)), (inputs, *params),
                  backward)
+
+
+def _last_states(states: Tensor, ns: Sequence[int],
+                 reverses: Sequence[bool]) -> Tensor:
+    """Each row's last state per direction of ``states`` from
+    :func:`_recurrent_states` ([T, D*h] as one row of length ``ns[0]``,
+    or [B, T, D*h] with row lengths ``ns``): position ``n - 1`` of a
+    forward direction, position 0 of a reverse one, with the directions
+    side by side as in ``states``; an empty row's are zero."""
+    x = states.data
+    D = len(reverses)
+    T, H = x.shape[-2], x.shape[-1] // D
+    # rows of the [B * T * D, h] view, row by row and direction by direction
+    idx = [(b * T + (0 if r else max(n - 1, 0))) * D + k
+           for b, n in enumerate(ns) for k, r in enumerate(reverses)]
+    data = x.reshape(-1, H).take(idx, axis=0).reshape(
+        x.shape[:-2] + (D * H,))
+
+    def backward(out: Tensor):
+        def fn():
+            g = np.zeros((x.size // H, H))
+            g[idx] = out.grad.reshape(-1, H)
+            states.accumulate(g.reshape(x.shape))
+        return fn
+
+    return _make(data, (states,), backward)
+
+
+def _run(cells: Sequence[_GatedCell], inputs: Tensor,
+         lengths: Optional[Sequence[int]], reverses: Sequence[bool]):
+    """(states, last) of :func:`_recurrent_states` and
+    :func:`_last_states`, after checking the shapes; a batch of empty
+    rows gives zeros without a run."""
+    if inputs.ndim not in (2, 3):
+        raise ShapeMismatch(
+            f"recurrent input must be [T, d] or [B, T, d], got {inputs.shape}")
+    if inputs.shape[-1] != cells[0].input_dim:
+        raise ShapeMismatch(
+            f"input dim {inputs.shape[-1]}, cell expects {cells[0].input_dim}"
+        )
+    out_dim = len(cells) * cells[0].hidden_dim
+    T = inputs.shape[-2]
+    if inputs.ndim == 2:
+        if T == 0:
+            return zeros((0, out_dim)), zeros((out_dim,))
+        lens, ns = np.array([T]), [T]
+    else:
+        B = inputs.shape[0]
+        lens = np.full(B, T) if lengths is None else np.asarray(
+            lengths, dtype=np.int64)
+        # plain ints: a batch is small, and answering runs one row at a time
+        ns = lens.tolist()
+        if (lens.shape != (B,) or min(ns, default=0) < 0
+                or max(ns, default=0) > T):
+            raise ShapeMismatch(f"{B} rows of length {T} need {B} lengths "
+                                f"in [0, {T}], got {lengths}")
+        if not any(ns):
+            return zeros((B, T, out_dim)), zeros((B, out_dim))
+    states = _recurrent_states(cells, inputs, lens, reverses)
+    return states, _last_states(states, ns, reverses)
 
 
 def run_recurrent(cell, inputs: Tensor, direction: str = "forward",
@@ -343,45 +432,17 @@ def run_recurrent(cell, inputs: Tensor, direction: str = "forward",
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
-    if inputs.ndim not in (2, 3):
-        raise ShapeMismatch(
-            f"recurrent input must be [T, d] or [B, T, d], got {inputs.shape}")
-    if inputs.shape[-1] != cell.input_dim:
-        raise ShapeMismatch(
-            f"input dim {inputs.shape[-1]}, cell expects {cell.input_dim}"
-        )
-    reverse = direction == "backward"
-    H = cell.hidden_dim
-    if inputs.ndim == 2:
-        T = inputs.shape[0]
-        if T == 0:
-            return zeros((0, H)), zeros((H,))
-        states = _recurrent_states(cell, inputs, np.array([T]), reverse)
-        return states, row(states, 0 if reverse else T - 1)
-    B, T = inputs.shape[:2]
-    lens = np.full(B, T) if lengths is None else np.asarray(lengths,
-                                                             dtype=np.int64)
-    # plain ints: a batch is small, and answering runs one row at a time
-    ns = lens.tolist()
-    if lens.shape != (B,) or min(ns, default=0) < 0 or max(ns, default=0) > T:
-        raise ShapeMismatch(f"{B} rows of length {T} need {B} lengths in "
-                            f"[0, {T}], got {lengths}")
-    if not any(ns):
-        return zeros((B, T, H)), zeros((B, H))
-    states = _recurrent_states(cell, inputs, lens, reverse)
-    last_t = [0] * B if reverse else [max(n - 1, 0) for n in ns]
-    return states, gather_rows(states, (np.arange(B), last_t))
+    return _run((cell,), inputs, lengths, (direction == "backward",))
 
 
 def bidirectional_encode(cell_fwd, cell_bwd, inputs: Tensor,
                          lengths: Optional[Sequence[int]] = None):
-    """Concatenate forward and backward runs: ([T, 2h], [2h]) for a
+    """Forward and backward runs side by side: ([T, 2h], [2h]) for a
     [T, d] sequence, or ([B, T, 2h], [B, 2h]) for a padded [B, T, d]
-    batch with row ``lengths``, as in :func:`run_recurrent`."""
-    states_f, last_f = run_recurrent(cell_fwd, inputs, "forward", lengths)
-    states_b, last_b = run_recurrent(cell_bwd, inputs, "backward", lengths)
-    return (concat([states_f, states_b], axis=-1),
-            concat([last_f, last_b], axis=-1))
+    batch with row ``lengths``, as in :func:`run_recurrent`, forward
+    first.  The cells are of one kind and shape, and both directions
+    step together, in one graph node."""
+    return _run((cell_fwd, cell_bwd), inputs, lengths, (False, True))
 
 
 def self_attention(states: Tensor,

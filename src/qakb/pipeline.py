@@ -30,7 +30,6 @@ from qakb.kb import KnowledgeBase, notable_type, out_degree, relations_of
 from qakb.nn import (
     Dense,
     EmbeddingTable,
-    EncodeCache,
     GRUCell,
     LSTMCell,
     TrainConfig,
@@ -45,7 +44,6 @@ from qakb.nn.tensor import (
     gather_rows,
     no_grad,
     reshape,
-    row,
     softmax_rows,
     tsum,
 )
@@ -89,9 +87,12 @@ class TaggerModel:
         return softmax_rows(self.head(rows))
 
     def forward(self, tokens: Sequence[str]) -> Tensor:
-        """Per-token class probabilities, shape [T, 2]; the one-sequence
-        case of :meth:`forward_batch`."""
-        return self.forward_batch([tokens])
+        """Per-token class probabilities, shape [T, 2]: the one-sequence
+        case of :meth:`forward_batch`, run on the [T, d] sequence, which
+        needs no padding."""
+        states, _ = bidirectional_encode(self.fwd, self.bwd,
+                                         self.embedding.embed(list(tokens)))
+        return softmax_rows(self.head(states))
 
     def loss(self, questions: Sequence[LabeledQuestion]) -> Tensor:
         """Summed loss of tagged questions, one padded run over them all;
@@ -153,8 +154,11 @@ class MatcherModel:
 
     def encode(self, tokens: Sequence[str]) -> Tensor:
         """One token sequence's [2h] encoding: the one-row case of
-        :meth:`encode_texts`."""
-        return row(self.encode_texts([tokens]), 0)
+        :meth:`encode_texts`, run on the [T, d] sequence, which needs no
+        padding."""
+        _, last = bidirectional_encode(self.fwd, self.bwd,
+                                       self.embedding.embed(list(tokens)))
+        return last
 
     def match(self, q_vecs: Tensor, t_vecs: Tensor, mode: str = "eval",
               rng: Optional[np.random.Generator] = None) -> Tensor:
@@ -182,12 +186,14 @@ class MatcherModel:
         return tsum(loss_binary_ce(scores, tags))
 
     def score(self, question: str, text: str,
-              encodings: Optional["MatchEncodings"] = None) -> float:
+              encodings: Optional["MatchEncodings"] = None,
+              tokens: Optional[Sequence[str]] = None) -> float:
         """Match score of one pair.  An answering session passes its
-        ``encodings`` of this matcher, so each side is encoded once."""
+        ``encodings`` of this matcher, so each side is encoded once, and
+        the question's ``tokens`` when it has them."""
         if encodings is None:
             encodings = MatchEncodings(self)
-        return float(self.match(encodings.question(question),
+        return float(self.match(encodings.question(question, tokens),
                                 encodings.text(text)).data)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -212,24 +218,32 @@ class MatchEncodings:
     """One matcher's encodings within an answering session.
 
     Relation paths and type labels are encoded on first use and kept for
-    the session, keyed by token tuple.  Only the latest question's
+    the session, keyed by their raw text, so a text seen before is
+    neither tokenized nor encoded again.  Only the latest question's
     encoding is kept, so memory is bounded by the KB's texts however many
     questions arrive.
     """
 
     def __init__(self, matcher: MatcherModel):
         self.matcher = matcher
-        self.texts = EncodeCache(lambda tokens: matcher.encode(tokens))
+        self.texts: dict[str, Tensor] = {}
         self._question: Optional[tuple[str, Tensor]] = None
 
-    def question(self, question: str) -> Tensor:
+    def question(self, question: str,
+                 tokens: Optional[Sequence[str]] = None) -> Tensor:
+        """The question's encoding; ``tokens``, when given, are its
+        tokens, so the question is not tokenized again."""
         if self._question is None or self._question[0] != question:
-            vec = self.matcher.encode(tokenize(question))
+            vec = self.matcher.encode(tokenize(question) if tokens is None
+                                      else tokens)
             self._question = (question, vec)
         return self._question[1]
 
     def text(self, text: str) -> Tensor:
-        return self.texts(matcher_tokens(text))
+        vec = self.texts.get(text)
+        if vec is None:
+            vec = self.texts[text] = self.matcher.encode(matcher_tokens(text))
+        return vec
 
 
 @dataclass
@@ -335,7 +349,7 @@ class Prediction:
 
 
 def _question_candidates(
-    session: "PipelineStrategy", question: str
+    session: "PipelineStrategy", question: str, tokens: list[str]
 ) -> tuple[list[CandidateEntity], list[str]]:
     """Detected-span candidates, falling back to whole-question grams.
 
@@ -343,29 +357,33 @@ def _question_candidates(
     that match nothing in the index.  Raises NoCandidates when both come
     up empty.
     """
-    labeled = tag_question(session.models.tagger, question)
+    labeled = tag_question(session.models.tagger, tokens)
     span_list = spans(labeled)
     merged: dict[str, CandidateEntity] = {}
     for span_text in span_list:
-        for cand in retrieve_candidates(session.index, span_text):
+        # a span is its tokens joined by single spaces, and no token
+        # holds whitespace
+        for cand in retrieve_candidates(session.index, span_text.split()):
             prev = merged.get(cand.id)
             if prev is None or cand.score > prev.score:
                 merged[cand.id] = cand
     cands = sorted(merged.values(), key=lambda c: (-c.score, c.id))
     if not cands:
-        cands = retrieve_question_candidates(session.index, question)
+        cands = retrieve_question_candidates(session.index, tokens)
     if not cands:
         raise NoCandidates(f"no candidate entities for {question!r}")
     return cands, span_list
 
 
 def _relation_scores(session: "PipelineStrategy", question: str,
-                     cands: Sequence[CandidateEntity]) -> dict[str, float]:
+                     tokens: list[str], cands: Sequence[CandidateEntity]
+                     ) -> dict[str, float]:
     relations = sorted({r for c in cands
                         for r in relations_of(session.kb, c.id)})
     if not relations:
         raise NoRelation(f"no relations for candidates of {question!r}")
-    return {r: session.relation_score(question, r) for r in relations}
+    return {r: session.relation_score(question, tokens, r)
+            for r in relations}
 
 
 def _argmax_relation(scores: dict[str, float]) -> str:
@@ -373,12 +391,12 @@ def _argmax_relation(scores: dict[str, float]) -> str:
 
 
 def _type_score(session: "PipelineStrategy", question: str,
-                entity: str) -> float:
+                tokens: list[str], entity: str) -> float:
     """Type-matcher score for an entity; untyped entities contribute 0."""
     label = notable_type(session.kb, entity)
     if label is None:
         return 0.0
-    return session.type_score(question, label)
+    return session.type_score(question, tokens, label)
 
 
 def _base_trace(span_list: list[str], cands: Sequence[CandidateEntity],
@@ -394,19 +412,19 @@ def _base_trace(span_list: list[str], cands: Sequence[CandidateEntity],
 
 
 def _rank_holders(session: "PipelineStrategy", question: str,
-                  fields: tuple[str, ...]) -> Prediction:
+                  tokens: list[str], fields: tuple[str, ...]) -> Prediction:
     """Argmax relation over all candidates; its holders are ordered by the
     strategy's context ``fields`` in turn (highest out-degree, highest type
     score), then by retrieval score and id, and the first wins.  Each field
     after the first only matters among holders tied under those before."""
     kb = session.kb
-    cands, span_list = _question_candidates(session, question)
-    rel_scores = _relation_scores(session, question, cands)
+    cands, span_list = _question_candidates(session, question, tokens)
+    rel_scores = _relation_scores(session, question, tokens, cands)
     best_rel = _argmax_relation(rel_scores)
     holders = [c for c in cands if best_rel in relations_of(kb, c.id)]
     uses_type = "type" in fields
-    typed = ({c.id: _type_score(session, question, c.id) for c in holders}
-             if uses_type else {})
+    typed = ({c.id: _type_score(session, question, tokens, c.id)
+              for c in holders} if uses_type else {})
     context = {"out_degree": lambda c: out_degree(kb, c.id),
                "type": lambda c: typed[c.id]}
     holders.sort(key=lambda c: (*(-context[f](c) for f in fields),
@@ -424,12 +442,12 @@ def _rank_holders(session: "PipelineStrategy", question: str,
 
 
 def _rank_pairs(session: "PipelineStrategy", question: str,
-                fields: tuple[str, ...]) -> Prediction:
+                tokens: list[str], fields: tuple[str, ...]) -> Prediction:
     """Rank (entity, best-own-relation) pairs by type + relation score,
     then out-degree; ``fields`` is ``("type",)``, which the score holds."""
     kb = session.kb
-    cands, span_list = _question_candidates(session, question)
-    rel_scores = _relation_scores(session, question, cands)
+    cands, span_list = _question_candidates(session, question, tokens)
+    rel_scores = _relation_scores(session, question, tokens, cands)
     entries = []
     for cand in cands:
         own = {r: rel_scores[r] for r in relations_of(kb, cand.id)}
@@ -437,7 +455,7 @@ def _rank_pairs(session: "PipelineStrategy", question: str,
             continue
         best_rel = _argmax_relation(own)
         s_r = own[best_rel]
-        s_t = _type_score(session, question, cand.id)
+        s_t = _type_score(session, question, tokens, cand.id)
         entries.append((cand, best_rel, s_r, s_t, s_t + s_r))
     entries.sort(key=lambda e: (-e[4], -out_degree(kb, e[0].id), -e[0].score,
                                 e[0].id))
@@ -471,14 +489,19 @@ def context_fields(strategy: str) -> tuple[str, ...]:
         raise ValueError(f"unknown strategy {strategy!r}") from None
 
 
-def _session_scorer(matcher) -> Optional[Callable[[str, str], float]]:
-    """``score(question, text)`` for one session: a recurrent matcher
-    reuses the session's encodings; any other matcher (an oracle, say) is
-    called as it is."""
+def _session_scorer(matcher
+                    ) -> Optional[Callable[[str, list[str], str], float]]:
+    """``score(question, tokens, text)`` for one session: a recurrent
+    matcher reuses the session's encodings and the question's tokens; any
+    other matcher (an oracle, say) is called as ``score(question, text)``.
+    """
+    if matcher is None:
+        return None
     if isinstance(matcher, MatcherModel):
         encodings = MatchEncodings(matcher)
-        return lambda question, text: matcher.score(question, text, encodings)
-    return None if matcher is None else matcher.score
+        return lambda question, tokens, text: matcher.score(
+            question, text, encodings, tokens)
+    return lambda question, tokens, text: matcher.score(question, text)
 
 
 class PipelineStrategy:
@@ -503,10 +526,11 @@ class PipelineStrategy:
         self.type_score = _session_scorer(models.type_matcher)
 
     def prediction(self, question: str) -> Prediction:
-        """The answer with its score decomposition and ranking trace."""
+        """The answer with its score decomposition and ranking trace.
+        The question is tokenized once, for every stage."""
         ranker, fields = _RANKINGS[self.name]
         with no_grad():
-            return ranker(self, question, fields)
+            return ranker(self, question, tokenize(question), fields)
 
     def answer(self, question: str) -> tuple[str, str, dict[str, float]]:
         """``(entity, relation, scores)``; NoCandidates or NoRelation when

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,10 @@ from qakb.cli import (
     read_config_file,
     resolve_seed,
 )
+from qakb.kb import load_kb, notable_type
 from qakb.nn.io import read_model_meta
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -456,6 +461,26 @@ class TestIngest:
         assert record["relation"] == "/d/x/founded"
         assert "s_qt" in record["scores"]
 
+    def test_type_name_stripped_in_both_formats(self, tmp_path):
+        """One entity typed ``" Film "`` by N-Triples and ``" Film "`` by
+        TSV gets the same notable type."""
+        (tmp_path / "facts.tsv").write_text("m.0a01\t/d/x/founded\tm.0o1\n")
+        formats = {
+            "nt": "<http://rdf.freebase.com/ns/m.0a01> "
+                  "<http://rdf.freebase.com/ns/common.topic.notable_types> "
+                  "<http://rdf.freebase.com/ns/m.0t> .\n"
+                  '<http://rdf.freebase.com/ns/m.0t> '
+                  '<http://rdf.freebase.com/ns/type.object.name> " Film " .\n',
+            "tsv": "m.0a01\t Film \n",
+        }
+        for name, types in formats.items():
+            (tmp_path / f"types.{name}").write_text(types)
+            kb = tmp_path / f"{name}.qakb"
+            assert main(["ingest", "--facts", str(tmp_path / "facts.tsv"),
+                         "--types", str(tmp_path / f"types.{name}"),
+                         "--out", str(kb)]) == 0
+            assert notable_type(load_kb(str(kb)), "m.0a01") == "film", name
+
     def test_bad_facts_line_is_data_error(self, tmp_path, capsys):
         facts = tmp_path / "facts.tsv"
         facts.write_text("not a triple\n")
@@ -648,6 +673,29 @@ def snapshots(tmp_path_factory):
                  "--hidden-size", "4", "--embed-dim", "6"]) == 0
     assert (models["pipeline"] / "type.nn").is_file()
     return bench, models
+
+
+def test_closed_stdout_ends_quietly(snapshots, tmp_path):
+    """``qakb answer ... | head -1``: the reader closes stdout after one
+    record, and the command ends with 141 and nothing on stderr."""
+    bench, models = snapshots
+    question = (bench / "test.tsv").read_text().splitlines()[0].split("\t")[3]
+    qfile = tmp_path / "q.txt"
+    qfile.write_text((question + "\n") * 3000)  # far more than a pipe holds
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qakb.cli", "answer",
+         "--kb", str(bench / "kb.qakb"), "--pipeline", str(models["pipeline"]),
+         "--strategy", "p-qa", "--questions", str(qfile)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 141
+    assert json.loads(first)["question"] == question
+    assert err == b""
 
 
 def _answer_and_eval(capsys, tmp_path, bench, *model_args):

@@ -444,6 +444,81 @@ class TestBidirectional:
         assert finite_diff_check(loss, leaves) < 1e-4
 
 
+# an empty row, a one-step row and a row as long as the batch
+BIDI_LENGTHS = (0, 1, 4)
+
+
+def _bidi_case(cell_cls, seed=67):
+    """Two cells with nonzero biases, a [3, 4, 3] batch of the
+    ``BIDI_LENGTHS`` rows, and weights for the states and last states."""
+    rng = np.random.default_rng(seed)
+    f, b = cell_cls(3, 4, rng, "f"), cell_cls(3, 4, rng, "b")
+    leaves = [*f.parameters().values(), *b.parameters().values()]
+    for p in leaves:
+        p.data += rng.normal(scale=0.3, size=p.shape)
+    x = param(rng.normal(size=(3, 4, 3)))
+    w = rng.normal(size=(3, 4, 8))
+    v = rng.normal(size=(3, 8))
+    return f, b, x, leaves + [x], w, v
+
+
+def _two_runs(f, b, x, lengths):
+    """The oracle of the fused bidirectional node: one single-direction
+    run per cell, joined by ``concat``."""
+    states_f, last_f = run_recurrent(f, x, "forward", lengths)
+    states_b, last_b = run_recurrent(b, x, "backward", lengths)
+    return (concat([states_f, states_b], axis=-1),
+            concat([last_f, last_b], axis=-1))
+
+
+class TestFusedBidirectional:
+    """``bidirectional_encode`` steps both directions together, as one
+    graph node."""
+
+    @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
+    def test_finite_diff(self, cell_cls):
+        f, b, x, leaves, w, v = _bidi_case(cell_cls)
+
+        def loss():
+            states, last = bidirectional_encode(f, b, x, BIDI_LENGTHS)
+            return tsum(states * w) + tsum(last * v)
+
+        assert finite_diff_check(loss, leaves) < 1e-4
+        assert all(leaf.grad is not None for leaf in leaves)
+
+    @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
+    def test_bit_identical_to_two_runs(self, cell_cls):
+        f, b, x, leaves, w, v = _bidi_case(cell_cls)
+        results = []
+        for run in (bidirectional_encode, _two_runs):
+            for leaf in leaves:
+                leaf.grad = None
+            states, last = run(f, b, x, BIDI_LENGTHS)
+            (tsum(states * w) + tsum(last * v)).backward()
+            results.append([states.data, last.data,
+                            *(leaf.grad for leaf in leaves)])
+        for fused, oracle in zip(*results):
+            np.testing.assert_array_equal(fused, oracle)
+
+    @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
+    def test_one_graph_node_and_one_step_per_timestep(self, cell_cls,
+                                                      monkeypatch):
+        f, b, x, leaves, _, _ = _bidi_case(cell_cls)
+        shapes = []
+        step = cell_cls.step
+
+        def counted(self, xw, state, u, b):
+            shapes.append(xw.shape[:2])
+            return step(self, xw, state, u, b)
+
+        monkeypatch.setattr(cell_cls, "step", counted)
+        states, last = bidirectional_encode(f, b, x, BIDI_LENGTHS)
+        assert states._parents == (x, *leaves[:-1])
+        assert last._parents == (states,)
+        # both directions of every running row in each step
+        assert shapes == [(2, 2), (2, 1), (2, 1), (2, 1)]
+
+
 class TestSelfAttention:
     def test_single_row_identity(self):
         x = Tensor(np.array([[1.0, -2.0, 0.5]]))

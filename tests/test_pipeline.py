@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qakb.aliasindex
 import qakb.nn.layers
 import qakb.nn.tensor
+import qakb.pipeline
 from qakb.aliasindex import build_index, tokenize
 from qakb.datagen import LabeledQuestion, label_questions
 from qakb.errors import EmptyTrainingSet, NoCandidates, NoRelation
@@ -597,6 +599,35 @@ class TestSession:
                 assert texts == []
             # one question encode per matcher and question
             assert len(calls) - len(texts) == 2 * asked
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_one_tokenize_per_warm_prediction(self, stack, strategy,
+                                              monkeypatch):
+        """Once the KB texts are encoded, a prediction tokenizes only its
+        question, once, for the tagger, the retrieval and both matchers."""
+        kb, index, models, questions = stack
+        session = PipelineStrategy(strategy, models, kb, index)
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        for module in (qakb.aliasindex, qakb.pipeline):
+            monkeypatch.setattr(module, "tokenize", counting)
+
+        def ask(q):
+            try:
+                session.prediction(q)
+            except (NoCandidates, NoRelation):
+                pass
+
+        for q in questions:
+            ask(q)
+        for q in questions:
+            calls.clear()
+            ask(q)
+            assert calls == [q]
 
     def test_new_session_sees_weight_change(self, stack):
         kb, index, models, questions = stack

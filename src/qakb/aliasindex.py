@@ -17,9 +17,9 @@ import string
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from qakb.kb import KnowledgeBase
+from qakb.kb import KnowledgeBase, collector_paused
 
-_PUNCT = set(string.punctuation)
+_PUNCT = string.punctuation
 MAX_NGRAM = 3  # longest gram, in tokens, that indexing and retrieval use
 
 
@@ -32,21 +32,14 @@ def tokenize(text: str) -> list[str]:
     """
     tokens: list[str] = []
     for chunk in text.lower().split():
-        if all(c in _PUNCT for c in chunk):
+        core = chunk.strip(_PUNCT)
+        if core == chunk or not core:
             tokens.append(chunk)
             continue
-        leading: list[str] = []
-        while chunk and chunk[0] in _PUNCT:
-            leading.append(chunk[0])
-            chunk = chunk[1:]
-        trailing: list[str] = []
-        while chunk and chunk[-1] in _PUNCT:
-            trailing.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(leading)
-        if chunk:
-            tokens.append(chunk)
-        tokens.extend(reversed(trailing))
+        lead = len(chunk) - len(chunk.lstrip(_PUNCT))
+        tokens.extend(chunk[:lead])
+        tokens.append(core)
+        tokens.extend(chunk[lead + len(core):])
     return tokens
 
 
@@ -116,10 +109,6 @@ class AliasIndex:
     entity_aliases: dict[str, list[str]]
 
 
-def _norm_alias(alias: str) -> str:
-    return " ".join(tokenize(alias))
-
-
 def build_index(kb: KnowledgeBase) -> AliasIndex:
     """Index every alias under its full string and all of its n-grams.
 
@@ -127,31 +116,33 @@ def build_index(kb: KnowledgeBase) -> AliasIndex:
     side only, otherwise a two-word query gram could never reach a
     three-word alias.
     """
-    exact: dict[str, list[str]] = {}
-    gram_to_entities: dict[str, list[str]] = {}
-    entity_aliases: dict[str, list[str]] = {}
-    for mid in sorted(kb.entities):
-        rec = kb.entities[mid]
-        if not rec.aliases:
-            continue
-        normed: list[str] = []
-        for alias in rec.aliases:
-            norm = _norm_alias(alias)
-            if not norm or norm in normed:
-                continue
-            normed.append(norm)
-            # mids arrive sorted and each finishes before the next, so a
-            # mid already in a bucket is its last entry
-            bucket = exact.setdefault(norm, [])
-            if not bucket or bucket[-1] != mid:
-                bucket.append(mid)
-            for gram in all_ngrams(norm.split()):
-                gbucket = gram_to_entities.setdefault(gram, [])
-                if not gbucket or gbucket[-1] != mid:
-                    gbucket.append(mid)
-        if normed:
-            entity_aliases[mid] = normed
-    return AliasIndex(exact, gram_to_entities, entity_aliases)
+    with collector_paused():
+        exact: dict[str, list[str]] = {}
+        gram_to_entities: dict[str, list[str]] = {}
+        entity_aliases: dict[str, list[str]] = {}
+        for mid in sorted(mid for mid, rec in kb.entities.items()
+                          if rec.aliases):
+            normed: list[str] = []
+            for alias in kb.entities[mid].aliases:
+                tokens = tokenize(alias)
+                norm = " ".join(tokens)
+                if not norm or norm in normed:
+                    continue
+                normed.append(norm)
+                # mids arrive sorted and each finishes before the next, so
+                # a mid already in a bucket is its last entry
+                bucket = exact.setdefault(norm, [])
+                if not bucket or bucket[-1] != mid:
+                    bucket.append(mid)
+                # a one-token alias is its own only gram
+                for gram in (all_ngrams(tokens) if len(tokens) > 1
+                             else (norm,)):
+                    gbucket = gram_to_entities.setdefault(gram, [])
+                    if not gbucket or gbucket[-1] != mid:
+                        gbucket.append(mid)
+            if normed:
+                entity_aliases[mid] = normed
+        return AliasIndex(exact, gram_to_entities, entity_aliases)
 
 
 def _matched_alias_for(index: AliasIndex, entity: str, gram: str) -> str:

@@ -238,7 +238,7 @@ def cmd_gen_data(args: argparse.Namespace, config: Mapping[str, str]) -> int:
         relation_pairs.extend(
             datagen.gen_relation_pairs(q, q.gold.relation, table)
         )
-        candidates = retrieve_question_candidates(index, q.text)
+        candidates = retrieve_question_candidates(index, q.tokens)
         type_pairs.extend(datagen.gen_type_pairs(q, kb, candidates, inventory))
     datagen.write_matcher_pairs(
         os.path.join(args.out, "relation_pairs.tsv"), relation_pairs

@@ -403,7 +403,7 @@ def build_negative_pools(
     pools = NegativePools(d_rr=d_rr)
     for i, q in enumerate(questions):
         rng = np.random.default_rng(seed ^ i)
-        candidates = retrieve_question_candidates(index, q.text)
+        candidates = retrieve_question_candidates(index, q.tokens)
         pools.subject_pools.append(
             gen_subject_negatives(q, candidates, kb, rng)
         )

@@ -370,7 +370,7 @@ def _training_vocab(dataset: Sequence[QuestionInstance],
     paths, sorted; each distinct type and relation is split once."""
     toks: set[str] = set()
     for q in dataset:
-        toks.update(tokenize(q.text))
+        toks.update(q.tokens)
     types = set()
     for rec in kb.entities.values():
         for alias in rec.aliases:
@@ -427,7 +427,7 @@ class _StepBatch:
         def relation(rel: str) -> int:
             return cos(relation_tokens(rel), PREDICATE)
 
-        uses.append(tuple(tokenize(q.text)))
+        uses.append(q.tokens)
         pos_s, pos_p = subject(q.gold.subject), relation(q.gold.relation)
         neg_s = None if neg_subject is None else subject(neg_subject)
         neg_p = None if neg_pred is None else relation(neg_pred)
@@ -524,9 +524,11 @@ class E2EStrategy:
     relation and type texts' cosines against the question vector in one
     row-wise :func:`cosine`, then one call to the head's
     :meth:`ScoringHead.scores`, the routine training scores through.
+    The question is tokenized once, for the retrieval and the encoder.
     Encodings of subject labels, relation paths and type labels are filled
-    on first use and kept for the session, so memory is bounded by the
-    KB's texts; question encodings are not kept.  A session must not
+    on first use and kept for the session, keyed by their raw text, so
+    memory is bounded by the KB's texts and a text seen before is not
+    tokenized again; question encodings are not kept.  A session must not
     outlive a change to the model's weights.  ``variant`` must be the
     model's own, except for the answer-time ``out_degree_sort``;
     ValueError otherwise.
@@ -549,7 +551,12 @@ class E2EStrategy:
             if used)
         # looked up on each miss, so a wrapper put on the model's
         # encode_text after the session was built still sees every miss
-        self.texts = EncodeCache(lambda tokens: self.model.encode_text(tokens))
+        def encode(tokens: tuple[str, ...]) -> Tensor:
+            return self.model.encode_text(tokens)
+
+        # subject labels and type labels, and relation paths
+        self.labels = EncodeCache(encode, tokenize)
+        self.relations = EncodeCache(encode, relation_tokens)
 
     @cached_property
     def label(self) -> tuple[str, str]:
@@ -569,7 +576,8 @@ class E2EStrategy:
     def top(self, question: str, k: int = 1) -> list[FactScore]:
         """Top-k candidate facts, highest combined score first."""
         kb, variant = self.kb, self.variant
-        cands = retrieve_question_candidates(self.index, question)
+        tokens = tokenize(question)
+        cands = retrieve_question_candidates(self.index, tokens)
         if not cands:
             raise NoCandidates(f"no candidate entities for {question!r}")
         facts = [kb.facts[i] for cand in cands
@@ -578,26 +586,26 @@ class E2EStrategy:
             raise NoCandidates(f"candidates for {question!r} hold no facts")
         channels = ([SUBJECT, PREDICATE, TYPE] if variant.type_as_task
                     else [SUBJECT, PREDICATE])
-        # each fact's channel texts in channel order; an untyped subject
-        # has no type text and its type cosine is 0
-        texts: list[Optional[tuple[str, ...]]] = []
-        for fact in facts:
-            texts.append(tuple(tokenize(subject_text(
-                kb, fact.subject, variant.type_in_label))))
-            texts.append(tuple(relation_tokens(fact.relation)))
-            if variant.type_as_task:
-                label = notable_type(kb, fact.subject)
-                texts.append(None if label is None else tuple(tokenize(label)))
-        live = [i for i, text in enumerate(texts) if text is not None]
-        cos = np.zeros(len(texts))
         with no_grad():
-            q_vec = self.model.encode_text(tokenize(question))
-            encoded = stack_rows([self.texts(texts[i]) for i in live])
+            q_vec = self.model.encode_text(tokens)
+            # each fact's channel encodings in channel order; an untyped
+            # subject has no type text and its type cosine is 0
+            vecs: list[Optional[Tensor]] = []
+            for fact in facts:
+                vecs.append(self.labels(subject_text(
+                    kb, fact.subject, variant.type_in_label)))
+                vecs.append(self.relations(fact.relation))
+                if variant.type_as_task:
+                    label = notable_type(kb, fact.subject)
+                    vecs.append(None if label is None else self.labels(label))
+            live = [i for i, vec in enumerate(vecs) if vec is not None]
+            cos = np.zeros(len(vecs))
+            encoded = stack_rows([vecs[i] for i in live])
             question_rows = Tensor(np.broadcast_to(q_vec.data, encoded.shape))
             cos[live] = cosine(question_rows, encoded).data
             combined = self.model.head.scores(
                 Tensor(cos), channels * len(facts),
-                np.arange(len(texts)).reshape(len(facts), len(channels))).data
+                np.arange(len(vecs)).reshape(len(facts), len(channels))).data
         scored = [
             FactScore(fact=fact, s_qs=float(c[SUBJECT]),
                       s_qp=float(c[PREDICATE]),

@@ -9,10 +9,12 @@ so the rest of the package never sees raw dump spellings.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import re
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -28,6 +30,21 @@ _TYPE_ASSIGN_RELATION = "/common/topic/notable_types"
 # An id spelled only with these characters has no prefix, slash, capital or
 # space, so canonicalize_mid returns it unchanged.
 _CANONICAL_MID = re.compile(r"[0-9a-z_.]+")
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block, then restore its
+    state.  Building a KB or its index makes tens of thousands of objects
+    and frees none, so the collector's passes over them would find nothing
+    to free."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -379,23 +396,30 @@ def build_kb(
         record(fact.object)
 
     for mid, alias in alias_pairs:
-        mid = canonicalize_mid(mid)
-        rec = record(mid)
-        alias = alias.strip().lower()
-        if alias and alias not in rec.aliases:
-            rec.aliases.append(alias)
+        _add_alias(record(canonicalize_mid(mid)), alias)
 
     for mid, label in type_pairs:
-        mid = canonicalize_mid(mid)
-        rec = record(mid)
-        if rec.notable_type is not None and rec.notable_type != label:
-            log.warning(
-                "entity %s has conflicting notable types %r / %r; keeping the latter",
-                mid, rec.notable_type, label,
-            )
-        rec.notable_type = label
+        _set_type(record(canonicalize_mid(mid)), label)
 
     return KnowledgeBase(facts=fact_list, entities=entities, by_subject=by_subject)
+
+
+def _add_alias(rec: EntityRecord, alias: str) -> None:
+    """Give ``rec`` the alias, stripped and lowercased, unless it is blank
+    or already there."""
+    alias = alias.strip().lower()
+    if alias and alias not in rec.aliases:
+        rec.aliases.append(alias)
+
+
+def _set_type(rec: EntityRecord, label: str) -> None:
+    """Type ``rec`` as ``label``; a later type replaces an earlier one."""
+    if rec.notable_type is not None and rec.notable_type != label:
+        log.warning(
+            "entity %s has conflicting notable types %r / %r; keeping the latter",
+            rec.id, rec.notable_type, label,
+        )
+    rec.notable_type = label
 
 
 def relations_of(kb: KnowledgeBase, entity: str) -> list[str]:
@@ -469,27 +493,98 @@ def save_kb(kb: KnowledgeBase, path: str) -> None:
         fh.write(blob)
 
 
+def _ill_typed(what: str) -> ParseError:
+    return ParseError(f"ill-typed snapshot: {what}", 1)
+
+
+def _array(value: object, what: str, size: Optional[int] = None) -> list:
+    """``value`` if it is a JSON array (of ``size`` items, if given);
+    ParseError otherwise."""
+    if type(value) is not list or (size is not None and len(value) != size):
+        raise _ill_typed(f"{what} is not an array"
+                         + (f" of {size}" if size is not None else ""))
+    return value
+
+
+def _string(value: object, what: str) -> str:
+    """``value`` if it is a JSON string; ParseError otherwise."""
+    if type(value) is not str:
+        raise _ill_typed(f"{what} is not a string: {value!r}")
+    return value
+
+
+def _kb_from_payload(payload: dict) -> KnowledgeBase:
+    """The knowledge base :func:`build_kb` makes of a snapshot's records,
+    built in one pass: the same records in the same insertion order, alias
+    and type ids canonicalized as there.  ParseError for a record or field
+    of the wrong JSON type."""
+    facts: list[Fact] = []
+    entities: dict[str, EntityRecord] = {}
+    by_subject: dict[str, list[int]] = {}
+    for idx, fact in enumerate(_array(payload["facts"], "facts")):
+        # the checks are inlined on this, the hot path; the helpers only
+        # build the error
+        if type(fact) is not list or len(fact) != 3:
+            _array(fact, f"fact {idx}", 3)
+        s, r, o = fact
+        if type(s) is not str or type(r) is not str or type(o) is not str:
+            for value in fact:
+                _string(value, f"a field of fact {idx}")
+        facts.append(Fact(s, r, o))
+        rows = by_subject.get(s)
+        if rows is None:
+            by_subject[s] = [idx]
+            if s not in entities:
+                entities[s] = EntityRecord(s)
+        else:
+            rows.append(idx)
+        if o not in entities:
+            entities[o] = EntityRecord(o)
+    for subject, rows in by_subject.items():
+        entities[subject].out_degree = len(rows)
+
+    for entry in _array(payload["aliases"], "aliases"):
+        mid, aliases = _array(entry, "an alias entry", 2)
+        _string(mid, "an alias entry's id")
+        # an entity with an empty alias list gets no record from it
+        if not _array(aliases, "an alias list"):
+            continue
+        mid = canonicalize_mid(mid)
+        rec = entities.get(mid)
+        if rec is None:
+            rec = entities[mid] = EntityRecord(mid)
+        for alias in aliases:
+            _add_alias(rec, _string(alias, "an alias"))
+
+    for entry in _array(payload["types"], "types"):
+        mid, label = _array(entry, "a type entry", 2)
+        mid = canonicalize_mid(_string(mid, "a type entry's id"))
+        rec = entities.get(mid)
+        if rec is None:
+            rec = entities[mid] = EntityRecord(mid)
+        _set_type(rec, _string(label, "a type label"))
+
+    for mid in _array(payload.get("extra_entities", []), "extra_entities"):
+        if _string(mid, "an extra entity id") not in entities:
+            entities[mid] = EntityRecord(mid)
+    return KnowledgeBase(facts=facts, entities=entities, by_subject=by_subject)
+
+
 def load_kb(path: str) -> KnowledgeBase:
     """Read a snapshot written by :func:`save_kb`; ParseError when the
-    bytes are not one."""
+    bytes are not one, or when a record or field has the wrong JSON type."""
     with open(path, "rb") as fh:
         magic = fh.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
             raise ParseError(f"bad snapshot header {magic!r}", 1)
         blob = fh.read()
     try:
-        # ValueError covers JSONDecodeError, UnicodeDecodeError and
-        # unpacking a record of the wrong length
-        payload = json.loads(zlib.decompress(blob).decode("utf-8"))
-        facts = [Fact(s, r, o) for s, r, o in payload["facts"]]
-        alias_pairs = [(e, a) for e, aliases in payload["aliases"]
-                       for a in aliases]
-        kb = build_kb(facts, alias_pairs, [tuple(p) for p in payload["types"]])
-        for mid in payload.get("extra_entities", ()):
-            if mid not in kb.entities:
-                kb.entities[mid] = EntityRecord(id=mid)
-    except (zlib.error, ValueError, KeyError, TypeError, AttributeError,
-            IndexError) as exc:
+        with collector_paused():
+            # ValueError covers JSONDecodeError and UnicodeDecodeError
+            payload = json.loads(zlib.decompress(blob).decode("utf-8"))
+            if type(payload) is not dict:
+                raise _ill_typed("the payload is not an object")
+            return _kb_from_payload(payload)
+    except (zlib.error, ValueError, KeyError, MalformedId) as exc:
         raise ParseError(f"truncated or garbled snapshot ({exc!r})", 1) from exc
-    return kb
 

@@ -502,22 +502,24 @@ def padded_indices(seqs: Sequence[Sequence[int]]
 
 
 class EncodeCache:
-    """Encodings keyed by token tuple, each computed by ``encode`` on first
-    use and then reused.
+    """Encodings keyed by raw text: on first use a text is split by
+    ``tokens`` and encoded by ``encode``, and then reused, so a text seen
+    before is neither tokenized nor encoded again.
 
     Entries are never invalidated, so a cache must not outlive a change to
     the weights behind ``encode``: answering sessions own one each.
     """
 
-    def __init__(self, encode: Callable[[tuple[str, ...]], Tensor]):
+    def __init__(self, encode: Callable[[tuple[str, ...]], Tensor],
+                 tokens: Callable[[str], Sequence[str]]):
         self._encode = encode
-        self.table: dict[tuple[str, ...], Tensor] = {}
+        self._tokens = tokens
+        self.table: dict[str, Tensor] = {}
 
-    def __call__(self, tokens: Sequence[str]) -> Tensor:
-        key = tuple(tokens)
-        vec = self.table.get(key)
+    def __call__(self, text: str) -> Tensor:
+        vec = self.table.get(text)
         if vec is None:
-            vec = self.table[key] = self._encode(key)
+            vec = self.table[text] = self._encode(tuple(self._tokens(text)))
         return vec
 
 

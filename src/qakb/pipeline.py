@@ -30,6 +30,7 @@ from qakb.kb import KnowledgeBase, notable_type, out_degree, relations_of
 from qakb.nn import (
     Dense,
     EmbeddingTable,
+    EncodeCache,
     GRUCell,
     LSTMCell,
     TrainConfig,
@@ -226,7 +227,10 @@ class MatchEncodings:
 
     def __init__(self, matcher: MatcherModel):
         self.matcher = matcher
-        self.texts: dict[str, Tensor] = {}
+        # looked up on each miss, so a wrapper put on the matcher's encode
+        # after the session was built still sees every miss
+        self.text = EncodeCache(lambda tokens: matcher.encode(tokens),
+                                matcher_tokens)
         self._question: Optional[tuple[str, Tensor]] = None
 
     def question(self, question: str,
@@ -238,12 +242,6 @@ class MatchEncodings:
                                       else tokens)
             self._question = (question, vec)
         return self._question[1]
-
-    def text(self, text: str) -> Tensor:
-        vec = self.texts.get(text)
-        if vec is None:
-            vec = self.texts[text] = self.matcher.encode(matcher_tokens(text))
-        return vec
 
 
 @dataclass

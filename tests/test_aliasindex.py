@@ -1,11 +1,12 @@
 """Tokenizer, n-gram pruning and candidate retrieval behaviour."""
 
+import string
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qakb.aliasindex import (
     AliasIndex,
-    _norm_alias,
     all_ngrams,
     build_index,
     extract_ngrams,
@@ -22,7 +23,7 @@ def _oracle_index(kb):
     for mid in sorted(kb.entities):
         normed = []
         for alias in kb.entities[mid].aliases:
-            norm = _norm_alias(alias)
+            norm = " ".join(tokenize(alias))
             if not norm or norm in normed:
                 continue
             normed.append(norm)
@@ -38,7 +39,45 @@ def _oracle_index(kb):
     return AliasIndex(exact, grams, entity_aliases)
 
 
+def _reference_tokenize(text):
+    """The tokenizer before its fast path: edge punctuation peeled one
+    character at a time."""
+    punct = set(string.punctuation)
+    tokens = []
+    for chunk in text.lower().split():
+        if all(c in punct for c in chunk):
+            tokens.append(chunk)
+            continue
+        leading = []
+        while chunk and chunk[0] in punct:
+            leading.append(chunk[0])
+            chunk = chunk[1:]
+        trailing = []
+        while chunk and chunk[-1] in punct:
+            trailing.append(chunk[-1])
+            chunk = chunk[:-1]
+        tokens.extend(leading)
+        if chunk:
+            tokens.append(chunk)
+        tokens.extend(reversed(trailing))
+    return tokens
+
+
+# ASCII punctuation, Unicode whitespace, non-ASCII punctuation (which is
+# not peeled) and letters whose case mapping changes their length
+_token_chars = st.sampled_from(
+    list(string.punctuation) + [" ", "\t", "\n", "\u00a0", "\u2003",
+                                "\u201c", "\u201d", "\u00ab", "\u2026",
+                                "\u00bf", "a", "Z", "0", "\u00c9", "\u0130",
+                                "\u00df", "\u03a3"])
+
+
 class TestTokenize:
+    @settings(max_examples=500)
+    @given(st.text(_token_chars, max_size=30) | st.text(max_size=30))
+    def test_matches_reference(self, text):
+        assert tokenize(text) == _reference_tokenize(text)
+
     def test_punctuation_run_stays_whole(self):
         got = tokenize("Which genre of album is harder ..... faster?")
         assert got == [

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from qakb.cli import (
     read_config_file,
     resolve_seed,
 )
-from qakb.kb import load_kb, notable_type
+from qakb.kb import SNAPSHOT_MAGIC, load_kb, notable_type
 from qakb.nn.io import read_model_meta
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -916,6 +917,50 @@ class TestCorruptSnapshots:
         assert code == 2, err
         assert stdout == ""
         assert err.startswith(f"error: {model}: ") and "Traceback" not in err
+
+
+class TestIllTypedKb:
+    """A KB snapshot with a field of the wrong JSON type exits 2 naming the
+    file, before any command writes a byte.  Such a KB used to load, and
+    then crash later or write the field into gen-data's pair files."""
+
+    @staticmethod
+    def _retype(src, dst, field):
+        """Copy the snapshot at ``src`` to ``dst`` with one field an int."""
+        payload = json.loads(zlib.decompress(
+            src.read_bytes()[len(SNAPSHOT_MAGIC):]))
+        if field in ("subject", "relation", "object"):
+            payload["facts"][0][("subject", "relation", "object")
+                                .index(field)] = 5
+        elif field == "type label":
+            payload["types"][0][1] = 5
+        else:
+            payload["extra_entities"] = [5]
+        dst.write_bytes(SNAPSHOT_MAGIC + zlib.compress(
+            json.dumps(payload).encode("utf-8")))
+
+    @pytest.mark.parametrize("field", ["subject", "relation", "object",
+                                       "type label", "extra entity id"])
+    def test_exits_2_and_writes_nothing(self, snapshots, capsys, tmp_path,
+                                        field):
+        bench, models = snapshots
+        kb = tmp_path / "kb.qakb"
+        self._retype(bench / "kb.qakb", kb, field)
+        questions = str(bench / "train.tsv")
+        capsys.readouterr()
+        for flags in (
+                ["gen-data", "--questions", questions,
+                 "--out", str(tmp_path / "data")],
+                ["train-e2e", "--questions", questions, "--variant", "qa-t",
+                 "--out", str(tmp_path / "m.nn")],
+                ["answer", "--model", str(models["qa-t"]), "--variant",
+                 "qa-t", "--questions", questions]):
+            code, stdout, err = run(capsys, *flags, "--kb", str(kb))
+            assert code == 2, (flags[0], err)
+            assert stdout == ""
+            assert err.startswith(f"error: {kb}: ") and "Traceback" not in err
+            assert "ill-typed" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["kb.qakb"]
 
 
 class TestEval:

@@ -30,6 +30,8 @@ from qakb.e2e import (
 from qakb.errors import EmptySequence, EmptyTrainingSet, NoCandidates
 from qakb.evalharness import SyntheticSpec, generate_synthetic
 from qakb.kb import Fact, build_kb, notable_type
+import qakb.aliasindex
+import qakb.e2e
 import qakb.nn.layers
 import qakb.nn.tensor
 from qakb.nn import TrainConfig, cosine, dropout, fit
@@ -504,6 +506,12 @@ def _kb_texts(kb, variant):
     return texts
 
 
+def _cached(session):
+    """Every KB-text encoding a session holds."""
+    return [*session.labels.table.values(),
+            *session.relations.table.values()]
+
+
 def _head_weights(head):
     """The head's channel weights as floats, in channel order."""
     if head.mode == "qas":
@@ -576,7 +584,7 @@ class TestSession:
                     # and equal to the uncached, graph-building path
                     assert expect == _per_fact_scores(
                         model, kb, q, [fs.fact for fs in expect], variant)
-            assert 0 < len(session.texts.table) <= len(_kb_texts(kb, variant))
+            assert 0 < len(_cached(session)) <= len(_kb_texts(kb, variant))
 
     def test_each_kb_text_encoded_once(self, synth):
         kb, index, qs, pools, questions = synth
@@ -597,7 +605,7 @@ class TestSession:
             except NoCandidates:
                 pass
         kb_calls = [t for t in calls if t in _kb_texts(kb, variant)]
-        assert len(kb_calls) == len(set(kb_calls)) == len(session.texts.table)
+        assert len(kb_calls) == len(set(kb_calls)) == len(_cached(session))
         calls.clear()
         answered = 0
         for q in questions:
@@ -607,6 +615,36 @@ class TestSession:
             except NoCandidates:
                 pass
         assert len(calls) == answered  # only the questions themselves
+
+    @pytest.mark.parametrize("name", ["qa-t-mwst", "qa-t-swt"])
+    def test_one_tokenize_per_warm_question(self, synth, name, monkeypatch):
+        """Once the KB texts are encoded, answering tokenizes only the
+        question, once, for the retrieval and the encoder."""
+        kb, index, qs, pools, questions = synth
+        variant = VARIANTS[name]
+        model, _ = train_e2e(qs, kb, pools, variant, small_cfg(epochs=1))
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        for module in (qakb.aliasindex, qakb.e2e):
+            monkeypatch.setattr(module, "tokenize", counting)
+        session = E2EStrategy(model, variant, kb, index)
+
+        def ask(q):
+            try:
+                session.top(q)
+            except NoCandidates:
+                pass
+
+        for q in questions:
+            ask(q)
+        for q in questions:
+            calls.clear()
+            ask(q)
+            assert calls == [q]
 
     def test_qas_combined_is_the_trained_score(self, synth):
         """qa-s ranks by W[0] * s_qs + W[1] * s_qp, the score its hinge
@@ -646,8 +684,8 @@ class TestSession:
         model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-t"], small_cfg())
         session = E2EStrategy(model, VARIANTS["qa-t"], kb, build_index(kb))
         session.top("who sings yesterday")
-        assert session.texts.table
-        for vec in session.texts.table.values():
+        assert _cached(session)
+        for vec in _cached(session):
             assert vec._backward_fn is None and not vec.requires_grad
 
 

@@ -1,4 +1,5 @@
-"""Snapshot readers: any bytes either load or raise a QAKBError."""
+"""Snapshot readers: any bytes either load or raise a QAKBError, and a
+KB snapshot loads to what ingestion builds from the same records."""
 
 import json
 import zlib
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qakb.errors import ParseError, QAKBError
-from qakb.kb import SNAPSHOT_MAGIC, load_kb
+from qakb.errors import MalformedId, ParseError, QAKBError
+from qakb.kb import SNAPSHOT_MAGIC, EntityRecord, Fact, build_kb, load_kb
 from qakb.nn.io import MODEL_MAGIC, load_params, read_model_meta, save_params
 from qakb.nn.tensor import param
 
@@ -26,6 +27,39 @@ kb_payloads = st.fixed_dictionaries(
     {"facts": json_values, "aliases": json_values, "types": json_values},
     optional={"extra_entities": json_values},
 )
+
+
+# snapshot payloads whose every field is a string: ids in canonical and
+# other spellings (one that no spelling rule accepts), aliases unstripped,
+# mixed-case or repeated, and an id typed twice with different labels
+_ids = st.sampled_from([
+    "m.01", "m.02", "m.0a_b", "M.01", "m/02", " m.01 ",
+    "www.freebase.com/m/0a_b", "<http://rdf.freebase.com/ns/m.02>",
+    "m 0 1",
+])
+_texts = st.sampled_from(["germany", " Germany ", "GERMANY", "film", "",
+                          " ", "the beatles", "The  Beatles"])
+string_payloads = st.fixed_dictionaries(
+    {"facts": st.lists(st.lists(_ids | _texts, min_size=3, max_size=3),
+                       max_size=6),
+     "aliases": st.lists(st.tuples(_ids, st.lists(_texts, max_size=3))
+                         .map(list), max_size=4),
+     "types": st.lists(st.tuples(_ids, _texts).map(list), max_size=4)},
+    optional={"extra_entities": st.lists(_ids | _texts, max_size=3)},
+)
+
+
+def _build_kb_route(payload: dict):
+    """What the snapshot reader returned before it built records itself:
+    the payload's records fed through :func:`build_kb`."""
+    facts = [Fact(s, r, o) for s, r, o in payload["facts"]]
+    alias_pairs = [(e, a) for e, aliases in payload["aliases"]
+                   for a in aliases]
+    kb = build_kb(facts, alias_pairs, [tuple(p) for p in payload["types"]])
+    for mid in payload.get("extra_entities", ()):
+        if mid not in kb.entities:
+            kb.entities[mid] = EntityRecord(id=mid)
+    return kb
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +85,37 @@ class TestLoadKb:
     @settings(deadline=None)
     @given(json_values | kb_payloads)
     def test_random_payloads(self, path, payload):
-        blob = zlib.compress(json.dumps(payload).encode("utf-8"))
-        _loads_or_rejects(load_kb, path, SNAPSHOT_MAGIC + blob)
+        path.write_bytes(SNAPSHOT_MAGIC + zlib.compress(
+            json.dumps(payload).encode("utf-8")))
+        try:
+            kb = load_kb(str(path))
+        except QAKBError:
+            return
+        # a field of another JSON type is rejected, not loaded
+        for fact in kb.facts:
+            assert all(type(v) is str
+                       for v in (fact.subject, fact.relation, fact.object))
+        for mid, rec in kb.entities.items():
+            assert type(mid) is str and type(rec.id) is str
+            assert all(type(alias) is str for alias in rec.aliases)
+            assert rec.notable_type is None or type(rec.notable_type) is str
+
+    @settings(deadline=None, max_examples=300)
+    @given(string_payloads)
+    def test_equals_the_build_kb_route(self, path, payload):
+        path.write_bytes(SNAPSHOT_MAGIC + zlib.compress(
+            json.dumps(payload).encode("utf-8")))
+        try:
+            want = _build_kb_route(payload)
+        except MalformedId:
+            with pytest.raises(ParseError, match="m 0 1"):
+                load_kb(str(path))
+            return
+        got = load_kb(str(path))
+        assert got.facts == want.facts
+        assert list(got.entities) == list(want.entities)
+        assert got.entities == want.entities
+        assert list(got.by_subject.items()) == list(want.by_subject.items())
 
 
 class TestLoadParams:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -140,6 +140,9 @@ def _describe(variant: E2EVariant) -> str:
 # Encoders
 # ---------------------------------------------------------------------------
 
+CharRows = Callable[[str], Tensor]  # a word's char-GRU summary, [h]
+
+
 class WordEncoder:
     """Word-table rows, optionally extended with a char-GRU summary.
 
@@ -176,16 +179,29 @@ class WordEncoder:
         extra = self.char_gru.hidden_dim if self.char_level else 0
         return self.word_table.dim + extra
 
-    def encode_words(self, words: Sequence[str]) -> Tensor:
+    def encode_words(self, words: Sequence[str],
+                     char_rows: Optional[CharRows] = None) -> Tensor:
         """[W, d] rows for the words: word-table rows, with char mode each
-        followed by the char-GRU's last state over the word's characters,
-        all the words running as one padded batch."""
+        followed by the char-GRU's last state over the word's characters.
+        The words run as one padded batch, unless ``char_rows`` is given:
+        then each word's char part is ``char_rows(word)``."""
         vecs = self.word_table.embed(list(words))
         if not self.char_level:
             return vecs
-        chars, lengths = self.char_table.embed_padded(words)
-        _, last = run_recurrent(self.char_gru, chars, lengths=lengths)
+        if char_rows is None:
+            chars, lengths = self.char_table.embed_padded(words)
+            _, last = run_recurrent(self.char_gru, chars, lengths=lengths)
+        else:
+            last = stack_rows([char_rows(word) for word in words])
         return concat([vecs, last], axis=1)
+
+    def char_summary(self, word: str) -> Tensor:
+        """The char-GRU's [h] last state over one word's characters, run
+        on that word alone.  A batched run rounds differently in the last
+        bits, so this is what answering caches: a word's summary does not
+        depend on the words it is asked with."""
+        _, last = run_recurrent(self.char_gru, self.char_table.embed(list(word)))
+        return last
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"e2e.words": self.word_table.vectors}
@@ -286,13 +302,16 @@ class E2EModel:
                                      variant.self_attention)
         self.head = ScoringHead(variant.head_mode)
 
-    def encode_texts(self, texts: Sequence[Sequence[str]]) -> Tensor:
+    def encode_texts(self, texts: Sequence[Sequence[str]],
+                     char_rows: Optional[CharRows] = None) -> Tensor:
         """[B, h] encodings of token sequences, as one padded batch.
 
-        Each distinct word is encoded once; the shared LSTM runs once over
-        all rows with their own lengths (then self-attention over each
-        row's own states); each row's states are truncated or zero-padded
-        to max_len, flattened, and passed through the dense layer.
+        Each distinct word is encoded once, its char part from
+        ``char_rows`` when given (see :meth:`WordEncoder.encode_words`);
+        the shared LSTM runs once over all rows with their own lengths
+        (then self-attention over each row's own states); each row's
+        states are truncated or zero-padded to max_len, flattened, and
+        passed through the dense layer.
         """
         if not texts or not all(texts):
             raise EmptySequence("cannot encode an empty token sequence")
@@ -301,7 +320,9 @@ class E2EModel:
         idx, lengths = padded_indices(
             [[words.setdefault(tok, len(words)) for tok in text]
              for text in texts])
-        inputs = gather_rows(self.words.encode_words(list(words)), idx)
+        rows = (self.words.encode_words(list(words)) if char_rows is None
+                else self.words.encode_words(list(words), char_rows))
+        inputs = gather_rows(rows, idx)
         states, _ = run_recurrent(se.lstm, inputs, lengths=lengths)
         if se.self_attention_enabled:
             states = self_attention(states, lengths)
@@ -309,10 +330,11 @@ class E2EModel:
                        (len(texts), se.max_len * se.lstm.hidden_dim))
         return se.dense(flat)
 
-    def encode_text(self, tokens: Sequence[str]) -> Tensor:
+    def encode_text(self, tokens: Sequence[str],
+                    char_rows: Optional[CharRows] = None) -> Tensor:
         """One token sequence's encoding: the one-row case of
         :meth:`encode_texts`."""
-        return row(self.encode_texts([tokens]), 0)
+        return row(self.encode_texts([tokens], char_rows), 0)
 
     def parameters(self) -> dict[str, Tensor]:
         params = dict(self.words.parameters())
@@ -526,12 +548,14 @@ class E2EStrategy:
     :meth:`ScoringHead.scores`, the routine training scores through.
     The question is tokenized once, for the retrieval and the encoder.
     Encodings of subject labels, relation paths and type labels are filled
-    on first use and kept for the session, keyed by their raw text, so
-    memory is bounded by the KB's texts and a text seen before is not
-    tokenized again; question encodings are not kept.  A session must not
-    outlive a change to the model's weights.  ``variant`` must be the
-    model's own, except for the answer-time ``out_degree_sort``;
-    ValueError otherwise.
+    on first use and kept for the session, keyed by their raw text, so a
+    text seen before is not tokenized again; question encodings are not
+    kept.  With char mode every encode takes each word's char part from
+    :meth:`char_row`, which keeps the summaries of vocabulary words, so a
+    warm session runs no char-GRU.  Memory is bounded by the KB's texts
+    plus the vocabulary.  A session must not outlive a change to the
+    model's weights.  ``variant`` must be the model's own, except for the
+    answer-time ``out_degree_sort``; ValueError otherwise.
     """
 
     def __init__(self, model: E2EModel, variant: E2EVariant,
@@ -549,14 +573,29 @@ class E2EStrategy:
                 ("out_degree", variant.out_degree_sort),
                 ("type", variant.type_in_label or variant.type_as_task))
             if used)
+        # char summaries of vocabulary words, filled on first use
+        self.summaries: dict[str, Tensor] = {}
+
         # looked up on each miss, so a wrapper put on the model's
         # encode_text after the session was built still sees every miss
         def encode(tokens: tuple[str, ...]) -> Tensor:
-            return self.model.encode_text(tokens)
+            return self.model.encode_text(tokens, self.char_row)
 
         # subject labels and type labels, and relation paths
         self.labels = EncodeCache(encode, tokenize)
         self.relations = EncodeCache(encode, relation_tokens)
+
+    def char_row(self, word: str) -> Tensor:
+        """The word's :meth:`WordEncoder.char_summary`, kept for the
+        session when the word is in the model's vocabulary; an
+        out-of-vocabulary word's is run afresh on every use."""
+        vec = self.summaries.get(word)
+        if vec is None:
+            words = self.model.words
+            vec = words.char_summary(word)
+            if word in words.word_table.vocab:
+                self.summaries[word] = vec
+        return vec
 
     @cached_property
     def label(self) -> tuple[str, str]:
@@ -587,7 +626,7 @@ class E2EStrategy:
         channels = ([SUBJECT, PREDICATE, TYPE] if variant.type_as_task
                     else [SUBJECT, PREDICATE])
         with no_grad():
-            q_vec = self.model.encode_text(tokens)
+            q_vec = self.model.encode_text(tokens, self.char_row)
             # each fact's channel encodings in channel order; an untyped
             # subject has no type text and its type cosine is 0
             vecs: list[Optional[Tensor]] = []

@@ -521,13 +521,15 @@ def _head_weights(head):
 
 def _per_fact_scores(model, kb, question, facts, variant):
     """Each fact scored on its own: every text encoded afresh, building a
-    graph, one cosine per channel, and the weighted channels added left
-    to right in plain floats."""
+    graph, each word's char part from its own one-word run, one cosine
+    per channel, and the weighted channels added left to right in plain
+    floats."""
     weights = _head_weights(model.head)
-    q_vec = model.encode_text(tokenize(question))
+    summary = model.words.char_summary
+    q_vec = model.encode_text(tokenize(question), summary)
 
     def cos(tokens):
-        return float(cosine(q_vec, model.encode_text(tokens)).data)
+        return float(cosine(q_vec, model.encode_text(tokens, summary)).data)
 
     out = []
     for fact in facts:
@@ -544,6 +546,13 @@ def _per_fact_scores(model, kb, question, facts, variant):
                              s_qt=channels[2] if variant.type_as_task
                              else None, combined=total))
     return out
+
+
+def _top_or_none(session, question, k=1):
+    try:
+        return session.top(question, k)
+    except NoCandidates:
+        return None
 
 
 class TestSession:
@@ -687,6 +696,59 @@ class TestSession:
         assert _cached(session)
         for vec in _cached(session):
             assert vec._backward_fn is None and not vec.requires_grad
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_answers_do_not_depend_on_question_order(self, synth, name):
+        kb, index, qs, pools, questions = synth
+        model, _ = train_e2e(qs, kb, pools, VARIANTS[name],
+                             small_cfg(epochs=1))
+        for od in (False, True):
+            variant = variant_from_name(name, out_degree_sort=od)
+            forward = E2EStrategy(model, variant, kb, index)
+            backward = E2EStrategy(model, variant, kb, index)
+            answers = {q: _top_or_none(forward, q, 50) for q in questions}
+            for q in reversed(questions):
+                assert _top_or_none(backward, q, 50) == answers[q]
+            assert sum(a is not None for a in answers.values()) == len(qs)
+
+    @pytest.mark.parametrize("name", ["qa-t-w", "qa-t-mwst"])
+    def test_vocabulary_words_cached_once(self, synth, name, monkeypatch):
+        kb, index, qs, pools, questions = synth
+        model, _ = train_e2e(qs, kb, pools, VARIANTS[name],
+                             small_cfg(epochs=1))
+        vocab = model.words.word_table.vocab
+        in_vocab = [q.text for q in qs]
+        oov = [f"{text} zyzzyva" for text in in_vocab[:5]]
+        assert "zyzzyva" not in vocab
+        runs, gru_steps = Counter(), []
+        summary = WordEncoder.char_summary
+        step = qakb.nn.layers.GRUCell.step
+
+        def counted_summary(self, word):
+            runs[word] += 1
+            return summary(self, word)
+
+        def counted_step(self, *args):
+            gru_steps.append(1)
+            return step(self, *args)
+
+        monkeypatch.setattr(WordEncoder, "char_summary", counted_summary)
+        monkeypatch.setattr(qakb.nn.layers.GRUCell, "step", counted_step)
+        session = E2EStrategy(model, VARIANTS[name], kb, index)
+        answered = [q for q in in_vocab + oov
+                    if _top_or_none(session, q) is not None]
+        oov_uses = sum(q in answered for q in oov)
+        # the out-of-vocabulary word runs on every use, every other once
+        assert runs["zyzzyva"] == oov_uses >= 3
+        assert runs.total() == oov_uses + len(session.summaries)
+        assert set(session.summaries) <= set(vocab)
+        for word, vec in session.summaries.items():
+            assert_array_equal(vec.data, summary(model.words, word).data)
+            assert vec._backward_fn is None and not vec.requires_grad
+        gru_steps.clear()
+        again = [_top_or_none(session, q) for q in in_vocab]
+        assert any(top is not None for top in again)
+        assert not gru_steps and runs["zyzzyva"] == oov_uses
 
 
 class TestSessionVariantGuard:

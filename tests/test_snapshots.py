@@ -3,13 +3,15 @@ KB snapshot loads to what ingestion builds from the same records."""
 
 import json
 import zlib
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qakb.errors import MalformedId, ParseError, QAKBError
-from qakb.kb import SNAPSHOT_MAGIC, EntityRecord, Fact, build_kb, load_kb
+from qakb.kb import (SNAPSHOT_MAGIC, EntityRecord, Fact, build_kb, load_kb,
+                     save_kb)
 from qakb.nn.io import MODEL_MAGIC, load_params, read_model_meta, save_params
 from qakb.nn.tensor import param
 
@@ -116,6 +118,17 @@ class TestLoadKb:
         assert list(got.entities) == list(want.entities)
         assert got.entities == want.entities
         assert list(got.by_subject.items()) == list(want.by_subject.items())
+
+    def test_loaded_facts_are_frozen_facts(self, path):
+        facts = [Fact("m.01", "/a/b", "m.02"), Fact("m.02", "/a/c", "m.01")]
+        save_kb(build_kb(facts, [], []), str(path))
+        loaded = load_kb(str(path)).facts
+        assert loaded == facts
+        for got, want in zip(loaded, facts):
+            assert type(got) is Fact
+            assert hash(got) == hash(want) and repr(got) == repr(want)
+            with pytest.raises(FrozenInstanceError):
+                got.subject = "m.03"
 
 
 class TestLoadParams:

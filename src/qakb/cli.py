@@ -6,9 +6,9 @@ base snapshot from data files, ``synth`` fabricates a seeded benchmark,
 fit the two model families, ``answer`` runs a line-in/JSON-out loop, and
 ``eval`` scores a strategy and writes report files.
 
-Exit codes: 0 success, 1 usage error, 2 data error (bad or missing input
-files, with file and line, or a path that cannot be read or written),
-3 internal error.
+Exit codes: 0 success, 1 usage error, 2 data error (bad, missing or
+non-UTF-8 input files, with file and line, or a path that cannot be read
+or written), 3 internal error.
 """
 
 from __future__ import annotations
@@ -64,29 +64,28 @@ def read_config_file(path: str) -> dict[str, str]:
     """Parse simple ``key=value`` lines; ``#`` comments and blanks skip.
 
     The keys are those some command reads (the training fields and
-    ``seed``), so one file can serve every command.  An unknown key, or a
-    value that does not cast to its key's type, is a DataError."""
-    _require_files(path)
+    ``seed``), so one file can serve every command.  A missing or non-UTF-8
+    file, an unknown key, or a value that does not cast to its key's type,
+    is a DataError."""
     casts = {field: cast for field, cast, _ in _CONFIG_FIELDS}
     casts["seed"] = int
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise DataError(f"{path}:{line_no}: expected key=value")
-            key, _, value = stripped.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in casts:
-                raise DataError(f"{path}:{line_no}: unknown key '{key}'")
-            try:
-                casts[key](value)
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: {key}={value}: not "
-                                f"a valid {casts[key].__name__}") from None
-            out[key] = value
+    for line_no, line in enumerate(_parse_file(path, list), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise DataError(f"{path}:{line_no}: expected key=value")
+        key, _, value = stripped.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in casts:
+            raise DataError(f"{path}:{line_no}: unknown key '{key}'")
+        try:
+            casts[key](value)
+        except ValueError:
+            raise DataError(f"{path}:{line_no}: {key}={value}: not "
+                            f"a valid {casts[key].__name__}") from None
+        out[key] = value
     return out
 
 
@@ -120,13 +119,15 @@ def _require_files(*paths: Optional[str]) -> None:
 
 
 def _read_file(path: str, read_fn: Callable):
-    """``read_fn(path)``; a missing file or a parse error is a DataError
-    naming ``path``."""
+    """``read_fn(path)``; a missing or non-UTF-8 file or a parse error is
+    a DataError naming ``path``."""
     _require_files(path)
     try:
         return read_fn(path)
     except (ParseError, MalformedId) as exc:
         raise DataError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _parse_file(path: str, parse_fn: Callable):
@@ -187,8 +188,7 @@ def cmd_ingest(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     facts = _parse_file(args.facts, parse_triples_tsv)
     aliases = (_parse_file(args.aliases, parse_alias_lines)
                if args.aliases else [])
-    types = (_parse_file(args.types, parse_type_lines).resolve()
-             if args.types else [])
+    types = _parse_file(args.types, parse_type_lines) if args.types else []
     kb = build_kb(facts, aliases, types)
     save_kb(kb, args.out)
     print(f"{len(kb.facts)} facts, {len(kb.entities)} entities -> {args.out}")
@@ -394,10 +394,14 @@ def cmd_answer(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     interactive = args.questions is None
     with (contextlib.nullcontext(sys.stdin) if interactive
           else open(args.questions, encoding="utf-8")) as stream:
-        for question in (line.strip() for line in stream):
-            if question:
-                print(evalharness.answer_record(strategy, question),
-                      flush=interactive)
+        try:
+            for question in (line.strip() for line in stream):
+                if question:
+                    print(evalharness.answer_record(strategy, question),
+                          flush=interactive)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{args.questions or 'stdin'}: not UTF-8 text "
+                            f"({exc.reason})") from exc
     return 0
 
 

@@ -94,13 +94,17 @@ def make_question(text: str, gold: Fact) -> QuestionInstance:
 
 
 def parse_questions_tsv(lines: Iterable[str]) -> list[QuestionInstance]:
-    """Parse ``subject<TAB>relation<TAB>object<TAB>question`` lines."""
+    """Parse ``subject<TAB>relation<TAB>object<TAB>question`` lines; the
+    gold object is the object field's first id (ParseError when blank)."""
     out: list[QuestionInstance] = []
-    for fields in tsv_rows(lines, 4):
+    for line_no, fields in tsv_rows(lines, 4):
+        objects = fields[2].split()
+        if not objects:
+            raise ParseError("no object id", line_no)
         gold = Fact(
             canonicalize_mid(fields[0]),
             canonicalize_relation(fields[1]),
-            canonicalize_mid(fields[2].split()[0]),
+            canonicalize_mid(objects[0]),
         )
         out.append(make_question(fields[3], gold))
     return out

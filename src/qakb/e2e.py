@@ -320,9 +320,8 @@ class E2EModel:
         idx, lengths = padded_indices(
             [[words.setdefault(tok, len(words)) for tok in text]
              for text in texts])
-        rows = (self.words.encode_words(list(words)) if char_rows is None
-                else self.words.encode_words(list(words), char_rows))
-        inputs = gather_rows(rows, idx)
+        inputs = gather_rows(self.words.encode_words(list(words), char_rows),
+                             idx)
         states, _ = run_recurrent(se.lstm, inputs, lengths=lengths)
         if se.self_attention_enabled:
             states = self_attention(states, lengths)

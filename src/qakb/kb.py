@@ -151,9 +151,10 @@ class KnowledgeBase:
 # TSV facts format
 # ---------------------------------------------------------------------------
 
-def tsv_rows(lines: Iterable[str], n_fields: int) -> Iterator[list[str]]:
-    """The tab-separated fields of each non-blank line; ParseError for a
-    line with fewer than ``n_fields``."""
+def tsv_rows(lines: Iterable[str],
+             n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """The 1-based line number and tab-separated fields of each non-blank
+    line; ParseError for a line with fewer than ``n_fields``."""
     for line_no, line in enumerate(lines, start=1):
         line = line.rstrip("\n").rstrip("\r")
         if not line.strip():
@@ -162,21 +163,24 @@ def tsv_rows(lines: Iterable[str], n_fields: int) -> Iterator[list[str]]:
         if len(fields) < n_fields:
             raise ParseError(f"expected {n_fields} tab-separated fields, "
                              f"got {len(fields)}", line_no)
-        yield fields
+        yield line_no, fields
 
 
 def parse_triples_tsv(stream: Iterable[str]) -> list[Fact]:
     """Parse ``subject<TAB>relation<TAB>objects`` lines into facts.
 
-    The object field may hold several space-separated ids; such a line
-    expands into one fact per object.  Blank lines are skipped and input
-    order is preserved.
+    The object field holds one or more space-separated ids (ParseError
+    when it is blank); a line expands into one fact per object.  Blank
+    lines are skipped and input order is preserved.
     """
     facts: list[Fact] = []
-    for fields in tsv_rows(stream, 3):
+    for line_no, fields in tsv_rows(stream, 3):
         subject = canonicalize_mid(fields[0])
         relation = canonicalize_relation(fields[1])
-        for obj in fields[2].split():
+        objects = fields[2].split()
+        if not objects:
+            raise ParseError("no object id", line_no)
+        for obj in objects:
             facts.append(Fact(subject, relation, canonicalize_mid(obj)))
     return facts
 
@@ -305,73 +309,46 @@ def parse_ntriples(stream: Iterable[str]) -> Iterator[tuple[str, str, NTObject]]
 # Notable-type ingestion
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class TypeData:
-    """Notable-type information parsed from a type file.
+def parse_type_lines(lines: Iterable[str]) -> list[tuple[str, str]]:
+    """(id, label) pairs from a notable-type file in either supported format.
 
-    ``direct`` pairs map an entity straight to a label; ``assignments``
-    map an entity to a type id and are resolved against ``names`` (type id
-    to label).
-    """
-
-    direct: list[tuple[str, str]] = field(default_factory=list)
-    assignments: list[tuple[str, str]] = field(default_factory=list)
-    names: dict[str, str] = field(default_factory=dict)
-
-    def resolve(self) -> list[tuple[str, str]]:
-        """Join assignments with names; unresolvable type ids are dropped."""
-        pairs = list(self.direct)
-        missing = 0
-        for entity, type_id in self.assignments:
-            label = self.names.get(type_id)
-            if label is None:
-                missing += 1
-                continue
-            pairs.append((entity, label))
-        if missing:
-            log.warning("dropped %d type assignments with unnamed type ids", missing)
-        return pairs
-
-
-def parse_type_lines(lines: Iterable[str]) -> TypeData:
-    """Parse a notable-type file in either supported format.
-
-    TSV lines are ``mid<TAB>label``.  N-Triples input (auto-detected by a
-    first non-blank character of ``<``) contributes type assignments
-    (IRI objects) and type names (literal objects).  A blank label or
+    TSV lines are ``mid<TAB>label``, parsed as alias lines are.  N-Triples
+    input (auto-detected by a first non-blank character of ``<``) holds
+    type assignments (IRI objects) and type names (literal objects); each
+    assignment is joined with its type id's name, in file order, and one
+    whose type id has no name is dropped with a warning.  A blank label or
     name is dropped, so its entity stays untyped.
     """
     buffered = list(lines)
     first = next((ln for ln in buffered if ln.strip()), "")
-    data = TypeData()
-    if not first:
-        return data
-    if first.lstrip().startswith("<"):
-        for subject, predicate, obj in parse_ntriples(buffered):
-            if obj.is_literal:
-                name = obj.value.strip().lower()
-                if name and obj.lang in (None, "en"):
-                    data.names[canonicalize_mid(subject)] = name
-            else:
-                relation = canonicalize_relation(predicate)
-                if relation != _TYPE_ASSIGN_RELATION:
-                    log.debug("ignoring non-type predicate %s", relation)
-                    continue
-                data.assignments.append(
-                    (canonicalize_mid(subject), canonicalize_mid(obj.value))
-                )
-    else:
-        for fields in tsv_rows(buffered, 2):
-            label = fields[1].strip().lower()
-            if label:
-                data.direct.append((canonicalize_mid(fields[0]), label))
-    return data
+    if not first.lstrip().startswith("<"):
+        return parse_alias_lines(buffered)
+    names: dict[str, str] = {}
+    assignments: list[tuple[str, str]] = []
+    for subject, predicate, obj in parse_ntriples(buffered):
+        if obj.is_literal:
+            name = obj.value.strip().lower()
+            if name and obj.lang in (None, "en"):
+                names[canonicalize_mid(subject)] = name
+        else:
+            relation = canonicalize_relation(predicate)
+            if relation != _TYPE_ASSIGN_RELATION:
+                log.debug("ignoring non-type predicate %s", relation)
+                continue
+            assignments.append((canonicalize_mid(subject),
+                                canonicalize_mid(obj.value)))
+    pairs = [(entity, names[type_id]) for entity, type_id in assignments
+             if type_id in names]
+    if len(pairs) < len(assignments):
+        log.warning("dropped %d type assignments with unnamed type ids",
+                    len(assignments) - len(pairs))
+    return pairs
 
 
 def parse_alias_lines(lines: Iterable[str]) -> list[tuple[str, str]]:
     """Parse ``mid<TAB>alias`` lines into (id, lowercased alias) pairs."""
     pairs: list[tuple[str, str]] = []
-    for fields in tsv_rows(lines, 2):
+    for _, fields in tsv_rows(lines, 2):
         alias = fields[1].strip().lower()
         if alias:
             pairs.append((canonicalize_mid(fields[0]), alias))
@@ -387,53 +364,49 @@ def build_kb(
     alias_pairs: Iterable[tuple[str, str]] = (),
     type_pairs: Iterable[tuple[str, str]] = (),
 ) -> KnowledgeBase:
-    """Assemble the immutable knowledge base.
-
-    Out-degrees are counted from the facts.  Entities that appear only as
-    objects (or only in the alias/type inputs) get records with out-degree
-    0.  Duplicate type pairs are resolved last-write-wins.
-    """
+    """Assemble the immutable knowledge base: the one routine that makes
+    entity records, each when its id is first seen (per fact the subject,
+    then the object; then the alias and type pairs' canonicalized ids).
+    Out-degrees count the facts, so an entity seen only as an object or in
+    the pairs has 0.  Aliases are stripped and lowercased, blank or
+    repeated ones dropped; duplicate type pairs resolve last-write-wins."""
     fact_list = list(facts)
     entities: dict[str, EntityRecord] = {}
     by_subject: dict[str, list[int]] = {}
-
-    def record(mid: str) -> EntityRecord:
-        rec = entities.get(mid)
-        if rec is None:
-            rec = entities[mid] = EntityRecord(id=mid)
-        return rec
-
     for idx, fact in enumerate(fact_list):
-        rec = record(fact.subject)
-        rec.out_degree += 1
-        by_subject.setdefault(fact.subject, []).append(idx)
-        record(fact.object)
+        subject, object_ = fact.subject, fact.object
+        rows = by_subject.get(subject)
+        if rows is None:
+            by_subject[subject] = [idx]
+            if subject not in entities:
+                entities[subject] = EntityRecord(subject)
+        else:
+            rows.append(idx)
+        if object_ not in entities:
+            entities[object_] = EntityRecord(object_)
+    for subject, rows in by_subject.items():
+        entities[subject].out_degree = len(rows)
 
     for mid, alias in alias_pairs:
-        _add_alias(record(canonicalize_mid(mid)), alias)
+        mid = canonicalize_mid(mid)
+        rec = entities.get(mid)
+        if rec is None:
+            rec = entities[mid] = EntityRecord(mid)
+        alias = alias.strip().lower()
+        if alias and alias not in rec.aliases:
+            rec.aliases.append(alias)
 
     for mid, label in type_pairs:
-        _set_type(record(canonicalize_mid(mid)), label)
+        mid = canonicalize_mid(mid)
+        rec = entities.get(mid)
+        if rec is None:
+            rec = entities[mid] = EntityRecord(mid)
+        if rec.notable_type is not None and rec.notable_type != label:
+            log.warning("entity %s has conflicting notable types %r / %r; "
+                        "keeping the latter", mid, rec.notable_type, label)
+        rec.notable_type = label
 
     return KnowledgeBase(facts=fact_list, entities=entities, by_subject=by_subject)
-
-
-def _add_alias(rec: EntityRecord, alias: str) -> None:
-    """Give ``rec`` the alias, stripped and lowercased, unless it is blank
-    or already there."""
-    alias = alias.strip().lower()
-    if alias and alias not in rec.aliases:
-        rec.aliases.append(alias)
-
-
-def _set_type(rec: EntityRecord, label: str) -> None:
-    """Type ``rec`` as ``label``; a later type replaces an earlier one."""
-    if rec.notable_type is not None and rec.notable_type != label:
-        log.warning(
-            "entity %s has conflicting notable types %r / %r; keeping the latter",
-            rec.id, rec.notable_type, label,
-        )
-    rec.notable_type = label
 
 
 def relations_of(kb: KnowledgeBase, entity: str) -> list[str]:
@@ -528,13 +501,10 @@ def _string(value: object, what: str) -> str:
 
 
 def _kb_from_payload(payload: dict) -> KnowledgeBase:
-    """The knowledge base :func:`build_kb` makes of a snapshot's records,
-    built in one pass: the same records in the same insertion order, alias
-    and type ids canonicalized as there.  ParseError for a record or field
-    of the wrong JSON type."""
+    """The knowledge base of a snapshot's records: :func:`build_kb` over
+    its facts and its alias and type pairs, then its extra entities.
+    ParseError for a record or field of the wrong JSON type."""
     facts: list[Fact] = []
-    entities: dict[str, EntityRecord] = {}
-    by_subject: dict[str, list[int]] = {}
     for idx, fact in enumerate(_array(payload["facts"], "facts")):
         # the checks are inlined on this, the hot path; the helpers only
         # build the error
@@ -545,48 +515,30 @@ def _kb_from_payload(payload: dict) -> KnowledgeBase:
             for value in fact:
                 _string(value, f"a field of fact {idx}")
         facts.append(_new_fact(s, r, o))
-        rows = by_subject.get(s)
-        if rows is None:
-            by_subject[s] = [idx]
-            if s not in entities:
-                entities[s] = EntityRecord(s)
-        else:
-            rows.append(idx)
-        if o not in entities:
-            entities[o] = EntityRecord(o)
-    for subject, rows in by_subject.items():
-        entities[subject].out_degree = len(rows)
 
+    alias_pairs: list[tuple[str, str]] = []
     for entry in _array(payload["aliases"], "aliases"):
         mid, aliases = _array(entry, "an alias entry", 2)
         _string(mid, "an alias entry's id")
-        # an entity with an empty alias list gets no record from it
-        if not _array(aliases, "an alias list"):
-            continue
-        mid = canonicalize_mid(mid)
-        rec = entities.get(mid)
-        if rec is None:
-            rec = entities[mid] = EntityRecord(mid)
-        for alias in aliases:
-            _add_alias(rec, _string(alias, "an alias"))
-
+        alias_pairs.extend((mid, _string(alias, "an alias"))
+                           for alias in _array(aliases, "an alias list"))
+    type_pairs: list[tuple[str, str]] = []
     for entry in _array(payload["types"], "types"):
         mid, label = _array(entry, "a type entry", 2)
-        mid = canonicalize_mid(_string(mid, "a type entry's id"))
-        rec = entities.get(mid)
-        if rec is None:
-            rec = entities[mid] = EntityRecord(mid)
-        _set_type(rec, _string(label, "a type label"))
+        type_pairs.append((_string(mid, "a type entry's id"),
+                           _string(label, "a type label")))
 
+    kb = build_kb(facts, alias_pairs, type_pairs)
     for mid in _array(payload.get("extra_entities", []), "extra_entities"):
-        if _string(mid, "an extra entity id") not in entities:
-            entities[mid] = EntityRecord(mid)
-    return KnowledgeBase(facts=facts, entities=entities, by_subject=by_subject)
+        if _string(mid, "an extra entity id") not in kb.entities:
+            kb.entities[mid] = EntityRecord(mid)
+    return kb
 
 
 def load_kb(path: str) -> KnowledgeBase:
-    """Read a snapshot written by :func:`save_kb`; ParseError when the
-    bytes are not one, or when a record or field has the wrong JSON type."""
+    """Read a snapshot written by :func:`save_kb`, built by :func:`build_kb`
+    with the collector paused; ParseError when the bytes are not one, or
+    when a record or field has the wrong JSON type."""
     with open(path, "rb") as fh:
         magic = fh.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:

@@ -317,6 +317,66 @@ class TestExitCodes:
         assert err.startswith(f"error: {out}: ")
 
 
+class TestNonUtf8Input:
+    """An input that is not UTF-8 text exits 2 naming its file, with no
+    traceback and no output."""
+
+    @pytest.mark.parametrize("command, source", [
+        ("ingest", "--facts"), ("ingest", "--aliases"), ("ingest", "--types"),
+        ("gen-data", "--questions"), ("eval", "--questions"),
+        ("answer", "--questions"), ("answer", "stdin"),
+        ("train-e2e", "--config"), ("train-pipeline", "tagged.tsv")])
+    def test_is_data_error_naming_the_file(self, capsys, bench, tmp_path,
+                                          monkeypatch, command, source):
+        kb, out = str(bench / "kb.qakb"), tmp_path / "out"
+        bad = tmp_path / "bad.txt"
+        if command == "ingest":
+            argv = ["ingest", "--out", str(out)]
+            for flag, text in (("--facts", "m.0a1\t/d/x/r\tm.0o1\n"),
+                               ("--aliases", "m.0a1\tacme\n"),
+                               ("--types", "m.0a1\tfilm\n")):
+                good = tmp_path / f"{flag[2:]}.tsv"
+                good.write_text(text)
+                argv += [flag, str(bad if flag == source else good)]
+        elif command == "answer":
+            model = str(tmp_path / "m.nn")
+            assert main(["train-e2e", "--kb", kb, "--questions",
+                         str(bench / "train.tsv"), "--variant", "qa-t",
+                         "--out", model, "--epochs", "1", "--hidden-size",
+                         "4", "--max-len", "6"]) == 0
+            argv = ["answer", "--kb", kb, "--model", model, "--variant",
+                    "qa-t"]
+            if source == "stdin":
+                monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+                    io.BytesIO(b"\xff\xfewho founded acme\n"),
+                    encoding="utf-8"))
+            else:
+                argv += ["--questions", str(bad)]
+        elif command == "train-pipeline":
+            data = tmp_path / "data"
+            assert main(["gen-data", "--kb", kb, "--questions",
+                         str(bench / "train.tsv"), "--out", str(data)]) == 0
+            bad = data / source
+            argv = ["train-pipeline", "--data", str(data), "--out", str(out),
+                    "--epochs", "1", "--hidden-size", "4"]
+        else:
+            argv = {"gen-data": ["gen-data", "--kb", kb],
+                    "eval": ["eval", "--kb", kb, "--oracle", "--strategy",
+                             "p-qa"],
+                    "train-e2e": ["train-e2e", "--kb", kb, "--questions",
+                                  str(bench / "train.tsv"), "--variant",
+                                  "qa-t"]}[command]
+            argv += [source, str(bad), "--out", str(out)]
+        bad.write_bytes(b"\xff\xfem.0a1\t/d/x/r\tm.0o1\twho founded acme\n")
+        capsys.readouterr()
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2
+        assert stdout == "" and "Traceback" not in err
+        named = "stdin" if source == "stdin" else str(bad)
+        assert err == f"error: {named}: not UTF-8 text (invalid start byte)\n"
+        assert not out.exists()
+
+
 def _command_argv(command, bench, tmp_path):
     """Arguments, all but ``--out``, that run ``command`` on the bench."""
     kb, train = str(bench / "kb.qakb"), str(bench / "train.tsv")
@@ -481,6 +541,15 @@ class TestIngest:
                          "--types", str(tmp_path / f"types.{name}"),
                          "--out", str(kb)]) == 0
             assert notable_type(load_kb(str(kb)), "m.0a01") == "film", name
+
+    def test_facts_line_without_object_is_data_error(self, tmp_path, capsys):
+        facts = tmp_path / "facts.tsv"
+        facts.write_text("m.02\t/a/b\tm.03\nm.01\t/a/b\t\n")
+        code, _, err = run(capsys, "ingest", "--facts", str(facts),
+                           "--out", str(tmp_path / "kb.qakb"))
+        assert code == 2
+        assert err.startswith(f"error: {facts}: line 2: ")
+        assert not (tmp_path / "kb.qakb").exists()
 
     def test_bad_facts_line_is_data_error(self, tmp_path, capsys):
         facts = tmp_path / "facts.tsv"

@@ -493,6 +493,13 @@ class TestQuestionFiles:
         with pytest.raises(ParseError):
             parse_questions_tsv(["m.a\t/r\tm.b\n"])
 
+    def test_blank_object_rejected_with_line_number(self):
+        with pytest.raises(ParseError) as exc:
+            parse_questions_tsv([
+                "m.a\t/r\tm.b\twhat is r of a\n",
+                "m.0g001\t/synth/fact/x\t \twhat is x of y\n"])
+        assert exc.value.line_no == 2
+
     def test_labeled_file_round_trip(self, tmp_path):
         items = [label_entity_span(_q("where was obama born ?"), ["obama"])]
         path = str(tmp_path / "tags.tsv")

@@ -1071,9 +1071,9 @@ class TestCharReuse:
         encode_words = WordEncoder.encode_words
         loss = _StepBatch.loss
 
-        def counted_words(self, words):
+        def counted_words(self, words, char_rows=None):
             runs.append(list(words))
-            return encode_words(self, words)
+            return encode_words(self, words, char_rows)
 
         def counted_loss(self):
             texts = list(self.texts)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from qakb.errors import MalformedId, ParseError
 from qakb.kb import (
+    EntityRecord,
     Fact,
     _strip_id_prefix,
     NTObject,
@@ -156,6 +157,15 @@ class TestParseTriplesTsv:
             parse_triples_tsv(["m.a\t/r\tm.b\n", "m.a\t/r\n"])
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("objects", ["", " ", "  \t"])
+    def test_blank_object_raises_with_line_number(self, objects):
+        """A line whose object field holds no id is an error, not a line
+        that yields no fact."""
+        with pytest.raises(ParseError) as exc:
+            parse_triples_tsv(["m.a\t/r\tm.b\n",
+                               f"m.01\t/a/b\t{objects}\n"])
+        assert exc.value.line_no == 2
+
     def test_round_trip(self):
         lines = [
             "m.a\t/r/one\tm.b m.c\n",
@@ -220,8 +230,8 @@ class TestParseNtriples:
 
 class TestTypeIngestion:
     def test_tsv_direct_pairs(self):
-        data = parse_type_lines(["m.017hzy7\tmusical recording\n"])
-        assert data.resolve() == [("m.017hzy7", "musical recording")]
+        pairs = parse_type_lines(["m.017hzy7\tmusical recording\n"])
+        assert pairs == [("m.017hzy7", "musical recording")]
 
     def test_ntriples_join(self):
         """Type assignment and type name join through the shared type id."""
@@ -232,7 +242,7 @@ class TestTypeIngestion:
             '<http://rdf.freebase.com/ns/m.0kpv11> '
             '<http://rdf.freebase.com/ns/type.object.name> "Musical Recording"@en .',
         ]
-        assert parse_type_lines(lines).resolve() == [
+        assert parse_type_lines(lines) == [
             ("m.017hzy7", "musical recording")
         ]
 
@@ -242,13 +252,13 @@ class TestTypeIngestion:
             "<http://rdf.freebase.com/ns/common.topic.notable_types> "
             "<http://rdf.freebase.com/ns/m.unnamed> .",
         ]
-        assert parse_type_lines(lines).resolve() == []
+        assert parse_type_lines(lines) == []
 
     def test_blank_labels_dropped(self):
         """A blank label or type name leaves its entity untyped, as a blank
         alias is dropped."""
-        data = parse_type_lines(["m.0a1\t   \n", "m.0a2\tfilm\n"])
-        assert data.resolve() == [("m.0a2", "film")]
+        pairs = parse_type_lines(["m.0a1\t   \n", "m.0a2\tfilm\n"])
+        assert pairs == [("m.0a2", "film")]
         lines = [
             "<http://rdf.freebase.com/ns/m.x> "
             "<http://rdf.freebase.com/ns/common.topic.notable_types> "
@@ -256,7 +266,7 @@ class TestTypeIngestion:
             '<http://rdf.freebase.com/ns/m.t> '
             '<http://rdf.freebase.com/ns/type.object.name> "" .',
         ]
-        assert parse_type_lines(lines).resolve() == []
+        assert parse_type_lines(lines) == []
 
 
 class TestBuildKb:
@@ -320,6 +330,70 @@ class TestBuildKb:
         for entity in kb.entities:
             expected = sorted({f.relation for f in facts if f.subject == entity})
             assert relations_of(kb, entity) == expected
+
+
+def _record_route_build_kb(facts, alias_pairs=(), type_pairs=()):
+    """:func:`build_kb` as it was before it made records in one pass: one
+    ``record()`` call per fact subject, fact object, alias pair and type
+    pair."""
+    fact_list = list(facts)
+    entities = {}
+    by_subject = {}
+
+    def record(mid):
+        rec = entities.get(mid)
+        if rec is None:
+            rec = entities[mid] = EntityRecord(id=mid)
+        return rec
+
+    for idx, fact in enumerate(fact_list):
+        rec = record(fact.subject)
+        rec.out_degree += 1
+        by_subject.setdefault(fact.subject, []).append(idx)
+        record(fact.object)
+    for mid, alias in alias_pairs:
+        rec = record(canonicalize_mid(mid))
+        alias = alias.strip().lower()
+        if alias and alias not in rec.aliases:
+            rec.aliases.append(alias)
+    for mid, label in type_pairs:
+        record(canonicalize_mid(mid)).notable_type = label
+    return fact_list, entities, by_subject
+
+
+# ids in canonical and other spellings, one that no spelling rule accepts,
+# and some that no fact uses; texts unstripped, mixed-case or blank
+_fact_ids = st.sampled_from(["m.01", "m.02", "m.03", "M.01", "m/02"])
+_pair_ids = _fact_ids | st.sampled_from([
+    "m.04", " m.01 ", "www.freebase.com/m/03",
+    "<http://rdf.freebase.com/ns/m.05>", "m 0 1"])
+_texts = st.sampled_from(["acme", " Acme ", "ACME", "film", "Film", "", " ",
+                          "the  beatles"])
+
+
+class TestBuildKbReference:
+    @given(
+        st.lists(st.builds(Fact, _fact_ids, st.sampled_from(["/r/a", "/r/b"]),
+                           _fact_ids), max_size=8),
+        st.lists(st.tuples(_pair_ids, _texts), max_size=6),
+        st.lists(st.tuples(_pair_ids, _texts), max_size=4),
+    )
+    def test_equals_the_record_route(self, facts, alias_pairs, type_pairs):
+        """Same facts, entity order, records, ``by_subject`` order and
+        MalformedId as one ``record()`` call per id."""
+        try:
+            want_facts, want_entities, want_rows = _record_route_build_kb(
+                facts, alias_pairs, type_pairs)
+        except MalformedId as exc:
+            with pytest.raises(MalformedId) as got:
+                build_kb(facts, alias_pairs, type_pairs)
+            assert str(got.value) == str(exc)
+            return
+        kb = build_kb(facts, alias_pairs, type_pairs)
+        assert kb.facts == want_facts
+        assert list(kb.entities) == list(want_entities)
+        assert kb.entities == want_entities
+        assert list(kb.by_subject.items()) == list(want_rows.items())
 
 
 class TestQueries:

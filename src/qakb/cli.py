@@ -395,7 +395,9 @@ def cmd_answer(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     with (contextlib.nullcontext(sys.stdin) if interactive
           else open(args.questions, encoding="utf-8")) as stream:
         try:
-            for question in (line.strip() for line in stream):
+            # a surrogate-escaped stdin (the C locale) decodes strictly here
+            for question in (line.encode("utf-8", "surrogateescape")
+                             .decode("utf-8").strip() for line in stream):
                 if question:
                     print(evalharness.answer_record(strategy, question),
                           flush=interactive)

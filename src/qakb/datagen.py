@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -421,49 +421,58 @@ def build_negative_pools(
 # Emitted training-set files
 # ---------------------------------------------------------------------------
 
+LABELED_HEADER = "tokens\ttags"
+PAIRS_HEADER = "question\ttext\ttag"
+
+
+def _tsv_rows(path: str, header: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tab-separated fields) of each non-blank line of a
+    file whose first line is ``header``; any other first line, or none,
+    is a ParseError at line 1."""
+    with io.open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if first.rstrip("\r\n") != header:
+            raise ParseError(f"expected the header {header!r}", 1)
+        for line_no, line in enumerate(fh, start=2):
+            if line.strip():
+                yield line_no, line.rstrip("\n").split("\t")
+
+
 def write_labeled_questions(path: str, items: Iterable[LabeledQuestion]) -> None:
     with io.open(path, "w", encoding="utf-8") as fh:
-        fh.write("tokens\ttags\n")
+        fh.write(LABELED_HEADER + "\n")
         for item in items:
             fh.write(f"{' '.join(item.tokens)}\t{' '.join(item.tags)}\n")
 
 
 def read_labeled_questions(path: str) -> list[LabeledQuestion]:
     out: list[LabeledQuestion] = []
-    with io.open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line_no == 1 or not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise ParseError("expected tokens<TAB>tags", line_no)
-            tokens = tuple(fields[0].split())
-            tags = tuple(fields[1].split())
-            if len(tokens) != len(tags):
-                raise ParseError("token/tag length mismatch", line_no)
-            unknown = sorted(set(tags) - {"c", "e"})
-            if unknown:
-                raise ParseError(f"unknown tags {unknown}; expected c or e",
-                                 line_no)
-            out.append(LabeledQuestion(tokens=tokens, tags=tags))
+    for line_no, fields in _tsv_rows(path, LABELED_HEADER):
+        if len(fields) != 2:
+            raise ParseError("expected tokens<TAB>tags", line_no)
+        tokens = tuple(fields[0].split())
+        tags = tuple(fields[1].split())
+        if len(tokens) != len(tags):
+            raise ParseError("token/tag length mismatch", line_no)
+        unknown = sorted(set(tags) - {"c", "e"})
+        if unknown:
+            raise ParseError(f"unknown tags {unknown}; expected c or e",
+                             line_no)
+        out.append(LabeledQuestion(tokens=tokens, tags=tags))
     return out
 
 
 def write_matcher_pairs(path: str, pairs: Iterable[MatcherPair]) -> None:
     with io.open(path, "w", encoding="utf-8") as fh:
-        fh.write("question\ttext\ttag\n")
+        fh.write(PAIRS_HEADER + "\n")
         for question, text, tag in pairs:
             fh.write(f"{question}\t{text}\t{tag}\n")
 
 
 def read_matcher_pairs(path: str) -> list[MatcherPair]:
     out: list[MatcherPair] = []
-    with io.open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line_no == 1 or not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3 or fields[2] not in ("0", "1"):
-                raise ParseError("expected question<TAB>text<TAB>0|1", line_no)
-            out.append((fields[0], fields[1], int(fields[2])))
+    for line_no, fields in _tsv_rows(path, PAIRS_HEADER):
+        if len(fields) != 3 or fields[2] not in ("0", "1"):
+            raise ParseError("expected question<TAB>text<TAB>0|1", line_no)
+        out.append((fields[0], fields[1], int(fields[2])))
     return out

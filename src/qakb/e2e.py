@@ -47,7 +47,6 @@ from qakb.nn.tensor import (
     pad_rows,
     param,
     reshape,
-    row,
     stack_rows,
     tsum,
 )
@@ -277,7 +276,8 @@ class ScoringHead:
         ``neg`` and adds max(0, S_neg + gamma - S_pos)."""
         sides = reshape(self.scores(cos, channels, np.concatenate([pos, neg])),
                         (2, len(pos)))
-        return tsum(loss_hinge_qas(row(sides, 0), row(sides, 1), gamma))
+        s_pos, s_neg = gather_rows(sides, 0), gather_rows(sides, 1)
+        return tsum(loss_hinge_qas(s_pos, s_neg, gamma))
 
     def parameters(self) -> dict[str, Tensor]:
         if self.mode == "qas":
@@ -333,7 +333,7 @@ class E2EModel:
                     char_rows: Optional[CharRows] = None) -> Tensor:
         """One token sequence's encoding: the one-row case of
         :meth:`encode_texts`."""
-        return row(self.encode_texts([tokens], char_rows), 0)
+        return gather_rows(self.encode_texts([tokens], char_rows), 0)
 
     def parameters(self) -> dict[str, Tensor]:
         params = dict(self.words.parameters())

@@ -317,39 +317,37 @@ def _recurrent_states(cells: Sequence[_GatedCell], inputs: Tensor,
     for k, flat in enumerate(flats):
         states[k][flat] = hs[k]
 
-    def backward(out: Tensor):
-        def fn():
-            grad = out.grad.reshape(B * T, D, H)
-            g = [grad[:, k][flat] for k, flat in enumerate(flats)]
-            g = np.array(g) if D > 1 else g[0]
-            d_pre = np.empty(xw.shape)
-            d_rec = np.empty(xw.shape)
-            d_state = cell.initial_state(*lead, offsets[-1] - offsets[-2])
-            for s in reversed(range(len(saved))):
-                lo, hi = offsets[s], offsets[s + 1]
-                if hi - lo > d_state[0].shape[-2]:  # rows that end here
-                    pad = np.zeros(lead + (hi - lo - d_state[0].shape[-2], H))
-                    d_state = tuple(np.concatenate([v, pad], axis=-2)
-                                    for v in d_state)
-                d_state = (d_state[0] + g[..., lo:hi, :],) + d_state[1:]
-                d_state, d_pre[..., lo:hi, :], d_rec[..., lo:hi, :] = (
-                    cell.step_backward(saved[s], d_state, u))
-            h_prev = np.concatenate([keep[0] for keep in saved], axis=-2)
-            d_pre, d_rec, h_prev = (a.reshape((D,) + a.shape[-2:])
-                                    for a in (d_pre, d_rec, h_prev))
-            d_x = np.zeros((B * T, d)) if inputs.requires_grad else None
-            for k, c in enumerate(cells):
-                d_w, d_u = d_pre[k].T @ xs[k], d_rec[k].T @ h_prev[k]
-                d_b = d_pre[k].sum(axis=0)
-                for kind, grad_k in (("W", d_w), ("U", d_u), ("b", d_b)):
-                    for j, weight in enumerate(c._kinds[kind]):
-                        if weight.requires_grad:
-                            weight.accumulate(grad_k[j * H:(j + 1) * H])
-                if d_x is not None:
-                    d_x[flats[k]] += d_pre[k] @ w_ts[k].T
+    def backward(out: Tensor) -> None:
+        grad = out.grad.reshape(B * T, D, H)
+        g = [grad[:, k][flat] for k, flat in enumerate(flats)]
+        g = np.array(g) if D > 1 else g[0]
+        d_pre = np.empty(xw.shape)
+        d_rec = np.empty(xw.shape)
+        d_state = cell.initial_state(*lead, offsets[-1] - offsets[-2])
+        for s in reversed(range(len(saved))):
+            lo, hi = offsets[s], offsets[s + 1]
+            if hi - lo > d_state[0].shape[-2]:  # rows that end here
+                pad = np.zeros(lead + (hi - lo - d_state[0].shape[-2], H))
+                d_state = tuple(np.concatenate([v, pad], axis=-2)
+                                for v in d_state)
+            d_state = (d_state[0] + g[..., lo:hi, :],) + d_state[1:]
+            d_state, d_pre[..., lo:hi, :], d_rec[..., lo:hi, :] = (
+                cell.step_backward(saved[s], d_state, u))
+        h_prev = np.concatenate([keep[0] for keep in saved], axis=-2)
+        d_pre, d_rec, h_prev = (a.reshape((D,) + a.shape[-2:])
+                                for a in (d_pre, d_rec, h_prev))
+        d_x = np.zeros((B * T, d)) if inputs.requires_grad else None
+        for k, c in enumerate(cells):
+            d_w, d_u = d_pre[k].T @ xs[k], d_rec[k].T @ h_prev[k]
+            d_b = d_pre[k].sum(axis=0)
+            for kind, grad_k in (("W", d_w), ("U", d_u), ("b", d_b)):
+                for j, weight in enumerate(c._kinds[kind]):
+                    if weight.requires_grad:
+                        weight.accumulate(grad_k[j * H:(j + 1) * H])
             if d_x is not None:
-                inputs.accumulate(d_x.reshape(x.shape))
-        return fn
+                d_x[flats[k]] += d_pre[k] @ w_ts[k].T
+        if d_x is not None:
+            inputs.accumulate(d_x.reshape(x.shape))
 
     # directions side by side: [B * T, D * h]; one direction needs no copy
     data = states[0] if D == 1 else states.transpose(1, 0, 2)
@@ -374,12 +372,10 @@ def _last_states(states: Tensor, ns: Sequence[int],
     data = x.reshape(-1, H).take(idx, axis=0).reshape(
         x.shape[:-2] + (D * H,))
 
-    def backward(out: Tensor):
-        def fn():
-            g = np.zeros((x.size // H, H))
-            g[idx] = out.grad.reshape(-1, H)
-            states.accumulate(g.reshape(x.shape))
-        return fn
+    def backward(out: Tensor) -> None:
+        g = np.zeros((x.size // H, H))
+        g[idx] = out.grad.reshape(-1, H)
+        states.accumulate(g.reshape(x.shape))
 
     return _make(data, (states,), backward)
 
@@ -476,16 +472,14 @@ def self_attention(states: Tensor,
     if valid is not None:
         out *= valid[..., None]
 
-    def backward(node: Tensor):
-        def fn():
-            g = node.grad if valid is None else node.grad * valid[..., None]
-            d_attn = g @ np.swapaxes(x, -1, -2)
-            d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1,
-                                                            keepdims=True))
-            d_scores *= scale
-            states.accumulate(np.swapaxes(attn, -1, -2) @ g + d_scores @ x
-                              + np.swapaxes(d_scores, -1, -2) @ x)
-        return fn
+    def backward(node: Tensor) -> None:
+        g = node.grad if valid is None else node.grad * valid[..., None]
+        d_attn = g @ np.swapaxes(x, -1, -2)
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1,
+                                                        keepdims=True))
+        d_scores *= scale
+        states.accumulate(np.swapaxes(attn, -1, -2) @ g + d_scores @ x
+                          + np.swapaxes(d_scores, -1, -2) @ x)
 
     return _make(out, (states,), backward)
 
@@ -569,15 +563,13 @@ def cosine(a: Tensor, b: Tensor) -> Tensor:
     denom = nx * ny
     cos = np.where(dead, 0.0, (x * y).sum(axis=-1) / denom)
 
-    def backward(out: Tensor):
-        def fn():
-            g = np.where(dead, 0.0, out.grad)
-            if a.requires_grad:
-                a.accumulate(((g / denom)[..., None] * y
-                              - (g * cos / (nx * nx))[..., None] * x))
-            if b.requires_grad:
-                b.accumulate(((g / denom)[..., None] * x
-                              - (g * cos / (ny * ny))[..., None] * y))
-        return fn
+    def backward(out: Tensor) -> None:
+        g = np.where(dead, 0.0, out.grad)
+        if a.requires_grad:
+            a.accumulate(((g / denom)[..., None] * y
+                          - (g * cos / (nx * nx))[..., None] * x))
+        if b.requires_grad:
+            b.accumulate(((g / denom)[..., None] * x
+                          - (g * cos / (ny * ny))[..., None] * y))
 
     return _make(cos, (a, b), backward)

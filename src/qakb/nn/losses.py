@@ -36,14 +36,8 @@ def loss_categorical_ce(pred: Tensor, gold: list[int],
     if pred.shape[0] != len(gold) or lens.sum() != len(gold):
         raise ShapeMismatch(f"{pred.shape[0]} predictions vs {len(gold)} "
                             f"labels in sequences of {lens.tolist()}")
-    y = np.asarray(gold, dtype=np.float64)
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    a = take_column(pred, 1)
-    log_a = log(clip(a, PROB_EPS, 1.0))
-    log_not_a = log(clip(1.0 - a, PROB_EPS, 1.0))
-    return -tsum((y * log_a + (1.0 - y) * log_not_a)
-                 * np.repeat(1.0 / lens, lens))
+    return tsum(loss_binary_ce(take_column(pred, 1), gold)
+                * np.repeat(1.0 / lens, lens))
 
 
 def loss_binary_ce(a: ArrayLike, y: Union[int, Sequence[int]]) -> Tensor:

@@ -7,6 +7,12 @@ with ``requires_grad=True``.  Only the handful of primitives the models
 need are implemented; anything else is composed from them.
 
 Inside :func:`no_grad` no graph is recorded, which is how inference runs.
+
+Every primitive, here and in :mod:`qakb.nn.layers`, makes its node with
+:func:`_make` from the node's parents and one function ``backward(out)``
+that reads ``out.grad`` and accumulates into the parents.  The function
+holds the parents and arrays saved by the forward, never ``out``, so a
+graph has no reference cycle: dropping its root frees it.
 """
 
 from __future__ import annotations
@@ -28,18 +34,12 @@ class Tensor:
     # Make numpy defer mixed ndarray/Tensor arithmetic to our reflected ops.
     __array_ufunc__ = None
 
-    def __init__(
-        self,
-        data,
-        requires_grad: bool = False,
-        parents: tuple = (),
-        backward_fn: Optional[Callable[[], None]] = None,
-    ):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self._parents = parents
-        self._backward_fn = backward_fn
+        self._parents: tuple[Tensor, ...] = ()
+        self._backward_fn: Optional[Callable[[Tensor], None]] = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -62,10 +62,10 @@ class Tensor:
     def backward(self) -> None:
         """Backpropagate from a scalar node through the whole graph.
 
-        Each node lets go of its parents and its backward closure once
-        that has run, so the graph, whose closures refer back to their
-        nodes, is freed when the caller drops it rather than at the next
-        garbage collection; a graph is backpropagated once.
+        Each node lets go of its parents and its backward function once
+        that has run, so the graph below a root the caller still holds
+        (a loss kept for logging) is freed as the pass goes; a graph is
+        backpropagated once.
         """
         if self.data.size != 1:
             raise ShapeMismatch(
@@ -89,7 +89,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward_fn is not None:
-                node._backward_fn()
+                node._backward_fn(node)
                 node._backward_fn, node._parents = None, ()
 
     # -- operator sugar ----------------------------------------------------
@@ -146,7 +146,7 @@ _grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar(
 @contextmanager
 def no_grad() -> Iterator[None]:
     """Record no graph inside the block: new nodes get no parents, no
-    backward closure and ``requires_grad=False``."""
+    backward function and ``requires_grad=False``."""
     token = _grad_enabled.set(False)
     try:
         yield
@@ -154,16 +154,15 @@ def no_grad() -> Iterator[None]:
         _grad_enabled.reset(token)
 
 
-def _make(
-    data: np.ndarray, parents: Sequence[Tensor], backward_builder
-) -> Tensor:
-    """Create a node, attaching the graph only if a parent needs it and
-    graph recording is on."""
+def _make(data: np.ndarray, parents: Sequence[Tensor],
+          backward: Callable[[Tensor], None]) -> Tensor:
+    """Create a node, attaching its parents and ``backward`` only if a
+    parent needs a gradient and graph recording is on."""
     track = _grad_enabled.get() and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=track)
     if track:
         out._parents = tuple(parents)
-        out._backward_fn = backward_builder(out)
+        out._backward_fn = backward
     return out
 
 
@@ -184,13 +183,11 @@ def add(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
 
-    def backward(out: Tensor):
-        def fn():
-            if a.requires_grad:
-                a.accumulate(_unbroadcast(out.grad, a.data.shape))
-            if b.requires_grad:
-                b.accumulate(_unbroadcast(out.grad, b.data.shape))
-        return fn
+    def backward(out: Tensor) -> None:
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(out.grad, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(out.grad, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -199,13 +196,11 @@ def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
 
-    def backward(out: Tensor):
-        def fn():
-            if a.requires_grad:
-                a.accumulate(_unbroadcast(out.grad * b.data, a.data.shape))
-            if b.requires_grad:
-                b.accumulate(_unbroadcast(out.grad * a.data, b.data.shape))
-        return fn
+    def backward(out: Tensor) -> None:
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(out.grad * b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(out.grad * a.data, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -214,15 +209,13 @@ def div(a: ArrayLike, b: ArrayLike) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data / b.data
 
-    def backward(out: Tensor):
-        def fn():
-            if a.requires_grad:
-                a.accumulate(_unbroadcast(out.grad / b.data, a.data.shape))
-            if b.requires_grad:
-                b.accumulate(
-                    _unbroadcast(-out.grad * a.data / (b.data ** 2), b.data.shape)
-                )
-        return fn
+    def backward(out: Tensor) -> None:
+        if a.requires_grad:
+            a.accumulate(_unbroadcast(out.grad / b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(
+                _unbroadcast(-out.grad * a.data / (b.data ** 2), b.data.shape)
+            )
 
     return _make(data, (a, b), backward)
 
@@ -237,22 +230,20 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
         raise ShapeMismatch(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     data = a.data @ b.data
 
-    def backward(out: Tensor):
-        def fn():
-            g = out.grad
-            if a.ndim == 2 and b.ndim == 2:
-                ga, gb = g @ b.data.T, a.data.T @ g
-            elif a.ndim == 1 and b.ndim == 2:
-                ga, gb = b.data @ g, np.outer(a.data, g)
-            elif a.ndim == 2 and b.ndim == 1:
-                ga, gb = np.outer(g, b.data), a.data.T @ g
-            else:  # 1-D dot product
-                ga, gb = g * b.data, g * a.data
-            if a.requires_grad:
-                a.accumulate(ga)
-            if b.requires_grad:
-                b.accumulate(gb)
-        return fn
+    def backward(out: Tensor) -> None:
+        g = out.grad
+        if a.ndim == 2 and b.ndim == 2:
+            ga, gb = g @ b.data.T, a.data.T @ g
+        elif a.ndim == 1 and b.ndim == 2:
+            ga, gb = b.data @ g, np.outer(a.data, g)
+        elif a.ndim == 2 and b.ndim == 1:
+            ga, gb = np.outer(g, b.data), a.data.T @ g
+        else:  # 1-D dot product
+            ga, gb = g * b.data, g * a.data
+        if a.requires_grad:
+            a.accumulate(ga)
+        if b.requires_grad:
+            b.accumulate(gb)
 
     return _make(data, (a, b), backward)
 
@@ -263,11 +254,9 @@ def _elementwise(a: ArrayLike, fwd, dfn) -> Tensor:
     a = as_tensor(a)
     data = fwd(a.data)
 
-    def backward(out: Tensor):
-        def fn():
-            if a.requires_grad:
-                a.accumulate(out.grad * dfn(a.data, out.data))
-        return fn
+    def backward(out: Tensor) -> None:
+        if a.requires_grad:
+            a.accumulate(out.grad * dfn(a.data, out.data))
 
     return _make(data, (a,), backward)
 
@@ -299,17 +288,11 @@ def log(a: ArrayLike) -> Tensor:
 
 def clip(a: ArrayLike, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes only strictly inside the range."""
-    a = as_tensor(a)
-    data = np.clip(a.data, lo, hi)
-
-    def backward(out: Tensor):
-        def fn():
-            if a.requires_grad:
-                inside = ((a.data > lo) & (a.data < hi)).astype(np.float64)
-                a.accumulate(out.grad * inside)
-        return fn
-
-    return _make(data, (a,), backward)
+    return _elementwise(
+        a,
+        lambda x: np.clip(x, lo, hi),
+        lambda x, y: ((x > lo) & (x < hi)).astype(np.float64),
+    )
 
 
 # -- reductions and shaping ------------------------------------------------
@@ -318,15 +301,13 @@ def tsum(a: ArrayLike, axis: Optional[int] = None) -> Tensor:
     a = as_tensor(a)
     data = a.data.sum(axis=axis)
 
-    def backward(out: Tensor):
-        def fn():
-            if not a.requires_grad:
-                return
-            g = out.grad
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            a.accumulate(np.broadcast_to(g, a.data.shape).copy())
-        return fn
+    def backward(out: Tensor) -> None:
+        if not a.requires_grad:
+            return
+        g = out.grad
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        a.accumulate(np.broadcast_to(g, a.data.shape).copy())
 
     return _make(data, (a,), backward)
 
@@ -335,11 +316,9 @@ def reshape(a: ArrayLike, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
     data = a.data.reshape(shape)
 
-    def backward(out: Tensor):
-        def fn():
-            if a.requires_grad:
-                a.accumulate(out.grad.reshape(a.data.shape))
-        return fn
+    def backward(out: Tensor) -> None:
+        if a.requires_grad:
+            a.accumulate(out.grad.reshape(a.data.shape))
 
     return _make(data, (a,), backward)
 
@@ -349,11 +328,9 @@ def transpose(a: ArrayLike) -> Tensor:
     if a.ndim != 2:
         raise ShapeMismatch(f"transpose expects a matrix, got shape {a.shape}")
 
-    def backward(out: Tensor):
-        def fn():
-            if a.requires_grad:
-                a.accumulate(out.grad.T)
-        return fn
+    def backward(out: Tensor) -> None:
+        if a.requires_grad:
+            a.accumulate(out.grad.T)
 
     return _make(a.data.T.copy(), (a,), backward)
 
@@ -365,16 +342,14 @@ def concat(parts: Sequence[ArrayLike], axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
 
-    def backward(out: Tensor):
-        def fn():
-            offset = 0
-            for t, size in zip(tensors, sizes):
-                if t.requires_grad:
-                    sl = [slice(None)] * out.grad.ndim
-                    sl[axis] = slice(offset, offset + size)
-                    t.accumulate(out.grad[tuple(sl)])
-                offset += size
-        return fn
+    def backward(out: Tensor) -> None:
+        offset = 0
+        for t, size in zip(tensors, sizes):
+            if t.requires_grad:
+                sl = [slice(None)] * out.grad.ndim
+                sl[axis] = slice(offset, offset + size)
+                t.accumulate(out.grad[tuple(sl)])
+            offset += size
 
     return _make(data, tensors, backward)
 
@@ -386,42 +361,23 @@ def stack_rows(rows: Sequence[ArrayLike]) -> Tensor:
         raise ShapeMismatch("stack of zero rows")
     data = np.stack([t.data for t in tensors], axis=0)
 
-    def backward(out: Tensor):
-        def fn():
-            for i, t in enumerate(tensors):
-                if t.requires_grad:
-                    t.accumulate(out.grad[i])
-        return fn
+    def backward(out: Tensor) -> None:
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                t.accumulate(out.grad[i])
 
     return _make(data, tensors, backward)
-
-
-def row(a: ArrayLike, index: int) -> Tensor:
-    a = as_tensor(a)
-    data = a.data[index].copy()
-
-    def backward(out: Tensor):
-        def fn():
-            if a.requires_grad:
-                g = np.zeros_like(a.data)
-                g[index] = out.grad
-                a.accumulate(g)
-        return fn
-
-    return _make(data, (a,), backward)
 
 
 def take_column(a: ArrayLike, index: int) -> Tensor:
     a = as_tensor(a)
     data = a.data[:, index].copy()
 
-    def backward(out: Tensor):
-        def fn():
-            if a.requires_grad:
-                g = np.zeros_like(a.data)
-                g[:, index] = out.grad
-                a.accumulate(g)
-        return fn
+    def backward(out: Tensor) -> None:
+        if a.requires_grad:
+            g = np.zeros_like(a.data)
+            g[:, index] = out.grad
+            a.accumulate(g)
 
     return _make(data, (a,), backward)
 
@@ -429,8 +385,9 @@ def take_column(a: ArrayLike, index: int) -> Tensor:
 def gather_rows(table: ArrayLike, indices) -> Tensor:
     """Select rows by index (embedding lookup); duplicates accumulate.
 
-    An index array of shape S gives S followed by the row shape, so a
-    [B, T] array of word indices gives [B, T, d] word vectors.  A tuple of
+    An index array of shape S gives S followed by the row shape: a single
+    index gives one row, and a [B, T] array of word indices gives
+    [B, T, d] word vectors.  A tuple of
     index arrays indexes the leading axes together, so ``(rows, steps)``
     picks one [h] state per row of a [B, T, h] batch.
     """
@@ -439,13 +396,11 @@ def gather_rows(table: ArrayLike, indices) -> Tensor:
            else np.asarray(indices, dtype=np.int64))
     data = table.data[idx]
 
-    def backward(out: Tensor):
-        def fn():
-            if table.requires_grad and data.size:
-                g = np.zeros_like(table.data)
-                np.add.at(g, idx, out.grad)
-                table.accumulate(g)
-        return fn
+    def backward(out: Tensor) -> None:
+        if table.requires_grad and data.size:
+            g = np.zeros_like(table.data)
+            np.add.at(g, idx, out.grad)
+            table.accumulate(g)
 
     return _make(data, (table,), backward)
 
@@ -460,13 +415,11 @@ def pad_rows(a: ArrayLike, n: int) -> Tensor:
     data = np.zeros(a.shape[:-2] + (n, a.shape[-1]))
     data[..., :keep, :] = a.data[..., :keep, :]
 
-    def backward(out: Tensor):
-        def fn():
-            if a.requires_grad:
-                g = np.zeros_like(a.data)
-                g[..., :keep, :] = out.grad[..., :keep, :]
-                a.accumulate(g)
-        return fn
+    def backward(out: Tensor) -> None:
+        if a.requires_grad:
+            g = np.zeros_like(a.data)
+            g[..., :keep, :] = out.grad[..., :keep, :]
+            a.accumulate(g)
 
     return _make(data, (a,), backward)
 
@@ -480,13 +433,11 @@ def softmax_rows(a: ArrayLike) -> Tensor:
     e = np.exp(shifted)
     data = e / e.sum(axis=1, keepdims=True)
 
-    def backward(out: Tensor):
-        def fn():
-            if a.requires_grad:
-                y, g = out.data, out.grad
-                dot = (g * y).sum(axis=1, keepdims=True)
-                a.accumulate(y * (g - dot))
-        return fn
+    def backward(out: Tensor) -> None:
+        if a.requires_grad:
+            y, g = out.data, out.grad
+            dot = (g * y).sum(axis=1, keepdims=True)
+            a.accumulate(y * (g - dot))
 
     return _make(data, (a,), backward)
 

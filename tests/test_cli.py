@@ -259,6 +259,24 @@ class TestExitCodes:
         assert stdout == "" and "Traceback" not in err
         assert err.startswith(f"error: {target}: line {bad_line}: ")
 
+    @pytest.mark.parametrize("name", ["tagged.tsv", "relation_pairs.tsv",
+                                      "type_pairs.tsv"])
+    def test_headerless_pipeline_data_names_line_1(self, capsys, bench,
+                                                   tmp_path, name):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--kb", str(bench / "kb.qakb"),
+                     "--questions", str(bench / "train.tsv"),
+                     "--out", str(data)]) == 0
+        target = data / name
+        target.write_text(target.read_text().split("\n", 1)[1])
+        capsys.readouterr()
+        code, stdout, err = run(capsys, "train-pipeline", "--data", str(data),
+                                "--out", str(tmp_path / "models"),
+                                "--epochs", "1", "--hidden-size", "4")
+        assert code == 2
+        assert stdout == "" and "Traceback" not in err
+        assert err.startswith(f"error: {target}: line 1: expected the header")
+
     @pytest.mark.parametrize("argv", [
         ["synth", "--entities", "10"],
         ["train-e2e", "--kb", "kb.qakb", "--questions", "q.tsv",
@@ -745,6 +763,31 @@ def snapshots(tmp_path_factory):
     return bench, models
 
 
+def _cli_env(*unset):
+    """The environment for ``python -m qakb.cli`` with ``src`` importable
+    and the variables ``unset`` removed."""
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+    return env
+
+
+def test_non_utf8_stdin_in_the_c_locale_is_data_error(snapshots):
+    """With no locale set, Python reads stdin with ``surrogateescape``;
+    ``answer`` still rejects a line that is not UTF-8."""
+    bench, models = snapshots
+    proc = subprocess.run(
+        [sys.executable, "-m", "qakb.cli", "answer",
+         "--kb", str(bench / "kb.qakb"), "--model", str(models["qa-t"]),
+         "--variant", "qa-t"],
+        input=b"\xff\xfewho founded acme\n", capture_output=True,
+        timeout=300, env=_cli_env("LANG", "LC_ALL", "LC_CTYPE",
+                                  "PYTHONIOENCODING"))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: stdin: not UTF-8 text (invalid start byte)\n"
+
+
 def test_closed_stdout_ends_quietly(snapshots, tmp_path):
     """``qakb answer ... | head -1``: the reader closes stdout after one
     record, and the command ends with 141 and nothing on stderr."""
@@ -752,13 +795,11 @@ def test_closed_stdout_ends_quietly(snapshots, tmp_path):
     question = (bench / "test.tsv").read_text().splitlines()[0].split("\t")[3]
     qfile = tmp_path / "q.txt"
     qfile.write_text((question + "\n") * 3000)  # far more than a pipe holds
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "qakb.cli", "answer",
          "--kb", str(bench / "kb.qakb"), "--pipeline", str(models["pipeline"]),
          "--strategy", "p-qa", "--questions", str(qfile)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()

@@ -511,3 +511,18 @@ class TestQuestionFiles:
         path = str(tmp_path / "pairs.tsv")
         write_matcher_pairs(path, pairs)
         assert read_matcher_pairs(path) == pairs
+
+    @pytest.mark.parametrize("read, text", [
+        (read_labeled_questions, "who is obama\tc c e\n"),
+        (read_labeled_questions, ""),
+        (read_matcher_pairs, "q one ?\t/r/a/b\t1\n"),
+        (read_matcher_pairs, "\nquestion\ttext\ttag\n"),
+    ])
+    def test_missing_header_is_parse_error_at_line_1(self, tmp_path, read,
+                                                      text):
+        """A file without the writer's header line loses no row to it."""
+        path = tmp_path / "data.tsv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="expected the header") as exc:
+            read(str(path))
+        assert exc.value.line_no == 1

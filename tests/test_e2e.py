@@ -36,7 +36,8 @@ import qakb.nn.layers
 import qakb.nn.tensor
 from qakb.nn import TrainConfig, cosine, dropout, fit
 from qakb.nn.losses import loss_hinge_qas, loss_hinge_qat, loss_hinge_qat_type
-from qakb.nn.tensor import Tensor, as_tensor, pad_rows, param, row, tsum
+from qakb.nn.tensor import (Tensor, as_tensor, gather_rows, pad_rows, param,
+                             tsum)
 from qakb.nn.io import load_model, save_model
 from qakb.pipeline import MatcherModel
 
@@ -883,7 +884,7 @@ def _per_text_loss(model, kb, q, neg_subject, neg_pred, cfg, rng):
             q_vec, enc_subject(neg_subject))
         neg_p = pos_p if neg_pred is None else cosine(
             q_vec, enc_relation(neg_pred))
-        w_s, w_p = row(head.W, 0), row(head.W, 1)
+        w_s, w_p = gather_rows(head.W, 0), gather_rows(head.W, 1)
         return loss_hinge_qas(w_s * pos_s + w_p * pos_p,
                               w_s * neg_s + w_p * neg_p, cfg.gamma)
     neg_s = None if neg_subject is None else cosine(

@@ -29,7 +29,6 @@ from qakb.nn.tensor import (
     mul,
     no_grad,
     param,
-    row,
     sigmoid,
     stack_rows,
     tanh,
@@ -219,7 +218,8 @@ def _oracle_run(cell, inputs, direction):
     state = tuple(zeros((cell.hidden_dim,)) for _ in cell.state_parts)
     outputs = {}
     for t in order:
-        state = step(cell._p, {g: row(xw, t) for g, xw in proj.items()}, state)
+        xw_t = {g: gather_rows(xw, t) for g, xw in proj.items()}
+        state = step(cell._p, xw_t, state)
         outputs[t] = state[0]
     return stack_rows([outputs[t] for t in range(T)]), outputs[order[-1]]
 

@@ -1,12 +1,16 @@
 """Autodiff primitives: forward values and finite-difference gradients."""
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from qakb.errors import ShapeMismatch
 from qakb.nn.gradcheck import finite_diff_check
+from qakb.nn import (GRUCell, LSTMCell, bidirectional_encode, cosine,
+                     run_recurrent, self_attention)
 from qakb.nn import tensor as T
 
 
@@ -112,7 +116,7 @@ class TestGradients:
 
     def test_row_column_ops(self):
         x = T.param(self.rng.normal(size=(4, 3)))
-        _check(lambda: T.tsum(T.row(x, 2)), [x])
+        _check(lambda: T.tsum(T.gather_rows(x, 2)), [x])
         _check(lambda: T.tsum(T.take_column(x, 1)), [x])
 
     def test_concat_and_stack(self):
@@ -162,15 +166,17 @@ class TestGradients:
         _check(lambda: T.tsum(T.pad_rows(x, n) * w), [x])
 
     def test_backward_releases_the_graph(self):
-        """Each node drops its parents and closure once its backward ran,
-        so no reference cycle keeps a used graph alive."""
+        """Each node drops its parents and backward function once that
+        ran, so a used graph is freed while its root is still held."""
         x = T.param(np.array([1.0, 2.0]))
         mid = x * 3.0
         loss = T.tsum(mid * mid)
+        square = weakref.ref(loss._parents[0].data)
         loss.backward()
         np.testing.assert_allclose(x.grad, 18.0 * x.data)
         for node in (loss, mid):
             assert node._parents == () and node._backward_fn is None
+        assert square() is None
 
     def test_grad_accumulates_on_reuse(self):
         """A tensor used twice receives the sum of both contributions."""
@@ -178,6 +184,59 @@ class TestGradients:
         y = x * x + x * 3.0
         T.tsum(y).backward()
         np.testing.assert_allclose(x.grad, [2 * 2.0 + 3.0])
+
+
+def _p(rng, *shape):
+    return T.param(rng.normal(size=shape))
+
+
+# per primitive, a graph ending in a node of it over fresh parameters
+GRAPHS = {
+    "add": lambda r: T.add(_p(r, 3), _p(r, 3)),
+    "mul_tsum": lambda r: T.tsum(T.mul(_p(r, 3), _p(r, 3))),
+    "div": lambda r: T.div(_p(r, 3), _p(r, 3)),
+    "matmul": lambda r: T.matmul(_p(r, 2, 3), _p(r, 3)),
+    "tanh": lambda r: T.tanh(_p(r, 3)),
+    "sigmoid": lambda r: T.sigmoid(_p(r, 3)),
+    "relu": lambda r: T.relu(_p(r, 3)),
+    "log": lambda r: T.log(T.param(np.full(3, 0.5))),
+    "clip": lambda r: T.clip(_p(r, 3), -0.5, 0.5),
+    "reshape": lambda r: T.reshape(_p(r, 2, 3), (3, 2)),
+    "transpose": lambda r: T.transpose(_p(r, 2, 3)),
+    "concat": lambda r: T.concat([_p(r, 2), _p(r, 3)]),
+    "stack_rows": lambda r: T.stack_rows([_p(r, 3), _p(r, 3)]),
+    "take_column": lambda r: T.take_column(_p(r, 2, 3), 1),
+    "gather_rows": lambda r: T.gather_rows(_p(r, 4, 3), [0, 2, 2]),
+    "pad_rows": lambda r: T.pad_rows(_p(r, 2, 3), 4),
+    "softmax_rows": lambda r: T.softmax_rows(_p(r, 2, 3)),
+    "cosine": lambda r: cosine(_p(r, 3), _p(r, 3)),
+    "self_attention": lambda r: self_attention(_p(r, 4, 3)),
+    "run_recurrent": lambda r: run_recurrent(LSTMCell(3, 2, r),
+                                             _p(r, 4, 3))[1],
+    "bidirectional_encode": lambda r: bidirectional_encode(
+        GRUCell(3, 2, r), GRUCell(3, 2, r), _p(r, 2, 4, 3), [4, 2])[1],
+}
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_unused_graph_is_freed_by_reference_counting(name):
+    """A graph that is never backpropagated holds no reference cycle, so
+    dropping its root frees every array in it with the cyclic GC off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        node = GRAPHS[name](np.random.default_rng(0))
+        assert node._backward_fn is not None
+        arrays, todo = [], [node]
+        while todo:
+            t = todo.pop()
+            arrays.append(weakref.ref(t.data))
+            todo.extend(t._parents)
+        del node, t
+        assert [ref() is None for ref in arrays] == [True] * len(arrays)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestNoGrad:

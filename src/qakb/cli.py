@@ -230,13 +230,13 @@ def cmd_gen_data(args: argparse.Namespace, config: Mapping[str, str]) -> int:
         os.path.join(args.out, "tagged.tsv"), labeled
     )
 
-    table = datagen.build_relation_domains({f.relation for f in kb.facts})
+    domains = datagen.build_relation_domains({f.relation for f in kb.facts})
     inventory = datagen.type_inventory(kb)
     relation_pairs = []
     type_pairs = []
     for q in questions:
         relation_pairs.extend(
-            datagen.gen_relation_pairs(q, q.gold.relation, table)
+            datagen.gen_relation_pairs(q, q.gold.relation, domains)
         )
         candidates = retrieve_question_candidates(index, q.tokens)
         type_pairs.extend(datagen.gen_type_pairs(q, kb, candidates, inventory))
@@ -274,14 +274,20 @@ def cmd_train_pipeline(args: argparse.Namespace,
         f"relation: {len(relation_pairs)} pairs, "
         f"final loss {rel_curve[-1]:.4f}",
     ]
+    type_out = os.path.join(args.out, "type.nn")
     if type_pairs:
         typem, type_curve = pipeline.train_matcher(type_pairs, cfg,
                                                    name="type")
-        save_model(typem, os.path.join(args.out, "type.nn"))
+        save_model(typem, type_out)
         lines.append(f"type: {len(type_pairs)} pairs, "
                      f"final loss {type_curve[-1]:.4f}")
     else:
         logger.info("no type pairs; skipping the type matcher")
+        # an earlier run's type matcher would answer beside this run's
+        # stages
+        for path in (type_out, meta_path(type_out)):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
     print("\n".join(lines))
     return 0
 
@@ -533,11 +539,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, MalformedId, EmptyTrainingSet, EmptyEvalSet,
-            LabelFailure) as exc:
+    except (DataError, ParseError, MalformedId, EmptyTrainingSet,
+            EmptyEvalSet, LabelFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -195,36 +195,28 @@ def label_questions(
 # Relation domains and matcher pairs
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class RelationDomainTable:
-    domain_of: dict[str, str]
-    members: dict[str, list[str]]
-
-
 def relation_domain(relation: str) -> str:
     """First path segment: "/music/album/genre" -> "music"."""
     return relation.lstrip("/").split("/", 1)[0]
 
 
-def build_relation_domains(relations: Iterable[str]) -> RelationDomainTable:
-    domain_of: dict[str, str] = {}
+def build_relation_domains(relations: Iterable[str]) -> dict[str, list[str]]:
+    """Each domain's relations, sorted."""
     members: dict[str, list[str]] = {}
     for rel in sorted(set(relations)):
-        dom = relation_domain(rel)
-        domain_of[rel] = dom
-        members.setdefault(dom, []).append(rel)
-    return RelationDomainTable(domain_of=domain_of, members=members)
+        members.setdefault(relation_domain(rel), []).append(rel)
+    return members
 
 
 MatcherPair = tuple[str, str, int]
 
 
 def gen_relation_pairs(
-    q: QuestionInstance, gold_relation: str, table: RelationDomainTable
+    q: QuestionInstance, gold_relation: str, domains: dict[str, list[str]]
 ) -> list[MatcherPair]:
-    """One pair per same-domain relation; the positive appears three times."""
-    domain = table.domain_of.get(gold_relation, relation_domain(gold_relation))
-    members = table.members.get(domain, [gold_relation])
+    """One pair per same-domain relation (``domains`` as from
+    :func:`build_relation_domains`); the positive appears three times."""
+    members = domains.get(relation_domain(gold_relation), [gold_relation])
     pairs: list[MatcherPair] = [(q.text, gold_relation, 1)] * POSITIVE_COPIES
     pairs.extend((q.text, rel, 0) for rel in members if rel != gold_relation)
     return pairs

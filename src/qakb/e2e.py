@@ -22,7 +22,8 @@ import numpy as np
 from qakb.aliasindex import (AliasIndex, relation_tokens,
                              retrieve_question_candidates, tokenize)
 from qakb.datagen import NegativePools, QuestionInstance
-from qakb.errors import EmptySequence, EmptyTrainingSet, NoCandidates
+from qakb.errors import (EmptySequence, EmptyTrainingSet, NoCandidates,
+                         NoRelation)
 from qakb.kb import Fact, KnowledgeBase, notable_type, out_degree, primary_alias
 from qakb.nn import (
     Dense,
@@ -210,24 +211,6 @@ class WordEncoder:
         return params
 
 
-class SharedEncoder:
-    """One LSTM + dense stack reused for subjects, questions, predicates."""
-
-    def __init__(self, input_dim: int, cfg: TrainConfig,
-                 rng: np.random.Generator, self_attention_enabled: bool):
-        self.lstm = LSTMCell(input_dim, cfg.hidden_size, rng, name="e2e.lstm")
-        self.self_attention_enabled = self_attention_enabled
-        self.max_len = cfg.max_len
-        self.dropout_p = cfg.dropout_p
-        self.dense = Dense(cfg.max_len * cfg.hidden_size, cfg.hidden_size,
-                           rng, activation="relu", name="e2e.dense")
-
-    def parameters(self) -> dict[str, Tensor]:
-        params = dict(self.lstm.parameters())
-        params.update(self.dense.parameters())
-        return params
-
-
 # ---------------------------------------------------------------------------
 # Scoring
 # ---------------------------------------------------------------------------
@@ -289,7 +272,8 @@ class ScoringHead:
 
 
 class E2EModel:
-    """Word encoder, shared sequence encoder, and scoring head."""
+    """Word encoder, one LSTM + dense stack shared by questions, subject
+    labels and relation paths, and scoring head."""
 
     kind = "e2e"
 
@@ -298,8 +282,10 @@ class E2EModel:
         self.cfg = cfg
         self.variant = variant
         self.words = WordEncoder.build(vocab, cfg, rng, variant.char_level)
-        self.encoder = SharedEncoder(self.words.dim, cfg, rng,
-                                     variant.self_attention)
+        self.lstm = LSTMCell(self.words.dim, cfg.hidden_size, rng,
+                             name="e2e.lstm")
+        self.dense = Dense(cfg.max_len * cfg.hidden_size, cfg.hidden_size,
+                           rng, activation="relu", name="e2e.dense")
         self.head = ScoringHead(variant.head_mode)
 
     def encode_texts(self, texts: Sequence[Sequence[str]],
@@ -315,19 +301,19 @@ class E2EModel:
         """
         if not texts or not all(texts):
             raise EmptySequence("cannot encode an empty token sequence")
-        se = self.encoder
         words: dict[str, int] = {}
         idx, lengths = padded_indices(
             [[words.setdefault(tok, len(words)) for tok in text]
              for text in texts])
         inputs = gather_rows(self.words.encode_words(list(words), char_rows),
                              idx)
-        states, _ = run_recurrent(se.lstm, inputs, lengths=lengths)
-        if se.self_attention_enabled:
+        states, _ = run_recurrent(self.lstm, inputs, lengths=lengths)
+        if self.variant.self_attention:
             states = self_attention(states, lengths)
-        flat = reshape(pad_rows(states, se.max_len),
-                       (len(texts), se.max_len * se.lstm.hidden_dim))
-        return se.dense(flat)
+        max_len = self.cfg.max_len
+        flat = reshape(pad_rows(states, max_len),
+                       (len(texts), max_len * self.lstm.hidden_dim))
+        return self.dense(flat)
 
     def encode_text(self, tokens: Sequence[str],
                     char_rows: Optional[CharRows] = None) -> Tensor:
@@ -337,7 +323,8 @@ class E2EModel:
 
     def parameters(self) -> dict[str, Tensor]:
         params = dict(self.words.parameters())
-        params.update(self.encoder.parameters())
+        params.update(self.lstm.parameters())
+        params.update(self.dense.parameters())
         params.update(self.head.parameters())
         return params
 
@@ -602,8 +589,8 @@ class E2EStrategy:
         return "variant", variant_name(self.variant)
 
     def answer(self, question: str) -> tuple[str, str, dict[str, float]]:
-        """The top fact as ``(subject, relation, scores)``; NoCandidates
-        when there is no answer."""
+        """The top fact as ``(subject, relation, scores)``; see :meth:`top`
+        for the errors."""
         top = self.top(question)[0]
         scores = {"s_qs": top.s_qs, "s_qp": top.s_qp,
                   "combined": top.combined}
@@ -612,7 +599,9 @@ class E2EStrategy:
         return top.fact.subject, top.fact.relation, scores
 
     def top(self, question: str, k: int = 1) -> list[FactScore]:
-        """Top-k candidate facts, highest combined score first."""
+        """Top-k candidate facts, highest combined score first.
+        NoCandidates when retrieval finds no entity, and NoRelation when
+        the entities it finds hold no facts, as in the pipeline."""
         kb, variant = self.kb, self.variant
         tokens = tokenize(question)
         cands = retrieve_question_candidates(self.index, tokens)
@@ -621,7 +610,7 @@ class E2EStrategy:
         facts = [kb.facts[i] for cand in cands
                  for i in kb.by_subject.get(cand.id, ())]
         if not facts:
-            raise NoCandidates(f"candidates for {question!r} hold no facts")
+            raise NoRelation(f"candidates for {question!r} hold no facts")
         channels = ([SUBJECT, PREDICATE, TYPE] if variant.type_as_task
                     else [SUBJECT, PREDICATE])
         with no_grad():

@@ -16,7 +16,7 @@ import re
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from qakb.errors import MalformedId, ParseError
 
@@ -107,27 +107,12 @@ def canonicalize_relation(raw: str) -> str:
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Fact:
+class Fact(NamedTuple):
     """One (subject, relation, object) triple."""
 
     subject: str
     relation: str
     object: str
-
-
-def _new_fact(subject: str, relation: str, object_: str, *,
-              _new=object.__new__, _subject=Fact.subject.__set__,
-              _relation=Fact.relation.__set__,
-              _object=Fact.object.__set__) -> Fact:
-    """``Fact(subject, relation, object_)`` at half the cost: the slots are
-    set through their descriptors, not the frozen ``__init__``'s
-    ``object.__setattr__`` per field.  The result is an ordinary Fact."""
-    fact = _new(Fact)
-    _subject(fact, subject)
-    _relation(fact, relation)
-    _object(fact, object_)
-    return fact
 
 
 @dataclass(slots=True)
@@ -137,7 +122,6 @@ class EntityRecord:
     id: str
     aliases: list[str] = field(default_factory=list)
     notable_type: Optional[str] = None
-    out_degree: int = 0
 
 
 @dataclass(slots=True)
@@ -366,10 +350,11 @@ def build_kb(
 ) -> KnowledgeBase:
     """Assemble the immutable knowledge base: the one routine that makes
     entity records, each when its id is first seen (per fact the subject,
-    then the object; then the alias and type pairs' canonicalized ids).
-    Out-degrees count the facts, so an entity seen only as an object or in
-    the pairs has 0.  Aliases are stripped and lowercased, blank or
-    repeated ones dropped; duplicate type pairs resolve last-write-wins."""
+    then the object; then the alias and type pairs' canonicalized ids),
+    and ``by_subject``, each subject's fact indices in fact order, from
+    which :func:`out_degree` counts.  Aliases are stripped and lowercased,
+    blank or repeated ones dropped; duplicate type pairs resolve
+    last-write-wins."""
     fact_list = list(facts)
     entities: dict[str, EntityRecord] = {}
     by_subject: dict[str, list[int]] = {}
@@ -384,8 +369,6 @@ def build_kb(
             rows.append(idx)
         if object_ not in entities:
             entities[object_] = EntityRecord(object_)
-    for subject, rows in by_subject.items():
-        entities[subject].out_degree = len(rows)
 
     for mid, alias in alias_pairs:
         mid = canonicalize_mid(mid)
@@ -427,8 +410,7 @@ def lookup_objects(kb: KnowledgeBase, entity: str, relation: str) -> list[str]:
 
 def out_degree(kb: KnowledgeBase, entity: str) -> int:
     """Number of stored facts whose subject is ``entity`` (0 if unknown)."""
-    rec = kb.entities.get(entity)
-    return rec.out_degree if rec is not None else 0
+    return len(kb.by_subject.get(entity, ()))
 
 
 def aliases_of(kb: KnowledgeBase, entity: str) -> set[str]:
@@ -466,7 +448,7 @@ def save_kb(kb: KnowledgeBase, path: str) -> None:
         "types": [[e, kb.entities[e].notable_type] for e in entity_ids
                   if kb.entities[e].notable_type is not None],
         "extra_entities": [e for e in entity_ids
-                           if kb.entities[e].out_degree == 0
+                           if e not in kb.by_subject
                            and not kb.entities[e].aliases
                            and kb.entities[e].notable_type is None
                            and e not in object_ids],
@@ -514,7 +496,7 @@ def _kb_from_payload(payload: dict) -> KnowledgeBase:
         if type(s) is not str or type(r) is not str or type(o) is not str:
             for value in fact:
                 _string(value, f"a field of fact {idx}")
-        facts.append(_new_fact(s, r, o))
+        facts.append(Fact(s, r, o))
 
     alias_pairs: list[tuple[str, str]] = []
     for entry in _array(payload["aliases"], "aliases"):

@@ -1,5 +1,6 @@
 """Training hyperparameters shared by every model in the package."""
 
+import math
 from dataclasses import dataclass
 
 
@@ -25,14 +26,13 @@ class TrainConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        for name in ("learning_rate", "gamma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(
-                f"learning_rate must be positive, got {self.learning_rate}"
-            )
         for name in ("epochs", "batch_size", "hidden_size", "embed_dim",
                      "char_dim", "max_len"):
             value = getattr(self, name)

@@ -110,12 +110,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        return div(self, other)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return div(other, self)
-
     def __neg__(self) -> "Tensor":
         return mul(self, -1.0)
 
@@ -201,21 +195,6 @@ def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
             a.accumulate(_unbroadcast(out.grad * b.data, a.data.shape))
         if b.requires_grad:
             b.accumulate(_unbroadcast(out.grad * a.data, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def div(a: ArrayLike, b: ArrayLike) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-
-    def backward(out: Tensor) -> None:
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(out.grad / b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(
-                _unbroadcast(-out.grad * a.data / (b.data ** 2), b.data.shape)
-            )
 
     return _make(data, (a, b), backward)
 
@@ -387,13 +366,10 @@ def gather_rows(table: ArrayLike, indices) -> Tensor:
 
     An index array of shape S gives S followed by the row shape: a single
     index gives one row, and a [B, T] array of word indices gives
-    [B, T, d] word vectors.  A tuple of
-    index arrays indexes the leading axes together, so ``(rows, steps)``
-    picks one [h] state per row of a [B, T, h] batch.
+    [B, T, d] word vectors.
     """
     table = as_tensor(table)
-    idx = (indices if isinstance(indices, tuple)
-           else np.asarray(indices, dtype=np.int64))
+    idx = np.asarray(indices, dtype=np.int64)
     data = table.data[idx]
 
     def backward(out: Tensor) -> None:

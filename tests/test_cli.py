@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -622,6 +623,37 @@ class TestTrainingCommands:
                            "--variant", "qa-t", "--gamma", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["train-e2e", "train-pipeline"])
+    @pytest.mark.parametrize("flag", ["--learning-rate", "--gamma"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_hyperparameter_is_usage_error(
+            self, bench, tmp_path, capsys, command, flag, value):
+        """A NaN or infinite step size or margin used to train to a NaN
+        loss and exit 0."""
+        source = {"train-e2e": ["--kb", str(bench / "kb.qakb"),
+                                "--questions", str(bench / "train.tsv"),
+                                "--variant", "qa-t"],
+                  "train-pipeline": ["--data", str(tmp_path / "data")]}
+        code, stdout, err = run(capsys, command, *source[command], "--out",
+                                str(tmp_path / "out"), flag, value)
+        assert code == 1
+        assert stdout == "" and "finite and positive" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["learning_rate", "gamma"])
+    def test_non_finite_config_value_is_usage_error(self, bench, tmp_path,
+                                                    capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"epochs=1\n{key}=nan\n")
+        code, stdout, err = run(capsys, "train-e2e", "--kb",
+                                str(bench / "kb.qakb"), "--questions",
+                                str(bench / "train.tsv"), "--variant", "qa-t",
+                                "--out", str(tmp_path / "m.nn"),
+                                "--config", str(cfg))
+        assert code == 1
+        assert stdout == "" and f"{key} must be finite" in err
+        assert not (tmp_path / "m.nn").exists()
+
 
 class TestAnswer:
     @pytest.fixture()
@@ -912,6 +944,63 @@ class TestMissingModelFiles:
             assert stdout
 
 
+def test_factless_mention_gives_one_record_on_both_stacks(snapshots, capsys,
+                                                         tmp_path):
+    """A question naming only an entity that is never a subject ("baz",
+    an object's alias) gets the same ``no_relation`` record from the
+    pipeline and from the joint model; the joint model said
+    ``no_candidates``."""
+    _, models = snapshots
+    (tmp_path / "facts.tsv").write_text("m.0a\t/r/x/y\tm.0b\n")
+    (tmp_path / "aliases.tsv").write_text("m.0a\tfoo\nm.0b\tbaz\n")
+    kb = tmp_path / "kb.qakb"
+    assert main(["ingest", "--facts", str(tmp_path / "facts.tsv"),
+                 "--aliases", str(tmp_path / "aliases.tsv"),
+                 "--out", str(kb)]) == 0
+    qfile = tmp_path / "q.txt"
+    qfile.write_text("where is baz\n")
+    records = []
+    for flags in (["--pipeline", str(models["pipeline"]), "--strategy",
+                   "p-qa-out-type"],
+                  ["--model", str(models["qa-t-mwst"]), "--variant",
+                   "qa-t-mwst"]):
+        capsys.readouterr()
+        code, stdout, err = run(capsys, "answer", "--kb", str(kb),
+                                "--questions", str(qfile), *flags)
+        assert code == 0, err
+        records.append(json.loads(stdout))
+    assert records == [{"question": "where is baz",
+                        "error": "no_relation"}] * 2
+
+
+def test_retraining_without_type_pairs_drops_the_type_matcher(
+        snapshots, capsys, tmp_path):
+    """``train-pipeline`` into a directory that holds an earlier run's
+    ``type.nn`` leaves no type matcher when this run trains none, so a
+    type strategy exits 2 instead of answering with a matcher of another
+    run."""
+    bench, models = snapshots
+    shutil.copytree(models["pipeline"], tmp_path / "p")
+    shutil.copytree(models["pipeline"].parent / "data", tmp_path / "data")
+    os.remove(tmp_path / "data" / "type_pairs.tsv")
+    capsys.readouterr()
+    code, stdout, err = run(capsys, "train-pipeline", "--data",
+                            str(tmp_path / "data"), "--out",
+                            str(tmp_path / "p"), "--epochs", "1",
+                            "--hidden-size", "4", "--embed-dim", "6",
+                            "--seed", "7")
+    assert code == 0, err
+    assert "type:" not in stdout
+    assert sorted(p.name for p in (tmp_path / "p").iterdir()) == [
+        "relation.nn", "relation.nn.meta.json",
+        "tagger.nn", "tagger.nn.meta.json"]
+    for code, stdout, err in _answer_and_eval(
+            capsys, tmp_path, bench, "--pipeline", str(tmp_path / "p"),
+            "--strategy", "p-qa-type"):
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'p' / 'type.nn'}: ")
+
+
 class TestSnapshotVariant:
     """answer and eval take the variant from the snapshot's meta; a
     --variant naming another is a usage error that names both."""
@@ -1027,6 +1116,27 @@ class TestCorruptSnapshots:
         assert code == 2, err
         assert stdout == ""
         assert err.startswith(f"error: {model}: ") and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("key, value", [("learning_rate", math.nan),
+                                            ("gamma", math.inf)])
+    def test_non_finite_sidecar_value_exits_2(self, snapshots, capsys,
+                                              tmp_path, key, value):
+        bench, models = snapshots
+        capsys.readouterr()
+        model = tmp_path / "m.nn"
+        model.write_bytes(models["qa-t"].read_bytes())
+        meta = json.loads(Path(f"{models['qa-t']}.meta.json").read_text())
+        meta["config"][key] = value
+        Path(f"{model}.meta.json").write_text(json.dumps(meta))
+        qfile = tmp_path / "q.txt"
+        qfile.write_text("anything\n")
+        code, stdout, err = run(capsys, "answer", "--kb",
+                                str(bench / "kb.qakb"), "--model", str(model),
+                                "--variant", "qa-t", "--questions", str(qfile))
+        assert code == 2, err
+        assert stdout == ""
+        assert err.startswith(f"error: {model}: ") and "finite" in err
 
 
 class TestIllTypedKb:

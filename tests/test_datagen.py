@@ -23,6 +23,7 @@ from qakb.datagen import (
     parse_questions_tsv,
     read_labeled_questions,
     read_matcher_pairs,
+    relation_domain,
     serialize_questions_tsv,
     type_inventory,
     write_labeled_questions,
@@ -172,18 +173,19 @@ class TestLabelEntitySpan:
 
 class TestRelationDomains:
     def test_first_segment(self):
-        table = build_relation_domains(
+        assert relation_domain("/music/album/genre") == "music"
+        domains = build_relation_domains(
             ["/music/album/genre", "/people/person/place_of_birth"]
         )
-        assert table.domain_of["/music/album/genre"] == "music"
-        assert table.domain_of["/people/person/place_of_birth"] == "people"
+        assert domains == {"music": ["/music/album/genre"],
+                           "people": ["/people/person/place_of_birth"]}
 
     def test_members_grouped_sorted(self):
-        table = build_relation_domains(
+        domains = build_relation_domains(
             ["/music/b/x", "/music/a/y", "/film/c/z"]
         )
-        assert table.members["music"] == ["/music/a/y", "/music/b/x"]
-        assert table.members["film"] == ["/film/c/z"]
+        assert domains["music"] == ["/music/a/y", "/music/b/x"]
+        assert domains["film"] == ["/film/c/z"]
 
 
 class TestRelationPairs:
@@ -208,7 +210,7 @@ class TestRelationPairs:
         pairs = gen_relation_pairs(self.q, "/music/album/genre", self.table)
         assert {tag for _, _, tag in pairs} <= {0, 1}
         negatives = {rel for _, rel, tag in pairs if tag == 0}
-        domain = set(self.table.members["music"]) - {"/music/album/genre"}
+        domain = set(self.table["music"]) - {"/music/album/genre"}
         assert negatives == domain
 
     def test_positive_multiplicity_exactly_three(self):

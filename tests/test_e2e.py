@@ -27,7 +27,8 @@ from qakb.e2e import (
     variant_from_name,
     variant_name,
 )
-from qakb.errors import EmptySequence, EmptyTrainingSet, NoCandidates
+from qakb.errors import (EmptySequence, EmptyTrainingSet, NoCandidates,
+                         NoRelation)
 from qakb.evalharness import SyntheticSpec, generate_synthetic
 from qakb.kb import Fact, build_kb, notable_type
 import qakb.aliasindex
@@ -410,7 +411,7 @@ class TestWeightSharing:
             "subject": m.encode_text(tokenize("yesterday")).data,
             "predicate": m.encode_text(["music", "recording", "artist"]).data,
         }
-        m.encoder.lstm._p["W_i"].data += 0.37
+        m.lstm._p["W_i"].data += 0.37
         for role, old in before.items():
             new = m.encode_text({
                 "question": tokenize("who sings yesterday"),
@@ -464,7 +465,7 @@ class TestAnswer:
                               predicate_pools=[[]])
         variant = variant_from_name("qa-t")
         model, _ = train_e2e(qs, kb, pools, variant, small_cfg(epochs=1))
-        with pytest.raises(NoCandidates):
+        with pytest.raises(NoRelation):
             answer(model, kb, build_index(kb), "beta", variant)
 
     def test_out_degree_resort_flips_tied_subjects(self):
@@ -683,7 +684,7 @@ class TestSession:
         index = build_index(kb)
         q = "who sings yesterday"
         before = E2EStrategy(model, variant, kb, index).top(q, k=4)
-        model.encoder.lstm._p["W_i"].data += 0.37
+        model.lstm._p["W_i"].data += 0.37
         after = E2EStrategy(model, variant, kb, index).top(q, k=4)
         assert after != before
         assert after == answer(model, kb, index, q, variant, k=4)

@@ -311,7 +311,7 @@ class TestBuildKb:
     def test_degree_sum_equals_fact_count(self, raw):
         """Sum of out-degrees over all entities equals the number of facts."""
         kb = build_kb([Fact(*t) for t in raw])
-        assert sum(r.out_degree for r in kb.entities.values()) == len(kb.facts)
+        assert sum(out_degree(kb, e) for e in kb.entities) == len(kb.facts)
 
     @given(
         st.lists(
@@ -347,8 +347,7 @@ def _record_route_build_kb(facts, alias_pairs=(), type_pairs=()):
         return rec
 
     for idx, fact in enumerate(fact_list):
-        rec = record(fact.subject)
-        rec.out_degree += 1
+        record(fact.subject)
         by_subject.setdefault(fact.subject, []).append(idx)
         record(fact.object)
     for mid, alias in alias_pairs:
@@ -426,7 +425,7 @@ class TestSnapshot:
             other = again.entities[mid]
             assert other.aliases == rec.aliases
             assert other.notable_type == rec.notable_type
-            assert other.out_degree == rec.out_degree
+            assert out_degree(again, mid) == out_degree(tiny_kb, mid)
 
     def test_byte_stability(self, tiny_kb, tmp_path):
         """Saving the same KB twice produces identical bytes."""

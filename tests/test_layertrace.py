@@ -14,6 +14,7 @@ from collections import Counter
 import numpy as np
 
 from qakb.aliasindex import build_index, tokenize
+from qakb.e2e import VARIANTS, E2EModel, E2EStrategy
 from qakb.evalharness import SyntheticSpec, generate_synthetic
 from qakb.nn import TrainConfig
 from qakb.pipeline import (MatcherModel, PipelineModels, PipelineStrategy,
@@ -83,3 +84,48 @@ def test_pipeline_answer_reaches_every_hook(monkeypatch):
     strategy = PipelineStrategy("p-qa-out-type", models, kb, build_index(kb))
     strategy.answer(train[0].text)
     assert set(calls) == PIPELINE_ANSWER_TARGETS
+
+
+# the per-layer metrics of an ``answer:qa-t-mwst`` root and the targets
+# they read, each of which one joint-model answer must pass through
+E2E_ANSWER_TARGETS = {
+    "qakb.e2e.E2EModel.encode_text", "qakb.nn.layers.LSTMCell.step",
+    "qakb.nn.layers.GRUCell.step",
+    "qakb.aliasindex.retrieve_question_candidates"}
+
+
+def test_e2e_answer_reaches_every_hook(monkeypatch):
+    """One ``E2EStrategy.answer`` on a fresh qa-t-mwst session calls every
+    name the joint model's answering metrics read.  A function target is
+    wrapped in every ``qakb`` module that imported it, as the tracer
+    does."""
+    layertrace = _load_layertrace(monkeypatch)
+    calls = Counter()
+    for target in layertrace.TARGETS:
+        name = f"{target.module}.{target.attr}"
+        if name not in E2E_ANSWER_TARGETS:
+            continue
+        owner, key, original = layertrace._resolve(target)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, key, counting)
+            continue
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "qakb":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+
+    kb, train, _ = generate_synthetic(
+        SyntheticSpec(seed=4, n_entities=12, twin_type_distinct=True))
+    vocab = sorted({t for q in train for t in tokenize(q.text)})
+    variant = VARIANTS["qa-t-mwst"]
+    model = E2EModel(vocab, TrainConfig(hidden_size=4, embed_dim=4,
+                                        char_dim=3, max_len=6),
+                     variant, np.random.default_rng(0))
+    E2EStrategy(model, variant, kb, build_index(kb)).answer(train[0].text)
+    assert set(calls) == E2E_ANSWER_TARGETS

@@ -3,7 +3,6 @@ KB snapshot loads to what ingestion builds from the same records."""
 
 import json
 import zlib
-from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -127,7 +126,7 @@ class TestLoadKb:
         for got, want in zip(loaded, facts):
             assert type(got) is Fact
             assert hash(got) == hash(want) and repr(got) == repr(want)
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 got.subject = "m.03"
 
 

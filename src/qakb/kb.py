@@ -15,14 +15,16 @@ import logging
 import re
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional
+from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from qakb.errors import MalformedId, ParseError
 
 log = logging.getLogger(__name__)
 
-SNAPSHOT_MAGIC = b"KBQA1"
+SNAPSHOT_MAGIC = b"KBQA2"
 
 # The predicate (canonical form) that assigns notable types in N-Triples.
 _TYPE_ASSIGN_RELATION = "/common/topic/notable_types"
@@ -115,13 +117,17 @@ class Fact(NamedTuple):
     object: str
 
 
-@dataclass(slots=True)
-class EntityRecord:
-    """Everything the engine knows about one entity."""
+class EntityRecord(NamedTuple):
+    """Everything the engine knows about one entity, beyond its facts;
+    the entity's id is its key in :attr:`KnowledgeBase.entities`."""
 
-    id: str
-    aliases: list[str] = field(default_factory=list)
+    aliases: tuple[str, ...] = ()
     notable_type: Optional[str] = None
+
+
+# The record of every entity with no alias and no type, shared: records
+# are immutable, so one object stands for all of them.
+_NO_RECORD = EntityRecord()
 
 
 @dataclass(slots=True)
@@ -343,53 +349,67 @@ def parse_alias_lines(lines: Iterable[str]) -> list[tuple[str, str]]:
 # Construction and queries
 # ---------------------------------------------------------------------------
 
+_SUBJECT, _SUBJECT_AND_OBJECT = itemgetter(0), itemgetter(0, 2)
+
+
 def build_kb(
     facts: Iterable[Fact],
     alias_pairs: Iterable[tuple[str, str]] = (),
     type_pairs: Iterable[tuple[str, str]] = (),
 ) -> KnowledgeBase:
-    """Assemble the immutable knowledge base: the one routine that makes
-    entity records, each when its id is first seen (per fact the subject,
-    then the object; then the alias and type pairs' canonicalized ids),
-    and ``by_subject``, each subject's fact indices in fact order, from
-    which :func:`out_degree` counts.  Aliases are stripped and lowercased,
-    blank or repeated ones dropped; duplicate type pairs resolve
-    last-write-wins."""
+    """Assemble the immutable knowledge base from parsed records.  Entity
+    ids are ordered as first seen: per fact the subject, then the object;
+    then the alias and type pairs' canonicalized ids.  Aliases are
+    stripped and lowercased, blank or repeated ones dropped; duplicate
+    type pairs resolve last-write-wins, with a warning when they differ."""
     fact_list = list(facts)
-    entities: dict[str, EntityRecord] = {}
+    entity_ids = dict.fromkeys(
+        chain.from_iterable(map(_SUBJECT_AND_OBJECT, fact_list)))
+    aliases: dict[str, list[str]] = {}
+    for mid, alias in alias_pairs:
+        mid = canonicalize_mid(mid)
+        entity_ids.setdefault(mid)
+        alias = alias.strip().lower()
+        if alias:
+            names = aliases.setdefault(mid, [])
+            if alias not in names:
+                names.append(alias)
+    types: dict[str, str] = {}
+    for mid, label in type_pairs:
+        mid = canonicalize_mid(mid)
+        entity_ids.setdefault(mid)
+        old = types.get(mid)
+        if old is not None and old != label:
+            log.warning("entity %s has conflicting notable types %r / %r; "
+                        "keeping the latter", mid, old, label)
+        types[mid] = label
+    return _assemble(fact_list, entity_ids, aliases, types)
+
+
+def _assemble(facts: list[Fact], entity_ids: Iterable[str],
+              aliases: dict[str, Sequence[str]],
+              types: dict[str, str]) -> KnowledgeBase:
+    """The knowledge base of ``facts`` and of the entities ``entity_ids``,
+    in its order.
+    ``by_subject`` gets each subject's fact indices in fact order, from
+    which :func:`out_degree` counts.  An entity gets a record of its
+    aliases and its type from ``aliases`` and ``types``, and the shared
+    empty record when neither holds it: the one place that decides what
+    a record holds, for :func:`build_kb` and :func:`load_kb` alike."""
     by_subject: dict[str, list[int]] = {}
-    for idx, fact in enumerate(fact_list):
-        subject, object_ = fact.subject, fact.object
+    for idx, subject in enumerate(map(_SUBJECT, facts)):
         rows = by_subject.get(subject)
         if rows is None:
             by_subject[subject] = [idx]
-            if subject not in entities:
-                entities[subject] = EntityRecord(subject)
         else:
             rows.append(idx)
-        if object_ not in entities:
-            entities[object_] = EntityRecord(object_)
-
-    for mid, alias in alias_pairs:
-        mid = canonicalize_mid(mid)
-        rec = entities.get(mid)
-        if rec is None:
-            rec = entities[mid] = EntityRecord(mid)
-        alias = alias.strip().lower()
-        if alias and alias not in rec.aliases:
-            rec.aliases.append(alias)
-
-    for mid, label in type_pairs:
-        mid = canonicalize_mid(mid)
-        rec = entities.get(mid)
-        if rec is None:
-            rec = entities[mid] = EntityRecord(mid)
-        if rec.notable_type is not None and rec.notable_type != label:
-            log.warning("entity %s has conflicting notable types %r / %r; "
-                        "keeping the latter", mid, rec.notable_type, label)
-        rec.notable_type = label
-
-    return KnowledgeBase(facts=fact_list, entities=entities, by_subject=by_subject)
+    entities = dict.fromkeys(entity_ids, _NO_RECORD)
+    for mid, names in aliases.items():
+        entities[mid] = EntityRecord(tuple(names), types.get(mid))
+    for mid, label in types.items():
+        if mid not in aliases:
+            entities[mid] = EntityRecord((), label)
+    return KnowledgeBase(facts=facts, entities=entities, by_subject=by_subject)
 
 
 def relations_of(kb: KnowledgeBase, entity: str) -> list[str]:
@@ -438,24 +458,34 @@ def primary_alias(kb: KnowledgeBase, entity: str) -> str:
 # ---------------------------------------------------------------------------
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:
-    """Write a versioned binary snapshot; byte-stable for a given KB."""
-    entity_ids = sorted(kb.entities)
-    object_ids = {f.object for f in kb.facts}
+    """Write a versioned binary snapshot; byte-stable for a given KB.
+
+    The payload is columnar: every entity id in ``kb.entities`` order,
+    the distinct relations in order of first use, the facts as three
+    columns of indices into those lists, and ``[entity index, aliases]``
+    and ``[entity index, label]`` entries for the entities that have
+    aliases or a type.
+    """
+    index = {mid: i for i, mid in enumerate(kb.entities)}
+    subjects, relations, objects = (zip(*kb.facts) if kb.facts
+                                    else ((), (), ()))
+    relation_ids = list(dict.fromkeys(relations))
+    relation_index = {rel: i for i, rel in enumerate(relation_ids)}
+    records = [(index[mid], rec) for mid, rec in kb.entities.items()
+               if rec is not _NO_RECORD]
     payload = {
-        "facts": [[f.subject, f.relation, f.object] for f in kb.facts],
-        "aliases": [[e, kb.entities[e].aliases] for e in entity_ids
-                    if kb.entities[e].aliases],
-        "types": [[e, kb.entities[e].notable_type] for e in entity_ids
-                  if kb.entities[e].notable_type is not None],
-        "extra_entities": [e for e in entity_ids
-                           if e not in kb.by_subject
-                           and not kb.entities[e].aliases
-                           and kb.entities[e].notable_type is None
-                           and e not in object_ids],
+        "entities": list(index),
+        "relations": relation_ids,
+        "subjects": list(map(index.__getitem__, subjects)),
+        "predicates": list(map(relation_index.__getitem__, relations)),
+        "objects": list(map(index.__getitem__, objects)),
+        "aliases": [[i, rec.aliases] for i, rec in records if rec.aliases],
+        "types": [[i, rec.notable_type] for i, rec in records
+                  if rec.notable_type is not None],
     }
     blob = zlib.compress(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8"),
-        level=6,
+        level=1,
     )
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
@@ -466,64 +496,97 @@ def _ill_typed(what: str) -> ParseError:
     return ParseError(f"ill-typed snapshot: {what}", 1)
 
 
-def _array(value: object, what: str, size: Optional[int] = None) -> list:
-    """``value`` if it is a JSON array (of ``size`` items, if given);
-    ParseError otherwise."""
-    if type(value) is not list or (size is not None and len(value) != size):
-        raise _ill_typed(f"{what} is not an array"
-                         + (f" of {size}" if size is not None else ""))
+def _array(value: object, what: str) -> list:
+    """``value`` if it is a JSON array; ParseError otherwise."""
+    if type(value) is not list:
+        raise _ill_typed(f"{what} is not an array")
     return value
 
 
-def _string(value: object, what: str) -> str:
-    """``value`` if it is a JSON string; ParseError otherwise."""
-    if type(value) is not str:
-        raise _ill_typed(f"{what} is not a string: {value!r}")
-    return value
+_JSON_NAMES = {int: "an int", str: "a string", list: "an array"}
+
+
+def _of_type(values: Iterable, kind: type, what: str) -> None:
+    """ParseError unless every item of ``values`` is exactly a ``kind``
+    (so a bool is not an int), checked in one pass inside C."""
+    if not set(map(type, values)) <= {kind}:
+        raise _ill_typed(f"{what} is not {_JSON_NAMES[kind]}")
+
+
+def _indices(values: list, size: int, what: str) -> list[int]:
+    """``values`` if it holds only ints in ``range(size)``; ParseError
+    otherwise."""
+    _of_type(values, int, what)
+    if values and (min(values) < 0 or max(values) >= size):
+        raise _ill_typed(f"{what} is out of range ({size} to index)")
+    return values
+
+
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
+
+
+def _entries(payload: dict, key: str, size: int) -> tuple[list[int], list]:
+    """The entity indices and the values of ``payload[key]``, an array of
+    ``[entity index, value]`` entries with no index twice; ParseError
+    otherwise."""
+    entries = _array(payload[key], key)
+    _of_type(entries, list, f"an entry of {key}")
+    if not set(map(len, entries)) <= {2}:
+        raise _ill_typed(f"an entry of {key} is not an array of 2")
+    indices = _indices(list(map(_FIRST, entries)), size,
+                       f"an entity index of {key}")
+    if len(set(indices)) != len(indices):
+        raise _ill_typed(f"an entity has two entries in {key}")
+    return indices, list(map(_SECOND, entries))
 
 
 def _kb_from_payload(payload: dict) -> KnowledgeBase:
-    """The knowledge base of a snapshot's records: :func:`build_kb` over
-    its facts and its alias and type pairs, then its extra entities.
-    ParseError for a record or field of the wrong JSON type."""
-    facts: list[Fact] = []
-    for idx, fact in enumerate(_array(payload["facts"], "facts")):
-        # the checks are inlined on this, the hot path; the helpers only
-        # build the error
-        if type(fact) is not list or len(fact) != 3:
-            _array(fact, f"fact {idx}", 3)
-        s, r, o = fact
-        if type(s) is not str or type(r) is not str or type(o) is not str:
-            for value in fact:
-                _string(value, f"a field of fact {idx}")
-        facts.append(Fact(s, r, o))
-
-    alias_pairs: list[tuple[str, str]] = []
-    for entry in _array(payload["aliases"], "aliases"):
-        mid, aliases = _array(entry, "an alias entry", 2)
-        _string(mid, "an alias entry's id")
-        alias_pairs.extend((mid, _string(alias, "an alias"))
-                           for alias in _array(aliases, "an alias list"))
-    type_pairs: list[tuple[str, str]] = []
-    for entry in _array(payload["types"], "types"):
-        mid, label = _array(entry, "a type entry", 2)
-        type_pairs.append((_string(mid, "a type entry's id"),
-                           _string(label, "a type label")))
-
-    kb = build_kb(facts, alias_pairs, type_pairs)
-    for mid in _array(payload.get("extra_entities", []), "extra_entities"):
-        if _string(mid, "an extra entity id") not in kb.entities:
-            kb.entities[mid] = EntityRecord(mid)
+    """The knowledge base a snapshot's columns describe, checked in bulk
+    passes; ParseError for a field of the wrong JSON type, an index out of
+    range, columns of unequal length or an entity id given twice."""
+    ids = _array(payload["entities"], "entities")
+    _of_type(ids, str, "an entity id")
+    relations = _array(payload["relations"], "relations")
+    _of_type(relations, str, "a relation")
+    columns = []
+    for key, refs in (("subjects", ids), ("predicates", relations),
+                      ("objects", ids)):
+        indices = _indices(_array(payload[key], key), len(refs),
+                           f"an index of {key}")
+        columns.append(list(map(refs.__getitem__, indices)))
+    subjects, predicates, objects = columns
+    if not len(subjects) == len(predicates) == len(objects):
+        raise _ill_typed("subjects, predicates and objects differ in length")
+    alias_of, alias_lists = _entries(payload, "aliases", len(ids))
+    _of_type(alias_lists, list, "an alias list")
+    _of_type(chain.from_iterable(alias_lists), str, "an alias")
+    type_of, labels = _entries(payload, "types", len(ids))
+    _of_type(labels, str, "a type label")
+    # tuple.__new__ makes each Fact from its field tuple in C, as the
+    # named tuple's own constructor does after a Python-level call
+    facts = list(map(tuple.__new__, repeat(Fact),
+                     zip(subjects, predicates, objects)))
+    kb = _assemble(facts, ids,
+                   dict(zip(map(ids.__getitem__, alias_of), alias_lists)),
+                   dict(zip(map(ids.__getitem__, type_of), labels)))
+    if len(kb.entities) != len(ids):
+        raise _ill_typed("an entity id is listed twice")
     return kb
 
 
 def load_kb(path: str) -> KnowledgeBase:
-    """Read a snapshot written by :func:`save_kb`, built by :func:`build_kb`
-    with the collector paused; ParseError when the bytes are not one, or
-    when a record or field has the wrong JSON type."""
+    """Read a snapshot written by :func:`save_kb`, with the collector
+    paused; ParseError when the bytes are not one, or not one of this
+    format, or when a field has the wrong JSON type or an index is out of
+    range."""
     with open(path, "rb") as fh:
         magic = fh.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
+            if magic[:4] == SNAPSHOT_MAGIC[:4]:
+                raise ParseError(
+                    f"snapshot format {magic.decode('latin-1')} is no longer "
+                    f"read (this version reads {SNAPSHOT_MAGIC.decode()}); "
+                    "re-create it with `qakb synth` or `qakb ingest`", 1)
             raise ParseError(f"bad snapshot header {magic!r}", 1)
         blob = fh.read()
     try:
@@ -533,6 +596,5 @@ def load_kb(path: str) -> KnowledgeBase:
             if type(payload) is not dict:
                 raise _ill_typed("the payload is not an object")
             return _kb_from_payload(payload)
-    except (zlib.error, ValueError, KeyError, MalformedId) as exc:
+    except (zlib.error, ValueError, KeyError) as exc:
         raise ParseError(f"truncated or garbled snapshot ({exc!r})", 1) from exc
-

@@ -183,9 +183,9 @@ class TestBuildIndex:
         assert build_index(kb) == _oracle_index(kb)
 
     def test_every_alias_reachable_via_exact(self, tiny_kb, tiny_index):
-        for rec in tiny_kb.entities.values():
+        for mid, rec in tiny_kb.entities.items():
             for alias in rec.aliases:
-                assert rec.id in tiny_index.exact[" ".join(alias.split())]
+                assert mid in tiny_index.exact[" ".join(alias.split())]
 
 
 class TestRetrieveCandidates:

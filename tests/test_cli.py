@@ -514,9 +514,11 @@ class TestIngest:
     def test_blank_type_label_leaves_entity_untyped(self, tmp_path, capsys,
                                                     types):
         """A type-channel model answers for an entity whose type label is
-        blank, treating it as untyped."""
+        blank, treating it as untyped.  The alias-less m.0b01 gives the
+        question a negative relation, so train-e2e has a loss to train."""
         (tmp_path / "facts.tsv").write_text(
-            "m.0a01\t/d/x/founded\tm.0o1\nm.0a02\t/d/x/founded\tm.0o2\n")
+            "m.0a01\t/d/x/founded\tm.0o1\nm.0a02\t/d/x/founded\tm.0o2\n"
+            "m.0b01\t/e/y/owns\tm.0o3\n")
         (tmp_path / "aliases.tsv").write_text(
             "m.0a01\tacme\nm.0a02\tacme\n")
         (tmp_path / "types.txt").write_text(types)
@@ -653,6 +655,28 @@ class TestTrainingCommands:
         assert code == 1
         assert stdout == "" and f"{key} must be finite" in err
         assert not (tmp_path / "m.nn").exists()
+
+
+    def test_e2e_with_no_usable_question_exits_2(self, bench, tmp_path,
+                                                 capsys):
+        """Over a KB with no facts no question has a negative subject or
+        relation, so every step would be skipped.  train-e2e used to
+        print a loss of 0 and write the untrained model."""
+        facts = tmp_path / "facts.tsv"
+        facts.write_text("")
+        kb, model = tmp_path / "kb.qakb", tmp_path / "m.nn"
+        assert main(["ingest", "--facts", str(facts), "--out", str(kb)]) == 0
+        capsys.readouterr()
+        questions = bench / "train.tsv"
+        code, stdout, err = run(capsys, "train-e2e", "--kb", str(kb),
+                                "--questions", str(questions), "--variant",
+                                "qa-t", "--epochs", "1", "--out", str(model))
+        assert code == 2, err
+        assert stdout == ""
+        assert err.startswith(f"error: {questions}: no question has a "
+                              "negative")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bench", "facts.tsv", "kb.qakb"]
 
 
 class TestAnswer:
@@ -1139,48 +1163,97 @@ class TestCorruptSnapshots:
         assert err.startswith(f"error: {model}: ") and "finite" in err
 
 
-class TestIllTypedKb:
-    """A KB snapshot with a field of the wrong JSON type exits 2 naming the
-    file, before any command writes a byte.  Such a KB used to load, and
-    then crash later or write the field into gen-data's pair files."""
+def _commands_reading_kb(bench, models, out):
+    """The flags of every command that reads ``--kb``, each writing under
+    ``out`` if it writes at all."""
+    questions = str(bench / "train.tsv")
+    return (["gen-data", "--questions", questions, "--out", str(out / "data")],
+            ["train-e2e", "--questions", questions, "--variant", "qa-t",
+             "--out", str(out / "m.nn")],
+            ["answer", "--model", str(models["qa-t"]), "--variant", "qa-t",
+             "--questions", questions],
+            ["eval", "--model", str(models["qa-t"]), "--variant", "qa-t",
+             "--questions", questions, "--out", str(out / "rep")])
 
-    @staticmethod
-    def _retype(src, dst, field):
-        """Copy the snapshot at ``src`` to ``dst`` with one field an int."""
-        payload = json.loads(zlib.decompress(
-            src.read_bytes()[len(SNAPSHOT_MAGIC):]))
-        if field in ("subject", "relation", "object"):
-            payload["facts"][0][("subject", "relation", "object")
-                                .index(field)] = 5
-        elif field == "type label":
+
+class TestIllTypedKb:
+    """A KB snapshot with a field of the wrong JSON type, an index out of
+    range or columns that do not line up exits 2 naming the file, before
+    any command writes a byte.  Such a KB used to load, and then crash
+    later or write the field into gen-data's pair files."""
+
+    # the index column of each part of a fact, and the list it indexes
+    _COLUMNS = {"subject": ("subjects", "entities"),
+                "relation": ("predicates", "relations"),
+                "predicate": ("predicates", "relations"),
+                "object": ("objects", "entities")}
+
+    @classmethod
+    def _damage(cls, payload, case):
+        entities = len(payload["entities"])
+        if case in ("subject", "relation", "object"):
+            payload[cls._COLUMNS[case][0]][0] = "5"
+        elif case.endswith("out of range"):
+            column, refs = cls._COLUMNS[case.split()[0]]
+            payload[column][0] = len(payload[refs])
+        elif case == "negative index":
+            payload["objects"][-1] = -1
+        elif case == "bool index":
+            payload["subjects"][0] = True
+        elif case == "unequal columns":
+            payload["objects"].pop()
+        elif case == "repeated entity id":
+            payload["entities"][-1] = payload["entities"][0]
+        elif case == "alias entry index":
+            payload["aliases"][0][0] = entities
+        elif case == "alias":
+            payload["aliases"][0][1] = [5]
+        elif case == "type label":
             payload["types"][0][1] = 5
         else:
-            payload["extra_entities"] = [5]
-        dst.write_bytes(SNAPSHOT_MAGIC + zlib.compress(
-            json.dumps(payload).encode("utf-8")))
+            assert case == "entity id"
+            payload["entities"][0] = 5
 
-    @pytest.mark.parametrize("field", ["subject", "relation", "object",
-                                       "type label", "extra entity id"])
+    @pytest.mark.parametrize("case", [
+        "subject", "relation", "object", "subject out of range",
+        "predicate out of range", "object out of range", "negative index",
+        "bool index", "unequal columns", "repeated entity id",
+        "alias entry index", "alias", "type label", "entity id"])
     def test_exits_2_and_writes_nothing(self, snapshots, capsys, tmp_path,
-                                        field):
+                                        case):
         bench, models = snapshots
+        payload = json.loads(zlib.decompress(
+            (bench / "kb.qakb").read_bytes()[len(SNAPSHOT_MAGIC):]))
+        self._damage(payload, case)
         kb = tmp_path / "kb.qakb"
-        self._retype(bench / "kb.qakb", kb, field)
-        questions = str(bench / "train.tsv")
+        kb.write_bytes(SNAPSHOT_MAGIC + zlib.compress(
+            json.dumps(payload).encode("utf-8")))
         capsys.readouterr()
-        for flags in (
-                ["gen-data", "--questions", questions,
-                 "--out", str(tmp_path / "data")],
-                ["train-e2e", "--questions", questions, "--variant", "qa-t",
-                 "--out", str(tmp_path / "m.nn")],
-                ["answer", "--model", str(models["qa-t"]), "--variant",
-                 "qa-t", "--questions", questions]):
+        for flags in _commands_reading_kb(bench, models, tmp_path):
             code, stdout, err = run(capsys, *flags, "--kb", str(kb))
             assert code == 2, (flags[0], err)
             assert stdout == ""
             assert err.startswith(f"error: {kb}: ") and "Traceback" not in err
             assert "ill-typed" in err
         assert [p.name for p in tmp_path.iterdir()] == ["kb.qakb"]
+
+
+def test_old_snapshot_format_exits_2(snapshots, capsys, tmp_path):
+    """A snapshot of the previous format is named, with how to re-create
+    it, by every command that reads one."""
+    bench, models = snapshots
+    kb = tmp_path / "kb.qakb"
+    kb.write_bytes(b"KBQA1" + zlib.compress(json.dumps(
+        {"facts": [["m.01", "/a/b", "m.02"]], "aliases": [], "types": [],
+         "extra_entities": []}).encode("utf-8")))
+    capsys.readouterr()
+    for flags in _commands_reading_kb(bench, models, tmp_path):
+        code, stdout, err = run(capsys, *flags, "--kb", str(kb))
+        assert code == 2, (flags[0], err)
+        assert stdout == ""
+        assert err.startswith(f"error: {kb}: ") and "KBQA1" in err
+        assert "qakb synth" in err and "qakb ingest" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["kb.qakb"]
 
 
 class TestEval:

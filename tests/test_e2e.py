@@ -1130,6 +1130,24 @@ class TestTrainingVocab:
         assert _training_vocab(test[:3], kb) == _old_training_vocab(test[:3],
                                                                     kb)
 
+    def test_tiny_kb_from_its_index(self, tiny_kb):
+        """Alias tokens read off the index's exact keys, here with
+        punctuation tokens, equal every alias tokenized again."""
+        qs = [make_question("where was obama born?",
+                            Fact("m.02mjmr", "/people/person/place_of_birth",
+                                 "m.02hrh0_"))]
+        index = build_index(tiny_kb)
+        for dataset in (qs, []):
+            assert _training_vocab(dataset, tiny_kb, index) == \
+                _old_training_vocab(dataset, tiny_kb)
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_colliding_synth_kb_from_its_index(self, seed):
+        kb, train, _ = generate_synthetic(SyntheticSpec(
+            seed=seed, n_entities=60, n_relations=7, collision_rate=0.5))
+        assert _training_vocab(train, kb, build_index(kb)) == \
+            _old_training_vocab(train, kb)
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):

@@ -269,6 +269,12 @@ class TestTypeIngestion:
         assert parse_type_lines(lines) == []
 
 
+def _reloaded(kb, tmp_path):
+    path = str(tmp_path / "kb.qakb")
+    save_kb(kb, path)
+    return load_kb(path)
+
+
 class TestBuildKb:
     def test_out_degree_counts_facts(self):
         facts = [Fact("m.x", f"/r/{i}", f"m.o{i}") for i in range(3)]
@@ -278,7 +284,18 @@ class TestBuildKb:
     def test_object_only_entity_has_degree_zero(self):
         kb = build_kb([Fact("m.x", "/r/a", "m.y")])
         assert out_degree(kb, "m.y") == 0
-        assert kb.entities["m.y"].aliases == []
+        assert kb.entities["m.y"].aliases == ()
+
+    def test_entities_without_alias_or_type_share_one_record(self, tmp_path):
+        kb = build_kb([Fact("m.x", "/r/a", "m.y"), Fact("m.z", "/r/a", "m.w")],
+                      alias_pairs=[("m.x", "ex"), ("m.v", " ")],
+                      type_pairs=[("m.w", "thing")])
+        for again in (kb, _reloaded(kb, tmp_path)):
+            bare = [again.entities[m] for m in ("m.y", "m.z", "m.v")]
+            assert bare == [EntityRecord()] * 3
+            assert bare[0] is bare[1] is bare[2]
+            assert again.entities["m.x"] == EntityRecord(("ex",))
+            assert again.entities["m.w"] == EntityRecord((), "thing")
 
     def test_unknown_entity_degree_zero(self, tiny_kb):
         assert out_degree(tiny_kb, "m.nope") == 0
@@ -292,7 +309,7 @@ class TestBuildKb:
 
     def test_aliases_deduplicated(self):
         kb = build_kb([], alias_pairs=[("m.x", "Foo"), ("m.x", "foo")])
-        assert kb.entities["m.x"].aliases == ["foo"]
+        assert kb.entities["m.x"].aliases == ("foo",)
 
     def test_primary_alias_falls_back_to_id(self, tiny_kb):
         assert primary_alias(tiny_kb, "m.02mjmr") == "barack obama"
@@ -335,7 +352,8 @@ class TestBuildKb:
 def _record_route_build_kb(facts, alias_pairs=(), type_pairs=()):
     """:func:`build_kb` as it was before it made records in one pass: one
     ``record()`` call per fact subject, fact object, alias pair and type
-    pair."""
+    pair, each filling a mutable ``[aliases, type]`` pair that becomes an
+    :class:`EntityRecord` at the end."""
     fact_list = list(facts)
     entities = {}
     by_subject = {}
@@ -343,7 +361,7 @@ def _record_route_build_kb(facts, alias_pairs=(), type_pairs=()):
     def record(mid):
         rec = entities.get(mid)
         if rec is None:
-            rec = entities[mid] = EntityRecord(id=mid)
+            rec = entities[mid] = [[], None]
         return rec
 
     for idx, fact in enumerate(fact_list):
@@ -353,11 +371,13 @@ def _record_route_build_kb(facts, alias_pairs=(), type_pairs=()):
     for mid, alias in alias_pairs:
         rec = record(canonicalize_mid(mid))
         alias = alias.strip().lower()
-        if alias and alias not in rec.aliases:
-            rec.aliases.append(alias)
+        if alias and alias not in rec[0]:
+            rec[0].append(alias)
     for mid, label in type_pairs:
-        record(canonicalize_mid(mid)).notable_type = label
-    return fact_list, entities, by_subject
+        record(canonicalize_mid(mid))[1] = label
+    return fact_list, {mid: EntityRecord(tuple(aliases), label)
+                       for mid, (aliases, label) in entities.items()}, \
+        by_subject
 
 
 # ids in canonical and other spellings, one that no spelling rule accepts,

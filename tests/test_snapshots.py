@@ -1,5 +1,5 @@
 """Snapshot readers: any bytes either load or raise a QAKBError, and a
-KB snapshot loads to what ingestion builds from the same records."""
+KB snapshot loads back to the KB it was saved from."""
 
 import json
 import zlib
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qakb.errors import MalformedId, ParseError, QAKBError
+from qakb.errors import ParseError, QAKBError
 from qakb.kb import (SNAPSHOT_MAGIC, EntityRecord, Fact, build_kb, load_kb,
                      save_kb)
 from qakb.nn.io import MODEL_MAGIC, load_params, read_model_meta, save_params
@@ -22,45 +22,63 @@ json_values = st.recursive(
     max_leaves=20,
 )
 
-# payloads shaped roughly like a KB snapshot, so the fuzz reaches past
-# the JSON decoder into the record layout
-kb_payloads = st.fixed_dictionaries(
-    {"facts": json_values, "aliases": json_values, "types": json_values},
-    optional={"extra_entities": json_values},
-)
+_KB_FIELDS = ("entities", "relations", "subjects", "predicates", "objects",
+              "aliases", "types")
+# what replaces a field: any JSON value, or an array of near-miss items
+_field_junk = json_values | st.lists(
+    st.integers(min_value=-2, max_value=6) | st.booleans()
+    | st.text(max_size=2) | st.lists(st.integers(0, 3) | st.text(max_size=2),
+                                     max_size=3),
+    max_size=6)
 
 
-# snapshot payloads whose every field is a string: ids in canonical and
-# other spellings (one that no spelling rule accepts), aliases unstripped,
-# mixed-case or repeated, and an id typed twice with different labels
+@st.composite
+def kb_payloads(draw):
+    """A KB snapshot payload with columns of matching length and indices
+    in range (entity ids may repeat), then at most one field replaced by
+    junk, so the fuzz reaches every check and, past them, the build."""
+    ids = draw(st.lists(st.text(max_size=3), max_size=4))
+    relations = draw(st.lists(st.text(max_size=3), max_size=3))
+    n = draw(st.integers(0, 5)) if ids and relations else 0
+
+    def column(refs):
+        return draw(st.lists(st.integers(0, len(refs) - 1),
+                             min_size=n, max_size=n)) if n else []
+
+    def entries(values):
+        return draw(st.lists(st.tuples(st.integers(0, len(ids) - 1), values)
+                             .map(list), max_size=3)) if ids else []
+
+    payload = {
+        "entities": ids,
+        "relations": relations,
+        "subjects": column(ids),
+        "predicates": column(relations),
+        "objects": column(ids),
+        "aliases": entries(st.lists(st.text(max_size=3), max_size=2)),
+        "types": entries(st.text(max_size=3)),
+    }
+    field = draw(st.sampled_from((None,) + _KB_FIELDS))
+    if field is not None:
+        payload[field] = draw(_field_junk)
+    return payload
+
+
+# records of the kinds ingestion meets: ids in canonical and other
+# spellings, aliases unstripped, mixed-case or repeated, and an id typed
+# twice with different labels
 _ids = st.sampled_from([
     "m.01", "m.02", "m.0a_b", "M.01", "m/02", " m.01 ",
     "www.freebase.com/m/0a_b", "<http://rdf.freebase.com/ns/m.02>",
-    "m 0 1",
 ])
 _texts = st.sampled_from(["germany", " Germany ", "GERMANY", "film", "",
                           " ", "the beatles", "The  Beatles"])
-string_payloads = st.fixed_dictionaries(
-    {"facts": st.lists(st.lists(_ids | _texts, min_size=3, max_size=3),
-                       max_size=6),
-     "aliases": st.lists(st.tuples(_ids, st.lists(_texts, max_size=3))
-                         .map(list), max_size=4),
-     "types": st.lists(st.tuples(_ids, _texts).map(list), max_size=4)},
-    optional={"extra_entities": st.lists(_ids | _texts, max_size=3)},
+_records = st.tuples(
+    st.lists(st.builds(Fact, _ids | _texts, _texts | st.just("/r/a"),
+                       _ids | _texts), max_size=6),
+    st.lists(st.tuples(_ids, _texts), max_size=6),
+    st.lists(st.tuples(_ids, _texts), max_size=4),
 )
-
-
-def _build_kb_route(payload: dict):
-    """What the snapshot reader returned before it built records itself:
-    the payload's records fed through :func:`build_kb`."""
-    facts = [Fact(s, r, o) for s, r, o in payload["facts"]]
-    alias_pairs = [(e, a) for e, aliases in payload["aliases"]
-                   for a in aliases]
-    kb = build_kb(facts, alias_pairs, [tuple(p) for p in payload["types"]])
-    for mid in payload.get("extra_entities", ()):
-        if mid not in kb.entities:
-            kb.entities[mid] = EntityRecord(id=mid)
-    return kb
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +101,8 @@ class TestLoadKb:
         _loads_or_rejects(load_kb, path, SNAPSHOT_MAGIC + data)
         _loads_or_rejects(load_kb, path, data)
 
-    @settings(deadline=None)
-    @given(json_values | kb_payloads)
+    @settings(deadline=None, max_examples=300)
+    @given(json_values | kb_payloads())
     def test_random_payloads(self, path, payload):
         path.write_bytes(SNAPSHOT_MAGIC + zlib.compress(
             json.dumps(payload).encode("utf-8")))
@@ -92,31 +110,38 @@ class TestLoadKb:
             kb = load_kb(str(path))
         except QAKBError:
             return
-        # a field of another JSON type is rejected, not loaded
+        # a field of another JSON type or an index out of range is
+        # rejected, not loaded
         for fact in kb.facts:
             assert all(type(v) is str
                        for v in (fact.subject, fact.relation, fact.object))
+        assert len(kb.entities) == len(payload["entities"])
         for mid, rec in kb.entities.items():
-            assert type(mid) is str and type(rec.id) is str
+            assert type(mid) is str and type(rec) is EntityRecord
+            assert type(rec.aliases) is tuple
             assert all(type(alias) is str for alias in rec.aliases)
             assert rec.notable_type is None or type(rec.notable_type) is str
+        # and what loads saves and loads again unchanged
+        save_kb(kb, str(path))
+        again = load_kb(str(path))
+        assert again.facts == kb.facts
+        assert list(again.entities.items()) == list(kb.entities.items())
+        assert list(again.by_subject.items()) == list(kb.by_subject.items())
 
     @settings(deadline=None, max_examples=300)
-    @given(string_payloads)
-    def test_equals_the_build_kb_route(self, path, payload):
-        path.write_bytes(SNAPSHOT_MAGIC + zlib.compress(
-            json.dumps(payload).encode("utf-8")))
-        try:
-            want = _build_kb_route(payload)
-        except MalformedId:
-            with pytest.raises(ParseError, match="m 0 1"):
-                load_kb(str(path))
-            return
+    @given(_records)
+    def test_round_trips_what_build_kb_builds(self, path, records):
+        """``load_kb(save_kb(kb))`` is ``kb`` for a KB built from records
+        that need canonical ids, stripping, lowercasing, deduplication and
+        a type conflict resolved."""
+        facts, alias_pairs, type_pairs = records
+        kb = build_kb(facts, alias_pairs, type_pairs)
+        save_kb(kb, str(path))
         got = load_kb(str(path))
-        assert got.facts == want.facts
-        assert list(got.entities) == list(want.entities)
-        assert got.entities == want.entities
-        assert list(got.by_subject.items()) == list(want.by_subject.items())
+        assert got.facts == kb.facts
+        assert list(got.entities) == list(kb.entities)
+        assert got.entities == kb.entities
+        assert list(got.by_subject.items()) == list(kb.by_subject.items())
 
     def test_loaded_facts_are_frozen_facts(self, path):
         facts = [Fact("m.01", "/a/b", "m.02"), Fact("m.02", "/a/c", "m.01")]

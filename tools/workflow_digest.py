@@ -8,7 +8,9 @@ Runs ``qakb.cli.main`` in-process, in a fresh temporary directory, over:
   ``eval``, both with and without ``--out-degree-sort``;
 * ``answer``, ``eval`` and oracle ``eval`` for every pipeline strategy;
 * ``ingest`` of small TSV facts and aliases and N-Triples types;
-* ``synth`` and ``gen-data`` at 5,000 entities and 200 relations.
+* ``synth`` and ``gen-data`` at 5,000 entities and 200 relations, then
+  ``train-e2e --variant qa-t-mwst`` on 4 of its train questions and
+  ``answer`` with that model over 20 of its test questions.
 
 It prints ``sha256  relative-path`` for every file the workflow leaves
 and, as ``stdout/NN-name``, for each command's standard output, with the
@@ -20,7 +22,7 @@ the same bytes when their digests are equal:
     diff parent.txt change.txt
 
 A command that exits non-zero stops the run with exit 1.  A run takes
-about 10 s on a 2-vCPU machine.
+about 15 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import io
 import os
 import sys
 import tempfile
+from typing import Optional
 
 TRAIN_FLAGS = ["--seed", "7"]
 
@@ -73,11 +76,18 @@ class Workflow:
             (hashlib.sha256(text.encode("utf-8")).hexdigest(), label))
 
 
-def write_question_texts(bench: str, dest: str) -> None:
+def question_lines(bench: str, split: str,
+                   limit: Optional[int] = None) -> list[str]:
+    """The first ``limit`` (default all) lines of a benchmark split."""
+    with open(os.path.join(bench, f"{split}.tsv"), encoding="utf-8") as fh:
+        return [line for line in fh if line.strip()][:limit]
+
+
+def write_question_texts(bench: str, dest: str,
+                         limit: Optional[int] = None) -> None:
     """One question text per line, from the benchmark's test split."""
-    with open(os.path.join(bench, "test.tsv"), encoding="utf-8") as fh:
-        texts = [line.rstrip("\n").split("\t")[3]
-                 for line in fh if line.strip()]
+    texts = [line.rstrip("\n").split("\t")[3]
+             for line in question_lines(bench, "test", limit)]
     with open(dest, "w", encoding="utf-8") as fh:
         fh.write("".join(text + "\n" for text in texts))
 
@@ -127,8 +137,19 @@ def run_workflow(w: Workflow, variants, strategies) -> None:
 
     w.run("synth-m", "synth", "--seed", "1", "--entities", "5000",
           "--relations", "200", "--out", w.path("m"))
-    w.run("gen-data-m", "gen-data", "--kb", w.path("m", "kb.qakb"),
+    kb_m = w.path("m", "kb.qakb")
+    w.run("gen-data-m", "gen-data", "--kb", kb_m,
           "--questions", w.path("m", "train.tsv"), "--out", w.path("m-data"))
+    with open(w.path("m-train4.tsv"), "w", encoding="utf-8") as fh:
+        fh.write("".join(question_lines(w.path("m"), "train", 4)))
+    write_question_texts(w.path("m"), w.path("m-questions.txt"), 20)
+    model_m = w.path("m-models", "qa-t-mwst.nn")
+    w.run("train-e2e-m", "train-e2e", "--kb", kb_m, "--questions",
+          w.path("m-train4.tsv"), "--variant", "qa-t-mwst", "--out", model_m,
+          *TRAIN_FLAGS)
+    w.run("answer-m", "answer", "--kb", kb_m, "--questions",
+          w.path("m-questions.txt"), "--model", model_m,
+          "--variant", "qa-t-mwst")
 
 
 def file_digests(root: str) -> list[tuple[str, str]]:

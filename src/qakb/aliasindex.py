@@ -60,20 +60,16 @@ def _contains_contiguous(outer: tuple[str, ...], inner: tuple[str, ...]) -> bool
 def extract_ngrams(tokens: list[str]) -> list[str]:
     """All contiguous 1..MAX_NGRAM grams, with contained grams pruned.
 
-    A gram survives only if it is not a contiguous token run inside some
-    longer gram of the same set.  Result is sorted longest-first, then
-    lexicographically, for determinism.
+    What survives is exactly the distinct ``min(len(tokens), MAX_NGRAM)``
+    grams: every shorter gram lies inside one of them, and none lies
+    inside another of the same length.  Result is sorted by token tuple,
+    for determinism.
     """
-    grams: set[tuple[str, ...]] = set()
-    for n in range(1, MAX_NGRAM + 1):
-        for i in range(len(tokens) - n + 1):
-            grams.add(tuple(tokens[i:i + n]))
-    kept = [
-        g for g in grams
-        if not any(_contains_contiguous(other, g) for other in grams)
-    ]
-    kept.sort(key=lambda g: (-len(g), g))
-    return [" ".join(g) for g in kept]
+    n = min(len(tokens), MAX_NGRAM)
+    if not n:
+        return []
+    grams = {tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)}
+    return [" ".join(g) for g in sorted(grams)]
 
 
 def all_ngrams(tokens: list[str]) -> list[str]:

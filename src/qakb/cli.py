@@ -299,11 +299,11 @@ def cmd_train_e2e(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     index = build_index(kb)
     variant = e2e.variant_from_name(args.variant)
     pools = datagen.build_negative_pools(questions, kb, index, cfg.seed)
-    if pools.empty():
-        raise EmptyTrainingSet(
-            f"{args.questions}: no question has a negative subject or "
-            "relation to train against")
-    model, curve = e2e.train_e2e(questions, kb, pools, variant, cfg, index)
+    try:
+        model, curve = e2e.train_e2e(questions, kb, pools, variant, cfg,
+                                     index)
+    except EmptyTrainingSet as exc:
+        raise EmptyTrainingSet(f"{args.questions}: {exc}") from None
     save_model(model, args.out)
     print(f"{args.variant}: {len(questions)} questions, "
           f"final loss {curve[-1]:.4f} -> {args.out}")

@@ -380,12 +380,6 @@ class NegativePools:
     subject_pools: list[list[str]] = field(default_factory=list)
     predicate_pools: list[list[str]] = field(default_factory=list)
 
-    def empty(self) -> bool:
-        """Whether no question has a negative subject or relation: then
-        no question's margin loss has a term, and every training step
-        would be skipped."""
-        return not any(self.subject_pools) and not any(self.predicate_pools)
-
 
 def build_negative_pools(
     questions: Sequence[QuestionInstance],

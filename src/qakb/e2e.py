@@ -493,9 +493,19 @@ def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
               index: Optional[AliasIndex] = None
               ) -> tuple[E2EModel, list[float]]:
     """Fit an end-to-end model; returns it with per-epoch mean losses.
-    ``index`` is the KB's alias index, built here when not given."""
+    ``index`` is the KB's alias index, built here when not given.
+    ``pools`` holds one subject and one predicate pool per question,
+    ValueError otherwise.  EmptyTrainingSet when no question has a
+    negative in either: no step would have a loss to train on."""
     if not dataset:
         raise EmptyTrainingSet("no questions to train on")
+    if not (len(pools.subject_pools) == len(pools.predicate_pools)
+            == len(dataset)):
+        raise ValueError(f"{len(dataset)} questions need one subject and "
+                         "one predicate pool each")
+    if not any(pools.subject_pools) and not any(pools.predicate_pools):
+        raise EmptyTrainingSet("no question has a negative subject or "
+                               "relation to train against")
     rng = np.random.default_rng(cfg.seed)
     model = E2EModel(_training_vocab(dataset, kb, index), cfg, variant, rng)
     subj_samplers = [_PoolSampler(p, rng) for p in pools.subject_pools]
@@ -509,10 +519,8 @@ def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
         # over every use
         step = _StepBatch(model, kb, rng)
         for i in batch:
-            if not step.add(
-                    dataset[i],
-                    subj_samplers[i].draw() if i < len(subj_samplers) else None,
-                    pred_samplers[i].draw() if i < len(pred_samplers) else None):
+            if not step.add(dataset[i], subj_samplers[i].draw(),
+                            pred_samplers[i].draw()):
                 skipped += 1
         return step.loss(), step.questions
 

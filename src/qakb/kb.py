@@ -53,26 +53,20 @@ def collector_paused() -> Iterator[None]:
 # Identifier canonicalization
 # ---------------------------------------------------------------------------
 
+# ``http(s)://host/``, ``www.freebase.com/`` and ``ns/``, each optional, in
+# any ASCII case (``str.lower`` folds no other letter onto these).
+_ID_PREFIX = re.compile(
+    r"(?:https?://[^/]*(?:/|\Z))?(?:www\.freebase\.com/)?(?:ns/)?",
+    re.IGNORECASE | re.ASCII)
+
+
 def _strip_id_prefix(raw: str) -> str:
-    """Remove URL and dump prefixes, leaving the bare dump-local id."""
+    """Remove ``<...>``, the :data:`_ID_PREFIX` and outer slashes, leaving
+    the bare dump-local id."""
     s = raw.strip()
     if s.startswith("<") and s.endswith(">") and len(s) >= 2:
         s = s[1:-1]
-    lower = s.lower()
-    for scheme in ("http://", "https://"):
-        if lower.startswith(scheme):
-            s = s[len(scheme):]
-            # drop the host component
-            slash = s.find("/")
-            s = s[slash + 1:] if slash >= 0 else ""
-            lower = s.lower()
-            break
-    if lower.startswith("www.freebase.com/"):
-        s = s[len("www.freebase.com/"):]
-        lower = s.lower()
-    if lower.startswith("ns/"):
-        s = s[len("ns/"):]
-    return s.strip("/")
+    return s[_ID_PREFIX.match(s).end():].strip("/")
 
 
 def canonicalize_mid(raw: str) -> str:
@@ -193,42 +187,20 @@ class NTObject:
     lang: Optional[str] = None
 
 
+_IRI = r"<([^>]*)>"
+# a literal's text, then an optional tag of letters, digits and "-"
+_LITERAL = r'"((?:[^"\\]|\\["\\nt])*)"(?:@((?:[^\W_]|-)*))?'
 _LITERAL_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
-
-def _scan_iri(line: str, pos: int, line_no: int) -> tuple[str, int]:
-    assert line[pos] == "<"
-    end = line.find(">", pos + 1)
-    if end < 0:
-        raise ParseError("unterminated IRI", line_no)
-    return line[pos + 1:end], end + 1
-
-
-def _scan_literal(line: str, pos: int, line_no: int) -> tuple[str, Optional[str], int]:
-    assert line[pos] == '"'
-    chars: list[str] = []
-    i = pos + 1
-    while i < len(line):
-        c = line[i]
-        if c == "\\":
-            if i + 1 >= len(line) or line[i + 1] not in _LITERAL_ESCAPES:
-                raise ParseError(f"bad escape at column {i + 1}", line_no)
-            chars.append(_LITERAL_ESCAPES[line[i + 1]])
-            i += 2
-        elif c == '"':
-            i += 1
-            lang = None
-            if i < len(line) and line[i] == "@":
-                j = i + 1
-                while j < len(line) and (line[j].isalnum() or line[j] == "-"):
-                    j += 1
-                lang = line[i + 1:j]
-                i = j
-            return "".join(chars), lang, i
-        else:
-            chars.append(c)
-            i += 1
-    raise ParseError("unterminated literal", line_no)
+# A statement's parts in order, each matched after any spaces or tabs.
+_NT_PARTS = tuple(
+    (part, re.compile(r"[ \t]*(?:" + body + ")")) for part, body in (
+        ("an IRI subject", _IRI),
+        ("an IRI predicate", _IRI),
+        ("an IRI or a literal object", _IRI + "|" + _LITERAL),
+        ("a terminal '.'", r"\.\s*\Z"),
+    ))
+_ESCAPE = re.compile(r"\\(.)")
 
 
 def parse_ntriples_line(
@@ -237,43 +209,27 @@ def parse_ntriples_line(
     """Parse one statement of the simplified N-Triples grammar.
 
     Grammar: ``<IRI> <IRI> (<IRI> | "literal"(@lang)?) .`` with ``\\"``,
-    ``\\\\``, ``\\n`` and ``\\t`` escapes inside literals.  Comment lines
-    (starting with ``#``) and blank lines yield ``None``.
+    ``\\\\``, ``\\n`` and ``\\t`` escapes inside literals; spaces and tabs
+    may precede each part and any whitespace may follow the ``.``.  The
+    first part that does not match is a ParseError ``expected <part> at
+    column C``.  Comment lines (starting with ``#``) and blank lines yield
+    ``None``.
     """
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
-
-    def skip_ws(pos: int) -> int:
-        while pos < len(line) and line[pos] in " \t":
-            pos += 1
-        return pos
-
-    pos = skip_ws(0)
-    parts: list = []
-    for slot in ("subject", "predicate"):
-        if pos >= len(line) or line[pos] != "<":
-            raise ParseError(f"expected IRI in {slot} position", line_no)
-        iri, pos = _scan_iri(line, pos, line_no)
-        parts.append(iri)
-        pos = skip_ws(pos)
-    if pos >= len(line):
-        raise ParseError("missing object", line_no)
-    if line[pos] == "<":
-        iri, pos = _scan_iri(line, pos, line_no)
-        obj = NTObject(iri, is_literal=False)
-    elif line[pos] == '"':
-        text, lang, pos = _scan_literal(line, pos, line_no)
-        obj = NTObject(text, is_literal=True, lang=lang)
-    else:
-        raise ParseError("object must be an IRI or a literal", line_no)
-    pos = skip_ws(pos)
-    if pos >= len(line) or line[pos] != ".":
-        raise ParseError("missing terminal '.'", line_no)
-    trailing = line[pos + 1:].strip()
-    if trailing:
-        raise ParseError(f"unexpected trailing content {trailing!r}", line_no)
-    return parts[0], parts[1], obj
+    groups, pos = [], 0
+    for part, pattern in _NT_PARTS:
+        match = pattern.match(line, pos)
+        if match is None:
+            raise ParseError(f"expected {part} at column {pos + 1}", line_no)
+        groups += match.groups()
+        pos = match.end()
+    subject, predicate, iri, text, lang = groups
+    if text is None:
+        return subject, predicate, NTObject(iri)
+    text = _ESCAPE.sub(lambda m: _LITERAL_ESCAPES[m[1]], text)
+    return subject, predicate, NTObject(text, is_literal=True, lang=lang)
 
 
 def serialize_ntriples_line(subject: str, predicate: str, obj: NTObject) -> str:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qakb.aliasindex import (
+    MAX_NGRAM,
     AliasIndex,
+    _contains_contiguous,
     all_ngrams,
     build_index,
     extract_ngrams,
@@ -119,6 +121,20 @@ def _oracle_ngrams(tokens, max_n=3):
     return {" ".join(g) for g in kept}
 
 
+def _pruned_ngrams(tokens):
+    """:func:`extract_ngrams` as it was before it built the longest grams
+    directly: every 1..MAX_NGRAM gram, less those a longer one contains,
+    sorted longest-first, then by token tuple."""
+    grams = set()
+    for n in range(1, MAX_NGRAM + 1):
+        for i in range(len(tokens) - n + 1):
+            grams.add(tuple(tokens[i:i + n]))
+    kept = [g for g in grams
+            if not any(_contains_contiguous(other, g) for other in grams)]
+    kept.sort(key=lambda g: (-len(g), g))
+    return [" ".join(g) for g in kept]
+
+
 class TestExtractNgrams:
     def test_single_token(self):
         assert extract_ngrams(["a"]) == ["a"]
@@ -146,6 +162,13 @@ class TestExtractNgrams:
                     continue
                 for i in range(len(other) - len(g) + 1):
                     assert other[i:i + len(g)] != g
+
+    @given(st.lists(st.sampled_from(["a", "b", "ab", "é", ""]),
+                    max_size=9))
+    def test_equals_the_pruning_pass(self, tokens):
+        """The same grams in the same order as enumerating 1..MAX_NGRAM
+        grams and dropping each one a longer gram contains."""
+        assert extract_ngrams(tokens) == _pruned_ngrams(tokens)
 
     def test_all_ngrams_unpruned(self):
         assert all_ngrams(["a", "b"]) == ["a", "b", "a b"]

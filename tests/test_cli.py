@@ -572,6 +572,29 @@ class TestIngest:
         assert err.startswith(f"error: {facts}: line 2: ")
         assert not (tmp_path / "kb.qakb").exists()
 
+    def test_bad_ntriples_line_names_line_and_column(self, tmp_path,
+                                                     capsys):
+        """A malformed statement exits 2 naming the file, the line, the
+        part expected and its column, and writes no snapshot."""
+        (tmp_path / "facts.tsv").write_text("m.0a01\t/d/x/founded\tm.0o1\n")
+        types = tmp_path / "types.nt"
+        types.write_text(
+            "<http://rdf.freebase.com/ns/m.0t> "
+            "<http://rdf.freebase.com/ns/type.object.name> \"Film\"@en .\n"
+            "# the assignment below has no '.'\n"
+            "<http://rdf.freebase.com/ns/m.0a01> "
+            "<http://rdf.freebase.com/ns/common.topic.notable_types> "
+            "<http://rdf.freebase.com/ns/m.0t>\n")
+        out = tmp_path / "kb.qakb"
+        code, stdout, err = run(capsys, "ingest", "--facts",
+                                str(tmp_path / "facts.tsv"), "--types",
+                                str(types), "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err == (f"error: {types}: line 3: expected a terminal '.' "
+                       "at column 126\n")
+        assert not out.exists()
+
     def test_bad_facts_line_is_data_error(self, tmp_path, capsys):
         facts = tmp_path / "facts.tsv"
         facts.write_text("not a triple\n")

@@ -2,6 +2,7 @@
 
 import logging
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -462,7 +463,7 @@ class TestAnswer:
         )
         qs = [make_question("alpha", kb.facts[0])]
         pools = NegativePools(d_rr={}, subject_pools=[[]],
-                              predicate_pools=[[]])
+                              predicate_pools=[["/d/x/r"]])
         variant = variant_from_name("qa-t")
         model, _ = train_e2e(qs, kb, pools, variant, small_cfg(epochs=1))
         with pytest.raises(NoRelation):
@@ -820,16 +821,25 @@ class TestTrainE2E:
                              small_cfg(epochs=3, learning_rate=0.01))
         assert float(model.head.w_c.data) != 1.0
 
-    def test_empty_pools_skip_without_crash(self):
+    def test_empty_pools_raise(self):
+        """With no negative anywhere every step would be skipped, and the
+        model would come back untrained with a loss curve of zeros."""
         kb = song_kb()
         qs, _ = song_training_set(kb)
         pools = NegativePools(d_rr={},
                               subject_pools=[[] for _ in qs],
                               predicate_pools=[[] for _ in qs])
-        model, curve = train_e2e(qs, kb, pools, VARIANTS["qa-t"],
-                                 small_cfg(epochs=2))
-        assert curve == [0.0, 0.0]
-        assert_array_equal(model.head.w_a.data, np.asarray(1.0))
+        with pytest.raises(EmptyTrainingSet, match="no question has a "
+                           "negative"):
+            train_e2e(qs, kb, pools, VARIANTS["qa-t"], small_cfg(epochs=2))
+
+    @pytest.mark.parametrize("side", ["subject_pools", "predicate_pools"])
+    def test_one_pool_per_question_required(self, side):
+        kb = song_kb()
+        qs, pools = song_training_set(kb)
+        short = replace(pools, **{side: getattr(pools, side)[:-1]})
+        with pytest.raises(ValueError, match="one predicate pool each"):
+            train_e2e(qs, kb, short, VARIANTS["qa-t"], small_cfg(epochs=1))
 
     def test_single_sided_pools_still_train(self):
         kb = song_kb()

@@ -4,7 +4,7 @@ import string
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qakb.errors import MalformedId, ParseError
 from qakb.kb import (
@@ -19,6 +19,7 @@ from qakb.kb import (
     lookup_objects,
     notable_type,
     out_degree,
+    parse_ntriples,
     parse_ntriples_line,
     parse_triples_tsv,
     parse_type_lines,
@@ -102,6 +103,42 @@ class TestCanonicalizeMidShortcut:
                 canonicalize_mid(raw)
             return
         assert canonicalize_mid(raw) == expected
+
+
+def _scanner_strip_id_prefix(raw):
+    """:func:`_strip_id_prefix` as a loop over schemes and two
+    ``startswith`` checks, before it became one pattern."""
+    s = raw.strip()
+    if s.startswith("<") and s.endswith(">") and len(s) >= 2:
+        s = s[1:-1]
+    lower = s.lower()
+    for scheme in ("http://", "https://"):
+        if lower.startswith(scheme):
+            s = s[len(scheme):]
+            slash = s.find("/")
+            s = s[slash + 1:] if slash >= 0 else ""
+            lower = s.lower()
+            break
+    if lower.startswith("www.freebase.com/"):
+        s = s[len("www.freebase.com/"):]
+        lower = s.lower()
+    if lower.startswith("ns/"):
+        s = s[len("ns/"):]
+    return s.strip("/")
+
+
+class TestStripIdPrefixReference:
+    # prefixes in mixed case, cut short or with letters that only a
+    # Unicode case fold (long s, Kelvin sign, dotted I) equates with them
+    @given(st.lists(st.sampled_from([
+        "http://", "https://", "HtTpS://", "HTTP://", "http:/", "https:",
+        "www.freebase.com/", "WWW.FreeBase.com/", "www.freebase.com",
+        "ns/", "NS/", "ns", "n\u017f/", "http\u017f://", "\u212a", "\u0130",
+        "<", ">", " ", "\t", "/", "host", "rdf.freebase.com", "m.01",
+        "m/0A", "film.film",
+    ]), max_size=8).map("".join))
+    def test_same_result_as_the_scanner(self, raw):
+        assert _strip_id_prefix(raw) == _scanner_strip_id_prefix(raw)
 
 
 class TestCanonicalizeRelation:
@@ -226,6 +263,163 @@ class TestParseNtriples:
         for triple in cases:
             line = serialize_ntriples_line(*triple)
             assert parse_ntriples_line(line.rstrip("\n")) == triple
+
+
+_SCANNER_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+
+
+def _scanner_parse_ntriples_line(line, line_no=1):
+    """:func:`parse_ntriples_line` as a character scanner, before it
+    matched each part by pattern; only its messages differ."""
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+
+    def skip_ws(pos):
+        while pos < len(line) and line[pos] in " \t":
+            pos += 1
+        return pos
+
+    def scan_iri(pos):
+        end = line.find(">", pos + 1)
+        if end < 0:
+            raise ParseError("unterminated IRI", line_no)
+        return line[pos + 1:end], end + 1
+
+    def scan_literal(pos):
+        chars = []
+        i = pos + 1
+        while i < len(line):
+            c = line[i]
+            if c == "\\":
+                if i + 1 >= len(line) or line[i + 1] not in _SCANNER_ESCAPES:
+                    raise ParseError(f"bad escape at column {i + 1}", line_no)
+                chars.append(_SCANNER_ESCAPES[line[i + 1]])
+                i += 2
+            elif c == '"':
+                i += 1
+                lang = None
+                if i < len(line) and line[i] == "@":
+                    j = i + 1
+                    while j < len(line) and (line[j].isalnum()
+                                             or line[j] == "-"):
+                        j += 1
+                    lang = line[i + 1:j]
+                    i = j
+                return "".join(chars), lang, i
+            else:
+                chars.append(c)
+                i += 1
+        raise ParseError("unterminated literal", line_no)
+
+    pos = skip_ws(0)
+    parts = []
+    for slot in ("subject", "predicate"):
+        if pos >= len(line) or line[pos] != "<":
+            raise ParseError(f"expected IRI in {slot} position", line_no)
+        iri, pos = scan_iri(pos)
+        parts.append(iri)
+        pos = skip_ws(pos)
+    if pos >= len(line):
+        raise ParseError("missing object", line_no)
+    if line[pos] == "<":
+        iri, pos = scan_iri(pos)
+        obj = NTObject(iri, is_literal=False)
+    elif line[pos] == '"':
+        text, lang, pos = scan_literal(pos)
+        obj = NTObject(text, is_literal=True, lang=lang)
+    else:
+        raise ParseError("object must be an IRI or a literal", line_no)
+    pos = skip_ws(pos)
+    if pos >= len(line) or line[pos] != ".":
+        raise ParseError("missing terminal '.'", line_no)
+    trailing = line[pos + 1:].strip()
+    if trailing:
+        raise ParseError(f"unexpected trailing content {trailing!r}", line_no)
+    return parts[0], parts[1], obj
+
+
+def _parse_outcome(parse_line, lines):
+    """The triples of ``lines``, or the line number of the first
+    ParseError, reading them as :func:`parse_ntriples` does."""
+    triples = []
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            triple = parse_line(line.rstrip("\n").rstrip("\r"), line_no)
+        except ParseError as exc:
+            return exc.line_no
+        if triple is not None:
+            triples.append(triple)
+    return triples
+
+
+# characters that matter to the grammar, and some that only look as if
+# they might: a vertical tab, a no-break space, a non-ASCII letter
+_nt_chars = st.text(alphabet='<>"\\@. \t#anétN1_-\x0b\u00a0\u00c9',
+                    max_size=12)
+_nt_iri = _nt_chars.map(lambda s: "<" + s.replace(">", "") + ">")
+_nt_escapes = ['\\"', "\\\\", "\\n", "\\t"]
+
+
+def _nt_statements(ws, text_pieces, langs, terminals):
+    """Statements whose spacing, literal text, language tag and ending
+    are drawn from the given choices."""
+    literal = st.tuples(
+        st.lists(st.sampled_from(text_pieces), max_size=6).map("".join),
+        st.sampled_from(langs),
+    ).map(lambda p: '"' + p[0] + '"' + p[1])
+    ws = st.sampled_from(ws)
+    return st.tuples(
+        ws, _nt_iri, ws, _nt_iri, ws, _nt_iri | literal, ws,
+        st.sampled_from(terminals),
+    ).map("".join)
+
+
+_nt_good_statement = _nt_statements(
+    ["", " ", "\t", " \t "],
+    ["a", "É", " ", "<", ">", "@", ".", "#"] + _nt_escapes,
+    ["", "@", "@en", "@fr-CA", "@é1", "@-"],
+    [".", ". ", ".\u00a0\x0b"])
+_nt_noisy_statement = _nt_statements(
+    ["", " ", "\x0b", "\u00a0"],
+    ["a", "\\x", "\\", '"'] + _nt_escapes,
+    ["", "@e_n", "@en.", "@ en"],
+    ["", ". x", "..", ".#"])
+_nt_line = st.one_of(
+    _nt_good_statement,
+    _nt_noisy_statement,
+    _nt_chars,
+    st.lists(_nt_good_statement | _nt_chars, max_size=3).map("".join),
+    st.sampled_from(["", "  ", "# note", " \t# note <a>", "\x0b"]),
+)
+
+
+class TestParseNtriplesReference:
+    @settings(max_examples=300)
+    @given(st.lists(_nt_line, min_size=1, max_size=5))
+    def test_same_outcome_as_the_scanner(self, lines):
+        """The same triples, or a ParseError on the same line."""
+        want = _parse_outcome(_scanner_parse_ntriples_line, lines)
+        try:
+            got = list(parse_ntriples(lines))
+        except ParseError as exc:
+            assert exc.line_no == want
+            return
+        assert got == want
+
+    @pytest.mark.parametrize("line, part, column", [
+        ("  x <b> <c> .", "an IRI subject", 1),
+        ("<a b c .", "an IRI subject", 1),
+        ("<a> b <c> .", "an IRI predicate", 4),
+        ('<a> <b> "open .', "an IRI or a literal object", 8),
+        ('<a> <b> "bad \\q" .', "an IRI or a literal object", 8),
+        ("<a> <b> <c>", "a terminal '.'", 12),
+        ("<a> <b> <c> . x", "a terminal '.'", 12),
+    ])
+    def test_names_the_part_and_column(self, line, part, column):
+        with pytest.raises(ParseError) as exc:
+            parse_ntriples_line(line, 3)
+        assert str(exc.value) == f"line 3: expected {part} at column {column}"
 
 
 class TestTypeIngestion:

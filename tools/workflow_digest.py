@@ -7,7 +7,8 @@ Runs ``qakb.cli.main`` in-process, in a fresh temporary directory, over:
 * ``train-e2e`` for every variant, each followed by ``answer`` and
   ``eval``, both with and without ``--out-degree-sort``;
 * ``answer``, ``eval`` and oracle ``eval`` for every pipeline strategy;
-* ``ingest`` of small TSV facts and aliases and N-Triples types;
+* ``ingest`` of small TSV facts and aliases and N-Triples types, in
+  several id spellings and every literal escape;
 * ``synth`` and ``gen-data`` at 5,000 entities and 200 relations, then
   ``train-e2e --variant qa-t-mwst`` on 4 of its train questions and
   ``answer`` with that model over 20 of its test questions.
@@ -38,18 +39,29 @@ from typing import Optional
 
 TRAIN_FLAGS = ["--seed", "7"]
 
+NS = "http://rdf.freebase.com/ns/"
+NOTABLE_TYPES = f"<{NS}common.topic.notable_types>"
+TYPE_NAME = f"<{NS}type.object.name>"
+
+# ids and relations in canonical, site-prefixed, slash, full-IRI and
+# upper-case spellings
 FACTS_TSV = (
     "m.0a01\t/business/company/founders\tm.0p01 m.0p02\n"
     "www.freebase.com/m/0a02\twww.freebase.com/film/film/directed_by\t"
     "m/0p01\n"
+    "HTTP://rdf.freebase.com/ns/m.0a03\tNS/film/film/genre\tNS/m/0p03\n"
 )
 ALIASES_TSV = "m.0a01\tAcme\nm.0a02\tThe Film\nm.0p01\tJo\nm.0p02\tjo\n"
+# a padded name, an https subject, a comment and a blank line, a name with
+# every literal escape, and a French name that is dropped
 TYPES_NT = (
-    "<http://rdf.freebase.com/ns/m.0a01> "
-    "<http://rdf.freebase.com/ns/common.topic.notable_types> "
-    "<http://rdf.freebase.com/ns/m.0t01> .\n"
-    '<http://rdf.freebase.com/ns/m.0t01> '
-    '<http://rdf.freebase.com/ns/type.object.name> " Company "@en .\n'
+    f"<{NS}m.0a01> {NOTABLE_TYPES} <{NS}m.0t01> .\n"
+    f'<{NS}m.0t01> {TYPE_NAME} " Company "@en .\n'
+    "# films\n"
+    "\n"
+    f"<https://rdf.freebase.com/ns/m.0a02>\t{NOTABLE_TYPES} <{NS}m.0t02> .\n"
+    f'<{NS}m.0t02> {TYPE_NAME} "Film \\"Noir\\"\\t\\\\ Drama"@en . \n'
+    f'<{NS}m.0t02> {TYPE_NAME} "Film noir"@fr .\n'
 )
 
 

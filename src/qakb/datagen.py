@@ -376,7 +376,6 @@ def gen_predicate_negatives(
 
 @dataclass(slots=True)
 class NegativePools:
-    d_rr: dict[str, list[str]]
     subject_pools: list[list[str]] = field(default_factory=list)
     predicate_pools: list[list[str]] = field(default_factory=list)
 
@@ -396,7 +395,7 @@ def build_negative_pools(
         {f.relation for f in kb.facts},
         keys={q.gold.relation for q in questions},
     )
-    pools = NegativePools(d_rr=d_rr)
+    pools = NegativePools()
     for i, q in enumerate(questions):
         rng = np.random.default_rng(seed ^ i)
         candidates = retrieve_question_candidates(index, q.tokens)

@@ -222,34 +222,23 @@ class ScoringHead:
     """Combines per-channel cosine similarities into fact scores.
 
     Each channel (subject, predicate and, for ``qat_type``, type) has one
-    trained weight: the two entries of ``W`` for ``qas``, else ``w_a``,
-    ``w_b`` and ``w_c``.  :meth:`scores` is the one routine that turns
-    cosines into scores, for training's hinge terms and for answering.
+    trained weight, its entry of the vector ``W``.  :meth:`scores` is the
+    one routine that turns cosines into scores, for training's hinge
+    terms and for answering.
     """
 
     def __init__(self, mode: str):
         if mode not in ("qas", "qat", "qat_type"):
             raise ValueError(f"unknown head mode {mode!r}")
         self.mode = mode
-        if mode == "qas":
-            self.W = param(np.ones(2))
-        else:
-            self.w_a = param(np.asarray(1.0))
-            self.w_b = param(np.asarray(1.0))
-            if mode == "qat_type":
-                self.w_c = param(np.asarray(1.0))
+        self.W = param(np.ones(3 if mode == "qat_type" else 2))
 
     def scores(self, cos: Tensor, channels: Sequence[int],
                rows: np.ndarray) -> Tensor:
         """One score per row of the index matrix ``rows``: the cosines
         that row indexes, each scaled by the weight of its channel
         ``channels[k]``, added left to right."""
-        if self.mode == "qas":
-            weights = self.W
-        else:
-            weights = stack_rows([self.w_a, self.w_b] + (
-                [self.w_c] if self.mode == "qat_type" else []))
-        scaled = gather_rows(weights, channels) * cos
+        scaled = gather_rows(self.W, channels) * cos
         return tsum(gather_rows(scaled, rows), axis=1)
 
     def hinge_total(self, cos: Tensor, channels: Sequence[int],
@@ -263,12 +252,7 @@ class ScoringHead:
         return tsum(loss_hinge_qas(s_pos, s_neg, gamma))
 
     def parameters(self) -> dict[str, Tensor]:
-        if self.mode == "qas":
-            return {"e2e.head.W": self.W}
-        params = {"e2e.head.w_a": self.w_a, "e2e.head.w_b": self.w_b}
-        if self.mode == "qat_type":
-            params["e2e.head.w_c"] = self.w_c
-        return params
+        return {"e2e.head.W": self.W}
 
 
 class E2EModel:

@@ -259,15 +259,17 @@ def parse_type_lines(lines: Iterable[str]) -> list[tuple[str, str]]:
     """(id, label) pairs from a notable-type file in either supported format.
 
     TSV lines are ``mid<TAB>label``, parsed as alias lines are.  N-Triples
-    input (auto-detected by a first non-blank character of ``<``) holds
-    type assignments (IRI objects) and type names (literal objects); each
-    assignment is joined with its type id's name, in file order, and one
-    whose type id has no name is dropped with a warning.  A blank label or
-    name is dropped, so its entity stays untyped.
+    input (auto-detected by a ``<`` opening the first line that is neither
+    blank nor a ``#`` comment) holds type assignments (IRI objects) and
+    type names (literal objects); each assignment is joined with its type
+    id's name, in file order, and one whose type id has no name is dropped
+    with a warning.  A blank label or name is dropped, so its entity stays
+    untyped.
     """
     buffered = list(lines)
-    first = next((ln for ln in buffered if ln.strip()), "")
-    if not first.lstrip().startswith("<"):
+    first = next((s for s in map(str.strip, buffered)
+                  if s and not s.startswith("#")), "")
+    if not first.startswith("<"):
         return parse_alias_lines(buffered)
     names: dict[str, str] = {}
     assignments: list[tuple[str, str]] = []

@@ -1,10 +1,12 @@
 """Model snapshots: a parameter table plus a JSON sidecar.
 
-A model snapshot is two files.  The ``.nn`` file (magic ``NNQA1``) is a
-little-endian table of named float64 arrays — per entry a
-length-prefixed UTF-8 name, the rank, the dims as uint32, then the raw
-C-order data.  Its ``.meta.json`` sidecar holds the model's ``kind`` and
-what is needed to rebuild it (vocabulary, config, ...).
+A model snapshot is two files.  The ``.nn`` file (magic ``NNQA2``) is a
+little-endian table of named float64 arrays, one per parameter (a
+recurrent cell's ``W``, ``U`` and ``b`` whole; ``NNQA1``, one entry per
+gate, is not read) — per entry a length-prefixed UTF-8 name, the rank,
+the dims as uint32, then the raw C-order data.  Its ``.meta.json``
+sidecar holds the model's ``kind`` and what is needed to rebuild it
+(vocabulary, config, ...).
 
 :func:`save_model` and :func:`load_model` handle both files for any model
 class that gives a ``kind`` class attribute, a ``meta()`` payload, a
@@ -24,7 +26,7 @@ import numpy as np
 from qakb.errors import ParseError, ShapeMismatch
 from qakb.nn.tensor import Tensor
 
-MODEL_MAGIC = b"NNQA1"
+MODEL_MAGIC = b"NNQA2"
 
 
 def meta_path(path: str) -> str:
@@ -75,6 +77,10 @@ def load_params(path: str) -> dict[str, np.ndarray]:
     buf = io.BytesIO(data)
     magic = buf.read(len(MODEL_MAGIC))
     if magic != MODEL_MAGIC:
+        if magic[:4] == MODEL_MAGIC[:4]:
+            raise ParseError(f"model format {magic.decode('latin-1')} is no "
+                             "longer read; re-train it with `qakb "
+                             "train-pipeline` or `qakb train-e2e`", 1)
         raise ParseError(f"bad model header {magic!r}", 1)
     out: dict[str, np.ndarray] = {}
     try:

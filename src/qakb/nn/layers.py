@@ -115,48 +115,35 @@ class Dense:
 
 
 class _GatedCell:
-    """A recurrent cell's weights: per gate in the subclass's ``gates`` an
-    input weight ``W_*``, a recurrent weight ``U_*`` and a bias ``b_*``.
+    """A recurrent cell's weights, one parameter per kind with the gates'
+    blocks side by side in the subclass's ``gates`` order: the input
+    weight ``W`` as [d, G*h], the recurrent weight ``U`` as [G*h, h] and
+    the bias ``b`` as [G*h].
 
     A step works on ``[n, h]`` states, one row per sequence still
     running, or on ``[D, n, h]`` states with one such block per direction
     of a run, the weights then stacked ``[D, ...]`` too.  It takes every
-    gate's input projection ``x @ W.T`` precomputed:
+    gate's input projection ``x @ W`` precomputed:
     :func:`_recurrent_states` projects all timesteps in one product before
-    its time loop, with the gates' weights stacked (:meth:`stacked`).
-    Each kind of weight is one array with the gates' blocks stacked in
-    ``gates`` order, and the per-gate parameters are views of its blocks,
-    so a run reads the stacked weights without copying them.
+    its time loop, reading ``W`` as it is stored.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int,
                  rng: np.random.Generator, name: Optional[str] = None):
         self.input_dim, self.hidden_dim = input_dim, hidden_dim
         self.name = name or self.default_name
-        rows = len(self.gates) * hidden_dim
-        self._stacked = {"W": np.empty((rows, input_dim)),
-                         "U": np.empty((rows, hidden_dim)),
-                         "b": np.zeros(rows)}
-        self._p: dict[str, Tensor] = {}
-        for k, gate in enumerate(self.gates):
-            block = slice(k * hidden_dim, (k + 1) * hidden_dim)
-            self._stacked["W"][block] = glorot(rng, (hidden_dim, input_dim))
-            self._stacked["U"][block] = glorot(rng, (hidden_dim, hidden_dim))
-            for kind in "WUb":
-                self._p[f"{kind}_{gate}"] = Tensor(self._stacked[kind][block],
-                                                   requires_grad=True)
-        # per kind of weight, its tensors in gate order
-        self._kinds = {kind: [self._p[f"{kind}_{gate}"] for gate in self.gates]
-                       for kind in "WUb"}
+        # per gate an [h, d] and an [h, h] draw: a seed's draws, and so
+        # every trained bit, depend on this order and these shapes; W is
+        # stored C-ordered, the layout whose products those bits came from
+        draws = [(glorot(rng, (hidden_dim, input_dim)),
+                  glorot(rng, (hidden_dim, hidden_dim))) for _ in self.gates]
+        self.W = param(np.concatenate([w for w, _ in draws]).T.copy())
+        self.U = param(np.concatenate([u for _, u in draws]))
+        self.b = param(np.zeros(len(self.gates) * hidden_dim))
 
     def parameters(self) -> dict[str, Tensor]:
-        return {f"{self.name}.{k}": v for k, v in self._p.items()}
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The gates' weights side by side, in ``gates`` order: ``W.T``
-        as [d, G*h], ``U`` as [G*h, h] and ``b`` as [G*h]."""
-        return (self._stacked["W"].T.copy(), self._stacked["U"],
-                self._stacked["b"])
+        return {f"{self.name}.W": self.W, f"{self.name}.U": self.U,
+                f"{self.name}.b": self.b}
 
     def initial_state(self, *rows: int) -> tuple[np.ndarray, ...]:
         """Zero states of shape ``rows + (h,)``."""
@@ -281,13 +268,13 @@ def _recurrent_states(cells: Sequence[_GatedCell], inputs: Tensor,
     columns, and zero past each row's length.
 
     The forward projects every valid position's input through each
-    cell's gates in one product per cell, then calls ``step`` once per
+    cell's ``W`` in one product per cell, then calls ``step`` once per
     timestep on the states of the rows still running, every direction at
-    once: [D, n, h] states and weights stacked [D, ...] for two
-    directions, and for one the [n, h] states and the cell's own weights.
-    The backward runs ``step_backward`` back through time the same way
-    and adds each weight's and bias's gradient once, as products over
-    every row and timestep.
+    once: [D, n, h] states and ``U`` and ``b`` stacked [D, ...] for two
+    directions, and for one the [n, h] states and the cell's own ``U``
+    and ``b``.  The backward runs ``step_backward`` back through time the
+    same way and adds the gradients of ``W``, ``U`` and ``b`` once each,
+    as products over every row and timestep.
     """
     x = inputs.data
     T, d = x.shape[-2:]
@@ -297,8 +284,8 @@ def _recurrent_states(cells: Sequence[_GatedCell], inputs: Tensor,
     lead = (D,) if D > 1 else ()  # the direction axis, if any
     flats, offsets = _pack(lengths, T, reverses)
     xs = [x.reshape(B * T, d)[flat] for flat in flats]
-    w_ts, us, bs = zip(*[c.stacked() for c in cells])
-    xw = [xs_k @ w_t for xs_k, w_t in zip(xs, w_ts)]
+    xw = [xs_k @ c.W.data for xs_k, c in zip(xs, cells)]
+    us, bs = [c.U.data for c in cells], [c.b.data for c in cells]
     if D > 1:  # the directions' arrays stacked on a leading axis
         xw, u, b = np.array(xw), np.array(us), np.array(bs)[:, None]
     else:
@@ -338,20 +325,21 @@ def _recurrent_states(cells: Sequence[_GatedCell], inputs: Tensor,
                                 for a in (d_pre, d_rec, h_prev))
         d_x = np.zeros((B * T, d)) if inputs.requires_grad else None
         for k, c in enumerate(cells):
-            d_w, d_u = d_pre[k].T @ xs[k], d_rec[k].T @ h_prev[k]
-            d_b = d_pre[k].sum(axis=0)
-            for kind, grad_k in (("W", d_w), ("U", d_u), ("b", d_b)):
-                for j, weight in enumerate(c._kinds[kind]):
-                    if weight.requires_grad:
-                        weight.accumulate(grad_k[j * H:(j + 1) * H])
+            # W's gradient is the [G*h, d] product transposed:
+            # xs.T @ d_pre would round differently
+            for weight, grad_k in ((c.W, (d_pre[k].T @ xs[k]).T),
+                                   (c.U, d_rec[k].T @ h_prev[k]),
+                                   (c.b, d_pre[k].sum(axis=0))):
+                if weight.requires_grad:
+                    weight.accumulate(grad_k)
             if d_x is not None:
-                d_x[flats[k]] += d_pre[k] @ w_ts[k].T
+                d_x[flats[k]] += d_pre[k] @ c.W.data.T
         if d_x is not None:
             inputs.accumulate(d_x.reshape(x.shape))
 
     # directions side by side: [B * T, D * h]; one direction needs no copy
     data = states[0] if D == 1 else states.transpose(1, 0, 2)
-    params = [p for c in cells for p in c._p.values()]
+    params = [p for c in cells for p in (c.W, c.U, c.b)]
     return _make(data.reshape(x.shape[:-1] + (D * H,)), (inputs, *params),
                  backward)
 

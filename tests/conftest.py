@@ -1,4 +1,5 @@
-"""Shared fixtures: a small hand-built knowledge base used across modules."""
+"""Shared fixtures: a small hand-built knowledge base used across
+modules, and a view of one gate's weights in a recurrent cell."""
 
 import pytest
 
@@ -38,3 +39,17 @@ def tiny_kb():
         ("m.01hmylb", "musical album"),
     ]
     return build_kb(facts, alias_pairs, type_pairs)
+
+
+def gate_block(cell, kind, gate, array=None):
+    """Gate ``gate``'s block of a recurrent cell's ``kind`` of weight
+    ("W", "U" or "b") as a writable view, shaped [h, d], [h, h] or [h].
+    ``array`` is the parameter's data unless given, for example its
+    gradient."""
+    h = cell.hidden_dim
+    k = cell.gates.index(gate)
+    if array is None:
+        array = getattr(cell, kind).data
+    if kind == "W":
+        return array[:, k * h:(k + 1) * h].T
+    return array[k * h:(k + 1) * h]

@@ -145,7 +145,7 @@ class TestExitCodes:
                            "--model", str(tmp_path / "qa-t-w.nn"),
                            "--variant", "qa-t-w", "--questions", str(qfile))
         assert code == 2
-        assert "e2e.head.w_c" in err and "Traceback" not in err
+        assert "e2e.head.W" in err and "Traceback" not in err
 
     def test_tampered_pipeline_model_is_data_error(self, capsys, bench,
                                                    tmp_path):
@@ -562,6 +562,34 @@ class TestIngest:
                          "--types", str(tmp_path / f"types.{name}"),
                          "--out", str(kb)]) == 0
             assert notable_type(load_kb(str(kb)), "m.0a01") == "film", name
+
+    def test_types_format_read_past_leading_comments(self, tmp_path,
+                                                     capsys):
+        """The format is chosen by the first line that is neither blank
+        nor a ``#`` comment: N-Triples after a comment types its entity,
+        and a TSV file's comment is still a bad line 1."""
+        (tmp_path / "facts.tsv").write_text("m.0a01\t/d/x/founded\tm.0o1\n")
+        nt = tmp_path / "types.nt"
+        nt.write_text(
+            "# types\n\n"
+            "<http://rdf.freebase.com/ns/m.0a01> "
+            "<http://rdf.freebase.com/ns/common.topic.notable_types> "
+            "<http://rdf.freebase.com/ns/m.0t> .\n"
+            '<http://rdf.freebase.com/ns/m.0t> '
+            '<http://rdf.freebase.com/ns/type.object.name> "Film" .\n')
+        kb = tmp_path / "kb.qakb"
+        code, _, err = run(capsys, "ingest", "--facts",
+                           str(tmp_path / "facts.tsv"), "--types", str(nt),
+                           "--out", str(kb))
+        assert code == 0, err
+        assert notable_type(load_kb(str(kb)), "m.0a01") == "film"
+        tsv = tmp_path / "types.tsv"
+        tsv.write_text("# types\nm.0a01\tfilm\n")
+        code, _, err = run(capsys, "ingest", "--facts",
+                           str(tmp_path / "facts.tsv"), "--types", str(tsv),
+                           "--out", str(tmp_path / "tsv.qakb"))
+        assert code == 2
+        assert err.startswith(f"error: {tsv}: line 1: ")
 
     def test_facts_line_without_object_is_data_error(self, tmp_path, capsys):
         facts = tmp_path / "facts.tsv"
@@ -1277,6 +1305,32 @@ def test_old_snapshot_format_exits_2(snapshots, capsys, tmp_path):
         assert err.startswith(f"error: {kb}: ") and "KBQA1" in err
         assert "qakb synth" in err and "qakb ingest" in err
     assert [p.name for p in tmp_path.iterdir()] == ["kb.qakb"]
+
+
+def test_old_model_format_exits_2(snapshots, capsys, tmp_path):
+    """A model table of the previous format, which held a recurrent
+    cell's weights gate by gate, is named with how to re-create it."""
+    bench, models = snapshots
+    shutil.copytree(models["pipeline"], tmp_path / "pipeline")
+    for name in ("qa-t.nn", "qa-t.nn.meta.json"):
+        shutil.copy(models["qa-t"].parent / name, tmp_path / name)
+    questions = tmp_path / "q.txt"
+    questions.write_text("anything\n")
+    runs = {tmp_path / "qa-t.nn": ["--model", str(tmp_path / "qa-t.nn"),
+                                   "--variant", "qa-t"],
+            tmp_path / "pipeline" / "tagger.nn": [
+                "--pipeline", str(tmp_path / "pipeline"),
+                "--strategy", "p-qa"]}
+    for model, flags in runs.items():
+        model.write_bytes(b"NNQA1" + model.read_bytes()[5:])
+        capsys.readouterr()
+        code, stdout, err = run(capsys, "answer", "--kb",
+                                str(bench / "kb.qakb"), *flags,
+                                "--questions", str(questions))
+        assert code == 2, err
+        assert stdout == ""
+        assert err.startswith(f"error: {model}: ") and "NNQA1" in err
+        assert "qakb train-pipeline" in err and "qakb train-e2e" in err
 
 
 class TestEval:

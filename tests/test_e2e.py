@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import gate_block
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qakb.aliasindex import build_index, relation_tokens, tokenize
@@ -18,6 +19,7 @@ from qakb.e2e import (
     E2EVariant,
     FactScore,
     ScoringHead,
+    TYPE,
     VARIANTS,
     WordEncoder,
     _StepBatch,
@@ -74,7 +76,6 @@ def song_training_set(kb):
         make_question("which country made yesterday", kb.facts[3]),
     ]
     pools = NegativePools(
-        d_rr={},
         subject_pools=[["m.0c1"], ["m.0c1"], ["m.0a1"], ["m.0a1"]],
         predicate_pools=[
             ["/film/film/genre"],
@@ -136,9 +137,9 @@ class TestWordEncoder:
         we = m.words
         vec = we.encode_words(["a"]).data[0]
         x = we.char_table.embed(["a"]).data
-        w_t, u, b = we.char_gru.stacked()
-        (h,), _ = we.char_gru.step(x @ w_t, we.char_gru.initial_state(1),
-                                   u, b)
+        gru = we.char_gru
+        (h,), _ = gru.step(x @ gru.W.data, gru.initial_state(1),
+                           gru.U.data, gru.b.data)
         assert_array_equal(vec[-we.char_gru.hidden_dim:], h[0])
 
     def test_unknown_words_distinguished_by_spelling(self):
@@ -282,8 +283,7 @@ class TestScoringHead:
 
     def test_qat_weights_scale_channels(self):
         head = ScoringHead("qat")
-        head.w_a.data[...] = 2.0
-        head.w_b.data[...] = -1.0
+        head.W.data[...] = [2.0, -1.0]
         assert_allclose(_scores(head, [0.25, 0.5], [0, 1], [[0, 1], [0, 0]]),
                         [0.0, 1.0], rtol=0, atol=1e-12)
         assert_allclose(_scores(head, [0.25], [0], [[0]]), [0.5], rtol=0,
@@ -302,8 +302,7 @@ class TestScoringHead:
         for mode, width in (("qas", 2), ("qat", 2), ("qat_type", 3)):
             head = ScoringHead(mode)
             weights = rng.normal(size=width)
-            for k, p in enumerate(head.parameters().values()):
-                p.data[...] = weights if mode == "qas" else weights[k]
+            head.W.data[...] = weights
             cos = rng.uniform(-1.0, 1.0, size=(50, width))
             got = _scores(head, cos.ravel(), list(range(width)) * 50,
                           np.arange(50 * width).reshape(50, width))
@@ -314,10 +313,10 @@ class TestScoringHead:
                 assert score == total, mode
 
     def test_parameter_names(self):
-        assert set(ScoringHead("qas").parameters()) == {"e2e.head.W"}
-        assert set(ScoringHead("qat_type").parameters()) == {
-            "e2e.head.w_a", "e2e.head.w_b", "e2e.head.w_c"
-        }
+        for mode, width in (("qas", 2), ("qat", 2), ("qat_type", 3)):
+            params = ScoringHead(mode).parameters()
+            assert list(params) == ["e2e.head.W"]
+            assert params["e2e.head.W"].shape == (width,)
 
 
 class TestSubjectText:
@@ -412,7 +411,7 @@ class TestWeightSharing:
             "subject": m.encode_text(tokenize("yesterday")).data,
             "predicate": m.encode_text(["music", "recording", "artist"]).data,
         }
-        m.lstm._p["W_i"].data += 0.37
+        gate_block(m.lstm, "W", "i")[...] += 0.37
         for role, old in before.items():
             new = m.encode_text({
                 "question": tokenize("who sings yesterday"),
@@ -462,7 +461,7 @@ class TestAnswer:
             [("m.0a1", "alpha"), ("m.0b1", "beta")],
         )
         qs = [make_question("alpha", kb.facts[0])]
-        pools = NegativePools(d_rr={}, subject_pools=[[]],
+        pools = NegativePools(subject_pools=[[]],
                               predicate_pools=[["/d/x/r"]])
         variant = variant_from_name("qa-t")
         model, _ = train_e2e(qs, kb, pools, variant, small_cfg(epochs=1))
@@ -474,7 +473,7 @@ class TestAnswer:
         facts.append(Fact("m.0aa", "/d/x/r", "m.0o9"))
         kb = build_kb(facts, [("m.0zz", "acme"), ("m.0aa", "acme")])
         qs = [make_question("acme", kb.facts[0])]
-        pools = NegativePools(d_rr={}, subject_pools=[["m.0aa"]],
+        pools = NegativePools(subject_pools=[["m.0aa"]],
                               predicate_pools=[[]])
         plain = variant_from_name("qa-t")
         model, _ = train_e2e(qs, kb, pools, plain, small_cfg(epochs=1))
@@ -515,19 +514,12 @@ def _cached(session):
             *session.relations.table.values()]
 
 
-def _head_weights(head):
-    """The head's channel weights as floats, in channel order."""
-    if head.mode == "qas":
-        return [float(w) for w in head.W.data]
-    return [float(w.data) for w in head.parameters().values()]
-
-
 def _per_fact_scores(model, kb, question, facts, variant):
     """Each fact scored on its own: every text encoded afresh, building a
     graph, each word's char part from its own one-word run, one cosine
     per channel, and the weighted channels added left to right in plain
     floats."""
-    weights = _head_weights(model.head)
+    weights = [float(w) for w in model.head.W.data]
     summary = model.words.char_summary
     q_vec = model.encode_text(tokenize(question), summary)
 
@@ -570,7 +562,7 @@ class TestSession:
         qs = train + test
         questions = [q.text for q in qs] + ["zzz qqq"]
         pools = NegativePools(
-            d_rr={}, subject_pools=[[] for _ in qs],
+            subject_pools=[[] for _ in qs],
             predicate_pools=[[f.relation for f in kb.facts
                               if f.relation != q.gold.relation][:2]
                              for q in qs])
@@ -664,7 +656,7 @@ class TestSession:
         kb, index, qs, pools, questions = synth
         model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-s"],
                              small_cfg(epochs=1))
-        w0, w1 = _head_weights(model.head)
+        w0, w1 = (float(w) for w in model.head.W.data)
         session = E2EStrategy(model, VARIANTS["qa-s"], kb, index)
         checked = 0
         for q in questions:
@@ -685,7 +677,7 @@ class TestSession:
         index = build_index(kb)
         q = "who sings yesterday"
         before = E2EStrategy(model, variant, kb, index).top(q, k=4)
-        model.lstm._p["W_i"].data += 0.37
+        gate_block(model.lstm, "W", "i")[...] += 0.37
         after = E2EStrategy(model, variant, kb, index).top(q, k=4)
         assert after != before
         assert after == answer(model, kb, index, q, variant, k=4)
@@ -790,7 +782,7 @@ class TestTrainE2E:
     def test_empty_dataset_raises(self):
         kb = song_kb()
         with pytest.raises(EmptyTrainingSet):
-            train_e2e([], kb, NegativePools(d_rr={}), VARIANTS["qa-t"],
+            train_e2e([], kb, NegativePools(), VARIANTS["qa-t"],
                       small_cfg())
 
     def test_loss_curve_length(self):
@@ -819,15 +811,14 @@ class TestTrainE2E:
         qs, pools = song_training_set(kb)
         model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-t-mwt"],
                              small_cfg(epochs=3, learning_rate=0.01))
-        assert float(model.head.w_c.data) != 1.0
+        assert float(model.head.W.data[TYPE]) != 1.0
 
     def test_empty_pools_raise(self):
         """With no negative anywhere every step would be skipped, and the
         model would come back untrained with a loss curve of zeros."""
         kb = song_kb()
         qs, _ = song_training_set(kb)
-        pools = NegativePools(d_rr={},
-                              subject_pools=[[] for _ in qs],
+        pools = NegativePools(subject_pools=[[] for _ in qs],
                               predicate_pools=[[] for _ in qs])
         with pytest.raises(EmptyTrainingSet, match="no question has a "
                            "negative"):
@@ -844,8 +835,7 @@ class TestTrainE2E:
     def test_single_sided_pools_still_train(self):
         kb = song_kb()
         qs, full = song_training_set(kb)
-        pools = NegativePools(d_rr={},
-                              subject_pools=[[] for _ in qs],
+        pools = NegativePools(subject_pools=[[] for _ in qs],
                               predicate_pools=full.predicate_pools)
         for name in ("qa-s", "qa-t", "qa-t-mwt"):
             _, curve = train_e2e(qs, kb, pools, VARIANTS[name],
@@ -908,23 +898,24 @@ def _per_text_loss(model, kb, q, neg_subject, neg_pred, cfg, rng):
         if t_pos is not None and t_neg is not None:
             type_pair = (cosine(q_vec, encode(tokenize(t_pos))),
                          cosine(q_vec, encode(tokenize(t_neg))))
+    w_a, w_b = gather_rows(head.W, 0), gather_rows(head.W, 1)
     if neg_s is not None and neg_p is not None:
-        ss = head.w_a * pos_s, head.w_a * neg_s
-        sp = head.w_b * pos_p, head.w_b * neg_p
+        ss = w_a * pos_s, w_a * neg_s
+        sp = w_b * pos_p, w_b * neg_p
         if type_pair is not None:
-            st = head.w_c * type_pair[0], head.w_c * type_pair[1]
+            w_c = gather_rows(head.W, 2)
+            st = w_c * type_pair[0], w_c * type_pair[1]
             return loss_hinge_qat_type(*ss, *sp, *st, cfg.gamma)
         return loss_hinge_qat(*ss, *sp, cfg.gamma)
     terms = []
     if neg_s is not None:
-        terms.append(loss_hinge_qas(head.w_a * pos_s, head.w_a * neg_s,
-                                    cfg.gamma))
+        terms.append(loss_hinge_qas(w_a * pos_s, w_a * neg_s, cfg.gamma))
     if neg_p is not None:
-        terms.append(loss_hinge_qas(head.w_b * pos_p, head.w_b * neg_p,
-                                    cfg.gamma))
+        terms.append(loss_hinge_qas(w_b * pos_p, w_b * neg_p, cfg.gamma))
     if type_pair is not None:
-        terms.append(loss_hinge_qas(head.w_c * type_pair[0],
-                                    head.w_c * type_pair[1], cfg.gamma))
+        w_c = gather_rows(head.W, 2)
+        terms.append(loss_hinge_qas(w_c * type_pair[0], w_c * type_pair[1],
+                                    cfg.gamma))
     return sum(terms[1:], terms[0]) if terms else None
 
 
@@ -1009,7 +1000,7 @@ class TestBatchedStep:
         assert draw == o_draw
         assert loss == pytest.approx(o_loss, rel=1e-12)
         _assert_grads_match(grads, o_grads)
-        assert grads["e2e.lstm.W_i"] is not None
+        assert grads["e2e.lstm.W"] is not None
 
     @pytest.mark.parametrize("name", ["qa-s", "qa-t", "qa-t-mwst"])
     def test_epoch_matches_per_text_training(self, name, monkeypatch):

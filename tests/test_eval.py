@@ -328,7 +328,7 @@ class TestE2EStrategyAdapter:
             [("m.0a1", "musical recording")],
         )
         qs = [make_question("who sings yesterday", kb.facts[0])]
-        pools = NegativePools(d_rr={}, subject_pools=[[]],
+        pools = NegativePools(subject_pools=[[]],
                               predicate_pools=[["/d/x/r"]])
         cfg = TrainConfig(epochs=1, batch_size=1, hidden_size=4, embed_dim=4,
                           char_dim=3, max_len=6)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import gate_block
 
 from qakb.errors import ShapeMismatch
 from qakb.nn import (
@@ -17,7 +18,7 @@ from qakb.nn import (
     cosine,
     dropout,
     finite_diff_check,
-    restore_params,
+    glorot,
     run_recurrent,
     self_attention,
 )
@@ -102,7 +103,7 @@ class TestDense:
 class TestGRU:
     def test_zero_weights_zero_input_zero_states(self):
         cell = GRUCell(2, 3, np.random.default_rng(0))
-        for t in cell._p.values():
+        for t in cell.parameters().values():
             t.data[...] = 0.0
         states, last = run_recurrent(cell, Tensor(np.zeros((4, 2))))
         np.testing.assert_allclose(states.data, 0.0)
@@ -117,7 +118,7 @@ class TestGRU:
             "W_n": 0.7, "U_n": 0.6, "b_n": -0.1,
         }
         for k, v in w.items():
-            cell._p[k].data[...] = v
+            gate_block(cell, *k.split("_"))[...] = v
         x = 1.0
         z = _sigmoid(w["W_z"] * x + w["b_z"])
         r = _sigmoid(w["W_r"] * x + w["b_r"])
@@ -163,7 +164,7 @@ class TestLSTM:
             "W_o": 0.2, "U_o": 0.1, "b_o": 0.0,
         }
         for k, v in w.items():
-            cell._p[k].data[...] = v
+            gate_block(cell, *k.split("_"))[...] = v
         x = 0.8
         i = _sigmoid(w["W_i"] * x + w["b_i"])
         g = math.tanh(w["W_g"] * x + w["b_g"])
@@ -206,20 +207,23 @@ def _oracle_lstm_step(p, xw, state):
 def _oracle_run(cell, inputs, direction):
     """The per-timestep graph of tensor primitives that the fused sequence
     op replaces: one node per gate product, sum and nonlinearity.  The
-    input projections ``x @ W.T`` of all gates and timesteps are one
+    input projections ``x @ W`` of all gates and timesteps are one
     product, as in the fused op, so the forward compares bit for bit."""
     step = _oracle_gru_step if isinstance(cell, GRUCell) else _oracle_lstm_step
     T, H = inputs.shape[0], cell.hidden_dim
     order = range(T) if direction == "forward" else range(T - 1, -1, -1)
-    stacked = transpose(matmul(inputs, concat(
-        [transpose(cell._p[f"W_{g}"]) for g in cell.gates], axis=1)))
+    stacked = transpose(matmul(inputs, cell.W))
     proj = {g: transpose(gather_rows(stacked, range(k * H, (k + 1) * H)))
             for k, g in enumerate(cell.gates)}
+    # each gate's rows of U and b as nodes, so their gradients reach the cell
+    p = {f"{kind}_{g}": gather_rows(getattr(cell, kind),
+                                    range(k * H, (k + 1) * H))
+         for k, g in enumerate(cell.gates) for kind in "Ub"}
     state = tuple(zeros((cell.hidden_dim,)) for _ in cell.state_parts)
     outputs = {}
     for t in order:
         xw_t = {g: gather_rows(xw, t) for g, xw in proj.items()}
-        state = step(cell._p, xw_t, state)
+        state = step(p, xw_t, state)
         outputs[t] = state[0]
     return stack_rows([outputs[t] for t in range(T)]), outputs[order[-1]]
 
@@ -287,19 +291,6 @@ class TestFusedRecurrent:
         assert finite_diff_check(loss, leaves) < 1e-4
 
     @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
-    def test_stacked_weights_follow_the_gate_parameters(self, cell_cls):
-        cell, _, _, _ = _case(cell_cls, 2, x_grad=False)
-        params = cell.parameters()
-        for p in params.values():
-            p.grad = np.ones_like(p.data)
-        Adam(params, lr=0.1).step()
-        restore_params(params, {k: p.data + 1.0 for k, p in params.items()})
-        w, u, b = cell.stacked()
-        for kind, got in (("W", w.T), ("U", u), ("b", b)):
-            np.testing.assert_array_equal(got, np.concatenate(
-                [params[f"{cell.name}.{kind}_{g}"].data for g in cell.gates]))
-
-    @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
     def test_one_graph_node_per_sequence(self, cell_cls):
         cell, x, _, _ = _case(cell_cls, 5, x_grad=True)
         states, last = run_recurrent(cell, x, "backward")
@@ -310,6 +301,49 @@ class TestFusedRecurrent:
             quiet, _ = run_recurrent(cell, x, "backward")
         assert quiet._parents == () and not quiet.requires_grad
         np.testing.assert_array_equal(quiet.data, states.data)
+
+
+class TestGatedCellLayout:
+    """One parameter per kind of weight, the gates' blocks side by side."""
+
+    @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
+    def test_parameters_are_w_u_b_holding_the_gate_draws(self, cell_cls):
+        d, h = 3, 4
+        cell = cell_cls(d, h, np.random.default_rng(61), name="c")
+        G = len(cell.gates)
+        params = cell.parameters()
+        assert list(params) == ["c.W", "c.U", "c.b"]
+        assert [p.shape for p in params.values()] == [
+            (d, G * h), (G * h, h), (G * h,)]
+        assert all(p.requires_grad for p in params.values())
+        assert all(p.data.flags.c_contiguous for p in params.values())
+        replay = np.random.default_rng(61)
+        for g in cell.gates:
+            w, u = glorot(replay, (h, d)), glorot(replay, (h, h))
+            np.testing.assert_array_equal(gate_block(cell, "W", g), w)
+            np.testing.assert_array_equal(gate_block(cell, "U", g), u)
+            assert not gate_block(cell, "b", g).any()
+
+    @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
+    def test_adam_steps_a_stacked_weight_as_its_gate_blocks(self, cell_cls):
+        """Adam works element by element, so one [d, G*h] weight takes
+        the same steps as its G [h, d] blocks held apart."""
+        cell, _, _, _ = _case(cell_cls, 2, x_grad=False)
+        rng = np.random.default_rng(67)
+        whole = {kind: param(getattr(cell, kind).data) for kind in "WUb"}
+        apart = {(kind, g): param(gate_block(cell, kind, g, p.data))
+                 for kind, p in whole.items() for g in cell.gates}
+        opts = Adam(whole, lr=0.05), Adam(apart, lr=0.05)
+        for _ in range(5):
+            for p in whole.values():
+                p.grad = rng.normal(size=p.shape)
+            for (kind, g), p in apart.items():
+                p.grad = gate_block(cell, kind, g, whole[kind].grad).copy()
+            for opt in opts:
+                opt.step()
+        for (kind, g), p in apart.items():
+            np.testing.assert_array_equal(
+                gate_block(cell, kind, g, whole[kind].data), p.data)
 
 
 def _ragged_case(cell_cls, lengths, seed=59):

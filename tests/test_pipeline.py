@@ -851,7 +851,7 @@ class TestBatchedTraining:
             [_tagger_example_loss(model, q) for q in _TAGGED]))
         assert loss == pytest.approx(o_loss, rel=1e-12)
         _assert_grads_match(grads, o_grads)
-        assert grads["tagger.fwd.W_i"] is not None
+        assert grads["tagger.fwd.W"] is not None
 
     def test_matcher_gradients_match_per_example_oracle(self):
         model = _matcher()
@@ -864,7 +864,7 @@ class TestBatchedTraining:
         assert rng.random() == o_rng.random()
         assert loss == pytest.approx(o_loss, rel=1e-12)
         _assert_grads_match(grads, o_grads)
-        assert grads["matcher.fwd.W_z"] is not None
+        assert grads["matcher.fwd.W"] is not None
 
     @pytest.mark.parametrize("kind", ["tagger", "matcher"])
     def test_epoch_matches_per_example_training(self, kind, monkeypatch):

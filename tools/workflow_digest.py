@@ -52,12 +52,13 @@ FACTS_TSV = (
     "HTTP://rdf.freebase.com/ns/m.0a03\tNS/film/film/genre\tNS/m/0p03\n"
 )
 ALIASES_TSV = "m.0a01\tAcme\nm.0a02\tThe Film\nm.0p01\tJo\nm.0p02\tjo\n"
-# a padded name, an https subject, a comment and a blank line, a name with
-# every literal escape, and a French name that is dropped
+# a leading comment (the file is still read as N-Triples), a padded name,
+# a blank line, an https subject, a name with every literal escape, and a
+# French name that is dropped
 TYPES_NT = (
+    "# films\n"
     f"<{NS}m.0a01> {NOTABLE_TYPES} <{NS}m.0t01> .\n"
     f'<{NS}m.0t01> {TYPE_NAME} " Company "@en .\n'
-    "# films\n"
     "\n"
     f"<https://rdf.freebase.com/ns/m.0a02>\t{NOTABLE_TYPES} <{NS}m.0t02> .\n"
     f'<{NS}m.0t02> {TYPE_NAME} "Film \\"Noir\\"\\t\\\\ Drama"@en . \n'

@@ -322,11 +322,11 @@ def _load_model(cls, path: str):
 
 def _load_pipeline_models(model_dir: str,
                           strategy: str) -> pipeline.PipelineModels:
-    """The stages in a train-pipeline directory; ``type.nn`` is optional
-    unless ``strategy`` consults the type."""
+    """The stages in a train-pipeline directory that ``strategy`` uses:
+    ``type.nn`` is read only when it consults the type."""
     type_path = os.path.join(model_dir, "type.nn")
-    has_type = os.path.isfile(type_path)
-    if not has_type and "type" in pipeline.context_fields(strategy):
+    uses_type = "type" in pipeline.context_fields(strategy)
+    if uses_type and not os.path.isfile(type_path):
         raise DataError(f"{type_path}: no such file; {strategy} needs the "
                         f"type matcher")
     return pipeline.PipelineModels(
@@ -335,7 +335,7 @@ def _load_pipeline_models(model_dir: str,
         relation_matcher=_load_model(pipeline.MatcherModel,
                                      os.path.join(model_dir, "relation.nn")),
         type_matcher=(_load_model(pipeline.MatcherModel, type_path)
-                      if has_type else None),
+                      if uses_type else None),
     )
 
 

@@ -190,7 +190,8 @@ class WordEncoder:
             return vecs
         if char_rows is None:
             chars, lengths = self.char_table.embed_padded(words)
-            _, last = run_recurrent(self.char_gru, chars, lengths=lengths)
+            (last,) = run_recurrent(self.char_gru, chars, lengths=lengths,
+                                    outputs=("last",))
         else:
             last = stack_rows([char_rows(word) for word in words])
         return concat([vecs, last], axis=1)
@@ -200,7 +201,9 @@ class WordEncoder:
         on that word alone.  A batched run rounds differently in the last
         bits, so this is what answering caches: a word's summary does not
         depend on the words it is asked with."""
-        _, last = run_recurrent(self.char_gru, self.char_table.embed(list(word)))
+        (last,) = run_recurrent(self.char_gru,
+                                self.char_table.embed(list(word)),
+                                outputs=("last",))
         return last
 
     def parameters(self) -> dict[str, Tensor]:
@@ -291,7 +294,8 @@ class E2EModel:
              for text in texts])
         inputs = gather_rows(self.words.encode_words(list(words), char_rows),
                              idx)
-        states, _ = run_recurrent(self.lstm, inputs, lengths=lengths)
+        (states,) = run_recurrent(self.lstm, inputs, lengths=lengths,
+                                  outputs=("states",))
         if self.variant.self_attention:
             states = self_attention(states, lengths)
         max_len = self.cfg.max_len

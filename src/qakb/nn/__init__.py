@@ -11,6 +11,7 @@ from qakb.nn.layers import (
     LSTMCell,
     OOV_TOKEN,
     bidirectional_encode,
+    bidirectional_last_states,
     cosine,
     dropout,
     glorot,
@@ -40,6 +41,7 @@ __all__ = [
     "LSTMCell",
     "OOV_TOKEN",
     "bidirectional_encode",
+    "bidirectional_last_states",
     "cosine",
     "dropout",
     "glorot",

@@ -22,8 +22,10 @@ from qakb.nn.tensor import (
     matmul,
     mul,
     param,
+    recording,
     relu,
     sigmoid,
+    take_column,
     transpose,
     zeros,
 )
@@ -121,8 +123,8 @@ class _GatedCell:
     the bias ``b`` as [G*h].
 
     A step works on ``[n, h]`` states, one row per sequence still
-    running, or on ``[D, n, h]`` states with one such block per direction
-    of a run, the weights then stacked ``[D, ...]`` too.  It takes every
+    running, or on ``[D, n, h]`` states with one such block per cell of
+    a run, the cells' weights then stacked ``[D, ...]`` too.  It takes every
     gate's input projection ``x @ W`` precomputed:
     :func:`_recurrent_states` projects all timesteps in one product before
     its time loop, reading ``W`` as it is stored.
@@ -232,22 +234,23 @@ class LSTMCell(_GatedCell):
 
 
 def _pack(lengths: np.ndarray, T: int, reverses: Sequence[bool]
-          ) -> tuple[list, list[int]]:
+          ) -> tuple[list, list[int], np.ndarray]:
     """The packed order of a padded [B, T] batch: rows sorted longest
     first, and per timestep only the rows still running, so each step
     works on a prefix of the previous step's rows.
 
-    Returns ``(flats, offsets)``: step ``s`` of direction ``k`` reads the
-    flat ``b * T + t`` positions ``flats[k][offsets[s]:offsets[s + 1]]``,
-    which run right to left within each row when ``reverses[k]``.  Every
-    direction runs the same rows at each step, so they share the offsets.
-    For one row of n >= 1 steps a forward direction's positions are the
-    basic slice ``0:n``.
+    Returns ``(flats, offsets, order)``: step ``s`` of direction ``k``
+    reads the flat ``b * T + t`` positions
+    ``flats[k][offsets[s]:offsets[s + 1]]``, which run right to left
+    within each row when ``reverses[k]``, and ``order`` lists the rows
+    longest first.  Every direction runs the same rows at each step, so
+    they share the offsets.  For one row of n >= 1 steps a forward
+    direction's positions are the basic slice ``0:n``.
     """
     if lengths.shape[0] == 1:
         n = int(lengths[0])
         return ([np.arange(n - 1, -1, -1) if r else slice(0, n)
-                 for r in reverses], list(range(n + 1)))
+                 for r in reverses], list(range(n + 1)), _ONE_ROW)
     order = np.argsort(-lengths, kind="stable")
     lens = lengths[order]
     steps, rows = np.nonzero(np.arange(lens[0])[:, None] < lens)
@@ -255,59 +258,105 @@ def _pack(lengths: np.ndarray, T: int, reverses: Sequence[bool]
     flats = [starts + (lens[rows] - 1 - steps if r else steps)
              for r in reverses]
     offsets = np.searchsorted(steps, np.arange(lens[0] + 1))
-    return flats, offsets.tolist()
+    return flats, offsets.tolist(), order
 
 
-def _recurrent_states(cells: Sequence[_GatedCell], inputs: Tensor,
-                      lengths: np.ndarray, reverses: Sequence[bool]
-                      ) -> Tensor:
-    """The states of D same-kind ``cells``, cell ``k`` run over ``inputs``
-    ([T, d] as one row, or [B, T, d] with row lengths ``lengths``) right
-    to left when ``reverses[k]``, as one graph node.  The states are
-    aligned with input positions, cell ``k``'s in the ``k``-th block of h
-    columns, and zero past each row's length.
+_ONE_ROW = np.zeros(1, dtype=np.int64)
+
+
+def _recurrent_states(cells: Sequence[_GatedCell], inputs: Sequence[Tensor],
+                      lengths: np.ndarray, reverses: Sequence[bool],
+                      output: str) -> Tensor:
+    """One run of D same-kind, same-size ``cells``, cell ``k`` over
+    ``inputs[k]`` ([T, d_k] as one row, or [B, T, d_k] with row lengths
+    ``lengths``; every input of one leading shape) right to left when
+    ``reverses[k]``, as one graph node.  A bidirectional run passes its
+    input twice; two matchers' runs pass each matcher's input to both of
+    its cells.
+
+    ``output`` names the one result built: ``"states"``, aligned with
+    input positions, cell ``k``'s in the ``k``-th block of h columns, and
+    zero past each row's length; or ``"last"``, each row's [D*h] state
+    after its last step (position n - 1 of a forward cell, 0 of a reverse
+    one), zero for an empty row.
 
     The forward projects every valid position's input through each
     cell's ``W`` in one product per cell, then calls ``step`` once per
-    timestep on the states of the rows still running, every direction at
+    timestep on the states of the rows still running, every cell at
     once: [D, n, h] states and ``U`` and ``b`` stacked [D, ...] for two
-    directions, and for one the [n, h] states and the cell's own ``U``
-    and ``b``.  The backward runs ``step_backward`` back through time the
-    same way and adds the gradients of ``W``, ``U`` and ``b`` once each,
-    as products over every row and timestep.
+    or more cells, and for one the [n, h] states and the cell's own ``U``
+    and ``b``.  Stacking on that leading axis leaves every product's bits
+    as in a run of each cell alone.  When no graph is recorded the loop
+    keeps nothing for a backward and none is built.  The backward runs
+    ``step_backward`` back through time the same way, adds the gradients
+    of ``W``, ``U`` and ``b`` once each, as products over every row and
+    timestep, and gives each distinct input one summed gradient.
     """
-    x = inputs.data
-    T, d = x.shape[-2:]
+    x = inputs[0].data
+    T = x.shape[-2]
     B, D = lengths.shape[0], len(cells)
     cell = cells[0]
     H = cell.hidden_dim
     lead = (D,) if D > 1 else ()  # the direction axis, if any
-    flats, offsets = _pack(lengths, T, reverses)
-    xs = [x.reshape(B * T, d)[flat] for flat in flats]
+    flats, offsets, order = _pack(lengths, T, reverses)
+    xs = [t.data.reshape(B * T, -1)[flat] for t, flat in zip(inputs, flats)]
     xw = [xs_k @ c.W.data for xs_k, c in zip(xs, cells)]
     us, bs = [c.U.data for c in cells], [c.b.data for c in cells]
-    if D > 1:  # the directions' arrays stacked on a leading axis
+    if D > 1:  # the cells' arrays stacked on a leading axis
         xw, u, b = np.array(xw), np.array(us), np.array(bs)[:, None]
     else:
         (xw,), (u,), (b,) = xw, us, bs
-    outs, saved = [], []
+    sources = list(dict.fromkeys(inputs))  # each distinct input once
+    params = [p for c in cells for p in (c.W, c.U, c.b)]
+    track = recording((*sources, *params))
+    want_states = output == "states"
+    outs, ends, saved = [], [], []
     state = cell.initial_state(*lead, offsets[1] - offsets[0])
     for s in range(len(offsets) - 1):
         lo, hi = offsets[s], offsets[s + 1]
         if hi - lo < state[0].shape[-2]:  # rows that ended drop out
+            if not want_states:
+                ends.append(state[0][..., hi - lo:, :])
             state = tuple(v[..., :hi - lo, :] for v in state)
         state, keep = cell.step(xw[..., lo:hi, :], state, u, b)
-        saved.append(keep)
-        outs.append(state[0])
-    hs = np.concatenate(outs, axis=-2).reshape(D, -1, H)
-    states = np.zeros((D, B * T, H))
-    for k, flat in enumerate(flats):
-        states[k][flat] = hs[k]
+        if track:
+            saved.append(keep)
+        if want_states:
+            outs.append(state[0])
+    if want_states:
+        hs = np.concatenate(outs, axis=-2).reshape(D, -1, H)
+        states = np.zeros((D, B * T, H))
+        for k, flat in enumerate(flats):
+            states[k][flat] = hs[k]
+        # cells side by side: [B * T, D * h]; one cell needs no copy
+        data = states[0] if D == 1 else states.transpose(1, 0, 2)
+        data = data.reshape(x.shape[:-1] + (D * H,))
+    else:
+        # the rows that end latest come first in the packed order
+        ends.append(state[0])
+        last = (ends[0] if len(ends) == 1
+                else np.concatenate(ends[::-1], axis=-2)).reshape(D, -1, H)
+        n0 = last.shape[1]
+        if B > 1:
+            rows = last
+            last = np.zeros((D, B, H))
+            last[:, order[:n0]] = rows
+        data = last.transpose(1, 0, 2).reshape(x.shape[:-2] + (D * H,))
+    if not track:
+        return _make(data, (*sources, *params), None)
 
     def backward(out: Tensor) -> None:
-        grad = out.grad.reshape(B * T, D, H)
-        g = [grad[:, k][flat] for k, flat in enumerate(flats)]
-        g = np.array(g) if D > 1 else g[0]
+        if want_states:
+            grad = out.grad.reshape(B * T, D, H)
+            g = [grad[:, k][flat] for k, flat in enumerate(flats)]
+            g = np.array(g) if D > 1 else g[0]
+        else:  # each row's gradient at its last step
+            g = np.zeros(xw.shape[:-1] + (H,))
+            ends_at = (np.asarray(offsets)[lengths[order[:n0]] - 1]
+                       + np.arange(n0))
+            grad = out.grad.reshape(B, D, H)[order[:n0]]
+            g[..., ends_at, :] = grad.transpose(1, 0, 2).reshape(
+                g.shape[:-2] + (n0, H))
         d_pre = np.empty(xw.shape)
         d_rec = np.empty(xw.shape)
         d_state = cell.initial_state(*lead, offsets[-1] - offsets[-2])
@@ -323,7 +372,6 @@ def _recurrent_states(cells: Sequence[_GatedCell], inputs: Tensor,
         h_prev = np.concatenate([keep[0] for keep in saved], axis=-2)
         d_pre, d_rec, h_prev = (a.reshape((D,) + a.shape[-2:])
                                 for a in (d_pre, d_rec, h_prev))
-        d_x = np.zeros((B * T, d)) if inputs.requires_grad else None
         for k, c in enumerate(cells):
             # W's gradient is the [G*h, d] product transposed:
             # xs.T @ d_pre would round differently
@@ -332,16 +380,15 @@ def _recurrent_states(cells: Sequence[_GatedCell], inputs: Tensor,
                                    (c.b, d_pre[k].sum(axis=0))):
                 if weight.requires_grad:
                     weight.accumulate(grad_k)
-            if d_x is not None:
-                d_x[flats[k]] += d_pre[k] @ c.W.data.T
-        if d_x is not None:
-            inputs.accumulate(d_x.reshape(x.shape))
+        for source in sources:
+            if source.requires_grad:
+                d_x = np.zeros((B * T, source.shape[-1]))
+                for k, c in enumerate(cells):
+                    if inputs[k] is source:
+                        d_x[flats[k]] += d_pre[k] @ c.W.data.T
+                source.accumulate(d_x.reshape(source.shape))
 
-    # directions side by side: [B * T, D * h]; one direction needs no copy
-    data = states[0] if D == 1 else states.transpose(1, 0, 2)
-    params = [p for c in cells for p in (c.W, c.U, c.b)]
-    return _make(data.reshape(x.shape[:-1] + (D * H,)), (inputs, *params),
-                 backward)
+    return _make(data, (*sources, *params), backward)
 
 
 def _last_states(states: Tensor, ns: Sequence[int],
@@ -350,7 +397,8 @@ def _last_states(states: Tensor, ns: Sequence[int],
     :func:`_recurrent_states` ([T, D*h] as one row of length ``ns[0]``,
     or [B, T, D*h] with row lengths ``ns``): position ``n - 1`` of a
     forward direction, position 0 of a reverse one, with the directions
-    side by side as in ``states``; an empty row's are zero."""
+    side by side as in ``states``; an empty row's are zero.  This is the
+    ``last`` of a run asked for both outputs."""
     x = states.data
     D = len(reverses)
     T, H = x.shape[-2], x.shape[-1] // D
@@ -368,26 +416,45 @@ def _last_states(states: Tensor, ns: Sequence[int],
     return _make(data, (states,), backward)
 
 
-def _run(cells: Sequence[_GatedCell], inputs: Tensor,
-         lengths: Optional[Sequence[int]], reverses: Sequence[bool]):
-    """(states, last) of :func:`_recurrent_states` and
-    :func:`_last_states`, after checking the shapes; a batch of empty
-    rows gives zeros without a run."""
-    if inputs.ndim not in (2, 3):
+BOTH = ("states", "last")
+
+
+def _run(cells: Sequence[_GatedCell], inputs: Sequence[Tensor],
+         lengths: Optional[Sequence[int]], reverses: Sequence[bool],
+         outputs: tuple[str, ...]) -> tuple[Tensor, ...]:
+    """The ``outputs`` of one run of :func:`_recurrent_states`:
+    ``("states",)``, ``("last",)`` or :data:`BOTH`, after checking the
+    shapes.  Only what is asked for is built: one node for either output,
+    and for both the states node with :func:`_last_states` over it.  A
+    batch of empty rows gives zeros without a run."""
+    if outputs not in (BOTH, ("states",), ("last",)):
+        raise ValueError(f"outputs must be ('states',), ('last',) or "
+                         f"{BOTH}, got {outputs!r}")
+    lead_shape = inputs[0].shape[:-1]
+    if len(lead_shape) not in (1, 2):
         raise ShapeMismatch(
-            f"recurrent input must be [T, d] or [B, T, d], got {inputs.shape}")
-    if inputs.shape[-1] != cells[0].input_dim:
-        raise ShapeMismatch(
-            f"input dim {inputs.shape[-1]}, cell expects {cells[0].input_dim}"
-        )
-    out_dim = len(cells) * cells[0].hidden_dim
-    T = inputs.shape[-2]
-    if inputs.ndim == 2:
+            f"recurrent input must be [T, d] or [B, T, d], got "
+            f"{inputs[0].shape}")
+    kind, H = type(cells[0]), cells[0].hidden_dim
+    for c, t in zip(cells, inputs):
+        if type(c) is not kind or c.hidden_dim != H:
+            raise ShapeMismatch("the cells of one run must share a kind "
+                                "and a hidden size")
+        if t.shape[:-1] != lead_shape:
+            raise ShapeMismatch(f"inputs of one run differ in shape: "
+                                f"{t.shape} vs {inputs[0].shape}")
+        if t.shape[-1] != c.input_dim:
+            raise ShapeMismatch(
+                f"input dim {t.shape[-1]}, cell expects {c.input_dim}")
+    out_dim = len(cells) * H
+    T = lead_shape[-1]
+    if len(lead_shape) == 1:
         if T == 0:
-            return zeros((0, out_dim)), zeros((out_dim,))
+            shapes = {"states": (0, out_dim), "last": (out_dim,)}
+            return tuple(zeros(shapes[o]) for o in outputs)
         lens, ns = np.array([T]), [T]
     else:
-        B = inputs.shape[0]
+        B = lead_shape[0]
         lens = np.full(B, T) if lengths is None else np.asarray(
             lengths, dtype=np.int64)
         # plain ints: a batch is small, and answering runs one row at a time
@@ -397,36 +464,78 @@ def _run(cells: Sequence[_GatedCell], inputs: Tensor,
             raise ShapeMismatch(f"{B} rows of length {T} need {B} lengths "
                                 f"in [0, {T}], got {lengths}")
         if not any(ns):
-            return zeros((B, T, out_dim)), zeros((B, out_dim))
-    states = _recurrent_states(cells, inputs, lens, reverses)
+            shapes = {"states": (B, T, out_dim), "last": (B, out_dim)}
+            return tuple(zeros(shapes[o]) for o in outputs)
+    if outputs == ("last",):
+        return (_recurrent_states(cells, inputs, lens, reverses, "last"),)
+    states = _recurrent_states(cells, inputs, lens, reverses, "states")
+    if outputs == ("states",):
+        return (states,)
     return states, _last_states(states, ns, reverses)
 
 
 def run_recurrent(cell, inputs: Tensor, direction: str = "forward",
-                  lengths: Optional[Sequence[int]] = None):
+                  lengths: Optional[Sequence[int]] = None,
+                  outputs: tuple[str, ...] = BOTH) -> tuple[Tensor, ...]:
     """Run a cell over one sequence or over a padded batch of them.
 
-    ``inputs`` is [T, d], giving ([T, h] states, [h] last state); or
-    [B, T, d] with each row's ``lengths`` (default T), giving ([B, T, h]
+    ``inputs`` is [T, d], giving [T, h] states and the [h] last state; or
+    [B, T, d] with each row's ``lengths`` (default T), giving [B, T, h]
     states, zero past each row's length, and [B, h] last states, zero for
-    an empty row).  Inputs past a row's length are never read.  The
+    an empty row.  Inputs past a row's length are never read.  The
     backward direction runs each row right to left, but the states stay
     aligned with input positions; ``last`` is then the state computed at
-    position 0.
+    position 0.  The result is the tuple of the ``outputs`` asked for,
+    ``("states",)``, ``("last",)`` or both, ``(states, last)``, by
+    default; only those are built.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
-    return _run((cell,), inputs, lengths, (direction == "backward",))
+    return _run((cell,), (inputs,), lengths, (direction == "backward",),
+                outputs)
 
 
 def bidirectional_encode(cell_fwd, cell_bwd, inputs: Tensor,
-                         lengths: Optional[Sequence[int]] = None):
-    """Forward and backward runs side by side: ([T, 2h], [2h]) for a
-    [T, d] sequence, or ([B, T, 2h], [B, 2h]) for a padded [B, T, d]
-    batch with row ``lengths``, as in :func:`run_recurrent`, forward
-    first.  The cells are of one kind and shape, and both directions
-    step together, in one graph node."""
-    return _run((cell_fwd, cell_bwd), inputs, lengths, (False, True))
+                         lengths: Optional[Sequence[int]] = None,
+                         outputs: tuple[str, ...] = BOTH
+                         ) -> tuple[Tensor, ...]:
+    """Forward and backward runs side by side: [T, 2h] states and [2h]
+    last states for a [T, d] sequence, or [B, T, 2h] and [B, 2h] for a
+    padded [B, T, d] batch with row ``lengths``, as in
+    :func:`run_recurrent`, forward first, and only the ``outputs`` asked
+    for.  The cells are of one kind and shape, and both directions step
+    together, in one graph node."""
+    return _run((cell_fwd, cell_bwd), (inputs, inputs), lengths,
+                (False, True), outputs)
+
+
+def bidirectional_last_states(pairs: Sequence[tuple[_GatedCell, _GatedCell]],
+                              inputs: Sequence[Tensor]) -> list[Tensor]:
+    """Each (forward, backward) cell pair's last states over its own
+    input: what ``bidirectional_encode(fwd, bwd, inputs[i],
+    outputs=("last",))`` gives, bit for bit.  The inputs are [T, d_i]
+    sequences of one length T; their widths may differ.
+
+    Pairs whose cells are of one kind and hidden size step together in
+    one run, every pair's two directions side by side on the direction
+    axis, so several encoders of one text cost one run; a pair of
+    another kind or size runs as a group of its own.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, (fwd, _) in enumerate(pairs):
+        groups.setdefault((type(fwd), fwd.hidden_dim), []).append(i)
+    out: list[Tensor] = [None] * len(pairs)
+    for members in groups.values():
+        (last,) = _run([c for i in members for c in pairs[i]],
+                       [inputs[i] for i in members for _ in (0, 1)], None,
+                       (False, True) * len(members), ("last",))
+        if len(members) == 1:
+            out[members[0]] = last
+            continue
+        width = last.shape[-1] // len(members)
+        for j, i in enumerate(members):
+            out[i] = take_column(last, slice(j * width, (j + 1) * width))
+    return out
 
 
 def self_attention(states: Tensor,

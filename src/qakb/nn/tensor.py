@@ -148,11 +148,17 @@ def no_grad() -> Iterator[None]:
         _grad_enabled.reset(token)
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor],
-          backward: Callable[[Tensor], None]) -> Tensor:
-    """Create a node, attaching its parents and ``backward`` only if a
+def recording(parents: Sequence[Tensor]) -> bool:
+    """Whether a node made now from ``parents`` records its graph: a
     parent needs a gradient and graph recording is on."""
-    track = _grad_enabled.get() and any(p.requires_grad for p in parents)
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+
+
+def _make(data: np.ndarray, parents: Sequence[Tensor],
+          backward: Optional[Callable[[Tensor], None]]) -> Tensor:
+    """Create a node, attaching its parents and ``backward`` only if it
+    is :func:`recording`; ``backward`` may be None when it is not."""
+    track = recording(parents)
     out = Tensor(data, requires_grad=track)
     if track:
         out._parents = tuple(parents)
@@ -348,14 +354,15 @@ def stack_rows(rows: Sequence[ArrayLike]) -> Tensor:
     return _make(data, tensors, backward)
 
 
-def take_column(a: ArrayLike, index: int) -> Tensor:
+def take_column(a: ArrayLike, index: Union[int, slice]) -> Tensor:
+    """Column ``index`` of the last axis, or the columns of a slice."""
     a = as_tensor(a)
-    data = a.data[:, index].copy()
+    data = a.data[..., index].copy()
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:
             g = np.zeros_like(a.data)
-            g[:, index] = out.grad
+            g[..., index] = out.grad
             a.accumulate(g)
 
     return _make(data, (a,), backward)

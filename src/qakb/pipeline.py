@@ -35,6 +35,7 @@ from qakb.nn import (
     LSTMCell,
     TrainConfig,
     bidirectional_encode,
+    bidirectional_last_states,
     dropout,
     fit,
 )
@@ -79,7 +80,8 @@ class TaggerModel:
         in order, shape [sum of lengths, 2]; column 1 is 'e'.  The BiLSTM
         runs once over the sequences as one padded batch."""
         inputs, lengths = self.embedding.embed_padded(seqs)
-        states, _ = bidirectional_encode(self.fwd, self.bwd, inputs, lengths)
+        (states,) = bidirectional_encode(self.fwd, self.bwd, inputs, lengths,
+                                         ("states",))
         B, T = inputs.shape[:2]
         rows = reshape(states, (B * T, states.shape[-1]))
         if lengths.sum() < B * T:  # drop the padding
@@ -91,8 +93,9 @@ class TaggerModel:
         """Per-token class probabilities, shape [T, 2]: the one-sequence
         case of :meth:`forward_batch`, run on the [T, d] sequence, which
         needs no padding."""
-        states, _ = bidirectional_encode(self.fwd, self.bwd,
-                                         self.embedding.embed(list(tokens)))
+        (states,) = bidirectional_encode(
+            self.fwd, self.bwd, self.embedding.embed(list(tokens)),
+            outputs=("states",))
         return softmax_rows(self.head(states))
 
     def loss(self, questions: Sequence[LabeledQuestion]) -> Tensor:
@@ -149,16 +152,18 @@ class MatcherModel:
         """[B, 2h] encodings of token sequences: the last states of both
         GRU directions, as one padded batch; an empty sequence encodes
         as zeros."""
-        _, last = bidirectional_encode(self.fwd, self.bwd,
-                                       *self.embedding.embed_padded(texts))
+        (last,) = bidirectional_encode(self.fwd, self.bwd,
+                                       *self.embedding.embed_padded(texts),
+                                       ("last",))
         return last
 
     def encode(self, tokens: Sequence[str]) -> Tensor:
         """One token sequence's [2h] encoding: the one-row case of
         :meth:`encode_texts`, run on the [T, d] sequence, which needs no
         padding."""
-        _, last = bidirectional_encode(self.fwd, self.bwd,
-                                       self.embedding.embed(list(tokens)))
+        (last,) = bidirectional_encode(self.fwd, self.bwd,
+                                       self.embedding.embed(list(tokens)),
+                                       outputs=("last",))
         return last
 
     def match(self, q_vecs: Tensor, t_vecs: Tensor, mode: str = "eval",
@@ -190,12 +195,12 @@ class MatcherModel:
               encodings: Optional["MatchEncodings"] = None,
               tokens: Optional[Sequence[str]] = None) -> float:
         """Match score of one pair.  An answering session passes its
-        ``encodings`` of this matcher, so each side is encoded once, and
-        the question's ``tokens`` when it has them."""
+        ``encodings``, which hold this matcher, so each side is encoded
+        once, and the question's ``tokens`` when it has them."""
         if encodings is None:
-            encodings = MatchEncodings(self)
-        return float(self.match(encodings.question(question, tokens),
-                                encodings.text(text)).data)
+            encodings = MatchEncodings((self,))
+        return float(self.match(encodings.question(self, question, tokens),
+                                encodings.text(self, text)).data)
 
     def parameters(self) -> dict[str, Tensor]:
         params = {f"{self.name}.embedding": self.embedding.vectors}
@@ -216,32 +221,42 @@ class MatcherModel:
 
 
 class MatchEncodings:
-    """One matcher's encodings within an answering session.
+    """The encodings of an answering session's recurrent matchers.
 
-    Relation paths and type labels are encoded on first use and kept for
-    the session, keyed by their raw text, so a text seen before is
-    neither tokenized nor encoded again.  Only the latest question's
-    encoding is kept, so memory is bounded by the KB's texts however many
+    The question is encoded for every matcher in one recurrent run
+    (:func:`~qakb.nn.layers.bidirectional_last_states`): matchers whose
+    cells share a kind and hidden size step side by side, so two
+    matchers cost one run, with the bits each would get alone.  Only the
+    latest question's encodings are kept.  Relation paths and type labels
+    are encoded on first use and kept for the session, per matcher and
+    keyed by their raw text, so a text seen before is neither tokenized
+    nor encoded again; memory is bounded by the KB's texts however many
     questions arrive.
     """
 
-    def __init__(self, matcher: MatcherModel):
-        self.matcher = matcher
+    def __init__(self, matchers: Sequence[MatcherModel]):
+        self.matchers = tuple(dict.fromkeys(matchers))
         # looked up on each miss, so a wrapper put on the matcher's encode
         # after the session was built still sees every miss
-        self.text = EncodeCache(lambda tokens: matcher.encode(tokens),
-                                matcher_tokens)
-        self._question: Optional[tuple[str, Tensor]] = None
+        self.texts = {m: EncodeCache(lambda tokens, m=m: m.encode(tokens),
+                                     matcher_tokens) for m in self.matchers}
+        self._question: Optional[tuple[str, dict]] = None
 
-    def question(self, question: str,
+    def question(self, matcher: MatcherModel, question: str,
                  tokens: Optional[Sequence[str]] = None) -> Tensor:
-        """The question's encoding; ``tokens``, when given, are its
-        tokens, so the question is not tokenized again."""
+        """``matcher``'s encoding of the question; ``tokens``, when
+        given, are its tokens, so the question is not tokenized again."""
         if self._question is None or self._question[0] != question:
-            vec = self.matcher.encode(tokenize(question) if tokens is None
-                                      else tokens)
-            self._question = (question, vec)
-        return self._question[1]
+            tokens = list(tokenize(question) if tokens is None else tokens)
+            vecs = bidirectional_last_states(
+                [(m.fwd, m.bwd) for m in self.matchers],
+                [m.embedding.embed(tokens) for m in self.matchers])
+            self._question = (question, dict(zip(self.matchers, vecs)))
+        return self._question[1][matcher]
+
+    def text(self, matcher: MatcherModel, text: str) -> Tensor:
+        """``matcher``'s encoding of a relation path or type label."""
+        return self.texts[matcher](text)
 
 
 @dataclass
@@ -487,16 +502,13 @@ def context_fields(strategy: str) -> tuple[str, ...]:
         raise ValueError(f"unknown strategy {strategy!r}") from None
 
 
-def _session_scorer(matcher
-                    ) -> Optional[Callable[[str, list[str], str], float]]:
+def _session_scorer(matcher, encodings: MatchEncodings
+                    ) -> Callable[[str, list[str], str], float]:
     """``score(question, tokens, text)`` for one session: a recurrent
-    matcher reuses the session's encodings and the question's tokens; any
-    other matcher (an oracle, say) is called as ``score(question, text)``.
-    """
-    if matcher is None:
-        return None
+    matcher reuses the session's ``encodings`` and the question's tokens;
+    any other matcher (an oracle, say) is called as ``score(question,
+    text)``."""
     if isinstance(matcher, MatcherModel):
-        encodings = MatchEncodings(matcher)
         return lambda question, tokens, text: matcher.score(
             question, text, encodings, tokens)
     return lambda question, tokens, text: matcher.score(question, text)
@@ -506,22 +518,32 @@ class PipelineStrategy:
     """One ranking strategy, named as on the CLI, over one set of stages:
     answers a stream of questions graph-free, as one session.
 
-    Each recurrent matcher encodes a relation path or type label once per
-    session and a question once per question (see MatchEncodings), so a
-    session must not outlive a change to the models' weights.  An unknown
-    strategy, or one that consults the type without a type matcher,
-    raises ValueError when the object is built.
+    The session's :class:`MatchEncodings` hold the recurrent matchers the
+    strategy consults, and only those: the relation matcher, and the type
+    matcher when the strategy consults the type.  Each encodes a relation
+    path or type label once per session, and one recurrent run per
+    question encodes the question for all of them, so a session must not
+    outlive a change to the models' weights.  An unknown strategy, or one
+    that consults the type without a type matcher, raises ValueError when
+    the object is built.
     """
 
     def __init__(self, name: str, models: PipelineModels, kb: KnowledgeBase,
                  index: AliasIndex):
         self.context_fields = context_fields(name)
-        if "type" in self.context_fields and models.type_matcher is None:
+        uses_type = "type" in self.context_fields
+        if uses_type and models.type_matcher is None:
             raise ValueError(f"{name} requires a type matcher")
         self.name, self.label = name, ("strategy", name)
         self.models, self.kb, self.index = models, kb, index
-        self.relation_score = _session_scorer(models.relation_matcher)
-        self.type_score = _session_scorer(models.type_matcher)
+        consulted = ((models.relation_matcher, models.type_matcher)
+                     if uses_type else (models.relation_matcher,))
+        encodings = MatchEncodings([m for m in consulted
+                                    if isinstance(m, MatcherModel)])
+        self.relation_score = _session_scorer(models.relation_matcher,
+                                              encodings)
+        self.type_score = (_session_scorer(models.type_matcher, encodings)
+                           if uses_type else None)
 
     def prediction(self, question: str) -> Prediction:
         """The answer with its score decomposition and ranking trace.

@@ -1192,6 +1192,28 @@ class TestCorruptSnapshots:
         assert stdout == ""
         assert err.startswith(f"error: {model}: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("strategy", ["p-qa", "p-qa-out"])
+    def test_untyped_strategy_never_reads_type_matcher(
+            self, snapshots, capsys, tmp_path, strategy):
+        """A strategy that does not consult the type answers from a
+        directory whose ``type.nn`` is garbled with exit 0 and the bytes
+        it gives with an intact one."""
+        bench, models = snapshots
+        shutil.copytree(models["pipeline"], tmp_path / "p")
+        self._damage(tmp_path / "p" / "type.nn", "garble:5")
+        rows = (bench / "test.tsv").read_text().splitlines()
+        qfile = tmp_path / "q.txt"
+        qfile.write_text("".join(row.split("\t")[3] + "\n" for row in rows))
+        outputs = []
+        for model_dir in (models["pipeline"], tmp_path / "p"):
+            capsys.readouterr()
+            code, stdout, err = run(capsys, "answer", "--kb",
+                                    str(bench / "kb.qakb"), "--pipeline",
+                                    str(model_dir), "--strategy", strategy,
+                                    "--questions", str(qfile))
+            assert code == 0, err
+            outputs.append(stdout)
+        assert outputs[0] and outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("key, value", [("learning_rate", math.nan),
                                             ("gamma", math.inf)])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import gate_block
 
+import qakb.nn.layers
 from qakb.errors import ShapeMismatch
 from qakb.nn import (
     Adam,
@@ -15,6 +16,7 @@ from qakb.nn import (
     LSTMCell,
     OOV_TOKEN,
     bidirectional_encode,
+    bidirectional_last_states,
     cosine,
     dropout,
     finite_diff_check,
@@ -37,6 +39,7 @@ from qakb.nn.tensor import (
     tsum,
     zeros,
 )
+from qakb.nn.layers import BOTH, _run
 
 
 def _sigmoid(x):
@@ -551,6 +554,215 @@ class TestFusedBidirectional:
         assert last._parents == (states,)
         # both directions of every running row in each step
         assert shapes == [(2, 2), (2, 1), (2, 1), (2, 1)]
+
+
+class TestRunOutputs:
+    """A run builds only the outputs its caller asks for, with the bits
+    and gradients of a run asked for both, and under ``no_grad`` a result
+    with no backward."""
+
+    @staticmethod
+    def _runner(cell_cls, direction, lengths):
+        f, b, x, leaves, _, _ = _bidi_case(cell_cls)
+        if lengths is None:  # one [T, d] row
+            x = leaves[-1] = param(x.data[2])
+
+        def run(outputs):
+            if direction == "both":
+                return bidirectional_encode(f, b, x, lengths, outputs)
+            return run_recurrent(f if direction == "forward" else b, x,
+                                 direction, lengths, outputs)
+
+        return run, leaves
+
+    @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
+    @pytest.mark.parametrize("direction", ["forward", "backward", "both"])
+    @pytest.mark.parametrize("lengths", [None, BIDI_LENGTHS, (4, 2, 4)])
+    @pytest.mark.parametrize("outputs", [("states",), ("last",), BOTH])
+    def test_same_bits_as_both_outputs(self, cell_cls, direction, lengths,
+                                       outputs):
+        run, leaves = self._runner(cell_cls, direction, lengths)
+        rng = np.random.default_rng(5)
+        weights = None
+        results = []
+        for asked in (BOTH, outputs):
+            for leaf in leaves:
+                leaf.grad = None
+            built = dict(zip(asked, run(asked)))
+            if weights is None:
+                weights = {o: rng.normal(size=built[o].shape) for o in BOTH}
+            sum((tsum(built[o] * weights[o]) for o in outputs),
+                Tensor(0.0)).backward()
+            results.append([*(built[o].data for o in outputs),
+                            *(leaf.grad for leaf in leaves)])
+        for got, want in zip(results[1], results[0]):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
+    @pytest.mark.parametrize("direction", ["forward", "backward", "both"])
+    @pytest.mark.parametrize("lengths", [None, BIDI_LENGTHS])
+    @pytest.mark.parametrize("outputs", [("states",), ("last",), BOTH])
+    def test_no_grad_builds_no_backward(self, cell_cls, direction, lengths,
+                                        outputs):
+        run, _ = self._runner(cell_cls, direction, lengths)
+        want = dict(zip(BOTH, run(BOTH)))
+        with no_grad():
+            got = run(outputs)
+        assert len(got) == len(outputs)
+        for name, out in zip(outputs, got):
+            np.testing.assert_array_equal(out.data, want[name].data)
+            assert out._backward_fn is None and out._parents == ()
+            assert not out.requires_grad
+
+    def test_unknown_output_set_rejected(self):
+        f, _, x, _, _, _ = _bidi_case(GRUCell)
+        for outputs in ((), ("last", "states"), ("last", "last"),
+                        ("hidden",)):
+            with pytest.raises(ValueError):
+                run_recurrent(f, x, "forward", BIDI_LENGTHS, outputs)
+
+
+def _two_pairs(seed=71):
+    """Two bidirectional GRU pairs of one hidden size with nonzero
+    biases, over [3, 4, 3] and [3, 4, 5] batches, and their leaves."""
+    rng = np.random.default_rng(seed)
+    a = GRUCell(3, 4, rng, "a.f"), GRUCell(3, 4, rng, "a.b")
+    c = GRUCell(5, 4, rng, "c.f"), GRUCell(5, 4, rng, "c.b")
+    weights = [p for cell in (*a, *c) for p in cell.parameters().values()]
+    for p in weights:
+        p.data += rng.normal(scale=0.3, size=p.shape)
+    xa = param(rng.normal(size=(3, 4, 3)))
+    xc = param(rng.normal(size=(3, 4, 5)))
+    return a, c, xa, xc, weights, rng
+
+
+class TestStackedRun:
+    """Two bidirectional pairs over their own inputs step as one run of
+    four directions (D = 4) with the bits of two ``bidirectional_encode``
+    runs."""
+
+    @staticmethod
+    def _case(lengths):
+        a, c, xa, xc, weights, rng = _two_pairs()
+        if lengths is None:  # one [T, d] row each
+            xa, xc = param(xa.data[2]), param(xc.data[2])
+        w = rng.normal(size=xa.shape[:-1] + (16,))
+        v = rng.normal(size=xa.shape[:-2] + (16,))
+        return a, c, xa, xc, weights + [xa, xc], w, v
+
+    @staticmethod
+    def _stacked(a, c, xa, xc, lengths):
+        return _run((*a, *c), (xa, xa, xc, xc), lengths, (False, True) * 2,
+                    BOTH)
+
+    @staticmethod
+    def _separate(a, c, xa, xc, lengths):
+        states_a, last_a = bidirectional_encode(*a, xa, lengths)
+        states_c, last_c = bidirectional_encode(*c, xc, lengths)
+        return (concat([states_a, states_c], axis=-1),
+                concat([last_a, last_c], axis=-1))
+
+    @pytest.mark.parametrize("lengths", [None, BIDI_LENGTHS])
+    def test_bit_identical_to_two_bidirectional_runs(self, lengths,
+                                                     monkeypatch):
+        a, c, xa, xc, leaves, w, v = self._case(lengths)
+        shapes = []
+        step = GRUCell.step
+
+        def counted(self, xw, state, u, b):
+            shapes.append(xw.shape[0])
+            return step(self, xw, state, u, b)
+
+        monkeypatch.setattr(GRUCell, "step", counted)
+        results = []
+        for run in (self._stacked, self._separate):
+            for leaf in leaves:
+                leaf.grad = None
+            shapes.clear()
+            states, last = run(a, c, xa, xc, lengths)
+            (tsum(states * w) + tsum(last * v)).backward()
+            results.append([states.data, last.data,
+                            *(leaf.grad for leaf in leaves)])
+            if run == self._stacked:  # all four directions in each step
+                assert shapes == [4] * 4
+        for stacked, separate in zip(*results):
+            np.testing.assert_array_equal(stacked, separate)
+
+    def test_finite_diff(self):
+        a, c, xa, xc, leaves, w, v = self._case(BIDI_LENGTHS)
+
+        def loss():
+            states, last = self._stacked(a, c, xa, xc, BIDI_LENGTHS)
+            return tsum(states * w) + tsum(last * v)
+
+        assert finite_diff_check(loss, leaves) < 1e-4
+        assert all(leaf.grad is not None for leaf in leaves)
+
+    def test_cells_of_another_kind_or_size_rejected(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(4, 3)))
+        for other in (LSTMCell(3, 4, rng), GRUCell(3, 5, rng)):
+            with pytest.raises(ShapeMismatch):
+                _run((GRUCell(3, 4, rng), other), (x, x), None,
+                     (False, True), BOTH)
+
+
+class TestBidirectionalLastStates:
+    """``bidirectional_last_states`` gives each pair what its own
+    ``bidirectional_encode`` gives, running pairs of one kind and size
+    together and any other pair on its own."""
+
+    @staticmethod
+    def _case():
+        a, c, xa, xc, weights, rng = _two_pairs()
+        d = LSTMCell(3, 4, rng, "d.f"), LSTMCell(3, 4, rng, "d.b")
+        e = GRUCell(3, 5, rng, "e.f"), GRUCell(3, 5, rng, "e.b")
+        xd, xe = param(rng.normal(size=(4, 3))), param(rng.normal(size=(4, 3)))
+        pairs = [a, d, c, e]
+        inputs = [param(xa.data[1]), xd, param(xc.data[1]), xe]
+        leaves = [p for pair in pairs for cell in pair
+                  for p in cell.parameters().values()] + inputs
+        vs = [rng.normal(size=2 * f.hidden_dim) for f, _ in pairs]
+        return pairs, inputs, leaves, vs
+
+    def test_bit_identical_to_one_run_per_pair(self, monkeypatch):
+        pairs, inputs, leaves, vs = self._case()
+        runs = []
+        run = qakb.nn.layers._run
+
+        def counting(cells, *args):
+            runs.append(len(cells))
+            return run(cells, *args)
+
+        results = []
+        for together in (True, False):
+            for leaf in leaves:
+                leaf.grad = None
+            if together:
+                monkeypatch.setattr(qakb.nn.layers, "_run", counting)
+                lasts = bidirectional_last_states(pairs, inputs)
+                monkeypatch.undo()
+            else:
+                lasts = [bidirectional_encode(*pair, x, outputs=("last",))[0]
+                         for pair, x in zip(pairs, inputs)]
+            tsum(concat([last * v for last, v in zip(lasts, vs)])).backward()
+            results.append([*(last.data for last in lasts),
+                            *(leaf.grad for leaf in leaves)])
+        # the two GRU pairs of one size together, the others alone
+        assert runs == [4, 2, 2]
+        for together, alone in zip(*results):
+            np.testing.assert_array_equal(together, alone)
+
+    def test_finite_diff(self):
+        pairs, inputs, leaves, vs = self._case()
+        shared = [p for pair in (pairs[0], pairs[2]) for cell in pair
+                  for p in cell.parameters().values()]
+
+        def loss():
+            lasts = bidirectional_last_states(pairs, inputs)
+            return tsum(concat([last * v for last, v in zip(lasts, vs)]))
+
+        assert finite_diff_check(loss, shared + [inputs[0], inputs[2]]) < 1e-4
 
 
 class TestSelfAttention:

@@ -573,19 +573,30 @@ class TestSession:
                     assert s_r == models.relation_matcher.score(q, rel)
 
     def test_each_text_encoded_once(self, stack, monkeypatch):
+        """Each KB text is encoded once per session, by its own matcher,
+        and each question in one recurrent run that serves both
+        matchers."""
         kb, index, models, questions = stack
         session = PipelineStrategy("p-qa-type", models, kb, index)
-        calls = []
-        encode = MatcherModel.encode
+        calls, runs = [], []
+        encode, run = MatcherModel.encode, qakb.nn.layers._run
 
         def counting(self, tokens):
             calls.append((self.name, tuple(tokens)))
             return encode(self, tokens)
 
+        def counting_run(cells, *args):
+            runs.append(tuple(cells))
+            return run(cells, *args)
+
         monkeypatch.setattr(MatcherModel, "encode", counting)
+        monkeypatch.setattr(qakb.nn.layers, "_run", counting_run)
+        rel, typ = models.relation_matcher, models.type_matcher
+        both = (rel.fwd, rel.bwd, typ.fwd, typ.bwd)
         question_tokens = {tuple(tokenize(q)) for q in questions}
         for rounds in range(2):
             calls.clear()
+            runs.clear()
             asked = 0
             for q in questions:
                 try:
@@ -594,11 +605,34 @@ class TestSession:
                 except NoCandidates:
                     pass
             texts = [c for c in calls if c[1] not in question_tokens]
+            assert texts == calls  # no question goes through encode
             assert len(texts) == len(set(texts))
             if rounds:
                 assert texts == []
-            # one question encode per matcher and question
-            assert len(calls) - len(texts) == 2 * asked
+            # one question run per question, serving both matchers; every
+            # other matcher run is one text's
+            assert runs.count(both) == asked
+            matcher_runs = [r for r in runs if set(r) <= set(both)]
+            assert len(matcher_runs) == asked + len(texts)
+
+    def test_shared_question_run_scores_as_each_matcher_alone(self, stack):
+        """Both matchers' scores in a session equal, bit for bit, each
+        matcher's own ``score`` with no session encodings."""
+        kb, index, models, questions = stack
+        session = PipelineStrategy("p-qa-type", models, kb, index)
+        seen = 0
+        for q in questions:
+            try:
+                pairs = session.prediction(q).trace["pairs"]
+            except (NoCandidates, NoRelation):
+                continue
+            for entity, rel, s_t, s_r, _ in pairs:
+                assert s_r == models.relation_matcher.score(q, rel)
+                label = kb.entities[entity].notable_type
+                if label is not None:
+                    seen += 1
+                    assert s_t == models.type_matcher.score(q, label)
+        assert seen
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_one_tokenize_per_warm_prediction(self, stack, strategy,

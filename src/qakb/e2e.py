@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,13 +38,13 @@ from qakb.nn import (
     run_recurrent,
     self_attention,
 )
-from qakb.nn.layers import dropout_mask, padded_indices
+from qakb.nn.layers import (attention_forward, cosine_forward, dropout_mask,
+                            padded_indices, recurrent_forward)
 from qakb.nn.losses import loss_hinge_qas
 from qakb.nn.tensor import (
     Tensor,
     concat,
     gather_rows,
-    no_grad,
     pad_rows,
     param,
     reshape,
@@ -140,7 +140,8 @@ def _describe(variant: E2EVariant) -> str:
 # Encoders
 # ---------------------------------------------------------------------------
 
-CharRows = Callable[[str], Tensor]  # a word's char-GRU summary, [h]
+# a word's [h] char-GRU summary: an array, or a tensor in a graph
+CharRows = Callable[[str], Union[Tensor, np.ndarray]]
 
 
 class WordEncoder:
@@ -196,14 +197,34 @@ class WordEncoder:
             last = stack_rows([char_rows(word) for word in words])
         return concat([vecs, last], axis=1)
 
-    def char_summary(self, word: str) -> Tensor:
-        """The char-GRU's [h] last state over one word's characters, run
-        on that word alone.  A batched run rounds differently in the last
-        bits, so this is what answering caches: a word's summary does not
-        depend on the words it is asked with."""
-        (last,) = run_recurrent(self.char_gru,
-                                self.char_table.embed(list(word)),
-                                outputs=("last",))
+    def word_rows(self, words: Sequence[str],
+                  char_rows: Optional[CharRows] = None) -> np.ndarray:
+        """:meth:`encode_words` on arrays, building no graph: the same
+        [W, d] rows, bit for bit, by the same operations (one padded
+        char-GRU run over the words when ``char_rows`` is None)."""
+        vecs = self.word_table.vectors.data[self.word_table.indices(words)]
+        if not self.char_level:
+            return vecs
+        if char_rows is None:
+            idx, lengths = padded_indices([self.char_table.indices(list(w))
+                                           for w in words])
+            last, _ = recurrent_forward(
+                (self.char_gru,), (self.char_table.vectors.data[idx],),
+                lengths, (False,), "last")
+        else:
+            last = np.stack([char_rows(word) for word in words])
+        return np.concatenate([vecs, last], axis=1)
+
+    def char_summary(self, word: str) -> np.ndarray:
+        """The char-GRU's [h] last state over one non-empty word's
+        characters, run on that word alone, on arrays: the bits of
+        ``run_recurrent`` over the word's character rows.  A batched run
+        rounds differently in the last bits, so this is what answering
+        caches: a word's summary does not depend on the words it is asked
+        with."""
+        chars = self.char_table.vectors.data[self.char_table.indices(word)]
+        last, _ = recurrent_forward((self.char_gru,), (chars,),
+                                    np.array([len(word)]), (False,), "last")
         return last
 
     def parameters(self) -> dict[str, Tensor]:
@@ -225,9 +246,9 @@ class ScoringHead:
     """Combines per-channel cosine similarities into fact scores.
 
     Each channel (subject, predicate and, for ``qat_type``, type) has one
-    trained weight, its entry of the vector ``W``.  :meth:`scores` is the
-    one routine that turns cosines into scores, for training's hinge
-    terms and for answering.
+    trained weight, its entry of the vector ``W``.  :meth:`scores` turns
+    cosines into scores for training's hinge terms, as graph nodes, and
+    :meth:`combine` does the same on arrays for answering.
     """
 
     def __init__(self, mode: str):
@@ -243,6 +264,12 @@ class ScoringHead:
         ``channels[k]``, added left to right."""
         scaled = gather_rows(self.W, channels) * cos
         return tsum(gather_rows(scaled, rows), axis=1)
+
+    def combine(self, cos: np.ndarray, channels: Sequence[int],
+                rows: np.ndarray) -> np.ndarray:
+        """:meth:`scores` on arrays, for answering: the same numpy
+        operations in the same order, so the same bits."""
+        return (self.W.data[channels] * cos)[rows].sum(axis=1)
 
     def hinge_total(self, cos: Tensor, channels: Sequence[int],
                     pos: np.ndarray, neg: np.ndarray, gamma: float) -> Tensor:
@@ -304,10 +331,32 @@ class E2EModel:
         return self.dense(flat)
 
     def encode_text(self, tokens: Sequence[str],
-                    char_rows: Optional[CharRows] = None) -> Tensor:
-        """One token sequence's encoding: the one-row case of
-        :meth:`encode_texts`."""
-        return gather_rows(self.encode_texts([tokens], char_rows), 0)
+                    char_rows: Optional[CharRows] = None) -> np.ndarray:
+        """One token sequence's [h] encoding on arrays, building no
+        graph: row 0 of ``encode_texts([tokens], char_rows)``, bit for
+        bit, by the same numpy operations on the same shapes.
+
+        The word rows come from :meth:`WordEncoder.word_rows`; the LSTM
+        runs over the text as one [1, T, d] row, and self-attention over
+        that row's [1, T, h] states without a mask, which a full-length
+        row does not need; the states are truncated or zero-padded to
+        max_len and go through the dense layer as one [1, max_len * h]
+        row.  EmptySequence for no tokens.
+        """
+        if not tokens:
+            raise EmptySequence("cannot encode an empty token sequence")
+        words: dict[str, int] = {}
+        idx = [words.setdefault(tok, len(words)) for tok in tokens]
+        inputs = self.words.word_rows(list(words), char_rows)[idx][None]
+        states, _ = recurrent_forward((self.lstm,), (inputs,),
+                                      np.array([len(idx)]), (False,),
+                                      "states")
+        if self.variant.self_attention:
+            states, _ = attention_forward(states)
+        max_len, h = self.cfg.max_len, self.lstm.hidden_dim
+        flat = np.zeros((1, max_len, h))
+        flat[:, :len(idx)] = states[:, :max_len]
+        return self.dense.forward(flat.reshape(1, max_len * h))[0]
 
     def parameters(self) -> dict[str, Tensor]:
         params = dict(self.words.parameters())
@@ -523,13 +572,15 @@ def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
 # ---------------------------------------------------------------------------
 
 class E2EStrategy:
-    """One model answering a stream of questions graph-free, as one
-    session.
+    """One model answering a stream of questions on arrays, as one
+    session: answering makes no :class:`~qakb.nn.tensor.Tensor`.
 
     A question's candidate facts are scored together: their subject,
     relation and type texts' cosines against the question vector in one
-    row-wise :func:`cosine`, then one call to the head's
-    :meth:`ScoringHead.scores`, the routine training scores through.
+    row-wise :func:`~qakb.nn.layers.cosine_forward`, then one call to
+    :meth:`ScoringHead.combine`, the array form of the routine training
+    scores through.  Every encoding is :meth:`E2EModel.encode_text`'s
+    array, with the bits of the graph path.
     The question is tokenized once, for the retrieval and the encoder.
     Encodings of subject labels, relation paths and type labels are filled
     on first use and kept for the session, keyed by their raw text, so a
@@ -558,18 +609,18 @@ class E2EStrategy:
                 ("type", variant.type_in_label or variant.type_as_task))
             if used)
         # char summaries of vocabulary words, filled on first use
-        self.summaries: dict[str, Tensor] = {}
+        self.summaries: dict[str, np.ndarray] = {}
 
         # looked up on each miss, so a wrapper put on the model's
         # encode_text after the session was built still sees every miss
-        def encode(tokens: tuple[str, ...]) -> Tensor:
+        def encode(tokens: tuple[str, ...]) -> np.ndarray:
             return self.model.encode_text(tokens, self.char_row)
 
         # subject labels and type labels, and relation paths
         self.labels = EncodeCache(encode, tokenize)
         self.relations = EncodeCache(encode, relation_tokens)
 
-    def char_row(self, word: str) -> Tensor:
+    def char_row(self, word: str) -> np.ndarray:
         """The word's :meth:`WordEncoder.char_summary`, kept for the
         session when the word is in the model's vocabulary; an
         out-of-vocabulary word's is run afresh on every use."""
@@ -611,26 +662,25 @@ class E2EStrategy:
             raise NoRelation(f"candidates for {question!r} hold no facts")
         channels = ([SUBJECT, PREDICATE, TYPE] if variant.type_as_task
                     else [SUBJECT, PREDICATE])
-        with no_grad():
-            q_vec = self.model.encode_text(tokens, self.char_row)
-            # each fact's channel encodings in channel order; an untyped
-            # subject has no type text and its type cosine is 0
-            vecs: list[Optional[Tensor]] = []
-            for fact in facts:
-                vecs.append(self.labels(subject_text(
-                    kb, fact.subject, variant.type_in_label)))
-                vecs.append(self.relations(fact.relation))
-                if variant.type_as_task:
-                    label = notable_type(kb, fact.subject)
-                    vecs.append(None if label is None else self.labels(label))
-            live = [i for i, vec in enumerate(vecs) if vec is not None]
-            cos = np.zeros(len(vecs))
-            encoded = stack_rows([vecs[i] for i in live])
-            question_rows = Tensor(np.broadcast_to(q_vec.data, encoded.shape))
-            cos[live] = cosine(question_rows, encoded).data
-            combined = self.model.head.scores(
-                Tensor(cos), channels * len(facts),
-                np.arange(len(vecs)).reshape(len(facts), len(channels))).data
+        q_vec = self.model.encode_text(tokens, self.char_row)
+        # each fact's channel encodings in channel order; an untyped
+        # subject has no type text and its type cosine is 0
+        vecs: list[Optional[np.ndarray]] = []
+        for fact in facts:
+            vecs.append(self.labels(subject_text(
+                kb, fact.subject, variant.type_in_label)))
+            vecs.append(self.relations(fact.relation))
+            if variant.type_as_task:
+                label = notable_type(kb, fact.subject)
+                vecs.append(None if label is None else self.labels(label))
+        live = [i for i, vec in enumerate(vecs) if vec is not None]
+        cos = np.zeros(len(vecs))
+        encoded = np.stack([vecs[i] for i in live])
+        cos[live], _ = cosine_forward(
+            np.broadcast_to(q_vec, encoded.shape), encoded)
+        combined = self.model.head.combine(
+            cos, channels * len(facts),
+            np.arange(len(vecs)).reshape(len(facts), len(channels)))
         scored = [
             FactScore(fact=fact, s_qs=float(c[SUBJECT]),
                       s_qp=float(c[PREDICATE]),

@@ -3,13 +3,19 @@
 Dense layers and recurrent cells expose ``parameters() -> dict[name,
 Tensor]`` so optimizers and snapshots can address weights by stable
 hierarchical names; a model names its embedding tables' ``vectors``.
+
+The forwards that answering needs are array functions, which build no
+graph: :meth:`Dense.forward`, :func:`recurrent_forward`,
+:func:`attention_forward` and :func:`cosine_forward`.  Each graph op
+computes its data by calling one of them, so an answer computed on
+arrays has the bits of the same computation as graph nodes.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -17,16 +23,14 @@ from qakb.errors import ShapeMismatch
 from qakb.nn.tensor import (
     Tensor,
     _make,
+    _unbroadcast,
+    as_tensor,
     gather_rows,
     logistic,
-    matmul,
     mul,
     param,
     recording,
-    relu,
-    sigmoid,
     take_column,
-    transpose,
     zeros,
 )
 
@@ -85,7 +89,14 @@ class EmbeddingTable:
 
 
 class Dense:
-    """Affine map with an optional activation; accepts vectors or matrices."""
+    """Affine map with an optional activation; accepts vectors or matrices.
+
+    :meth:`forward` computes the layer on arrays and builds no graph;
+    a call is one graph node whose data is :meth:`forward`'s and whose
+    hand-written backward takes the gradients of the matrix product, the
+    bias and the activation as separate matmul, add and activation nodes
+    would, with the same expressions, so every bit of training is theirs.
+    """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
                  activation: str = "none", name: str = "dense"):
@@ -97,20 +108,46 @@ class Dense:
         self.weight = param(glorot(rng, (out_dim, in_dim)))
         self.bias = param(np.zeros(out_dim))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise ShapeMismatch(
-                f"{self.name}: input dim {x.shape[-1]}, expected {self.in_dim}"
-            )
-        if x.ndim == 1:
-            y = matmul(self.weight, x) + self.bias
-        else:
-            y = matmul(x, transpose(self.weight)) + self.bias
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The layer on a [in] vector or a [n, in] matrix: ``W @ x + b``,
+        or ``x @ W.T + b`` through a contiguous copy of ``W.T`` (a
+        transposed view or a 1-D product rounds differently), then the
+        activation."""
+        if x.ndim not in (1, 2) or x.shape[-1] != self.in_dim:
+            raise ShapeMismatch(f"{self.name}: input shape {x.shape}, "
+                                f"expected [{self.in_dim}] or [n, "
+                                f"{self.in_dim}]")
+        w = self.weight.data
+        y = (w @ x if x.ndim == 1 else x @ w.T.copy()) + self.bias.data
         if self.activation == "relu":
-            return relu(y)
+            return np.maximum(y, 0.0)
         if self.activation == "sigmoid":
-            return sigmoid(y)
+            return logistic(y)
         return y
+
+    def __call__(self, x: Tensor) -> Tensor:
+        x = as_tensor(x)
+        y = self.forward(x.data)
+        w, b, activation = self.weight, self.bias, self.activation
+
+        def backward(out: Tensor) -> None:
+            g = out.grad
+            if activation == "relu":
+                g = g * (y > 0.0).astype(np.float64)
+            elif activation == "sigmoid":
+                g = g * (y * (1.0 - y))
+            if x.ndim == 1:
+                d_x, d_w = w.data.T @ g, np.outer(g, x.data)
+            else:  # the gradients through the transposed copy
+                d_x, d_w = g @ w.data.T.copy().T, (x.data.T @ g).T
+            if x.requires_grad:
+                x.accumulate(d_x)
+            if w.requires_grad:
+                w.accumulate(d_w)
+            if b.requires_grad:
+                b.accumulate(_unbroadcast(g, b.data.shape))
+
+        return _make(y, (x, w, b), backward)
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
@@ -126,7 +163,7 @@ class _GatedCell:
     running, or on ``[D, n, h]`` states with one such block per cell of
     a run, the cells' weights then stacked ``[D, ...]`` too.  It takes every
     gate's input projection ``x @ W`` precomputed:
-    :func:`_recurrent_states` projects all timesteps in one product before
+    :func:`recurrent_forward` projects all timesteps in one product before
     its time loop, reading ``W`` as it is stored.
     """
 
@@ -264,15 +301,18 @@ def _pack(lengths: np.ndarray, T: int, reverses: Sequence[bool]
 _ONE_ROW = np.zeros(1, dtype=np.int64)
 
 
-def _recurrent_states(cells: Sequence[_GatedCell], inputs: Sequence[Tensor],
-                      lengths: np.ndarray, reverses: Sequence[bool],
-                      output: str) -> Tensor:
-    """One run of D same-kind, same-size ``cells``, cell ``k`` over
-    ``inputs[k]`` ([T, d_k] as one row, or [B, T, d_k] with row lengths
-    ``lengths``; every input of one leading shape) right to left when
-    ``reverses[k]``, as one graph node.  A bidirectional run passes its
-    input twice; two matchers' runs pass each matcher's input to both of
-    its cells.
+def recurrent_forward(cells: Sequence[_GatedCell],
+                      inputs: Sequence[np.ndarray], lengths: np.ndarray,
+                      reverses: Sequence[bool], output: str,
+                      saved: Optional[list] = None
+                      ) -> tuple[np.ndarray, tuple]:
+    """The forward of one run of D same-kind, same-size ``cells`` on
+    arrays, building no graph: cell ``k`` over ``inputs[k]`` ([T, d_k] as
+    one row, or [B, T, d_k] with the B row lengths ``lengths``, every
+    input of one leading shape, T >= 1 and some row non-empty) right to
+    left when ``reverses[k]``.  A bidirectional run passes its input
+    twice; two matchers' runs pass each matcher's input to both of its
+    cells.
 
     ``output`` names the one result built: ``"states"``, aligned with
     input positions, cell ``k``'s in the ``k``-th block of h columns, and
@@ -280,37 +320,34 @@ def _recurrent_states(cells: Sequence[_GatedCell], inputs: Sequence[Tensor],
     after its last step (position n - 1 of a forward cell, 0 of a reverse
     one), zero for an empty row.
 
-    The forward projects every valid position's input through each
-    cell's ``W`` in one product per cell, then calls ``step`` once per
-    timestep on the states of the rows still running, every cell at
-    once: [D, n, h] states and ``U`` and ``b`` stacked [D, ...] for two
-    or more cells, and for one the [n, h] states and the cell's own ``U``
-    and ``b``.  Stacking on that leading axis leaves every product's bits
-    as in a run of each cell alone.  When no graph is recorded the loop
-    keeps nothing for a backward and none is built.  The backward runs
-    ``step_backward`` back through time the same way, adds the gradients
-    of ``W``, ``U`` and ``b`` once each, as products over every row and
-    timestep, and gives each distinct input one summed gradient.
+    Every valid position's input is projected through each cell's ``W``
+    in one product per cell; then ``step`` runs once per timestep on the
+    states of the rows still running, every cell at once: [D, n, h]
+    states and ``U`` and ``b`` stacked [D, ...] for two or more cells,
+    and for one the [n, h] states and the cell's own ``U`` and ``b``.
+    Stacking on that leading axis leaves every product's bits as in a run
+    of each cell alone.  Each step's record for ``step_backward`` is
+    appended to ``saved`` when it is a list.
+
+    Returns the output and the run's packing ``(flats, offsets, order,
+    xs, u)`` (see :func:`_pack`; ``xs`` are the projected inputs, ``u``
+    the recurrent weights as ``step`` read them), which a backward reads.
     """
-    x = inputs[0].data
-    T = x.shape[-2]
+    T = inputs[0].shape[-2]
     B, D = lengths.shape[0], len(cells)
     cell = cells[0]
     H = cell.hidden_dim
     lead = (D,) if D > 1 else ()  # the direction axis, if any
     flats, offsets, order = _pack(lengths, T, reverses)
-    xs = [t.data.reshape(B * T, -1)[flat] for t, flat in zip(inputs, flats)]
+    xs = [x.reshape(B * T, -1)[flat] for x, flat in zip(inputs, flats)]
     xw = [xs_k @ c.W.data for xs_k, c in zip(xs, cells)]
     us, bs = [c.U.data for c in cells], [c.b.data for c in cells]
     if D > 1:  # the cells' arrays stacked on a leading axis
         xw, u, b = np.array(xw), np.array(us), np.array(bs)[:, None]
     else:
         (xw,), (u,), (b,) = xw, us, bs
-    sources = list(dict.fromkeys(inputs))  # each distinct input once
-    params = [p for c in cells for p in (c.W, c.U, c.b)]
-    track = recording((*sources, *params))
     want_states = output == "states"
-    outs, ends, saved = [], [], []
+    outs, ends = [], []
     state = cell.initial_state(*lead, offsets[1] - offsets[0])
     for s in range(len(offsets) - 1):
         lo, hi = offsets[s], offsets[s + 1]
@@ -319,7 +356,7 @@ def _recurrent_states(cells: Sequence[_GatedCell], inputs: Sequence[Tensor],
                 ends.append(state[0][..., hi - lo:, :])
             state = tuple(v[..., :hi - lo, :] for v in state)
         state, keep = cell.step(xw[..., lo:hi, :], state, u, b)
-        if track:
+        if saved is not None:
             saved.append(keep)
         if want_states:
             outs.append(state[0])
@@ -330,35 +367,62 @@ def _recurrent_states(cells: Sequence[_GatedCell], inputs: Sequence[Tensor],
             states[k][flat] = hs[k]
         # cells side by side: [B * T, D * h]; one cell needs no copy
         data = states[0] if D == 1 else states.transpose(1, 0, 2)
-        data = data.reshape(x.shape[:-1] + (D * H,))
+        data = data.reshape(inputs[0].shape[:-1] + (D * H,))
     else:
         # the rows that end latest come first in the packed order
         ends.append(state[0])
         last = (ends[0] if len(ends) == 1
                 else np.concatenate(ends[::-1], axis=-2)).reshape(D, -1, H)
-        n0 = last.shape[1]
         if B > 1:
             rows = last
             last = np.zeros((D, B, H))
-            last[:, order[:n0]] = rows
-        data = last.transpose(1, 0, 2).reshape(x.shape[:-2] + (D * H,))
+            last[:, order[:rows.shape[1]]] = rows
+        data = last.transpose(1, 0, 2).reshape(inputs[0].shape[:-2]
+                                               + (D * H,))
+    return data, (flats, offsets, order, xs, u)
+
+
+def _recurrent_states(cells: Sequence[_GatedCell], inputs: Sequence[Tensor],
+                      lengths: np.ndarray, reverses: Sequence[bool],
+                      output: str) -> Tensor:
+    """One run of :func:`recurrent_forward` as one graph node.
+
+    When no graph is recorded the forward keeps nothing for a backward
+    and none is built.  The backward runs ``step_backward`` back through
+    time as the forward stepped, adds the gradients of ``W``, ``U`` and
+    ``b`` once each, as products over every row and timestep, and gives
+    each distinct input one summed gradient.
+    """
+    sources = list(dict.fromkeys(inputs))  # each distinct input once
+    params = [p for c in cells for p in (c.W, c.U, c.b)]
+    track = recording((*sources, *params))
+    saved: Optional[list] = [] if track else None
+    data, (flats, offsets, order, xs, u) = recurrent_forward(
+        cells, [t.data for t in inputs], lengths, reverses, output, saved)
     if not track:
         return _make(data, (*sources, *params), None)
+    T = inputs[0].shape[-2]
+    B, D = lengths.shape[0], len(cells)
+    cell = cells[0]
+    H = cell.hidden_dim
+    lead = (D,) if D > 1 else ()
+    pre_shape = lead + (offsets[-1], u.shape[-2])  # [D, positions, G*h]
 
     def backward(out: Tensor) -> None:
-        if want_states:
+        if output == "states":
             grad = out.grad.reshape(B * T, D, H)
             g = [grad[:, k][flat] for k, flat in enumerate(flats)]
             g = np.array(g) if D > 1 else g[0]
         else:  # each row's gradient at its last step
-            g = np.zeros(xw.shape[:-1] + (H,))
+            n0 = offsets[1]  # the rows that ran
+            g = np.zeros(pre_shape[:-1] + (H,))
             ends_at = (np.asarray(offsets)[lengths[order[:n0]] - 1]
                        + np.arange(n0))
             grad = out.grad.reshape(B, D, H)[order[:n0]]
             g[..., ends_at, :] = grad.transpose(1, 0, 2).reshape(
                 g.shape[:-2] + (n0, H))
-        d_pre = np.empty(xw.shape)
-        d_rec = np.empty(xw.shape)
+        d_pre = np.empty(pre_shape)
+        d_rec = np.empty(pre_shape)
         d_state = cell.initial_state(*lead, offsets[-1] - offsets[-2])
         for s in reversed(range(len(saved))):
             lo, hi = offsets[s], offsets[s + 1]
@@ -538,38 +602,51 @@ def bidirectional_last_states(pairs: Sequence[tuple[_GatedCell, _GatedCell]],
     return out
 
 
-def self_attention(states: Tensor,
-                   lengths: Optional[Sequence[int]] = None) -> Tensor:
-    """Scaled dot-product attention of a state sequence against itself,
-    as one graph node.
+def attention_forward(x: np.ndarray, lengths: Optional[Sequence[int]] = None
+                      ) -> tuple[np.ndarray, tuple]:
+    """Scaled dot-product attention of a state sequence against itself on
+    arrays, building no graph.
 
-    A = softmax(states statesᵀ / sqrt(h)) row-wise; the output is
-    A·states.  ``states`` is [T, h], or [B, T, h] with each row's
-    ``lengths`` (default T): a row attends only over its own first
-    ``length`` states, and its output past that length is zero.
+    A = softmax(x xᵀ / sqrt(h)) row-wise; the output is A·x.  ``x`` is
+    [T, h] with T >= 1, or [B, T, h] with each row's ``lengths`` (default
+    T): a row attends only over its own first ``length`` states, and its
+    output past that length is zero.  Passing no lengths for rows of full
+    length gives the same bits.  Returns the output and ``(attn,
+    valid)``, the attention weights and the [B, T] mask (None without
+    lengths), which a backward reads.
     """
-    if states.ndim not in (2, 3):
-        raise ShapeMismatch(
-            f"self_attention expects [T, h] or [B, T, h], got {states.shape}")
-    T, h = states.shape[-2:]
-    if T == 0:
-        return states
-    x = states.data
-    scale = 1.0 / math.sqrt(h)
+    scale = 1.0 / math.sqrt(x.shape[-1])
     scores = (x @ np.swapaxes(x, -1, -2)) * scale
     valid = None
     if lengths is not None:
         # an empty row attends over its first (all-zero) state, so no
         # softmax row is empty
-        valid = np.arange(T) < np.maximum(np.asarray(lengths), 1)[:, None]
+        valid = (np.arange(x.shape[-2])
+                 < np.maximum(np.asarray(lengths), 1)[:, None])
         scores = np.where(valid[:, None, :], scores, -np.inf)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
     out = attn @ x
     if valid is not None:
         out *= valid[..., None]
+    return out, (attn, valid)
+
+
+def self_attention(states: Tensor,
+                   lengths: Optional[Sequence[int]] = None) -> Tensor:
+    """:func:`attention_forward` of ``states`` ([T, h], or [B, T, h] with
+    row ``lengths``) as one graph node; an empty sequence is returned
+    as it is."""
+    if states.ndim not in (2, 3):
+        raise ShapeMismatch(
+            f"self_attention expects [T, h] or [B, T, h], got {states.shape}")
+    if states.shape[-2] == 0:
+        return states
+    x = states.data
+    out, (attn, valid) = attention_forward(x, lengths)
 
     def backward(node: Tensor) -> None:
+        scale = 1.0 / math.sqrt(x.shape[-1])
         g = node.grad if valid is None else node.grad * valid[..., None]
         d_attn = g @ np.swapaxes(x, -1, -2)
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1,
@@ -592,22 +669,27 @@ def padded_indices(seqs: Sequence[Sequence[int]]
     return idx, np.array(lengths, dtype=np.int64)
 
 
+Encoding = Union[Tensor, np.ndarray]
+
+
 class EncodeCache:
     """Encodings keyed by raw text: on first use a text is split by
     ``tokens`` and encoded by ``encode``, and then reused, so a text seen
     before is neither tokenized nor encoded again.
 
-    Entries are never invalidated, so a cache must not outlive a change to
-    the weights behind ``encode``: answering sessions own one each.
+    An encoding is what ``encode`` returns: a no-graph tensor for the
+    matchers, an array for the joint model.  Entries are never
+    invalidated, so a cache must not outlive a change to the weights
+    behind ``encode``: answering sessions own one each.
     """
 
-    def __init__(self, encode: Callable[[tuple[str, ...]], Tensor],
+    def __init__(self, encode: Callable[[tuple[str, ...]], Encoding],
                  tokens: Callable[[str], Sequence[str]]):
         self._encode = encode
         self._tokens = tokens
-        self.table: dict[str, Tensor] = {}
+        self.table: dict[str, Encoding] = {}
 
-    def __call__(self, text: str) -> Tensor:
+    def __call__(self, text: str) -> Encoding:
         vec = self.table.get(text)
         if vec is None:
             vec = self.table[text] = self._encode(tuple(self._tokens(text)))
@@ -637,17 +719,17 @@ def dropout(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator]) 
 _warned_zero_norm = False
 
 
-def cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity along the last axis, as one graph node: two
-    vectors give a scalar, two [n, h] matrices one value per row pair.
-
-    A pair with a zero-norm side scores 0 and passes no gradient.
-    """
+def cosine_forward(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Cosine similarity along the last axis on arrays, building no
+    graph: two vectors give a scalar, two [n, h] matrices one value per
+    row pair.  A pair with a zero-norm side scores 0; the first such pair
+    logs a WARNING, later ones log at DEBUG.  Returns the cosines and
+    ``(nx, ny, denom, dead)``, the norms, their product and the
+    zero-norm mask, which a backward reads."""
     global _warned_zero_norm
-    if a.shape != b.shape or a.ndim not in (1, 2):
+    if x.shape != y.shape or x.ndim not in (1, 2):
         raise ShapeMismatch(f"cosine expects equal-shape vectors or matrices, "
-                            f"got {a.shape} / {b.shape}")
-    x, y = a.data, b.data
+                            f"got {x.shape} / {y.shape}")
     nx = np.sqrt((x * x).sum(axis=-1))
     ny = np.sqrt((y * y).sum(axis=-1))
     dead = (nx == 0.0) | (ny == 0.0)
@@ -659,6 +741,14 @@ def cosine(a: Tensor, b: Tensor) -> Tensor:
         nx, ny = np.where(dead, 1.0, nx), np.where(dead, 1.0, ny)
     denom = nx * ny
     cos = np.where(dead, 0.0, (x * y).sum(axis=-1) / denom)
+    return cos, (nx, ny, denom, dead)
+
+
+def cosine(a: Tensor, b: Tensor) -> Tensor:
+    """:func:`cosine_forward` of two tensors as one graph node; a pair
+    with a zero-norm side passes no gradient."""
+    x, y = a.data, b.data
+    cos, (nx, ny, denom, dead) = cosine_forward(x, y)
 
     def backward(out: Tensor) -> None:
         g = np.where(dead, 0.0, out.grad)

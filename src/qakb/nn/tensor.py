@@ -6,7 +6,10 @@ topological order and accumulates gradients into every tensor created
 with ``requires_grad=True``.  Only the handful of primitives the models
 need are implemented; anything else is composed from them.
 
-Inside :func:`no_grad` no graph is recorded, which is how inference runs.
+Inside :func:`no_grad` no graph is recorded: nodes are made, but get no
+parents and no backward.  The pipeline answers that way.  The joint
+model answers without nodes at all, on the array forwards of
+:mod:`qakb.nn.layers` that the graph ops call.
 
 Every primitive, here and in :mod:`qakb.nn.layers`, makes its node with
 :func:`_make` from the node's parents and one function ``backward(out)``

@@ -38,7 +38,7 @@ import qakb.aliasindex
 import qakb.e2e
 import qakb.nn.layers
 import qakb.nn.tensor
-from qakb.nn import TrainConfig, cosine, dropout, fit
+from qakb.nn import TrainConfig, cosine, dropout, fit, run_recurrent
 from qakb.nn.losses import loss_hinge_qas, loss_hinge_qat, loss_hinge_qat_type
 from qakb.nn.tensor import (Tensor, as_tensor, gather_rows, pad_rows, param,
                              tsum)
@@ -178,32 +178,31 @@ class TestEncodeSequence:
     def test_eval_mode_is_deterministic(self):
         m = E2EModel(["a", "b"], small_cfg(dropout_p=0.5), E2EVariant(),
                      np.random.default_rng(0))
-        assert_array_equal(m.encode_text(["a", "b"]).data,
-                           m.encode_text(["a", "b"]).data)
+        assert_array_equal(m.encode_text(["a", "b"]),
+                           m.encode_text(["a", "b"]))
 
     def test_train_mode_without_dropout_matches_eval(self):
         m = E2EModel(["a", "b"], small_cfg(dropout_p=0.0), E2EVariant(),
                      np.random.default_rng(0))
         rng = np.random.default_rng(1)
         assert_array_equal(
-            dropout(m.encode_text(["a", "b"]), m.cfg.dropout_p, "train",
+            dropout(m.encode_texts([["a", "b"]]), m.cfg.dropout_p, "train",
                     rng).data,
-            m.encode_text(["a", "b"]).data,
+            m.encode_texts([["a", "b"]]).data,
         )
 
     def test_truncation_matches_prefix_without_attention(self):
         m = E2EModel(list("abcdefgh"), small_cfg(max_len=3), E2EVariant(),
                      np.random.default_rng(2))
         long = list("abcdefgh")
-        assert_array_equal(m.encode_text(long).data,
-                           m.encode_text(long[:3]).data)
+        assert_array_equal(m.encode_text(long), m.encode_text(long[:3]))
 
     def test_attention_mixes_states_before_truncation(self):
         m = E2EModel(list("abcdefgh"), small_cfg(max_len=3),
                      E2EVariant(self_attention=True), np.random.default_rng(2))
         long = list("abcdefgh")
-        assert not np.array_equal(m.encode_text(long).data,
-                                  m.encode_text(long[:3]).data)
+        assert not np.array_equal(m.encode_text(long),
+                                  m.encode_text(long[:3]))
 
     def test_attention_changes_multi_token_encoding_only(self):
         plain = E2EModel(["a", "b"], small_cfg(), E2EVariant(),
@@ -215,10 +214,84 @@ class TestEncodeSequence:
                                     sorted(attn.parameters().items())):
             assert k == k2
             assert_array_equal(p.data, p2.data)
-        assert_array_equal(plain.encode_text(["a"]).data,
-                           attn.encode_text(["a"]).data)
-        assert not np.array_equal(plain.encode_text(["a", "b"]).data,
-                                  attn.encode_text(["a", "b"]).data)
+        assert_array_equal(plain.encode_text(["a"]), attn.encode_text(["a"]))
+        assert not np.array_equal(plain.encode_text(["a", "b"]),
+                                  attn.encode_text(["a", "b"]))
+
+
+def _bits(a):
+    """An array's shape and bytes: equal only for the same bits."""
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
+# a vocabulary, and texts of one token, past max_len (3 here), and with
+# out-of-vocabulary words, one of them of out-of-alphabet characters
+_ARRAY_VOCAB = ["who", "sings", "yesterday", "music", "recording", "artist"]
+_ARRAY_TEXTS = [["yesterday"], ["zyzzyva"], ["who", "sings", "yesterday"],
+                ["music", "recording", "artist", "who", "sings", "music"],
+                ["who", "zyzzyva", "sings", "qq", "yesterday"],
+                ["ÿ€", "music"]]
+
+
+class TestArrayEncoding:
+    """Answering's array path gives the graph path's bits: encode_text
+    is row 0 of encode_texts, and char_summary is a graph run over the
+    word's characters."""
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_encode_text_is_row_0_of_encode_texts(self, name):
+        kb = song_kb()
+        variant = VARIANTS[name]
+        # the default widths, where a 1-D dense product rounds differently
+        model = E2EModel(_ARRAY_VOCAB, TrainConfig(max_len=3), variant,
+                         np.random.default_rng(7))
+        session = E2EStrategy(model, variant, kb, build_index(kb))
+        for tokens in _ARRAY_TEXTS:
+            for char_rows in (None, session.char_row):
+                got = model.encode_text(tokens, char_rows)
+                assert type(got) is np.ndarray
+                want = gather_rows(model.encode_texts([tokens], char_rows), 0)
+                assert _bits(got) == _bits(want.data), (tokens, char_rows)
+        for char_rows in (None, session.char_row):
+            with pytest.raises(EmptySequence):
+                model.encode_text([], char_rows)
+
+    @pytest.mark.parametrize("name", ["qa-t-w", "qa-t-mwst"])
+    def test_char_summary_is_a_graph_run(self, name):
+        model = E2EModel(_ARRAY_VOCAB, small_cfg(), VARIANTS[name],
+                         np.random.default_rng(8))
+        words = model.words
+        for word in ["a", "yesterday", "zyzzyva", "ÿ€", "recording"]:
+            (last,) = run_recurrent(words.char_gru,
+                                    words.char_table.embed(list(word)),
+                                    outputs=("last",))
+            assert _bits(words.char_summary(word)) == _bits(last.data), word
+
+    @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+    def test_answering_makes_no_tensor(self, cold, monkeypatch):
+        """A qa-t-mwst session answers, cold or warm, without making a
+        single Tensor: no graph node, no wrapper of an array."""
+        kb = song_kb()
+        qs, pools = song_training_set(kb)
+        variant = VARIANTS["qa-t-mwst"]
+        model, _ = train_e2e(qs, kb, pools, variant, small_cfg(epochs=1))
+        session = E2EStrategy(model, variant, kb, build_index(kb))
+        questions = [q.text for q in qs] + ["who zyzzyva sings yesterday"]
+        if not cold:
+            for q in questions:
+                session.answer(q)
+        made = []
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        for q in questions:
+            session.answer(q)
+        assert not made
 
 
 class TestPadStates:
@@ -361,7 +434,8 @@ class TestScoreFact:
         assert_allclose(fs.combined, fs.s_qs + fs.s_qp, rtol=0, atol=1e-12)
         q_vec = m.encode_text(tokenize("yesterday"))
         enc_subj = m.encode_text(tokenize("yesterday"))
-        assert_allclose(fs.s_qs, float(cosine(q_vec, enc_subj).data),
+        assert_allclose(fs.s_qs,
+                        float(cosine(Tensor(q_vec), Tensor(enc_subj)).data),
                         rtol=0, atol=1e-12)
 
     def test_identical_texts_score_one(self):
@@ -369,7 +443,7 @@ class TestScoreFact:
         m = E2EModel(["yesterday", "music", "recording", "artist"],
                      small_cfg(), E2EVariant(), np.random.default_rng(9))
         fs = _fact_score(m, kb, "yesterday", kb.facts[0])
-        assert abs(np.linalg.norm(m.encode_text(["yesterday"]).data)) > 0
+        assert abs(np.linalg.norm(m.encode_text(["yesterday"]))) > 0
         assert_allclose(fs.s_qs, 1.0, rtol=0, atol=1e-9)
 
     def test_type_channel_present_for_task_variant(self):
@@ -407,9 +481,9 @@ class TestWeightSharing:
                       "sings"], small_cfg(), E2EVariant(),
                      np.random.default_rng(9))
         before = {
-            "question": m.encode_text(tokenize("who sings yesterday")).data,
-            "subject": m.encode_text(tokenize("yesterday")).data,
-            "predicate": m.encode_text(["music", "recording", "artist"]).data,
+            "question": m.encode_text(tokenize("who sings yesterday")),
+            "subject": m.encode_text(tokenize("yesterday")),
+            "predicate": m.encode_text(["music", "recording", "artist"]),
         }
         gate_block(m.lstm, "W", "i")[...] += 0.37
         for role, old in before.items():
@@ -418,7 +492,7 @@ class TestWeightSharing:
                 "subject": tokenize("yesterday"),
                 "predicate": ["music", "recording", "artist"],
             }[role])
-            assert not np.array_equal(new.data, old), role
+            assert not np.array_equal(new, old), role
 
 
 class TestAnswer:
@@ -514,17 +588,37 @@ def _cached(session):
             *session.relations.table.values()]
 
 
+def _graph_char_summary(model):
+    """A word's char part as a graph: the char-GRU's ``run_recurrent``
+    over that word alone."""
+    words = model.words
+
+    def summary(word):
+        (last,) = run_recurrent(words.char_gru,
+                                words.char_table.embed(list(word)),
+                                outputs=("last",))
+        return last
+
+    return summary
+
+
+def _graph_encode(model, tokens, char_rows=None):
+    """One text's encoding as row 0 of a graph-built ``encode_texts``."""
+    return gather_rows(model.encode_texts([tokens], char_rows), 0)
+
+
 def _per_fact_scores(model, kb, question, facts, variant):
-    """Each fact scored on its own: every text encoded afresh, building a
-    graph, each word's char part from its own one-word run, one cosine
-    per channel, and the weighted channels added left to right in plain
-    floats."""
+    """Each fact scored on its own: every text encoded afresh through the
+    graph path (``encode_texts``), each word's char part from its own
+    one-word graph run, one cosine per channel, and the weighted channels
+    added left to right in plain floats."""
     weights = [float(w) for w in model.head.W.data]
-    summary = model.words.char_summary
-    q_vec = model.encode_text(tokenize(question), summary)
+    summary = _graph_char_summary(model)
+    q_vec = _graph_encode(model, tokenize(question), summary)
 
     def cos(tokens):
-        return float(cosine(q_vec, model.encode_text(tokens, summary)).data)
+        return float(cosine(q_vec, _graph_encode(model, tokens,
+                                                 summary)).data)
 
     out = []
     for fact in facts:
@@ -690,7 +784,7 @@ class TestSession:
         session.top("who sings yesterday")
         assert _cached(session)
         for vec in _cached(session):
-            assert vec._backward_fn is None and not vec.requires_grad
+            assert type(vec) is np.ndarray
 
     @pytest.mark.parametrize("name", sorted(VARIANTS))
     def test_answers_do_not_depend_on_question_order(self, synth, name):
@@ -738,8 +832,8 @@ class TestSession:
         assert runs.total() == oov_uses + len(session.summaries)
         assert set(session.summaries) <= set(vocab)
         for word, vec in session.summaries.items():
-            assert_array_equal(vec.data, summary(model.words, word).data)
-            assert vec._backward_fn is None and not vec.requires_grad
+            assert_array_equal(vec, summary(model.words, word))
+            assert type(vec) is np.ndarray
         gru_steps.clear()
         again = [_top_or_none(session, q) for q in in_vocab]
         assert any(top is not None for top in again)
@@ -867,7 +961,8 @@ def _per_text_loss(model, kb, q, neg_subject, neg_pred, cfg, rng):
     variant, head = model.variant, model.head
 
     def encode(tokens):
-        return dropout(model.encode_text(tokens), cfg.dropout_p, "train", rng)
+        return dropout(_graph_encode(model, tokens), cfg.dropout_p, "train",
+                       rng)
 
     def enc_subject(entity):
         return encode(tokenize(subject_text(kb, entity, variant.type_in_label)))

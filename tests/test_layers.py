@@ -1,5 +1,6 @@
 """Layer behaviour: embeddings, recurrent cells, attention, dropout, cosine."""
 
+import logging
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from qakb.nn.tensor import (
     mul,
     no_grad,
     param,
+    relu,
     sigmoid,
     stack_rows,
     tanh,
@@ -101,6 +103,53 @@ class TestDense:
         x = Tensor(rng.normal(size=(4,)))
         params = list(layer.parameters().values())
         assert finite_diff_check(lambda: tsum(layer(x)), params) < 1e-4
+
+    @pytest.mark.parametrize("activation", ["none", "relu", "sigmoid"])
+    @pytest.mark.parametrize("shape", [(4,), (3, 4)])
+    def test_fused_node_gradcheck(self, activation, shape):
+        """A call is one node; its hand-written backward matches central
+        differences for the weight, the bias and the input."""
+        rng = np.random.default_rng(71)
+        layer = Dense(4, 5, rng, activation=activation)
+        layer.bias.data[...] = rng.normal(size=5)
+        x = param(rng.normal(size=shape))
+        w = rng.normal(size=shape[:-1] + (5,))
+        out = layer(x)
+        assert out._parents == (x, layer.weight, layer.bias)
+        params = [layer.weight, layer.bias, x]
+        assert finite_diff_check(lambda: tsum(layer(x) * w), params) < 1e-4
+
+    @pytest.mark.parametrize("activation", ["none", "relu", "sigmoid"])
+    @pytest.mark.parametrize("shape", [(48,), (3, 48), (1, 48)])
+    def test_fused_node_has_the_composed_ops_bits(self, activation, shape):
+        """Forward and gradients equal, bit for bit, the layer built from
+        matmul, transpose, add and activation nodes, as it was.  At these
+        sizes a product through a transposed view of the weight, not its
+        copy, rounds differently."""
+        rng = np.random.default_rng(73)
+        layer = Dense(48, 8, rng, activation=activation)
+        layer.bias.data[...] = rng.normal(size=8)
+        x = param(rng.normal(size=shape))
+        w = rng.normal(size=shape[:-1] + (8,))
+
+        def composed():
+            if x.ndim == 1:
+                y = matmul(layer.weight, x) + layer.bias
+            else:
+                y = matmul(x, transpose(layer.weight)) + layer.bias
+            return {"none": lambda t: t, "relu": relu,
+                    "sigmoid": sigmoid}[activation](y)
+
+        results = []
+        for build in (lambda: layer(x), composed):
+            for p in (layer.weight, layer.bias, x):
+                p.grad = None
+            y = build()
+            tsum(y * w).backward()
+            results.append([a.tobytes() for a in (
+                y.data, layer.weight.grad, layer.bias.grad, x.grad)])
+        assert results[0] == results[1]
+        assert layer.forward(x.data).tobytes() == results[0][0]
 
 
 class TestGRU:
@@ -886,6 +935,20 @@ class TestCosine:
         a, b = param(rng.normal(size=(n, 4))), param(rng.normal(size=(n, 4)))
         w = rng.normal(size=n)
         assert finite_diff_check(lambda: tsum(cosine(a, b) * w), [a, b]) < 1e-4
+
+    def test_zero_norm_warns_once_then_logs_at_debug(self, caplog,
+                                                     monkeypatch):
+        """The graph op and the array forward share one warning: the
+        first zero-norm pair logs a WARNING, every later one DEBUG."""
+        monkeypatch.setattr(qakb.nn.layers, "_warned_zero_norm", False)
+        caplog.set_level(logging.DEBUG, logger="qakb.nn.layers")
+        zero, one = np.zeros(3), np.ones(3)
+        cosine(Tensor(zero), Tensor(one))
+        qakb.nn.layers.cosine_forward(one, zero)
+        cosine(Tensor(one), Tensor(one))
+        qakb.nn.layers.cosine_forward(zero, zero)
+        assert [r.levelno for r in caplog.records] == [
+            logging.WARNING, logging.DEBUG, logging.DEBUG]
 
     def test_zero_norm_row_scores_zero_without_gradient(self):
         a = param(np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0]]))

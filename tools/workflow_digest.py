@@ -6,6 +6,9 @@ Runs ``qakb.cli.main`` in-process, in a fresh temporary directory, over:
   and ``train-pipeline``;
 * ``train-e2e`` for every variant, each followed by ``answer`` and
   ``eval``, both with and without ``--out-degree-sort``;
+* ``answer`` with the char-level ``qa-t-w`` and ``qa-t-mwst`` models over
+  test questions holding a coined word, which is in no vocabulary, so
+  its char-GRU summary runs on every use;
 * ``answer``, ``eval`` and oracle ``eval`` for every pipeline strategy;
 * ``ingest`` of small TSV facts and aliases and N-Triples types, in
   several id spellings and every literal escape;
@@ -105,6 +108,22 @@ def write_question_texts(bench: str, dest: str,
         fh.write("".join(text + "\n" for text in texts))
 
 
+# a word in no model's vocabulary
+COINED = "zyzzyva"
+
+
+def write_coined_questions(bench: str, dest: str, limit: int) -> None:
+    """The first ``limit`` test questions twice: with :data:`COINED`
+    before the first word, and in place of it.  The question templates
+    never open with the subject's alias, so retrieval still finds it."""
+    texts = [line.rstrip("\n").split("\t")[3]
+             for line in question_lines(bench, "test", limit)]
+    coined = [f"{COINED} {text}" for text in texts]
+    coined += [" ".join([COINED, *text.split()[1:]]) for text in texts]
+    with open(dest, "w", encoding="utf-8") as fh:
+        fh.write("".join(text + "\n" for text in coined))
+
+
 def run_workflow(w: Workflow, variants, strategies) -> None:
     bench, kb = w.path("s"), w.path("s", "kb.qakb")
     tests, qfile = w.path("s", "test.tsv"), w.path("questions.txt")
@@ -128,6 +147,13 @@ def run_workflow(w: Workflow, variants, strategies) -> None:
                   qfile, *stack)
             w.run(f"eval-{tag}", "eval", "--kb", kb, "--questions", tests,
                   "--out", w.path("reports", tag), *stack)
+
+    coined = w.path("coined.txt")
+    write_coined_questions(bench, coined, 4)
+    for variant in ("qa-t-w", "qa-t-mwst"):
+        w.run(f"answer-coined-{variant}", "answer", "--kb", kb, "--questions",
+              coined, "--model", w.path("models", f"{variant}.nn"),
+              "--variant", variant)
 
     for strategy in strategies:
         stack = ["--pipeline", w.path("pipeline"), "--strategy", strategy]

@@ -320,6 +320,18 @@ def _load_model(cls, path: str):
         raise DataError(f"{path}: {exc}") from exc
 
 
+def _load_matcher(model_dir: str, name: str) -> pipeline.MatcherModel:
+    """The matcher ``name`` ("relation" or "type") of a train-pipeline
+    directory; a snapshot whose sidecar names the other matcher is a
+    DataError."""
+    path = os.path.join(model_dir, f"{name}.nn")
+    model = _load_model(pipeline.MatcherModel, path)
+    if model.name != name:
+        raise DataError(f"{path}: holds the {model.name!r} matcher, "
+                        f"expected the {name!r} matcher")
+    return model
+
+
 def _load_pipeline_models(model_dir: str,
                           strategy: str) -> pipeline.PipelineModels:
     """The stages in a train-pipeline directory that ``strategy`` uses:
@@ -332,10 +344,8 @@ def _load_pipeline_models(model_dir: str,
     return pipeline.PipelineModels(
         tagger=_load_model(pipeline.TaggerModel,
                            os.path.join(model_dir, "tagger.nn")),
-        relation_matcher=_load_model(pipeline.MatcherModel,
-                                     os.path.join(model_dir, "relation.nn")),
-        type_matcher=(_load_model(pipeline.MatcherModel, type_path)
-                      if uses_type else None),
+        relation_matcher=_load_matcher(model_dir, "relation"),
+        type_matcher=_load_matcher(model_dir, "type") if uses_type else None,
     )
 
 

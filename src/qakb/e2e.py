@@ -202,7 +202,7 @@ class WordEncoder:
         """:meth:`encode_words` on arrays, building no graph: the same
         [W, d] rows, bit for bit, by the same operations (one padded
         char-GRU run over the words when ``char_rows`` is None)."""
-        vecs = self.word_table.vectors.data[self.word_table.indices(words)]
+        vecs = self.word_table.rows(words)
         if not self.char_level:
             return vecs
         if char_rows is None:
@@ -222,7 +222,7 @@ class WordEncoder:
         rounds differently in the last bits, so this is what answering
         caches: a word's summary does not depend on the words it is asked
         with."""
-        chars = self.char_table.vectors.data[self.char_table.indices(word)]
+        chars = self.char_table.rows(word)
         last, _ = recurrent_forward((self.char_gru,), (chars,),
                                     np.array([len(word)]), (False,), "last")
         return last

@@ -37,7 +37,6 @@ from qakb.e2e import E2EStrategy
 from qakb.errors import EmptyEvalSet, NoCandidates, NoRelation
 from qakb.kb import (Fact, KnowledgeBase, aliases_of, build_kb,
                      lookup_objects, notable_type, out_degree)
-from qakb.nn.tensor import Tensor, as_tensor
 from qakb.pipeline import PipelineModels, PipelineStrategy
 
 logger = logging.getLogger(__name__)
@@ -179,7 +178,7 @@ class OracleTagger:
     def __init__(self, spans_by_question: dict[tuple[str, ...], list[str]]):
         self.spans_by_question = spans_by_question
 
-    def forward(self, tokens: Sequence[str]) -> Tensor:
+    def forward(self, tokens: Sequence[str]) -> np.ndarray:
         labels = np.zeros((len(tokens), 2))
         labels[:, 0] = 1.0
         span = self.spans_by_question.get(tuple(tokens))
@@ -188,7 +187,7 @@ class OracleTagger:
             if start is not None:
                 for t in range(start, start + len(span)):
                     labels[t] = (0.0, 1.0)
-        return as_tensor(labels)
+        return labels
 
 
 class OracleMatcher:

@@ -26,13 +26,12 @@ from qakb.nn.losses import (
     loss_hinge_qat_type,
 )
 from qakb.nn.optim import Adam, fit
-from qakb.nn.tensor import Tensor, as_tensor, no_grad, param
+from qakb.nn.tensor import Tensor, as_tensor, param
 
 __all__ = [
     "TrainConfig",
     "Tensor",
     "as_tensor",
-    "no_grad",
     "param",
     "Dense",
     "EmbeddingTable",

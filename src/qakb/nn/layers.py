@@ -5,7 +5,8 @@ Tensor]`` so optimizers and snapshots can address weights by stable
 hierarchical names; a model names its embedding tables' ``vectors``.
 
 The forwards that answering needs are array functions, which build no
-graph: :meth:`Dense.forward`, :func:`recurrent_forward`,
+graph: :meth:`EmbeddingTable.rows`, :meth:`Dense.forward`,
+:func:`recurrent_forward`, :func:`bidirectional_last_states`,
 :func:`attention_forward` and :func:`cosine_forward`.  Each graph op
 computes its data by calling one of them, so an answer computed on
 arrays has the bits of the same computation as graph nodes.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,8 +30,6 @@ from qakb.nn.tensor import (
     logistic,
     mul,
     param,
-    recording,
-    take_column,
     zeros,
 )
 
@@ -72,12 +71,16 @@ class EmbeddingTable:
         vecs = rng.uniform(-0.1, 0.1, size=(len(toks), dim))
         return cls(toks, vecs)
 
-    def indices(self, seq: list[str]) -> list[int]:
+    def indices(self, seq: Sequence[str]) -> list[int]:
         return [self.vocab.get(tok, self.oov_index) for tok in seq]
 
     def embed(self, seq: list[str]) -> Tensor:
         """Rows for a token sequence; empty input gives a [0, d] tensor."""
         return gather_rows(self.vectors, self.indices(seq))
+
+    def rows(self, seq: Sequence[str]) -> np.ndarray:
+        """:meth:`embed` on arrays, building no graph."""
+        return self.vectors.data[self.indices(seq)]
 
     def embed_padded(self, seqs: Sequence[Sequence[str]]
                      ) -> tuple[Tensor, np.ndarray]:
@@ -387,20 +390,16 @@ def _recurrent_states(cells: Sequence[_GatedCell], inputs: Sequence[Tensor],
                       output: str) -> Tensor:
     """One run of :func:`recurrent_forward` as one graph node.
 
-    When no graph is recorded the forward keeps nothing for a backward
-    and none is built.  The backward runs ``step_backward`` back through
-    time as the forward stepped, adds the gradients of ``W``, ``U`` and
-    ``b`` once each, as products over every row and timestep, and gives
-    each distinct input one summed gradient.
+    The backward runs ``step_backward`` back through time as the forward
+    stepped, adds the gradients of ``W``, ``U`` and ``b`` once each, as
+    products over every row and timestep, and gives each distinct input
+    one summed gradient.
     """
     sources = list(dict.fromkeys(inputs))  # each distinct input once
     params = [p for c in cells for p in (c.W, c.U, c.b)]
-    track = recording((*sources, *params))
-    saved: Optional[list] = [] if track else None
+    saved: list = []
     data, (flats, offsets, order, xs, u) = recurrent_forward(
         cells, [t.data for t in inputs], lengths, reverses, output, saved)
-    if not track:
-        return _make(data, (*sources, *params), None)
     T = inputs[0].shape[-2]
     B, D = lengths.shape[0], len(cells)
     cell = cells[0]
@@ -574,31 +573,36 @@ def bidirectional_encode(cell_fwd, cell_bwd, inputs: Tensor,
 
 
 def bidirectional_last_states(pairs: Sequence[tuple[_GatedCell, _GatedCell]],
-                              inputs: Sequence[Tensor]) -> list[Tensor]:
-    """Each (forward, backward) cell pair's last states over its own
-    input: what ``bidirectional_encode(fwd, bwd, inputs[i],
+                              inputs: Sequence[np.ndarray]
+                              ) -> list[np.ndarray]:
+    """Each (forward, backward) cell pair's [2h] last states over its own
+    input, on arrays: what ``bidirectional_encode(fwd, bwd, inputs[i],
     outputs=("last",))`` gives, bit for bit.  The inputs are [T, d_i]
-    sequences of one length T; their widths may differ.
+    sequences of one length T; their widths may differ.  An empty
+    sequence gives zeros.
 
     Pairs whose cells are of one kind and hidden size step together in
-    one run, every pair's two directions side by side on the direction
-    axis, so several encoders of one text cost one run; a pair of
-    another kind or size runs as a group of its own.
+    one :func:`recurrent_forward`, every pair's two directions side by
+    side on the direction axis, so several encoders of one text cost one
+    run; a pair of another kind or size runs as a group of its own.
     """
+    T = inputs[0].shape[0]
+    if any(x.shape[0] != T for x in inputs):
+        raise ShapeMismatch(f"inputs of one run differ in length: "
+                            f"{[x.shape for x in inputs]}")
+    if T == 0:
+        return [np.zeros(2 * fwd.hidden_dim) for fwd, _ in pairs]
     groups: dict[tuple, list[int]] = {}
     for i, (fwd, _) in enumerate(pairs):
         groups.setdefault((type(fwd), fwd.hidden_dim), []).append(i)
-    out: list[Tensor] = [None] * len(pairs)
-    for members in groups.values():
-        (last,) = _run([c for i in members for c in pairs[i]],
-                       [inputs[i] for i in members for _ in (0, 1)], None,
-                       (False, True) * len(members), ("last",))
-        if len(members) == 1:
-            out[members[0]] = last
-            continue
-        width = last.shape[-1] // len(members)
+    out: list[np.ndarray] = [None] * len(pairs)
+    for (_, H), members in groups.items():
+        last, _ = recurrent_forward(
+            [c for i in members for c in pairs[i]],
+            [inputs[i] for i in members for _ in (0, 1)], np.array([T]),
+            (False, True) * len(members), "last")
         for j, i in enumerate(members):
-            out[i] = take_column(last, slice(j * width, (j + 1) * width))
+            out[i] = last[2 * H * j:2 * H * (j + 1)]
     return out
 
 
@@ -669,27 +673,22 @@ def padded_indices(seqs: Sequence[Sequence[int]]
     return idx, np.array(lengths, dtype=np.int64)
 
 
-Encoding = Union[Tensor, np.ndarray]
-
-
 class EncodeCache:
-    """Encodings keyed by raw text: on first use a text is split by
+    """Array encodings keyed by raw text: on first use a text is split by
     ``tokens`` and encoded by ``encode``, and then reused, so a text seen
     before is neither tokenized nor encoded again.
 
-    An encoding is what ``encode`` returns: a no-graph tensor for the
-    matchers, an array for the joint model.  Entries are never
-    invalidated, so a cache must not outlive a change to the weights
-    behind ``encode``: answering sessions own one each.
+    Entries are never invalidated, so a cache must not outlive a change
+    to the weights behind ``encode``: answering sessions own one each.
     """
 
-    def __init__(self, encode: Callable[[tuple[str, ...]], Encoding],
+    def __init__(self, encode: Callable[[tuple[str, ...]], np.ndarray],
                  tokens: Callable[[str], Sequence[str]]):
         self._encode = encode
         self._tokens = tokens
-        self.table: dict[str, Encoding] = {}
+        self.table: dict[str, np.ndarray] = {}
 
-    def __call__(self, text: str) -> Encoding:
+    def __call__(self, text: str) -> np.ndarray:
         vec = self.table.get(text)
         if vec is None:
             vec = self.table[text] = self._encode(tuple(self._tokens(text)))

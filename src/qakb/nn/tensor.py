@@ -6,10 +6,11 @@ topological order and accumulates gradients into every tensor created
 with ``requires_grad=True``.  Only the handful of primitives the models
 need are implemented; anything else is composed from them.
 
-Inside :func:`no_grad` no graph is recorded: nodes are made, but get no
-parents and no backward.  The pipeline answers that way.  The joint
-model answers without nodes at all, on the array forwards of
-:mod:`qakb.nn.layers` that the graph ops call.
+A node records its graph only when a parent needs a gradient, which in
+practice means training.  Answering makes no nodes at all: both stacks
+compute on the array forwards that the graph ops call for their data
+(:func:`logistic`, :func:`softmax_forward` and those of
+:mod:`qakb.nn.layers`).
 
 Every primitive, here and in :mod:`qakb.nn.layers`, makes its node with
 :func:`_make` from the node's parents and one function ``backward(out)``
@@ -20,9 +21,7 @@ graph has no reference cycle: dropping its root frees it.
 
 from __future__ import annotations
 
-import contextvars
-from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -133,35 +132,11 @@ def param(data, requires_grad: bool = True) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=requires_grad)
 
 
-# Per thread (and per asyncio task): a no_grad block in one thread leaves
-# graph building on in every other.
-_grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "qakb_grad_enabled", default=True
-)
-
-
-@contextmanager
-def no_grad() -> Iterator[None]:
-    """Record no graph inside the block: new nodes get no parents, no
-    backward function and ``requires_grad=False``."""
-    token = _grad_enabled.set(False)
-    try:
-        yield
-    finally:
-        _grad_enabled.reset(token)
-
-
-def recording(parents: Sequence[Tensor]) -> bool:
-    """Whether a node made now from ``parents`` records its graph: a
-    parent needs a gradient and graph recording is on."""
-    return _grad_enabled.get() and any(p.requires_grad for p in parents)
-
-
 def _make(data: np.ndarray, parents: Sequence[Tensor],
-          backward: Optional[Callable[[Tensor], None]]) -> Tensor:
-    """Create a node, attaching its parents and ``backward`` only if it
-    is :func:`recording`; ``backward`` may be None when it is not."""
-    track = recording(parents)
+          backward: Callable[[Tensor], None]) -> Tensor:
+    """Create a node, attaching its parents and ``backward`` only when
+    some parent needs a gradient."""
+    track = any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=track)
     if track:
         out._parents = tuple(parents)
@@ -357,8 +332,8 @@ def stack_rows(rows: Sequence[ArrayLike]) -> Tensor:
     return _make(data, tensors, backward)
 
 
-def take_column(a: ArrayLike, index: Union[int, slice]) -> Tensor:
-    """Column ``index`` of the last axis, or the columns of a slice."""
+def take_column(a: ArrayLike, index: int) -> Tensor:
+    """Column ``index`` of the last axis."""
     a = as_tensor(a)
     data = a.data[..., index].copy()
 
@@ -410,14 +385,19 @@ def pad_rows(a: ArrayLike, n: int) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def softmax_forward(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a matrix on arrays (the data of
+    :func:`softmax_rows`); a [0, n] matrix gives [0, n]."""
+    if x.ndim != 2:
+        raise ShapeMismatch(f"softmax expects a matrix, got {x.shape}")
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def softmax_rows(a: ArrayLike) -> Tensor:
     """Row-wise softmax of a matrix with the standard closed-form gradient."""
     a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"softmax_rows expects a matrix, got {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=1, keepdims=True)
+    data = softmax_forward(a.data)
 
     def backward(out: Tensor) -> None:
         if a.requires_grad:

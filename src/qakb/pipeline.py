@@ -39,13 +39,14 @@ from qakb.nn import (
     dropout,
     fit,
 )
+from qakb.nn.layers import recurrent_forward
 from qakb.nn.losses import loss_binary_ce, loss_categorical_ce
 from qakb.nn.tensor import (
     Tensor,
     concat,
     gather_rows,
-    no_grad,
     reshape,
+    softmax_forward,
     softmax_rows,
     tsum,
 )
@@ -89,14 +90,18 @@ class TaggerModel:
                                                     < lengths[:, None]))
         return softmax_rows(self.head(rows))
 
-    def forward(self, tokens: Sequence[str]) -> Tensor:
-        """Per-token class probabilities, shape [T, 2]: the one-sequence
-        case of :meth:`forward_batch`, run on the [T, d] sequence, which
-        needs no padding."""
-        (states,) = bidirectional_encode(
-            self.fwd, self.bwd, self.embedding.embed(list(tokens)),
-            outputs=("states",))
-        return softmax_rows(self.head(states))
+    def forward(self, tokens: Sequence[str]) -> np.ndarray:
+        """Per-token class probabilities on arrays, shape [T, 2]: the
+        one-sequence case of :meth:`forward_batch`, run on the [T, d]
+        sequence, which needs no padding; no tokens give [0, 2]."""
+        rows = self.embedding.rows(tokens)
+        if len(rows):
+            states, _ = recurrent_forward((self.fwd, self.bwd), (rows, rows),
+                                          np.array([len(rows)]),
+                                          (False, True), "states")
+        else:
+            states = np.zeros((0, 2 * self.fwd.hidden_dim))
+        return softmax_forward(self.head.forward(states))
 
     def loss(self, questions: Sequence[LabeledQuestion]) -> Tensor:
         """Summed loss of tagged questions, one padded run over them all;
@@ -157,21 +162,20 @@ class MatcherModel:
                                        ("last",))
         return last
 
-    def encode(self, tokens: Sequence[str]) -> Tensor:
-        """One token sequence's [2h] encoding: the one-row case of
-        :meth:`encode_texts`, run on the [T, d] sequence, which needs no
-        padding."""
-        (last,) = bidirectional_encode(self.fwd, self.bwd,
-                                       self.embedding.embed(list(tokens)),
-                                       outputs=("last",))
+    def encode(self, tokens: Sequence[str]) -> np.ndarray:
+        """One token sequence's [2h] encoding on arrays: the one-row case
+        of :meth:`encode_texts`, run on the [T, d] sequence, which needs
+        no padding."""
+        (last,) = bidirectional_last_states([(self.fwd, self.bwd)],
+                                            [self.embedding.rows(tokens)])
         return last
 
-    def match(self, q_vecs: Tensor, t_vecs: Tensor, mode: str = "eval",
-              rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Match scores in (0, 1) of encodings: two [2h] vectors give a
-        scalar, two [n, 2h] matrices one score per row pair."""
+    def match(self, q_vecs: Tensor, t_vecs: Tensor,
+              rng: np.random.Generator) -> Tensor:
+        """Train-mode match scores in (0, 1) of [n, 2h] encodings, one
+        per row pair, with one dropout mask row per pair."""
         joint = dropout(concat([q_vecs, t_vecs], axis=-1), self.cfg.dropout_p,
-                        mode, rng)
+                        "train", rng)
         return reshape(self.head(self.hidden(joint)), q_vecs.shape[:-1])
 
     def loss(self, pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
@@ -188,19 +192,21 @@ class MatcherModel:
                            for toks in pair] for pair in pairs])
         encoded = self.encode_texts(list(texts))
         scores = self.match(gather_rows(encoded, sides[:, 0]),
-                            gather_rows(encoded, sides[:, 1]), "train", rng)
+                            gather_rows(encoded, sides[:, 1]), rng)
         return tsum(loss_binary_ce(scores, tags))
 
     def score(self, question: str, text: str,
               encodings: Optional["MatchEncodings"] = None,
               tokens: Optional[Sequence[str]] = None) -> float:
-        """Match score of one pair.  An answering session passes its
-        ``encodings``, which hold this matcher, so each side is encoded
-        once, and the question's ``tokens`` when it has them."""
+        """Match score of one pair, on arrays.  An answering session
+        passes its ``encodings``, which hold this matcher, so each side
+        is encoded once, and the question's ``tokens`` when it has
+        them."""
         if encodings is None:
             encodings = MatchEncodings((self,))
-        return float(self.match(encodings.question(self, question, tokens),
-                                encodings.text(self, text)).data)
+        joint = np.concatenate([encodings.question(self, question, tokens),
+                                encodings.text(self, text)])
+        return float(self.head.forward(self.hidden.forward(joint))[0])
 
     def parameters(self) -> dict[str, Tensor]:
         params = {f"{self.name}.embedding": self.embedding.vectors}
@@ -243,18 +249,18 @@ class MatchEncodings:
         self._question: Optional[tuple[str, dict]] = None
 
     def question(self, matcher: MatcherModel, question: str,
-                 tokens: Optional[Sequence[str]] = None) -> Tensor:
+                 tokens: Optional[Sequence[str]] = None) -> np.ndarray:
         """``matcher``'s encoding of the question; ``tokens``, when
         given, are its tokens, so the question is not tokenized again."""
         if self._question is None or self._question[0] != question:
-            tokens = list(tokenize(question) if tokens is None else tokens)
+            tokens = tokenize(question) if tokens is None else tokens
             vecs = bidirectional_last_states(
                 [(m.fwd, m.bwd) for m in self.matchers],
-                [m.embedding.embed(tokens) for m in self.matchers])
+                [m.embedding.rows(tokens) for m in self.matchers])
             self._question = (question, dict(zip(self.matchers, vecs)))
         return self._question[1][matcher]
 
-    def text(self, matcher: MatcherModel, text: str) -> Tensor:
+    def text(self, matcher: MatcherModel, text: str) -> np.ndarray:
         """``matcher``'s encoding of a relation path or type label."""
         return self.texts[matcher](text)
 
@@ -265,8 +271,8 @@ class PipelineModels:
 
     Any objects with the same call surface work here, which is how the
     evaluation harness substitutes oracles: the tagger needs
-    ``forward(tokens) -> [T, 2]`` probabilities and the matchers need
-    ``score(question, text) -> float``.
+    ``forward(tokens)`` to give a [T, 2] ndarray of probabilities and
+    the matchers need ``score(question, text) -> float``.
     """
 
     tagger: TaggerModel
@@ -324,9 +330,8 @@ def train_matcher(pairs: Sequence[MatcherPair], cfg: TrainConfig,
 def tag_question(model, question: Union[str, Sequence[str]]) -> LabeledQuestion:
     """Argmax tag per token."""
     tokens = tokenize(question) if isinstance(question, str) else list(question)
-    with no_grad():
-        probs = model.forward(tokens)
-    tags = tuple(TAG_ORDER[int(i)] for i in np.argmax(probs.data, axis=1))
+    probs = model.forward(tokens)
+    tags = tuple(TAG_ORDER[int(i)] for i in np.argmax(probs, axis=1))
     return LabeledQuestion(tokens=tuple(tokens), tags=tags)
 
 
@@ -516,7 +521,8 @@ def _session_scorer(matcher, encodings: MatchEncodings
 
 class PipelineStrategy:
     """One ranking strategy, named as on the CLI, over one set of stages:
-    answers a stream of questions graph-free, as one session.
+    answers a stream of questions as one session, on arrays, making no
+    Tensor.
 
     The session's :class:`MatchEncodings` hold the recurrent matchers the
     strategy consults, and only those: the relation matcher, and the type
@@ -549,8 +555,7 @@ class PipelineStrategy:
         """The answer with its score decomposition and ranking trace.
         The question is tokenized once, for every stage."""
         ranker, fields = _RANKINGS[self.name]
-        with no_grad():
-            return ranker(self, question, tokenize(question), fields)
+        return ranker(self, question, tokenize(question), fields)
 
     def answer(self, question: str) -> tuple[str, str, dict[str, float]]:
         """``(entity, relation, scores)``; NoCandidates or NoRelation when

@@ -1076,6 +1076,29 @@ def test_retraining_without_type_pairs_drops_the_type_matcher(
         assert err.startswith(f"error: {tmp_path / 'p' / 'type.nn'}: ")
 
 
+@pytest.mark.parametrize("name, other", [("type", "relation"),
+                                         ("relation", "type")])
+def test_matcher_under_the_other_matchers_name_is_data_error(
+        snapshots, capsys, tmp_path, name, other):
+    """A matcher snapshot copied with its sidecar over the other
+    matcher's files exits 2, naming the file and both matchers, instead
+    of answering with the wrong matcher."""
+    bench, models = snapshots
+    shutil.copytree(models["pipeline"], tmp_path / "p")
+    for suffix in ("", ".meta.json"):
+        shutil.copy(tmp_path / "p" / f"{other}.nn{suffix}",
+                    tmp_path / "p" / f"{name}.nn{suffix}")
+    path = tmp_path / "p" / f"{name}.nn"
+    for code, stdout, err in _answer_and_eval(
+            capsys, tmp_path, bench, "--pipeline", str(tmp_path / "p"),
+            "--strategy", "p-qa-out-type"):
+        assert code == 2
+        assert stdout == ""
+        assert err == (f"error: {path}: holds the {other!r} matcher, "
+                       f"expected the {name!r} matcher\n")
+    assert not (tmp_path / "rep").exists()
+
+
 class TestSnapshotVariant:
     """answer and eval take the variant from the snapshot's meta; a
     --variant naming another is a usage error that names both."""

@@ -31,7 +31,6 @@ from qakb.nn.tensor import (
     gather_rows,
     matmul,
     mul,
-    no_grad,
     param,
     relu,
     sigmoid,
@@ -349,10 +348,6 @@ class TestFusedRecurrent:
         params = list(cell.parameters().values())
         assert states._parents == (x, *params)
         assert last._parents == (states,)
-        with no_grad():
-            quiet, _ = run_recurrent(cell, x, "backward")
-        assert quiet._parents == () and not quiet.requires_grad
-        np.testing.assert_array_equal(quiet.data, states.data)
 
 
 class TestGatedCellLayout:
@@ -607,8 +602,8 @@ class TestFusedBidirectional:
 
 class TestRunOutputs:
     """A run builds only the outputs its caller asks for, with the bits
-    and gradients of a run asked for both, and under ``no_grad`` a result
-    with no backward."""
+    and gradients of a run asked for both, and from inputs and weights
+    that need no gradient a result with no backward."""
 
     @staticmethod
     def _runner(cell_cls, direction, lengths):
@@ -653,10 +648,11 @@ class TestRunOutputs:
     @pytest.mark.parametrize("outputs", [("states",), ("last",), BOTH])
     def test_no_grad_builds_no_backward(self, cell_cls, direction, lengths,
                                         outputs):
-        run, _ = self._runner(cell_cls, direction, lengths)
+        run, leaves = self._runner(cell_cls, direction, lengths)
         want = dict(zip(BOTH, run(BOTH)))
-        with no_grad():
-            got = run(outputs)
+        for leaf in leaves:
+            leaf.requires_grad = False
+        got = run(outputs)
         assert len(got) == len(outputs)
         for name, out in zip(outputs, got):
             np.testing.assert_array_equal(out.data, want[name].data)
@@ -757,61 +753,50 @@ class TestStackedRun:
 
 
 class TestBidirectionalLastStates:
-    """``bidirectional_last_states`` gives each pair what its own
-    ``bidirectional_encode`` gives, running pairs of one kind and size
-    together and any other pair on its own."""
+    """``bidirectional_last_states`` gives on arrays each pair's
+    ``bidirectional_encode`` last states, running pairs of one kind and
+    size together and any other pair on its own."""
 
     @staticmethod
-    def _case():
-        a, c, xa, xc, weights, rng = _two_pairs()
+    def _case(T=4):
+        a, c, xa, xc, _, rng = _two_pairs()
         d = LSTMCell(3, 4, rng, "d.f"), LSTMCell(3, 4, rng, "d.b")
         e = GRUCell(3, 5, rng, "e.f"), GRUCell(3, 5, rng, "e.b")
-        xd, xe = param(rng.normal(size=(4, 3))), param(rng.normal(size=(4, 3)))
-        pairs = [a, d, c, e]
-        inputs = [param(xa.data[1]), xd, param(xc.data[1]), xe]
-        leaves = [p for pair in pairs for cell in pair
-                  for p in cell.parameters().values()] + inputs
-        vs = [rng.normal(size=2 * f.hidden_dim) for f, _ in pairs]
-        return pairs, inputs, leaves, vs
+        xd, xe = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        inputs = [xa.data[1], xd, xc.data[1], xe]
+        return [a, d, c, e], [x[:T] for x in inputs]
 
     def test_bit_identical_to_one_run_per_pair(self, monkeypatch):
-        pairs, inputs, leaves, vs = self._case()
+        pairs, inputs = self._case()
         runs = []
-        run = qakb.nn.layers._run
+        forward = qakb.nn.layers.recurrent_forward
 
         def counting(cells, *args):
             runs.append(len(cells))
-            return run(cells, *args)
+            return forward(cells, *args)
 
-        results = []
-        for together in (True, False):
-            for leaf in leaves:
-                leaf.grad = None
-            if together:
-                monkeypatch.setattr(qakb.nn.layers, "_run", counting)
-                lasts = bidirectional_last_states(pairs, inputs)
-                monkeypatch.undo()
-            else:
-                lasts = [bidirectional_encode(*pair, x, outputs=("last",))[0]
-                         for pair, x in zip(pairs, inputs)]
-            tsum(concat([last * v for last, v in zip(lasts, vs)])).backward()
-            results.append([*(last.data for last in lasts),
-                            *(leaf.grad for leaf in leaves)])
+        monkeypatch.setattr(qakb.nn.layers, "recurrent_forward", counting)
+        lasts = bidirectional_last_states(pairs, inputs)
+        monkeypatch.undo()
         # the two GRU pairs of one size together, the others alone
         assert runs == [4, 2, 2]
-        for together, alone in zip(*results):
-            np.testing.assert_array_equal(together, alone)
+        for pair, x, last in zip(pairs, inputs, lasts):
+            assert type(last) is np.ndarray
+            (want,) = bidirectional_encode(*pair, Tensor(x),
+                                           outputs=("last",))
+            np.testing.assert_array_equal(last, want.data)
 
-    def test_finite_diff(self):
-        pairs, inputs, leaves, vs = self._case()
-        shared = [p for pair in (pairs[0], pairs[2]) for cell in pair
-                  for p in cell.parameters().values()]
+    def test_empty_inputs_give_zeros(self):
+        pairs, inputs = self._case(T=0)
+        lasts = bidirectional_last_states(pairs, inputs)
+        assert [last.tolist() for last in lasts] == [
+            [0.0] * 2 * f.hidden_dim for f, _ in pairs]
 
-        def loss():
-            lasts = bidirectional_last_states(pairs, inputs)
-            return tsum(concat([last * v for last, v in zip(lasts, vs)]))
-
-        assert finite_diff_check(loss, shared + [inputs[0], inputs[2]]) < 1e-4
+    def test_inputs_of_other_lengths_rejected(self):
+        pairs, inputs = self._case()
+        inputs[1] = inputs[1][:3]
+        with pytest.raises(ShapeMismatch):
+            bidirectional_last_states(pairs, inputs)
 
 
 class TestSelfAttention:

@@ -16,11 +16,11 @@ from qakb.errors import EmptyTrainingSet, NoCandidates, NoRelation
 from qakb.evalharness import (SyntheticSpec, answer_record,
                               generate_synthetic, predict)
 from qakb.kb import Fact, build_kb
-from qakb.nn import (TrainConfig, as_tensor, bidirectional_encode, dropout,
+from qakb.nn import (TrainConfig, bidirectional_encode, dropout,
                      finite_diff_check, fit, loss_binary_ce,
                      loss_categorical_ce)
 from qakb.nn.io import load_model, save_model
-from qakb.nn.tensor import concat, reshape, softmax_rows
+from qakb.nn.tensor import Tensor, concat, reshape, softmax_rows
 from qakb.pipeline import (
     STRATEGIES,
     MatcherModel,
@@ -43,12 +43,11 @@ class SpanOracleTagger:
         self.entity_tokens = set(entity_tokens)
 
     def forward(self, tokens):
-        rows = np.array(
+        return np.array(
             [[0.0, 1.0] if tok in self.entity_tokens else [1.0, 0.0]
              for tok in tokens],
             dtype=float,
         ).reshape(len(tokens), 2)
-        return as_tensor(rows)
 
 
 def _prediction(strategy, question, models, kb, index):
@@ -579,7 +578,8 @@ class TestSession:
         kb, index, models, questions = stack
         session = PipelineStrategy("p-qa-type", models, kb, index)
         calls, runs = [], []
-        encode, run = MatcherModel.encode, qakb.nn.layers._run
+        encode = MatcherModel.encode
+        forward = qakb.nn.layers.recurrent_forward
 
         def counting(self, tokens):
             calls.append((self.name, tuple(tokens)))
@@ -587,10 +587,10 @@ class TestSession:
 
         def counting_run(cells, *args):
             runs.append(tuple(cells))
-            return run(cells, *args)
+            return forward(cells, *args)
 
         monkeypatch.setattr(MatcherModel, "encode", counting)
-        monkeypatch.setattr(qakb.nn.layers, "_run", counting_run)
+        monkeypatch.setattr(qakb.nn.layers, "recurrent_forward", counting_run)
         rel, typ = models.relation_matcher, models.type_matcher
         both = (rel.fwd, rel.bwd, typ.fwd, typ.bwd)
         question_tokens = {tuple(tokenize(q)) for q in questions}
@@ -663,6 +663,35 @@ class TestSession:
             ask(q)
             assert calls == [q]
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+    def test_answering_makes_no_tensor(self, stack, strategy, cold,
+                                       monkeypatch):
+        """A session answers, cold or warm, without making a single
+        Tensor: no graph node, no wrapper of an array."""
+        kb, index, models, questions = stack
+        session = PipelineStrategy(strategy, models, kb, index)
+
+        def ask_all():
+            for q in questions:
+                try:
+                    session.prediction(q)
+                except (NoCandidates, NoRelation):
+                    pass
+
+        if not cold:
+            ask_all()
+        made = []
+        init = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        ask_all()
+        assert not made
+
     def test_new_session_sees_weight_change(self, stack):
         kb, index, models, questions = stack
         q = questions[0]
@@ -675,6 +704,54 @@ class TestSession:
         finally:
             vectors.data[...] = saved
         assert after.trace["relations"] != before.trace["relations"]
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
+# token lists of ragged lengths, with out-of-vocabulary words, and empty
+_ARRAY_VOCAB = ["where", "was", "obama", "born", "d", "x", "founded"]
+_ARRAY_TEXTS = [["obama"], ["where", "was", "obama", "born"], ["zyzzyva"],
+                ["obama", "qq", "born", "where", "was", "obama", "x"], []]
+
+
+class TestArrayForwards:
+    """Answering's array forwards give the bits of graph references built
+    from the training ops."""
+
+    cfg = TrainConfig(hidden_size=6, embed_dim=5)
+
+    def test_tagger_forward(self):
+        model = TaggerModel(_ARRAY_VOCAB, self.cfg, np.random.default_rng(11))
+        for tokens in _ARRAY_TEXTS:
+            got = model.forward(tokens)
+            assert type(got) is np.ndarray
+            (states,) = bidirectional_encode(
+                model.fwd, model.bwd, model.embedding.embed(tokens),
+                outputs=("states",))
+            want = softmax_rows(model.head(states))
+            assert _bits(got) == _bits(want.data), tokens
+            assert got.shape == (len(tokens), 2)
+
+    def test_matcher_encode_and_score(self):
+        model = MatcherModel(_ARRAY_VOCAB, self.cfg,
+                             np.random.default_rng(12), name="relation")
+        graph = {}
+        for tokens in _ARRAY_TEXTS:
+            got = model.encode(tokens)
+            assert type(got) is np.ndarray
+            (graph[tuple(tokens)],) = bidirectional_encode(
+                model.fwd, model.bwd, model.embedding.embed(tokens),
+                outputs=("last",))
+            assert _bits(got) == _bits(graph[tuple(tokens)].data), tokens
+        for q in _ARRAY_TEXTS:
+            for t in _ARRAY_TEXTS:
+                joint = concat([graph[tuple(q)], graph[tuple(t)]])
+                want = model.head(model.hidden(joint))
+                got = model.score(" ".join(q), " ".join(t))
+                assert _bits(got) == _bits(want.data[0]), (q, t)
 
 
 class TestAnswerRecord:
@@ -722,7 +799,7 @@ class TestPersistence:
         save_model(model, path)
         clone = load_model(TaggerModel, path)
         toks = ["where", "was", "obama", "born"]
-        assert np.array_equal(model.forward(toks).data, clone.forward(toks).data)
+        assert np.array_equal(model.forward(toks), clone.forward(toks))
         assert tag_question(model, toks) == tag_question(clone, toks)
 
     def test_matcher_round_trip(self, tmp_path):

@@ -1,7 +1,6 @@
 """Autodiff primitives: forward values and finite-difference gradients."""
 
 import gc
-import threading
 import weakref
 
 import numpy as np
@@ -42,6 +41,19 @@ class TestForward:
         a = T.softmax_rows(T.Tensor(x)).data
         b = T.softmax_rows(T.Tensor(x + 1000.0)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_softmax_forward_is_softmax_rows_data(self):
+        x = np.random.default_rng(1).normal(size=(3, 4))
+        got = T.softmax_forward(x)
+        assert type(got) is np.ndarray
+        assert got.tobytes() == T.softmax_rows(T.param(x)).data.tobytes()
+        assert T.softmax_forward(np.zeros((0, 2))).shape == (0, 2)
+
+    def test_nodes_of_leaves_without_grad_record_no_graph(self):
+        w = T.Tensor(np.ones(3))
+        out = T.tsum(T.tanh(w @ T.Tensor(np.ones((3, 2)))))
+        assert out._parents == () and out._backward_fn is None
+        assert not out.requires_grad
 
     def test_clip_clamps(self):
         x = T.Tensor(np.array([-1.0, 0.5, 2.0]))
@@ -226,78 +238,3 @@ def test_unused_graph_is_freed_by_reference_counting(name):
     finally:
         if enabled:
             gc.enable()
-
-
-class TestNoGrad:
-    @staticmethod
-    def _tracked(w):
-        """True when an op on ``w`` records a graph node."""
-        out = T.tanh(w * 2.0)
-        return out.requires_grad and out._backward_fn is not None
-
-    def test_nodes_inside_record_no_graph(self):
-        w = T.param(np.ones(3))
-        with T.no_grad():
-            out = T.tsum(T.tanh(w @ T.param(np.ones((3, 2)))))
-        assert out._parents == ()
-        assert out._backward_fn is None
-        assert not out.requires_grad
-
-    def test_values_match_graph_mode(self):
-        rng = np.random.default_rng(4)
-        w = T.param(rng.normal(size=(4, 3)))
-        x = T.Tensor(rng.normal(size=3))
-        with T.no_grad():
-            quiet = T.softmax_rows(T.reshape(T.sigmoid(w @ x), (1, 4)))
-        loud = T.softmax_rows(T.reshape(T.sigmoid(w @ x), (1, 4)))
-        assert np.array_equal(quiet.data, loud.data)
-
-    def test_restored_after_normal_exit(self):
-        w = T.param(np.ones(2))
-        with T.no_grad():
-            assert not self._tracked(w)
-        assert self._tracked(w)
-
-    def test_restored_after_exception(self):
-        w = T.param(np.ones(2))
-        with pytest.raises(ShapeMismatch):
-            with T.no_grad():
-                T.matmul(w, T.param(np.ones((3, 3))))
-        assert self._tracked(w)
-
-    def test_nesting(self):
-        w = T.param(np.ones(2))
-        with T.no_grad():
-            with T.no_grad():
-                assert not self._tracked(w)
-            assert not self._tracked(w)
-        assert self._tracked(w)
-
-    def test_other_thread_keeps_building_graphs(self):
-        w = T.param(np.ones(2))
-        inside, checked = threading.Event(), threading.Event()
-        seen = []
-
-        def worker():
-            assert inside.wait(timeout=10)
-            seen.append(self._tracked(w))
-            checked.set()
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        with T.no_grad():
-            inside.set()
-            assert checked.wait(timeout=10)
-            assert not self._tracked(w)
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert seen == [True]
-
-    def test_gradcheck_after_no_grad_block(self):
-        rng = np.random.default_rng(2)
-        w = T.param(rng.normal(size=(3, 4)))
-        x = T.Tensor(rng.normal(size=4))
-        with T.no_grad():
-            T.tsum(T.tanh(w @ x))
-        err = finite_diff_check(lambda: T.tsum(T.tanh(w @ x)), [w])
-        assert err < 1e-6

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from qakb.nn.tensor import (
     pad_rows,
     param,
     reshape,
-    stack_rows,
     tsum,
 )
 
@@ -140,8 +139,8 @@ def _describe(variant: E2EVariant) -> str:
 # Encoders
 # ---------------------------------------------------------------------------
 
-# a word's [h] char-GRU summary: an array, or a tensor in a graph
-CharRows = Callable[[str], Union[Tensor, np.ndarray]]
+# a word's [h] char-GRU summary
+CharRows = Callable[[str], np.ndarray]
 
 
 class WordEncoder:
@@ -194,7 +193,7 @@ class WordEncoder:
             (last,) = run_recurrent(self.char_gru, chars, lengths=lengths,
                                     outputs=("last",))
         else:
-            last = stack_rows([char_rows(word) for word in words])
+            last = np.stack([char_rows(word) for word in words])
         return concat([vecs, last], axis=1)
 
     def word_rows(self, words: Sequence[str],

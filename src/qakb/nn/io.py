@@ -145,14 +145,15 @@ def load_model(cls, path: str):
     """The model of class ``cls`` saved at ``path`` by :func:`save_model`.
 
     ParseError when either file is not a snapshot or the sidecar lacks a
-    field or holds one of the wrong type, ValueError when the sidecar
-    names another kind or an invalid config, ShapeMismatch when the
-    parameters do not fit the model the sidecar describes.
+    field, holds one of the wrong type or describes a model too large to
+    build, ValueError when the sidecar names another kind or an invalid
+    config, ShapeMismatch when the parameters do not fit the model the
+    sidecar describes.
     """
     meta = read_model_meta(path, cls.kind)
     try:
         model = cls.from_meta(meta)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, MemoryError) as exc:
         raise ParseError(
             f"{meta_path(path)}: malformed payload ({exc!r})", 1) from exc
     restore_params(model.parameters(), load_params(path))

@@ -333,8 +333,9 @@ def recurrent_forward(cells: Sequence[_GatedCell],
     appended to ``saved`` when it is a list.
 
     Returns the output and the run's packing ``(flats, offsets, order,
-    xs, u)`` (see :func:`_pack`; ``xs`` are the projected inputs, ``u``
-    the recurrent weights as ``step`` read them), which a backward reads.
+    xs, u)`` (see :func:`_pack`; ``xs`` are the inputs in packed order,
+    ``u`` the recurrent weights as ``step`` read them), which a backward
+    reads.
     """
     T = inputs[0].shape[-2]
     B, D = lengths.shape[0], len(cells)
@@ -385,22 +386,22 @@ def recurrent_forward(cells: Sequence[_GatedCell],
     return data, (flats, offsets, order, xs, u)
 
 
-def _recurrent_states(cells: Sequence[_GatedCell], inputs: Sequence[Tensor],
+def _recurrent_states(cells: Sequence[_GatedCell], x: Tensor,
                       lengths: np.ndarray, reverses: Sequence[bool],
                       output: str) -> Tensor:
-    """One run of :func:`recurrent_forward` as one graph node.
+    """One run of :func:`recurrent_forward` of every cell over ``x`` as
+    one graph node, whose parents are ``x`` and the cells' weights.
 
     The backward runs ``step_backward`` back through time as the forward
     stepped, adds the gradients of ``W``, ``U`` and ``b`` once each, as
-    products over every row and timestep, and gives each distinct input
-    one summed gradient.
+    products over every row and timestep, and gives ``x`` one gradient,
+    summed over the cells in order.
     """
-    sources = list(dict.fromkeys(inputs))  # each distinct input once
     params = [p for c in cells for p in (c.W, c.U, c.b)]
     saved: list = []
     data, (flats, offsets, order, xs, u) = recurrent_forward(
-        cells, [t.data for t in inputs], lengths, reverses, output, saved)
-    T = inputs[0].shape[-2]
+        cells, [x.data] * len(cells), lengths, reverses, output, saved)
+    T = x.shape[-2]
     B, D = lengths.shape[0], len(cells)
     cell = cells[0]
     H = cell.hidden_dim
@@ -443,98 +444,60 @@ def _recurrent_states(cells: Sequence[_GatedCell], inputs: Sequence[Tensor],
                                    (c.b, d_pre[k].sum(axis=0))):
                 if weight.requires_grad:
                     weight.accumulate(grad_k)
-        for source in sources:
-            if source.requires_grad:
-                d_x = np.zeros((B * T, source.shape[-1]))
-                for k, c in enumerate(cells):
-                    if inputs[k] is source:
-                        d_x[flats[k]] += d_pre[k] @ c.W.data.T
-                source.accumulate(d_x.reshape(source.shape))
+        if x.requires_grad:
+            d_x = np.zeros((B * T, x.shape[-1]))
+            for k, c in enumerate(cells):
+                d_x[flats[k]] += d_pre[k] @ c.W.data.T
+            x.accumulate(d_x.reshape(x.shape))
 
-    return _make(data, (*sources, *params), backward)
-
-
-def _last_states(states: Tensor, ns: Sequence[int],
-                 reverses: Sequence[bool]) -> Tensor:
-    """Each row's last state per direction of ``states`` from
-    :func:`_recurrent_states` ([T, D*h] as one row of length ``ns[0]``,
-    or [B, T, D*h] with row lengths ``ns``): position ``n - 1`` of a
-    forward direction, position 0 of a reverse one, with the directions
-    side by side as in ``states``; an empty row's are zero.  This is the
-    ``last`` of a run asked for both outputs."""
-    x = states.data
-    D = len(reverses)
-    T, H = x.shape[-2], x.shape[-1] // D
-    # rows of the [B * T * D, h] view, row by row and direction by direction
-    idx = [(b * T + (0 if r else max(n - 1, 0))) * D + k
-           for b, n in enumerate(ns) for k, r in enumerate(reverses)]
-    data = x.reshape(-1, H).take(idx, axis=0).reshape(
-        x.shape[:-2] + (D * H,))
-
-    def backward(out: Tensor) -> None:
-        g = np.zeros((x.size // H, H))
-        g[idx] = out.grad.reshape(-1, H)
-        states.accumulate(g.reshape(x.shape))
-
-    return _make(data, (states,), backward)
+    return _make(data, (x, *params), backward)
 
 
 BOTH = ("states", "last")
 
 
-def _run(cells: Sequence[_GatedCell], inputs: Sequence[Tensor],
+def _run(cells: Sequence[_GatedCell], x: Tensor,
          lengths: Optional[Sequence[int]], reverses: Sequence[bool],
          outputs: tuple[str, ...]) -> tuple[Tensor, ...]:
-    """The ``outputs`` of one run of :func:`_recurrent_states`:
+    """The ``outputs`` of a run of ``cells`` over ``x``:
     ``("states",)``, ``("last",)`` or :data:`BOTH`, after checking the
-    shapes.  Only what is asked for is built: one node for either output,
-    and for both the states node with :func:`_last_states` over it.  A
-    batch of empty rows gives zeros without a run."""
+    shapes.  Each output asked for is one :func:`_recurrent_states` node,
+    so both are two runs.  A batch of empty rows gives zeros without a
+    run."""
     if outputs not in (BOTH, ("states",), ("last",)):
         raise ValueError(f"outputs must be ('states',), ('last',) or "
                          f"{BOTH}, got {outputs!r}")
-    lead_shape = inputs[0].shape[:-1]
+    lead_shape = x.shape[:-1]
     if len(lead_shape) not in (1, 2):
         raise ShapeMismatch(
-            f"recurrent input must be [T, d] or [B, T, d], got "
-            f"{inputs[0].shape}")
+            f"recurrent input must be [T, d] or [B, T, d], got {x.shape}")
     kind, H = type(cells[0]), cells[0].hidden_dim
-    for c, t in zip(cells, inputs):
+    for c in cells:
         if type(c) is not kind or c.hidden_dim != H:
             raise ShapeMismatch("the cells of one run must share a kind "
                                 "and a hidden size")
-        if t.shape[:-1] != lead_shape:
-            raise ShapeMismatch(f"inputs of one run differ in shape: "
-                                f"{t.shape} vs {inputs[0].shape}")
-        if t.shape[-1] != c.input_dim:
+        if x.shape[-1] != c.input_dim:
             raise ShapeMismatch(
-                f"input dim {t.shape[-1]}, cell expects {c.input_dim}")
+                f"input dim {x.shape[-1]}, cell expects {c.input_dim}")
     out_dim = len(cells) * H
     T = lead_shape[-1]
     if len(lead_shape) == 1:
-        if T == 0:
-            shapes = {"states": (0, out_dim), "last": (out_dim,)}
-            return tuple(zeros(shapes[o]) for o in outputs)
         lens, ns = np.array([T]), [T]
+        shapes = {"states": (0, out_dim), "last": (out_dim,)}
     else:
         B = lead_shape[0]
         lens = np.full(B, T) if lengths is None else np.asarray(
             lengths, dtype=np.int64)
-        # plain ints: a batch is small, and answering runs one row at a time
-        ns = lens.tolist()
+        ns = lens.tolist()  # plain ints: a training batch is small
         if (lens.shape != (B,) or min(ns, default=0) < 0
                 or max(ns, default=0) > T):
             raise ShapeMismatch(f"{B} rows of length {T} need {B} lengths "
                                 f"in [0, {T}], got {lengths}")
-        if not any(ns):
-            shapes = {"states": (B, T, out_dim), "last": (B, out_dim)}
-            return tuple(zeros(shapes[o]) for o in outputs)
-    if outputs == ("last",):
-        return (_recurrent_states(cells, inputs, lens, reverses, "last"),)
-    states = _recurrent_states(cells, inputs, lens, reverses, "states")
-    if outputs == ("states",):
-        return (states,)
-    return states, _last_states(states, ns, reverses)
+        shapes = {"states": (B, T, out_dim), "last": (B, out_dim)}
+    if not any(ns):
+        return tuple(zeros(shapes[o]) for o in outputs)
+    return tuple(_recurrent_states(cells, x, lens, reverses, o)
+                 for o in outputs)
 
 
 def run_recurrent(cell, inputs: Tensor, direction: str = "forward",
@@ -550,11 +513,11 @@ def run_recurrent(cell, inputs: Tensor, direction: str = "forward",
     aligned with input positions; ``last`` is then the state computed at
     position 0.  The result is the tuple of the ``outputs`` asked for,
     ``("states",)``, ``("last",)`` or both, ``(states, last)``, by
-    default; only those are built.
+    default; each is one graph node of its own run.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
-    return _run((cell,), (inputs,), lengths, (direction == "backward",),
+    return _run((cell,), inputs, lengths, (direction == "backward",),
                 outputs)
 
 
@@ -567,9 +530,9 @@ def bidirectional_encode(cell_fwd, cell_bwd, inputs: Tensor,
     padded [B, T, d] batch with row ``lengths``, as in
     :func:`run_recurrent`, forward first, and only the ``outputs`` asked
     for.  The cells are of one kind and shape, and both directions step
-    together, in one graph node."""
-    return _run((cell_fwd, cell_bwd), (inputs, inputs), lengths,
-                (False, True), outputs)
+    together: one graph node for each output."""
+    return _run((cell_fwd, cell_bwd), inputs, lengths, (False, True),
+                outputs)
 
 
 def bidirectional_last_states(pairs: Sequence[tuple[_GatedCell, _GatedCell]],
@@ -702,16 +665,16 @@ def dropout_mask(shape: tuple[int, ...], p: float,
     return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
 
 
-def dropout(x: Tensor, p: float, mode: str, rng: Optional[np.random.Generator]) -> Tensor:
-    """Inverted dropout: train-time mask and rescale, eval-time identity."""
+def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator) -> Tensor:
+    """Train-time inverted dropout: ``x`` times a :func:`dropout_mask`.
+    ``mode`` must be ``"train"``: answering runs on arrays and drops
+    nothing."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability {p} outside [0, 1)")
-    if mode not in ("train", "eval"):
+    if mode != "train":
         raise ValueError(f"unknown dropout mode {mode!r}")
-    if mode == "eval" or p == 0.0:
+    if p == 0.0:
         return x
-    if rng is None:
-        raise ValueError("train-mode dropout requires an rng")
     return mul(x, dropout_mask(x.shape, p, rng))
 
 

@@ -1258,6 +1258,28 @@ class TestCorruptSnapshots:
         assert stdout == ""
         assert err.startswith(f"error: {model}: ") and "finite" in err
 
+    def test_sidecar_of_a_model_too_large_to_build_exits_2(
+            self, snapshots, capsys, tmp_path):
+        """A sidecar whose widths ask for more memory than any machine
+        holds is a malformed payload, not a traceback."""
+        bench, models = snapshots
+        capsys.readouterr()
+        model = tmp_path / "m.nn"
+        model.write_bytes(models["qa-t"].read_bytes())
+        meta = json.loads(Path(f"{models['qa-t']}.meta.json").read_text())
+        # past the address space, so the allocation fails at once
+        meta["config"]["embed_dim"] = 10**15
+        Path(f"{model}.meta.json").write_text(json.dumps(meta))
+        qfile = tmp_path / "q.txt"
+        qfile.write_text("anything\n")
+        code, stdout, err = run(capsys, "answer", "--kb",
+                                str(bench / "kb.qakb"), "--model", str(model),
+                                "--variant", "qa-t", "--questions", str(qfile))
+        assert code == 2, err
+        assert stdout == ""
+        assert err.startswith(f"error: {model}: ") and "Traceback" not in err
+        assert f"{model}.meta.json: malformed payload" in err
+
 
 def _commands_reading_kb(bench, models, out):
     """The flags of every command that reads ``--kb``, each writing under

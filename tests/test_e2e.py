@@ -589,15 +589,15 @@ def _cached(session):
 
 
 def _graph_char_summary(model):
-    """A word's char part as a graph: the char-GRU's ``run_recurrent``
-    over that word alone."""
+    """A word's char part from a graph: the data of the char-GRU's
+    ``run_recurrent`` over that word alone."""
     words = model.words
 
     def summary(word):
         (last,) = run_recurrent(words.char_gru,
                                 words.char_table.embed(list(word)),
                                 outputs=("last",))
-        return last
+        return last.data
 
     return summary
 

@@ -8,7 +8,11 @@ import pytest
 from conftest import gate_block
 
 import qakb.nn.layers
+from qakb.aliasindex import build_index
+from qakb.datagen import build_negative_pools, label_questions
+from qakb.e2e import VARIANTS, train_e2e
 from qakb.errors import ShapeMismatch
+from qakb.evalharness import SyntheticSpec, generate_synthetic
 from qakb.nn import (
     Adam,
     Dense,
@@ -16,6 +20,7 @@ from qakb.nn import (
     GRUCell,
     LSTMCell,
     OOV_TOKEN,
+    TrainConfig,
     bidirectional_encode,
     bidirectional_last_states,
     cosine,
@@ -40,7 +45,8 @@ from qakb.nn.tensor import (
     tsum,
     zeros,
 )
-from qakb.nn.layers import BOTH, _run
+from qakb.nn.layers import BOTH, recurrent_forward
+from qakb.pipeline import train_matcher, train_tagger
 
 
 def _sigmoid(x):
@@ -343,11 +349,12 @@ class TestFusedRecurrent:
 
     @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
     def test_one_graph_node_per_sequence(self, cell_cls):
+        """One node for each output asked for, each a run over ``x``."""
         cell, x, _, _ = _case(cell_cls, 5, x_grad=True)
         states, last = run_recurrent(cell, x, "backward")
         params = list(cell.parameters().values())
         assert states._parents == (x, *params)
-        assert last._parents == (states,)
+        assert last._parents == (x, *params)
 
 
 class TestGatedCellLayout:
@@ -455,7 +462,7 @@ class TestBatchedRecurrent:
             return step(self, xw, state, u, b)
 
         monkeypatch.setattr(LSTMCell, "step", counted)
-        run_recurrent(cell, x, "forward", (3, 1, 2))
+        run_recurrent(cell, x, "forward", (3, 1, 2), ("states",))
         assert rows == [3, 2, 1]
 
     def test_empty_rows_give_zeros(self):
@@ -569,17 +576,21 @@ class TestFusedBidirectional:
 
     @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
     def test_bit_identical_to_two_runs(self, cell_cls):
+        """The states and the last states, each with the gradients of a
+        loss over it alone.  A loss over both sums two nodes' gradients,
+        in another order than the oracle's four, so ``test_finite_diff``
+        covers it."""
         f, b, x, leaves, w, v = _bidi_case(cell_cls)
-        results = []
-        for run in (bidirectional_encode, _two_runs):
-            for leaf in leaves:
-                leaf.grad = None
-            states, last = run(f, b, x, BIDI_LENGTHS)
-            (tsum(states * w) + tsum(last * v)).backward()
-            results.append([states.data, last.data,
-                            *(leaf.grad for leaf in leaves)])
-        for fused, oracle in zip(*results):
-            np.testing.assert_array_equal(fused, oracle)
+        for k, weight in enumerate((w, v)):
+            results = []
+            for run in (bidirectional_encode, _two_runs):
+                for leaf in leaves:
+                    leaf.grad = None
+                out = run(f, b, x, BIDI_LENGTHS)[k]
+                tsum(out * weight).backward()
+                results.append([out.data, *(leaf.grad for leaf in leaves)])
+            for fused, oracle in zip(*results):
+                np.testing.assert_array_equal(fused, oracle)
 
     @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
     def test_one_graph_node_and_one_step_per_timestep(self, cell_cls,
@@ -594,10 +605,11 @@ class TestFusedBidirectional:
 
         monkeypatch.setattr(cell_cls, "step", counted)
         states, last = bidirectional_encode(f, b, x, BIDI_LENGTHS)
+        # one node for each output, each a run over x
         assert states._parents == (x, *leaves[:-1])
-        assert last._parents == (states,)
-        # both directions of every running row in each step
-        assert shapes == [(2, 2), (2, 1), (2, 1), (2, 1)]
+        assert last._parents == (x, *leaves[:-1])
+        # both directions of every running row in each step of each run
+        assert shapes == [(2, 2), (2, 1), (2, 1), (2, 1)] * 2
 
 
 class TestRunOutputs:
@@ -682,35 +694,20 @@ def _two_pairs(seed=71):
 
 
 class TestStackedRun:
-    """Two bidirectional pairs over their own inputs step as one run of
-    four directions (D = 4) with the bits of two ``bidirectional_encode``
-    runs."""
-
-    @staticmethod
-    def _case(lengths):
-        a, c, xa, xc, weights, rng = _two_pairs()
-        if lengths is None:  # one [T, d] row each
-            xa, xc = param(xa.data[2]), param(xc.data[2])
-        w = rng.normal(size=xa.shape[:-1] + (16,))
-        v = rng.normal(size=xa.shape[:-2] + (16,))
-        return a, c, xa, xc, weights + [xa, xc], w, v
-
-    @staticmethod
-    def _stacked(a, c, xa, xc, lengths):
-        return _run((*a, *c), (xa, xa, xc, xc), lengths, (False, True) * 2,
-                    BOTH)
-
-    @staticmethod
-    def _separate(a, c, xa, xc, lengths):
-        states_a, last_a = bidirectional_encode(*a, xa, lengths)
-        states_c, last_c = bidirectional_encode(*c, xc, lengths)
-        return (concat([states_a, states_c], axis=-1),
-                concat([last_a, last_c], axis=-1))
+    """Cells stacked on the direction axis step as one run: two
+    bidirectional pairs over their own inputs run as one array
+    :func:`recurrent_forward` of four cells (D = 4) with the bits of two
+    runs of two.  Cells of another kind or size cannot share a run."""
 
     @pytest.mark.parametrize("lengths", [None, BIDI_LENGTHS])
     def test_bit_identical_to_two_bidirectional_runs(self, lengths,
                                                      monkeypatch):
-        a, c, xa, xc, leaves, w, v = self._case(lengths)
+        a, c, xa, xc, _, _ = _two_pairs()
+        xa, xc = xa.data, xc.data
+        if lengths is None:  # one [T, d] row each
+            xa, xc, lens = xa[2], xc[2], np.array([4])
+        else:
+            lens = np.array(lengths)
         shapes = []
         step = GRUCell.step
 
@@ -719,37 +716,23 @@ class TestStackedRun:
             return step(self, xw, state, u, b)
 
         monkeypatch.setattr(GRUCell, "step", counted)
-        results = []
-        for run in (self._stacked, self._separate):
-            for leaf in leaves:
-                leaf.grad = None
+        for output in ("states", "last"):
             shapes.clear()
-            states, last = run(a, c, xa, xc, lengths)
-            (tsum(states * w) + tsum(last * v)).backward()
-            results.append([states.data, last.data,
-                            *(leaf.grad for leaf in leaves)])
-            if run == self._stacked:  # all four directions in each step
-                assert shapes == [4] * 4
-        for stacked, separate in zip(*results):
-            np.testing.assert_array_equal(stacked, separate)
-
-    def test_finite_diff(self):
-        a, c, xa, xc, leaves, w, v = self._case(BIDI_LENGTHS)
-
-        def loss():
-            states, last = self._stacked(a, c, xa, xc, BIDI_LENGTHS)
-            return tsum(states * w) + tsum(last * v)
-
-        assert finite_diff_check(loss, leaves) < 1e-4
-        assert all(leaf.grad is not None for leaf in leaves)
+            stacked, _ = recurrent_forward((*a, *c), (xa, xa, xc, xc), lens,
+                                           (False, True) * 2, output)
+            assert shapes == [4] * 4  # all four cells in each step
+            separate = [recurrent_forward(pair, (x, x), lens, (False, True),
+                                          output)[0]
+                        for pair, x in ((a, xa), (c, xc))]
+            np.testing.assert_array_equal(
+                stacked, np.concatenate(separate, axis=-1))
 
     def test_cells_of_another_kind_or_size_rejected(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(4, 3)))
         for other in (LSTMCell(3, 4, rng), GRUCell(3, 5, rng)):
             with pytest.raises(ShapeMismatch):
-                _run((GRUCell(3, 4, rng), other), (x, x), None,
-                     (False, True), BOTH)
+                bidirectional_encode(GRUCell(3, 4, rng), other, x)
 
 
 class TestBidirectionalLastStates:
@@ -797,6 +780,55 @@ class TestBidirectionalLastStates:
         inputs[1] = inputs[1][:3]
         with pytest.raises(ShapeMismatch):
             bidirectional_last_states(pairs, inputs)
+
+
+def _train_one_step(model):
+    """Train ``model`` ("tagger", "matcher" or a joint-model variant) on a
+    small synthetic set in one batch, so one optimizer step."""
+    kb, train, _ = generate_synthetic(SyntheticSpec(seed=4, n_entities=12))
+    cfg = TrainConfig(epochs=1, batch_size=1000, hidden_size=4, embed_dim=4,
+                      char_dim=4, max_len=6)
+    if model == "tagger":
+        train_tagger(label_questions(train, kb)[0], cfg)
+    elif model == "matcher":
+        relations = sorted({f.relation for f in kb.facts})
+        train_matcher([(q.text, rel, int(rel == q.gold.relation))
+                       for q in train for rel in relations], cfg)
+    else:
+        index = build_index(kb)
+        pools = build_negative_pools(train, kb, index, seed=4)
+        train_e2e(train, kb, pools, VARIANTS[model], cfg, index)
+
+
+class TestTrainingStep:
+    """Training asks each recurrent run for one output, so no step pays
+    for a second run."""
+
+    @pytest.mark.parametrize("model, outputs", [
+        ("tagger", ["states"]),
+        ("matcher", ["last"]),
+        ("qa-t", ["states"]),
+        ("qa-t-mwst", ["last", "states"]),  # char-GRU, then LSTM
+    ], ids=["tagger", "matcher", "qa-t", "qa-t-mwst"])
+    def test_one_recurrent_node_per_encoder(self, model, outputs,
+                                            monkeypatch):
+        asked, steps = [], []
+        node, step = qakb.nn.layers._recurrent_states, Adam.step
+
+        def counted_node(cells, x, lengths, reverses, output):
+            asked.append(output)
+            return node(cells, x, lengths, reverses, output)
+
+        def counted_step(self):
+            steps.append(1)
+            return step(self)
+
+        monkeypatch.setattr(qakb.nn.layers, "_recurrent_states",
+                            counted_node)
+        monkeypatch.setattr(Adam, "step", counted_step)
+        _train_one_step(model)
+        assert len(steps) == 1
+        assert asked == outputs
 
 
 class TestSelfAttention:
@@ -849,10 +881,6 @@ class TestDropout:
         x = Tensor(np.ones((3, 3)))
         assert dropout(x, 0.0, "train", np.random.default_rng(0)) is x
 
-    def test_eval_identity(self):
-        x = Tensor(np.ones((3, 3)))
-        assert dropout(x, 0.9, "eval", None) is x
-
     def test_mean_preserved(self):
         """Inverted scaling keeps the expected value within 2%."""
         rng = np.random.default_rng(31)
@@ -865,6 +893,12 @@ class TestDropout:
         out = dropout(Tensor(np.ones(1000)), 0.2, "train", rng)
         kept = out.data[out.data != 0.0]
         np.testing.assert_allclose(kept, 1.0 / 0.8)
+
+    def test_modes_other_than_train_rejected(self):
+        x = Tensor(np.ones((3, 3)))
+        for mode in ("eval", "test"):
+            with pytest.raises(ValueError, match="dropout mode"):
+                dropout(x, 0.5, mode, np.random.default_rng(0))
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):

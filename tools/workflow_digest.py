@@ -26,7 +26,7 @@ the same bytes when their digests are equal:
     diff parent.txt change.txt
 
 A command that exits non-zero stops the run with exit 1.  A run takes
-about 15 s on a 2-vCPU machine.
+10-13 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations

@@ -264,10 +264,23 @@ def cmd_train_pipeline(args: argparse.Namespace,
     type_pairs = (_read_file(type_path, datagen.read_matcher_pairs)
                   if os.path.isfile(type_path) else [])
 
-    tagger, tagger_curve = pipeline.train_tagger(tagged, cfg)
+    def train(path, fit, data, **kwargs):
+        """``fit(data, cfg, **kwargs)``; an empty training set is an error
+        naming ``path``."""
+        try:
+            return fit(data, cfg, **kwargs)
+        except EmptyTrainingSet as exc:
+            raise EmptyTrainingSet(f"{path}: {exc}") from None
+
+    # every stage trains before any is saved, so a run that fails leaves
+    # an earlier run's stages as they were
+    tagger, tagger_curve = train(tagged_path, pipeline.train_tagger, tagged)
+    relation, rel_curve = train(relation_path, pipeline.train_matcher,
+                                relation_pairs, name="relation")
+    typem, type_curve = (train(type_path, pipeline.train_matcher, type_pairs,
+                               name="type")
+                         if type_pairs else (None, None))
     save_model(tagger, os.path.join(args.out, "tagger.nn"))
-    relation, rel_curve = pipeline.train_matcher(relation_pairs, cfg,
-                                                 name="relation")
     save_model(relation, os.path.join(args.out, "relation.nn"))
     lines = [
         f"tagger: {len(tagged)} examples, final loss {tagger_curve[-1]:.4f}",
@@ -275,9 +288,7 @@ def cmd_train_pipeline(args: argparse.Namespace,
         f"final loss {rel_curve[-1]:.4f}",
     ]
     type_out = os.path.join(args.out, "type.nn")
-    if type_pairs:
-        typem, type_curve = pipeline.train_matcher(type_pairs, cfg,
-                                                   name="type")
+    if typem is not None:
         save_model(typem, type_out)
         lines.append(f"type: {len(type_pairs)} pairs, "
                      f"final loss {type_curve[-1]:.4f}")

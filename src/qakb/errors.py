@@ -4,6 +4,8 @@ Everything raised on purpose derives from :class:`QAKBError` so callers
 (and the CLI) can distinguish expected failures from genuine bugs.
 """
 
+from typing import Optional
+
 
 class QAKBError(Exception):
     """Base class for all errors raised deliberately by this package."""
@@ -14,14 +16,15 @@ class MalformedId(QAKBError):
 
 
 class ParseError(QAKBError):
-    """A data file line could not be parsed.
+    """A data file, or a line of one, could not be parsed.
 
-    Carries the 1-based line number so the CLI can point at the offending
-    line.
+    Carries the 1-based line number of a text file's offending line, so
+    the CLI can point at it; a fault of a whole binary file has none.
     """
 
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, message: str, line_no: Optional[int] = None):
+        super().__init__(message if line_no is None
+                         else f"line {line_no}: {message}")
         self.line_no = line_no
 
 

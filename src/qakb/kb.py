@@ -451,7 +451,7 @@ def save_kb(kb: KnowledgeBase, path: str) -> None:
 
 
 def _ill_typed(what: str) -> ParseError:
-    return ParseError(f"ill-typed snapshot: {what}", 1)
+    return ParseError(f"ill-typed snapshot: {what}")
 
 
 def _array(value: object, what: str) -> list:
@@ -544,8 +544,8 @@ def load_kb(path: str) -> KnowledgeBase:
                 raise ParseError(
                     f"snapshot format {magic.decode('latin-1')} is no longer "
                     f"read (this version reads {SNAPSHOT_MAGIC.decode()}); "
-                    "re-create it with `qakb synth` or `qakb ingest`", 1)
-            raise ParseError(f"bad snapshot header {magic!r}", 1)
+                    "re-create it with `qakb synth` or `qakb ingest`")
+            raise ParseError(f"bad snapshot header {magic!r}")
         blob = fh.read()
     try:
         with collector_paused():
@@ -555,4 +555,4 @@ def load_kb(path: str) -> KnowledgeBase:
                 raise _ill_typed("the payload is not an object")
             return _kb_from_payload(payload)
     except (zlib.error, ValueError, KeyError) as exc:
-        raise ParseError(f"truncated or garbled snapshot ({exc!r})", 1) from exc
+        raise ParseError(f"truncated or garbled snapshot ({exc!r})") from exc

@@ -41,9 +41,9 @@ def read_model_meta(path: str, kind: str) -> dict:
     try:
         meta = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
-        raise ParseError(f"{meta_path(path)}: not JSON ({exc})", 1) from exc
+        raise ParseError(f"{meta_path(path)}: not JSON ({exc})") from exc
     if not isinstance(meta, dict):
-        raise ParseError(f"{meta_path(path)}: not a JSON object", 1)
+        raise ParseError(f"{meta_path(path)}: not a JSON object")
     if meta.get("kind") != kind:
         raise ValueError(
             f"model at {path} is a {meta.get('kind')!r}, expected {kind!r}"
@@ -80,8 +80,8 @@ def load_params(path: str) -> dict[str, np.ndarray]:
         if magic[:4] == MODEL_MAGIC[:4]:
             raise ParseError(f"model format {magic.decode('latin-1')} is no "
                              "longer read; re-train it with `qakb "
-                             "train-pipeline` or `qakb train-e2e`", 1)
-        raise ParseError(f"bad model header {magic!r}", 1)
+                             "train-pipeline` or `qakb train-e2e`")
+        raise ParseError(f"bad model header {magic!r}")
     out: dict[str, np.ndarray] = {}
     try:
         (count,) = struct.unpack("<I", buf.read(4))
@@ -89,25 +89,24 @@ def load_params(path: str) -> dict[str, np.ndarray]:
             (name_len,) = struct.unpack("<H", buf.read(2))
             name = buf.read(name_len).decode("utf-8")
             if name in out:
-                raise ParseError(f"parameter {name!r} appears twice", 1)
+                raise ParseError(f"parameter {name!r} appears twice")
             (ndim,) = struct.unpack("<B", buf.read(1))
             shape = tuple(
                 struct.unpack("<I", buf.read(4))[0] for _ in range(ndim)
             )
             size = math.prod(shape)
             if size * 8 > len(data) - buf.tell():
-                raise ParseError(f"truncated data for parameter {name!r}", 1)
+                raise ParseError(f"truncated data for parameter {name!r}")
             raw = buf.read(size * 8)
             try:
                 arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
             except ValueError as exc:  # over 64 dims, or a zero-size shape
                 # whose other dims overflow numpy's size
                 raise ParseError(
-                    f"bad shape {shape} for parameter {name!r}", 1
-                ) from exc
+                    f"bad shape {shape} for parameter {name!r}") from exc
             out[name] = arr.copy()
     except (struct.error, UnicodeDecodeError) as exc:
-        raise ParseError(f"truncated or garbled snapshot ({exc})", 1) from exc
+        raise ParseError(f"truncated or garbled snapshot ({exc})") from exc
     return out
 
 
@@ -155,6 +154,6 @@ def load_model(cls, path: str):
         model = cls.from_meta(meta)
     except (KeyError, TypeError, IndexError, MemoryError) as exc:
         raise ParseError(
-            f"{meta_path(path)}: malformed payload ({exc!r})", 1) from exc
+            f"{meta_path(path)}: malformed payload ({exc!r})") from exc
     restore_params(model.parameters(), load_params(path))
     return model

@@ -12,7 +12,7 @@ answer per question.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -393,106 +393,78 @@ def _question_candidates(
     return cands, span_list
 
 
-def _relation_scores(session: "PipelineStrategy", question: str,
-                     tokens: list[str], cands: Sequence[CandidateEntity]
-                     ) -> dict[str, float]:
-    relations = sorted({r for c in cands
-                        for r in relations_of(session.kb, c.id)})
-    if not relations:
+class _Row(NamedTuple):
+    """A candidate paired with its best-scoring own relation; ``s_t`` is
+    0 for an untyped entity and None when the strategy does not consult
+    the type."""
+
+    cand: CandidateEntity
+    relation: str
+    s_r: float
+    s_t: Optional[float]
+    out_degree: int
+
+
+def _rank(session: "PipelineStrategy", question: str,
+          tokens: list[str]) -> Prediction:
+    """Pair each candidate that has relations with its best own relation
+    (ties by name), sort the rows by the strategy's key, then retrieval
+    score and id, and answer with the first.
+
+    A holder of the best relation overall has it as its own best, so a
+    key that starts with ``(-s_r, relation)`` ranks exactly those holders
+    first and orders them by the context after it.
+    """
+    kb = session.kb
+    cands, span_list = _question_candidates(session, question, tokens)
+    owned = [(c, relations_of(kb, c.id)) for c in cands]
+    rel_scores = {r: session.relation_score(question, tokens, r)
+                  for r in sorted({r for _, rels in owned for r in rels})}
+    if not rel_scores:
         raise NoRelation(f"no relations for candidates of {question!r}")
-    return {r: session.relation_score(question, tokens, r)
-            for r in relations}
-
-
-def _argmax_relation(scores: dict[str, float]) -> str:
-    return min(scores, key=lambda r: (-scores[r], r))
-
-
-def _type_score(session: "PipelineStrategy", question: str,
-                tokens: list[str], entity: str) -> float:
-    """Type-matcher score for an entity; untyped entities contribute 0."""
-    label = notable_type(session.kb, entity)
-    if label is None:
-        return 0.0
-    return session.type_score(question, tokens, label)
-
-
-def _base_trace(span_list: list[str], cands: Sequence[CandidateEntity],
-                rel_scores: dict[str, float]) -> dict:
-    return {
+    rows = []
+    for cand, rels in owned:
+        if rels:
+            best = min(rels, key=lambda r: (-rel_scores[r], r))
+            label = notable_type(kb, cand.id)
+            s_t = (None if session.type_score is None
+                   else 0.0 if label is None
+                   else session.type_score(question, tokens, label))
+            rows.append(_Row(cand, best, rel_scores[best], s_t,
+                             out_degree(kb, cand.id)))
+    key = _RANKINGS[session.name][1]
+    rows.sort(key=lambda row: (*key(row), -row.cand.score, row.cand.id))
+    top = rows[0]
+    trace = {
         "spans": list(span_list),
         "candidates": [[c.id, c.score] for c in cands],
-        "relations": sorted(
-            ([r, s] for r, s in rel_scores.items()),
-            key=lambda item: (-item[1], item[0]),
-        ),
+        "relations": sorted(([r, s] for r, s in rel_scores.items()),
+                            key=lambda item: (-item[1], item[0])),
+        "ranked": [[row.cand.id, row.relation, row.s_r, row.s_t,
+                    row.out_degree, row.cand.score] for row in rows],
     }
+    return Prediction(entity=top.cand.id, relation=top.relation, s_r=top.s_r,
+                      s_t=top.s_t,
+                      s=top.s_r if top.s_t is None else top.s_t + top.s_r,
+                      trace=trace)
 
 
-def _rank_holders(session: "PipelineStrategy", question: str,
-                  tokens: list[str], fields: tuple[str, ...]) -> Prediction:
-    """Argmax relation over all candidates; its holders are ordered by the
-    strategy's context ``fields`` in turn (highest out-degree, highest type
-    score), then by retrieval score and id, and the first wins.  Each field
-    after the first only matters among holders tied under those before."""
-    kb = session.kb
-    cands, span_list = _question_candidates(session, question, tokens)
-    rel_scores = _relation_scores(session, question, tokens, cands)
-    best_rel = _argmax_relation(rel_scores)
-    holders = [c for c in cands if best_rel in relations_of(kb, c.id)]
-    uses_type = "type" in fields
-    typed = ({c.id: _type_score(session, question, tokens, c.id)
-              for c in holders} if uses_type else {})
-    context = {"out_degree": lambda c: out_degree(kb, c.id),
-               "type": lambda c: typed[c.id]}
-    holders.sort(key=lambda c: (*(-context[f](c) for f in fields),
-                                -c.score, c.id))
-    top = holders[0]
-    s_r = rel_scores[best_rel]
-    s_t = typed[top.id] if uses_type else None
-    trace = _base_trace(span_list, cands, rel_scores)
-    trace["holders"] = [
-        [c.id, out_degree(kb, c.id), *([typed[c.id]] if uses_type else []),
-         c.score] for c in holders
-    ]
-    return Prediction(entity=top.id, relation=best_rel, s_r=s_r, s_t=s_t,
-                      s=s_r if s_t is None else s_t + s_r, trace=trace)
-
-
-def _rank_pairs(session: "PipelineStrategy", question: str,
-                tokens: list[str], fields: tuple[str, ...]) -> Prediction:
-    """Rank (entity, best-own-relation) pairs by type + relation score,
-    then out-degree; ``fields`` is ``("type",)``, which the score holds."""
-    kb = session.kb
-    cands, span_list = _question_candidates(session, question, tokens)
-    rel_scores = _relation_scores(session, question, tokens, cands)
-    entries = []
-    for cand in cands:
-        own = {r: rel_scores[r] for r in relations_of(kb, cand.id)}
-        if not own:
-            continue
-        best_rel = _argmax_relation(own)
-        s_r = own[best_rel]
-        s_t = _type_score(session, question, tokens, cand.id)
-        entries.append((cand, best_rel, s_r, s_t, s_t + s_r))
-    entries.sort(key=lambda e: (-e[4], -out_degree(kb, e[0].id), -e[0].score,
-                                e[0].id))
-    cand, best_rel, s_r, s_t, s = entries[0]
-    trace = _base_trace(span_list, cands, rel_scores)
-    trace["pairs"] = [[c.id, r, st, sr, ss] for c, r, sr, st, ss in entries]
-    return Prediction(entity=cand.id, relation=best_rel, s_r=s_r, s_t=s_t,
-                      s=s, trace=trace)
-
-
-# Each strategy's ranker and the context it consults besides the matcher
-# scores, in the order the ranker breaks ties by it; a strategy that
-# consults "type" needs the type matcher.
-_RANKINGS = {
-    "p-qa": (_rank_holders, ()),
-    "p-qa-out": (_rank_holders, ("out_degree",)),
-    "p-qa-type": (_rank_pairs, ("type",)),
-    "p-qa-out-type": (_rank_holders, ("out_degree", "type")),
-    "p-qa-type-out": (_rank_holders, ("type", "out_degree")),
+# Each strategy's context besides the matcher scores, as eval's error
+# classes count it (a strategy that consults "type" needs the type
+# matcher), and its sort key over ranked rows.  The key of every strategy
+# but p-qa-type starts with the best relation and breaks ties among its
+# holders by the context, in order; p-qa-type sums the type and relation
+# scores and breaks ties by out-degree, which it does not count as
+# consulted context.
+_RANKINGS: dict[str, tuple[tuple[str, ...], Callable[[_Row], tuple]]] = {
+    "p-qa": ((), lambda r: (-r.s_r, r.relation)),
+    "p-qa-out": (("out_degree",),
+                 lambda r: (-r.s_r, r.relation, -r.out_degree)),
+    "p-qa-type": (("type",), lambda r: (-(r.s_t + r.s_r), -r.out_degree)),
+    "p-qa-out-type": (("out_degree", "type"),
+                      lambda r: (-r.s_r, r.relation, -r.out_degree, -r.s_t)),
+    "p-qa-type-out": (("type", "out_degree"),
+                      lambda r: (-r.s_r, r.relation, -r.s_t, -r.out_degree)),
 }
 
 STRATEGIES = tuple(_RANKINGS)
@@ -502,7 +474,7 @@ def context_fields(strategy: str) -> tuple[str, ...]:
     """The context a strategy consults besides the matcher scores:
     ``"out_degree"``, ``"type"``, both or neither."""
     try:
-        return _RANKINGS[strategy][1]
+        return _RANKINGS[strategy][0]
     except KeyError:
         raise ValueError(f"unknown strategy {strategy!r}") from None
 
@@ -554,8 +526,7 @@ class PipelineStrategy:
     def prediction(self, question: str) -> Prediction:
         """The answer with its score decomposition and ranking trace.
         The question is tokenized once, for every stage."""
-        ranker, fields = _RANKINGS[self.name]
-        return ranker(self, question, tokenize(question), fields)
+        return _rank(self, question, tokenize(question))
 
     def answer(self, question: str) -> tuple[str, str, dict[str, float]]:
         """``(entity, relation, scores)``; NoCandidates or NoRelation when

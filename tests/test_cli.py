@@ -1076,6 +1076,31 @@ def test_retraining_without_type_pairs_drops_the_type_matcher(
         assert err.startswith(f"error: {tmp_path / 'p' / 'type.nn'}: ")
 
 
+def test_failed_retraining_keeps_every_earlier_stage(snapshots, capsys,
+                                                    tmp_path):
+    """``train-pipeline`` into a directory that holds an earlier run's
+    stages, with a stage it cannot train, exits 2 naming that stage's
+    file and saves no stage, so answering never mixes two runs."""
+    bench, models = snapshots
+    shutil.copytree(models["pipeline"], tmp_path / "p")
+    shutil.copytree(models["pipeline"].parent / "data", tmp_path / "data")
+    pairs = tmp_path / "data" / "relation_pairs.tsv"
+    pairs.write_text(pairs.read_text().split("\n", 1)[0] + "\n")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "p").iterdir()}
+    assert len(before) == 6
+    capsys.readouterr()
+    code, stdout, err = run(capsys, "train-pipeline", "--data",
+                            str(tmp_path / "data"), "--out",
+                            str(tmp_path / "p"), "--epochs", "1",
+                            "--hidden-size", "4", "--embed-dim", "6",
+                            "--seed", "7")
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {pairs}: no matcher pairs to train on\n"
+    assert {p.name: p.read_bytes()
+            for p in (tmp_path / "p").iterdir()} == before
+
+
 @pytest.mark.parametrize("name, other", [("type", "relation"),
                                          ("relation", "type")])
 def test_matcher_under_the_other_matchers_name_is_data_error(
@@ -1170,6 +1195,33 @@ class TestCorruptSnapshots:
     ])
     def test_exits_2_without_traceback(self, snapshots, capsys, tmp_path,
                                        target, how):
+        code, stdout, err = self._answer_damaged(snapshots, capsys, tmp_path,
+                                                 target, how)
+        assert code == 2, err
+        assert stdout == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("target, how, says", [
+        ("meta", "[1, 2]", "{model}: {model}.meta.json: not a JSON object"),
+        ("nn", "NNQA1", "{model}: model format NNQA1 is no longer read"),
+        ("kb", "KBQA9", "{kb}: snapshot format KBQA9 is no longer read"),
+        ("kb", "garble:40", "{kb}: truncated or garbled snapshot"),
+    ], ids=["sidecar", "nn-header", "kb-header", "kb-garbled"])
+    def test_whole_file_fault_names_no_line(self, snapshots, capsys,
+                                            tmp_path, target, how, says):
+        """A fault of a whole snapshot file, which has no lines, is
+        reported with the file's name and no line number."""
+        code, stdout, err = self._answer_damaged(snapshots, capsys, tmp_path,
+                                                 target, how)
+        assert code == 2, err
+        assert stdout == ""
+        assert err.startswith("error: " + says.format(
+            model=tmp_path / "m.nn", kb=tmp_path / "kb.qakb"))
+        assert "line 1:" not in err
+
+    def _answer_damaged(self, snapshots, capsys, tmp_path, target, how):
+        """``answer``'s exit code, stdout and stderr with a copy of the
+        KB, the qa-t snapshot or its sidecar damaged as ``how`` says."""
         bench, models = snapshots
         capsys.readouterr()
         kb, model = tmp_path / "kb.qakb", tmp_path / "m.nn"
@@ -1182,12 +1234,8 @@ class TestCorruptSnapshots:
         self._damage({"kb": kb, "nn": model, "meta": meta}[target], how)
         qfile = tmp_path / "q.txt"
         qfile.write_text("anything\n")
-        code, stdout, err = run(capsys, "answer", "--kb", str(kb),
-                                "--model", str(model), "--variant", "qa-t",
-                                "--questions", str(qfile))
-        assert code == 2, err
-        assert stdout == ""
-        assert err.startswith("error: ") and "Traceback" not in err
+        return run(capsys, "answer", "--kb", str(kb), "--model", str(model),
+                   "--variant", "qa-t", "--questions", str(qfile))
 
     @pytest.mark.parametrize("name", ["tagger.nn", "relation.nn", "type.nn"])
     @pytest.mark.parametrize("target, how", [

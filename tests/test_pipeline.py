@@ -4,18 +4,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import qakb.aliasindex
 import qakb.nn.layers
 import qakb.nn.tensor
 import qakb.pipeline
-from qakb.aliasindex import build_index, tokenize
+from qakb.aliasindex import build_index, retrieve_candidates, tokenize
 from qakb.datagen import LabeledQuestion, label_questions
 from qakb.errors import EmptyTrainingSet, NoCandidates, NoRelation
 from qakb.evalharness import (SyntheticSpec, answer_record,
                               generate_synthetic, predict)
-from qakb.kb import Fact, build_kb
+from qakb.kb import Fact, build_kb, notable_type, out_degree, relations_of
 from qakb.nn import (TrainConfig, bidirectional_encode, dropout,
                      finite_diff_check, fit, loss_binary_ce,
                      loss_categorical_ce)
@@ -303,7 +304,11 @@ class TestPredictPQA:
         ids = [c[0] for c in p.trace["candidates"]]
         assert ids == ["m.0a01", "m.0g01"]
         assert p.trace["relations"][0] == ["/d/x/founded", 0.9]
-        assert [h[0] for h in p.trace["holders"]] == ["m.0a01", "m.0g01"]
+        # [id, relation, s_r, s_t, out-degree, retrieval score]; p-qa
+        # consults no type, and both holders tie on everything but the id
+        assert p.trace["ranked"] == [
+            [entity, "/d/x/founded", 0.9, None, degree, score]
+            for (entity, score), degree in zip(p.trace["candidates"], (2, 9))]
 
 
 class TestPredictPQAOut:
@@ -397,8 +402,9 @@ class TestPredictPQAType:
             type_table={(q, "musical recording"): 0.9, (q, "film"): 0.1},
         )
         p = _prediction("p-qa-type", q, models, kb, index)
-        scores = [pair[4] for pair in p.trace["pairs"]]
+        scores = [s_t + s_r for _, _, s_r, s_t, _, _ in p.trace["ranked"]]
         assert scores == sorted(scores, reverse=True)
+        assert p.s == scores[0]
 
     def test_requires_type_matcher(self):
         kb = _ambiguous_kb()
@@ -477,18 +483,23 @@ class TestPredictCombo:
             second.entity, second.relation, second.s
         )
 
-    @pytest.mark.parametrize("strategy, row_len", [
+    @pytest.mark.parametrize("strategy, numbers", [
         ("p-qa", 3), ("p-qa-out", 3), ("p-qa-out-type", 4),
         ("p-qa-type-out", 4)])
     def test_holder_rows_carry_type_only_when_consulted(self, strategy,
-                                                        row_len):
+                                                        numbers):
+        """Each ranked row holds s_r, out-degree and retrieval score, and
+        s_t only when the strategy consults the type."""
         kb = _ambiguous_kb()
         index = build_index(kb)
         q = "who founded acme"
         models = self._acme_models(q, {(q, "film"): 0.7})
         p = _prediction(strategy, q, models, kb, index)
-        assert [len(row) for row in p.trace["holders"]] == [row_len] * 2
-        assert (p.s_t is None) == (row_len == 3)
+        rows = p.trace["ranked"]
+        assert sorted(row[0] for row in rows) == ["m.0a01", "m.0g01"]
+        assert [sum(v is not None for v in row[2:]) for row in rows] == (
+            [numbers] * 2)
+        assert (p.s_t is None) == (numbers == 3)
 
     def test_unknown_order_raises(self):
         kb = _ambiguous_kb()
@@ -496,6 +507,98 @@ class TestPredictCombo:
         models = _models({"acme"}, {}, type_table={})
         with pytest.raises(ValueError):
             PipelineStrategy("p-qa-typefirst", models, kb, index)
+
+
+_RANK_RELATIONS = ("/d/x/a", "/d/x/b", "/d/x/c")
+# few distinct scores, so relation, type and summed scores often tie
+_RANK_SCORES = st.sampled_from((0.25, 0.5, 0.75))
+
+
+@st.composite
+def _ranking_cases(draw):
+    """Up to five entities whose aliases hold the span "acme corp", each
+    with up to three relations (none, for some) of one or two facts each,
+    so out-degrees often tie, and an optional notable type.  An alias
+    equal to the span ties every retrieval score; longer ones score by
+    their length.  Then a score per relation and per type label."""
+    facts, aliases, types = [], [], []
+    for i in range(draw(st.integers(1, 5))):
+        entity = f"m.0e{i}"
+        aliases.append((entity, draw(st.sampled_from(
+            ("acme corp", "big acme corp", "acme corp inc",
+             "the big acme corp")))))
+        for rel in draw(st.lists(st.sampled_from(_RANK_RELATIONS),
+                                 max_size=3, unique=True)):
+            facts += [Fact(entity, rel, f"m.0o{i}{k}")
+                      for k in range(draw(st.integers(1, 2)))]
+        label = draw(st.sampled_from((None, "film", "song")))
+        if label is not None:
+            types.append((entity, label))
+    rel_scores = {r: draw(_RANK_SCORES) for r in _RANK_RELATIONS}
+    type_scores = {label: draw(_RANK_SCORES) for label in ("film", "song")}
+    return build_kb(facts, aliases, types), rel_scores, type_scores
+
+
+def _reference_answer(strategy, kb, cands, rel_scores, type_scores):
+    """(entity, relation, s_r, s_t, s) by the two rules the strategies
+    were first written as: p-qa-type sorts each candidate's best own
+    relation by type + relation score, then out-degree; the others take
+    the best relation overall and sort its holders by the context fields
+    in turn.  Both end on retrieval score, then id."""
+    scores = {r: rel_scores[r] for c in cands for r in relations_of(kb, c.id)}
+    if not scores:
+        raise NoRelation("no relations")
+
+    def type_of(cand):
+        label = notable_type(kb, cand.id)
+        return 0.0 if label is None else type_scores[label]
+
+    def best_of(relations):
+        return min(relations, key=lambda r: (-scores[r], r))
+
+    if strategy == "p-qa-type":
+        pairs = [(c, best_of(relations_of(kb, c.id)), type_of(c))
+                 for c in cands if relations_of(kb, c.id)]
+        pairs.sort(key=lambda e: (-(e[2] + scores[e[1]]),
+                                  -out_degree(kb, e[0].id), -e[0].score,
+                                  e[0].id))
+        top, best, s_t = pairs[0]
+        return top.id, best, scores[best], s_t, s_t + scores[best]
+    fields = context_fields(strategy)
+    best = best_of(scores)
+    context = {"out_degree": lambda c: out_degree(kb, c.id), "type": type_of}
+    holders = sorted((c for c in cands if best in relations_of(kb, c.id)),
+                     key=lambda c: (*(-context[f](c) for f in fields),
+                                    -c.score, c.id))
+    s_r = scores[best]
+    s_t = type_of(holders[0]) if "type" in fields else None
+    return holders[0].id, best, s_r, s_t, s_r if s_t is None else s_t + s_r
+
+
+class TestRankEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(_ranking_cases())
+    def test_every_strategy_matches_its_reference_rule(self, case):
+        """The one sort over (candidate, best relation) rows answers as
+        the holders rule and the pairs rule did, for every strategy."""
+        kb, rel_scores, type_scores = case
+        q = "who x acme corp"
+        models = _models(
+            {"acme", "corp"}, {(q, r): s for r, s in rel_scores.items()},
+            type_table={(q, label): s for label, s in type_scores.items()})
+        index = build_index(kb)
+        cands = retrieve_candidates(index, ["acme", "corp"])
+        assert cands  # every alias holds the span
+        for strategy in STRATEGIES:
+            try:
+                expect = _reference_answer(strategy, kb, cands, rel_scores,
+                                           type_scores)
+            except NoRelation:
+                with pytest.raises(NoRelation):
+                    _prediction(strategy, q, models, kb, index)
+                continue
+            p = _prediction(strategy, q, models, kb, index)
+            assert (p.entity, p.relation, p.s_r, p.s_t, p.s) == expect
 
 
 class TestPredictDispatcher:
@@ -623,10 +726,10 @@ class TestSession:
         seen = 0
         for q in questions:
             try:
-                pairs = session.prediction(q).trace["pairs"]
+                rows = session.prediction(q).trace["ranked"]
             except (NoCandidates, NoRelation):
                 continue
-            for entity, rel, s_t, s_r, _ in pairs:
+            for entity, rel, s_r, s_t, _, _ in rows:
                 assert s_r == models.relation_matcher.score(q, rel)
                 label = kb.entities[entity].notable_type
                 if label is not None:

@@ -17,7 +17,7 @@ import string
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from qakb.kb import KnowledgeBase, collector_paused
+from qakb.kb import KnowledgeBase
 
 _PUNCT = string.punctuation
 MAX_NGRAM = 3  # longest gram, in tokens, that indexing and retrieval use
@@ -112,33 +112,32 @@ def build_index(kb: KnowledgeBase) -> AliasIndex:
     side only, otherwise a two-word query gram could never reach a
     three-word alias.
     """
-    with collector_paused():
-        exact: dict[str, list[str]] = {}
-        gram_to_entities: dict[str, list[str]] = {}
-        entity_aliases: dict[str, list[str]] = {}
-        for mid in sorted(mid for mid, rec in kb.entities.items()
-                          if rec.aliases):
-            normed: list[str] = []
-            for alias in kb.entities[mid].aliases:
-                tokens = tokenize(alias)
-                norm = " ".join(tokens)
-                if not norm or norm in normed:
-                    continue
-                normed.append(norm)
-                # mids arrive sorted and each finishes before the next, so
-                # a mid already in a bucket is its last entry
-                bucket = exact.setdefault(norm, [])
-                if not bucket or bucket[-1] != mid:
-                    bucket.append(mid)
-                # a one-token alias is its own only gram
-                for gram in (all_ngrams(tokens) if len(tokens) > 1
-                             else (norm,)):
-                    gbucket = gram_to_entities.setdefault(gram, [])
-                    if not gbucket or gbucket[-1] != mid:
-                        gbucket.append(mid)
-            if normed:
-                entity_aliases[mid] = normed
-        return AliasIndex(exact, gram_to_entities, entity_aliases)
+    exact: dict[str, list[str]] = {}
+    gram_to_entities: dict[str, list[str]] = {}
+    entity_aliases: dict[str, list[str]] = {}
+    for mid in sorted(mid for mid, rec in kb.entities.items()
+                      if rec.aliases):
+        normed: list[str] = []
+        for alias in kb.entities[mid].aliases:
+            tokens = tokenize(alias)
+            norm = " ".join(tokens)
+            if not norm or norm in normed:
+                continue
+            normed.append(norm)
+            # mids arrive sorted and each finishes before the next, so
+            # a mid already in a bucket is its last entry
+            bucket = exact.setdefault(norm, [])
+            if not bucket or bucket[-1] != mid:
+                bucket.append(mid)
+            # a one-token alias is its own only gram
+            for gram in (all_ngrams(tokens) if len(tokens) > 1
+                         else (norm,)):
+                gbucket = gram_to_entities.setdefault(gram, [])
+                if not gbucket or gbucket[-1] != mid:
+                    gbucket.append(mid)
+        if normed:
+            entity_aliases[mid] = normed
+    return AliasIndex(exact, gram_to_entities, entity_aliases)
 
 
 def _matched_alias_for(index: AliasIndex, entity: str, gram: str) -> str:

@@ -140,6 +140,11 @@ def label_entity_span(
     longer grams, then earlier positions, then earlier aliases).  If even
     the best pair shares no characters — distance at least the longer
     string's length — the question is rejected.
+
+    A gram equal to an alias has distance 0, which no pair beats, so the
+    longest, then earliest such gram is that minimum and is taken without
+    computing any distance; the full gram-by-alias search runs only when
+    no gram equals an alias.
     """
     tokens = q.tokens
     n = len(tokens)
@@ -148,6 +153,11 @@ def label_entity_span(
         raise LabelFailure(
             f"cannot label {q.text!r}: need at least 2 tokens and 1 alias"
         )
+    alias_set = set(aliases)
+    for length in range(n - 1, 0, -1):
+        for start in range(0, n - length + 1):
+            if " ".join(tokens[start:start + length]) in alias_set:
+                return _span_labels(tokens, start, start + length)
     best: Optional[tuple[int, int, int, int]] = None  # (dist, -len, start, alias_i)
     best_span: Optional[tuple[int, int]] = None
     best_alias = ""
@@ -167,9 +177,13 @@ def label_entity_span(
         raise LabelFailure(
             f"no plausible span for alias {best_alias!r} in {q.text!r}"
         )
-    tags = tuple(
-        "e" if best_span[0] <= i < best_span[1] else "c" for i in range(n)
-    )
+    return _span_labels(tokens, *best_span)
+
+
+def _span_labels(tokens: tuple[str, ...], start: int,
+                 end: int) -> LabeledQuestion:
+    """``tokens`` with ``start:end`` tagged "e" and the rest "c"."""
+    tags = tuple("e" if start <= i < end else "c" for i in range(len(tokens)))
     return LabeledQuestion(tokens=tokens, tags=tags)
 
 

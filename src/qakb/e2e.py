@@ -570,6 +570,23 @@ def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
 # Answering
 # ---------------------------------------------------------------------------
 
+def _char_rows(model: E2EModel,
+               summaries: dict[str, np.ndarray]) -> CharRows:
+    """A word's :meth:`WordEncoder.char_summary`, kept in ``summaries``
+    when the word is in the model's vocabulary; an out-of-vocabulary
+    word's is run afresh on every use."""
+    def char_row(word: str) -> np.ndarray:
+        vec = summaries.get(word)
+        if vec is None:
+            words = model.words
+            vec = words.char_summary(word)
+            if word in words.word_table.vocab:
+                summaries[word] = vec
+        return vec
+
+    return char_row
+
+
 class E2EStrategy:
     """One model answering a stream of questions on arrays, as one
     session: answering makes no :class:`~qakb.nn.tensor.Tensor`.
@@ -585,7 +602,7 @@ class E2EStrategy:
     on first use and kept for the session, keyed by their raw text, so a
     text seen before is not tokenized again; question encodings are not
     kept.  With char mode every encode takes each word's char part from
-    :meth:`char_row`, which keeps the summaries of vocabulary words, so a
+    :attr:`char_row`, which keeps the summaries of vocabulary words, so a
     warm session runs no char-GRU.  Memory is bounded by the KB's texts
     plus the vocabulary.  A session must not outlive a change to the
     model's weights.  ``variant`` must be the model's own, except for the
@@ -609,27 +626,18 @@ class E2EStrategy:
             if used)
         # char summaries of vocabulary words, filled on first use
         self.summaries: dict[str, np.ndarray] = {}
+        # the closures hold the model and the table, not the session, so
+        # a dropped session is freed by reference counting
+        self.char_row = char_row = _char_rows(model, self.summaries)
 
         # looked up on each miss, so a wrapper put on the model's
         # encode_text after the session was built still sees every miss
         def encode(tokens: tuple[str, ...]) -> np.ndarray:
-            return self.model.encode_text(tokens, self.char_row)
+            return model.encode_text(tokens, char_row)
 
         # subject labels and type labels, and relation paths
         self.labels = EncodeCache(encode, tokenize)
         self.relations = EncodeCache(encode, relation_tokens)
-
-    def char_row(self, word: str) -> np.ndarray:
-        """The word's :meth:`WordEncoder.char_summary`, kept for the
-        session when the word is in the model's vocabulary; an
-        out-of-vocabulary word's is run afresh on every use."""
-        vec = self.summaries.get(word)
-        if vec is None:
-            words = self.model.words
-            vec = words.char_summary(word)
-            if word in words.word_table.vocab:
-                self.summaries[word] = vec
-        return vec
 
     @cached_property
     def label(self) -> tuple[str, str]:

@@ -9,12 +9,10 @@ so the rest of the package never sees raw dump spellings.
 
 from __future__ import annotations
 
-import gc
 import json
 import logging
 import re
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -32,21 +30,6 @@ _TYPE_ASSIGN_RELATION = "/common/topic/notable_types"
 # An id spelled only with these characters has no prefix, slash, capital or
 # space, so canonicalize_mid returns it unchanged.
 _CANONICAL_MID = re.compile(r"[0-9a-z_.]+")
-
-
-@contextmanager
-def collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector for the block, then restore its
-    state.  Building a KB or its index makes tens of thousands of objects
-    and frees none, so the collector's passes over them would find nothing
-    to free."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +516,9 @@ def _kb_from_payload(payload: dict) -> KnowledgeBase:
 
 
 def load_kb(path: str) -> KnowledgeBase:
-    """Read a snapshot written by :func:`save_kb`, with the collector
-    paused; ParseError when the bytes are not one, or not one of this
-    format, or when a field has the wrong JSON type or an index is out of
-    range."""
+    """Read a snapshot written by :func:`save_kb`; ParseError when the
+    bytes are not one, or not one of this format, or when a field has the
+    wrong JSON type or an index is out of range."""
     with open(path, "rb") as fh:
         magic = fh.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
@@ -548,11 +530,10 @@ def load_kb(path: str) -> KnowledgeBase:
             raise ParseError(f"bad snapshot header {magic!r}")
         blob = fh.read()
     try:
-        with collector_paused():
-            # ValueError covers JSONDecodeError and UnicodeDecodeError
-            payload = json.loads(zlib.decompress(blob).decode("utf-8"))
-            if type(payload) is not dict:
-                raise _ill_typed("the payload is not an object")
-            return _kb_from_payload(payload)
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        payload = json.loads(zlib.decompress(blob).decode("utf-8"))
+        if type(payload) is not dict:
+            raise _ill_typed("the payload is not an object")
+        return _kb_from_payload(payload)
     except (zlib.error, ValueError, KeyError) as exc:
         raise ParseError(f"truncated or garbled snapshot ({exc!r})") from exc

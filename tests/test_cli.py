@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import gc
 import io
 import json
 import math
@@ -7,11 +8,14 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from qakb import cli
 from qakb.cli import (
     DataError,
     main,
@@ -1476,3 +1480,155 @@ class TestEval:
                          "--questions", str(bench / "test.tsv"),
                          "--out", str(tmp_path / "rep"))
         assert code == 1
+
+
+def _garbage_owner(obj) -> str:
+    """Where ``obj`` comes from: a function's own dotted name, else its
+    type's."""
+    if isinstance(obj, types.FunctionType):
+        return f"{obj.__module__}.{obj.__qualname__}"
+    return f"{type(obj).__module__}.{type(obj).__qualname__}"
+
+
+def _cyclic_garbage(argv):
+    """Run ``qakb <argv>`` with the collector off, from a collected heap;
+    its exit code and a Counter of what it left that only the cyclic
+    collector can free, by :func:`_garbage_owner`."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return code, Counter(map(_garbage_owner, gc.garbage))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.collect()
+        if enabled:
+            gc.enable()
+
+
+class TestCollectorPause:
+    """``main`` runs each command with the cyclic collector paused.  That
+    is safe because no command leaves a ``qakb`` object in a reference
+    cycle, and answering leaves the same garbage whatever the number of
+    questions; and ``main`` leaves the collector as it found it."""
+
+    @pytest.fixture(scope="class")
+    def size_s(self, tmp_path_factory):
+        """A benchmark at 60 entities with its pipeline data, a trained
+        pipeline, a qa-t-mwst snapshot and question files of 3 and of 30
+        questions."""
+        root = tmp_path_factory.mktemp("size-s")
+        bench = root / "bench"
+        kb, train = str(bench / "kb.qakb"), str(bench / "train.tsv")
+        small = ["--epochs", "1", "--hidden-size", "4", "--embed-dim", "6"]
+        assert main(["synth", "--seed", "1", "--entities", "60",
+                     "--out", str(bench)]) == 0
+        assert main(["gen-data", "--kb", kb, "--questions", train,
+                     "--out", str(root / "data")]) == 0
+        assert main(["train-pipeline", "--data", str(root / "data"),
+                     "--out", str(root / "pipeline"), *small]) == 0
+        assert main(["train-e2e", "--kb", kb, "--questions", train,
+                     "--variant", "qa-t-mwst", "--out", str(root / "m.nn"),
+                     *small]) == 0
+        rows = (bench / "train.tsv").read_text().splitlines(keepends=True)
+        for n in (3, 30):
+            (root / f"q{n}.tsv").write_text("".join(rows[:n]))
+            (root / f"q{n}.txt").write_text(
+                "".join(row.split("\t")[3] for row in rows[:n]))
+        (root / "facts.tsv").write_text("m.0a1\t/d/x/r\tm.0o1 m.0o2\n")
+        (root / "aliases.tsv").write_text("m.0a1\tAcme\nm.0o1\tJo\n")
+        return root
+
+    @staticmethod
+    def _argv(command, root, n=3):
+        kb, out = str(root / "bench" / "kb.qakb"), str(root / "out")
+        stacks = {"pipeline": ["--pipeline", str(root / "pipeline"),
+                               "--strategy", "p-qa-out-type"],
+                  "model": ["--model", str(root / "m.nn"),
+                            "--variant", "qa-t-mwst", "--out-degree-sort"],
+                  "oracle": ["--oracle", "--strategy", "p-qa-out"]}
+        name, _, stack = command.partition(":")
+        if name == "answer":
+            return ["answer", "--kb", kb, "--questions",
+                    str(root / f"q{n}.txt"), *stacks[stack]]
+        if name == "eval":
+            return ["eval", "--kb", kb, "--questions",
+                    str(root / f"q{n}.tsv"), "--out", out, *stacks[stack]]
+        small = ["--epochs", "1", "--hidden-size", "4", "--embed-dim", "6"]
+        return {
+            "synth": ["synth", "--seed", "2", "--entities", "60",
+                      "--out", out],
+            "ingest": ["ingest", "--facts", str(root / "facts.tsv"),
+                       "--aliases", str(root / "aliases.tsv"),
+                       "--out", str(root / "ingested.qakb")],
+            "gen-data": ["gen-data", "--kb", kb, "--questions",
+                         str(root / "bench" / "train.tsv"), "--out", out],
+            "train-pipeline": ["train-pipeline", "--data",
+                               str(root / "data"), "--out", out, *small],
+            "train-e2e": ["train-e2e", "--kb", kb, "--questions",
+                          str(root / "q30.tsv"), "--variant", "qa-t-mwst",
+                          "--out", str(root / "out.nn"), *small],
+        }[name]
+
+    @pytest.mark.parametrize("command", [
+        "synth", "ingest", "gen-data", "train-pipeline", "train-e2e",
+        "answer:pipeline", "answer:model", "eval:pipeline", "eval:model",
+        "eval:oracle"])
+    def test_no_qakb_object_is_cyclic_garbage(self, size_s, capsys,
+                                              command):
+        code, garbage = _cyclic_garbage(self._argv(command, size_s))
+        assert code == 0, capsys.readouterr().err
+        # argparse's parsers sit in cycles of their own, ours included
+        assert [owner for owner in garbage if owner.startswith("qakb.")
+                and owner != "qakb.cli._Parser"] == []
+        assert garbage["qakb.cli._Parser"] > 0
+
+    @pytest.mark.parametrize("command", [
+        "answer:pipeline", "answer:model", "eval:pipeline", "eval:model",
+        "eval:oracle"])
+    def test_garbage_does_not_grow_with_the_questions(self, size_s, capsys,
+                                                       command):
+        left = [_cyclic_garbage(self._argv(command, size_s, n))
+                for n in (3, 30)]
+        assert [code for code, _ in left] == [0, 0]
+        assert left[0][1] == left[1][1]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("outcome", ["exit-0", "exit-1", "exit-2",
+                                         "raises"])
+    def test_main_leaves_the_collector_as_it_found_it(
+            self, tmp_path, monkeypatch, capsys, enabled, outcome):
+        """Paused while the command runs, and as before once ``main``
+        returns or raises."""
+        seen = []
+        resolve = cli.resolve_seed
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            if outcome == "raises":
+                raise RuntimeError("escapes main")
+            return resolve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "resolve_seed", spy)
+        out = tmp_path / "bench"
+        if outcome == "exit-2":  # the output directory is a file
+            out.write_text("")
+        argv = ["synth", "--entities", "10", "--out", str(out),
+                "--seed", "-1" if outcome == "exit-1" else "1"]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if outcome == "raises":
+                with pytest.raises(RuntimeError, match="escapes main"):
+                    main(argv)
+            else:
+                assert main(argv) == int(outcome[-1])
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
+        assert after is enabled

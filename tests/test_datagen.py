@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qakb import datagen
 from qakb.aliasindex import build_index, retrieve_question_candidates
 from qakb.datagen import (
+    LabeledQuestion,
     build_drr,
     build_negative_pools,
     build_relation_domains,
@@ -95,6 +96,43 @@ def _q(text, subject="m.x", relation="/r/r/r", obj="m.y"):
     return make_question(text, Fact(subject, relation, obj))
 
 
+def _full_search_label(q, entity_aliases):
+    """``label_entity_span`` by the full search alone: every gram against
+    every alias, the least (distance, -length, start, alias index) wins."""
+    tokens = q.tokens
+    n = len(tokens)
+    aliases = [a.strip().lower() for a in entity_aliases if a.strip()]
+    if n < 2 or not aliases:
+        raise LabelFailure(
+            f"cannot label {q.text!r}: need at least 2 tokens and 1 alias"
+        )
+    best = None
+    for length in range(1, n):
+        for start in range(0, n - length + 1):
+            gram = " ".join(tokens[start:start + length])
+            for alias_i, alias in enumerate(aliases):
+                key = (levenshtein(gram, alias), -length, start, alias_i)
+                if best is None or key < best[0]:
+                    best = key, (start, start + length), alias
+    (dist, _, _, _), (lo, hi), alias = best
+    if dist >= max(len(" ".join(tokens[lo:hi])), len(alias)):
+        raise LabelFailure(
+            f"no plausible span for alias {alias!r} in {q.text!r}"
+        )
+    return LabeledQuestion(
+        tokens=tokens,
+        tags=tuple("e" if lo <= i < hi else "c" for i in range(n)))
+
+
+def _label_outcome(label, q, aliases):
+    """``label(q, aliases)``, or the message of the LabelFailure it
+    raises."""
+    try:
+        return label(q, aliases)
+    except LabelFailure as exc:
+        return f"LabelFailure: {exc}"
+
+
 class TestLabelEntitySpan:
     def test_exact_one_gram(self):
         got = label_entity_span(_q("where was obama born ?"), ["obama"])
@@ -157,6 +195,60 @@ class TestLabelEntitySpan:
                     assert d >= chosen_best
                     if d == chosen_best:
                         assert length <= len(span)
+
+    def test_verbatim_alias_computes_no_distance(self, monkeypatch):
+        calls = _count_levenshtein(monkeypatch)
+        got = label_entity_span(_q("who founded the acme co ?"),
+                                ["acme", "the acme co"])
+        assert got.span_tokens() == ["the", "acme", "co"]
+        assert calls[0] == 0
+        label_entity_span(_q("who founded the akme co ?"), ["acme"])
+        assert calls[0] > 0
+
+    @pytest.mark.parametrize("text, aliases", [
+        # repeated aliases
+        ("who is ab ab cd", ["cd", "ab", "ab", "cd"]),
+        # an alias that occurs twice
+        ("ab cd ef ab cd", ["ef", "ab cd"]),
+        # one alias inside a longer one, in either order
+        ("mayor of new york city now", ["new york", "new york city"]),
+        ("mayor of new york city now", ["new york city", "new york"]),
+        # no exact match
+        ("who wrote harry potter", ["hary potter", "harry poter"]),
+        # aliases are stripped and lower-cased before matching
+        ("where is ab cd", ["  AB Cd ", "ab"]),
+        # rejected: no shared character, one token, no usable alias
+        ("xx yy", ["qq"]),
+        ("obama", ["obama"]),
+        ("where was obama born", ["  ", ""]),
+    ])
+    def test_same_as_full_search(self, text, aliases):
+        q = _q(text)
+        assert (_label_outcome(label_entity_span, q, aliases)
+                == _label_outcome(_full_search_label, q, aliases))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.sampled_from(["ab", "abc", "b", "ba", "cd", "?"]),
+                    max_size=7),
+           st.data())
+    def test_same_as_full_search_on_random_questions(self, words, data):
+        """The exact-match shortcut labels every question as the full
+        search does, and rejects the same ones with the same message."""
+        q = _q(" ".join(words))
+        alias = st.one_of(
+            st.lists(st.sampled_from(["ab", "abc", "b", "ba", "cd", "xy"]),
+                     min_size=1, max_size=3).map(" ".join),
+            st.text(alphabet="abcxy ?", max_size=6))
+        if q.tokens:
+            # a run of the question's own tokens, so exact matches abound
+            n = len(q.tokens)
+            alias |= st.tuples(st.integers(0, n - 1),
+                               st.integers(1, n)).map(
+                lambda sl: " ".join(q.tokens[sl[0]:sl[0] + sl[1]]))
+        alias |= alias.map(lambda a: f" {a.upper()} ")
+        aliases = data.draw(st.lists(alias, max_size=5))
+        assert (_label_outcome(label_entity_span, q, aliases)
+                == _label_outcome(_full_search_label, q, aliases))
 
     def test_batch_counts_drops(self, tiny_kb):
         questions = [

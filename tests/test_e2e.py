@@ -1,6 +1,8 @@
 """Tests for the end-to-end ranking models."""
 
+import gc
 import logging
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -292,6 +294,28 @@ class TestArrayEncoding:
         for q in questions:
             session.answer(q)
         assert not made
+
+    @pytest.mark.parametrize("name", ["qa-t", "qa-t-mwst"])
+    def test_dropped_session_is_freed_by_reference_counting(self, name):
+        """A session, with its filled caches, sits in no reference cycle:
+        with the cyclic GC off, dropping it frees it."""
+        kb = song_kb()
+        qs, pools = song_training_set(kb)
+        variant = VARIANTS[name]
+        model, _ = train_e2e(qs, kb, pools, variant, small_cfg(epochs=1))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            session = E2EStrategy(model, variant, kb, build_index(kb))
+            for q in qs:
+                session.answer(q.text)
+            assert session.labels.table and session.relations.table
+            ref = weakref.ref(session)
+            del session
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestPadStates:

@@ -11,7 +11,9 @@ Runs ``qakb.cli.main`` in-process, in a fresh temporary directory, over:
   its char-GRU summary runs on every use;
 * ``answer``, ``eval`` and oracle ``eval`` for every pipeline strategy;
 * ``ingest`` of small TSV facts and aliases and N-Triples types, in
-  several id spellings and every literal escape;
+  several id spellings and every literal escape, then ``gen-data`` on that
+  KB over questions that mostly spell their subject's alias wrongly, so
+  span labelling falls back to edit distance;
 * ``synth`` and ``gen-data`` at 5,000 entities and 200 relations, then
   ``train-e2e --variant qa-t-mwst`` on 4 of its train questions and
   ``answer`` with that model over 20 of its test questions.
@@ -66,6 +68,19 @@ TYPES_NT = (
     f"<https://rdf.freebase.com/ns/m.0a02>\t{NOTABLE_TYPES} <{NS}m.0t02> .\n"
     f'<{NS}m.0t02> {TYPE_NAME} "Film \\"Noir\\"\\t\\\\ Drama"@en . \n'
     f'<{NS}m.0t02> {TYPE_NAME} "Film noir"@fr .\n'
+)
+
+# questions on the ingested KB: misspelled aliases ("akme", "flim",
+# "teh film", "jo's"), one verbatim, one question sharing no character
+# with its alias and one whose subject has none, which are dropped
+INGESTED_QUESTIONS_TSV = (
+    "m.0a01\t/business/company/founders\tm.0p01\twho founded akme ?\n"
+    "m.0a02\t/film/film/directed_by\tm.0p01\twho directed the flim\n"
+    "m.0a02\t/film/film/directed_by\tm.0p01\twhich teh film did jo make\n"
+    "m.0p01\t/business/company/founders\tm.0a01\tjo's company is what\n"
+    "m.0a01\t/business/company/founders\tm.0p02\twho started acme\n"
+    "m.0a01\t/business/company/founders\tm.0p02\txx qq\n"
+    "m.0a03\t/film/film/genre\tm.0p03\twhat genre is it\n"
 )
 
 
@@ -166,13 +181,17 @@ def run_workflow(w: Workflow, variants, strategies) -> None:
               "--strategy", strategy)
 
     inputs = {"facts.tsv": FACTS_TSV, "aliases.tsv": ALIASES_TSV,
-              "types.nt": TYPES_NT}
+              "types.nt": TYPES_NT,
+              "ingested-questions.tsv": INGESTED_QUESTIONS_TSV}
     for name, text in inputs.items():
         with open(w.path(name), "w", encoding="utf-8") as fh:
             fh.write(text)
     w.run("ingest", "ingest", "--facts", w.path("facts.tsv"), "--aliases",
           w.path("aliases.tsv"), "--types", w.path("types.nt"),
           "--out", w.path("ingested.qakb"))
+    w.run("gen-data-ingested", "gen-data", "--kb", w.path("ingested.qakb"),
+          "--questions", w.path("ingested-questions.tsv"),
+          "--out", w.path("ingested-data"))
 
     w.run("synth-m", "synth", "--seed", "1", "--entities", "5000",
           "--relations", "200", "--out", w.path("m"))

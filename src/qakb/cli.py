@@ -456,27 +456,19 @@ def cmd_eval(args: argparse.Namespace, config: Mapping[str, str]) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="qakb",
-                     description="Factoid question answering over a "
-                                 "knowledge base.")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log debug detail to stderr")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+def _common_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="key=value file merged under flags")
+    p.add_argument("--seed", type=int)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key=value file merged under flags")
-        p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("ingest", help="build a knowledge base snapshot")
+def _ingest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--facts", required=True)
     p.add_argument("--aliases")
     p.add_argument("--types")
     p.add_argument("--out", required=True)
-    common(p)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("synth", help="generate a synthetic benchmark")
+
+def _synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
     p.add_argument("--entities", type=int, default=60)
     p.add_argument("--relations", type=int, default=6)
@@ -488,37 +480,27 @@ def build_parser() -> _Parser:
                    default=False, dest="type_distinct")
     p.add_argument("--test-fraction", type=float, default=0.2,
                    dest="test_fraction")
-    common(p)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("gen-data", help="derive training files from questions")
+
+def _gen_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kb", required=True)
     p.add_argument("--questions", required=True)
     p.add_argument("--out", required=True)
-    common(p)
-    p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train-pipeline",
-                       help="train tagger and matchers from generated data")
-    p.add_argument("--data", required=True,
-                   help="directory from gen-data")
+
+def _train_pipeline_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--data", required=True, help="directory from gen-data")
     p.add_argument("--out", required=True)
     _add_train_flags(p)
-    common(p)
-    p.set_defaults(func=cmd_train_pipeline)
 
-    p = sub.add_parser("train-e2e", help="train an end-to-end ranking model")
-    p.add_argument("--kb", required=True)
-    p.add_argument("--questions", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--variant", required=True,
-                   choices=sorted(e2e.VARIANTS))
+
+def _train_e2e_flags(p: argparse.ArgumentParser) -> None:
+    _gen_data_flags(p)
+    p.add_argument("--variant", required=True, choices=sorted(e2e.VARIANTS))
     _add_train_flags(p)
-    common(p)
-    p.set_defaults(func=cmd_train_e2e)
 
-    p = sub.add_parser("answer",
-                       help="answer questions, one JSON line per question")
+
+def _answer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kb", required=True)
     p.add_argument("--pipeline", help="model directory from train-pipeline")
     p.add_argument("--strategy", choices=pipeline.STRATEGIES)
@@ -527,13 +509,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out-degree-sort", action="store_true",
                    dest="out_degree_sort")
     p.add_argument("--questions", help="file of questions; default stdin")
-    common(p)
-    p.set_defaults(func=cmd_answer)
 
-    p = sub.add_parser("eval", help="score a strategy and write reports")
-    p.add_argument("--kb", required=True)
-    p.add_argument("--questions", required=True)
-    p.add_argument("--out", required=True)
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
+    _gen_data_flags(p)
     p.add_argument("--pipeline")
     p.add_argument("--strategy", choices=pipeline.STRATEGIES)
     p.add_argument("--model")
@@ -542,9 +521,49 @@ def build_parser() -> _Parser:
                    dest="out_degree_sort")
     p.add_argument("--oracle", action="store_true",
                    help="use gold-keyed oracle stages")
-    common(p)
-    p.set_defaults(func=cmd_eval)
 
+
+# every subcommand, in the order help lists them: (name, help, flag adder,
+# handler); each also takes the common flags
+_COMMANDS = (
+    ("ingest", "build a knowledge base snapshot", _ingest_flags, cmd_ingest),
+    ("synth", "generate a synthetic benchmark", _synth_flags, cmd_synth),
+    ("gen-data", "derive training files from questions", _gen_data_flags,
+     cmd_gen_data),
+    ("train-pipeline", "train tagger and matchers from generated data",
+     _train_pipeline_flags, cmd_train_pipeline),
+    ("train-e2e", "train an end-to-end ranking model", _train_e2e_flags,
+     cmd_train_e2e),
+    ("answer", "answer questions, one JSON line per question", _answer_flags,
+     cmd_answer),
+    ("eval", "score a strategy and write reports", _eval_flags, cmd_eval),
+)
+_COMMAND_NAMES = tuple(name for name, *_ in _COMMANDS)
+
+
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The ``qakb`` parser.  Given a subcommand's name, only that
+    subcommand is registered, and the usage line still lists every name,
+    so it parses that subcommand's argv exactly as the full parser does;
+    given None or an unknown name, all of them are."""
+    parser = _Parser(prog="qakb",
+                     description="Factoid question answering over a "
+                                 "knowledge base.")
+    parser.add_argument("--verbose", action="store_true",
+                        help="log debug detail to stderr")
+    only = command in _COMMAND_NAMES
+    # the metavar is argparse's default for the full list of choices; set
+    # on the full parser it would also rename the action in its errors
+    metavar = "{" + ",".join(_COMMAND_NAMES) + "}" if only else None
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser,
+                                metavar=metavar)
+    for name, help_text, add_flags, handler in _COMMANDS:
+        if only and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        _common_flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -577,8 +596,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run(argv)
 
 
+def _command_name(argv: Sequence[str]) -> Optional[str]:
+    """The subcommand argparse will pick from ``argv``, or None when that
+    is not sure.  It is the first argument that does not start with ``-``,
+    because no top-level option takes a value (there are only ``-h`` and
+    ``--verbose``).  Only ``--verbose`` may precede it: after ``-h`` the
+    top-level help lists every subcommand, and argparse takes ``-1`` or
+    ``--`` as the subcommand's name, then lists every choice."""
+    for arg in argv:
+        if not arg.startswith("-"):
+            return arg
+        if arg != "--verbose":
+            return None
+    return None
+
+
 def _run(argv: Optional[Sequence[str]]) -> int:
-    parser = build_parser()
+    parser = build_parser(_command_name(sys.argv[1:] if argv is None
+                                        else argv))
     try:
         args = parser.parse_args(argv)
         logging.basicConfig(

@@ -255,6 +255,12 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.n_entities <= 0 or self.n_relations <= 0:
             raise ValueError("entity and relation counts must be positive")
+        # every relation and every entity takes one coined word
+        words = len(_SYLLABLES) ** 3
+        if self.n_entities + self.n_relations > words:
+            raise ValueError(f"{self.n_entities} entities and "
+                             f"{self.n_relations} relations need more than "
+                             f"the {words} coined words")
         if not 0.0 <= self.collision_rate <= 1.0:
             raise ValueError(f"collision rate {self.collision_rate} outside [0, 1]")
         if not 0.0 <= self.test_fraction < 1.0:

@@ -246,8 +246,9 @@ def parse_type_lines(lines: Iterable[str]) -> list[tuple[str, str]]:
     blank nor a ``#`` comment) holds type assignments (IRI objects) and
     type names (literal objects); each assignment is joined with its type
     id's name, in file order, and one whose type id has no name is dropped
-    with a warning.  A blank label or name is dropped, so its entity stays
-    untyped.
+    with a warning.  A name's whitespace runs (an escaped tab or newline
+    included) fold to single spaces.  A blank label or name is dropped, so
+    its entity stays untyped.
     """
     buffered = list(lines)
     first = next((s for s in map(str.strip, buffered)
@@ -258,7 +259,7 @@ def parse_type_lines(lines: Iterable[str]) -> list[tuple[str, str]]:
     assignments: list[tuple[str, str]] = []
     for subject, predicate, obj in parse_ntriples(buffered):
         if obj.is_literal:
-            name = obj.value.strip().lower()
+            name = " ".join(obj.value.split()).lower()
             if name and obj.lang in (None, "en"):
                 names[canonicalize_mid(subject)] = name
         else:

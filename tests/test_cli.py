@@ -471,6 +471,15 @@ class TestSynth:
                            "--collision-rate", "1.5")
         assert code == 1
 
+    def test_more_entities_than_words_is_usage_error(self, capsys, tmp_path):
+        """Rejected before any word is drawn, which would never end."""
+        code, out, err = run(capsys, "synth", "--out", str(tmp_path / "x"),
+                             "--entities", "8000", "--relations", "1")
+        assert (code, out) == (1, "")
+        assert err == ("error: 8000 entities and 1 relations need more "
+                       "than the 8000 coined words\n")
+        assert not (tmp_path / "x").exists()
+
 
 class TestGenData:
     def test_writes_training_files(self, bench, tmp_path, capsys):
@@ -566,6 +575,40 @@ class TestIngest:
                          "--types", str(tmp_path / f"types.{name}"),
                          "--out", str(kb)]) == 0
             assert notable_type(load_kb(str(kb)), "m.0a01") == "film", name
+
+    def test_whitespace_in_type_name_folds_to_spaces(self, tmp_path,
+                                                     capsys):
+        """An escaped tab in an N-Triples type name would split its line
+        of type_pairs.tsv; folded to a space, the pipeline trains on it."""
+        ns = "http://rdf.freebase.com/ns/"
+        (tmp_path / "facts.tsv").write_text(
+            "m.0a01\t/film/film/directed_by\tm.0p01\n"
+            "m.0a02\t/film/film/directed_by\tm.0p02\n")
+        (tmp_path / "aliases.tsv").write_text(
+            "m.0a01\tthe film\nm.0a02\tthe film\n")
+        (tmp_path / "types.nt").write_text(
+            f"<{ns}m.0a01> <{ns}common.topic.notable_types> <{ns}m.0t01> .\n"
+            f"<{ns}m.0a02> <{ns}common.topic.notable_types> <{ns}m.0t02> .\n"
+            f'<{ns}m.0t01> <{ns}type.object.name> '
+            f'" Film \\"Noir\\"\\t\\\\ \\n Drama"@en .\n'
+            f'<{ns}m.0t02> <{ns}type.object.name> "Person" .\n')
+        (tmp_path / "q.tsv").write_text(
+            "m.0a01\t/film/film/directed_by\tm.0p01\twho directed the film\n")
+        kb = tmp_path / "kb.qakb"
+        for argv in (
+                ["ingest", "--facts", str(tmp_path / "facts.tsv"),
+                 "--aliases", str(tmp_path / "aliases.tsv"),
+                 "--types", str(tmp_path / "types.nt"), "--out", str(kb)],
+                ["gen-data", "--kb", str(kb), "--questions",
+                 str(tmp_path / "q.tsv"), "--out", str(tmp_path / "data")],
+                ["train-pipeline", "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "models"), "--epochs", "1",
+                 "--hidden-size", "4", "--embed-dim", "6"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+        assert notable_type(load_kb(str(kb)), "m.0a01") == \
+            'film "noir" \\ drama'
+        assert (tmp_path / "models" / "type.nn").is_file()
 
     def test_types_format_read_past_leading_comments(self, tmp_path,
                                                      capsys):
@@ -1632,3 +1675,110 @@ class TestCollectorPause:
             (gc.enable if was else gc.disable)()
         assert seen == [False]
         assert after is enabled
+
+
+# for each command, an argv that sets every one of its flags
+_EVERY_FLAG = {
+    "ingest": ["--facts", "f", "--aliases", "a", "--types", "t",
+               "--out", "o", "--config", "c", "--seed", "3"],
+    "synth": ["--out", "o", "--entities", "9", "--relations", "2",
+              "--collision-rate", "0.5", "--no-outdegree-gap",
+              "--type-distinct", "--test-fraction", "0.25",
+              "--config", "c", "--seed", "3"],
+    "gen-data": ["--kb", "k", "--questions", "q", "--out", "o",
+                 "--config", "c", "--seed", "3"],
+    "train-pipeline": ["--data", "d", "--out", "o", "--epochs", "2",
+                       "--batch-size", "3", "--hidden-size", "4",
+                       "--embed-dim", "5", "--char-dim", "6",
+                       "--max-len", "7", "--learning-rate", "0.5",
+                       "--gamma", "0.25", "--dropout", "0.125",
+                       "--config", "c", "--seed", "3"],
+    "train-e2e": ["--kb", "k", "--questions", "q", "--out", "o",
+                  "--variant", "qa-t-mwst", "--epochs", "2",
+                  "--batch-size", "3", "--hidden-size", "4",
+                  "--embed-dim", "5", "--char-dim", "6", "--max-len", "7",
+                  "--learning-rate", "0.5", "--gamma", "0.25",
+                  "--dropout", "0.125", "--config", "c", "--seed", "3"],
+    "answer": ["--kb", "k", "--pipeline", "p", "--strategy", "p-qa-out",
+               "--model", "m", "--variant", "qa-t", "--out-degree-sort",
+               "--questions", "q", "--config", "c", "--seed", "3"],
+    "eval": ["--kb", "k", "--questions", "q", "--out", "o", "--pipeline",
+             "p", "--strategy", "p-qa-type", "--model", "m", "--variant",
+             "qa-s", "--out-degree-sort", "--oracle", "--config", "c",
+             "--seed", "3"],
+}
+
+
+def _main_outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``; argparse ends help
+    with SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSubcommandParser:
+    """``main`` builds only the named subcommand's parser, which reads
+    every argv as the parser of all seven does."""
+
+    @pytest.mark.parametrize("command", list(_EVERY_FLAG))
+    def test_every_flag_parses_as_with_all_subcommands(self, command):
+        argv = ["--verbose", command, *_EVERY_FLAG[command]]
+        full = cli.build_parser()
+        (commands,) = [action for action in full._actions
+                       if action.dest == "command"]
+        assert list(commands.choices) == list(_EVERY_FLAG)
+        unset = [action.dest for action in commands.choices[command]._actions
+                 if action.dest != "help"
+                 and not set(action.option_strings) & set(argv)]
+        assert unset == []
+        assert cli._command_name(argv) == command
+        assert (cli.build_parser(command).parse_args(argv)
+                == full.parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        *([command] for command in _EVERY_FLAG),  # a required flag missing
+        *([command, "--help"] for command in _EVERY_FLAG),
+        ["--help"], ["-h", "answer"], ["--verbose", "-h", "eval"],
+        ["answer", "--kb", "k", "--strategy", "p-qa-bogus"],
+        ["train-e2e", "--kb", "k", "--questions", "q", "--out", "o",
+         "--variant", "qa-x"],
+        ["synth", "--out", "o", "--entities", "many"],
+        ["train-pipeline", "--data", "d", "--out", "o", "--gamma", "big"],
+        ["--bogus", "answer", "--kb", "k"],
+        ["answer", "--kb", "k", "--bogus"],
+        ["--verbose", "eval", "--kb", "k", "--questions", "q", "--out", "o",
+         "extra"],
+        ["-1", "answer", "--kb", "k"], ["--", "answer"], ["bogus"], [],
+        ["--verbose"],
+    ], ids=" ".join)
+    def test_main_prints_as_with_all_subcommands(self, monkeypatch, capsys,
+                                                 argv):
+        got = _main_outcome(capsys, argv)
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command: build())
+        assert got == _main_outcome(capsys, argv)
+        assert got[0] in (0, 1)
+
+    @pytest.mark.parametrize("argv, parsers", [
+        *(([command], 2) for command in _EVERY_FLAG),
+        (["--verbose", "answer", "--help"], 2),
+        ([], 8), (["--help"], 8), (["bogus"], 8), (["--verbose"], 8),
+    ], ids=str)
+    def test_parsers_built(self, monkeypatch, capsys, argv, parsers):
+        """The top-level parser and the named subcommand's, or all seven
+        when no subcommand is named."""
+        built = 0
+
+        class Counted(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                nonlocal built
+                built += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        _main_outcome(capsys, argv)
+        assert built == parsers

@@ -216,6 +216,16 @@ class TestSyntheticGenerator:
         assert serialize_questions_tsv(tr1) == serialize_questions_tsv(tr2)
         assert serialize_questions_tsv(te1) == serialize_questions_tsv(te2)
 
+    @pytest.mark.parametrize("entities, relations",
+                             [(8000, 1), (2, 7999), (4000, 4001)])
+    def test_more_entities_and_relations_than_words_is_rejected(
+            self, entities, relations):
+        """Each entity and relation takes one of the 8,000 coined words;
+        a spec needing more would redraw forever."""
+        with pytest.raises(ValueError, match="the 8000 coined words"):
+            SyntheticSpec(seed=1, n_entities=entities, n_relations=relations)
+        SyntheticSpec(seed=1, n_entities=entities - 1, n_relations=relations)
+
     def test_different_seeds_differ(self):
         a = generate_synthetic(SyntheticSpec(seed=1, n_entities=10))
         b = generate_synthetic(SyntheticSpec(seed=2, n_entities=10))

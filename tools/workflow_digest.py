@@ -16,7 +16,8 @@ Runs ``qakb.cli.main`` in-process, in a fresh temporary directory, over:
   span labelling falls back to edit distance;
 * ``synth`` and ``gen-data`` at 5,000 entities and 200 relations, then
   ``train-e2e --variant qa-t-mwst`` on 4 of its train questions and
-  ``answer`` with that model over 20 of its test questions.
+  ``answer`` with that model over 20 of its test questions;
+* ``--help``, and ``<command> --help`` for every command, at 80 columns.
 
 It prints ``sha256  relative-path`` for every file the workflow leaves
 and, as ``stdout/NN-name``, for each command's standard output, with the
@@ -43,6 +44,9 @@ import tempfile
 from typing import Optional
 
 TRAIN_FLAGS = ["--seed", "7"]
+
+COMMANDS = ("ingest", "synth", "gen-data", "train-pipeline", "train-e2e",
+            "answer", "eval")
 
 NS = "http://rdf.freebase.com/ns/"
 NOTABLE_TYPES = f"<{NS}common.topic.notable_types>"
@@ -98,7 +102,10 @@ class Workflow:
     def run(self, name: str, *argv: str) -> None:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = self.main(list(argv))
+            try:
+                code = self.main(list(argv))
+            except SystemExit as exc:  # argparse ends --help with exit 0
+                code = exc.code
         if code != 0:
             sys.exit(f"{name}: exit {code}: {' '.join(argv)}")
         text = out.getvalue().replace(self.root, "<tmp>")
@@ -209,6 +216,10 @@ def run_workflow(w: Workflow, variants, strategies) -> None:
           w.path("m-questions.txt"), "--model", model_m,
           "--variant", "qa-t-mwst")
 
+    w.run("help", "--help")
+    for command in COMMANDS:
+        w.run(f"help-{command}", command, "--help")
+
 
 def file_digests(root: str) -> list[tuple[str, str]]:
     out = []
@@ -229,6 +240,7 @@ def main() -> int:
                              "(default: this checkout's src)")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal
     from qakb import e2e, pipeline
     from qakb.cli import main as qakb_main
 

@@ -267,10 +267,56 @@ class SyntheticSpec:
             raise ValueError(f"test fraction {self.test_fraction} outside [0, 1)")
 
 
-def _coin_word(rng: np.random.Generator, taken: set[str]) -> str:
+_BLOCK = 4096  # raw outputs fetched from the generator at a time
+
+
+class _Draws:
+    """The numbers ``rng.integers(0, n)`` would give, one call per draw,
+    read from blocks of the generator's raw 32-bit outputs.
+
+    For ``2 <= n <= 2**32`` numpy makes each value from 32-bit outputs
+    ``u`` by Lemire's multiply-and-reject (arXiv:1805.10941): ``m = u *
+    n``, draw the next output while the low 32 bits of ``m`` are below
+    ``2**32 % n``, return ``m >> 32``.  :meth:`below` applies that rule
+    on Python ints (numpy's ``uint32 * int`` would overflow).  ``n = 1``
+    spends no output in numpy, so it must not come here.  :meth:`rewind`
+    must run before the generator is used directly again.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.saved: Optional[dict] = None  # the state before ``block``
+        self.block: list[int] = []
+        self.pos = 0
+
+    def below(self, n: int) -> int:
+        """One draw in ``[0, n)``, for ``2 <= n <= 2**32``."""
+        threshold = (1 << 32) % n
+        while True:
+            if self.pos == len(self.block):
+                self.saved = self.rng.bit_generator.state
+                self.block = self.rng.integers(0, 1 << 32, size=_BLOCK,
+                                               dtype=np.uint32).tolist()
+                self.pos = 0
+            m = self.block[self.pos] * n
+            self.pos += 1
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def rewind(self) -> None:
+        """Leave the generator just after the last output spent, where the
+        per-call draws would have left it."""
+        if self.saved is not None:
+            self.rng.bit_generator.state = self.saved
+            self.rng.integers(0, 1 << 32, size=self.pos, dtype=np.uint32)
+        self.saved, self.block, self.pos = None, [], 0
+
+
+def _coin_word(draws: _Draws, taken: set[str]) -> str:
+    n = len(_SYLLABLES)
     while True:
-        word = "".join(_SYLLABLES[i]
-                       for i in rng.integers(0, len(_SYLLABLES), size=3))
+        word = (_SYLLABLES[draws.below(n)] + _SYLLABLES[draws.below(n)]
+                + _SYLLABLES[draws.below(n)])
         if word not in taken:
             taken.add(word)
             return word
@@ -299,8 +345,9 @@ def generate_synthetic(
     twin on ties.
     """
     rng = np.random.default_rng(spec.seed)
+    draws = _Draws(rng)
     taken: set[str] = set()
-    relations = [f"/synth/fact/{_coin_word(rng, taken)}"
+    relations = [f"/synth/fact/{_coin_word(draws, taken)}"
                  for _ in range(spec.n_relations)]
     templates = default_templates(relations)
 
@@ -317,9 +364,9 @@ def generate_synthetic(
 
     for i in range(spec.n_entities):
         gold_id = f"m.0g{i:03d}"
-        alias = _coin_word(rng, taken)
+        alias = _coin_word(draws, taken)
         relation = relations[i % spec.n_relations]
-        type_word = _TYPE_WORDS[int(rng.integers(0, len(_TYPE_WORDS)))]
+        type_word = _TYPE_WORDS[draws.below(len(_TYPE_WORDS))]
         gold = Fact(gold_id, relation, f"m.0obj{i:03d}")
         facts.append(gold)
         gold_facts.append(gold)
@@ -337,26 +384,27 @@ def generate_synthetic(
                 type_pairs.append((twin_id, other))
             else:
                 type_pairs.append((twin_id, type_word))
-            twin_extra = int(rng.integers(0, 2))
+            twin_extra = draws.below(2)
             add_fillers(twin_id, f"a{i:03d}", twin_extra)
             if spec.twin_outdegree_gap:
-                gold_extra = twin_extra + 1 + int(rng.integers(0, 2))
+                gold_extra = twin_extra + 1 + draws.below(2)
             else:
                 gold_extra = twin_extra
             add_fillers(gold_id, f"g{i:03d}", gold_extra)
         else:
-            add_fillers(gold_id, f"g{i:03d}", int(rng.integers(0, 3)))
+            add_fillers(gold_id, f"g{i:03d}", draws.below(3))
 
     kb = build_kb(facts, alias_pairs, type_pairs)
 
     questions: list[QuestionInstance] = []
     for gold in gold_facts:
         bodies = templates[gold.relation]
-        body = bodies[int(rng.integers(0, len(bodies)))]
+        body = bodies[draws.below(len(bodies))]
         text = body.replace("<alias>", kb.entities[gold.subject].aliases[0])
         questions.append(make_question(text, gold))
 
     n_test = int(spec.test_fraction * len(questions))
+    draws.rewind()
     order = rng.permutation(len(questions))
     test_idx = sorted(int(j) for j in order[:n_test])
     train_idx = sorted(int(j) for j in order[n_test:])

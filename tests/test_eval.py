@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qakb.aliasindex import build_index, tokenize
@@ -19,6 +20,8 @@ from qakb.evalharness import (
     OracleMatcher,
     PipelineStrategy,
     SyntheticSpec,
+    _BLOCK,
+    _Draws,
     classify_error,
     default_templates,
     evaluate,
@@ -282,6 +285,45 @@ class TestSyntheticGenerator:
         t = default_templates(["/synth/fact/waldo"])
         assert all("<alias>" in body for body in t["/synth/fact/waldo"])
         assert all("waldo" in body for body in t["/synth/fact/waldo"])
+
+
+# 3 * 2**30 rejects a quarter of all outputs; 2**32 takes each as it is.
+_BOUNDS = (2, 3, 8, 20, 2**31 + 1, 3 * 2**30, 2**32)
+
+
+class TestDraws:
+    """``_Draws`` gives the numbers of one ``rng.integers(0, n)`` call per
+    draw and, after ``rewind``, leaves the generator where those calls
+    would have left it."""
+
+    @settings(deadline=None, max_examples=12)
+    @given(seed=st.integers(0, 2**32 - 1),
+           pattern=st.lists(st.sampled_from(_BOUNDS), min_size=1,
+                            max_size=20),
+           count=st.integers(0, 3 * _BLOCK))
+    @example(seed=0, pattern=[3 * 2**30, 20], count=3 * _BLOCK)
+    @example(seed=1, pattern=[2], count=0)
+    def test_same_numbers_and_state_as_one_call_per_draw(
+            self, seed, pattern, count):
+        bounds = [pattern[i % len(pattern)] for i in range(count)]
+        per_call = np.random.default_rng(seed)
+        blocked = np.random.default_rng(seed)
+        draws = _Draws(blocked)
+        assert [draws.below(n) for n in bounds] == \
+            [int(per_call.integers(0, n)) for n in bounds]
+        draws.rewind()
+        assert blocked.bit_generator.state == per_call.bit_generator.state
+        draws.rewind()  # nothing drawn since: the state stays
+        assert blocked.bit_generator.state == per_call.bit_generator.state
+        assert blocked.permutation(50).tolist() == \
+            per_call.permutation(50).tolist()
+
+    def test_rewind_with_nothing_drawn_leaves_the_state(self):
+        rng = np.random.default_rng(5)
+        rng.integers(0, 7)  # a buffered half of a 64-bit output
+        before = rng.bit_generator.state
+        _Draws(rng).rewind()
+        assert rng.bit_generator.state == before
 
 
 class TestDirectionalClaims:

@@ -1,0 +1,75 @@
+"""The bytes ``qakb synth`` writes, pinned for a grid of specs.
+
+Every number this project reports is measured on
+``evalharness.generate_synthetic`` data, so those data must not change
+unnoticed.  Each spec's hash covers ``SNAPSHOT_MAGIC``, then the
+zlib-decompressed KB payload, then ``train.tsv`` and ``test.tsv``.  The
+hashes were recorded at commit 5a0ef46, where synth still made one
+``rng.integers`` call per draw.
+
+Hashing the decompressed payload keeps the pin independent of the zlib
+build, and synth runs no BLAS, so the pin holds on any machine with this
+numpy.  A failure means the synthetic data changed, for example under a
+numpy with another PCG64 stream or another ``integers`` rule.  Such a
+change is recorded in CHANGES.md; the hashes are never re-recorded
+silently.
+"""
+
+import hashlib
+import zlib
+
+import pytest
+
+from qakb.cli import main
+from qakb.kb import SNAPSHOT_MAGIC, load_kb
+
+SPECS = {
+    # the benchmark's three specs: train, answer and prep-m
+    "60x6": (["--seed", "1", "--entities", "60", "--relations", "6",
+              "--collision-rate", "0.3"],
+             "4f928f3d7a06beeb0eed72e76e527a74994d98d23578be4a68881ff68983a996"),
+    "125x6": (["--seed", "1", "--entities", "125", "--relations", "6",
+               "--collision-rate", "0.3"],
+              "50451722289b8c1fd41650bf96ba96af58e0ff376956487242b0c327b5da3460"),
+    "5000x200": (["--seed", "1", "--entities", "5000", "--relations", "200",
+                  "--collision-rate", "0.3"],
+                 "a5986056e4cb051edb040b0b20d9c0eae63dd7169604302ecc88e68630dab94b"),
+    "type-distinct-no-gap": (
+        ["--seed", "7", "--entities", "60", "--relations", "6",
+         "--type-distinct", "--no-outdegree-gap"],
+        "cfb988b4efd97d9eaa5062141a586b58fc09c7dd83d746ba824bab7bedfec351"),
+    "collision-1.0": (["--seed", "3", "--entities", "60", "--relations", "6",
+                       "--collision-rate", "1.0"],
+                      "1aad2ae727e5a1289bec40984ef276357c16e9098f572cf2b0e113b7b259b0e9"),
+    # all 8,000 coined words: thousands of redraws and block refills
+    "word-limit": (["--seed", "5", "--entities", "7990", "--relations", "10"],
+                   "b2d965da0d4500ebf80ef9171c12bdbd0b5749b92199ada066043df6aabb5241"),
+}
+
+
+def synth_hash(out) -> str:
+    digest = hashlib.sha256(SNAPSHOT_MAGIC)
+    blob = (out / "kb.qakb").read_bytes()
+    assert blob.startswith(SNAPSHOT_MAGIC)
+    digest.update(zlib.decompress(blob[len(SNAPSHOT_MAGIC):]))
+    for name in ("train.tsv", "test.tsv"):
+        digest.update((out / name).read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_synth_bytes_are_pinned(name, tmp_path):
+    flags, expected = SPECS[name]
+    assert main(["synth", *flags, "--out", str(tmp_path)]) == 0
+    assert synth_hash(tmp_path) == expected, (
+        f"synth {' '.join(flags)} no longer writes the pinned bytes: the "
+        "synthetic data changed")
+    # every entity and relation took its own coined word
+    kb = load_kb(str(tmp_path / "kb.qakb"))
+    words = [rec.aliases[0] for mid, rec in kb.entities.items()
+             if mid.startswith("m.0g")]
+    words += sorted({f.relation.rsplit("/", 1)[-1] for f in kb.facts
+                     if f.relation.startswith("/synth/fact/")})
+    count = sum(int(flags[flags.index(flag) + 1])
+                for flag in ("--entities", "--relations"))
+    assert len(set(words)) == len(words) == count

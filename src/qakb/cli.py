@@ -233,23 +233,25 @@ def cmd_gen_data(args: argparse.Namespace, config: Mapping[str, str]) -> int:
 
     domains = datagen.build_relation_domains({f.relation for f in kb.facts})
     inventory = datagen.type_inventory(kb)
-    relation_pairs = []
-    type_pairs = []
+    relation_groups = []
+    type_groups = []
     for q in questions:
-        relation_pairs.extend(
+        relation_groups.append(
             datagen.gen_relation_pairs(q, q.gold.relation, domains)
         )
         candidates = retrieve_question_candidates(index, q.tokens)
-        type_pairs.extend(datagen.gen_type_pairs(q, kb, candidates, inventory))
-    datagen.write_matcher_pairs(
-        os.path.join(args.out, "relation_pairs.tsv"), relation_pairs
+        group = datagen.gen_type_pairs(q, kb, candidates, inventory)
+        if group is not None:
+            type_groups.append(group)
+    relation_pairs = datagen.write_matcher_pairs(
+        os.path.join(args.out, "relation_pairs.tsv"), relation_groups
     )
-    datagen.write_matcher_pairs(
-        os.path.join(args.out, "type_pairs.tsv"), type_pairs
+    type_pairs = datagen.write_matcher_pairs(
+        os.path.join(args.out, "type_pairs.tsv"), type_groups
     )
     print(f"{len(labeled)} tagged ({dropped} dropped), "
-          f"{len(relation_pairs)} relation pairs, "
-          f"{len(type_pairs)} type pairs -> {args.out}")
+          f"{relation_pairs} relation pairs, "
+          f"{type_pairs} type pairs -> {args.out}")
     return 0
 
 

@@ -3,12 +3,19 @@
 Covers entity-span labelling by edit distance, relation pairs grouped by
 relation domain, the edit-distance relation dictionary, and the per
 question subject/predicate negative pools for the joint ranker.
+
+Edit distance is Myers' bit-parallel algorithm in Hyyrö's form:
+:func:`levenshtein` runs it on Python ints for one pair (span labelling),
+and :func:`build_drr` runs the same word operations on uint64 arrays for
+every key-by-relation pair at once.  Matcher pairs are made and written
+one question at a time, as (question, positive, negatives) groups.
 """
 
 from __future__ import annotations
 
 import io
 import logging
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -39,6 +46,7 @@ TYPE_NEGATIVES = 10
 POSITIVE_COPIES = 3
 DRR_TRUNCATE_ABOVE = 2000
 DRR_KEEP = 200
+DRR_BLOCK_CELLS = 1 << 15
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -223,17 +231,17 @@ def build_relation_domains(relations: Iterable[str]) -> dict[str, list[str]]:
 
 
 MatcherPair = tuple[str, str, int]
+# one question's matcher pairs: (question, positive, negatives)
+PairGroup = tuple[str, str, list[str]]
 
 
 def gen_relation_pairs(
     q: QuestionInstance, gold_relation: str, domains: dict[str, list[str]]
-) -> list[MatcherPair]:
-    """One pair per same-domain relation (``domains`` as from
-    :func:`build_relation_domains`); the positive appears three times."""
+) -> PairGroup:
+    """The gold relation against every other relation of its domain
+    (``domains`` as from :func:`build_relation_domains`)."""
     members = domains.get(relation_domain(gold_relation), [gold_relation])
-    pairs: list[MatcherPair] = [(q.text, gold_relation, 1)] * POSITIVE_COPIES
-    pairs.extend((q.text, rel, 0) for rel in members if rel != gold_relation)
-    return pairs
+    return q.text, gold_relation, [r for r in members if r != gold_relation]
 
 
 def type_inventory(kb: KnowledgeBase) -> list[str]:
@@ -252,17 +260,16 @@ def gen_type_pairs(
     kb: KnowledgeBase,
     candidates: Sequence[CandidateEntity],
     inventory: Sequence[str],
-) -> list[MatcherPair]:
+) -> Optional[PairGroup]:
     """Question-type pairs: the gold subject's type against distractor types.
 
     Negatives are the notable types of the other retrieved candidates,
-    padded from ``inventory`` (:func:`type_inventory` of ``kb``); the
-    positive is triplicated like the relation pairs.  Questions whose
-    gold subject has no type yield no pairs.
+    padded from ``inventory`` (:func:`type_inventory` of ``kb``).  A
+    question whose gold subject has no type yields None.
     """
     gold_rec = kb.entities.get(q.gold.subject)
     if gold_rec is None or gold_rec.notable_type is None:
-        return []
+        return None
     gold_type = gold_rec.notable_type
     negatives: list[str] = []
     for cand in candidates:
@@ -277,28 +284,12 @@ def gen_type_pairs(
                 break
             if label != gold_type and label not in negatives:
                 negatives.append(label)
-    pairs: list[MatcherPair] = [(q.text, gold_type, 1)] * POSITIVE_COPIES
-    pairs.extend((q.text, label, 0) for label in negatives[:TYPE_NEGATIVES])
-    return pairs
+    return q.text, gold_type, negatives[:TYPE_NEGATIVES]
 
 
 # ---------------------------------------------------------------------------
 # Relation dictionary and negative pools
 # ---------------------------------------------------------------------------
-
-def _trimmed_levenshtein(a: str, b: str) -> int:
-    """:func:`levenshtein` after stripping the common prefix and suffix,
-    which leave the distance unchanged; relation paths of one domain share
-    long ones."""
-    n = min(len(a), len(b))
-    lo = 0
-    while lo < n and a[lo] == b[lo]:
-        lo += 1
-    hi = 0
-    while hi < n - lo and a[-1 - hi] == b[-1 - hi]:
-        hi += 1
-    return levenshtein(a[lo:len(a) - hi], b[lo:len(b) - hi])
-
 
 def build_drr(
     relations: Iterable[str],
@@ -311,34 +302,139 @@ def build_drr(
     Above ``truncate_above`` relations each list is cut to the nearest
     ``keep`` neighbours; only a few dozen are ever consumed per question.
     ``keys`` limits the result to the rows of those relations (keys not
-    among ``relations`` get none), so k rows cost about k * len(relations)
-    distances; each row is the same as in the full dictionary.
+    among ``relations`` get none), so k rows cost a k x len(relations)
+    grid; each row is the same as in the full dictionary.
+
+    The distances come from one array pass of :func:`_distance_rows`
+    over the relations stripped of the prefix and suffix all of them
+    share (``/synth/`` on synthetic KBs), which leaves every distance
+    unchanged.  Each key is a bit-vector pattern of 64-bit words; a key
+    longer than 64 characters chains its words with carries.  Key rows
+    go in blocks of at most :data:`DRR_BLOCK_CELLS` grid words (but at
+    least one key), so memory stays bounded on a KB with thousands of
+    relations.
     """
     rels = sorted(set(relations))
-    limit = keep if len(rels) > truncate_above else None
+    stop = keep + 1 if len(rels) > truncate_above else None
     wanted = set(rels if keys is None else keys)
     rows = [i for i, rel in enumerate(rels) if rel in wanted]
-    slot = {i: r for r, i in enumerate(rows)}
-    dist = np.zeros((len(rows), len(rels)), dtype=np.int32)
-    for r, i in enumerate(rows):
-        a = rels[i]
-        for j, b in enumerate(rels):
-            # s is b's own row (len(rows) if it has none): s == r is the
-            # key itself, and an earlier row s < r already holds the pair
-            s = slot.get(j, len(rows))
-            if s <= r:
-                continue
-            d = _trimmed_levenshtein(a, b)
-            dist[r, j] = d
-            if s < len(rows):
-                dist[s, i] = d
+    names = np.array(rels, dtype=object)
     out: dict[str, list[str]] = {}
-    for r, i in enumerate(rows):
+    for block, dist in _distance_rows(_strip_shared_affixes(rels), rows):
         # stable, so ties stay in name order; the key is the only
         # relation at distance 0 and comes first
-        ranked = np.argsort(dist[r], kind="stable")[1:]
-        out[rels[i]] = [rels[j] for j in ranked[:limit]]
+        ranked = np.argsort(dist, axis=1, kind="stable")[:, 1:stop]
+        out.update(zip(names[block].tolist(), names[ranked].tolist()))
     return out
+
+
+def _strip_shared_affixes(texts: list[str]) -> list[str]:
+    """``texts`` without the prefix, then the suffix, that all of them
+    share; neither changes the edit distance of any pair."""
+    lo = len(os.path.commonprefix(texts))
+    texts = [t[lo:] for t in texts]
+    hi = len(os.path.commonprefix([t[::-1] for t in texts]))
+    return [t[:len(t) - hi] for t in texts]
+
+
+_WORD = 64
+_ONES = np.uint64(2**_WORD - 1)
+
+
+def _distance_rows(
+    texts: Sequence[str], rows: Sequence[int]
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Edit distances from ``texts[r]``, for each r in ``rows``, to every
+    text: yields ``(block, dist)`` with ``dist[b, j]`` equal to
+    ``levenshtein(texts[block[b]], texts[j])``, block after block of rows.
+
+    The word operations of :func:`levenshtein`, each run once over a
+    whole [text x row] grid of uint64 words.  The row texts are the
+    bit-vector patterns (``words`` words each, pattern row ``i`` in bit
+    ``i % 64`` of word ``i // 64``); the loop steps over the characters
+    of all texts at once, longest text first, so that the texts still
+    running are a leading slice of the grid.  Word ``w + 1`` takes the
+    horizontal delta out of word ``w``'s top row as its carry in; with
+    one word, which covers every pattern of up to 64 characters, no
+    carry is computed.  Pattern bits above a row's length are extra DP
+    rows, which never feed lower ones, so they run unmasked, and each
+    distance is read at the end: the text's length plus the vertical
+    deltas of the pattern's own rows.
+    """
+    if not rows:
+        return
+    lens = np.array([len(t) for t in texts])
+    steps = int(lens.max())
+    words = -(-int(lens[rows].max()) // _WORD) or 1
+    # one zero-padded row of UCS-4 code points per text
+    codes = np.array(texts, dtype=f"U{max(steps, 1)}")
+    alphabet = np.array(sorted({*map(ord, "".join(texts))}), np.uint32)
+    chars = np.searchsorted(alphabet, codes.view(np.uint32)).reshape(
+        len(texts), -1)
+    order = np.argsort(-lens, kind="stable")
+    text_lens = lens[order]
+    # at step t, the texts longer than t: a leading slice of ``order``
+    running = np.searchsorted(-text_lens, -np.arange(steps))
+    step_chars = np.ascontiguousarray(chars[order].T)
+    symbols = np.arange(len(alphabet))[:, None]
+    per_block = max(1, DRR_BLOCK_CELLS // (len(texts) * words))
+    for start in range(0, len(rows), per_block):
+        block = list(rows[start:start + per_block])
+        peq = np.zeros((words, len(alphabet), len(block)), np.uint64)
+        for i in range(min(steps, words * _WORD)):
+            bit = np.uint64(1 << i % _WORD)
+            peq[i // _WORD] |= np.where(chars[block, i] == symbols, bit,
+                                        np.uint64(0))
+        pv = np.full((words, len(texts), len(block)), _ONES)
+        mv = np.zeros_like(pv)
+        for t in range(steps):
+            k = running[t]
+            step = step_chars[t, :k]
+            # row 0 grows by one per column, so a +1 enters word 0
+            carry_p, carry_m = 1, 0
+            for w in range(words):
+                p, m = pv[w, :k], mv[w, :k]
+                eq = peq[w][step]
+                xv = eq | m
+                if w:
+                    eq |= carry_m
+                xh = eq & p
+                xh += p
+                xh ^= p
+                xh |= eq
+                ph = xh | p
+                ph ^= _ONES
+                ph |= m
+                mh = p & xh
+                if w + 1 < words:
+                    next_p, next_m = ph >> (_WORD - 1), mh >> (_WORD - 1)
+                ph <<= 1
+                ph |= carry_p
+                mh <<= 1
+                if w:
+                    mh |= carry_m
+                np.bitwise_or(xv, ph, out=p)
+                p ^= _ONES
+                p |= mh
+                np.bitwise_and(ph, xv, out=m)
+                if w + 1 < words:
+                    carry_p, carry_m = next_p, next_m
+        masks = np.array(
+            [[(1 << min(max(n - _WORD * w, 0), _WORD)) - 1
+              for n in lens[block].tolist()] for w in range(words)],
+            dtype=np.uint64,
+        )[:, None, :]
+        dist = np.empty((len(block), len(texts)), dtype=np.int64)
+        dist[:, order] = (text_lens[:, None] + _popcount(pv & masks)
+                          - _popcount(mv & masks)).T
+        yield block, dist
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each cell of a [word, text, row] uint64 array, summed
+    over its words."""
+    bits = np.unpackbits(words.view(np.uint8), axis=-1)
+    return bits.reshape(*words.shape, _WORD).sum(axis=(0, 3), dtype=np.int64)
 
 
 def gen_subject_negatives(
@@ -467,11 +563,25 @@ def read_labeled_questions(path: str) -> list[LabeledQuestion]:
     return out
 
 
-def write_matcher_pairs(path: str, pairs: Iterable[MatcherPair]) -> None:
+def write_matcher_pairs(path: str, groups: Iterable[PairGroup]) -> int:
+    """Write each group's pairs and return how many there were.
+
+    A group's positive is tagged 1 and written POSITIVE_COPIES times,
+    then each negative is tagged 0.  The lines of one group are built as
+    one string and written with one call, so a question costs one write,
+    not one per pair, and the file is never held whole.
+    """
+    count = 0
     with io.open(path, "w", encoding="utf-8") as fh:
         fh.write(PAIRS_HEADER + "\n")
-        for question, text, tag in pairs:
-            fh.write(f"{question}\t{text}\t{tag}\n")
+        for question, positive, negatives in groups:
+            head = question + "\t"
+            text = f"{head}{positive}\t1\n" * POSITIVE_COPIES
+            if negatives:
+                text += head + f"\t0\n{head}".join(negatives) + "\t0\n"
+            fh.write(text)
+            count += POSITIVE_COPIES + len(negatives)
+    return count
 
 
 def read_matcher_pairs(path: str) -> list[MatcherPair]:

@@ -4,11 +4,13 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qakb import datagen
 from qakb.aliasindex import build_index, retrieve_question_candidates
 from qakb.datagen import (
+    DRR_KEEP,
+    DRR_TRUNCATE_ABOVE,
     LabeledQuestion,
     build_drr,
     build_negative_pools,
@@ -280,6 +282,16 @@ class TestRelationDomains:
         assert domains["film"] == ["/film/c/z"]
 
 
+def _written(tmp_path, groups):
+    """``groups`` as :func:`write_matcher_pairs` writes them, read back
+    as (question, text, tag) pairs."""
+    path = str(tmp_path / "pairs.tsv")
+    count = write_matcher_pairs(path, groups)
+    pairs = read_matcher_pairs(path)
+    assert count == len(pairs)
+    return pairs
+
+
 class TestRelationPairs:
     def setup_method(self):
         rels = [f"/music/album/{x}" for x in ("genre", "artist", "label",
@@ -287,40 +299,47 @@ class TestRelationPairs:
         self.table = build_relation_domains(rels)
         self.q = _q("what genre is x ?", relation="/music/album/genre")
 
-    def test_counts_with_triplication(self):
-        pairs = gen_relation_pairs(self.q, "/music/album/genre", self.table)
+    def test_counts_with_triplication(self, tmp_path):
+        group = gen_relation_pairs(self.q, "/music/album/genre", self.table)
+        assert group[:2] == (self.q.text, "/music/album/genre")
+        assert len(group[2]) == 4
+        pairs = _written(tmp_path, [group])
         assert len(pairs) == 4 + 3
         assert sum(tag for _, _, tag in pairs) == 3
 
-    def test_singleton_domain(self):
+    def test_singleton_domain(self, tmp_path):
         table = build_relation_domains(["/tv/show/host"])
-        pairs = gen_relation_pairs(self.q, "/tv/show/host", table)
-        assert len(pairs) == 3
-        assert all(tag == 1 for _, _, tag in pairs)
+        group = gen_relation_pairs(self.q, "/tv/show/host", table)
+        assert group == (self.q.text, "/tv/show/host", [])
+        pairs = _written(tmp_path, [group])
+        assert pairs == [(self.q.text, "/tv/show/host", 1)] * 3
 
-    def test_tags_binary_and_domain_covered(self):
-        pairs = gen_relation_pairs(self.q, "/music/album/genre", self.table)
+    def test_tags_binary_and_domain_covered(self, tmp_path):
+        group = gen_relation_pairs(self.q, "/music/album/genre", self.table)
+        pairs = _written(tmp_path, [group])
         assert {tag for _, _, tag in pairs} <= {0, 1}
-        negatives = {rel for _, rel, tag in pairs if tag == 0}
-        domain = set(self.table["music"]) - {"/music/album/genre"}
-        assert negatives == domain
+        negatives = [rel for _, rel, tag in pairs if tag == 0]
+        domain = [r for r in self.table["music"] if r != "/music/album/genre"]
+        assert negatives == group[2] == domain
 
-    def test_positive_multiplicity_exactly_three(self):
-        pairs = gen_relation_pairs(self.q, "/music/album/genre", self.table)
-        positives = [p for p in pairs if p[2] == 1]
+    def test_positive_multiplicity_exactly_three(self, tmp_path):
+        group = gen_relation_pairs(self.q, "/music/album/genre", self.table)
+        positives = [p for p in _written(tmp_path, [group]) if p[2] == 1]
         assert len(positives) == 3
         assert all(p[1] == "/music/album/genre" for p in positives)
 
 
 class TestTypePairs:
-    def test_gold_type_triplicated_with_distractors(self, tiny_kb):
+    def test_gold_type_triplicated_with_distractors(self, tiny_kb, tmp_path):
         index = build_index(tiny_kb)
         q = make_question(
             "how was germany released ?",
             Fact("m.017hzy7", "/music/recording/releases", "m.0rel01"),
         )
         cands = retrieve_question_candidates(index, q.text)
-        pairs = gen_type_pairs(q, tiny_kb, cands, type_inventory(tiny_kb))
+        group = gen_type_pairs(q, tiny_kb, cands, type_inventory(tiny_kb))
+        assert group[:2] == (q.text, "musical recording")
+        pairs = _written(tmp_path, [group])
         positives = [p for p in pairs if p[2] == 1]
         assert len(positives) == 3
         assert all(p[1] == "musical recording" for p in positives)
@@ -331,7 +350,7 @@ class TestTypePairs:
     def test_untyped_gold_yields_nothing(self, tiny_kb):
         q = make_question("where is berlin ?",
                           Fact("m.0k3p", "/r/r/r", "m.x"))
-        assert gen_type_pairs(q, tiny_kb, [], type_inventory(tiny_kb)) == []
+        assert gen_type_pairs(q, tiny_kb, [], type_inventory(tiny_kb)) is None
 
     def test_inventory_sorted_and_distinct(self, tiny_kb):
         assert type_inventory(tiny_kb) == [
@@ -341,8 +360,8 @@ class TestTypePairs:
     def test_pads_from_inventory_in_order(self, tiny_kb):
         q = make_question("who is obama ?",
                           Fact("m.02mjmr", "/r/r/r", "m.x"))
-        pairs = gen_type_pairs(q, tiny_kb, [], ["b", "us president", "a"])
-        assert [p[1] for p in pairs if p[2] == 0] == ["b", "a"]
+        group = gen_type_pairs(q, tiny_kb, [], ["b", "us president", "a"])
+        assert group == (q.text, "us president", ["b", "a"])
 
 
 def _count_levenshtein(monkeypatch):
@@ -357,6 +376,47 @@ def _count_levenshtein(monkeypatch):
 
     monkeypatch.setattr(datagen, "levenshtein", counting)
     return calls
+
+
+def _spy_distance_rows(monkeypatch):
+    """Record the (rows, columns) of every distance block
+    ``datagen._distance_rows`` yields; returns the list it fills."""
+    blocks = []
+    real = datagen._distance_rows
+
+    def spying(texts, rows):
+        for block, dist in real(texts, rows):
+            assert dist.shape == (len(block), len(texts))
+            blocks.append(dist.shape)
+            yield block, dist
+
+    monkeypatch.setattr(datagen, "_distance_rows", spying)
+    return blocks
+
+
+_CHARS = st.sampled_from("ab/_\u00e9\u4e2d\U0001F600")
+
+
+@st.composite
+def _relation_sets(draw):
+    """(relations, keys): 1-7 relations whose bodies are 0-200 characters
+    long, often 63, 64, 65, 128 or 129, from an alphabet with non-ASCII
+    and non-BMP characters; a prefix and a suffix shared by all; at
+    times one relation extending another; keys among them and not."""
+    length = st.one_of(st.sampled_from([0, 1, 63, 64, 65, 128, 129, 200]),
+                       st.integers(0, 200))
+    bodies = draw(st.lists(
+        length.flatmap(lambda n: st.text(_CHARS, min_size=n, max_size=n)),
+        min_size=1, max_size=6))
+    if draw(st.booleans()):
+        bodies.append(bodies[0] + draw(st.text(_CHARS, min_size=1,
+                                               max_size=70)))
+    prefix = draw(st.text(_CHARS, max_size=8))
+    suffix = draw(st.text(_CHARS, max_size=8))
+    rels = {prefix + body + suffix for body in bodies}
+    keys = draw(st.sets(st.sampled_from(sorted(rels)), min_size=1))
+    keys |= draw(st.sets(st.text(_CHARS, max_size=4), max_size=2))
+    return rels, keys
 
 
 class TestDrr:
@@ -430,14 +490,61 @@ class TestDrr:
         assert build_drr(["/r/a", "/r/b"], keys=[]) == {}
         assert build_drr(["/r/a", "/r/b"], keys=["/r/zz"]) == {}
 
-    def test_each_pair_computed_once(self, monkeypatch):
+    def test_only_key_rows_computed(self, monkeypatch):
         rels = [f"/r/x{i}" for i in range(9)]
-        calls = _count_levenshtein(monkeypatch)
+        blocks = _spy_distance_rows(monkeypatch)
         build_drr(rels)
-        assert calls[0] == 9 * 8 // 2
-        calls[0] = 0
-        build_drr(rels, keys=rels[:3])
-        assert calls[0] == 3 * 8 - 3
+        assert blocks == [(9, 9)]
+        blocks.clear()
+        build_drr(rels, keys=rels[:3] + ["/r/zz"])
+        assert blocks == [(3, 9)]
+        blocks.clear()
+        build_drr(rels, keys=["/r/zz"])
+        assert blocks == []
+
+    @settings(deadline=None, max_examples=60)
+    @given(_relation_sets(), st.booleans())
+    @example(({"/p/" + c * n + "/s" for c, n in
+               zip("ab\u00e9\u4e2d\U0001F600x", (63, 64, 65, 128, 129, 0))}
+              | {"/p/" + "a" * 63 + "b/s"},
+              {"/p/" + "a" * 63 + "/s", "/p//s", "/p/zz/s", "nope"}),
+             False)
+    # the shared prefix and suffix overlap in "/r"
+    @example(({"/r", "/r/r", "/r/r/r"}, {"/r", "/r/r", "/r/r/r"}), False)
+    def test_array_pass_matches_brute_force(self, case, truncate):
+        """Every row equals the (levenshtein, name) sort of the other
+        relations, across the 64-character word boundaries, non-ASCII
+        text, shared affixes, prefix relations and single relations."""
+        rels, keys = case
+        kwargs = {"truncate_above": 1, "keep": 3} if truncate else {}
+        d = build_drr(rels, keys=keys, **kwargs)
+        assert set(d) == keys & rels
+        for key, row in d.items():
+            expected = sorted((r for r in rels if r != key),
+                              key=lambda r: (levenshtein(key, r), r))
+            assert row == (expected[:3] if truncate else expected)
+
+    def test_truncated_rows_in_blocks(self, monkeypatch):
+        """Above DRR_TRUNCATE_ABOVE relations each row is the nearest
+        DRR_KEEP; a block budget of one cell puts each key in its own
+        block and gives the same rows."""
+        rng = np.random.default_rng(11)
+        rels = set()
+        while len(rels) < 2100:
+            n = int(rng.integers(1, 90))
+            rels.add("/synth/" + "".join(rng.choice(list("abcd\u00e9/"), n)))
+        rels = sorted(rels)
+        keys = [rels[0], max(rels, key=len), rels[1500]]
+        assert len(rels) > DRR_TRUNCATE_ABOVE and len(keys[1]) > 64 + 7
+        whole = build_drr(rels, keys=keys)
+        blocks = _spy_distance_rows(monkeypatch)
+        monkeypatch.setattr(datagen, "DRR_BLOCK_CELLS", 1)
+        assert build_drr(rels, keys=keys) == whole
+        assert blocks == [(1, 2100)] * 3
+        for key in keys:
+            expected = sorted((r for r in rels if r != key),
+                              key=lambda r: (levenshtein(key, r), r))
+            assert whole[key] == expected[:DRR_KEEP]
 
 
 def _pool_kb():
@@ -539,16 +646,17 @@ class TestNegativePools:
         assert len({f.relation for f in kb.facts}) >= 30
         self._assert_pools_use_full_dictionary(kb, train[:12])
 
-    def test_distance_calls_scale_with_gold_relations(self, monkeypatch):
+    def test_rows_computed_are_gold_relations(self, monkeypatch):
         kb, train, _ = generate_synthetic(
             SyntheticSpec(seed=4, n_entities=40, n_relations=32))
         questions = train[:12]
         n_rels = len({f.relation for f in kb.facts})
         k = len({q.gold.relation for q in questions})
         index = build_index(kb)
-        calls = _count_levenshtein(monkeypatch)
+        blocks = _spy_distance_rows(monkeypatch)
         build_negative_pools(questions, kb, index, seed=3)
-        assert 0 < calls[0] <= k * (n_rels - 1)
+        assert 0 < k < n_rels
+        assert blocks == [(k, n_rels)]
 
     def test_deterministic_and_gold_free(self):
         kb = _pool_kb()
@@ -598,10 +706,19 @@ class TestQuestionFiles:
         assert read_labeled_questions(path) == items
 
     def test_matcher_pairs_round_trip(self, tmp_path):
-        pairs = [("q one ?", "/r/a/b", 1), ("q one ?", "/r/a/c", 0)]
-        path = str(tmp_path / "pairs.tsv")
-        write_matcher_pairs(path, pairs)
-        assert read_matcher_pairs(path) == pairs
+        groups = [("q one ?", "/r/a/b", ["/r/a/c", "/r/a/d"]),
+                  ("q two ?", "/r/a/c", []),
+                  ("q one ?", "/r/a/d", ["/r/a/b"])]
+        assert _written(tmp_path, groups) == (
+            [("q one ?", "/r/a/b", 1)] * 3
+            + [("q one ?", "/r/a/c", 0), ("q one ?", "/r/a/d", 0)]
+            + [("q two ?", "/r/a/c", 1)] * 3
+            + [("q one ?", "/r/a/d", 1)] * 3 + [("q one ?", "/r/a/b", 0)])
+        assert (tmp_path / "pairs.tsv").read_text().splitlines()[:5] == [
+            "question\ttext\ttag", "q one ?\t/r/a/b\t1",
+            "q one ?\t/r/a/b\t1", "q one ?\t/r/a/b\t1",
+            "q one ?\t/r/a/c\t0"]
+        assert _written(tmp_path, []) == []
 
     @pytest.mark.parametrize("read, text", [
         (read_labeled_questions, "who is obama\tc c e\n"),

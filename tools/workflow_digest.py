@@ -15,8 +15,10 @@ Runs ``qakb.cli.main`` in-process, in a fresh temporary directory, over:
   KB over questions that mostly spell their subject's alias wrongly, so
   span labelling falls back to edit distance;
 * ``synth`` and ``gen-data`` at 5,000 entities and 200 relations, then
-  ``train-e2e --variant qa-t-mwst`` on 4 of its train questions and
-  ``answer`` with that model over 20 of its test questions;
+  ``train-e2e --variant qa-t`` on 32 of its train questions (whose
+  relation-dictionary rows the benchmark's ``prep-m`` unit builds),
+  ``train-e2e --variant qa-t-mwst`` on 4 and ``answer`` with that model
+  over 20 of its test questions;
 * ``--help``, and ``<command> --help`` for every command, at 80 columns.
 
 It prints ``sha256  relative-path`` for every file the workflow leaves
@@ -205,8 +207,13 @@ def run_workflow(w: Workflow, variants, strategies) -> None:
     kb_m = w.path("m", "kb.qakb")
     w.run("gen-data-m", "gen-data", "--kb", kb_m,
           "--questions", w.path("m", "train.tsv"), "--out", w.path("m-data"))
-    with open(w.path("m-train4.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("".join(question_lines(w.path("m"), "train", 4)))
+    for n in (4, 32):
+        with open(w.path(f"m-train{n}.tsv"), "w", encoding="utf-8") as fh:
+            fh.write("".join(question_lines(w.path("m"), "train", n)))
+    # the benchmark's prep-m unit: its DRR rows are those of 32 questions
+    w.run("train-e2e-m-qa-t", "train-e2e", "--kb", kb_m, "--questions",
+          w.path("m-train32.tsv"), "--variant", "qa-t",
+          "--out", w.path("m-models", "qa-t.nn"), *TRAIN_FLAGS)
     write_question_texts(w.path("m"), w.path("m-questions.txt"), 20)
     model_m = w.path("m-models", "qa-t-mwst.nn")
     w.run("train-e2e-m", "train-e2e", "--kb", kb_m, "--questions",

@@ -48,13 +48,14 @@ def relation_tokens(relation: str) -> list[str]:
     return [seg for seg in relation.split("/") if seg]
 
 
-def _contains_contiguous(outer: tuple[str, ...], inner: tuple[str, ...]) -> bool:
-    if len(inner) >= len(outer):
-        return False
-    return any(
-        outer[i:i + len(inner)] == inner
-        for i in range(len(outer) - len(inner) + 1)
-    )
+def find_run(tokens: Sequence[str], run: Sequence[str]) -> Optional[int]:
+    """The start of ``run``'s first occurrence as consecutive items of
+    ``tokens``, or None when it does not occur."""
+    run = tuple(run)
+    for start in range(len(tokens) - len(run) + 1):
+        if tuple(tokens[start:start + len(run)]) == run:
+            return start
+    return None
 
 
 def extract_ngrams(tokens: list[str]) -> list[str]:
@@ -146,7 +147,7 @@ def _matched_alias_for(index: AliasIndex, entity: str, gram: str) -> str:
     best: Optional[str] = None
     for alias in index.entity_aliases.get(entity, ()):
         toks = tuple(alias.split())
-        if target != toks and not _contains_contiguous(toks, target):
+        if find_run(toks, target) is None:
             continue
         if best is None or (len(toks), alias) < (len(best.split()), best):
             best = alias

@@ -4,11 +4,12 @@ Covers entity-span labelling by edit distance, relation pairs grouped by
 relation domain, the edit-distance relation dictionary, and the per
 question subject/predicate negative pools for the joint ranker.
 
-Edit distance is Myers' bit-parallel algorithm in Hyyrö's form:
-:func:`levenshtein` runs it on Python ints for one pair (span labelling),
-and :func:`build_drr` runs the same word operations on uint64 arrays for
-every key-by-relation pair at once.  Matcher pairs are made and written
-one question at a time, as (question, positive, negatives) groups.
+Edit distance has one routine, :func:`_distance_rows`, which runs
+Myers' bit-parallel algorithm in Hyyrö's form over a whole grid of pairs
+at once: a question's grams against its subject's aliases in span
+labelling, key relations against all relations in :func:`build_drr`.
+Matcher pairs are made and written one question at a time, as
+(question, positive, negatives) groups.
 """
 
 from __future__ import annotations
@@ -47,43 +48,6 @@ POSITIVE_COPIES = 3
 DRR_TRUNCATE_ABOVE = 2000
 DRR_KEEP = 200
 DRR_BLOCK_CELLS = 1 << 15
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Character-level edit distance (insert/delete/substitute, cost 1).
-
-    Myers' bit-vector algorithm in Hyyrö's edit-distance form: bit ``i``
-    of ``pv``/``mv`` says the column delta at row ``i`` of the DP matrix
-    is +1/-1, and one column costs a few word operations.  The longer
-    string is the bit-vector side, so Python ints cover any length, and
-    the loop runs over the shorter one.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    peq: dict[str, int] = {}
-    bit = 1
-    for ch in a:
-        peq[ch] = peq.get(ch, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    top = bit >> 1
-    pv, mv, score = mask, 0, len(a)
-    for ch in b:
-        eq = peq.get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (mask & ~(xh | pv))
-        mh = pv & xh
-        if ph & top:
-            score += 1
-        elif mh & top:
-            score -= 1
-        # row 0 grows by one per column, so a +1 enters at the bottom
-        ph = ((ph << 1) | 1) & mask
-        mh = (mh << 1) & mask
-        pv = mh | (mask & ~(xv | ph))
-        mv = ph & xv
-    return score
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +113,12 @@ def label_entity_span(
     the best pair shares no characters — distance at least the longer
     string's length — the question is rejected.
 
-    A gram equal to an alias has distance 0, which no pair beats, so the
-    longest, then earliest such gram is that minimum and is taken without
-    computing any distance; the full gram-by-alias search runs only when
-    no gram equals an alias.
+    The grams are listed longest first, then earliest.  A gram equal to
+    an alias has distance 0, which no pair beats, so the first such gram
+    is that minimum and is taken without computing any distance.
+    Otherwise one :func:`_distance_rows` grid scores every gram (as a
+    pattern) against every alias (as a text), and its first minimum in
+    row-major order is the least (distance, -length, start, alias) pair.
     """
     tokens = q.tokens
     n = len(tokens)
@@ -162,30 +128,23 @@ def label_entity_span(
             f"cannot label {q.text!r}: need at least 2 tokens and 1 alias"
         )
     alias_set = set(aliases)
+    spans: list[tuple[int, int]] = []
+    grams: list[str] = []
     for length in range(n - 1, 0, -1):
         for start in range(0, n - length + 1):
-            if " ".join(tokens[start:start + length]) in alias_set:
-                return _span_labels(tokens, start, start + length)
-    best: Optional[tuple[int, int, int, int]] = None  # (dist, -len, start, alias_i)
-    best_span: Optional[tuple[int, int]] = None
-    best_alias = ""
-    for length in range(1, n):
-        for start in range(0, n - length + 1):
             gram = " ".join(tokens[start:start + length])
-            for alias_i, alias in enumerate(aliases):
-                dist = levenshtein(gram, alias)
-                key = (dist, -length, start, alias_i)
-                if best is None or key < best:
-                    best = key
-                    best_span = (start, start + length)
-                    best_alias = alias
-    assert best is not None and best_span is not None
-    gram_text = " ".join(tokens[best_span[0]:best_span[1]])
-    if best[0] >= max(len(gram_text), len(best_alias)):
+            if gram in alias_set:
+                return _span_labels(tokens, start, start + length)
+            spans.append((start, start + length))
+            grams.append(gram)
+    dist = np.concatenate([d for _, d in _distance_rows(grams, aliases)])
+    gram_i, alias_i = divmod(int(dist.argmin()), len(aliases))
+    alias = aliases[alias_i]
+    if dist[gram_i, alias_i] >= max(len(grams[gram_i]), len(alias)):
         raise LabelFailure(
-            f"no plausible span for alias {best_alias!r} in {q.text!r}"
+            f"no plausible span for alias {alias!r} in {q.text!r}"
         )
-    return _span_labels(tokens, *best_span)
+    return _span_labels(tokens, *spans[gram_i])
 
 
 def _span_labels(tokens: tuple[str, ...], start: int,
@@ -305,26 +264,23 @@ def build_drr(
     among ``relations`` get none), so k rows cost a k x len(relations)
     grid; each row is the same as in the full dictionary.
 
-    The distances come from one array pass of :func:`_distance_rows`
-    over the relations stripped of the prefix and suffix all of them
-    share (``/synth/`` on synthetic KBs), which leaves every distance
-    unchanged.  Each key is a bit-vector pattern of 64-bit words; a key
-    longer than 64 characters chains its words with carries.  Key rows
-    go in blocks of at most :data:`DRR_BLOCK_CELLS` grid words (but at
-    least one key), so memory stays bounded on a KB with thousands of
-    relations.
+    The distances come from one :func:`_distance_rows` grid of the key
+    relations against all relations, stripped of the prefix and suffix
+    they share (``/synth/`` on synthetic KBs), which changes no distance.
     """
     rels = sorted(set(relations))
     stop = keep + 1 if len(rels) > truncate_above else None
     wanted = set(rels if keys is None else keys)
     rows = [i for i, rel in enumerate(rels) if rel in wanted]
     names = np.array(rels, dtype=object)
+    stripped = _strip_shared_affixes(rels)
     out: dict[str, list[str]] = {}
-    for block, dist in _distance_rows(_strip_shared_affixes(rels), rows):
+    for block, dist in _distance_rows([stripped[i] for i in rows], stripped):
         # stable, so ties stay in name order; the key is the only
         # relation at distance 0 and comes first
         ranked = np.argsort(dist, axis=1, kind="stable")[:, 1:stop]
-        out.update(zip(names[block].tolist(), names[ranked].tolist()))
+        out.update(zip((rels[rows[b]] for b in block),
+                       names[ranked].tolist()))
     return out
 
 
@@ -341,57 +297,76 @@ _WORD = 64
 _ONES = np.uint64(2**_WORD - 1)
 
 
-def _distance_rows(
-    texts: Sequence[str], rows: Sequence[int]
-) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Edit distances from ``texts[r]``, for each r in ``rows``, to every
-    text: yields ``(block, dist)`` with ``dist[b, j]`` equal to
-    ``levenshtein(texts[block[b]], texts[j])``, block after block of rows.
+def levenshtein(a: str, b: str) -> int:
+    """Character-level edit distance (insert/delete/substitute, cost 1)
+    of one pair, as a one-cell :func:`_distance_rows` grid."""
+    (_, dist), = _distance_rows([a], [b])
+    return int(dist[0, 0])
 
-    The word operations of :func:`levenshtein`, each run once over a
-    whole [text x row] grid of uint64 words.  The row texts are the
-    bit-vector patterns (``words`` words each, pattern row ``i`` in bit
-    ``i % 64`` of word ``i // 64``); the loop steps over the characters
-    of all texts at once, longest text first, so that the texts still
-    running are a leading slice of the grid.  Word ``w + 1`` takes the
-    horizontal delta out of word ``w``'s top row as its carry in; with
-    one word, which covers every pattern of up to 64 characters, no
-    carry is computed.  Pattern bits above a row's length are extra DP
-    rows, which never feed lower ones, so they run unmasked, and each
-    distance is read at the end: the text's length plus the vertical
-    deltas of the pattern's own rows.
+
+def _distance_rows(
+    patterns: Sequence[str], texts: Sequence[str]
+) -> Iterator[tuple[range, np.ndarray]]:
+    """Edit distances from every pattern to every text: yields
+    ``(block, dist)``, block after block of pattern indices, with
+    ``dist[b, j]`` the distance of ``patterns[block[b]]`` and ``texts[j]``.
+
+    The one edit-distance routine: Myers' bit-parallel algorithm in
+    Hyyrö's form, each word operation run once over a [text x pattern]
+    grid of uint64 words.  :func:`build_drr` passes its key relations as
+    patterns and every relation as texts; :func:`label_entity_span`
+    passes a question's grams as patterns and its aliases, the shorter
+    side, as texts.  Patterns are bit vectors (row ``i`` in bit
+    ``i % 64`` of word ``i // 64``), and word ``w + 1`` takes the
+    horizontal delta out of word ``w``'s top row as its carry in.  The
+    loop steps over the characters of all texts at once, longest first,
+    so the texts still running are a leading slice of the grid.  Pattern
+    bits above a pattern's length are extra DP rows, which never feed
+    lower ones, so they run unmasked until each distance is read: the
+    text's length plus the vertical deltas of the pattern's own rows.
+    Patterns go in blocks of at least one, whose words times the texts
+    plus alphabet symbols are at most :data:`DRR_BLOCK_CELLS`, which
+    bounds memory on a KB with thousands of relations.
     """
-    if not rows:
+    if not patterns:
         return
     lens = np.array([len(t) for t in texts])
+    pattern_lens = np.array([len(p) for p in patterns])
     steps = int(lens.max())
-    words = -(-int(lens[rows].max()) // _WORD) or 1
-    # one zero-padded row of UCS-4 code points per text
-    codes = np.array(texts, dtype=f"U{max(steps, 1)}")
+    words = -(-int(pattern_lens.max()) // _WORD) or 1
     alphabet = np.array(sorted({*map(ord, "".join(texts))}), np.uint32)
+    # one zero-padded row of UCS-4 code points per string; text
+    # characters become alphabet indices, pattern characters stay code
+    # points, so one absent from every text matches nothing
+    pattern_codes = np.array(patterns, dtype=f"U{words * _WORD}").view(
+        np.uint32).reshape(len(patterns), -1)
+    codes = np.array(texts, dtype=f"U{max(steps, 1)}")
     chars = np.searchsorted(alphabet, codes.view(np.uint32)).reshape(
         len(texts), -1)
     order = np.argsort(-lens, kind="stable")
     text_lens = lens[order]
     # at step t, the texts longer than t: a leading slice of ``order``
-    running = np.searchsorted(-text_lens, -np.arange(steps))
+    running = np.searchsorted(-text_lens, -np.arange(steps)).tolist()
     step_chars = np.ascontiguousarray(chars[order].T)
-    symbols = np.arange(len(alphabet))[:, None]
-    per_block = max(1, DRR_BLOCK_CELLS // (len(texts) * words))
-    for start in range(0, len(rows), per_block):
-        block = list(rows[start:start + per_block])
-        peq = np.zeros((words, len(alphabet), len(block)), np.uint64)
-        for i in range(min(steps, words * _WORD)):
-            bit = np.uint64(1 << i % _WORD)
-            peq[i // _WORD] |= np.where(chars[block, i] == symbols, bit,
-                                        np.uint64(0))
+    symbols = alphabet[:, None]
+    # numpy scalars: a Python int operand costs a conversion per call
+    one, top = np.uint64(1), np.uint64(_WORD - 1)
+    per_block = max(
+        1, DRR_BLOCK_CELLS // ((len(texts) + len(alphabet)) * words))
+    for start in range(0, len(patterns), per_block):
+        block = range(start, min(start + per_block, len(patterns)))
+        # bit i of peq[w, s, b]: character 64 w + i of pattern b is s
+        match = pattern_codes[block.start:block.stop, None, :] == symbols
+        peq = np.ascontiguousarray(
+            np.packbits(match, axis=-1, bitorder="little").view("<u8")
+            .transpose(2, 1, 0), dtype=np.uint64)
         pv = np.full((words, len(texts), len(block)), _ONES)
         mv = np.zeros_like(pv)
         for t in range(steps):
             k = running[t]
             step = step_chars[t, :k]
             # row 0 grows by one per column, so a +1 enters word 0
-            carry_p, carry_m = 1, 0
+            carry_p, carry_m = one, 0
             for w in range(words):
                 p, m = pv[w, :k], mv[w, :k]
                 eq = peq[w][step]
@@ -407,10 +382,10 @@ def _distance_rows(
                 ph |= m
                 mh = p & xh
                 if w + 1 < words:
-                    next_p, next_m = ph >> (_WORD - 1), mh >> (_WORD - 1)
-                ph <<= 1
+                    next_p, next_m = ph >> top, mh >> top
+                ph <<= one
                 ph |= carry_p
-                mh <<= 1
+                mh <<= one
                 if w:
                     mh |= carry_m
                 np.bitwise_or(xv, ph, out=p)
@@ -419,11 +394,11 @@ def _distance_rows(
                 np.bitwise_and(ph, xv, out=m)
                 if w + 1 < words:
                     carry_p, carry_m = next_p, next_m
-        masks = np.array(
-            [[(1 << min(max(n - _WORD * w, 0), _WORD)) - 1
-              for n in lens[block].tolist()] for w in range(words)],
-            dtype=np.uint64,
-        )[:, None, :]
+        # bit i of masks[w, 0, b]: row 64 w + i is one of pattern b's own
+        own = (np.arange(words * _WORD)
+               < pattern_lens[block.start:block.stop, None])
+        masks = np.packbits(own, axis=-1, bitorder="little").view(
+            "<u8").T[:, None, :]
         dist = np.empty((len(block), len(texts)), dtype=np.int64)
         dist[:, order] = (text_lens[:, None] + _popcount(pv & masks)
                           - _popcount(mv & masks)).T
@@ -431,8 +406,8 @@ def _distance_rows(
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each cell of a [word, text, row] uint64 array, summed
-    over its words."""
+    """Set bits of each cell of a [word, text, pattern] uint64 array,
+    summed over its words."""
     bits = np.unpackbits(words.view(np.uint8), axis=-1)
     return bits.reshape(*words.shape, _WORD).sum(axis=(0, 3), dtype=np.int64)
 

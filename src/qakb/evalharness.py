@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from qakb.aliasindex import tokenize
+from qakb.aliasindex import find_run, tokenize
 from qakb.datagen import QuestionInstance, make_question
 from qakb.e2e import E2EStrategy
 from qakb.errors import EmptyEvalSet, NoCandidates, NoRelation
@@ -165,13 +165,6 @@ def answer_record(strategy, question: str) -> str:
 # Oracle stages
 # ---------------------------------------------------------------------------
 
-def _find_span(tokens: Sequence[str], span: Sequence[str]) -> Optional[int]:
-    for start in range(len(tokens) - len(span) + 1):
-        if list(tokens[start:start + len(span)]) == list(span):
-            return start
-    return None
-
-
 class OracleTagger:
     """Tags the gold subject's alias span in questions it has seen."""
 
@@ -183,10 +176,9 @@ class OracleTagger:
         labels[:, 0] = 1.0
         span = self.spans_by_question.get(tuple(tokens))
         if span:
-            start = _find_span(tokens, span)
+            start = find_run(tokens, span)
             if start is not None:
-                for t in range(start, start + len(span)):
-                    labels[t] = (0.0, 1.0)
+                labels[start:start + len(span)] = (0.0, 1.0)
         return labels
 
 
@@ -214,7 +206,7 @@ def oracle_models(dataset: Sequence[QuestionInstance],
         rec = kb.entities.get(q.gold.subject)
         for alias in (rec.aliases if rec is not None else []):
             alias_tokens = tokenize(alias)
-            if alias_tokens and _find_span(tokens, alias_tokens) is not None:
+            if alias_tokens and find_run(tokens, alias_tokens) is not None:
                 spans[tokens] = alias_tokens
                 break
         relations[q.text] = q.gold.relation

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from qakb.aliasindex import (
     MAX_NGRAM,
     AliasIndex,
-    _contains_contiguous,
     all_ngrams,
     build_index,
     extract_ngrams,
+    find_run,
     retrieve_candidates,
     retrieve_question_candidates,
     tokenize,
@@ -130,7 +130,8 @@ def _pruned_ngrams(tokens):
         for i in range(len(tokens) - n + 1):
             grams.add(tuple(tokens[i:i + n]))
     kept = [g for g in grams
-            if not any(_contains_contiguous(other, g) for other in grams)]
+            if not any(other != g and find_run(other, g) is not None
+                       for other in grams)]
     kept.sort(key=lambda g: (-len(g), g))
     return [" ".join(g) for g in kept]
 
@@ -172,6 +173,21 @@ class TestExtractNgrams:
 
     def test_all_ngrams_unpruned(self):
         assert all_ngrams(["a", "b"]) == ["a", "b", "a b"]
+
+
+class TestFindRun:
+    @pytest.mark.parametrize("tokens, run, start", [
+        (("a", "b", "c"), ("b", "c"), 1),
+        # the first occurrence, with a list and a tuple compared
+        (["a", "b", "a", "b"], ("a", "b"), 0),
+        # the whole sequence
+        (("a", "b"), ["a", "b"], 0),
+        (("a", "b"), ("b", "a"), None),
+        # longer than the tokens
+        (("a",), ("a", "a"), None),
+    ])
+    def test_first_start_or_none(self, tokens, run, start):
+        assert find_run(tokens, run) == start
 
 
 @pytest.fixture()

@@ -53,6 +53,43 @@ def _oracle_lev(a: str, b: str) -> int:
     return rec(len(a), len(b))
 
 
+def _text_codes(texts):
+    """``texts`` as a zero-padded [text, character] array of code points,
+    and their lengths: the inputs of :func:`_oracle_rows`."""
+    width = max(max(map(len, texts), default=0), 1)
+    codes = np.array([[ord(c) for c in t] + [0] * (width - len(t))
+                      for t in texts], dtype=np.int64).reshape(-1, width)
+    return codes, np.array([len(t) for t in texts])
+
+
+def _oracle_rows(key, codes, lens):
+    """The edit distance from ``key`` to each text of :func:`_text_codes`,
+    by the plain Wagner-Fischer DP: one row per text, stepped one
+    character of ``key`` at a time.  A row holds ``D[i][j] - j``, so an
+    insertion along it costs nothing and the row is a running minimum of
+    its deletion and (mis)match candidates.  Columns past a text's end
+    never feed earlier ones, so the zero padding is harmless."""
+    row = np.zeros((len(codes), codes.shape[1] + 1), dtype=np.int32)
+    mismatch = {}  # per key character: 0 where a text matches it, else 1
+    for i, ch in enumerate(key, 1):
+        if ch not in mismatch:
+            mismatch[ch] = (codes != ord(ch)).astype(np.int32)
+        best = np.empty_like(row)
+        best[:, 0] = i
+        # D[i-1][j] + 1 - j, and D[i-1][j-1] + mismatch - j
+        np.minimum(row[:, 1:] + 1, row[:, :-1] + mismatch[ch] - 1,
+                   out=best[:, 1:])
+        row = np.minimum.accumulate(best, axis=1)
+    return row[np.arange(len(codes)), lens] + lens
+
+
+def _oracle_sort(key, rels, codes):
+    """``rels`` other than ``key``, by (edit distance to ``key``, name);
+    ``codes`` is ``_text_codes(rels)``."""
+    dist = _oracle_rows(key, *codes).tolist()
+    return [r for _, r in sorted(zip(dist, rels)) if r != key]
+
+
 class TestLevenshtein:
     @pytest.mark.parametrize(
         "a,b,d",
@@ -93,6 +130,14 @@ class TestLevenshtein:
         assert d == levenshtein(b, a)
         assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
 
+    @given(st.text(max_size=7), st.lists(st.text(max_size=7), min_size=1,
+                                         max_size=4))
+    def test_row_oracle_matches_recursive_oracle(self, key, texts):
+        """The array Wagner-Fischer the grid tests use as their reference
+        agrees with the recursive definition."""
+        assert (_oracle_rows(key, *_text_codes(texts)).tolist()
+                == [_oracle_lev(key, t) for t in texts])
+
 
 def _q(text, subject="m.x", relation="/r/r/r", obj="m.y"):
     return make_question(text, Fact(subject, relation, obj))
@@ -108,14 +153,16 @@ def _full_search_label(q, entity_aliases):
         raise LabelFailure(
             f"cannot label {q.text!r}: need at least 2 tokens and 1 alias"
         )
+    spans = [(start, start + length) for length in range(1, n)
+             for start in range(0, n - length + 1)]
+    codes = _text_codes([" ".join(tokens[lo:hi]) for lo, hi in spans])
     best = None
-    for length in range(1, n):
-        for start in range(0, n - length + 1):
-            gram = " ".join(tokens[start:start + length])
-            for alias_i, alias in enumerate(aliases):
-                key = (levenshtein(gram, alias), -length, start, alias_i)
-                if best is None or key < best[0]:
-                    best = key, (start, start + length), alias
+    for alias_i, alias in enumerate(aliases):
+        dists = _oracle_rows(alias, *codes).tolist()
+        for (lo, hi), dist in zip(spans, dists):
+            key = (dist, lo - hi, lo, alias_i)
+            if best is None or key < best[0]:
+                best = key, (lo, hi), alias
     (dist, _, _, _), (lo, hi), alias = best
     if dist >= max(len(" ".join(tokens[lo:hi])), len(alias)):
         raise LabelFailure(
@@ -133,6 +180,29 @@ def _label_outcome(label, q, aliases):
         return label(q, aliases)
     except LabelFailure as exc:
         return f"LabelFailure: {exc}"
+
+
+@st.composite
+def _long_and_wide_questions(draw):
+    """(question words, aliases): words of up to 40 characters, with
+    non-ASCII and non-BMP letters and repeats, or of a and b alone, so
+    that long grams differ from one another by a few edits; each alias a
+    run of the words, that run with one letter changed, or a string
+    sharing no character with the question."""
+    word = st.one_of(st.sampled_from(["ab", "é世", "\U0001F600a", "abé世" * 4,
+                                      "b\U0001F600" * 9]),
+                     st.text(alphabet="ab", min_size=10, max_size=40))
+    words = draw(st.lists(word, min_size=2, max_size=6))
+    n = len(words)
+    run = st.tuples(st.integers(0, n - 1), st.integers(1, n)).map(
+        lambda sl: " ".join(words[sl[0]:sl[0] + sl[1]]))
+    misspelt = st.tuples(run, st.integers(0, 200),
+                         st.sampled_from("xé\U0001F601")).map(
+        lambda e: (e[0][:e[1] % len(e[0])] + e[2]
+                   + e[0][e[1] % len(e[0]) + 1:]))
+    foreign = st.text(alphabet="xyzq", min_size=1, max_size=5)
+    return words, draw(st.lists(st.one_of(misspelt, run, foreign),
+                                min_size=1, max_size=3))
 
 
 class TestLabelEntitySpan:
@@ -187,25 +257,30 @@ class TestLabelEntitySpan:
         assert first == label_entity_span(q, aliases)
         span = first.span_tokens()
         chosen = " ".join(span)
-        chosen_best = min(levenshtein(chosen, a.lower()) for a in aliases)
+        chosen_best = min(_oracle_lev(chosen, a.lower()) for a in aliases)
         n = len(q.tokens)
-        for length in range(1, n):
-            for start in range(0, n - length + 1):
-                gram = " ".join(q.tokens[start:start + length])
-                for alias in aliases:
-                    d = levenshtein(gram, alias.lower())
-                    assert d >= chosen_best
-                    if d == chosen_best:
-                        assert length <= len(span)
+        spans = [(start, start + length) for length in range(1, n)
+                 for start in range(0, n - length + 1)]
+        codes = _text_codes([" ".join(q.tokens[lo:hi]) for lo, hi in spans])
+        for alias in aliases:
+            dists = _oracle_rows(alias.lower(), *codes).tolist()
+            for (lo, hi), d in zip(spans, dists):
+                assert d >= chosen_best
+                if d == chosen_best:
+                    assert hi - lo <= len(span)
 
     def test_verbatim_alias_computes_no_distance(self, monkeypatch):
-        calls = _count_levenshtein(monkeypatch)
+        """An exact alias computes no grid; a misspelt one computes one
+        grid of every gram against every alias."""
+        calls = _count_distance_rows(monkeypatch)
         got = label_entity_span(_q("who founded the acme co ?"),
                                 ["acme", "the acme co"])
         assert got.span_tokens() == ["the", "acme", "co"]
         assert calls[0] == 0
-        label_entity_span(_q("who founded the akme co ?"), ["acme"])
-        assert calls[0] > 0
+        got = label_entity_span(_q("who founded the akme co ?"),
+                                ["acme", "acme co"])
+        assert got.span_tokens() == ["akme", "co"]
+        assert calls[0] == 1
 
     @pytest.mark.parametrize("text, aliases", [
         # repeated aliases
@@ -249,6 +324,31 @@ class TestLabelEntitySpan:
                 lambda sl: " ".join(q.tokens[sl[0]:sl[0] + sl[1]]))
         alias |= alias.map(lambda a: f" {a.upper()} ")
         aliases = data.draw(st.lists(alias, max_size=5))
+        assert (_label_outcome(label_entity_span, q, aliases)
+                == _label_outcome(_full_search_label, q, aliases))
+
+    @settings(deadline=None, max_examples=60)
+    @given(_long_and_wide_questions())
+    # one letter off two equal 4-grams of 83 characters, two pattern words
+    @example((["abé世" * 5] * 5, [" ".join(["abé世" * 5] * 4)[:-1] + "x"]))
+    # a misspelt 2-gram of 67 characters among long grams of a and b,
+    # whose distances differ by a few edits
+    @example((["bbaababbaaabbbbabbbbababababbbabbabbbb",
+               "aababbaabbbabbbaaabababbabab", "aabbabaaabbbbba",
+               "babaaabababb"],
+              ["bbaababbaaabbbbabbbbababababbbabxabbbb "
+               "aababbaabbbabbbaaabababbabab"]))
+    # equal-length grams tie ("ab" twice), and so do the aliases
+    @example((["ab", "ab", "é世"], ["abx", "aby"]))
+    # no character shared with a non-BMP question: rejected
+    @example((["\U0001F600a", "é世"], ["xyz", "q"]))
+    def test_same_as_full_search_on_long_and_wide_questions(self, case):
+        """Grams past 64 characters chain two pattern words; non-ASCII and
+        non-BMP letters, ties between equal-length grams and between
+        aliases, and aliases sharing no character with the question all
+        label (or reject) as the full search does."""
+        words, aliases = case
+        q = _q(" ".join(words))
         assert (_label_outcome(label_entity_span, q, aliases)
                 == _label_outcome(_full_search_label, q, aliases))
 
@@ -364,28 +464,28 @@ class TestTypePairs:
         assert group == (q.text, "us president", ["b", "a"])
 
 
-def _count_levenshtein(monkeypatch):
-    """Count calls of ``datagen.levenshtein``; the returned one-item list
-    holds the running total."""
+def _count_distance_rows(monkeypatch):
+    """Count calls of ``datagen._distance_rows``; the returned one-item
+    list holds the running total."""
     calls = [0]
-    real = datagen.levenshtein
+    real = datagen._distance_rows
 
-    def counting(a, b):
+    def counting(patterns, texts):
         calls[0] += 1
-        return real(a, b)
+        return real(patterns, texts)
 
-    monkeypatch.setattr(datagen, "levenshtein", counting)
+    monkeypatch.setattr(datagen, "_distance_rows", counting)
     return calls
 
 
 def _spy_distance_rows(monkeypatch):
-    """Record the (rows, columns) of every distance block
+    """Record the (patterns, texts) shape of every distance block
     ``datagen._distance_rows`` yields; returns the list it fills."""
     blocks = []
     real = datagen._distance_rows
 
-    def spying(texts, rows):
-        for block, dist in real(texts, rows):
+    def spying(patterns, texts):
+        for block, dist in real(patterns, texts):
             assert dist.shape == (len(block), len(texts))
             blocks.append(dist.shape)
             yield block, dist
@@ -512,16 +612,18 @@ class TestDrr:
     # the shared prefix and suffix overlap in "/r"
     @example(({"/r", "/r/r", "/r/r/r"}, {"/r", "/r/r", "/r/r/r"}), False)
     def test_array_pass_matches_brute_force(self, case, truncate):
-        """Every row equals the (levenshtein, name) sort of the other
-        relations, across the 64-character word boundaries, non-ASCII
-        text, shared affixes, prefix relations and single relations."""
+        """Every row equals the (edit distance, name) sort of the other
+        relations by the Wagner-Fischer oracle, across the 64-character
+        word boundaries, non-ASCII text, shared affixes, prefix relations
+        and single relations."""
         rels, keys = case
         kwargs = {"truncate_above": 1, "keep": 3} if truncate else {}
         d = build_drr(rels, keys=keys, **kwargs)
         assert set(d) == keys & rels
+        rels = sorted(rels)
+        codes = _text_codes(rels)
         for key, row in d.items():
-            expected = sorted((r for r in rels if r != key),
-                              key=lambda r: (levenshtein(key, r), r))
+            expected = _oracle_sort(key, rels, codes)
             assert row == (expected[:3] if truncate else expected)
 
     def test_truncated_rows_in_blocks(self, monkeypatch):
@@ -541,10 +643,9 @@ class TestDrr:
         monkeypatch.setattr(datagen, "DRR_BLOCK_CELLS", 1)
         assert build_drr(rels, keys=keys) == whole
         assert blocks == [(1, 2100)] * 3
+        codes = _text_codes(rels)
         for key in keys:
-            expected = sorted((r for r in rels if r != key),
-                              key=lambda r: (levenshtein(key, r), r))
-            assert whole[key] == expected[:DRR_KEEP]
+            assert whole[key] == _oracle_sort(key, rels, codes)[:DRR_KEEP]
 
 
 def _pool_kb():

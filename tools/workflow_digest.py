@@ -13,7 +13,9 @@ Runs ``qakb.cli.main`` in-process, in a fresh temporary directory, over:
 * ``ingest`` of small TSV facts and aliases and N-Triples types, in
   several id spellings and every literal escape, then ``gen-data`` on that
   KB over questions that mostly spell their subject's alias wrongly, so
-  span labelling falls back to edit distance;
+  span labelling falls back to edit distance, one alias among them
+  non-ASCII and one question long enough that a gram takes two 64-bit
+  pattern words;
 * ``synth`` and ``gen-data`` at 5,000 entities and 200 relations, then
   ``train-e2e --variant qa-t`` on 32 of its train questions (whose
   relation-dictionary rows the benchmark's ``prep-m`` unit builds),
@@ -62,7 +64,8 @@ FACTS_TSV = (
     "m/0p01\n"
     "HTTP://rdf.freebase.com/ns/m.0a03\tNS/film/film/genre\tNS/m/0p03\n"
 )
-ALIASES_TSV = "m.0a01\tAcme\nm.0a02\tThe Film\nm.0p01\tJo\nm.0p02\tjo\n"
+ALIASES_TSV = ("m.0a01\tAcme\nm.0a02\tThe Film\nm.0p01\tJo\nm.0p02\tjo\n"
+               "m.0a04\tCafé Müller\n")
 # a leading comment (the file is still read as N-Triples), a padded name,
 # a blank line, an https subject, a name with every literal escape, and a
 # French name that is dropped
@@ -77,8 +80,10 @@ TYPES_NT = (
 )
 
 # questions on the ingested KB: misspelled aliases ("akme", "flim",
-# "teh film", "jo's"), one verbatim, one question sharing no character
-# with its alias and one whose subject has none, which are dropped
+# "teh film", "jo's", a non-ASCII "cafe mûller"), one verbatim, one
+# question sharing no character with its alias and one whose subject has
+# none, which are dropped; one of 18 tokens, whose longest grams span
+# two 64-bit pattern words in the edit-distance grid
 INGESTED_QUESTIONS_TSV = (
     "m.0a01\t/business/company/founders\tm.0p01\twho founded akme ?\n"
     "m.0a02\t/film/film/directed_by\tm.0p01\twho directed the flim\n"
@@ -87,6 +92,10 @@ INGESTED_QUESTIONS_TSV = (
     "m.0a01\t/business/company/founders\tm.0p02\twho started acme\n"
     "m.0a01\t/business/company/founders\tm.0p02\txx qq\n"
     "m.0a03\t/film/film/genre\tm.0p03\twhat genre is it\n"
+    "m.0a04\t/film/film/genre\tm.0p03\twhat genre is cafe mûller\n"
+    "m.0a02\t/film/film/directed_by\tm.0p01\twho was the person that "
+    "directed teh film which everyone in the whole wide world keeps "
+    "talking about\n"
 )
 
 

@@ -44,7 +44,7 @@ def loss_binary_ce(a: ArrayLike, y: Union[int, Sequence[int]]) -> Tensor:
     """Single-pair form: -[y ln a + (1-y) ln(1-a)].  A vector of
     probabilities with a vector of labels gives each pair's loss."""
     y = np.asarray(y)
-    if not np.isin(y, (0, 1)).all():
+    if not ((y == 0) | (y == 1)).all():
         raise ValueError(f"label must be 0 or 1, got {y.tolist()!r}")
     a = as_tensor(a)
     if a.shape != y.shape:

@@ -1,5 +1,10 @@
 """First-order optimization: Adam with bias correction, and the minibatch
-training loop every model shares."""
+training loop every model shares.
+
+Once an :class:`Adam` exists, its parameters' values live in its buffer:
+nothing may rebind ``p.data``, only write into it, as
+:func:`~qakb.nn.io.restore_params` does.
+"""
 
 from __future__ import annotations
 
@@ -15,16 +20,38 @@ logger = logging.getLogger(__name__)
 
 
 class Adam:
-    """Adam over a named parameter table; iteration order is by name."""
+    """Adam over a named parameter table; iteration order is by name.
+
+    Each parameter's ``data`` becomes a view into one flat buffer, in
+    that order, and the moments are one flat array each, so a step in
+    which every parameter has a gradient is one in-place update of the
+    whole buffer.  Otherwise each parameter with a gradient is updated
+    on its slices, and one without keeps its value and moments.  Both
+    round every element alike.  ValueError when two keys name one
+    tensor, whose value cannot live in two slices.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params: dict[str, Tensor], lr: float = 0.001):
         self.params = dict(sorted(params.items()))
+        seen: dict[int, str] = {}
+        for name, p in self.params.items():
+            first = seen.setdefault(id(p), name)
+            if first != name:
+                raise ValueError(f"{first!r} and {name!r} are one tensor")
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.data = np.concatenate([p.data for p in self.params.values()],
+                                   axis=None)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
+        self._slices: list[slice] = []
+        offset = 0
+        for p in self.params.values():
+            sl = slice(offset, offset + p.data.size)
+            p.data, offset = self.data[sl].reshape(p.data.shape), sl.stop
+            self._slices.append(sl)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -34,15 +61,32 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        grads = [p.grad for p in self.params.values()]
+        if all(g is not None for g in grads):
+            runs = [(slice(None), grads)]
+        else:  # a parameter without a gradient keeps its value and moments
+            runs = [(sl, [g]) for sl, g in zip(self._slices, grads)
+                    if g is not None]
+        for sl, gs in runs:
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+            # data -= lr (m / bc1) / (sqrt(v / bc2) + eps), in place and
+            # rounded in that order
+            data, m, v = self.data[sl], self.m[sl], self.v[sl]
+            g = np.concatenate(gs, axis=None)
+            s = np.multiply(g, 1.0 - self.beta2)
+            s *= g
+            v *= self.beta2
+            v += s
+            g *= 1.0 - self.beta1
+            m *= self.beta1
+            m += g
+            np.divide(m, bc1, out=g)
+            g *= self.lr
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            g /= s
+            data -= g
 
 
 def fit(params: dict[str, Tensor], n: int,

@@ -57,9 +57,17 @@ class Tensor:
         return float(self.data)
 
     def accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad``, of this tensor's shape (ShapeMismatch, not a
+        broadcast, otherwise), into ``self.grad``.  The first is stored as
+        ``grad + 0.0``: a fresh array with the bits of a zero fill plus
+        ``grad``, so a -0.0 is stored as +0.0."""
+        if grad.shape != self.data.shape:
+            raise ShapeMismatch(f"gradient of shape {grad.shape} for a "
+                                f"tensor of shape {self.data.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = grad + 0.0
+        else:
+            self.grad += grad
 
     def backward(self) -> None:
         """Backpropagate from a scalar node through the whole graph.
@@ -313,21 +321,6 @@ def concat(parts: Sequence[ArrayLike], axis: int = 0) -> Tensor:
                 sl[axis] = slice(offset, offset + size)
                 t.accumulate(out.grad[tuple(sl)])
             offset += size
-
-    return _make(data, tensors, backward)
-
-
-def stack_rows(rows: Sequence[ArrayLike]) -> Tensor:
-    """Stack 1-D tensors into a matrix, one per row."""
-    tensors = [as_tensor(r) for r in rows]
-    if not tensors:
-        raise ShapeMismatch("stack of zero rows")
-    data = np.stack([t.data for t in tensors], axis=0)
-
-    def backward(out: Tensor) -> None:
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t.accumulate(out.grad[i])
 
     return _make(data, tensors, backward)
 

@@ -307,9 +307,13 @@ def train_matcher(pairs: Sequence[MatcherPair], cfg: TrainConfig,
     if not pairs:
         raise EmptyTrainingSet("no matcher pairs to train on")
     rng = np.random.default_rng(cfg.seed)
-    seqs = [(tuple(tokenize(question)), tuple(matcher_tokens(text)))
-            for question, text, _ in pairs]
-    vocab = sorted({tok for q_toks, t_toks in seqs for tok in q_toks + t_toks})
+    # a question has a pair per candidate text and a text a pair per
+    # question it is asked of, so each distinct string is tokenized once
+    questions = {q: tuple(tokenize(q)) for q in {q for q, _, _ in pairs}}
+    texts = {t: tuple(matcher_tokens(t)) for t in {t for _, t, _ in pairs}}
+    seqs = [(questions[question], texts[text]) for question, text, _ in pairs]
+    vocab = sorted({tok for toks in (*questions.values(), *texts.values())
+                    for tok in toks})
     model = MatcherModel(vocab, cfg, rng, name=name)
     tags = np.array([tag for _, _, tag in pairs])
 

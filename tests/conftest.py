@@ -1,9 +1,12 @@
 """Shared fixtures: a small hand-built knowledge base used across
-modules, and a view of one gate's weights in a recurrent cell."""
+modules, a view of one gate's weights in a recurrent cell, and a graph
+op that only tests build."""
 
+import numpy as np
 import pytest
 
 from qakb.kb import Fact, build_kb
+from qakb.nn.tensor import _make, as_tensor
 
 
 @pytest.fixture()
@@ -53,3 +56,16 @@ def gate_block(cell, kind, gate, array=None):
     if kind == "W":
         return array[:, k * h:(k + 1) * h].T
     return array[k * h:(k + 1) * h]
+
+
+def stack_rows(rows):
+    """Stack 1-D tensors into a matrix, one per row, as a graph node."""
+    tensors = [as_tensor(r) for r in rows]
+    data = np.stack([t.data for t in tensors], axis=0)
+
+    def backward(out):
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                t.accumulate(out.grad[i])
+
+    return _make(data, tensors, backward)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import gate_block
+from conftest import gate_block, stack_rows
 
 import qakb.nn.layers
 from qakb.aliasindex import build_index
@@ -39,7 +39,6 @@ from qakb.nn.tensor import (
     param,
     relu,
     sigmoid,
-    stack_rows,
     tanh,
     transpose,
     tsum,

@@ -128,6 +128,13 @@ class TestBinaryCE:
             loss_binary_ce(0.5, 2)
         with pytest.raises(ValueError):
             loss_binary_ce(np.array([0.5, 0.5]), [1, 2])
+        for label in (0.5, -1):
+            with pytest.raises(ValueError, match=r"label must be 0 or 1, "
+                                                 rf"got {label}"):
+                loss_binary_ce(0.5, label)
+        with pytest.raises(ValueError, match=r"label must be 0 or 1, "
+                                             r"got \[1, 0, 3, 1\]"):
+            loss_binary_ce(np.full(4, 0.5), [1, 0, 3, 1])
 
     @pytest.mark.parametrize("labels", [[1], [0, 1, 1]])
     def test_vector_is_each_pair_loss(self, labels):
@@ -195,7 +202,114 @@ class TestHinges:
         assert neg.grad == pytest.approx(0.0)
 
 
+class _PerParameterAdam:
+    """Adam as one update per parameter, each on fresh arrays: the rule
+    whose bits the flat buffer keeps."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
+        self.params = dict(sorted(params.items()))
+        self.lr = lr
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.params.items():
+            if p.grad is None:
+                continue
+            g = p.grad
+            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[name] / bc1
+            v_hat = self.v[name] / bc2
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _flat_moments(opt):
+    """Each parameter's first and second moments, read from the flat
+    arrays in which they sit side by side in name order."""
+    out, offset = {}, 0
+    for name, p in opt.params.items():
+        sl = slice(offset, offset + p.data.size)
+        out[name] = (opt.m[sl].reshape(p.shape), opt.v[sl].reshape(p.shape))
+        offset = sl.stop
+    return out
+
+
 class TestAdam:
+    def test_flat_buffer_matches_per_parameter_loop(self):
+        """Bit for bit, over steps where every parameter has a gradient
+        and steps where some have none (whose values and moments hold
+        still), with gradients holding -0.0."""
+        rng = np.random.default_rng(71)
+        shapes = {"c.matrix": (3, 4), "a.scalar": (), "b.vector": (5,)}
+        init = {k: rng.normal(size=s) for k, s in shapes.items()}
+        flat = {k: param(a) for k, a in init.items()}
+        oracle = {k: param(a) for k, a in init.items()}
+        opt, ref = Adam(flat, lr=0.05), _PerParameterAdam(oracle, lr=0.05)
+        paths = set()
+        for step in range(20):
+            gradless = ({k for k in shapes if rng.random() < 0.3}
+                        if step >= 3 else set())
+            paths.add(bool(gradless))
+            for k, shape in shapes.items():
+                g = np.where(rng.random(shape) < 0.25, -0.0,
+                             rng.normal(size=shape))
+                if k in gradless:
+                    g = None
+                elif not shape:  # a numpy scalar, as 0-d backwards give
+                    g = g[()]
+                flat[k].grad = oracle[k].grad = g
+            before = {k: (flat[k].data.copy(), *map(np.copy, moments))
+                      for k, moments in _flat_moments(opt).items()}
+            opt.step()
+            ref.step()
+            for k, (m, v) in _flat_moments(opt).items():
+                np.testing.assert_array_equal(_bits(flat[k].data),
+                                              _bits(oracle[k].data))
+                np.testing.assert_array_equal(_bits(m), _bits(ref.m[k]))
+                np.testing.assert_array_equal(_bits(v), _bits(ref.v[k]))
+                if k in gradless:
+                    for now, then in zip((flat[k].data, m, v), before[k]):
+                        np.testing.assert_array_equal(_bits(now),
+                                                      _bits(then))
+        assert paths == {False, True}
+
+    def test_rejects_one_tensor_under_two_keys(self):
+        w = param(np.zeros(2))
+        with pytest.raises(ValueError, match="'a.w' and 'b.w'"):
+            Adam({"b.w": w, "c": param(np.zeros(1)), "a.w": w})
+
+    def test_fit_leaves_every_value_in_one_buffer(self):
+        """After training each parameter's value is a C-contiguous view
+        into one buffer, and a gradient check still nudges live values."""
+        rng = np.random.default_rng(73)
+        layer = Dense(3, 2, rng)
+        params = layer.parameters()
+        x = Tensor(rng.normal(size=(3,)))
+
+        def loss():
+            return tsum(layer(x) * layer(x))
+
+        fit(params, 3, lambda batch: (loss(), 1),
+            TrainConfig(epochs=2, batch_size=1), rng, "test")
+        (buffer,) = {id(p.data.base): p.data.base
+                     for p in params.values()}.values()
+        assert buffer.size == sum(p.data.size for p in params.values())
+        for p in params.values():
+            assert p.data.flags.c_contiguous
+            assert np.shares_memory(p.data, buffer)
+        assert finite_diff_check(loss, list(params.values())) < 1e-4
+
     def test_quadratic_descent_monotone(self):
         w = param(np.array(1.0))
         opt = Adam({"w": w})

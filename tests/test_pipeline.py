@@ -1,6 +1,7 @@
 """Tagger, matcher, and ranking-strategy tests for the staged QA stack."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -1133,6 +1134,39 @@ class TestBatchedTraining:
         assert len(texts) == len(set(texts))
         assert set(texts) == {tuple(toks) for pair in _pair_tokens(_PAIRS)
                               for toks in pair}
+
+    def test_matcher_tokenizes_each_distinct_string_once(self,
+                                                         monkeypatch):
+        """A question is tokenized once however many candidate texts it
+        is paired with, and a type label once however many questions it
+        is paired with; every pair gets the tokens a per-row
+        tokenization gives."""
+        calls, seen = [], []
+        loss = MatcherModel.loss
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        def recording(self, pairs, tags, rng):
+            seen.append(list(pairs))
+            return loss(self, pairs, tags, rng)
+
+        def one_batch(params, n, batch_loss_fn, cfg, rng, name):
+            batch_loss_fn(np.arange(n))
+            return []
+
+        monkeypatch.setattr(qakb.pipeline, "tokenize", counting)
+        monkeypatch.setattr(MatcherModel, "loss", recording)
+        monkeypatch.setattr(qakb.pipeline, "fit", one_batch)
+        train_matcher(_PAIRS, _CFG)
+        monkeypatch.undo()
+        labels = {t for _, t, _ in _PAIRS if not t.startswith("/")}
+        assert labels and len({q for q, _, _ in _PAIRS}) < len(_PAIRS)
+        assert Counter(calls) == (Counter({q for q, _, _ in _PAIRS})
+                                  + Counter(labels))
+        assert seen == [[(tuple(q), tuple(t))
+                         for q, t in _pair_tokens(_PAIRS)]]
 
     def test_graph_nodes_per_question_step(self, monkeypatch):
         """A deterministic count, so un-batching training fails here even

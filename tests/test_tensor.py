@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import stack_rows
 
 from qakb.errors import ShapeMismatch
 from qakb.nn.gradcheck import finite_diff_check
@@ -74,6 +75,38 @@ class TestForward:
             (t * 2.0).backward()
 
 
+class TestAccumulate:
+    def test_first_negative_zero_is_stored_as_positive_zero(self):
+        """The bits of a zero-filled gradient plus the first one."""
+        t = T.param(np.ones(3))
+        t.accumulate(np.array([-0.0, 0.0, -2.5]))
+        np.testing.assert_array_equal(np.signbit(t.grad),
+                                      [False, False, True])
+        np.testing.assert_array_equal(t.grad, [0.0, 0.0, -2.5])
+
+    def test_first_gradient_is_a_copy(self):
+        t = T.param(np.zeros((2, 2)))
+        g = np.ones((2, 2))
+        t.accumulate(g)
+        g += 5.0
+        np.testing.assert_array_equal(t.grad, np.ones((2, 2)))
+
+    def test_second_gradient_adds(self):
+        t = T.param(np.zeros(2))
+        t.accumulate(np.array([1.0, 2.0]))
+        t.accumulate(np.array([0.5, -2.0]))
+        np.testing.assert_array_equal(t.grad, [1.5, 0.0])
+
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 3), (1,), ()])
+    def test_other_shape_raises_instead_of_broadcasting(self, first, shape):
+        t = T.param(np.zeros(3))
+        if not first:
+            t.accumulate(np.ones(3))
+        with pytest.raises(ShapeMismatch):
+            t.accumulate(np.ones(shape))
+
+
 def _check(build, params, tol=1e-4):
     assert finite_diff_check(build, params) < tol
 
@@ -138,7 +171,7 @@ class TestGradients:
         _check(lambda: T.tsum(T.concat([a, b], axis=1) * 0.5), [a, b])
         u = T.param(self.rng.normal(size=(3,)))
         v = T.param(self.rng.normal(size=(3,)))
-        _check(lambda: T.tsum(T.stack_rows([u, v]) * 2.0), [u, v])
+        _check(lambda: T.tsum(stack_rows([u, v]) * 2.0), [u, v])
 
     def test_gather_rows_with_duplicates(self):
         """Duplicate indices must accumulate their gradients."""
@@ -205,7 +238,7 @@ GRAPHS = {
     "reshape": lambda r: T.reshape(_p(r, 2, 3), (3, 2)),
     "transpose": lambda r: T.transpose(_p(r, 2, 3)),
     "concat": lambda r: T.concat([_p(r, 2), _p(r, 3)]),
-    "stack_rows": lambda r: T.stack_rows([_p(r, 3), _p(r, 3)]),
+    "stack_rows": lambda r: stack_rows([_p(r, 3), _p(r, 3)]),
     "take_column": lambda r: T.take_column(_p(r, 2, 3), 1),
     "gather_rows": lambda r: T.gather_rows(_p(r, 4, 3), [0, 2, 2]),
     "pad_rows": lambda r: T.pad_rows(_p(r, 2, 3), 4),

@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 from qakb.kb import KnowledgeBase
 
 _PUNCT = string.punctuation
+_ALIASES = attrgetter("aliases")
 MAX_NGRAM = 3  # longest gram, in tokens, that indexing and retrieval use
 
 
@@ -116,23 +119,28 @@ def build_index(kb: KnowledgeBase) -> AliasIndex:
     exact: dict[str, list[str]] = {}
     gram_to_entities: dict[str, list[str]] = {}
     entity_aliases: dict[str, list[str]] = {}
-    for mid in sorted(mid for mid, rec in kb.entities.items()
-                      if rec.aliases):
+    entities = kb.entities
+    for mid in sorted(compress(entities, map(_ALIASES, entities.values()))):
         normed: list[str] = []
-        for alias in kb.entities[mid].aliases:
-            tokens = tokenize(alias)
-            norm = " ".join(tokens)
+        for alias in entities[mid].aliases:
+            # lowercase ASCII letters and digits make one token that
+            # tokenize would return unchanged, so it is not called
+            if alias.isascii() and alias.isalnum() and alias.islower():
+                norm, grams = alias, (alias,)
+            else:
+                tokens = tokenize(alias)
+                norm = " ".join(tokens)
+                # a one-token alias is its own only gram
+                grams = all_ngrams(tokens) if len(tokens) > 1 else (norm,)
             if not norm or norm in normed:
                 continue
             normed.append(norm)
+            # each mid is indexed once, with distinct norms, so it enters
+            # an exact bucket at most once
+            exact.setdefault(norm, []).append(mid)
             # mids arrive sorted and each finishes before the next, so
             # a mid already in a bucket is its last entry
-            bucket = exact.setdefault(norm, [])
-            if not bucket or bucket[-1] != mid:
-                bucket.append(mid)
-            # a one-token alias is its own only gram
-            for gram in (all_ngrams(tokens) if len(tokens) > 1
-                         else (norm,)):
+            for gram in grams:
                 gbucket = gram_to_entities.setdefault(gram, [])
                 if not gbucket or gbucket[-1] != mid:
                     gbucket.append(mid)

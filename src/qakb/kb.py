@@ -12,17 +12,19 @@ from __future__ import annotations
 import json
 import logging
 import re
-import zlib
+import struct
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, compress, count, repeat
+from operator import is_not, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from qakb.errors import MalformedId, ParseError
 
 log = logging.getLogger(__name__)
 
-SNAPSHOT_MAGIC = b"KBQA2"
+SNAPSHOT_MAGIC = b"KBQA3"
 
 # The predicate (canonical form) that assigns notable types in N-Triples.
 _TYPE_ASSIGN_RELATION = "/common/topic/notable_types"
@@ -328,6 +330,13 @@ def build_kb(
     return _assemble(fact_list, entity_ids, aliases, types)
 
 
+def _records(cls: type, *columns: Iterable) -> Iterator:
+    """``cls`` named tuples made field by field from ``columns``:
+    ``tuple.__new__`` builds each from its field tuple in C, as the named
+    tuple's own constructor does after a Python-level call."""
+    return map(tuple.__new__, repeat(cls), zip(*columns))
+
+
 def _assemble(facts: list[Fact], entity_ids: Iterable[str],
               aliases: dict[str, Sequence[str]],
               types: dict[str, str]) -> KnowledgeBase:
@@ -346,11 +355,12 @@ def _assemble(facts: list[Fact], entity_ids: Iterable[str],
         else:
             rows.append(idx)
     entities = dict.fromkeys(entity_ids, _NO_RECORD)
-    for mid, names in aliases.items():
-        entities[mid] = EntityRecord(tuple(names), types.get(mid))
-    for mid, label in types.items():
-        if mid not in aliases:
-            entities[mid] = EntityRecord((), label)
+    # a set is iterated in one order for as long as it is not changed
+    only_typed = types.keys() - aliases.keys()
+    entities.update(zip(only_typed, _records(
+        EntityRecord, repeat(()), map(types.__getitem__, only_typed))))
+    entities.update(zip(aliases, _records(
+        EntityRecord, map(tuple, aliases.values()), map(types.get, aliases))))
     return KnowledgeBase(facts=facts, entities=entities, by_subject=by_subject)
 
 
@@ -399,142 +409,145 @@ def primary_alias(kb: KnowledgeBase, entity: str) -> str:
 # Binary snapshot
 # ---------------------------------------------------------------------------
 
+# After the magic: the counts of entities, relations, facts, entities with
+# aliases, aliases, typed entities and string-block bytes.
+_HEADER = struct.Struct("<7I")
+_COLUMNS_AT = len(SNAPSHOT_MAGIC) + _HEADER.size
+_INT32 = np.dtype("<i4")
+# an EntityRecord's aliases and label
+_ALIASES, _LABEL = itemgetter(0), itemgetter(1)
+
+
 def save_kb(kb: KnowledgeBase, path: str) -> None:
     """Write a versioned binary snapshot; byte-stable for a given KB.
 
-    The payload is columnar: every entity id in ``kb.entities`` order,
-    the distinct relations in order of first use, the facts as three
-    columns of indices into those lists, and ``[entity index, aliases]``
-    and ``[entity index, label]`` entries for the entities that have
-    aliases or a type.
+    After the magic and a header of counts come six little-endian int32
+    columns: each fact's subject, predicate and object as an index into
+    the entities or the distinct relations (in order of first use); the
+    entity index and the alias count of each entity with aliases; the
+    entity index of each typed entity.  Last comes one JSON array of
+    every string: the entity ids in ``kb.entities`` order, the relations,
+    the aliases entity by entity, and the type labels.
     """
-    index = {mid: i for i, mid in enumerate(kb.entities)}
+    ids = list(kb.entities)
+    index = dict(zip(ids, count()))
     subjects, relations, objects = (zip(*kb.facts) if kb.facts
                                     else ((), (), ()))
     relation_ids = list(dict.fromkeys(relations))
-    relation_index = {rel: i for i, rel in enumerate(relation_ids)}
-    records = [(index[mid], rec) for mid, rec in kb.entities.items()
-               if rec is not _NO_RECORD]
-    payload = {
-        "entities": list(index),
-        "relations": relation_ids,
-        "subjects": list(map(index.__getitem__, subjects)),
-        "predicates": list(map(relation_index.__getitem__, relations)),
-        "objects": list(map(index.__getitem__, objects)),
-        "aliases": [[i, rec.aliases] for i, rec in records if rec.aliases],
-        "types": [[i, rec.notable_type] for i, rec in records
-                  if rec.notable_type is not None],
-    }
-    blob = zlib.compress(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8"),
-        level=1,
-    )
+    relation_index = dict(zip(relation_ids, count()))
+    records = list(kb.entities.values())
+    aliased = list(compress(count(), map(_ALIASES, records)))
+    typed = list(compress(count(), map(is_not, map(_LABEL, records),
+                                       repeat(None))))
+    names = list(map(_ALIASES, map(records.__getitem__, aliased)))
+    labels = list(map(_LABEL, map(records.__getitem__, typed)))
+    columns = [map(index.__getitem__, subjects),
+               map(relation_index.__getitem__, relations),
+               map(index.__getitem__, objects),
+               aliased, map(len, names), typed]
+    aliases = list(chain.from_iterable(names))
+    strings = json.dumps(ids + relation_ids + aliases + labels,
+                         separators=(",", ":")).encode("utf-8")
+    ints = np.fromiter(chain.from_iterable(columns), _INT32,
+                       3 * len(kb.facts) + 2 * len(aliased) + len(typed))
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
-        fh.write(blob)
+        fh.write(_HEADER.pack(len(ids), len(relation_ids), len(kb.facts),
+                              len(aliased), len(aliases), len(typed),
+                              len(strings)))
+        fh.write(ints.tobytes())
+        fh.write(strings)
+
+
+def _garbled(what: str) -> ParseError:
+    return ParseError(f"truncated or garbled snapshot: {what}")
 
 
 def _ill_typed(what: str) -> ParseError:
-    return ParseError(f"ill-typed snapshot: {what}")
+    return ParseError(f"truncated or garbled snapshot, ill-typed: {what}")
 
 
-def _array(value: object, what: str) -> list:
-    """``value`` if it is a JSON array; ParseError otherwise."""
-    if type(value) is not list:
-        raise _ill_typed(f"{what} is not an array")
-    return value
-
-
-_JSON_NAMES = {int: "an int", str: "a string", list: "an array"}
-
-
-def _of_type(values: Iterable, kind: type, what: str) -> None:
-    """ParseError unless every item of ``values`` is exactly a ``kind``
-    (so a bool is not an int), checked in one pass inside C."""
-    if not set(map(type, values)) <= {kind}:
-        raise _ill_typed(f"{what} is not {_JSON_NAMES[kind]}")
-
-
-def _indices(values: list, size: int, what: str) -> list[int]:
-    """``values`` if it holds only ints in ``range(size)``; ParseError
-    otherwise."""
-    _of_type(values, int, what)
-    if values and (min(values) < 0 or max(values) >= size):
-        raise _ill_typed(f"{what} is out of range ({size} to index)")
-    return values
-
-
-_FIRST, _SECOND = itemgetter(0), itemgetter(1)
-
-
-def _entries(payload: dict, key: str, size: int) -> tuple[list[int], list]:
-    """The entity indices and the values of ``payload[key]``, an array of
-    ``[entity index, value]`` entries with no index twice; ParseError
-    otherwise."""
-    entries = _array(payload[key], key)
-    _of_type(entries, list, f"an entry of {key}")
-    if not set(map(len, entries)) <= {2}:
-        raise _ill_typed(f"an entry of {key} is not an array of 2")
-    indices = _indices(list(map(_FIRST, entries)), size,
-                       f"an entity index of {key}")
-    if len(set(indices)) != len(indices):
-        raise _ill_typed(f"an entity has two entries in {key}")
-    return indices, list(map(_SECOND, entries))
-
-
-def _kb_from_payload(payload: dict) -> KnowledgeBase:
-    """The knowledge base a snapshot's columns describe, checked in bulk
-    passes; ParseError for a field of the wrong JSON type, an index out of
-    range, columns of unequal length or an entity id given twice."""
-    ids = _array(payload["entities"], "entities")
-    _of_type(ids, str, "an entity id")
-    relations = _array(payload["relations"], "relations")
-    _of_type(relations, str, "a relation")
-    columns = []
-    for key, refs in (("subjects", ids), ("predicates", relations),
-                      ("objects", ids)):
-        indices = _indices(_array(payload[key], key), len(refs),
-                           f"an index of {key}")
-        columns.append(list(map(refs.__getitem__, indices)))
-    subjects, predicates, objects = columns
-    if not len(subjects) == len(predicates) == len(objects):
-        raise _ill_typed("subjects, predicates and objects differ in length")
-    alias_of, alias_lists = _entries(payload, "aliases", len(ids))
-    _of_type(alias_lists, list, "an alias list")
-    _of_type(chain.from_iterable(alias_lists), str, "an alias")
-    type_of, labels = _entries(payload, "types", len(ids))
-    _of_type(labels, str, "a type label")
-    # tuple.__new__ makes each Fact from its field tuple in C, as the
-    # named tuple's own constructor does after a Python-level call
-    facts = list(map(tuple.__new__, repeat(Fact),
-                     zip(subjects, predicates, objects)))
-    kb = _assemble(facts, ids,
-                   dict(zip(map(ids.__getitem__, alias_of), alias_lists)),
-                   dict(zip(map(ids.__getitem__, type_of), labels)))
-    if len(kb.entities) != len(ids):
+def _kb_from_snapshot(data: bytes) -> KnowledgeBase:
+    """The knowledge base the bytes of a snapshot describe, checked in
+    bulk passes; ParseError for a file of another length than its header
+    gives, an index out of range, an alias count below 1 or counts not
+    summing to the aliases, a string block that is not an array of that
+    many strings, or an entity id or entry given twice."""
+    if len(data) < _COLUMNS_AT:
+        raise _garbled("no header")
+    n_ids, n_relations, n_facts, n_aliased, n_aliases, n_typed, n_bytes = \
+        _HEADER.unpack_from(data, len(SNAPSHOT_MAGIC))
+    splits = np.cumsum([n_facts, n_facts, n_facts, n_aliased, n_aliased])
+    n_ints = int(splits[-1]) + n_typed
+    size = _COLUMNS_AT + 4 * n_ints + n_bytes
+    if len(data) != size:
+        raise _garbled(f"{len(data)} bytes, the header gives {size}")
+    ints = np.frombuffer(data, _INT32, n_ints, _COLUMNS_AT)
+    subjects, predicates, objects, aliased, alias_counts, typed = \
+        np.split(ints, splits)
+    for column, n_refs, what in ((subjects, n_ids, "subjects"),
+                                 (predicates, n_relations, "predicates"),
+                                 (objects, n_ids, "objects"),
+                                 (aliased, n_ids, "aliased entities"),
+                                 (typed, n_ids, "typed entities")):
+        if column.size and (column.min() < 0 or column.max() >= n_refs):
+            raise _ill_typed(f"an index of {what} is out of range "
+                             f"({n_refs} to index)")
+    if n_aliased and alias_counts.min() < 1:
+        raise _ill_typed("an alias count is below 1")
+    if alias_counts.sum(dtype=np.int64) != n_aliases:
+        raise _ill_typed(f"the alias counts do not sum to {n_aliases}")
+    try:
+        strings = json.loads(data[size - n_bytes:].decode("utf-8"))
+    # ValueError covers JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:
+        raise _garbled(repr(exc)) from exc
+    n_strings = n_ids + n_relations + n_aliases + n_typed
+    if type(strings) is not list or len(strings) != n_strings:
+        raise _ill_typed(f"the string block is not an array of {n_strings} "
+                         "strings")
+    try:
+        # JSON makes no str subclass, so this is exactly a type check
+        "".join(strings)
+    except TypeError as exc:
+        raise _ill_typed("an item of the string block is not a string") \
+            from exc
+    ids = np.array(strings[:n_ids], object)
+    relations = np.array(strings[n_ids:n_ids + n_relations], object)
+    alias_strings = strings[n_ids + n_relations:n_strings - n_typed]
+    if n_aliases == n_aliased:  # one alias each, as synth writes
+        alias_tuples = zip(alias_strings)
+    else:
+        ends = np.cumsum(alias_counts, dtype=np.int64).tolist()
+        alias_tuples = map(tuple, map(alias_strings.__getitem__,
+                                      map(slice, [0] + ends[:-1], ends)))
+    aliases = dict(zip(ids[aliased].tolist(), alias_tuples))
+    types = dict(zip(ids[typed].tolist(), strings[n_strings - n_typed:]))
+    facts = list(_records(Fact, ids[subjects].tolist(),
+                          relations[predicates].tolist(),
+                          ids[objects].tolist()))
+    kb = _assemble(facts, strings[:n_ids], aliases, types)
+    if len(kb.entities) != n_ids:
         raise _ill_typed("an entity id is listed twice")
+    if len(aliases) != n_aliased:
+        raise _ill_typed("an entity has two alias entries")
+    if len(types) != n_typed:
+        raise _ill_typed("an entity has two type entries")
     return kb
 
 
 def load_kb(path: str) -> KnowledgeBase:
     """Read a snapshot written by :func:`save_kb`; ParseError when the
-    bytes are not one, or not one of this format, or when a field has the
-    wrong JSON type or an index is out of range."""
+    bytes are not one, or not one of this format, or when its columns or
+    strings fail a check."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(SNAPSHOT_MAGIC))
-        if magic != SNAPSHOT_MAGIC:
-            if magic[:4] == SNAPSHOT_MAGIC[:4]:
-                raise ParseError(
-                    f"snapshot format {magic.decode('latin-1')} is no longer "
-                    f"read (this version reads {SNAPSHOT_MAGIC.decode()}); "
-                    "re-create it with `qakb synth` or `qakb ingest`")
-            raise ParseError(f"bad snapshot header {magic!r}")
-        blob = fh.read()
-    try:
-        # ValueError covers JSONDecodeError and UnicodeDecodeError
-        payload = json.loads(zlib.decompress(blob).decode("utf-8"))
-        if type(payload) is not dict:
-            raise _ill_typed("the payload is not an object")
-        return _kb_from_payload(payload)
-    except (zlib.error, ValueError, KeyError) as exc:
-        raise ParseError(f"truncated or garbled snapshot ({exc!r})") from exc
+        data = fh.read()
+    magic = data[:len(SNAPSHOT_MAGIC)]
+    if magic != SNAPSHOT_MAGIC:
+        if magic[:4] == SNAPSHOT_MAGIC[:4]:
+            raise ParseError(
+                f"snapshot format {magic.decode('latin-1')} is no longer "
+                f"read (this version reads {SNAPSHOT_MAGIC.decode()}); "
+                "re-create it with `qakb synth` or `qakb ingest`")
+        raise ParseError(f"bad snapshot header {magic!r}")
+    return _kb_from_snapshot(data)

@@ -1,11 +1,15 @@
 """Shared fixtures: a small hand-built knowledge base used across
-modules, a view of one gate's weights in a recurrent cell, and a graph
-op that only tests build."""
+modules, a view of one gate's weights in a recurrent cell, a graph op
+that only tests build, and test-side readers and writers of KB snapshot
+layouts."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
 
-from qakb.kb import Fact, build_kb
+from qakb.kb import SNAPSHOT_MAGIC, Fact, build_kb
 from qakb.nn.tensor import _make, as_tensor
 
 
@@ -69,3 +73,72 @@ def stack_rows(rows):
                 t.accumulate(out.grad[i])
 
     return _make(data, tensors, backward)
+
+
+def kbqa2_payload(kb) -> bytes:
+    """The JSON payload a ``KBQA2`` snapshot of ``kb`` held, zlib aside:
+    the entity ids, the distinct relations in order of first use, the
+    facts as three index columns, and ``[entity index, aliases]`` and
+    ``[entity index, label]`` entries, with sorted keys.  Hashing it pins
+    the KB that a snapshot holds, whatever its layout."""
+    index = {mid: i for i, mid in enumerate(kb.entities)}
+    subjects, relations, objects = (zip(*kb.facts) if kb.facts
+                                    else ((), (), ()))
+    relation_ids = list(dict.fromkeys(relations))
+    relation_index = {rel: i for i, rel in enumerate(relation_ids)}
+    payload = {
+        "entities": list(index),
+        "relations": relation_ids,
+        "subjects": list(map(index.__getitem__, subjects)),
+        "predicates": list(map(relation_index.__getitem__, relations)),
+        "objects": list(map(index.__getitem__, objects)),
+        "aliases": [[index[mid], rec.aliases]
+                    for mid, rec in kb.entities.items() if rec.aliases],
+        "types": [[index[mid], rec.notable_type]
+                  for mid, rec in kb.entities.items()
+                  if rec.notable_type is not None],
+    }
+    return json.dumps(payload, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
+# A KBQA3 snapshot's int32 columns and its strings, in file order.
+KBQA3_COLUMNS = ("subjects", "predicates", "objects", "aliased",
+                 "alias_counts", "typed")
+KBQA3_STRINGS = ("entities", "relations", "aliases", "labels")
+_KBQA3_HEADER = struct.Struct("<7I")
+
+
+def read_kbqa3(data: bytes) -> dict:
+    """The columns and string lists of a well-formed KBQA3 snapshot,
+    keyed by :data:`KBQA3_COLUMNS` and :data:`KBQA3_STRINGS`."""
+    assert data.startswith(SNAPSHOT_MAGIC)
+    at = len(SNAPSHOT_MAGIC)
+    n_ids, n_rel, n_facts, n_aliased, n_aliases, n_typed, n_bytes = \
+        _KBQA3_HEADER.unpack_from(data, at)
+    at += _KBQA3_HEADER.size
+    snap = {}
+    for key, n in zip(KBQA3_COLUMNS, (n_facts, n_facts, n_facts, n_aliased,
+                                      n_aliased, n_typed)):
+        snap[key] = np.frombuffer(data, "<i4", n, at).tolist()
+        at += 4 * n
+    strings = json.loads(data[at:])
+    assert at + n_bytes == len(data)
+    for key, n in zip(KBQA3_STRINGS, (n_ids, n_rel, n_aliases, n_typed)):
+        snap[key], strings = strings[:n], strings[n:]
+    return snap
+
+
+def kbqa3_bytes(snap: dict, block=None) -> bytes:
+    """A KBQA3 snapshot of ``snap``'s columns and strings, whatever they
+    hold, with a header that counts them; ``block`` replaces the JSON
+    string block when given."""
+    if block is None:
+        block = json.dumps([s for key in KBQA3_STRINGS for s in snap[key]])
+    block = block.encode("utf-8")
+    counts = (len(snap["entities"]), len(snap["relations"]),
+              len(snap["subjects"]), len(snap["aliased"]),
+              len(snap["aliases"]), len(snap["typed"]), len(block))
+    ints = [i for key in KBQA3_COLUMNS for i in snap[key]]
+    return (SNAPSHOT_MAGIC + _KBQA3_HEADER.pack(*counts)
+            + np.asarray(ints, "<i4").tobytes() + block)

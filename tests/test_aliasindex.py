@@ -16,7 +16,41 @@ from qakb.aliasindex import (
     retrieve_question_candidates,
     tokenize,
 )
-from qakb.kb import build_kb
+from qakb.kb import EntityRecord, KnowledgeBase, build_kb
+
+
+def _tokenizing_build_index(kb):
+    """``build_index`` as it was before its one-token shortcut: every
+    alias tokenized."""
+    exact, gram_to_entities, entity_aliases = {}, {}, {}
+    for mid in sorted(mid for mid, rec in kb.entities.items()
+                      if rec.aliases):
+        normed = []
+        for alias in kb.entities[mid].aliases:
+            tokens = tokenize(alias)
+            norm = " ".join(tokens)
+            if not norm or norm in normed:
+                continue
+            normed.append(norm)
+            bucket = exact.setdefault(norm, [])
+            if not bucket or bucket[-1] != mid:
+                bucket.append(mid)
+            for gram in (all_ngrams(tokens) if len(tokens) > 1
+                         else (norm,)):
+                gbucket = gram_to_entities.setdefault(gram, [])
+                if not gbucket or gbucket[-1] != mid:
+                    gbucket.append(mid)
+        if normed:
+            entity_aliases[mid] = normed
+    return AliasIndex(exact, gram_to_entities, entity_aliases)
+
+
+# aliases unnormalized, as a snapshot may hold them
+_raw_aliases = st.sampled_from(
+    ["", "a", "ab", "a b", "b a b", "A", "Ab", "a.", ".a", "a.b", "...",
+     "?", "a, b", "x y z", "a\u00a0b", "a\u2003", "\tb", "0", "é", "É",
+     "Σ", "ς", "İ", "o'neil", "a-b"]) | st.text(
+    alphabet="abAB .!'-\u00a0\u2003\téÉΣς0", max_size=8)
 
 
 def _oracle_index(kb):
@@ -220,6 +254,24 @@ class TestBuildIndex:
         list-membership build makes it."""
         kb = build_kb([], alias_pairs=pairs + pairs[:3])
         assert build_index(kb) == _oracle_index(kb)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.sampled_from(["m.b", "m.a", "m.c", "m.d"]),
+                              st.lists(_raw_aliases, min_size=1,
+                                       max_size=4)),
+                    max_size=8))
+    def test_matches_the_tokenizing_build(self, records):
+        """Aliases as a loaded snapshot may hold them (capitals, edge
+        punctuation, Unicode whitespace, several words, repeats, only
+        punctuation), under entities in any order, give the three dicts
+        that tokenizing every alias gives, in the same insertion order."""
+        entities = {mid: EntityRecord(tuple(aliases))
+                    for mid, aliases in records}
+        kb = KnowledgeBase(facts=[], entities=entities, by_subject={})
+        got, want = build_index(kb), _tokenizing_build_index(kb)
+        for field in ("exact", "gram_to_entities", "entity_aliases"):
+            assert (list(getattr(got, field).items())
+                    == list(getattr(want, field).items()))
 
     def test_every_alias_reachable_via_exact(self, tiny_kb, tiny_index):
         for mid, rec in tiny_kb.entities.items():

@@ -14,6 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import kbqa3_bytes, read_kbqa3
 
 from qakb import cli
 from qakb.cli import (
@@ -1390,83 +1391,134 @@ def _commands_reading_kb(bench, models, out):
 
 
 class TestIllTypedKb:
-    """A KB snapshot with a field of the wrong JSON type, an index out of
-    range or columns that do not line up exits 2 naming the file, before
-    any command writes a byte.  Such a KB used to load, and then crash
-    later or write the field into gen-data's pair files."""
+    """A KB snapshot with an index out of range, an alias count that is
+    below 1 or does not sum, a string block that is not an array of that
+    many strings, or an entity id or entry given twice exits 2 naming the
+    file, before any command writes a byte.  So does one whose bytes do
+    not frame: a short header, a column shorter than its count, trailing
+    bytes or a string block that is not JSON."""
 
-    # the index column of each part of a fact, and the list it indexes
-    _COLUMNS = {"subject": ("subjects", "entities"),
-                "relation": ("predicates", "relations"),
-                "predicate": ("predicates", "relations"),
-                "object": ("objects", "entities")}
-
-    @classmethod
-    def _damage(cls, payload, case):
-        entities = len(payload["entities"])
-        if case in ("subject", "relation", "object"):
-            payload[cls._COLUMNS[case][0]][0] = "5"
-        elif case.endswith("out of range"):
-            column, refs = cls._COLUMNS[case.split()[0]]
-            payload[column][0] = len(payload[refs])
+    @staticmethod
+    def _damage(snap, case):
+        """The bytes of ``snap``, a read KBQA3 snapshot, damaged as
+        ``case`` says."""
+        entities, aliased = len(snap["entities"]), snap["aliased"]
+        block = None
+        if case == "subject out of range":
+            snap["subjects"][0] = entities
+        elif case == "predicate out of range":
+            snap["predicates"][0] = len(snap["relations"])
+        elif case == "object out of range":
+            snap["objects"][0] = entities
         elif case == "negative index":
-            payload["objects"][-1] = -1
-        elif case == "bool index":
-            payload["subjects"][0] = True
-        elif case == "unequal columns":
-            payload["objects"].pop()
+            snap["objects"][-1] = -1
         elif case == "repeated entity id":
-            payload["entities"][-1] = payload["entities"][0]
+            snap["entities"][-1] = snap["entities"][0]
         elif case == "alias entry index":
-            payload["aliases"][0][0] = entities
+            aliased[0] = entities
+        elif case == "alias entry twice":
+            aliased[1] = aliased[0]
+        elif case == "type entry twice":
+            snap["typed"][1] = snap["typed"][0]
+        elif case == "alias count 0":
+            snap["alias_counts"][0] = 0
+            snap["alias_counts"][1] += 1
+        elif case == "alias counts short of the aliases":
+            snap["aliases"].append("extra")
         elif case == "alias":
-            payload["aliases"][0][1] = [5]
+            snap["aliases"][0] = 5
         elif case == "type label":
-            payload["types"][0][1] = 5
+            snap["labels"][0] = 5
+        elif case == "entity id":
+            snap["entities"][0] = 5
+        elif case == "strings not an array":
+            block = json.dumps({"entities": snap["entities"]})
         else:
-            assert case == "entity id"
-            payload["entities"][0] = 5
+            assert case == "one string short"
+            block = json.dumps(snap["entities"] + snap["relations"]
+                               + snap["aliases"] + snap["labels"][:-1])
+        return kbqa3_bytes(snap, block)
+
+    @staticmethod
+    def _garble(data, snap, case):
+        """``data``, the bytes of the read KBQA3 snapshot ``snap``, with
+        framing damaged as ``case`` says."""
+        if case == "truncated header":
+            return data[:len(SNAPSHOT_MAGIC) + 10]
+        if case == "trailing bytes":
+            return data + b"\0"
+        if case == "string block not JSON":
+            return kbqa3_bytes(snap, json.dumps(snap["entities"])[:-1])
+        if case == "string block nested too deep":
+            return kbqa3_bytes(snap, "[" * 100_000)
+        assert case == "short column"
+        snap["predicates"].pop()
+        return kbqa3_bytes(snap)
 
     @pytest.mark.parametrize("case", [
-        "subject", "relation", "object", "subject out of range",
-        "predicate out of range", "object out of range", "negative index",
-        "bool index", "unequal columns", "repeated entity id",
-        "alias entry index", "alias", "type label", "entity id"])
+        "subject out of range", "predicate out of range",
+        "object out of range", "negative index", "repeated entity id",
+        "alias entry index", "alias entry twice", "type entry twice",
+        "alias count 0", "alias counts short of the aliases", "alias",
+        "type label", "entity id", "strings not an array",
+        "one string short"])
     def test_exits_2_and_writes_nothing(self, snapshots, capsys, tmp_path,
                                         case):
+        bench, _ = snapshots
+        snap = read_kbqa3((bench / "kb.qakb").read_bytes())
+        self._exits_2(snapshots, capsys, tmp_path, self._damage(snap, case),
+                      "ill-typed")
+
+    @pytest.mark.parametrize("case", [
+        "truncated header", "short column", "trailing bytes",
+        "string block not JSON", "string block nested too deep"])
+    def test_garbled_exits_2_and_writes_nothing(self, snapshots, capsys,
+                                                tmp_path, case):
+        bench, _ = snapshots
+        data = (bench / "kb.qakb").read_bytes()
+        self._exits_2(snapshots, capsys, tmp_path,
+                      self._garble(data, read_kbqa3(data), case),
+                      "truncated or garbled snapshot")
+
+    @staticmethod
+    def _exits_2(snapshots, capsys, tmp_path, data, says):
+        """Every command reading the KB ``data`` exits 2 with an error
+        naming it and holding ``says``, and writes nothing."""
         bench, models = snapshots
-        payload = json.loads(zlib.decompress(
-            (bench / "kb.qakb").read_bytes()[len(SNAPSHOT_MAGIC):]))
-        self._damage(payload, case)
         kb = tmp_path / "kb.qakb"
-        kb.write_bytes(SNAPSHOT_MAGIC + zlib.compress(
-            json.dumps(payload).encode("utf-8")))
+        kb.write_bytes(data)
         capsys.readouterr()
         for flags in _commands_reading_kb(bench, models, tmp_path):
             code, stdout, err = run(capsys, *flags, "--kb", str(kb))
             assert code == 2, (flags[0], err)
             assert stdout == ""
             assert err.startswith(f"error: {kb}: ") and "Traceback" not in err
-            assert "ill-typed" in err
+            assert says in err
         assert [p.name for p in tmp_path.iterdir()] == ["kb.qakb"]
 
 
 def test_old_snapshot_format_exits_2(snapshots, capsys, tmp_path):
-    """A snapshot of the previous format is named, with how to re-create
-    it, by every command that reads one."""
+    """A snapshot of an earlier format is named, with how to re-create it,
+    by every command that reads one."""
     bench, models = snapshots
     kb = tmp_path / "kb.qakb"
-    kb.write_bytes(b"KBQA1" + zlib.compress(json.dumps(
-        {"facts": [["m.01", "/a/b", "m.02"]], "aliases": [], "types": [],
-         "extra_entities": []}).encode("utf-8")))
-    capsys.readouterr()
-    for flags in _commands_reading_kb(bench, models, tmp_path):
-        code, stdout, err = run(capsys, *flags, "--kb", str(kb))
-        assert code == 2, (flags[0], err)
-        assert stdout == ""
-        assert err.startswith(f"error: {kb}: ") and "KBQA1" in err
-        assert "qakb synth" in err and "qakb ingest" in err
-    assert [p.name for p in tmp_path.iterdir()] == ["kb.qakb"]
+    old = {b"KBQA1": {"facts": [["m.01", "/a/b", "m.02"]], "aliases": [],
+                      "types": [], "extra_entities": []},
+           b"KBQA2": {"entities": ["m.01", "m.02"], "relations": ["/a/b"],
+                      "subjects": [0], "predicates": [0], "objects": [1],
+                      "aliases": [], "types": []}}
+    for magic, payload in old.items():
+        kb.write_bytes(magic + zlib.compress(json.dumps(payload)
+                                             .encode("utf-8")))
+        capsys.readouterr()
+        for flags in _commands_reading_kb(bench, models, tmp_path):
+            code, stdout, err = run(capsys, *flags, "--kb", str(kb))
+            assert code == 2, (flags[0], err)
+            assert stdout == ""
+            assert err.startswith(f"error: {kb}: ")
+            assert magic.decode() in err
+            assert "qakb synth" in err and "qakb ingest" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["kb.qakb"]
 
 
 def test_old_model_format_exits_2(snapshots, capsys, tmp_path):

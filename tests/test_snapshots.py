@@ -2,10 +2,10 @@
 KB snapshot loads back to the KB it was saved from."""
 
 import json
-import zlib
 
 import numpy as np
 import pytest
+from conftest import KBQA3_COLUMNS, KBQA3_STRINGS, kbqa3_bytes
 from hypothesis import given, settings, strategies as st
 
 from qakb.errors import ParseError, QAKBError
@@ -22,46 +22,56 @@ json_values = st.recursive(
     max_leaves=20,
 )
 
-_KB_FIELDS = ("entities", "relations", "subjects", "predicates", "objects",
-              "aliases", "types")
-# what replaces a field: any JSON value, or an array of near-miss items
-_field_junk = json_values | st.lists(
-    st.integers(min_value=-2, max_value=6) | st.booleans()
-    | st.text(max_size=2) | st.lists(st.integers(0, 3) | st.text(max_size=2),
-                                     max_size=3),
-    max_size=6)
-
-
 @st.composite
-def kb_payloads(draw):
-    """A KB snapshot payload with columns of matching length and indices
-    in range (entity ids may repeat), then at most one field replaced by
-    junk, so the fuzz reaches every check and, past them, the build."""
-    ids = draw(st.lists(st.text(max_size=3), max_size=4))
+def kbqa3_snapshots(draw):
+    """A well-framed KBQA3 snapshot: random entity ids, relations, facts,
+    and alias and type entries, all in range and with no entity twice,
+    with a header that counts them; then at most one fault (an int or a
+    string replaced, an entity id or entry repeated, or the string block
+    replaced by any JSON), so the fuzz reaches every check and, past
+    them, the build."""
+    ids = draw(st.lists(st.text(max_size=3), max_size=4, unique=True))
     relations = draw(st.lists(st.text(max_size=3), max_size=3))
     n = draw(st.integers(0, 5)) if ids and relations else 0
 
-    def column(refs):
-        return draw(st.lists(st.integers(0, len(refs) - 1),
-                             min_size=n, max_size=n)) if n else []
+    def column(size, length):
+        return draw(st.lists(st.integers(0, size - 1), min_size=length,
+                             max_size=length)) if size else []
 
-    def entries(values):
-        return draw(st.lists(st.tuples(st.integers(0, len(ids) - 1), values)
-                             .map(list), max_size=3)) if ids else []
+    def entries():
+        return draw(st.lists(st.integers(0, len(ids) - 1), max_size=3,
+                             unique=True)) if ids else []
 
-    payload = {
-        "entities": ids,
-        "relations": relations,
-        "subjects": column(ids),
-        "predicates": column(relations),
-        "objects": column(ids),
-        "aliases": entries(st.lists(st.text(max_size=3), max_size=2)),
-        "types": entries(st.text(max_size=3)),
-    }
-    field = draw(st.sampled_from((None,) + _KB_FIELDS))
-    if field is not None:
-        payload[field] = draw(_field_junk)
-    return payload
+    aliased = entries()
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(aliased),
+                           max_size=len(aliased)))
+    typed = entries()
+    texts = st.lists(st.text(max_size=3), min_size=sum(counts),
+                     max_size=sum(counts))
+    snap = {"entities": ids, "relations": relations,
+            "subjects": column(len(ids), n),
+            "predicates": column(len(relations), n),
+            "objects": column(len(ids), n),
+            "aliased": aliased, "alias_counts": counts, "typed": typed,
+            "aliases": draw(texts),
+            "labels": draw(st.lists(st.text(max_size=3),
+                                    min_size=len(typed),
+                                    max_size=len(typed)))}
+    fault = draw(st.sampled_from((None, "int", "string", "repeat",
+                                  "block")))
+    keys = {"int": KBQA3_COLUMNS, "string": KBQA3_STRINGS,
+            "repeat": ("entities", "aliased", "typed")}.get(fault, ())
+    keys = [key for key in keys if len(snap[key]) > (fault == "repeat")]
+    block = None
+    if keys:
+        items = snap[draw(st.sampled_from(keys))]
+        at = draw(st.integers(0, len(items) - 1))
+        items[at] = (draw(st.integers(-2, 6)) if fault == "int"
+                     else draw(json_values) if fault == "string"
+                     else items[at - 1])
+    elif fault == "block":
+        block = json.dumps(draw(json_values))
+    return kbqa3_bytes(snap, block), len(ids)
 
 
 # records of the kinds ingestion meets: ids in canonical and other
@@ -102,20 +112,20 @@ class TestLoadKb:
         _loads_or_rejects(load_kb, path, data)
 
     @settings(deadline=None, max_examples=300)
-    @given(json_values | kb_payloads())
-    def test_random_payloads(self, path, payload):
-        path.write_bytes(SNAPSHOT_MAGIC + zlib.compress(
-            json.dumps(payload).encode("utf-8")))
+    @given(kbqa3_snapshots())
+    def test_random_payloads(self, path, snapshot):
+        data, n_ids = snapshot
+        path.write_bytes(data)
         try:
             kb = load_kb(str(path))
         except QAKBError:
             return
-        # a field of another JSON type or an index out of range is
+        # an index out of range or a string of another JSON type is
         # rejected, not loaded
         for fact in kb.facts:
             assert all(type(v) is str
                        for v in (fact.subject, fact.relation, fact.object))
-        assert len(kb.entities) == len(payload["entities"])
+        assert len(kb.entities) == n_ids
         for mid, rec in kb.entities.items():
             assert type(mid) is str and type(rec) is EntityRecord
             assert type(rec.aliases) is tuple

@@ -2,26 +2,27 @@
 
 Every number this project reports is measured on
 ``evalharness.generate_synthetic`` data, so those data must not change
-unnoticed.  Each spec's hash covers ``SNAPSHOT_MAGIC``, then the
-zlib-decompressed KB payload, then ``train.tsv`` and ``test.tsv``.  The
-hashes were recorded at commit 5a0ef46, where synth still made one
-``rng.integers`` call per draw.
+unnoticed.  Each spec's first hash covers ``b"KBQA2"``, then the JSON
+payload a ``KBQA2`` snapshot of the KB that ``kb.qakb`` holds had, then
+``train.tsv`` and ``test.tsv``.  Those hashes were recorded at commit
+5a0ef46, where synth still made one ``rng.integers`` call per draw and
+wrote ``KBQA2`` snapshots; that they still hold shows the ``KBQA3``
+layout keeps the same KB.  The second hash is of the raw ``KBQA3`` file.
 
-Hashing the decompressed payload keeps the pin independent of the zlib
-build, and synth runs no BLAS, so the pin holds on any machine with this
-numpy.  A failure means the synthetic data changed, for example under a
-numpy with another PCG64 stream or another ``integers`` rule.  Such a
-change is recorded in CHANGES.md; the hashes are never re-recorded
-silently.
+synth runs no BLAS, so the pins hold on any machine with this numpy.  A
+failure means the synthetic data changed, for example under a numpy with
+another PCG64 stream or another ``integers`` rule, or that the snapshot
+layout changed.  Such a change is recorded in CHANGES.md; the hashes are
+never re-recorded silently.
 """
 
 import hashlib
-import zlib
 
 import pytest
+from conftest import kbqa2_payload
 
 from qakb.cli import main
-from qakb.kb import SNAPSHOT_MAGIC, load_kb
+from qakb.kb import load_kb
 
 SPECS = {
     # the benchmark's three specs: train, answer and prep-m
@@ -46,12 +47,26 @@ SPECS = {
                    "b2d965da0d4500ebf80ef9171c12bdbd0b5749b92199ada066043df6aabb5241"),
 }
 
+# sha256 of each spec's raw KBQA3 kb.qakb, recorded when KBQA3 replaced
+# KBQA2
+SNAPSHOTS = {
+    "60x6": "cb3fd875f202dccd97772b2e613ea63ca7e325ccc553d7cb35d05aeb3fc9ccab",
+    "125x6":
+        "5f30e89ef107d862a3b6d2d04878c1e707af53ff1e60150995b02088f9f2fc57",
+    "5000x200":
+        "691cd5a1d6c2f115af73e199122100b9fc6ff782eb029178fb7abca017e27dda",
+    "type-distinct-no-gap":
+        "30d9ee97d101337c8ca8b7d8bed647ffddacf3885679ca1a787c20a073bf7c68",
+    "collision-1.0":
+        "14db1bbbe25e75abb62372d0131e3600d90ab6668fe3e9ee8bafb822272a29b8",
+    "word-limit":
+        "3d43ebaff2a50566b9680720a3c77ac19d2ea94fad35f8e0cb36061cfb1a316a",
+}
+
 
 def synth_hash(out) -> str:
-    digest = hashlib.sha256(SNAPSHOT_MAGIC)
-    blob = (out / "kb.qakb").read_bytes()
-    assert blob.startswith(SNAPSHOT_MAGIC)
-    digest.update(zlib.decompress(blob[len(SNAPSHOT_MAGIC):]))
+    digest = hashlib.sha256(b"KBQA2")
+    digest.update(kbqa2_payload(load_kb(str(out / "kb.qakb"))))
     for name in ("train.tsv", "test.tsv"):
         digest.update((out / name).read_bytes())
     return digest.hexdigest()
@@ -64,6 +79,9 @@ def test_synth_bytes_are_pinned(name, tmp_path):
     assert synth_hash(tmp_path) == expected, (
         f"synth {' '.join(flags)} no longer writes the pinned bytes: the "
         "synthetic data changed")
+    snapshot = hashlib.sha256((tmp_path / "kb.qakb").read_bytes())
+    assert snapshot.hexdigest() == SNAPSHOTS[name], (
+        "the same KB no longer makes the pinned KBQA3 bytes")
     # every entity and relation took its own coined word
     kb = load_kb(str(tmp_path / "kb.qakb"))
     words = [rec.aliases[0] for mid, rec in kb.entities.items()

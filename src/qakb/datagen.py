@@ -18,7 +18,8 @@ import io
 import logging
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -416,13 +417,14 @@ def gen_subject_negatives(
     q: QuestionInstance,
     candidates: Sequence[CandidateEntity],
     kb: KnowledgeBase,
-    rng: np.random.Generator,
+    rng: Union[np.random.Generator, Callable[[], np.random.Generator]],
 ) -> list[str]:
     """Negative subjects: same-label candidates (and the gold) excluded.
 
     When fewer than SUBJECT_POOL_SIZE distinct negatives survive the
-    filter the pool is padded by resampling the survivors, so the gold's
-    label never leaks into its own negatives.
+    filter the pool is padded by resampling the survivors with ``rng``,
+    so the gold's label never leaks into its own negatives.  ``rng`` may
+    be a function that makes the generator, called only for padding.
     """
     gold = q.gold.subject
     filtered: list[str] = []
@@ -437,6 +439,8 @@ def gen_subject_negatives(
     if len(filtered) >= SUBJECT_POOL_SIZE:
         return filtered
     pool = list(filtered)
+    if callable(rng):
+        rng = rng()
     while len(pool) < SUBJECT_POOL_SIZE:
         pool.append(filtered[int(rng.integers(len(filtered)))])
     return pool
@@ -471,7 +475,8 @@ def build_negative_pools(
     index: AliasIndex,
     seed: int,
 ) -> NegativePools:
-    """All per-question pools; each question gets its own derived seed.
+    """All per-question pools; each question gets its own derived seed,
+    whose generator is made only for a subject pool that needs padding.
 
     The relation dictionary holds only the rows of the gold relations,
     the only ones :func:`gen_predicate_negatives` reads.
@@ -482,11 +487,9 @@ def build_negative_pools(
     )
     pools = NegativePools()
     for i, q in enumerate(questions):
-        rng = np.random.default_rng(seed ^ i)
         candidates = retrieve_question_candidates(index, q.tokens)
-        pools.subject_pools.append(
-            gen_subject_negatives(q, candidates, kb, rng)
-        )
+        pools.subject_pools.append(gen_subject_negatives(
+            q, candidates, kb, partial(np.random.default_rng, seed ^ i)))
         pools.predicate_pools.append(
             gen_predicate_negatives(q, kb, d_rr)
         )

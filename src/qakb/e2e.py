@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -39,14 +39,13 @@ from qakb.nn import (
     self_attention,
 )
 from qakb.nn.layers import (attention_forward, cosine_forward, dropout_mask,
-                            padded_indices, recurrent_forward)
+                            padded_indices, recurrent_forward, table_tokens)
 from qakb.nn.losses import loss_hinge_qas
 from qakb.nn.tensor import (
     Tensor,
     concat,
     gather_rows,
     pad_rows,
-    param,
     reshape,
     tsum,
 )
@@ -143,6 +142,12 @@ def _describe(variant: E2EVariant) -> str:
 CharRows = Callable[[str], np.ndarray]
 
 
+def char_vocab(words: Iterable[str]) -> list[str]:
+    """The characters a char table has rows for: those of ``words`` but
+    the unknown token, sorted."""
+    return sorted({ch for tok in words if tok != OOV_TOKEN for ch in tok})
+
+
 class WordEncoder:
     """Word-table rows, optionally extended with a char-GRU summary.
 
@@ -162,13 +167,38 @@ class WordEncoder:
     @classmethod
     def build(cls, tokens: Sequence[str], cfg: TrainConfig,
               rng: np.random.Generator, char_level: bool) -> "WordEncoder":
-        word_table = EmbeddingTable.random(list(tokens), cfg.embed_dim, rng)
+        """An encoder of random tables (and char-GRU) for ``tokens``."""
+        word_table = EmbeddingTable.random(tokens, cfg.embed_dim, rng)
         if not char_level:
             return cls(word_table, None, None)
-        chars = sorted({ch for tok in tokens if tok != OOV_TOKEN for ch in tok})
-        char_table = EmbeddingTable.random(chars, cfg.char_dim, rng)
+        char_table = EmbeddingTable.random(char_vocab(tokens), cfg.char_dim,
+                                           rng)
         char_gru = GRUCell(cfg.char_dim, cfg.char_dim, rng, name="e2e.char_gru")
         return cls(word_table, char_table, char_gru)
+
+    @staticmethod
+    def shapes(words: Sequence[str], chars: Optional[Sequence[str]],
+               cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
+        """The shapes of the parameters of an encoder whose tables hold
+        the rows of the :func:`~qakb.nn.layers.table_tokens` ``words``
+        and, in char mode, ``chars``, by name."""
+        shapes = {"e2e.words": (len(words), cfg.embed_dim)}
+        if chars is not None:
+            shapes["e2e.chars"] = (len(chars), cfg.char_dim)
+            shapes.update(GRUCell.shapes(cfg.char_dim, cfg.char_dim,
+                                         "e2e.char_gru"))
+        return shapes
+
+    @classmethod
+    def from_params(cls, params: dict[str, np.ndarray], words: list[str],
+                    chars: Optional[list[str]]) -> "WordEncoder":
+        """The encoder of :meth:`shapes` holding the arrays of
+        ``params``."""
+        word_table = EmbeddingTable(words, params["e2e.words"])
+        if chars is None:
+            return cls(word_table, None, None)
+        return cls(word_table, EmbeddingTable(chars, params["e2e.chars"]),
+                   GRUCell.from_params(params, "e2e.char_gru"))
 
     @property
     def char_level(self) -> bool:
@@ -250,11 +280,20 @@ class ScoringHead:
     :meth:`combine` does the same on arrays for answering.
     """
 
-    def __init__(self, mode: str):
+    def __init__(self, mode: str, W: Optional[np.ndarray] = None):
+        """A head whose channel weights are ``W``, which it holds without
+        copying, or all 1.0."""
         if mode not in ("qas", "qat", "qat_type"):
             raise ValueError(f"unknown head mode {mode!r}")
         self.mode = mode
-        self.W = param(np.ones(3 if mode == "qat_type" else 2))
+        if W is None:
+            W = np.ones(self.shapes(mode)["e2e.head.W"])
+        self.W = Tensor(W, requires_grad=True)
+
+    @staticmethod
+    def shapes(mode: str) -> dict[str, tuple[int, ...]]:
+        """The shape of the weights of a head of ``mode``, by name."""
+        return {"e2e.head.W": (3 if mode == "qat_type" else 2,)}
 
     def scores(self, cos: Tensor, channels: Sequence[int],
                rows: np.ndarray) -> Tensor:
@@ -371,10 +410,33 @@ class E2EModel:
                 "variant": asdict(self.variant)}
 
     @classmethod
-    def from_meta(cls, meta: dict) -> "E2EModel":
-        """An untrained model of the shape :meth:`meta` describes."""
-        return cls(meta["vocab"], TrainConfig(**meta["config"]),
-                   E2EVariant(**meta["variant"]), np.random.default_rng(0))
+    def layout(cls, meta: dict) -> tuple[dict[str, tuple[int, ...]],
+                                         Callable[[dict], "E2EModel"]]:
+        """The parameter shapes of the model the :meth:`meta` payload
+        ``meta`` describes, in :meth:`parameters` order, and a function
+        that builds that model from a table of arrays of those shapes."""
+        vocab, cfg = meta["vocab"], TrainConfig(**meta["config"])
+        variant = E2EVariant(**meta["variant"])
+        words = table_tokens(vocab)
+        chars = (table_tokens(char_vocab(words)) if variant.char_level
+                 else None)
+        H = cfg.hidden_size
+        width = cfg.embed_dim + (cfg.char_dim if variant.char_level else 0)
+        shapes = {**WordEncoder.shapes(words, chars, cfg),
+                  **LSTMCell.shapes(width, H, "e2e.lstm"),
+                  **Dense.shapes(cfg.max_len * H, H, "e2e.dense"),
+                  **ScoringHead.shapes(variant.head_mode)}
+
+        def build(params: dict[str, np.ndarray]) -> "E2EModel":
+            model = cls.__new__(cls)
+            model.cfg, model.variant = cfg, variant
+            model.words = WordEncoder.from_params(params, words, chars)
+            model.lstm = LSTMCell.from_params(params, "e2e.lstm")
+            model.dense = Dense.from_params(params, "e2e.dense", "relu")
+            model.head = ScoringHead(variant.head_mode, params["e2e.head.W"])
+            return model
+
+        return shapes, build
 
 
 @dataclass

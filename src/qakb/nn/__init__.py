@@ -2,7 +2,7 @@
 
 from qakb.nn.config import TrainConfig
 from qakb.nn.gradcheck import finite_diff_check
-from qakb.nn.io import load_params, restore_params, save_params
+from qakb.nn.io import load_params, save_params
 from qakb.nn.layers import (
     Dense,
     EmbeddingTable,
@@ -56,5 +56,4 @@ __all__ = [
     "finite_diff_check",
     "save_params",
     "load_params",
-    "restore_params",
 ]

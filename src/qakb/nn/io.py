@@ -9,13 +9,19 @@ sidecar holds the model's ``kind`` and what is needed to rebuild it
 (vocabulary, config, ...).
 
 :func:`save_model` and :func:`load_model` handle both files for any model
-class that gives a ``kind`` class attribute, a ``meta()`` payload, a
-``from_meta(meta)`` constructor and ``parameters()``.
+class that gives a ``kind`` class attribute, a ``meta()`` payload,
+``parameters()`` and a ``layout(meta)`` classmethod.  ``layout`` reads
+the sidecar's vocabulary, config and variant and returns the shape of
+every parameter of the model they describe, with a function that builds
+that model from arrays of those shapes.  A load reads the sidecar and
+its layout first, then the table in one pass, checks that the table
+names exactly the layout's parameters, each in its shape, and builds the
+model around the table's arrays: it draws no random number and copies
+no array again.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -36,7 +42,7 @@ def meta_path(path: str) -> str:
 def read_model_meta(path: str, kind: str) -> dict:
     """The sidecar of a snapshot; ParseError when it is not a JSON object,
     ValueError when it describes another kind of model."""
-    with open(meta_path(path), "rb") as fh:
+    with open(meta_path(path), "rb", buffering=0) as fh:
         raw = fh.read()
     try:
         meta = json.loads(raw.decode("utf-8"))
@@ -69,13 +75,21 @@ def save_params(params: dict[str, Tensor], path: str) -> None:
             fh.write(data.tobytes())
 
 
+_U8, _U16, _U32 = (struct.Struct(f"<{code}") for code in "BHI")
+_F8 = np.dtype("<f8")
+
+
 def load_params(path: str) -> dict[str, np.ndarray]:
     """Read a table written by :func:`save_params`; ParseError when the
-    bytes are not one or name a parameter twice."""
-    with open(path, "rb") as fh:
+    bytes are not one or name a parameter twice.
+
+    The file is read once; each parameter is then one owned, writable,
+    aligned copy of its bytes.  A field that runs past the end fails in
+    ``unpack`` as a short read would.
+    """
+    with open(path, "rb", buffering=0) as fh:
         data = fh.read()
-    buf = io.BytesIO(data)
-    magic = buf.read(len(MODEL_MAGIC))
+    magic = data[:len(MODEL_MAGIC)]
     if magic != MODEL_MAGIC:
         if magic[:4] == MODEL_MAGIC[:4]:
             raise ParseError(f"model format {magic.decode('latin-1')} is no "
@@ -83,51 +97,54 @@ def load_params(path: str) -> dict[str, np.ndarray]:
                              "train-pipeline` or `qakb train-e2e`")
         raise ParseError(f"bad model header {magic!r}")
     out: dict[str, np.ndarray] = {}
+    pos = len(MODEL_MAGIC) + 4
     try:
-        (count,) = struct.unpack("<I", buf.read(4))
+        (count,) = _U32.unpack(data[pos - 4:pos])
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", buf.read(2))
-            name = buf.read(name_len).decode("utf-8")
+            (name_len,) = _U16.unpack(data[pos:pos + 2])
+            pos += 2
+            name = data[pos:pos + name_len].decode("utf-8")
+            pos = min(pos + name_len, len(data))
             if name in out:
                 raise ParseError(f"parameter {name!r} appears twice")
-            (ndim,) = struct.unpack("<B", buf.read(1))
-            shape = tuple(
-                struct.unpack("<I", buf.read(4))[0] for _ in range(ndim)
-            )
+            (ndim,) = _U8.unpack(data[pos:pos + 1])
+            pos += 1 + 4 * ndim
+            shape = tuple(_U32.unpack(data[at:at + 4])[0]
+                          for at in range(pos - 4 * ndim, pos, 4))
             size = math.prod(shape)
-            if size * 8 > len(data) - buf.tell():
+            if size * 8 > len(data) - pos:
                 raise ParseError(f"truncated data for parameter {name!r}")
-            raw = buf.read(size * 8)
             try:
-                arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
+                arr = np.ndarray(shape, _F8, data, pos)
             except ValueError as exc:  # over 64 dims, or a zero-size shape
                 # whose other dims overflow numpy's size
                 raise ParseError(
                     f"bad shape {shape} for parameter {name!r}") from exc
             out[name] = arr.copy()
+            pos += size * 8
     except (struct.error, UnicodeDecodeError) as exc:
         raise ParseError(f"truncated or garbled snapshot ({exc})") from exc
     return out
 
 
-def restore_params(params: dict[str, Tensor], loaded: dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into live tensors; ShapeMismatch unless the
-    snapshot holds exactly the model's parameters, each in its shape."""
-    missing = sorted(set(params) - set(loaded))
+def check_params(shapes: dict[str, tuple[int, ...]],
+                 loaded: dict[str, np.ndarray]) -> None:
+    """ShapeMismatch unless a loaded table holds exactly the parameters
+    that ``shapes`` names, each in its shape."""
+    missing = sorted(set(shapes) - set(loaded))
     if missing:
         raise ShapeMismatch(f"snapshot lacks parameters: {missing}")
-    unexpected = sorted(set(loaded) - set(params))
+    unexpected = sorted(set(loaded) - set(shapes))
     if unexpected:
         raise ShapeMismatch(f"snapshot holds parameters the model lacks: "
                             f"{unexpected}")
-    for name, tensor in params.items():
+    for name, shape in shapes.items():
         arr = loaded[name]
-        if arr.shape != tensor.data.shape:
+        if arr.shape != shape:
             raise ShapeMismatch(
                 f"parameter {name!r}: snapshot shape {arr.shape}, "
-                f"model shape {tensor.data.shape}"
+                f"model shape {shape}"
             )
-        tensor.data[...] = arr
 
 
 def save_model(model, path: str) -> None:
@@ -140,20 +157,30 @@ def save_model(model, path: str) -> None:
         fh.write(json.dumps(meta, sort_keys=True, separators=(",", ":")))
 
 
+# a model whose parameters need more bytes than a 64-bit process can
+# address (x86-64's 47-bit user space) cannot be built
+MAX_MODEL_BYTES = 2 ** 47
+
+
 def load_model(cls, path: str):
-    """The model of class ``cls`` saved at ``path`` by :func:`save_model`.
+    """The model of class ``cls`` saved at ``path`` by :func:`save_model`,
+    built from the arrays the table holds.
 
     ParseError when either file is not a snapshot or the sidecar lacks a
     field, holds one of the wrong type or describes a model too large to
     build, ValueError when the sidecar names another kind or an invalid
     config, ShapeMismatch when the parameters do not fit the model the
-    sidecar describes.
+    sidecar describes.  The sidecar is checked before the table is read.
     """
     meta = read_model_meta(path, cls.kind)
     try:
-        model = cls.from_meta(meta)
+        shapes, build = cls.layout(meta)
+        size = 8 * sum(math.prod(shape) for shape in shapes.values())
+        if size > MAX_MODEL_BYTES:
+            raise MemoryError(f"its parameters need {size} bytes")
     except (KeyError, TypeError, IndexError, MemoryError) as exc:
         raise ParseError(
             f"{meta_path(path)}: malformed payload ({exc!r})") from exc
-    restore_params(model.parameters(), load_params(path))
-    return model
+    params = load_params(path)
+    check_params(shapes, params)
+    return build(params)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from qakb.nn.tensor import (
     gather_rows,
     logistic,
     mul,
-    param,
     zeros,
 )
 
@@ -45,31 +44,39 @@ def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
+def table_tokens(tokens: Iterable[str]) -> list[str]:
+    """The tokens of an embedding table's rows for ``tokens``: each once,
+    in order, then the unknown token unless it is among them."""
+    toks = list(dict.fromkeys(tokens))
+    if OOV_TOKEN not in toks:
+        toks.append(OOV_TOKEN)
+    return toks
+
+
 class EmbeddingTable:
     """Token-to-vector lookup; unknown tokens share one trained row."""
 
     def __init__(self, tokens: list[str], vectors: np.ndarray):
+        """The table of ``tokens`` with row ``i`` of ``vectors`` for
+        ``tokens[i]``, which it holds without copying."""
         if len(tokens) != vectors.shape[0]:
             raise ShapeMismatch(
                 f"{len(tokens)} tokens vs {vectors.shape[0]} vector rows"
             )
-        self.vocab = {tok: i for i, tok in enumerate(tokens)}
+        self.vocab = dict(zip(tokens, range(len(tokens))))
         if OOV_TOKEN not in self.vocab:
             raise ShapeMismatch(f"vocabulary must contain {OOV_TOKEN!r}")
         self.oov_index = self.vocab[OOV_TOKEN]
-        self.vectors = param(vectors)
+        self.vectors = Tensor(vectors, requires_grad=True)
         self.dim = vectors.shape[1]
 
     @classmethod
-    def random(cls, tokens: list[str], dim: int,
+    def random(cls, tokens: Iterable[str], dim: int,
                rng: np.random.Generator) -> "EmbeddingTable":
-        """A table of ``tokens`` (plus the unknown-token row) with rows
-        drawn uniformly from [-0.1, 0.1]."""
-        toks = list(dict.fromkeys(tokens))
-        if OOV_TOKEN not in toks:
-            toks.append(OOV_TOKEN)
-        vecs = rng.uniform(-0.1, 0.1, size=(len(toks), dim))
-        return cls(toks, vecs)
+        """A table of :func:`table_tokens` of ``tokens`` with rows drawn
+        uniformly from [-0.1, 0.1]."""
+        toks = table_tokens(tokens)
+        return cls(toks, rng.uniform(-0.1, 0.1, size=(len(toks), dim)))
 
     def indices(self, seq: Sequence[str]) -> list[int]:
         return [self.vocab.get(tok, self.oov_index) for tok in seq]
@@ -103,13 +110,36 @@ class Dense:
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
                  activation: str = "none", name: str = "dense"):
+        """A layer with a Glorot-uniform weight and a zero bias."""
+        w_shape, b_shape = self.shapes(in_dim, out_dim, name).values()
+        self._hold(glorot(rng, w_shape), np.zeros(b_shape), activation, name)
+
+    @staticmethod
+    def shapes(in_dim: int, out_dim: int,
+               name: str = "dense") -> dict[str, tuple[int, ...]]:
+        """The shapes of the layer's parameters, by name."""
+        return {f"{name}.weight": (out_dim, in_dim),
+                f"{name}.bias": (out_dim,)}
+
+    @classmethod
+    def from_params(cls, params: dict[str, np.ndarray], name: str = "dense",
+                    activation: str = "none") -> "Dense":
+        """The layer ``name`` holding the arrays of ``params``, which have
+        the :meth:`shapes`, without copying them."""
+        layer = cls.__new__(cls)
+        layer._hold(params[f"{name}.weight"], params[f"{name}.bias"],
+                    activation, name)
+        return layer
+
+    def _hold(self, weight: np.ndarray, bias: np.ndarray, activation: str,
+              name: str) -> None:
         if activation not in ("none", "relu", "sigmoid"):
             raise ValueError(f"unknown activation {activation!r}")
-        self.in_dim, self.out_dim = in_dim, out_dim
+        self.out_dim, self.in_dim = weight.shape
         self.activation = activation
         self.name = name
-        self.weight = param(glorot(rng, (out_dim, in_dim)))
-        self.bias = param(np.zeros(out_dim))
+        self.weight = Tensor(weight, requires_grad=True)
+        self.bias = Tensor(bias, requires_grad=True)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """The layer on a [in] vector or a [n, in] matrix: ``W @ x + b``,
@@ -172,16 +202,47 @@ class _GatedCell:
 
     def __init__(self, input_dim: int, hidden_dim: int,
                  rng: np.random.Generator, name: Optional[str] = None):
-        self.input_dim, self.hidden_dim = input_dim, hidden_dim
-        self.name = name or self.default_name
-        # per gate an [h, d] and an [h, h] draw: a seed's draws, and so
-        # every trained bit, depend on this order and these shapes; W is
-        # stored C-ordered, the layout whose products those bits came from
-        draws = [(glorot(rng, (hidden_dim, input_dim)),
-                  glorot(rng, (hidden_dim, hidden_dim))) for _ in self.gates]
-        self.W = param(np.concatenate([w for w, _ in draws]).T.copy())
-        self.U = param(np.concatenate([u for _, u in draws]))
-        self.b = param(np.zeros(len(self.gates) * hidden_dim))
+        """A cell with Glorot-uniform weights and a zero bias."""
+        name = name or self.default_name
+        (d, _), (_, h), b_shape = self.shapes(input_dim, hidden_dim,
+                                              name).values()
+        # per gate a draw of its [d, h] block of W, transposed, then of
+        # its [h, h] block of U: a seed's draws, and so every trained bit,
+        # depend on this order and these shapes; W is stored C-ordered, the
+        # layout whose products those bits came from
+        draws = [(glorot(rng, (h, d)), glorot(rng, (h, h)))
+                 for _ in self.gates]
+        self._hold(np.concatenate([w for w, _ in draws]).T.copy(),
+                   np.concatenate([u for _, u in draws]), np.zeros(b_shape),
+                   name)
+
+    @classmethod
+    def shapes(cls, input_dim: int, hidden_dim: int,
+               name: Optional[str] = None) -> dict[str, tuple[int, ...]]:
+        """The shapes of the cell's parameters, by name."""
+        name = name or cls.default_name
+        gh = len(cls.gates) * hidden_dim
+        return {f"{name}.W": (input_dim, gh), f"{name}.U": (gh, hidden_dim),
+                f"{name}.b": (gh,)}
+
+    @classmethod
+    def from_params(cls, params: dict[str, np.ndarray],
+                    name: Optional[str] = None) -> "_GatedCell":
+        """The cell ``name`` holding the arrays of ``params``, which have
+        the :meth:`shapes`, without copying them."""
+        name = name or cls.default_name
+        cell = cls.__new__(cls)
+        cell._hold(params[f"{name}.W"], params[f"{name}.U"],
+                   params[f"{name}.b"], name)
+        return cell
+
+    def _hold(self, W: np.ndarray, U: np.ndarray, b: np.ndarray,
+              name: str) -> None:
+        self.input_dim, self.hidden_dim = W.shape[0], U.shape[1]
+        self.name = name
+        self.W = Tensor(W, requires_grad=True)
+        self.U = Tensor(U, requires_grad=True)
+        self.b = Tensor(b, requires_grad=True)
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"{self.name}.W": self.W, f"{self.name}.U": self.U,

@@ -2,8 +2,7 @@
 training loop every model shares.
 
 Once an :class:`Adam` exists, its parameters' values live in its buffer:
-nothing may rebind ``p.data``, only write into it, as
-:func:`~qakb.nn.io.restore_params` does.
+nothing may rebind ``p.data``, only write into it (``p.data[...] =``).
 """
 
 from __future__ import annotations

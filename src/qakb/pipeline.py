@@ -39,7 +39,7 @@ from qakb.nn import (
     dropout,
     fit,
 )
-from qakb.nn.layers import recurrent_forward
+from qakb.nn.layers import recurrent_forward, table_tokens
 from qakb.nn.losses import loss_binary_ce, loss_categorical_ce
 from qakb.nn.tensor import (
     Tensor,
@@ -71,7 +71,7 @@ class TaggerModel:
     def __init__(self, vocab: Sequence[str], cfg: TrainConfig,
                  rng: np.random.Generator):
         self.cfg = cfg
-        self.embedding = EmbeddingTable.random(list(vocab), cfg.embed_dim, rng)
+        self.embedding = EmbeddingTable.random(vocab, cfg.embed_dim, rng)
         self.fwd = LSTMCell(cfg.embed_dim, cfg.hidden_size, rng, name="tagger.fwd")
         self.bwd = LSTMCell(cfg.embed_dim, cfg.hidden_size, rng, name="tagger.bwd")
         self.head = Dense(2 * cfg.hidden_size, 2, rng, name="tagger.head")
@@ -123,10 +123,30 @@ class TaggerModel:
                 "config": asdict(self.cfg)}
 
     @classmethod
-    def from_meta(cls, meta: dict) -> "TaggerModel":
-        """An untrained model of the shape :meth:`meta` describes."""
-        return cls(meta["vocab"], TrainConfig(**meta["config"]),
-                   np.random.default_rng(0))
+    def layout(cls, meta: dict) -> tuple[dict[str, tuple[int, ...]],
+                                         Callable[[dict], "TaggerModel"]]:
+        """The parameter shapes of the model the :meth:`meta` payload
+        ``meta`` describes, in :meth:`parameters` order, and a function
+        that builds that model from a table of arrays of those shapes."""
+        vocab, cfg = meta["vocab"], TrainConfig(**meta["config"])
+        tokens = table_tokens(vocab)
+        E, H = cfg.embed_dim, cfg.hidden_size
+        shapes = {"tagger.embedding": (len(tokens), E),
+                  **LSTMCell.shapes(E, H, "tagger.fwd"),
+                  **LSTMCell.shapes(E, H, "tagger.bwd"),
+                  **Dense.shapes(2 * H, 2, "tagger.head")}
+
+        def build(params: dict[str, np.ndarray]) -> "TaggerModel":
+            model = cls.__new__(cls)
+            model.cfg = cfg
+            model.embedding = EmbeddingTable(tokens,
+                                             params["tagger.embedding"])
+            model.fwd = LSTMCell.from_params(params, "tagger.fwd")
+            model.bwd = LSTMCell.from_params(params, "tagger.bwd")
+            model.head = Dense.from_params(params, "tagger.head")
+            return model
+
+        return shapes, build
 
 
 class MatcherModel:
@@ -145,7 +165,7 @@ class MatcherModel:
                  rng: np.random.Generator, name: str = "matcher"):
         self.cfg = cfg
         self.name = name
-        self.embedding = EmbeddingTable.random(list(vocab), cfg.embed_dim, rng)
+        self.embedding = EmbeddingTable.random(vocab, cfg.embed_dim, rng)
         self.fwd = GRUCell(cfg.embed_dim, cfg.hidden_size, rng, name=f"{name}.fwd")
         self.bwd = GRUCell(cfg.embed_dim, cfg.hidden_size, rng, name=f"{name}.bwd")
         self.hidden = Dense(4 * cfg.hidden_size, cfg.hidden_size, rng,
@@ -220,10 +240,31 @@ class MatcherModel:
                 "config": asdict(self.cfg)}
 
     @classmethod
-    def from_meta(cls, meta: dict) -> "MatcherModel":
-        """An untrained model of the shape :meth:`meta` describes."""
-        return cls(meta["vocab"], TrainConfig(**meta["config"]),
-                   np.random.default_rng(0), name=meta["name"])
+    def layout(cls, meta: dict) -> tuple[dict[str, tuple[int, ...]],
+                                         Callable[[dict], "MatcherModel"]]:
+        """As :meth:`TaggerModel.layout`."""
+        vocab, cfg = meta["vocab"], TrainConfig(**meta["config"])
+        name = meta["name"]
+        tokens = table_tokens(vocab)
+        E, H = cfg.embed_dim, cfg.hidden_size
+        shapes = {f"{name}.embedding": (len(tokens), E),
+                  **GRUCell.shapes(E, H, f"{name}.fwd"),
+                  **GRUCell.shapes(E, H, f"{name}.bwd"),
+                  **Dense.shapes(4 * H, H, f"{name}.hidden"),
+                  **Dense.shapes(H, 1, f"{name}.head")}
+
+        def build(params: dict[str, np.ndarray]) -> "MatcherModel":
+            model = cls.__new__(cls)
+            model.cfg, model.name = cfg, name
+            model.embedding = EmbeddingTable(tokens,
+                                             params[f"{name}.embedding"])
+            model.fwd = GRUCell.from_params(params, f"{name}.fwd")
+            model.bwd = GRUCell.from_params(params, f"{name}.bwd")
+            model.hidden = Dense.from_params(params, f"{name}.hidden", "relu")
+            model.head = Dense.from_params(params, f"{name}.head", "sigmoid")
+            return model
+
+        return shapes, build
 
 
 class MatchEncodings:

@@ -702,6 +702,37 @@ class TestSubjectNegatives:
         assert pool == []
 
 
+    def test_generator_made_only_to_pad(self, monkeypatch):
+        """``build_negative_pools`` makes a question's generator only when
+        its subject pool needs padding, and pads as a generator made for
+        every question would."""
+        golds = ["m.s1", "m.b2", "m.b1", "m.hub", "m.b3"]
+        questions = [make_question(text, Fact(gold, "/d/x/r000", "m.o0"))
+                     for text, gold in zip(
+                         ["what does acme beta gamma do ?"] * 3
+                         + ["what is hub ?", "what does gamma do ?"], golds)]
+        made = []
+        default_rng = np.random.default_rng
+
+        def recording(seed):
+            made.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        pools = build_negative_pools(questions, self.kb, self.index, seed=7)
+        monkeypatch.undo()
+        eager = [gen_subject_negatives(
+            q, retrieve_question_candidates(self.index, q.tokens), self.kb,
+            np.random.default_rng(7 ^ i)) for i, q in enumerate(questions)]
+        assert pools.subject_pools == eager
+        # a padded pool repeats a survivor; the rest are empty here
+        padded = [i for i, pool in enumerate(eager)
+                  if pool and len(set(pool)) < len(pool)]
+        assert padded == [0, 1, 2]
+        assert [] in eager
+        assert made == [7 ^ i for i in padded]
+
+
 class TestPredicateNegatives:
     def test_natural_then_dictionary(self):
         kb = _pool_kb()

@@ -21,10 +21,9 @@ from qakb.nn import (
     loss_hinge_qas,
     loss_hinge_qat,
     loss_hinge_qat_type,
-    restore_params,
     save_params,
 )
-from qakb.nn.io import MODEL_MAGIC
+from qakb.nn.io import MODEL_MAGIC, check_params
 from qakb.nn.tensor import Tensor, param, sigmoid, softmax_rows, tsum
 
 
@@ -392,6 +391,14 @@ class TestFit:
                     np.random.default_rng(0), "test")
         assert curve == [0.0, 0.0, 0.0]
         assert float(w.data) == 1.0
+
+
+def restore_params(params, loaded):
+    """Copy a loaded table into live tensors: :func:`check_params`
+    against their shapes, then each array into its tensor."""
+    check_params({name: t.data.shape for name, t in params.items()}, loaded)
+    for name, tensor in params.items():
+        tensor.data[...] = loaded[name]
 
 
 class TestSnapshots:

@@ -9,7 +9,7 @@ that gives another shape than the table holds is refused.
 import contextlib
 import io
 import json
-import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,9 +31,9 @@ MODELS = PIPELINE_MODELS + tuple(e2e.VARIANTS)
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    """(kb, index, question texts, {name: model held in memory}, {name:
-    snapshot path}) on a small synthetic benchmark, whose KB snapshot is
-    ``bench/kb.qakb`` beside the model snapshots."""
+    """The KB, its index, the question texts, every model held in memory
+    and its snapshot's path, and the KB snapshot's path, on a small
+    synthetic benchmark."""
     root = tmp_path_factory.mktemp("load")
     assert main(["synth", "--seed", "1", "--entities", "14",
                  "--relations", "3", "--out", str(root / "bench")]) == 0
@@ -59,7 +59,9 @@ def trained(tmp_path_factory):
     paths = {name: str(root / f"{name}.nn") for name in models}
     for name, model in models.items():
         save_model(model, paths[name])
-    return kb, index, [q.text for q in questions], models, paths
+    return SimpleNamespace(kb=kb, index=index,
+                           texts=[q.text for q in questions], models=models,
+                           paths=paths, kb_path=str(root / "bench" / "kb.qakb"))
 
 
 def _cls(name):
@@ -70,8 +72,8 @@ def _cls(name):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_loaded_parameters_are_the_saved_bits(trained, name):
-    _, _, _, models, paths = trained
-    model, loaded = models[name], load_model(_cls(name), paths[name])
+    model = trained.models[name]
+    loaded = load_model(_cls(name), trained.paths[name])
     assert loaded.meta() == model.meta()
     want, got = model.parameters(), loaded.parameters()
     assert list(got) == list(want)
@@ -85,22 +87,23 @@ def test_loaded_parameters_are_the_saved_bits(trained, name):
 
 
 @pytest.mark.parametrize("name", MODELS)
-def test_layout_gives_the_random_model_s_shapes(trained, name):
+def test_layout_shapes_are_the_trained_model_s(trained, name):
     """The shapes a sidecar's layout names are those of the model that
     training builds from the same vocabulary and config."""
-    model = trained[3][name]
+    model = trained.models[name]
     shapes, _ = type(model).layout({"kind": model.kind, **model.meta()})
     assert list(shapes.items()) == [(key, p.data.shape) for key, p
                                     in model.parameters().items()]
 
 
 def test_loaded_models_answer_alike(trained):
-    kb, index, texts, models, paths = trained
+    kb, index, models = trained.kb, trained.index, trained.models
 
     def records(strategy):
-        return [answer_record(strategy, text) for text in texts]
+        return [answer_record(strategy, text) for text in trained.texts]
 
-    loaded = {name: load_model(_cls(name), paths[name]) for name in MODELS}
+    loaded = {name: load_model(_cls(name), trained.paths[name])
+              for name in MODELS}
     for strategy in pipeline.STRATEGIES:
         stages = [pipeline.PipelineModels(*(m[name] for name
                                             in PIPELINE_MODELS))
@@ -120,8 +123,6 @@ def test_loading_draws_nothing(trained, monkeypatch):
     constructors and ``np.random.default_rng`` raise while every model
     loads.  (numpy's ``Generator`` type cannot be patched; every draw of
     a layer goes through ``glorot`` or ``EmbeddingTable.random``.)"""
-    paths = trained[4]
-
     def no_draw(*args, **kwargs):
         raise AssertionError("a model load drew random numbers")
 
@@ -129,7 +130,7 @@ def test_loading_draws_nothing(trained, monkeypatch):
     monkeypatch.setattr(layers, "glorot", no_draw)
     monkeypatch.setattr(layers.EmbeddingTable, "random", no_draw)
     for name in MODELS:
-        load_model(_cls(name), paths[name])
+        load_model(_cls(name), trained.paths[name])
 
 
 def _edit_sidecar(path, edit):
@@ -146,7 +147,7 @@ def _edit_sidecar(path, edit):
 def test_sidecar_vocabulary_of_another_size_is_refused(trained, tmp_path,
                                                        name, embedding):
     path = str(tmp_path / "m.nn")
-    save_model(trained[3][name], path)
+    save_model(trained.models[name], path)
     _edit_sidecar(path, lambda meta: meta["vocab"].append("zzz"))
     with pytest.raises(ShapeMismatch, match=f"parameter '{embedding}': "
                                             "snapshot shape"):
@@ -159,7 +160,7 @@ def test_sidecar_vocabulary_of_another_size_is_refused(trained, tmp_path,
 def test_sidecar_config_of_another_shape_is_refused(trained, tmp_path, name,
                                                     key):
     path = str(tmp_path / "m.nn")
-    save_model(trained[3][name], path)
+    save_model(trained.models[name], path)
     _edit_sidecar(path, lambda meta: meta["config"].update({key: 7}))
     with pytest.raises(ShapeMismatch, match="snapshot shape"):
         load_model(_cls(name), path)
@@ -172,16 +173,14 @@ def test_cli_exits_2_on_a_sidecar_of_another_shape(trained, tmp_path, capsys,
                                                    flags):
     """A snapshot and its sidecar never silently disagree: ``answer``
     exits 2 and names the parameter."""
-    _, _, texts, models, paths = trained
     for name in ("tagger", "relation", "qa-t"):
-        save_model(models[name], str(tmp_path / f"{name}.nn"))
+        save_model(trained.models[name], str(tmp_path / f"{name}.nn"))
     target = tmp_path / ("qa-t.nn" if "--model" in flags else "relation.nn")
     _edit_sidecar(str(target), lambda meta: meta["vocab"].append("zzz"))
-    kb = os.path.join(os.path.dirname(paths["tagger"]), "bench", "kb.qakb")
     asked = tmp_path / "q.txt"
-    asked.write_text(texts[0] + "\n", encoding="utf-8")
+    asked.write_text(trained.texts[0] + "\n", encoding="utf-8")
     capsys.readouterr()
-    code = main(["answer", "--kb", kb, "--questions", str(asked),
+    code = main(["answer", "--kb", trained.kb_path, "--questions", str(asked),
                  *(flag.format(dir=tmp_path) for flag in flags)])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""

@@ -38,6 +38,7 @@ from qakb.nn import (
     run_recurrent,
     self_attention,
 )
+from qakb.nn.io import new_model
 from qakb.nn.layers import (attention_forward, cosine_forward, dropout_mask,
                             padded_indices, recurrent_forward, table_tokens)
 from qakb.nn.losses import loss_hinge_qas
@@ -164,50 +165,9 @@ class WordEncoder:
         self.char_table = char_table
         self.char_gru = char_gru
 
-    @classmethod
-    def build(cls, tokens: Sequence[str], cfg: TrainConfig,
-              rng: np.random.Generator, char_level: bool) -> "WordEncoder":
-        """An encoder of random tables (and char-GRU) for ``tokens``."""
-        word_table = EmbeddingTable.random(tokens, cfg.embed_dim, rng)
-        if not char_level:
-            return cls(word_table, None, None)
-        char_table = EmbeddingTable.random(char_vocab(tokens), cfg.char_dim,
-                                           rng)
-        char_gru = GRUCell(cfg.char_dim, cfg.char_dim, rng, name="e2e.char_gru")
-        return cls(word_table, char_table, char_gru)
-
-    @staticmethod
-    def shapes(words: Sequence[str], chars: Optional[Sequence[str]],
-               cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
-        """The shapes of the parameters of an encoder whose tables hold
-        the rows of the :func:`~qakb.nn.layers.table_tokens` ``words``
-        and, in char mode, ``chars``, by name."""
-        shapes = {"e2e.words": (len(words), cfg.embed_dim)}
-        if chars is not None:
-            shapes["e2e.chars"] = (len(chars), cfg.char_dim)
-            shapes.update(GRUCell.shapes(cfg.char_dim, cfg.char_dim,
-                                         "e2e.char_gru"))
-        return shapes
-
-    @classmethod
-    def from_params(cls, params: dict[str, np.ndarray], words: list[str],
-                    chars: Optional[list[str]]) -> "WordEncoder":
-        """The encoder of :meth:`shapes` holding the arrays of
-        ``params``."""
-        word_table = EmbeddingTable(words, params["e2e.words"])
-        if chars is None:
-            return cls(word_table, None, None)
-        return cls(word_table, EmbeddingTable(chars, params["e2e.chars"]),
-                   GRUCell.from_params(params, "e2e.char_gru"))
-
     @property
     def char_level(self) -> bool:
         return self.char_gru is not None
-
-    @property
-    def dim(self) -> int:
-        extra = self.char_gru.hidden_dim if self.char_level else 0
-        return self.word_table.dim + extra
 
     def encode_words(self, words: Sequence[str],
                      char_rows: Optional[CharRows] = None) -> Tensor:
@@ -280,20 +240,26 @@ class ScoringHead:
     :meth:`combine` does the same on arrays for answering.
     """
 
-    def __init__(self, mode: str, W: Optional[np.ndarray] = None):
-        """A head whose channel weights are ``W``, which it holds without
-        copying, or all 1.0."""
+    def __init__(self, params: dict[str, np.ndarray], name: str,
+                 mode: str):
+        """The head ``name`` of ``mode`` holding the weights of
+        ``params``, which have the :meth:`shapes`, without copying them."""
         if mode not in ("qas", "qat", "qat_type"):
             raise ValueError(f"unknown head mode {mode!r}")
-        self.mode = mode
-        if W is None:
-            W = np.ones(self.shapes(mode)["e2e.head.W"])
-        self.W = Tensor(W, requires_grad=True)
+        self.name, self.mode = name, mode
+        self.W = Tensor(params[f"{name}.W"], requires_grad=True)
 
     @staticmethod
-    def shapes(mode: str) -> dict[str, tuple[int, ...]]:
+    def shapes(name: str, mode: str) -> dict[str, tuple[int, ...]]:
         """The shape of the weights of a head of ``mode``, by name."""
-        return {"e2e.head.W": (3 if mode == "qat_type" else 2,)}
+        return {f"{name}.W": (3 if mode == "qat_type" else 2,)}
+
+    @classmethod
+    def draw(cls, rng: np.random.Generator, name: str,
+             mode: str) -> dict[str, np.ndarray]:
+        """Every channel weight 1.0; nothing is drawn."""
+        return {key: np.ones(shape)
+                for key, shape in cls.shapes(name, mode).items()}
 
     def scores(self, cos: Tensor, channels: Sequence[int],
                rows: np.ndarray) -> Tensor:
@@ -320,7 +286,7 @@ class ScoringHead:
         return tsum(loss_hinge_qas(s_pos, s_neg, gamma))
 
     def parameters(self) -> dict[str, Tensor]:
-        return {"e2e.head.W": self.W}
+        return {f"{self.name}.W": self.W}
 
 
 class E2EModel:
@@ -328,17 +294,6 @@ class E2EModel:
     labels and relation paths, and scoring head."""
 
     kind = "e2e"
-
-    def __init__(self, vocab: Sequence[str], cfg: TrainConfig,
-                 variant: E2EVariant, rng: np.random.Generator):
-        self.cfg = cfg
-        self.variant = variant
-        self.words = WordEncoder.build(vocab, cfg, rng, variant.char_level)
-        self.lstm = LSTMCell(self.words.dim, cfg.hidden_size, rng,
-                             name="e2e.lstm")
-        self.dense = Dense(cfg.max_len * cfg.hidden_size, cfg.hidden_size,
-                           rng, activation="relu", name="e2e.dense")
-        self.head = ScoringHead(variant.head_mode)
 
     def encode_texts(self, texts: Sequence[Sequence[str]],
                      char_rows: Optional[CharRows] = None) -> Tensor:
@@ -410,33 +365,39 @@ class E2EModel:
                 "variant": asdict(self.variant)}
 
     @classmethod
-    def layout(cls, meta: dict) -> tuple[dict[str, tuple[int, ...]],
+    def layout(cls, meta: dict) -> tuple[list[tuple],
                                          Callable[[dict], "E2EModel"]]:
-        """The parameter shapes of the model the :meth:`meta` payload
-        ``meta`` describes, in :meth:`parameters` order, and a function
-        that builds that model from a table of arrays of those shapes."""
-        vocab, cfg = meta["vocab"], TrainConfig(**meta["config"])
+        """As :meth:`qakb.pipeline.TaggerModel.layout`."""
+        cfg = TrainConfig(**meta["config"])
         variant = E2EVariant(**meta["variant"])
-        words = table_tokens(vocab)
-        chars = (table_tokens(char_vocab(words)) if variant.char_level
-                 else None)
-        H = cfg.hidden_size
-        width = cfg.embed_dim + (cfg.char_dim if variant.char_level else 0)
-        shapes = {**WordEncoder.shapes(words, chars, cfg),
-                  **LSTMCell.shapes(width, H, "e2e.lstm"),
-                  **Dense.shapes(cfg.max_len * H, H, "e2e.dense"),
-                  **ScoringHead.shapes(variant.head_mode)}
+        words = table_tokens(meta["vocab"])
+        E, C, H = cfg.embed_dim, cfg.char_dim, cfg.hidden_size
+        parts = [(EmbeddingTable, "e2e.words", words, E)]
+        if variant.char_level:
+            chars = table_tokens(char_vocab(words))
+            parts += [(EmbeddingTable, "e2e.chars", chars, C),
+                      (GRUCell, "e2e.char_gru", C, C)]
+        width = E + (C if variant.char_level else 0)
+        parts += [(LSTMCell, "e2e.lstm", width, H),
+                  (Dense, "e2e.dense", cfg.max_len * H, H),
+                  (ScoringHead, "e2e.head", variant.head_mode)]
 
         def build(params: dict[str, np.ndarray]) -> "E2EModel":
             model = cls.__new__(cls)
             model.cfg, model.variant = cfg, variant
-            model.words = WordEncoder.from_params(params, words, chars)
-            model.lstm = LSTMCell.from_params(params, "e2e.lstm")
-            model.dense = Dense.from_params(params, "e2e.dense", "relu")
-            model.head = ScoringHead(variant.head_mode, params["e2e.head.W"])
+            word_table = EmbeddingTable(words, params["e2e.words"])
+            if variant.char_level:
+                model.words = WordEncoder(
+                    word_table, EmbeddingTable(chars, params["e2e.chars"]),
+                    GRUCell(params, "e2e.char_gru"))
+            else:
+                model.words = WordEncoder(word_table, None, None)
+            model.lstm = LSTMCell(params, "e2e.lstm")
+            model.dense = Dense(params, "e2e.dense", "relu")
+            model.head = ScoringHead(params, "e2e.head", variant.head_mode)
             return model
 
-        return shapes, build
+        return parts, build
 
 
 @dataclass
@@ -605,7 +566,9 @@ def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
         raise EmptyTrainingSet("no question has a negative subject or "
                                "relation to train against")
     rng = np.random.default_rng(cfg.seed)
-    model = E2EModel(_training_vocab(dataset, kb, index), cfg, variant, rng)
+    model = new_model(E2EModel, {"vocab": _training_vocab(dataset, kb, index),
+                                 "config": asdict(cfg),
+                                 "variant": asdict(variant)}, rng)
     subj_samplers = [_PoolSampler(p, rng) for p in pools.subject_pools]
     pred_samplers = [_PoolSampler(p, rng) for p in pools.predicate_pools]
     skipped = 0

@@ -26,13 +26,12 @@ from qakb.nn.losses import (
     loss_hinge_qat_type,
 )
 from qakb.nn.optim import Adam, fit
-from qakb.nn.tensor import Tensor, as_tensor, param
+from qakb.nn.tensor import Tensor, as_tensor
 
 __all__ = [
     "TrainConfig",
     "Tensor",
     "as_tensor",
-    "param",
     "Dense",
     "EmbeddingTable",
     "EncodeCache",

@@ -10,14 +10,17 @@ sidecar holds the model's ``kind`` and what is needed to rebuild it
 
 :func:`save_model` and :func:`load_model` handle both files for any model
 class that gives a ``kind`` class attribute, a ``meta()`` payload,
-``parameters()`` and a ``layout(meta)`` classmethod.  ``layout`` reads
-the sidecar's vocabulary, config and variant and returns the shape of
-every parameter of the model they describe, with a function that builds
-that model from arrays of those shapes.  A load reads the sidecar and
-its layout first, then the table in one pass, checks that the table
-names exactly the layout's parameters, each in its shape, and builds the
-model around the table's arrays: it draws no random number and copies
-no array again.
+``parameters()`` and a ``layout(meta)`` classmethod, the one place that
+states a model's parts.  ``layout`` reads the payload's vocabulary,
+config and variant and returns the parts of the model they describe,
+each a layer class with its name and sizes, in ``parameters()`` order,
+and a function that builds that model from arrays of the parts' shapes.
+It serves both :func:`load_model` and :func:`new_model`.  A load reads
+the sidecar and its layout first, then the table in one pass, checks
+that the table names exactly the parts' parameters, each in its shape,
+and builds the model around the table's arrays: it draws no random
+number and copies no array again.  :func:`new_model`, which training calls,
+has each part draw its arrays from a generator, in order.
 """
 
 from __future__ import annotations
@@ -174,7 +177,9 @@ def load_model(cls, path: str):
     """
     meta = read_model_meta(path, cls.kind)
     try:
-        shapes, build = cls.layout(meta)
+        parts, build = cls.layout(meta)
+        shapes = {name: shape for layer, *args in parts
+                  for name, shape in layer.shapes(*args).items()}
         size = 8 * sum(math.prod(shape) for shape in shapes.values())
         if size > MAX_MODEL_BYTES:
             raise MemoryError(f"its parameters need {size} bytes")
@@ -183,4 +188,15 @@ def load_model(cls, path: str):
             f"{meta_path(path)}: malformed payload ({exc!r})") from exc
     params = load_params(path)
     check_params(shapes, params)
+    return build(params)
+
+
+def new_model(cls, meta: dict, rng: np.random.Generator):
+    """A new model of class ``cls`` for the ``meta()`` payload ``meta``,
+    as training starts it: each part of its layout draws its arrays from
+    ``rng`` in order."""
+    parts, build = cls.layout(meta)
+    params: dict[str, np.ndarray] = {}
+    for layer, *args in parts:
+        params.update(layer.draw(rng, *args))
     return build(params)

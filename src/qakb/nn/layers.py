@@ -3,6 +3,8 @@
 Dense layers and recurrent cells expose ``parameters() -> dict[name,
 Tensor]`` so optimizers and snapshots can address weights by stable
 hierarchical names; a model names its embedding tables' ``vectors``.
+A layer holds the arrays it is built from; its ``shapes`` and ``draw``
+give their shapes and draw new ones, as a model's layout asks.
 
 The forwards that answering needs are array functions, which build no
 graph: :meth:`EmbeddingTable.rows`, :meth:`Dense.forward`,
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -44,9 +46,13 @@ def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def table_tokens(tokens: Iterable[str]) -> list[str]:
+def table_tokens(tokens: list[str]) -> list[str]:
     """The tokens of an embedding table's rows for ``tokens``: each once,
-    in order, then the unknown token unless it is among them."""
+    in order, then the unknown token unless it is among them.  TypeError
+    unless ``tokens`` is a list of strings, as a sidecar's vocabulary must
+    be."""
+    if type(tokens) is not list or not all(type(t) is str for t in tokens):
+        raise TypeError("a vocabulary must be a list of strings")
     toks = list(dict.fromkeys(tokens))
     if OOV_TOKEN not in toks:
         toks.append(OOV_TOKEN)
@@ -70,13 +76,17 @@ class EmbeddingTable:
         self.vectors = Tensor(vectors, requires_grad=True)
         self.dim = vectors.shape[1]
 
-    @classmethod
-    def random(cls, tokens: Iterable[str], dim: int,
-               rng: np.random.Generator) -> "EmbeddingTable":
-        """A table of :func:`table_tokens` of ``tokens`` with rows drawn
-        uniformly from [-0.1, 0.1]."""
-        toks = table_tokens(tokens)
-        return cls(toks, rng.uniform(-0.1, 0.1, size=(len(toks), dim)))
+    @staticmethod
+    def shapes(name: str, tokens: Sequence[str],
+               dim: int) -> dict[str, tuple[int, ...]]:
+        """The shape of the vectors of a table ``name`` of ``tokens``."""
+        return {name: (len(tokens), dim)}
+
+    @staticmethod
+    def draw(rng: np.random.Generator, name: str, tokens: Sequence[str],
+             dim: int) -> dict[str, np.ndarray]:
+        """Vectors of :meth:`shapes` drawn uniformly from [-0.1, 0.1]."""
+        return {name: rng.uniform(-0.1, 0.1, size=(len(tokens), dim))}
 
     def indices(self, seq: Sequence[str]) -> list[int]:
         return [self.vocab.get(tok, self.oov_index) for tok in seq]
@@ -108,38 +118,30 @@ class Dense:
     would, with the same expressions, so every bit of training is theirs.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 activation: str = "none", name: str = "dense"):
-        """A layer with a Glorot-uniform weight and a zero bias."""
-        w_shape, b_shape = self.shapes(in_dim, out_dim, name).values()
-        self._hold(glorot(rng, w_shape), np.zeros(b_shape), activation, name)
+    def __init__(self, params: dict[str, np.ndarray], name: str,
+                 activation: str = "none"):
+        """The layer ``name`` holding the arrays of ``params``, which have
+        the :meth:`shapes`, without copying them."""
+        if activation not in ("none", "relu", "sigmoid"):
+            raise ValueError(f"unknown activation {activation!r}")
+        self.name, self.activation = name, activation
+        self.weight = Tensor(params[f"{name}.weight"], requires_grad=True)
+        self.bias = Tensor(params[f"{name}.bias"], requires_grad=True)
+        self.out_dim, self.in_dim = self.weight.shape
 
     @staticmethod
-    def shapes(in_dim: int, out_dim: int,
-               name: str = "dense") -> dict[str, tuple[int, ...]]:
+    def shapes(name: str, in_dim: int,
+               out_dim: int) -> dict[str, tuple[int, ...]]:
         """The shapes of the layer's parameters, by name."""
         return {f"{name}.weight": (out_dim, in_dim),
                 f"{name}.bias": (out_dim,)}
 
-    @classmethod
-    def from_params(cls, params: dict[str, np.ndarray], name: str = "dense",
-                    activation: str = "none") -> "Dense":
-        """The layer ``name`` holding the arrays of ``params``, which have
-        the :meth:`shapes`, without copying them."""
-        layer = cls.__new__(cls)
-        layer._hold(params[f"{name}.weight"], params[f"{name}.bias"],
-                    activation, name)
-        return layer
-
-    def _hold(self, weight: np.ndarray, bias: np.ndarray, activation: str,
-              name: str) -> None:
-        if activation not in ("none", "relu", "sigmoid"):
-            raise ValueError(f"unknown activation {activation!r}")
-        self.out_dim, self.in_dim = weight.shape
-        self.activation = activation
-        self.name = name
-        self.weight = Tensor(weight, requires_grad=True)
-        self.bias = Tensor(bias, requires_grad=True)
+    @staticmethod
+    def draw(rng: np.random.Generator, name: str, in_dim: int,
+             out_dim: int) -> dict[str, np.ndarray]:
+        """A Glorot-uniform weight and a zero bias."""
+        return {f"{name}.weight": glorot(rng, (out_dim, in_dim)),
+                f"{name}.bias": np.zeros(out_dim)}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """The layer on a [in] vector or a [n, in] matrix: ``W @ x + b``,
@@ -200,49 +202,37 @@ class _GatedCell:
     its time loop, reading ``W`` as it is stored.
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int,
-                 rng: np.random.Generator, name: Optional[str] = None):
-        """A cell with Glorot-uniform weights and a zero bias."""
-        name = name or self.default_name
-        (d, _), (_, h), b_shape = self.shapes(input_dim, hidden_dim,
-                                              name).values()
-        # per gate a draw of its [d, h] block of W, transposed, then of
-        # its [h, h] block of U: a seed's draws, and so every trained bit,
-        # depend on this order and these shapes; W is stored C-ordered, the
-        # layout whose products those bits came from
-        draws = [(glorot(rng, (h, d)), glorot(rng, (h, h)))
-                 for _ in self.gates]
-        self._hold(np.concatenate([w for w, _ in draws]).T.copy(),
-                   np.concatenate([u for _, u in draws]), np.zeros(b_shape),
-                   name)
+    def __init__(self, params: dict[str, np.ndarray], name: str):
+        """The cell ``name`` holding the arrays of ``params``, which have
+        the :meth:`shapes`, without copying them."""
+        self.name = name
+        self.W, self.U, self.b = (Tensor(params[f"{name}.{kind}"],
+                                         requires_grad=True)
+                                  for kind in "WUb")
+        self.input_dim, self.hidden_dim = self.W.shape[0], self.U.shape[1]
 
     @classmethod
-    def shapes(cls, input_dim: int, hidden_dim: int,
-               name: Optional[str] = None) -> dict[str, tuple[int, ...]]:
+    def shapes(cls, name: str, input_dim: int,
+               hidden_dim: int) -> dict[str, tuple[int, ...]]:
         """The shapes of the cell's parameters, by name."""
-        name = name or cls.default_name
         gh = len(cls.gates) * hidden_dim
         return {f"{name}.W": (input_dim, gh), f"{name}.U": (gh, hidden_dim),
                 f"{name}.b": (gh,)}
 
     @classmethod
-    def from_params(cls, params: dict[str, np.ndarray],
-                    name: Optional[str] = None) -> "_GatedCell":
-        """The cell ``name`` holding the arrays of ``params``, which have
-        the :meth:`shapes`, without copying them."""
-        name = name or cls.default_name
-        cell = cls.__new__(cls)
-        cell._hold(params[f"{name}.W"], params[f"{name}.U"],
-                   params[f"{name}.b"], name)
-        return cell
-
-    def _hold(self, W: np.ndarray, U: np.ndarray, b: np.ndarray,
-              name: str) -> None:
-        self.input_dim, self.hidden_dim = W.shape[0], U.shape[1]
-        self.name = name
-        self.W = Tensor(W, requires_grad=True)
-        self.U = Tensor(U, requires_grad=True)
-        self.b = Tensor(b, requires_grad=True)
+    def draw(cls, rng: np.random.Generator, name: str, input_dim: int,
+             hidden_dim: int) -> dict[str, np.ndarray]:
+        """Glorot-uniform weights and a zero bias."""
+        d, h = input_dim, hidden_dim
+        # per gate a draw of its [d, h] block of W, transposed, then of
+        # its [h, h] block of U: a seed's draws, and so every trained bit,
+        # depend on this order and these shapes; W is stored C-ordered, the
+        # layout whose products those bits came from
+        draws = [(glorot(rng, (h, d)), glorot(rng, (h, h)))
+                 for _ in cls.gates]
+        return {f"{name}.W": np.concatenate([w for w, _ in draws]).T.copy(),
+                f"{name}.U": np.concatenate([u for _, u in draws]),
+                f"{name}.b": np.zeros(len(cls.gates) * h)}
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"{self.name}.W": self.W, f"{self.name}.U": self.U,
@@ -262,7 +252,6 @@ class GRUCell(_GatedCell):
 
     gates = ("z", "r", "n")
     state_parts = ("h",)
-    default_name = "gru"
 
     def step(self, xw: np.ndarray, state: tuple[np.ndarray],
              u: np.ndarray, b: np.ndarray):
@@ -304,7 +293,6 @@ class LSTMCell(_GatedCell):
 
     gates = ("i", "f", "g", "o")
     state_parts = ("h", "c")
-    default_name = "lstm"
 
     def step(self, xw: np.ndarray, state: tuple[np.ndarray, np.ndarray],
              u: np.ndarray, b: np.ndarray):

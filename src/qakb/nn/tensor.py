@@ -135,11 +135,6 @@ def as_tensor(x: ArrayLike) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def param(data, requires_grad: bool = True) -> Tensor:
-    """A leaf tensor that collects gradients."""
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=requires_grad)
-
-
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           backward: Callable[[Tensor], None]) -> Tensor:
     """Create a node, attaching its parents and ``backward`` only when

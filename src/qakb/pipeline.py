@@ -39,6 +39,7 @@ from qakb.nn import (
     dropout,
     fit,
 )
+from qakb.nn.io import new_model
 from qakb.nn.layers import recurrent_forward, table_tokens
 from qakb.nn.losses import loss_binary_ce, loss_categorical_ce
 from qakb.nn.tensor import (
@@ -67,14 +68,6 @@ class TaggerModel:
     """Bidirectional LSTM with a per-token softmax over (c, e)."""
 
     kind = "tagger"
-
-    def __init__(self, vocab: Sequence[str], cfg: TrainConfig,
-                 rng: np.random.Generator):
-        self.cfg = cfg
-        self.embedding = EmbeddingTable.random(vocab, cfg.embed_dim, rng)
-        self.fwd = LSTMCell(cfg.embed_dim, cfg.hidden_size, rng, name="tagger.fwd")
-        self.bwd = LSTMCell(cfg.embed_dim, cfg.hidden_size, rng, name="tagger.bwd")
-        self.head = Dense(2 * cfg.hidden_size, 2, rng, name="tagger.head")
 
     def forward_batch(self, seqs: Sequence[Sequence[str]]) -> Tensor:
         """Per-token class probabilities of every token of every sequence,
@@ -123,30 +116,32 @@ class TaggerModel:
                 "config": asdict(self.cfg)}
 
     @classmethod
-    def layout(cls, meta: dict) -> tuple[dict[str, tuple[int, ...]],
+    def layout(cls, meta: dict) -> tuple[list[tuple],
                                          Callable[[dict], "TaggerModel"]]:
-        """The parameter shapes of the model the :meth:`meta` payload
-        ``meta`` describes, in :meth:`parameters` order, and a function
-        that builds that model from a table of arrays of those shapes."""
-        vocab, cfg = meta["vocab"], TrainConfig(**meta["config"])
-        tokens = table_tokens(vocab)
+        """The parts of the model the :meth:`meta` payload ``meta``
+        describes, each a layer class with its name and sizes, in
+        :meth:`parameters` order, and a function that builds that model
+        from a table of arrays of those parts' shapes (see
+        :mod:`qakb.nn.io`)."""
+        cfg = TrainConfig(**meta["config"])
+        tokens = table_tokens(meta["vocab"])
         E, H = cfg.embed_dim, cfg.hidden_size
-        shapes = {"tagger.embedding": (len(tokens), E),
-                  **LSTMCell.shapes(E, H, "tagger.fwd"),
-                  **LSTMCell.shapes(E, H, "tagger.bwd"),
-                  **Dense.shapes(2 * H, 2, "tagger.head")}
+        parts = [(EmbeddingTable, "tagger.embedding", tokens, E),
+                 (LSTMCell, "tagger.fwd", E, H),
+                 (LSTMCell, "tagger.bwd", E, H),
+                 (Dense, "tagger.head", 2 * H, 2)]
 
         def build(params: dict[str, np.ndarray]) -> "TaggerModel":
             model = cls.__new__(cls)
             model.cfg = cfg
             model.embedding = EmbeddingTable(tokens,
                                              params["tagger.embedding"])
-            model.fwd = LSTMCell.from_params(params, "tagger.fwd")
-            model.bwd = LSTMCell.from_params(params, "tagger.bwd")
-            model.head = Dense.from_params(params, "tagger.head")
+            model.fwd = LSTMCell(params, "tagger.fwd")
+            model.bwd = LSTMCell(params, "tagger.bwd")
+            model.head = Dense(params, "tagger.head")
             return model
 
-        return shapes, build
+        return parts, build
 
 
 class MatcherModel:
@@ -160,18 +155,6 @@ class MatcherModel:
     """
 
     kind = "matcher"
-
-    def __init__(self, vocab: Sequence[str], cfg: TrainConfig,
-                 rng: np.random.Generator, name: str = "matcher"):
-        self.cfg = cfg
-        self.name = name
-        self.embedding = EmbeddingTable.random(vocab, cfg.embed_dim, rng)
-        self.fwd = GRUCell(cfg.embed_dim, cfg.hidden_size, rng, name=f"{name}.fwd")
-        self.bwd = GRUCell(cfg.embed_dim, cfg.hidden_size, rng, name=f"{name}.bwd")
-        self.hidden = Dense(4 * cfg.hidden_size, cfg.hidden_size, rng,
-                            activation="relu", name=f"{name}.hidden")
-        self.head = Dense(cfg.hidden_size, 1, rng, activation="sigmoid",
-                          name=f"{name}.head")
 
     def encode_texts(self, texts: Sequence[Sequence[str]]) -> Tensor:
         """[B, 2h] encodings of token sequences: the last states of both
@@ -240,31 +223,32 @@ class MatcherModel:
                 "config": asdict(self.cfg)}
 
     @classmethod
-    def layout(cls, meta: dict) -> tuple[dict[str, tuple[int, ...]],
+    def layout(cls, meta: dict) -> tuple[list[tuple],
                                          Callable[[dict], "MatcherModel"]]:
         """As :meth:`TaggerModel.layout`."""
-        vocab, cfg = meta["vocab"], TrainConfig(**meta["config"])
-        name = meta["name"]
-        tokens = table_tokens(vocab)
+        cfg, name = TrainConfig(**meta["config"]), meta["name"]
+        if type(name) is not str:
+            raise TypeError("a matcher's name must be a string")
+        tokens = table_tokens(meta["vocab"])
         E, H = cfg.embed_dim, cfg.hidden_size
-        shapes = {f"{name}.embedding": (len(tokens), E),
-                  **GRUCell.shapes(E, H, f"{name}.fwd"),
-                  **GRUCell.shapes(E, H, f"{name}.bwd"),
-                  **Dense.shapes(4 * H, H, f"{name}.hidden"),
-                  **Dense.shapes(H, 1, f"{name}.head")}
+        parts = [(EmbeddingTable, f"{name}.embedding", tokens, E),
+                 (GRUCell, f"{name}.fwd", E, H),
+                 (GRUCell, f"{name}.bwd", E, H),
+                 (Dense, f"{name}.hidden", 4 * H, H),
+                 (Dense, f"{name}.head", H, 1)]
 
         def build(params: dict[str, np.ndarray]) -> "MatcherModel":
             model = cls.__new__(cls)
             model.cfg, model.name = cfg, name
             model.embedding = EmbeddingTable(tokens,
                                              params[f"{name}.embedding"])
-            model.fwd = GRUCell.from_params(params, f"{name}.fwd")
-            model.bwd = GRUCell.from_params(params, f"{name}.bwd")
-            model.hidden = Dense.from_params(params, f"{name}.hidden", "relu")
-            model.head = Dense.from_params(params, f"{name}.head", "sigmoid")
+            model.fwd = GRUCell(params, f"{name}.fwd")
+            model.bwd = GRUCell(params, f"{name}.bwd")
+            model.hidden = Dense(params, f"{name}.hidden", "relu")
+            model.head = Dense(params, f"{name}.head", "sigmoid")
             return model
 
-        return shapes, build
+        return parts, build
 
 
 class MatchEncodings:
@@ -332,7 +316,8 @@ def train_tagger(data: Sequence[LabeledQuestion],
         raise EmptyTrainingSet("no labeled questions to train on")
     rng = np.random.default_rng(cfg.seed)
     vocab = sorted({tok for q in data for tok in q.tokens})
-    model = TaggerModel(vocab, cfg, rng)
+    model = new_model(TaggerModel, {"name": "tagger", "vocab": vocab,
+                                    "config": asdict(cfg)}, rng)
 
     def batch_loss(batch: np.ndarray) -> tuple[Tensor, int]:
         return model.loss([data[i] for i in batch]), len(batch)
@@ -355,7 +340,8 @@ def train_matcher(pairs: Sequence[MatcherPair], cfg: TrainConfig,
     seqs = [(questions[question], texts[text]) for question, text, _ in pairs]
     vocab = sorted({tok for toks in (*questions.values(), *texts.values())
                     for tok in toks})
-    model = MatcherModel(vocab, cfg, rng, name=name)
+    model = new_model(MatcherModel, {"name": name, "vocab": vocab,
+                                     "config": asdict(cfg)}, rng)
     tags = np.array([tag for _, _, tag in pairs])
 
     def batch_loss(batch: np.ndarray) -> tuple[Tensor, int]:

@@ -1,16 +1,22 @@
 """Shared fixtures: a small hand-built knowledge base used across
-modules, a view of one gate's weights in a recurrent cell, a graph op
-that only tests build, and test-side readers and writers of KB snapshot
+modules, new layers and models drawn as training draws them, a view of
+one gate's weights in a recurrent cell, a leaf tensor and a graph op that
+only tests build, and test-side readers and writers of KB snapshot
 layouts."""
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from qakb.e2e import ScoringHead
 from qakb.kb import SNAPSHOT_MAGIC, Fact, build_kb
-from qakb.nn.tensor import _make, as_tensor
+from qakb.nn import Dense, EmbeddingTable, GRUCell
+from qakb.nn.io import new_model
+from qakb.nn.layers import table_tokens
+from qakb.nn.tensor import Tensor, _make, as_tensor
 
 
 @pytest.fixture()
@@ -46,6 +52,49 @@ def tiny_kb():
         ("m.01hmylb", "musical album"),
     ]
     return build_kb(facts, alias_pairs, type_pairs)
+
+
+def dense(rng, in_dim, out_dim, activation="none", name="dense"):
+    """A new :class:`Dense` layer, its weight drawn from ``rng``."""
+    return Dense(Dense.draw(rng, name, in_dim, out_dim), name, activation)
+
+
+def rnn_cell(cls, rng, input_dim, hidden_dim, name=None):
+    """A new recurrent cell of class ``cls``, its weights drawn from
+    ``rng``, named ``"gru"`` or ``"lstm"`` unless ``name`` is given."""
+    name = name or ("gru" if cls is GRUCell else "lstm")
+    return cls(cls.draw(rng, name, input_dim, hidden_dim), name)
+
+
+def embedding(rng, tokens, dim):
+    """A new embedding table of :func:`table_tokens` of ``tokens``, its
+    rows drawn from ``rng``."""
+    toks = table_tokens(list(tokens))
+    return EmbeddingTable(toks, EmbeddingTable.draw(rng, "t", toks, dim)["t"])
+
+
+def scoring_head(mode):
+    """A new joint-model scoring head of ``mode``, every weight 1.0."""
+    return ScoringHead(ScoringHead.draw(None, "e2e.head", mode), "e2e.head",
+                       mode)
+
+
+def fresh(cls, vocab, cfg, rng, variant=None, name=None):
+    """A new model of class ``cls`` for ``vocab`` and ``cfg``, drawn from
+    ``rng`` as training draws it: a joint model of ``variant``, or a
+    tagger or matcher named ``name`` (by default its kind)."""
+    meta = {"vocab": list(vocab), "config": asdict(cfg)}
+    if variant is not None:
+        meta["variant"] = asdict(variant)
+    else:
+        meta["name"] = name or cls.kind
+    return new_model(cls, meta, rng)
+
+
+def param(data, requires_grad=True):
+    """A leaf tensor that collects gradients."""
+    return Tensor(np.array(data, dtype=np.float64),
+                  requires_grad=requires_grad)
 
 
 def gate_block(cell, kind, gate, array=None):

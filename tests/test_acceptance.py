@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+from conftest import dense, embedding, fresh, param, rnn_cell
 
 from qakb import datagen, e2e, evalharness as ev
 from qakb.aliasindex import build_index, retrieve_candidates
@@ -28,8 +29,6 @@ from qakb.kb import (
     serialize_triples_tsv,
 )
 from qakb.nn import (
-    Dense,
-    EmbeddingTable,
     GRUCell,
     LSTMCell,
     TrainConfig,
@@ -45,7 +44,7 @@ from qakb.nn import (
     run_recurrent,
     self_attention,
 )
-from qakb.nn.tensor import param, sigmoid, softmax_rows, tsum
+from qakb.nn.tensor import sigmoid, softmax_rows, tsum
 
 
 def _verdict(num: int, title: str, problems: list[str], detail: str) -> None:
@@ -59,7 +58,7 @@ def _verdict(num: int, title: str, problems: list[str], detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _dense_case(rng: np.random.Generator, activation: str) -> float:
-    layer = Dense(3, 2, rng, activation=activation)
+    layer = dense(rng, 3, 2, activation=activation)
     while True:
         x = param(rng.normal(size=(2, 3)))
         pre = x.data @ layer.weight.data.T + layer.bias.data
@@ -73,7 +72,7 @@ def _grad_battery(seed: int) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
 
-    table = EmbeddingTable.random(["ba", "de", "ki"], 3, rng)
+    table = embedding(rng, ["ba", "de", "ki"], 3)
     w = rng.normal(size=(4, 3))
     worst = max(worst, finite_diff_check(
         lambda: tsum(table.embed(["ba", "ki", "de", "zz"]) * w),
@@ -82,13 +81,13 @@ def _grad_battery(seed: int) -> float:
     for act in ("none", "relu", "sigmoid"):
         worst = max(worst, _dense_case(rng, act))
 
-    gru = GRUCell(2, 3, rng)
+    gru = rnn_cell(GRUCell, rng, 2, 3)
     x = param(rng.normal(size=(3, 2)))
     worst = max(worst, finite_diff_check(
         lambda: tsum(run_recurrent(gru, x)[0]),
         list(gru.parameters().values()) + [x]))
 
-    lstm = LSTMCell(2, 2, rng)
+    lstm = rnn_cell(LSTMCell, rng, 2, 2)
     x2 = param(rng.normal(size=(3, 2)))
 
     def lstm_loss():
@@ -98,8 +97,8 @@ def _grad_battery(seed: int) -> float:
     worst = max(worst, finite_diff_check(
         lstm_loss, list(lstm.parameters().values()) + [x2]))
 
-    fwd = LSTMCell(2, 2, rng, name="fw")
-    bwd = LSTMCell(2, 2, rng, name="bw")
+    fwd = rnn_cell(LSTMCell, rng, 2, 2, "fw")
+    bwd = rnn_cell(LSTMCell, rng, 2, 2, "bw")
     x3 = param(rng.normal(size=(3, 2)))
 
     def bidi_loss():
@@ -432,10 +431,10 @@ class TestAcceptance:
         index = build_index(kb)
         cfg = TrainConfig(seed=42, hidden_size=16)
         vocab = e2e._training_vocab(train, kb)
-        plain = e2e.E2EModel(vocab, cfg, e2e.VARIANTS["qa-t-w"],
-                             np.random.default_rng(42))
-        attn = e2e.E2EModel(vocab, cfg, e2e.VARIANTS["qa-t-ws"],
-                            np.random.default_rng(42))
+        plain = fresh(e2e.E2EModel, vocab, cfg, np.random.default_rng(42),
+                      variant=e2e.VARIANTS["qa-t-w"])
+        attn = fresh(e2e.E2EModel, vocab, cfg, np.random.default_rng(42),
+                     variant=e2e.VARIANTS["qa-t-ws"])
         pp, pa = plain.parameters(), attn.parameters()
         if sorted(pp) != sorted(pa) or any(
                 not np.array_equal(pp[k].data, pa[k].data) for k in pp):
@@ -471,8 +470,8 @@ class TestAcceptance:
         kb2, tr2, te2 = ev.generate_synthetic(spec_od)
         index2 = build_index(kb2)
         vocab2 = e2e._training_vocab(tr2, kb2)
-        model2 = e2e.E2EModel(vocab2, cfg, e2e.VARIANTS["qa-t"],
-                              np.random.default_rng(42))
+        model2 = fresh(e2e.E2EModel, vocab2, cfg, np.random.default_rng(42),
+                       variant=e2e.VARIANTS["qa-t"])
         base_variant = e2e.VARIANTS["qa-t"]
         od_variant = e2e.variant_from_name("qa-t", out_degree_sort=True)
         permuted = 0

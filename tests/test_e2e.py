@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import gate_block
+from conftest import fresh, gate_block, param, scoring_head
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qakb.aliasindex import build_index, relation_tokens, tokenize
@@ -20,7 +20,6 @@ from qakb.e2e import (
     E2EStrategy,
     E2EVariant,
     FactScore,
-    ScoringHead,
     TYPE,
     VARIANTS,
     WordEncoder,
@@ -42,8 +41,7 @@ import qakb.nn.layers
 import qakb.nn.tensor
 from qakb.nn import TrainConfig, cosine, dropout, fit, run_recurrent
 from qakb.nn.losses import loss_hinge_qas, loss_hinge_qat, loss_hinge_qat_type
-from qakb.nn.tensor import (Tensor, as_tensor, gather_rows, pad_rows, param,
-                             tsum)
+from qakb.nn.tensor import Tensor, as_tensor, gather_rows, pad_rows, tsum
 from qakb.nn.io import load_model, save_model
 from qakb.pipeline import MatcherModel
 
@@ -121,21 +119,22 @@ class TestVariants:
 
 class TestWordEncoder:
     def test_dim_word_only(self):
-        m = E2EModel(["alpha", "beta"], small_cfg(), E2EVariant(),
-                     np.random.default_rng(0))
-        assert m.words.dim == small_cfg().embed_dim
+        m = fresh(E2EModel, ["alpha", "beta"], small_cfg(),
+                  np.random.default_rng(0), variant=E2EVariant())
+        assert m.lstm.input_dim == small_cfg().embed_dim
         assert m.words.encode_words(["alpha"]).shape == (1, 8)
 
     def test_dim_with_chars(self):
-        m = E2EModel(["alpha", "beta"], small_cfg(),
-                     E2EVariant(char_level=True), np.random.default_rng(0))
+        m = fresh(E2EModel, ["alpha", "beta"], small_cfg(),
+                  np.random.default_rng(0),
+                  variant=E2EVariant(char_level=True))
         cfg = small_cfg()
-        assert m.words.dim == cfg.embed_dim + cfg.char_dim
+        assert m.lstm.input_dim == cfg.embed_dim + cfg.char_dim
         assert m.words.encode_words(["alpha"]).shape == (1, 12)
 
     def test_char_suffix_is_gru_last_state(self):
-        m = E2EModel(["a", "bc"], small_cfg(),
-                     E2EVariant(char_level=True), np.random.default_rng(3))
+        m = fresh(E2EModel, ["a", "bc"], small_cfg(), np.random.default_rng(3),
+                  variant=E2EVariant(char_level=True))
         we = m.words
         vec = we.encode_words(["a"]).data[0]
         x = we.char_table.embed(["a"]).data
@@ -145,22 +144,23 @@ class TestWordEncoder:
         assert_array_equal(vec[-we.char_gru.hidden_dim:], h[0])
 
     def test_unknown_words_distinguished_by_spelling(self):
-        m = E2EModel(["cold", "dark"], small_cfg(),
-                     E2EVariant(char_level=True), np.random.default_rng(5))
+        m = fresh(E2EModel, ["cold", "dark"], small_cfg(),
+                  np.random.default_rng(5),
+                  variant=E2EVariant(char_level=True))
         cfg = small_cfg()
         a, b = m.words.encode_words(["adc", "add"]).data
         assert_array_equal(a[:cfg.embed_dim], b[:cfg.embed_dim])
         assert not np.array_equal(a[cfg.embed_dim:], b[cfg.embed_dim:])
 
     def test_unknown_words_collapse_without_chars(self):
-        m = E2EModel(["cold", "dark"], small_cfg(), E2EVariant(),
-                     np.random.default_rng(5))
+        m = fresh(E2EModel, ["cold", "dark"], small_cfg(),
+                  np.random.default_rng(5), variant=E2EVariant())
         a, b = m.words.encode_words(["abc", "abd"]).data
         assert_array_equal(a, b)
 
     def test_char_alphabet_skips_oov_marker(self):
-        m = E2EModel(["ab"], small_cfg(), E2EVariant(char_level=True),
-                     np.random.default_rng(0))
+        m = fresh(E2EModel, ["ab"], small_cfg(), np.random.default_rng(0),
+                  variant=E2EVariant(char_level=True))
         assert "<" not in m.words.char_table.vocab
         assert ">" not in m.words.char_table.vocab
         assert "a" in m.words.char_table.vocab
@@ -168,24 +168,25 @@ class TestWordEncoder:
 
 class TestEncodeSequence:
     def test_empty_tokens_raise(self):
-        m = E2EModel(["a"], small_cfg(), E2EVariant(), np.random.default_rng(0))
+        m = fresh(E2EModel, ["a"], small_cfg(), np.random.default_rng(0),
+                  variant=E2EVariant())
         with pytest.raises(EmptySequence):
             m.encode_text([])
 
     def test_output_shape(self):
-        m = E2EModel(["a", "b"], small_cfg(), E2EVariant(),
-                     np.random.default_rng(0))
+        m = fresh(E2EModel, ["a", "b"], small_cfg(), np.random.default_rng(0),
+                  variant=E2EVariant())
         assert m.encode_text(["a", "b"]).shape == (small_cfg().hidden_size,)
 
     def test_eval_mode_is_deterministic(self):
-        m = E2EModel(["a", "b"], small_cfg(dropout_p=0.5), E2EVariant(),
-                     np.random.default_rng(0))
+        m = fresh(E2EModel, ["a", "b"], small_cfg(dropout_p=0.5),
+                  np.random.default_rng(0), variant=E2EVariant())
         assert_array_equal(m.encode_text(["a", "b"]),
                            m.encode_text(["a", "b"]))
 
     def test_train_mode_without_dropout_matches_eval(self):
-        m = E2EModel(["a", "b"], small_cfg(dropout_p=0.0), E2EVariant(),
-                     np.random.default_rng(0))
+        m = fresh(E2EModel, ["a", "b"], small_cfg(dropout_p=0.0),
+                  np.random.default_rng(0), variant=E2EVariant())
         rng = np.random.default_rng(1)
         assert_array_equal(
             dropout(m.encode_texts([["a", "b"]]), m.cfg.dropout_p, "train",
@@ -194,24 +195,25 @@ class TestEncodeSequence:
         )
 
     def test_truncation_matches_prefix_without_attention(self):
-        m = E2EModel(list("abcdefgh"), small_cfg(max_len=3), E2EVariant(),
-                     np.random.default_rng(2))
+        m = fresh(E2EModel, list("abcdefgh"), small_cfg(max_len=3),
+                  np.random.default_rng(2), variant=E2EVariant())
         long = list("abcdefgh")
         assert_array_equal(m.encode_text(long), m.encode_text(long[:3]))
 
     def test_attention_mixes_states_before_truncation(self):
-        m = E2EModel(list("abcdefgh"), small_cfg(max_len=3),
-                     E2EVariant(self_attention=True), np.random.default_rng(2))
+        m = fresh(E2EModel, list("abcdefgh"), small_cfg(max_len=3),
+                  np.random.default_rng(2),
+                  variant=E2EVariant(self_attention=True))
         long = list("abcdefgh")
         assert not np.array_equal(m.encode_text(long),
                                   m.encode_text(long[:3]))
 
     def test_attention_changes_multi_token_encoding_only(self):
-        plain = E2EModel(["a", "b"], small_cfg(), E2EVariant(),
-                         np.random.default_rng(4))
-        attn = E2EModel(["a", "b"], small_cfg(),
-                        E2EVariant(self_attention=True),
-                        np.random.default_rng(4))
+        plain = fresh(E2EModel, ["a", "b"], small_cfg(),
+                      np.random.default_rng(4), variant=E2EVariant())
+        attn = fresh(E2EModel, ["a", "b"], small_cfg(),
+                     np.random.default_rng(4),
+                     variant=E2EVariant(self_attention=True))
         for (k, p), (k2, p2) in zip(sorted(plain.parameters().items()),
                                     sorted(attn.parameters().items())):
             assert k == k2
@@ -246,8 +248,8 @@ class TestArrayEncoding:
         kb = song_kb()
         variant = VARIANTS[name]
         # the default widths, where a 1-D dense product rounds differently
-        model = E2EModel(_ARRAY_VOCAB, TrainConfig(max_len=3), variant,
-                         np.random.default_rng(7))
+        model = fresh(E2EModel, _ARRAY_VOCAB, TrainConfig(max_len=3),
+                      np.random.default_rng(7), variant=variant)
         session = E2EStrategy(model, variant, kb, build_index(kb))
         for tokens in _ARRAY_TEXTS:
             for char_rows in (None, session.char_row):
@@ -261,8 +263,8 @@ class TestArrayEncoding:
 
     @pytest.mark.parametrize("name", ["qa-t-w", "qa-t-mwst"])
     def test_char_summary_is_a_graph_run(self, name):
-        model = E2EModel(_ARRAY_VOCAB, small_cfg(), VARIANTS[name],
-                         np.random.default_rng(8))
+        model = fresh(E2EModel, _ARRAY_VOCAB, small_cfg(),
+                      np.random.default_rng(8), variant=VARIANTS[name])
         words = model.words
         for word in ["a", "yesterday", "zyzzyva", "ÿ€", "recording"]:
             (last,) = run_recurrent(words.char_gru,
@@ -366,20 +368,20 @@ def _scores(head, cos, channels, rows):
 class TestScoringHead:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            ScoringHead("bogus")
+            scoring_head("bogus")
 
     def test_qas_initial_weights_sum_channels(self):
-        head = ScoringHead("qas")
+        head = scoring_head("qas")
         assert_allclose(_scores(head, [0.25, 0.5], [0, 1], [[0, 1]]), [0.75],
                         rtol=0, atol=1e-12)
 
     def test_qat_initial_weights_sum_channels(self):
-        head = ScoringHead("qat")
+        head = scoring_head("qat")
         assert_allclose(_scores(head, [0.25, 0.5], [0, 1], [[0, 1]]), [0.75],
                         rtol=0, atol=1e-12)
 
     def test_qat_weights_scale_channels(self):
-        head = ScoringHead("qat")
+        head = scoring_head("qat")
         head.W.data[...] = [2.0, -1.0]
         assert_allclose(_scores(head, [0.25, 0.5], [0, 1], [[0, 1], [0, 0]]),
                         [0.0, 1.0], rtol=0, atol=1e-12)
@@ -387,17 +389,17 @@ class TestScoringHead:
                         atol=1e-12)
 
     def test_qat_type_adds_third_channel(self):
-        head = ScoringHead("qat_type")
+        head = scoring_head("qat_type")
         assert_allclose(_scores(head, [0.2, 0.3, 0.4], [0, 1, 2], [[0, 1, 2]]),
                         [0.9], rtol=0, atol=1e-12)
         with pytest.raises(IndexError):
-            _scores(ScoringHead("qat"), [0.2, 0.3, 0.4], [0, 1, 2],
+            _scores(scoring_head("qat"), [0.2, 0.3, 0.4], [0, 1, 2],
                     [[0, 1, 2]])
 
     def test_scores_add_scaled_channels_left_to_right(self):
         rng = np.random.default_rng(3)
         for mode, width in (("qas", 2), ("qat", 2), ("qat_type", 3)):
-            head = ScoringHead(mode)
+            head = scoring_head(mode)
             weights = rng.normal(size=width)
             head.W.data[...] = weights
             cos = rng.uniform(-1.0, 1.0, size=(50, width))
@@ -411,7 +413,7 @@ class TestScoringHead:
 
     def test_parameter_names(self):
         for mode, width in (("qas", 2), ("qat", 2), ("qat_type", 3)):
-            params = ScoringHead(mode).parameters()
+            params = scoring_head(mode).parameters()
             assert list(params) == ["e2e.head.W"]
             assert params["e2e.head.W"].shape == (width,)
 
@@ -451,8 +453,8 @@ class TestScoreFact:
 
     def test_channels_and_combination(self):
         kb = song_kb()
-        m = E2EModel(["yesterday", "music", "recording", "artist"],
-                     small_cfg(), E2EVariant(), np.random.default_rng(9))
+        m = fresh(E2EModel, ["yesterday", "music", "recording", "artist"],
+                  small_cfg(), np.random.default_rng(9), variant=E2EVariant())
         fs = _fact_score(m, kb, "yesterday", kb.facts[0])
         assert fs.s_qt is None
         assert_allclose(fs.combined, fs.s_qs + fs.s_qp, rtol=0, atol=1e-12)
@@ -464,8 +466,8 @@ class TestScoreFact:
 
     def test_identical_texts_score_one(self):
         kb = song_kb()
-        m = E2EModel(["yesterday", "music", "recording", "artist"],
-                     small_cfg(), E2EVariant(), np.random.default_rng(9))
+        m = fresh(E2EModel, ["yesterday", "music", "recording", "artist"],
+                  small_cfg(), np.random.default_rng(9), variant=E2EVariant())
         fs = _fact_score(m, kb, "yesterday", kb.facts[0])
         assert abs(np.linalg.norm(m.encode_text(["yesterday"]))) > 0
         assert_allclose(fs.s_qs, 1.0, rtol=0, atol=1e-9)
@@ -473,8 +475,8 @@ class TestScoreFact:
     def test_type_channel_present_for_task_variant(self):
         kb = song_kb()
         variant = VARIANTS["qa-t-mwt"]
-        m = E2EModel(["yesterday"], small_cfg(), variant,
-                     np.random.default_rng(9))
+        m = fresh(E2EModel, ["yesterday"], small_cfg(),
+                  np.random.default_rng(9), variant=variant)
         fs = _fact_score(m, kb, "yesterday", kb.facts[0])
         assert fs.s_qt is not None
         assert_allclose(fs.combined, fs.s_qs + fs.s_qp + fs.s_qt,
@@ -483,7 +485,8 @@ class TestScoreFact:
     def test_untyped_subject_gets_zero_type_score(self, caplog):
         kb = build_kb([Fact("m.0x1", "/a/b/c", "m.0y1")], [("m.0x1", "thing")])
         variant = VARIANTS["qa-t-mwt"]
-        m = E2EModel(["thing"], small_cfg(), variant, np.random.default_rng(9))
+        m = fresh(E2EModel, ["thing"], small_cfg(), np.random.default_rng(9),
+                  variant=variant)
         caplog.set_level(logging.DEBUG, logger="qakb.nn.layers")
         fs = _fact_score(m, kb, "thing", kb.facts[0])
         assert fs.s_qt == 0.0
@@ -492,8 +495,8 @@ class TestScoreFact:
     def test_relation_scored_by_path_segments(self):
         kb = build_kb([Fact("m.0x1", "/music/recording/artist", "m.0y1")],
                       [("m.0x1", "music recording artist")])
-        m = E2EModel(["music", "recording", "artist"], small_cfg(),
-                     E2EVariant(), np.random.default_rng(9))
+        m = fresh(E2EModel, ["music", "recording", "artist"], small_cfg(),
+                  np.random.default_rng(9), variant=E2EVariant())
         fs = _fact_score(m, kb, "music recording artist", kb.facts[0])
         assert_allclose(fs.s_qp, 1.0, rtol=0, atol=1e-9)
 
@@ -501,9 +504,9 @@ class TestScoreFact:
 class TestWeightSharing:
     def test_one_encoder_serves_all_roles(self):
         kb = song_kb()
-        m = E2EModel(["yesterday", "music", "recording", "artist", "who",
-                      "sings"], small_cfg(), E2EVariant(),
-                     np.random.default_rng(9))
+        m = fresh(E2EModel, ["yesterday", "music", "recording", "artist",
+                             "who", "sings"], small_cfg(),
+                  np.random.default_rng(9), variant=E2EVariant())
         before = {
             "question": m.encode_text(tokenize("who sings yesterday")),
             "subject": m.encode_text(tokenize("yesterday")),
@@ -867,8 +870,8 @@ class TestSession:
 class TestSessionVariantGuard:
     def test_mismatched_variant_named_at_construction(self):
         kb = song_kb()
-        model = E2EModel(["yesterday"], small_cfg(), VARIANTS["qa-t-mwst"],
-                         np.random.default_rng(0))
+        model = fresh(E2EModel, ["yesterday"], small_cfg(),
+                      np.random.default_rng(0), variant=VARIANTS["qa-t-mwst"])
         index = build_index(kb)
         with pytest.raises(ValueError, match="qa-t.*qa-t-mwst"):
             E2EStrategy(model, VARIANTS["qa-t"], kb, index)
@@ -877,8 +880,8 @@ class TestSessionVariantGuard:
 
     def test_only_out_degree_sort_may_differ(self):
         kb = song_kb()
-        model = E2EModel(["yesterday"], small_cfg(), VARIANTS["qa-t"],
-                         np.random.default_rng(0))
+        model = fresh(E2EModel, ["yesterday"], small_cfg(),
+                      np.random.default_rng(0), variant=VARIANTS["qa-t"])
         session = E2EStrategy(model,
                               variant_from_name("qa-t", out_degree_sort=True),
                               kb, build_index(kb))
@@ -1044,7 +1047,8 @@ def _per_text_train(dataset, kb, pools, variant, cfg):
     from qakb.e2e import _PoolSampler
 
     rng = np.random.default_rng(cfg.seed)
-    model = E2EModel(_training_vocab(dataset, kb), cfg, variant, rng)
+    model = fresh(E2EModel, _training_vocab(dataset, kb), cfg, rng,
+                  variant=variant)
     subj = [_PoolSampler(p, rng) for p in pools.subject_pools]
     pred = [_PoolSampler(p, rng) for p in pools.predicate_pools]
 
@@ -1111,8 +1115,8 @@ class TestBatchedStep:
         kb = song_kb()
         qs, pools = song_training_set(kb)
         cfg = small_cfg(dropout_p=0.3)
-        model = E2EModel(_training_vocab(qs, kb), cfg, VARIANTS[name],
-                         np.random.default_rng(3))
+        model = fresh(E2EModel, _training_vocab(qs, kb), cfg,
+                      np.random.default_rng(3), variant=VARIANTS[name])
         loss, grads, draw = _step_gradients(model, kb, qs, pools, cfg, True)
         o_loss, o_grads, o_draw = _step_gradients(model, kb, qs, pools, cfg,
                                                   False)
@@ -1148,8 +1152,8 @@ class TestBatchedStep:
         kb = song_kb()
         qs, pools = song_training_set(kb)
         cfg = small_cfg(dropout_p=0.3)
-        model = E2EModel(_training_vocab(qs, kb), cfg, VARIANTS["qa-t"],
-                         np.random.default_rng(3))
+        model = fresh(E2EModel, _training_vocab(qs, kb), cfg,
+                      np.random.default_rng(3), variant=VARIANTS["qa-t"])
         rng = np.random.default_rng(5)
         step = _StepBatch(model, kb, rng)
         assert not step.add(qs[0], None, None)
@@ -1218,8 +1222,8 @@ class TestCharReuse:
         kb = song_kb()
         qs, pools = song_training_set(kb)
         cfg = small_cfg()
-        model = E2EModel(_training_vocab(qs, kb), cfg, VARIANTS[name],
-                         np.random.default_rng(3))
+        model = fresh(E2EModel, _training_vocab(qs, kb), cfg,
+                      np.random.default_rng(3), variant=VARIANTS[name])
         _, shared, _ = _step_gradients(model, kb, qs, pools, cfg, True)
         _, unshared, _ = _step_gradients(model, kb, qs, pools, cfg, False)
         assert shared["e2e.chars"] is not None
@@ -1299,7 +1303,7 @@ class TestPersistence:
 
     def test_wrong_kind_rejected(self, tmp_path):
         rng = np.random.default_rng(0)
-        matcher = MatcherModel(["a", "b"], small_cfg(), rng)
+        matcher = fresh(MatcherModel, ["a", "b"], small_cfg(), rng)
         path = str(tmp_path / "model.nn")
         save_model(matcher, path)
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
+from conftest import fresh
 
 from qakb.aliasindex import build_index, tokenize
 from qakb.datagen import make_question, serialize_questions_tsv
@@ -402,7 +403,8 @@ class TestE2EStrategyAdapter:
         cfg = TrainConfig(hidden_size=4, embed_dim=4, char_dim=3, max_len=6)
 
         def strategy(variant):
-            model = E2EModel(["x"], cfg, variant, np.random.default_rng(0))
+            model = fresh(E2EModel, ["x"], cfg, np.random.default_rng(0),
+                          variant=variant)
             return E2EStrategy(model, variant, kb, idx)
 
         for name, expect in cases.items():

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import gate_block, stack_rows
+from conftest import (dense, embedding, gate_block, param, rnn_cell,
+                      stack_rows)
 
 import qakb.nn.layers
 from qakb.aliasindex import build_index
@@ -15,8 +16,6 @@ from qakb.errors import ShapeMismatch
 from qakb.evalharness import SyntheticSpec, generate_synthetic
 from qakb.nn import (
     Adam,
-    Dense,
-    EmbeddingTable,
     GRUCell,
     LSTMCell,
     OOV_TOKEN,
@@ -36,7 +35,6 @@ from qakb.nn.tensor import (
     gather_rows,
     matmul,
     mul,
-    param,
     relu,
     sigmoid,
     tanh,
@@ -55,7 +53,7 @@ def _sigmoid(x):
 class TestEmbedding:
     def setup_method(self):
         self.rng = np.random.default_rng(3)
-        self.table = EmbeddingTable.random(["red", "green"], 4, self.rng)
+        self.table = embedding(self.rng, ["red", "green"], 4)
 
     def test_known_token_exact_row(self):
         idx = self.table.vocab["green"]
@@ -84,7 +82,7 @@ class TestEmbedding:
 class TestDense:
     def test_vector_and_matrix_inputs_agree(self):
         rng = np.random.default_rng(5)
-        layer = Dense(3, 2, rng)
+        layer = dense(rng, 3, 2)
         x = rng.normal(size=(4, 3))
         batched = layer(Tensor(x)).data
         single = np.stack([layer(Tensor(x[i])).data for i in range(4)])
@@ -92,18 +90,18 @@ class TestDense:
 
     def test_relu_activation(self):
         rng = np.random.default_rng(5)
-        layer = Dense(3, 2, rng, activation="relu")
+        layer = dense(rng, 3, 2, activation="relu")
         out = layer(Tensor(np.array([5.0, -5.0, 0.1])))
         assert (out.data >= 0).all()
 
     def test_dim_mismatch(self):
-        layer = Dense(3, 2, np.random.default_rng(0))
+        layer = dense(np.random.default_rng(0), 3, 2)
         with pytest.raises(ShapeMismatch):
             layer(Tensor(np.ones(4)))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(9)
-        layer = Dense(4, 5, rng)
+        layer = dense(rng, 4, 5)
         x = Tensor(rng.normal(size=(4,)))
         params = list(layer.parameters().values())
         assert finite_diff_check(lambda: tsum(layer(x)), params) < 1e-4
@@ -114,7 +112,7 @@ class TestDense:
         """A call is one node; its hand-written backward matches central
         differences for the weight, the bias and the input."""
         rng = np.random.default_rng(71)
-        layer = Dense(4, 5, rng, activation=activation)
+        layer = dense(rng, 4, 5, activation=activation)
         layer.bias.data[...] = rng.normal(size=5)
         x = param(rng.normal(size=shape))
         w = rng.normal(size=shape[:-1] + (5,))
@@ -131,7 +129,7 @@ class TestDense:
         sizes a product through a transposed view of the weight, not its
         copy, rounds differently."""
         rng = np.random.default_rng(73)
-        layer = Dense(48, 8, rng, activation=activation)
+        layer = dense(rng, 48, 8, activation=activation)
         layer.bias.data[...] = rng.normal(size=8)
         x = param(rng.normal(size=shape))
         w = rng.normal(size=shape[:-1] + (8,))
@@ -158,7 +156,7 @@ class TestDense:
 
 class TestGRU:
     def test_zero_weights_zero_input_zero_states(self):
-        cell = GRUCell(2, 3, np.random.default_rng(0))
+        cell = rnn_cell(GRUCell, np.random.default_rng(0), 2, 3)
         for t in cell.parameters().values():
             t.data[...] = 0.0
         states, last = run_recurrent(cell, Tensor(np.zeros((4, 2))))
@@ -167,7 +165,7 @@ class TestGRU:
 
     def test_scalar_hand_oracle(self):
         """One step with 1-d weights against the gate equations by hand."""
-        cell = GRUCell(1, 1, np.random.default_rng(0))
+        cell = rnn_cell(GRUCell, np.random.default_rng(0), 1, 1)
         w = {
             "W_z": 0.3, "U_z": -0.2, "b_z": 0.1,
             "W_r": 0.5, "U_r": 0.4, "b_r": -0.3,
@@ -185,7 +183,7 @@ class TestGRU:
 
     def test_backward_direction_is_reversed_forward(self):
         rng = np.random.default_rng(11)
-        cell = GRUCell(3, 4, rng)
+        cell = rnn_cell(GRUCell, rng, 3, 4)
         x = rng.normal(size=(5, 3))
         bwd, last_b = run_recurrent(cell, Tensor(x), "backward")
         fwd_rev, last_f = run_recurrent(cell, Tensor(x[::-1].copy()), "forward")
@@ -193,14 +191,14 @@ class TestGRU:
         np.testing.assert_allclose(last_b.data, last_f.data, atol=1e-12)
 
     def test_empty_sequence_zero_last(self):
-        cell = GRUCell(2, 3, np.random.default_rng(0))
+        cell = rnn_cell(GRUCell, np.random.default_rng(0), 2, 3)
         states, last = run_recurrent(cell, Tensor(np.zeros((0, 2))))
         assert states.shape == (0, 3)
         np.testing.assert_allclose(last.data, 0.0)
 
     def test_gradcheck_through_time(self):
         rng = np.random.default_rng(13)
-        cell = GRUCell(2, 3, rng)
+        cell = rnn_cell(GRUCell, rng, 2, 3)
         x = Tensor(rng.normal(size=(4, 2)))
 
         def loss():
@@ -212,7 +210,7 @@ class TestGRU:
 
 class TestLSTM:
     def test_scalar_hand_oracle(self):
-        cell = LSTMCell(1, 1, np.random.default_rng(0))
+        cell = rnn_cell(LSTMCell, np.random.default_rng(0), 1, 1)
         w = {
             "W_i": 0.3, "U_i": 0.2, "b_i": -0.1,
             "W_f": -0.5, "U_f": 0.4, "b_f": 0.3,
@@ -232,7 +230,7 @@ class TestLSTM:
 
     def test_gradcheck_through_time(self):
         rng = np.random.default_rng(17)
-        cell = LSTMCell(2, 2, rng)
+        cell = rnn_cell(LSTMCell, rng, 2, 2)
         x = Tensor(rng.normal(size=(3, 2)))
 
         def loss():
@@ -292,7 +290,7 @@ FUSED_CASES = [(cell, direction, T)
 
 def _case(cell_cls, T, x_grad, seed=47):
     rng = np.random.default_rng(seed + T)
-    cell = cell_cls(3, 4, rng)
+    cell = rnn_cell(cell_cls, rng, 3, 4)
     for p in cell.parameters().values():  # nonzero biases exercise db
         p.data += rng.normal(scale=0.3, size=p.shape)
     x = rng.normal(size=(T, 3))
@@ -362,7 +360,7 @@ class TestGatedCellLayout:
     @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
     def test_parameters_are_w_u_b_holding_the_gate_draws(self, cell_cls):
         d, h = 3, 4
-        cell = cell_cls(d, h, np.random.default_rng(61), name="c")
+        cell = rnn_cell(cell_cls, np.random.default_rng(61), d, h, "c")
         G = len(cell.gates)
         params = cell.parameters()
         assert list(params) == ["c.W", "c.U", "c.b"]
@@ -404,7 +402,7 @@ def _ragged_case(cell_cls, lengths, seed=59):
     past its longest row, whose padding holds junk the run must never
     read."""
     rng = np.random.default_rng(seed + sum(lengths))
-    cell = cell_cls(3, 4, rng)
+    cell = rnn_cell(cell_cls, rng, 3, 4)
     for p in cell.parameters().values():
         p.data += rng.normal(scale=0.3, size=p.shape)
     x = param(rng.normal(size=(len(lengths), max(lengths) + 1, 3)))
@@ -482,7 +480,8 @@ class TestBatchedRecurrent:
 class TestBidirectional:
     def test_shapes_and_composition(self):
         rng = np.random.default_rng(19)
-        f, b = GRUCell(3, 4, rng, "f"), GRUCell(3, 4, rng, "b")
+        f, b = (rnn_cell(GRUCell, rng, 3, 4, "f"),
+                rnn_cell(GRUCell, rng, 3, 4, "b"))
         x = rng.normal(size=(5, 3))
         states, last = bidirectional_encode(f, b, Tensor(x))
         assert states.shape == (5, 8)
@@ -493,7 +492,8 @@ class TestBidirectional:
 
     def test_empty_input(self):
         rng = np.random.default_rng(19)
-        f, b = GRUCell(3, 4, rng, "f"), GRUCell(3, 4, rng, "b")
+        f, b = (rnn_cell(GRUCell, rng, 3, 4, "f"),
+                rnn_cell(GRUCell, rng, 3, 4, "b"))
         states, last = bidirectional_encode(f, b, Tensor(np.zeros((0, 3))))
         assert states.shape == (0, 8)
         np.testing.assert_allclose(last.data, 0.0)
@@ -502,7 +502,7 @@ class TestBidirectional:
     @pytest.mark.parametrize("lengths", [(3,), (3, 1, 2), (0, 2, 1)])
     def test_batch_rows_match_single_runs(self, cell_cls, lengths):
         f, x, rng = _ragged_case(cell_cls, lengths)
-        b = cell_cls(3, 4, rng, "b")
+        b = rnn_cell(cell_cls, rng, 3, 4, "b")
         states, last = bidirectional_encode(f, b, x, lengths)
         assert states.shape == x.shape[:2] + (8,)
         assert last.shape == (len(lengths), 8)
@@ -518,7 +518,7 @@ class TestBidirectional:
     @pytest.mark.parametrize("lengths", [(3,), (3, 1, 2)])
     def test_batch_finite_diff(self, lengths):
         f, x, rng = _ragged_case(LSTMCell, lengths)
-        b = LSTMCell(3, 4, rng, "b")
+        b = rnn_cell(LSTMCell, rng, 3, 4, "b")
         w = rng.normal(size=x.shape[:2] + (8,))
         v = rng.normal(size=(len(lengths), 8))
 
@@ -539,7 +539,8 @@ def _bidi_case(cell_cls, seed=67):
     """Two cells with nonzero biases, a [3, 4, 3] batch of the
     ``BIDI_LENGTHS`` rows, and weights for the states and last states."""
     rng = np.random.default_rng(seed)
-    f, b = cell_cls(3, 4, rng, "f"), cell_cls(3, 4, rng, "b")
+    f, b = (rnn_cell(cell_cls, rng, 3, 4, "f"),
+            rnn_cell(cell_cls, rng, 3, 4, "b"))
     leaves = [*f.parameters().values(), *b.parameters().values()]
     for p in leaves:
         p.data += rng.normal(scale=0.3, size=p.shape)
@@ -682,8 +683,10 @@ def _two_pairs(seed=71):
     """Two bidirectional GRU pairs of one hidden size with nonzero
     biases, over [3, 4, 3] and [3, 4, 5] batches, and their leaves."""
     rng = np.random.default_rng(seed)
-    a = GRUCell(3, 4, rng, "a.f"), GRUCell(3, 4, rng, "a.b")
-    c = GRUCell(5, 4, rng, "c.f"), GRUCell(5, 4, rng, "c.b")
+    a = (rnn_cell(GRUCell, rng, 3, 4, "a.f"),
+         rnn_cell(GRUCell, rng, 3, 4, "a.b"))
+    c = (rnn_cell(GRUCell, rng, 5, 4, "c.f"),
+         rnn_cell(GRUCell, rng, 5, 4, "c.b"))
     weights = [p for cell in (*a, *c) for p in cell.parameters().values()]
     for p in weights:
         p.data += rng.normal(scale=0.3, size=p.shape)
@@ -729,9 +732,10 @@ class TestStackedRun:
     def test_cells_of_another_kind_or_size_rejected(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(4, 3)))
-        for other in (LSTMCell(3, 4, rng), GRUCell(3, 5, rng)):
+        for other in (rnn_cell(LSTMCell, rng, 3, 4),
+                      rnn_cell(GRUCell, rng, 3, 5)):
             with pytest.raises(ShapeMismatch):
-                bidirectional_encode(GRUCell(3, 4, rng), other, x)
+                bidirectional_encode(rnn_cell(GRUCell, rng, 3, 4), other, x)
 
 
 class TestBidirectionalLastStates:
@@ -742,8 +746,10 @@ class TestBidirectionalLastStates:
     @staticmethod
     def _case(T=4):
         a, c, xa, xc, _, rng = _two_pairs()
-        d = LSTMCell(3, 4, rng, "d.f"), LSTMCell(3, 4, rng, "d.b")
-        e = GRUCell(3, 5, rng, "e.f"), GRUCell(3, 5, rng, "e.b")
+        d = (rnn_cell(LSTMCell, rng, 3, 4, "d.f"),
+             rnn_cell(LSTMCell, rng, 3, 4, "d.b"))
+        e = (rnn_cell(GRUCell, rng, 3, 5, "e.f"),
+             rnn_cell(GRUCell, rng, 3, 5, "e.b"))
         xd, xe = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         inputs = [xa.data[1], xd, xc.data[1], xe]
         return [a, d, c, e], [x[:T] for x in inputs]

@@ -12,6 +12,7 @@ import sys
 from collections import Counter
 
 import numpy as np
+from conftest import fresh
 
 from qakb.aliasindex import build_index, tokenize
 from qakb.e2e import VARIANTS, E2EModel, E2EStrategy
@@ -78,9 +79,9 @@ def test_pipeline_answer_reaches_every_hook(monkeypatch):
     cfg = TrainConfig(hidden_size=4, embed_dim=4)
     rng = np.random.default_rng(0)
     models = PipelineModels(
-        tagger=TaggerModel(vocab, cfg, rng),
-        relation_matcher=MatcherModel(vocab, cfg, rng, name="relation"),
-        type_matcher=MatcherModel(vocab, cfg, rng, name="type"))
+        tagger=fresh(TaggerModel, vocab, cfg, rng),
+        relation_matcher=fresh(MatcherModel, vocab, cfg, rng, name="relation"),
+        type_matcher=fresh(MatcherModel, vocab, cfg, rng, name="type"))
     strategy = PipelineStrategy("p-qa-out-type", models, kb, build_index(kb))
     strategy.answer(train[0].text)
     assert set(calls) == PIPELINE_ANSWER_TARGETS
@@ -124,8 +125,8 @@ def test_e2e_answer_reaches_every_hook(monkeypatch):
         SyntheticSpec(seed=4, n_entities=12, twin_type_distinct=True))
     vocab = sorted({t for q in train for t in tokenize(q.text)})
     variant = VARIANTS["qa-t-mwst"]
-    model = E2EModel(vocab, TrainConfig(hidden_size=4, embed_dim=4,
-                                        char_dim=3, max_len=6),
-                     variant, np.random.default_rng(0))
+    model = fresh(E2EModel, vocab, TrainConfig(hidden_size=4, embed_dim=4,
+                                               char_dim=3, max_len=6),
+                  np.random.default_rng(0), variant=variant)
     E2EStrategy(model, variant, kb, build_index(kb)).answer(train[0].text)
     assert set(calls) == E2E_ANSWER_TARGETS

@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from conftest import dense, param
 
 from qakb.errors import EmptySequence, ParseError, ShapeMismatch
 from qakb.nn import (
     Adam,
-    Dense,
     TrainConfig,
     finite_diff_check,
     fit,
@@ -24,7 +24,7 @@ from qakb.nn import (
     save_params,
 )
 from qakb.nn.io import MODEL_MAGIC, check_params
-from qakb.nn.tensor import Tensor, param, sigmoid, softmax_rows, tsum
+from qakb.nn.tensor import Tensor, sigmoid, softmax_rows, tsum
 
 
 class TestCategoricalCE:
@@ -292,7 +292,7 @@ class TestAdam:
         """After training each parameter's value is a C-contiguous view
         into one buffer, and a gradient check still nudges live values."""
         rng = np.random.default_rng(73)
-        layer = Dense(3, 2, rng)
+        layer = dense(rng, 3, 2)
         params = layer.parameters()
         x = Tensor(rng.normal(size=(3,)))
 
@@ -332,7 +332,7 @@ class TestAdam:
 
         def run():
             rng = np.random.default_rng(123)
-            layer = Dense(3, 2, rng)
+            layer = dense(rng, 3, 2)
             opt = Adam(layer.parameters(), lr=0.01)
             x = Tensor(rng.normal(size=(3,)))
             for _ in range(5):
@@ -419,10 +419,10 @@ class TestSnapshots:
 
     def test_restore_into_model(self, tmp_path):
         rng = np.random.default_rng(7)
-        layer = Dense(3, 2, rng, name="d")
+        layer = dense(rng, 3, 2, name="d")
         path = str(tmp_path / "model.bin")
         save_params(layer.parameters(), path)
-        other = Dense(3, 2, np.random.default_rng(99), name="d")
+        other = dense(np.random.default_rng(99), 3, 2, name="d")
         restore_params(other.parameters(), load_params(path))
         np.testing.assert_array_equal(other.weight.data, layer.weight.data)
 

@@ -2,17 +2,21 @@
 
 For the tagger, both matchers and every joint-model variant: a loaded
 model holds the saved bits in writable arrays of its own and answers as
-the model that was saved; loading draws no random number; and a sidecar
-that gives another shape than the table holds is refused.
+the model that was saved; loading draws no random number; a sidecar
+that gives another shape than the table holds, or a vocabulary that is
+not a list of strings, is refused; and a new model, built from the same
+layout, makes the draws it always made.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import fresh
 
 from qakb import datagen, e2e, pipeline
 from qakb.aliasindex import build_index
@@ -88,12 +92,61 @@ def test_loaded_parameters_are_the_saved_bits(trained, name):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_layout_shapes_are_the_trained_model_s(trained, name):
-    """The shapes a sidecar's layout names are those of the model that
-    training builds from the same vocabulary and config."""
+    """The parts a sidecar's layout names give the shapes of the model
+    that training builds from the same vocabulary and config, in its
+    :meth:`parameters` order."""
     model = trained.models[name]
-    shapes, _ = type(model).layout({"kind": model.kind, **model.meta()})
-    assert list(shapes.items()) == [(key, p.data.shape) for key, p
-                                    in model.parameters().items()]
+    parts, _ = type(model).layout({"kind": model.kind, **model.meta()})
+    shapes = [item for layer, *args in parts
+              for item in layer.shapes(*args).items()]
+    assert shapes == [(key, p.data.shape) for key, p
+                      in model.parameters().items()]
+
+
+# A sha256 of each new model's parameter names and bytes, in name order,
+# recorded when each model drew its parts in a constructor of its own.
+DRAW_PINS = {
+    "tagger":
+        "8b2a41c0e921217271c83bd06ea11bc171e3642c0c893b95d13fc1ceb423a66f",
+    "relation":
+        "bf7551ebaee9a3f8cddba79a8c1ba61d7adcdbe2f7d00a8c900a0e3d308a0d76",
+    "type":
+        "d12db8d3d82cb3266abad4566249243bd72c930c2965af5c24e820494e85cb4f",
+    "qa-s":
+        "2221928b92690aba815b81190a0688d7584f67d64899b40c97e6ec4f308e3171",
+    "qa-t":
+        "2221928b92690aba815b81190a0688d7584f67d64899b40c97e6ec4f308e3171",
+    "qa-t-w":
+        "1a835aaf4c7b6392cf3d3fe82e293707b555454d9d50c176c09847160fdc14a6",
+    "qa-t-ws":
+        "1a835aaf4c7b6392cf3d3fe82e293707b555454d9d50c176c09847160fdc14a6",
+    "qa-t-wt":
+        "1a835aaf4c7b6392cf3d3fe82e293707b555454d9d50c176c09847160fdc14a6",
+    "qa-t-swt":
+        "1a835aaf4c7b6392cf3d3fe82e293707b555454d9d50c176c09847160fdc14a6",
+    "qa-t-mwt":
+        "6d0b7793eecc711a20e2aa0683b20aea916eadf8fb0a105c278bf1f1508a8b5f",
+    "qa-t-mwst":
+        "6d0b7793eecc711a20e2aa0683b20aea916eadf8fb0a105c278bf1f1508a8b5f",
+}
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_new_model_draws_are_pinned(name):
+    """A new model drawn from one seed for a small fixed vocabulary and
+    :data:`CFG` holds the :data:`DRAW_PINS` bits.  Drawing makes no BLAS
+    call, so the pin holds wherever numpy's ``Generator`` does.  Variants
+    of one head and char mode draw alike.  It covers the draw order of
+    qa-s, qa-t-w, qa-t-ws, qa-t-wt, qa-t-swt and qa-t-mwt, which
+    ``test_trained_bytes`` does not pin."""
+    model = fresh(_cls(name), ["acme", "capital", "founded", "germany", "who"],
+                  CFG, np.random.default_rng(CFG.seed),
+                  variant=e2e.VARIANTS.get(name), name=name)
+    params = model.parameters()
+    h = hashlib.sha256()
+    for key in sorted(params):
+        h.update(key.encode("utf-8") + params[key].data.tobytes())
+    assert h.hexdigest() == DRAW_PINS[name]
 
 
 def test_loaded_models_answer_alike(trained):
@@ -119,16 +172,18 @@ def test_loaded_models_answer_alike(trained):
 
 
 def test_loading_draws_nothing(trained, monkeypatch):
-    """No generator is made and nothing is drawn: the layers' random
-    constructors and ``np.random.default_rng`` raise while every model
-    loads.  (numpy's ``Generator`` type cannot be patched; every draw of
-    a layer goes through ``glorot`` or ``EmbeddingTable.random``.)"""
+    """No generator is made and nothing is drawn: ``np.random.default_rng``,
+    ``glorot`` and every layer's ``draw`` raise while every model loads.
+    (numpy's ``Generator`` type cannot be patched; every draw of a layer
+    goes through its ``draw``.)"""
     def no_draw(*args, **kwargs):
         raise AssertionError("a model load drew random numbers")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     monkeypatch.setattr(layers, "glorot", no_draw)
-    monkeypatch.setattr(layers.EmbeddingTable, "random", no_draw)
+    for layer in (layers.EmbeddingTable, layers.Dense, layers.GRUCell,
+                  layers.LSTMCell, e2e.ScoringHead):
+        monkeypatch.setattr(layer, "draw", no_draw)
     for name in MODELS:
         load_model(_cls(name), trained.paths[name])
 
@@ -186,3 +241,34 @@ def test_cli_exits_2_on_a_sidecar_of_another_shape(trained, tmp_path, capsys,
     assert code == 2 and out == ""
     assert err.startswith(f"error: {target}: ")
     assert "snapshot shape" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target, edit", [
+    ("tagger", lambda meta: meta["vocab"].__setitem__(0, 5)),
+    ("relation", lambda meta: meta["vocab"].__setitem__(0, 5)),
+    ("qa-t", lambda meta: meta["vocab"].__setitem__(0, 5)),
+    ("qa-t", lambda meta: meta.update(vocab="".join(meta["vocab"]))),
+    ("relation", lambda meta: meta.update(name=5))],
+    ids=["tagger-token", "relation-token", "qa-t-token", "qa-t-string",
+         "relation-name"])
+def test_cli_exits_2_on_a_malformed_sidecar(trained, tmp_path, capsys,
+                                            target, edit):
+    """A sidecar whose vocabulary is not a list of strings, or whose
+    matcher name is not a string, is refused by ``answer`` with exit 2,
+    naming the file: no word falls silently to the unknown row."""
+    for name in ("tagger", "relation", "qa-t"):
+        save_model(trained.models[name], str(tmp_path / f"{name}.nn"))
+    path = str(tmp_path / f"{target}.nn")
+    _edit_sidecar(path, edit)
+    asked = tmp_path / "q.txt"
+    asked.write_text(trained.texts[0] + "\n", encoding="utf-8")
+    flags = (["--model", path, "--variant", "qa-t"] if target == "qa-t"
+             else ["--pipeline", str(tmp_path), "--strategy", "p-qa"])
+    capsys.readouterr()
+    code = main(["answer", "--kb", trained.kb_path, "--questions", str(asked),
+                 *flags])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: {meta_path(path)}: malformed "
+                          "payload")
+    assert "Traceback" not in err

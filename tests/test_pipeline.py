@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from conftest import fresh
 
 import qakb.aliasindex
 import qakb.nn.layers
@@ -164,8 +165,8 @@ class TestTaggerTraining:
 class TestTagQuestion:
     def _model(self):
         cfg = TrainConfig(hidden_size=6, embed_dim=6)
-        return TaggerModel(["where", "was", "obama", "born"], cfg,
-                           np.random.default_rng(11))
+        return fresh(TaggerModel, ["where", "was", "obama", "born"], cfg,
+                     np.random.default_rng(11))
 
     def test_tags_align_with_tokens(self):
         lab = tag_question(self._model(), "where was obama born")
@@ -221,14 +222,15 @@ class TestMatcherTraining:
 
     def test_score_is_a_pure_function(self):
         cfg = TrainConfig(hidden_size=6, embed_dim=6)
-        model = MatcherModel(["a", "b", "genre"], cfg, np.random.default_rng(5))
+        model = fresh(MatcherModel, ["a", "b", "genre"], cfg,
+                      np.random.default_rng(5))
         first = model.score("a b", "/music/album/genre")
         second = model.score("a b", "/music/album/genre")
         assert first == second
 
     def test_scores_inside_unit_interval(self):
         cfg = TrainConfig(hidden_size=6, embed_dim=6)
-        model = MatcherModel(["a", "b"], cfg, np.random.default_rng(5))
+        model = fresh(MatcherModel, ["a", "b"], cfg, np.random.default_rng(5))
         for text in ("/d/x/r", "a", "b a"):
             s = model.score("a b", text)
             assert 0.0 < s < 1.0
@@ -651,8 +653,9 @@ class TestSession:
                           for t in tokenize(e.notable_type)})
         models = PipelineModels(
             tagger=tagger,
-            relation_matcher=MatcherModel(vocab, cfg, rng, name="relation"),
-            type_matcher=MatcherModel(vocab, cfg, rng, name="type"),
+            relation_matcher=fresh(MatcherModel, vocab, cfg, rng,
+                                   name="relation"),
+            type_matcher=fresh(MatcherModel, vocab, cfg, rng, name="type"),
         )
         questions = [q.text for q in qs] + ["zzz qqq"]
         return kb, build_index(kb), models, questions
@@ -828,7 +831,8 @@ class TestArrayForwards:
     cfg = TrainConfig(hidden_size=6, embed_dim=5)
 
     def test_tagger_forward(self):
-        model = TaggerModel(_ARRAY_VOCAB, self.cfg, np.random.default_rng(11))
+        model = fresh(TaggerModel, _ARRAY_VOCAB, self.cfg,
+                      np.random.default_rng(11))
         for tokens in _ARRAY_TEXTS:
             got = model.forward(tokens)
             assert type(got) is np.ndarray
@@ -840,8 +844,8 @@ class TestArrayForwards:
             assert got.shape == (len(tokens), 2)
 
     def test_matcher_encode_and_score(self):
-        model = MatcherModel(_ARRAY_VOCAB, self.cfg,
-                             np.random.default_rng(12), name="relation")
+        model = fresh(MatcherModel, _ARRAY_VOCAB, self.cfg,
+                      np.random.default_rng(12), name="relation")
         graph = {}
         for tokens in _ARRAY_TEXTS:
             got = model.encode(tokens)
@@ -889,13 +893,13 @@ class TestAnswerRecord:
 class TestPersistence:
     def _tagger(self):
         cfg = TrainConfig(hidden_size=6, embed_dim=6)
-        return TaggerModel(["where", "was", "obama", "born"], cfg,
-                           np.random.default_rng(9))
+        return fresh(TaggerModel, ["where", "was", "obama", "born"], cfg,
+                     np.random.default_rng(9))
 
     def _matcher(self):
         cfg = TrainConfig(hidden_size=6, embed_dim=6)
-        return MatcherModel(["who", "founded", "acme", "d", "x"], cfg,
-                            np.random.default_rng(9), name="relmatcher")
+        return fresh(MatcherModel, ["who", "founded", "acme", "d", "x"], cfg,
+                     np.random.default_rng(9), name="relmatcher")
 
     def test_tagger_round_trip(self, tmp_path):
         model = self._tagger()
@@ -996,13 +1000,13 @@ _CFG = TrainConfig(seed=7, epochs=1, batch_size=3, hidden_size=5,
 
 def _tagger():
     vocab = sorted({tok for q in _TAGGED[:-1] for tok in q.tokens})
-    return TaggerModel(vocab, _CFG, np.random.default_rng(3))
+    return fresh(TaggerModel, vocab, _CFG, np.random.default_rng(3))
 
 
 def _matcher():
     vocab = sorted({tok for q, t, _ in _PAIRS[:-1]
                     for tok in tokenize(q) + matcher_tokens(t)})
-    return MatcherModel(vocab, _CFG, np.random.default_rng(3))
+    return fresh(MatcherModel, vocab, _CFG, np.random.default_rng(3))
 
 
 def _pair_tokens(pairs):
@@ -1035,16 +1039,16 @@ def _per_example_train(kind, data, cfg):
     from."""
     rng = np.random.default_rng(cfg.seed)
     if kind == "tagger":
-        model = TaggerModel(sorted({tok for q in data for tok in q.tokens}),
-                            cfg, rng)
+        model = fresh(TaggerModel, sorted({tok for q in data
+                                           for tok in q.tokens}), cfg, rng)
 
         def batch_loss(batch):
             return _sum([_tagger_example_loss(model, data[i])
                          for i in batch]), len(batch)
     else:
-        model = MatcherModel(sorted({tok for q, t, _ in data
-                                     for tok in tokenize(q)
-                                     + matcher_tokens(t)}), cfg, rng)
+        model = fresh(MatcherModel, sorted({tok for q, t, _ in data
+                                            for tok in tokenize(q)
+                                            + matcher_tokens(t)}), cfg, rng)
 
         def batch_loss(batch):
             return _sum([_matcher_example_loss(model, *data[i], rng)

@@ -5,14 +5,13 @@ import json
 
 import numpy as np
 import pytest
-from conftest import KBQA3_COLUMNS, KBQA3_STRINGS, kbqa3_bytes
+from conftest import KBQA3_COLUMNS, KBQA3_STRINGS, kbqa3_bytes, param
 from hypothesis import given, settings, strategies as st
 
 from qakb.errors import ParseError, QAKBError
 from qakb.kb import (SNAPSHOT_MAGIC, EntityRecord, Fact, build_kb, load_kb,
                      save_kb)
 from qakb.nn.io import MODEL_MAGIC, load_params, read_model_meta, save_params
-from qakb.nn.tensor import param
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import stack_rows
+from conftest import param, rnn_cell, stack_rows
 
 from qakb.errors import ShapeMismatch
 from qakb.nn.gradcheck import finite_diff_check
@@ -47,7 +47,7 @@ class TestForward:
         x = np.random.default_rng(1).normal(size=(3, 4))
         got = T.softmax_forward(x)
         assert type(got) is np.ndarray
-        assert got.tobytes() == T.softmax_rows(T.param(x)).data.tobytes()
+        assert got.tobytes() == T.softmax_rows(param(x)).data.tobytes()
         assert T.softmax_forward(np.zeros((0, 2))).shape == (0, 2)
 
     def test_nodes_of_leaves_without_grad_record_no_graph(self):
@@ -70,7 +70,7 @@ class TestForward:
         assert T.gather_rows(table, []).shape == (0, 3)
 
     def test_backward_requires_scalar(self):
-        t = T.param(np.ones(3))
+        t = param(np.ones(3))
         with pytest.raises(ShapeMismatch):
             (t * 2.0).backward()
 
@@ -78,21 +78,21 @@ class TestForward:
 class TestAccumulate:
     def test_first_negative_zero_is_stored_as_positive_zero(self):
         """The bits of a zero-filled gradient plus the first one."""
-        t = T.param(np.ones(3))
+        t = param(np.ones(3))
         t.accumulate(np.array([-0.0, 0.0, -2.5]))
         np.testing.assert_array_equal(np.signbit(t.grad),
                                       [False, False, True])
         np.testing.assert_array_equal(t.grad, [0.0, 0.0, -2.5])
 
     def test_first_gradient_is_a_copy(self):
-        t = T.param(np.zeros((2, 2)))
+        t = param(np.zeros((2, 2)))
         g = np.ones((2, 2))
         t.accumulate(g)
         g += 5.0
         np.testing.assert_array_equal(t.grad, np.ones((2, 2)))
 
     def test_second_gradient_adds(self):
-        t = T.param(np.zeros(2))
+        t = param(np.zeros(2))
         t.accumulate(np.array([1.0, 2.0]))
         t.accumulate(np.array([0.5, -2.0]))
         np.testing.assert_array_equal(t.grad, [1.5, 0.0])
@@ -100,7 +100,7 @@ class TestAccumulate:
     @pytest.mark.parametrize("first", [True, False])
     @pytest.mark.parametrize("shape", [(1, 3), (3, 3), (1,), ()])
     def test_other_shape_raises_instead_of_broadcasting(self, first, shape):
-        t = T.param(np.zeros(3))
+        t = param(np.zeros(3))
         if not first:
             t.accumulate(np.ones(3))
         with pytest.raises(ShapeMismatch):
@@ -118,69 +118,69 @@ class TestGradients:
         self.rng = np.random.default_rng(7)
 
     def test_add_mul_sub(self):
-        a = T.param(self.rng.normal(size=(3, 4)))
-        b = T.param(self.rng.normal(size=(4,)) + 3.0)
+        a = param(self.rng.normal(size=(3, 4)))
+        b = param(self.rng.normal(size=(4,)) + 3.0)
         _check(lambda: T.tsum(a * b + a - b), [a, b])
 
     def test_matmul_all_shapes(self):
-        m = T.param(self.rng.normal(size=(3, 4)))
-        n = T.param(self.rng.normal(size=(4, 2)))
-        v = T.param(self.rng.normal(size=(4,)))
+        m = param(self.rng.normal(size=(3, 4)))
+        n = param(self.rng.normal(size=(4, 2)))
+        v = param(self.rng.normal(size=(4,)))
         _check(lambda: T.tsum(m @ n), [m, n])
         _check(lambda: T.tsum(m @ v), [m, v])
         _check(lambda: T.tsum(v @ n), [v, n])
         _check(lambda: v @ v, [v])
 
     def test_nonlinearities(self):
-        x = T.param(self.rng.normal(size=(6,)))
+        x = param(self.rng.normal(size=(6,)))
         _check(lambda: T.tsum(T.tanh(x)), [x])
         _check(lambda: T.tsum(T.sigmoid(x)), [x])
 
     def test_relu_off_kink(self):
-        x = T.param(np.array([-0.9, -0.3, 0.4, 1.2]))
+        x = param(np.array([-0.9, -0.3, 0.4, 1.2]))
         _check(lambda: T.tsum(T.relu(x)), [x])
 
     def test_log_positive(self):
-        x = T.param(np.abs(self.rng.normal(size=(5,))) + 0.5)
+        x = param(np.abs(self.rng.normal(size=(5,))) + 0.5)
         _check(lambda: T.tsum(T.log(x)), [x])
 
     def test_clip_inside_range(self):
-        x = T.param(np.array([0.2, 0.5, 0.8]))
+        x = param(np.array([0.2, 0.5, 0.8]))
         _check(lambda: T.tsum(T.clip(x, 0.0, 1.0)), [x])
 
     def test_softmax_rows(self):
-        x = T.param(self.rng.normal(size=(4, 5)))
+        x = param(self.rng.normal(size=(4, 5)))
         w = T.Tensor(self.rng.normal(size=(4, 5)))
         _check(lambda: T.tsum(T.softmax_rows(x) * w), [x])
 
     def test_reductions_and_shaping(self):
-        x = T.param(self.rng.normal(size=(3, 4)))
+        x = param(self.rng.normal(size=(3, 4)))
         _check(lambda: T.tsum(T.tsum(x, axis=1) * 2.0), [x])
         _check(lambda: T.tsum(T.reshape(x, (2, 6))), [x])
         _check(lambda: T.tsum(T.transpose(x) @ x), [x])
 
     def test_row_column_ops(self):
-        x = T.param(self.rng.normal(size=(4, 3)))
+        x = param(self.rng.normal(size=(4, 3)))
         _check(lambda: T.tsum(T.gather_rows(x, 2)), [x])
         _check(lambda: T.tsum(T.take_column(x, 1)), [x])
 
     def test_concat_and_stack(self):
-        a = T.param(self.rng.normal(size=(2, 3)))
-        b = T.param(self.rng.normal(size=(2, 3)))
+        a = param(self.rng.normal(size=(2, 3)))
+        b = param(self.rng.normal(size=(2, 3)))
         _check(lambda: T.tsum(T.concat([a, b], axis=0)), [a, b])
         _check(lambda: T.tsum(T.concat([a, b], axis=1) * 0.5), [a, b])
-        u = T.param(self.rng.normal(size=(3,)))
-        v = T.param(self.rng.normal(size=(3,)))
+        u = param(self.rng.normal(size=(3,)))
+        v = param(self.rng.normal(size=(3,)))
         _check(lambda: T.tsum(stack_rows([u, v]) * 2.0), [u, v])
 
     def test_gather_rows_with_duplicates(self):
         """Duplicate indices must accumulate their gradients."""
-        table = T.param(self.rng.normal(size=(5, 3)))
+        table = param(self.rng.normal(size=(5, 3)))
         _check(lambda: T.tsum(T.gather_rows(table, [1, 3, 1])), [table])
 
     def test_gather_rows_by_index_matrix(self):
         """A [B, T] index array gives [B, T, d] rows; repeats accumulate."""
-        table = T.param(self.rng.normal(size=(5, 3)))
+        table = param(self.rng.normal(size=(5, 3)))
         w = self.rng.normal(size=(2, 3, 3))
         idx = np.array([[4, 0, 4], [1, 1, 2]])
         np.testing.assert_array_equal(T.gather_rows(table, idx).data,
@@ -190,7 +190,7 @@ class TestGradients:
     @pytest.mark.parametrize("shape, n", [((4, 3), 6), ((4, 3), 2),
                                           ((2, 4, 3), 6), ((2, 4, 3), 3)])
     def test_pad_rows(self, shape, n):
-        x = T.param(self.rng.normal(size=shape))
+        x = param(self.rng.normal(size=shape))
         out = T.pad_rows(x, n)
         keep = min(shape[-2], n)
         assert out.shape == shape[:-2] + (n, shape[-1])
@@ -203,7 +203,7 @@ class TestGradients:
     def test_backward_releases_the_graph(self):
         """Each node drops its parents and backward function once that
         ran, so a used graph is freed while its root is still held."""
-        x = T.param(np.array([1.0, 2.0]))
+        x = param(np.array([1.0, 2.0]))
         mid = x * 3.0
         loss = T.tsum(mid * mid)
         square = weakref.ref(loss._parents[0].data)
@@ -215,14 +215,14 @@ class TestGradients:
 
     def test_grad_accumulates_on_reuse(self):
         """A tensor used twice receives the sum of both contributions."""
-        x = T.param(np.array([2.0]))
+        x = param(np.array([2.0]))
         y = x * x + x * 3.0
         T.tsum(y).backward()
         np.testing.assert_allclose(x.grad, [2 * 2.0 + 3.0])
 
 
 def _p(rng, *shape):
-    return T.param(rng.normal(size=shape))
+    return param(rng.normal(size=shape))
 
 
 # per primitive, a graph ending in a node of it over fresh parameters
@@ -233,7 +233,7 @@ GRAPHS = {
     "tanh": lambda r: T.tanh(_p(r, 3)),
     "sigmoid": lambda r: T.sigmoid(_p(r, 3)),
     "relu": lambda r: T.relu(_p(r, 3)),
-    "log": lambda r: T.log(T.param(np.full(3, 0.5))),
+    "log": lambda r: T.log(param(np.full(3, 0.5))),
     "clip": lambda r: T.clip(_p(r, 3), -0.5, 0.5),
     "reshape": lambda r: T.reshape(_p(r, 2, 3), (3, 2)),
     "transpose": lambda r: T.transpose(_p(r, 2, 3)),
@@ -245,10 +245,11 @@ GRAPHS = {
     "softmax_rows": lambda r: T.softmax_rows(_p(r, 2, 3)),
     "cosine": lambda r: cosine(_p(r, 3), _p(r, 3)),
     "self_attention": lambda r: self_attention(_p(r, 4, 3)),
-    "run_recurrent": lambda r: run_recurrent(LSTMCell(3, 2, r),
+    "run_recurrent": lambda r: run_recurrent(rnn_cell(LSTMCell, r, 3, 2),
                                              _p(r, 4, 3))[1],
     "bidirectional_encode": lambda r: bidirectional_encode(
-        GRUCell(3, 2, r), GRUCell(3, 2, r), _p(r, 2, 4, 3), [4, 2])[1],
+        rnn_cell(GRUCell, r, 3, 2), rnn_cell(GRUCell, r, 3, 2),
+        _p(r, 2, 4, 3), [4, 2])[1],
 }
 
 

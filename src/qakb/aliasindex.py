@@ -9,6 +9,14 @@ against the gram index and every hit is weighted by
 where ``n_i`` is the word count of the longest gram that retrieved the
 entity, ``l_i`` the word count of the matched alias and ``c_i`` the size
 of the retrieved candidate set.
+
+The index holds each alias once, as its norm (its tokens joined by
+single spaces).  A lookup of gram ``g`` reads ``exact[g]``, the entities
+with that norm, and ``partial[g]``, those holding ``g`` as a shorter run
+of a multi-token norm; a one-token norm has no shorter run.  Only an
+entity with a multi-token norm keeps its norms in ``entity_aliases``: any
+other is reached only through a gram equal to one of its norms, which is
+then the matched alias.  No gram longer than ``longest`` is tried.
 """
 
 from __future__ import annotations
@@ -76,17 +84,14 @@ def extract_ngrams(tokens: list[str]) -> list[str]:
     return [" ".join(g) for g in sorted(grams)]
 
 
-def all_ngrams(tokens: list[str]) -> list[str]:
-    """All contiguous 1..MAX_NGRAM grams without pruning (deduplicated)."""
-    seen: list[str] = []
-    have: set[str] = set()
-    for n in range(1, MAX_NGRAM + 1):
-        for i in range(len(tokens) - n + 1):
-            gram = " ".join(tokens[i:i + n])
-            if gram not in have:
-                have.add(gram)
-                seen.append(gram)
-    return seen
+def all_ngrams(tokens: Sequence[str], longest: int = MAX_NGRAM) -> list[str]:
+    """All contiguous 1..``longest`` grams without pruning, deduplicated,
+    shorter grams first."""
+    grams = dict.fromkeys(tokens)
+    for n in range(2, longest + 1):
+        grams.update(dict.fromkeys(" ".join(tokens[i:i + n])
+                                   for i in range(len(tokens) - n + 1)))
+    return list(grams)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,10 +108,15 @@ class CandidateEntity:
 
 @dataclass(slots=True)
 class AliasIndex:
+    # every norm -> its entities' ids, sorted
     exact: dict[str, list[str]]
-    gram_to_entities: dict[str, list[str]]
-    # alias token-joined form per entity, needed to recover matched_alias
+    # every 1..MAX_NGRAM-token run inside a multi-token norm, less that
+    # norm itself -> the entities holding it, in KB order
+    partial: dict[str, list[str]]
+    # the norms of each entity that has a multi-token one
     entity_aliases: dict[str, list[str]]
+    # the most tokens in any norm, capped at MAX_NGRAM; 0 without norms
+    longest: int
 
 
 def build_index(kb: KnowledgeBase) -> AliasIndex:
@@ -114,43 +124,66 @@ def build_index(kb: KnowledgeBase) -> AliasIndex:
 
     The alias side is deliberately unpruned: pruning belongs to the query
     side only, otherwise a two-word query gram could never reach a
-    three-word alias.
+    three-word alias.  Records are walked once, in the KB's order, and
+    only the exact buckets of two or more entities are sorted.
     """
     exact: dict[str, list[str]] = {}
-    gram_to_entities: dict[str, list[str]] = {}
+    partial: dict[str, list[str]] = {}
     entity_aliases: dict[str, list[str]] = {}
+    shared: list[list[str]] = []  # exact buckets of two or more mids
+    multi: list[tuple[str, str, list[str]]] = []  # (mid, norm, tokens)
     entities = kb.entities
-    for mid in sorted(compress(entities, map(_ALIASES, entities.values()))):
+    for mid, rec in compress(entities.items(),
+                             map(_ALIASES, entities.values())):
+        aliases = rec.aliases
+        # lowercase ASCII letters and digits make one token that tokenize
+        # would return unchanged, so it is not called; most records have
+        # one such alias
+        if (len(aliases) == 1 and (alias := aliases[0]).isascii()
+                and alias.isalnum() and alias.islower()):
+            bucket = exact.get(alias)
+            if bucket is None:
+                exact[alias] = [mid]
+            else:
+                bucket.append(mid)
+                shared.append(bucket)
+            continue
         normed: list[str] = []
-        for alias in entities[mid].aliases:
-            # lowercase ASCII letters and digits make one token that
-            # tokenize would return unchanged, so it is not called
+        for alias in aliases:
             if alias.isascii() and alias.isalnum() and alias.islower():
-                norm, grams = alias, (alias,)
+                norm = alias
             else:
                 tokens = tokenize(alias)
                 norm = " ".join(tokens)
-                # a one-token alias is its own only gram
-                grams = all_ngrams(tokens) if len(tokens) > 1 else (norm,)
+                if len(tokens) > 1:
+                    multi.append((mid, norm, tokens))
+                    # normed fills in as this loop goes on
+                    entity_aliases[mid] = normed
             if not norm or norm in normed:
                 continue
             normed.append(norm)
-            # each mid is indexed once, with distinct norms, so it enters
-            # an exact bucket at most once
-            exact.setdefault(norm, []).append(mid)
-            # mids arrive sorted and each finishes before the next, so
-            # a mid already in a bucket is its last entry
-            for gram in grams:
-                gbucket = gram_to_entities.setdefault(gram, [])
-                if not gbucket or gbucket[-1] != mid:
-                    gbucket.append(mid)
-        if normed:
-            entity_aliases[mid] = normed
-    return AliasIndex(exact, gram_to_entities, entity_aliases)
+            bucket = exact.setdefault(norm, [])
+            bucket.append(mid)
+            if len(bucket) > 1:
+                shared.append(bucket)
+    for bucket in shared:
+        bucket.sort()
+    # a mid's grams arrive together, so a mid already in a bucket is its
+    # last entry
+    for mid, norm, tokens in multi:
+        for gram in all_ngrams(tokens):
+            if gram != norm:
+                bucket = partial.setdefault(gram, [])
+                if not bucket or bucket[-1] != mid:
+                    bucket.append(mid)
+    longest = max((len(tokens) for _, _, tokens in multi), default=1)
+    return AliasIndex(exact, partial, entity_aliases,
+                      min(longest, MAX_NGRAM) if exact else 0)
 
 
 def _matched_alias_for(index: AliasIndex, entity: str, gram: str) -> str:
-    """The shortest alias of ``entity`` containing ``gram`` as a token run."""
+    """The shortest alias of ``entity`` containing ``gram`` as a token run
+    (``gram`` itself for an entity outside ``entity_aliases``)."""
     target = tuple(gram.split())
     best: Optional[str] = None
     for alias in index.entity_aliases.get(entity, ()):
@@ -162,10 +195,15 @@ def _matched_alias_for(index: AliasIndex, entity: str, gram: str) -> str:
     return best if best is not None else gram
 
 
-def _score_gram_hits(
-    index: AliasIndex, hits: dict[str, str]
-) -> list[CandidateEntity]:
-    """Weight each (entity -> longest matching gram) hit and sort."""
+def _gram_candidates(index: AliasIndex,
+                     grams: Sequence[str]) -> list[CandidateEntity]:
+    """Every entity that some gram looks up, weighted by its longest
+    matching gram, sorted."""
+    hits: dict[str, str] = {}
+    for table in (index.exact, index.partial):
+        for gram in grams:
+            for entity in table.get(gram, ()):
+                hits[entity] = _best_gram(hits.get(entity), gram)
     c_i = len(hits)
     out: list[CandidateEntity] = []
     for entity, gram in hits.items():
@@ -200,19 +238,14 @@ def retrieve_candidates(index: AliasIndex, span: Union[str, Sequence[str]]
     norm = " ".join(tokens)
     exact_bucket = index.exact.get(norm, [])
     if exact_bucket:
+        # one score for all, and the bucket is sorted by id
         n = len(tokens)
         c = len(exact_bucket)
-        cands = [
-            CandidateEntity(mid, norm, n, n, c, n / (n * c))
-            for mid in exact_bucket
-        ]
-        cands.sort(key=lambda cand: (-cand.score, cand.id))
-        return cands
-    hits: dict[str, str] = {}
-    for gram in extract_ngrams(tokens):
-        for entity in index.gram_to_entities.get(gram, ()):
-            hits[entity] = _best_gram(hits.get(entity), gram)
-    return _score_gram_hits(index, hits)
+        return [CandidateEntity(mid, norm, n, n, c, n / (n * c))
+                for mid in exact_bucket]
+    if min(len(tokens), MAX_NGRAM) > index.longest:
+        return []  # no alias has a run of that many tokens
+    return _gram_candidates(index, extract_ngrams(tokens))
 
 
 def retrieve_question_candidates(
@@ -225,10 +258,5 @@ def retrieve_question_candidates(
     are tried against the index, so any alias occurring anywhere in the
     question surfaces its entities.  Weighting is as in span fallback.
     """
-    tokens = (tokenize(question) if isinstance(question, str)
-              else list(question))
-    hits: dict[str, str] = {}
-    for gram in all_ngrams(tokens):
-        for entity in index.gram_to_entities.get(gram, ()):
-            hits[entity] = _best_gram(hits.get(entity), gram)
-    return _score_gram_hits(index, hits)
+    tokens = tokenize(question) if isinstance(question, str) else question
+    return _gram_candidates(index, all_ngrams(tokens, index.longest))

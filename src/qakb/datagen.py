@@ -68,7 +68,8 @@ def make_question(text: str, gold: Fact) -> QuestionInstance:
 
 def parse_questions_tsv(lines: Iterable[str]) -> list[QuestionInstance]:
     """Parse ``subject<TAB>relation<TAB>object<TAB>question`` lines; the
-    gold object is the object field's first id (ParseError when blank)."""
+    gold object is the object field's first id.  A blank object field, or
+    a question with no tokens, is a ParseError."""
     out: list[QuestionInstance] = []
     for line_no, fields in tsv_rows(lines, 4):
         objects = fields[2].split()
@@ -79,7 +80,10 @@ def parse_questions_tsv(lines: Iterable[str]) -> list[QuestionInstance]:
             canonicalize_relation(fields[1]),
             canonicalize_mid(objects[0]),
         )
-        out.append(make_question(fields[3], gold))
+        q = make_question(fields[3], gold)
+        if not q.tokens:
+            raise ParseError("no question text", line_no)
+        out.append(q)
     return out
 
 
@@ -114,12 +118,14 @@ def label_entity_span(
     the best pair shares no characters — distance at least the longer
     string's length — the question is rejected.
 
-    The grams are listed longest first, then earliest.  A gram equal to
-    an alias has distance 0, which no pair beats, so the first such gram
-    is that minimum and is taken without computing any distance.
-    Otherwise one :func:`_distance_rows` grid scores every gram (as a
-    pattern) against every alias (as a text), and its first minimum in
-    row-major order is the least (distance, -length, start, alias) pair.
+    A gram equal to an alias has distance 0, which no pair beats, so the
+    longest, then earliest, such gram is that minimum and is taken
+    without computing any distance.  A gram of k tokens holds k - 1
+    single spaces, so only grams as long as some alias can equal one,
+    and only those are tried.  Otherwise one :func:`_distance_rows` grid
+    scores every gram (as a pattern, longest first, then earliest)
+    against every alias (as a text), and its first minimum in row-major
+    order is the least (distance, -length, start, alias) pair.
     """
     tokens = q.tokens
     n = len(tokens)
@@ -129,15 +135,18 @@ def label_entity_span(
             f"cannot label {q.text!r}: need at least 2 tokens and 1 alias"
         )
     alias_set = set(aliases)
+    # the whole question is never the span
+    lengths = {a.count(" ") + 1 for a in aliases} - {n}
+    for length in sorted(lengths, reverse=True):
+        for start in range(n - length + 1):
+            if " ".join(tokens[start:start + length]) in alias_set:
+                return _span_labels(tokens, start, start + length)
     spans: list[tuple[int, int]] = []
     grams: list[str] = []
     for length in range(n - 1, 0, -1):
         for start in range(0, n - length + 1):
-            gram = " ".join(tokens[start:start + length])
-            if gram in alias_set:
-                return _span_labels(tokens, start, start + length)
             spans.append((start, start + length))
-            grams.append(gram)
+            grams.append(" ".join(tokens[start:start + length]))
     dist = np.concatenate([d for _, d in _distance_rows(grams, aliases)])
     gram_i, alias_i = divmod(int(dist.argmin()), len(aliases))
     alias = aliases[alias_i]

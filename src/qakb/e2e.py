@@ -730,10 +730,3 @@ class E2EStrategy:
             tied.sort(key=lambda fs: -out_degree(kb, fs.fact.subject))
             scored = tied + rest
         return scored[:k]
-
-
-def answer(model: E2EModel, kb: KnowledgeBase, index: AliasIndex,
-           question: str, variant: E2EVariant, k: int = 1) -> list[FactScore]:
-    """Top-k candidate facts for one question, from a fresh session."""
-    return E2EStrategy(model, variant, kb, index).top(question, k)
-

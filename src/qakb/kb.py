@@ -154,11 +154,6 @@ def parse_triples_tsv(stream: Iterable[str]) -> list[Fact]:
     return facts
 
 
-def serialize_triples_tsv(facts: Iterable[Fact]) -> str:
-    """Render facts back to the TSV format, one fact per line."""
-    return "".join(f"{f.subject}\t{f.relation}\t{f.object}\n" for f in facts)
-
-
 # ---------------------------------------------------------------------------
 # Simplified N-Triples format
 # ---------------------------------------------------------------------------
@@ -215,17 +210,6 @@ def parse_ntriples_line(
         return subject, predicate, NTObject(iri)
     text = _ESCAPE.sub(lambda m: _LITERAL_ESCAPES[m[1]], text)
     return subject, predicate, NTObject(text, is_literal=True, lang=lang)
-
-
-def serialize_ntriples_line(subject: str, predicate: str, obj: NTObject) -> str:
-    """Render one statement; inverse of :func:`parse_ntriples_line`."""
-    if obj.is_literal:
-        text = obj.value.replace("\\", "\\\\").replace('"', '\\"')
-        text = text.replace("\n", "\\n").replace("\t", "\\t")
-        rendered = f'"{text}"' + (f"@{obj.lang}" if obj.lang else "")
-    else:
-        rendered = f"<{obj.value}>"
-    return f"<{subject}> <{predicate}> {rendered} .\n"
 
 
 def parse_ntriples(stream: Iterable[str]) -> Iterator[tuple[str, str, NTObject]]:

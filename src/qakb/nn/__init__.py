@@ -22,8 +22,6 @@ from qakb.nn.losses import (
     loss_binary_ce,
     loss_categorical_ce,
     loss_hinge_qas,
-    loss_hinge_qat,
-    loss_hinge_qat_type,
 )
 from qakb.nn.optim import Adam, fit
 from qakb.nn.tensor import Tensor, as_tensor
@@ -48,8 +46,6 @@ __all__ = [
     "loss_binary_ce",
     "loss_categorical_ce",
     "loss_hinge_qas",
-    "loss_hinge_qat",
-    "loss_hinge_qat_type",
     "Adam",
     "fit",
     "finite_diff_check",

@@ -60,26 +60,3 @@ def loss_hinge_qas(s_pos: ArrayLike, s_neg: ArrayLike, gamma: float) -> Tensor:
     if gamma <= 0:
         raise ValueError("margin must be positive")
     return relu(as_tensor(s_neg) - as_tensor(s_pos) + gamma)
-
-
-def loss_hinge_qat(
-    ss_pos: ArrayLike, ss_neg: ArrayLike,
-    sp_pos: ArrayLike, sp_neg: ArrayLike,
-    gamma: float,
-) -> Tensor:
-    """Two-channel margin loss: subject and predicate hinges summed."""
-    return loss_hinge_qas(ss_pos, ss_neg, gamma) + loss_hinge_qas(
-        sp_pos, sp_neg, gamma
-    )
-
-
-def loss_hinge_qat_type(
-    ss_pos: ArrayLike, ss_neg: ArrayLike,
-    sp_pos: ArrayLike, sp_neg: ArrayLike,
-    st_pos: ArrayLike, st_neg: ArrayLike,
-    gamma: float,
-) -> Tensor:
-    """Three-channel margin loss adding the type channel."""
-    return loss_hinge_qat(ss_pos, ss_neg, sp_pos, sp_neg, gamma) + loss_hinge_qas(
-        st_pos, st_neg, gamma
-    )

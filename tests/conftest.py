@@ -1,8 +1,9 @@
 """Shared fixtures: a small hand-built knowledge base used across
 modules, new layers and models drawn as training draws them, a view of
 one gate's weights in a recurrent cell, a leaf tensor and a graph op that
-only tests build, and test-side readers and writers of KB snapshot
-layouts."""
+only tests build, one-shot joint-model answering and its margin-loss
+reference rules, TSV and N-Triples writers of facts, and test-side
+readers and writers of KB snapshot layouts."""
 
 import json
 import struct
@@ -11,9 +12,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from qakb.e2e import ScoringHead
+from qakb.e2e import E2EStrategy, ScoringHead
 from qakb.kb import SNAPSHOT_MAGIC, Fact, build_kb
-from qakb.nn import Dense, EmbeddingTable, GRUCell
+from qakb.nn import Dense, EmbeddingTable, GRUCell, loss_hinge_qas
 from qakb.nn.io import new_model
 from qakb.nn.layers import table_tokens
 from qakb.nn.tensor import Tensor, _make, as_tensor
@@ -95,6 +96,42 @@ def param(data, requires_grad=True):
     """A leaf tensor that collects gradients."""
     return Tensor(np.array(data, dtype=np.float64),
                   requires_grad=requires_grad)
+
+
+def answer(model, kb, index, question, variant, k=1):
+    """The joint model's top-k candidate facts for one question, from a
+    fresh session."""
+    return E2EStrategy(model, variant, kb, index).top(question, k)
+
+
+def serialize_triples_tsv(facts):
+    """Render facts back to the TSV format, one fact per line."""
+    return "".join(f"{f.subject}\t{f.relation}\t{f.object}\n" for f in facts)
+
+
+def serialize_ntriples_line(subject, predicate, obj):
+    """Render one statement; inverse of ``kb.parse_ntriples_line``."""
+    if obj.is_literal:
+        text = obj.value.replace("\\", "\\\\").replace('"', '\\"')
+        text = text.replace("\n", "\\n").replace("\t", "\\t")
+        rendered = f'"{text}"' + (f"@{obj.lang}" if obj.lang else "")
+    else:
+        rendered = f"<{obj.value}>"
+    return f"<{subject}> <{predicate}> {rendered} .\n"
+
+
+def loss_hinge_qat(ss_pos, ss_neg, sp_pos, sp_neg, gamma):
+    """Two-channel margin loss, the reference rule for a two-channel
+    ``ScoringHead``: subject and predicate hinges summed."""
+    return (loss_hinge_qas(ss_pos, ss_neg, gamma)
+            + loss_hinge_qas(sp_pos, sp_neg, gamma))
+
+
+def loss_hinge_qat_type(ss_pos, ss_neg, sp_pos, sp_neg, st_pos, st_neg,
+                        gamma):
+    """Three-channel margin loss, adding the type channel's hinge."""
+    return (loss_hinge_qat(ss_pos, ss_neg, sp_pos, sp_neg, gamma)
+            + loss_hinge_qas(st_pos, st_neg, gamma))
 
 
 def gate_block(cell, kind, gate, array=None):

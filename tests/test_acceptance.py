@@ -11,7 +11,9 @@ import math
 import time
 
 import numpy as np
-from conftest import dense, embedding, fresh, param, rnn_cell
+from conftest import (answer, dense, embedding, fresh, loss_hinge_qat,
+                      loss_hinge_qat_type, param, rnn_cell,
+                      serialize_ntriples_line, serialize_triples_tsv)
 
 from qakb import datagen, e2e, evalharness as ev
 from qakb.aliasindex import build_index, retrieve_candidates
@@ -25,8 +27,6 @@ from qakb.kb import (
     parse_ntriples,
     parse_ntriples_line,
     parse_triples_tsv,
-    serialize_ntriples_line,
-    serialize_triples_tsv,
 )
 from qakb.nn import (
     GRUCell,
@@ -39,8 +39,6 @@ from qakb.nn import (
     loss_binary_ce,
     loss_categorical_ce,
     loss_hinge_qas,
-    loss_hinge_qat,
-    loss_hinge_qat_type,
     run_recurrent,
     self_attention,
 )
@@ -442,10 +440,10 @@ class TestAcceptance:
                             "parameters; rankings are not comparable")
         changed = 0
         for q in test:
-            ra = e2e.answer(plain, kb, index, q.text,
-                            e2e.VARIANTS["qa-t-w"], k=50)
-            rb = e2e.answer(attn, kb, index, q.text,
-                            e2e.VARIANTS["qa-t-ws"], k=50)
+            ra = answer(plain, kb, index, q.text,
+                        e2e.VARIANTS["qa-t-w"], k=50)
+            rb = answer(attn, kb, index, q.text,
+                        e2e.VARIANTS["qa-t-ws"], k=50)
             if [self._rank_key(f) for f in ra] != \
                     [self._rank_key(f) for f in rb]:
                 changed += 1
@@ -476,10 +474,10 @@ class TestAcceptance:
         od_variant = e2e.variant_from_name("qa-t", out_degree_sort=True)
         permuted = 0
         for q in tr2 + te2:
-            base = e2e.answer(model2, kb2, index2, q.text, base_variant,
-                              k=10 ** 6)
-            rerank = e2e.answer(model2, kb2, index2, q.text, od_variant,
-                                k=10 ** 6)
+            base = answer(model2, kb2, index2, q.text, base_variant,
+                          k=10 ** 6)
+            rerank = answer(model2, kb2, index2, q.text, od_variant,
+                            k=10 ** 6)
             base_keys = [self._rank_key(f) for f in base]
             od_keys = [self._rank_key(f) for f in rerank]
             if sorted(base_keys) != sorted(od_keys):

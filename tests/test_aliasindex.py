@@ -20,8 +20,10 @@ from qakb.kb import EntityRecord, KnowledgeBase, build_kb
 
 
 def _tokenizing_build_index(kb):
-    """``build_index`` as it was before its one-token shortcut: every
-    alias tokenized."""
+    """The index as it was built before its one-token shortcut, with every
+    alias tokenized: (exact, gram_to_entities, entity_aliases), where
+    every gram of every alias, the alias itself included, has a bucket
+    and every aliased entity lists its aliases."""
     exact, gram_to_entities, entity_aliases = {}, {}, {}
     for mid in sorted(mid for mid, rec in kb.entities.items()
                       if rec.aliases):
@@ -42,7 +44,7 @@ def _tokenizing_build_index(kb):
                     gbucket.append(mid)
         if normed:
             entity_aliases[mid] = normed
-    return AliasIndex(exact, gram_to_entities, entity_aliases)
+    return exact, gram_to_entities, entity_aliases
 
 
 # aliases unnormalized, as a snapshot may hold them
@@ -54,7 +56,8 @@ _raw_aliases = st.sampled_from(
 
 
 def _oracle_index(kb):
-    """Index built with list-membership checks for every bucket."""
+    """The three dicts of :func:`_tokenizing_build_index`, built with
+    list-membership checks for every bucket."""
     exact, grams, entity_aliases = {}, {}, {}
     for mid in sorted(kb.entities):
         normed = []
@@ -72,7 +75,42 @@ def _oracle_index(kb):
                     gbucket.append(mid)
         if normed:
             entity_aliases[mid] = normed
-    return AliasIndex(exact, grams, entity_aliases)
+    return exact, grams, entity_aliases
+
+
+def _lookup(index, gram):
+    """The entities a lookup of ``gram`` reaches, deduplicated and
+    sorted."""
+    return sorted(set(index.exact.get(gram, ()))
+                  | set(index.partial.get(gram, ())))
+
+
+def _assert_same_lookups(kb, oracle, queries):
+    """``build_index(kb)`` answers as the three dicts of ``oracle`` do.
+
+    Its ``exact`` equals the oracle's; a lookup of every gram of every
+    alias, and of every gram of each query, reaches the entities of the
+    oracle's gram bucket; and both retrieve functions return, field for
+    field, what they return over an index that stores every gram and
+    every entity's aliases and tries grams of every length."""
+    exact, grams, entity_aliases = oracle
+    index = build_index(kb)
+    assert index.exact == exact
+    full = AliasIndex(exact, grams, entity_aliases, MAX_NGRAM)
+    probes = {gram for norm in exact for gram in all_ngrams(norm.split())}
+    for query in queries:
+        probes.update(all_ngrams(tokenize(query)))
+        assert (retrieve_candidates(index, query)
+                == retrieve_candidates(full, query))
+        assert (retrieve_question_candidates(index, query)
+                == retrieve_question_candidates(full, query))
+    for gram in probes:
+        assert _lookup(index, gram) == grams.get(gram, [])
+
+
+# queries over the aliases' characters: runs of words, some punctuated
+_queries = st.lists(st.text(alphabet="abxyz AB.!?'-", max_size=14),
+                    max_size=4)
 
 
 def _reference_tokenize(text):
@@ -237,41 +275,83 @@ class TestBuildIndex:
         assert sorted(tiny_index.exact["germany"]) == ["m.017hzy7", "m.0345h"]
 
     def test_gram_keys_cover_full_alias(self, tiny_index):
-        assert "m.02mjmr" in tiny_index.gram_to_entities["barack obama"]
+        """Every gram of an alias, the whole alias included, looks the
+        entity up; the whole alias is held by ``exact`` alone."""
+        for gram in ("barack", "obama", "barack obama"):
+            assert "m.02mjmr" in _lookup(tiny_index, gram)
+        assert "barack obama" not in tiny_index.partial
 
     def test_empty_kb(self):
         idx = build_index(build_kb([]))
-        assert idx.exact == {} and idx.gram_to_entities == {}
+        assert idx.exact == {} and idx.partial == {}
+        assert idx.entity_aliases == {} and idx.longest == 0
 
     @given(st.lists(
         st.tuples(st.sampled_from(["m.b", "m.a", "m.c", "m.d"]),
                   st.sampled_from(["a", "a b", "b a b", "a a", "A  b", "a b!",
                                    "x y z", "y z", "?", "b a b a"])),
-        max_size=14))
-    def test_matches_membership_oracle(self, pairs):
+        max_size=14), _queries)
+    def test_matches_membership_oracle(self, pairs, queries):
         """Shared aliases, grams repeated inside one mid's aliases and
-        aliases equal after normalisation leave every bucket as the
-        list-membership build makes it."""
+        aliases equal after normalisation are looked up and retrieved as
+        through the list-membership build's buckets."""
         kb = build_kb([], alias_pairs=pairs + pairs[:3])
-        assert build_index(kb) == _oracle_index(kb)
+        _assert_same_lookups(kb, _oracle_index(kb), queries)
 
     @settings(max_examples=300)
     @given(st.lists(st.tuples(st.sampled_from(["m.b", "m.a", "m.c", "m.d"]),
                               st.lists(_raw_aliases, min_size=1,
                                        max_size=4)),
-                    max_size=8))
-    def test_matches_the_tokenizing_build(self, records):
+                    max_size=8), _queries)
+    def test_matches_the_tokenizing_build(self, records, queries):
         """Aliases as a loaded snapshot may hold them (capitals, edge
         punctuation, Unicode whitespace, several words, repeats, only
-        punctuation), under entities in any order, give the three dicts
-        that tokenizing every alias gives, in the same insertion order."""
+        punctuation), under entities in any order, are looked up and
+        retrieved as through the buckets that tokenizing every alias
+        gives."""
         entities = {mid: EntityRecord(tuple(aliases))
                     for mid, aliases in records}
         kb = KnowledgeBase(facts=[], entities=entities, by_subject={})
-        got, want = build_index(kb), _tokenizing_build_index(kb)
-        for field in ("exact", "gram_to_entities", "entity_aliases"):
-            assert (list(getattr(got, field).items())
-                    == list(getattr(want, field).items()))
+        _assert_same_lookups(kb, _tokenizing_build_index(kb), queries)
+
+    def test_alias_longer_than_any_gram(self):
+        """A five-token alias is an exact key but no gram: its runs of up
+        to three tokens find it, and ``longest`` stays at three."""
+        idx = build_index(build_kb([], alias_pairs=[
+            ("m.a", "the new york times company")]))
+        assert idx.exact == {"the new york times company": ["m.a"]}
+        assert "the new york times company" not in idx.partial
+        assert idx.partial["new york times"] == ["m.a"]
+        assert idx.longest == MAX_NGRAM
+        (cand,) = retrieve_candidates(idx, "new york")
+        assert cand.matched_alias == "the new york times company"
+        assert (cand.n_i, cand.l_i, cand.c_i) == (2, 5, 1)
+        (cand,) = retrieve_question_candidates(
+            idx, "who runs the new york times company ?")
+        assert (cand.n_i, cand.l_i) == (3, 5)
+
+    def test_one_partial_gram_through_two_aliases(self):
+        """An entity whose two aliases share a gram is in that gram's
+        bucket once, and matches its shorter alias."""
+        idx = build_index(build_kb([], alias_pairs=[
+            ("m.a", "new york times"), ("m.a", "new york city"),
+            ("m.b", "york")]))
+        assert idx.partial["new york"] == ["m.a"]
+        assert idx.partial["york"] == ["m.a"]
+        assert idx.entity_aliases == {"m.a": ["new york times",
+                                              "new york city"]}
+        got = retrieve_candidates(idx, "new york")
+        assert [(c.id, c.matched_alias) for c in got] == [
+            ("m.a", "new york city")]
+
+    @pytest.mark.parametrize("aliases, longest", [
+        ([], 0),
+        ([("m.a", "alpha"), ("m.b", "beta"), ("m.b", "\u00c9t\u00e9")], 1),
+        ([("m.a", "alpha"), ("m.b", "alpha beta gamma")], 3),
+    ])
+    def test_longest(self, aliases, longest):
+        assert build_index(build_kb([], alias_pairs=aliases)).longest == \
+            longest
 
     def test_every_alias_reachable_via_exact(self, tiny_kb, tiny_index):
         for mid, rec in tiny_kb.entities.items():

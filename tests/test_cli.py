@@ -109,6 +109,28 @@ class TestExitCodes:
         assert code == 2
         assert "bad.tsv" in err and "line 1" in err
 
+    @pytest.mark.parametrize("command", ["gen-data", "train-e2e", "eval"])
+    @pytest.mark.parametrize("question", ["", "   "])
+    def test_blank_question_text_is_data_error(self, capsys, bench, tmp_path,
+                                               command, question):
+        """A question row whose text has no tokens names its file and
+        line and exits 2 in every command that reads question rows."""
+        bad = tmp_path / "blank.tsv"
+        first = (bench / "train.tsv").read_text().splitlines()[0]
+        bad.write_text(f"{first}\nm.0g000\t/synth/fact/x\tm.1\t{question}\n")
+        flags = {"gen-data": [], "eval": ["--oracle", "--strategy", "p-qa"],
+                 "train-e2e": ["--variant", "qa-t", "--epochs", "1",
+                               "--hidden-size", "4", "--max-len", "6"]}
+        capsys.readouterr()
+        code, stdout, err = run(capsys, command, "--kb",
+                                str(bench / "kb.qakb"), "--questions",
+                                str(bad), "--out", str(tmp_path / "out"),
+                                *flags[command])
+        assert code == 2, err
+        assert stdout == ""
+        assert "blank.tsv" in err and "line 2" in err
+        assert "no question text" in err
+
     def test_tampered_model_is_data_error(self, capsys, bench, tmp_path):
         model = tmp_path / "m.nn"
         code = main(["train-e2e", "--kb", str(bench / "kb.qakb"),

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import fresh, gate_block, param, scoring_head
+from conftest import (answer, fresh, gate_block, loss_hinge_qat,
+                      loss_hinge_qat_type, param, scoring_head)
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qakb.aliasindex import build_index, relation_tokens, tokenize
@@ -25,7 +26,6 @@ from qakb.e2e import (
     WordEncoder,
     _StepBatch,
     _training_vocab,
-    answer,
     subject_text,
     train_e2e,
     variant_from_name,
@@ -40,7 +40,7 @@ import qakb.e2e
 import qakb.nn.layers
 import qakb.nn.tensor
 from qakb.nn import TrainConfig, cosine, dropout, fit, run_recurrent
-from qakb.nn.losses import loss_hinge_qas, loss_hinge_qat, loss_hinge_qat_type
+from qakb.nn.losses import loss_hinge_qas
 from qakb.nn.tensor import Tensor, as_tensor, gather_rows, pad_rows, tsum
 from qakb.nn.io import load_model, save_model
 from qakb.pipeline import MatcherModel

@@ -4,6 +4,7 @@ import string
 from pathlib import Path
 
 import pytest
+from conftest import serialize_ntriples_line, serialize_triples_tsv
 from hypothesis import given, settings, strategies as st
 
 from qakb.errors import MalformedId, ParseError
@@ -26,8 +27,6 @@ from qakb.kb import (
     primary_alias,
     relations_of,
     save_kb,
-    serialize_ntriples_line,
-    serialize_triples_tsv,
 )
 
 

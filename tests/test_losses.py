@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from conftest import dense, param
+from conftest import dense, loss_hinge_qat, loss_hinge_qat_type, param
 
 from qakb.errors import EmptySequence, ParseError, ShapeMismatch
 from qakb.nn import (
@@ -19,8 +19,6 @@ from qakb.nn import (
     loss_binary_ce,
     loss_categorical_ce,
     loss_hinge_qas,
-    loss_hinge_qat,
-    loss_hinge_qat_type,
     save_params,
 )
 from qakb.nn.io import MODEL_MAGIC, check_params

@@ -135,21 +135,10 @@ def build_index(kb: KnowledgeBase) -> AliasIndex:
     entities = kb.entities
     for mid, rec in compress(entities.items(),
                              map(_ALIASES, entities.values())):
-        aliases = rec.aliases
-        # lowercase ASCII letters and digits make one token that tokenize
-        # would return unchanged, so it is not called; most records have
-        # one such alias
-        if (len(aliases) == 1 and (alias := aliases[0]).isascii()
-                and alias.isalnum() and alias.islower()):
-            bucket = exact.get(alias)
-            if bucket is None:
-                exact[alias] = [mid]
-            else:
-                bucket.append(mid)
-                shared.append(bucket)
-            continue
         normed: list[str] = []
-        for alias in aliases:
+        for alias in rec.aliases:
+            # lowercase ASCII letters and digits make one token that
+            # tokenize would return unchanged, so it is not called
             if alias.isascii() and alias.isalnum() and alias.islower():
                 norm = alias
             else:
@@ -243,8 +232,6 @@ def retrieve_candidates(index: AliasIndex, span: Union[str, Sequence[str]]
         c = len(exact_bucket)
         return [CandidateEntity(mid, norm, n, n, c, n / (n * c))
                 for mid in exact_bucket]
-    if min(len(tokens), MAX_NGRAM) > index.longest:
-        return []  # no alias has a run of that many tokens
     return _gram_candidates(index, extract_ngrams(tokens))
 
 

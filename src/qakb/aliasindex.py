@@ -16,7 +16,8 @@ with that norm, and ``partial[g]``, those holding ``g`` as a shorter run
 of a multi-token norm; a one-token norm has no shorter run.  Only an
 entity with a multi-token norm keeps its norms in ``entity_aliases``: any
 other is reached only through a gram equal to one of its norms, which is
-then the matched alias.  No gram longer than ``longest`` is tried.
+then the matched alias.  Question retrieval tries no gram longer than
+``longest``.
 """
 
 from __future__ import annotations

@@ -3,12 +3,12 @@ pinned on one small seeded workflow.
 
 The workflow runs the ``qakb`` CLI in-process: ``synth --seed 1`` at 60
 entities and 6 relations (collision rate 0.3, the benchmark's ``train``
-spec); ``gen-data`` on the first 8 train questions; ``train-pipeline``,
-``train-e2e --variant qa-t`` and ``train-e2e --variant qa-t-mwst`` on
-them at ``--epochs 2 --seed 1``; then ``answer`` with each stack (the
-pipeline as ``p-qa-out-type``) on 20 questions: the 12 test questions,
-then train questions 9 to 16.  The test pins a sha256 of every
-snapshot, every sidecar and every answer stream.
+spec); ``gen-data`` on the first 8 train questions; ``train-pipeline``
+and ``train-e2e`` of each of the eight joint-model variants on them at
+``--epochs 2 --seed 1``; then ``answer`` with each stack (the pipeline
+as ``p-qa-out-type``) on 20 questions: the 12 test questions, then train
+questions 9 to 16.  The test pins a sha256 of every snapshot, every
+sidecar and every answer stream.
 
 Training and answering run matrix products through BLAS, whose last bits
 depend on the kernel.  The pins were recorded with numpy 2.4.6 and
@@ -27,6 +27,8 @@ from qakb.cli import main
 
 TRAIN = ["--epochs", "2", "--seed", "1"]
 ANSWERED = 20
+VARIANTS = ("qa-s", "qa-t", "qa-t-w", "qa-t-ws", "qa-t-wt", "qa-t-swt",
+            "qa-t-mwt", "qa-t-mwst")
 
 PINS = {
     "tagger.nn":
@@ -41,18 +43,54 @@ PINS = {
         "89c0ee5b5d7ff0922adf63299bef8813724b20d6c22613407e83f7ebc6dc2e8c",
     "type.nn.meta.json":
         "0dfa14a082875c864bb1787aa6e24d9bb24a2603ffb78e64890f8f37b28ee406",
+    "qa-s.nn":
+        "6d34693b17139efea7b850c602836b8419c9819d2665d011fbb6d783466aa228",
+    "qa-s.nn.meta.json":
+        "59bee5a3ca0528b8d938458d35f9c8c76575a30bdacad0532ebf94ddaac64c3c",
     "qa-t.nn":
         "6d34693b17139efea7b850c602836b8419c9819d2665d011fbb6d783466aa228",
     "qa-t.nn.meta.json":
         "bdb53fc4e81903dc9fa3429ae353df8bc0fca50098d4787960dc0209f0d3c70f",
+    "qa-t-w.nn":
+        "1a759a4e6a8dbe707ecfe2187bfa8f1961e349ebb27d5592300817eeb99465e3",
+    "qa-t-w.nn.meta.json":
+        "827037deec848bcecc658aae45186743e62797d1646ae67d9c4375eb460b3a71",
+    "qa-t-ws.nn":
+        "ecad8f71054bc6dd20460d5f6720e154e150d2555d46e982f297727f71c58b80",
+    "qa-t-ws.nn.meta.json":
+        "04944859ba69dc5d111e7dbb1e4adf3b01237aca02521f84c0ab6c41298f64ce",
+    "qa-t-wt.nn":
+        "4a057b1bfb62632138d49d223fd20fa03b7aa1b108af1086ed9f509261406ef9",
+    "qa-t-wt.nn.meta.json":
+        "79095c9ae37425bac6db1b6722f2d38c5f8e815de66039143e9cb7126df36ea6",
+    "qa-t-swt.nn":
+        "f4472a879221e49cb3c85ade1500e149f4fcb0a250cb81ba99fc7eb465c08388",
+    "qa-t-swt.nn.meta.json":
+        "ab72e3c1f11def0c96eb9b48b7f080ddfd2a979ca5d3a85639509c0d9a205cbc",
+    "qa-t-mwt.nn":
+        "59ebd46418da0656bfa0fcae76d4991d72eb0932037c610217277c247f4e004d",
+    "qa-t-mwt.nn.meta.json":
+        "cf8525d4a4757704e6acb0afdaebbaf4e7a28693bc2329554763506127ba76c4",
     "qa-t-mwst.nn":
         "6fd45ee7e9af8c161445e53e00d8fc6479456a602aabf4889c7f0aa5bcb080d5",
     "qa-t-mwst.nn.meta.json":
         "ff1a6a60462a2a458039a170331d6339b71588b60fae82310b382fb8ab23f118",
     "answer/pipeline":
         "b89049fd95b5a11c497e15b83493130a067f9e9d7f463896b81c9b0b0c7e775f",
+    "answer/qa-s":
+        "4b20a89e15d53de1dd8a92034a88ab5f421f1d0297afb43a99a342a980aedc68",
     "answer/qa-t":
         "9c78c78e5f7028a3da05a03a596a33598939ef0cc54c394a871e23b408da9c7d",
+    "answer/qa-t-w":
+        "8c1cc379412c6bb7125fdddfb741563be024f0165514bca044cbb90b70b238b4",
+    "answer/qa-t-ws":
+        "cc83e291c757234752dc24687f75218ee35e8245f8a02196f02fb710490c433d",
+    "answer/qa-t-wt":
+        "9a8e2e425b477d0446e834c835565dfa8a6785287500d6094e4cbf128a10b624",
+    "answer/qa-t-swt":
+        "02d57fc523c5c53c956df456717ec999cc097cba40519bd948350030674b27f0",
+    "answer/qa-t-mwt":
+        "3e080f2b1801ec73f000b5e65db203284046f83eb3ca999bfa59932e00503de6",
     "answer/qa-t-mwst":
         "4ec6bb5d880e1716380e8d8312704836ac80145ea8226417174260a6f0c77d78",
 }
@@ -84,7 +122,7 @@ def test_trained_and_answered_bytes_are_pinned(tmp_path):
          "--out", str(tmp_path / "data"))
     _run("train-pipeline", "--data", str(tmp_path / "data"),
          "--out", str(models), *TRAIN)
-    for variant in ("qa-t", "qa-t-mwst"):
+    for variant in VARIANTS:
         _run("train-e2e", "--kb", kb, "--questions", str(questions),
              "--variant", variant, "--out", str(models / f"{variant}.nn"),
              *TRAIN)
@@ -97,11 +135,10 @@ def test_trained_and_answered_bytes_are_pinned(tmp_path):
     asked.write_text("".join(line.split("\t")[3] + "\n"
                              for line in asked_lines), encoding="utf-8")
     stacks = {"pipeline": ["--pipeline", str(models),
-                           "--strategy", "p-qa-out-type"],
-              "qa-t": ["--model", str(models / "qa-t.nn"),
-                       "--variant", "qa-t"],
-              "qa-t-mwst": ["--model", str(models / "qa-t-mwst.nn"),
-                            "--variant", "qa-t-mwst"]}
+                           "--strategy", "p-qa-out-type"]}
+    for variant in VARIANTS:
+        stacks[variant] = ["--model", str(models / f"{variant}.nn"),
+                           "--variant", variant]
     for stack, flags in stacks.items():
         text = _run("answer", "--kb", kb, *flags, "--questions", str(asked))
         assert text.count("\n") == ANSWERED

@@ -103,9 +103,6 @@ class LabeledQuestion:
     tokens: tuple[str, ...]
     tags: tuple[str, ...]
 
-    def span_tokens(self) -> list[str]:
-        return [t for t, tag in zip(self.tokens, self.tags) if tag == "e"]
-
 
 def label_entity_span(
     q: QuestionInstance, entity_aliases: Sequence[str]

@@ -38,7 +38,7 @@ from qakb.nn import (
     run_recurrent,
     self_attention,
 )
-from qakb.nn.io import new_model
+from qakb.nn.io import Model, new_model
 from qakb.nn.layers import (attention_forward, cosine_forward, dropout_mask,
                             padded_indices, recurrent_forward, table_tokens)
 from qakb.nn.losses import loss_hinge_qas
@@ -149,81 +149,6 @@ def char_vocab(words: Iterable[str]) -> list[str]:
     return sorted({ch for tok in words if tok != OOV_TOKEN for ch in tok})
 
 
-class WordEncoder:
-    """Word-table rows, optionally extended with a char-GRU summary.
-
-    With char mode on, each word's character sequence runs through a GRU
-    and the last state is concatenated onto the word vector, so unknown
-    words that share the out-of-vocabulary row still get distinct
-    encodings from their spelling.
-    """
-
-    def __init__(self, word_table: EmbeddingTable,
-                 char_table: Optional[EmbeddingTable],
-                 char_gru: Optional[GRUCell]):
-        self.word_table = word_table
-        self.char_table = char_table
-        self.char_gru = char_gru
-
-    @property
-    def char_level(self) -> bool:
-        return self.char_gru is not None
-
-    def encode_words(self, words: Sequence[str],
-                     char_rows: Optional[CharRows] = None) -> Tensor:
-        """[W, d] rows for the words: word-table rows, with char mode each
-        followed by the char-GRU's last state over the word's characters.
-        The words run as one padded batch, unless ``char_rows`` is given:
-        then each word's char part is ``char_rows(word)``."""
-        vecs = self.word_table.embed(list(words))
-        if not self.char_level:
-            return vecs
-        if char_rows is None:
-            chars, lengths = self.char_table.embed_padded(words)
-            (last,) = run_recurrent(self.char_gru, chars, lengths=lengths,
-                                    outputs=("last",))
-        else:
-            last = np.stack([char_rows(word) for word in words])
-        return concat([vecs, last], axis=1)
-
-    def word_rows(self, words: Sequence[str],
-                  char_rows: Optional[CharRows] = None) -> np.ndarray:
-        """:meth:`encode_words` on arrays, building no graph: the same
-        [W, d] rows, bit for bit, by the same operations (one padded
-        char-GRU run over the words when ``char_rows`` is None)."""
-        vecs = self.word_table.rows(words)
-        if not self.char_level:
-            return vecs
-        if char_rows is None:
-            idx, lengths = padded_indices([self.char_table.indices(list(w))
-                                           for w in words])
-            last, _ = recurrent_forward(
-                (self.char_gru,), (self.char_table.vectors.data[idx],),
-                lengths, (False,), "last")
-        else:
-            last = np.stack([char_rows(word) for word in words])
-        return np.concatenate([vecs, last], axis=1)
-
-    def char_summary(self, word: str) -> np.ndarray:
-        """The char-GRU's [h] last state over one non-empty word's
-        characters, run on that word alone, on arrays: the bits of
-        ``run_recurrent`` over the word's character rows.  A batched run
-        rounds differently in the last bits, so this is what answering
-        caches: a word's summary does not depend on the words it is asked
-        with."""
-        chars = self.char_table.rows(word)
-        last, _ = recurrent_forward((self.char_gru,), (chars,),
-                                    np.array([len(word)]), (False,), "last")
-        return last
-
-    def parameters(self) -> dict[str, Tensor]:
-        params = {"e2e.words": self.word_table.vectors}
-        if self.char_level:
-            params["e2e.chars"] = self.char_table.vectors
-            params.update(self.char_gru.parameters())
-        return params
-
-
 # ---------------------------------------------------------------------------
 # Scoring
 # ---------------------------------------------------------------------------
@@ -289,18 +214,72 @@ class ScoringHead:
         return {f"{self.name}.W": self.W}
 
 
-class E2EModel:
-    """Word encoder, one LSTM + dense stack shared by questions, subject
-    labels and relation paths, and scoring head."""
+class E2EModel(Model):
+    """Word rows, one LSTM + dense stack shared by questions, subject
+    labels and relation paths, and scoring head.
+
+    A word's row is its word-table row.  With char mode on, each word's
+    character sequence also runs through a GRU, and the last state is
+    concatenated onto the word vector, so unknown words that share the
+    out-of-vocabulary row still get distinct encodings from their
+    spelling.
+    """
 
     kind = "e2e"
+
+    def encode_words(self, words: Sequence[str],
+                     char_rows: Optional[CharRows] = None) -> Tensor:
+        """[W, d] rows for the words: word-table rows, with char mode each
+        followed by the char-GRU's last state over the word's characters.
+        The words run as one padded batch, unless ``char_rows`` is given:
+        then each word's char part is ``char_rows(word)``."""
+        vecs = self.words.embed(list(words))
+        if not self.variant.char_level:
+            return vecs
+        if char_rows is None:
+            chars, lengths = self.chars.embed_padded(words)
+            (last,) = run_recurrent(self.char_gru, chars, lengths=lengths,
+                                    outputs=("last",))
+        else:
+            last = np.stack([char_rows(word) for word in words])
+        return concat([vecs, last], axis=1)
+
+    def word_rows(self, words: Sequence[str],
+                  char_rows: Optional[CharRows] = None) -> np.ndarray:
+        """:meth:`encode_words` on arrays, building no graph: the same
+        [W, d] rows, bit for bit, by the same operations (one padded
+        char-GRU run over the words when ``char_rows`` is None)."""
+        vecs = self.words.rows(words)
+        if not self.variant.char_level:
+            return vecs
+        if char_rows is None:
+            idx, lengths = padded_indices([self.chars.indices(list(w))
+                                           for w in words])
+            last, _ = recurrent_forward(
+                (self.char_gru,), (self.chars.vectors.data[idx],),
+                lengths, (False,), "last")
+        else:
+            last = np.stack([char_rows(word) for word in words])
+        return np.concatenate([vecs, last], axis=1)
+
+    def char_summary(self, word: str) -> np.ndarray:
+        """The char-GRU's [h] last state over one non-empty word's
+        characters, run on that word alone, on arrays: the bits of
+        ``run_recurrent`` over the word's character rows.  A batched run
+        rounds differently in the last bits, so this is what answering
+        caches: a word's summary does not depend on the words it is asked
+        with."""
+        chars = self.chars.rows(word)
+        last, _ = recurrent_forward((self.char_gru,), (chars,),
+                                    np.array([len(word)]), (False,), "last")
+        return last
 
     def encode_texts(self, texts: Sequence[Sequence[str]],
                      char_rows: Optional[CharRows] = None) -> Tensor:
         """[B, h] encodings of token sequences, as one padded batch.
 
         Each distinct word is encoded once, its char part from
-        ``char_rows`` when given (see :meth:`WordEncoder.encode_words`);
+        ``char_rows`` when given (see :meth:`encode_words`);
         the shared LSTM runs once over all rows with their own lengths
         (then self-attention over each row's own states); each row's
         states are truncated or zero-padded to max_len, flattened, and
@@ -312,8 +291,7 @@ class E2EModel:
         idx, lengths = padded_indices(
             [[words.setdefault(tok, len(words)) for tok in text]
              for text in texts])
-        inputs = gather_rows(self.words.encode_words(list(words), char_rows),
-                             idx)
+        inputs = gather_rows(self.encode_words(list(words), char_rows), idx)
         (states,) = run_recurrent(self.lstm, inputs, lengths=lengths,
                                   outputs=("states",))
         if self.variant.self_attention:
@@ -329,7 +307,7 @@ class E2EModel:
         graph: row 0 of ``encode_texts([tokens], char_rows)``, bit for
         bit, by the same numpy operations on the same shapes.
 
-        The word rows come from :meth:`WordEncoder.word_rows`; the LSTM
+        The word rows come from :meth:`word_rows`; the LSTM
         runs over the text as one [1, T, d] row, and self-attention over
         that row's [1, T, h] states without a mask, which a full-length
         row does not need; the states are truncated or zero-padded to
@@ -340,7 +318,7 @@ class E2EModel:
             raise EmptySequence("cannot encode an empty token sequence")
         words: dict[str, int] = {}
         idx = [words.setdefault(tok, len(words)) for tok in tokens]
-        inputs = self.words.word_rows(list(words), char_rows)[idx][None]
+        inputs = self.word_rows(list(words), char_rows)[idx][None]
         states, _ = recurrent_forward((self.lstm,), (inputs,),
                                       np.array([len(idx)]), (False,),
                                       "states")
@@ -351,53 +329,25 @@ class E2EModel:
         flat[:, :len(idx)] = states[:, :max_len]
         return self.dense.forward(flat.reshape(1, max_len * h))[0]
 
-    def parameters(self) -> dict[str, Tensor]:
-        params = dict(self.words.parameters())
-        params.update(self.lstm.parameters())
-        params.update(self.dense.parameters())
-        params.update(self.head.parameters())
-        return params
-
-    def meta(self) -> dict:
-        """The snapshot sidecar's payload (see :mod:`qakb.nn.io`)."""
-        return {"vocab": list(self.words.word_table.vocab),
-                "config": asdict(self.cfg),
-                "variant": asdict(self.variant)}
-
     @classmethod
-    def layout(cls, meta: dict) -> tuple[list[tuple],
-                                         Callable[[dict], "E2EModel"]]:
+    def layout(cls, meta: dict) -> tuple[dict, list[tuple]]:
         """As :meth:`qakb.pipeline.TaggerModel.layout`."""
         cfg = TrainConfig(**meta["config"])
         variant = E2EVariant(**meta["variant"])
         words = table_tokens(meta["vocab"])
         E, C, H = cfg.embed_dim, cfg.char_dim, cfg.hidden_size
-        parts = [(EmbeddingTable, "e2e.words", words, E)]
+        parts = [("words", EmbeddingTable, "e2e.words", words, E)]
         if variant.char_level:
             chars = table_tokens(char_vocab(words))
-            parts += [(EmbeddingTable, "e2e.chars", chars, C),
-                      (GRUCell, "e2e.char_gru", C, C)]
+            parts += [("chars", EmbeddingTable, "e2e.chars", chars, C),
+                      ("char_gru", GRUCell, "e2e.char_gru", C, C)]
         width = E + (C if variant.char_level else 0)
-        parts += [(LSTMCell, "e2e.lstm", width, H),
-                  (Dense, "e2e.dense", cfg.max_len * H, H),
-                  (ScoringHead, "e2e.head", variant.head_mode)]
-
-        def build(params: dict[str, np.ndarray]) -> "E2EModel":
-            model = cls.__new__(cls)
-            model.cfg, model.variant = cfg, variant
-            word_table = EmbeddingTable(words, params["e2e.words"])
-            if variant.char_level:
-                model.words = WordEncoder(
-                    word_table, EmbeddingTable(chars, params["e2e.chars"]),
-                    GRUCell(params, "e2e.char_gru"))
-            else:
-                model.words = WordEncoder(word_table, None, None)
-            model.lstm = LSTMCell(params, "e2e.lstm")
-            model.dense = Dense(params, "e2e.dense", "relu")
-            model.head = ScoringHead(params, "e2e.head", variant.head_mode)
-            return model
-
-        return parts, build
+        parts += [("lstm", LSTMCell, "e2e.lstm", width, H),
+                  ("dense", Dense, "e2e.dense", cfg.max_len * H, H, "relu"),
+                  ("head", ScoringHead, "e2e.head", variant.head_mode)]
+        payload = {"vocab": words, "config": asdict(cfg),
+                   "variant": asdict(variant)}
+        return {"cfg": cfg, "variant": variant, "payload": payload}, parts
 
 
 @dataclass
@@ -597,15 +547,14 @@ def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
 
 def _char_rows(model: E2EModel,
                summaries: dict[str, np.ndarray]) -> CharRows:
-    """A word's :meth:`WordEncoder.char_summary`, kept in ``summaries``
+    """A word's :meth:`E2EModel.char_summary`, kept in ``summaries``
     when the word is in the model's vocabulary; an out-of-vocabulary
     word's is run afresh on every use."""
     def char_row(word: str) -> np.ndarray:
         vec = summaries.get(word)
         if vec is None:
-            words = model.words
-            vec = words.char_summary(word)
-            if word in words.word_table.vocab:
+            vec = model.char_summary(word)
+            if word in model.words.vocab:
                 summaries[word] = vec
         return vec
 

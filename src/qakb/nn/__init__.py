@@ -1,7 +1,6 @@
 """Numpy-backed differentiable computation for the QA models."""
 
 from qakb.nn.config import TrainConfig
-from qakb.nn.gradcheck import finite_diff_check
 from qakb.nn.io import load_params, save_params
 from qakb.nn.layers import (
     Dense,
@@ -48,7 +47,6 @@ __all__ = [
     "loss_hinge_qas",
     "Adam",
     "fit",
-    "finite_diff_check",
     "save_params",
     "load_params",
 ]

@@ -8,19 +8,25 @@ the dims as uint32, then the raw C-order data.  Its ``.meta.json``
 sidecar holds the model's ``kind`` and what is needed to rebuild it
 (vocabulary, config, ...).
 
-:func:`save_model` and :func:`load_model` handle both files for any model
-class that gives a ``kind`` class attribute, a ``meta()`` payload,
-``parameters()`` and a ``layout(meta)`` classmethod, the one place that
-states a model's parts.  ``layout`` reads the payload's vocabulary,
-config and variant and returns the parts of the model they describe,
-each a layer class with its name and sizes, in ``parameters()`` order,
-and a function that builds that model from arrays of the parts' shapes.
-It serves both :func:`load_model` and :func:`new_model`.  A load reads
-the sidecar and its layout first, then the table in one pass, checks
-that the table names exactly the parts' parameters, each in its shape,
-and builds the model around the table's arrays: it draws no random
-number and copies no array again.  :func:`new_model`, which training calls,
-has each part draw its arrays from a generator, in order.
+:func:`save_model` and :func:`load_model` handle both files for any
+:class:`Model` subclass that gives a ``kind`` class attribute and a
+``layout(meta)`` classmethod, the one place that states a model's parts.
+``layout`` reads the payload's vocabulary, config and variant and
+returns the model's plain fields (its ``cfg``, a matcher's ``name``, a
+joint model's ``variant`` and the sidecar ``payload`` itself, vocabulary
+as the table's tokens) and its parts, in order.  A part is one tuple
+``(attribute, layer class, name, *args)``, whose ``args`` every layer
+reads alike: ``shapes(name, *args)``, ``draw(rng, name, *args)`` and the
+constructor ``layer(params, name, *args)`` (see :mod:`qakb.nn.layers`).
+One builder serves :func:`load_model` and :func:`new_model`: it sets the
+plain fields and each part, built from a table of arrays, so a model's
+``parameters()`` are its parts' in layout order and its ``meta()`` is
+the payload.  A load reads the sidecar and its layout first, then the
+table in one pass, checks that the table names exactly the parts'
+parameters, each in its shape, and builds every part around the table's
+arrays: it draws no random number and copies no array again.
+:func:`new_model`, which training calls, has each part draw its arrays
+from a generator, in order.
 """
 
 from __future__ import annotations
@@ -150,7 +156,35 @@ def check_params(shapes: dict[str, tuple[int, ...]],
             )
 
 
-def save_model(model, path: str) -> None:
+class Model:
+    """A model built by :func:`load_model` or :func:`new_model` from its
+    class's layout."""
+
+    def parameters(self) -> dict[str, Tensor]:
+        """Every part's parameters, by name, in layout order."""
+        return {key: p for part in self.parts
+                for key, p in part.parameters().items()}
+
+    def meta(self) -> dict:
+        """The snapshot sidecar's payload."""
+        return self.payload
+
+
+def _build(cls, fields: dict, parts: list[tuple], arrays):
+    """The model of class ``cls`` with the plain ``fields`` and the
+    ``parts`` its ``layout`` gives, each part built from
+    ``arrays(layer, name, *args)``, a table that holds the part's
+    arrays."""
+    model = cls.__new__(cls)
+    vars(model).update(fields, parts=[])
+    for attribute, layer, *args in parts:
+        part = layer(arrays(layer, *args), *args)
+        setattr(model, attribute, part)
+        model.parts.append(part)
+    return model
+
+
+def save_model(model: Model, path: str) -> None:
     """Write a model's parameters to ``path`` and its sidecar beside it,
     creating the directory if need be."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -177,8 +211,8 @@ def load_model(cls, path: str):
     """
     meta = read_model_meta(path, cls.kind)
     try:
-        parts, build = cls.layout(meta)
-        shapes = {name: shape for layer, *args in parts
+        fields, parts = cls.layout(meta)
+        shapes = {name: shape for _, layer, *args in parts
                   for name, shape in layer.shapes(*args).items()}
         size = 8 * sum(math.prod(shape) for shape in shapes.values())
         if size > MAX_MODEL_BYTES:
@@ -188,15 +222,12 @@ def load_model(cls, path: str):
             f"{meta_path(path)}: malformed payload ({exc!r})") from exc
     params = load_params(path)
     check_params(shapes, params)
-    return build(params)
+    return _build(cls, fields, parts, lambda *part: params)
 
 
 def new_model(cls, meta: dict, rng: np.random.Generator):
     """A new model of class ``cls`` for the ``meta()`` payload ``meta``,
     as training starts it: each part of its layout draws its arrays from
     ``rng`` in order."""
-    parts, build = cls.layout(meta)
-    params: dict[str, np.ndarray] = {}
-    for layer, *args in parts:
-        params.update(layer.draw(rng, *args))
-    return build(params)
+    return _build(cls, *cls.layout(meta),
+                  lambda layer, *args: layer.draw(rng, *args))

@@ -1,10 +1,14 @@
 """Network building blocks on top of the autodiff tensor.
 
-Dense layers and recurrent cells expose ``parameters() -> dict[name,
-Tensor]`` so optimizers and snapshots can address weights by stable
-hierarchical names; a model names its embedding tables' ``vectors``.
-A layer holds the arrays it is built from; its ``shapes`` and ``draw``
-give their shapes and draw new ones, as a model's layout asks.
+Embedding tables, dense layers and recurrent cells expose
+``parameters() -> dict[name, Tensor]`` so optimizers and snapshots can
+address weights by stable hierarchical names; each layer names its own
+parameters from the name it is given.  A layer reads one list of
+arguments alike in its three entry points, as a model's layout gives
+them (see :mod:`qakb.nn.io`): ``shapes(name, *args)`` gives its
+parameters' shapes, ``draw(rng, name, *args)`` draws new arrays of those
+shapes, and ``layer(params, name, *args)`` builds the layer holding the
+arrays of such a table, without copying them.
 
 The forwards that answering needs are array functions, which build no
 graph: :meth:`EmbeddingTable.rows`, :meth:`Dense.forward`,
@@ -62,19 +66,21 @@ def table_tokens(tokens: list[str]) -> list[str]:
 class EmbeddingTable:
     """Token-to-vector lookup; unknown tokens share one trained row."""
 
-    def __init__(self, tokens: list[str], vectors: np.ndarray):
-        """The table of ``tokens`` with row ``i`` of ``vectors`` for
-        ``tokens[i]``, which it holds without copying."""
-        if len(tokens) != vectors.shape[0]:
-            raise ShapeMismatch(
-                f"{len(tokens)} tokens vs {vectors.shape[0]} vector rows"
-            )
+    def __init__(self, params: dict[str, np.ndarray], name: str,
+                 tokens: list[str], dim: int):
+        """The table ``name`` of ``tokens`` with row ``i`` of
+        ``params[name]`` for ``tokens[i]``, which it holds without
+        copying."""
+        vectors = params[name]
+        if vectors.shape != (len(tokens), dim):
+            raise ShapeMismatch(f"{len(tokens)} tokens of {dim} dims vs "
+                                f"vectors of shape {vectors.shape}")
         self.vocab = dict(zip(tokens, range(len(tokens))))
         if OOV_TOKEN not in self.vocab:
             raise ShapeMismatch(f"vocabulary must contain {OOV_TOKEN!r}")
         self.oov_index = self.vocab[OOV_TOKEN]
+        self.name = name
         self.vectors = Tensor(vectors, requires_grad=True)
-        self.dim = vectors.shape[1]
 
     @staticmethod
     def shapes(name: str, tokens: Sequence[str],
@@ -107,6 +113,9 @@ class EmbeddingTable:
                                        for seq in seqs])
         return gather_rows(self.vectors, idx), lengths
 
+    def parameters(self) -> dict[str, Tensor]:
+        return {self.name: self.vectors}
+
 
 class Dense:
     """Affine map with an optional activation; accepts vectors or matrices.
@@ -119,7 +128,7 @@ class Dense:
     """
 
     def __init__(self, params: dict[str, np.ndarray], name: str,
-                 activation: str = "none"):
+                 in_dim: int, out_dim: int, activation: str = "none"):
         """The layer ``name`` holding the arrays of ``params``, which have
         the :meth:`shapes`, without copying them."""
         if activation not in ("none", "relu", "sigmoid"):
@@ -127,18 +136,18 @@ class Dense:
         self.name, self.activation = name, activation
         self.weight = Tensor(params[f"{name}.weight"], requires_grad=True)
         self.bias = Tensor(params[f"{name}.bias"], requires_grad=True)
-        self.out_dim, self.in_dim = self.weight.shape
+        self.in_dim, self.out_dim = in_dim, out_dim
 
     @staticmethod
-    def shapes(name: str, in_dim: int,
-               out_dim: int) -> dict[str, tuple[int, ...]]:
+    def shapes(name: str, in_dim: int, out_dim: int,
+               activation: str = "none") -> dict[str, tuple[int, ...]]:
         """The shapes of the layer's parameters, by name."""
         return {f"{name}.weight": (out_dim, in_dim),
                 f"{name}.bias": (out_dim,)}
 
     @staticmethod
-    def draw(rng: np.random.Generator, name: str, in_dim: int,
-             out_dim: int) -> dict[str, np.ndarray]:
+    def draw(rng: np.random.Generator, name: str, in_dim: int, out_dim: int,
+             activation: str = "none") -> dict[str, np.ndarray]:
         """A Glorot-uniform weight and a zero bias."""
         return {f"{name}.weight": glorot(rng, (out_dim, in_dim)),
                 f"{name}.bias": np.zeros(out_dim)}
@@ -202,14 +211,15 @@ class _GatedCell:
     its time loop, reading ``W`` as it is stored.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], name: str):
+    def __init__(self, params: dict[str, np.ndarray], name: str,
+                 input_dim: int, hidden_dim: int):
         """The cell ``name`` holding the arrays of ``params``, which have
         the :meth:`shapes`, without copying them."""
         self.name = name
         self.W, self.U, self.b = (Tensor(params[f"{name}.{kind}"],
                                          requires_grad=True)
                                   for kind in "WUb")
-        self.input_dim, self.hidden_dim = self.W.shape[0], self.U.shape[1]
+        self.input_dim, self.hidden_dim = input_dim, hidden_dim
 
     @classmethod
     def shapes(cls, name: str, input_dim: int,

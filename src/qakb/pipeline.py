@@ -39,7 +39,7 @@ from qakb.nn import (
     dropout,
     fit,
 )
-from qakb.nn.io import new_model
+from qakb.nn.io import Model, new_model
 from qakb.nn.layers import recurrent_forward, table_tokens
 from qakb.nn.losses import loss_binary_ce, loss_categorical_ce
 from qakb.nn.tensor import (
@@ -64,7 +64,7 @@ def matcher_tokens(text: str) -> list[str]:
 # Models
 # ---------------------------------------------------------------------------
 
-class TaggerModel:
+class TaggerModel(Model):
     """Bidirectional LSTM with a per-token softmax over (c, e)."""
 
     kind = "tagger"
@@ -104,47 +104,23 @@ class TaggerModel:
             [int(tag == "e") for q in questions for tag in q.tags],
             [len(q.tags) for q in questions])
 
-    def parameters(self) -> dict[str, Tensor]:
-        params = {"tagger.embedding": self.embedding.vectors}
-        for part in (self.fwd, self.bwd, self.head):
-            params.update(part.parameters())
-        return params
-
-    def meta(self) -> dict:
-        """The snapshot sidecar's payload (see :mod:`qakb.nn.io`)."""
-        return {"name": "tagger", "vocab": list(self.embedding.vocab),
-                "config": asdict(self.cfg)}
-
     @classmethod
-    def layout(cls, meta: dict) -> tuple[list[tuple],
-                                         Callable[[dict], "TaggerModel"]]:
-        """The parts of the model the :meth:`meta` payload ``meta``
-        describes, each a layer class with its name and sizes, in
-        :meth:`parameters` order, and a function that builds that model
-        from a table of arrays of those parts' shapes (see
+    def layout(cls, meta: dict) -> tuple[dict, list[tuple]]:
+        """The plain fields and the parts, in order, of the model the
+        :meth:`meta` payload ``meta`` describes (see
         :mod:`qakb.nn.io`)."""
         cfg = TrainConfig(**meta["config"])
         tokens = table_tokens(meta["vocab"])
         E, H = cfg.embed_dim, cfg.hidden_size
-        parts = [(EmbeddingTable, "tagger.embedding", tokens, E),
-                 (LSTMCell, "tagger.fwd", E, H),
-                 (LSTMCell, "tagger.bwd", E, H),
-                 (Dense, "tagger.head", 2 * H, 2)]
-
-        def build(params: dict[str, np.ndarray]) -> "TaggerModel":
-            model = cls.__new__(cls)
-            model.cfg = cfg
-            model.embedding = EmbeddingTable(tokens,
-                                             params["tagger.embedding"])
-            model.fwd = LSTMCell(params, "tagger.fwd")
-            model.bwd = LSTMCell(params, "tagger.bwd")
-            model.head = Dense(params, "tagger.head")
-            return model
-
-        return parts, build
+        payload = {"name": "tagger", "vocab": tokens, "config": asdict(cfg)}
+        return {"cfg": cfg, "payload": payload}, [
+            ("embedding", EmbeddingTable, "tagger.embedding", tokens, E),
+            ("fwd", LSTMCell, "tagger.fwd", E, H),
+            ("bwd", LSTMCell, "tagger.bwd", E, H),
+            ("head", Dense, "tagger.head", 2 * H, 2, "none")]
 
 
-class MatcherModel:
+class MatcherModel(Model):
     """Shared bidirectional GRU over question and candidate text.
 
     Both sequences run through the same recurrent encoder; the two final
@@ -211,44 +187,21 @@ class MatcherModel:
                                 encodings.text(self, text)])
         return float(self.head.forward(self.hidden.forward(joint))[0])
 
-    def parameters(self) -> dict[str, Tensor]:
-        params = {f"{self.name}.embedding": self.embedding.vectors}
-        for part in (self.fwd, self.bwd, self.hidden, self.head):
-            params.update(part.parameters())
-        return params
-
-    def meta(self) -> dict:
-        """The snapshot sidecar's payload (see :mod:`qakb.nn.io`)."""
-        return {"name": self.name, "vocab": list(self.embedding.vocab),
-                "config": asdict(self.cfg)}
-
     @classmethod
-    def layout(cls, meta: dict) -> tuple[list[tuple],
-                                         Callable[[dict], "MatcherModel"]]:
+    def layout(cls, meta: dict) -> tuple[dict, list[tuple]]:
         """As :meth:`TaggerModel.layout`."""
         cfg, name = TrainConfig(**meta["config"]), meta["name"]
         if type(name) is not str:
             raise TypeError("a matcher's name must be a string")
         tokens = table_tokens(meta["vocab"])
         E, H = cfg.embed_dim, cfg.hidden_size
-        parts = [(EmbeddingTable, f"{name}.embedding", tokens, E),
-                 (GRUCell, f"{name}.fwd", E, H),
-                 (GRUCell, f"{name}.bwd", E, H),
-                 (Dense, f"{name}.hidden", 4 * H, H),
-                 (Dense, f"{name}.head", H, 1)]
-
-        def build(params: dict[str, np.ndarray]) -> "MatcherModel":
-            model = cls.__new__(cls)
-            model.cfg, model.name = cfg, name
-            model.embedding = EmbeddingTable(tokens,
-                                             params[f"{name}.embedding"])
-            model.fwd = GRUCell(params, f"{name}.fwd")
-            model.bwd = GRUCell(params, f"{name}.bwd")
-            model.hidden = Dense(params, f"{name}.hidden", "relu")
-            model.head = Dense(params, f"{name}.head", "sigmoid")
-            return model
-
-        return parts, build
+        payload = {"name": name, "vocab": tokens, "config": asdict(cfg)}
+        return {"cfg": cfg, "name": name, "payload": payload}, [
+            ("embedding", EmbeddingTable, f"{name}.embedding", tokens, E),
+            ("fwd", GRUCell, f"{name}.fwd", E, H),
+            ("bwd", GRUCell, f"{name}.bwd", E, H),
+            ("hidden", Dense, f"{name}.hidden", 4 * H, H, "relu"),
+            ("head", Dense, f"{name}.head", H, 1, "sigmoid")]
 
 
 class MatchEncodings:

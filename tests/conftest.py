@@ -1,9 +1,10 @@
 """Shared fixtures: a small hand-built knowledge base used across
 modules, new layers and models drawn as training draws them, a view of
 one gate's weights in a recurrent cell, a leaf tensor and a graph op that
-only tests build, one-shot joint-model answering and its margin-loss
-reference rules, TSV and N-Triples writers of facts, and test-side
-readers and writers of KB snapshot layouts."""
+only tests build, the finite-difference gradient check, a labelled
+question's entity span, one-shot joint-model answering and its
+margin-loss reference rules, TSV and N-Triples writers of facts, and
+test-side readers and writers of KB snapshot layouts."""
 
 import json
 import struct
@@ -57,21 +58,23 @@ def tiny_kb():
 
 def dense(rng, in_dim, out_dim, activation="none", name="dense"):
     """A new :class:`Dense` layer, its weight drawn from ``rng``."""
-    return Dense(Dense.draw(rng, name, in_dim, out_dim), name, activation)
+    args = (name, in_dim, out_dim, activation)
+    return Dense(Dense.draw(rng, *args), *args)
 
 
 def rnn_cell(cls, rng, input_dim, hidden_dim, name=None):
     """A new recurrent cell of class ``cls``, its weights drawn from
     ``rng``, named ``"gru"`` or ``"lstm"`` unless ``name`` is given."""
     name = name or ("gru" if cls is GRUCell else "lstm")
-    return cls(cls.draw(rng, name, input_dim, hidden_dim), name)
+    args = (name, input_dim, hidden_dim)
+    return cls(cls.draw(rng, *args), *args)
 
 
 def embedding(rng, tokens, dim):
     """A new embedding table of :func:`table_tokens` of ``tokens``, its
     rows drawn from ``rng``."""
-    toks = table_tokens(list(tokens))
-    return EmbeddingTable(toks, EmbeddingTable.draw(rng, "t", toks, dim)["t"])
+    args = ("t", table_tokens(list(tokens)), dim)
+    return EmbeddingTable(EmbeddingTable.draw(rng, *args), *args)
 
 
 def scoring_head(mode):
@@ -96,6 +99,47 @@ def param(data, requires_grad=True):
     """A leaf tensor that collects gradients."""
     return Tensor(np.array(data, dtype=np.float64),
                   requires_grad=requires_grad)
+
+
+def finite_diff_check(fn, params, eps=1e-5):
+    """Max relative error between analytic and central-difference gradients.
+
+    ``fn`` must rebuild the scalar loss from the live ``params`` on every
+    call (so nudged parameter values take effect).  Relative error is
+    |a - n| / max(|a| + |n|, 1e-6) per element.
+    """
+    for p in params:
+        p.grad = None
+    loss = fn()
+    loss.backward()
+    analytic = []
+    for p in params:
+        if p.grad is None:
+            analytic.append(None)
+        else:
+            analytic.append(p.grad.copy())
+
+    worst = 0.0
+    for p, grad in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        gflat = None if grad is None else grad.reshape(-1)
+        for i in range(flat.size):
+            saved = flat[i]
+            flat[i] = saved + eps
+            f_plus = fn().item()
+            flat[i] = saved - eps
+            f_minus = fn().item()
+            flat[i] = saved
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            a = 0.0 if gflat is None else gflat[i]
+            rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-6)
+            worst = max(worst, rel)
+    return worst
+
+
+def span_tokens(labeled):
+    """The tokens a labelled question tags as its entity span."""
+    return [t for t, tag in zip(labeled.tokens, labeled.tags) if tag == "e"]
 
 
 def answer(model, kb, index, question, variant, k=1):

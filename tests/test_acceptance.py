@@ -11,8 +11,8 @@ import math
 import time
 
 import numpy as np
-from conftest import (answer, dense, embedding, fresh, loss_hinge_qat,
-                      loss_hinge_qat_type, param, rnn_cell,
+from conftest import (answer, dense, embedding, finite_diff_check, fresh,
+                      loss_hinge_qat, loss_hinge_qat_type, param, rnn_cell,
                       serialize_ntriples_line, serialize_triples_tsv)
 
 from qakb import datagen, e2e, evalharness as ev
@@ -35,7 +35,6 @@ from qakb.nn import (
     bidirectional_encode,
     cosine,
     dropout,
-    finite_diff_check,
     loss_binary_ce,
     loss_categorical_ce,
     loss_hinge_qas,

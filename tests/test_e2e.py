@@ -23,7 +23,6 @@ from qakb.e2e import (
     FactScore,
     TYPE,
     VARIANTS,
-    WordEncoder,
     _StepBatch,
     _training_vocab,
     subject_text,
@@ -122,7 +121,7 @@ class TestWordEncoder:
         m = fresh(E2EModel, ["alpha", "beta"], small_cfg(),
                   np.random.default_rng(0), variant=E2EVariant())
         assert m.lstm.input_dim == small_cfg().embed_dim
-        assert m.words.encode_words(["alpha"]).shape == (1, 8)
+        assert m.encode_words(["alpha"]).shape == (1, 8)
 
     def test_dim_with_chars(self):
         m = fresh(E2EModel, ["alpha", "beta"], small_cfg(),
@@ -130,40 +129,39 @@ class TestWordEncoder:
                   variant=E2EVariant(char_level=True))
         cfg = small_cfg()
         assert m.lstm.input_dim == cfg.embed_dim + cfg.char_dim
-        assert m.words.encode_words(["alpha"]).shape == (1, 12)
+        assert m.encode_words(["alpha"]).shape == (1, 12)
 
     def test_char_suffix_is_gru_last_state(self):
         m = fresh(E2EModel, ["a", "bc"], small_cfg(), np.random.default_rng(3),
                   variant=E2EVariant(char_level=True))
-        we = m.words
-        vec = we.encode_words(["a"]).data[0]
-        x = we.char_table.embed(["a"]).data
-        gru = we.char_gru
+        vec = m.encode_words(["a"]).data[0]
+        x = m.chars.embed(["a"]).data
+        gru = m.char_gru
         (h,), _ = gru.step(x @ gru.W.data, gru.initial_state(1),
                            gru.U.data, gru.b.data)
-        assert_array_equal(vec[-we.char_gru.hidden_dim:], h[0])
+        assert_array_equal(vec[-gru.hidden_dim:], h[0])
 
     def test_unknown_words_distinguished_by_spelling(self):
         m = fresh(E2EModel, ["cold", "dark"], small_cfg(),
                   np.random.default_rng(5),
                   variant=E2EVariant(char_level=True))
         cfg = small_cfg()
-        a, b = m.words.encode_words(["adc", "add"]).data
+        a, b = m.encode_words(["adc", "add"]).data
         assert_array_equal(a[:cfg.embed_dim], b[:cfg.embed_dim])
         assert not np.array_equal(a[cfg.embed_dim:], b[cfg.embed_dim:])
 
     def test_unknown_words_collapse_without_chars(self):
         m = fresh(E2EModel, ["cold", "dark"], small_cfg(),
                   np.random.default_rng(5), variant=E2EVariant())
-        a, b = m.words.encode_words(["abc", "abd"]).data
+        a, b = m.encode_words(["abc", "abd"]).data
         assert_array_equal(a, b)
 
     def test_char_alphabet_skips_oov_marker(self):
         m = fresh(E2EModel, ["ab"], small_cfg(), np.random.default_rng(0),
                   variant=E2EVariant(char_level=True))
-        assert "<" not in m.words.char_table.vocab
-        assert ">" not in m.words.char_table.vocab
-        assert "a" in m.words.char_table.vocab
+        assert "<" not in m.chars.vocab
+        assert ">" not in m.chars.vocab
+        assert "a" in m.chars.vocab
 
 
 class TestEncodeSequence:
@@ -265,12 +263,11 @@ class TestArrayEncoding:
     def test_char_summary_is_a_graph_run(self, name):
         model = fresh(E2EModel, _ARRAY_VOCAB, small_cfg(),
                       np.random.default_rng(8), variant=VARIANTS[name])
-        words = model.words
         for word in ["a", "yesterday", "zyzzyva", "ÿ€", "recording"]:
-            (last,) = run_recurrent(words.char_gru,
-                                    words.char_table.embed(list(word)),
+            (last,) = run_recurrent(model.char_gru,
+                                    model.chars.embed(list(word)),
                                     outputs=("last",))
-            assert _bits(words.char_summary(word)) == _bits(last.data), word
+            assert _bits(model.char_summary(word)) == _bits(last.data), word
 
     @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
     def test_answering_makes_no_tensor(self, cold, monkeypatch):
@@ -618,11 +615,8 @@ def _cached(session):
 def _graph_char_summary(model):
     """A word's char part from a graph: the data of the char-GRU's
     ``run_recurrent`` over that word alone."""
-    words = model.words
-
     def summary(word):
-        (last,) = run_recurrent(words.char_gru,
-                                words.char_table.embed(list(word)),
+        (last,) = run_recurrent(model.char_gru, model.chars.embed(list(word)),
                                 outputs=("last",))
         return last.data
 
@@ -832,12 +826,12 @@ class TestSession:
         kb, index, qs, pools, questions = synth
         model, _ = train_e2e(qs, kb, pools, VARIANTS[name],
                              small_cfg(epochs=1))
-        vocab = model.words.word_table.vocab
+        vocab = model.words.vocab
         in_vocab = [q.text for q in qs]
         oov = [f"{text} zyzzyva" for text in in_vocab[:5]]
         assert "zyzzyva" not in vocab
         runs, gru_steps = Counter(), []
-        summary = WordEncoder.char_summary
+        summary = E2EModel.char_summary
         step = qakb.nn.layers.GRUCell.step
 
         def counted_summary(self, word):
@@ -848,7 +842,7 @@ class TestSession:
             gru_steps.append(1)
             return step(self, *args)
 
-        monkeypatch.setattr(WordEncoder, "char_summary", counted_summary)
+        monkeypatch.setattr(E2EModel, "char_summary", counted_summary)
         monkeypatch.setattr(qakb.nn.layers.GRUCell, "step", counted_step)
         session = E2EStrategy(model, VARIANTS[name], kb, index)
         answered = [q for q in in_vocab + oov
@@ -859,7 +853,7 @@ class TestSession:
         assert runs.total() == oov_uses + len(session.summaries)
         assert set(session.summaries) <= set(vocab)
         for word, vec in session.summaries.items():
-            assert_array_equal(vec, summary(model.words, word))
+            assert_array_equal(vec, summary(model, word))
             assert type(vec) is np.ndarray
         gru_steps.clear()
         again = [_top_or_none(session, q) for q in in_vocab]
@@ -1194,7 +1188,7 @@ class TestCharReuse:
         kb = song_kb()
         qs, pools = song_training_set(kb)
         runs, uses = [], Counter()
-        encode_words = WordEncoder.encode_words
+        encode_words = E2EModel.encode_words
         loss = _StepBatch.loss
 
         def counted_words(self, words, char_rows=None):
@@ -1207,7 +1201,7 @@ class TestCharReuse:
                 uses.update(texts[t])
             return loss(self)
 
-        monkeypatch.setattr(WordEncoder, "encode_words", counted_words)
+        monkeypatch.setattr(E2EModel, "encode_words", counted_words)
         monkeypatch.setattr(_StepBatch, "loss", counted_loss)
         train_e2e(qs, kb, pools, VARIANTS["qa-t-mwst"],
                   small_cfg(epochs=1, batch_size=len(qs)))

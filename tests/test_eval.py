@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
-from conftest import fresh
+from conftest import fresh, span_tokens
 
 from qakb.aliasindex import build_index, tokenize
 from qakb.datagen import make_question, serialize_questions_tsv
@@ -180,7 +180,7 @@ class TestOracleStages:
         kb, dataset, models = self._setup()
         for q in dataset:
             labels = tag_question(models.tagger, q.text)
-            span = " ".join(labels.span_tokens())
+            span = " ".join(span_tokens(labels))
             assert span == kb.entities[q.gold.subject].aliases[0]
 
     def test_tagger_unknown_question_is_all_context(self):

@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (dense, embedding, gate_block, param, rnn_cell,
-                      stack_rows)
+from conftest import (dense, embedding, finite_diff_check, gate_block,
+                      param, rnn_cell, stack_rows)
 
 import qakb.nn.layers
 from qakb.aliasindex import build_index
@@ -24,7 +24,6 @@ from qakb.nn import (
     bidirectional_last_states,
     cosine,
     dropout,
-    finite_diff_check,
     glorot,
     run_recurrent,
     self_attention,

@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from conftest import dense, loss_hinge_qat, loss_hinge_qat_type, param
+from conftest import (dense, finite_diff_check, loss_hinge_qat,
+                      loss_hinge_qat_type, param)
 
 from qakb.errors import EmptySequence, ParseError, ShapeMismatch
 from qakb.nn import (
     Adam,
     TrainConfig,
-    finite_diff_check,
     fit,
     load_params,
     loss_binary_ce,

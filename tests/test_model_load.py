@@ -92,15 +92,27 @@ def test_loaded_parameters_are_the_saved_bits(trained, name):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_layout_shapes_are_the_trained_model_s(trained, name):
-    """The parts a sidecar's layout names give the shapes of the model
-    that training builds from the same vocabulary and config, in its
-    :meth:`parameters` order."""
+    """Each part a sidecar's layout names, built by its layer from arrays
+    the layer draws, holds exactly the parameters, by name and shape,
+    that its ``shapes`` gives from the same arguments.  The model that
+    training builds from the same vocabulary and config has those parts'
+    shapes, and its :meth:`parameters` are its own parts', in layout
+    order."""
     model = trained.models[name]
-    parts, _ = type(model).layout({"kind": model.kind, **model.meta()})
-    shapes = [item for layer, *args in parts
-              for item in layer.shapes(*args).items()]
-    assert shapes == [(key, p.data.shape) for key, p
-                      in model.parameters().items()]
+    _, parts = type(model).layout({"kind": model.kind, **model.meta()})
+    rng = np.random.default_rng(0)
+    shapes, own = [], []
+    for attribute, layer, *args in parts:
+        part = layer(layer.draw(rng, *args), *args)
+        want = list(layer.shapes(*args).items())
+        assert [(key, p.data.shape)
+                for key, p in part.parameters().items()] == want, attribute
+        shapes += want
+        own += getattr(model, attribute).parameters().items()
+    got = list(model.parameters().items())
+    assert [(key, p.data.shape) for key, p in got] == shapes
+    assert [(key, id(p)) for key, p in got] == [(key, id(p))
+                                               for key, p in own]
 
 
 # A sha256 of each new model's parameter names and bytes, in name order,

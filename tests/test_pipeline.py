@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
-from conftest import fresh
+from conftest import finite_diff_check, fresh
 
 import qakb.aliasindex
 import qakb.nn.layers
@@ -19,9 +19,8 @@ from qakb.errors import EmptyTrainingSet, NoCandidates, NoRelation
 from qakb.evalharness import (SyntheticSpec, answer_record,
                               generate_synthetic, predict)
 from qakb.kb import Fact, build_kb, notable_type, out_degree, relations_of
-from qakb.nn import (TrainConfig, bidirectional_encode, dropout,
-                     finite_diff_check, fit, loss_binary_ce,
-                     loss_categorical_ce)
+from qakb.nn import (TrainConfig, bidirectional_encode, dropout, fit,
+                     loss_binary_ce, loss_categorical_ce)
 from qakb.nn.io import load_model, save_model
 from qakb.nn.tensor import Tensor, concat, reshape, softmax_rows
 from qakb.pipeline import (

@@ -5,10 +5,9 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import param, rnn_cell, stack_rows
+from conftest import finite_diff_check, param, rnn_cell, stack_rows
 
 from qakb.errors import ShapeMismatch
-from qakb.nn.gradcheck import finite_diff_check
 from qakb.nn import (GRUCell, LSTMCell, bidirectional_encode, cosine,
                      run_recurrent, self_attention)
 from qakb.nn import tensor as T

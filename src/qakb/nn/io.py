@@ -18,15 +18,15 @@ as the table's tokens) and its parts, in order.  A part is one tuple
 ``(attribute, layer class, name, *args)``, whose ``args`` every layer
 reads alike: ``shapes(name, *args)``, ``draw(rng, name, *args)`` and the
 constructor ``layer(params, name, *args)`` (see :mod:`qakb.nn.layers`).
-One builder serves :func:`load_model` and :func:`new_model`: it sets the
-plain fields and each part, built from a table of arrays, so a model's
-``parameters()`` are its parts' in layout order and its ``meta()`` is
-the payload.  A load reads the sidecar and its layout first, then the
-table in one pass, checks that the table names exactly the parts'
-parameters, each in its shape, and builds every part around the table's
-arrays: it draws no random number and copies no array again.
-:func:`new_model`, which training calls, has each part draw its arrays
-from a generator, in order.
+One routine, ``_build``, serves :func:`load_model` and
+:func:`new_model`: it sets the plain fields and each part, built from a
+table of arrays, so a model's ``parameters()`` are its parts' in layout
+order and its ``meta()`` is the payload.  A load reads the sidecar and
+its layout first, then the table in one pass, checks that the table
+names exactly the parts' parameters, each in its shape, and builds every
+part around the table's arrays: it draws no random number and copies no
+array again.  :func:`new_model`, which training calls, has each part
+draw its arrays from a generator, in order.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import logging
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -423,14 +423,14 @@ def gen_subject_negatives(
     q: QuestionInstance,
     candidates: Sequence[CandidateEntity],
     kb: KnowledgeBase,
-    rng: Union[np.random.Generator, Callable[[], np.random.Generator]],
+    make_rng: Callable[[], np.random.Generator],
 ) -> list[str]:
     """Negative subjects: same-label candidates (and the gold) excluded.
 
     When fewer than SUBJECT_POOL_SIZE distinct negatives survive the
-    filter the pool is padded by resampling the survivors with ``rng``,
-    so the gold's label never leaks into its own negatives.  ``rng`` may
-    be a function that makes the generator, called only for padding.
+    filter the pool is padded by resampling the survivors with the
+    generator ``make_rng()`` makes, called only for padding, so the
+    gold's label never leaks into its own negatives.
     """
     gold = q.gold.subject
     filtered: list[str] = []
@@ -444,9 +444,7 @@ def gen_subject_negatives(
         return []
     if len(filtered) >= SUBJECT_POOL_SIZE:
         return filtered
-    pool = list(filtered)
-    if callable(rng):
-        rng = rng()
+    pool, rng = list(filtered), make_rng()
     while len(pool) < SUBJECT_POOL_SIZE:
         pool.append(filtered[int(rng.integers(len(filtered)))])
     return pool

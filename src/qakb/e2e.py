@@ -35,7 +35,7 @@ from qakb.nn import (
     TrainConfig,
     cosine,
     fit,
-    run_recurrent,
+    recurrent,
     self_attention,
 )
 from qakb.nn.io import Model, new_model
@@ -238,37 +238,32 @@ class E2EModel(Model):
             return vecs
         if char_rows is None:
             chars, lengths = self.chars.embed_padded(words)
-            (last,) = run_recurrent(self.char_gru, chars, lengths=lengths,
-                                    outputs=("last",))
+            last = recurrent((self.char_gru,), chars, lengths, (False,),
+                             "last")
         else:
             last = np.stack([char_rows(word) for word in words])
         return concat([vecs, last], axis=1)
 
     def word_rows(self, words: Sequence[str],
                   char_rows: Optional[CharRows] = None) -> np.ndarray:
-        """:meth:`encode_words` on arrays, building no graph: the same
-        [W, d] rows, bit for bit, by the same operations (one padded
-        char-GRU run over the words when ``char_rows`` is None)."""
+        """:meth:`encode_words` on arrays, building no graph: the rows of
+        ``encode_words(words, char_rows or self.char_summary)``, bit for
+        bit, each word's char part from ``char_rows`` when given and its
+        :meth:`char_summary` otherwise."""
         vecs = self.words.rows(words)
         if not self.variant.char_level:
             return vecs
-        if char_rows is None:
-            idx, lengths = padded_indices([self.chars.indices(list(w))
-                                           for w in words])
-            last, _ = recurrent_forward(
-                (self.char_gru,), (self.chars.vectors.data[idx],),
-                lengths, (False,), "last")
-        else:
-            last = np.stack([char_rows(word) for word in words])
-        return np.concatenate([vecs, last], axis=1)
+        char_rows = char_rows or self.char_summary
+        return np.concatenate(
+            [vecs, np.stack([char_rows(word) for word in words])], axis=1)
 
     def char_summary(self, word: str) -> np.ndarray:
         """The char-GRU's [h] last state over one non-empty word's
         characters, run on that word alone, on arrays: the bits of
-        ``run_recurrent`` over the word's character rows.  A batched run
-        rounds differently in the last bits, so this is what answering
-        caches: a word's summary does not depend on the words it is asked
-        with."""
+        :func:`~qakb.nn.layers.recurrent` over the word's character rows.
+        A batched run rounds differently in the last bits, so this is what
+        answering caches: a word's summary does not depend on the words it
+        is asked with."""
         chars = self.chars.rows(word)
         last, _ = recurrent_forward((self.char_gru,), (chars,),
                                     np.array([len(word)]), (False,), "last")
@@ -292,8 +287,8 @@ class E2EModel(Model):
             [[words.setdefault(tok, len(words)) for tok in text]
              for text in texts])
         inputs = gather_rows(self.encode_words(list(words), char_rows), idx)
-        (states,) = run_recurrent(self.lstm, inputs, lengths=lengths,
-                                  outputs=("states",))
+        states = recurrent((self.lstm,), inputs, lengths, (False,),
+                           "states")
         if self.variant.self_attention:
             states = self_attention(states, lengths)
         max_len = self.cfg.max_len
@@ -304,8 +299,9 @@ class E2EModel(Model):
     def encode_text(self, tokens: Sequence[str],
                     char_rows: Optional[CharRows] = None) -> np.ndarray:
         """One token sequence's [h] encoding on arrays, building no
-        graph: row 0 of ``encode_texts([tokens], char_rows)``, bit for
-        bit, by the same numpy operations on the same shapes.
+        graph: row 0 of ``encode_texts([tokens], char_rows or
+        self.char_summary)``, bit for bit, by the same numpy operations on
+        the same shapes.
 
         The word rows come from :meth:`word_rows`; the LSTM
         runs over the text as one [1, T, d] row, and self-attention over

@@ -9,12 +9,10 @@ from qakb.nn.layers import (
     GRUCell,
     LSTMCell,
     OOV_TOKEN,
-    bidirectional_encode,
     bidirectional_last_states,
     cosine,
-    dropout,
     glorot,
-    run_recurrent,
+    recurrent,
     self_attention,
 )
 from qakb.nn.losses import (
@@ -35,12 +33,10 @@ __all__ = [
     "GRUCell",
     "LSTMCell",
     "OOV_TOKEN",
-    "bidirectional_encode",
     "bidirectional_last_states",
     "cosine",
-    "dropout",
     "glorot",
-    "run_recurrent",
+    "recurrent",
     "self_attention",
     "loss_binary_ce",
     "loss_categorical_ce",

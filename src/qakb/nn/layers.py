@@ -15,7 +15,8 @@ graph: :meth:`EmbeddingTable.rows`, :meth:`Dense.forward`,
 :func:`recurrent_forward`, :func:`bidirectional_last_states`,
 :func:`attention_forward` and :func:`cosine_forward`.  Each graph op
 computes its data by calling one of them, so an answer computed on
-arrays has the bits of the same computation as graph nodes.
+arrays has the bits of the same computation as graph nodes.  Training's
+dropout multiplies by a :func:`dropout_mask`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from qakb.nn.tensor import (
     as_tensor,
     gather_rows,
     logistic,
-    mul,
     zeros,
 )
 
@@ -394,7 +394,7 @@ def recurrent_forward(cells: Sequence[_GatedCell],
     Returns the output and the run's packing ``(flats, offsets, order,
     xs, u)`` (see :func:`_pack`; ``xs`` are the inputs in packed order,
     ``u`` the recurrent weights as ``step`` read them), which a backward
-    reads.
+    reads.  :func:`recurrent` is the graph twin.
     """
     T = inputs[0].shape[-2]
     B, D = lengths.shape[0], len(cells)
@@ -512,20 +512,16 @@ def _recurrent_states(cells: Sequence[_GatedCell], x: Tensor,
     return _make(data, (x, *params), backward)
 
 
-BOTH = ("states", "last")
-
-
-def _run(cells: Sequence[_GatedCell], x: Tensor,
-         lengths: Optional[Sequence[int]], reverses: Sequence[bool],
-         outputs: tuple[str, ...]) -> tuple[Tensor, ...]:
-    """The ``outputs`` of a run of ``cells`` over ``x``:
-    ``("states",)``, ``("last",)`` or :data:`BOTH`, after checking the
-    shapes.  Each output asked for is one :func:`_recurrent_states` node,
-    so both are two runs.  A batch of empty rows gives zeros without a
-    run."""
-    if outputs not in (BOTH, ("states",), ("last",)):
-        raise ValueError(f"outputs must be ('states',), ('last',) or "
-                         f"{BOTH}, got {outputs!r}")
+def recurrent(cells: Sequence[_GatedCell], x: Tensor,
+              lengths: Optional[Sequence[int]], reverses: Sequence[bool],
+              output: str) -> Tensor:
+    """:func:`recurrent_forward`'s graph twin, with its arguments: after
+    checking the shapes, one :func:`_recurrent_states` node over one
+    [T, d] row (``lengths`` unread) or a padded [B, T, d] batch with its
+    rows' ``lengths`` (all T when None), whose padding is never read.  A
+    batch of empty rows gives zero ``output`` without a run."""
+    if output not in ("states", "last"):
+        raise ValueError(f"output must be 'states' or 'last', got {output!r}")
     lead_shape = x.shape[:-1]
     if len(lead_shape) not in (1, 2):
         raise ShapeMismatch(
@@ -538,11 +534,9 @@ def _run(cells: Sequence[_GatedCell], x: Tensor,
         if x.shape[-1] != c.input_dim:
             raise ShapeMismatch(
                 f"input dim {x.shape[-1]}, cell expects {c.input_dim}")
-    out_dim = len(cells) * H
     T = lead_shape[-1]
     if len(lead_shape) == 1:
         lens, ns = np.array([T]), [T]
-        shapes = {"states": (0, out_dim), "last": (out_dim,)}
     else:
         B = lead_shape[0]
         lens = np.full(B, T) if lengths is None else np.asarray(
@@ -552,54 +546,18 @@ def _run(cells: Sequence[_GatedCell], x: Tensor,
                 or max(ns, default=0) > T):
             raise ShapeMismatch(f"{B} rows of length {T} need {B} lengths "
                                 f"in [0, {T}], got {lengths}")
-        shapes = {"states": (B, T, out_dim), "last": (B, out_dim)}
     if not any(ns):
-        return tuple(zeros(shapes[o]) for o in outputs)
-    return tuple(_recurrent_states(cells, x, lens, reverses, o)
-                 for o in outputs)
-
-
-def run_recurrent(cell, inputs: Tensor, direction: str = "forward",
-                  lengths: Optional[Sequence[int]] = None,
-                  outputs: tuple[str, ...] = BOTH) -> tuple[Tensor, ...]:
-    """Run a cell over one sequence or over a padded batch of them.
-
-    ``inputs`` is [T, d], giving [T, h] states and the [h] last state; or
-    [B, T, d] with each row's ``lengths`` (default T), giving [B, T, h]
-    states, zero past each row's length, and [B, h] last states, zero for
-    an empty row.  Inputs past a row's length are never read.  The
-    backward direction runs each row right to left, but the states stay
-    aligned with input positions; ``last`` is then the state computed at
-    position 0.  The result is the tuple of the ``outputs`` asked for,
-    ``("states",)``, ``("last",)`` or both, ``(states, last)``, by
-    default; each is one graph node of its own run.
-    """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
-    return _run((cell,), inputs, lengths, (direction == "backward",),
-                outputs)
-
-
-def bidirectional_encode(cell_fwd, cell_bwd, inputs: Tensor,
-                         lengths: Optional[Sequence[int]] = None,
-                         outputs: tuple[str, ...] = BOTH
-                         ) -> tuple[Tensor, ...]:
-    """Forward and backward runs side by side: [T, 2h] states and [2h]
-    last states for a [T, d] sequence, or [B, T, 2h] and [B, 2h] for a
-    padded [B, T, d] batch with row ``lengths``, as in
-    :func:`run_recurrent`, forward first, and only the ``outputs`` asked
-    for.  The cells are of one kind and shape, and both directions step
-    together: one graph node for each output."""
-    return _run((cell_fwd, cell_bwd), inputs, lengths, (False, True),
-                outputs)
+        rows = lead_shape if output == "states" else lead_shape[:-1]
+        return zeros(rows + (len(cells) * H,))
+    return _recurrent_states(cells, x, lens, reverses, output)
 
 
 def bidirectional_last_states(pairs: Sequence[tuple[_GatedCell, _GatedCell]],
                               inputs: Sequence[np.ndarray]
                               ) -> list[np.ndarray]:
     """Each (forward, backward) cell pair's [2h] last states over its own
-    input, on arrays: what ``bidirectional_encode(fwd, bwd, inputs[i],
-    outputs=("last",))`` gives, bit for bit.  The inputs are [T, d_i]
+    input, on arrays: what ``recurrent((fwd, bwd), inputs[i], None,
+    (False, True), "last")`` gives, bit for bit.  The inputs are [T, d_i]
     sequences of one length T; their widths may differ.  An empty
     sequence gives zeros.
 
@@ -722,19 +680,6 @@ def dropout_mask(shape: tuple[int, ...], p: float,
     """An inverted-dropout mask: each entry kept with probability 1 - p
     and then scaled by 1 / (1 - p)."""
     return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
-
-
-def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator) -> Tensor:
-    """Train-time inverted dropout: ``x`` times a :func:`dropout_mask`.
-    ``mode`` must be ``"train"``: answering runs on arrays and drops
-    nothing."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability {p} outside [0, 1)")
-    if mode != "train":
-        raise ValueError(f"unknown dropout mode {mode!r}")
-    if p == 0.0:
-        return x
-    return mul(x, dropout_mask(x.shape, p, rng))
 
 
 _warned_zero_norm = False

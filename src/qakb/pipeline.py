@@ -34,13 +34,12 @@ from qakb.nn import (
     GRUCell,
     LSTMCell,
     TrainConfig,
-    bidirectional_encode,
     bidirectional_last_states,
-    dropout,
     fit,
+    recurrent,
 )
 from qakb.nn.io import Model, new_model
-from qakb.nn.layers import recurrent_forward, table_tokens
+from qakb.nn.layers import dropout_mask, recurrent_forward, table_tokens
 from qakb.nn.losses import loss_binary_ce, loss_categorical_ce
 from qakb.nn.tensor import (
     Tensor,
@@ -74,8 +73,8 @@ class TaggerModel(Model):
         in order, shape [sum of lengths, 2]; column 1 is 'e'.  The BiLSTM
         runs once over the sequences as one padded batch."""
         inputs, lengths = self.embedding.embed_padded(seqs)
-        (states,) = bidirectional_encode(self.fwd, self.bwd, inputs, lengths,
-                                         ("states",))
+        states = recurrent((self.fwd, self.bwd), inputs, lengths,
+                           (False, True), "states")
         B, T = inputs.shape[:2]
         rows = reshape(states, (B * T, states.shape[-1]))
         if lengths.sum() < B * T:  # drop the padding
@@ -136,10 +135,9 @@ class MatcherModel(Model):
         """[B, 2h] encodings of token sequences: the last states of both
         GRU directions, as one padded batch; an empty sequence encodes
         as zeros."""
-        (last,) = bidirectional_encode(self.fwd, self.bwd,
-                                       *self.embedding.embed_padded(texts),
-                                       ("last",))
-        return last
+        inputs, lengths = self.embedding.embed_padded(texts)
+        return recurrent((self.fwd, self.bwd), inputs, lengths,
+                         (False, True), "last")
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         """One token sequence's [2h] encoding on arrays: the one-row case
@@ -152,9 +150,11 @@ class MatcherModel(Model):
     def match(self, q_vecs: Tensor, t_vecs: Tensor,
               rng: np.random.Generator) -> Tensor:
         """Train-mode match scores in (0, 1) of [n, 2h] encodings, one
-        per row pair, with one dropout mask row per pair."""
-        joint = dropout(concat([q_vecs, t_vecs], axis=-1), self.cfg.dropout_p,
-                        "train", rng)
+        per row pair, with one dropout mask row per pair; nothing is
+        drawn from ``rng`` when ``dropout_p`` is 0."""
+        joint = concat([q_vecs, t_vecs], axis=-1)
+        if self.cfg.dropout_p > 0.0:
+            joint = joint * dropout_mask(joint.shape, self.cfg.dropout_p, rng)
         return reshape(self.head(self.hidden(joint)), q_vecs.shape[:-1])
 
     def loss(self, pairs: Sequence[tuple[Sequence[str], Sequence[str]]],

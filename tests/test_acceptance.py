@@ -32,15 +32,14 @@ from qakb.nn import (
     GRUCell,
     LSTMCell,
     TrainConfig,
-    bidirectional_encode,
     cosine,
-    dropout,
     loss_binary_ce,
     loss_categorical_ce,
     loss_hinge_qas,
-    run_recurrent,
+    recurrent,
     self_attention,
 )
+from qakb.nn.layers import dropout_mask
 from qakb.nn.tensor import sigmoid, softmax_rows, tsum
 
 
@@ -81,14 +80,15 @@ def _grad_battery(seed: int) -> float:
     gru = rnn_cell(GRUCell, rng, 2, 3)
     x = param(rng.normal(size=(3, 2)))
     worst = max(worst, finite_diff_check(
-        lambda: tsum(run_recurrent(gru, x)[0]),
+        lambda: tsum(recurrent((gru,), x, None, (False,), "states")),
         list(gru.parameters().values()) + [x]))
 
     lstm = rnn_cell(LSTMCell, rng, 2, 2)
     x2 = param(rng.normal(size=(3, 2)))
 
     def lstm_loss():
-        states, last = run_recurrent(lstm, x2)
+        states = recurrent((lstm,), x2, None, (False,), "states")
+        last = recurrent((lstm,), x2, None, (False,), "last")
         return tsum(states) + tsum(last * last)
 
     worst = max(worst, finite_diff_check(
@@ -99,7 +99,8 @@ def _grad_battery(seed: int) -> float:
     x3 = param(rng.normal(size=(3, 2)))
 
     def bidi_loss():
-        states, last = bidirectional_encode(fwd, bwd, x3)
+        states = recurrent((fwd, bwd), x3, None, (False, True), "states")
+        last = recurrent((fwd, bwd), x3, None, (False, True), "last")
         return tsum(states) + tsum(last * last)
 
     worst = max(worst, finite_diff_check(
@@ -114,8 +115,8 @@ def _grad_battery(seed: int) -> float:
     x5 = param(rng.normal(size=(3, 4)))
     mask_seed = int(rng.integers(1 << 31))
     worst = max(worst, finite_diff_check(
-        lambda: tsum(dropout(x5, 0.4, "train",
-                             np.random.default_rng(mask_seed))),
+        lambda: tsum(x5 * dropout_mask(x5.shape, 0.4,
+                                       np.random.default_rng(mask_seed))),
         [x5]))
 
     a = param(rng.normal(size=4) + 1.0)

@@ -763,6 +763,18 @@ class TestTrainingCommands:
         assert stdout == "" and "finite and positive" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["1", "-0.1"])
+    def test_dropout_outside_range_is_usage_error(self, tmp_path, capsys,
+                                                  value):
+        """The training config is the one check on the dropout
+        probability; it runs before any input is read."""
+        code, stdout, err = run(capsys, "train-pipeline", "--data",
+                                str(tmp_path / "data"), "--out",
+                                str(tmp_path / "out"), "--dropout", value)
+        assert code == 1
+        assert stdout == "" and "dropout_p must be in [0, 1)" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["learning_rate", "gamma"])
     def test_non_finite_config_value_is_usage_error(self, bench, tmp_path,
                                                     capsys, key):

@@ -672,14 +672,16 @@ class TestSubjectNegatives:
         self.cands = retrieve_question_candidates(self.index, self.q.text)
 
     def test_gold_and_same_label_excluded(self):
-        rng = np.random.default_rng(0)
-        pool = gen_subject_negatives(self.q, self.cands, self.kb, rng)
+        pool = gen_subject_negatives(
+            self.q, self.cands, self.kb,
+            functools.partial(np.random.default_rng, 0))
         assert "m.s1" not in pool
         assert "m.s2" not in pool
 
     def test_padded_to_target_by_resampling(self):
-        rng = np.random.default_rng(0)
-        pool = gen_subject_negatives(self.q, self.cands, self.kb, rng)
+        pool = gen_subject_negatives(
+            self.q, self.cands, self.kb,
+            functools.partial(np.random.default_rng, 0))
         assert len(pool) == 5
         assert set(pool) <= {"m.b1", "m.b2", "m.b3"}
 
@@ -693,12 +695,13 @@ class TestSubjectNegatives:
             Fact("m.g", "/r/r/r", "m.o"),
         )
         cands = retrieve_question_candidates(index, q.text)
-        pool = gen_subject_negatives(q, cands, kb, np.random.default_rng(1))
+        pool = gen_subject_negatives(
+            q, cands, kb, functools.partial(np.random.default_rng, 1))
         assert len(pool) == 7
 
     def test_empty_when_no_candidates(self):
         pool = gen_subject_negatives(
-            self.q, [], self.kb, np.random.default_rng(0)
+            self.q, [], self.kb, functools.partial(np.random.default_rng, 0)
         )
         assert pool == []
 
@@ -724,7 +727,8 @@ class TestSubjectNegatives:
         monkeypatch.undo()
         eager = [gen_subject_negatives(
             q, retrieve_question_candidates(self.index, q.tokens), self.kb,
-            np.random.default_rng(7 ^ i)) for i, q in enumerate(questions)]
+            lambda rng=np.random.default_rng(7 ^ i): rng)
+            for i, q in enumerate(questions)]
         assert pools.subject_pools == eager
         # a padded pool repeats a survivor; the rest are empty here
         padded = [i for i, pool in enumerate(eager)

@@ -38,7 +38,8 @@ import qakb.aliasindex
 import qakb.e2e
 import qakb.nn.layers
 import qakb.nn.tensor
-from qakb.nn import TrainConfig, cosine, dropout, fit, run_recurrent
+from qakb.nn import TrainConfig, cosine, fit, recurrent
+from qakb.nn.layers import dropout_mask
 from qakb.nn.losses import loss_hinge_qas
 from qakb.nn.tensor import Tensor, as_tensor, gather_rows, pad_rows, tsum
 from qakb.nn.io import load_model, save_model
@@ -183,14 +184,25 @@ class TestEncodeSequence:
                            m.encode_text(["a", "b"]))
 
     def test_train_mode_without_dropout_matches_eval(self):
-        m = fresh(E2EModel, ["a", "b"], small_cfg(dropout_p=0.0),
+        """At ``dropout_p`` 0 a training step draws no mask, so its
+        encodings are the answering ones, up to a padded batch's
+        rounding."""
+        kb = song_kb()
+        qs, pools = song_training_set(kb)
+        m = fresh(E2EModel, _training_vocab(qs, kb), small_cfg(dropout_p=0.0),
                   np.random.default_rng(0), variant=E2EVariant())
         rng = np.random.default_rng(1)
-        assert_array_equal(
-            dropout(m.encode_texts([["a", "b"]]), m.cfg.dropout_p, "train",
-                    rng).data,
-            m.encode_texts([["a", "b"]]).data,
-        )
+        state = rng.bit_generator.state
+        step = _StepBatch(m, kb, rng)
+        assert step.add(qs[0], pools.subject_pools[0][0],
+                        pools.predicate_pools[0][0])
+        assert step.loss() is not None
+        assert not step.masks and rng.bit_generator.state == state
+        texts = list(step.texts)
+        encoded = m.encode_texts(texts).data
+        for row, tokens in zip(encoded, texts):
+            assert_allclose(row, m.encode_text(tokens), rtol=1e-12,
+                            atol=1e-15)
 
     def test_truncation_matches_prefix_without_attention(self):
         m = fresh(E2EModel, list("abcdefgh"), small_cfg(max_len=3),
@@ -238,8 +250,9 @@ _ARRAY_TEXTS = [["yesterday"], ["zyzzyva"], ["who", "sings", "yesterday"],
 
 class TestArrayEncoding:
     """Answering's array path gives the graph path's bits: encode_text
-    is row 0 of encode_texts, and char_summary is a graph run over the
-    word's characters."""
+    is row 0 of encode_texts with the same char parts, each word's
+    char_summary when none are given, and char_summary is a graph run
+    over the word's characters."""
 
     @pytest.mark.parametrize("name", sorted(VARIANTS))
     def test_encode_text_is_row_0_of_encode_texts(self, name):
@@ -253,20 +266,36 @@ class TestArrayEncoding:
             for char_rows in (None, session.char_row):
                 got = model.encode_text(tokens, char_rows)
                 assert type(got) is np.ndarray
-                want = gather_rows(model.encode_texts([tokens], char_rows), 0)
+                want = gather_rows(model.encode_texts(
+                    [tokens], char_rows or model.char_summary), 0)
                 assert _bits(got) == _bits(want.data), (tokens, char_rows)
         for char_rows in (None, session.char_row):
             with pytest.raises(EmptySequence):
                 model.encode_text([], char_rows)
 
     @pytest.mark.parametrize("name", ["qa-t-w", "qa-t-mwst"])
+    def test_encode_text_is_the_session_encoding(self, name):
+        """Without ``char_rows`` a text's encoding takes each word's
+        char_summary, as a session's does, so the two agree bit for bit;
+        a padded char-GRU run over a text's words rounds differently in
+        the last bits, on every question of this set."""
+        kb, train, test = generate_synthetic(
+            SyntheticSpec(seed=1, n_entities=125))
+        variant = VARIANTS[name]
+        model = fresh(E2EModel, _training_vocab(train, kb), TrainConfig(),
+                      np.random.default_rng(1), variant=variant)
+        session = E2EStrategy(model, variant, kb, build_index(kb))
+        for q in train + test:
+            assert _bits(model.encode_text(q.tokens)) == _bits(
+                model.encode_text(q.tokens, session.char_row)), q.text
+
+    @pytest.mark.parametrize("name", ["qa-t-w", "qa-t-mwst"])
     def test_char_summary_is_a_graph_run(self, name):
         model = fresh(E2EModel, _ARRAY_VOCAB, small_cfg(),
                       np.random.default_rng(8), variant=VARIANTS[name])
         for word in ["a", "yesterday", "zyzzyva", "ÿ€", "recording"]:
-            (last,) = run_recurrent(model.char_gru,
-                                    model.chars.embed(list(word)),
-                                    outputs=("last",))
+            last = recurrent((model.char_gru,), model.chars.embed(list(word)),
+                             None, (False,), "last")
             assert _bits(model.char_summary(word)) == _bits(last.data), word
 
     @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
@@ -614,11 +643,10 @@ def _cached(session):
 
 def _graph_char_summary(model):
     """A word's char part from a graph: the data of the char-GRU's
-    ``run_recurrent`` over that word alone."""
+    ``recurrent`` run over that word alone."""
     def summary(word):
-        (last,) = run_recurrent(model.char_gru, model.chars.embed(list(word)),
-                                outputs=("last",))
-        return last.data
+        return recurrent((model.char_gru,), model.chars.embed(list(word)),
+                         None, (False,), "last").data
 
     return summary
 
@@ -982,8 +1010,10 @@ def _per_text_loss(model, kb, q, neg_subject, neg_pred, cfg, rng):
     variant, head = model.variant, model.head
 
     def encode(tokens):
-        return dropout(_graph_encode(model, tokens), cfg.dropout_p, "train",
-                       rng)
+        vec = _graph_encode(model, tokens)
+        if cfg.dropout_p > 0.0:
+            vec = vec * dropout_mask(vec.shape, cfg.dropout_p, rng)
+        return vec
 
     def enc_subject(entity):
         return encode(tokenize(subject_text(kb, entity, variant.type_in_label)))

@@ -9,6 +9,7 @@ from conftest import (dense, embedding, finite_diff_check, gate_block,
                       param, rnn_cell, stack_rows)
 
 import qakb.nn.layers
+import qakb.pipeline
 from qakb.aliasindex import build_index
 from qakb.datagen import build_negative_pools, label_questions
 from qakb.e2e import VARIANTS, train_e2e
@@ -20,12 +21,10 @@ from qakb.nn import (
     LSTMCell,
     OOV_TOKEN,
     TrainConfig,
-    bidirectional_encode,
     bidirectional_last_states,
     cosine,
-    dropout,
     glorot,
-    run_recurrent,
+    recurrent,
     self_attention,
 )
 from qakb.nn.tensor import (
@@ -41,12 +40,28 @@ from qakb.nn.tensor import (
     tsum,
     zeros,
 )
-from qakb.nn.layers import BOTH, recurrent_forward
+from qakb.nn.layers import dropout_mask, recurrent_forward
 from qakb.pipeline import train_matcher, train_tagger
+
+BOTH_OUTPUTS = ("states", "last")
+BIDI = (False, True)  # a forward cell, then a reverse one
 
 
 def _sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
+
+
+def _both(cells, x, lengths=None, reverses=(False,)):
+    """The states and the last states of a run of ``cells`` over ``x``:
+    two ``recurrent`` nodes, one for each output."""
+    return tuple(recurrent(cells, x, lengths, reverses, output)
+                 for output in BOTH_OUTPUTS)
+
+
+def _reverses(direction):
+    """The ``reverses`` of one cell running "forward", left to right, or
+    "backward", right to left."""
+    return (direction == "backward",)
 
 
 class TestEmbedding:
@@ -158,7 +173,7 @@ class TestGRU:
         cell = rnn_cell(GRUCell, np.random.default_rng(0), 2, 3)
         for t in cell.parameters().values():
             t.data[...] = 0.0
-        states, last = run_recurrent(cell, Tensor(np.zeros((4, 2))))
+        states, last = _both((cell,), Tensor(np.zeros((4, 2))))
         np.testing.assert_allclose(states.data, 0.0)
         np.testing.assert_allclose(last.data, 0.0)
 
@@ -177,21 +192,22 @@ class TestGRU:
         r = _sigmoid(w["W_r"] * x + w["b_r"])
         n = math.tanh(w["W_n"] * x + r * (w["U_n"] * 0.0) + w["b_n"])
         expected = (1.0 - z) * n
-        _, last = run_recurrent(cell, Tensor(np.array([[x]])))
+        last = recurrent((cell,), Tensor(np.array([[x]])), None, (False,),
+                         "last")
         np.testing.assert_allclose(last.data, [expected], atol=1e-12)
 
     def test_backward_direction_is_reversed_forward(self):
         rng = np.random.default_rng(11)
         cell = rnn_cell(GRUCell, rng, 3, 4)
         x = rng.normal(size=(5, 3))
-        bwd, last_b = run_recurrent(cell, Tensor(x), "backward")
-        fwd_rev, last_f = run_recurrent(cell, Tensor(x[::-1].copy()), "forward")
+        bwd, last_b = _both((cell,), Tensor(x), reverses=(True,))
+        fwd_rev, last_f = _both((cell,), Tensor(x[::-1].copy()))
         np.testing.assert_allclose(bwd.data, fwd_rev.data[::-1], atol=1e-12)
         np.testing.assert_allclose(last_b.data, last_f.data, atol=1e-12)
 
     def test_empty_sequence_zero_last(self):
         cell = rnn_cell(GRUCell, np.random.default_rng(0), 2, 3)
-        states, last = run_recurrent(cell, Tensor(np.zeros((0, 2))))
+        states, last = _both((cell,), Tensor(np.zeros((0, 2))))
         assert states.shape == (0, 3)
         np.testing.assert_allclose(last.data, 0.0)
 
@@ -201,7 +217,7 @@ class TestGRU:
         x = Tensor(rng.normal(size=(4, 2)))
 
         def loss():
-            _, last = run_recurrent(cell, x)
+            last = recurrent((cell,), x, None, (False,), "last")
             return tsum(last * last)
 
         assert finite_diff_check(loss, list(cell.parameters().values())) < 1e-4
@@ -224,7 +240,8 @@ class TestLSTM:
         o = _sigmoid(w["W_o"] * x + w["b_o"])
         c1 = i * g
         expected = o * math.tanh(c1)
-        _, last = run_recurrent(cell, Tensor(np.array([[x]])))
+        last = recurrent((cell,), Tensor(np.array([[x]])), None, (False,),
+                         "last")
         np.testing.assert_allclose(last.data, [expected], atol=1e-12)
 
     def test_gradcheck_through_time(self):
@@ -233,8 +250,7 @@ class TestLSTM:
         x = Tensor(rng.normal(size=(3, 2)))
 
         def loss():
-            states, _ = run_recurrent(cell, x)
-            return tsum(states)
+            return tsum(recurrent((cell,), x, None, (False,), "states"))
 
         assert finite_diff_check(loss, list(cell.parameters().values())) < 1e-4
 
@@ -281,6 +297,12 @@ def _oracle_run(cell, inputs, direction):
     return stack_rows([outputs[t] for t in range(T)]), outputs[order[-1]]
 
 
+def _fused_run(cell, inputs, direction):
+    """The fused op's states and last states, one ``recurrent`` node
+    each, as :func:`_oracle_run` gives them."""
+    return _both((cell,), inputs, reverses=_reverses(direction))
+
+
 FUSED_CASES = [(cell, direction, T)
                for cell in (GRUCell, LSTMCell)
                for direction in ("forward", "backward")
@@ -300,14 +322,14 @@ def _case(cell_cls, T, x_grad, seed=47):
 
 
 class TestFusedRecurrent:
-    """``run_recurrent`` as one graph node per sequence, against the
+    """``recurrent`` as one graph node per sequence, against the
     per-step graph it replaced."""
 
     @pytest.mark.parametrize("cell_cls,direction,T", FUSED_CASES)
     def test_forward_bit_identical_to_per_step_oracle(self, cell_cls,
                                                       direction, T):
         cell, x, _, _ = _case(cell_cls, T, x_grad=True)
-        states, last = run_recurrent(cell, x, direction)
+        states, last = _fused_run(cell, x, direction)
         o_states, o_last = _oracle_run(cell, x, direction)
         np.testing.assert_array_equal(states.data, o_states.data)
         np.testing.assert_array_equal(last.data, o_last.data)
@@ -319,7 +341,7 @@ class TestFusedRecurrent:
         cell, x, w, v = _case(cell_cls, T, x_grad)
         leaves = list(cell.parameters().values()) + ([x] if x_grad else [])
         grads = []
-        for run in (run_recurrent, _oracle_run):
+        for run in (_fused_run, _oracle_run):
             for leaf in leaves:
                 leaf.grad = None
             states, last = run(cell, x, direction)
@@ -338,16 +360,16 @@ class TestFusedRecurrent:
         leaves = list(cell.parameters().values()) + ([x] if x_grad else [])
 
         def loss():
-            states, last = run_recurrent(cell, x, direction)
+            states, last = _fused_run(cell, x, direction)
             return tsum(states * w) + tsum(last * v)
 
         assert finite_diff_check(loss, leaves) < 1e-4
 
     @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
     def test_one_graph_node_per_sequence(self, cell_cls):
-        """One node for each output asked for, each a run over ``x``."""
+        """One node for each ``recurrent`` call, each a run over ``x``."""
         cell, x, _, _ = _case(cell_cls, 5, x_grad=True)
-        states, last = run_recurrent(cell, x, "backward")
+        states, last = _fused_run(cell, x, "backward")
         params = list(cell.parameters().values())
         assert states._parents == (x, *params)
         assert last._parents == (x, *params)
@@ -415,17 +437,17 @@ RAGGED_CASES = [(cell, direction, lengths)
 
 
 class TestBatchedRecurrent:
-    """``run_recurrent`` over a padded [B, T, d] batch with row lengths."""
+    """``recurrent`` over a padded [B, T, d] batch with row lengths."""
 
     @pytest.mark.parametrize("cell_cls,direction,lengths", RAGGED_CASES)
     def test_rows_match_separate_runs(self, cell_cls, direction, lengths):
         cell, x, _ = _ragged_case(cell_cls, lengths)
-        states, last = run_recurrent(cell, x, direction, lengths)
+        states, last = _both((cell,), x, lengths, _reverses(direction))
         assert states.shape == x.shape[:2] + (4,)
         assert last.shape == (len(lengths), 4)
         for i, n in enumerate(lengths):
-            alone, alone_last = run_recurrent(cell, Tensor(x.data[i, :n]),
-                                              direction)
+            alone, alone_last = _fused_run(cell, Tensor(x.data[i, :n]),
+                                           direction)
             np.testing.assert_allclose(states.data[i, :n], alone.data,
                                        rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(last.data[i], alone_last.data,
@@ -439,7 +461,7 @@ class TestBatchedRecurrent:
         v = rng.normal(size=(len(lengths), 4))
 
         def loss():
-            states, last = run_recurrent(cell, x, direction, lengths)
+            states, last = _both((cell,), x, lengths, _reverses(direction))
             return tsum(states * w) + tsum(last * v)
 
         leaves = list(cell.parameters().values()) + [x]
@@ -458,22 +480,22 @@ class TestBatchedRecurrent:
             return step(self, xw, state, u, b)
 
         monkeypatch.setattr(LSTMCell, "step", counted)
-        run_recurrent(cell, x, "forward", (3, 1, 2), ("states",))
+        recurrent((cell,), x, (3, 1, 2), (False,), "states")
         assert rows == [3, 2, 1]
 
     def test_empty_rows_give_zeros(self):
         cell, x, _ = _ragged_case(GRUCell, (2, 2))
-        states, last = run_recurrent(cell, x, "forward", (0, 2))
+        states, last = _both((cell,), x, (0, 2))
         assert not states.data[0].any() and not last.data[0].any()
         assert last.data[1].any()
-        states, last = run_recurrent(cell, x, "forward", (0, 0))
+        states, last = _both((cell,), x, (0, 0))
         assert not states.data.any() and not last.data.any()
 
     def test_bad_lengths_rejected(self):
         cell, x, _ = _ragged_case(GRUCell, (2, 2))
         for lengths in ((4, 1), (1,), (-1, 2)):
             with pytest.raises(ShapeMismatch):
-                run_recurrent(cell, x, "forward", lengths)
+                recurrent((cell,), x, lengths, (False,), "states")
 
 
 class TestBidirectional:
@@ -482,10 +504,10 @@ class TestBidirectional:
         f, b = (rnn_cell(GRUCell, rng, 3, 4, "f"),
                 rnn_cell(GRUCell, rng, 3, 4, "b"))
         x = rng.normal(size=(5, 3))
-        states, last = bidirectional_encode(f, b, Tensor(x))
+        states, last = _both((f, b), Tensor(x), None, BIDI)
         assert states.shape == (5, 8)
         assert last.shape == (8,)
-        fwd_states, fwd_last = run_recurrent(f, Tensor(x), "forward")
+        fwd_states, fwd_last = _both((f,), Tensor(x))
         np.testing.assert_allclose(states.data[:, :4], fwd_states.data)
         np.testing.assert_allclose(last.data[:4], fwd_last.data)
 
@@ -493,7 +515,7 @@ class TestBidirectional:
         rng = np.random.default_rng(19)
         f, b = (rnn_cell(GRUCell, rng, 3, 4, "f"),
                 rnn_cell(GRUCell, rng, 3, 4, "b"))
-        states, last = bidirectional_encode(f, b, Tensor(np.zeros((0, 3))))
+        states, last = _both((f, b), Tensor(np.zeros((0, 3))), None, BIDI)
         assert states.shape == (0, 8)
         np.testing.assert_allclose(last.data, 0.0)
 
@@ -502,12 +524,12 @@ class TestBidirectional:
     def test_batch_rows_match_single_runs(self, cell_cls, lengths):
         f, x, rng = _ragged_case(cell_cls, lengths)
         b = rnn_cell(cell_cls, rng, 3, 4, "b")
-        states, last = bidirectional_encode(f, b, x, lengths)
+        states, last = _both((f, b), x, lengths, BIDI)
         assert states.shape == x.shape[:2] + (8,)
         assert last.shape == (len(lengths), 8)
         for i, n in enumerate(lengths):
-            alone, alone_last = bidirectional_encode(f, b,
-                                                     Tensor(x.data[i, :n]))
+            alone, alone_last = _both((f, b), Tensor(x.data[i, :n]), None,
+                                      BIDI)
             np.testing.assert_allclose(states.data[i, :n], alone.data,
                                        rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(last.data[i], alone_last.data,
@@ -522,7 +544,7 @@ class TestBidirectional:
         v = rng.normal(size=(len(lengths), 8))
 
         def loss():
-            states, last = bidirectional_encode(f, b, x, lengths)
+            states, last = _both((f, b), x, lengths, BIDI)
             return tsum(states * w) + tsum(last * v)
 
         leaves = (list(f.parameters().values())
@@ -552,14 +574,14 @@ def _bidi_case(cell_cls, seed=67):
 def _two_runs(f, b, x, lengths):
     """The oracle of the fused bidirectional node: one single-direction
     run per cell, joined by ``concat``."""
-    states_f, last_f = run_recurrent(f, x, "forward", lengths)
-    states_b, last_b = run_recurrent(b, x, "backward", lengths)
+    states_f, last_f = _both((f,), x, lengths)
+    states_b, last_b = _both((b,), x, lengths, (True,))
     return (concat([states_f, states_b], axis=-1),
             concat([last_f, last_b], axis=-1))
 
 
 class TestFusedBidirectional:
-    """``bidirectional_encode`` steps both directions together, as one
+    """``recurrent`` steps a forward and a reverse cell together, as one
     graph node."""
 
     @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
@@ -567,7 +589,7 @@ class TestFusedBidirectional:
         f, b, x, leaves, w, v = _bidi_case(cell_cls)
 
         def loss():
-            states, last = bidirectional_encode(f, b, x, BIDI_LENGTHS)
+            states, last = _both((f, b), x, BIDI_LENGTHS, BIDI)
             return tsum(states * w) + tsum(last * v)
 
         assert finite_diff_check(loss, leaves) < 1e-4
@@ -582,10 +604,11 @@ class TestFusedBidirectional:
         f, b, x, leaves, w, v = _bidi_case(cell_cls)
         for k, weight in enumerate((w, v)):
             results = []
-            for run in (bidirectional_encode, _two_runs):
+            for run in (lambda: _both((f, b), x, BIDI_LENGTHS, BIDI),
+                        lambda: _two_runs(f, b, x, BIDI_LENGTHS)):
                 for leaf in leaves:
                     leaf.grad = None
-                out = run(f, b, x, BIDI_LENGTHS)[k]
+                out = run()[k]
                 tsum(out * weight).backward()
                 results.append([out.data, *(leaf.grad for leaf in leaves)])
             for fused, oracle in zip(*results):
@@ -603,7 +626,7 @@ class TestFusedBidirectional:
             return step(self, xw, state, u, b)
 
         monkeypatch.setattr(cell_cls, "step", counted)
-        states, last = bidirectional_encode(f, b, x, BIDI_LENGTHS)
+        states, last = _both((f, b), x, BIDI_LENGTHS, BIDI)
         # one node for each output, each a run over x
         assert states._parents == (x, *leaves[:-1])
         assert last._parents == (x, *leaves[:-1])
@@ -612,40 +635,44 @@ class TestFusedBidirectional:
 
 
 class TestRunOutputs:
-    """A run builds only the outputs its caller asks for, with the bits
-    and gradients of a run asked for both, and from inputs and weights
-    that need no gradient a result with no backward."""
+    """Each ``recurrent`` call builds the one output it is asked for:
+    asked for alone, an output has the bits and gradients it has when
+    the other is built beside it, and from inputs and weights that need
+    no gradient a result with no backward."""
 
     @staticmethod
     def _runner(cell_cls, direction, lengths):
         f, b, x, leaves, _, _ = _bidi_case(cell_cls)
         if lengths is None:  # one [T, d] row
             x = leaves[-1] = param(x.data[2])
+        cells, reverses = {"forward": ((f,), (False,)),
+                           "backward": ((b,), (True,)),
+                           "both": ((f, b), BIDI)}[direction]
 
         def run(outputs):
-            if direction == "both":
-                return bidirectional_encode(f, b, x, lengths, outputs)
-            return run_recurrent(f if direction == "forward" else b, x,
-                                 direction, lengths, outputs)
+            return tuple(recurrent(cells, x, lengths, reverses, output)
+                         for output in outputs)
 
         return run, leaves
 
     @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
     @pytest.mark.parametrize("direction", ["forward", "backward", "both"])
     @pytest.mark.parametrize("lengths", [None, BIDI_LENGTHS, (4, 2, 4)])
-    @pytest.mark.parametrize("outputs", [("states",), ("last",), BOTH])
+    @pytest.mark.parametrize("outputs", [("states",), ("last",),
+                                         BOTH_OUTPUTS])
     def test_same_bits_as_both_outputs(self, cell_cls, direction, lengths,
                                        outputs):
         run, leaves = self._runner(cell_cls, direction, lengths)
         rng = np.random.default_rng(5)
         weights = None
         results = []
-        for asked in (BOTH, outputs):
+        for asked in (BOTH_OUTPUTS, outputs):
             for leaf in leaves:
                 leaf.grad = None
             built = dict(zip(asked, run(asked)))
             if weights is None:
-                weights = {o: rng.normal(size=built[o].shape) for o in BOTH}
+                weights = {o: rng.normal(size=built[o].shape)
+                           for o in BOTH_OUTPUTS}
             sum((tsum(built[o] * weights[o]) for o in outputs),
                 Tensor(0.0)).backward()
             results.append([*(built[o].data for o in outputs),
@@ -656,11 +683,12 @@ class TestRunOutputs:
     @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
     @pytest.mark.parametrize("direction", ["forward", "backward", "both"])
     @pytest.mark.parametrize("lengths", [None, BIDI_LENGTHS])
-    @pytest.mark.parametrize("outputs", [("states",), ("last",), BOTH])
+    @pytest.mark.parametrize("outputs", [("states",), ("last",),
+                                         BOTH_OUTPUTS])
     def test_no_grad_builds_no_backward(self, cell_cls, direction, lengths,
                                         outputs):
         run, leaves = self._runner(cell_cls, direction, lengths)
-        want = dict(zip(BOTH, run(BOTH)))
+        want = dict(zip(BOTH_OUTPUTS, run(BOTH_OUTPUTS)))
         for leaf in leaves:
             leaf.requires_grad = False
         got = run(outputs)
@@ -672,10 +700,9 @@ class TestRunOutputs:
 
     def test_unknown_output_set_rejected(self):
         f, _, x, _, _, _ = _bidi_case(GRUCell)
-        for outputs in ((), ("last", "states"), ("last", "last"),
-                        ("hidden",)):
+        for output in ("", "hidden", "both", ("states",), "last "):
             with pytest.raises(ValueError):
-                run_recurrent(f, x, "forward", BIDI_LENGTHS, outputs)
+                recurrent((f,), x, BIDI_LENGTHS, (False,), output)
 
 
 def _two_pairs(seed=71):
@@ -734,12 +761,13 @@ class TestStackedRun:
         for other in (rnn_cell(LSTMCell, rng, 3, 4),
                       rnn_cell(GRUCell, rng, 3, 5)):
             with pytest.raises(ShapeMismatch):
-                bidirectional_encode(rnn_cell(GRUCell, rng, 3, 4), other, x)
+                recurrent((rnn_cell(GRUCell, rng, 3, 4), other), x, None,
+                          BIDI, "last")
 
 
 class TestBidirectionalLastStates:
     """``bidirectional_last_states`` gives on arrays each pair's
-    ``bidirectional_encode`` last states, running pairs of one kind and
+    ``recurrent`` last states, running pairs of one kind and
     size together and any other pair on its own."""
 
     @staticmethod
@@ -769,8 +797,7 @@ class TestBidirectionalLastStates:
         assert runs == [4, 2, 2]
         for pair, x, last in zip(pairs, inputs, lasts):
             assert type(last) is np.ndarray
-            (want,) = bidirectional_encode(*pair, Tensor(x),
-                                           outputs=("last",))
+            want = recurrent(pair, Tensor(x), None, BIDI, "last")
             np.testing.assert_array_equal(last, want.data)
 
     def test_empty_inputs_give_zeros(self):
@@ -861,7 +888,7 @@ class TestMaskedSelfAttention:
         rng = np.random.default_rng(61)
         x = rng.normal(size=(len(lengths), 4, 3))
         for i, n in enumerate(lengths):
-            x[i, n:] = 0.0  # padded states are zero, as run_recurrent leaves them
+            x[i, n:] = 0.0  # padded states are zero, as recurrent leaves them
         out = self_attention(Tensor(x), lengths)
         for i, n in enumerate(lengths):
             alone = self_attention(Tensor(x[i, :n]))
@@ -881,32 +908,43 @@ class TestMaskedSelfAttention:
 
 
 class TestDropout:
-    def test_p_zero_identity(self):
-        x = Tensor(np.ones((3, 3)))
-        assert dropout(x, 0.0, "train", np.random.default_rng(0)) is x
+    def test_p_zero_identity(self, monkeypatch):
+        """At ``dropout_p`` 0 a matcher trains without drawing a mask,
+        and its train-mode scores are those of its joint rows unchanged,
+        with nothing drawn from the generator it is given."""
+        drawn = []
+        monkeypatch.setattr(qakb.pipeline, "dropout_mask",
+                            lambda *args: drawn.append(args))
+        cfg = TrainConfig(epochs=2, batch_size=1, hidden_size=4, embed_dim=4,
+                          dropout_p=0.0)
+        model, _ = train_matcher([("who founded acme", "/org/founder", 1),
+                                  ("who founded acme", "/org/place", 0)], cfg)
+        assert not drawn
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        enc = model.encode_texts([["who", "founded"], ["org", "founder"]])
+        q, t = gather_rows(enc, [0]), gather_rows(enc, [1])
+        got = model.match(q, t, rng)
+        want = model.head(model.hidden(concat([q, t], axis=-1)))
+        assert got.data.tobytes() == want.data.reshape(got.shape).tobytes()
+        assert rng.bit_generator.state == state
 
     def test_mean_preserved(self):
         """Inverted scaling keeps the expected value within 2%."""
         rng = np.random.default_rng(31)
-        x = Tensor(np.ones(10_000))
-        out = dropout(x, 0.1, "train", rng)
-        assert abs(out.data.mean() - 1.0) < 0.02
+        mask = dropout_mask((10_000,), 0.1, rng)
+        assert abs(mask.mean() - 1.0) < 0.02
 
     def test_survivors_scaled(self):
         rng = np.random.default_rng(37)
-        out = dropout(Tensor(np.ones(1000)), 0.2, "train", rng)
-        kept = out.data[out.data != 0.0]
-        np.testing.assert_allclose(kept, 1.0 / 0.8)
-
-    def test_modes_other_than_train_rejected(self):
-        x = Tensor(np.ones((3, 3)))
-        for mode in ("eval", "test"):
-            with pytest.raises(ValueError, match="dropout mode"):
-                dropout(x, 0.5, mode, np.random.default_rng(0))
+        mask = dropout_mask((1000,), 0.2, rng)
+        np.testing.assert_allclose(mask[mask != 0.0], 1.0 / 0.8)
 
     def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            dropout(Tensor(np.ones(2)), 1.0, "train", np.random.default_rng(0))
+        """The training config is the one check on the probability."""
+        for p in (1.0, -0.1):
+            with pytest.raises(ValueError, match="dropout_p"):
+                TrainConfig(dropout_p=p)
 
 
 class TestCosine:

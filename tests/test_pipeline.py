@@ -19,8 +19,9 @@ from qakb.errors import EmptyTrainingSet, NoCandidates, NoRelation
 from qakb.evalharness import (SyntheticSpec, answer_record,
                               generate_synthetic, predict)
 from qakb.kb import Fact, build_kb, notable_type, out_degree, relations_of
-from qakb.nn import (TrainConfig, bidirectional_encode, dropout, fit,
-                     loss_binary_ce, loss_categorical_ce)
+from qakb.nn import (TrainConfig, fit, loss_binary_ce, loss_categorical_ce,
+                     recurrent)
+from qakb.nn.layers import dropout_mask
 from qakb.nn.io import load_model, save_model
 from qakb.nn.tensor import Tensor, concat, reshape, softmax_rows
 from qakb.pipeline import (
@@ -835,9 +836,9 @@ class TestArrayForwards:
         for tokens in _ARRAY_TEXTS:
             got = model.forward(tokens)
             assert type(got) is np.ndarray
-            (states,) = bidirectional_encode(
-                model.fwd, model.bwd, model.embedding.embed(tokens),
-                outputs=("states",))
+            states = recurrent((model.fwd, model.bwd),
+                               model.embedding.embed(tokens), None,
+                               (False, True), "states")
             want = softmax_rows(model.head(states))
             assert _bits(got) == _bits(want.data), tokens
             assert got.shape == (len(tokens), 2)
@@ -849,9 +850,9 @@ class TestArrayForwards:
         for tokens in _ARRAY_TEXTS:
             got = model.encode(tokens)
             assert type(got) is np.ndarray
-            (graph[tuple(tokens)],) = bidirectional_encode(
-                model.fwd, model.bwd, model.embedding.embed(tokens),
-                outputs=("last",))
+            graph[tuple(tokens)] = recurrent(
+                (model.fwd, model.bwd), model.embedding.embed(tokens), None,
+                (False, True), "last")
             assert _bits(got) == _bits(graph[tuple(tokens)].data), tokens
         for q in _ARRAY_TEXTS:
             for t in _ARRAY_TEXTS:
@@ -947,8 +948,9 @@ class TestPersistence:
 def _tagger_example_loss(model, q):
     """One question's loss as it was computed before batching: its own
     [T, d] BiLSTM run, head and mean over its tokens."""
-    states, _ = bidirectional_encode(model.fwd, model.bwd,
-                                     model.embedding.embed(list(q.tokens)))
+    states = recurrent((model.fwd, model.bwd),
+                       model.embedding.embed(list(q.tokens)), None,
+                       (False, True), "states")
     return loss_categorical_ce(softmax_rows(model.head(states)),
                                [1 if tag == "e" else 0 for tag in q.tags])
 
@@ -957,13 +959,13 @@ def _matcher_example_loss(model, question, text, tag, rng):
     """One pair's loss as it was computed before batching: each side
     encoded on its own, in train mode with the pair's own dropout mask."""
     def encode(tokens):
-        _, last = bidirectional_encode(model.fwd, model.bwd,
-                                       model.embedding.embed(list(tokens)))
-        return last
+        return recurrent((model.fwd, model.bwd),
+                         model.embedding.embed(list(tokens)), None,
+                         (False, True), "last")
 
-    joint = dropout(concat([encode(tokenize(question)),
-                            encode(matcher_tokens(text))]),
-                    model.cfg.dropout_p, "train", rng)
+    joint = concat([encode(tokenize(question)), encode(matcher_tokens(text))])
+    if model.cfg.dropout_p > 0.0:
+        joint = joint * dropout_mask(joint.shape, model.cfg.dropout_p, rng)
     return loss_binary_ce(reshape(model.head(model.hidden(joint)), ()), tag)
 
 

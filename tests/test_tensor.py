@@ -8,8 +8,7 @@ import pytest
 from conftest import finite_diff_check, param, rnn_cell, stack_rows
 
 from qakb.errors import ShapeMismatch
-from qakb.nn import (GRUCell, LSTMCell, bidirectional_encode, cosine,
-                     run_recurrent, self_attention)
+from qakb.nn import GRUCell, LSTMCell, cosine, recurrent, self_attention
 from qakb.nn import tensor as T
 
 
@@ -244,11 +243,11 @@ GRAPHS = {
     "softmax_rows": lambda r: T.softmax_rows(_p(r, 2, 3)),
     "cosine": lambda r: cosine(_p(r, 3), _p(r, 3)),
     "self_attention": lambda r: self_attention(_p(r, 4, 3)),
-    "run_recurrent": lambda r: run_recurrent(rnn_cell(LSTMCell, r, 3, 2),
-                                             _p(r, 4, 3))[1],
-    "bidirectional_encode": lambda r: bidirectional_encode(
-        rnn_cell(GRUCell, r, 3, 2), rnn_cell(GRUCell, r, 3, 2),
-        _p(r, 2, 4, 3), [4, 2])[1],
+    "recurrent": lambda r: recurrent((rnn_cell(LSTMCell, r, 3, 2),),
+                                     _p(r, 4, 3), None, (False,), "last"),
+    "recurrent_bidirectional": lambda r: recurrent(
+        (rnn_cell(GRUCell, r, 3, 2), rnn_cell(GRUCell, r, 3, 2)),
+        _p(r, 2, 4, 3), [4, 2], (False, True), "last"),
 }
 
 

@@ -26,7 +26,7 @@ import string
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from qakb.kb import KnowledgeBase
 
@@ -95,8 +95,7 @@ def all_ngrams(tokens: Sequence[str], longest: int = MAX_NGRAM) -> list[str]:
     return list(grams)
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateEntity:
+class CandidateEntity(NamedTuple):
     """A retrieved entity with its weighting components."""
 
     id: str

@@ -311,11 +311,10 @@ def cmd_train_e2e(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     kb = _load_kb(args.kb)
     questions = _parse_file(args.questions, datagen.parse_questions_tsv)
     index = build_index(kb)
-    variant = e2e.variant_from_name(args.variant)
     pools = datagen.build_negative_pools(questions, kb, index, cfg.seed)
     try:
-        model, curve = e2e.train_e2e(questions, kb, pools, variant, cfg,
-                                     index)
+        model, curve = e2e.train_e2e(questions, kb, pools,
+                                     e2e.VARIANTS[args.variant], cfg, index)
     except EmptyTrainingSet as exc:
         raise EmptyTrainingSet(f"{args.questions}: {exc}") from None
     save_model(model, args.out)
@@ -407,8 +406,7 @@ def _build_strategy(
         if args.variant != name:
             raise UsageError(f"--variant {args.variant} does not match "
                              f"{args.model}, which was trained as {name}")
-        variant = e2e.variant_from_name(name, args.out_degree_sort)
-        return (e2e.E2EStrategy(model, variant, kb, index),
+        return (e2e.E2EStrategy(model, kb, index, args.out_degree_sort),
                 name + ("+od" if args.out_degree_sort else ""))
     if stack == "oracle":
         models = evalharness.oracle_models(dataset, kb)

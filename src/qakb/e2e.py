@@ -109,14 +109,6 @@ VARIANTS = {
 }
 
 
-def variant_from_name(name: str, out_degree_sort: bool = False) -> E2EVariant:
-    try:
-        base = VARIANTS[name]
-    except KeyError:
-        raise ValueError(f"unknown variant {name!r}") from None
-    return replace(base, out_degree_sort=out_degree_sort)
-
-
 def variant_name(variant: E2EVariant) -> str:
     """The name a variant goes by, ignoring the answer-time out-degree
     sort; ValueError when no named variant has its switches."""
@@ -125,14 +117,6 @@ def variant_name(variant: E2EVariant) -> str:
         if known == base:
             return name
     raise ValueError(f"no named variant has the switches {asdict(base)}")
-
-
-def _describe(variant: E2EVariant) -> str:
-    """A variant's name, or its switches when no named variant has them."""
-    try:
-        return variant_name(variant)
-    except ValueError:
-        return str(asdict(replace(variant, out_degree_sort=False)))
 
 
 # ---------------------------------------------------------------------------
@@ -575,18 +559,13 @@ class E2EStrategy:
     :attr:`char_row`, which keeps the summaries of vocabulary words, so a
     warm session runs no char-GRU.  Memory is bounded by the KB's texts
     plus the vocabulary.  A session must not outlive a change to the
-    model's weights.  ``variant`` must be the model's own, except for the
-    answer-time ``out_degree_sort``; ValueError otherwise.
+    model's weights.  The session answers as the model's own variant;
+    ``out_degree_sort`` is its one answer-time switch.
     """
 
-    def __init__(self, model: E2EModel, variant: E2EVariant,
-                 kb: KnowledgeBase, index: AliasIndex):
-        if (replace(variant, out_degree_sort=False)
-                != replace(model.variant, out_degree_sort=False)):
-            raise ValueError(
-                f"variant {_describe(variant)} does not match the model, "
-                f"which was trained as {_describe(model.variant)}"
-            )
+    def __init__(self, model: E2EModel, kb: KnowledgeBase, index: AliasIndex,
+                 out_degree_sort: bool = False):
+        variant = replace(model.variant, out_degree_sort=out_degree_sort)
         self.model, self.variant = model, variant
         self.kb, self.index = kb, index
         self.context_fields = tuple(

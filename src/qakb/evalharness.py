@@ -37,7 +37,7 @@ from qakb.e2e import E2EStrategy
 from qakb.errors import EmptyEvalSet, NoCandidates, NoRelation
 from qakb.kb import (Fact, KnowledgeBase, aliases_of, build_kb,
                      lookup_objects, notable_type, out_degree)
-from qakb.pipeline import PipelineModels, PipelineStrategy
+from qakb.pipeline import MatchEncodings, PipelineModels, PipelineStrategy
 
 logger = logging.getLogger(__name__)
 
@@ -124,11 +124,13 @@ def evaluate(strategy, dataset: Sequence[QuestionInstance],
 
 
 # ---------------------------------------------------------------------------
-# Answering through a strategy: a PipelineStrategy or an E2EStrategy (both
-# importable from here), whose ``answer(question)`` gives ``(entity,
-# relation, scores)`` or raises NoCandidates or NoRelation, whose ``label``
-# is the ``(key, name)`` pair naming it in an answer record, and whose
-# ``kb`` is the knowledge base it answers from.
+# Answering through a strategy: a PipelineStrategy, which calls each matcher
+# as ``score(question, text, encodings, tokens)``, or an E2EStrategy, which
+# answers as its model's variant, ``out_degree_sort`` its one answer-time
+# switch (both importable from here).  ``answer(question)`` gives ``(entity,
+# relation, scores)`` or raises NoCandidates or NoRelation, ``label`` is the
+# ``(key, name)`` pair naming it in an answer record, and ``kb`` is the
+# knowledge base it answers from.
 # ---------------------------------------------------------------------------
 
 def predict(strategy, question: str) -> Optional[tuple[str, str]]:
@@ -189,7 +191,11 @@ class OracleMatcher:
     def __init__(self, gold_by_question: dict[str, Optional[str]]):
         self.gold_by_question = gold_by_question
 
-    def score(self, question: str, text: str) -> float:
+    def score(self, question: str, text: str, encodings: MatchEncodings,
+              tokens: Sequence[str]) -> float:
+        """A matcher's call form; the session's ``encodings`` and the
+        question's ``tokens``, which a recurrent matcher reads, are
+        ignored."""
         gold = self.gold_by_question.get(question)
         return 1.0 if gold is not None and gold == text else 0.0
 

@@ -174,17 +174,14 @@ class MatcherModel(Model):
                             gather_rows(encoded, sides[:, 1]), rng)
         return tsum(loss_binary_ce(scores, tags))
 
-    def score(self, question: str, text: str,
-              encodings: Optional["MatchEncodings"] = None,
-              tokens: Optional[Sequence[str]] = None) -> float:
-        """Match score of one pair, on arrays.  An answering session
-        passes its ``encodings``, which hold this matcher, so each side
-        is encoded once, and the question's ``tokens`` when it has
-        them."""
-        if encodings is None:
-            encodings = MatchEncodings((self,))
+    def score(self, question: str, text: str, encodings: MatchEncodings,
+              tokens: Sequence[str]) -> float:
+        """Match score of one pair, on arrays: the question, of
+        ``tokens``, and the text come from an answering session's
+        ``encodings``, which hold this matcher, so each side is encoded
+        once."""
         joint = np.concatenate([encodings.question(self, question, tokens),
-                                encodings.text(self, text)])
+                                encodings.texts[self](text)])
         return float(self.head.forward(self.hidden.forward(joint))[0])
 
     @classmethod
@@ -227,20 +224,15 @@ class MatchEncodings:
         self._question: Optional[tuple[str, dict]] = None
 
     def question(self, matcher: MatcherModel, question: str,
-                 tokens: Optional[Sequence[str]] = None) -> np.ndarray:
-        """``matcher``'s encoding of the question; ``tokens``, when
-        given, are its tokens, so the question is not tokenized again."""
+                 tokens: Sequence[str]) -> np.ndarray:
+        """``matcher``'s encoding of the question, whose tokens are
+        ``tokens``."""
         if self._question is None or self._question[0] != question:
-            tokens = tokenize(question) if tokens is None else tokens
             vecs = bidirectional_last_states(
                 [(m.fwd, m.bwd) for m in self.matchers],
                 [m.embedding.rows(tokens) for m in self.matchers])
             self._question = (question, dict(zip(self.matchers, vecs)))
         return self._question[1][matcher]
-
-    def text(self, matcher: MatcherModel, text: str) -> np.ndarray:
-        """``matcher``'s encoding of a relation path or type label."""
-        return self.texts[matcher](text)
 
 
 @dataclass
@@ -250,7 +242,9 @@ class PipelineModels:
     Any objects with the same call surface work here, which is how the
     evaluation harness substitutes oracles: the tagger needs
     ``forward(tokens)`` to give a [T, 2] ndarray of probabilities and
-    the matchers need ``score(question, text) -> float``.
+    each matcher needs ``score(question, text, encodings, tokens) ->
+    float``, called with the session's :class:`MatchEncodings` and the
+    question's tokens.
     """
 
     tagger: TaggerModel
@@ -399,10 +393,12 @@ def _rank(session: "PipelineStrategy", question: str,
     key that starts with ``(-s_r, relation)`` ranks exactly those holders
     first and orders them by the context after it.
     """
-    kb = session.kb
+    kb, models, encodings = session.kb, session.models, session.encodings
+    uses_type = "type" in session.context_fields
     cands, span_list = _question_candidates(session, question, tokens)
     owned = [(c, relations_of(kb, c.id)) for c in cands]
-    rel_scores = {r: session.relation_score(question, tokens, r)
+    rel_scores = {r: models.relation_matcher.score(question, r, encodings,
+                                                   tokens)
                   for r in sorted({r for _, rels in owned for r in rels})}
     if not rel_scores:
         raise NoRelation(f"no relations for candidates of {question!r}")
@@ -411,9 +407,9 @@ def _rank(session: "PipelineStrategy", question: str,
         if rels:
             best = min(rels, key=lambda r: (-rel_scores[r], r))
             label = notable_type(kb, cand.id)
-            s_t = (None if session.type_score is None
-                   else 0.0 if label is None
-                   else session.type_score(question, tokens, label))
+            s_t = (None if not uses_type else 0.0 if label is None
+                   else models.type_matcher.score(question, label, encodings,
+                                                  tokens))
             rows.append(_Row(cand, best, rel_scores[best], s_t,
                              out_degree(kb, cand.id)))
     key = _RANKINGS[session.name][1]
@@ -463,29 +459,18 @@ def context_fields(strategy: str) -> tuple[str, ...]:
         raise ValueError(f"unknown strategy {strategy!r}") from None
 
 
-def _session_scorer(matcher, encodings: MatchEncodings
-                    ) -> Callable[[str, list[str], str], float]:
-    """``score(question, tokens, text)`` for one session: a recurrent
-    matcher reuses the session's ``encodings`` and the question's tokens;
-    any other matcher (an oracle, say) is called as ``score(question,
-    text)``."""
-    if isinstance(matcher, MatcherModel):
-        return lambda question, tokens, text: matcher.score(
-            question, text, encodings, tokens)
-    return lambda question, tokens, text: matcher.score(question, text)
-
-
 class PipelineStrategy:
     """One ranking strategy, named as on the CLI, over one set of stages:
     answers a stream of questions as one session, on arrays, making no
     Tensor.
 
-    The session's :class:`MatchEncodings` hold the recurrent matchers the
-    strategy consults, and only those: the relation matcher, and the type
-    matcher when the strategy consults the type.  Each encodes a relation
-    path or type label once per session, and one recurrent run per
-    question encodes the question for all of them, so a session must not
-    outlive a change to the models' weights.  An unknown strategy, or one
+    The session's :class:`MatchEncodings`, which every matcher's
+    ``score`` is given, hold the recurrent matchers the strategy
+    consults, and only those: the relation matcher, and the type matcher
+    when the strategy consults the type.  Each encodes a relation path or
+    type label once per session, and one recurrent run per question
+    encodes the question for all of them, so a session must not outlive
+    a change to the models' weights.  An unknown strategy, or one
     that consults the type without a type matcher, raises ValueError when
     the object is built.
     """
@@ -500,12 +485,8 @@ class PipelineStrategy:
         self.models, self.kb, self.index = models, kb, index
         consulted = ((models.relation_matcher, models.type_matcher)
                      if uses_type else (models.relation_matcher,))
-        encodings = MatchEncodings([m for m in consulted
-                                    if isinstance(m, MatcherModel)])
-        self.relation_score = _session_scorer(models.relation_matcher,
-                                              encodings)
-        self.type_score = (_session_scorer(models.type_matcher, encodings)
-                           if uses_type else None)
+        self.encodings = MatchEncodings([m for m in consulted
+                                         if isinstance(m, MatcherModel)])
 
     def prediction(self, question: str) -> Prediction:
         """The answer with its score decomposition and ranking trace.

@@ -142,10 +142,10 @@ def span_tokens(labeled):
     return [t for t, tag in zip(labeled.tokens, labeled.tags) if tag == "e"]
 
 
-def answer(model, kb, index, question, variant, k=1):
+def answer(model, kb, index, question, k=1, out_degree_sort=False):
     """The joint model's top-k candidate facts for one question, from a
     fresh session."""
-    return E2EStrategy(model, variant, kb, index).top(question, k)
+    return E2EStrategy(model, kb, index, out_degree_sort).top(question, k)
 
 
 def serialize_triples_tsv(facts):

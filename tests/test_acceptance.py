@@ -388,7 +388,7 @@ class TestAcceptance:
                 if elapsed >= 300.0:
                     problems.append(f"seed {seed} {name}: train took "
                                     f"{elapsed:.0f}s >= 5 min")
-                strat = ev.E2EStrategy(model, variant, kb, index)
+                strat = ev.E2EStrategy(model, kb, index)
                 train_acc = ev.evaluate(strat, train, kb).accuracy
                 if train_acc < 0.90:
                     problems.append(f"seed {seed} {name}: train accuracy "
@@ -440,10 +440,8 @@ class TestAcceptance:
                             "parameters; rankings are not comparable")
         changed = 0
         for q in test:
-            ra = answer(plain, kb, index, q.text,
-                        e2e.VARIANTS["qa-t-w"], k=50)
-            rb = answer(attn, kb, index, q.text,
-                        e2e.VARIANTS["qa-t-ws"], k=50)
+            ra = answer(plain, kb, index, q.text, k=50)
+            rb = answer(attn, kb, index, q.text, k=50)
             if [self._rank_key(f) for f in ra] != \
                     [self._rank_key(f) for f in rb]:
                 changed += 1
@@ -470,14 +468,11 @@ class TestAcceptance:
         vocab2 = e2e._training_vocab(tr2, kb2)
         model2 = fresh(e2e.E2EModel, vocab2, cfg, np.random.default_rng(42),
                        variant=e2e.VARIANTS["qa-t"])
-        base_variant = e2e.VARIANTS["qa-t"]
-        od_variant = e2e.variant_from_name("qa-t", out_degree_sort=True)
         permuted = 0
         for q in tr2 + te2:
-            base = answer(model2, kb2, index2, q.text, base_variant,
-                          k=10 ** 6)
-            rerank = answer(model2, kb2, index2, q.text, od_variant,
-                            k=10 ** 6)
+            base = answer(model2, kb2, index2, q.text, k=10 ** 6)
+            rerank = answer(model2, kb2, index2, q.text, k=10 ** 6,
+                            out_degree_sort=True)
             base_keys = [self._rank_key(f) for f in base]
             od_keys = [self._rank_key(f) for f in rerank]
             if sorted(base_keys) != sorted(od_keys):

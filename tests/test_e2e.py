@@ -27,7 +27,6 @@ from qakb.e2e import (
     _training_vocab,
     subject_text,
     train_e2e,
-    variant_from_name,
     variant_name,
 )
 from qakb.errors import (EmptySequence, EmptyTrainingSet, NoCandidates,
@@ -106,15 +105,6 @@ class TestVariants:
         m = VARIANTS["qa-t-mwst"]
         assert m.char_level and m.self_attention and m.type_as_task
         assert not any(v.out_degree_sort for v in VARIANTS.values())
-
-    def test_out_degree_flag(self):
-        v = variant_from_name("qa-t-w", out_degree_sort=True)
-        assert v.out_degree_sort and v.char_level
-        assert not VARIANTS["qa-t-w"].out_degree_sort
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            variant_from_name("qa-x")
 
 
 class TestWordEncoder:
@@ -261,7 +251,7 @@ class TestArrayEncoding:
         # the default widths, where a 1-D dense product rounds differently
         model = fresh(E2EModel, _ARRAY_VOCAB, TrainConfig(max_len=3),
                       np.random.default_rng(7), variant=variant)
-        session = E2EStrategy(model, variant, kb, build_index(kb))
+        session = E2EStrategy(model, kb, build_index(kb))
         for tokens in _ARRAY_TEXTS:
             for char_rows in (None, session.char_row):
                 got = model.encode_text(tokens, char_rows)
@@ -284,7 +274,7 @@ class TestArrayEncoding:
         variant = VARIANTS[name]
         model = fresh(E2EModel, _training_vocab(train, kb), TrainConfig(),
                       np.random.default_rng(1), variant=variant)
-        session = E2EStrategy(model, variant, kb, build_index(kb))
+        session = E2EStrategy(model, kb, build_index(kb))
         for q in train + test:
             assert _bits(model.encode_text(q.tokens)) == _bits(
                 model.encode_text(q.tokens, session.char_row)), q.text
@@ -306,7 +296,7 @@ class TestArrayEncoding:
         qs, pools = song_training_set(kb)
         variant = VARIANTS["qa-t-mwst"]
         model, _ = train_e2e(qs, kb, pools, variant, small_cfg(epochs=1))
-        session = E2EStrategy(model, variant, kb, build_index(kb))
+        session = E2EStrategy(model, kb, build_index(kb))
         questions = [q.text for q in qs] + ["who zyzzyva sings yesterday"]
         if not cold:
             for q in questions:
@@ -334,7 +324,7 @@ class TestArrayEncoding:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            session = E2EStrategy(model, variant, kb, build_index(kb))
+            session = E2EStrategy(model, kb, build_index(kb))
             for q in qs:
                 session.answer(q.text)
             assert session.labels.table and session.relations.table
@@ -468,9 +458,8 @@ class TestSubjectText:
 def _fact_score(model, kb, question, fact):
     """The record a fresh session gives ``fact`` among a question's
     answers."""
-    (fs,) = [fs for fs in E2EStrategy(model, model.variant, kb,
-                                      build_index(kb)).top(question, k=99)
-             if fs.fact == fact]
+    session = E2EStrategy(model, kb, build_index(kb))
+    (fs,) = [fs for fs in session.top(question, k=99) if fs.fact == fact]
     return fs
 
 
@@ -552,35 +541,33 @@ class TestAnswer:
     def _trained(self, variant_name="qa-t", **cfg_overrides):
         kb = song_kb()
         qs, pools = song_training_set(kb)
-        variant = variant_from_name(variant_name)
-        model, _ = train_e2e(qs, kb, pools, variant,
+        model, _ = train_e2e(qs, kb, pools, VARIANTS[variant_name],
                              small_cfg(**cfg_overrides))
-        return model, kb, build_index(kb), variant
+        return model, kb, build_index(kb)
 
     def test_returns_scored_facts_in_order(self):
-        model, kb, index, variant = self._trained()
-        out = answer(model, kb, index, "who sings yesterday", variant, k=6)
+        model, kb, index = self._trained()
+        out = answer(model, kb, index, "who sings yesterday", k=6)
         assert len(out) == 4
         combined = [fs.combined for fs in out]
         assert combined == sorted(combined, reverse=True)
         assert {fs.fact.subject for fs in out} == {"m.0a1", "m.0c1"}
 
     def test_k_limits_results(self):
-        model, kb, index, variant = self._trained()
-        assert len(answer(model, kb, index, "yesterday", variant, k=1)) == 1
-        assert len(answer(model, kb, index, "yesterday", variant, k=99)) == 4
+        model, kb, index = self._trained()
+        assert len(answer(model, kb, index, "yesterday", k=1)) == 1
+        assert len(answer(model, kb, index, "yesterday", k=99)) == 4
 
     def test_each_head_mode_answers(self):
         for name in ("qa-s", "qa-t", "qa-t-mwt"):
-            model, kb, index, variant = self._trained(name)
-            out = answer(model, kb, index, "what genre is yesterday",
-                         variant, k=1)
+            model, kb, index = self._trained(name)
+            out = answer(model, kb, index, "what genre is yesterday", k=1)
             assert len(out) == 1
 
     def test_unmatchable_question_raises(self):
-        model, kb, index, variant = self._trained()
+        model, kb, index = self._trained()
         with pytest.raises(NoCandidates):
-            answer(model, kb, index, "zzz qqq", variant)
+            answer(model, kb, index, "zzz qqq")
 
     def test_factless_candidate_raises(self):
         kb = build_kb(
@@ -590,10 +577,10 @@ class TestAnswer:
         qs = [make_question("alpha", kb.facts[0])]
         pools = NegativePools(subject_pools=[[]],
                               predicate_pools=[["/d/x/r"]])
-        variant = variant_from_name("qa-t")
-        model, _ = train_e2e(qs, kb, pools, variant, small_cfg(epochs=1))
+        model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-t"],
+                             small_cfg(epochs=1))
         with pytest.raises(NoRelation):
-            answer(model, kb, build_index(kb), "beta", variant)
+            answer(model, kb, build_index(kb), "beta")
 
     def test_out_degree_resort_flips_tied_subjects(self):
         facts = [Fact("m.0zz", "/d/x/r", f"m.0o{i}") for i in range(7)]
@@ -602,25 +589,24 @@ class TestAnswer:
         qs = [make_question("acme", kb.facts[0])]
         pools = NegativePools(subject_pools=[["m.0aa"]],
                               predicate_pools=[[]])
-        plain = variant_from_name("qa-t")
-        model, _ = train_e2e(qs, kb, pools, plain, small_cfg(epochs=1))
+        model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-t"],
+                             small_cfg(epochs=1))
         index = build_index(kb)
-        base = answer(model, kb, index, "acme", plain, k=8)
+        base = answer(model, kb, index, "acme", k=8)
         assert len({round(fs.combined, 9) for fs in base}) == 1
         assert base[0].fact.subject == "m.0aa"
-        resorted = answer(model, kb, index, "acme",
-                          variant_from_name("qa-t", out_degree_sort=True), k=8)
+        resorted = answer(model, kb, index, "acme", k=8, out_degree_sort=True)
         assert resorted[0].fact.subject == "m.0zz"
         assert all(fs.fact.subject == "m.0zz" for fs in resorted[:7])
         assert resorted[7].fact.subject == "m.0aa"
 
     def test_out_degree_resort_preserves_untied_top_score(self):
-        model, kb, index, variant = self._trained()
-        base = answer(model, kb, index, "who sings yesterday", variant, k=6)
+        model, kb, index = self._trained()
+        base = answer(model, kb, index, "who sings yesterday", k=6)
         scores = [fs.combined for fs in base]
         assert scores[0] - scores[1] > 1e-6
-        resorted = answer(model, kb, index, "who sings yesterday",
-                          variant_from_name("qa-t", out_degree_sort=True), k=6)
+        resorted = answer(model, kb, index, "who sings yesterday", k=6,
+                          out_degree_sort=True)
         assert [fs.fact for fs in resorted] == [fs.fact for fs in base]
 
 
@@ -717,12 +703,13 @@ class TestSession:
         model, _ = train_e2e(qs, kb, pools, VARIANTS[name],
                              small_cfg(epochs=1))
         for od in (False, True):
-            variant = variant_from_name(name, out_degree_sort=od)
-            session = E2EStrategy(model, variant, kb, index)
+            session = E2EStrategy(model, kb, index, od)
+            variant = session.variant
             for _ in range(2):
                 for q in questions:
                     try:
-                        expect = answer(model, kb, index, q, variant, k=50)
+                        expect = answer(model, kb, index, q, k=50,
+                                        out_degree_sort=od)
                     except NoCandidates:
                         with pytest.raises(NoCandidates):
                             session.top(q, k=50)
@@ -737,7 +724,7 @@ class TestSession:
         kb, index, qs, pools, questions = synth
         variant = VARIANTS["qa-t-mwst"]
         model, _ = train_e2e(qs, kb, pools, variant, small_cfg(epochs=1))
-        session = E2EStrategy(model, variant, kb, index)
+        session = E2EStrategy(model, kb, index)
         calls = []
         encode = model.encode_text
 
@@ -778,7 +765,7 @@ class TestSession:
 
         for module in (qakb.aliasindex, qakb.e2e):
             monkeypatch.setattr(module, "tokenize", counting)
-        session = E2EStrategy(model, variant, kb, index)
+        session = E2EStrategy(model, kb, index)
 
         def ask(q):
             try:
@@ -800,7 +787,7 @@ class TestSession:
         model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-s"],
                              small_cfg(epochs=1))
         w0, w1 = (float(w) for w in model.head.W.data)
-        session = E2EStrategy(model, VARIANTS["qa-s"], kb, index)
+        session = E2EStrategy(model, kb, index)
         checked = 0
         for q in questions:
             try:
@@ -819,17 +806,17 @@ class TestSession:
         model, _ = train_e2e(qs, kb, pools, variant, small_cfg())
         index = build_index(kb)
         q = "who sings yesterday"
-        before = E2EStrategy(model, variant, kb, index).top(q, k=4)
+        before = E2EStrategy(model, kb, index).top(q, k=4)
         gate_block(model.lstm, "W", "i")[...] += 0.37
-        after = E2EStrategy(model, variant, kb, index).top(q, k=4)
+        after = E2EStrategy(model, kb, index).top(q, k=4)
         assert after != before
-        assert after == answer(model, kb, index, q, variant, k=4)
+        assert after == answer(model, kb, index, q, k=4)
 
     def test_answers_record_no_graph(self):
         kb = song_kb()
         qs, pools = song_training_set(kb)
         model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-t"], small_cfg())
-        session = E2EStrategy(model, VARIANTS["qa-t"], kb, build_index(kb))
+        session = E2EStrategy(model, kb, build_index(kb))
         session.top("who sings yesterday")
         assert _cached(session)
         for vec in _cached(session):
@@ -841,9 +828,8 @@ class TestSession:
         model, _ = train_e2e(qs, kb, pools, VARIANTS[name],
                              small_cfg(epochs=1))
         for od in (False, True):
-            variant = variant_from_name(name, out_degree_sort=od)
-            forward = E2EStrategy(model, variant, kb, index)
-            backward = E2EStrategy(model, variant, kb, index)
+            forward = E2EStrategy(model, kb, index, od)
+            backward = E2EStrategy(model, kb, index, od)
             answers = {q: _top_or_none(forward, q, 50) for q in questions}
             for q in reversed(questions):
                 assert _top_or_none(backward, q, 50) == answers[q]
@@ -872,7 +858,7 @@ class TestSession:
 
         monkeypatch.setattr(E2EModel, "char_summary", counted_summary)
         monkeypatch.setattr(qakb.nn.layers.GRUCell, "step", counted_step)
-        session = E2EStrategy(model, VARIANTS[name], kb, index)
+        session = E2EStrategy(model, kb, index)
         answered = [q for q in in_vocab + oov
                     if _top_or_none(session, q) is not None]
         oov_uses = sum(q in answered for q in oov)
@@ -890,31 +876,29 @@ class TestSession:
 
 
 class TestSessionVariantGuard:
-    def test_mismatched_variant_named_at_construction(self):
-        kb = song_kb()
-        model = fresh(E2EModel, ["yesterday"], small_cfg(),
-                      np.random.default_rng(0), variant=VARIANTS["qa-t-mwst"])
-        index = build_index(kb)
-        with pytest.raises(ValueError, match="qa-t.*qa-t-mwst"):
-            E2EStrategy(model, VARIANTS["qa-t"], kb, index)
-        with pytest.raises(ValueError, match="qa-t-mwst"):
-            answer(model, kb, index, "who sings yesterday", VARIANTS["qa-t"])
-
     def test_only_out_degree_sort_may_differ(self):
+        """A session answers as its model's variant; ``out_degree_sort``
+        is its one answer-time switch and the only context it adds."""
         kb = song_kb()
-        model = fresh(E2EModel, ["yesterday"], small_cfg(),
-                      np.random.default_rng(0), variant=VARIANTS["qa-t"])
-        session = E2EStrategy(model,
-                              variant_from_name("qa-t", out_degree_sort=True),
-                              kb, build_index(kb))
-        assert session.variant.out_degree_sort
+        index = build_index(kb)
+        for variant in VARIANTS.values():
+            model = fresh(E2EModel, ["yesterday"], small_cfg(),
+                          np.random.default_rng(0), variant=variant)
+            plain = E2EStrategy(model, kb, index)
+            assert plain.variant == model.variant == variant
+            session = E2EStrategy(model, kb, index, True)
+            assert session.variant == replace(variant, out_degree_sort=True)
+            assert session.context_fields == ("out_degree",
+                                              *plain.context_fields)
+            assert not model.variant.out_degree_sort
 
 
 class TestVariantName:
     def test_round_trips_every_named_variant(self):
         for name in VARIANTS:
-            assert variant_name(variant_from_name(name)) == name
-            assert variant_name(variant_from_name(name, True)) == name
+            assert variant_name(VARIANTS[name]) == name
+            assert variant_name(replace(VARIANTS[name],
+                                        out_degree_sort=True)) == name
 
     def test_unnamed_switches_rejected(self):
         with pytest.raises(ValueError):
@@ -1320,8 +1304,8 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(E2EModel, path)
         index = build_index(kb)
-        a = answer(model, kb, index, "what genre is yesterday", variant, k=4)
-        b = answer(loaded, kb, index, "what genre is yesterday", variant, k=4)
+        a = answer(model, kb, index, "what genre is yesterday", k=4)
+        b = answer(loaded, kb, index, "what genre is yesterday", k=4)
         assert [(fs.fact, fs.combined) for fs in a] == \
             [(fs.fact, fs.combined) for fs in b]
 

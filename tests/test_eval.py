@@ -11,7 +11,7 @@ from conftest import fresh, span_tokens
 
 from qakb.aliasindex import build_index, tokenize
 from qakb.datagen import make_question, serialize_questions_tsv
-from qakb.e2e import E2EModel, VARIANTS, train_e2e, variant_from_name
+from qakb.e2e import E2EModel, VARIANTS, train_e2e
 from qakb.datagen import NegativePools
 from qakb.errors import EmptyEvalSet, NoCandidates
 from qakb.evalharness import (
@@ -33,7 +33,7 @@ from qakb.evalharness import (
 )
 from qakb.kb import Fact, build_kb, out_degree, save_kb
 from qakb.nn import TrainConfig
-from qakb.pipeline import tag_question
+from qakb.pipeline import MatchEncodings, tag_question
 
 
 def twin_kb(twin_type="song", twin_extra_facts=0):
@@ -170,6 +170,13 @@ class TestEvaluate:
         assert rep.error_counts["no_candidates"] == 3
 
 
+def _oracle_score(matcher, question, text):
+    """``matcher.score`` as a session calls it; an oracle session holds
+    no recurrent matcher."""
+    return matcher.score(question, text, MatchEncodings(()),
+                         tokenize(question))
+
+
 class TestOracleStages:
     def _setup(self):
         spec = SyntheticSpec(seed=5, n_entities=12, collision_rate=0.25)
@@ -191,20 +198,22 @@ class TestOracleStages:
     def test_relation_matcher_scores(self):
         _, dataset, models = self._setup()
         q = dataset[0]
-        assert models.relation_matcher.score(q.text, q.gold.relation) == 1.0
-        assert models.relation_matcher.score(q.text, "/synth/link/near") == 0.0
-        assert models.relation_matcher.score("unknown?", q.gold.relation) == 0.0
+        rel = models.relation_matcher
+        assert _oracle_score(rel, q.text, q.gold.relation) == 1.0
+        assert _oracle_score(rel, q.text, "/synth/link/near") == 0.0
+        assert _oracle_score(rel, "unknown?", q.gold.relation) == 0.0
 
     def test_type_matcher_scores(self):
         kb, dataset, models = self._setup()
         q = dataset[0]
         gold_type = kb.entities[q.gold.subject].notable_type
-        assert models.type_matcher.score(q.text, gold_type) == 1.0
-        assert models.type_matcher.score(q.text, "not a type") == 0.0
+        assert _oracle_score(models.type_matcher, q.text, gold_type) == 1.0
+        assert _oracle_score(models.type_matcher, q.text,
+                             "not a type") == 0.0
 
     def test_type_matcher_handles_untyped_gold(self):
         matcher = OracleMatcher({"q": None})
-        assert matcher.score("q", "anything") == 0.0
+        assert _oracle_score(matcher, "q", "anything") == 0.0
 
 
 class TestSyntheticGenerator:
@@ -386,7 +395,7 @@ class TestE2EStrategyAdapter:
         cfg = TrainConfig(epochs=1, batch_size=1, hidden_size=4, embed_dim=4,
                           char_dim=3, max_len=6)
         model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-t"], cfg)
-        strat = E2EStrategy(model, VARIANTS["qa-t"], kb, build_index(kb))
+        strat = E2EStrategy(model, kb, build_index(kb))
         assert strat.context_fields == ()
         assert predict(strat, "who sings yesterday") == \
             ("m.0a1", "/music/recording/artist")
@@ -402,14 +411,14 @@ class TestE2EStrategyAdapter:
         }
         cfg = TrainConfig(hidden_size=4, embed_dim=4, char_dim=3, max_len=6)
 
-        def strategy(variant):
+        def strategy(variant, out_degree_sort=False):
             model = fresh(E2EModel, ["x"], cfg, np.random.default_rng(0),
                           variant=variant)
-            return E2EStrategy(model, variant, kb, idx)
+            return E2EStrategy(model, kb, idx, out_degree_sort)
 
         for name, expect in cases.items():
             assert strategy(VARIANTS[name]).context_fields == expect
-        ods = strategy(variant_from_name("qa-t-mwt", out_degree_sort=True))
+        ods = strategy(VARIANTS["qa-t-mwt"], out_degree_sort=True)
         assert ods.context_fields == ("out_degree", "type")
 
 

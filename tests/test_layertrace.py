@@ -128,5 +128,5 @@ def test_e2e_answer_reaches_every_hook(monkeypatch):
     model = fresh(E2EModel, vocab, TrainConfig(hidden_size=4, embed_dim=4,
                                                char_dim=3, max_len=6),
                   np.random.default_rng(0), variant=variant)
-    E2EStrategy(model, variant, kb, build_index(kb)).answer(train[0].text)
+    E2EStrategy(model, kb, build_index(kb)).answer(train[0].text)
     assert set(calls) == E2E_ANSWER_TARGETS

@@ -177,8 +177,8 @@ def test_loaded_models_answer_alike(trained):
                                                        index))
                      for s in stages)
         assert got == want, strategy
-    for name, variant in e2e.VARIANTS.items():
-        want, got = (records(e2e.E2EStrategy(m[name], variant, kb, index))
+    for name in e2e.VARIANTS:
+        want, got = (records(e2e.E2EStrategy(m[name], kb, index))
                      for m in (models, loaded))
         assert got == want, name
 

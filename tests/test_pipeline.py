@@ -26,6 +26,7 @@ from qakb.nn.io import load_model, save_model
 from qakb.nn.tensor import Tensor, concat, reshape, softmax_rows
 from qakb.pipeline import (
     STRATEGIES,
+    MatchEncodings,
     MatcherModel,
     PipelineModels,
     PipelineStrategy,
@@ -65,8 +66,15 @@ class TableMatcher:
         self.table = dict(table)
         self.default = default
 
-    def score(self, question, text):
+    def score(self, question, text, encodings, tokens):
         return float(self.table.get((question, text), self.default))
+
+
+def _alone(model, question, text):
+    """``model``'s score of one pair as a fresh session of its own gives
+    it: both sides encoded afresh."""
+    return model.score(question, text, MatchEncodings((model,)),
+                       tokenize(question))
 
 
 def _ambiguous_kb():
@@ -211,8 +219,8 @@ class TestMatcherTraining:
         cfg = TrainConfig(seed=42, epochs=30, batch_size=4, hidden_size=8,
                           embed_dim=8, learning_rate=0.01)
         model, curve = train_matcher(pairs, cfg)
-        pos = [model.score(q, t) for q, t, tag in pairs if tag == 1]
-        neg = [model.score(q, t) for q, t, tag in pairs if tag == 0]
+        pos = [_alone(model, q, t) for q, t, tag in pairs if tag == 1]
+        neg = [_alone(model, q, t) for q, t, tag in pairs if tag == 0]
         wins = sum(
             1.0 if p > n else 0.5 if p == n else 0.0 for p in pos for n in neg
         )
@@ -224,15 +232,15 @@ class TestMatcherTraining:
         cfg = TrainConfig(hidden_size=6, embed_dim=6)
         model = fresh(MatcherModel, ["a", "b", "genre"], cfg,
                       np.random.default_rng(5))
-        first = model.score("a b", "/music/album/genre")
-        second = model.score("a b", "/music/album/genre")
+        first = _alone(model, "a b", "/music/album/genre")
+        second = _alone(model, "a b", "/music/album/genre")
         assert first == second
 
     def test_scores_inside_unit_interval(self):
         cfg = TrainConfig(hidden_size=6, embed_dim=6)
         model = fresh(MatcherModel, ["a", "b"], cfg, np.random.default_rng(5))
         for text in ("/d/x/r", "a", "b a"):
-            s = model.score("a b", text)
+            s = _alone(model, "a b", text)
             assert 0.0 < s < 1.0
 
 
@@ -632,6 +640,45 @@ class TestPredictDispatcher:
             context_fields("p-qa-x")
 
 
+class RecordingMatcher(TableMatcher):
+    """A :class:`TableMatcher` that records the arguments of every call."""
+
+    def __init__(self, table, default=0.0):
+        super().__init__(table, default)
+        self.calls = []
+
+    def score(self, *args):
+        self.calls.append(args)
+        return super().score(*args)
+
+
+class TestMatcherCallForm:
+    def test_every_matcher_gets_the_session_encodings_and_tokens(self):
+        """Both matcher slots are called one way, ``score(question, text,
+        encodings, tokens)``, with the session's encodings and the
+        question's tokens: once per relation and once per typed
+        candidate."""
+        kb = _ambiguous_kb()
+        q = "who founded acme"
+        matcher = RecordingMatcher({(q, "/d/x/founded"): 0.9})
+        models = PipelineModels(tagger=SpanOracleTagger({"acme"}),
+                                relation_matcher=matcher,
+                                type_matcher=matcher)
+        session = PipelineStrategy("p-qa-out-type", models, kb,
+                                   build_index(kb))
+        assert session.answer(q)[:2] == ("m.0g01", "/d/x/founded")
+        relations = ["/d/x/ceo", "/d/x/founded",
+                     *(f"/d/x/r{i}" for i in range(8))]
+        assert sorted(call[1] for call in matcher.calls) == sorted(
+            [*relations, "film", "musical recording"])
+        for call in matcher.calls:
+            assert len(call) == 4
+            question, _, encodings, tokens = call
+            assert question == q
+            assert encodings is session.encodings
+            assert list(tokens) == tokenize(q)
+
+
 class TestSession:
     """A strategy object reused over a stream of questions predicts exactly
     as fresh objects and the uncached matcher do, bit for bit, while
@@ -675,8 +722,8 @@ class TestSession:
                 got = session.prediction(q)
                 assert got == expect  # trace included
                 for rel, s_r in got.trace["relations"]:
-                    # no session encodings: both sides encoded afresh
-                    assert s_r == models.relation_matcher.score(q, rel)
+                    # a fresh session of the matcher alone
+                    assert s_r == _alone(models.relation_matcher, q, rel)
 
     def test_each_text_encoded_once(self, stack, monkeypatch):
         """Each KB text is encoded once per session, by its own matcher,
@@ -724,7 +771,7 @@ class TestSession:
 
     def test_shared_question_run_scores_as_each_matcher_alone(self, stack):
         """Both matchers' scores in a session equal, bit for bit, each
-        matcher's own ``score`` with no session encodings."""
+        matcher's own ``score`` in a fresh session of its own."""
         kb, index, models, questions = stack
         session = PipelineStrategy("p-qa-type", models, kb, index)
         seen = 0
@@ -734,11 +781,11 @@ class TestSession:
             except (NoCandidates, NoRelation):
                 continue
             for entity, rel, s_r, s_t, _, _ in rows:
-                assert s_r == models.relation_matcher.score(q, rel)
+                assert s_r == _alone(models.relation_matcher, q, rel)
                 label = kb.entities[entity].notable_type
                 if label is not None:
                     seen += 1
-                    assert s_t == models.type_matcher.score(q, label)
+                    assert s_t == _alone(models.type_matcher, q, label)
         assert seen
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -858,7 +905,7 @@ class TestArrayForwards:
             for t in _ARRAY_TEXTS:
                 joint = concat([graph[tuple(q)], graph[tuple(t)]])
                 want = model.head(model.hidden(joint))
-                got = model.score(" ".join(q), " ".join(t))
+                got = _alone(model, " ".join(q), " ".join(t))
                 assert _bits(got) == _bits(want.data[0]), (q, t)
 
 
@@ -916,9 +963,8 @@ class TestPersistence:
         save_model(model, path)
         clone = load_model(MatcherModel, path)
         assert clone.name == "relmatcher"
-        assert model.score("who founded acme", "/d/x/founded") == clone.score(
-            "who founded acme", "/d/x/founded"
-        )
+        assert _alone(model, "who founded acme", "/d/x/founded") == _alone(
+            clone, "who founded acme", "/d/x/founded")
 
     def test_kind_mismatch_raises(self, tmp_path):
         path = str(tmp_path / "rel.nn")

@@ -106,6 +106,14 @@ class TestVariants:
         assert m.char_level and m.self_attention and m.type_as_task
         assert not any(v.out_degree_sort for v in VARIANTS.values())
 
+    def test_out_degree_flag(self):
+        model = fresh(E2EModel, ["yesterday"], small_cfg(),
+                      np.random.default_rng(0), variant=VARIANTS["qa-t-w"])
+        kb = song_kb()
+        v = E2EStrategy(model, kb, build_index(kb), True).variant
+        assert v.out_degree_sort and v.char_level
+        assert not VARIANTS["qa-t-w"].out_degree_sort
+
 
 class TestWordEncoder:
     def test_dim_word_only(self):

@@ -25,13 +25,11 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from itertools import compress
-from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence, Union
 
 from qakb.kb import KnowledgeBase
 
 _PUNCT = string.punctuation
-_ALIASES = attrgetter("aliases")
 MAX_NGRAM = 3  # longest gram, in tokens, that indexing and retrieval use
 
 
@@ -124,19 +122,17 @@ def build_index(kb: KnowledgeBase) -> AliasIndex:
 
     The alias side is deliberately unpruned: pruning belongs to the query
     side only, otherwise a two-word query gram could never reach a
-    three-word alias.  Records are walked once, in the KB's order, and
-    only the exact buckets of two or more entities are sorted.
+    three-word alias.  The aliased entities are walked once, in the KB's
+    order, and only the exact buckets of two or more entities are sorted.
     """
     exact: dict[str, list[str]] = {}
     partial: dict[str, list[str]] = {}
     entity_aliases: dict[str, list[str]] = {}
     shared: list[list[str]] = []  # exact buckets of two or more mids
     multi: list[tuple[str, str, list[str]]] = []  # (mid, norm, tokens)
-    entities = kb.entities
-    for mid, rec in compress(entities.items(),
-                             map(_ALIASES, entities.values())):
+    for mid, aliases in compress(zip(kb.ids, kb.aliases), kb.aliases):
         normed: list[str] = []
-        for alias in rec.aliases:
+        for alias in aliases:
             # lowercase ASCII letters and digits make one token that
             # tokenize would return unchanged, so it is not called
             if alias.isascii() and alias.isalnum() and alias.islower():

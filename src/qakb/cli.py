@@ -192,7 +192,7 @@ def cmd_ingest(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     types = _parse_file(args.types, parse_type_lines) if args.types else []
     kb = build_kb(facts, aliases, types)
     save_kb(kb, args.out)
-    print(f"{len(kb.facts)} facts, {len(kb.entities)} entities -> {args.out}")
+    print(f"{len(kb.subjects)} facts, {len(kb.ids)} entities -> {args.out}")
     return 0
 
 
@@ -215,7 +215,7 @@ def cmd_synth(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     for name, split in (("train.tsv", train), ("test.tsv", test)):
         with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
             fh.write(datagen.serialize_questions_tsv(split))
-    print(f"{len(kb.facts)} facts, {len(train)}+{len(test)} questions "
+    print(f"{len(kb.subjects)} facts, {len(train)}+{len(test)} questions "
           f"-> {args.out}")
     return 0
 
@@ -231,7 +231,7 @@ def cmd_gen_data(args: argparse.Namespace, config: Mapping[str, str]) -> int:
         os.path.join(args.out, "tagged.tsv"), labeled
     )
 
-    domains = datagen.build_relation_domains({f.relation for f in kb.facts})
+    domains = datagen.build_relation_domains(kb.relations)
     inventory = datagen.type_inventory(kb)
     relation_groups = []
     type_groups = []

@@ -36,6 +36,7 @@ from qakb.kb import (
     aliases_of,
     canonicalize_mid,
     canonicalize_relation,
+    notable_type,
     relations_of,
     tsv_rows,
 )
@@ -168,8 +169,7 @@ def label_questions(
     labeled: list[LabeledQuestion] = []
     dropped = 0
     for q in questions:
-        rec = kb.entities.get(q.gold.subject)
-        aliases = rec.aliases if rec is not None else []
+        aliases = aliases_of(kb, q.gold.subject)
         try:
             labeled.append(label_entity_span(q, aliases))
         except LabelFailure:
@@ -212,13 +212,9 @@ def gen_relation_pairs(
 
 def type_inventory(kb: KnowledgeBase) -> list[str]:
     """Every notable type label in the KB, sorted."""
-    return sorted(
-        {
-            rec.notable_type
-            for rec in kb.entities.values()
-            if rec.notable_type is not None
-        }
-    )
+    labels = set(kb.labels)
+    labels.discard(None)
+    return sorted(labels)
 
 
 def gen_type_pairs(
@@ -233,17 +229,15 @@ def gen_type_pairs(
     padded from ``inventory`` (:func:`type_inventory` of ``kb``).  A
     question whose gold subject has no type yields None.
     """
-    gold_rec = kb.entities.get(q.gold.subject)
-    if gold_rec is None or gold_rec.notable_type is None:
+    gold_type = notable_type(kb, q.gold.subject)
+    if gold_type is None:
         return None
-    gold_type = gold_rec.notable_type
     negatives: list[str] = []
     for cand in candidates:
-        rec = kb.entities.get(cand.id)
-        if rec is None or rec.notable_type is None:
-            continue
-        if rec.notable_type != gold_type and rec.notable_type not in negatives:
-            negatives.append(rec.notable_type)
+        label = notable_type(kb, cand.id)
+        if label is not None and label != gold_type \
+                and label not in negatives:
+            negatives.append(label)
     if len(negatives) < TYPE_NEGATIVES:
         for label in inventory:
             if len(negatives) >= TYPE_NEGATIVES:
@@ -437,7 +431,7 @@ def gen_subject_negatives(
     for cand in candidates:
         if cand.id == gold or cand.id in filtered:
             continue
-        if aliases_of(kb, cand.id) & aliases_of(kb, gold):
+        if not set(aliases_of(kb, cand.id)).isdisjoint(aliases_of(kb, gold)):
             continue
         filtered.append(cand.id)
     if not filtered:
@@ -486,7 +480,7 @@ def build_negative_pools(
     the only ones :func:`gen_predicate_negatives` reads.
     """
     d_rr = build_drr(
-        {f.relation for f in kb.facts},
+        kb.relations,
         keys={q.gold.relation for q in questions},
     )
     pools = NegativePools()

@@ -24,7 +24,8 @@ from qakb.aliasindex import (AliasIndex, build_index, relation_tokens,
 from qakb.datagen import NegativePools, QuestionInstance, type_inventory
 from qakb.errors import (EmptySequence, EmptyTrainingSet, NoCandidates,
                          NoRelation)
-from qakb.kb import Fact, KnowledgeBase, notable_type, out_degree, primary_alias
+from qakb.kb import (Fact, KnowledgeBase, facts_of, notable_type, out_degree,
+                     primary_alias)
 from qakb.nn import (
     Dense,
     EmbeddingTable,
@@ -376,7 +377,7 @@ def _training_vocab(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
     toks.update(" ".join(index.exact).split())
     for label in type_inventory(kb):
         toks.update(tokenize(label))
-    for relation in {fact.relation for fact in kb.facts}:
+    for relation in kb.relations:
         toks.update(relation_tokens(relation))
     return sorted(toks)
 
@@ -612,8 +613,7 @@ class E2EStrategy:
         cands = retrieve_question_candidates(self.index, tokens)
         if not cands:
             raise NoCandidates(f"no candidate entities for {question!r}")
-        facts = [kb.facts[i] for cand in cands
-                 for i in kb.by_subject.get(cand.id, ())]
+        facts = [fact for cand in cands for fact in facts_of(kb, cand.id)]
         if not facts:
             raise NoRelation(f"candidates for {question!r} hold no facts")
         channels = ([SUBJECT, PREDICATE, TYPE] if variant.type_as_task

@@ -36,7 +36,7 @@ from qakb.datagen import QuestionInstance, make_question
 from qakb.e2e import E2EStrategy
 from qakb.errors import EmptyEvalSet, NoCandidates, NoRelation
 from qakb.kb import (Fact, KnowledgeBase, aliases_of, build_kb,
-                     lookup_objects, notable_type, out_degree)
+                     lookup_objects, notable_type, out_degree, primary_alias)
 from qakb.pipeline import MatchEncodings, PipelineModels, PipelineStrategy
 
 logger = logging.getLogger(__name__)
@@ -84,7 +84,7 @@ def classify_error(kb: KnowledgeBase, gold: Fact,
     entity, relation = predicted
     if entity == gold.subject:
         return None if relation == gold.relation else "wrong_predicate"
-    if not (aliases_of(kb, entity) & aliases_of(kb, gold.subject)):
+    if set(aliases_of(kb, entity)).isdisjoint(aliases_of(kb, gold.subject)):
         return "wrong_subject"
     same_type = notable_type(kb, entity) == notable_type(kb, gold.subject)
     same_degree = out_degree(kb, entity) == out_degree(kb, gold.subject)
@@ -209,8 +209,7 @@ def oracle_models(dataset: Sequence[QuestionInstance],
     types: dict[str, Optional[str]] = {}
     for q in dataset:
         tokens = tuple(tokenize(q.text))
-        rec = kb.entities.get(q.gold.subject)
-        for alias in (rec.aliases if rec is not None else []):
+        for alias in aliases_of(kb, q.gold.subject):
             alias_tokens = tokenize(alias)
             if alias_tokens and find_run(tokens, alias_tokens) is not None:
                 spans[tokens] = alias_tokens
@@ -398,7 +397,7 @@ def generate_synthetic(
     for gold in gold_facts:
         bodies = templates[gold.relation]
         body = bodies[draws.below(len(bodies))]
-        text = body.replace("<alias>", kb.entities[gold.subject].aliases[0])
+        text = body.replace("<alias>", primary_alias(kb, gold.subject))
         questions.append(make_question(text, gold))
 
     n_test = int(spec.test_fraction * len(questions))

@@ -5,6 +5,13 @@ file and a notable-type file) and is read-only afterwards.  All
 entity ids are canonicalized to the dotted lowercase form ``m.xxxxx`` and
 all relations to slash-separated lowercase paths ``/a/b/c`` on the way in,
 so the rest of the package never sees raw dump spellings.
+
+In memory a knowledge base is the columns its snapshot holds (see
+:class:`KnowledgeBase`): building or loading one makes those columns and
+no per-fact or per-entity object.  The accessors (:func:`relations_of`,
+:func:`facts_of` and the rest) build only what they return for the one
+entity they are asked about; the first fact read builds an index of the
+facts by subject.
 """
 
 from __future__ import annotations
@@ -109,11 +116,95 @@ class EntityRecord(NamedTuple):
 _NO_RECORD = EntityRecord()
 
 
-@dataclass(slots=True)
+def _records(cls: type, *columns: Iterable) -> Iterator:
+    """``cls`` named tuples made field by field from ``columns``:
+    ``tuple.__new__`` builds each from its field tuple in C, as the named
+    tuple's own constructor does after a Python-level call."""
+    return map(tuple.__new__, repeat(cls), zip(*columns))
+
+
 class KnowledgeBase:
-    facts: list[Fact]
-    entities: dict[str, EntityRecord]
-    by_subject: dict[str, list[int]]
+    """A knowledge base held as the columns of its snapshot.
+
+    ``ids`` are the entity ids by position and ``position`` maps each id
+    back; ``aliases`` and ``labels`` hold each position's aliases (``()``
+    for none) and notable type label (None for none).  ``subjects``,
+    ``predicates`` and ``objects`` are int32 fact columns: an entity
+    position, an index into ``relations`` (the distinct relations, in
+    order of first use) and an entity position.  Read an entity through
+    the accessors below, which build only what they return.
+
+    ``rows``, ``facts``, ``entities`` and ``by_subject`` are built on
+    first read: the by-subject index (see :attr:`rows`); the facts in
+    order; each entity's :class:`EntityRecord` in position order (the
+    shared ``_NO_RECORD`` for an entity with no alias and no type); and
+    each subject's fact indices in fact order, subjects in order of first
+    fact.  The last three are whole-KB views for tests and the benchmark.
+    """
+
+    __slots__ = ("ids", "position", "aliases", "labels", "relations",
+                 "subjects", "predicates", "objects", "_rows", "_facts",
+                 "_entities", "_by_subject")
+
+    def __init__(self, ids: list[str], position: dict[str, int],
+                 aliases: list[tuple[str, ...]], labels: list[Optional[str]],
+                 relations: list[str], subjects: np.ndarray,
+                 predicates: np.ndarray, objects: np.ndarray):
+        self.ids, self.position = ids, position
+        self.aliases, self.labels = aliases, labels
+        self.relations = relations
+        self.subjects, self.predicates, self.objects = \
+            subjects, predicates, objects
+        self._rows = self._facts = self._entities = self._by_subject = None
+
+    @property
+    def rows(self) -> tuple[list[int], list[str], list[str]]:
+        """``(starts, relations, objects)``: the facts grouped by subject
+        by one stable argsort of the subject column, so in fact order
+        within each, as each one's relation and object.  The facts of
+        position p are the rows ``starts[p]`` to ``starts[p + 1]``.  The
+        accessors read ``kb._rows or kb.rows``, which skips this call once
+        the index is built."""
+        if self._rows is None:
+            order = np.argsort(self.subjects, kind="stable")
+            starts = np.zeros(len(self.ids) + 1, np.intp)
+            np.cumsum(np.bincount(self.subjects, minlength=len(self.ids)),
+                      out=starts[1:])
+            self._rows = (
+                starts.tolist(),
+                np.array(self.relations, object)[
+                    self.predicates[order]].tolist(),
+                np.fromiter(self.ids, object, len(self.ids))[
+                    self.objects[order]].tolist())
+        return self._rows
+
+    @property
+    def facts(self) -> list[Fact]:
+        if self._facts is None:
+            ids, relations = self.ids, self.relations
+            self._facts = list(_records(
+                Fact, map(ids.__getitem__, self.subjects.tolist()),
+                map(relations.__getitem__, self.predicates.tolist()),
+                map(ids.__getitem__, self.objects.tolist())))
+        return self._facts
+
+    @property
+    def entities(self) -> dict[str, EntityRecord]:
+        if self._entities is None:
+            self._entities = dict(zip(self.ids, (
+                EntityRecord(names, label)
+                if names or label is not None else _NO_RECORD
+                for names, label in zip(self.aliases, self.labels))))
+        return self._entities
+
+    @property
+    def by_subject(self) -> dict[str, list[int]]:
+        if self._by_subject is None:
+            rows: dict[str, list[int]] = {}
+            for idx, subject in enumerate(self.subjects.tolist()):
+                rows.setdefault(self.ids[subject], []).append(idx)
+            self._by_subject = rows
+        return self._by_subject
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +368,8 @@ def parse_alias_lines(lines: Iterable[str]) -> list[tuple[str, str]]:
 # Construction and queries
 # ---------------------------------------------------------------------------
 
-_SUBJECT, _SUBJECT_AND_OBJECT = itemgetter(0), itemgetter(0, 2)
+_SUBJECT_AND_OBJECT = itemgetter(0, 2)
+_INT32 = np.dtype("<i4")
 
 
 def build_kb(
@@ -311,82 +403,103 @@ def build_kb(
             log.warning("entity %s has conflicting notable types %r / %r; "
                         "keeping the latter", mid, old, label)
         types[mid] = label
-    return _assemble(fact_list, entity_ids, aliases, types)
+    ids = list(entity_ids)
+    position = dict(zip(ids, count()))
+    subjects, names, objects = (zip(*fact_list) if fact_list
+                                else ((), (), ()))
+    relations, predicates = _relation_column(names)
+    return KnowledgeBase(
+        ids, position,
+        _spread(len(ids), _column(map(position.__getitem__, aliases)),
+                map(tuple, aliases.values()), ()),
+        _spread(len(ids), _column(map(position.__getitem__, types)),
+                types.values(), None),
+        relations, _column(map(position.__getitem__, subjects)), predicates,
+        _column(map(position.__getitem__, objects)))
 
 
-def _records(cls: type, *columns: Iterable) -> Iterator:
-    """``cls`` named tuples made field by field from ``columns``:
-    ``tuple.__new__`` builds each from its field tuple in C, as the named
-    tuple's own constructor does after a Python-level call."""
-    return map(tuple.__new__, repeat(cls), zip(*columns))
+def _column(ints: Iterable[int]) -> np.ndarray:
+    """``ints`` as an int32 column."""
+    return np.fromiter(ints, _INT32)
 
 
-def _assemble(facts: list[Fact], entity_ids: Iterable[str],
-              aliases: dict[str, Sequence[str]],
-              types: dict[str, str]) -> KnowledgeBase:
-    """The knowledge base of ``facts`` and of the entities ``entity_ids``,
-    in its order.
-    ``by_subject`` gets each subject's fact indices in fact order, from
-    which :func:`out_degree` counts.  An entity gets a record of its
-    aliases and its type from ``aliases`` and ``types``, and the shared
-    empty record when neither holds it: the one place that decides what
-    a record holds, for :func:`build_kb` and :func:`load_kb` alike."""
-    by_subject: dict[str, list[int]] = {}
-    for idx, subject in enumerate(map(_SUBJECT, facts)):
-        rows = by_subject.get(subject)
-        if rows is None:
-            by_subject[subject] = [idx]
-        else:
-            rows.append(idx)
-    entities = dict.fromkeys(entity_ids, _NO_RECORD)
-    # a set is iterated in one order for as long as it is not changed
-    only_typed = types.keys() - aliases.keys()
-    entities.update(zip(only_typed, _records(
-        EntityRecord, repeat(()), map(types.__getitem__, only_typed))))
-    entities.update(zip(aliases, _records(
-        EntityRecord, map(tuple, aliases.values()), map(types.get, aliases))))
-    return KnowledgeBase(facts=facts, entities=entities, by_subject=by_subject)
+def _relation_column(names: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct relations of ``names`` in order of first use, and the
+    column of each name's index among them."""
+    relations = list(dict.fromkeys(names))
+    return relations, _column(map(dict(zip(relations, count())).__getitem__,
+                                  names))
+
+
+def _spread(n: int, at: np.ndarray, values: Iterable, blank) -> list:
+    """A list of ``n`` items: ``values`` at the positions ``at``, in step,
+    and ``blank`` everywhere else."""
+    items = np.empty(n, object)
+    items.fill(blank)
+    items[at] = np.fromiter(values, object, len(at))
+    return items.tolist()
+
+
+def facts_of(kb: KnowledgeBase, entity: str) -> list[Fact]:
+    """The facts whose subject is ``entity``, in fact order."""
+    facts: list[Fact] = []
+    p = kb.position.get(entity)
+    if p is None:
+        return facts
+    starts, relations, objects = kb._rows or kb.rows
+    for i in range(starts[p], starts[p + 1]):
+        # tuple.__new__ builds the Fact in C, as in _records
+        facts.append(tuple.__new__(Fact, (entity, relations[i], objects[i])))
+    return facts
 
 
 def relations_of(kb: KnowledgeBase, entity: str) -> list[str]:
     """Distinct outgoing relations of an entity, sorted lexicographically."""
-    seen = {kb.facts[i].relation for i in kb.by_subject.get(entity, ())}
-    return sorted(seen)
+    p = kb.position.get(entity)
+    if p is None:
+        return []
+    starts, relations, _ = kb._rows or kb.rows
+    return sorted(set(relations[starts[p]:starts[p + 1]]))
 
 
 def lookup_objects(kb: KnowledgeBase, entity: str, relation: str) -> list[str]:
     """Objects of all (entity, relation, ·) facts, deduplicated, in fact order."""
     out: list[str] = []
-    for i in kb.by_subject.get(entity, ()):
-        fact = kb.facts[i]
-        if fact.relation == relation and fact.object not in out:
-            out.append(fact.object)
+    p = kb.position.get(entity)
+    if p is None:
+        return out
+    starts, relations, objects = kb._rows or kb.rows
+    for i in range(starts[p], starts[p + 1]):
+        if relations[i] == relation and objects[i] not in out:
+            out.append(objects[i])
     return out
 
 
 def out_degree(kb: KnowledgeBase, entity: str) -> int:
     """Number of stored facts whose subject is ``entity`` (0 if unknown)."""
-    return len(kb.by_subject.get(entity, ()))
+    p = kb.position.get(entity)
+    if p is None:
+        return 0
+    starts = (kb._rows or kb.rows)[0]
+    return starts[p + 1] - starts[p]
 
 
-def aliases_of(kb: KnowledgeBase, entity: str) -> set[str]:
-    """An entity's aliases (empty if unknown); two entities share a label
-    when these intersect."""
-    rec = kb.entities.get(entity)
-    return set(rec.aliases) if rec is not None else set()
+def aliases_of(kb: KnowledgeBase, entity: str) -> tuple[str, ...]:
+    """An entity's aliases in their order (empty if unknown); two
+    entities share a label when these intersect."""
+    p = kb.position.get(entity)
+    return () if p is None else kb.aliases[p]
 
 
 def notable_type(kb: KnowledgeBase, entity: str) -> Optional[str]:
-    rec = kb.entities.get(entity)
-    return rec.notable_type if rec is not None else None
+    p = kb.position.get(entity)
+    return None if p is None else kb.labels[p]
 
 
 def primary_alias(kb: KnowledgeBase, entity: str) -> str:
     """First alias of an entity, falling back to the id itself."""
-    rec = kb.entities.get(entity)
-    if rec is not None and rec.aliases:
-        return rec.aliases[0]
-    return entity
+    names = aliases_of(kb, entity)
+    return names[0] if names else entity
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +510,6 @@ def primary_alias(kb: KnowledgeBase, entity: str) -> str:
 # aliases, aliases, typed entities and string-block bytes.
 _HEADER = struct.Struct("<7I")
 _COLUMNS_AT = len(SNAPSHOT_MAGIC) + _HEADER.size
-_INT32 = np.dtype("<i4")
-# an EntityRecord's aliases and label
-_ALIASES, _LABEL = itemgetter(0), itemgetter(1)
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:
@@ -410,36 +520,25 @@ def save_kb(kb: KnowledgeBase, path: str) -> None:
     the entities or the distinct relations (in order of first use); the
     entity index and the alias count of each entity with aliases; the
     entity index of each typed entity.  Last comes one JSON array of
-    every string: the entity ids in ``kb.entities`` order, the relations,
-    the aliases entity by entity, and the type labels.
+    every string: the entity ids in position order, the relations, the
+    aliases entity by entity, and the type labels.
     """
-    ids = list(kb.entities)
-    index = dict(zip(ids, count()))
-    subjects, relations, objects = (zip(*kb.facts) if kb.facts
-                                    else ((), (), ()))
-    relation_ids = list(dict.fromkeys(relations))
-    relation_index = dict(zip(relation_ids, count()))
-    records = list(kb.entities.values())
-    aliased = list(compress(count(), map(_ALIASES, records)))
-    typed = list(compress(count(), map(is_not, map(_LABEL, records),
-                                       repeat(None))))
-    names = list(map(_ALIASES, map(records.__getitem__, aliased)))
-    labels = list(map(_LABEL, map(records.__getitem__, typed)))
-    columns = [map(index.__getitem__, subjects),
-               map(relation_index.__getitem__, relations),
-               map(index.__getitem__, objects),
-               aliased, map(len, names), typed]
+    aliased = list(compress(count(), kb.aliases))
+    names = list(compress(kb.aliases, kb.aliases))
+    has_label = list(map(is_not, kb.labels, repeat(None)))
+    typed = list(compress(count(), has_label))
     aliases = list(chain.from_iterable(names))
-    strings = json.dumps(ids + relation_ids + aliases + labels,
-                         separators=(",", ":")).encode("utf-8")
-    ints = np.fromiter(chain.from_iterable(columns), _INT32,
-                       3 * len(kb.facts) + 2 * len(aliased) + len(typed))
+    strings = json.dumps(
+        kb.ids + kb.relations + aliases + list(compress(kb.labels, has_label)),
+        separators=(",", ":")).encode("utf-8")
+    entries = _column(chain(aliased, map(len, names), typed))
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
-        fh.write(_HEADER.pack(len(ids), len(relation_ids), len(kb.facts),
-                              len(aliased), len(aliases), len(typed),
-                              len(strings)))
-        fh.write(ints.tobytes())
+        fh.write(_HEADER.pack(len(kb.ids), len(kb.relations),
+                              len(kb.subjects), len(aliased), len(aliases),
+                              len(typed), len(strings)))
+        for column in (kb.subjects, kb.predicates, kb.objects, entries):
+            fh.write(column.tobytes())
         fh.write(strings)
 
 
@@ -466,7 +565,8 @@ def _kb_from_snapshot(data: bytes) -> KnowledgeBase:
     size = _COLUMNS_AT + 4 * n_ints + n_bytes
     if len(data) != size:
         raise _garbled(f"{len(data)} bytes, the header gives {size}")
-    ints = np.frombuffer(data, _INT32, n_ints, _COLUMNS_AT)
+    # a copy, so the KB does not hold the file's bytes
+    ints = np.frombuffer(data, _INT32, n_ints, _COLUMNS_AT).copy()
     subjects, predicates, objects, aliased, alias_counts, typed = \
         np.split(ints, splits)
     for column, n_refs, what in ((subjects, n_ids, "subjects"),
@@ -496,8 +596,18 @@ def _kb_from_snapshot(data: bytes) -> KnowledgeBase:
     except TypeError as exc:
         raise _ill_typed("an item of the string block is not a string") \
             from exc
-    ids = np.array(strings[:n_ids], object)
-    relations = np.array(strings[n_ids:n_ids + n_relations], object)
+    ids = strings[:n_ids]
+    position = dict(zip(ids, count()))
+    if len(position) != n_ids:
+        raise _ill_typed("an entity id is listed twice")
+    if n_aliased and np.bincount(aliased).max() > 1:
+        raise _ill_typed("an entity has two alias entries")
+    if n_typed and np.bincount(typed).max() > 1:
+        raise _ill_typed("an entity has two type entries")
+    relations = strings[n_ids:n_ids + n_relations]
+    if not _in_first_use_order(relations, predicates):
+        relations, predicates = _relation_column(
+            list(map(relations.__getitem__, predicates.tolist())))
     alias_strings = strings[n_ids + n_relations:n_strings - n_typed]
     if n_aliases == n_aliased:  # one alias each, as synth writes
         alias_tuples = zip(alias_strings)
@@ -505,19 +615,19 @@ def _kb_from_snapshot(data: bytes) -> KnowledgeBase:
         ends = np.cumsum(alias_counts, dtype=np.int64).tolist()
         alias_tuples = map(tuple, map(alias_strings.__getitem__,
                                       map(slice, [0] + ends[:-1], ends)))
-    aliases = dict(zip(ids[aliased].tolist(), alias_tuples))
-    types = dict(zip(ids[typed].tolist(), strings[n_strings - n_typed:]))
-    facts = list(_records(Fact, ids[subjects].tolist(),
-                          relations[predicates].tolist(),
-                          ids[objects].tolist()))
-    kb = _assemble(facts, strings[:n_ids], aliases, types)
-    if len(kb.entities) != n_ids:
-        raise _ill_typed("an entity id is listed twice")
-    if len(aliases) != n_aliased:
-        raise _ill_typed("an entity has two alias entries")
-    if len(types) != n_typed:
-        raise _ill_typed("an entity has two type entries")
-    return kb
+    return KnowledgeBase(
+        ids, position, _spread(n_ids, aliased, alias_tuples, ()),
+        _spread(n_ids, typed, strings[n_strings - n_typed:], None),
+        relations, subjects, predicates, objects)
+
+
+def _in_first_use_order(relations: list[str], predicates: np.ndarray) -> bool:
+    """Whether ``relations`` are distinct and the predicate column uses
+    each of them, first in their order, as :func:`_relation_column` makes
+    them; a snapshot that :func:`save_kb` did not write may hold others."""
+    return (len(set(relations)) == len(relations)
+            and list(dict.fromkeys(predicates.tolist()))
+            == list(range(len(relations))))
 
 
 def load_kb(path: str) -> KnowledgeBase:

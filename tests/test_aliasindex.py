@@ -2,6 +2,7 @@
 
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +17,7 @@ from qakb.aliasindex import (
     retrieve_question_candidates,
     tokenize,
 )
-from qakb.kb import EntityRecord, KnowledgeBase, build_kb
+from qakb.kb import KnowledgeBase, build_kb
 
 
 def _tokenizing_build_index(kb):
@@ -309,9 +310,11 @@ class TestBuildIndex:
         punctuation), under entities in any order, are looked up and
         retrieved as through the buckets that tokenizing every alias
         gives."""
-        entities = {mid: EntityRecord(tuple(aliases))
-                    for mid, aliases in records}
-        kb = KnowledgeBase(facts=[], entities=entities, by_subject={})
+        aliases = {mid: tuple(names) for mid, names in records}
+        ids = list(aliases)
+        kb = KnowledgeBase(ids, dict(zip(ids, range(len(ids)))),
+                           list(aliases.values()), [None] * len(ids), [],
+                           *np.zeros((3, 0), np.int32))
         _assert_same_lookups(kb, _tokenizing_build_index(kb), queries)
 
     def test_alias_longer_than_any_gram(self):

@@ -1,6 +1,9 @@
 """Knowledge-base parsing, construction and lookup behaviour."""
 
+import gc
 import string
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -13,9 +16,11 @@ from qakb.kb import (
     Fact,
     _strip_id_prefix,
     NTObject,
+    aliases_of,
     build_kb,
     canonicalize_mid,
     canonicalize_relation,
+    facts_of,
     load_kb,
     lookup_objects,
     notable_type,
@@ -652,3 +657,63 @@ class TestSnapshot:
         path.write_bytes(b"NOPE!")
         with pytest.raises(ParseError):
             load_kb(str(path))
+
+
+def _module_of(obj) -> str:
+    """The module that defines a function, or else ``obj``'s type."""
+    if isinstance(obj, types.FunctionType):
+        return obj.__module__
+    return type(obj).__module__
+
+
+def _read_everything(kb):
+    """Read every whole-KB view of ``kb`` and every accessor for each of
+    its entities and for one id it does not hold."""
+    assert kb.facts and kb.entities and kb.by_subject
+    for mid in [*kb.entities, "m.absent"]:
+        for relation in relations_of(kb, mid):
+            lookup_objects(kb, mid, relation)
+        out_degree(kb, mid)
+        aliases_of(kb, mid)
+        notable_type(kb, mid)
+        primary_alias(kb, mid)
+        facts_of(kb, mid)
+
+
+class TestNoReferenceCycle:
+    """Running each command with the cyclic collector paused rests on no
+    ``qakb`` object sitting in a reference cycle; no command reads the
+    whole-KB views, so this checks them and every accessor directly."""
+
+    @pytest.mark.parametrize("route", ["build_kb", "load_kb"])
+    def test_freed_by_reference_counting(self, tiny_kb, tmp_path, route):
+        """Whatever was read of it, a KB is referred to by nothing but its
+        one name, so deleting that frees it, and the cyclic collector then
+        finds no ``qakb`` object to free."""
+        facts = tiny_kb.facts
+        alias_pairs = [(mid, alias) for mid, rec in tiny_kb.entities.items()
+                       for alias in rec.aliases]
+        type_pairs = [(mid, rec.notable_type)
+                      for mid, rec in tiny_kb.entities.items()
+                      if rec.notable_type is not None]
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            kb = build_kb(facts, alias_pairs, type_pairs)
+            if route == "load_kb":
+                kb = _reloaded(kb, tmp_path)
+            _read_everything(kb)
+            # the name ``kb`` and getrefcount's own argument
+            assert sys.getrefcount(kb) == 2
+            del kb
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            assert [obj for obj in gc.garbage
+                    if _module_of(obj).startswith("qakb")] == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.collect()
+            if enabled:
+                gc.enable()

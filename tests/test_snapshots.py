@@ -8,9 +8,11 @@ import pytest
 from conftest import KBQA3_COLUMNS, KBQA3_STRINGS, kbqa3_bytes, param
 from hypothesis import given, settings, strategies as st
 
+from qakb.datagen import type_inventory
 from qakb.errors import ParseError, QAKBError
-from qakb.kb import (SNAPSHOT_MAGIC, EntityRecord, Fact, build_kb, load_kb,
-                     save_kb)
+from qakb.kb import (SNAPSHOT_MAGIC, EntityRecord, Fact, aliases_of, build_kb,
+                     facts_of, load_kb, lookup_objects, notable_type,
+                     out_degree, primary_alias, relations_of, save_kb)
 from qakb.nn.io import MODEL_MAGIC, load_params, read_model_meta, save_params
 
 json_values = st.recursive(
@@ -90,6 +92,43 @@ _records = st.tuples(
 )
 
 
+# an id that no KB here holds: fuzzed ids have at most three characters,
+# and no record spells this one
+_ABSENT = "m.absent"
+
+
+def _reads(kb, mid):
+    """Every per-entity accessor's answer for ``mid``, ``lookup_objects``
+    for each of the KB's relations."""
+    return (relations_of(kb, mid), out_degree(kb, mid), aliases_of(kb, mid),
+            notable_type(kb, mid), primary_alias(kb, mid), facts_of(kb, mid),
+            [lookup_objects(kb, mid, rel) for rel in kb.relations])
+
+
+def _assert_same_reads(got, want):
+    """``got`` and ``want`` have the same distinct relations and type
+    inventory and give every accessor the same answer for each entity id
+    and for one id neither holds; and ``want``'s accessors agree with its
+    whole-KB views."""
+    assert got.relations == want.relations == list(
+        dict.fromkeys(fact.relation for fact in want.facts))
+    assert type_inventory(got) == type_inventory(want)
+    assert _ABSENT not in want.entities
+    for mid in [*want.entities, _ABSENT]:
+        assert _reads(got, mid) == _reads(want, mid)
+    for mid, rec in want.entities.items():
+        facts = [want.facts[i] for i in want.by_subject.get(mid, ())]
+        assert facts_of(want, mid) == facts
+        assert all(type(fact) is Fact for fact in facts_of(want, mid))
+        assert relations_of(want, mid) == sorted({f.relation for f in facts})
+        assert out_degree(want, mid) == len(facts)
+        for rel in want.relations:
+            assert lookup_objects(want, mid, rel) == list(dict.fromkeys(
+                f.object for f in facts if f.relation == rel))
+        assert aliases_of(want, mid) == rec.aliases
+        assert notable_type(want, mid) == rec.notable_type
+
+
 @pytest.fixture(scope="module")
 def path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "snapshot"
@@ -136,6 +175,7 @@ class TestLoadKb:
         assert again.facts == kb.facts
         assert list(again.entities.items()) == list(kb.entities.items())
         assert list(again.by_subject.items()) == list(kb.by_subject.items())
+        _assert_same_reads(again, kb)
 
     @settings(deadline=None, max_examples=300)
     @given(_records)
@@ -151,6 +191,7 @@ class TestLoadKb:
         assert list(got.entities) == list(kb.entities)
         assert got.entities == kb.entities
         assert list(got.by_subject.items()) == list(kb.by_subject.items())
+        _assert_same_reads(got, kb)
 
     def test_loaded_facts_are_frozen_facts(self, path):
         facts = [Fact("m.01", "/a/b", "m.02"), Fact("m.02", "/a/c", "m.01")]

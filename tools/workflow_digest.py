@@ -19,8 +19,9 @@ Runs ``qakb.cli.main`` in-process, in a fresh temporary directory, over:
 * ``synth`` and ``gen-data`` at 5,000 entities and 200 relations, then
   ``train-e2e --variant qa-t`` on 32 of its train questions (whose
   relation-dictionary rows the benchmark's ``prep-m`` unit builds),
-  ``train-e2e --variant qa-t-mwst`` on 4 and ``answer`` with that model
-  over 20 of its test questions;
+  ``train-e2e --variant qa-t-mwst`` on 4, ``answer`` and ``eval`` with
+  that model over 20 of its test questions, and oracle ``eval`` of
+  ``p-qa-out-type`` over the same 20;
 * ``--help``, and ``<command> --help`` for every command, at 80 columns.
 
 It prints ``sha256  relative-path`` for every file the workflow leaves
@@ -216,9 +217,9 @@ def run_workflow(w: Workflow, variants, strategies) -> None:
     kb_m = w.path("m", "kb.qakb")
     w.run("gen-data-m", "gen-data", "--kb", kb_m,
           "--questions", w.path("m", "train.tsv"), "--out", w.path("m-data"))
-    for n in (4, 32):
-        with open(w.path(f"m-train{n}.tsv"), "w", encoding="utf-8") as fh:
-            fh.write("".join(question_lines(w.path("m"), "train", n)))
+    for split, n in (("train", 4), ("train", 32), ("test", 20)):
+        with open(w.path(f"m-{split}{n}.tsv"), "w", encoding="utf-8") as fh:
+            fh.write("".join(question_lines(w.path("m"), split, n)))
     # the benchmark's prep-m unit: its DRR rows are those of 32 questions
     w.run("train-e2e-m-qa-t", "train-e2e", "--kb", kb_m, "--questions",
           w.path("m-train32.tsv"), "--variant", "qa-t",
@@ -231,6 +232,13 @@ def run_workflow(w: Workflow, variants, strategies) -> None:
     w.run("answer-m", "answer", "--kb", kb_m, "--questions",
           w.path("m-questions.txt"), "--model", model_m,
           "--variant", "qa-t-mwst")
+    # error classes read each twin's aliases, type and out-degree
+    w.run("eval-m", "eval", "--kb", kb_m, "--questions",
+          w.path("m-test20.tsv"), "--out", w.path("reports", "m-qa-t-mwst"),
+          "--model", model_m, "--variant", "qa-t-mwst")
+    w.run("oracle-m", "eval", "--kb", kb_m, "--questions",
+          w.path("m-test20.tsv"), "--out", w.path("reports", "m-oracle"),
+          "--oracle", "--strategy", "p-qa-out-type")
 
     w.run("help", "--help")
     for command in COMMANDS:

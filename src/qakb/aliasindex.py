@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from itertools import compress
 from typing import NamedTuple, Optional, Sequence, Union
 
 from qakb.kb import KnowledgeBase
@@ -122,19 +121,33 @@ def build_index(kb: KnowledgeBase) -> AliasIndex:
 
     The alias side is deliberately unpruned: pruning belongs to the query
     side only, otherwise a two-word query gram could never reach a
-    three-word alias.  The aliased entities are walked once, in the KB's
-    order, and only the exact buckets of two or more entities are sorted.
+    three-word alias.  Only the aliased entities are walked
+    (``kb.aliased``), once, in the KB's order, and only the exact buckets
+    of two or more entities are sorted.
     """
     exact: dict[str, list[str]] = {}
     partial: dict[str, list[str]] = {}
     entity_aliases: dict[str, list[str]] = {}
     shared: list[list[str]] = []  # exact buckets of two or more mids
     multi: list[tuple[str, str, list[str]]] = []  # (mid, norm, tokens)
-    for mid, aliases in compress(zip(kb.ids, kb.aliases), kb.aliases):
+    ids, all_aliases = kb.ids, kb.aliases
+    # a memoryview's items are Python ints, not numpy scalars
+    for p in memoryview(kb.aliased):
+        aliases = all_aliases[p]
+        mid = ids[p]
+        # lowercase ASCII letters and digits make one token that tokenize
+        # would return unchanged, so it is not called; an entity with one
+        # such alias has no other norm to repeat it
+        if len(aliases) == 1:
+            alias = aliases[0]
+            if alias.isascii() and alias.isalnum() and alias.islower():
+                bucket = exact.setdefault(alias, [])
+                if bucket:
+                    shared.append(bucket)
+                bucket.append(mid)
+                continue
         normed: list[str] = []
         for alias in aliases:
-            # lowercase ASCII letters and digits make one token that
-            # tokenize would return unchanged, so it is not called
             if alias.isascii() and alias.isalnum() and alias.islower():
                 norm = alias
             else:

@@ -368,13 +368,16 @@ def _training_vocab(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
     paths, sorted; each distinct type and relation is split once.  The
     alias tokens are read off the exact keys of ``index``, the KB's alias
     index (built here when not given): each key is an alias's tokens
-    joined by single spaces, and no token holds whitespace."""
+    joined by single spaces, and no token holds whitespace.  When no key
+    has two tokens (``index.longest`` below 2), the keys are the tokens
+    and are not split again."""
     if index is None:
         index = build_index(kb)
     toks: set[str] = set()
     for q in dataset:
         toks.update(q.tokens)
-    toks.update(" ".join(index.exact).split())
+    toks.update(index.exact if index.longest < 2
+                else " ".join(index.exact).split())
     for label in type_inventory(kb):
         toks.update(tokenize(label))
     for relation in kb.relations:

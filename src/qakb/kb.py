@@ -8,10 +8,11 @@ so the rest of the package never sees raw dump spellings.
 
 In memory a knowledge base is the columns its snapshot holds (see
 :class:`KnowledgeBase`): building or loading one makes those columns and
-no per-fact or per-entity object.  The accessors (:func:`relations_of`,
-:func:`facts_of` and the rest) build only what they return for the one
-entity they are asked about; the first fact read builds an index of the
-facts by subject.
+no per-fact or per-entity object, and loading makes them in bulk passes,
+with no Python loop over every entity or every fact.  The accessors
+(:func:`relations_of`, :func:`facts_of` and the rest) build only what
+they return for the one entity they are asked about; the first fact read
+sorts the fact columns by subject, as int arrays.
 """
 
 from __future__ import annotations
@@ -128,7 +129,9 @@ class KnowledgeBase:
 
     ``ids`` are the entity ids by position and ``position`` maps each id
     back; ``aliases`` and ``labels`` hold each position's aliases (``()``
-    for none) and notable type label (None for none).  ``subjects``,
+    for none) and notable type label (None for none), and ``aliased`` is
+    the int32 column of the positions with aliases, ascending, so a walk
+    over the aliased entities skips the rest in bulk.  ``subjects``,
     ``predicates`` and ``objects`` are int32 fact columns: an entity
     position, an index into ``relations`` (the distinct relations, in
     order of first use) and an entity position.  Read an entity through
@@ -142,40 +145,40 @@ class KnowledgeBase:
     fact.  The last three are whole-KB views for tests and the benchmark.
     """
 
-    __slots__ = ("ids", "position", "aliases", "labels", "relations",
-                 "subjects", "predicates", "objects", "_rows", "_facts",
-                 "_entities", "_by_subject")
+    __slots__ = ("ids", "position", "aliases", "aliased", "labels",
+                 "relations", "subjects", "predicates", "objects", "_rows",
+                 "_facts", "_entities", "_by_subject")
 
     def __init__(self, ids: list[str], position: dict[str, int],
-                 aliases: list[tuple[str, ...]], labels: list[Optional[str]],
-                 relations: list[str], subjects: np.ndarray,
-                 predicates: np.ndarray, objects: np.ndarray):
+                 aliases: list[tuple[str, ...]], aliased: np.ndarray,
+                 labels: list[Optional[str]], relations: list[str],
+                 subjects: np.ndarray, predicates: np.ndarray,
+                 objects: np.ndarray):
         self.ids, self.position = ids, position
-        self.aliases, self.labels = aliases, labels
+        self.aliases, self.aliased, self.labels = aliases, aliased, labels
         self.relations = relations
         self.subjects, self.predicates, self.objects = \
             subjects, predicates, objects
         self._rows = self._facts = self._entities = self._by_subject = None
 
     @property
-    def rows(self) -> tuple[list[int], list[str], list[str]]:
-        """``(starts, relations, objects)``: the facts grouped by subject
+    def rows(self) -> tuple[memoryview, memoryview, memoryview]:
+        """``(starts, predicates, objects)``: the facts grouped by subject
         by one stable argsort of the subject column, so in fact order
-        within each, as each one's relation and object.  The facts of
-        position p are the rows ``starts[p]`` to ``starts[p + 1]``.  The
-        accessors read ``kb._rows or kb.rows``, which skips this call once
-        the index is built."""
+        within each, as each one's index into ``relations`` and object
+        position.  The facts of position p are the rows ``starts[p]`` to
+        ``starts[p + 1]``.  Each is a memoryview of an int array, whose
+        items read as Python ints, so an accessor converts only its own
+        entity's rows.  The accessors read ``kb._rows or kb.rows``, which
+        skips this call once the index is built."""
         if self._rows is None:
             order = np.argsort(self.subjects, kind="stable")
             starts = np.zeros(len(self.ids) + 1, np.intp)
             np.cumsum(np.bincount(self.subjects, minlength=len(self.ids)),
                       out=starts[1:])
-            self._rows = (
-                starts.tolist(),
-                np.array(self.relations, object)[
-                    self.predicates[order]].tolist(),
-                np.fromiter(self.ids, object, len(self.ids))[
-                    self.objects[order]].tolist())
+            self._rows = (memoryview(starts),
+                          memoryview(self.predicates[order]),
+                          memoryview(self.objects[order]))
         return self._rows
 
     @property
@@ -408,10 +411,11 @@ def build_kb(
     subjects, names, objects = (zip(*fact_list) if fact_list
                                 else ((), (), ()))
     relations, predicates = _relation_column(names)
+    aliased = _column(map(position.__getitem__, aliases))
     return KnowledgeBase(
         ids, position,
-        _spread(len(ids), _column(map(position.__getitem__, aliases)),
-                map(tuple, aliases.values()), ()),
+        _spread(len(ids), aliased, map(tuple, aliases.values()), ()),
+        _ascending(aliased),
         _spread(len(ids), _column(map(position.__getitem__, types)),
                 types.values(), None),
         relations, _column(map(position.__getitem__, subjects)), predicates,
@@ -431,6 +435,13 @@ def _relation_column(names: Sequence[str]) -> tuple[list[str], np.ndarray]:
                                   names))
 
 
+def _ascending(column: np.ndarray) -> np.ndarray:
+    """``column`` sorted ascending.  It takes the stable argsort that
+    :attr:`KnowledgeBase.rows` runs, not ``np.sort``, whose numpy code
+    is otherwise never run and adds about 256 KB to a command's RSS."""
+    return column[np.argsort(column, kind="stable")]
+
+
 def _spread(n: int, at: np.ndarray, values: Iterable, blank) -> list:
     """A list of ``n`` items: ``values`` at the positions ``at``, in step,
     and ``blank`` everywhere else."""
@@ -446,10 +457,12 @@ def facts_of(kb: KnowledgeBase, entity: str) -> list[Fact]:
     p = kb.position.get(entity)
     if p is None:
         return facts
-    starts, relations, objects = kb._rows or kb.rows
+    starts, predicates, objects = kb._rows or kb.rows
+    relations, ids = kb.relations, kb.ids
     for i in range(starts[p], starts[p + 1]):
         # tuple.__new__ builds the Fact in C, as in _records
-        facts.append(tuple.__new__(Fact, (entity, relations[i], objects[i])))
+        facts.append(tuple.__new__(
+            Fact, (entity, relations[predicates[i]], ids[objects[i]])))
     return facts
 
 
@@ -458,8 +471,9 @@ def relations_of(kb: KnowledgeBase, entity: str) -> list[str]:
     p = kb.position.get(entity)
     if p is None:
         return []
-    starts, relations, _ = kb._rows or kb.rows
-    return sorted(set(relations[starts[p]:starts[p + 1]]))
+    starts, predicates, _ = kb._rows or kb.rows
+    return sorted(map(kb.relations.__getitem__,
+                      set(predicates[starts[p]:starts[p + 1]])))
 
 
 def lookup_objects(kb: KnowledgeBase, entity: str, relation: str) -> list[str]:
@@ -468,10 +482,13 @@ def lookup_objects(kb: KnowledgeBase, entity: str, relation: str) -> list[str]:
     p = kb.position.get(entity)
     if p is None:
         return out
-    starts, relations, objects = kb._rows or kb.rows
+    starts, predicates, objects = kb._rows or kb.rows
+    relations, ids = kb.relations, kb.ids
     for i in range(starts[p], starts[p + 1]):
-        if relations[i] == relation and objects[i] not in out:
-            out.append(objects[i])
+        if relations[predicates[i]] == relation:
+            obj = ids[objects[i]]
+            if obj not in out:
+                out.append(obj)
     return out
 
 
@@ -523,21 +540,21 @@ def save_kb(kb: KnowledgeBase, path: str) -> None:
     every string: the entity ids in position order, the relations, the
     aliases entity by entity, and the type labels.
     """
-    aliased = list(compress(count(), kb.aliases))
-    names = list(compress(kb.aliases, kb.aliases))
+    names = list(map(kb.aliases.__getitem__, kb.aliased.tolist()))
     has_label = list(map(is_not, kb.labels, repeat(None)))
     typed = list(compress(count(), has_label))
     aliases = list(chain.from_iterable(names))
     strings = json.dumps(
         kb.ids + kb.relations + aliases + list(compress(kb.labels, has_label)),
         separators=(",", ":")).encode("utf-8")
-    entries = _column(chain(aliased, map(len, names), typed))
+    counts_and_typed = _column(chain(map(len, names), typed))
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(_HEADER.pack(len(kb.ids), len(kb.relations),
-                              len(kb.subjects), len(aliased), len(aliases),
+                              len(kb.subjects), len(names), len(aliases),
                               len(typed), len(strings)))
-        for column in (kb.subjects, kb.predicates, kb.objects, entries):
+        for column in (kb.subjects, kb.predicates, kb.objects, kb.aliased,
+                       counts_and_typed):
             fh.write(column.tobytes())
         fh.write(strings)
 
@@ -617,6 +634,7 @@ def _kb_from_snapshot(data: bytes) -> KnowledgeBase:
                                       map(slice, [0] + ends[:-1], ends)))
     return KnowledgeBase(
         ids, position, _spread(n_ids, aliased, alias_tuples, ()),
+        _ascending(aliased),
         _spread(n_ids, typed, strings[n_strings - n_typed:], None),
         relations, subjects, predicates, objects)
 
@@ -624,10 +642,16 @@ def _kb_from_snapshot(data: bytes) -> KnowledgeBase:
 def _in_first_use_order(relations: list[str], predicates: np.ndarray) -> bool:
     """Whether ``relations`` are distinct and the predicate column uses
     each of them, first in their order, as :func:`_relation_column` makes
-    them; a snapshot that :func:`save_kb` did not write may hold others."""
-    return (len(set(relations)) == len(relations)
-            and list(dict.fromkeys(predicates.tolist()))
-            == list(range(len(relations))))
+    them; a snapshot that :func:`save_kb` did not write may hold others.
+    One pass decides it: the running maximum of the column never skips
+    an index exactly when each fact's index is at most one past every
+    index before it, so the first uses count up from 0, and it must
+    reach every relation."""
+    if len(set(relations)) != len(relations):
+        return False
+    counts = np.bincount(np.maximum.accumulate(predicates))
+    return len(counts) == len(relations) and (
+        not relations or bool(counts.min() > 0))
 
 
 def load_kb(path: str) -> KnowledgeBase:

@@ -4,6 +4,7 @@ import string
 
 import numpy as np
 import pytest
+from conftest import kbqa3_bytes
 from hypothesis import given, settings, strategies as st
 
 from qakb.aliasindex import (
@@ -17,7 +18,7 @@ from qakb.aliasindex import (
     retrieve_question_candidates,
     tokenize,
 )
-from qakb.kb import KnowledgeBase, build_kb
+from qakb.kb import Fact, KnowledgeBase, build_kb, load_kb, save_kb
 
 
 def _tokenizing_build_index(kb):
@@ -93,7 +94,8 @@ def _assert_same_lookups(kb, oracle, queries):
     alias, and of every gram of each query, reaches the entities of the
     oracle's gram bucket; and both retrieve functions return, field for
     field, what they return over an index that stores every gram and
-    every entity's aliases and tries grams of every length."""
+    every entity's aliases and tries grams of every length.  Returns
+    that index."""
     exact, grams, entity_aliases = oracle
     index = build_index(kb)
     assert index.exact == exact
@@ -107,6 +109,19 @@ def _assert_same_lookups(kb, oracle, queries):
                 == retrieve_question_candidates(full, query))
     for gram in probes:
         assert _lookup(index, gram) == grams.get(gram, [])
+    return index
+
+
+def _ordered(index):
+    """An index's fields with each dict as its items in order."""
+    return (list(index.exact.items()), list(index.partial.items()),
+            list(index.entity_aliases.items()), index.longest)
+
+
+def _round_trip(kb, path):
+    """``kb`` saved as a snapshot and loaded back."""
+    save_kb(kb, str(path))
+    return load_kb(str(path))
 
 
 # queries over the aliases' characters: runs of words, some punctuated
@@ -268,6 +283,11 @@ def tiny_index(tiny_kb):
     return build_index(tiny_kb)
 
 
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("index") / "kb.qakb"
+
+
 class TestBuildIndex:
     def test_exact_key_present(self, tiny_index):
         assert tiny_index.exact["barack obama"] == ["m.02mjmr"]
@@ -292,30 +312,81 @@ class TestBuildIndex:
                   st.sampled_from(["a", "a b", "b a b", "a a", "A  b", "a b!",
                                    "x y z", "y z", "?", "b a b a"])),
         max_size=14), _queries)
-    def test_matches_membership_oracle(self, pairs, queries):
+    def test_matches_membership_oracle(self, path, pairs, queries):
         """Shared aliases, grams repeated inside one mid's aliases and
         aliases equal after normalisation are looked up and retrieved as
-        through the list-membership build's buckets."""
+        through the list-membership build's buckets, from the built KB
+        and from its snapshot loaded back."""
         kb = build_kb([], alias_pairs=pairs + pairs[:3])
-        _assert_same_lookups(kb, _oracle_index(kb), queries)
+        oracle = _oracle_index(kb)
+        index = _assert_same_lookups(kb, oracle, queries)
+        loaded = _assert_same_lookups(_round_trip(kb, path), oracle, queries)
+        assert _ordered(loaded) == _ordered(index)
 
     @settings(max_examples=300)
     @given(st.lists(st.tuples(st.sampled_from(["m.b", "m.a", "m.c", "m.d"]),
-                              st.lists(_raw_aliases, min_size=1,
-                                       max_size=4)),
+                              st.lists(_raw_aliases, max_size=4)),
                     max_size=8), _queries)
-    def test_matches_the_tokenizing_build(self, records, queries):
+    def test_matches_the_tokenizing_build(self, path, records, queries):
         """Aliases as a loaded snapshot may hold them (capitals, edge
         punctuation, Unicode whitespace, several words, repeats, only
-        punctuation), under entities in any order, are looked up and
-        retrieved as through the buckets that tokenizing every alias
-        gives."""
+        punctuation), one plain alias or several of any kind, under
+        entities in any order and between entities with none, are looked
+        up and retrieved as through the buckets that tokenizing every
+        alias gives, from the KB and from its snapshot loaded back."""
         aliases = {mid: tuple(names) for mid, names in records}
         ids = list(aliases)
-        kb = KnowledgeBase(ids, dict(zip(ids, range(len(ids)))),
-                           list(aliases.values()), [None] * len(ids), [],
-                           *np.zeros((3, 0), np.int32))
-        _assert_same_lookups(kb, _tokenizing_build_index(kb), queries)
+        kb = KnowledgeBase(
+            ids, dict(zip(ids, range(len(ids)))), list(aliases.values()),
+            np.array([p for p, names in enumerate(aliases.values()) if names],
+                     np.int32),
+            [None] * len(ids), [], *np.zeros((3, 0), np.int32))
+        oracle = _tokenizing_build_index(kb)
+        index = _assert_same_lookups(kb, oracle, queries)
+        loaded = _assert_same_lookups(_round_trip(kb, path), oracle, queries)
+        assert _ordered(loaded) == _ordered(index)
+
+    def test_aliased_column_in_any_order(self, path):
+        """A snapshot that lists its aliased entities descending loads to
+        the KB of its ascending twin: the same index, walked in KB order
+        (``partial`` buckets and ``entity_aliases`` in position order),
+        and the same bytes when saved again."""
+        entities = ["m.d", "m.b", "m.c", "m.a", "m.e"]
+        by_position = {0: ["new york city"], 1: ["york", "Yorkshire"],
+                       3: ["new york times"], 4: ["york"]}
+        kbs = []
+        for aliased in ([4, 3, 1, 0], [0, 1, 3, 4]):
+            path.write_bytes(kbqa3_bytes({
+                "entities": entities, "relations": [], "subjects": [],
+                "predicates": [], "objects": [], "aliased": aliased,
+                "alias_counts": [len(by_position[p]) for p in aliased],
+                "typed": [], "labels": [],
+                "aliases": [a for p in aliased for a in by_position[p]]}))
+            kbs.append(load_kb(str(path)))
+        descending, twin = kbs
+        assert descending.aliased.tolist() == [0, 1, 3, 4]
+        index = build_index(descending)
+        assert _ordered(index) == _ordered(build_index(twin))
+        assert index.exact["york"] == ["m.b", "m.e"]
+        assert index.partial["new york"] == ["m.d", "m.a"]
+        assert list(index.entity_aliases) == ["m.d", "m.a"]
+        saved = []
+        for kb in kbs:
+            save_kb(kb, str(path))
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+
+    def test_walks_in_kb_order(self, path):
+        """``build_kb`` places the entities of the facts before the alias
+        pairs' order would, and the index still lists ``partial`` buckets
+        and ``entity_aliases`` in KB order, as from the loaded KB."""
+        kb = build_kb([Fact("m.b", "/r", "m.a")], alias_pairs=[
+            ("m.a", "new york"), ("m.b", "new jersey")])
+        assert kb.aliased.tolist() == [0, 1]
+        index = build_index(kb)
+        assert index.partial["new"] == ["m.b", "m.a"]
+        assert list(index.entity_aliases) == ["m.b", "m.a"]
+        assert _ordered(build_index(_round_trip(kb, path))) == _ordered(index)
 
     def test_alias_longer_than_any_gram(self):
         """A five-token alias is an exact key but no gram: its runs of up

@@ -10,6 +10,7 @@ import pytest
 from conftest import serialize_ntriples_line, serialize_triples_tsv
 from hypothesis import given, settings, strategies as st
 
+from qakb.aliasindex import build_index
 from qakb.errors import MalformedId, ParseError
 from qakb.kb import (
     EntityRecord,
@@ -667,9 +668,11 @@ def _module_of(obj) -> str:
 
 
 def _read_everything(kb):
-    """Read every whole-KB view of ``kb`` and every accessor for each of
-    its entities and for one id it does not hold."""
+    """Read every whole-KB view of ``kb``, its alias index (a walk of the
+    aliased column), and every accessor (through the by-subject arrays)
+    for each of its entities and for one id it does not hold."""
     assert kb.facts and kb.entities and kb.by_subject
+    assert build_index(kb).exact
     for mid in [*kb.entities, "m.absent"]:
         for relation in relations_of(kb, mid):
             lookup_objects(kb, mid, relation)

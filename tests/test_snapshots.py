@@ -6,13 +6,14 @@ import json
 import numpy as np
 import pytest
 from conftest import KBQA3_COLUMNS, KBQA3_STRINGS, kbqa3_bytes, param
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qakb.datagen import type_inventory
 from qakb.errors import ParseError, QAKBError
-from qakb.kb import (SNAPSHOT_MAGIC, EntityRecord, Fact, aliases_of, build_kb,
-                     facts_of, load_kb, lookup_objects, notable_type,
-                     out_degree, primary_alias, relations_of, save_kb)
+from qakb.kb import (SNAPSHOT_MAGIC, EntityRecord, Fact, _in_first_use_order,
+                     aliases_of, build_kb, facts_of, load_kb, lookup_objects,
+                     notable_type, out_degree, primary_alias, relations_of,
+                     save_kb)
 from qakb.nn.io import MODEL_MAGIC, load_params, read_model_meta, save_params
 
 json_values = st.recursive(
@@ -109,24 +110,23 @@ def _assert_same_reads(got, want):
     """``got`` and ``want`` have the same distinct relations and type
     inventory and give every accessor the same answer for each entity id
     and for one id neither holds; and ``want``'s accessors agree with its
-    whole-KB views."""
+    whole-KB views.  Each entity's reads of ``want`` are made once and
+    serve both checks."""
     assert got.relations == want.relations == list(
         dict.fromkeys(fact.relation for fact in want.facts))
     assert type_inventory(got) == type_inventory(want)
     assert _ABSENT not in want.entities
-    for mid in [*want.entities, _ABSENT]:
-        assert _reads(got, mid) == _reads(want, mid)
+    assert _reads(got, _ABSENT) == _reads(want, _ABSENT)
     for mid, rec in want.entities.items():
+        reads = _reads(want, mid)
+        assert _reads(got, mid) == reads
         facts = [want.facts[i] for i in want.by_subject.get(mid, ())]
-        assert facts_of(want, mid) == facts
-        assert all(type(fact) is Fact for fact in facts_of(want, mid))
-        assert relations_of(want, mid) == sorted({f.relation for f in facts})
-        assert out_degree(want, mid) == len(facts)
-        for rel in want.relations:
-            assert lookup_objects(want, mid, rel) == list(dict.fromkeys(
-                f.object for f in facts if f.relation == rel))
-        assert aliases_of(want, mid) == rec.aliases
-        assert notable_type(want, mid) == rec.notable_type
+        assert reads == (
+            sorted({f.relation for f in facts}), len(facts), rec.aliases,
+            rec.notable_type, rec.aliases[0] if rec.aliases else mid, facts,
+            [list(dict.fromkeys(f.object for f in facts if f.relation == rel))
+             for rel in want.relations])
+        assert all(type(fact) is Fact for fact in reads[5])
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +203,48 @@ class TestLoadKb:
             assert hash(got) == hash(want) and repr(got) == repr(want)
             with pytest.raises(AttributeError):
                 got.subject = "m.03"
+
+
+def _first_use_rule(relations, predicates):
+    """The first-use check as a dict over the predicate list: the
+    relations are distinct and the column first uses 0, 1, 2 ... up to
+    the last of them."""
+    return (len(set(relations)) == len(relations)
+            and list(dict.fromkeys(predicates)) == list(range(len(relations))))
+
+
+@st.composite
+def relation_columns(draw):
+    """Relation names, some repeated, and a predicate column in range of
+    them, empty at times; half the columns are relabelled by first use,
+    so both answers of the check come up, and the rest keep their drawn
+    order, unused relations and all."""
+    relations = draw(st.lists(st.sampled_from(["/a", "/b", "/c", "/d", "/e"]),
+                              max_size=5))
+    predicates = draw(st.lists(st.integers(0, len(relations) - 1),
+                               max_size=12)) if relations else []
+    if draw(st.booleans()):
+        first = {p: i for i, p in enumerate(dict.fromkeys(predicates))}
+        predicates = [first[p] for p in predicates]
+    return relations, predicates
+
+
+class TestFirstUseOrder:
+    @given(relation_columns())
+    @example(([], []))
+    @example((["/a"], []))
+    @example((["/a", "/b", "/c"], [0, 1, 0, 2, 1]))
+    @example((["/a", "/b"], [1, 0]))
+    @example((["/a", "/b"], [0, 0]))
+    @example((["/a", "/a"], [0, 1]))
+    @example((["/a", "/b", "/c"], [0, 2, 1]))
+    def test_matches_the_dict_rule(self, column):
+        """Empty columns, unused relations, repeated relation names and
+        first uses out of order get the answer of the dict rule."""
+        relations, predicates = column
+        assert _in_first_use_order(
+            relations, np.array(predicates, np.int32)) == \
+            _first_use_rule(relations, predicates)
 
 
 class TestLoadParams:

@@ -222,15 +222,17 @@ def _best_gram(current: Optional[str], gram: str) -> str:
     return min(current, gram, key=lambda g: (-len(g.split()), g))
 
 
-def retrieve_candidates(index: AliasIndex, span: Union[str, Sequence[str]]
+def retrieve_candidates(index: AliasIndex, span: Sequence[str]
                         ) -> list[CandidateEntity]:
-    """Candidates for a detected entity span, given as text or as its
-    tokens, exact matches first.
+    """Candidates for a detected entity span, given as its tokens, exact
+    matches first.  A ``str`` is a TypeError, not a run of characters.
 
     Exact hits short-circuit the n-gram fallback entirely; the fallback
     unions all entities reached by the span's pruned grams.
     """
-    tokens = tokenize(span) if isinstance(span, str) else list(span)
+    if isinstance(span, str):
+        raise TypeError("retrieve_candidates takes a span's tokens, not text")
+    tokens = list(span)
     if not tokens:
         return []
     norm = " ".join(tokens)
@@ -248,7 +250,8 @@ def retrieve_question_candidates(
     index: AliasIndex, question: Union[str, Sequence[str]]
 ) -> list[CandidateEntity]:
     """Candidates drawn from every n-gram of a whole question, given as
-    text or as its tokens.
+    text or as its tokens; ``perfbench/run.py`` passes the text (see
+    ROADMAP item 16).
 
     Used when no entity span is available: all (unpruned) question grams
     are tried against the index, so any alias occurring anywhere in the

@@ -113,10 +113,13 @@ def resolve_seed(flag: Optional[int], config: Mapping[str, str],
 
 
 def _require_files(*paths: Optional[str]) -> None:
-    """DataError naming the first given path that is not a file."""
+    """DataError naming the first given path that is not a regular file:
+    missing, or something else, such as a directory or a device."""
     for path in paths:
         if path is not None and not os.path.isfile(path):
-            raise DataError(f"{path}: no such file")
+            fault = ("not a regular file" if os.path.exists(path)
+                     else "no such file")
+            raise DataError(f"{path}: {fault}")
 
 
 def _read_file(path: str, read_fn: Callable):

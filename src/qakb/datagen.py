@@ -253,14 +253,12 @@ def gen_type_pairs(
 
 def build_drr(
     relations: Iterable[str],
-    truncate_above: int = DRR_TRUNCATE_ABOVE,
-    keep: int = DRR_KEEP,
     keys: Optional[Iterable[str]] = None,
 ) -> dict[str, list[str]]:
     """Per relation, the other relations sorted by ascending edit distance.
 
-    Above ``truncate_above`` relations each list is cut to the nearest
-    ``keep`` neighbours; only a few dozen are ever consumed per question.
+    Above ``DRR_TRUNCATE_ABOVE`` relations each list is cut to its
+    ``DRR_KEEP`` nearest; only a few dozen are ever consumed per question.
     ``keys`` limits the result to the rows of those relations (keys not
     among ``relations`` get none), so k rows cost a k x len(relations)
     grid; each row is the same as in the full dictionary.
@@ -270,7 +268,7 @@ def build_drr(
     they share (``/synth/`` on synthetic KBs), which changes no distance.
     """
     rels = sorted(set(relations))
-    stop = keep + 1 if len(rels) > truncate_above else None
+    stop = DRR_KEEP + 1 if len(rels) > DRR_TRUNCATE_ABOVE else None
     wanted = set(rels if keys is None else keys)
     rows = [i for i, rel in enumerate(rels) if rel in wanted]
     names = np.array(rels, dtype=object)
@@ -510,9 +508,8 @@ def _tsv_rows(path: str, header: str) -> Iterator[tuple[int, list[str]]]:
         first = fh.readline()
         if first.rstrip("\r\n") != header:
             raise ParseError(f"expected the header {header!r}", 1)
-        for line_no, line in enumerate(fh, start=2):
-            if line.strip():
-                yield line_no, line.rstrip("\n").split("\t")
+        for line_no, fields in tsv_rows(fh, 1):
+            yield line_no + 1, fields
 
 
 def write_labeled_questions(path: str, items: Iterable[LabeledQuestion]) -> None:

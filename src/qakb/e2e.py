@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ from qakb.kb import (Fact, KnowledgeBase, facts_of, notable_type, out_degree,
 from qakb.nn import (
     Dense,
     EmbeddingTable,
-    EncodeCache,
     GRUCell,
     LSTMCell,
     OOV_TOKEN,
@@ -557,14 +556,15 @@ class E2EStrategy:
     array, with the bits of the graph path.
     The question is tokenized once, for the retrieval and the encoder.
     Encodings of subject labels, relation paths and type labels are filled
-    on first use and kept for the session, keyed by their raw text, so a
-    text seen before is not tokenized again; question encodings are not
-    kept.  With char mode every encode takes each word's char part from
-    :attr:`char_row`, which keeps the summaries of vocabulary words, so a
-    warm session runs no char-GRU.  Memory is bounded by the KB's texts
-    plus the vocabulary.  A session must not outlive a change to the
-    model's weights.  The session answers as the model's own variant;
-    ``out_degree_sort`` is its one answer-time switch.
+    on first use and kept for the session by :func:`functools.cache`,
+    keyed by their raw text, so a text seen before is not tokenized
+    again; question encodings are not kept.  With char mode every encode
+    takes each word's char part from :attr:`char_row`, which keeps the
+    summaries of vocabulary words, so a warm session runs no char-GRU.
+    Memory is bounded by the KB's texts plus the vocabulary.  A session
+    must not outlive a change to the model's weights.  The session
+    answers as the model's own variant; ``out_degree_sort`` is its one
+    answer-time switch.
     """
 
     def __init__(self, model: E2EModel, kb: KnowledgeBase, index: AliasIndex,
@@ -589,8 +589,9 @@ class E2EStrategy:
             return model.encode_text(tokens, char_row)
 
         # subject labels and type labels, and relation paths
-        self.labels = EncodeCache(encode, tokenize)
-        self.relations = EncodeCache(encode, relation_tokens)
+        self.labels = cache(lambda text: encode(tuple(tokenize(text))))
+        self.relations = cache(
+            lambda text: encode(tuple(relation_tokens(text))))
 
     @cached_property
     def label(self) -> tuple[str, str]:

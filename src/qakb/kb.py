@@ -10,9 +10,9 @@ In memory a knowledge base is the columns its snapshot holds (see
 :class:`KnowledgeBase`): building or loading one makes those columns and
 no per-fact or per-entity object, and loading makes them in bulk passes,
 with no Python loop over every entity or every fact.  The accessors
-(:func:`relations_of`, :func:`facts_of` and the rest) build only what
-they return for the one entity they are asked about; the first fact read
-sorts the fact columns by subject, as int arrays.
+(:func:`relations_of`, :func:`facts_of` and the rest) read only the one
+entity they are asked about, its facts through :func:`facts_of`; the
+first fact read sorts the fact columns by subject, as int arrays.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class KnowledgeBase:
     ``predicates`` and ``objects`` are int32 fact columns: an entity
     position, an index into ``relations`` (the distinct relations, in
     order of first use) and an entity position.  Read an entity through
-    the accessors below, which build only what they return.
+    the accessors below, which read only that entity's rows.
 
     ``rows``, ``facts``, ``entities`` and ``by_subject`` are built on
     first read: the by-subject index (see :attr:`rows`); the facts in
@@ -169,8 +169,9 @@ class KnowledgeBase:
         position.  The facts of position p are the rows ``starts[p]`` to
         ``starts[p + 1]``.  Each is a memoryview of an int array, whose
         items read as Python ints, so an accessor converts only its own
-        entity's rows.  The accessors read ``kb._rows or kb.rows``, which
-        skips this call once the index is built."""
+        entity's rows.  :func:`facts_of` and :func:`out_degree` read
+        ``kb._rows or kb.rows``, which skips this call once the index is
+        built."""
         if self._rows is None:
             order = np.argsort(self.subjects, kind="stable")
             starts = np.zeros(len(self.ids) + 1, np.intp)
@@ -468,28 +469,13 @@ def facts_of(kb: KnowledgeBase, entity: str) -> list[Fact]:
 
 def relations_of(kb: KnowledgeBase, entity: str) -> list[str]:
     """Distinct outgoing relations of an entity, sorted lexicographically."""
-    p = kb.position.get(entity)
-    if p is None:
-        return []
-    starts, predicates, _ = kb._rows or kb.rows
-    return sorted(map(kb.relations.__getitem__,
-                      set(predicates[starts[p]:starts[p + 1]])))
+    return sorted({f.relation for f in facts_of(kb, entity)})
 
 
 def lookup_objects(kb: KnowledgeBase, entity: str, relation: str) -> list[str]:
     """Objects of all (entity, relation, ·) facts, deduplicated, in fact order."""
-    out: list[str] = []
-    p = kb.position.get(entity)
-    if p is None:
-        return out
-    starts, predicates, objects = kb._rows or kb.rows
-    relations, ids = kb.relations, kb.ids
-    for i in range(starts[p], starts[p + 1]):
-        if relations[predicates[i]] == relation:
-            obj = ids[objects[i]]
-            if obj not in out:
-                out.append(obj)
-    return out
+    return list(dict.fromkeys(f.object for f in facts_of(kb, entity)
+                              if f.relation == relation))
 
 
 def out_degree(kb: KnowledgeBase, entity: str) -> int:

@@ -5,7 +5,6 @@ from qakb.nn.io import load_params, save_params
 from qakb.nn.layers import (
     Dense,
     EmbeddingTable,
-    EncodeCache,
     GRUCell,
     LSTMCell,
     OOV_TOKEN,
@@ -29,7 +28,6 @@ __all__ = [
     "as_tensor",
     "Dense",
     "EmbeddingTable",
-    "EncodeCache",
     "GRUCell",
     "LSTMCell",
     "OOV_TOKEN",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -651,28 +651,6 @@ def padded_indices(seqs: Sequence[Sequence[int]]
     idx = np.array([[*seq, *[0] * (T - len(seq))] for seq in seqs],
                    dtype=np.int64).reshape(len(seqs), T)
     return idx, np.array(lengths, dtype=np.int64)
-
-
-class EncodeCache:
-    """Array encodings keyed by raw text: on first use a text is split by
-    ``tokens`` and encoded by ``encode``, and then reused, so a text seen
-    before is neither tokenized nor encoded again.
-
-    Entries are never invalidated, so a cache must not outlive a change
-    to the weights behind ``encode``: answering sessions own one each.
-    """
-
-    def __init__(self, encode: Callable[[tuple[str, ...]], np.ndarray],
-                 tokens: Callable[[str], Sequence[str]]):
-        self._encode = encode
-        self._tokens = tokens
-        self.table: dict[str, np.ndarray] = {}
-
-    def __call__(self, text: str) -> np.ndarray:
-        vec = self.table.get(text)
-        if vec is None:
-            vec = self.table[text] = self._encode(tuple(self._tokens(text)))
-        return vec
 
 
 def dropout_mask(shape: tuple[int, ...], p: float,

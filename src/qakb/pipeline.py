@@ -12,7 +12,8 @@ answer per question.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from functools import cache
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from qakb.kb import KnowledgeBase, notable_type, out_degree, relations_of
 from qakb.nn import (
     Dense,
     EmbeddingTable,
-    EncodeCache,
     GRUCell,
     LSTMCell,
     TrainConfig,
@@ -209,18 +209,18 @@ class MatchEncodings:
     cells share a kind and hidden size step side by side, so two
     matchers cost one run, with the bits each would get alone.  Only the
     latest question's encodings are kept.  Relation paths and type labels
-    are encoded on first use and kept for the session, per matcher and
-    keyed by their raw text, so a text seen before is neither tokenized
-    nor encoded again; memory is bounded by the KB's texts however many
-    questions arrive.
+    are encoded on first use and kept for the session by
+    :func:`functools.cache`, per matcher and keyed by their raw text, so
+    a text seen before is neither tokenized nor encoded again; memory is
+    bounded by the KB's texts however many questions arrive.
     """
 
     def __init__(self, matchers: Sequence[MatcherModel]):
         self.matchers = tuple(dict.fromkeys(matchers))
         # looked up on each miss, so a wrapper put on the matcher's encode
         # after the session was built still sees every miss
-        self.texts = {m: EncodeCache(lambda tokens, m=m: m.encode(tokens),
-                                     matcher_tokens) for m in self.matchers}
+        self.texts = {m: cache(lambda text, m=m: m.encode(
+            tuple(matcher_tokens(text)))) for m in self.matchers}
         self._question: Optional[tuple[str, dict]] = None
 
     def question(self, matcher: MatcherModel, question: str,
@@ -305,9 +305,12 @@ def train_matcher(pairs: Sequence[MatcherPair], cfg: TrainConfig,
 # Tagging and span extraction
 # ---------------------------------------------------------------------------
 
-def tag_question(model, question: Union[str, Sequence[str]]) -> LabeledQuestion:
-    """Argmax tag per token."""
-    tokens = tokenize(question) if isinstance(question, str) else list(question)
+def tag_question(model, question: Sequence[str]) -> LabeledQuestion:
+    """Argmax tag per token of a question given as its tokens.  A ``str``
+    is a TypeError, not a run of characters."""
+    if isinstance(question, str):
+        raise TypeError("tag_question takes a question's tokens, not text")
+    tokens = list(question)
     probs = model.forward(tokens)
     tags = tuple(TAG_ORDER[int(i)] for i in np.argmax(probs, axis=1))
     return LabeledQuestion(tokens=tuple(tokens), tags=tags)

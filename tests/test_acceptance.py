@@ -16,7 +16,7 @@ from conftest import (answer, dense, embedding, finite_diff_check, fresh,
                       serialize_ntriples_line, serialize_triples_tsv)
 
 from qakb import datagen, e2e, evalharness as ev
-from qakb.aliasindex import build_index, retrieve_candidates
+from qakb.aliasindex import build_index, retrieve_candidates, tokenize
 from qakb.cli import main
 from qakb.kb import (
     Fact,
@@ -285,7 +285,7 @@ class TestAcceptance:
             else:
                 size = int(rng.integers(1, 5))
                 span = " ".join(rng.choice(self._WORDS, size=size))
-            got = retrieve_candidates(index, span)
+            got = retrieve_candidates(index, tokenize(span))
             want = self._oracle_retrieve(aliases_by_mid, span.split())
             got_rows = [(c.id, c.matched_alias, c.n_i, c.l_i, c.c_i)
                         for c in got]

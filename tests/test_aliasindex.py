@@ -103,8 +103,8 @@ def _assert_same_lookups(kb, oracle, queries):
     probes = {gram for norm in exact for gram in all_ngrams(norm.split())}
     for query in queries:
         probes.update(all_ngrams(tokenize(query)))
-        assert (retrieve_candidates(index, query)
-                == retrieve_candidates(full, query))
+        assert (retrieve_candidates(index, tokenize(query))
+                == retrieve_candidates(full, tokenize(query)))
         assert (retrieve_question_candidates(index, query)
                 == retrieve_question_candidates(full, query))
     for gram in probes:
@@ -397,7 +397,7 @@ class TestBuildIndex:
         assert "the new york times company" not in idx.partial
         assert idx.partial["new york times"] == ["m.a"]
         assert idx.longest == MAX_NGRAM
-        (cand,) = retrieve_candidates(idx, "new york")
+        (cand,) = retrieve_candidates(idx, tokenize("new york"))
         assert cand.matched_alias == "the new york times company"
         assert (cand.n_i, cand.l_i, cand.c_i) == (2, 5, 1)
         (cand,) = retrieve_question_candidates(
@@ -414,7 +414,7 @@ class TestBuildIndex:
         assert idx.partial["york"] == ["m.a"]
         assert idx.entity_aliases == {"m.a": ["new york times",
                                               "new york city"]}
-        got = retrieve_candidates(idx, "new york")
+        got = retrieve_candidates(idx, tokenize("new york"))
         assert [(c.id, c.matched_alias) for c in got] == [
             ("m.a", "new york city")]
 
@@ -435,13 +435,13 @@ class TestBuildIndex:
 
 class TestRetrieveCandidates:
     def test_exact_single(self, tiny_index):
-        (cand,) = retrieve_candidates(tiny_index, "barack obama")
+        (cand,) = retrieve_candidates(tiny_index, tokenize("barack obama"))
         assert cand.id == "m.02mjmr"
         assert (cand.n_i, cand.l_i, cand.c_i) == (2, 2, 1)
         assert cand.score == 1.0
 
     def test_exact_shared_bucket_scores(self, tiny_index):
-        cands = retrieve_candidates(tiny_index, "germany")
+        cands = retrieve_candidates(tiny_index, tokenize("germany"))
         assert [c.id for c in cands] == ["m.017hzy7", "m.0345h"]
         assert all(c.score == pytest.approx(0.5) for c in cands)
         assert all(c.c_i == 2 for c in cands)
@@ -453,13 +453,13 @@ class TestRetrieveCandidates:
             alias_pairs=[("m.a", "new york"), ("m.b", "new york city")],
         )
         idx = build_index(kb)
-        got = retrieve_candidates(idx, "new york")
+        got = retrieve_candidates(idx, tokenize("new york"))
         assert [c.id for c in got] == ["m.a"]
 
     def test_fallback_weighting(self):
         kb = build_kb([], alias_pairs=[("m.a", "alpha beta gamma")])
         idx = build_index(kb)
-        (cand,) = retrieve_candidates(idx, "alpha beta")
+        (cand,) = retrieve_candidates(idx, tokenize("alpha beta"))
         # span gram "alpha beta" (2 words) hit a 3-word alias, lone candidate
         assert (cand.n_i, cand.l_i, cand.c_i) == (2, 3, 1)
         assert cand.score == pytest.approx(2 / 3)
@@ -469,26 +469,31 @@ class TestRetrieveCandidates:
         """Two-word gram, three-word aliases, four retrieved entities."""
         aliases = [(f"m.c{i}", f"alpha beta word{i}") for i in range(4)]
         idx = build_index(build_kb([], alias_pairs=aliases))
-        got = retrieve_candidates(idx, "alpha beta")
+        got = retrieve_candidates(idx, tokenize("alpha beta"))
         assert len(got) == 4
         for c in got:
             assert (c.n_i, c.l_i, c.c_i) == (2, 3, 4)
             assert c.score == pytest.approx(1 / 6)
 
     def test_no_match(self, tiny_index):
-        assert retrieve_candidates(tiny_index, "zzz qqq") == []
+        assert retrieve_candidates(tiny_index, tokenize("zzz qqq")) == []
 
     def test_empty_span(self, tiny_index):
-        assert retrieve_candidates(tiny_index, "   ") == []
+        assert retrieve_candidates(tiny_index, tokenize("   ")) == []
+
+    def test_text_is_a_type_error(self, tiny_index):
+        """Text would be read character by character; it is refused."""
+        with pytest.raises(TypeError):
+            retrieve_candidates(tiny_index, "germany")
 
     def test_scores_recomputable(self, tiny_index):
         for span in ("germany", "barack", "harder ..... faster", "obama usa"):
-            for c in retrieve_candidates(tiny_index, span):
+            for c in retrieve_candidates(tiny_index, tokenize(span)):
                 assert c.score == pytest.approx(c.n_i / (c.l_i * c.c_i))
 
     def test_deterministic(self, tiny_index):
-        a = retrieve_candidates(tiny_index, "germany album harder")
-        b = retrieve_candidates(tiny_index, "germany album harder")
+        a = retrieve_candidates(tiny_index, tokenize("germany album harder"))
+        b = retrieve_candidates(tiny_index, tokenize("germany album harder"))
         assert a == b
 
     def test_sorted_by_score_then_id(self):
@@ -501,7 +506,7 @@ class TestRetrieveCandidates:
             ],
         )
         idx = build_index(kb)
-        got = retrieve_candidates(idx, "one two")
+        got = retrieve_candidates(idx, tokenize("one two"))
         scores = [c.score for c in got]
         assert scores == sorted(scores, reverse=True)
         ties = [c.id for c in got if c.score == pytest.approx(1 / 3)]

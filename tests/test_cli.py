@@ -99,6 +99,23 @@ class TestExitCodes:
         assert code == 2
         assert "no.qakb" in err
 
+    @pytest.mark.parametrize("command, flag", [("eval", "--kb"),
+                                               ("train-e2e", "--questions")])
+    @pytest.mark.parametrize("where", ["directory", "device"])
+    def test_path_that_is_no_regular_file_is_data_error(
+            self, capsys, bench, tmp_path, command, flag, where):
+        """A directory or a device given for an input file is named as
+        not a regular file, not as missing, and exits 2."""
+        path = str(tmp_path) if where == "directory" else os.devnull
+        argv = _command_argv(command, bench, tmp_path)
+        argv[argv.index(flag) + 1] = path
+        capsys.readouterr()
+        code, stdout, err = run(capsys, *argv, "--out",
+                                str(tmp_path / "out"))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: {path}: not a regular file\n"
+
     def test_malformed_questions_reports_file_and_line(self, capsys, bench,
                                                        tmp_path):
         bad = tmp_path / "bad.tsv"

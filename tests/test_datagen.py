@@ -1,6 +1,7 @@
 """Training-set generation: span labels, relation pairs, negative pools."""
 
 import functools
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -495,6 +496,16 @@ def _spy_distance_rows(monkeypatch):
     return blocks
 
 
+@contextmanager
+def _drr_limits(truncate_above, keep):
+    """Within the block, ``build_drr`` cuts each row to the nearest
+    ``keep`` above ``truncate_above`` relations."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datagen, "DRR_TRUNCATE_ABOVE", truncate_above)
+        mp.setattr(datagen, "DRR_KEEP", keep)
+        yield
+
+
 _CHARS = st.sampled_from("ab/_\u00e9\u4e2d\U0001F600")
 
 
@@ -533,7 +544,8 @@ class TestDrr:
 
     def test_truncation(self):
         rels = [f"/r/{i:04d}" for i in range(30)]
-        d = build_drr(rels, truncate_above=10, keep=5)
+        with _drr_limits(10, 5):
+            d = build_drr(rels)
         assert all(len(v) == 5 for v in d.values())
 
     @settings(deadline=None, max_examples=25)
@@ -560,8 +572,8 @@ class TestDrr:
         the lists must still be the all-pairs sort, cut or not."""
         rels = {"".join(p) for p in parts}
         keep = 3
-        d = (build_drr(rels, truncate_above=1, keep=keep) if truncate
-             else build_drr(rels))
+        with _drr_limits(1, keep) if truncate else nullcontext():
+            d = build_drr(rels)
         assert set(d) == rels
         for key in rels:
             expected = sorted(
@@ -581,11 +593,11 @@ class TestDrr:
         that are not relations get none, and truncation still counts
         every relation."""
         keys = keys | set(list(rels)[:2])
-        kwargs = {"truncate_above": 3, "keep": 2} if truncate else {}
-        full = build_drr(rels, **kwargs)
-        assert build_drr(rels, keys=keys, **kwargs) == {
-            k: full[k] for k in keys if k in rels
-        }
+        with _drr_limits(3, 2) if truncate else nullcontext():
+            full = build_drr(rels)
+            assert build_drr(rels, keys=keys) == {
+                k: full[k] for k in keys if k in rels
+            }
 
     def test_no_keys_no_rows(self):
         assert build_drr(["/r/a", "/r/b"], keys=[]) == {}
@@ -618,8 +630,8 @@ class TestDrr:
         word boundaries, non-ASCII text, shared affixes, prefix relations
         and single relations."""
         rels, keys = case
-        kwargs = {"truncate_above": 1, "keep": 3} if truncate else {}
-        d = build_drr(rels, keys=keys, **kwargs)
+        with _drr_limits(1, 3) if truncate else nullcontext():
+            d = build_drr(rels, keys=keys)
         assert set(d) == keys & rels
         rels = sorted(rels)
         codes = _text_codes(rels)

@@ -335,7 +335,8 @@ class TestArrayEncoding:
             session = E2EStrategy(model, kb, build_index(kb))
             for q in qs:
                 session.answer(q.text)
-            assert session.labels.table and session.relations.table
+            assert session.labels.cache_info().currsize
+            assert session.relations.cache_info().currsize
             ref = weakref.ref(session)
             del session
             assert ref() is None
@@ -630,9 +631,9 @@ def _kb_texts(kb, variant):
 
 
 def _cached(session):
-    """Every KB-text encoding a session holds."""
-    return [*session.labels.table.values(),
-            *session.relations.table.values()]
+    """How many KB-text encodings a session holds."""
+    return (session.labels.cache_info().currsize
+            + session.relations.cache_info().currsize)
 
 
 def _graph_char_summary(model):
@@ -726,7 +727,7 @@ class TestSession:
                     # and equal to the uncached, graph-building path
                     assert expect == _per_fact_scores(
                         model, kb, q, [fs.fact for fs in expect], variant)
-            assert 0 < len(_cached(session)) <= len(_kb_texts(kb, variant))
+            assert 0 < _cached(session) <= len(_kb_texts(kb, variant))
 
     def test_each_kb_text_encoded_once(self, synth):
         kb, index, qs, pools, questions = synth
@@ -747,7 +748,7 @@ class TestSession:
             except NoCandidates:
                 pass
         kb_calls = [t for t in calls if t in _kb_texts(kb, variant)]
-        assert len(kb_calls) == len(set(kb_calls)) == len(_cached(session))
+        assert len(kb_calls) == len(set(kb_calls)) == _cached(session)
         calls.clear()
         answered = 0
         for q in questions:
@@ -825,9 +826,18 @@ class TestSession:
         qs, pools = song_training_set(kb)
         model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-t"], small_cfg())
         session = E2EStrategy(model, kb, build_index(kb))
+        encoded = []
+        encode = model.encode_text
+
+        def keeping(tokens, *args):
+            encoded.append(encode(tokens, *args))
+            return encoded[-1]
+
+        model.encode_text = keeping
         session.top("who sings yesterday")
-        assert _cached(session)
-        for vec in _cached(session):
+        # every KB text the session caches, and the question
+        assert 0 < _cached(session) == len(encoded) - 1
+        for vec in encoded:
             assert type(vec) is np.ndarray
 
     @pytest.mark.parametrize("name", sorted(VARIANTS))

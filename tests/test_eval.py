@@ -186,13 +186,13 @@ class TestOracleStages:
     def test_tagger_marks_alias_span(self):
         kb, dataset, models = self._setup()
         for q in dataset:
-            labels = tag_question(models.tagger, q.text)
+            labels = tag_question(models.tagger, tokenize(q.text))
             span = " ".join(span_tokens(labels))
             assert span == kb.entities[q.gold.subject].aliases[0]
 
     def test_tagger_unknown_question_is_all_context(self):
         _, _, models = self._setup()
-        labels = tag_question(models.tagger, "never seen before")
+        labels = tag_question(models.tagger, tokenize("never seen before"))
         assert set(labels.tags) == {"c"}
 
     def test_relation_matcher_scores(self):

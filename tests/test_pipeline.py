@@ -177,24 +177,23 @@ class TestTagQuestion:
                      np.random.default_rng(11))
 
     def test_tags_align_with_tokens(self):
-        lab = tag_question(self._model(), "where was obama born")
+        lab = tag_question(self._model(), tokenize("where was obama born"))
         assert len(lab.tags) == len(lab.tokens) == 4
         assert set(lab.tags) <= {"c", "e"}
 
     def test_deterministic(self):
         model = self._model()
-        first = tag_question(model, "where was obama born")
-        second = tag_question(model, "where was obama born")
+        first = tag_question(model, tokenize("where was obama born"))
+        second = tag_question(model, tokenize("where was obama born"))
         assert first == second
 
-    def test_string_and_token_input_agree(self):
-        model = self._model()
-        assert tag_question(model, "obama born") == tag_question(
-            model, ["obama", "born"]
-        )
+    def test_text_is_a_type_error(self):
+        """Text would be tagged character by character; it is refused."""
+        with pytest.raises(TypeError):
+            tag_question(self._model(), "obama born")
 
     def test_empty_question(self):
-        lab = tag_question(self._model(), "")
+        lab = tag_question(self._model(), tokenize(""))
         assert lab.tokens == () and lab.tags == ()
 
 

@@ -179,6 +179,11 @@ class TestLoadKb:
 
     @settings(deadline=None, max_examples=300)
     @given(_records)
+    # a repeated (relation, object) fact, a relation held twice with two
+    # objects, and a relation the subject lacks
+    @example(([Fact("m.01", "/r/a", "m.02"), Fact("m.01", "/r/b", "m.02"),
+               Fact("m.01", "/r/a", "m.03"), Fact("m.01", "/r/a", "m.02"),
+               Fact("m.02", "/r/c", "m.01")], [], []))
     def test_round_trips_what_build_kb_builds(self, path, records):
         """``load_kb(save_kb(kb))`` is ``kb`` for a KB built from records
         that need canonical ids, stripping, lowercasing, deduplication and

@@ -130,7 +130,7 @@ CharRows = Callable[[str], np.ndarray]
 def char_vocab(words: Iterable[str]) -> list[str]:
     """The characters a char table has rows for: those of ``words`` but
     the unknown token, sorted."""
-    return sorted({ch for tok in words if tok != OOV_TOKEN for ch in tok})
+    return sorted(set("".join(filter(OOV_TOKEN.__ne__, words))))
 
 
 # ---------------------------------------------------------------------------

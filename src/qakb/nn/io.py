@@ -81,7 +81,8 @@ def save_params(params: dict[str, Tensor], path: str) -> None:
             fh.write(struct.pack("<B", data.ndim))
             for dim in data.shape:
                 fh.write(struct.pack("<I", dim))
-            fh.write(data.tobytes())
+            # the array's own buffer, copied only when not contiguous
+            fh.write(np.ascontiguousarray(data))
 
 
 _U8, _U16, _U32 = (struct.Struct(f"<{code}") for code in "BHI")

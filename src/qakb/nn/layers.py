@@ -55,7 +55,8 @@ def table_tokens(tokens: list[str]) -> list[str]:
     in order, then the unknown token unless it is among them.  TypeError
     unless ``tokens`` is a list of strings, as a sidecar's vocabulary must
     be."""
-    if type(tokens) is not list or not all(type(t) is str for t in tokens):
+    # one C pass over the types, not a Python test per token
+    if type(tokens) is not list or not set(map(type, tokens)) <= {str}:
         raise TypeError("a vocabulary must be a list of strings")
     toks = list(dict.fromkeys(tokens))
     if OOV_TOKEN not in toks:
@@ -64,7 +65,13 @@ def table_tokens(tokens: list[str]) -> list[str]:
 
 
 class EmbeddingTable:
-    """Token-to-vector lookup; unknown tokens share one trained row."""
+    """Token-to-vector lookup; unknown tokens share one trained row.
+
+    The vectors are read through :func:`gather_rows`, so a training
+    step's gradient reaches only the rows its tokens look up, and
+    :class:`~qakb.nn.optim.Adam` updates only rows some step has
+    reached while those are fewer than the rest.
+    """
 
     def __init__(self, params: dict[str, np.ndarray], name: str,
                  tokens: list[str], dim: int):

@@ -31,7 +31,18 @@ ArrayLike = Union["Tensor", np.ndarray, float, int]
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    """An array, its gradient and the graph that made it.
+
+    ``grad_rows`` says which rows of a leaf's ``grad`` can be nonzero.
+    While only :func:`gather_rows` has added into ``grad``, it is a
+    boolean mask of the rows those gathers reached, and every other row
+    of ``grad`` is +0.0.  It is None otherwise.
+    :class:`~qakb.nn.optim.Adam` reads it to update only the rows some
+    gradient has reached.
+    """
+
+    __slots__ = ("data", "grad", "grad_rows", "requires_grad", "_parents",
+                 "_backward_fn")
 
     # Make numpy defer mixed ndarray/Tensor arithmetic to our reflected ops.
     __array_ufunc__ = None
@@ -39,6 +50,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
+        self.grad_rows: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Optional[Callable[[Tensor], None]] = None
@@ -60,7 +72,9 @@ class Tensor:
         """Add ``grad``, of this tensor's shape (ShapeMismatch, not a
         broadcast, otherwise), into ``self.grad``.  The first is stored as
         ``grad + 0.0``: a fresh array with the bits of a zero fill plus
-        ``grad``, so a -0.0 is stored as +0.0."""
+        ``grad``, so a -0.0 is stored as +0.0.  A later sum is -0.0 only
+        when both terms are, so ``self.grad`` never holds -0.0.  Any row
+        may now be nonzero, so ``grad_rows`` becomes None."""
         if grad.shape != self.data.shape:
             raise ShapeMismatch(f"gradient of shape {grad.shape} for a "
                                 f"tensor of shape {self.data.shape}")
@@ -68,6 +82,7 @@ class Tensor:
             self.grad = grad + 0.0
         else:
             self.grad += grad
+        self.grad_rows = None
 
     def backward(self) -> None:
         """Backpropagate from a scalar node through the whole graph.
@@ -340,16 +355,31 @@ def gather_rows(table: ArrayLike, indices) -> Tensor:
     An index array of shape S gives S followed by the row shape: a single
     index gives one row, and a [B, T] array of word indices gives
     [B, T, d] word vectors.
+
+    The backward sums the gradients of the rows it reached into a zero
+    array of the table's shape by ``np.add.at``.  The table's first
+    gradient is that array itself, with the bits of the copy
+    :meth:`Tensor.accumulate` would make.  A later one is added in
+    whole, and its rows join the ones ``grad_rows`` marks, if any.
     """
     table = as_tensor(table)
     idx = np.asarray(indices, dtype=np.int64)
     data = table.data[idx]
 
     def backward(out: Tensor) -> None:
-        if table.requires_grad and data.size:
-            g = np.zeros_like(table.data)
-            np.add.at(g, idx, out.grad)
-            table.accumulate(g)
+        if not (table.requires_grad and data.size):
+            return
+        part = np.zeros(table.data.shape)
+        np.add.at(part, idx, out.grad)
+        if table.grad is None:
+            table.grad = part
+            if table._backward_fn is None:  # a leaf, whose rows Adam reads
+                table.grad_rows = np.zeros(len(part), dtype=bool)
+                table.grad_rows[idx] = True
+        else:
+            table.grad += part
+            if table.grad_rows is not None:
+                table.grad_rows[idx] = True
 
     return _make(data, (table,), backward)
 

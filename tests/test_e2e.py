@@ -25,6 +25,7 @@ from qakb.e2e import (
     VARIANTS,
     _StepBatch,
     _training_vocab,
+    char_vocab,
     subject_text,
     train_e2e,
     variant_name,
@@ -38,7 +39,7 @@ import qakb.e2e
 import qakb.nn.layers
 import qakb.nn.tensor
 from qakb.nn import TrainConfig, cosine, fit, recurrent
-from qakb.nn.layers import dropout_mask
+from qakb.nn.layers import OOV_TOKEN, dropout_mask
 from qakb.nn.losses import loss_hinge_qas
 from qakb.nn.tensor import Tensor, as_tensor, gather_rows, pad_rows, tsum
 from qakb.nn.io import load_model, save_model
@@ -1269,6 +1270,24 @@ def _old_training_vocab(dataset, kb):
     for fact in kb.facts:
         toks.update(relation_tokens(fact.relation))
     return sorted(toks)
+
+
+class TestCharVocab:
+    @given(st.lists(st.one_of(st.just(OOV_TOKEN),
+                              st.text(alphabet="<ov>aé中", max_size=5),
+                              st.text(max_size=5)), max_size=12),
+           st.data())
+    def test_every_character_but_the_unknown_tokens_sorted(self, words,
+                                                            data):
+        """The sorted characters of the words but the unknown token, as a
+        set comprehension over each word finds them: with the unknown
+        token's own characters in other words, repeated words and
+        characters outside ASCII."""
+        words += data.draw(st.lists(st.sampled_from(words), max_size=3)
+                           if words else st.just([]))
+        assert char_vocab(words) == sorted(
+            {ch for tok in words if tok != OOV_TOKEN for ch in tok})
+        assert char_vocab(iter(words)) == char_vocab(words)
 
 
 class TestTrainingVocab:

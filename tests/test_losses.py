@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from qakb.nn import (
     save_params,
 )
 from qakb.nn.io import MODEL_MAGIC, check_params
-from qakb.nn.tensor import Tensor, sigmoid, softmax_rows, tsum
+from qakb.nn.tensor import Tensor, gather_rows, sigmoid, softmax_rows, tsum
 
 
 class TestCategoricalCE:
@@ -231,6 +232,18 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
+def _gather_grad(shape, gathers):
+    """The gradient that gathers of ``(rows, out_grad)`` give a table, as
+    a dense rule makes it: each gather's rows summed by ``np.add.at`` into
+    a zero array, the first kept as that array + 0.0, each later added."""
+    grad = None
+    for rows, out_grad in gathers:
+        part = np.zeros(shape)
+        np.add.at(part, rows, out_grad)
+        grad = part + 0.0 if grad is None else grad + part
+    return grad
+
+
 def _flat_moments(opt):
     """Each parameter's first and second moments, read from the flat
     arrays in which they sit side by side in name order."""
@@ -280,6 +293,83 @@ class TestAdam:
                         np.testing.assert_array_equal(_bits(now),
                                                       _bits(then))
         assert paths == {False, True}
+
+    def test_partly_live_table_matches_per_parameter_loop(self):
+        """A [V, d] table read through gather_rows, bit for bit over 24
+        steps, beside a dense parameter whose gradients hold -0.0.  Row 0
+        is gathered in the first step only, so while most rows are not
+        yet live it moves on its moments alone; gathers repeat rows, some
+        steps gather twice and some not at all (the table keeps its value
+        and moments), and the last steps make every row live.  The
+        table's gradient has the bits of the dense rule."""
+        rng = np.random.default_rng(79)
+        V, d = 40, 3
+        init = {"a.table": rng.normal(size=(V, d)),
+                "b.bias": rng.normal(size=(d,))}
+        flat = {k: param(a) for k, a in init.items()}
+        oracle = {k: param(a) for k, a in init.items()}
+        opt, ref = Adam(flat, lr=0.05), _PerParameterAdam(oracle, lr=0.05)
+        table, bias = flat["a.table"], flat["b.bias"]
+        plan = [[[0, 5, 5]]]
+        for step in range(1, 24):
+            if step in (4, 9, 13):
+                plan.append([])
+            elif step >= 20:
+                plan.append([list(range(V)) + [7, 7]])
+            else:
+                plan.append([list(rng.choice(np.arange(1, V), size=3)) + [1]
+                             for _ in range(2 if step % 5 == 2 else 1)])
+        live, partly_live_without_row_0 = set(), False
+        for gathers in plan:
+            reached = {r for rows in gathers for r in rows}
+            partly_live_without_row_0 |= (
+                0 in live and 0 not in reached
+                and 2 * len(live | reached) < V)
+            live |= reached
+        assert partly_live_without_row_0 and live == set(range(V))
+        assert any(len(g) == 2 for g in plan) and [] in plan
+        for gathers in plan:
+            opt.zero_grad()
+            ws = [np.where(rng.random((len(rows), d)) < 0.25, -0.0,
+                           rng.normal(size=(len(rows), d)))
+                  for rows in gathers]
+            if gathers:
+                loss = tsum(gather_rows(table, gathers[0]) * ws[0])
+                for rows, w in zip(gathers[1:], ws[1:]):
+                    loss = loss + tsum(gather_rows(table, rows) * w)
+                loss.backward()
+            want = _gather_grad((V, d), list(zip(gathers, ws)))
+            if want is None:
+                assert table.grad is None
+            else:
+                np.testing.assert_array_equal(_bits(table.grad), _bits(want))
+            oracle["a.table"].grad = want
+            bias.grad = oracle["b.bias"].grad = np.where(
+                rng.random(d) < 0.3, -0.0, rng.normal(size=d))
+            opt.step()
+            ref.step()
+            for k, (m, v) in _flat_moments(opt).items():
+                np.testing.assert_array_equal(_bits(flat[k].data),
+                                              _bits(oracle[k].data))
+                np.testing.assert_array_equal(_bits(m), _bits(ref.m[k]))
+                np.testing.assert_array_equal(_bits(v), _bits(ref.v[k]))
+
+    def test_step_on_a_large_table_allocates_for_its_live_rows(self):
+        """One step on a 200,000 x 8 table that a gather reached in 3 rows
+        allocates under 1 MB: nothing the size of the table (a whole
+        gradient copy or full-size temporaries would be 25 MB)."""
+        table = param(np.zeros((200_000, 8)))
+        opt = Adam({"t": table}, lr=0.1)
+        tsum(gather_rows(table, [3, 70_000, 3])).backward()
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        moved = np.flatnonzero(table.data.any(axis=1))
+        assert moved.tolist() == [3, 70_000]
 
     def test_rejects_one_tensor_under_two_keys(self):
         w = param(np.zeros(2))
@@ -459,6 +549,31 @@ class TestSnapshots:
         path.write_bytes(b"WRONG")
         with pytest.raises(ParseError):
             load_params(str(path))
+
+    def test_writes_each_arrays_bytes(self, tmp_path):
+        """Each entry's data is its array's ``tobytes()``: for 0-d, 1-d and
+        2-d parameters, views into an optimizer's buffer and arrays that
+        are not contiguous."""
+        rng = np.random.default_rng(11)
+        held = {"b.vector": param(rng.normal(size=4)),
+                "c.matrix": param(rng.normal(size=(2, 3)))}
+        Adam(held)
+        params = {"a.scalar": param(np.array(-0.0)), **held,
+                  "d.transposed": Tensor(rng.normal(size=(3, 4)).T),
+                  "e.strided": Tensor(rng.normal(size=(6, 2))[::2])}
+        assert held["c.matrix"].data.base is not None
+        assert not params["d.transposed"].data.flags.c_contiguous
+        assert not params["e.strided"].data.flags.c_contiguous
+        path = tmp_path / "model.bin"
+        save_params(params, str(path))
+        want = MODEL_MAGIC + struct.pack("<I", len(params))
+        for name in sorted(params):
+            data = params[name].data
+            want += (struct.pack("<H", len(name)) + name.encode()
+                     + struct.pack("<B", data.ndim)
+                     + b"".join(struct.pack("<I", n) for n in data.shape)
+                     + data.tobytes())
+        assert path.read_bytes() == want
 
     def test_byte_stability(self, tmp_path):
         params = {"w": param(np.arange(6.0).reshape(2, 3))}

@@ -105,6 +105,69 @@ class TestAccumulate:
             t.accumulate(np.ones(shape))
 
 
+def _dense_gather(table, indices):
+    """gather_rows with the dense rule: each backward fills a zero array
+    of the table's shape by ``np.add.at`` and accumulates it."""
+    idx = np.asarray(indices, dtype=np.int64)
+
+    def backward(out):
+        if table.requires_grad and idx.size:
+            g = np.zeros_like(table.data)
+            np.add.at(g, idx, out.grad)
+            table.accumulate(g)
+
+    return T._make(table.data[idx], (table,), backward)
+
+
+class TestGatherGradient:
+    """gather_rows's backward has the bits of the dense rule, and marks
+    the rows a leaf's gradient has reached while only gathers add in."""
+
+    # each builds a loss from a leaf table and a gather function
+    LOSSES = {
+        "repeats and three gathers": lambda x, gather, w: (
+            T.tsum(gather(x, [4, 1, 4]) * w[:3])
+            + T.tsum(gather(x, [4, 2, 4, 4]) * w[3:7])
+            + T.tsum(gather(x, 5) * w[7])),
+        "an index matrix": lambda x, gather, w: T.tsum(
+            gather(x, [[0, 3, 3], [3, 0, 1]]) * w[:6].reshape(2, 3, 2)),
+        "an inner node gathered twice": lambda x, gather, w: (
+            T.tsum(gather(y := x * 1.5, [2, 2, 0]) * w[:3])
+            + T.tsum(gather(y, [0, 1, 1]) * w[3:6])),
+        "a gather and a dense use": lambda x, gather, w: (
+            T.tsum(gather(x, [3, 3]) * w[:2]) + T.tsum(x * w[2:8])),
+    }
+    ROWS = {"repeats and three gathers": [1, 2, 4, 5],
+            "an index matrix": [0, 1, 3]}
+
+    def test_a_later_gather_sums_its_repeats_first(self):
+        """Repeats of a row in a later gather are summed before they join
+        the gradient: 1 + (2**-53 + 2**-53) is 1 + 2**-52, where adding
+        each to 1 in turn would round back to 1."""
+        tiny = np.full((2, 1), 2.0 ** -53)
+        for gather in (T.gather_rows, _dense_gather):
+            x = param(np.zeros((2, 1)))
+            (T.tsum(gather(x, [0]) * np.ones((1, 1)))
+             + T.tsum(gather(x, [0, 0]) * tiny)).backward()
+            assert x.grad[0, 0] == 1.0 + 2.0 ** -52
+
+    @pytest.mark.parametrize("case", sorted(LOSSES))
+    def test_same_bits_as_the_dense_rule(self, case):
+        rng = np.random.default_rng(17)
+        init = rng.normal(size=(6, 2))
+        w = np.where(rng.random((8, 2)) < 0.3, -0.0, rng.normal(size=(8, 2)))
+        x, ref = param(init), param(init)
+        self.LOSSES[case](x, T.gather_rows, w).backward()
+        self.LOSSES[case](ref, _dense_gather, w).backward()
+        np.testing.assert_array_equal(x.grad.view(np.uint64),
+                                      ref.grad.view(np.uint64))
+        if case in self.ROWS:
+            assert np.flatnonzero(x.grad_rows).tolist() == self.ROWS[case]
+            assert not x.grad[~x.grad_rows].any()
+        else:
+            assert x.grad_rows is None
+
+
 def _check(build, params, tol=1e-4):
     assert finite_diff_check(build, params) < tol
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -40,7 +40,8 @@ from qakb.nn import (
 )
 from qakb.nn.io import Model, new_model
 from qakb.nn.layers import (attention_forward, cosine_forward, dropout_mask,
-                            padded_indices, recurrent_forward, table_tokens)
+                            length_groups, padded_indices, recurrent_forward,
+                            table_tokens)
 from qakb.nn.losses import loss_hinge_qas
 from qakb.nn.tensor import (
     Tensor,
@@ -228,30 +229,24 @@ class E2EModel(Model):
             last = np.stack([char_rows(word) for word in words])
         return concat([vecs, last], axis=1)
 
-    def word_rows(self, words: Sequence[str],
-                  char_rows: Optional[CharRows] = None) -> np.ndarray:
-        """:meth:`encode_words` on arrays, building no graph: the rows of
-        ``encode_words(words, char_rows or self.char_summary)``, bit for
-        bit, each word's char part from ``char_rows`` when given and its
-        :meth:`char_summary` otherwise."""
-        vecs = self.words.rows(words)
-        if not self.variant.char_level:
-            return vecs
-        char_rows = char_rows or self.char_summary
-        return np.concatenate(
-            [vecs, np.stack([char_rows(word) for word in words])], axis=1)
+    def char_summaries(self, words: Sequence[str]) -> np.ndarray:
+        """[W, h] char-GRU last states, one per non-empty word, over its
+        characters, on arrays: one run with each word on its own slot (see
+        :func:`~qakb.nn.layers.recurrent_forward`), so a word's summary
+        has the bits of :func:`~qakb.nn.layers.recurrent` over that word's
+        character rows alone, whatever words it runs with."""
+        idx, lengths = padded_indices([self.chars.indices(word)
+                                       for word in words])
+        last, _ = recurrent_forward(
+            (self.char_gru,), (self.chars.vectors.data[idx][:, None],),
+            lengths, (False,), "last")
+        return last[:, 0]
 
     def char_summary(self, word: str) -> np.ndarray:
-        """The char-GRU's [h] last state over one non-empty word's
-        characters, run on that word alone, on arrays: the bits of
-        :func:`~qakb.nn.layers.recurrent` over the word's character rows.
-        A batched run rounds differently in the last bits, so this is what
-        answering caches: a word's summary does not depend on the words it
-        is asked with."""
-        chars = self.chars.rows(word)
-        last, _ = recurrent_forward((self.char_gru,), (chars,),
-                                    np.array([len(word)]), (False,), "last")
-        return last
+        """One word's [h] :meth:`char_summaries`: the char part that
+        :meth:`encode_text` gives the word, and so the ``char_rows`` with
+        which :meth:`encode_texts` gives its bits."""
+        return self.char_summaries([word])[0]
 
     def encode_texts(self, texts: Sequence[Sequence[str]],
                      char_rows: Optional[CharRows] = None) -> Tensor:
@@ -280,34 +275,69 @@ class E2EModel(Model):
                        (len(texts), max_len * self.lstm.hidden_dim))
         return self.dense(flat)
 
-    def encode_text(self, tokens: Sequence[str],
-                    char_rows: Optional[CharRows] = None) -> np.ndarray:
-        """One token sequence's [h] encoding on arrays, building no
-        graph: row 0 of ``encode_texts([tokens], char_rows or
-        self.char_summary)``, bit for bit, by the same numpy operations on
-        the same shapes.
+    def encode_text(self, texts: Sequence[tuple[str, ...]],
+                    summaries: Optional[dict[str, np.ndarray]] = None
+                    ) -> np.ndarray:
+        """[K, h] encodings of K token sequences on arrays, building no
+        graph: row ``k`` has the bits of row 0 of ``encode_texts(
+        [texts[k]], self.char_summary)``, whatever texts it is encoded
+        with.
 
-        The word rows come from :meth:`word_rows`; the LSTM
-        runs over the text as one [1, T, d] row, and self-attention over
-        that row's [1, T, h] states without a mask, which a full-length
-        row does not need; the states are truncated or zero-padded to
-        max_len and go through the dense layer as one [1, max_len * h]
-        row.  EmptySequence for no tokens.
+        Each layer runs once for all the texts, each text, and each word,
+        on its own leading-axis slot, so every product is the one the text
+        would get alone.  With char mode, the char-GRU runs once over the
+        distinct words that ``summaries`` lacks (:meth:`char_summaries`),
+        and the summaries of vocabulary words among them are added to it.
+        The texts run longest first: the LSTM once, one slot per text, for
+        the longest text's steps; self-attention over each text's states,
+        the texts of one length stacked; then each text's states are
+        truncated or zero-padded to max_len and go through the dense layer
+        as a stack of [1, max_len * h] rows.  EmptySequence for no texts
+        or an empty one, and TypeError for a text given as a string.
         """
-        if not tokens:
+        if not texts or not all(texts):
             raise EmptySequence("cannot encode an empty token sequence")
+        if any(isinstance(text, str) for text in texts):
+            raise TypeError("a text is a sequence of tokens, not a string")
+        order = sorted(range(len(texts)), key=lambda i: -len(texts[i]))
         words: dict[str, int] = {}
-        idx = [words.setdefault(tok, len(words)) for tok in tokens]
-        inputs = self.word_rows(list(words), char_rows)[idx][None]
-        states, _ = recurrent_forward((self.lstm,), (inputs,),
-                                      np.array([len(idx)]), (False,),
-                                      "states")
+        idx, lengths = padded_indices(
+            [[words.setdefault(tok, len(words)) for tok in texts[i]]
+             for i in order])
+        rows = self.words.rows(list(words))
+        if self.variant.char_level:
+            rows = np.concatenate(
+                [rows, self._char_part(list(words), summaries)], axis=1)
+        states, _ = recurrent_forward((self.lstm,), (rows[idx][:, None],),
+                                      lengths, (False,), "states")
+        states = states[:, 0]
+        (K, T), max_len, h = idx.shape, self.cfg.max_len, self.lstm.hidden_dim
+        flat = np.zeros((K, max_len, h))
         if self.variant.self_attention:
-            states, _ = attention_forward(states)
-        max_len, h = self.cfg.max_len, self.lstm.hidden_dim
-        flat = np.zeros((1, max_len, h))
-        flat[:, :len(idx)] = states[:, :max_len]
-        return self.dense.forward(flat.reshape(1, max_len * h))[0]
+            for a, b, n in length_groups(lengths.tolist()):
+                flat[a:b, :n] = attention_forward(
+                    states[a:b, :n])[0][:, :max_len]
+        else:
+            flat[:, :T] = states[:, :max_len]
+        encoded = self.dense.forward(flat.reshape(K, 1, max_len * h))[:, 0]
+        if order != sorted(order):
+            encoded[order] = encoded.copy()
+        return encoded
+
+    def _char_part(self, words: list[str],
+                   summaries: Optional[dict[str, np.ndarray]]
+                   ) -> np.ndarray:
+        """The [W, h] char parts of distinct words, as :meth:`encode_text`
+        takes them from ``summaries`` and fills it."""
+        if summaries is None:
+            return self.char_summaries(words)
+        fresh = [word for word in words if word not in summaries]
+        ran = dict(zip(fresh, self.char_summaries(fresh))) if fresh else {}
+        vocab = self.words.vocab
+        summaries.update((word, vec) for word, vec in ran.items()
+                         if word in vocab)
+        return np.array([ran[word] if word in ran else summaries[word]
+                         for word in words])
 
     @classmethod
     def layout(cls, meta: dict) -> tuple[dict, list[tuple]]:
@@ -528,22 +558,6 @@ def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,
 # Answering
 # ---------------------------------------------------------------------------
 
-def _char_rows(model: E2EModel,
-               summaries: dict[str, np.ndarray]) -> CharRows:
-    """A word's :meth:`E2EModel.char_summary`, kept in ``summaries``
-    when the word is in the model's vocabulary; an out-of-vocabulary
-    word's is run afresh on every use."""
-    def char_row(word: str) -> np.ndarray:
-        vec = summaries.get(word)
-        if vec is None:
-            vec = model.char_summary(word)
-            if word in model.words.vocab:
-                summaries[word] = vec
-        return vec
-
-    return char_row
-
-
 class E2EStrategy:
     """One model answering a stream of questions on arrays, as one
     session: answering makes no :class:`~qakb.nn.tensor.Tensor`.
@@ -555,12 +569,17 @@ class E2EStrategy:
     scores through.  Every encoding is :meth:`E2EModel.encode_text`'s
     array, with the bits of the graph path.
     The question is tokenized once, for the retrieval and the encoder.
-    Encodings of subject labels, relation paths and type labels are filled
-    on first use and kept for the session by :func:`functools.cache`,
-    keyed by their raw text, so a text seen before is not tokenized
-    again; question encodings are not kept.  With char mode every encode
-    takes each word's char part from :attr:`char_row`, which keeps the
-    summaries of vocabulary words, so a warm session runs no char-GRU.
+    Encodings of subject labels, relation paths and type labels are kept
+    for the session in the plain dicts :attr:`labels` and
+    :attr:`relations`, keyed by their raw text, so a text seen before is
+    not tokenized again; question encodings are not kept.  Each answer
+    encodes its question and the KB texts it meets for the first time in
+    one :meth:`E2EModel.encode_text` call, which runs each layer once for
+    all of them, one slot per text, and fills the dicts once.  With char
+    mode that call takes each word's char part from :attr:`summaries`,
+    which keeps those of vocabulary words, so a warm session runs no
+    char-GRU.  A text's encoding has the bits of encoding it alone, so an
+    answer does not depend on what the session has encoded before.
     Memory is bounded by the KB's texts plus the vocabulary.  A session
     must not outlive a change to the model's weights.  The session
     answers as the model's own variant; ``out_degree_sort`` is its one
@@ -579,19 +598,9 @@ class E2EStrategy:
             if used)
         # char summaries of vocabulary words, filled on first use
         self.summaries: dict[str, np.ndarray] = {}
-        # the closures hold the model and the table, not the session, so
-        # a dropped session is freed by reference counting
-        self.char_row = char_row = _char_rows(model, self.summaries)
-
-        # looked up on each miss, so a wrapper put on the model's
-        # encode_text after the session was built still sees every miss
-        def encode(tokens: tuple[str, ...]) -> np.ndarray:
-            return model.encode_text(tokens, char_row)
-
-        # subject labels and type labels, and relation paths
-        self.labels = cache(lambda text: encode(tuple(tokenize(text))))
-        self.relations = cache(
-            lambda text: encode(tuple(relation_tokens(text))))
+        # encodings of subject and type labels, and of relation paths
+        self.labels: dict[str, np.ndarray] = {}
+        self.relations: dict[str, np.ndarray] = {}
 
     @cached_property
     def label(self) -> tuple[str, str]:
@@ -608,6 +617,32 @@ class E2EStrategy:
             scores["s_qt"] = top.s_qt
         return top.fact.subject, top.fact.relation, scores
 
+    def _encode(self, tokens: Sequence[str],
+                keys: Sequence[Optional[tuple[int, str]]],
+                vecs: list[Optional[np.ndarray]]) -> np.ndarray:
+        """The question's encoding.  Each key's text, 0 for a label and 1
+        for a relation path, whose entry of ``vecs`` is None is tokenized,
+        encoded with the question in one :meth:`E2EModel.encode_text`
+        call, added to :attr:`labels` or :attr:`relations` and filled in;
+        a None key stays None."""
+        caches = (self.labels, self.relations)
+        splits = (tokenize, relation_tokens)
+        texts = {tuple(tokens): 0}
+        rows: dict[tuple[int, str], int] = {}
+        misses = [i for i, vec in enumerate(vecs)
+                  if vec is None and keys[i] is not None]
+        for i in misses:
+            kind, text = key = keys[i]
+            if key not in rows:
+                rows[key] = texts.setdefault(tuple(splits[kind](text)),
+                                             len(texts))
+        encoded = self.model.encode_text(list(texts), self.summaries)
+        for (kind, text), row in rows.items():
+            caches[kind][text] = encoded[row]
+        for i in misses:
+            vecs[i] = encoded[rows[keys[i]]]
+        return encoded[0]
+
     def top(self, question: str, k: int = 1) -> list[FactScore]:
         """Top-k candidate facts, highest combined score first.
         NoCandidates when retrieval finds no entity, and NoRelation when
@@ -622,22 +657,28 @@ class E2EStrategy:
             raise NoRelation(f"candidates for {question!r} hold no facts")
         channels = ([SUBJECT, PREDICATE, TYPE] if variant.type_as_task
                     else [SUBJECT, PREDICATE])
-        q_vec = self.model.encode_text(tokens, self.char_row)
-        # each fact's channel encodings in channel order; an untyped
+        # each fact's channel texts in channel order, as (0, label) or
+        # (1, relation path), and their encodings kept so far; an untyped
         # subject has no type text and its type cosine is 0
-        vecs: list[Optional[np.ndarray]] = []
+        keys: list[Optional[tuple[int, str]]] = []
         for fact in facts:
-            vecs.append(self.labels(subject_text(
-                kb, fact.subject, variant.type_in_label)))
-            vecs.append(self.relations(fact.relation))
+            keys.append((0, subject_text(kb, fact.subject,
+                                         variant.type_in_label)))
+            keys.append((1, fact.relation))
             if variant.type_as_task:
                 label = notable_type(kb, fact.subject)
-                vecs.append(None if label is None else self.labels(label))
+                keys.append(None if label is None else (0, label))
+        caches = (self.labels, self.relations)
+        vecs = [None if key is None else caches[key[0]].get(key[1])
+                for key in keys]
+        q_vec = self._encode(tokens, keys, vecs)
         live = [i for i, vec in enumerate(vecs) if vec is not None]
         cos = np.zeros(len(vecs))
-        encoded = np.stack([vecs[i] for i in live])
-        cos[live], _ = cosine_forward(
-            np.broadcast_to(q_vec, encoded.shape), encoded)
+        encoded = np.array([vecs[i] for i in live])
+        # a contiguous question block: ufuncs over a broadcast view walk
+        # it row by row, which costs more than the copy
+        cos[live], _ = cosine_forward(q_vec[None].repeat(len(live), 0),
+                                      encoded)
         combined = self.model.head.combine(
             cos, channels * len(facts),
             np.arange(len(vecs)).reshape(len(facts), len(channels)))

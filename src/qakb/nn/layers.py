@@ -17,12 +17,23 @@ graph: :meth:`EmbeddingTable.rows`, :meth:`Dense.forward`,
 computes its data by calling one of them, so an answer computed on
 arrays has the bits of the same computation as graph nodes.  Training's
 dropout multiplies by a :func:`dropout_mask`.
+
+Several sequences can share one array call and keep the bits each gets
+alone by sitting on their own slots of a leading axis: numpy's stacked
+``matmul`` runs one BLAS product per slot, with that slot's shapes and
+strides, so a slot's product is the 2-D product of the sequence alone.
+Rows that share one 2-D product round differently, which is why only a
+training batch shares them.  :func:`recurrent_forward` steps one-row
+slots, :meth:`Dense.forward` takes a stack of rows, and
+:func:`attention_forward` takes a stack of sequences of one length;
+``tests/test_slots.py`` checks the property on the BLAS in use.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -160,14 +171,16 @@ class Dense:
                 f"{name}.bias": np.zeros(out_dim)}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """The layer on a [in] vector or a [n, in] matrix: ``W @ x + b``,
-        or ``x @ W.T + b`` through a contiguous copy of ``W.T`` (a
-        transposed view or a 1-D product rounds differently), then the
-        activation."""
-        if x.ndim not in (1, 2) or x.shape[-1] != self.in_dim:
+        """The layer on a [in] vector, a [n, in] matrix or a [K, n, in]
+        stack of matrices: ``W @ x + b``, or ``x @ W.T + b`` through a
+        contiguous copy of ``W.T`` (a transposed view or a 1-D product
+        rounds differently), then the activation.  Each slot of a stack
+        is its own product, so slot ``k`` has the bits of
+        ``forward(x[k])``."""
+        if x.ndim not in (1, 2, 3) or x.shape[-1] != self.in_dim:
             raise ShapeMismatch(f"{self.name}: input shape {x.shape}, "
-                                f"expected [{self.in_dim}] or [n, "
-                                f"{self.in_dim}]")
+                                f"expected [{self.in_dim}], [n, "
+                                f"{self.in_dim}] or [K, n, {self.in_dim}]")
         w = self.weight.data
         y = (w @ x if x.ndim == 1 else x @ w.T.copy()) + self.bias.data
         if self.activation == "relu":
@@ -212,8 +225,11 @@ class _GatedCell:
 
     A step works on ``[n, h]`` states, one row per sequence still
     running, or on ``[D, n, h]`` states with one such block per cell of
-    a run, the cells' weights then stacked ``[D, ...]`` too.  It takes every
-    gate's input projection ``x @ W`` precomputed:
+    a run, the cells' weights then stacked ``[D, ...]`` too.  The rows
+    share each product; one-row slots, whose products are their own, are
+    ``[n, 1, h]`` states (or ``[D, n, 1, h]``, with ``U`` and ``b``
+    stacked ``[D, 1, ...]``).  It takes every gate's input projection
+    ``x @ W`` precomputed:
     :func:`recurrent_forward` projects all timesteps in one product before
     its time loop, reading ``W`` as it is stored.
     """
@@ -370,68 +386,160 @@ def _pack(lengths: np.ndarray, T: int, reverses: Sequence[bool]
 _ONE_ROW = np.zeros(1, dtype=np.int64)
 
 
+def _slot_order(lengths: np.ndarray
+                ) -> tuple[list[int], list[int], list[int]]:
+    """The running order of one-row slots, as :func:`_pack` gives it for
+    rows: ``(order, lens, counts)``, the slots longest first (ties in
+    input order), their lengths, and how many run at each step, each
+    step's a prefix of the previous step's.  Plain lists, not ``_pack``'s
+    array passes: an answer runs a handful of slots, for which this costs
+    about 1.5 us against 9 us, and taking the order and flat positions
+    from ``_pack`` instead made ``prep-m``'s ``qa-t-mwst`` answers 8%
+    slower at p50 (10 of 10 interleaved benchmark pairs, 2 vCPUs)."""
+    ns = lengths.tolist()
+    order = sorted(range(len(ns)), key=ns.__getitem__, reverse=True)
+    lens = [ns[j] for j in order]
+    counts, running = [], len(lens)
+    for s in range(lens[0]):
+        while lens[running - 1] <= s:
+            running -= 1
+        counts.append(running)
+    return order, lens, counts
+
+
+def length_groups(lens: list[int]) -> list[tuple[int, int, int]]:
+    """``(start, stop, length)`` of each run of equal lengths in ``lens``,
+    which are sorted longest first, empty runs left out."""
+    starts = [j for j in range(len(lens)) if j == 0 or lens[j] < lens[j - 1]]
+    return [(a, b, lens[a]) for a, b in zip(starts, starts[1:] + [len(lens)])
+            if lens[a]]
+
+
+def _slot_projections(cells: Sequence[_GatedCell],
+                      inputs: Sequence[np.ndarray], order: list[int],
+                      lens: list[int], reverses: Sequence[bool]
+                      ) -> list[np.ndarray]:
+    """Each cell's input projections for K one-row slots, [n0, K, G*h]
+    with the slots longest first (``order``, whose lengths are ``lens``)
+    and entry ``[s, j]`` slot ``j``'s at its step ``s``; past a slot's
+    length the entries are never read.  Every slot's [n, d] rows, in the
+    order its cell reads them, are projected through ``W`` as their own
+    product, the slots of one length stacked in one ``matmul``."""
+    K, groups = len(lens), length_groups(lens)
+    xw = []
+    for x, c, reverse in zip(inputs, cells, reverses):
+        x = x.reshape(K, -1, x.shape[-1])
+        if order != sorted(order):
+            x = x[order]
+        buf = None if len(groups) == 1 else np.empty(
+            (lens[0], K, c.W.data.shape[1]))
+        for a, b, n in groups:
+            rows = x[a:b, n - 1::-1].copy() if reverse else x[a:b, :n]
+            proj = (rows @ c.W.data).swapaxes(0, 1)
+            if buf is None:
+                buf = proj
+            else:
+                buf[:n, a:b] = proj
+        xw.append(buf)
+    return xw
+
+
 def recurrent_forward(cells: Sequence[_GatedCell],
                       inputs: Sequence[np.ndarray], lengths: np.ndarray,
                       reverses: Sequence[bool], output: str,
                       saved: Optional[list] = None
                       ) -> tuple[np.ndarray, tuple]:
     """The forward of one run of D same-kind, same-size ``cells`` on
-    arrays, building no graph: cell ``k`` over ``inputs[k]`` ([T, d_k] as
-    one row, or [B, T, d_k] with the B row lengths ``lengths``, every
-    input of one leading shape, T >= 1 and some row non-empty) right to
-    left when ``reverses[k]``.  A bidirectional run passes its input
-    twice; two matchers' runs pass each matcher's input to both of its
-    cells.
+    arrays, building no graph: cell ``k`` over ``inputs[k]``, right to
+    left when ``reverses[k]``, every input of one leading shape with T >=
+    1 and some sequence non-empty.  An input is one of:
+
+    - [B, T, d_k] with B > 1 and the B row ``lengths``: a padded batch,
+      whose rows share each product;
+    - [K, 1, T, d_k] with the K slot ``lengths``: K one-row slots, each
+      of whose products is its own, so every slot gets the bits of a run
+      over its sequence alone, whatever it runs with;
+    - [T, d_k], [1, T, d_k] or [1, 1, T, d_k], with ``lengths`` ``[n]``:
+      one row, or one slot, whose products are its own.
+
+    A bidirectional run passes its input twice; two matchers' runs pass
+    each matcher's input to both of its cells.
 
     ``output`` names the one result built: ``"states"``, aligned with
     input positions, cell ``k``'s in the ``k``-th block of h columns, and
-    zero past each row's length; or ``"last"``, each row's [D*h] state
-    after its last step (position n - 1 of a forward cell, 0 of a reverse
-    one), zero for an empty row.
+    zero past each sequence's length; or ``"last"``, each sequence's
+    [D*h] state after its last step (position n - 1 of a forward cell, 0
+    of a reverse one), zero for an empty one.
 
-    Every valid position's input is projected through each cell's ``W``
-    in one product per cell; then ``step`` runs once per timestep on the
-    states of the rows still running, every cell at once: [D, n, h]
-    states and ``U`` and ``b`` stacked [D, ...] for two or more cells,
-    and for one the [n, h] states and the cell's own ``U`` and ``b``.
-    Stacking on that leading axis leaves every product's bits as in a run
-    of each cell alone.  Each step's record for ``step_backward`` is
-    appended to ``saved`` when it is a list.
+    Sequences run longest first, and each timestep runs ``step`` once on
+    the states of the sequences still running, a prefix of the previous
+    step's (see :func:`_pack`), every cell at once: [D, n, h] states and
+    ``U`` and ``b`` stacked [D, ...] for two or more cells, and for one
+    the [n, h] states and the cell's own ``U`` and ``b``; two or more
+    slots step [n, 1, h] states, so each slot's product is its own.  So
+    the time loop runs the longest sequence's steps.  Stacking on a
+    leading axis leaves every product's bits as in a run of each cell,
+    or each slot, alone.  Rows project every valid position through each
+    cell's ``W`` in one product; slots each project their own [n, d] rows
+    (:func:`_slot_projections`).  Each step's record for
+    ``step_backward`` is appended to ``saved`` when it is a list.
 
     Returns the output and the run's packing ``(flats, offsets, order,
     xs, u)`` (see :func:`_pack`; ``xs`` are the inputs in packed order,
-    ``u`` the recurrent weights as ``step`` read them), which a backward
-    reads.  :func:`recurrent` is the graph twin.
+    and ``u`` the recurrent weights as one cell's or a [D, ...] stack),
+    which a backward reads; two or more slots have no backward, and
+    their ``xs`` is None, as is their ``flats`` for ``"last"``.
+    :func:`recurrent` is the graph twin.
     """
     T = inputs[0].shape[-2]
     B, D = lengths.shape[0], len(cells)
     cell = cells[0]
     H = cell.hidden_dim
     lead = (D,) if D > 1 else ()  # the direction axis, if any
-    flats, offsets, order = _pack(lengths, T, reverses)
-    xs = [x.reshape(B * T, -1)[flat] for x, flat in zip(inputs, flats)]
-    xw = [xs_k @ c.W.data for xs_k, c in zip(xs, cells)]
+    slots = inputs[0].ndim == 4 and B > 1
+    if slots:
+        order, lens, counts = _slot_order(lengths)
+        offsets = [0, *accumulate(counts)]
+        flats, xs = None, None
+        xw = _slot_projections(cells, inputs, order, lens, reverses)
+    else:
+        flats, offsets, order = _pack(lengths, T, reverses)
+        xs = [x.reshape(B * T, -1)[flat] for x, flat in zip(inputs, flats)]
+        xw = [xs_k @ c.W.data for xs_k, c in zip(xs, cells)]
     us, bs = [c.U.data for c in cells], [c.b.data for c in cells]
     if D > 1:  # the cells' arrays stacked on a leading axis
         xw, u, b = np.array(xw), np.array(us), np.array(bs)[:, None]
     else:
         (xw,), (u,), (b,) = xw, us, bs
+    u_step = u
+    if slots:  # [n0, K, 1, G*h] projections per cell, [n, 1, h] states
+        xw = xw[..., None, :]
+        if D > 1:
+            u_step, b = u[:, None], b[:, None]
+    run = -3 if slots else -2  # the running axis
     want_states = output == "states"
     outs, ends = [], []
-    state = cell.initial_state(*lead, offsets[1] - offsets[0])
+    state = cell.initial_state(*lead, offsets[1], *(1,) * slots)
     for s in range(len(offsets) - 1):
         lo, hi = offsets[s], offsets[s + 1]
-        if hi - lo < state[0].shape[-2]:  # rows that ended drop out
+        if hi - lo < state[0].shape[run]:  # sequences that ended drop out
             if not want_states:
-                ends.append(state[0][..., hi - lo:, :])
-            state = tuple(v[..., :hi - lo, :] for v in state)
-        state, keep = cell.step(xw[..., lo:hi, :], state, u, b)
+                ends.append(state[0][..., hi - lo:, :, :] if slots
+                            else state[0][..., hi - lo:, :])
+            state = tuple(v[..., :hi - lo, :, :] if slots
+                          else v[..., :hi - lo, :] for v in state)
+        state, keep = cell.step(xw[..., s, :hi - lo, :, :] if slots
+                                else xw[..., lo:hi, :], state, u_step, b)
         if saved is not None:
             saved.append(keep)
         if want_states:
             outs.append(state[0])
     if want_states:
-        hs = np.concatenate(outs, axis=-2).reshape(D, -1, H)
+        if slots:  # the flat positions of each step's slots, as _pack's
+            flats = [[order[j] * T + (lens[j] - 1 - s if reverse else s)
+                      for s, n in enumerate(counts) for j in range(n)]
+                     for reverse in reverses]
+        hs = np.concatenate(outs, axis=run).reshape(D, -1, H)
         states = np.zeros((D, B * T, H))
         for k, flat in enumerate(flats):
             states[k][flat] = hs[k]
@@ -439,10 +547,10 @@ def recurrent_forward(cells: Sequence[_GatedCell],
         data = states[0] if D == 1 else states.transpose(1, 0, 2)
         data = data.reshape(inputs[0].shape[:-1] + (D * H,))
     else:
-        # the rows that end latest come first in the packed order
+        # the sequences that end latest come first in the packed order
         ends.append(state[0])
         last = (ends[0] if len(ends) == 1
-                else np.concatenate(ends[::-1], axis=-2)).reshape(D, -1, H)
+                else np.concatenate(ends[::-1], axis=run)).reshape(D, -1, H)
         if B > 1:
             rows = last
             last = np.zeros((D, B, H))
@@ -602,18 +710,28 @@ def attention_forward(x: np.ndarray, lengths: Optional[Sequence[int]] = None
     [T, h] with T >= 1, or [B, T, h] with each row's ``lengths`` (default
     T): a row attends only over its own first ``length`` states, and its
     output past that length is zero.  Passing no lengths for rows of full
-    length gives the same bits.  Returns the output and ``(attn,
-    valid)``, the attention weights and the [B, T] mask (None without
-    lengths), which a backward reads.
+    length gives the same bits, and so does passing a [K, T, h] stack of
+    sequences of one length T: each is its own product, as when alone.
+    Returns the output and ``(attn, valid)``, the attention weights and
+    the [B, T] mask (None without lengths), which a backward reads.
+
+    A one-step sequence's output is its input plus 0.0: the softmax over
+    its one finite score is exactly 1.0, and so is the one mask entry,
+    since an empty row attends over its first state too; the product
+    with weight 1.0 sums onto +0.0, so it turns a -0.0 to +0.0, as
+    adding 0.0 does.
     """
-    scale = 1.0 / math.sqrt(x.shape[-1])
-    scores = (x @ np.swapaxes(x, -1, -2)) * scale
     valid = None
     if lengths is not None:
         # an empty row attends over its first (all-zero) state, so no
         # softmax row is empty
         valid = (np.arange(x.shape[-2])
                  < np.maximum(np.asarray(lengths), 1)[:, None])
+    if x.shape[-2] == 1:
+        return x + 0.0, (np.ones(x.shape[:-1] + (1,)), valid)
+    scale = 1.0 / math.sqrt(x.shape[-1])
+    scores = (x @ x.swapaxes(-1, -2)) * scale
+    if valid is not None:
         scores = np.where(valid[:, None, :], scores, -np.inf)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)

@@ -1,10 +1,13 @@
 """Tests for the end-to-end ranking models."""
 
+import contextlib
 import gc
+import io
 import logging
 import weakref
 from collections import Counter
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from conftest import (answer, fresh, gate_block, loss_hinge_qat,
 from numpy.testing import assert_allclose, assert_array_equal
 
 from qakb.aliasindex import build_index, relation_tokens, tokenize
+from qakb.cli import main
 from qakb.datagen import NegativePools, make_question
 from qakb.e2e import (
     E2EModel,
@@ -164,23 +168,38 @@ class TestWordEncoder:
         assert "a" in m.chars.vocab
 
 
+def _encode_one(model, tokens):
+    """One token sequence's [h] array encoding."""
+    return model.encode_text([tuple(tokens)])[0]
+
+
 class TestEncodeSequence:
     def test_empty_tokens_raise(self):
         m = fresh(E2EModel, ["a"], small_cfg(), np.random.default_rng(0),
                   variant=E2EVariant())
-        with pytest.raises(EmptySequence):
-            m.encode_text([])
+        for texts in ([], [()], [("a",), ()]):
+            with pytest.raises(EmptySequence):
+                m.encode_text(texts)
+
+    def test_text_given_as_a_string_raises(self):
+        m = fresh(E2EModel, ["a"], small_cfg(), np.random.default_rng(0),
+                  variant=E2EVariant())
+        for texts in (["a"], [("a",), "a b"]):
+            with pytest.raises(TypeError):
+                m.encode_text(texts)
 
     def test_output_shape(self):
         m = fresh(E2EModel, ["a", "b"], small_cfg(), np.random.default_rng(0),
                   variant=E2EVariant())
-        assert m.encode_text(["a", "b"]).shape == (small_cfg().hidden_size,)
+        assert _encode_one(m, ["a", "b"]).shape == (small_cfg().hidden_size,)
+        assert m.encode_text([("a", "b"), ("b",)]).shape == (
+            2, small_cfg().hidden_size)
 
     def test_eval_mode_is_deterministic(self):
         m = fresh(E2EModel, ["a", "b"], small_cfg(dropout_p=0.5),
                   np.random.default_rng(0), variant=E2EVariant())
-        assert_array_equal(m.encode_text(["a", "b"]),
-                           m.encode_text(["a", "b"]))
+        assert_array_equal(_encode_one(m, ["a", "b"]),
+                           _encode_one(m, ["a", "b"]))
 
     def test_train_mode_without_dropout_matches_eval(self):
         """At ``dropout_p`` 0 a training step draws no mask, so its
@@ -200,22 +219,22 @@ class TestEncodeSequence:
         texts = list(step.texts)
         encoded = m.encode_texts(texts).data
         for row, tokens in zip(encoded, texts):
-            assert_allclose(row, m.encode_text(tokens), rtol=1e-12,
+            assert_allclose(row, _encode_one(m, tokens), rtol=1e-12,
                             atol=1e-15)
 
     def test_truncation_matches_prefix_without_attention(self):
         m = fresh(E2EModel, list("abcdefgh"), small_cfg(max_len=3),
                   np.random.default_rng(2), variant=E2EVariant())
         long = list("abcdefgh")
-        assert_array_equal(m.encode_text(long), m.encode_text(long[:3]))
+        assert_array_equal(_encode_one(m, long), _encode_one(m, long[:3]))
 
     def test_attention_mixes_states_before_truncation(self):
         m = fresh(E2EModel, list("abcdefgh"), small_cfg(max_len=3),
                   np.random.default_rng(2),
                   variant=E2EVariant(self_attention=True))
         long = list("abcdefgh")
-        assert not np.array_equal(m.encode_text(long),
-                                  m.encode_text(long[:3]))
+        assert not np.array_equal(_encode_one(m, long),
+                                  _encode_one(m, long[:3]))
 
     def test_attention_changes_multi_token_encoding_only(self):
         plain = fresh(E2EModel, ["a", "b"], small_cfg(),
@@ -227,9 +246,10 @@ class TestEncodeSequence:
                                     sorted(attn.parameters().items())):
             assert k == k2
             assert_array_equal(p.data, p2.data)
-        assert_array_equal(plain.encode_text(["a"]), attn.encode_text(["a"]))
-        assert not np.array_equal(plain.encode_text(["a", "b"]),
-                                  attn.encode_text(["a", "b"]))
+        assert_array_equal(_encode_one(plain, ["a"]),
+                           _encode_one(attn, ["a"]))
+        assert not np.array_equal(_encode_one(plain, ["a", "b"]),
+                                  _encode_one(attn, ["a", "b"]))
 
 
 def _bits(a):
@@ -248,36 +268,47 @@ _ARRAY_TEXTS = [["yesterday"], ["zyzzyva"], ["who", "sings", "yesterday"],
 
 
 class TestArrayEncoding:
-    """Answering's array path gives the graph path's bits: encode_text
-    is row 0 of encode_texts with the same char parts, each word's
-    char_summary when none are given, and char_summary is a graph run
-    over the word's characters."""
+    """Answering's array path gives the graph path's bits: each text of
+    an encode_text call is row 0 of encode_texts over that text alone,
+    with each word's char_summary as its char part, cached in a
+    session's summaries or not, and char_summary is a graph run over the
+    word's characters."""
 
     @pytest.mark.parametrize("name", sorted(VARIANTS))
     def test_encode_text_is_row_0_of_encode_texts(self, name):
-        kb = song_kb()
         variant = VARIANTS[name]
         # the default widths, where a 1-D dense product rounds differently
         model = fresh(E2EModel, _ARRAY_VOCAB, TrainConfig(max_len=3),
                       np.random.default_rng(7), variant=variant)
-        session = E2EStrategy(model, kb, build_index(kb))
-        for tokens in _ARRAY_TEXTS:
-            for char_rows in (None, session.char_row):
-                got = model.encode_text(tokens, char_rows)
+        summaries = {}
+        texts = [tuple(tokens) for tokens in _ARRAY_TEXTS]
+        for tokens in texts:
+            want = gather_rows(model.encode_texts(
+                [tokens], model.char_summary), 0).data
+            for kept in (None, summaries):
+                got = model.encode_text([tokens], kept)
                 assert type(got) is np.ndarray
-                want = gather_rows(model.encode_texts(
-                    [tokens], char_rows or model.char_summary), 0)
-                assert _bits(got) == _bits(want.data), (tokens, char_rows)
-        for char_rows in (None, session.char_row):
+                assert _bits(got[0]) == _bits(want), (tokens, kept)
+        # all together, cold and warm: each row as alone
+        alone = [model.encode_text([tokens])[0] for tokens in texts]
+        for kept in (None, {}, summaries):
+            together = model.encode_text(texts, kept)
+            assert [_bits(row) for row in together] == [
+                _bits(row) for row in alone]
+        assert set(summaries) == (
+            {w for t in texts for w in t} & set(_ARRAY_VOCAB)
+            if variant.char_level else set())
+        for kept in (None, summaries):
             with pytest.raises(EmptySequence):
-                model.encode_text([], char_rows)
+                model.encode_text([()], kept)
 
     @pytest.mark.parametrize("name", ["qa-t-w", "qa-t-mwst"])
     def test_encode_text_is_the_session_encoding(self, name):
-        """Without ``char_rows`` a text's encoding takes each word's
-        char_summary, as a session's does, so the two agree bit for bit;
-        a padded char-GRU run over a text's words rounds differently in
-        the last bits, on every question of this set."""
+        """Without ``summaries`` a text's encoding runs each word's
+        char-GRU afresh, with the bits of the summaries a session keeps,
+        so the two agree bit for bit; a padded char-GRU run over a text's
+        words rounds differently in the last bits, on every question of
+        this set."""
         kb, train, test = generate_synthetic(
             SyntheticSpec(seed=1, n_entities=125))
         variant = VARIANTS[name]
@@ -285,8 +316,8 @@ class TestArrayEncoding:
                       np.random.default_rng(1), variant=variant)
         session = E2EStrategy(model, kb, build_index(kb))
         for q in train + test:
-            assert _bits(model.encode_text(q.tokens)) == _bits(
-                model.encode_text(q.tokens, session.char_row)), q.text
+            assert _bits(model.encode_text([q.tokens])) == _bits(
+                model.encode_text([q.tokens], session.summaries)), q.text
 
     @pytest.mark.parametrize("name", ["qa-t-w", "qa-t-mwst"])
     def test_char_summary_is_a_graph_run(self, name):
@@ -336,14 +367,107 @@ class TestArrayEncoding:
             session = E2EStrategy(model, kb, build_index(kb))
             for q in qs:
                 session.answer(q.text)
-            assert session.labels.cache_info().currsize
-            assert session.relations.cache_info().currsize
+            assert session.labels
+            assert session.relations
             ref = weakref.ref(session)
             del session
             assert ref() is None
         finally:
             if enabled:
                 gc.enable()
+
+
+# words for slot sets: vocabulary words, out-of-vocabulary ones (one of
+# out-of-alphabet characters), one-letter and long ones
+_SLOT_WORDS = _ARRAY_VOCAB + ["zyzzyva", "qq", "ÿ€", "a", "recordings",
+                              "musicrecordingartist"]
+
+
+@cache
+def _slot_model(name):
+    """A fresh model of the variant ``name``, at max_len 3, so texts of
+    more than three tokens are truncated after the LSTM."""
+    return fresh(E2EModel, _ARRAY_VOCAB, TrainConfig(max_len=3),
+                 np.random.default_rng(13), variant=VARIANTS[name])
+
+
+class TestSlotEncoding:
+    """Texts encoded together, each on its own slot, get the bits each
+    gets encoded alone, whatever else is in the set and whatever char
+    summaries are already kept."""
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    @settings(max_examples=25, deadline=None)
+    @given(texts=st.lists(
+               st.lists(st.sampled_from(_SLOT_WORDS), min_size=1,
+                        max_size=6).map(tuple), min_size=1, max_size=7),
+           kept=st.sets(st.sampled_from(_SLOT_WORDS)))
+    def test_together_as_alone(self, name, texts, kept):
+        model = _slot_model(name)
+        alone = [_bits(model.encode_text([text])[0]) for text in texts]
+        summaries = ({word: model.char_summary(word) for word in kept}
+                     if model.variant.char_level else {})
+        together = model.encode_text(texts, summaries)
+        assert [_bits(row) for row in together] == alone
+        assert type(together) is np.ndarray
+
+
+def _cli(*argv):
+    """``qakb argv``'s stdout; the command must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0, f"qakb {' '.join(argv)} exited {code}"
+    return out.getvalue()
+
+
+def test_records_do_not_depend_on_what_was_encoded_before(tmp_path,
+                                                          monkeypatch):
+    """Every joint-model variant writes the same record bytes for a
+    question in a fresh session and in a warm one, in two shuffled
+    orders, through ``answer --questions FILE`` and through stdin."""
+    bench = tmp_path / "bench"
+    _cli("synth", "--seed", "3", "--entities", "40", "--relations", "5",
+         "--out", str(bench))
+    kb = str(bench / "kb.qakb")
+    train = (bench / "train.tsv").read_text(encoding="utf-8").splitlines(True)
+    test = (bench / "test.tsv").read_text(encoding="utf-8").splitlines(True)
+    train6 = tmp_path / "train6.tsv"
+    train6.write_text("".join(train[:6]), encoding="utf-8")
+    asked = [line.split("\t")[3].strip() for line in test + train[6:20]]
+    asked.append(f"zyzzyva {asked[0]}")  # a word in no vocabulary
+    orders = []
+    for seed in (0, 1):
+        order = list(asked)
+        np.random.default_rng(seed).shuffle(order)
+        orders.append(order)
+    for variant in VARIANTS:
+        model = str(tmp_path / f"{variant}.nn")
+        _cli("train-e2e", "--kb", kb, "--questions", str(train6),
+             "--variant", variant, "--out", model, "--epochs", "1",
+             "--seed", "1")
+        flags = ["answer", "--kb", kb, "--model", model, "--variant", variant]
+        records = {}
+        # fresh, then warm: each question's second record is answered by a
+        # session that has encoded every question before
+        for run, order in enumerate([orders[0], orders[1],
+                                     orders[0] + orders[1],
+                                     orders[1] + orders[0]]):
+            text = "".join(q + "\n" for q in order)
+            if run % 2:
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                out = _cli(*flags)
+            else:
+                path = tmp_path / f"asked{run}.txt"
+                path.write_text(text, encoding="utf-8")
+                out = _cli(*flags, "--questions", str(path))
+            lines = out.splitlines()
+            assert len(lines) == len(order)
+            for q, line in zip(order, lines):
+                records.setdefault(q, set()).add(line)
+        assert len(records) == len(asked)
+        varied = [q for q, lines in records.items() if len(lines) != 1]
+        assert not varied, (variant, varied)
 
 
 class TestPadStates:
@@ -483,8 +607,8 @@ class TestScoreFact:
         fs = _fact_score(m, kb, "yesterday", kb.facts[0])
         assert fs.s_qt is None
         assert_allclose(fs.combined, fs.s_qs + fs.s_qp, rtol=0, atol=1e-12)
-        q_vec = m.encode_text(tokenize("yesterday"))
-        enc_subj = m.encode_text(tokenize("yesterday"))
+        q_vec = _encode_one(m, tokenize("yesterday"))
+        enc_subj = _encode_one(m, tokenize("yesterday"))
         assert_allclose(fs.s_qs,
                         float(cosine(Tensor(q_vec), Tensor(enc_subj)).data),
                         rtol=0, atol=1e-12)
@@ -494,7 +618,7 @@ class TestScoreFact:
         m = fresh(E2EModel, ["yesterday", "music", "recording", "artist"],
                   small_cfg(), np.random.default_rng(9), variant=E2EVariant())
         fs = _fact_score(m, kb, "yesterday", kb.facts[0])
-        assert abs(np.linalg.norm(m.encode_text(["yesterday"]))) > 0
+        assert abs(np.linalg.norm(_encode_one(m, ["yesterday"]))) > 0
         assert_allclose(fs.s_qs, 1.0, rtol=0, atol=1e-9)
 
     def test_type_channel_present_for_task_variant(self):
@@ -533,13 +657,13 @@ class TestWeightSharing:
                              "who", "sings"], small_cfg(),
                   np.random.default_rng(9), variant=E2EVariant())
         before = {
-            "question": m.encode_text(tokenize("who sings yesterday")),
-            "subject": m.encode_text(tokenize("yesterday")),
-            "predicate": m.encode_text(["music", "recording", "artist"]),
+            "question": _encode_one(m, tokenize("who sings yesterday")),
+            "subject": _encode_one(m, tokenize("yesterday")),
+            "predicate": _encode_one(m, ["music", "recording", "artist"]),
         }
         gate_block(m.lstm, "W", "i")[...] += 0.37
         for role, old in before.items():
-            new = m.encode_text({
+            new = _encode_one(m, {
                 "question": tokenize("who sings yesterday"),
                 "subject": tokenize("yesterday"),
                 "predicate": ["music", "recording", "artist"],
@@ -633,8 +757,7 @@ def _kb_texts(kb, variant):
 
 def _cached(session):
     """How many KB-text encodings a session holds."""
-    return (session.labels.cache_info().currsize
-            + session.relations.cache_info().currsize)
+    return len(session.labels) + len(session.relations)
 
 
 def _graph_char_summary(model):
@@ -738,19 +861,11 @@ class TestSession:
         calls = []
         encode = model.encode_text
 
-        def counting(tokens, *args):
-            calls.append(tuple(tokens))
-            return encode(tokens, *args)
+        def counting(texts, *args):
+            calls.append(list(texts))
+            return encode(texts, *args)
 
         model.encode_text = counting
-        for q in questions:
-            try:
-                session.top(q)
-            except NoCandidates:
-                pass
-        kb_calls = [t for t in calls if t in _kb_texts(kb, variant)]
-        assert len(kb_calls) == len(set(kb_calls)) == _cached(session)
-        calls.clear()
         answered = 0
         for q in questions:
             try:
@@ -758,7 +873,20 @@ class TestSession:
                 answered += 1
             except NoCandidates:
                 pass
-        assert len(calls) == answered  # only the questions themselves
+        # one call per answered question, the question's text first
+        assert len(calls) == answered
+        assert all(len(set(texts)) == len(texts) for texts in calls)
+        kb_texts = [t for texts in calls for t in texts[1:]]
+        assert set(kb_texts) <= _kb_texts(kb, variant)
+        assert len(kb_texts) == len(set(kb_texts)) == _cached(session)
+        calls.clear()
+        for q in questions:
+            try:
+                session.top(q)
+            except NoCandidates:
+                pass
+        # only the questions themselves
+        assert [len(texts) for texts in calls] == [1] * answered
 
     @pytest.mark.parametrize("name", ["qa-t-mwst", "qa-t-swt"])
     def test_one_tokenize_per_warm_question(self, synth, name, monkeypatch):
@@ -830,15 +958,17 @@ class TestSession:
         encoded = []
         encode = model.encode_text
 
-        def keeping(tokens, *args):
-            encoded.append(encode(tokens, *args))
+        def keeping(texts, *args):
+            encoded.append(encode(texts, *args))
             return encoded[-1]
 
         model.encode_text = keeping
         session.top("who sings yesterday")
-        # every KB text the session caches, and the question
-        assert 0 < _cached(session) == len(encoded) - 1
-        for vec in encoded:
+        # one call: the question, and every KB text the session caches
+        (vecs,) = encoded
+        assert type(vecs) is np.ndarray
+        assert 0 < _cached(session) == len(vecs) - 1
+        for vec in (*session.labels.values(), *session.relations.values()):
             assert type(vec) is np.ndarray
 
     @pytest.mark.parametrize("name", sorted(VARIANTS))
@@ -864,18 +994,18 @@ class TestSession:
         oov = [f"{text} zyzzyva" for text in in_vocab[:5]]
         assert "zyzzyva" not in vocab
         runs, gru_steps = Counter(), []
-        summary = E2EModel.char_summary
+        summaries = E2EModel.char_summaries
         step = qakb.nn.layers.GRUCell.step
 
-        def counted_summary(self, word):
-            runs[word] += 1
-            return summary(self, word)
+        def counted_summaries(self, words):
+            runs.update(words)
+            return summaries(self, words)
 
         def counted_step(self, *args):
             gru_steps.append(1)
             return step(self, *args)
 
-        monkeypatch.setattr(E2EModel, "char_summary", counted_summary)
+        monkeypatch.setattr(E2EModel, "char_summaries", counted_summaries)
         monkeypatch.setattr(qakb.nn.layers.GRUCell, "step", counted_step)
         session = E2EStrategy(model, kb, index)
         answered = [q for q in in_vocab + oov
@@ -886,7 +1016,7 @@ class TestSession:
         assert runs.total() == oov_uses + len(session.summaries)
         assert set(session.summaries) <= set(vocab)
         for word, vec in session.summaries.items():
-            assert_array_equal(vec, summary(model, word))
+            assert_array_equal(vec, model.char_summary(word))
             assert type(vec) is np.ndarray
         gru_steps.clear()
         again = [_top_or_none(session, q) for q in in_vocab]

@@ -503,25 +503,25 @@ def _train_e2e_flags(p: argparse.ArgumentParser) -> None:
     _add_train_flags(p)
 
 
-def _answer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kb", required=True)
+def _stack_flags(p: argparse.ArgumentParser) -> None:
+    """The flags :func:`_check_stack` reads, shared by answer and eval."""
     p.add_argument("--pipeline", help="model directory from train-pipeline")
     p.add_argument("--strategy", choices=pipeline.STRATEGIES)
     p.add_argument("--model", help="snapshot from train-e2e")
     p.add_argument("--variant", choices=sorted(e2e.VARIANTS))
     p.add_argument("--out-degree-sort", action="store_true",
                    dest="out_degree_sort")
+
+
+def _answer_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kb", required=True)
+    _stack_flags(p)
     p.add_argument("--questions", help="file of questions; default stdin")
 
 
 def _eval_flags(p: argparse.ArgumentParser) -> None:
     _gen_data_flags(p)
-    p.add_argument("--pipeline")
-    p.add_argument("--strategy", choices=pipeline.STRATEGIES)
-    p.add_argument("--model")
-    p.add_argument("--variant", choices=sorted(e2e.VARIANTS))
-    p.add_argument("--out-degree-sort", action="store_true",
-                   dest="out_degree_sort")
+    _stack_flags(p)
     p.add_argument("--oracle", action="store_true",
                    help="use gold-keyed oracle stages")
 

@@ -276,18 +276,18 @@ class E2EModel(Model):
         return self.dense(flat)
 
     def encode_text(self, texts: Sequence[tuple[str, ...]],
-                    summaries: Optional[dict[str, np.ndarray]] = None
-                    ) -> np.ndarray:
+                    summaries: dict[str, np.ndarray]) -> np.ndarray:
         """[K, h] encodings of K token sequences on arrays, building no
         graph: row ``k`` has the bits of row 0 of ``encode_texts(
         [texts[k]], self.char_summary)``, whatever texts it is encoded
-        with.
+        with, the same text again included.
 
         Each layer runs once for all the texts, each text, and each word,
         on its own leading-axis slot, so every product is the one the text
-        would get alone.  With char mode, the char-GRU runs once over the
-        distinct words that ``summaries`` lacks (:meth:`char_summaries`),
-        and the summaries of vocabulary words among them are added to it.
+        would get alone.  ``summaries`` holds the char summaries of
+        vocabulary words met so far, a session's or a new dict.  With char
+        mode, the char-GRU runs once over the distinct words it lacks
+        (:meth:`char_summaries`), and those of vocabulary words are added.
         The texts run longest first: the LSTM once, one slot per text, for
         the longest text's steps; self-attention over each text's states,
         the texts of one length stacked; then each text's states are
@@ -325,12 +325,9 @@ class E2EModel(Model):
         return encoded
 
     def _char_part(self, words: list[str],
-                   summaries: Optional[dict[str, np.ndarray]]
-                   ) -> np.ndarray:
+                   summaries: dict[str, np.ndarray]) -> np.ndarray:
         """The [W, h] char parts of distinct words, as :meth:`encode_text`
         takes them from ``summaries`` and fills it."""
-        if summaries is None:
-            return self.char_summaries(words)
         fresh = [word for word in words if word not in summaries]
         ran = dict(zip(fresh, self.char_summaries(fresh))) if fresh else {}
         vocab = self.words.vocab
@@ -570,13 +567,13 @@ class E2EStrategy:
     array, with the bits of the graph path.
     The question is tokenized once, for the retrieval and the encoder.
     Encodings of subject labels, relation paths and type labels are kept
-    for the session in the plain dicts :attr:`labels` and
-    :attr:`relations`, keyed by their raw text, so a text seen before is
-    not tokenized again; question encodings are not kept.  Each answer
-    encodes its question and the KB texts it meets for the first time in
-    one :meth:`E2EModel.encode_text` call, which runs each layer once for
-    all of them, one slot per text, and fills the dicts once.  With char
-    mode that call takes each word's char part from :attr:`summaries`,
+    for the session in one dict, :attr:`encodings`, keyed by ``(kind,
+    raw text)``, kind 0 for a label and 1 for a relation path, so a text
+    seen before is not tokenized again; question encodings are not kept.
+    Each answer makes one :meth:`E2EModel.encode_text` call: its question,
+    then the texts of every key the dict lacks, which runs each layer
+    once for all of them, one slot per text, and the dict takes the rows
+    back.  That call takes each word's char part from :attr:`summaries`,
     which keeps those of vocabulary words, so a warm session runs no
     char-GRU.  A text's encoding has the bits of encoding it alone, so an
     answer does not depend on what the session has encoded before.
@@ -598,9 +595,8 @@ class E2EStrategy:
             if used)
         # char summaries of vocabulary words, filled on first use
         self.summaries: dict[str, np.ndarray] = {}
-        # encodings of subject and type labels, and of relation paths
-        self.labels: dict[str, np.ndarray] = {}
-        self.relations: dict[str, np.ndarray] = {}
+        # encodings of labels (0, text) and relation paths (1, path)
+        self.encodings: dict[tuple[int, str], np.ndarray] = {}
 
     @cached_property
     def label(self) -> tuple[str, str]:
@@ -617,32 +613,6 @@ class E2EStrategy:
             scores["s_qt"] = top.s_qt
         return top.fact.subject, top.fact.relation, scores
 
-    def _encode(self, tokens: Sequence[str],
-                keys: Sequence[Optional[tuple[int, str]]],
-                vecs: list[Optional[np.ndarray]]) -> np.ndarray:
-        """The question's encoding.  Each key's text, 0 for a label and 1
-        for a relation path, whose entry of ``vecs`` is None is tokenized,
-        encoded with the question in one :meth:`E2EModel.encode_text`
-        call, added to :attr:`labels` or :attr:`relations` and filled in;
-        a None key stays None."""
-        caches = (self.labels, self.relations)
-        splits = (tokenize, relation_tokens)
-        texts = {tuple(tokens): 0}
-        rows: dict[tuple[int, str], int] = {}
-        misses = [i for i, vec in enumerate(vecs)
-                  if vec is None and keys[i] is not None]
-        for i in misses:
-            kind, text = key = keys[i]
-            if key not in rows:
-                rows[key] = texts.setdefault(tuple(splits[kind](text)),
-                                             len(texts))
-        encoded = self.model.encode_text(list(texts), self.summaries)
-        for (kind, text), row in rows.items():
-            caches[kind][text] = encoded[row]
-        for i in misses:
-            vecs[i] = encoded[rows[keys[i]]]
-        return encoded[0]
-
     def top(self, question: str, k: int = 1) -> list[FactScore]:
         """Top-k candidate facts, highest combined score first.
         NoCandidates when retrieval finds no entity, and NoRelation when
@@ -658,8 +628,8 @@ class E2EStrategy:
         channels = ([SUBJECT, PREDICATE, TYPE] if variant.type_as_task
                     else [SUBJECT, PREDICATE])
         # each fact's channel texts in channel order, as (0, label) or
-        # (1, relation path), and their encodings kept so far; an untyped
-        # subject has no type text and its type cosine is 0
+        # (1, relation path); an untyped subject has no type text and its
+        # type cosine is 0
         keys: list[Optional[tuple[int, str]]] = []
         for fact in facts:
             keys.append((0, subject_text(kb, fact.subject,
@@ -668,20 +638,23 @@ class E2EStrategy:
             if variant.type_as_task:
                 label = notable_type(kb, fact.subject)
                 keys.append(None if label is None else (0, label))
-        caches = (self.labels, self.relations)
-        vecs = [None if key is None else caches[key[0]].get(key[1])
-                for key in keys]
-        q_vec = self._encode(tokens, keys, vecs)
-        live = [i for i, vec in enumerate(vecs) if vec is not None]
-        cos = np.zeros(len(vecs))
-        encoded = np.array([vecs[i] for i in live])
+        cache, split = self.encodings, (tokenize, relation_tokens)
+        new = list(dict.fromkeys(key for key in keys
+                                 if key is not None and key not in cache))
+        encoded = self.model.encode_text(
+            [tuple(tokens)] + [tuple(split[kind](text)) for kind, text in new],
+            self.summaries)
+        cache.update(zip(new, encoded[1:]))
+        live = [i for i, key in enumerate(keys) if key is not None]
+        cos = np.zeros(len(keys))
         # a contiguous question block: ufuncs over a broadcast view walk
         # it row by row, which costs more than the copy
-        cos[live], _ = cosine_forward(q_vec[None].repeat(len(live), 0),
-                                      encoded)
+        cos[live], _ = cosine_forward(encoded[0][None].repeat(len(live), 0),
+                                      np.array([cache[keys[i]]
+                                                for i in live]))
         combined = self.model.head.combine(
             cos, channels * len(facts),
-            np.arange(len(vecs)).reshape(len(facts), len(channels)))
+            np.arange(len(keys)).reshape(len(facts), len(channels)))
         scored = [
             FactScore(fact=fact, s_qs=float(c[SUBJECT]),
                       s_qp=float(c[PREDICATE]),

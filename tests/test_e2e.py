@@ -36,6 +36,7 @@ from qakb.e2e import (
 )
 from qakb.errors import (EmptySequence, EmptyTrainingSet, NoCandidates,
                          NoRelation)
+from qakb import evalharness
 from qakb.evalharness import SyntheticSpec, generate_synthetic
 from qakb.kb import Fact, build_kb, notable_type
 import qakb.aliasindex
@@ -170,7 +171,7 @@ class TestWordEncoder:
 
 def _encode_one(model, tokens):
     """One token sequence's [h] array encoding."""
-    return model.encode_text([tuple(tokens)])[0]
+    return model.encode_text([tuple(tokens)], {})[0]
 
 
 class TestEncodeSequence:
@@ -179,20 +180,20 @@ class TestEncodeSequence:
                   variant=E2EVariant())
         for texts in ([], [()], [("a",), ()]):
             with pytest.raises(EmptySequence):
-                m.encode_text(texts)
+                m.encode_text(texts, {})
 
     def test_text_given_as_a_string_raises(self):
         m = fresh(E2EModel, ["a"], small_cfg(), np.random.default_rng(0),
                   variant=E2EVariant())
         for texts in (["a"], [("a",), "a b"]):
             with pytest.raises(TypeError):
-                m.encode_text(texts)
+                m.encode_text(texts, {})
 
     def test_output_shape(self):
         m = fresh(E2EModel, ["a", "b"], small_cfg(), np.random.default_rng(0),
                   variant=E2EVariant())
         assert _encode_one(m, ["a", "b"]).shape == (small_cfg().hidden_size,)
-        assert m.encode_text([("a", "b"), ("b",)]).shape == (
+        assert m.encode_text([("a", "b"), ("b",)], {}).shape == (
             2, small_cfg().hidden_size)
 
     def test_eval_mode_is_deterministic(self):
@@ -285,26 +286,26 @@ class TestArrayEncoding:
         for tokens in texts:
             want = gather_rows(model.encode_texts(
                 [tokens], model.char_summary), 0).data
-            for kept in (None, summaries):
+            for kept in ({}, summaries):
                 got = model.encode_text([tokens], kept)
                 assert type(got) is np.ndarray
                 assert _bits(got[0]) == _bits(want), (tokens, kept)
         # all together, cold and warm: each row as alone
-        alone = [model.encode_text([tokens])[0] for tokens in texts]
-        for kept in (None, {}, summaries):
+        alone = [model.encode_text([tokens], {})[0] for tokens in texts]
+        for kept in ({}, summaries):
             together = model.encode_text(texts, kept)
             assert [_bits(row) for row in together] == [
                 _bits(row) for row in alone]
         assert set(summaries) == (
             {w for t in texts for w in t} & set(_ARRAY_VOCAB)
             if variant.char_level else set())
-        for kept in (None, summaries):
+        for kept in ({}, summaries):
             with pytest.raises(EmptySequence):
                 model.encode_text([()], kept)
 
     @pytest.mark.parametrize("name", ["qa-t-w", "qa-t-mwst"])
     def test_encode_text_is_the_session_encoding(self, name):
-        """Without ``summaries`` a text's encoding runs each word's
+        """With no summaries kept a text's encoding runs each word's
         char-GRU afresh, with the bits of the summaries a session keeps,
         so the two agree bit for bit; a padded char-GRU run over a text's
         words rounds differently in the last bits, on every question of
@@ -316,7 +317,7 @@ class TestArrayEncoding:
                       np.random.default_rng(1), variant=variant)
         session = E2EStrategy(model, kb, build_index(kb))
         for q in train + test:
-            assert _bits(model.encode_text([q.tokens])) == _bits(
+            assert _bits(model.encode_text([q.tokens], {})) == _bits(
                 model.encode_text([q.tokens], session.summaries)), q.text
 
     @pytest.mark.parametrize("name", ["qa-t-w", "qa-t-mwst"])
@@ -367,8 +368,7 @@ class TestArrayEncoding:
             session = E2EStrategy(model, kb, build_index(kb))
             for q in qs:
                 session.answer(q.text)
-            assert session.labels
-            assert session.relations
+            assert {kind for kind, _ in session.encodings} == {0, 1}
             ref = weakref.ref(session)
             del session
             assert ref() is None
@@ -404,7 +404,7 @@ class TestSlotEncoding:
            kept=st.sets(st.sampled_from(_SLOT_WORDS)))
     def test_together_as_alone(self, name, texts, kept):
         model = _slot_model(name)
-        alone = [_bits(model.encode_text([text])[0]) for text in texts]
+        alone = [_bits(model.encode_text([text], {})[0]) for text in texts]
         summaries = ({word: model.char_summary(word) for word in kept}
                      if model.variant.char_level else {})
         together = model.encode_text(texts, summaries)
@@ -468,6 +468,50 @@ def test_records_do_not_depend_on_what_was_encoded_before(tmp_path,
         assert len(records) == len(asked)
         varied = [q for q, lines in records.items() if len(lines) != 1]
         assert not varied, (variant, varied)
+
+
+@pytest.mark.parametrize("name", ["qa-t", "qa-t-w", "qa-t-mwst"])
+def test_texts_sharing_one_token_tuple_are_cached_once_each(name):
+    """A subject label, a type label and a relation path of one token
+    tuple, met in one answer, are one cache entry per key, each with the
+    bits of encoding it alone, and the records are those of a session
+    that met the texts in separate answers."""
+    kb = build_kb(
+        [Fact("m.x", "/album", "m.o1"), Fact("m.x", "/other", "m.o2"),
+         Fact("m.y", "/album", "m.o3"), Fact("m.z", "/other", "m.o4")],
+        [("m.x", "album"), ("m.y", "disc"), ("m.z", "record")],
+        [("m.x", "album"), ("m.z", "album")])
+    model = fresh(E2EModel, ["album", "disc", "other", "record", "what"],
+                  small_cfg(), np.random.default_rng(5),
+                  variant=VARIANTS[name])
+    index = build_index(kb)
+    questions = ["what album", "what disc", "what record"]
+    together, apart = (E2EStrategy(model, kb, index) for _ in range(2))
+    calls = []
+    encode = model.encode_text
+
+    def keeping(texts, summaries):
+        calls.append(list(texts))
+        return encode(texts, summaries)
+
+    model.encode_text = keeping
+    # the label "album" and the path "/album" in one answer
+    first = evalharness.answer_record(together, questions[0])
+    assert {key for key in together.encodings if "album" in key[1]} == {
+        (0, "album"), (1, "/album")}
+    assert calls[0].count(("album",)) == 2
+    model.encode_text = encode
+    for key, tokens in (((0, "album"), ("album",)),
+                        ((1, "/album"), ("album",))):
+        assert _bits(together.encodings[key]) == _bits(
+            encode([tokens], {})[0])
+    records = [first] + [evalharness.answer_record(together, q)
+                         for q in questions[1:]]
+    # a session that meets "/album" with "disc", and the label "album"
+    # in a later answer
+    met = {q: evalharness.answer_record(apart, q)
+           for q in questions[1:] + questions[:1]}
+    assert records == [met[q] for q in questions]
 
 
 class TestPadStates:
@@ -757,7 +801,7 @@ def _kb_texts(kb, variant):
 
 def _cached(session):
     """How many KB-text encodings a session holds."""
-    return len(session.labels) + len(session.relations)
+    return len(session.encodings)
 
 
 def _graph_char_summary(model):
@@ -873,12 +917,12 @@ class TestSession:
                 answered += 1
             except NoCandidates:
                 pass
-        # one call per answered question, the question's text first
+        # one call per answered question: the question's text first, then
+        # one slot per text the session did not yet keep
         assert len(calls) == answered
-        assert all(len(set(texts)) == len(texts) for texts in calls)
         kb_texts = [t for texts in calls for t in texts[1:]]
         assert set(kb_texts) <= _kb_texts(kb, variant)
-        assert len(kb_texts) == len(set(kb_texts)) == _cached(session)
+        assert len(kb_texts) == _cached(session)
         calls.clear()
         for q in questions:
             try:
@@ -968,7 +1012,7 @@ class TestSession:
         (vecs,) = encoded
         assert type(vecs) is np.ndarray
         assert 0 < _cached(session) == len(vecs) - 1
-        for vec in (*session.labels.values(), *session.relations.values()):
+        for vec in session.encodings.values():
             assert type(vec) is np.ndarray
 
     @pytest.mark.parametrize("name", sorted(VARIANTS))

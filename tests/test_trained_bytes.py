@@ -5,10 +5,12 @@ The workflow runs the ``qakb`` CLI in-process: ``synth --seed 1`` at 60
 entities and 6 relations (collision rate 0.3, the benchmark's ``train``
 spec); ``gen-data`` on the first 8 train questions; ``train-pipeline``
 and ``train-e2e`` of each of the eight joint-model variants on them at
-``--epochs 2 --seed 1``; then ``answer`` with each stack (the pipeline
-as ``p-qa-out-type``) on 20 questions: the 12 test questions, then train
-questions 9 to 16.  The test pins a sha256 of every snapshot, every
-sidecar and every answer stream.
+``--epochs 2 --seed 1``; then ``answer`` on 20 questions, the 12 test
+questions and then train questions 9 to 16, with every pipeline strategy
+and every variant, each variant also with ``--out-degree-sort``; and
+``eval`` on the same 20 with ``p-qa-out-type`` and ``qa-t-mwst``.  The
+test pins a sha256 of every snapshot, every sidecar, every answer stream
+and every report.
 
 Training and answering run matrix products through BLAS, whose last bits
 depend on the kernel.  The pins were recorded with numpy 2.4.6 and
@@ -24,6 +26,7 @@ import hashlib
 import io
 
 from qakb.cli import main
+from qakb.pipeline import STRATEGIES
 
 TRAIN = ["--epochs", "2", "--seed", "1"]
 ANSWERED = 20
@@ -93,6 +96,38 @@ PINS = {
         "3e080f2b1801ec73f000b5e65db203284046f83eb3ca999bfa59932e00503de6",
     "answer/qa-t-mwst":
         "4ec6bb5d880e1716380e8d8312704836ac80145ea8226417174260a6f0c77d78",
+    "answer/p-qa":
+        "a4f930306636579b293c69dc17925d35663fcdd9445c57395a0596f038811edc",
+    "answer/p-qa-out":
+        "d062af6c8d2c5b11bd1a97b5e5cc999786ced3473b02ed850c40a2b64b8a7a96",
+    "answer/p-qa-type":
+        "87c13843e267df23962b64be3d88471a701c7bd2d94125d7be6ce4fb92d90399",
+    "answer/p-qa-type-out":
+        "f88e0c2eb98ad2fadaea5d1ba7e75b8bc48929ccc13b9df7fc2577a0d101737b",
+    "answer/qa-s+od":
+        "32675c26fadd0a47bb0612de669d698a427266d8743c1c5f618bec4a4f2808d9",
+    "answer/qa-t+od":
+        "9500bab2b50c7531b2dc8b1d7e4edbe6111c0fa8bc4c71880e5e1f9ad02f20f9",
+    "answer/qa-t-w+od":
+        "07fe430dbf63329bd0a1e673046bbde7f4f7b73dc7bc3cf4f60efdc649197dc5",
+    "answer/qa-t-ws+od":
+        "9705e8fc865cf07a902ea190a5291a49cb90e05c9111094d382009f9dc208a53",
+    "answer/qa-t-wt+od":
+        "bfcb6f0e83349af8b06ee8266c3686047ce719582e3280f81be65b451d123f94",
+    "answer/qa-t-swt+od":
+        "ba75bb5888b420338b68bfa985f223a776c1fc230fcdbf9690e9d7cdf44bcd1d",
+    "answer/qa-t-mwt+od":
+        "1661e0b65b2389ca7b93dbbd5f32c685a29ea4fca02d3847c5f4bae1cd4d9349",
+    "answer/qa-t-mwst+od":
+        "16c9abcb2c5fe90da66c05b1c2c9cb0e6d7d079a1598018ae8a2d53c3b4711fc",
+    "eval/pipeline/report.json":
+        "9cfd8393444a758f3809413bbe9f4e98eb7e5a909d6985e3d7efad97d64cdf21",
+    "eval/pipeline/report.txt":
+        "79881634dd7546fa06ebde19951bb479df89d2154dbdea9c40a6e8a87399f603",
+    "eval/qa-t-mwst/report.json":
+        "c13246b97ed64545d08e84f0b0bf31311a106108a6c608a1ff0845f0c00da70f",
+    "eval/qa-t-mwst/report.txt":
+        "3946035ebb6213eb984485ea46039367b075c73abed7fa13bb5128ef9f9adb59",
 }
 
 
@@ -127,22 +162,34 @@ def test_trained_and_answered_bytes_are_pinned(tmp_path):
              "--variant", variant, "--out", str(models / f"{variant}.nn"),
              *TRAIN)
     got = {name: _sha256((models / name).read_bytes())
-           for name in PINS if not name.startswith("answer/")}
+           for name in PINS if "/" not in name}
 
     asked_lines = ((bench / "test.tsv").read_text(encoding="utf-8")
                    .splitlines(True) + train_lines[8:])[:ANSWERED]
     asked = tmp_path / "asked.txt"
     asked.write_text("".join(line.split("\t")[3] + "\n"
                              for line in asked_lines), encoding="utf-8")
-    stacks = {"pipeline": ["--pipeline", str(models),
-                           "--strategy", "p-qa-out-type"]}
+    asked_tsv = tmp_path / "asked.tsv"
+    asked_tsv.write_text("".join(asked_lines), encoding="utf-8")
+    # p-qa-out-type is pinned as "pipeline"
+    stacks = {("pipeline" if strategy == "p-qa-out-type" else strategy):
+              ["--pipeline", str(models), "--strategy", strategy]
+              for strategy in STRATEGIES}
     for variant in VARIANTS:
         stacks[variant] = ["--model", str(models / f"{variant}.nn"),
                            "--variant", variant]
+        stacks[f"{variant}+od"] = stacks[variant] + ["--out-degree-sort"]
     for stack, flags in stacks.items():
         text = _run("answer", "--kb", kb, *flags, "--questions", str(asked))
         assert text.count("\n") == ANSWERED
         got[f"answer/{stack}"] = _sha256(text.encode("utf-8"))
+    for stack in ("pipeline", "qa-t-mwst"):
+        out = tmp_path / "eval" / stack
+        _run("eval", "--kb", kb, "--questions", str(asked_tsv),
+             "--out", str(out), *stacks[stack])
+        for report in ("report.json", "report.txt"):
+            got[f"eval/{stack}/{report}"] = _sha256(
+                (out / report).read_bytes())
 
     changed = sorted(name for name in PINS if got[name] != PINS[name])
     assert not changed, (

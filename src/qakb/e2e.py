@@ -644,7 +644,8 @@ class E2EStrategy:
         encoded = self.model.encode_text(
             [tuple(tokens)] + [tuple(split[kind](text)) for kind, text in new],
             self.summaries)
-        cache.update(zip(new, encoded[1:]))
+        # copies, so the cache does not keep the question's row alive
+        cache.update(zip(new, encoded[1:].copy()))
         live = [i for i, key in enumerate(keys) if key is not None]
         cos = np.zeros(len(keys))
         # a contiguous question block: ufuncs over a broadcast view walk

@@ -138,11 +138,13 @@ class EmbeddingTable:
 class Dense:
     """Affine map with an optional activation; accepts vectors or matrices.
 
-    :meth:`forward` computes the layer on arrays and builds no graph;
-    a call is one graph node whose data is :meth:`forward`'s and whose
-    hand-written backward takes the gradients of the matrix product, the
-    bias and the activation as separate matmul, add and activation nodes
-    would, with the same expressions, so every bit of training is theirs.
+    :meth:`forward` and :meth:`backward` compute the layer and its
+    gradients on arrays and build no graph; a call is one graph node
+    whose data is :meth:`forward`'s and whose backward is
+    :meth:`backward`, which takes the gradients of the matrix product,
+    the bias and the activation as separate matmul, add and activation
+    nodes would, with the same expressions, so every bit of training is
+    theirs.
     """
 
     def __init__(self, params: dict[str, np.ndarray], name: str,
@@ -189,29 +191,34 @@ class Dense:
             return logistic(y)
         return y
 
+    def backward(self, x: np.ndarray, y: np.ndarray, grad: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The gradients of the input ``x``, the weight and the bias on
+        arrays, from :meth:`forward`'s output ``y`` on ``x`` and the
+        gradient ``grad`` of ``y``; a [in] vector or a [n, in] matrix."""
+        g = grad
+        if self.activation == "relu":
+            g = g * (y > 0.0).astype(np.float64)
+        elif self.activation == "sigmoid":
+            g = g * (y * (1.0 - y))
+        w = self.weight.data
+        if x.ndim == 1:
+            d_x, d_w = w.T @ g, np.outer(g, x)
+        else:  # the gradients through the transposed copy
+            d_x, d_w = g @ w.T.copy().T, (x.T @ g).T
+        return d_x, d_w, _unbroadcast(g, self.bias.data.shape)
+
     def __call__(self, x: Tensor) -> Tensor:
         x = as_tensor(x)
         y = self.forward(x.data)
-        w, b, activation = self.weight, self.bias, self.activation
 
         def backward(out: Tensor) -> None:
-            g = out.grad
-            if activation == "relu":
-                g = g * (y > 0.0).astype(np.float64)
-            elif activation == "sigmoid":
-                g = g * (y * (1.0 - y))
-            if x.ndim == 1:
-                d_x, d_w = w.data.T @ g, np.outer(g, x.data)
-            else:  # the gradients through the transposed copy
-                d_x, d_w = g @ w.data.T.copy().T, (x.data.T @ g).T
-            if x.requires_grad:
-                x.accumulate(d_x)
-            if w.requires_grad:
-                w.accumulate(d_w)
-            if b.requires_grad:
-                b.accumulate(_unbroadcast(g, b.data.shape))
+            for t, grad in zip((x, self.weight, self.bias),
+                               self.backward(x.data, y, out.grad)):
+                if t.requires_grad:
+                    t.accumulate(grad)
 
-        return _make(y, (x, w, b), backward)
+        return _make(y, (x, self.weight, self.bias), backward)
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
@@ -309,8 +316,9 @@ class GRUCell(_GatedCell):
         gradient of the products ``U @ h``)."""
         h, z, r, n, u_n = saved
         (dh,) = d_state
-        da_n = dh * (1.0 - z) * (1.0 - n * n)
-        da_z = dh * (h - n) * z * (1.0 - z)
+        not_z = 1.0 - z
+        da_n = dh * not_z * (1.0 - n * n)
+        da_z = dh * (h - n) * z * not_z
         du_n = da_n * r
         da_r = da_n * u_n * r * (1.0 - r)
         d_rec = np.concatenate([da_z, da_r, du_n], axis=-1)

@@ -1,7 +1,12 @@
 """Training objectives: cross-entropies and margin (hinge) losses.
 
 Probabilities are clamped at 1e-12 before any log so perfect predictions
-stay finite.
+stay finite.  The binary cross-entropy is one graph node whose data is
+:func:`binary_ce_forward`'s and whose backward is
+:func:`binary_ce_backward`: the gradients that the clip, log, product,
+sum and negation nodes it is made of would give, with the same
+expressions, so every bit of training is theirs.  The matchers' pair
+loss reuses the two.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from qakb.errors import EmptySequence, ShapeMismatch
-from qakb.nn.tensor import (ArrayLike, Tensor, as_tensor, clip, log, relu,
+from qakb.nn.tensor import (ArrayLike, Tensor, _make, as_tensor, relu,
                             take_column, tsum)
 
 PROB_EPS = 1e-12
@@ -40,19 +45,54 @@ def loss_categorical_ce(pred: Tensor, gold: list[int],
                 * np.repeat(1.0 / lens, lens))
 
 
-def loss_binary_ce(a: ArrayLike, y: Union[int, Sequence[int]]) -> Tensor:
-    """Single-pair form: -[y ln a + (1-y) ln(1-a)].  A vector of
-    probabilities with a vector of labels gives each pair's loss."""
+def binary_ce_forward(a: np.ndarray, y: Union[int, Sequence[int]]
+                      ) -> tuple[np.ndarray, tuple]:
+    """-[y ln a + (1-y) ln(1-a)] of probabilities ``a`` and 0/1 labels
+    ``y`` of ``a``'s shape on arrays, each log's argument clamped to
+    [1e-12, 1]; and what :func:`binary_ce_backward` reads.  ValueError
+    for another label, ShapeMismatch for another shape."""
     y = np.asarray(y)
     if not ((y == 0) | (y == 1)).all():
         raise ValueError(f"label must be 0 or 1, got {y.tolist()!r}")
-    a = as_tensor(a)
     if a.shape != y.shape:
         raise ShapeMismatch(f"{a.shape} probabilities for {y.shape} labels")
     y = y.astype(np.float64)
-    log_a = log(clip(a, PROB_EPS, 1.0))
-    log_not_a = log(clip(1.0 - a, PROB_EPS, 1.0))
-    return -(y * log_a + (1.0 - y) * log_not_a)
+    not_a = 1.0 - a
+    a_in, not_a_in = np.clip(a, PROB_EPS, 1.0), np.clip(not_a, PROB_EPS, 1.0)
+    not_y = 1.0 - y
+    loss = -(y * np.log(a_in) + not_y * np.log(not_a_in))
+    return loss, (a, not_a, a_in, not_a_in, y, not_y)
+
+
+def _inside(x: np.ndarray) -> np.ndarray:
+    """1.0 where the clamp of :func:`binary_ce_forward` passes ``x``'s
+    gradient, strictly inside its bounds, and 0.0 elsewhere."""
+    return ((x > PROB_EPS) & (x < 1.0)).astype(np.float64)
+
+
+def binary_ce_backward(grad: np.ndarray, saved: tuple) -> np.ndarray:
+    """The gradient of the probabilities from the gradient ``grad`` of
+    :func:`binary_ce_forward`'s losses: the sum of its terms through
+    ln a and through ln(1-a).  A 0/1 label makes one of them zero, so
+    the sum has the bits of the composed graph adding one term and then
+    the other."""
+    a, not_a, a_in, not_a_in, y, not_y = saved
+    g = grad * -1.0
+    return (g * y * (1.0 / a_in) * _inside(a)
+            + g * not_y * (1.0 / not_a_in) * _inside(not_a) * -1.0)
+
+
+def loss_binary_ce(a: ArrayLike, y: Union[int, Sequence[int]]) -> Tensor:
+    """Single-pair form: -[y ln a + (1-y) ln(1-a)].  A vector of
+    probabilities with a vector of labels gives each pair's loss."""
+    a = as_tensor(a)
+    loss, saved = binary_ce_forward(a.data, y)
+
+    def backward(out: Tensor) -> None:
+        if a.requires_grad:
+            a.accumulate(binary_ce_backward(out.grad, saved))
+
+    return _make(loss, (a,), backward)
 
 
 def loss_hinge_qas(s_pos: ArrayLike, s_neg: ArrayLike, gamma: float) -> Tensor:

@@ -40,15 +40,15 @@ from qakb.nn import (
 )
 from qakb.nn.io import Model, new_model
 from qakb.nn.layers import dropout_mask, recurrent_forward, table_tokens
-from qakb.nn.losses import loss_binary_ce, loss_categorical_ce
+from qakb.nn.losses import (binary_ce_backward, binary_ce_forward,
+                            loss_categorical_ce)
 from qakb.nn.tensor import (
     Tensor,
-    concat,
+    _make,
     gather_rows,
     reshape,
     softmax_forward,
     softmax_rows,
-    tsum,
 )
 
 TAG_ORDER = ("c", "e")
@@ -127,6 +127,12 @@ class MatcherModel(Model):
     then a sigmoid output unit whose value is used directly as the
     matching score.  The hidden layer is what lets the score depend on
     the question-text interaction rather than on each side separately.
+
+    A training step builds four graph nodes: the embedding gather and
+    the recurrent run of :meth:`encode_texts`, the :meth:`pair_loss`
+    node that scores every pair and sums their cross-entropies, and
+    the optimizer loop's scaling of that sum.  Answering builds none
+    (:meth:`encode`, :meth:`score`).
     """
 
     kind = "matcher"
@@ -147,16 +153,6 @@ class MatcherModel(Model):
                                             [self.embedding.rows(tokens)])
         return last
 
-    def match(self, q_vecs: Tensor, t_vecs: Tensor,
-              rng: np.random.Generator) -> Tensor:
-        """Train-mode match scores in (0, 1) of [n, 2h] encodings, one
-        per row pair, with one dropout mask row per pair; nothing is
-        drawn from ``rng`` when ``dropout_p`` is 0."""
-        joint = concat([q_vecs, t_vecs], axis=-1)
-        if self.cfg.dropout_p > 0.0:
-            joint = joint * dropout_mask(joint.shape, self.cfg.dropout_p, rng)
-        return reshape(self.head(self.hidden(joint)), q_vecs.shape[:-1])
-
     def loss(self, pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
              tags: Sequence[int], rng: np.random.Generator) -> Tensor:
         """Summed binary cross-entropy of train-mode scores of (question
@@ -164,15 +160,62 @@ class MatcherModel(Model):
 
         Each distinct token sequence, question or text, is encoded once
         in one padded run, and its gradient sums over every pair that
-        uses it; dropout draws one mask row per pair, in pair order.
+        uses it; then :meth:`pair_loss` scores the pairs.
         """
         texts: dict[tuple[str, ...], int] = {}
         sides = np.array([[texts.setdefault(tuple(toks), len(texts))
                            for toks in pair] for pair in pairs])
-        encoded = self.encode_texts(list(texts))
-        scores = self.match(gather_rows(encoded, sides[:, 0]),
-                            gather_rows(encoded, sides[:, 1]), rng)
-        return tsum(loss_binary_ce(scores, tags))
+        return self.pair_loss(self.encode_texts(list(texts)), sides, tags,
+                              rng)
+
+    def pair_loss(self, encoded: Tensor, sides: np.ndarray,
+                  tags: Sequence[int], rng: np.random.Generator) -> Tensor:
+        """Summed binary cross-entropy of the train-mode scores of pairs
+        of rows of the [m, 2h] ``encoded``, pair ``i`` joining rows
+        ``sides[i]`` (question, text), against their 0/1 ``tags``.
+
+        One graph node: its forward puts each pair's two rows side by
+        side, multiplies them by a dropout mask with one row per pair
+        (nothing is drawn from ``rng`` when ``dropout_p`` is 0), runs
+        the hidden and output layers over all pairs and sums each pair's
+        :func:`~qakb.nn.losses.binary_ce_forward`.  Its backward gives
+        ``encoded`` and the layers' weights the gradients that the
+        gather, concat, dropout, dense, reshape, cross-entropy and sum
+        nodes it replaces would, with their expressions and in their
+        order, so every bit is theirs.
+        """
+        n = len(sides)
+        joint = encoded.data[sides].reshape(n, -1)
+        mask = None
+        if self.cfg.dropout_p > 0.0:
+            mask = dropout_mask(joint.shape, self.cfg.dropout_p, rng)
+            joint = joint * mask
+        hidden, head = self.hidden, self.head
+        hid = hidden.forward(joint)
+        out = head.forward(hid)
+        losses, saved = binary_ce_forward(out.reshape(n), tags)
+
+        def backward(node: Tensor) -> None:
+            d_scores = binary_ce_backward(node.grad, saved)
+            d_hid, *d_head = head.backward(hid, out,
+                                           d_scores.reshape(out.shape))
+            d_joint, *d_hidden = hidden.backward(joint, hid, d_hid)
+            if encoded.requires_grad:
+                if mask is not None:
+                    d_joint = d_joint * mask
+                # each side's rows summed apart, as its own gather did,
+                # by one pass over the pairs' (question, text) halves
+                sums = np.zeros((2,) + encoded.shape)
+                np.add.at(sums, (np.tile([0, 1], n), sides.ravel()),
+                          d_joint.reshape(2 * n, -1))
+                encoded.accumulate(sums[0] + sums[1])
+            for param, grad in zip((head.weight, head.bias, hidden.weight,
+                                    hidden.bias), (*d_head, *d_hidden)):
+                if param.requires_grad:
+                    param.accumulate(grad)
+
+        return _make(losses.sum(), (encoded, hidden.weight, hidden.bias,
+                                    head.weight, head.bias), backward)
 
     def score(self, question: str, text: str, encodings: MatchEncodings,
               tokens: Sequence[str]) -> float:

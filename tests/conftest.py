@@ -1,7 +1,9 @@
 """Shared fixtures: a small hand-built knowledge base used across
 modules, new layers and models drawn as training draws them, a view of
 one gate's weights in a recurrent cell, a leaf tensor and a graph op that
-only tests build, the finite-difference gradient check, a labelled
+only tests build, the finite-difference gradient check, the bit check of
+a fused graph node against the ops it replaces and the composed binary
+cross-entropy it is checked against, a labelled
 question's entity span, one-shot joint-model answering and its
 margin-loss reference rules, TSV and N-Triples writers of facts, and
 test-side readers and writers of KB snapshot layouts."""
@@ -18,7 +20,8 @@ from qakb.kb import SNAPSHOT_MAGIC, Fact, build_kb
 from qakb.nn import Dense, EmbeddingTable, GRUCell, loss_hinge_qas
 from qakb.nn.io import new_model
 from qakb.nn.layers import table_tokens
-from qakb.nn.tensor import Tensor, _make, as_tensor
+from qakb.nn.losses import PROB_EPS
+from qakb.nn.tensor import Tensor, _make, as_tensor, clip, log, tsum
 
 
 @pytest.fixture()
@@ -135,6 +138,37 @@ def finite_diff_check(fn, params, eps=1e-5):
             rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-6)
             worst = max(worst, rel)
     return worst
+
+
+def assert_fused_bits(fused, composed, params, weight=None, grads=None):
+    """Assert that ``fused()`` and ``composed()``, which build the same
+    function of ``params``, one as a fused graph node and one from the
+    ops it replaces, give the same bits: their data and, backpropagated
+    from ``tsum(out * weight)`` (from ``out`` itself when ``weight`` is
+    None), every parameter's gradient.  Before each build the gradients
+    are reset to ``grads`` (copies; None each when not given).  Returns
+    the bytes of the data."""
+    results = []
+    for build in (fused, composed):
+        for p, g in zip(params, grads or [None] * len(params)):
+            p.grad = None if g is None else g.copy()
+        out = build()
+        (out if weight is None else tsum(out * weight)).backward()
+        results.append([out.data.tobytes()] + [
+            None if p.grad is None else np.asarray(p.grad).tobytes()
+            for p in params])
+    assert results[0] == results[1]
+    return results[0][0]
+
+
+def composed_binary_ce(a, y):
+    """The binary cross-entropy -[y ln a + (1-y) ln(1-a)] built from the
+    clip, log, product, sum and negation nodes that its fused node
+    replaced, as the reference of that node's bits."""
+    a, y = as_tensor(a), np.asarray(y).astype(np.float64)
+    log_a = log(clip(a, PROB_EPS, 1.0))
+    log_not_a = log(clip(1.0 - a, PROB_EPS, 1.0))
+    return -(y * log_a + (1.0 - y) * log_not_a)
 
 
 def span_tokens(labeled):

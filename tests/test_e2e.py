@@ -1015,6 +1015,29 @@ class TestSession:
         for vec in session.encodings.values():
             assert type(vec) is np.ndarray
 
+    def test_cache_holds_no_question_row(self):
+        """The session caches copies of the KB-text rows an answer
+        encodes, so no cached encoding is a view of the array that holds
+        a question's encoding, which would keep it alive."""
+        kb = song_kb()
+        qs, pools = song_training_set(kb)
+        model, _ = train_e2e(qs, kb, pools, VARIANTS["qa-t"], small_cfg())
+        session = E2EStrategy(model, kb, build_index(kb))
+        encoded = []
+        encode = model.encode_text
+
+        def keeping(texts, *args):
+            encoded.append(encode(texts, *args))
+            return encoded[-1]
+
+        model.encode_text = keeping
+        for q in qs:
+            session.top(q.text)
+        assert _cached(session) > 0
+        for vecs in encoded:
+            for vec in session.encodings.values():
+                assert not np.shares_memory(vec, vecs)
+
     @pytest.mark.parametrize("name", sorted(VARIANTS))
     def test_answers_do_not_depend_on_question_order(self, synth, name):
         kb, index, qs, pools, questions = synth

@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (dense, embedding, finite_diff_check, gate_block,
-                      param, rnn_cell, stack_rows)
+from conftest import (assert_fused_bits, dense, embedding, finite_diff_check,
+                      gate_block, param, rnn_cell, stack_rows)
 
 import qakb.nn.layers
 import qakb.pipeline
@@ -24,6 +24,7 @@ from qakb.nn import (
     bidirectional_last_states,
     cosine,
     glorot,
+    loss_binary_ce,
     recurrent,
     self_attention,
 )
@@ -156,16 +157,9 @@ class TestDense:
             return {"none": lambda t: t, "relu": relu,
                     "sigmoid": sigmoid}[activation](y)
 
-        results = []
-        for build in (lambda: layer(x), composed):
-            for p in (layer.weight, layer.bias, x):
-                p.grad = None
-            y = build()
-            tsum(y * w).backward()
-            results.append([a.tobytes() for a in (
-                y.data, layer.weight.grad, layer.bias.grad, x.grad)])
-        assert results[0] == results[1]
-        assert layer.forward(x.data).tobytes() == results[0][0]
+        data = assert_fused_bits(lambda: layer(x), composed,
+                                 [layer.weight, layer.bias, x], w)
+        assert layer.forward(x.data).tobytes() == data
 
 
 class TestGRU:
@@ -910,7 +904,7 @@ class TestMaskedSelfAttention:
 class TestDropout:
     def test_p_zero_identity(self, monkeypatch):
         """At ``dropout_p`` 0 a matcher trains without drawing a mask,
-        and its train-mode scores are those of its joint rows unchanged,
+        and its train-mode loss is that of its joint rows unchanged,
         with nothing drawn from the generator it is given."""
         drawn = []
         monkeypatch.setattr(qakb.pipeline, "dropout_mask",
@@ -923,10 +917,12 @@ class TestDropout:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         enc = model.encode_texts([["who", "founded"], ["org", "founder"]])
-        q, t = gather_rows(enc, [0]), gather_rows(enc, [1])
-        got = model.match(q, t, rng)
-        want = model.head(model.hidden(concat([q, t], axis=-1)))
-        assert got.data.tobytes() == want.data.reshape(got.shape).tobytes()
+        got = model.pair_loss(enc, np.array([[0, 1]]), [1], rng)
+        joint = concat([gather_rows(enc, [0]), gather_rows(enc, [1])],
+                       axis=-1)
+        score = model.head(model.hidden(joint)).data.reshape(1)
+        want = loss_binary_ce(score, [1]).data.sum()
+        assert got.data.tobytes() == want.tobytes()
         assert rng.bit_generator.state == state
 
     def test_mean_preserved(self):

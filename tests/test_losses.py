@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from conftest import (dense, finite_diff_check, loss_hinge_qat,
-                      loss_hinge_qat_type, param)
+from conftest import (assert_fused_bits, composed_binary_ce, dense,
+                      finite_diff_check, loss_hinge_qat, loss_hinge_qat_type,
+                      param)
 
 from qakb.errors import EmptySequence, ParseError, ShapeMismatch
 from qakb.nn import (
@@ -103,6 +104,10 @@ class TestCategoricalCE:
         assert loss_categorical_ce(pred, gold).item() >= 0.0
 
 
+# probabilities inside the clamp's bounds, at them and past them
+_PROBS = [0.3, 0.0, 1e-12, 1.0, 1e-13, 1.0 - 1e-12, -0.25, 1.25]
+
+
 class TestBinaryCE:
     def test_confident_correct(self):
         assert loss_binary_ce(0.999, 1).item() == pytest.approx(0.001, abs=1e-3)
@@ -143,6 +148,39 @@ class TestBinaryCE:
             loss_binary_ce(float(a), y).item() for a, y in zip(probs, labels)]
         assert finite_diff_check(
             lambda: tsum(loss_binary_ce(sigmoid(z), labels)), [z]) < 1e-4
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_scalar_gradcheck(self, label):
+        a = param(0.7)
+        assert loss_binary_ce(a, label)._parents == (a,)
+        assert finite_diff_check(lambda: loss_binary_ce(a, label), [a]) < 1e-4
+
+    def test_vector_gradcheck(self):
+        rng = np.random.default_rng(79)
+        a = param([0.2, 0.65, 0.05, 0.9])
+        labels, w = [1, 0, 0, 1], rng.normal(size=4)
+        assert finite_diff_check(
+            lambda: tsum(loss_binary_ce(a, labels) * w), [a]) < 1e-4
+
+    @pytest.mark.parametrize("label", [0, 1])
+    @pytest.mark.parametrize("prob", _PROBS)
+    def test_scalar_node_has_the_composed_ops_bits(self, prob, label):
+        a = param(prob)
+        assert_fused_bits(lambda: loss_binary_ce(a, label),
+                          lambda: composed_binary_ce(a, label), [a])
+
+    @pytest.mark.parametrize("prior", [False, True], ids=["new", "prior"])
+    def test_vector_node_has_the_composed_ops_bits(self, prior):
+        """Forward and gradient equal, bit for bit, those of the clip,
+        log, product, sum and negation nodes the loss was made of, also
+        added to a gradient the probabilities already hold."""
+        rng = np.random.default_rng(83)
+        a = param(_PROBS * 2)
+        labels = [0] * len(_PROBS) + [1] * len(_PROBS)
+        assert_fused_bits(lambda: loss_binary_ce(a, labels),
+                          lambda: composed_binary_ce(a, labels), [a],
+                          rng.normal(size=a.shape),
+                          [rng.normal(size=a.shape)] if prior else None)
 
     def test_shape_must_match_labels(self):
         with pytest.raises(ShapeMismatch):

@@ -1,13 +1,16 @@
 """Tagger, matcher, and ranking-strategy tests for the staged QA stack."""
 
 import json
+import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
-from conftest import finite_diff_check, fresh
+from conftest import (assert_fused_bits, composed_binary_ce,
+                      finite_diff_check, fresh, param)
 
 import qakb.aliasindex
 import qakb.nn.layers
@@ -23,7 +26,8 @@ from qakb.nn import (TrainConfig, fit, loss_binary_ce, loss_categorical_ce,
                      recurrent)
 from qakb.nn.layers import dropout_mask
 from qakb.nn.io import load_model, save_model
-from qakb.nn.tensor import Tensor, concat, reshape, softmax_rows
+from qakb.nn.tensor import (Tensor, concat, gather_rows, reshape,
+                            softmax_rows, tsum)
 from qakb.pipeline import (
     STRATEGIES,
     MatchEncodings,
@@ -1059,6 +1063,22 @@ def _pair_tokens(pairs):
     return [(tokenize(q), matcher_tokens(t)) for q, t, _ in pairs]
 
 
+def _composed_matcher_loss(model, pairs, tags, rng):
+    """:meth:`MatcherModel.loss` built as it was before its pair scoring
+    and loss became one node: gather, concat, dropout, dense, reshape,
+    cross-entropy and sum nodes after the one padded encoding."""
+    texts = {}
+    sides = np.array([[texts.setdefault(tuple(toks), len(texts))
+                       for toks in pair] for pair in pairs])
+    encoded = model.encode_texts(list(texts))
+    joint = concat([gather_rows(encoded, sides[:, 0]),
+                    gather_rows(encoded, sides[:, 1])], axis=-1)
+    if model.cfg.dropout_p > 0.0:
+        joint = joint * dropout_mask(joint.shape, model.cfg.dropout_p, rng)
+    scores = reshape(model.head(model.hidden(joint)), (len(pairs),))
+    return tsum(composed_binary_ce(scores, tags))
+
+
 def _gradients(model, loss_fn):
     """The loss and every parameter's gradient of ``loss_fn()``."""
     params = model.parameters()
@@ -1130,6 +1150,44 @@ class TestBatchedTraining:
         assert loss == pytest.approx(o_loss, rel=1e-12)
         _assert_grads_match(grads, o_grads)
         assert grads["matcher.fwd.W"] is not None
+
+    @pytest.mark.parametrize("dropout_p", [0.3, 0.0])
+    def test_pair_loss_node_has_the_composed_ops_bits(self, dropout_p):
+        """The loss and every parameter's gradient equal, bit for bit,
+        those of the nodes the pair scoring and loss were made of: with
+        and without dropout, a text several pairs use, and one token
+        sequence that is a question of one pair and the text of
+        another."""
+        vocab = sorted({tok for q, t, _ in _PAIRS[:-1]
+                        for tok in tokenize(q) + matcher_tokens(t)})
+        model = fresh(MatcherModel, vocab, replace(_CFG, dropout_p=dropout_p),
+                      np.random.default_rng(3))
+        pairs = _PAIRS + [("film", "/music/album/genre", 0),
+                          ("what genre is it", "film", 0)]
+        tokens, tags = _pair_tokens(pairs), [tag for *_, tag in pairs]
+        assert_fused_bits(
+            lambda: model.loss(tokens, tags, np.random.default_rng(5)),
+            lambda: _composed_matcher_loss(model, tokens, tags,
+                                           np.random.default_rng(5)),
+            list(model.parameters().values()), 1.0 / len(pairs))
+
+    @pytest.mark.parametrize("dropout_p", [0.3, 0.0])
+    def test_pair_loss_node_gradcheck(self, dropout_p):
+        """The node's gradients of the encoded rows and of the hidden
+        and output layers match central differences, a row used by
+        several pairs and on both sides included."""
+        model = fresh(MatcherModel, ["a"], replace(_CFG, dropout_p=dropout_p),
+                      np.random.default_rng(3))
+        rng = np.random.default_rng(89)
+        encoded = param(rng.normal(size=(4, 2 * _CFG.hidden_size)))
+        sides = np.array([[0, 1], [0, 2], [3, 1], [1, 0], [2, 2]])
+        tags = [1, 0, 1, 0, 0]
+        params = [encoded, model.hidden.weight, model.hidden.bias,
+                  model.head.weight, model.head.bias]
+        assert finite_diff_check(
+            lambda: model.pair_loss(encoded, sides, tags,
+                                    np.random.default_rng(5)),
+            params) < 1e-4
 
     @pytest.mark.parametrize("kind", ["tagger", "matcher"])
     def test_epoch_matches_per_example_training(self, kind, monkeypatch):
@@ -1219,9 +1277,13 @@ class TestBatchedTraining:
                          for q, t in _pair_tokens(_PAIRS)]]
 
     def test_graph_nodes_per_question_step(self, monkeypatch):
-        """A deterministic count, so un-batching training fails here even
-        where timings are too noisy to tell (the per-example path made
-        33 nodes per question-step here)."""
+        """A deterministic count, so un-batching training, or building
+        the matcher's pair scoring and loss from small nodes again, fails
+        here even where timings are too noisy to tell (the per-example
+        path made 33 nodes per question-step here, the composed pair
+        scoring 1.46).  A matcher step makes 4 nodes: the embedding
+        gather, the recurrent run, the pair loss and the scaling of the
+        loss by one over the batch's count."""
         kb, train, _ = generate_synthetic(SyntheticSpec(seed=4,
                                                         n_entities=12))
         tagged = label_questions(train, kb)[0]
@@ -1235,9 +1297,14 @@ class TestBatchedTraining:
             made[0] += 1
             return make(*args)
 
-        for module in (qakb.nn.tensor, qakb.nn.layers):
-            monkeypatch.setattr(module, "_make", counting)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qakb") and getattr(module, "_make",
+                                                   None) is make:
+                monkeypatch.setattr(module, "_make", counting)
         cfg = TrainConfig(epochs=1, hidden_size=4, embed_dim=4)
         train_tagger(tagged, cfg)
         train_matcher(pairs, cfg)
-        assert made[0] / (len(tagged) + len(pairs)) <= 8
+        assert made[0] / (len(tagged) + len(pairs)) <= 0.5
+        made[0] = 0
+        train_matcher(pairs[:cfg.batch_size], cfg)
+        assert made[0] == 4

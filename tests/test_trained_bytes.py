@@ -130,6 +130,16 @@ PINS = {
         "3946035ebb6213eb984485ea46039367b075c73abed7fa13bb5128ef9f9adb59",
 }
 
+# train-pipeline on the same data at the default epochs, seed 1
+DEFAULT_EPOCHS_PINS = {
+    "tagger.nn":
+        "f5cd240f30bb9f7b793f51449a95564bdcf2f669becfd20df7e953c5b7a0a2e9",
+    "relation.nn":
+        "e13eec423927d9cec767a27b35b58f1d933100f1ebd50214f680fd9c35382334",
+    "type.nn":
+        "ce0fce36d01233fa7235fac801c11c3c68e7e60a5f2f6e1ccb1f6adef02e8949",
+}
+
 
 def _run(*argv: str) -> str:
     """``qakb argv``'s stdout; the command must exit 0."""
@@ -144,8 +154,11 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_trained_and_answered_bytes_are_pinned(tmp_path):
-    bench, models = tmp_path / "bench", tmp_path / "models"
+def _workflow_data(tmp_path):
+    """``synth`` and ``gen-data`` of the pinned workflow under
+    ``tmp_path``: the KB's path, the train questions' TSV lines and the
+    file of the first 8 of them, whose pipeline data is in ``data``."""
+    bench = tmp_path / "bench"
     _run("synth", "--seed", "1", "--entities", "60", "--relations", "6",
          "--collision-rate", "0.3", "--out", str(bench))
     kb = str(bench / "kb.qakb")
@@ -155,6 +168,17 @@ def test_trained_and_answered_bytes_are_pinned(tmp_path):
     questions.write_text("".join(train_lines[:8]), encoding="utf-8")
     _run("gen-data", "--kb", kb, "--questions", str(questions),
          "--out", str(tmp_path / "data"))
+    return kb, train_lines, questions
+
+
+def _changed(pins, got):
+    """The names of ``pins`` whose hashes ``got`` does not hold."""
+    return sorted(name for name in pins if got[name] != pins[name])
+
+
+def test_trained_and_answered_bytes_are_pinned(tmp_path):
+    bench, models = tmp_path / "bench", tmp_path / "models"
+    kb, train_lines, questions = _workflow_data(tmp_path)
     _run("train-pipeline", "--data", str(tmp_path / "data"),
          "--out", str(models), *TRAIN)
     for variant in VARIANTS:
@@ -191,8 +215,23 @@ def test_trained_and_answered_bytes_are_pinned(tmp_path):
             got[f"eval/{stack}/{report}"] = _sha256(
                 (out / report).read_bytes())
 
-    changed = sorted(name for name in PINS if got[name] != PINS[name])
+    changed = _changed(PINS, got)
     assert not changed, (
         f"{', '.join(changed)} no longer hold the pinned bytes.  The pins "
         "hold for numpy 2.4.6 with OpenBLAS 0.3.31's Haswell kernels; "
         "with those, training or answering changed")
+
+
+def test_default_epochs_pipeline_bytes_are_pinned(tmp_path):
+    """``train-pipeline`` at the default 15 epochs, whose later steps
+    start from weights that many earlier steps have moved."""
+    models = tmp_path / "models"
+    _workflow_data(tmp_path)
+    _run("train-pipeline", "--data", str(tmp_path / "data"),
+         "--out", str(models), "--seed", "1")
+    got = {name: _sha256((models / name).read_bytes())
+           for name in DEFAULT_EPOCHS_PINS}
+    changed = _changed(DEFAULT_EPOCHS_PINS, got)
+    assert not changed, (
+        f"{', '.join(changed)} no longer hold the pinned bytes at the "
+        "default epochs; see the module docstring")

@@ -11,31 +11,3 @@ and the alias index:
 Everything numeric runs on a small numpy-backed reverse-mode autodiff in
 :mod:`qakb.nn`; no external ML framework is used.
 """
-
-from qakb.errors import (
-    EmptyEvalSet,
-    EmptySequence,
-    EmptyTrainingSet,
-    LabelFailure,
-    MalformedId,
-    NoCandidates,
-    NoRelation,
-    ParseError,
-    QAKBError,
-    ShapeMismatch,
-)
-
-__all__ = [
-    "QAKBError",
-    "MalformedId",
-    "ParseError",
-    "ShapeMismatch",
-    "EmptySequence",
-    "EmptyTrainingSet",
-    "LabelFailure",
-    "NoCandidates",
-    "NoRelation",
-    "EmptyEvalSet",
-]
-
-__version__ = "0.1.0"

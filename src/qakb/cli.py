@@ -6,9 +6,10 @@ base snapshot from data files, ``synth`` fabricates a seeded benchmark,
 fit the two model families, ``answer`` runs a line-in/JSON-out loop, and
 ``eval`` scores a strategy and writes report files.
 
-Exit codes: 0 success, 1 usage error, 2 data error (bad, missing or
-non-UTF-8 input files, with file and line, or a path that cannot be read
-or written), 3 internal error.
+Exit codes: 0 success, 1 usage error (including size flags that make a
+model too large to allocate), 2 data error (bad, missing or non-UTF-8
+input files, with file and line, or a path that cannot be read or
+written), 3 internal error.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from qakb.errors import (
     ShapeMismatch,
 )
 from qakb.kb import KnowledgeBase, build_kb, load_kb, save_kb
-from qakb.nn import TrainConfig
+from qakb.nn.config import TrainConfig
 from qakb.nn.io import load_model, meta_path, save_model
 
 logger = logging.getLogger(__name__)
@@ -176,6 +177,13 @@ def train_config(args: argparse.Namespace,
         raise UsageError(str(exc)) from exc
 
 
+def _too_large(exc: MemoryError) -> UsageError:
+    """Size flags that make a model too large to allocate."""
+    detail = f" ({exc})" if str(exc) else ""
+    return UsageError(f"the model does not fit in memory{detail}: lower "
+                      "--hidden-size, --embed-dim or --char-dim")
+
+
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     for field, cast, flag in _CONFIG_FIELDS:
         sub.add_argument(flag, type=cast, dest=field)
@@ -277,6 +285,8 @@ def cmd_train_pipeline(args: argparse.Namespace,
             return fit(data, cfg, **kwargs)
         except EmptyTrainingSet as exc:
             raise EmptyTrainingSet(f"{path}: {exc}") from None
+        except MemoryError as exc:
+            raise _too_large(exc) from None
 
     # every stage trains before any is saved, so a run that fails leaves
     # an earlier run's stages as they were
@@ -320,6 +330,8 @@ def cmd_train_e2e(args: argparse.Namespace, config: Mapping[str, str]) -> int:
                                      e2e.VARIANTS[args.variant], cfg, index)
     except EmptyTrainingSet as exc:
         raise EmptyTrainingSet(f"{args.questions}: {exc}") from None
+    except MemoryError as exc:
+        raise _too_large(exc) from None
     save_model(model, args.out)
     print(f"{args.variant}: {len(questions)} questions, "
           f"final loss {curve[-1]:.4f} -> {args.out}")

@@ -26,23 +26,15 @@ from qakb.errors import (EmptySequence, EmptyTrainingSet, NoCandidates,
                          NoRelation)
 from qakb.kb import (Fact, KnowledgeBase, facts_of, notable_type, out_degree,
                      primary_alias)
-from qakb.nn import (
-    Dense,
-    EmbeddingTable,
-    GRUCell,
-    LSTMCell,
-    OOV_TOKEN,
-    TrainConfig,
-    cosine,
-    fit,
-    recurrent,
-    self_attention,
-)
+from qakb.nn.config import TrainConfig
 from qakb.nn.io import Model, new_model
-from qakb.nn.layers import (attention_forward, cosine_forward, dropout_mask,
-                            length_groups, padded_indices, recurrent_forward,
-                            table_tokens)
+from qakb.nn.layers import (OOV_TOKEN, Dense, EmbeddingTable, GRUCell,
+                            LSTMCell, attention_forward, cosine,
+                            cosine_forward, dropout_mask, length_groups,
+                            padded_indices, recurrent, recurrent_forward,
+                            self_attention, table_tokens)
 from qakb.nn.losses import loss_hinge_qas
+from qakb.nn.optim import fit
 from qakb.nn.tensor import (
     Tensor,
     concat,

@@ -33,11 +33,10 @@ import numpy as np
 
 from qakb.aliasindex import find_run, tokenize
 from qakb.datagen import QuestionInstance, make_question
-from qakb.e2e import E2EStrategy
 from qakb.errors import EmptyEvalSet, NoCandidates, NoRelation
 from qakb.kb import (Fact, KnowledgeBase, aliases_of, build_kb,
                      lookup_objects, notable_type, out_degree, primary_alias)
-from qakb.pipeline import MatchEncodings, PipelineModels, PipelineStrategy
+from qakb.pipeline import MatchEncodings, PipelineModels
 
 logger = logging.getLogger(__name__)
 
@@ -127,10 +126,10 @@ def evaluate(strategy, dataset: Sequence[QuestionInstance],
 # Answering through a strategy: a PipelineStrategy, which calls each matcher
 # as ``score(question, text, encodings, tokens)``, or an E2EStrategy, which
 # answers as its model's variant, ``out_degree_sort`` its one answer-time
-# switch (both importable from here).  ``answer(question)`` gives ``(entity,
-# relation, scores)`` or raises NoCandidates or NoRelation, ``label`` is the
-# ``(key, name)`` pair naming it in an answer record, and ``kb`` is the
-# knowledge base it answers from.
+# switch.  ``answer(question)`` gives ``(entity, relation, scores)`` or
+# raises NoCandidates or NoRelation, ``label`` is the ``(key, name)`` pair
+# naming it in an answer record, and ``kb`` is the knowledge base it
+# answers from.
 # ---------------------------------------------------------------------------
 
 def predict(strategy, question: str) -> Optional[tuple[str, str]]:

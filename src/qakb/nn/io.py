@@ -49,13 +49,15 @@ def meta_path(path: str) -> str:
 
 
 def read_model_meta(path: str, kind: str) -> dict:
-    """The sidecar of a snapshot; ParseError when it is not a JSON object,
-    ValueError when it describes another kind of model."""
+    """The sidecar of a snapshot; ParseError when it is not a JSON object
+    or nests too deep to decode, ValueError when it describes another kind
+    of model."""
     with open(meta_path(path), "rb", buffering=0) as fh:
         raw = fh.read()
     try:
         meta = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+    # UnicodeDecodeError, JSONDecodeError, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{meta_path(path)}: not JSON ({exc})") from exc
     if not isinstance(meta, dict):
         raise ParseError(f"{meta_path(path)}: not a JSON object")

@@ -28,20 +28,14 @@ from qakb.aliasindex import (
 from qakb.datagen import LabeledQuestion, MatcherPair
 from qakb.errors import EmptyTrainingSet, NoCandidates, NoRelation
 from qakb.kb import KnowledgeBase, notable_type, out_degree, relations_of
-from qakb.nn import (
-    Dense,
-    EmbeddingTable,
-    GRUCell,
-    LSTMCell,
-    TrainConfig,
-    bidirectional_last_states,
-    fit,
-    recurrent,
-)
+from qakb.nn.config import TrainConfig
 from qakb.nn.io import Model, new_model
-from qakb.nn.layers import dropout_mask, recurrent_forward, table_tokens
+from qakb.nn.layers import (Dense, EmbeddingTable, GRUCell, LSTMCell,
+                            bidirectional_last_states, dropout_mask,
+                            recurrent, recurrent_forward, table_tokens)
 from qakb.nn.losses import (binary_ce_backward, binary_ce_forward,
                             loss_categorical_ce)
+from qakb.nn.optim import fit
 from qakb.nn.tensor import (
     Tensor,
     _make,

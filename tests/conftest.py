@@ -17,10 +17,9 @@ import pytest
 
 from qakb.e2e import E2EStrategy, ScoringHead
 from qakb.kb import SNAPSHOT_MAGIC, Fact, build_kb
-from qakb.nn import Dense, EmbeddingTable, GRUCell, loss_hinge_qas
 from qakb.nn.io import new_model
-from qakb.nn.layers import table_tokens
-from qakb.nn.losses import PROB_EPS
+from qakb.nn.layers import Dense, EmbeddingTable, GRUCell, table_tokens
+from qakb.nn.losses import PROB_EPS, loss_hinge_qas
 from qakb.nn.tensor import Tensor, _make, as_tensor, clip, log, tsum
 
 

@@ -15,7 +15,7 @@ from conftest import (answer, dense, embedding, finite_diff_check, fresh,
                       loss_hinge_qat, loss_hinge_qat_type, param, rnn_cell,
                       serialize_ntriples_line, serialize_triples_tsv)
 
-from qakb import datagen, e2e, evalharness as ev
+from qakb import datagen, e2e, evalharness as ev, pipeline
 from qakb.aliasindex import build_index, retrieve_candidates, tokenize
 from qakb.cli import main
 from qakb.kb import (
@@ -28,18 +28,20 @@ from qakb.kb import (
     parse_ntriples_line,
     parse_triples_tsv,
 )
-from qakb.nn import (
+from qakb.nn.config import TrainConfig
+from qakb.nn.layers import (
     GRUCell,
     LSTMCell,
-    TrainConfig,
     cosine,
-    loss_binary_ce,
-    loss_categorical_ce,
-    loss_hinge_qas,
+    dropout_mask,
     recurrent,
     self_attention,
 )
-from qakb.nn.layers import dropout_mask
+from qakb.nn.losses import (
+    loss_binary_ce,
+    loss_categorical_ce,
+    loss_hinge_qas,
+)
 from qakb.nn.tensor import sigmoid, softmax_rows, tsum
 
 
@@ -330,7 +332,7 @@ class TestAcceptance:
             models = ev.oracle_models(questions, kb)
             acc = {}
             for name in ("p-qa", "p-qa-out"):
-                strat = ev.PipelineStrategy(name, models, kb, index)
+                strat = pipeline.PipelineStrategy(name, models, kb, index)
                 report = ev.evaluate(strat, questions, kb)
                 acc[name] = report.accuracy
                 if name == "p-qa-out":
@@ -348,9 +350,9 @@ class TestAcceptance:
                                       twin_type_distinct=True)
             kb2, tr2, te2 = ev.generate_synthetic(spec_t)
             q2 = tr2 + te2
-            strat = ev.PipelineStrategy("p-qa-type",
-                                        ev.oracle_models(q2, kb2),
-                                        kb2, build_index(kb2))
+            strat = pipeline.PipelineStrategy("p-qa-type",
+                                              ev.oracle_models(q2, kb2),
+                                              kb2, build_index(kb2))
             report = ev.evaluate(strat, q2, kb2)
             same = report.error_counts.get("same_label_entity", 0)
             if same:
@@ -388,7 +390,7 @@ class TestAcceptance:
                 if elapsed >= 300.0:
                     problems.append(f"seed {seed} {name}: train took "
                                     f"{elapsed:.0f}s >= 5 min")
-                strat = ev.E2EStrategy(model, kb, index)
+                strat = e2e.E2EStrategy(model, kb, index)
                 train_acc = ev.evaluate(strat, train, kb).accuracy
                 if train_acc < 0.90:
                     problems.append(f"seed {seed} {name}: train accuracy "

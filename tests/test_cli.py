@@ -24,6 +24,7 @@ from qakb.cli import (
     resolve_seed,
 )
 from qakb.kb import SNAPSHOT_MAGIC, load_kb, notable_type
+from qakb.nn import layers
 from qakb.nn.io import read_model_meta
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -807,6 +808,36 @@ class TestTrainingCommands:
         assert not (tmp_path / "m.nn").exists()
 
 
+    @pytest.mark.parametrize("command", ["train-e2e", "train-pipeline"])
+    def test_model_too_large_to_allocate_is_usage_error(
+            self, bench, tmp_path, capsys, monkeypatch, command):
+        """A MemoryError while a model is drawn, as numpy raises at once
+        for ``--hidden-size 1000000000``, exits 1 with one line naming the
+        size flags.  The draw is made to fail here, so that no huge array
+        is ever asked for."""
+        def refuse(rng, shape):
+            raise MemoryError("Unable to allocate 179. GiB for an array "
+                              f"with shape {shape} and data type float64")
+
+        source = {"train-e2e": ["--kb", str(bench / "kb.qakb"),
+                                "--questions", str(bench / "train.tsv"),
+                                "--variant", "qa-t"],
+                  "train-pipeline": ["--data", str(tmp_path / "data")]}
+        assert main(["gen-data", "--kb", str(bench / "kb.qakb"),
+                     "--questions", str(bench / "train.tsv"),
+                     "--out", str(tmp_path / "data")]) == 0
+        monkeypatch.setattr(layers, "glorot", refuse)
+        capsys.readouterr()
+        code, stdout, err = run(capsys, command, *source[command], "--out",
+                                str(tmp_path / "out"), "--epochs", "1")
+        assert code == 1, err
+        assert stdout == "" and err.count("\n") == 1
+        assert err.startswith("error: the model does not fit in memory "
+                              "(Unable to allocate 179. GiB")
+        assert err.endswith(": lower --hidden-size, --embed-dim or "
+                            "--char-dim\n")
+        assert not (tmp_path / "out").exists()
+
     def test_e2e_with_no_usable_question_exits_2(self, bench, tmp_path,
                                                  capsys):
         """Over a KB with no facts no question has a negative subject or
@@ -1302,10 +1333,13 @@ class TestCorruptSnapshots:
 
     @pytest.mark.parametrize("target, how, says", [
         ("meta", "[1, 2]", "{model}: {model}.meta.json: not a JSON object"),
+        ("meta", "[" * 200_000 + "]" * 200_000, "{model}: {model}.meta.json: "
+         "not JSON (maximum recursion depth exceeded"),
         ("nn", "NNQA1", "{model}: model format NNQA1 is no longer read"),
         ("kb", "KBQA9", "{kb}: snapshot format KBQA9 is no longer read"),
         ("kb", "garble:40", "{kb}: truncated or garbled snapshot"),
-    ], ids=["sidecar", "nn-header", "kb-header", "kb-garbled"])
+    ], ids=["sidecar", "sidecar-too-deep", "nn-header", "kb-header",
+            "kb-garbled"])
     def test_whole_file_fault_names_no_line(self, snapshots, capsys,
                                             tmp_path, target, how, says):
         """A fault of a whole snapshot file, which has no lines, is

@@ -43,9 +43,10 @@ import qakb.aliasindex
 import qakb.e2e
 import qakb.nn.layers
 import qakb.nn.tensor
-from qakb.nn import TrainConfig, cosine, fit, recurrent
-from qakb.nn.layers import OOV_TOKEN, dropout_mask
+from qakb.nn.config import TrainConfig
+from qakb.nn.layers import OOV_TOKEN, cosine, dropout_mask, recurrent
 from qakb.nn.losses import loss_hinge_qas
+from qakb.nn.optim import fit
 from qakb.nn.tensor import Tensor, as_tensor, gather_rows, pad_rows, tsum
 from qakb.nn.io import load_model, save_model
 from qakb.pipeline import MatcherModel

@@ -11,15 +11,13 @@ from conftest import fresh, span_tokens
 
 from qakb.aliasindex import build_index, tokenize
 from qakb.datagen import make_question, serialize_questions_tsv
-from qakb.e2e import E2EModel, VARIANTS, train_e2e
+from qakb.e2e import E2EModel, E2EStrategy, VARIANTS, train_e2e
 from qakb.datagen import NegativePools
 from qakb.errors import EmptyEvalSet, NoCandidates
 from qakb.evalharness import (
     ERROR_CLASSES,
-    E2EStrategy,
     EvalReport,
     OracleMatcher,
-    PipelineStrategy,
     SyntheticSpec,
     _BLOCK,
     _Draws,
@@ -32,8 +30,8 @@ from qakb.evalharness import (
     report_write,
 )
 from qakb.kb import Fact, build_kb, out_degree, save_kb
-from qakb.nn import TrainConfig
-from qakb.pipeline import MatchEncodings, tag_question
+from qakb.nn.config import TrainConfig
+from qakb.pipeline import MatchEncodings, PipelineStrategy, tag_question
 
 
 def twin_kb(twin_type="song", twin_extra_facts=0):

@@ -15,19 +15,19 @@ from qakb.datagen import build_negative_pools, label_questions
 from qakb.e2e import VARIANTS, train_e2e
 from qakb.errors import ShapeMismatch
 from qakb.evalharness import SyntheticSpec, generate_synthetic
-from qakb.nn import (
-    Adam,
+from qakb.nn.config import TrainConfig
+from qakb.nn.layers import (
+    OOV_TOKEN,
     GRUCell,
     LSTMCell,
-    OOV_TOKEN,
-    TrainConfig,
     bidirectional_last_states,
     cosine,
     glorot,
-    loss_binary_ce,
     recurrent,
     self_attention,
 )
+from qakb.nn.losses import loss_binary_ce
+from qakb.nn.optim import Adam
 from qakb.nn.tensor import (
     Tensor,
     concat,

@@ -17,7 +17,7 @@ from conftest import fresh
 from qakb.aliasindex import build_index, tokenize
 from qakb.e2e import VARIANTS, E2EModel, E2EStrategy
 from qakb.evalharness import SyntheticSpec, generate_synthetic
-from qakb.nn import TrainConfig
+from qakb.nn.config import TrainConfig
 from qakb.pipeline import (MatcherModel, PipelineModels, PipelineStrategy,
                            TaggerModel)
 

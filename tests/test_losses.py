@@ -13,17 +13,11 @@ from conftest import (assert_fused_bits, composed_binary_ce, dense,
                       param)
 
 from qakb.errors import EmptySequence, ParseError, ShapeMismatch
-from qakb.nn import (
-    Adam,
-    TrainConfig,
-    fit,
-    load_params,
-    loss_binary_ce,
-    loss_categorical_ce,
-    loss_hinge_qas,
-    save_params,
-)
-from qakb.nn.io import MODEL_MAGIC, check_params
+from qakb.nn.config import TrainConfig
+from qakb.nn.io import MODEL_MAGIC, check_params, load_params, save_params
+from qakb.nn.losses import (loss_binary_ce, loss_categorical_ce,
+                            loss_hinge_qas)
+from qakb.nn.optim import Adam, fit
 from qakb.nn.tensor import Tensor, gather_rows, sigmoid, softmax_rows, tsum
 
 

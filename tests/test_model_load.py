@@ -24,7 +24,8 @@ from qakb.cli import main
 from qakb.errors import ShapeMismatch
 from qakb.evalharness import answer_record
 from qakb.kb import load_kb
-from qakb.nn import TrainConfig, layers
+from qakb.nn import layers
+from qakb.nn.config import TrainConfig
 from qakb.nn.io import load_model, meta_path, save_model
 
 CFG = TrainConfig(epochs=1, hidden_size=4, embed_dim=6, char_dim=5,

@@ -22,9 +22,10 @@ from qakb.errors import EmptyTrainingSet, NoCandidates, NoRelation
 from qakb.evalharness import (SyntheticSpec, answer_record,
                               generate_synthetic, predict)
 from qakb.kb import Fact, build_kb, notable_type, out_degree, relations_of
-from qakb.nn import (TrainConfig, fit, loss_binary_ce, loss_categorical_ce,
-                     recurrent)
-from qakb.nn.layers import dropout_mask
+from qakb.nn.config import TrainConfig
+from qakb.nn.layers import dropout_mask, recurrent
+from qakb.nn.losses import loss_binary_ce, loss_categorical_ce
+from qakb.nn.optim import fit
 from qakb.nn.io import load_model, save_model
 from qakb.nn.tensor import (Tensor, concat, gather_rows, reshape,
                             softmax_rows, tsum)

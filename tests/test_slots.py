@@ -23,9 +23,9 @@ import pytest
 from conftest import dense, rnn_cell
 
 from qakb.errors import ShapeMismatch
-from qakb.nn import GRUCell, LSTMCell, Tensor, self_attention
-from qakb.nn.layers import attention_forward, recurrent_forward
-from qakb.nn.tensor import tsum
+from qakb.nn.layers import (GRUCell, LSTMCell, attention_forward,
+                            recurrent_forward, self_attention)
+from qakb.nn.tensor import Tensor, tsum
 
 
 def _bits(a):

@@ -8,8 +8,8 @@ import pytest
 from conftest import finite_diff_check, param, rnn_cell, stack_rows
 
 from qakb.errors import ShapeMismatch
-from qakb.nn import GRUCell, LSTMCell, cosine, recurrent, self_attention
 from qakb.nn import tensor as T
+from qakb.nn.layers import GRUCell, LSTMCell, cosine, recurrent, self_attention
 
 
 class TestForward:

@@ -17,10 +17,8 @@ first fact read sorts the fact columns by subject, as int arrays.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
-import struct
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import is_not, itemgetter
@@ -28,11 +26,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from qakb import container
 from qakb.errors import MalformedId, ParseError
 
 log = logging.getLogger(__name__)
-
-SNAPSHOT_MAGIC = b"KBQA3"
 
 # The predicate (canonical form) that assigns notable types in N-Triples.
 _TYPE_ASSIGN_RELATION = "/common/topic/notable_types"
@@ -509,110 +506,79 @@ def primary_alias(kb: KnowledgeBase, entity: str) -> str:
 # Binary snapshot
 # ---------------------------------------------------------------------------
 
-# After the magic: the counts of entities, relations, facts, entities with
-# aliases, aliases, typed entities and string-block bytes.
-_HEADER = struct.Struct("<7I")
-_COLUMNS_AT = len(SNAPSHOT_MAGIC) + _HEADER.size
+# A snapshot's fields, lists of strings, and its int32 columns.
+_STRINGS = ("entities", "relations", "aliases", "labels")
+_COLUMNS = ("subjects", "predicates", "objects", "aliased", "alias_counts",
+            "typed")
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:
-    """Write a versioned binary snapshot; byte-stable for a given KB.
-
-    After the magic and a header of counts come six little-endian int32
-    columns: each fact's subject, predicate and object as an index into
-    the entities or the distinct relations (in order of first use); the
-    entity index and the alias count of each entity with aliases; the
-    entity index of each typed entity.  Last comes one JSON array of
-    every string: the entity ids in position order, the relations, the
-    aliases entity by entity, and the type labels.
-    """
+    """Write a :data:`container.KB` snapshot, byte-stable for a given KB.
+    Its fields are the :data:`_STRINGS` (relations in order of first use,
+    aliases entity by entity); its arrays are the :data:`_COLUMNS`, each
+    of entity positions or relation indices but the alias counts."""
     names = list(map(kb.aliases.__getitem__, kb.aliased.tolist()))
     has_label = list(map(is_not, kb.labels, repeat(None)))
-    typed = list(compress(count(), has_label))
-    aliases = list(chain.from_iterable(names))
-    strings = json.dumps(
-        kb.ids + kb.relations + aliases + list(compress(kb.labels, has_label)),
-        separators=(",", ":")).encode("utf-8")
-    counts_and_typed = _column(chain(map(len, names), typed))
-    with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(_HEADER.pack(len(kb.ids), len(kb.relations),
-                              len(kb.subjects), len(names), len(aliases),
-                              len(typed), len(strings)))
-        for column in (kb.subjects, kb.predicates, kb.objects, kb.aliased,
-                       counts_and_typed):
-            fh.write(column.tobytes())
-        fh.write(strings)
-
-
-def _garbled(what: str) -> ParseError:
-    return ParseError(f"truncated or garbled snapshot: {what}")
+    container.write(path, container.KB, dict(zip(_STRINGS, (
+        kb.ids, kb.relations, list(chain.from_iterable(names)),
+        list(compress(kb.labels, has_label))))), dict(zip(_COLUMNS, (
+            kb.subjects, kb.predicates, kb.objects, kb.aliased,
+            _column(map(len, names)), _column(compress(count(), has_label))))))
 
 
 def _ill_typed(what: str) -> ParseError:
     return ParseError(f"truncated or garbled snapshot, ill-typed: {what}")
 
 
-def _kb_from_snapshot(data: bytes) -> KnowledgeBase:
-    """The knowledge base the bytes of a snapshot describe, checked in
-    bulk passes; ParseError for a file of another length than its header
-    gives, an index out of range, an alias count below 1 or counts not
-    summing to the aliases, a string block that is not an array of that
-    many strings, or an entity id or entry given twice."""
-    if len(data) < _COLUMNS_AT:
-        raise _garbled("no header")
-    n_ids, n_relations, n_facts, n_aliased, n_aliases, n_typed, n_bytes = \
-        _HEADER.unpack_from(data, len(SNAPSHOT_MAGIC))
-    splits = np.cumsum([n_facts, n_facts, n_facts, n_aliased, n_aliased])
-    n_ints = int(splits[-1]) + n_typed
-    size = _COLUMNS_AT + 4 * n_ints + n_bytes
-    if len(data) != size:
-        raise _garbled(f"{len(data)} bytes, the header gives {size}")
-    # a copy, so the KB does not hold the file's bytes
-    ints = np.frombuffer(data, _INT32, n_ints, _COLUMNS_AT).copy()
+def load_kb(path: str) -> KnowledgeBase:
+    """Read a snapshot written by :func:`save_kb`, checked in bulk passes;
+    ParseError when it is not a KB container or holds a list or column
+    missing, mistyped or out of step with its partners, an index out of
+    range, an alias count below 1 or counts not summing to the aliases,
+    or an entity id or entry given twice."""
+    fields, columns = container.read(path, container.KB)
+    strings = list(map(fields.get, _STRINGS))
+    if fields.keys() != set(_STRINGS) or columns.keys() != set(_COLUMNS) \
+            or any(type(items) is not list for items in strings):
+        raise _ill_typed(f"not the lists {', '.join(_STRINGS)} and the "
+                         f"columns {', '.join(_COLUMNS)}")
+    try:  # JSON makes no str subclass, so this is exactly a type check
+        "".join(map("".join, strings))
+    except TypeError as exc:
+        raise _ill_typed("an item of a list is not a string") from exc
+    ids, relations, alias_strings, labels = strings
     subjects, predicates, objects, aliased, alias_counts, typed = \
-        np.split(ints, splits)
+        map(columns.get, _COLUMNS)
+    if any(column.ndim != 1 for column in columns.values()) or not (
+            len(subjects) == len(predicates) == len(objects)
+            and len(aliased) == len(alias_counts) and len(typed) == len(labels)):
+        raise _ill_typed("the fact columns, the alias entries and counts, or "
+                         "the type entries and labels are not in step")
+    n_ids = len(ids)
     for column, n_refs, what in ((subjects, n_ids, "subjects"),
-                                 (predicates, n_relations, "predicates"),
+                                 (predicates, len(relations), "predicates"),
                                  (objects, n_ids, "objects"),
                                  (aliased, n_ids, "aliased entities"),
                                  (typed, n_ids, "typed entities")):
         if column.size and (column.min() < 0 or column.max() >= n_refs):
             raise _ill_typed(f"an index of {what} is out of range "
                              f"({n_refs} to index)")
-    if n_aliased and alias_counts.min() < 1:
+    if aliased.size and alias_counts.min() < 1:
         raise _ill_typed("an alias count is below 1")
-    if alias_counts.sum(dtype=np.int64) != n_aliases:
-        raise _ill_typed(f"the alias counts do not sum to {n_aliases}")
-    try:
-        strings = json.loads(data[size - n_bytes:].decode("utf-8"))
-    # ValueError covers JSONDecodeError and UnicodeDecodeError
-    except (ValueError, RecursionError) as exc:
-        raise _garbled(repr(exc)) from exc
-    n_strings = n_ids + n_relations + n_aliases + n_typed
-    if type(strings) is not list or len(strings) != n_strings:
-        raise _ill_typed(f"the string block is not an array of {n_strings} "
-                         "strings")
-    try:
-        # JSON makes no str subclass, so this is exactly a type check
-        "".join(strings)
-    except TypeError as exc:
-        raise _ill_typed("an item of the string block is not a string") \
-            from exc
-    ids = strings[:n_ids]
+    if alias_counts.sum(dtype=np.int64) != len(alias_strings):
+        raise _ill_typed(f"the alias counts do not sum to "
+                         f"{len(alias_strings)}")
     position = dict(zip(ids, count()))
     if len(position) != n_ids:
         raise _ill_typed("an entity id is listed twice")
-    if n_aliased and np.bincount(aliased).max() > 1:
+    if aliased.size and np.bincount(aliased).max() > 1:
         raise _ill_typed("an entity has two alias entries")
-    if n_typed and np.bincount(typed).max() > 1:
+    if typed.size and np.bincount(typed).max() > 1:
         raise _ill_typed("an entity has two type entries")
-    relations = strings[n_ids:n_ids + n_relations]
     if not _in_first_use_order(relations, predicates):
         relations, predicates = _relation_column(
             list(map(relations.__getitem__, predicates.tolist())))
-    alias_strings = strings[n_ids + n_relations:n_strings - n_typed]
-    if n_aliases == n_aliased:  # one alias each, as synth writes
+    if len(alias_strings) == len(aliased):  # one alias each, as synth writes
         alias_tuples = zip(alias_strings)
     else:
         ends = np.cumsum(alias_counts, dtype=np.int64).tolist()
@@ -620,8 +586,7 @@ def _kb_from_snapshot(data: bytes) -> KnowledgeBase:
                                       map(slice, [0] + ends[:-1], ends)))
     return KnowledgeBase(
         ids, position, _spread(n_ids, aliased, alias_tuples, ()),
-        _ascending(aliased),
-        _spread(n_ids, typed, strings[n_strings - n_typed:], None),
+        _ascending(aliased), _spread(n_ids, typed, labels, None),
         relations, subjects, predicates, objects)
 
 
@@ -638,20 +603,3 @@ def _in_first_use_order(relations: list[str], predicates: np.ndarray) -> bool:
     counts = np.bincount(np.maximum.accumulate(predicates))
     return len(counts) == len(relations) and (
         not relations or bool(counts.min() > 0))
-
-
-def load_kb(path: str) -> KnowledgeBase:
-    """Read a snapshot written by :func:`save_kb`; ParseError when the
-    bytes are not one, or not one of this format, or when its columns or
-    strings fail a check."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic = data[:len(SNAPSHOT_MAGIC)]
-    if magic != SNAPSHOT_MAGIC:
-        if magic[:4] == SNAPSHOT_MAGIC[:4]:
-            raise ParseError(
-                f"snapshot format {magic.decode('latin-1')} is no longer "
-                f"read (this version reads {SNAPSHOT_MAGIC.decode()}); "
-                "re-create it with `qakb synth` or `qakb ingest`")
-        raise ParseError(f"bad snapshot header {magic!r}")
-    return _kb_from_snapshot(data)

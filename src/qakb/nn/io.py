@@ -1,12 +1,10 @@
 """Model snapshots: a parameter table plus a JSON sidecar.
 
-A model snapshot is two files.  The ``.nn`` file (magic ``NNQA2``) is a
-little-endian table of named float64 arrays, one per parameter (a
-recurrent cell's ``W``, ``U`` and ``b`` whole; ``NNQA1``, one entry per
-gate, is not read) — per entry a length-prefixed UTF-8 name, the rank,
-the dims as uint32, then the raw C-order data.  Its ``.meta.json``
-sidecar holds the model's ``kind`` and what is needed to rebuild it
-(vocabulary, config, ...).
+A model snapshot is two files.  The ``.nn`` file is a
+:data:`qakb.container.MODEL` container (magic ``NNQA3``, checksummed)
+of named float64 arrays, one per parameter (a recurrent cell's ``W``,
+``U`` and ``b`` whole).  Its ``.meta.json`` sidecar holds the model's
+``kind`` and what is needed to rebuild it (vocabulary, config, ...).
 
 :func:`save_model` and :func:`load_model` handle both files for any
 :class:`Model` subclass that gives a ``kind`` class attribute and a
@@ -34,14 +32,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
 
 import numpy as np
 
+from qakb import container
 from qakb.errors import ParseError, ShapeMismatch
 from qakb.nn.tensor import Tensor
-
-MODEL_MAGIC = b"NNQA2"
 
 
 def meta_path(path: str) -> str:
@@ -69,94 +65,33 @@ def read_model_meta(path: str, kind: str) -> dict:
 
 
 def save_params(params: dict[str, Tensor], path: str) -> None:
-    """Write a named parameter table; entries are sorted for stable bytes."""
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            # ascontiguousarray would widen 0-d params to (1,); keep the
-            # recorded rank faithful so restore can check exact shapes.
-            data = np.asarray(params[name].data, dtype="<f8")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", data.ndim))
-            for dim in data.shape:
-                fh.write(struct.pack("<I", dim))
-            # the array's own buffer, copied only when not contiguous
-            fh.write(np.ascontiguousarray(data))
-
-
-_U8, _U16, _U32 = (struct.Struct(f"<{code}") for code in "BHI")
-_F8 = np.dtype("<f8")
+    """Write a named parameter table, a :data:`container.MODEL` container
+    of float64 arrays with no fields, entries sorted for stable bytes."""
+    container.write(path, container.MODEL, {}, {
+        name: np.asarray(params[name].data, dtype="<f8")
+        for name in sorted(params)})
 
 
 def load_params(path: str) -> dict[str, np.ndarray]:
-    """Read a table written by :func:`save_params`; ParseError when the
-    bytes are not one or name a parameter twice.
-
-    The file is read once; each parameter is then one owned, writable,
-    aligned copy of its bytes.  A field that runs past the end fails in
-    ``unpack`` as a short read would.
-    """
-    with open(path, "rb", buffering=0) as fh:
-        data = fh.read()
-    magic = data[:len(MODEL_MAGIC)]
-    if magic != MODEL_MAGIC:
-        if magic[:4] == MODEL_MAGIC[:4]:
-            raise ParseError(f"model format {magic.decode('latin-1')} is no "
-                             "longer read; re-train it with `qakb "
-                             "train-pipeline` or `qakb train-e2e`")
-        raise ParseError(f"bad model header {magic!r}")
-    out: dict[str, np.ndarray] = {}
-    pos = len(MODEL_MAGIC) + 4
-    try:
-        (count,) = _U32.unpack(data[pos - 4:pos])
-        for _ in range(count):
-            (name_len,) = _U16.unpack(data[pos:pos + 2])
-            pos += 2
-            name = data[pos:pos + name_len].decode("utf-8")
-            pos = min(pos + name_len, len(data))
-            if name in out:
-                raise ParseError(f"parameter {name!r} appears twice")
-            (ndim,) = _U8.unpack(data[pos:pos + 1])
-            pos += 1 + 4 * ndim
-            shape = tuple(_U32.unpack(data[at:at + 4])[0]
-                          for at in range(pos - 4 * ndim, pos, 4))
-            size = math.prod(shape)
-            if size * 8 > len(data) - pos:
-                raise ParseError(f"truncated data for parameter {name!r}")
-            try:
-                arr = np.ndarray(shape, _F8, data, pos)
-            except ValueError as exc:  # over 64 dims, or a zero-size shape
-                # whose other dims overflow numpy's size
-                raise ParseError(
-                    f"bad shape {shape} for parameter {name!r}") from exc
-            out[name] = arr.copy()
-            pos += size * 8
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise ParseError(f"truncated or garbled snapshot ({exc})") from exc
-    return out
+    """Read a table written by :func:`save_params`: each parameter one
+    owned, writable, aligned array; ParseError when the file is not a
+    model container (see :func:`container.read`)."""
+    return container.read(path, container.MODEL)[1]
 
 
 def check_params(shapes: dict[str, tuple[int, ...]],
                  loaded: dict[str, np.ndarray]) -> None:
     """ShapeMismatch unless a loaded table holds exactly the parameters
     that ``shapes`` names, each in its shape."""
-    missing = sorted(set(shapes) - set(loaded))
-    if missing:
-        raise ShapeMismatch(f"snapshot lacks parameters: {missing}")
-    unexpected = sorted(set(loaded) - set(shapes))
-    if unexpected:
-        raise ShapeMismatch(f"snapshot holds parameters the model lacks: "
-                            f"{unexpected}")
+    for names, what in ((set(shapes) - set(loaded), "lacks parameters"),
+                        (set(loaded) - set(shapes),
+                         "holds parameters the model lacks")):
+        if names:
+            raise ShapeMismatch(f"snapshot {what}: {sorted(names)}")
     for name, shape in shapes.items():
-        arr = loaded[name]
-        if arr.shape != shape:
-            raise ShapeMismatch(
-                f"parameter {name!r}: snapshot shape {arr.shape}, "
-                f"model shape {shape}"
-            )
+        if loaded[name].shape != shape:
+            raise ShapeMismatch(f"parameter {name!r}: snapshot shape "
+                                f"{loaded[name].shape}, model shape {shape}")
 
 
 class Model:

@@ -6,17 +6,19 @@ a fused graph node against the ops it replaces and the composed binary
 cross-entropy it is checked against, a labelled
 question's entity span, one-shot joint-model answering and its
 margin-loss reference rules, TSV and N-Triples writers of facts, and
-test-side readers and writers of KB snapshot layouts."""
+a reader and a writer of KB snapshots' fields and columns through the
+container, and a rewriter of a container's header."""
 
 import json
-import struct
+import zlib
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from qakb import container
 from qakb.e2e import E2EStrategy, ScoringHead
-from qakb.kb import SNAPSHOT_MAGIC, Fact, build_kb
+from qakb.kb import Fact, build_kb
 from qakb.nn.io import new_model
 from qakb.nn.layers import Dense, EmbeddingTable, GRUCell, table_tokens
 from qakb.nn.losses import PROB_EPS, loss_hinge_qas
@@ -265,43 +267,37 @@ def kbqa2_payload(kb) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
-# A KBQA3 snapshot's int32 columns and its strings, in file order.
-KBQA3_COLUMNS = ("subjects", "predicates", "objects", "aliased",
-                 "alias_counts", "typed")
-KBQA3_STRINGS = ("entities", "relations", "aliases", "labels")
-_KBQA3_HEADER = struct.Struct("<7I")
+# A KB snapshot's lists of strings and its int32 columns.
+KB_STRINGS = ("entities", "relations", "aliases", "labels")
+KB_COLUMNS = ("subjects", "predicates", "objects", "aliased",
+              "alias_counts", "typed")
 
 
-def read_kbqa3(data: bytes) -> dict:
-    """The columns and string lists of a well-formed KBQA3 snapshot,
-    keyed by :data:`KBQA3_COLUMNS` and :data:`KBQA3_STRINGS`."""
-    assert data.startswith(SNAPSHOT_MAGIC)
-    at = len(SNAPSHOT_MAGIC)
-    n_ids, n_rel, n_facts, n_aliased, n_aliases, n_typed, n_bytes = \
-        _KBQA3_HEADER.unpack_from(data, at)
-    at += _KBQA3_HEADER.size
-    snap = {}
-    for key, n in zip(KBQA3_COLUMNS, (n_facts, n_facts, n_facts, n_aliased,
-                                      n_aliased, n_typed)):
-        snap[key] = np.frombuffer(data, "<i4", n, at).tolist()
-        at += 4 * n
-    strings = json.loads(data[at:])
-    assert at + n_bytes == len(data)
-    for key, n in zip(KBQA3_STRINGS, (n_ids, n_rel, n_aliases, n_typed)):
-        snap[key], strings = strings[:n], strings[n:]
-    return snap
+def read_kb_snapshot(path) -> dict:
+    """The fields and columns of the KB snapshot at ``path``, read by the
+    container's own reader, each column as a list."""
+    fields, columns = container.read(str(path), container.KB)
+    return {**fields, **{key: column.tolist()
+                         for key, column in columns.items()}}
 
 
-def kbqa3_bytes(snap: dict, block=None) -> bytes:
-    """A KBQA3 snapshot of ``snap``'s columns and strings, whatever they
-    hold, with a header that counts them; ``block`` replaces the JSON
-    string block when given."""
-    if block is None:
-        block = json.dumps([s for key in KBQA3_STRINGS for s in snap[key]])
-    block = block.encode("utf-8")
-    counts = (len(snap["entities"]), len(snap["relations"]),
-              len(snap["subjects"]), len(snap["aliased"]),
-              len(snap["aliases"]), len(snap["typed"]), len(block))
-    ints = [i for key in KBQA3_COLUMNS for i in snap[key]]
-    return (SNAPSHOT_MAGIC + _KBQA3_HEADER.pack(*counts)
-            + np.asarray(ints, "<i4").tobytes() + block)
+def write_kb_snapshot(path, snap: dict) -> None:
+    """Write ``snap`` through the container's own writer as a KB
+    snapshot, whatever it holds: each key of :data:`KB_COLUMNS` as an
+    array (an int32 one when it is a list), every other key as a
+    field."""
+    container.write(str(path), container.KB,
+                    {k: v for k, v in snap.items() if k not in KB_COLUMNS},
+                    {k: np.asarray(v, "<i4") if isinstance(v, list) else v
+                     for k, v in snap.items() if k in KB_COLUMNS})
+
+
+def rewrite_header(path, header: bytes) -> None:
+    """Replace the JSON header of the container at ``path`` with
+    ``header``, whatever it holds, keeping the magic and the array block,
+    and write a checksum that matches, so a reader gets past it."""
+    data = path.read_bytes()
+    start = 9 + int.from_bytes(data[5:9], "little")
+    body = data[:5] + len(header).to_bytes(4, "little") + header
+    body += bytes(-len(body) % 8) + data[start + -start % 8:-4]
+    path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))

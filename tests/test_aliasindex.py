@@ -4,7 +4,7 @@ import string
 
 import numpy as np
 import pytest
-from conftest import kbqa3_bytes
+from conftest import write_kb_snapshot
 from hypothesis import given, settings, strategies as st
 
 from qakb.aliasindex import (
@@ -356,12 +356,12 @@ class TestBuildIndex:
                        3: ["new york times"], 4: ["york"]}
         kbs = []
         for aliased in ([4, 3, 1, 0], [0, 1, 3, 4]):
-            path.write_bytes(kbqa3_bytes({
+            write_kb_snapshot(path, {
                 "entities": entities, "relations": [], "subjects": [],
                 "predicates": [], "objects": [], "aliased": aliased,
                 "alias_counts": [len(by_position[p]) for p in aliased],
                 "typed": [], "labels": [],
-                "aliases": [a for p in aliased for a in by_position[p]]}))
+                "aliases": [a for p in aliased for a in by_position[p]]})
             kbs.append(load_kb(str(path)))
         descending, twin = kbs
         assert descending.aliased.tolist() == [0, 1, 3, 4]

@@ -13,8 +13,9 @@ import zlib
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
-from conftest import kbqa3_bytes, read_kbqa3
+from conftest import read_kb_snapshot, rewrite_header, write_kb_snapshot
 
 from qakb import cli
 from qakb.cli import (
@@ -23,7 +24,8 @@ from qakb.cli import (
     read_config_file,
     resolve_seed,
 )
-from qakb.kb import SNAPSHOT_MAGIC, load_kb, notable_type
+from qakb import container
+from qakb.kb import load_kb, notable_type
 from qakb.nn import layers
 from qakb.nn.io import read_model_meta
 
@@ -1305,6 +1307,9 @@ class TestCorruptSnapshots:
         data = bytearray(path.read_bytes())
         if how.startswith("truncate"):
             path.write_bytes(bytes(data[:int(how.split(":")[1])]))
+        elif how.startswith("flip"):
+            data[int(how.split(":")[1])] ^= 0xFF
+            path.write_bytes(bytes(data))
         elif how.startswith("garble"):
             start = int(how.split(":")[1])
             for i in range(start, min(start + 64, len(data))):
@@ -1352,9 +1357,35 @@ class TestCorruptSnapshots:
             model=tmp_path / "m.nn", kb=tmp_path / "kb.qakb"))
         assert "line 1:" not in err
 
-    def _answer_damaged(self, snapshots, capsys, tmp_path, target, how):
-        """``answer``'s exit code, stdout and stderr with a copy of the
-        KB, the qa-t snapshot or its sidecar damaged as ``how`` says."""
+    @pytest.mark.parametrize("target", ["kb", "nn"])
+    def test_sampled_byte_changes_and_cuts_exit_2(self, snapshots, capsys,
+                                                  tmp_path, target):
+        """A sample of the single-byte changes and cuts that
+        ``tests/test_snapshots.py`` makes at every offset of small files,
+        made here of the KB or the qa-t table: ``answer`` and ``eval``
+        exit 2 naming the file, from the magic's last byte to the
+        checksum's, and write no report."""
+        bench, models = snapshots
+        path = tmp_path / {"kb": "kb.qakb", "nn": "m.nn"}[target]
+        size = len(({"kb": bench / "kb.qakb", "nn": models["qa-t"]}[target])
+                   .read_bytes())
+        for how in (*(f"flip:{at}" for at in (4, 6, 40, size // 2,
+                                               size - 1)),
+                    *(f"truncate:{n}" for n in (3, size // 2, size - 1))):
+            for command in ("answer", "eval"):
+                code, stdout, err = self._answer_damaged(
+                    snapshots, capsys, tmp_path, target, how, command)
+                assert code == 2, (how, command, err)
+                assert stdout == ""
+                assert err.startswith(f"error: {path}: "), (how, err)
+                assert "Traceback" not in err
+        assert not (tmp_path / "report").exists()
+
+    def _answer_damaged(self, snapshots, capsys, tmp_path, target, how,
+                        command="answer"):
+        """``answer``'s (or ``eval``'s) exit code, stdout and stderr with a
+        copy of the KB, the qa-t snapshot or its sidecar damaged as
+        ``how`` says."""
         bench, models = snapshots
         capsys.readouterr()
         kb, model = tmp_path / "kb.qakb", tmp_path / "m.nn"
@@ -1367,6 +1398,11 @@ class TestCorruptSnapshots:
         self._damage({"kb": kb, "nn": model, "meta": meta}[target], how)
         qfile = tmp_path / "q.txt"
         qfile.write_text("anything\n")
+        if command == "eval":
+            return run(capsys, "eval", "--kb", str(kb), "--model", str(model),
+                       "--variant", "qa-t", "--questions",
+                       str(bench / "test.tsv"), "--out",
+                       str(tmp_path / "report"))
         return run(capsys, "answer", "--kb", str(kb), "--model", str(model),
                    "--variant", "qa-t", "--questions", str(qfile))
 
@@ -1476,19 +1512,20 @@ def _commands_reading_kb(bench, models, out):
 
 
 class TestIllTypedKb:
-    """A KB snapshot with an index out of range, an alias count that is
-    below 1 or does not sum, a string block that is not an array of that
-    many strings, or an entity id or entry given twice exits 2 naming the
-    file, before any command writes a byte.  So does one whose bytes do
-    not frame: a short header, a column shorter than its count, trailing
-    bytes or a string block that is not JSON."""
+    """A KB snapshot with a list or column missing, mistyped or out of
+    step, an index out of range, an alias count that is below 1 or does
+    not sum, or an entity id or entry given twice exits 2 naming the
+    file, before any command writes a byte.  Each is written through the
+    container's own writer, so its checksum matches and every check past
+    it is reached.  So does one whose container does not frame: a cut
+    header, a column past the end of the block, trailing bytes or a
+    header that is not JSON."""
 
     @staticmethod
     def _damage(snap, case):
-        """The bytes of ``snap``, a read KBQA3 snapshot, damaged as
-        ``case`` says."""
+        """``snap``, the fields and columns of a read snapshot, damaged
+        as ``case`` says."""
         entities, aliased = len(snap["entities"]), snap["aliased"]
-        block = None
         if case == "subject out of range":
             snap["subjects"][0] = entities
         elif case == "predicate out of range":
@@ -1517,28 +1554,36 @@ class TestIllTypedKb:
         elif case == "entity id":
             snap["entities"][0] = 5
         elif case == "strings not an array":
-            block = json.dumps({"entities": snap["entities"]})
+            snap["entities"] = {"entities": snap["entities"]}
+        elif case == "fact columns out of step":
+            snap["objects"].pop()
+        elif case == "column missing":
+            del snap["typed"]
+        elif case == "column of two dimensions":
+            snap["aliased"] = np.array([aliased], "<i4")
         else:
             assert case == "one string short"
-            block = json.dumps(snap["entities"] + snap["relations"]
-                               + snap["aliases"] + snap["labels"][:-1])
-        return kbqa3_bytes(snap, block)
+            snap["labels"].pop()
 
     @staticmethod
-    def _garble(data, snap, case):
-        """``data``, the bytes of the read KBQA3 snapshot ``snap``, with
-        framing damaged as ``case`` says."""
+    def _garble(path, case):
+        """Damage the framing of the snapshot at ``path`` as ``case``
+        says."""
+        data = path.read_bytes()
+        header = data[9:9 + int.from_bytes(data[5:9], "little")]
         if case == "truncated header":
-            return data[:len(SNAPSHOT_MAGIC) + 10]
-        if case == "trailing bytes":
-            return data + b"\0"
-        if case == "string block not JSON":
-            return kbqa3_bytes(snap, json.dumps(snap["entities"])[:-1])
-        if case == "string block nested too deep":
-            return kbqa3_bytes(snap, "[" * 100_000)
-        assert case == "short column"
-        snap["predicates"].pop()
-        return kbqa3_bytes(snap)
+            path.write_bytes(data[:len(container.KB.magic) + 10])
+        elif case == "trailing bytes":
+            path.write_bytes(data + b"\0")
+        elif case == "string block not JSON":
+            rewrite_header(path, header[:-1])
+        elif case == "string block nested too deep":
+            rewrite_header(path, b"[" * 100_000)
+        else:
+            assert case == "short column"
+            obj = json.loads(header)
+            obj["arrays"]["typed"][1] = [len(data)]
+            rewrite_header(path, json.dumps(obj).encode("utf-8"))
 
     @pytest.mark.parametrize("case", [
         "subject out of range", "predicate out of range",
@@ -1546,13 +1591,15 @@ class TestIllTypedKb:
         "alias entry index", "alias entry twice", "type entry twice",
         "alias count 0", "alias counts short of the aliases", "alias",
         "type label", "entity id", "strings not an array",
-        "one string short"])
+        "one string short", "fact columns out of step", "column missing",
+        "column of two dimensions"])
     def test_exits_2_and_writes_nothing(self, snapshots, capsys, tmp_path,
                                         case):
         bench, _ = snapshots
-        snap = read_kbqa3((bench / "kb.qakb").read_bytes())
-        self._exits_2(snapshots, capsys, tmp_path, self._damage(snap, case),
-                      "ill-typed")
+        snap = read_kb_snapshot(bench / "kb.qakb")
+        self._damage(snap, case)
+        write_kb_snapshot(tmp_path / "kb.qakb", snap)
+        self._exits_2(snapshots, capsys, tmp_path, "ill-typed")
 
     @pytest.mark.parametrize("case", [
         "truncated header", "short column", "trailing bytes",
@@ -1560,18 +1607,18 @@ class TestIllTypedKb:
     def test_garbled_exits_2_and_writes_nothing(self, snapshots, capsys,
                                                 tmp_path, case):
         bench, _ = snapshots
-        data = (bench / "kb.qakb").read_bytes()
+        shutil.copy(bench / "kb.qakb", tmp_path / "kb.qakb")
+        self._garble(tmp_path / "kb.qakb", case)
         self._exits_2(snapshots, capsys, tmp_path,
-                      self._garble(data, read_kbqa3(data), case),
                       "truncated or garbled snapshot")
 
     @staticmethod
-    def _exits_2(snapshots, capsys, tmp_path, data, says):
-        """Every command reading the KB ``data`` exits 2 with an error
-        naming it and holding ``says``, and writes nothing."""
+    def _exits_2(snapshots, capsys, tmp_path, says):
+        """Every command reading the KB ``tmp_path / "kb.qakb"`` exits 2
+        with an error naming it and holding ``says``, and writes
+        nothing."""
         bench, models = snapshots
         kb = tmp_path / "kb.qakb"
-        kb.write_bytes(data)
         capsys.readouterr()
         for flags in _commands_reading_kb(bench, models, tmp_path):
             code, stdout, err = run(capsys, *flags, "--kb", str(kb))
@@ -1592,9 +1639,13 @@ def test_old_snapshot_format_exits_2(snapshots, capsys, tmp_path):
            b"KBQA2": {"entities": ["m.01", "m.02"], "relations": ["/a/b"],
                       "subjects": [0], "predicates": [0], "objects": [1],
                       "aliases": [], "types": []}}
+    # an empty KBQA3 snapshot: seven zero counts and an empty string block
+    files = {b"KBQA3": b"KBQA3" + bytes(28) + b"[]"}
     for magic, payload in old.items():
-        kb.write_bytes(magic + zlib.compress(json.dumps(payload)
-                                             .encode("utf-8")))
+        files[magic] = magic + zlib.compress(json.dumps(payload)
+                                             .encode("utf-8"))
+    for magic, data in files.items():
+        kb.write_bytes(data)
         capsys.readouterr()
         for flags in _commands_reading_kb(bench, models, tmp_path):
             code, stdout, err = run(capsys, *flags, "--kb", str(kb))
@@ -1606,9 +1657,24 @@ def test_old_snapshot_format_exits_2(snapshots, capsys, tmp_path):
         assert [p.name for p in tmp_path.iterdir()] == ["kb.qakb"]
 
 
+def test_model_table_as_kb_exits_2_naming_its_kind(snapshots, capsys,
+                                                   tmp_path):
+    """A model's table given as ``--kb`` is named as what it is."""
+    bench, models = snapshots
+    capsys.readouterr()
+    for flags in _commands_reading_kb(bench, models, tmp_path):
+        code, stdout, err = run(capsys, *flags, "--kb", str(models["qa-t"]))
+        assert code == 2, (flags[0], err)
+        assert stdout == ""
+        assert err == (f"error: {models['qa-t']}: holds a model parameter "
+                       "table (NNQA3), not a KB snapshot\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_old_model_format_exits_2(snapshots, capsys, tmp_path):
-    """A model table of the previous format, which held a recurrent
-    cell's weights gate by gate, is named with how to re-create it."""
+    """A model table of an earlier format (``NNQA1`` held a recurrent
+    cell's weights gate by gate, ``NNQA2`` had no checksum) is named with
+    how to re-create it."""
     bench, models = snapshots
     shutil.copytree(models["pipeline"], tmp_path / "pipeline")
     for name in ("qa-t.nn", "qa-t.nn.meta.json"):
@@ -1620,16 +1686,18 @@ def test_old_model_format_exits_2(snapshots, capsys, tmp_path):
             tmp_path / "pipeline" / "tagger.nn": [
                 "--pipeline", str(tmp_path / "pipeline"),
                 "--strategy", "p-qa"]}
-    for model, flags in runs.items():
-        model.write_bytes(b"NNQA1" + model.read_bytes()[5:])
-        capsys.readouterr()
-        code, stdout, err = run(capsys, "answer", "--kb",
-                                str(bench / "kb.qakb"), *flags,
-                                "--questions", str(questions))
-        assert code == 2, err
-        assert stdout == ""
-        assert err.startswith(f"error: {model}: ") and "NNQA1" in err
-        assert "qakb train-pipeline" in err and "qakb train-e2e" in err
+    for magic in (b"NNQA1", b"NNQA2"):
+        for model, flags in runs.items():
+            model.write_bytes(magic + model.read_bytes()[5:])
+            capsys.readouterr()
+            code, stdout, err = run(capsys, "answer", "--kb",
+                                    str(bench / "kb.qakb"), *flags,
+                                    "--questions", str(questions))
+            assert code == 2, err
+            assert stdout == ""
+            assert err.startswith(f"error: {model}: ")
+            assert magic.decode() in err
+            assert "qakb train-pipeline" in err and "qakb train-e2e" in err
 
 
 class TestEval:

@@ -1,7 +1,6 @@
 """Loss functions, the optimizer, and parameter snapshots."""
 
 import math
-import struct
 import tracemalloc
 from pathlib import Path
 
@@ -10,11 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 from conftest import (assert_fused_bits, composed_binary_ce, dense,
                       finite_diff_check, loss_hinge_qat, loss_hinge_qat_type,
-                      param)
+                      param, rewrite_header)
 
 from qakb.errors import EmptySequence, ParseError, ShapeMismatch
 from qakb.nn.config import TrainConfig
-from qakb.nn.io import MODEL_MAGIC, check_params, load_params, save_params
+from qakb import container
+from qakb.nn.io import check_params, load_params, save_params
 from qakb.nn.losses import (loss_binary_ce, loss_categorical_ce,
                             loss_hinge_qas)
 from qakb.nn.optim import Adam, fit
@@ -569,10 +569,10 @@ class TestSnapshots:
             restore_params({"w": param(np.zeros(2))}, load_params(path))
 
     def test_repeated_name_rejected(self, tmp_path):
-        entry = (struct.pack("<H", 1) + b"a" + struct.pack("<BI", 1, 1)
-                 + np.zeros(1).tobytes())
         path = tmp_path / "model.bin"
-        path.write_bytes(MODEL_MAGIC + struct.pack("<I", 2) + entry * 2)
+        save_params({"a": param(np.zeros(1))}, str(path))
+        rewrite_header(path, b'{"arrays":{"a":["<f8",[1],0],'
+                             b'"a":["<f8",[1],0]},"fields":{}}')
         with pytest.raises(ParseError, match="'a'"):
             load_params(str(path))
 
@@ -598,14 +598,12 @@ class TestSnapshots:
         assert not params["e.strided"].data.flags.c_contiguous
         path = tmp_path / "model.bin"
         save_params(params, str(path))
-        want = MODEL_MAGIC + struct.pack("<I", len(params))
-        for name in sorted(params):
+        fields, arrays = container.read(str(path), container.MODEL)
+        assert fields == {} and list(arrays) == sorted(params)
+        for name, arr in arrays.items():
             data = params[name].data
-            want += (struct.pack("<H", len(name)) + name.encode()
-                     + struct.pack("<B", data.ndim)
-                     + b"".join(struct.pack("<I", n) for n in data.shape)
-                     + data.tobytes())
-        assert path.read_bytes() == want
+            assert arr.shape == data.shape
+            assert arr.tobytes() == data.tobytes()
 
     def test_byte_stability(self, tmp_path):
         params = {"w": param(np.arange(6.0).reshape(2, 3))}

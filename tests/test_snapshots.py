@@ -1,20 +1,24 @@
-"""Snapshot readers: any bytes either load or raise a QAKBError, and a
-KB snapshot loads back to the KB it was saved from."""
+"""Snapshot readers: any bytes either load or raise a ParseError, every
+single-byte change and every cut of a snapshot is a ParseError, and a KB
+snapshot loads back to the KB it was saved from."""
 
 import json
+import zlib
 
 import numpy as np
 import pytest
-from conftest import KBQA3_COLUMNS, KBQA3_STRINGS, kbqa3_bytes, param
+from conftest import (KB_COLUMNS, KB_STRINGS, param, rewrite_header,
+                      write_kb_snapshot)
 from hypothesis import example, given, settings, strategies as st
 
+from qakb import container
 from qakb.datagen import type_inventory
 from qakb.errors import ParseError, QAKBError
-from qakb.kb import (SNAPSHOT_MAGIC, EntityRecord, Fact, _in_first_use_order,
-                     aliases_of, build_kb, facts_of, load_kb, lookup_objects,
+from qakb.kb import (EntityRecord, Fact, _in_first_use_order, aliases_of,
+                     build_kb, facts_of, load_kb, lookup_objects,
                      notable_type, out_degree, primary_alias, relations_of,
                      save_kb)
-from qakb.nn.io import MODEL_MAGIC, load_params, read_model_meta, save_params
+from qakb.nn.io import load_params, read_model_meta, save_params
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
@@ -25,13 +29,13 @@ json_values = st.recursive(
 )
 
 @st.composite
-def kbqa3_snapshots(draw):
-    """A well-framed KBQA3 snapshot: random entity ids, relations, facts,
-    and alias and type entries, all in range and with no entity twice,
-    with a header that counts them; then at most one fault (an int or a
-    string replaced, an entity id or entry repeated, or the string block
-    replaced by any JSON), so the fuzz reaches every check and, past
-    them, the build."""
+def kb_snapshots(draw):
+    """The fields and columns of a KB snapshot: random entity ids,
+    relations, facts, and alias and type entries, all in range and with
+    no entity twice; then at most one fault (an int or a string replaced,
+    an entity id or entry repeated, a list replaced by any JSON, or a
+    column dropped, made two-dimensional or of another dtype), so the
+    fuzz reaches every check and, past them, the build."""
     ids = draw(st.lists(st.text(max_size=3), max_size=4, unique=True))
     relations = draw(st.lists(st.text(max_size=3), max_size=3))
     n = draw(st.integers(0, 5)) if ids and relations else 0
@@ -59,21 +63,27 @@ def kbqa3_snapshots(draw):
             "labels": draw(st.lists(st.text(max_size=3),
                                     min_size=len(typed),
                                     max_size=len(typed)))}
-    fault = draw(st.sampled_from((None, "int", "string", "repeat",
-                                  "block")))
-    keys = {"int": KBQA3_COLUMNS, "string": KBQA3_STRINGS,
+    fault = draw(st.sampled_from((None, "int", "string", "repeat", "list",
+                                  "column")))
+    keys = {"int": KB_COLUMNS, "string": KB_STRINGS,
             "repeat": ("entities", "aliased", "typed")}.get(fault, ())
     keys = [key for key in keys if len(snap[key]) > (fault == "repeat")]
-    block = None
     if keys:
         items = snap[draw(st.sampled_from(keys))]
         at = draw(st.integers(0, len(items) - 1))
         items[at] = (draw(st.integers(-2, 6)) if fault == "int"
                      else draw(json_values) if fault == "string"
                      else items[at - 1])
-    elif fault == "block":
-        block = json.dumps(draw(json_values))
-    return kbqa3_bytes(snap, block), len(ids)
+    elif fault == "list":
+        snap[draw(st.sampled_from(KB_STRINGS))] = draw(json_values)
+    elif fault == "column":
+        key = draw(st.sampled_from(KB_COLUMNS))
+        snap[key] = draw(st.sampled_from((
+            None, np.asarray(snap[key], "<f8"),
+            np.asarray(snap[key], "<i4").reshape(1, -1))))
+        if snap[key] is None:
+            del snap[key]
+    return snap
 
 
 # records of the kinds ingestion meets: ids in canonical and other
@@ -138,32 +148,40 @@ def _loads_or_rejects(reader, path, data: bytes, *args):
     path.write_bytes(data)
     try:
         reader(str(path), *args)
-    except QAKBError:
+    except ParseError:
         pass
+
+
+def _checksummed(data: bytes) -> bytes:
+    """``data`` and the CRC-32 that a container ends with."""
+    return data + zlib.crc32(data).to_bytes(4, "little")
 
 
 class TestLoadKb:
     @settings(deadline=None)
     @given(st.binary(max_size=300))
     def test_random_bytes(self, path, data):
-        _loads_or_rejects(load_kb, path, SNAPSHOT_MAGIC + data)
+        """Any bytes, after the magic or not, and with a checksum that
+        matches them or not, load or raise a ParseError."""
+        magic = container.KB.magic
+        _loads_or_rejects(load_kb, path, magic + data)
+        _loads_or_rejects(load_kb, path, _checksummed(magic + data))
         _loads_or_rejects(load_kb, path, data)
 
     @settings(deadline=None, max_examples=300)
-    @given(kbqa3_snapshots())
-    def test_random_payloads(self, path, snapshot):
-        data, n_ids = snapshot
-        path.write_bytes(data)
+    @given(kb_snapshots())
+    def test_random_payloads(self, path, snap):
+        write_kb_snapshot(path, snap)
         try:
             kb = load_kb(str(path))
-        except QAKBError:
+        except ParseError:
             return
         # an index out of range or a string of another JSON type is
         # rejected, not loaded
         for fact in kb.facts:
             assert all(type(v) is str
                        for v in (fact.subject, fact.relation, fact.object))
-        assert len(kb.entities) == n_ids
+        assert list(kb.entities) == snap["entities"]
         for mid, rec in kb.entities.items():
             assert type(mid) is str and type(rec) is EntityRecord
             assert type(rec.aliases) is tuple
@@ -252,31 +270,164 @@ class TestFirstUseOrder:
             _first_use_rule(relations, predicates)
 
 
+def _small_kb():
+    """A KB of three facts, two entities with aliases and one typed."""
+    return build_kb([Fact("m.01", "/a/b", "m.02"), Fact("m.02", "/a/c", "m.01"),
+                     Fact("m.01", "/a/c", "m.03")],
+                    [("m.01", "one"), ("m.02", "two"), ("m.02", "deux")],
+                    [("m.01", "thing")])
+
+
+def _small_params():
+    return {"a.w": param(np.arange(6.0).reshape(2, 3)),
+            "b": param(np.asarray(1.5))}
+
+
+# dims and offsets that are not one: negative, past numpy's size, not
+# integers
+_NOT_DIMS = st.sampled_from([-1, 2 ** 62, 2 ** 70, 1.5, True, "2", None])
+
+
+@st.composite
+def param_headers(draw):
+    """A model container's header as JSON text and its directory's names:
+    a directory whose names may repeat, each entry with a dtype of this
+    kind, the other or none, a shape and an offset in the block, past it
+    or not integers, or an entry of another shape; and fields that may
+    not be an object."""
+    dims = st.integers(0, 3) | _NOT_DIMS
+    entry = st.tuples(st.sampled_from(["<f8", "<f8", "<f8", "<i4", 8]),
+                      st.lists(st.integers(0, 3), max_size=3) | dims,
+                      st.sampled_from([0, 8, 16, 40]) | _NOT_DIMS).map(list)
+    entries = draw(st.lists(st.tuples(st.sampled_from("abcd"),
+                                      entry | entry | json_values),
+                            max_size=3, unique_by=lambda e: e[0]))
+    if entries and draw(st.integers(0, 4)) == 0:
+        entries.append(entries[0])
+    fields = draw(st.just({}) | st.just({}) | json_values)
+    directory = ",".join(f"{json.dumps(name)}:{json.dumps(value)}"
+                         for name, value in entries)
+    return (f'{{"arrays":{{{directory}}},"fields":{json.dumps(fields)}}}'
+            .encode("utf-8"), [name for name, _ in entries])
+
+
 class TestLoadParams:
     @settings(deadline=None)
     @given(st.binary(max_size=300))
     def test_random_bytes(self, path, data):
-        _loads_or_rejects(load_params, path, MODEL_MAGIC + data)
+        """Any bytes, after the magic or not, and with a checksum that
+        matches them or not, load or raise a ParseError."""
+        magic = container.MODEL.magic
+        _loads_or_rejects(load_params, path, magic + data)
+        _loads_or_rejects(load_params, path, _checksummed(magic + data))
         _loads_or_rejects(load_params, path, data)
 
     @settings(deadline=None)
     @given(st.integers(min_value=0, max_value=200), st.binary(max_size=8))
     def test_damaged_real_snapshot(self, path, cut, noise):
-        save_params({"a.w": param(np.arange(6.0).reshape(2, 3)),
-                     "b": param(np.asarray(1.5))}, str(path))
+        save_params(_small_params(), str(path))
         data = path.read_bytes()
         _loads_or_rejects(load_params, path, data[:cut] + noise
                           + data[cut + len(noise):])
 
-    def test_zero_size_shape_too_big_for_numpy(self, path):
-        """A shape with a zero dimension passes the length check, but its
-        other dimensions multiply past what numpy can index."""
-        save_params({"a.w": param(np.arange(6.0).reshape(2, 3)),
-                     "b": param(np.asarray(1.5))}, str(path))
+    @settings(deadline=None, max_examples=50)
+    @given(param_headers())
+    def test_random_directories(self, path, header):
+        """A table whose header holds any directory and fields, behind a
+        checksum that matches, loads or raises a ParseError; one that
+        loads names no parameter twice, and each of its arrays is an
+        owned, writable, aligned float64 copy of the block's bytes at its
+        offset."""
+        text, names = header
+        save_params(_small_params(), str(path))
+        rewrite_header(path, text)
+        try:
+            got = load_params(str(path))
+        except ParseError:
+            return
+        assert len(set(names)) == len(names) == len(got)
         data = path.read_bytes()
-        path.write_bytes(data[:11] + b"\x00\x00\x00\x08" + data[15:])
-        with pytest.raises(ParseError, match="bad shape"):
+        start = 9 + len(text) + -(9 + len(text)) % 8
+        for name, (_, _, offset) in json.loads(text)["arrays"].items():
+            arr = got[name]
+            assert arr.dtype == np.dtype("<f8") and arr.base is None
+            assert arr.flags.writeable and arr.flags.aligned
+            assert arr.tobytes() == data[start + offset:
+                                         start + offset + arr.nbytes]
+
+    def test_zero_size_shape_too_big_for_numpy(self, path):
+        """A shape with a zero dimension takes no bytes of the block, but
+        its other dimensions multiply past what numpy can index."""
+        save_params(_small_params(), str(path))
+        rewrite_header(path, b'{"arrays":{"a.w":["<f8",[0,4611686018427387904,'
+                             b'4611686018427387904],0]},"fields":{}}')
+        with pytest.raises(ParseError, match="array is too big"):
             load_params(str(path))
+
+
+class TestContainer:
+    @pytest.mark.parametrize("kind", ["kb", "nn"])
+    def test_every_byte_change_and_cut_is_a_parse_error(self, path, kind):
+        """Every single-byte change (an XOR with 0xFF) and every cut of a
+        small KB snapshot and of a small model table raises a
+        ParseError."""
+        if kind == "kb":
+            save_kb(_small_kb(), str(path))
+            reader = load_kb
+        else:
+            save_params(_small_params(), str(path))
+            reader = load_params
+        data = path.read_bytes()
+        reader(str(path))
+        for at in range(len(data)):
+            path.write_bytes(data[:at] + bytes([data[at] ^ 0xFF])
+                             + data[at + 1:])
+            with pytest.raises(ParseError):
+                reader(str(path))
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(ParseError):
+                reader(str(path))
+
+    def test_a_file_of_the_other_kind_is_named(self, path):
+        save_params(_small_params(), str(path))
+        with pytest.raises(ParseError, match=r"^holds a model parameter "
+                           r"table \(NNQA3\), not a KB snapshot$"):
+            load_kb(str(path))
+        save_kb(_small_kb(), str(path))
+        with pytest.raises(ParseError, match=r"^holds a KB snapshot "
+                           r"\(KBQA4\), not a model parameter table$"):
+            load_params(str(path))
+
+    @pytest.mark.parametrize("text", [
+        b'{"arrays":{},"fields":{"entities":[],"entities":[]}}',
+        b'{"arrays":{},"arrays":{},"fields":{}}'])
+    def test_a_name_given_twice_is_a_parse_error(self, path, text):
+        """JSON would keep the last of two values of one name; the
+        header's objects may not hold one twice."""
+        save_kb(_small_kb(), str(path))
+        rewrite_header(path, text)
+        with pytest.raises(ParseError, match="given twice"):
+            load_kb(str(path))
+
+    def test_writes_each_arrays_bytes_where_its_entry_says(self, path):
+        """The writer lays out the header, the zero padding, each array
+        at an 8-byte-aligned offset and the checksum as the container's
+        docstring says."""
+        arrays = {"odd": np.arange(3, dtype="<i4"),
+                  "grid": np.arange(4, dtype="<i4").reshape(2, 2)}
+        container.write(str(path), container.KB, {"x": [1]}, arrays)
+        data = path.read_bytes()
+        size = int.from_bytes(data[5:9], "little")
+        header = json.loads(data[9:9 + size])
+        assert data[:5] == b"KBQA4" and header == {
+            "arrays": {"odd": ["<i4", [3], 0], "grid": ["<i4", [2, 2], 16]},
+            "fields": {"x": [1]}}
+        start = 9 + size + -(9 + size) % 8
+        assert data[9 + size:start] == bytes(start - 9 - size)
+        assert data[start:-4] == (arrays["odd"].tobytes() + bytes(4)
+                                  + arrays["grid"].tobytes())
+        assert data[-4:] == zlib.crc32(data[:-4]).to_bytes(4, "little")
 
 
 class TestReadModelMeta:

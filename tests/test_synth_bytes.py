@@ -6,8 +6,10 @@ unnoticed.  Each spec's first hash covers ``b"KBQA2"``, then the JSON
 payload a ``KBQA2`` snapshot of the KB that ``kb.qakb`` holds had, then
 ``train.tsv`` and ``test.tsv``.  Those hashes were recorded at commit
 5a0ef46, where synth still made one ``rng.integers`` call per draw and
-wrote ``KBQA2`` snapshots; that they still hold shows the ``KBQA3``
-layout keeps the same KB.  The second hash is of the raw ``KBQA3`` file.
+wrote ``KBQA2`` snapshots; that they still hold shows that each later
+layout (``KBQA3``, then the checksummed ``KBQA4`` container) keeps the
+same KB.  The second hash is of the raw ``kb.qakb`` file, re-recorded
+when the container replaced ``KBQA3`` while the first held.
 
 synth runs no BLAS, so the pins hold on any machine with this numpy.  A
 failure means the synthetic data changed, for example under a numpy with
@@ -47,20 +49,20 @@ SPECS = {
                    "b2d965da0d4500ebf80ef9171c12bdbd0b5749b92199ada066043df6aabb5241"),
 }
 
-# sha256 of each spec's raw KBQA3 kb.qakb, recorded when KBQA3 replaced
-# KBQA2
+# sha256 of each spec's raw kb.qakb, recorded when the KBQA4 container
+# replaced KBQA3
 SNAPSHOTS = {
-    "60x6": "cb3fd875f202dccd97772b2e613ea63ca7e325ccc553d7cb35d05aeb3fc9ccab",
+    "60x6": "7e548431759e00474ce84af6ebab8de64281a0c3c477869885bfd55470de6609",
     "125x6":
-        "5f30e89ef107d862a3b6d2d04878c1e707af53ff1e60150995b02088f9f2fc57",
+        "8fab06b6cd3c73224ebc25fc966ceda0a5ae80bb6d2ff6cc7c6dd1b9929c2802",
     "5000x200":
-        "691cd5a1d6c2f115af73e199122100b9fc6ff782eb029178fb7abca017e27dda",
+        "19ecfa57f444e7fdfc612288f907a13acd84b65ea251aff1f5a5f73680313a43",
     "type-distinct-no-gap":
-        "30d9ee97d101337c8ca8b7d8bed647ffddacf3885679ca1a787c20a073bf7c68",
+        "1b344b9c04fe649d93562c43b578f71bc1d9a58b8bfa724cdd608419443da8e6",
     "collision-1.0":
-        "14db1bbbe25e75abb62372d0131e3600d90ab6668fe3e9ee8bafb822272a29b8",
+        "e2f31dd8261f3ee22b9079202e86a318dd05d5f230176b8ac909600208c36ac6",
     "word-limit":
-        "3d43ebaff2a50566b9680720a3c77ac19d2ea94fad35f8e0cb36061cfb1a316a",
+        "b3bdfdd236e5fa657cecc17c7528b11edbd4a42eb2b8723765d36d057a2057ff",
 }
 
 
@@ -81,7 +83,7 @@ def test_synth_bytes_are_pinned(name, tmp_path):
         "synthetic data changed")
     snapshot = hashlib.sha256((tmp_path / "kb.qakb").read_bytes())
     assert snapshot.hexdigest() == SNAPSHOTS[name], (
-        "the same KB no longer makes the pinned KBQA3 bytes")
+        "the same KB no longer makes the pinned snapshot bytes")
     # every entity and relation took its own coined word
     kb = load_kb(str(tmp_path / "kb.qakb"))
     words = [rec.aliases[0] for mid, rec in kb.entities.items()

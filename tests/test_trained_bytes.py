@@ -10,7 +10,14 @@ questions and then train questions 9 to 16, with every pipeline strategy
 and every variant, each variant also with ``--out-degree-sort``; and
 ``eval`` on the same 20 with ``p-qa-out-type`` and ``qa-t-mwst``.  The
 test pins a sha256 of every snapshot, every sidecar, every answer stream
-and every report.
+and every report, and, as ``contents/<snapshot>``, of the arrays
+``load_params`` returns for each snapshot (see :func:`_contents`).
+
+The ``.nn`` pins were re-recorded when the checksummed container replaced
+the ``NNQA2`` table.  The contents pins were recorded with the ``NNQA2``
+loader from that table's files and hold unchanged on the container's, so
+the new bytes hold the same parameters; every sidecar, answer and report
+pin held across that change.
 
 Training and answering run matrix products through BLAS, whose last bits
 depend on the kernel.  The pins were recorded with numpy 2.4.6 and
@@ -26,6 +33,7 @@ import hashlib
 import io
 
 from qakb.cli import main
+from qakb.nn.io import load_params
 from qakb.pipeline import STRATEGIES
 
 TRAIN = ["--epochs", "2", "--seed", "1"]
@@ -35,47 +43,47 @@ VARIANTS = ("qa-s", "qa-t", "qa-t-w", "qa-t-ws", "qa-t-wt", "qa-t-swt",
 
 PINS = {
     "tagger.nn":
-        "e5b55f937b94ffbb0c54a8025366f2b39e770e36855ff2d84ecbc09a4d36b4b8",
+        "d9a328d2e38090c6a01b68e1ead9f947c3e101dd30eccea738d9ad8423bd41ab",
     "tagger.nn.meta.json":
         "be69a9b112869a60ac5adff69ee2ff3673ecf499d0bedabe83a3f45ee2b1a5de",
     "relation.nn":
-        "6b36f472704bfd1ed677c018936fdfdc94f620b0182e99d48abae29689664239",
+        "34d94bbecbe4322e413292b69f9ab49a9b724f4b119534ba3d793fe4d03262ca",
     "relation.nn.meta.json":
         "78eb7ab98b778d772aed6f6faae8b73e438ef34ea4da18f59df159c25f24ff28",
     "type.nn":
-        "89c0ee5b5d7ff0922adf63299bef8813724b20d6c22613407e83f7ebc6dc2e8c",
+        "9b20438bb9183b750a87d8746d5359a3251b5135f6c4538938b8590351f75168",
     "type.nn.meta.json":
         "0dfa14a082875c864bb1787aa6e24d9bb24a2603ffb78e64890f8f37b28ee406",
     "qa-s.nn":
-        "6d34693b17139efea7b850c602836b8419c9819d2665d011fbb6d783466aa228",
+        "c345067938558eac93ff528f5a09e178c6a9dec5a476c658aa06321f8565a80e",
     "qa-s.nn.meta.json":
         "59bee5a3ca0528b8d938458d35f9c8c76575a30bdacad0532ebf94ddaac64c3c",
     "qa-t.nn":
-        "6d34693b17139efea7b850c602836b8419c9819d2665d011fbb6d783466aa228",
+        "c345067938558eac93ff528f5a09e178c6a9dec5a476c658aa06321f8565a80e",
     "qa-t.nn.meta.json":
         "bdb53fc4e81903dc9fa3429ae353df8bc0fca50098d4787960dc0209f0d3c70f",
     "qa-t-w.nn":
-        "1a759a4e6a8dbe707ecfe2187bfa8f1961e349ebb27d5592300817eeb99465e3",
+        "f6af4d672a8f8b5ee947faef935e8a4142dcb68896a17cb745b945a78e6c9a62",
     "qa-t-w.nn.meta.json":
         "827037deec848bcecc658aae45186743e62797d1646ae67d9c4375eb460b3a71",
     "qa-t-ws.nn":
-        "ecad8f71054bc6dd20460d5f6720e154e150d2555d46e982f297727f71c58b80",
+        "105c3911edc8e559d2fbd2927cdf8cec0e70d2dcf129f5397b02f3c735315837",
     "qa-t-ws.nn.meta.json":
         "04944859ba69dc5d111e7dbb1e4adf3b01237aca02521f84c0ab6c41298f64ce",
     "qa-t-wt.nn":
-        "4a057b1bfb62632138d49d223fd20fa03b7aa1b108af1086ed9f509261406ef9",
+        "0dcd39221542d203cba50c04814cf0597181d57e31c7b61a9e2d0384366a00a0",
     "qa-t-wt.nn.meta.json":
         "79095c9ae37425bac6db1b6722f2d38c5f8e815de66039143e9cb7126df36ea6",
     "qa-t-swt.nn":
-        "f4472a879221e49cb3c85ade1500e149f4fcb0a250cb81ba99fc7eb465c08388",
+        "ba8c7c8212c1d933b325549b26bf7a51f6b47b1c7926e9de6d35fec0fcccf691",
     "qa-t-swt.nn.meta.json":
         "ab72e3c1f11def0c96eb9b48b7f080ddfd2a979ca5d3a85639509c0d9a205cbc",
     "qa-t-mwt.nn":
-        "59ebd46418da0656bfa0fcae76d4991d72eb0932037c610217277c247f4e004d",
+        "7a75d9e35b4c2b3b9601bca3cec4e5af52ac96a1b7e1f93de4e4bf2d9327d11b",
     "qa-t-mwt.nn.meta.json":
         "cf8525d4a4757704e6acb0afdaebbaf4e7a28693bc2329554763506127ba76c4",
     "qa-t-mwst.nn":
-        "6fd45ee7e9af8c161445e53e00d8fc6479456a602aabf4889c7f0aa5bcb080d5",
+        "7d6b6f58e2e6440df4e1001208bfb6b0575fed8996176ae388057bb9379d7dac",
     "qa-t-mwst.nn.meta.json":
         "ff1a6a60462a2a458039a170331d6339b71588b60fae82310b382fb8ab23f118",
     "answer/pipeline":
@@ -128,16 +136,44 @@ PINS = {
         "c13246b97ed64545d08e84f0b0bf31311a106108a6c608a1ff0845f0c00da70f",
     "eval/qa-t-mwst/report.txt":
         "3946035ebb6213eb984485ea46039367b075c73abed7fa13bb5128ef9f9adb59",
+    "contents/tagger.nn":
+        "d42a0876d0a481476679b810f5936a582ba5b92b21771ec0cb37bb1054d0deb6",
+    "contents/relation.nn":
+        "f78b548589ae2ad32a4c67de2acbaab14dc39ba4c2f706fe356b5e10e77610a1",
+    "contents/type.nn":
+        "17b28b4b29c62c0dc0e7fa751365e81c20ede143bf251fea871eee10fa5c901f",
+    "contents/qa-s.nn":
+        "ef8b90525deffaa75ca39d2abba2ce2d77f5df24f8e9547aa717bf868f8eb661",
+    "contents/qa-t.nn":
+        "ef8b90525deffaa75ca39d2abba2ce2d77f5df24f8e9547aa717bf868f8eb661",
+    "contents/qa-t-w.nn":
+        "7ff29ed811d7707acc7ccbc7d47e2ca8c4d2d6fd8f1097e1746a46031ca94ff5",
+    "contents/qa-t-ws.nn":
+        "0451f2ee3cdb9109ed2e8b337ef6ebf7e284b094a83e52ad7d49abb84ff0395d",
+    "contents/qa-t-wt.nn":
+        "411f3e1d661e7d94bbc3da7697ae43ceb7425e1ba7af310cda28dbf74d139092",
+    "contents/qa-t-swt.nn":
+        "d7ede8955b9db53d84809bfe4e6f11d0b99ec6a8287a51b9807e4c3931f272db",
+    "contents/qa-t-mwt.nn":
+        "a28b8b575ec410d9567a85f7ebfaea9658dbab108e4c78a727b64cead238062a",
+    "contents/qa-t-mwst.nn":
+        "ee8b5b1eda53c4159cbe2bc67467990840ad29a3077a7eb11be2e4aa3ab9d3ac",
 }
 
 # train-pipeline on the same data at the default epochs, seed 1
 DEFAULT_EPOCHS_PINS = {
     "tagger.nn":
-        "f5cd240f30bb9f7b793f51449a95564bdcf2f669becfd20df7e953c5b7a0a2e9",
+        "dc2d36ae134fe5c22b960a9e660fc6f97dd010f43f1480568ab94f377a945ade",
     "relation.nn":
-        "e13eec423927d9cec767a27b35b58f1d933100f1ebd50214f680fd9c35382334",
+        "b8ca2e951b65b78fc64cc4cd6268383c64a013a853476f51476e346a553358dd",
     "type.nn":
-        "ce0fce36d01233fa7235fac801c11c3c68e7e60a5f2f6e1ccb1f6adef02e8949",
+        "4198cedf4aaa94013e5acabbdef0bad91c0d79d2f6bcb886d6fafc25c417f930",
+    "contents/tagger.nn":
+        "130ba6a80ada64ee26a2277b1dc141862bab035bcdfd86e74a49537d3881377d",
+    "contents/relation.nn":
+        "ae91b7fa3ca4f0f15d06119dc79d0d1c0c41bb48a96ef32d561c92927b42b5c4",
+    "contents/type.nn":
+        "575418428374921becd0a9e3a7801de97c935ce875d3d7811afda8ca95a701a6",
 }
 
 
@@ -152,6 +188,29 @@ def _run(*argv: str) -> str:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _contents(path) -> str:
+    """A sha256 of the arrays ``load_params`` returns for the snapshot at
+    ``path``, in name order: each one's name, dtype and shape on a line,
+    then its bytes."""
+    digest = hashlib.sha256()
+    for name, arr in sorted(load_params(str(path)).items()):
+        digest.update(f"{name} {arr.dtype.str} {arr.shape}\n".encode("utf-8"))
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def _snapshot_digests(models, pins) -> dict[str, str]:
+    """The raw and the contents hash of each snapshot and sidecar that
+    ``pins`` names, from the directory ``models``."""
+    got = {}
+    for name in pins:
+        if name.startswith("contents/"):
+            got[name] = _contents(models / name.split("/", 1)[1])
+        elif "/" not in name:
+            got[name] = _sha256((models / name).read_bytes())
+    return got
 
 
 def _workflow_data(tmp_path):
@@ -185,8 +244,7 @@ def test_trained_and_answered_bytes_are_pinned(tmp_path):
         _run("train-e2e", "--kb", kb, "--questions", str(questions),
              "--variant", variant, "--out", str(models / f"{variant}.nn"),
              *TRAIN)
-    got = {name: _sha256((models / name).read_bytes())
-           for name in PINS if "/" not in name}
+    got = _snapshot_digests(models, PINS)
 
     asked_lines = ((bench / "test.tsv").read_text(encoding="utf-8")
                    .splitlines(True) + train_lines[8:])[:ANSWERED]
@@ -229,8 +287,7 @@ def test_default_epochs_pipeline_bytes_are_pinned(tmp_path):
     _workflow_data(tmp_path)
     _run("train-pipeline", "--data", str(tmp_path / "data"),
          "--out", str(models), "--seed", "1")
-    got = {name: _sha256((models / name).read_bytes())
-           for name in DEFAULT_EPOCHS_PINS}
+    got = _snapshot_digests(models, DEFAULT_EPOCHS_PINS)
     changed = _changed(DEFAULT_EPOCHS_PINS, got)
     assert not changed, (
         f"{', '.join(changed)} no longer hold the pinned bytes at the "

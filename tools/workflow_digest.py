@@ -24,10 +24,14 @@ Runs ``qakb.cli.main`` in-process, in a fresh temporary directory, over:
   ``p-qa-out-type`` over the same 20;
 * ``--help``, and ``<command> --help`` for every command, at 80 columns.
 
-It prints ``sha256  relative-path`` for every file the workflow leaves
-and, as ``stdout/NN-name``, for each command's standard output, with the
-temporary directory's path replaced by ``<tmp>``.  Two checkouts wrote
-the same bytes when their digests are equal:
+It prints ``sha256  relative-path`` for every file the workflow leaves;
+as ``contents/relative-path``, for each ``.qakb`` KB snapshot and ``.nn``
+model table, a hash of what the tree's own ``load_kb`` or ``load_params``
+returns for it (see :func:`contents_digest`), so two trees that store the
+same KB or parameters in other bytes show equal ``contents/`` lines; and,
+as ``stdout/NN-name``, a hash of each command's standard output, with
+the temporary directory's path replaced by ``<tmp>``.  Two checkouts
+wrote the same bytes when their digests are equal:
 
     python3 tools/workflow_digest.py > change.txt
     python3 tools/workflow_digest.py --src ../parent/src > parent.txt
@@ -43,6 +47,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -245,6 +250,29 @@ def run_workflow(w: Workflow, variants, strategies) -> None:
         w.run(f"help-{command}", command, "--help")
 
 
+def contents_digest(path: str) -> str:
+    """A sha256 of what the tree's loader returns for the snapshot at
+    ``path``.  For a ``.nn`` table: each array of ``load_params``, in name
+    order, as its name, dtype and shape on a line, then its bytes.  For a
+    ``.qakb`` KB: the JSON of its entity ids, relations, aliases and type
+    labels, then the bytes of its aliased-position and fact columns."""
+    digest = hashlib.sha256()
+    if path.endswith(".nn"):
+        from qakb.nn.io import load_params
+        for name, arr in sorted(load_params(path).items()):
+            digest.update(f"{name} {arr.dtype.str} {arr.shape}\n"
+                          .encode("utf-8"))
+            digest.update(arr.tobytes())
+    else:
+        from qakb.kb import load_kb
+        kb = load_kb(path)
+        digest.update(json.dumps([kb.ids, kb.relations, kb.aliases,
+                                  kb.labels]).encode("utf-8"))
+        for column in (kb.aliased, kb.subjects, kb.predicates, kb.objects):
+            digest.update(column.astype("<i4").tobytes())
+    return digest.hexdigest()
+
+
 def file_digests(root: str) -> list[tuple[str, str]]:
     out = []
     for dirpath, _, names in os.walk(root):
@@ -253,6 +281,9 @@ def file_digests(root: str) -> list[tuple[str, str]]:
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             out.append((digest, os.path.relpath(path, root)))
+            if name.endswith((".qakb", ".nn")):
+                out.append((contents_digest(path),
+                            "contents/" + os.path.relpath(path, root)))
     return out
 
 

@@ -75,20 +75,25 @@ def _unique(pairs: list[tuple[str, object]]) -> dict:
 
 def read(path: str, kind: Kind) -> tuple[dict, dict[str, np.ndarray]]:
     """The fields and arrays (owned, writable, aligned copies) of the
-    ``kind`` container at ``path``; ParseError for another magic, a
-    damaged byte or a cut, a name given twice in a JSON object of the
-    header, or an array of another dtype or past the end."""
+    ``kind`` container at ``path``; ParseError for another magic (an
+    earlier version of the kind's is named as such), a damaged byte or a
+    cut, a name given twice in a JSON object of the header, or an array
+    of another dtype, an offset that is not a multiple of 8 given as an
+    int, a shape that is not a list of non-negative ints, or data past
+    the end."""
     with open(path, "rb", buffering=0) as fh:
         data = fh.read()
     magic = data[:len(kind.magic)]
     other = MODEL if kind is KB else KB
     if magic != kind.magic:
+        earlier = [kind.magic[:4] + str(version).encode()
+                   for version in range(1, int(kind.magic[4:]))]
         raise ParseError(
             f"holds {other.holds} ({magic.decode()}), not {kind.holds}"
             if magic == other.magic else
-            f"{kind.noun} format {magic.decode('latin-1')} is no longer read "
+            f"{kind.noun} format {magic.decode()} is no longer read "
             f"(this version reads {kind.magic.decode()}); {kind.remedy}"
-            if magic[:4] == kind.magic[:4] else
+            if magic in earlier else
             f"bad {kind.noun} header {magic!r}")
     end = len(data) - 4
     if end < _HEADER_AT or zlib.crc32(memoryview(data)[:end]) != \
@@ -101,10 +106,17 @@ def read(path: str, kind: Kind) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(str(block[_HEADER_AT:header_end], "utf-8"),
                             object_pairs_hook=_unique)
         for name, (dtype, shape, offset) in header["arrays"].items():
-            if dtype != kind.dtype or offset < 0:
-                raise ValueError(f"array {name!r} is not {kind.dtype} or "
-                                 "starts before the array block")
-            # numpy checks the shape, and that the data ends in the block
+            if dtype != kind.dtype:
+                raise ValueError(f"array {name!r} is not {kind.dtype}")
+            # type() and not isinstance(), which would pass a bool
+            if not (type(offset) is int and offset >= 0 and offset % 8 == 0):
+                raise ValueError(f"array {name!r} has offset {offset!r}, "
+                                 "not a multiple of 8 in the array block")
+            if not (type(shape) is list
+                    and all(type(n) is int and n >= 0 for n in shape)):
+                raise ValueError(f"array {name!r} has shape {shape!r}, not "
+                                 "a list of non-negative ints")
+            # numpy checks that the data ends in the block
             arrays[name] = np.ndarray(shape, dtype, block, offset + header_end
                                       + -header_end % 8).copy()
         if type(header["fields"]) is not dict:

@@ -29,19 +29,19 @@ from qakb.kb import (Fact, KnowledgeBase, facts_of, notable_type, out_degree,
 from qakb.nn.config import TrainConfig
 from qakb.nn.io import Model, new_model
 from qakb.nn.layers import (OOV_TOKEN, Dense, EmbeddingTable, GRUCell,
-                            LSTMCell, attention_forward, cosine,
+                            LSTMCell, attention_forward, cosine_backward,
                             cosine_forward, dropout_mask, length_groups,
                             padded_indices, recurrent, recurrent_forward,
                             self_attention, table_tokens)
-from qakb.nn.losses import loss_hinge_qas
 from qakb.nn.optim import fit
 from qakb.nn.tensor import (
     Tensor,
+    _make,
     concat,
     gather_rows,
     pad_rows,
     reshape,
-    tsum,
+    row_sums,
 )
 
 logger = logging.getLogger(__name__)
@@ -137,9 +137,9 @@ class ScoringHead:
     """Combines per-channel cosine similarities into fact scores.
 
     Each channel (subject, predicate and, for ``qat_type``, type) has one
-    trained weight, its entry of the vector ``W``.  :meth:`scores` turns
-    cosines into scores for training's hinge terms, as graph nodes, and
-    :meth:`combine` does the same on arrays for answering.
+    trained weight, its entry of the vector ``W``.  :meth:`combine` turns
+    cosines into scores on arrays, for answering and for the forward of
+    training's loss node (:meth:`_StepBatch.head_loss`).
     """
 
     def __init__(self, params: dict[str, np.ndarray], name: str,
@@ -163,29 +163,12 @@ class ScoringHead:
         return {key: np.ones(shape)
                 for key, shape in cls.shapes(name, mode).items()}
 
-    def scores(self, cos: Tensor, channels: Sequence[int],
-               rows: np.ndarray) -> Tensor:
+    def combine(self, cos: np.ndarray, channels: Sequence[int],
+                rows: np.ndarray) -> np.ndarray:
         """One score per row of the index matrix ``rows``: the cosines
         that row indexes, each scaled by the weight of its channel
         ``channels[k]``, added left to right."""
-        scaled = gather_rows(self.W, channels) * cos
-        return tsum(gather_rows(scaled, rows), axis=1)
-
-    def combine(self, cos: np.ndarray, channels: Sequence[int],
-                rows: np.ndarray) -> np.ndarray:
-        """:meth:`scores` on arrays, for answering: the same numpy
-        operations in the same order, so the same bits."""
         return (self.W.data[channels] * cos)[rows].sum(axis=1)
-
-    def hinge_total(self, cos: Tensor, channels: Sequence[int],
-                    pos: np.ndarray, neg: np.ndarray, gamma: float) -> Tensor:
-        """Summed margin loss of hinge terms over a vector of cosines: a
-        term scores each side by :meth:`scores` of its row of ``pos`` or
-        ``neg`` and adds max(0, S_neg + gamma - S_pos)."""
-        sides = reshape(self.scores(cos, channels, np.concatenate([pos, neg])),
-                        (2, len(pos)))
-        s_pos, s_neg = gather_rows(sides, 0), gather_rows(sides, 1)
-        return tsum(loss_hinge_qas(s_pos, s_neg, gamma))
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"{self.name}.W": self.W}
@@ -410,8 +393,9 @@ class _StepBatch:
     away, one per use of a text in the order the per-question loss reads
     them, so the generator's stream is the one encoding each use on its
     own would draw.  :meth:`loss` then encodes the step's distinct texts
-    once, as one batch, applies each use's own mask, takes every cosine
-    in one row-wise pass and sums the hinge terms.
+    once, as one batch, and :meth:`head_loss` turns their encodings into
+    the summed hinge terms as one graph node, so a step builds the
+    encoder's nodes, that one and the optimizer loop's scaling.
     """
 
     def __init__(self, model: E2EModel, kb: KnowledgeBase,
@@ -488,15 +472,60 @@ class _StepBatch:
         """The summed loss of the usable questions; None if there are none."""
         if not self.questions:
             return None
-        used = gather_rows(self.model.encode_texts(list(self.texts)),
-                           self.use_text)
-        if self.masks:
-            used = used * np.concatenate(self.masks)
+        return self.head_loss(self.model.encode_texts(list(self.texts)))
+
+    def head_loss(self, encoded: Tensor) -> Tensor:
+        """The summed hinge terms of the planned questions over
+        ``encoded``, the [m, h] encodings of the step's distinct texts,
+        as one graph node whose parents are ``encoded`` and the head's
+        ``W``.
+
+        Its forward gathers each use's row and applies the use's mask,
+        takes every (question, other) pair's cosine in one row-wise
+        :func:`~qakb.nn.layers.cosine_forward`, scores each term's two
+        sides by :meth:`ScoringHead.combine` and sums max(0, S_neg +
+        gamma - S_pos).  Its backward gives ``encoded`` and ``W`` the
+        gradients that the gather, mask, cosine, channel-weight, score
+        and hinge nodes it replaces would, with their expressions and in
+        their order, every row sum by :func:`~qakb.nn.tensor.row_sums`,
+        so every bit is theirs.
+        """
+        W, gamma = self.model.head.W, self.model.cfg.gamma
+        use_text, channels = np.array(self.use_text), np.array(self.channels)
+        rows = np.array(self.pos + self.neg)
         left, right = np.array(self.pairs).T
-        return self.model.head.hinge_total(
-            cosine(gather_rows(used, left), gather_rows(used, right)),
-            self.channels, np.array(self.pos), np.array(self.neg),
-            self.model.cfg.gamma)
+        used = encoded.data[use_text]
+        mask = np.concatenate(self.masks) if self.masks else None
+        if mask is not None:
+            used = used * mask
+        x, y = used[left], used[right]
+        cos, saved = cosine_forward(x, y)
+        weights = W.data[channels]
+        s_pos, s_neg = np.split(self.model.head.combine(cos, channels, rows),
+                                2)
+        margin = s_neg + s_pos * -1.0 + gamma
+
+        def backward(out: Tensor) -> None:
+            d_neg = (np.broadcast_to(out.grad, margin.shape)
+                     * (margin > 0.0).astype(np.float64))
+            d_scores = np.concatenate([d_neg * -1.0, d_neg])
+            d_scaled = row_sums(rows, np.broadcast_to(d_scores[:, None],
+                                                      rows.shape), len(cos))
+            if W.requires_grad:
+                W.accumulate_rows(channels, d_scaled * cos)
+            if not encoded.requires_grad:
+                return
+            d_x, d_y = cosine_backward(d_scaled * weights, x, y, cos, saved)
+            # a use is the left side of its pairs (a question) or the
+            # right (another text), never both, so one pass sums each
+            # side's rows as its own gather did
+            d_used = row_sums(np.concatenate([left, right]),
+                              np.concatenate([d_x, d_y]), len(used))
+            if mask is not None:
+                d_used = d_used * mask
+            encoded.accumulate_rows(use_text, d_used)
+
+        return _make(np.maximum(margin, 0.0).sum(), (encoded, W), backward)
 
 
 def train_e2e(dataset: Sequence[QuestionInstance], kb: KnowledgeBase,

@@ -96,7 +96,11 @@ def loss_binary_ce(a: ArrayLike, y: Union[int, Sequence[int]]) -> Tensor:
 
 
 def loss_hinge_qas(s_pos: ArrayLike, s_neg: ArrayLike, gamma: float) -> Tensor:
-    """Single-score margin loss: max(0, S_neg + gamma - S_pos)."""
+    """Single-score margin loss: max(0, S_neg + gamma - S_pos).  The
+    models do not call it: the joint model sums its hinge terms inside
+    one fused node (:meth:`qakb.e2e._StepBatch.head_loss`).  It stays as
+    the margin rule that the tests and that node's composed reference
+    build from."""
     if gamma <= 0:
         raise ValueError("margin must be positive")
     return relu(as_tensor(s_neg) - as_tensor(s_pos) + gamma)

@@ -4,8 +4,9 @@ A :class:`Tensor` wraps an ndarray and remembers how it was produced;
 calling :meth:`Tensor.backward` on a scalar walks the graph in reverse
 topological order and accumulates gradients into every tensor created
 with ``requires_grad=True``.  :func:`matmul`, :func:`transpose`,
-:func:`tanh`, :func:`sigmoid`, :func:`log` and :func:`clip` have no
-caller in the models, whose graph ops are fused nodes: they stay as the
+:func:`tanh`, :func:`sigmoid`, :func:`log`, :func:`clip` and
+:func:`relu` (called only by the reference margin loss) have no caller
+in the models, whose graph ops are fused nodes: they stay as the
 composed references that the tests check those nodes against.
 
 A node records its graph only when a parent needs a gradient, which in
@@ -18,11 +19,14 @@ Every primitive, here and in :mod:`qakb.nn.layers`, makes its node with
 :func:`_make` from the node's parents and one function ``backward(out)``
 that reads ``out.grad`` and accumulates into the parents.  The function
 holds the parents and arrays saved by the forward, never ``out``, so a
-graph has no reference cycle: dropping its root frees it.
+graph has no reference cycle: dropping its root frees it.  A backward
+that sums gradient rows by index (a gather's, or a fused node's) does so
+with :func:`row_sums`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -85,6 +89,24 @@ class Tensor:
         else:
             self.grad += grad
         self.grad_rows = None
+
+    def accumulate_rows(self, indices: np.ndarray, grad: np.ndarray) -> None:
+        """Add the :func:`row_sums` of ``grad`` by ``indices`` into
+        ``self.grad``.  The first is stored as it is: its rows are sums
+        from +0.0, with the bits of the copy :meth:`accumulate` would
+        make, and a leaf's ``grad_rows`` marks the rows they reached.  A
+        later one is added in whole, and its rows join the ones
+        ``grad_rows`` marks, if any."""
+        part = row_sums(indices, grad, len(self.data))
+        if self.grad is None:
+            self.grad = part
+            if self._backward_fn is None:  # a leaf, whose rows Adam reads
+                self.grad_rows = np.zeros(len(part), dtype=bool)
+                self.grad_rows[indices] = True
+        else:
+            self.grad += part
+            if self.grad_rows is not None:
+                self.grad_rows[indices] = True
 
     def backward(self) -> None:
         """Backpropagate from a scalar node through the whole graph.
@@ -162,6 +184,22 @@ def _make(data: np.ndarray, parents: Sequence[Tensor],
         out._parents = tuple(parents)
         out._backward_fn = backward
     return out
+
+
+def row_sums(indices, grads: np.ndarray, n: int) -> np.ndarray:
+    """The [n, ...] sums of the rows of ``grads`` by index: ``grads`` has
+    the shape of ``indices`` followed by a row's, and row ``i`` of the
+    result is +0.0 plus every ``grads`` row whose index is ``i`` (or
+    ``i - n``), added in index order.  That is the order in which
+    ``np.add.at`` adds them into zeros, so the bits are its, signed zeros
+    included.  One weighted ``np.bincount`` over the flat positions
+    ``row * width + column``."""
+    idx = np.asarray(indices, dtype=np.int64)
+    row_shape = grads.shape[idx.ndim:]
+    width = math.prod(row_shape)
+    flat = (idx.reshape(-1, 1) % n * width + np.arange(width)).reshape(-1)
+    return np.bincount(flat, weights=grads.reshape(-1),
+                       minlength=n * width).reshape((n,) + row_shape)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -358,30 +396,17 @@ def gather_rows(table: ArrayLike, indices) -> Tensor:
     index gives one row, and a [B, T] array of word indices gives
     [B, T, d] word vectors.
 
-    The backward sums the gradients of the rows it reached into a zero
-    array of the table's shape by ``np.add.at``.  The table's first
-    gradient is that array itself, with the bits of the copy
-    :meth:`Tensor.accumulate` would make.  A later one is added in
-    whole, and its rows join the ones ``grad_rows`` marks, if any.
+    The backward adds the gradients of the rows it reached into the
+    table's by :meth:`Tensor.accumulate_rows`, which sums them by
+    :func:`row_sums` and marks a leaf's ``grad_rows``.
     """
     table = as_tensor(table)
     idx = np.asarray(indices, dtype=np.int64)
     data = table.data[idx]
 
     def backward(out: Tensor) -> None:
-        if not (table.requires_grad and data.size):
-            return
-        part = np.zeros(table.data.shape)
-        np.add.at(part, idx, out.grad)
-        if table.grad is None:
-            table.grad = part
-            if table._backward_fn is None:  # a leaf, whose rows Adam reads
-                table.grad_rows = np.zeros(len(part), dtype=bool)
-                table.grad_rows[idx] = True
-        else:
-            table.grad += part
-            if table.grad_rows is not None:
-                table.grad_rows[idx] = True
+        if table.requires_grad and data.size:
+            table.accumulate_rows(idx, out.grad)
 
     return _make(data, (table,), backward)
 

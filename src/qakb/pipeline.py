@@ -41,6 +41,7 @@ from qakb.nn.tensor import (
     _make,
     gather_rows,
     reshape,
+    row_sums,
     softmax_forward,
     softmax_rows,
 )
@@ -199,10 +200,10 @@ class MatcherModel(Model):
                     d_joint = d_joint * mask
                 # each side's rows summed apart, as its own gather did,
                 # by one pass over the pairs' (question, text) halves
-                sums = np.zeros((2,) + encoded.shape)
-                np.add.at(sums, (np.tile([0, 1], n), sides.ravel()),
-                          d_joint.reshape(2 * n, -1))
-                encoded.accumulate(sums[0] + sums[1])
+                m = len(encoded.data)
+                sums = row_sums(sides + [0, m], d_joint.reshape(n, 2, -1),
+                                2 * m)
+                encoded.accumulate(sums[:m] + sums[m:])
             for param, grad in zip((head.weight, head.bias, hidden.weight,
                                     hidden.bias), (*d_head, *d_hidden)):
                 if param.requires_grad:

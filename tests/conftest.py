@@ -3,11 +3,12 @@ modules, new layers and models drawn as training draws them, a view of
 one gate's weights in a recurrent cell, a leaf tensor and a graph op that
 only tests build, the finite-difference gradient check, the bit check of
 a fused graph node against the ops it replaces and the composed binary
-cross-entropy it is checked against, a labelled
-question's entity span, one-shot joint-model answering and its
-margin-loss reference rules, TSV and N-Triples writers of facts, and
-a reader and a writer of KB snapshots' fields and columns through the
-container, and a rewriter of a container's header."""
+cross-entropy, joint-model scores and joint-model loss it is checked
+against, a labelled question's entity span, one-shot joint-model
+answering and its margin-loss reference rules, TSV and N-Triples
+writers of facts, and a reader and a writer of KB snapshots' fields and
+columns through the container, and a rewriter of a container's
+header."""
 
 import json
 import zlib
@@ -20,9 +21,11 @@ from qakb import container
 from qakb.e2e import E2EStrategy, ScoringHead
 from qakb.kb import Fact, build_kb
 from qakb.nn.io import new_model
-from qakb.nn.layers import Dense, EmbeddingTable, GRUCell, table_tokens
+from qakb.nn.layers import (Dense, EmbeddingTable, GRUCell, cosine,
+                            table_tokens)
 from qakb.nn.losses import PROB_EPS, loss_hinge_qas
-from qakb.nn.tensor import Tensor, _make, as_tensor, clip, log, tsum
+from qakb.nn.tensor import (Tensor, _make, as_tensor, clip, gather_rows, log,
+                            reshape, tsum)
 
 
 @pytest.fixture()
@@ -170,6 +173,35 @@ def composed_binary_ce(a, y):
     log_a = log(clip(a, PROB_EPS, 1.0))
     log_not_a = log(clip(1.0 - a, PROB_EPS, 1.0))
     return -(y * log_a + (1.0 - y) * log_not_a)
+
+
+def composed_head_scores(head, cos, channels, rows):
+    """One score per row of the index matrix ``rows`` of a joint-model
+    scoring ``head``: the cosines ``cos`` that the row indexes, each
+    scaled by the weight of its channel, added left to right.  Built from
+    the gather, product and sum nodes that its loss node replaced, as the
+    reference of ``ScoringHead.combine``'s bits."""
+    scaled = gather_rows(head.W, channels) * cos
+    return tsum(gather_rows(scaled, rows), axis=1)
+
+
+def composed_head_loss(step, encoded):
+    """The summed hinge terms of a planned joint-model training step over
+    ``encoded``, its distinct texts' encodings, built from the gather,
+    mask, cosine, channel-weight, score and hinge nodes that
+    ``_StepBatch.head_loss`` replaced, as the reference of that node's
+    bits."""
+    used = gather_rows(encoded, step.use_text)
+    if step.masks:
+        used = used * np.concatenate(step.masks)
+    left, right = np.array(step.pairs).T
+    cos = cosine(gather_rows(used, left), gather_rows(used, right))
+    pos, neg = np.array(step.pos), np.array(step.neg)
+    sides = reshape(composed_head_scores(step.model.head, cos, step.channels,
+                                         np.concatenate([pos, neg])),
+                    (2, len(pos)))
+    return tsum(loss_hinge_qas(gather_rows(sides, 0), gather_rows(sides, 1),
+                               step.model.cfg.gamma))
 
 
 def span_tokens(labeled):

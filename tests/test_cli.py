@@ -1341,7 +1341,7 @@ class TestCorruptSnapshots:
         ("meta", "[" * 200_000 + "]" * 200_000, "{model}: {model}.meta.json: "
          "not JSON (maximum recursion depth exceeded"),
         ("nn", "NNQA1", "{model}: model format NNQA1 is no longer read"),
-        ("kb", "KBQA9", "{kb}: snapshot format KBQA9 is no longer read"),
+        ("kb", "KBQA9", "{kb}: bad snapshot header b'KBQA9'"),
         ("kb", "garble:40", "{kb}: truncated or garbled snapshot"),
     ], ids=["sidecar", "sidecar-too-deep", "nn-header", "kb-header",
             "kb-garbled"])

@@ -399,6 +399,45 @@ class TestContainer:
                            r"\(KBQA4\), not a model parameter table$"):
             load_params(str(path))
 
+    @pytest.mark.parametrize("kind, magic, says", [
+        ("kb", b"KBQA1", "snapshot format KBQA1 is no longer read"),
+        ("kb", b"KBQA3", "snapshot format KBQA3 is no longer read"),
+        ("nn", b"NNQA2", "model format NNQA2 is no longer read"),
+        ("kb", b"KBQA5", "bad snapshot header b'KBQA5'"),
+        ("kb", b"KBQA0", "bad snapshot header b'KBQA0'"),
+        ("kb", "KBQA\xcb".encode("latin-1"),
+         "bad snapshot header b'KBQA\\xcb'"),
+        ("nn", b"NNQA4", "bad model header b'NNQA4'")])
+    def test_only_an_earlier_version_is_no_longer_read(self, path, kind,
+                                                       magic, says):
+        """A magic of the kind's family with a version digit below the
+        current one names an earlier format; any other, a later digit
+        or a damaged last byte, is a bad header."""
+        if kind == "kb":
+            save_kb(_small_kb(), str(path))
+        else:
+            save_params(_small_params(), str(path))
+        path.write_bytes(magic + path.read_bytes()[5:])
+        with pytest.raises(ParseError) as info:
+            (load_kb if kind == "kb" else load_params)(str(path))
+        assert str(info.value).startswith(says)
+
+    @pytest.mark.parametrize("entry", [
+        b'["<f8",[2],3]', b'["<f8",[2],true]', b'["<f8",[2],8.0]',
+        b'["<f8",[2],"0"]', b'["<f8",2,0]', b'["<f8",[true],0]',
+        b'["<f8",[2.0],0]', b'["<f8",[-1],0]', b'["<f8",{"0":2},0]'],
+        ids=["offset 3", "offset true", "offset 8.0", "offset string",
+             "shape an int", "shape [true]", "shape [2.0]", "shape [-1]",
+             "shape an object"])
+    def test_a_directory_entry_no_writer_makes_is_a_parse_error(self, path,
+                                                                entry):
+        """An offset must be an int (not a bool) that is a multiple of 8,
+        and a shape a list of non-negative ints."""
+        save_params(_small_params(), str(path))
+        rewrite_header(path, b'{"arrays":{"a.w":' + entry + b'},"fields":{}}')
+        with pytest.raises(ParseError, match="truncated or garbled"):
+            load_params(str(path))
+
     @pytest.mark.parametrize("text", [
         b'{"arrays":{},"fields":{"entities":[],"entities":[]}}',
         b'{"arrays":{},"arrays":{},"fields":{}}'])

@@ -6,6 +6,8 @@ import weakref
 import numpy as np
 import pytest
 from conftest import finite_diff_check, param, rnn_cell, stack_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qakb.errors import ShapeMismatch
 from qakb.nn import tensor as T
@@ -166,6 +168,50 @@ class TestGatherGradient:
             assert not x.grad[~x.grad_rows].any()
         else:
             assert x.grad_rows is None
+
+
+# signed zeros, infinities, and finite values of either sign whose
+# magnitudes run from 1e-300 to 1e300
+_GRADIENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+    st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
+              st.floats(min_value=1e-300, max_value=1e300)))
+
+
+class TestRowSums:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3),
+           index_shape=st.sampled_from([(4,), (7,), (2, 3), (3, 2, 2)]),
+           row_shape=st.sampled_from([(), (1,), (3,)]))
+    def test_has_the_bits_of_add_at(self, data, n, index_shape, row_shape):
+        """At least 4 indices into at most 3 rows, so rows repeat; 1-D,
+        2-D and 3-D index arrays into 1-D and 2-D tables; indices from
+        -n to n - 1, as a gather takes them."""
+        size = int(np.prod(index_shape))
+        idx = np.array(data.draw(st.lists(st.integers(-n, n - 1),
+                                          min_size=size, max_size=size)),
+                       dtype=np.int64).reshape(index_shape)
+        width = int(np.prod(row_shape))
+        grads = np.array(data.draw(st.lists(_GRADIENTS, min_size=size * width,
+                                            max_size=size * width)),
+                         dtype=np.float64).reshape(index_shape + row_shape)
+        want = np.zeros((n,) + row_shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(want, idx, grads)
+            got = T.row_sums(idx, grads, n)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        got = T.row_sums(np.array([1, 1, 0]), np.array([-0.0, -0.0, 2.0]), 3)
+        assert got.tolist() == [2.0, 0.0, 0.0]
+        assert not np.signbit(got).any()
+
+    def test_adds_in_index_order(self):
+        """1e16 + 1 + 1 rounds back to 1e16 at each step; the 1s summed
+        first would not."""
+        got = T.row_sums(np.array([0, 0, 0]), np.array([1e16, 1.0, 1.0]), 1)
+        assert got.tolist() == [1e16]
 
 
 def _check(build, params, tol=1e-4):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from qakb.nn.config import TrainConfig
 from qakb.nn.io import Model, new_model
 from qakb.nn.layers import (OOV_TOKEN, Dense, EmbeddingTable, GRUCell,
                             LSTMCell, attention_forward, cosine_backward,
-                            cosine_forward, dropout_mask, length_groups,
+                            cosine_forward, dropout_mask,
                             padded_indices, recurrent, recurrent_forward,
                             self_attention, table_tokens)
 from qakb.nn.optim import fit
@@ -116,10 +116,6 @@ def variant_name(variant: E2EVariant) -> str:
 # Encoders
 # ---------------------------------------------------------------------------
 
-# a word's [h] char-GRU summary
-CharRows = Callable[[str], np.ndarray]
-
-
 def char_vocab(words: Iterable[str]) -> list[str]:
     """The characters a char table has rows for: those of ``words`` but
     the unknown token, sorted."""
@@ -187,21 +183,16 @@ class E2EModel(Model):
 
     kind = "e2e"
 
-    def encode_words(self, words: Sequence[str],
-                     char_rows: Optional[CharRows] = None) -> Tensor:
+    def encode_words(self, words: Sequence[str]) -> Tensor:
         """[W, d] rows for the words: word-table rows, with char mode each
-        followed by the char-GRU's last state over the word's characters.
-        The words run as one padded batch, unless ``char_rows`` is given:
-        then each word's char part is ``char_rows(word)``."""
+        followed by the char-GRU's last state over the word's characters,
+        every word on its own slot, so its char part has the bits of
+        :meth:`char_summaries`."""
         vecs = self.words.embed(list(words))
         if not self.variant.char_level:
             return vecs
-        if char_rows is None:
-            chars, lengths = self.chars.embed_padded(words)
-            last = recurrent((self.char_gru,), chars, lengths, (False,),
-                             "last")
-        else:
-            last = np.stack([char_rows(word) for word in words])
+        chars, lengths = self.chars.embed_padded(words)
+        last = recurrent((self.char_gru,), chars, lengths, (False,), "last")
         return concat([vecs, last], axis=1)
 
     def char_summaries(self, words: Sequence[str]) -> np.ndarray:
@@ -217,22 +208,17 @@ class E2EModel(Model):
             lengths, (False,), "last")
         return last[:, 0]
 
-    def char_summary(self, word: str) -> np.ndarray:
-        """One word's [h] :meth:`char_summaries`: the char part that
-        :meth:`encode_text` gives the word, and so the ``char_rows`` with
-        which :meth:`encode_texts` gives its bits."""
-        return self.char_summaries([word])[0]
+    def encode_texts(self, texts: Sequence[Sequence[str]]) -> Tensor:
+        """[B, h] encodings of token sequences, as one padded batch whose
+        texts each run on their own slot, so row ``k`` has the bits of
+        ``encode_text(texts, {})[k]``, whatever texts it is encoded with.
 
-    def encode_texts(self, texts: Sequence[Sequence[str]],
-                     char_rows: Optional[CharRows] = None) -> Tensor:
-        """[B, h] encodings of token sequences, as one padded batch.
-
-        Each distinct word is encoded once, its char part from
-        ``char_rows`` when given (see :meth:`encode_words`);
+        Each distinct word is encoded once (see :meth:`encode_words`);
         the shared LSTM runs once over all rows with their own lengths
         (then self-attention over each row's own states); each row's
         states are truncated or zero-padded to max_len, flattened, and
-        passed through the dense layer.
+        passed through the dense layer as a stack of [1, max_len * h]
+        rows.
         """
         if not texts or not all(texts):
             raise EmptySequence("cannot encode an empty token sequence")
@@ -240,22 +226,22 @@ class E2EModel(Model):
         idx, lengths = padded_indices(
             [[words.setdefault(tok, len(words)) for tok in text]
              for text in texts])
-        inputs = gather_rows(self.encode_words(list(words), char_rows), idx)
+        inputs = gather_rows(self.encode_words(list(words)), idx)
         states = recurrent((self.lstm,), inputs, lengths, (False,),
                            "states")
         if self.variant.self_attention:
             states = self_attention(states, lengths)
-        max_len = self.cfg.max_len
+        max_len, h = self.cfg.max_len, self.lstm.hidden_dim
         flat = reshape(pad_rows(states, max_len),
-                       (len(texts), max_len * self.lstm.hidden_dim))
-        return self.dense(flat)
+                       (len(texts), 1, max_len * h))
+        return reshape(self.dense(flat), (len(texts), h))
 
     def encode_text(self, texts: Sequence[tuple[str, ...]],
                     summaries: dict[str, np.ndarray]) -> np.ndarray:
         """[K, h] encodings of K token sequences on arrays, building no
-        graph: row ``k`` has the bits of row 0 of ``encode_texts(
-        [texts[k]], self.char_summary)``, whatever texts it is encoded
-        with, the same text again included.
+        graph: row ``k`` has the bits of row ``k`` of ``encode_texts(
+        texts)``, and of row 0 of ``encode_text([texts[k]], {})``,
+        whatever texts it is encoded with, the same text again included.
 
         Each layer runs once for all the texts, each text, and each word,
         on its own leading-axis slot, so every product is the one the text
@@ -264,11 +250,12 @@ class E2EModel(Model):
         mode, the char-GRU runs once over the distinct words it lacks
         (:meth:`char_summaries`), and those of vocabulary words are added.
         The texts run longest first: the LSTM once, one slot per text, for
-        the longest text's steps; self-attention over each text's states,
-        the texts of one length stacked; then each text's states are
-        truncated or zero-padded to max_len and go through the dense layer
-        as a stack of [1, max_len * h] rows.  EmptySequence for no texts
-        or an empty one, and TypeError for a text given as a string.
+        the longest text's steps; self-attention over each text's states
+        (:func:`~qakb.nn.layers.attention_forward`, the texts of one
+        length stacked); then each text's states are truncated or
+        zero-padded to max_len and go through the dense layer as a stack
+        of [1, max_len * h] rows.  EmptySequence for no texts or an empty
+        one, and TypeError for a text given as a string.
         """
         if not texts or not all(texts):
             raise EmptySequence("cannot encode an empty token sequence")
@@ -286,14 +273,11 @@ class E2EModel(Model):
         states, _ = recurrent_forward((self.lstm,), (rows[idx][:, None],),
                                       lengths, (False,), "states")
         states = states[:, 0]
+        if self.variant.self_attention:
+            states, _ = attention_forward(states, lengths)
         (K, T), max_len, h = idx.shape, self.cfg.max_len, self.lstm.hidden_dim
         flat = np.zeros((K, max_len, h))
-        if self.variant.self_attention:
-            for a, b, n in length_groups(lengths.tolist()):
-                flat[a:b, :n] = attention_forward(
-                    states[a:b, :n])[0][:, :max_len]
-        else:
-            flat[:, :T] = states[:, :max_len]
+        flat[:, :T] = states[:, :max_len]
         encoded = self.dense.forward(flat.reshape(K, 1, max_len * h))[:, 0]
         if order != sorted(order):
             encoded[order] = encoded.copy()
@@ -415,54 +399,52 @@ class _StepBatch:
         """Plan one question's loss; False when no channel is usable,
         though its masks are drawn all the same."""
         model, kb = self.model, self.kb
-        uses: list[tuple[str, ...]] = []
-        pairs: list[tuple[int, int]] = []
-
-        def cos(tokens: Sequence[str], channel: int) -> int:
-            uses.append(tuple(tokens))
-            pairs.append((len(uses) - 1, channel))
-            return len(pairs) - 1
-
-        def subject(entity: str) -> int:
-            return cos(tokenize(subject_text(
-                kb, entity, model.variant.type_in_label)), SUBJECT)
-
-        def relation(rel: str) -> int:
-            return cos(relation_tokens(rel), PREDICATE)
-
-        uses.append(q.tokens)
-        pos_s, pos_p = subject(q.gold.subject), relation(q.gold.relation)
-        neg_s = None if neg_subject is None else subject(neg_subject)
-        neg_p = None if neg_pred is None else relation(neg_pred)
-        terms = []
+        in_label = model.variant.type_in_label
+        # each other text a pair joins with the question, with its head
+        # channel: pair k is use k + 1, use 0 being the question
+        others = [(SUBJECT, tokenize(subject_text(kb, q.gold.subject,
+                                                  in_label))),
+                  (PREDICATE, relation_tokens(q.gold.relation))]
+        neg_s = neg_p = None
+        if neg_subject is not None:
+            neg_s = len(others)
+            others.append((SUBJECT, tokenize(subject_text(kb, neg_subject,
+                                                          in_label))))
+        if neg_pred is not None:
+            neg_p = len(others)
+            others.append((PREDICATE, relation_tokens(neg_pred)))
+        terms = []  # each term's pairs, positive side and negative side
         if model.head.mode == "qas":
-            if neg_s is not None or neg_p is not None:
-                terms.append(((pos_s, pos_p),
-                              (pos_s if neg_s is None else neg_s,
-                               pos_p if neg_p is None else neg_p)))
+            if len(others) > 2:
+                terms.append(((0, 1), (0 if neg_s is None else neg_s,
+                                       1 if neg_p is None else neg_p)))
         else:
             if neg_s is not None:
-                terms.append(((pos_s,), (neg_s,)))
+                terms.append(((0,), (neg_s,)))
             if neg_p is not None:
-                terms.append(((pos_p,), (neg_p,)))
+                terms.append(((1,), (neg_p,)))
             if model.head.mode == "qat_type" and neg_subject is not None:
                 t_pos = notable_type(kb, q.gold.subject)
                 t_neg = notable_type(kb, neg_subject)
                 if t_pos is not None and t_neg is not None:
-                    terms.append(((cos(tokenize(t_pos), TYPE),),
-                                  (cos(tokenize(t_neg), TYPE),)))
+                    terms.append(((len(others),), (len(others) + 1,)))
+                    others += [(TYPE, tokenize(t_pos)),
+                               (TYPE, tokenize(t_neg))]
         p = model.cfg.dropout_p
-        mask = (dropout_mask((len(uses), model.cfg.hidden_size), p, self.rng)
-                if p > 0.0 else None)
+        mask = (dropout_mask((1 + len(others), model.cfg.hidden_size), p,
+                             self.rng) if p > 0.0 else None)
         if not terms:
             return False
         first_use, first_pair = len(self.use_text), len(self.pairs)
-        self.use_text += [self.texts.setdefault(t, len(self.texts))
-                          for t in uses]
+        texts = self.texts
+        self.use_text.append(texts.setdefault(q.tokens, len(texts)))
+        for channel, tokens in others:
+            self.use_text.append(texts.setdefault(tuple(tokens), len(texts)))
+            self.channels.append(channel)
         if mask is not None:
             self.masks.append(mask)
-        self.pairs += [(first_use, first_use + u) for u, _ in pairs]
-        self.channels += [channel for _, channel in pairs]
+        self.pairs += [(first_use, first_use + 1 + k)
+                       for k in range(len(others))]
         self.pos += [tuple(first_pair + k for k in side) for side, _ in terms]
         self.neg += [tuple(first_pair + k for k in side) for _, side in terms]
         self.questions += 1

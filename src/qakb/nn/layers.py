@@ -22,11 +22,15 @@ Several sequences can share one array call and keep the bits each gets
 alone by sitting on their own slots of a leading axis: numpy's stacked
 ``matmul`` runs one BLAS product per slot, with that slot's shapes and
 strides, so a slot's product is the 2-D product of the sequence alone.
-Rows that share one 2-D product round differently, which is why only a
-training batch shares them.  :func:`recurrent_forward` steps one-row
-slots, :meth:`Dense.forward` takes a stack of rows, and
-:func:`attention_forward` takes a stack of sequences of one length;
-``tests/test_slots.py`` checks the property on the BLAS in use.
+Rows that share one 2-D product round differently, so every encoding,
+in training as in answering, runs its sequences on slots, and a text has
+one encoding whatever it runs with: :func:`recurrent_forward` steps
+one-row slots, :meth:`Dense.forward` takes a stack of rows, and
+:func:`attention_forward` runs the sequences of each length as one
+stack.  Only what feeds no encoding shares products: the backwards,
+the tagger's head and the matchers' pair layers.  ``tests/test_slots.py``
+checks the property on the BLAS in use, and ``tests/test_one_encoding.py``
+the encodings it gives.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from qakb.errors import ShapeMismatch
 from qakb.nn.tensor import (
     Tensor,
     _make,
-    _unbroadcast,
     as_tensor,
     gather_rows,
     logistic,
@@ -178,7 +181,7 @@ class Dense:
         contiguous copy of ``W.T`` (a transposed view or a 1-D product
         rounds differently), then the activation.  Each slot of a stack
         is its own product, so slot ``k`` has the bits of
-        ``forward(x[k])``."""
+        ``forward(x[k])``, in training as in answering."""
         if x.ndim not in (1, 2, 3) or x.shape[-1] != self.in_dim:
             raise ShapeMismatch(f"{self.name}: input shape {x.shape}, "
                                 f"expected [{self.in_dim}], [n, "
@@ -195,7 +198,8 @@ class Dense:
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The gradients of the input ``x``, the weight and the bias on
         arrays, from :meth:`forward`'s output ``y`` on ``x`` and the
-        gradient ``grad`` of ``y``; a [in] vector or a [n, in] matrix."""
+        gradient ``grad`` of ``y``; a [in] vector, a [n, in] matrix or a
+        [K, n, in] stack, whose rows share the weight's one product."""
         g = grad
         if self.activation == "relu":
             g = g * (y > 0.0).astype(np.float64)
@@ -203,10 +207,11 @@ class Dense:
             g = g * (y * (1.0 - y))
         w = self.weight.data
         if x.ndim == 1:
-            d_x, d_w = w.T @ g, np.outer(g, x)
-        else:  # the gradients through the transposed copy
-            d_x, d_w = g @ w.T.copy().T, (x.T @ g).T
-        return d_x, d_w, _unbroadcast(g, self.bias.data.shape)
+            return w.T @ g, np.outer(g, x), g
+        rows, g = x.reshape(-1, self.in_dim), g.reshape(-1, self.out_dim)
+        # the gradients through the transposed copy
+        d_x, d_w = g @ w.T.copy().T, (rows.T @ g).T
+        return d_x.reshape(x.shape), d_w, g.sum(axis=0)
 
     def __call__(self, x: Tensor) -> Tensor:
         x = as_tensor(x)
@@ -363,47 +368,15 @@ class LSTMCell(_GatedCell):
         return (d_pre @ u, dc * f), d_pre, d_pre
 
 
-def _pack(lengths: np.ndarray, T: int, reverses: Sequence[bool]
-          ) -> tuple[list, list[int], np.ndarray]:
-    """The packed order of a padded [B, T] batch: rows sorted longest
-    first, and per timestep only the rows still running, so each step
-    works on a prefix of the previous step's rows.
-
-    Returns ``(flats, offsets, order)``: step ``s`` of direction ``k``
-    reads the flat ``b * T + t`` positions
-    ``flats[k][offsets[s]:offsets[s + 1]]``, which run right to left
-    within each row when ``reverses[k]``, and ``order`` lists the rows
-    longest first.  Every direction runs the same rows at each step, so
-    they share the offsets.  For one row of n >= 1 steps a forward
-    direction's positions are the basic slice ``0:n``.
-    """
-    if lengths.shape[0] == 1:
-        n = int(lengths[0])
-        return ([np.arange(n - 1, -1, -1) if r else slice(0, n)
-                 for r in reverses], list(range(n + 1)), _ONE_ROW)
-    order = np.argsort(-lengths, kind="stable")
-    lens = lengths[order]
-    steps, rows = np.nonzero(np.arange(lens[0])[:, None] < lens)
-    starts = order[rows] * T
-    flats = [starts + (lens[rows] - 1 - steps if r else steps)
-             for r in reverses]
-    offsets = np.searchsorted(steps, np.arange(lens[0] + 1))
-    return flats, offsets.tolist(), order
-
-
-_ONE_ROW = np.zeros(1, dtype=np.int64)
-
-
 def _slot_order(lengths: np.ndarray
                 ) -> tuple[list[int], list[int], list[int]]:
-    """The running order of one-row slots, as :func:`_pack` gives it for
-    rows: ``(order, lens, counts)``, the slots longest first (ties in
-    input order), their lengths, and how many run at each step, each
-    step's a prefix of the previous step's.  Plain lists, not ``_pack``'s
-    array passes: an answer runs a handful of slots, for which this costs
-    about 1.5 us against 9 us, and taking the order and flat positions
-    from ``_pack`` instead made ``prep-m``'s ``qa-t-mwst`` answers 8%
-    slower at p50 (10 of 10 interleaved benchmark pairs, 2 vCPUs)."""
+    """The running order of K sequences: ``(order, lens, counts)``, the
+    sequences longest first (ties in input order), their lengths, and how
+    many run at each step, each step's a prefix of the previous step's.
+    Plain lists, not numpy passes: an answer runs a handful of slots, for
+    which this costs about 1.5 us against 9 us, and taking the order from
+    numpy passes made ``prep-m``'s ``qa-t-mwst`` answers 8% slower at p50
+    (10 of 10 interleaved benchmark pairs, 2 vCPUs)."""
     ns = lengths.tolist()
     order = sorted(range(len(ns)), key=ns.__getitem__, reverse=True)
     lens = [ns[j] for j in order]
@@ -413,6 +386,19 @@ def _slot_order(lengths: np.ndarray
             running -= 1
         counts.append(running)
     return order, lens, counts
+
+
+def _slot_positions(order: list[int], lens: list[int], counts: list[int],
+                    T: int, reverses: Sequence[bool]) -> list[list[int]]:
+    """Per direction, the flat ``k * T + t`` input positions that the
+    steps of :func:`_slot_order`'s running order read, step after step,
+    the running sequences of a step in order; right to left within a
+    sequence when ``reverses[k]``.  Plain lists, as :func:`_slot_order`
+    gives: a training batch has a few hundred positions, for which numpy
+    passes cost as much."""
+    return [[order[j] * T + (lens[j] - 1 - s if reverse else s)
+             for s, n in enumerate(counts) for j in range(n)]
+            for reverse in reverses]
 
 
 def length_groups(lens: list[int]) -> list[tuple[int, int, int]]:
@@ -462,16 +448,15 @@ def recurrent_forward(cells: Sequence[_GatedCell],
     left when ``reverses[k]``, every input of one leading shape with T >=
     1 and some sequence non-empty.  An input is one of:
 
-    - [B, T, d_k] with B > 1 and the B row ``lengths``: a padded batch,
-      whose rows share each product;
-    - [K, 1, T, d_k] with the K slot ``lengths``: K one-row slots, each
-      of whose products is its own, so every slot gets the bits of a run
-      over its sequence alone, whatever it runs with;
     - [T, d_k], [1, T, d_k] or [1, 1, T, d_k], with ``lengths`` ``[n]``:
-      one row, or one slot, whose products are its own.
+      one row;
+    - [K, T, d_k] or [K, 1, T, d_k] with K > 1 and the K ``lengths``: K
+      slots, one sequence each, whose padding is never read.
 
-    A bidirectional run passes its input twice; two matchers' runs pass
-    each matcher's input to both of its cells.
+    Every product is one sequence's own, so each sequence gets the bits
+    of a run over it alone, whatever it runs with.  A bidirectional run
+    passes its input twice; two matchers' runs pass each matcher's input
+    to both of its cells.
 
     ``output`` names the one result built: ``"states"``, aligned with
     input positions, cell ``k``'s in the ``k``-th block of h columns, and
@@ -479,157 +464,159 @@ def recurrent_forward(cells: Sequence[_GatedCell],
     [D*h] state after its last step (position n - 1 of a forward cell, 0
     of a reverse one), zero for an empty one.
 
-    Sequences run longest first, and each timestep runs ``step`` once on
-    the states of the sequences still running, a prefix of the previous
-    step's (see :func:`_pack`), every cell at once: [D, n, h] states and
-    ``U`` and ``b`` stacked [D, ...] for two or more cells, and for one
-    the [n, h] states and the cell's own ``U`` and ``b``; two or more
-    slots step [n, 1, h] states, so each slot's product is its own.  So
-    the time loop runs the longest sequence's steps.  Stacking on a
-    leading axis leaves every product's bits as in a run of each cell,
-    or each slot, alone.  Rows project every valid position through each
-    cell's ``W`` in one product; slots each project their own [n, d] rows
+    Sequences run longest first (:func:`_slot_order`), and each timestep
+    runs ``step`` once on the states of the sequences still running, a
+    prefix of the previous step's, every cell at once: for two or more
+    cells the states and ``U`` and ``b`` are stacked on a leading axis.
+    One row steps [1, h] states ([D, 1, h] for D cells); K slots step
+    [n, 1, h] states, so each slot's product is its own.  So the time
+    loop runs the longest sequence's steps.  Stacking on a leading axis
+    leaves every product's bits as in a run of each cell, or each slot,
+    alone.  One row projects its positions through each cell's ``W`` in
+    one product; slots each project their own [n, d] rows
     (:func:`_slot_projections`).  Each step's record for
     ``step_backward`` is appended to ``saved`` when it is a list.
 
-    Returns the output and the run's packing ``(flats, offsets, order,
-    xs, u)`` (see :func:`_pack`; ``xs`` are the inputs in packed order,
-    and ``u`` the recurrent weights as one cell's or a [D, ...] stack),
-    which a backward reads; two or more slots have no backward, and
-    their ``xs`` is None, as is their ``flats`` for ``"last"``.
-    :func:`recurrent` is the graph twin.
+    Returns the output and ``(flats, counts, order, u)``, which a
+    backward reads: per cell the flat input positions the steps read, in
+    step order (see :func:`_slot_positions`; built for slots only with
+    ``"states"`` or a ``saved`` list), how many sequences run at each
+    step, the sequences longest first, and the recurrent weights as one
+    cell's or a [D, ...] stack.  :func:`recurrent` is the graph twin.
     """
     T = inputs[0].shape[-2]
-    B, D = lengths.shape[0], len(cells)
+    K, D = lengths.shape[0], len(cells)
     cell = cells[0]
     H = cell.hidden_dim
     lead = (D,) if D > 1 else ()  # the direction axis, if any
-    slots = inputs[0].ndim == 4 and B > 1
-    if slots:
-        order, lens, counts = _slot_order(lengths)
-        offsets = [0, *accumulate(counts)]
-        flats, xs = None, None
-        xw = _slot_projections(cells, inputs, order, lens, reverses)
+    run = (slice(None),) * len(lead)  # all of the direction axis, if any
+    want_states = output == "states"
+    if K == 1:
+        n = int(lengths[0])
+        order, counts = [0], [1] * n
+        flats = [np.arange(n - 1, -1, -1) if r else slice(0, n)
+                 for r in reverses]
+        xw = [x.reshape(T, -1)[flat] @ c.W.data
+              for x, flat, c in zip(inputs, flats, cells)]
     else:
-        flats, offsets, order = _pack(lengths, T, reverses)
-        xs = [x.reshape(B * T, -1)[flat] for x, flat in zip(inputs, flats)]
-        xw = [xs_k @ c.W.data for xs_k, c in zip(xs, cells)]
+        order, lens, counts = _slot_order(lengths)
+        flats = (_slot_positions(order, lens, counts, T, reverses)
+                 if want_states or saved is not None else None)
+        xw = _slot_projections(cells, inputs, order, lens, reverses)
     us, bs = [c.U.data for c in cells], [c.b.data for c in cells]
     if D > 1:  # the cells' arrays stacked on a leading axis
         xw, u, b = np.array(xw), np.array(us), np.array(bs)[:, None]
     else:
         (xw,), (u,), (b,) = xw, us, bs
-    u_step = u
-    if slots:  # [n0, K, 1, G*h] projections per cell, [n, 1, h] states
-        xw = xw[..., None, :]
-        if D > 1:
-            u_step, b = u[:, None], b[:, None]
-    run = -3 if slots else -2  # the running axis
-    want_states = output == "states"
+    # [n, 1, G*h] step inputs of one row, [n0, K, 1, G*h] of K slots
+    xw, u_step = xw[..., None, :], u
+    point = () if K == 1 else (1,)  # a slot's one-row axis
+    if point and D > 1:
+        u_step, b = u[:, None], b[:, None]
     outs, ends = [], []
-    state = cell.initial_state(*lead, offsets[1], *(1,) * slots)
-    for s in range(len(offsets) - 1):
-        lo, hi = offsets[s], offsets[s + 1]
-        if hi - lo < state[0].shape[run]:  # sequences that ended drop out
+    state = cell.initial_state(*lead, counts[0], *point)
+    for s, c in enumerate(counts):
+        if c < state[0].shape[len(lead)]:  # sequences that ended drop out
             if not want_states:
-                ends.append(state[0][..., hi - lo:, :, :] if slots
-                            else state[0][..., hi - lo:, :])
-            state = tuple(v[..., :hi - lo, :, :] if slots
-                          else v[..., :hi - lo, :] for v in state)
-        state, keep = cell.step(xw[..., s, :hi - lo, :, :] if slots
-                                else xw[..., lo:hi, :], state, u_step, b)
+                ends.append(state[0][(*run, slice(c, None))])
+            state = tuple(v[(*run, slice(c))] for v in state)
+        state, keep = cell.step(xw[(*run, s, slice(c))], state, u_step, b)
         if saved is not None:
             saved.append(keep)
         if want_states:
             outs.append(state[0])
     if want_states:
-        if slots:  # the flat positions of each step's slots, as _pack's
-            flats = [[order[j] * T + (lens[j] - 1 - s if reverse else s)
-                      for s, n in enumerate(counts) for j in range(n)]
-                     for reverse in reverses]
-        hs = np.concatenate(outs, axis=run).reshape(D, -1, H)
-        states = np.zeros((D, B * T, H))
+        hs = np.concatenate(outs, axis=len(lead)).reshape(D, -1, H)
+        states = np.zeros((D, K * T, H))
         for k, flat in enumerate(flats):
             states[k][flat] = hs[k]
-        # cells side by side: [B * T, D * h]; one cell needs no copy
+        # cells side by side: [K * T, D * h]; one cell needs no copy
         data = states[0] if D == 1 else states.transpose(1, 0, 2)
         data = data.reshape(inputs[0].shape[:-1] + (D * H,))
     else:
-        # the sequences that end latest come first in the packed order
+        # the sequences that end latest come first in the running order
         ends.append(state[0])
-        last = (ends[0] if len(ends) == 1
-                else np.concatenate(ends[::-1], axis=run)).reshape(D, -1, H)
-        if B > 1:
-            rows = last
-            last = np.zeros((D, B, H))
+        last = (ends[0] if len(ends) == 1 else np.concatenate(
+            ends[::-1], axis=len(lead))).reshape(D, -1, H)
+        if K > 1:
+            rows, last = last, np.zeros((D, K, H))
             last[:, order[:rows.shape[1]]] = rows
         data = last.transpose(1, 0, 2).reshape(inputs[0].shape[:-2]
                                                + (D * H,))
-    return data, (flats, offsets, order, xs, u)
+    return data, (flats, counts, order, u)
 
 
 def _recurrent_states(cells: Sequence[_GatedCell], x: Tensor,
                       lengths: np.ndarray, reverses: Sequence[bool],
                       output: str) -> Tensor:
-    """One run of :func:`recurrent_forward` of every cell over ``x`` as
-    one graph node, whose parents are ``x`` and the cells' weights.
+    """One run of :func:`recurrent_forward` of every cell over ``x``, one
+    row or K slots, as one graph node, whose parents are ``x`` and the
+    cells' weights.
 
     The backward runs ``step_backward`` back through time as the forward
-    stepped, adds the gradients of ``W``, ``U`` and ``b`` once each, as
-    products over every row and timestep, and gives ``x`` one gradient,
-    summed over the cells in order.
+    stepped, on [n, h] rows (a slot's one-row axis dropped from what each
+    step saved, so the running rows share each product: no answer reads a
+    gradient's bits), adds the gradients of ``W``, ``U`` and ``b`` once
+    each, as products over every row and timestep, and gives ``x`` one
+    gradient, summed over the cells in order.
     """
     params = [p for c in cells for p in (c.W, c.U, c.b)]
     saved: list = []
-    data, (flats, offsets, order, xs, u) = recurrent_forward(
+    data, (flats, counts, order, u) = recurrent_forward(
         cells, [x.data] * len(cells), lengths, reverses, output, saved)
     T = x.shape[-2]
-    B, D = lengths.shape[0], len(cells)
+    K, D = lengths.shape[0], len(cells)
     cell = cells[0]
     H = cell.hidden_dim
     lead = (D,) if D > 1 else ()
+    offsets = [0, *accumulate(counts)]
     pre_shape = lead + (offsets[-1], u.shape[-2])  # [D, positions, G*h]
 
     def backward(out: Tensor) -> None:
+        steps, flat_at = saved, flats
+        if K > 1:
+            steps = [tuple(v[..., 0, :] for v in keep) for keep in saved]
+            flat_at = [np.array(flat) for flat in flats]
         if output == "states":
-            grad = out.grad.reshape(B * T, D, H)
-            g = [grad[:, k][flat] for k, flat in enumerate(flats)]
+            grad = out.grad.reshape(K * T, D, H)
+            g = [grad[:, k][flat] for k, flat in enumerate(flat_at)]
             g = np.array(g) if D > 1 else g[0]
-        else:  # each row's gradient at its last step
-            n0 = offsets[1]  # the rows that ran
+        else:  # each sequence's gradient at its last step
+            ran = order[:counts[0]]  # the sequences that ran
             g = np.zeros(pre_shape[:-1] + (H,))
-            ends_at = (np.asarray(offsets)[lengths[order[:n0]] - 1]
-                       + np.arange(n0))
-            grad = out.grad.reshape(B, D, H)[order[:n0]]
+            ends_at = (np.asarray(offsets)[lengths[ran] - 1]
+                       + np.arange(len(ran)))
+            grad = out.grad.reshape(K, D, H)[ran]
             g[..., ends_at, :] = grad.transpose(1, 0, 2).reshape(
-                g.shape[:-2] + (n0, H))
+                g.shape[:-2] + (len(ran), H))
         d_pre = np.empty(pre_shape)
         d_rec = np.empty(pre_shape)
-        d_state = cell.initial_state(*lead, offsets[-1] - offsets[-2])
-        for s in reversed(range(len(saved))):
+        d_state = cell.initial_state(*lead, counts[-1])
+        for s in reversed(range(len(steps))):
             lo, hi = offsets[s], offsets[s + 1]
-            if hi - lo > d_state[0].shape[-2]:  # rows that end here
+            if hi - lo > d_state[0].shape[-2]:  # sequences that end here
                 pad = np.zeros(lead + (hi - lo - d_state[0].shape[-2], H))
                 d_state = tuple(np.concatenate([v, pad], axis=-2)
                                 for v in d_state)
             d_state = (d_state[0] + g[..., lo:hi, :],) + d_state[1:]
             d_state, d_pre[..., lo:hi, :], d_rec[..., lo:hi, :] = (
-                cell.step_backward(saved[s], d_state, u))
-        h_prev = np.concatenate([keep[0] for keep in saved], axis=-2)
+                cell.step_backward(steps[s], d_state, u))
+        h_prev = np.concatenate([keep[0] for keep in steps], axis=-2)
         d_pre, d_rec, h_prev = (a.reshape((D,) + a.shape[-2:])
                                 for a in (d_pre, d_rec, h_prev))
+        rows = x.data.reshape(K * T, -1)
         for k, c in enumerate(cells):
             # W's gradient is the [G*h, d] product transposed:
             # xs.T @ d_pre would round differently
-            for weight, grad_k in ((c.W, (d_pre[k].T @ xs[k]).T),
+            for weight, grad_k in ((c.W, (d_pre[k].T @ rows[flat_at[k]]).T),
                                    (c.U, d_rec[k].T @ h_prev[k]),
                                    (c.b, d_pre[k].sum(axis=0))):
                 if weight.requires_grad:
                     weight.accumulate(grad_k)
         if x.requires_grad:
-            d_x = np.zeros((B * T, x.shape[-1]))
+            d_x = np.zeros((K * T, x.shape[-1]))
             for k, c in enumerate(cells):
-                d_x[flats[k]] += d_pre[k] @ c.W.data.T
+                d_x[flat_at[k]] += d_pre[k] @ c.W.data.T
             x.accumulate(d_x.reshape(x.shape))
 
     return _make(data, (x, *params), backward)
@@ -642,7 +629,9 @@ def recurrent(cells: Sequence[_GatedCell], x: Tensor,
     checking the shapes, one :func:`_recurrent_states` node over one
     [T, d] row (``lengths`` unread) or a padded [B, T, d] batch with its
     rows' ``lengths`` (all T when None), whose padding is never read.  A
-    batch of empty rows gives zero ``output`` without a run."""
+    batch of two or more rows runs them on slots, so each row has the
+    bits of a run over it alone, in training as in answering.  A batch of
+    empty rows gives zero ``output`` without a run."""
     if output not in ("states", "last"):
         raise ValueError(f"output must be 'states' or 'last', got {output!r}")
     lead_shape = x.shape[:-1]
@@ -709,62 +698,71 @@ def bidirectional_last_states(pairs: Sequence[tuple[_GatedCell, _GatedCell]],
     return out
 
 
+def _attend(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unmasked attention of each [n, h] sequence of a stack against
+    itself, and its [n, n] weights; each sequence is its own product."""
+    if x.shape[-2] == 1:
+        return x + 0.0, np.ones(x.shape[:-1] + (1,))
+    scores = (x @ x.swapaxes(-1, -2)) * (1.0 / math.sqrt(x.shape[-1]))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    return attn @ x, attn
+
+
 def attention_forward(x: np.ndarray, lengths: Optional[Sequence[int]] = None
-                      ) -> tuple[np.ndarray, tuple]:
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention of a state sequence against itself on
     arrays, building no graph.
 
     A = softmax(x xᵀ / sqrt(h)) row-wise; the output is A·x.  ``x`` is
-    [T, h] with T >= 1, or [B, T, h] with each row's ``lengths`` (default
-    T): a row attends only over its own first ``length`` states, and its
-    output past that length is zero.  Passing no lengths for rows of full
-    length gives the same bits, and so does passing a [K, T, h] stack of
-    sequences of one length T: each is its own product, as when alone.
-    Returns the output and ``(attn, valid)``, the attention weights and
-    the [B, T] mask (None without lengths), which a backward reads.
+    [T, h] with T >= 1, or a [K, T, h] stack, each sequence its own
+    product, so each has the bits it gets alone.  With ``lengths`` a row
+    attends only over its own first ``length`` states: the rows of each
+    length run unmasked as one stack of their first ``length`` states,
+    and the output past a row's length is zero, as is its weight outside
+    its own [length, length] block.  An empty row runs as one of length
+    1.  Returns the output and the attention weights, which a backward
+    reads.
 
     A one-step sequence's output is its input plus 0.0: the softmax over
-    its one finite score is exactly 1.0, and so is the one mask entry,
-    since an empty row attends over its first state too; the product
-    with weight 1.0 sums onto +0.0, so it turns a -0.0 to +0.0, as
-    adding 0.0 does.
+    its one score is exactly 1.0, and the product with weight 1.0 sums
+    onto +0.0, so it turns a -0.0 to +0.0, as adding 0.0 does.
     """
-    valid = None
-    if lengths is not None:
-        # an empty row attends over its first (all-zero) state, so no
-        # softmax row is empty
-        valid = (np.arange(x.shape[-2])
-                 < np.maximum(np.asarray(lengths), 1)[:, None])
-    if x.shape[-2] == 1:
-        return x + 0.0, (np.ones(x.shape[:-1] + (1,)), valid)
-    scale = 1.0 / math.sqrt(x.shape[-1])
-    scores = (x @ x.swapaxes(-1, -2)) * scale
-    if valid is not None:
-        scores = np.where(valid[:, None, :], scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
-    out = attn @ x
-    if valid is not None:
-        out *= valid[..., None]
-    return out, (attn, valid)
+    if lengths is None:
+        return _attend(x)
+    T = x.shape[-2]
+    groups: dict[int, list[int]] = {}
+    for k, n in enumerate(np.asarray(lengths).tolist()):
+        groups.setdefault(max(n, 1), []).append(k)
+    if list(groups) == [T]:
+        return _attend(x)
+    out, attn = np.zeros(x.shape), np.zeros(x.shape[:-1] + (T,))
+    for n, rows in groups.items():
+        # a run of rows is read as a slice, the others gathered
+        at = (slice(rows[0], rows[-1] + 1)
+              if rows[-1] - rows[0] == len(rows) - 1 else rows)
+        out[at, :n], attn[at, :n, :n] = _attend(x[at, :n])
+    return out, attn
 
 
 def self_attention(states: Tensor,
                    lengths: Optional[Sequence[int]] = None) -> Tensor:
     """:func:`attention_forward` of ``states`` ([T, h], or [B, T, h] with
     row ``lengths``) as one graph node; an empty sequence is returned
-    as it is."""
+    as it is.  The weights are zero outside each row's own block, so
+    the backward of the unmasked formula gives each row its own
+    gradient and none past its length."""
     if states.ndim not in (2, 3):
         raise ShapeMismatch(
             f"self_attention expects [T, h] or [B, T, h], got {states.shape}")
     if states.shape[-2] == 0:
         return states
     x = states.data
-    out, (attn, valid) = attention_forward(x, lengths)
+    out, attn = attention_forward(x, lengths)
 
     def backward(node: Tensor) -> None:
         scale = 1.0 / math.sqrt(x.shape[-1])
-        g = node.grad if valid is None else node.grad * valid[..., None]
+        g = node.grad
         d_attn = g @ np.swapaxes(x, -1, -2)
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1,
                                                         keepdims=True))

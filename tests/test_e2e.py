@@ -276,9 +276,9 @@ _ARRAY_TEXTS = [["yesterday"], ["zyzzyva"], ["who", "sings", "yesterday"],
 class TestArrayEncoding:
     """Answering's array path gives the graph path's bits: each text of
     an encode_text call is row 0 of encode_texts over that text alone,
-    with each word's char_summary as its char part, cached in a
-    session's summaries or not, and char_summary is a graph run over the
-    word's characters."""
+    and its row of encode_texts over all the texts, its char parts cached
+    in a session's summaries or not, and a char summary is a graph run
+    over the word's characters."""
 
     @pytest.mark.parametrize("name", sorted(VARIANTS))
     def test_encode_text_is_row_0_of_encode_texts(self, name):
@@ -289,16 +289,17 @@ class TestArrayEncoding:
         summaries = {}
         texts = [tuple(tokens) for tokens in _ARRAY_TEXTS]
         for tokens in texts:
-            want = gather_rows(model.encode_texts(
-                [tokens], model.char_summary), 0).data
+            want = gather_rows(model.encode_texts([tokens]), 0).data
             for kept in ({}, summaries):
                 got = model.encode_text([tokens], kept)
                 assert type(got) is np.ndarray
                 assert _bits(got[0]) == _bits(want), (tokens, kept)
-        # all together, cold and warm: each row as alone
+        # all together, cold and warm, and in training's batch: each row
+        # as alone
         alone = [model.encode_text([tokens], {})[0] for tokens in texts]
-        for kept in ({}, summaries):
-            together = model.encode_text(texts, kept)
+        for together in (model.encode_text(texts, {}),
+                         model.encode_text(texts, summaries),
+                         model.encode_texts(texts).data):
             assert [_bits(row) for row in together] == [
                 _bits(row) for row in alone]
         assert set(summaries) == (
@@ -332,7 +333,8 @@ class TestArrayEncoding:
         for word in ["a", "yesterday", "zyzzyva", "ÿ€", "recording"]:
             last = recurrent((model.char_gru,), model.chars.embed(list(word)),
                              None, (False,), "last")
-            assert _bits(model.char_summary(word)) == _bits(last.data), word
+            assert _bits(model.char_summaries([word])[0]) == _bits(
+                last.data), word
 
     @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
     def test_answering_makes_no_tensor(self, cold, monkeypatch):
@@ -410,8 +412,8 @@ class TestSlotEncoding:
     def test_together_as_alone(self, name, texts, kept):
         model = _slot_model(name)
         alone = [_bits(model.encode_text([text], {})[0]) for text in texts]
-        summaries = ({word: model.char_summary(word) for word in kept}
-                     if model.variant.char_level else {})
+        summaries = (dict(zip(kept, model.char_summaries(list(kept))))
+                     if model.variant.char_level and kept else {})
         together = model.encode_text(texts, summaries)
         assert [_bits(row) for row in together] == alone
         assert type(together) is np.ndarray
@@ -821,33 +823,20 @@ def _cached(session):
     return len(session.encodings)
 
 
-def _graph_char_summary(model):
-    """A word's char part from a graph: the data of the char-GRU's
-    ``recurrent`` run over that word alone."""
-    def summary(word):
-        return recurrent((model.char_gru,), model.chars.embed(list(word)),
-                         None, (False,), "last").data
-
-    return summary
-
-
-def _graph_encode(model, tokens, char_rows=None):
+def _graph_encode(model, tokens):
     """One text's encoding as row 0 of a graph-built ``encode_texts``."""
-    return gather_rows(model.encode_texts([tokens], char_rows), 0)
+    return gather_rows(model.encode_texts([tokens]), 0)
 
 
 def _per_fact_scores(model, kb, question, facts, variant):
     """Each fact scored on its own: every text encoded afresh through the
-    graph path (``encode_texts``), each word's char part from its own
-    one-word graph run, one cosine per channel, and the weighted channels
-    added left to right in plain floats."""
+    graph path (``encode_texts``), one cosine per channel, and the
+    weighted channels added left to right in plain floats."""
     weights = [float(w) for w in model.head.W.data]
-    summary = _graph_char_summary(model)
-    q_vec = _graph_encode(model, tokenize(question), summary)
+    q_vec = _graph_encode(model, tokenize(question))
 
     def cos(tokens):
-        return float(cosine(q_vec, _graph_encode(model, tokens,
-                                                 summary)).data)
+        return float(cosine(q_vec, _graph_encode(model, tokens)).data)
 
     out = []
     for fact in facts:
@@ -1100,7 +1089,7 @@ class TestSession:
         assert runs.total() == oov_uses + len(session.summaries)
         assert set(session.summaries) <= set(vocab)
         for word, vec in session.summaries.items():
-            assert_array_equal(vec, model.char_summary(word))
+            assert_array_equal(vec, model.char_summaries([word])[0])
             assert type(vec) is np.ndarray
         gru_steps.clear()
         again = [_top_or_none(session, q) for q in in_vocab]
@@ -1477,18 +1466,19 @@ class TestBatchedStep:
         expect.random((3, cfg.hidden_size))
         assert rng.random() == expect.random()
 
-    @pytest.mark.parametrize("name, nodes", [("qa-s", 8), ("qa-t", 8),
-                                             ("qa-t-mwst", 12)])
+    @pytest.mark.parametrize("name, nodes", [("qa-s", 9), ("qa-t", 9),
+                                             ("qa-t-mwst", 13)])
     def test_graph_nodes_per_question_step(self, name, nodes, monkeypatch):
         """A deterministic count, so un-batching training, or building
         the loss from small nodes again, fails here even where timings
         are too noisy to tell (the per-text path made 107 and 215 nodes
         per question-step here, the composed loss 6 and 7).  A step of
         four questions makes the encoder's nodes (word gather, text
-        gather, recurrent run, padding, reshape and dense; with char mode
-        also the char gather, char-GRU run, concat and self-attention), the
-        loss node and the scaling of the loss by one over the count:
-        2 and 3 nodes per question-step."""
+        gather, recurrent run, padding, reshape to a stack of one-row
+        slots, dense and reshape back; with char mode also the char
+        gather, char-GRU run, concat and self-attention), the loss node
+        and the scaling of the loss by one over the count: 2.25 and 3.25
+        nodes per question-step."""
         kb = song_kb()
         qs, pools = song_training_set(kb)
         made = [0]
@@ -1521,9 +1511,9 @@ class TestCharReuse:
         encode_words = E2EModel.encode_words
         loss = _StepBatch.loss
 
-        def counted_words(self, words, char_rows=None):
+        def counted_words(self, words):
             runs.append(list(words))
-            return encode_words(self, words, char_rows)
+            return encode_words(self, words)
 
         def counted_loss(self):
             texts = list(self.texts)

@@ -19,6 +19,11 @@ loader from that table's files and hold unchanged on the container's, so
 the new bytes hold the same parameters; every sidecar, answer and report
 pin held across that change.
 
+Every ``.nn`` and contents pin, and the answers given from those
+models, were re-recorded again when training began to give each
+sequence of a batch its own slot, so that its encoding has the bits it
+gets alone, as in answering; the sidecars and both ``eval`` reports held.
+
 Training and answering run matrix products through BLAS, whose last bits
 depend on the kernel.  The pins were recorded with numpy 2.4.6 and
 OpenBLAS 0.3.31 picking its Haswell kernels at run time (x86-64), and
@@ -43,91 +48,91 @@ VARIANTS = ("qa-s", "qa-t", "qa-t-w", "qa-t-ws", "qa-t-wt", "qa-t-swt",
 
 PINS = {
     "tagger.nn":
-        "d9a328d2e38090c6a01b68e1ead9f947c3e101dd30eccea738d9ad8423bd41ab",
+        "4a1e2ea6e646f5ffdcc4ad0c9fe802ecc9060273a7fdfbcac17d272a03e157f7",
     "tagger.nn.meta.json":
         "be69a9b112869a60ac5adff69ee2ff3673ecf499d0bedabe83a3f45ee2b1a5de",
     "relation.nn":
-        "34d94bbecbe4322e413292b69f9ab49a9b724f4b119534ba3d793fe4d03262ca",
+        "92bb631dff654af20c71d428303581b6a3c5efdacb52c9d7f797087cecdd3402",
     "relation.nn.meta.json":
         "78eb7ab98b778d772aed6f6faae8b73e438ef34ea4da18f59df159c25f24ff28",
     "type.nn":
-        "9b20438bb9183b750a87d8746d5359a3251b5135f6c4538938b8590351f75168",
+        "54cc7feca0752eafc3ff364cd0aad95c7b1fe075aa083431a5296f73369fb114",
     "type.nn.meta.json":
         "0dfa14a082875c864bb1787aa6e24d9bb24a2603ffb78e64890f8f37b28ee406",
     "qa-s.nn":
-        "c345067938558eac93ff528f5a09e178c6a9dec5a476c658aa06321f8565a80e",
+        "d071bbd75db008ed888202ff8211644c7b18cbc1dca8ed91fb44170076a0c53f",
     "qa-s.nn.meta.json":
         "59bee5a3ca0528b8d938458d35f9c8c76575a30bdacad0532ebf94ddaac64c3c",
     "qa-t.nn":
-        "c345067938558eac93ff528f5a09e178c6a9dec5a476c658aa06321f8565a80e",
+        "d071bbd75db008ed888202ff8211644c7b18cbc1dca8ed91fb44170076a0c53f",
     "qa-t.nn.meta.json":
         "bdb53fc4e81903dc9fa3429ae353df8bc0fca50098d4787960dc0209f0d3c70f",
     "qa-t-w.nn":
-        "f6af4d672a8f8b5ee947faef935e8a4142dcb68896a17cb745b945a78e6c9a62",
+        "4510a88052d8758ec35a982367165d45baaeb469e604c0c76c58d8d296903b46",
     "qa-t-w.nn.meta.json":
         "827037deec848bcecc658aae45186743e62797d1646ae67d9c4375eb460b3a71",
     "qa-t-ws.nn":
-        "105c3911edc8e559d2fbd2927cdf8cec0e70d2dcf129f5397b02f3c735315837",
+        "ccdaefcc87b9baef2dda5fce60e6d1b74e0d6e605c7da966154e9a36f2bd23e2",
     "qa-t-ws.nn.meta.json":
         "04944859ba69dc5d111e7dbb1e4adf3b01237aca02521f84c0ab6c41298f64ce",
     "qa-t-wt.nn":
-        "0dcd39221542d203cba50c04814cf0597181d57e31c7b61a9e2d0384366a00a0",
+        "df49c686203153432b2cedeac19726a8286ce07b116c6f7b3eb0c1ebe1608579",
     "qa-t-wt.nn.meta.json":
         "79095c9ae37425bac6db1b6722f2d38c5f8e815de66039143e9cb7126df36ea6",
     "qa-t-swt.nn":
-        "ba8c7c8212c1d933b325549b26bf7a51f6b47b1c7926e9de6d35fec0fcccf691",
+        "ccdaefcc87b9baef2dda5fce60e6d1b74e0d6e605c7da966154e9a36f2bd23e2",
     "qa-t-swt.nn.meta.json":
         "ab72e3c1f11def0c96eb9b48b7f080ddfd2a979ca5d3a85639509c0d9a205cbc",
     "qa-t-mwt.nn":
-        "7a75d9e35b4c2b3b9601bca3cec4e5af52ac96a1b7e1f93de4e4bf2d9327d11b",
+        "78399af00960086024a053edc8d507520287439e052dd310ccc525268422a6e0",
     "qa-t-mwt.nn.meta.json":
         "cf8525d4a4757704e6acb0afdaebbaf4e7a28693bc2329554763506127ba76c4",
     "qa-t-mwst.nn":
-        "7d6b6f58e2e6440df4e1001208bfb6b0575fed8996176ae388057bb9379d7dac",
+        "2bfe008784e92b9fdf7db462a4bfacf665f375fdf560bcdcf49d0519144e611f",
     "qa-t-mwst.nn.meta.json":
         "ff1a6a60462a2a458039a170331d6339b71588b60fae82310b382fb8ab23f118",
     "answer/pipeline":
-        "b89049fd95b5a11c497e15b83493130a067f9e9d7f463896b81c9b0b0c7e775f",
+        "56d9e7de617d288fdc6862f11c9c0a3637a27408956eab7ac6d35b2d6c803208",
     "answer/qa-s":
-        "4b20a89e15d53de1dd8a92034a88ab5f421f1d0297afb43a99a342a980aedc68",
+        "c91ed5451e7e216adb7ddbb0c3f671a782ddefd3e5eb410efaf40d63692705e1",
     "answer/qa-t":
-        "9c78c78e5f7028a3da05a03a596a33598939ef0cc54c394a871e23b408da9c7d",
+        "660c7391f32fa6d66f687f41f135b39f393f3ed572cad7dd74d66f46f5a9d78b",
     "answer/qa-t-w":
-        "8c1cc379412c6bb7125fdddfb741563be024f0165514bca044cbb90b70b238b4",
+        "7a6fe0c53da6f0915d49924af2de8e8cd6a016286b08f5774b1008e11a8be168",
     "answer/qa-t-ws":
-        "cc83e291c757234752dc24687f75218ee35e8245f8a02196f02fb710490c433d",
+        "b33c4ea6ebbbfb148d269cf59396fa144d7720135973b620653e02e81a596b3f",
     "answer/qa-t-wt":
-        "9a8e2e425b477d0446e834c835565dfa8a6785287500d6094e4cbf128a10b624",
+        "3b6d5c91457ea3b0073ec3146304bf7118d546c2bc2f866e791b049c12ac1ced",
     "answer/qa-t-swt":
-        "02d57fc523c5c53c956df456717ec999cc097cba40519bd948350030674b27f0",
+        "6f6878200896b080628e7b381d737274cf01546a6dad476b1b6b792ef818d237",
     "answer/qa-t-mwt":
-        "3e080f2b1801ec73f000b5e65db203284046f83eb3ca999bfa59932e00503de6",
+        "3afe12947f38f4fe51df0af28b78c6528973e85b3dd6c2480627276b4e6040e4",
     "answer/qa-t-mwst":
-        "4ec6bb5d880e1716380e8d8312704836ac80145ea8226417174260a6f0c77d78",
+        "b35bbde93d22f291d70ec259e09ffce06c3c84f49a93e44dd191d84ac28ff1f1",
     "answer/p-qa":
         "a4f930306636579b293c69dc17925d35663fcdd9445c57395a0596f038811edc",
     "answer/p-qa-out":
         "d062af6c8d2c5b11bd1a97b5e5cc999786ced3473b02ed850c40a2b64b8a7a96",
     "answer/p-qa-type":
-        "87c13843e267df23962b64be3d88471a701c7bd2d94125d7be6ce4fb92d90399",
+        "c516ae7da64a8cd7fddce776b2aee58a5e8adf1d02f6448c86dc924b4916238b",
     "answer/p-qa-type-out":
-        "f88e0c2eb98ad2fadaea5d1ba7e75b8bc48929ccc13b9df7fc2577a0d101737b",
+        "f39d3801dc64e1f246384067072623e0f4df571a89351e5ea71e6ce2d9416b8c",
     "answer/qa-s+od":
-        "32675c26fadd0a47bb0612de669d698a427266d8743c1c5f618bec4a4f2808d9",
+        "59fb7c0c0ba165d29fe4c5016ba251aa382f95e6fbb39723384754fc3ed7b15a",
     "answer/qa-t+od":
-        "9500bab2b50c7531b2dc8b1d7e4edbe6111c0fa8bc4c71880e5e1f9ad02f20f9",
+        "708176673c68479caa05b2306f6d8f2a3e8f7e9042047c78dea41c4bf20ab192",
     "answer/qa-t-w+od":
-        "07fe430dbf63329bd0a1e673046bbde7f4f7b73dc7bc3cf4f60efdc649197dc5",
+        "b17b7ce1b83c0e57634fa7b45f6bbc656063ea513f1d5228db6708a1e3babc8e",
     "answer/qa-t-ws+od":
-        "9705e8fc865cf07a902ea190a5291a49cb90e05c9111094d382009f9dc208a53",
+        "1793590ae481d0df24bf6f83c539f0fd369ccef54f7db85ee91548785fb27cc9",
     "answer/qa-t-wt+od":
-        "bfcb6f0e83349af8b06ee8266c3686047ce719582e3280f81be65b451d123f94",
+        "9642b422e75ff7b5c781df68bba69470c735e53cfc4fc709fcaded2fd1ff2fcc",
     "answer/qa-t-swt+od":
-        "ba75bb5888b420338b68bfa985f223a776c1fc230fcdbf9690e9d7cdf44bcd1d",
+        "16c3e1f50ec9fd15c4b7d17a68ac8bcf4a9a48ba8c9033deca836b545c064840",
     "answer/qa-t-mwt+od":
-        "1661e0b65b2389ca7b93dbbd5f32c685a29ea4fca02d3847c5f4bae1cd4d9349",
+        "3927520bdd3172bb3037a4a1ddeec08618c1d950dc530933807adc6bb2f1cfb1",
     "answer/qa-t-mwst+od":
-        "16c9abcb2c5fe90da66c05b1c2c9cb0e6d7d079a1598018ae8a2d53c3b4711fc",
+        "87af7cb9dd23b099344c0da650be5a0e93b386f47a9f4c038faaba1b8491be6e",
     "eval/pipeline/report.json":
         "9cfd8393444a758f3809413bbe9f4e98eb7e5a909d6985e3d7efad97d64cdf21",
     "eval/pipeline/report.txt":
@@ -137,43 +142,43 @@ PINS = {
     "eval/qa-t-mwst/report.txt":
         "3946035ebb6213eb984485ea46039367b075c73abed7fa13bb5128ef9f9adb59",
     "contents/tagger.nn":
-        "d42a0876d0a481476679b810f5936a582ba5b92b21771ec0cb37bb1054d0deb6",
+        "fccc9b5d56ef023455c395134d6836e76fe6fe8497068bcf9cb0b86274f04e11",
     "contents/relation.nn":
-        "f78b548589ae2ad32a4c67de2acbaab14dc39ba4c2f706fe356b5e10e77610a1",
+        "24a6f3f811d2ecf5112a480241ce8d6a0545b75f8a5679e6aa1b8b9b6f4287d2",
     "contents/type.nn":
-        "17b28b4b29c62c0dc0e7fa751365e81c20ede143bf251fea871eee10fa5c901f",
+        "22dd3082c930afaeb054a3dec70366b3dfc8e497bb18c600f88d70e9cbe9a421",
     "contents/qa-s.nn":
-        "ef8b90525deffaa75ca39d2abba2ce2d77f5df24f8e9547aa717bf868f8eb661",
+        "8a6cb578c297b967b0cecfe2555c57121fff350fce10745f803e8fbe042bd70c",
     "contents/qa-t.nn":
-        "ef8b90525deffaa75ca39d2abba2ce2d77f5df24f8e9547aa717bf868f8eb661",
+        "8a6cb578c297b967b0cecfe2555c57121fff350fce10745f803e8fbe042bd70c",
     "contents/qa-t-w.nn":
-        "7ff29ed811d7707acc7ccbc7d47e2ca8c4d2d6fd8f1097e1746a46031ca94ff5",
+        "e8f51d10c7e374369adf69bbdf0d867321863a02fe6710f9d1e1e9e3596b4f17",
     "contents/qa-t-ws.nn":
-        "0451f2ee3cdb9109ed2e8b337ef6ebf7e284b094a83e52ad7d49abb84ff0395d",
+        "42edbaea43b0b40c8db92cb36835664463fe28e3495d0e495dc7b03dfed5c24f",
     "contents/qa-t-wt.nn":
-        "411f3e1d661e7d94bbc3da7697ae43ceb7425e1ba7af310cda28dbf74d139092",
+        "c0ed941a097c074aca0c9eea2b28241e67755d9939522f00eb886c5b50a85f55",
     "contents/qa-t-swt.nn":
-        "d7ede8955b9db53d84809bfe4e6f11d0b99ec6a8287a51b9807e4c3931f272db",
+        "42edbaea43b0b40c8db92cb36835664463fe28e3495d0e495dc7b03dfed5c24f",
     "contents/qa-t-mwt.nn":
-        "a28b8b575ec410d9567a85f7ebfaea9658dbab108e4c78a727b64cead238062a",
+        "c47c736ee3a32b8555f471ac74a315a900040d0e5b43902fa8e0f67ea5c96df3",
     "contents/qa-t-mwst.nn":
-        "ee8b5b1eda53c4159cbe2bc67467990840ad29a3077a7eb11be2e4aa3ab9d3ac",
+        "6856646a4b62f2e55f2e006dbd21c377c9d3a186e82f2b5a00f9353beea19006",
 }
 
 # train-pipeline on the same data at the default epochs, seed 1
 DEFAULT_EPOCHS_PINS = {
     "tagger.nn":
-        "dc2d36ae134fe5c22b960a9e660fc6f97dd010f43f1480568ab94f377a945ade",
+        "bbcf0a7b4716ac12d21edd316738fa7d8872c722d41bea61afd435efbe0988ed",
     "relation.nn":
-        "b8ca2e951b65b78fc64cc4cd6268383c64a013a853476f51476e346a553358dd",
+        "3538e51a3bccb3a89030452fa429bba3e77db5456f629e590ad060b2dd7ddc7c",
     "type.nn":
-        "4198cedf4aaa94013e5acabbdef0bad91c0d79d2f6bcb886d6fafc25c417f930",
+        "c1d28cd35b231b97652c3ad0a4496b2281f5ec8610dfd5bd600d7d40a2458dc0",
     "contents/tagger.nn":
-        "130ba6a80ada64ee26a2277b1dc141862bab035bcdfd86e74a49537d3881377d",
+        "298db34807685a224cb0358d823a82cf1ab7a139b94853820c6c709d712b3cf9",
     "contents/relation.nn":
-        "ae91b7fa3ca4f0f15d06119dc79d0d1c0c41bb48a96ef32d561c92927b42b5c4",
+        "98f65dcccf757f4fc957a55b835a37bda9bf261d2d6bdbeb3c2efcdcfd88b893",
     "contents/type.nn":
-        "575418428374921becd0a9e3a7801de97c935ce875d3d7811afda8ca95a701a6",
+        "154472f0494ee6be2089109f032b66b212d1832e624a577f9c79ad8b363c7b47",
 }
 
 

@@ -186,7 +186,7 @@ class E2EModel(Model):
     def encode_words(self, words: Sequence[str]) -> Tensor:
         """[W, d] rows for the words: word-table rows, with char mode each
         followed by the char-GRU's last state over the word's characters,
-        every word on its own slot, so its char part has the bits of
+        all words in one run, so its char part has the bits of
         :meth:`char_summaries`."""
         vecs = self.words.embed(list(words))
         if not self.variant.char_level:
@@ -197,21 +197,21 @@ class E2EModel(Model):
 
     def char_summaries(self, words: Sequence[str]) -> np.ndarray:
         """[W, h] char-GRU last states, one per non-empty word, over its
-        characters, on arrays: one run with each word on its own slot (see
+        characters, on arrays: one run over every word (see
         :func:`~qakb.nn.layers.recurrent_forward`), so a word's summary
         has the bits of :func:`~qakb.nn.layers.recurrent` over that word's
         character rows alone, whatever words it runs with."""
         idx, lengths = padded_indices([self.chars.indices(word)
                                        for word in words])
-        last, _ = recurrent_forward(
-            (self.char_gru,), (self.chars.vectors.data[idx][:, None],),
-            lengths, (False,), "last")
-        return last[:, 0]
+        last, _ = recurrent_forward((self.char_gru,),
+                                    (self.chars.vectors.data[idx],),
+                                    lengths, (False,), "last")
+        return last
 
     def encode_texts(self, texts: Sequence[Sequence[str]]) -> Tensor:
-        """[B, h] encodings of token sequences, as one padded batch whose
-        texts each run on their own slot, so row ``k`` has the bits of
-        ``encode_text(texts, {})[k]``, whatever texts it is encoded with.
+        """[B, h] encodings of token sequences, as one padded batch, so
+        row ``k`` has the bits of ``encode_text(texts, {})[k]``, whatever
+        texts it is encoded with.
 
         Each distinct word is encoded once (see :meth:`encode_words`);
         the shared LSTM runs once over all rows with their own lengths
@@ -243,13 +243,15 @@ class E2EModel(Model):
         texts)``, and of row 0 of ``encode_text([texts[k]], {})``,
         whatever texts it is encoded with, the same text again included.
 
-        Each layer runs once for all the texts, each text, and each word,
-        on its own leading-axis slot, so every product is the one the text
-        would get alone.  ``summaries`` holds the char summaries of
-        vocabulary words met so far, a session's or a new dict.  With char
-        mode, the char-GRU runs once over the distinct words it lacks
+        Each layer runs once for all the texts, and every text gets the
+        bits it would get alone: the recurrent runs share their products
+        among the texts' rows, and the dense layer and self-attention run
+        each text on its own leading-axis slot (see :mod:`qakb.nn.layers`).
+        ``summaries`` holds the char summaries of vocabulary words met so
+        far, a session's or a new dict.  With char mode, the char-GRU runs
+        once over the distinct words it lacks
         (:meth:`char_summaries`), and those of vocabulary words are added.
-        The texts run longest first: the LSTM once, one slot per text, for
+        The texts run longest first: the LSTM once, one row per text, for
         the longest text's steps; self-attention over each text's states
         (:func:`~qakb.nn.layers.attention_forward`, the texts of one
         length stacked); then each text's states are truncated or
@@ -270,9 +272,8 @@ class E2EModel(Model):
         if self.variant.char_level:
             rows = np.concatenate(
                 [rows, self._char_part(list(words), summaries)], axis=1)
-        states, _ = recurrent_forward((self.lstm,), (rows[idx][:, None],),
-                                      lengths, (False,), "states")
-        states = states[:, 0]
+        states, _ = recurrent_forward((self.lstm,), (rows[idx],), lengths,
+                                      (False,), "states")
         if self.variant.self_attention:
             states, _ = attention_forward(states, lengths)
         (K, T), max_len, h = idx.shape, self.cfg.max_len, self.lstm.hidden_dim
@@ -575,8 +576,8 @@ class E2EStrategy:
     seen before is not tokenized again; question encodings are not kept.
     Each answer makes one :meth:`E2EModel.encode_text` call: its question,
     then the texts of every key the dict lacks, which runs each layer
-    once for all of them, one slot per text, and the dict takes the rows
-    back.  That call takes each word's char part from :attr:`summaries`,
+    once for all of them, and the dict takes the rows back.  That call
+    takes each word's char part from :attr:`summaries`,
     which keeps those of vocabulary words, so a warm session runs no
     char-GRU.  A text's encoding has the bits of encoding it alone, so an
     answer does not depend on what the session has encoded before.

@@ -18,19 +18,25 @@ computes its data by calling one of them, so an answer computed on
 arrays has the bits of the same computation as graph nodes.  Training's
 dropout multiplies by a :func:`dropout_mask`.
 
-Several sequences can share one array call and keep the bits each gets
-alone by sitting on their own slots of a leading axis: numpy's stacked
-``matmul`` runs one BLAS product per slot, with that slot's shapes and
-strides, so a slot's product is the 2-D product of the sequence alone.
-Rows that share one 2-D product round differently, so every encoding,
-in training as in answering, runs its sequences on slots, and a text has
-one encoding whatever it runs with: :func:`recurrent_forward` steps
-one-row slots, :meth:`Dense.forward` takes a stack of rows, and
-:func:`attention_forward` runs the sequences of each length as one
-stack.  Only what feeds no encoding shares products: the backwards,
-the tagger's head and the matchers' pair layers.  ``tests/test_slots.py``
-checks the property on the BLAS in use, and ``tests/test_one_encoding.py``
-the encodings it gives.
+Several sequences share one array call, and each keeps the bits it gets
+alone, in training as in answering, so a text has one encoding whatever
+it runs with.  Two properties of the BLAS give that.  A recurrent run
+shares each product among its sequences' rows
+(:func:`recurrent_forward`): every product has two or more rows and a
+C-ordered right operand, and each row of such a product has the bits it
+has in every other such product that holds it, up to an inner dimension
+of 384; a one-row product rounds differently, so a lone row multiplies
+beside a zero row.  :meth:`Dense.forward`, whose inner dimension
+``max_len * h`` passes that bound at width 128, and
+:func:`attention_forward` run each sequence on its own slot of a leading
+axis: numpy's stacked ``matmul`` runs one BLAS product per slot, with
+that slot's shapes and strides, so a slot's product is the 2-D product
+of the sequence alone.  ``tests/test_slots.py`` checks these properties
+on the BLAS in use, and ``tests/test_one_encoding.py`` the encodings
+they give.  The backwards share products too, as no answer reads a
+gradient's bits; the recurrent one shapes its products so that seeded
+training writes the same bytes under 1 and 2 BLAS threads
+(:func:`_recurrent_states`).
 """
 
 from __future__ import annotations
@@ -232,18 +238,15 @@ class Dense:
 class _GatedCell:
     """A recurrent cell's weights, one parameter per kind with the gates'
     blocks side by side in the subclass's ``gates`` order: the input
-    weight ``W`` as [d, G*h], the recurrent weight ``U`` as [G*h, h] and
-    the bias ``b`` as [G*h].
+    weight ``W`` as [d, G*h], the recurrent weight ``U`` as [h, G*h] and
+    the bias ``b`` as [G*h].  ``W`` and ``U`` are stored C-ordered, the
+    layout their products in :func:`recurrent_forward` read.
 
     A step works on ``[n, h]`` states, one row per sequence still
     running, or on ``[D, n, h]`` states with one such block per cell of
-    a run, the cells' weights then stacked ``[D, ...]`` too.  The rows
-    share each product; one-row slots, whose products are their own, are
-    ``[n, 1, h]`` states (or ``[D, n, 1, h]``, with ``U`` and ``b``
-    stacked ``[D, 1, ...]``).  It takes every gate's input projection
-    ``x @ W`` precomputed:
-    :func:`recurrent_forward` projects all timesteps in one product before
-    its time loop, reading ``W`` as it is stored.
+    a run.  It does only the gate arithmetic: it takes every gate's input
+    projection ``x @ W + b`` and recurrent product ``h @ U`` precomputed,
+    as :func:`recurrent_forward` makes them.
     """
 
     def __init__(self, params: dict[str, np.ndarray], name: str,
@@ -261,7 +264,7 @@ class _GatedCell:
                hidden_dim: int) -> dict[str, tuple[int, ...]]:
         """The shapes of the cell's parameters, by name."""
         gh = len(cls.gates) * hidden_dim
-        return {f"{name}.W": (input_dim, gh), f"{name}.U": (gh, hidden_dim),
+        return {f"{name}.W": (input_dim, gh), f"{name}.U": (hidden_dim, gh),
                 f"{name}.b": (gh,)}
 
     @classmethod
@@ -270,13 +273,12 @@ class _GatedCell:
         """Glorot-uniform weights and a zero bias."""
         d, h = input_dim, hidden_dim
         # per gate a draw of its [d, h] block of W, transposed, then of
-        # its [h, h] block of U: a seed's draws, and so every trained bit,
-        # depend on this order and these shapes; W is stored C-ordered, the
-        # layout whose products those bits came from
+        # its [h, h] block of U, transposed: a seed's draws, and so every
+        # trained bit, depend on this order and these shapes
         draws = [(glorot(rng, (h, d)), glorot(rng, (h, h)))
                  for _ in cls.gates]
-        return {f"{name}.W": np.concatenate([w for w, _ in draws]).T.copy(),
-                f"{name}.U": np.concatenate([u for _, u in draws]),
+        w, u = (np.concatenate(blocks).T.copy() for blocks in zip(*draws))
+        return {f"{name}.W": w, f"{name}.U": u,
                 f"{name}.b": np.zeros(len(cls.gates) * h)}
 
     def parameters(self) -> dict[str, Tensor]:
@@ -299,36 +301,36 @@ class GRUCell(_GatedCell):
     state_parts = ("h",)
 
     def step(self, xw: np.ndarray, state: tuple[np.ndarray],
-             u: np.ndarray, b: np.ndarray):
-        """One timestep on arrays, from the [..., n, 3h] input projections
-        ``xw`` and the stacked ``u`` ([..., 3h, h]) and ``b`` (broadcast
-        against ``xw``): the next state, and what :meth:`step_backward`
+             uh: np.ndarray):
+        """One timestep's gate arithmetic on arrays, from the [..., n, 3h]
+        input projections ``xw`` (bias added) and recurrent products
+        ``uh``, ``h @ U``: the next state, and what :meth:`step_backward`
         needs of this one (the input state first)."""
         (h,) = state
         H = self.hidden_dim
-        uh = h @ u.swapaxes(-1, -2)
-        zr = logistic(xw[..., :2 * H] + uh[..., :2 * H] + b[..., :2 * H])
+        zr = logistic(xw[..., :2 * H] + uh[..., :2 * H])
         z, r = zr[..., :H], zr[..., H:]
         u_n = uh[..., 2 * H:]
-        n = np.tanh(xw[..., 2 * H:] + r * u_n + b[..., 2 * H:])
+        n = np.tanh(xw[..., 2 * H:] + r * u_n)
         return ((1.0 - z) * n + z * h,), (h, z, r, n, u_n)
 
     def step_backward(self, saved, d_state: tuple[np.ndarray],
-                      u: np.ndarray):
-        """Gradients of one step from the gradient of its output state:
-        (gradient of its input state, the [..., n, 3h] gradient of the
-        pre-activations that ``W`` and ``b`` feed, the [..., n, 3h]
-        gradient of the products ``U @ h``)."""
+                      u_t: np.ndarray):
+        """Gradients of one step from the gradient of its output state and
+        ``u_t``, ``U`` transposed C-ordered ([..., 3h, h]): (gradient of
+        its input state, the [..., n, 3h] gradient of the pre-activations
+        that ``W`` and ``b`` feed, the [..., n, 3h] gradient of the
+        products ``h @ U``)."""
         h, z, r, n, u_n = saved
         (dh,) = d_state
-        not_z = 1.0 - z
-        da_n = dh * not_z * (1.0 - n * n)
-        da_z = dh * (h - n) * z * not_z
+        dh_not_z = dh * (1.0 - z)
+        da_n = dh_not_z * (1.0 - n * n)
+        da_z = dh_not_z * z * (h - n)
         du_n = da_n * r
-        da_r = da_n * u_n * r * (1.0 - r)
+        da_r = du_n * u_n * (1.0 - r)
         d_rec = np.concatenate([da_z, da_r, du_n], axis=-1)
         d_pre = np.concatenate([da_z, da_r, da_n], axis=-1)
-        return (dh * z + d_rec @ u,), d_pre, d_rec
+        return (dh * z + d_rec @ u_t,), d_pre, d_rec
 
 
 class LSTMCell(_GatedCell):
@@ -341,12 +343,12 @@ class LSTMCell(_GatedCell):
     state_parts = ("h", "c")
 
     def step(self, xw: np.ndarray, state: tuple[np.ndarray, np.ndarray],
-             u: np.ndarray, b: np.ndarray):
-        """One timestep on arrays, as :meth:`GRUCell.step` (the input
-        ``h`` first in what it keeps)."""
+             uh: np.ndarray):
+        """One timestep's gate arithmetic on arrays, as
+        :meth:`GRUCell.step` (the input ``h`` first in what it keeps)."""
         h, c = state
         H = self.hidden_dim
-        a = xw + h @ u.swapaxes(-1, -2) + b
+        a = xw + uh
         gates = logistic(a)
         i, f, o = gates[..., :H], gates[..., H:2 * H], gates[..., 3 * H:]
         g = np.tanh(a[..., 2 * H:3 * H])
@@ -355,9 +357,9 @@ class LSTMCell(_GatedCell):
         return (o * tanh_c, c_new), (h, c, i, f, g, o, tanh_c)
 
     def step_backward(self, saved, d_state: tuple[np.ndarray, np.ndarray],
-                      u: np.ndarray):
+                      u_t: np.ndarray):
         """Gradients of one step, as :meth:`GRUCell.step_backward`; every
-        gate's ``U @ h`` gradient is its pre-activation gradient."""
+        gate's ``h @ U`` gradient is its pre-activation gradient."""
         h, c, i, f, g, o, tanh_c = saved
         dh, dc = d_state
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
@@ -365,77 +367,25 @@ class LSTMCell(_GatedCell):
                                 dc * c * f * (1.0 - f),
                                 dc * i * (1.0 - g * g),
                                 dh * tanh_c * o * (1.0 - o)], axis=-1)
-        return (d_pre @ u, dc * f), d_pre, d_pre
+        return (d_pre @ u_t, dc * f), d_pre, d_pre
 
 
-def _slot_order(lengths: np.ndarray
-                ) -> tuple[list[int], list[int], list[int]]:
-    """The running order of K sequences: ``(order, lens, counts)``, the
-    sequences longest first (ties in input order), their lengths, and how
-    many run at each step, each step's a prefix of the previous step's.
-    Plain lists, not numpy passes: an answer runs a handful of slots, for
-    which this costs about 1.5 us against 9 us, and taking the order from
-    numpy passes made ``prep-m``'s ``qa-t-mwst`` answers 8% slower at p50
-    (10 of 10 interleaved benchmark pairs, 2 vCPUs)."""
-    ns = lengths.tolist()
-    order = sorted(range(len(ns)), key=ns.__getitem__, reverse=True)
-    lens = [ns[j] for j in order]
-    counts, running = [], len(lens)
-    for s in range(lens[0]):
-        while lens[running - 1] <= s:
-            running -= 1
-        counts.append(running)
-    return order, lens, counts
-
-
-def _slot_positions(order: list[int], lens: list[int], counts: list[int],
-                    T: int, reverses: Sequence[bool]) -> list[list[int]]:
-    """Per direction, the flat ``k * T + t`` input positions that the
-    steps of :func:`_slot_order`'s running order read, step after step,
-    the running sequences of a step in order; right to left within a
-    sequence when ``reverses[k]``.  Plain lists, as :func:`_slot_order`
-    gives: a training batch has a few hundred positions, for which numpy
-    passes cost as much."""
-    return [[order[j] * T + (lens[j] - 1 - s if reverse else s)
-             for s, n in enumerate(counts) for j in range(n)]
-            for reverse in reverses]
-
-
-def length_groups(lens: list[int]) -> list[tuple[int, int, int]]:
-    """``(start, stop, length)`` of each run of equal lengths in ``lens``,
-    which are sorted longest first, empty runs left out."""
-    starts = [j for j in range(len(lens)) if j == 0 or lens[j] < lens[j - 1]]
-    return [(a, b, lens[a]) for a, b in zip(starts, starts[1:] + [len(lens)])
-            if lens[a]]
-
-
-def _slot_projections(cells: Sequence[_GatedCell],
-                      inputs: Sequence[np.ndarray], order: list[int],
-                      lens: list[int], reverses: Sequence[bool]
-                      ) -> list[np.ndarray]:
-    """Each cell's input projections for K one-row slots, [n0, K, G*h]
-    with the slots longest first (``order``, whose lengths are ``lens``)
-    and entry ``[s, j]`` slot ``j``'s at its step ``s``; past a slot's
-    length the entries are never read.  Every slot's [n, d] rows, in the
-    order its cell reads them, are projected through ``W`` as their own
-    product, the slots of one length stacked in one ``matmul``."""
-    K, groups = len(lens), length_groups(lens)
-    xw = []
-    for x, c, reverse in zip(inputs, cells, reverses):
-        x = x.reshape(K, -1, x.shape[-1])
-        if order != sorted(order):
-            x = x[order]
-        buf = None if len(groups) == 1 else np.empty(
-            (lens[0], K, c.W.data.shape[1]))
-        for a, b, n in groups:
-            rows = x[a:b, n - 1::-1].copy() if reverse else x[a:b, :n]
-            proj = (rows @ c.W.data).swapaxes(0, 1)
-            if buf is None:
-                buf = proj
-            else:
-                buf[:n, a:b] = proj
-        xw.append(buf)
-    return xw
+def _running_order(lengths: np.ndarray, T: int, reverses: Sequence[bool]
+                   ) -> tuple[np.ndarray, list[int], list[np.ndarray]]:
+    """The running order of K sequences of T positions: ``(order, counts,
+    flats)``, the sequences longest first (ties in input order), how many
+    run at each step, each step's a prefix of the previous step's, and per
+    direction the flat ``k * T + t`` input positions that the steps read,
+    step after step, the running sequences of a step in order; right to
+    left within a sequence when ``reverses[k]``."""
+    order = np.argsort(-lengths, kind="stable")
+    lens = lengths[order]
+    running = lens[:, None] > np.arange(lens[0])  # [K, steps]
+    steps, seqs = np.nonzero(running.T)
+    starts = order[seqs] * T
+    flats = [starts + (lens[seqs] - 1 - steps if reverse else steps)
+             for reverse in reverses]
+    return order, running.sum(axis=0).tolist(), flats
 
 
 def recurrent_forward(cells: Sequence[_GatedCell],
@@ -446,17 +396,11 @@ def recurrent_forward(cells: Sequence[_GatedCell],
     """The forward of one run of D same-kind, same-size ``cells`` on
     arrays, building no graph: cell ``k`` over ``inputs[k]``, right to
     left when ``reverses[k]``, every input of one leading shape with T >=
-    1 and some sequence non-empty.  An input is one of:
-
-    - [T, d_k], [1, T, d_k] or [1, 1, T, d_k], with ``lengths`` ``[n]``:
-      one row;
-    - [K, T, d_k] or [K, 1, T, d_k] with K > 1 and the K ``lengths``: K
-      slots, one sequence each, whose padding is never read.
-
-    Every product is one sequence's own, so each sequence gets the bits
-    of a run over it alone, whatever it runs with.  A bidirectional run
-    passes its input twice; two matchers' runs pass each matcher's input
-    to both of its cells.
+    1 and some sequence non-empty.  An input is [T, d_k] or [1, T, d_k],
+    with ``lengths`` ``[n]``: one row; or [K, T, d_k] with K > 1 and the
+    K ``lengths``: K sequences, whose padding is never read.  A
+    bidirectional run passes its input twice; two matchers' runs pass
+    each matcher's input to both of its cells.
 
     ``output`` names the one result built: ``"states"``, aligned with
     input positions, cell ``k``'s in the ``k``-th block of h columns, and
@@ -464,80 +408,92 @@ def recurrent_forward(cells: Sequence[_GatedCell],
     [D*h] state after its last step (position n - 1 of a forward cell, 0
     of a reverse one), zero for an empty one.
 
-    Sequences run longest first (:func:`_slot_order`), and each timestep
-    runs ``step`` once on the states of the sequences still running, a
-    prefix of the previous step's, every cell at once: for two or more
-    cells the states and ``U`` and ``b`` are stacked on a leading axis.
-    One row steps [1, h] states ([D, 1, h] for D cells); K slots step
-    [n, 1, h] states, so each slot's product is its own.  So the time
-    loop runs the longest sequence's steps.  Stacking on a leading axis
-    leaves every product's bits as in a run of each cell, or each slot,
-    alone.  One row projects its positions through each cell's ``W`` in
-    one product; slots each project their own [n, d] rows
-    (:func:`_slot_projections`).  Each step's record for
-    ``step_backward`` is appended to ``saved`` when it is a list.
+    Sequences run longest first (:func:`_running_order`), and each timestep
+    runs ``step`` once on the [c, h] states of the c sequences still
+    running, a prefix of the previous step's, every cell at once: for two
+    or more cells the states, projections and ``U`` are stacked on a
+    leading axis, which leaves each cell's products as in a run of it
+    alone.  So the time loop runs the longest sequence's steps.  Each
+    cell projects every position it reads, in step order, in one product
+    ``rows @ W``, and the bias is added once, in place.  Each step makes
+    one product ``state @ U`` over its running rows, which ``step``
+    reads.
+
+    Every product has two or more rows and a C-ordered right operand, so
+    each row has the bits it gets in any other such product that holds
+    it (``tests/test_slots.py`` checks this of the kernel), and each
+    sequence gets the bits of a run over it alone, whatever it runs
+    with.  A one-row product would round differently: a single position
+    is projected beside a zero row, and a lone running row multiplies
+    ``U`` in row 0 of a [..., 2, h] buffer whose row 1 stays zero.  Each
+    step's record for ``step_backward`` is appended to ``saved`` when it
+    is a list.
 
     Returns the output and ``(flats, counts, order, u)``, which a
     backward reads: per cell the flat input positions the steps read, in
-    step order (see :func:`_slot_positions`; built for slots only with
-    ``"states"`` or a ``saved`` list), how many sequences run at each
-    step, the sequences longest first, and the recurrent weights as one
-    cell's or a [D, ...] stack.  :func:`recurrent` is the graph twin.
+    step order, how many sequences run at each step, the sequences
+    longest first, and the recurrent weights as one cell's or a [D, ...]
+    stack.  :func:`recurrent` is the graph twin.
     """
     T = inputs[0].shape[-2]
     K, D = lengths.shape[0], len(cells)
     cell = cells[0]
     H = cell.hidden_dim
     lead = (D,) if D > 1 else ()  # the direction axis, if any
-    run = (slice(None),) * len(lead)  # all of the direction axis, if any
     want_states = output == "states"
     if K == 1:
         n = int(lengths[0])
         order, counts = [0], [1] * n
         flats = [np.arange(n - 1, -1, -1) if r else slice(0, n)
                  for r in reverses]
-        xw = [x.reshape(T, -1)[flat] @ c.W.data
-              for x, flat, c in zip(inputs, flats, cells)]
     else:
-        order, lens, counts = _slot_order(lengths)
-        flats = (_slot_positions(order, lens, counts, T, reverses)
-                 if want_states or saved is not None else None)
-        xw = _slot_projections(cells, inputs, order, lens, reverses)
+        order, counts, flats = _running_order(lengths, T, reverses)
+    P = sum(counts)  # the positions of the run
+    xw = []
+    for x, flat, c in zip(inputs, flats, cells):
+        rows = x.reshape(K * T, -1)[flat]
+        if P == 1:  # beside a zero row, so no product has one row
+            rows = np.concatenate([rows, np.zeros_like(rows)])
+        xw.append(rows @ c.W.data)
     us, bs = [c.U.data for c in cells], [c.b.data for c in cells]
     if D > 1:  # the cells' arrays stacked on a leading axis
         xw, u, b = np.array(xw), np.array(us), np.array(bs)[:, None]
     else:
         (xw,), (u,), (b,) = xw, us, bs
-    # [n, 1, G*h] step inputs of one row, [n0, K, 1, G*h] of K slots
-    xw, u_step = xw[..., None, :], u
-    point = () if K == 1 else (1,)  # a slot's one-row axis
-    if point and D > 1:
-        u_step, b = u[:, None], b[:, None]
+    xw += b
     outs, ends = [], []
-    state = cell.initial_state(*lead, counts[0], *point)
-    for s, c in enumerate(counts):
-        if c < state[0].shape[len(lead)]:  # sequences that ended drop out
+    state = cell.initial_state(*lead, counts[0])
+    lone = None  # a lone row's [..., 2, h] buffer, row 1 zero
+    at = 0
+    for c in counts:
+        if c < state[0].shape[-2]:  # sequences that ended drop out
             if not want_states:
-                ends.append(state[0][(*run, slice(c, None))])
-            state = tuple(v[(*run, slice(c))] for v in state)
-        state, keep = cell.step(xw[(*run, s, slice(c))], state, u_step, b)
+                ends.append(state[0][..., c:, :])
+            state = tuple(v[..., :c, :] for v in state)
+        if c > 1:
+            uh = state[0] @ u
+        else:
+            if lone is None:
+                lone = np.zeros(lead + (2, H))
+            lone[..., :1, :] = state[0]
+            uh = (lone @ u)[..., :1, :]
+        state, keep = cell.step(xw[..., at:at + c, :], state, uh)
+        at += c
         if saved is not None:
             saved.append(keep)
         if want_states:
             outs.append(state[0])
     if want_states:
-        hs = np.concatenate(outs, axis=len(lead)).reshape(D, -1, H)
-        states = np.zeros((D, K * T, H))
+        hs = np.concatenate(outs, axis=-2).reshape(D, -1, H)
+        states = np.zeros((K * T, D, H))  # cells side by side
         for k, flat in enumerate(flats):
-            states[k][flat] = hs[k]
-        # cells side by side: [K * T, D * h]; one cell needs no copy
-        data = states[0] if D == 1 else states.transpose(1, 0, 2)
-        data = data.reshape(inputs[0].shape[:-1] + (D * H,))
+            states[flat, k] = hs[k]
+        data = states.reshape(inputs[0].shape[:-1] + (D * H,))
     else:
         # the sequences that end latest come first in the running order
         ends.append(state[0])
         last = (ends[0] if len(ends) == 1 else np.concatenate(
-            ends[::-1], axis=len(lead))).reshape(D, -1, H)
+            ends[::-1], axis=-2)).reshape(D, -1, H)
         if K > 1:
             rows, last = last, np.zeros((D, K, H))
             last[:, order[:rows.shape[1]]] = rows
@@ -550,15 +506,18 @@ def _recurrent_states(cells: Sequence[_GatedCell], x: Tensor,
                       lengths: np.ndarray, reverses: Sequence[bool],
                       output: str) -> Tensor:
     """One run of :func:`recurrent_forward` of every cell over ``x``, one
-    row or K slots, as one graph node, whose parents are ``x`` and the
-    cells' weights.
+    row or K sequences, as one graph node, whose parents are ``x`` and
+    the cells' weights.
 
     The backward runs ``step_backward`` back through time as the forward
-    stepped, on [n, h] rows (a slot's one-row axis dropped from what each
-    step saved, so the running rows share each product: no answer reads a
-    gradient's bits), adds the gradients of ``W``, ``U`` and ``b`` once
-    each, as products over every row and timestep, and gives ``x`` one
-    gradient, summed over the cells in order.
+    stepped, on the [c, h] rows each step saved, adds the gradients of
+    ``W``, ``U`` and ``b`` once each, as products over every row and
+    timestep, and gives ``x`` one gradient, summed over the cells in
+    order.  Its products read C-ordered right operands (``U`` and ``W``
+    transposed are copied once each), and the input gradient's is padded
+    to a width that is a multiple of 8, so that seeded training writes
+    the same bytes under 1 and 2 BLAS threads (``tests/test_slots.py``
+    checks these products, ``tests/test_trained_bytes.py`` the bytes).
     """
     params = [p for c in cells for p in (c.W, c.U, c.b)]
     saved: list = []
@@ -570,53 +529,56 @@ def _recurrent_states(cells: Sequence[_GatedCell], x: Tensor,
     H = cell.hidden_dim
     lead = (D,) if D > 1 else ()
     offsets = [0, *accumulate(counts)]
-    pre_shape = lead + (offsets[-1], u.shape[-2])  # [D, positions, G*h]
+    pre_shape = lead + (offsets[-1], u.shape[-1])  # [D, positions, G*h]
 
     def backward(out: Tensor) -> None:
-        steps, flat_at = saved, flats
-        if K > 1:
-            steps = [tuple(v[..., 0, :] for v in keep) for keep in saved]
-            flat_at = [np.array(flat) for flat in flats]
-        if output == "states":
-            grad = out.grad.reshape(K * T, D, H)
-            g = [grad[:, k][flat] for k, flat in enumerate(flat_at)]
-            g = np.array(g) if D > 1 else g[0]
-        else:  # each sequence's gradient at its last step
-            ran = order[:counts[0]]  # the sequences that ran
-            g = np.zeros(pre_shape[:-1] + (H,))
-            ends_at = (np.asarray(offsets)[lengths[ran] - 1]
-                       + np.arange(len(ran)))
-            grad = out.grad.reshape(K, D, H)[ran]
-            g[..., ends_at, :] = grad.transpose(1, 0, 2).reshape(
-                g.shape[:-2] + (len(ran), H))
+        grad = out.grad.reshape(-1, D, H)
+        if output == "states":  # the gradient of each step's states
+            g = [grad[flat, k] for k, flat in enumerate(flats)]
+        else:  # each sequence's, in running order, joins at its last step
+            g = grad[order].transpose(1, 0, 2)
+        g = np.array(g) if D > 1 else g[0]
         d_pre = np.empty(pre_shape)
         d_rec = np.empty(pre_shape)
-        d_state = cell.initial_state(*lead, counts[-1])
-        for s in reversed(range(len(steps))):
+        u_t = u.swapaxes(-1, -2).copy()
+        d_state = cell.initial_state(*lead, 0)
+        for s in reversed(range(len(saved))):
             lo, hi = offsets[s], offsets[s + 1]
-            if hi - lo > d_state[0].shape[-2]:  # sequences that end here
-                pad = np.zeros(lead + (hi - lo - d_state[0].shape[-2], H))
-                d_state = tuple(np.concatenate([v, pad], axis=-2)
-                                for v in d_state)
-            d_state = (d_state[0] + g[..., lo:hi, :],) + d_state[1:]
+            ran = d_state[0].shape[-2]
+            if hi - lo > ran:  # the sequences whose last step this is
+                pad = np.zeros(lead + (hi - lo - ran, H))
+                joining = pad if output == "states" else g[..., ran:hi - lo, :]
+                d_state = tuple(np.concatenate([v, part], axis=-2)
+                                for v, part in zip(d_state,
+                                                   (joining, pad, pad)))
+            if output == "states":
+                d_state = (d_state[0] + g[..., lo:hi, :],) + d_state[1:]
             d_state, d_pre[..., lo:hi, :], d_rec[..., lo:hi, :] = (
-                cell.step_backward(steps[s], d_state, u))
-        h_prev = np.concatenate([keep[0] for keep in steps], axis=-2)
+                cell.step_backward(saved[s], d_state, u_t))
+        h_prev = np.concatenate([keep[0] for keep in saved], axis=-2)
         d_pre, d_rec, h_prev = (a.reshape((D,) + a.shape[-2:])
                                 for a in (d_pre, d_rec, h_prev))
         rows = x.data.reshape(K * T, -1)
         for k, c in enumerate(cells):
-            # W's gradient is the [G*h, d] product transposed:
-            # xs.T @ d_pre would round differently
-            for weight, grad_k in ((c.W, (d_pre[k].T @ rows[flat_at[k]]).T),
-                                   (c.U, d_rec[k].T @ h_prev[k]),
+            # W's and U's gradients are the [G*h, ...] products
+            # transposed: xs.T @ d_pre would round differently
+            for weight, grad_k in ((c.W, (d_pre[k].T @ rows[flats[k]]).T),
+                                   (c.U, (d_rec[k].T @ h_prev[k]).T),
                                    (c.b, d_pre[k].sum(axis=0))):
                 if weight.requires_grad:
                     weight.accumulate(grad_k)
         if x.requires_grad:
-            d_x = np.zeros((K * T, x.shape[-1]))
+            d = x.shape[-1]
+            # W.T C-ordered, its columns zero-padded to a multiple of 8: a
+            # product whose width is not one splits its columns across BLAS
+            # threads with bits that depend on the thread count
+            w_t = np.zeros((D, pre_shape[-1], -(-d // 8) * 8))
             for k, c in enumerate(cells):
-                d_x[flat_at[k]] += d_pre[k] @ c.W.data.T
+                w_t[k, :, :d] = c.W.data.T
+            d_xs = d_pre @ w_t
+            d_x = np.zeros((K * T, d))
+            for k, flat in enumerate(flats):
+                d_x[flat] += d_xs[k, :, :d]
             x.accumulate(d_x.reshape(x.shape))
 
     return _make(data, (x, *params), backward)
@@ -628,10 +590,10 @@ def recurrent(cells: Sequence[_GatedCell], x: Tensor,
     """:func:`recurrent_forward`'s graph twin, with its arguments: after
     checking the shapes, one :func:`_recurrent_states` node over one
     [T, d] row (``lengths`` unread) or a padded [B, T, d] batch with its
-    rows' ``lengths`` (all T when None), whose padding is never read.  A
-    batch of two or more rows runs them on slots, so each row has the
-    bits of a run over it alone, in training as in answering.  A batch of
-    empty rows gives zero ``output`` without a run."""
+    rows' ``lengths`` (all T when None), whose padding is never read.
+    Each row has the bits of a run over it alone, in training as in
+    answering.  A batch of empty rows gives zero ``output`` without a
+    run."""
     if output not in ("states", "last"):
         raise ValueError(f"output must be 'states' or 'last', got {output!r}")
     lead_shape = x.shape[:-1]

@@ -66,9 +66,9 @@ class TaggerModel(Model):
     def forward_batch(self, seqs: Sequence[Sequence[str]]) -> Tensor:
         """Per-token class probabilities of every token of every sequence,
         in order, shape [sum of lengths, 2]; column 1 is 'e'.  The BiLSTM
-        runs once over the sequences as one padded batch, each sequence on
-        its own slot, so its states have the bits of :meth:`forward`'s; the
-        head's rows share its product."""
+        runs once over the sequences as one padded batch, whose states
+        each have the bits of :meth:`forward`'s; the head's rows share its
+        product."""
         inputs, lengths = self.embedding.embed_padded(seqs)
         states = recurrent((self.fwd, self.bwd), inputs, lengths,
                            (False, True), "states")
@@ -136,9 +136,8 @@ class MatcherModel(Model):
 
     def encode_texts(self, texts: Sequence[Sequence[str]]) -> Tensor:
         """[B, 2h] encodings of token sequences: the last states of both
-        GRU directions, as one padded batch whose sequences each run on
-        their own slot, so row ``k`` has the bits of ``encode(texts[k])``;
-        an empty sequence encodes as zeros."""
+        GRU directions, as one padded batch, whose row ``k`` has the bits
+        of ``encode(texts[k])``; an empty sequence encodes as zeros."""
         inputs, lengths = self.embedding.embed_padded(texts)
         return recurrent((self.fwd, self.bwd), inputs, lengths,
                          (False, True), "last")

@@ -254,9 +254,9 @@ def gate_block(cell, kind, gate, array=None):
     k = cell.gates.index(gate)
     if array is None:
         array = getattr(cell, kind).data
-    if kind == "W":
-        return array[:, k * h:(k + 1) * h].T
-    return array[k * h:(k + 1) * h]
+    if kind == "b":
+        return array[k * h:(k + 1) * h]
+    return array[:, k * h:(k + 1) * h].T
 
 
 def stack_rows(rows):

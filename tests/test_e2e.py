@@ -147,8 +147,10 @@ class TestWordEncoder:
         vec = m.encode_words(["a"]).data[0]
         x = m.chars.embed(["a"]).data
         gru = m.char_gru
-        (h,), _ = gru.step(x @ gru.W.data, gru.initial_state(1),
-                           gru.U.data, gru.b.data)
+        # each product beside a zero row, as the run makes it
+        xw = (np.concatenate([x, 0 * x]) @ gru.W.data)[:1] + gru.b.data
+        (h0,) = gru.initial_state(2)
+        (h,), _ = gru.step(xw, (h0[:1],), (h0 @ gru.U.data)[:1])
         assert_array_equal(vec[-gru.hidden_dim:], h[0])
 
     def test_unknown_words_distinguished_by_spelling(self):

@@ -249,44 +249,51 @@ class TestLSTM:
         assert finite_diff_check(loss, list(cell.parameters().values())) < 1e-4
 
 
-def _oracle_gru_step(p, xw, state):
+def _oracle_gru_step(xw, uh, state):
     (h,) = state
-    z = sigmoid(xw["z"] + matmul(p["U_z"], h) + p["b_z"])
-    r = sigmoid(xw["r"] + matmul(p["U_r"], h) + p["b_r"])
-    n = tanh(xw["n"] + mul(r, matmul(p["U_n"], h)) + p["b_n"])
+    z = sigmoid(xw["z"] + uh["z"])
+    r = sigmoid(xw["r"] + uh["r"])
+    n = tanh(xw["n"] + mul(r, uh["n"]))
     return ((1.0 - z) * n + z * h,)
 
 
-def _oracle_lstm_step(p, xw, state):
+def _oracle_lstm_step(xw, uh, state):
     h, c = state
-    i = sigmoid(xw["i"] + matmul(p["U_i"], h) + p["b_i"])
-    f = sigmoid(xw["f"] + matmul(p["U_f"], h) + p["b_f"])
-    g = tanh(xw["g"] + matmul(p["U_g"], h) + p["b_g"])
-    o = sigmoid(xw["o"] + matmul(p["U_o"], h) + p["b_o"])
+    i = sigmoid(xw["i"] + uh["i"])
+    f = sigmoid(xw["f"] + uh["f"])
+    g = tanh(xw["g"] + uh["g"])
+    o = sigmoid(xw["o"] + uh["o"])
     c_new = f * c + i * g
     return o * tanh(c_new), c_new
 
 
+def _gate_parts(cell, row):
+    """Each gate's [h] part of a [G*h] row, as nodes."""
+    H = cell.hidden_dim
+    return {g: gather_rows(row, range(k * H, (k + 1) * H))
+            for k, g in enumerate(cell.gates)}
+
+
 def _oracle_run(cell, inputs, direction):
     """The per-timestep graph of tensor primitives that the fused sequence
-    op replaces: one node per gate product, sum and nonlinearity.  The
-    input projections ``x @ W`` of all gates and timesteps are one
-    product, as in the fused op, so the forward compares bit for bit."""
+    op replaces: one node per product, sum and nonlinearity.  The fused
+    op's products are made as it makes them, with two or more rows: the
+    input projections ``x @ W`` of all timesteps, beside one zero row,
+    are one product with the bias added after it, and each step's
+    ``h @ U`` is row 0 of the product of ``h`` stacked on a zero row, so
+    the forward compares bit for bit."""
     step = _oracle_gru_step if isinstance(cell, GRUCell) else _oracle_lstm_step
     T, H = inputs.shape[0], cell.hidden_dim
     order = range(T) if direction == "forward" else range(T - 1, -1, -1)
-    stacked = transpose(matmul(inputs, cell.W))
-    proj = {g: transpose(gather_rows(stacked, range(k * H, (k + 1) * H)))
-            for k, g in enumerate(cell.gates)}
-    # each gate's rows of U and b as nodes, so their gradients reach the cell
-    p = {f"{kind}_{g}": gather_rows(getattr(cell, kind),
-                                    range(k * H, (k + 1) * H))
-         for k, g in enumerate(cell.gates) for kind in "Ub"}
+    padded = concat([inputs, zeros((1, inputs.shape[1]))], axis=0)
+    xw = matmul(padded, cell.W) + cell.b
     state = tuple(zeros((cell.hidden_dim,)) for _ in cell.state_parts)
     outputs = {}
     for t in order:
-        xw_t = {g: gather_rows(xw, t) for g, xw in proj.items()}
-        state = step(p, xw_t, state)
+        uh = gather_rows(matmul(stack_rows([state[0], zeros((H,))]),
+                                cell.U), 0)
+        state = step(_gate_parts(cell, gather_rows(xw, t)),
+                     _gate_parts(cell, uh), state)
         outputs[t] = state[0]
     return stack_rows([outputs[t] for t in range(T)]), outputs[order[-1]]
 
@@ -380,7 +387,7 @@ class TestGatedCellLayout:
         params = cell.parameters()
         assert list(params) == ["c.W", "c.U", "c.b"]
         assert [p.shape for p in params.values()] == [
-            (d, G * h), (G * h, h), (G * h,)]
+            (d, G * h), (h, G * h), (G * h,)]
         assert all(p.requires_grad for p in params.values())
         assert all(p.data.flags.c_contiguous for p in params.values())
         replay = np.random.default_rng(61)
@@ -469,9 +476,9 @@ class TestBatchedRecurrent:
         rows = []
         step = LSTMCell.step
 
-        def counted(self, xw, state, u, b):
+        def counted(self, xw, state, uh):
             rows.append(xw.shape[0])
-            return step(self, xw, state, u, b)
+            return step(self, xw, state, uh)
 
         monkeypatch.setattr(LSTMCell, "step", counted)
         recurrent((cell,), x, (3, 1, 2), (False,), "states")
@@ -615,9 +622,9 @@ class TestFusedBidirectional:
         shapes = []
         step = cell_cls.step
 
-        def counted(self, xw, state, u, b):
+        def counted(self, xw, state, uh):
             shapes.append(xw.shape[:2])
-            return step(self, xw, state, u, b)
+            return step(self, xw, state, uh)
 
         monkeypatch.setattr(cell_cls, "step", counted)
         states, last = _both((f, b), x, BIDI_LENGTHS, BIDI)
@@ -733,9 +740,9 @@ class TestStackedRun:
         shapes = []
         step = GRUCell.step
 
-        def counted(self, xw, state, u, b):
+        def counted(self, xw, state, uh):
             shapes.append(xw.shape[0])
-            return step(self, xw, state, u, b)
+            return step(self, xw, state, uh)
 
         monkeypatch.setattr(GRUCell, "step", counted)
         for output in ("states", "last"):

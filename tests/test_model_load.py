@@ -26,7 +26,9 @@ from qakb.evalharness import answer_record
 from qakb.kb import load_kb
 from qakb.nn import layers
 from qakb.nn.config import TrainConfig
-from qakb.nn.io import load_model, meta_path, save_model
+from qakb.nn.io import (load_model, load_params, meta_path,
+                       save_model, save_params)
+from qakb.nn.tensor import Tensor
 
 CFG = TrainConfig(epochs=1, hidden_size=4, embed_dim=6, char_dim=5,
                   max_len=6, seed=3)
@@ -117,30 +119,32 @@ def test_layout_shapes_are_the_trained_model_s(trained, name):
 
 
 # A sha256 of each new model's parameter names and bytes, in name order,
-# recorded when each model drew its parts in a constructor of its own.
+# recorded when each model drew its parts in a constructor of its own, and
+# re-recorded when recurrent weights U came to be stored as [h, G*h]: the
+# same draws, transposed.
 DRAW_PINS = {
     "tagger":
-        "8b2a41c0e921217271c83bd06ea11bc171e3642c0c893b95d13fc1ceb423a66f",
+        "428a5097040c1ea3d39d9c982b17b2d55fff05e60c33eaf8ae8050123b1f8b04",
     "relation":
-        "bf7551ebaee9a3f8cddba79a8c1ba61d7adcdbe2f7d00a8c900a0e3d308a0d76",
+        "6401a9c439127a642df95d3726002c4fc9d9483f09020ab5fcf8f3968ec6e9d5",
     "type":
-        "d12db8d3d82cb3266abad4566249243bd72c930c2965af5c24e820494e85cb4f",
+        "182edc634980fc99c8022207d66a891371acb01e0969c840bc0a64d4fa472774",
     "qa-s":
-        "2221928b92690aba815b81190a0688d7584f67d64899b40c97e6ec4f308e3171",
+        "dd3b35fd490f320d52735b00ffe358f402a102e114200d9e5acddac4b7f61c09",
     "qa-t":
-        "2221928b92690aba815b81190a0688d7584f67d64899b40c97e6ec4f308e3171",
+        "dd3b35fd490f320d52735b00ffe358f402a102e114200d9e5acddac4b7f61c09",
     "qa-t-w":
-        "1a835aaf4c7b6392cf3d3fe82e293707b555454d9d50c176c09847160fdc14a6",
+        "0fc4e2d6515f5691829481a30a0c62f76c4aa9bcf3f067210365b5978dad52d5",
     "qa-t-ws":
-        "1a835aaf4c7b6392cf3d3fe82e293707b555454d9d50c176c09847160fdc14a6",
+        "0fc4e2d6515f5691829481a30a0c62f76c4aa9bcf3f067210365b5978dad52d5",
     "qa-t-wt":
-        "1a835aaf4c7b6392cf3d3fe82e293707b555454d9d50c176c09847160fdc14a6",
+        "0fc4e2d6515f5691829481a30a0c62f76c4aa9bcf3f067210365b5978dad52d5",
     "qa-t-swt":
-        "1a835aaf4c7b6392cf3d3fe82e293707b555454d9d50c176c09847160fdc14a6",
+        "0fc4e2d6515f5691829481a30a0c62f76c4aa9bcf3f067210365b5978dad52d5",
     "qa-t-mwt":
-        "6d0b7793eecc711a20e2aa0683b20aea916eadf8fb0a105c278bf1f1508a8b5f",
+        "93265b1b7682243f37b913c250983fe3eb577c9d40add6741d083f5354a4270d",
     "qa-t-mwst":
-        "6d0b7793eecc711a20e2aa0683b20aea916eadf8fb0a105c278bf1f1508a8b5f",
+        "93265b1b7682243f37b913c250983fe3eb577c9d40add6741d083f5354a4270d",
 }
 
 
@@ -254,6 +258,32 @@ def test_cli_exits_2_on_a_sidecar_of_another_shape(trained, tmp_path, capsys,
     assert code == 2 and out == ""
     assert err.startswith(f"error: {target}: ")
     assert "snapshot shape" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target, param, flags", [
+    ("tagger", "tagger.fwd.U", ["--pipeline", "{dir}", "--strategy", "p-qa"]),
+    ("qa-t", "e2e.lstm.U", ["--model", "{dir}/qa-t.nn", "--variant", "qa-t"])])
+def test_cli_exits_2_on_a_snapshot_of_the_old_recurrent_layout(
+        trained, tmp_path, capsys, target, param, flags):
+    """A snapshot written before recurrent weights ``U`` were stored as
+    [h, G*h] holds them as [G*h, h]: ``answer`` exits 2, naming the file,
+    the parameter and both shapes, and the snapshot must be retrained."""
+    for name in ("tagger", "relation", "type", "qa-t"):
+        save_model(trained.models[name], str(tmp_path / f"{name}.nn"))
+    path = tmp_path / f"{target}.nn"
+    params = load_params(str(path))
+    save_params({name: Tensor(arr.T.copy() if name.endswith(".U") else arr)
+                 for name, arr in params.items()}, str(path))
+    asked = tmp_path / "q.txt"
+    asked.write_text(trained.texts[0] + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["answer", "--kb", trained.kb_path, "--questions", str(asked),
+                 *(flag.format(dir=tmp_path) for flag in flags)])
+    out, err = capsys.readouterr()
+    h, gh = params[param].shape  # as the model stores it
+    assert code == 2 and out == ""
+    assert err == (f"error: {path}: parameter '{param}': snapshot shape "
+                   f"({gh}, {h}), model shape ({h}, {gh})\n")
 
 
 @pytest.mark.parametrize("target, edit", [

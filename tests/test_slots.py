@@ -1,22 +1,47 @@
-"""Sequences on their own leading-axis slots keep the bits they get alone.
+"""Sequences keep the bits they get alone, whatever they run with.
 
-Answering encodes many texts in one array call: each text, and each
-word's characters, sits on its own slot of a leading axis, and every
-product runs as ``numpy.matmul`` over a stack of same-shaped matrices.
-That gives each text the bits of its own run only because numpy's
-stacked ``matmul`` makes one BLAS call per slot, with that slot's shapes
-and strides, so a slot's product is the 2-D product of the text alone;
-rows that share one 2-D product round differently.  The direction axis
-of a bidirectional run rests on the same property.
+Answering and training encode many texts in one array call, and a text
+must get the bits it gets alone (``tests/test_one_encoding.py``).  Two
+properties of the BLAS in use give that.
 
-:class:`TestStackedProducts` checks the property for the shapes the
-models use.  It was shown with numpy 2.4.6 and OpenBLAS 0.3.31 picking
-its Haswell kernels at run time (x86-64); a numpy or BLAS whose stacked
-products differ from their 2-D ones fails it, and with it every claim
-below that a slot has the bits of its sequence alone.
+- **Rows.**  A recurrent run shares one product among its sequences:
+  each cell projects every position in one ``rows @ W``, and each step
+  makes one ``state @ U`` over the rows still running.  Each such
+  product has two or more rows and a C-ordered right operand, and each
+  of its rows has the bits it has in every other such product that
+  holds it.  A one-row product rounds differently, so a lone row
+  multiplies beside a zero row.  :class:`TestSharedProducts` checks this
+  on the shapes the models use, at the default widths and at 128.
+- **Slots.**  The dense layer and attention run each sequence on its own
+  slot of a leading axis: numpy's stacked ``matmul`` makes one BLAS call
+  per slot, with that slot's shapes and strides, so a slot's product is
+  the 2-D product of the sequence alone.  The direction axis of a
+  recurrent run, one slot per cell, rests on it too.
+  :class:`TestStackedProducts` checks it.
+
+:class:`TestSharedProducts` also requires each product a recurrent run
+makes, forward and backward, to have the same bits under 1 and 2
+OpenBLAS threads, so that seeded training is thread-independent
+(``tests/test_trained_bytes.py``).
+
+Both were shown with numpy 2.4.6 and OpenBLAS 0.3.31 picking its
+Haswell kernels at run time (x86-64).  The row property held at inner
+dimensions 3 to 384; from 392 up it failed in about a third of the cases
+scanned, so it is relied on, and checked, only up to
+:data:`INNER_BOUND`.  Products whose output width was not a multiple of
+8 had other bits under 2 threads than under 1 (widths 66 to 162 at inner
+dimension 256, some row counts each), so the backward's input-gradient
+product pads its width to one.  A numpy or BLAS without these
+properties fails here, and with it every claim below and in
+``tests/test_one_encoding.py`` that a sequence has the bits it gets
+alone.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,30 +61,92 @@ def _bits(a):
 # (d, h) of the models' recurrent layers: the char-GRU, the joint model's
 # LSTM over word and char parts, and the pipeline's small cells
 WIDTHS = [(12, 12), (36, 16), (24, 16), (4, 4), (3, 4)]
+# the same at hidden = embed = 128: the joint model's LSTM over word and
+# char parts, and the pipeline's cells
+WIDE = [(140, 128), (128, 128)]
+# the largest inner dimension at which the row property was shown
+INNER_BOUND = 384
+
+# Run in a subprocess under a given OpenBLAS thread count: per cell of
+# [d, h, gates] in argv[1], the products a recurrent run makes (the
+# projection [d, G*h], the step [h, G*h] and the backward's input
+# gradient [G*h, d padded to a multiple of 8]) over rows of random
+# inputs, and for the first two the rows whose bits differ from the
+# same rows' in a product of all 300.  Prints, per cell, those
+# failures and a sha256 of every product made.
+_PROBE = """
+import hashlib, json, sys
+import numpy as np
+rng = np.random.default_rng(0)
+out = {}
+for d, h, gates in json.loads(sys.argv[1]):
+    digest, failures = hashlib.sha256(), []
+    for name, k, m in (("projection", d, gates * h), ("step", h, gates * h),
+                       ("input gradient", gates * h, -(-d // 8) * 8)):
+        x = rng.normal(size=(301, k))[1:]  # at an offset of one row
+        w = rng.normal(size=(k, m))
+        full = x @ w
+        rows = {"all": (full, full)}
+        for a, b in ((0, 2), (1, 3), (5, 12), (3, 67), (0, 60), (100, 300)):
+            rows[f"{a}:{b}"] = (x[a:b] @ w, full[a:b])
+        idx = rng.choice(300, size=40, replace=False)
+        rows["40 gathered"] = (x[idx] @ w, full[idx])
+        pair = np.stack([x[:24], x[24:48]]) @ np.stack([w, w[::-1].copy()])
+        rows["a stack's slot"] = (pair[0], full[:24])
+        lone = np.zeros((2, k))
+        for i in (0, 299):
+            lone[0] = x[i]
+            got = lone @ w
+            rows[f"lone {i}"] = (got[:1], full[i:i + 1])
+            digest.update(got.tobytes())
+        for key, (got, want) in rows.items():
+            digest.update(got.tobytes())
+            if name != "input gradient" and got.tobytes() != want.tobytes():
+                failures.append(f"{name} rows {key}")
+    out[f"{d}-{h}-{gates}"] = (failures, digest.hexdigest())
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def shared_products():
+    """:data:`_PROBE` over every width and gate count, under 1 and under 2
+    OpenBLAS threads, each in its own process started together."""
+    cells = [[d, h, gates] for d, h in WIDTHS + WIDE for gates in (3, 4)]
+    procs = [subprocess.Popen([sys.executable, "-c", _PROBE,
+                               json.dumps(cells)],
+                              stdout=subprocess.PIPE, text=True,
+                              env={**os.environ,
+                                   "OPENBLAS_NUM_THREADS": str(threads)})
+             for threads in (1, 2)]
+    results = []
+    for proc in procs:
+        out, _ = proc.communicate(timeout=300)
+        assert proc.returncode == 0
+        results.append(json.loads(out))
+    return results
+
+
+class TestSharedProducts:
+    """Each row of a C-ordered product of two or more rows has the bits it
+    has in every other such product that holds it, a lone row beside a
+    zero row included, under 1 and 2 OpenBLAS threads; and each product
+    a recurrent run makes has the same bits under both."""
+
+    def test_inner_dimensions_within_the_bound(self):
+        assert max(max(d, h) for d, h in WIDTHS + WIDE) <= INNER_BOUND
+
+    @pytest.mark.parametrize("gates", [3, 4])
+    @pytest.mark.parametrize("d, h", WIDTHS + WIDE)
+    def test_recurrent_products(self, shared_products, d, h, gates):
+        one, two = (result[f"{d}-{h}-{gates}"] for result in shared_products)
+        assert one[0] == [] and two[0] == []
+        assert one[1] == two[1], "other bits under 2 threads than under 1"
 
 
 class TestStackedProducts:
     """A leading-axis stack of products gives each slot the bits of its
     own 2-D product, for every product an encode makes."""
-
-    @pytest.mark.parametrize("gates", [3, 4])
-    @pytest.mark.parametrize("d, h", WIDTHS)
-    def test_one_row_recurrent_products(self, d, h, gates):
-        """[K, 1, h] states times ``U`` read transposed, alone and with
-        ``U`` stacked per direction, as a step takes them."""
-        rng = np.random.default_rng(d * h + gates)
-        u = rng.normal(size=(gates * h, h))
-        us = rng.normal(size=(2, gates * h, h))
-        for K in (2, 3, 7, 30):
-            x = rng.normal(size=(K, 1, h))
-            stacked = x @ u.swapaxes(-1, -2)
-            per_dir = rng.normal(size=(2, K, 1, h))
-            both = per_dir @ us[:, None].swapaxes(-1, -2)
-            for k in range(K):
-                assert _bits(stacked[k]) == _bits(x[k] @ u.swapaxes(-1, -2))
-                for j in range(2):
-                    assert _bits(both[j, k]) == _bits(
-                        per_dir[j, k] @ us[j].swapaxes(-1, -2))
 
     @pytest.mark.parametrize("d, h", WIDTHS)
     def test_projections(self, d, h):
@@ -107,8 +194,8 @@ class TestStackedProducts:
 
 
 def _slot_case(cell_cls, lengths, D, seed):
-    """Cells of one run, [K, 1, T, d] slot inputs whose padding is NaN (so
-    a read of it would show), and the slot lengths."""
+    """Cells of one run, [K, T, d] inputs whose padding is NaN (so a read
+    of it would show), and the sequences' lengths."""
     rng = np.random.default_rng(seed)
     d, h = 5, 4
     cells = [rnn_cell(cell_cls, rng, d, h, f"c{k}") for k in range(D)]
@@ -118,21 +205,21 @@ def _slot_case(cell_cls, lengths, D, seed):
     T = max(lengths)
     inputs = []
     for _ in range(D):
-        x = np.full((len(lengths), 1, T, d), np.nan)
+        x = np.full((len(lengths), T, d), np.nan)
         for k, n in enumerate(lengths):
-            x[k, 0, :n] = rng.normal(size=(n, d))
+            x[k, :n] = rng.normal(size=(n, d))
         inputs.append(x)
     return cells, inputs, np.array(lengths)
 
 
 def _alone(cells, inputs, k, n, reverses, output, T):
-    """Slot ``k``'s result from a run of its own [n, d] sequence, padded
-    to T positions as the slot run gives it."""
+    """Sequence ``k``'s result from a run of its own [n, d] rows, padded
+    to T positions as the run of all gives it."""
     D, h = len(cells), cells[0].hidden_dim
     if n == 0:
         shape = (T, D * h) if output == "states" else (D * h,)
         return np.zeros(shape)
-    out, _ = recurrent_forward(cells, [x[k, 0, :n] for x in inputs],
+    out, _ = recurrent_forward(cells, [x[k, :n] for x in inputs],
                                np.array([n]), reverses, output)
     if output == "states":
         out = np.concatenate([out, np.zeros((T - n, D * h))])
@@ -140,8 +227,9 @@ def _alone(cells, inputs, k, n, reverses, output, T):
 
 
 class TestSlotRuns:
-    """A run of one-row slots gives each slot the bits of a one-row run
-    of its sequence alone, whatever it runs with."""
+    """A run of K sequences, whose products their rows share, gives each
+    sequence the bits of a one-row run of it alone, whatever it runs
+    with."""
 
     @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
     @pytest.mark.parametrize("reverses", [(False,), (True,), (False, True),
@@ -155,23 +243,23 @@ class TestSlotRuns:
         for output in ("states", "last"):
             got, _ = recurrent_forward(cells, inputs, lens, reverses, output)
             tail = (T,) if output == "states" else ()
-            assert got.shape == (len(lengths), 1, *tail,
+            assert got.shape == (len(lengths), *tail,
                                  len(cells) * cells[0].hidden_dim)
             for k, n in enumerate(lengths):
                 want = _alone(cells, inputs, k, n, reverses, output, T)
-                assert _bits(got[k, 0]) == _bits(want), (output, k)
+                assert _bits(got[k]) == _bits(want), (output, k)
 
     @pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell])
     def test_steps_run_the_longest_slot(self, cell_cls, monkeypatch):
-        """The time loop runs max(lengths) steps, on the slots still
+        """The time loop runs max(lengths) steps, on the sequences still
         running: a prefix of the longest-first order."""
         cells, inputs, lens = _slot_case(cell_cls, (3, 1, 5, 2), 1, 3)
         running = []
         step = cell_cls.step
 
-        def counted(self, xw, state, u, b):
+        def counted(self, xw, state, uh):
             running.append(state[0].shape[0])
-            return step(self, xw, state, u, b)
+            return step(self, xw, state, uh)
 
         monkeypatch.setattr(cell_cls, "step", counted)
         recurrent_forward(cells, inputs, lens, (False,), "last")

@@ -24,6 +24,10 @@ models, were re-recorded again when training began to give each
 sequence of a batch its own slot, so that its encoding has the bits it
 gets alone, as in answering; the sidecars and both ``eval`` reports held.
 
+Every ``.nn``, contents and answer pin was re-recorded again when each
+recurrent run began to share one product per step among its rows, with
+``U`` stored as [h, G*h]; the sidecars and both ``eval`` reports held.
+
 Training and answering run matrix products through BLAS, whose last bits
 depend on the kernel.  The pins were recorded with numpy 2.4.6 and
 OpenBLAS 0.3.31 picking its Haswell kernels at run time (x86-64), and
@@ -31,11 +35,22 @@ hold only for that numpy and those kernels; elsewhere a mismatch may
 mean another kernel rather than another program.  There, a failure
 names the outputs that changed and means training or answering changed:
 record it in CHANGES.md; the hashes are never re-recorded silently.
+
+With those kernels, seeded training writes the same bytes under 1 and 2
+OpenBLAS threads at the default widths and at width 64, which
+:func:`test_width_64_training_bytes_do_not_depend_on_blas_threads`
+checks; width 128 is not checked here (probes agreed).  The pins hold
+under 1 and 2 threads.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from qakb.cli import main
 from qakb.nn.io import load_params
@@ -48,91 +63,91 @@ VARIANTS = ("qa-s", "qa-t", "qa-t-w", "qa-t-ws", "qa-t-wt", "qa-t-swt",
 
 PINS = {
     "tagger.nn":
-        "4a1e2ea6e646f5ffdcc4ad0c9fe802ecc9060273a7fdfbcac17d272a03e157f7",
+        "4d486c5910c2136151ecefc737cf9afc370dbe88fdc6d22f8d8ecd8b0dc62bc2",
     "tagger.nn.meta.json":
         "be69a9b112869a60ac5adff69ee2ff3673ecf499d0bedabe83a3f45ee2b1a5de",
     "relation.nn":
-        "92bb631dff654af20c71d428303581b6a3c5efdacb52c9d7f797087cecdd3402",
+        "bd4e89264c731be96e887b7e12d347ac8d3c924bffd0b9b2bc4f9534cbe7ef76",
     "relation.nn.meta.json":
         "78eb7ab98b778d772aed6f6faae8b73e438ef34ea4da18f59df159c25f24ff28",
     "type.nn":
-        "54cc7feca0752eafc3ff364cd0aad95c7b1fe075aa083431a5296f73369fb114",
+        "3949a0d398c3ecdc4a73c34e3a5cc2e8312e13351d40ee522e69d81cdd064714",
     "type.nn.meta.json":
         "0dfa14a082875c864bb1787aa6e24d9bb24a2603ffb78e64890f8f37b28ee406",
     "qa-s.nn":
-        "d071bbd75db008ed888202ff8211644c7b18cbc1dca8ed91fb44170076a0c53f",
+        "e0723472bb5a2b0fc2c38cf571b98f3bd113a987d28693d8481e3d5dc8353eb7",
     "qa-s.nn.meta.json":
         "59bee5a3ca0528b8d938458d35f9c8c76575a30bdacad0532ebf94ddaac64c3c",
     "qa-t.nn":
-        "d071bbd75db008ed888202ff8211644c7b18cbc1dca8ed91fb44170076a0c53f",
+        "e0723472bb5a2b0fc2c38cf571b98f3bd113a987d28693d8481e3d5dc8353eb7",
     "qa-t.nn.meta.json":
         "bdb53fc4e81903dc9fa3429ae353df8bc0fca50098d4787960dc0209f0d3c70f",
     "qa-t-w.nn":
-        "4510a88052d8758ec35a982367165d45baaeb469e604c0c76c58d8d296903b46",
+        "d967ef1e044dbb23c95848066d5dc376a66a897bd90018b6987862c7859c7e35",
     "qa-t-w.nn.meta.json":
         "827037deec848bcecc658aae45186743e62797d1646ae67d9c4375eb460b3a71",
     "qa-t-ws.nn":
-        "ccdaefcc87b9baef2dda5fce60e6d1b74e0d6e605c7da966154e9a36f2bd23e2",
+        "eaf3cd98a61cecccb0f46bd29a4237aace7308ad6fde135f9e561cc5c8607976",
     "qa-t-ws.nn.meta.json":
         "04944859ba69dc5d111e7dbb1e4adf3b01237aca02521f84c0ab6c41298f64ce",
     "qa-t-wt.nn":
-        "df49c686203153432b2cedeac19726a8286ce07b116c6f7b3eb0c1ebe1608579",
+        "8bc52cb353adbc10e4a71a595f6b9e9e922d90b0e119927fc463037218285273",
     "qa-t-wt.nn.meta.json":
         "79095c9ae37425bac6db1b6722f2d38c5f8e815de66039143e9cb7126df36ea6",
     "qa-t-swt.nn":
-        "ccdaefcc87b9baef2dda5fce60e6d1b74e0d6e605c7da966154e9a36f2bd23e2",
+        "39f871f0628603fb25a701e2a65c349f709ab9442fa0ac70d249deb6efbd0d7f",
     "qa-t-swt.nn.meta.json":
         "ab72e3c1f11def0c96eb9b48b7f080ddfd2a979ca5d3a85639509c0d9a205cbc",
     "qa-t-mwt.nn":
-        "78399af00960086024a053edc8d507520287439e052dd310ccc525268422a6e0",
+        "f7d4e0e93da500e857e69557e6543841dd5623fafae077134e2683e5a0da299a",
     "qa-t-mwt.nn.meta.json":
         "cf8525d4a4757704e6acb0afdaebbaf4e7a28693bc2329554763506127ba76c4",
     "qa-t-mwst.nn":
-        "2bfe008784e92b9fdf7db462a4bfacf665f375fdf560bcdcf49d0519144e611f",
+        "9c51396fe4ccac1009e58ad63ec672d69bf3bca8ffe568ff6a6235e6aa7e653d",
     "qa-t-mwst.nn.meta.json":
         "ff1a6a60462a2a458039a170331d6339b71588b60fae82310b382fb8ab23f118",
     "answer/pipeline":
-        "56d9e7de617d288fdc6862f11c9c0a3637a27408956eab7ac6d35b2d6c803208",
+        "cfe64c6938514ef08ed8b5fd61e6a6677ed7666cfabe25724b3ee950e797b70e",
     "answer/qa-s":
-        "c91ed5451e7e216adb7ddbb0c3f671a782ddefd3e5eb410efaf40d63692705e1",
+        "e32ba2d42db594b3ffd90ec9bef89302a2edeb2e01e672d8e82cd4475c18aa46",
     "answer/qa-t":
-        "660c7391f32fa6d66f687f41f135b39f393f3ed572cad7dd74d66f46f5a9d78b",
+        "258b06a88e657cdedde40ffc0bbc78ead9bba591cc149417bd2e7bc5cfd15e6f",
     "answer/qa-t-w":
-        "7a6fe0c53da6f0915d49924af2de8e8cd6a016286b08f5774b1008e11a8be168",
+        "fbd263b4629bab1d71811e457a277c169a8c9aa8b6f53b30b09add3af377e434",
     "answer/qa-t-ws":
-        "b33c4ea6ebbbfb148d269cf59396fa144d7720135973b620653e02e81a596b3f",
+        "450a4587eecfd03069206495693e7cef1820d94d95ffcf93347a219993ee9460",
     "answer/qa-t-wt":
-        "3b6d5c91457ea3b0073ec3146304bf7118d546c2bc2f866e791b049c12ac1ced",
+        "062235cc3baf549c495e84c7a80f4c4a1feb485793c9ed8ec91e3f6ca19ae024",
     "answer/qa-t-swt":
-        "6f6878200896b080628e7b381d737274cf01546a6dad476b1b6b792ef818d237",
+        "b0442d55d311698950fd5409c420165abef0eeb38e619c5f8b609000b8da42fe",
     "answer/qa-t-mwt":
-        "3afe12947f38f4fe51df0af28b78c6528973e85b3dd6c2480627276b4e6040e4",
+        "2211115154ce26bf316fba3448dfb3a207869b06a905ec4435d0af9302aa840b",
     "answer/qa-t-mwst":
-        "b35bbde93d22f291d70ec259e09ffce06c3c84f49a93e44dd191d84ac28ff1f1",
+        "491a5cdda192250be17b1b8032d09f786707c529f02086bf2cc0e9119e4b9371",
     "answer/p-qa":
-        "a4f930306636579b293c69dc17925d35663fcdd9445c57395a0596f038811edc",
+        "ad66cf06a262edeaf60a7e2f65c2b6a133c873431e949205c0ca0c819eed85ca",
     "answer/p-qa-out":
-        "d062af6c8d2c5b11bd1a97b5e5cc999786ced3473b02ed850c40a2b64b8a7a96",
+        "4a7e6e502d5e9499c3954acc3e2a7afe3fcdadc7a1ac616c08e5e5b57136b5f4",
     "answer/p-qa-type":
-        "c516ae7da64a8cd7fddce776b2aee58a5e8adf1d02f6448c86dc924b4916238b",
+        "7da0f45e4837611649e5305e3e81f7bfa811e2e4296e4dc149ac636ecef21cd4",
     "answer/p-qa-type-out":
-        "f39d3801dc64e1f246384067072623e0f4df571a89351e5ea71e6ce2d9416b8c",
+        "424bcdd8b1aea1d8b9b4e6bb5b111a2a5398a66bc9d47f662295dac1563d7d2d",
     "answer/qa-s+od":
-        "59fb7c0c0ba165d29fe4c5016ba251aa382f95e6fbb39723384754fc3ed7b15a",
+        "952b008df9f35be2c00df9e4beca1c5ea12b14661055771fa5bcee6c2baad7a7",
     "answer/qa-t+od":
-        "708176673c68479caa05b2306f6d8f2a3e8f7e9042047c78dea41c4bf20ab192",
+        "8ecb0417f0b8e6d1b107736b577d69028b844e926ae99b386cf9ffa3a054dfb5",
     "answer/qa-t-w+od":
-        "b17b7ce1b83c0e57634fa7b45f6bbc656063ea513f1d5228db6708a1e3babc8e",
+        "aef72998ee3f80814a7cb36d10d3bdd4b627af2a9c34ab25283f207b5b1ae005",
     "answer/qa-t-ws+od":
-        "1793590ae481d0df24bf6f83c539f0fd369ccef54f7db85ee91548785fb27cc9",
+        "c89d1574877160c940aac66ba1e3d6c4c7b7a8a658a40d511e1fd35b67e10648",
     "answer/qa-t-wt+od":
-        "9642b422e75ff7b5c781df68bba69470c735e53cfc4fc709fcaded2fd1ff2fcc",
+        "942b5b1fef5f1dccdbb08d8d1bb6043b0d371a805e5ad5cf51feac09e21dcde3",
     "answer/qa-t-swt+od":
-        "16c3e1f50ec9fd15c4b7d17a68ac8bcf4a9a48ba8c9033deca836b545c064840",
+        "6b61b67dcb09ac365f78fceabc45213865a165a9ba99c690ddb89db1fe9ae4ca",
     "answer/qa-t-mwt+od":
-        "3927520bdd3172bb3037a4a1ddeec08618c1d950dc530933807adc6bb2f1cfb1",
+        "331300dea1fcb4e3605434a023eebc330359e5d8a4a4a2259fbcd0ea36f4407b",
     "answer/qa-t-mwst+od":
-        "87af7cb9dd23b099344c0da650be5a0e93b386f47a9f4c038faaba1b8491be6e",
+        "11de47a6b987d7d3284184185684f5329057866f60039db9c9251b6a5f77eb78",
     "eval/pipeline/report.json":
         "9cfd8393444a758f3809413bbe9f4e98eb7e5a909d6985e3d7efad97d64cdf21",
     "eval/pipeline/report.txt":
@@ -142,43 +157,43 @@ PINS = {
     "eval/qa-t-mwst/report.txt":
         "3946035ebb6213eb984485ea46039367b075c73abed7fa13bb5128ef9f9adb59",
     "contents/tagger.nn":
-        "fccc9b5d56ef023455c395134d6836e76fe6fe8497068bcf9cb0b86274f04e11",
+        "d84812d82ccf67c190b0af965c5f625ea250f1781bfb9eb79281ca32065a05a5",
     "contents/relation.nn":
-        "24a6f3f811d2ecf5112a480241ce8d6a0545b75f8a5679e6aa1b8b9b6f4287d2",
+        "edde4e8ac60ebf0571db6052b898354ac32887d9283317efffc7b3ee2ccf97a2",
     "contents/type.nn":
-        "22dd3082c930afaeb054a3dec70366b3dfc8e497bb18c600f88d70e9cbe9a421",
+        "6b6514372dd15507e6af27ba7da417f5cbf73a6bac167bb020578f74bc71cb3d",
     "contents/qa-s.nn":
-        "8a6cb578c297b967b0cecfe2555c57121fff350fce10745f803e8fbe042bd70c",
+        "028105319d19d5b5566f5d4d383dd174ef78a648d5c996f60ddf4c114eaf19c4",
     "contents/qa-t.nn":
-        "8a6cb578c297b967b0cecfe2555c57121fff350fce10745f803e8fbe042bd70c",
+        "028105319d19d5b5566f5d4d383dd174ef78a648d5c996f60ddf4c114eaf19c4",
     "contents/qa-t-w.nn":
-        "e8f51d10c7e374369adf69bbdf0d867321863a02fe6710f9d1e1e9e3596b4f17",
+        "95517d704374862f721bf3e4f1d8477b845e19a262b0ed30148d83cadb4dfe51",
     "contents/qa-t-ws.nn":
-        "42edbaea43b0b40c8db92cb36835664463fe28e3495d0e495dc7b03dfed5c24f",
+        "a52258731bee62ab5edf6c5e8ca8c7c004be00e77fb62fb3893b5515ae5e38da",
     "contents/qa-t-wt.nn":
-        "c0ed941a097c074aca0c9eea2b28241e67755d9939522f00eb886c5b50a85f55",
+        "1cf157f8592f2b70a7632c9858ea46ca6a33a0df0f905fe3d08864ef510137e4",
     "contents/qa-t-swt.nn":
-        "42edbaea43b0b40c8db92cb36835664463fe28e3495d0e495dc7b03dfed5c24f",
+        "114cf6ea96149dc3528a057ec408a167dc57cfdf1c23035e6b21e8669259c1be",
     "contents/qa-t-mwt.nn":
-        "c47c736ee3a32b8555f471ac74a315a900040d0e5b43902fa8e0f67ea5c96df3",
+        "55593a5c1ee253789bd2b13d34c25c5b3e37b6c68e3ff0a0fb2bbf0e7d8e2136",
     "contents/qa-t-mwst.nn":
-        "6856646a4b62f2e55f2e006dbd21c377c9d3a186e82f2b5a00f9353beea19006",
+        "862b07115c84769eacdbfcfdf20440c82ac6329ff59ad1db958b876c543c9d15",
 }
 
 # train-pipeline on the same data at the default epochs, seed 1
 DEFAULT_EPOCHS_PINS = {
     "tagger.nn":
-        "bbcf0a7b4716ac12d21edd316738fa7d8872c722d41bea61afd435efbe0988ed",
+        "897e7945d70ae4d90b09e912880904ca140aee712d3783fd82054cb540aac69b",
     "relation.nn":
-        "3538e51a3bccb3a89030452fa429bba3e77db5456f629e590ad060b2dd7ddc7c",
+        "e912e19f16a1e9836651fd9ab4f4c3e200cc0acdc451e9f3e188114fd3f8f182",
     "type.nn":
-        "c1d28cd35b231b97652c3ad0a4496b2281f5ec8610dfd5bd600d7d40a2458dc0",
+        "ac2c50b51a87647afac321d64747a703738d79e0ba50a03493ac48872b2d718c",
     "contents/tagger.nn":
-        "298db34807685a224cb0358d823a82cf1ab7a139b94853820c6c709d712b3cf9",
+        "4fec8289873d3784df140101fc787bbe7e8196902a3e87b940c3fbef0a57ef71",
     "contents/relation.nn":
-        "98f65dcccf757f4fc957a55b835a37bda9bf261d2d6bdbeb3c2efcdcfd88b893",
+        "94ee9c6d091c0f0eeb56a1463b09919bd9be54bc29efd443c15c027baef3f3d5",
     "contents/type.nn":
-        "154472f0494ee6be2089109f032b66b212d1832e624a577f9c79ad8b363c7b47",
+        "ac84b806a07b66857c3094465d966c175671536d6ceb4132ef27bba17bd21fc6",
 }
 
 
@@ -297,3 +312,62 @@ def test_default_epochs_pipeline_bytes_are_pinned(tmp_path):
     assert not changed, (
         f"{', '.join(changed)} no longer hold the pinned bytes at the "
         "default epochs; see the module docstring")
+
+
+# Run in a subprocess, with ``src`` importable, in the directory argv[1]:
+# ``synth`` of 20 entities and 3 relations, ``gen-data`` on its first 8
+# train questions, then ``train-pipeline`` and ``train-e2e --variant
+# qa-t-mwst`` at width 64 (hidden = embed = 64; the joint model's LSTM
+# reads 76-wide word-and-char rows), one epoch, seed 3.  Prints a sha256
+# of each snapshot, by name.
+_WIDTH_64 = """
+import contextlib, hashlib, io, json, os, sys
+from qakb.cli import main
+out = sys.argv[1]
+width = ["--hidden-size", "64", "--embed-dim", "64", "--epochs", "1",
+         "--seed", "3"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["synth", "--seed", "1", "--entities", "20", "--relations",
+                 "3", "--out", f"{out}/bench"]) == 0
+    with open(f"{out}/bench/train.tsv", encoding="utf-8") as fh:
+        lines = fh.readlines()[:8]
+    with open(f"{out}/q.tsv", "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    assert main(["gen-data", "--kb", f"{out}/bench/kb.qakb", "--questions",
+                 f"{out}/q.tsv", "--out", f"{out}/data"]) == 0
+    assert main(["train-pipeline", "--data", f"{out}/data", "--out",
+                 f"{out}/models", *width]) == 0
+    assert main(["train-e2e", "--kb", f"{out}/bench/kb.qakb", "--questions",
+                 f"{out}/q.tsv", "--variant", "qa-t-mwst", "--out",
+                 f"{out}/models/qa-t-mwst.nn", *width]) == 0
+digests = {}
+for name in sorted(os.listdir(f"{out}/models")):
+    if name.endswith(".nn"):
+        with open(f"{out}/models/{name}", "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_width_64_training_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """Seeded training at width 64 writes the same snapshots under 1 and
+    2 OpenBLAS threads: the products it makes have the same bits under
+    both (``tests/test_slots.py``).  Both runs start together."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    procs = {threads: subprocess.Popen(
+        [sys.executable, "-c", _WIDTH_64, str(tmp_path / f"threads{threads}")],
+        stdout=subprocess.PIPE, text=True,
+        env={**env, "OPENBLAS_NUM_THREADS": str(threads)})
+        for threads in (1, 2)}
+    digests = {}
+    for threads, proc in procs.items():
+        out, _ = proc.communicate(timeout=300)
+        assert proc.returncode == 0
+        digests[threads] = json.loads(out)
+    assert sorted(digests[1]) == ["qa-t-mwst.nn", "relation.nn", "tagger.nn",
+                                  "type.nn"]
+    changed = sorted(name for name in digests[1]
+                     if digests[1][name] != digests[2][name])
+    assert not changed, f"{changed} differ under 1 and 2 BLAS threads"

@@ -220,13 +220,8 @@ class E2EModel(Model):
         passed through the dense layer as a stack of [1, max_len * h]
         rows.
         """
-        if not texts or not all(texts):
-            raise EmptySequence("cannot encode an empty token sequence")
-        words: dict[str, int] = {}
-        idx, lengths = padded_indices(
-            [[words.setdefault(tok, len(words)) for tok in text]
-             for text in texts])
-        inputs = gather_rows(self.encode_words(list(words)), idx)
+        words, idx, lengths = self._word_ids(texts)
+        inputs = gather_rows(self.encode_words(words), idx)
         states = recurrent((self.lstm,), inputs, lengths, (False,),
                            "states")
         if self.variant.self_attention:
@@ -251,27 +246,19 @@ class E2EModel(Model):
         far, a session's or a new dict.  With char mode, the char-GRU runs
         once over the distinct words it lacks
         (:meth:`char_summaries`), and those of vocabulary words are added.
-        The texts run longest first: the LSTM once, one row per text, for
-        the longest text's steps; self-attention over each text's states
+        The LSTM runs once, one row per text, for the longest text's steps
+        (:func:`~qakb.nn.layers.recurrent_forward` orders them);
+        self-attention over each text's states
         (:func:`~qakb.nn.layers.attention_forward`, the texts of one
         length stacked); then each text's states are truncated or
         zero-padded to max_len and go through the dense layer as a stack
-        of [1, max_len * h] rows.  EmptySequence for no texts or an empty
-        one, and TypeError for a text given as a string.
+        of [1, max_len * h] rows.  Raises as :meth:`_word_ids`.
         """
-        if not texts or not all(texts):
-            raise EmptySequence("cannot encode an empty token sequence")
-        if any(isinstance(text, str) for text in texts):
-            raise TypeError("a text is a sequence of tokens, not a string")
-        order = sorted(range(len(texts)), key=lambda i: -len(texts[i]))
-        words: dict[str, int] = {}
-        idx, lengths = padded_indices(
-            [[words.setdefault(tok, len(words)) for tok in texts[i]]
-             for i in order])
-        rows = self.words.rows(list(words))
+        words, idx, lengths = self._word_ids(texts)
+        rows = self.words.rows(words)
         if self.variant.char_level:
             rows = np.concatenate(
-                [rows, self._char_part(list(words), summaries)], axis=1)
+                [rows, self._char_part(words, summaries)], axis=1)
         states, _ = recurrent_forward((self.lstm,), (rows[idx],), lengths,
                                       (False,), "states")
         if self.variant.self_attention:
@@ -279,10 +266,24 @@ class E2EModel(Model):
         (K, T), max_len, h = idx.shape, self.cfg.max_len, self.lstm.hidden_dim
         flat = np.zeros((K, max_len, h))
         flat[:, :T] = states[:, :max_len]
-        encoded = self.dense.forward(flat.reshape(K, 1, max_len * h))[:, 0]
-        if order != sorted(order):
-            encoded[order] = encoded.copy()
-        return encoded
+        return self.dense.forward(flat.reshape(K, 1, max_len * h))[:, 0]
+
+    @staticmethod
+    def _word_ids(texts: Sequence[Sequence[str]]
+                  ) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """The distinct words of ``texts`` in order of first use, and each
+        text's indices into them as a right-padded [K, T] array with the
+        texts' lengths.  EmptySequence for no texts or an empty one, and
+        TypeError for a text given as a string."""
+        if not texts or not all(texts):
+            raise EmptySequence("cannot encode an empty token sequence")
+        if any(isinstance(text, str) for text in texts):
+            raise TypeError("a text is a sequence of tokens, not a string")
+        words: dict[str, int] = {}
+        idx, lengths = padded_indices(
+            [[words.setdefault(tok, len(words)) for tok in text]
+             for text in texts])
+        return list(words), idx, lengths
 
     def _char_part(self, words: list[str],
                    summaries: dict[str, np.ndarray]) -> np.ndarray:

@@ -25,8 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,16 +55,6 @@ class EvalReport:
     n: int
     accuracy: float
     error_counts: dict[str, int]
-    wall_time_s: float
-
-    def to_dict(self) -> dict:
-        """JSON payload; wall time is run metadata and stays out so that
-        identical runs serialize identically."""
-        return {
-            "n": self.n,
-            "accuracy": self.accuracy,
-            "error_counts": dict(self.error_counts),
-        }
 
 
 def classify_error(kb: KnowledgeBase, gold: Fact,
@@ -104,7 +93,6 @@ def evaluate(strategy, dataset: Sequence[QuestionInstance],
     """
     if not dataset:
         raise EmptyEvalSet("no questions to evaluate")
-    start = time.perf_counter()
     outputs = [predict(strategy, q.text) for q in dataset]
     counts = {cls: 0 for cls in ERROR_CLASSES}
     correct = 0
@@ -118,7 +106,6 @@ def evaluate(strategy, dataset: Sequence[QuestionInstance],
         n=len(dataset),
         accuracy=correct / len(dataset),
         error_counts=counts,
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -419,15 +406,15 @@ def report_write(reports: dict[str, EvalReport],
                  out_dir: str) -> tuple[str, str]:
     """Write ``report.json`` and an aligned ``report.txt`` table.
 
-    Returns the two paths.  Byte-stable for identical reports: wall time
-    is excluded and key order is fixed.
+    Returns the two paths.  Byte-stable for identical reports: key order
+    is fixed.
     """
     if not reports:
         raise EmptyEvalSet("no reports to write")
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "report.json")
     txt_path = os.path.join(out_dir, "report.txt")
-    payload = {name: rep.to_dict() for name, rep in reports.items()}
+    payload = {name: asdict(rep) for name, rep in reports.items()}
     with open(json_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2))
         fh.write("\n")

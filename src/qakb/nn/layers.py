@@ -12,11 +12,11 @@ arrays of such a table, without copying them.
 
 The forwards that answering needs are array functions, which build no
 graph: :meth:`EmbeddingTable.rows`, :meth:`Dense.forward`,
-:func:`recurrent_forward`, :func:`bidirectional_last_states`,
-:func:`attention_forward` and :func:`cosine_forward`.  Each graph op
-computes its data by calling one of them, so an answer computed on
-arrays has the bits of the same computation as graph nodes.  Training's
-dropout multiplies by a :func:`dropout_mask`.
+:func:`recurrent_forward`, :func:`attention_forward` and
+:func:`cosine_forward`.  Each graph op computes its data by calling one
+of them, so an answer computed on arrays has the bits of the same
+computation as graph nodes.  Training's dropout multiplies by a
+:func:`dropout_mask`.
 
 Several sequences share one array call, and each keeps the bits it gets
 alone, in training as in answering, so a text has one encoding whatever
@@ -395,18 +395,21 @@ def recurrent_forward(cells: Sequence[_GatedCell],
                       ) -> tuple[np.ndarray, tuple]:
     """The forward of one run of D same-kind, same-size ``cells`` on
     arrays, building no graph: cell ``k`` over ``inputs[k]``, right to
-    left when ``reverses[k]``, every input of one leading shape with T >=
-    1 and some sequence non-empty.  An input is [T, d_k] or [1, T, d_k],
-    with ``lengths`` ``[n]``: one row; or [K, T, d_k] with K > 1 and the
-    K ``lengths``: K sequences, whose padding is never read.  A
-    bidirectional run passes its input twice; two matchers' runs pass
-    each matcher's input to both of its cells.
+    left when ``reverses[k]``, every input of one leading shape.  An input
+    is [T, d_k] or [1, T, d_k], with ``lengths`` ``[n]``: one row; or [K,
+    T, d_k] with K > 1 and the K ``lengths``: K sequences, whose padding
+    is never read.  A bidirectional run passes its input twice; the
+    matchers' question run passes each matcher's input to both of its
+    cells.  This is the one array entry to a recurrent run: it orders the
+    sequences and decides what an empty one gives.
 
     ``output`` names the one result built: ``"states"``, aligned with
     input positions, cell ``k``'s in the ``k``-th block of h columns, and
     zero past each sequence's length; or ``"last"``, each sequence's
     [D*h] state after its last step (position n - 1 of a forward cell, 0
-    of a reverse one), zero for an empty one.
+    of a reverse one), zero for an empty one.  When no position runs (a
+    [0, d_k] row, or K sequences all of length 0) both outputs are zeros,
+    and nothing fails.
 
     Sequences run longest first (:func:`_running_order`), and each timestep
     runs ``step`` once on the [c, h] states of the c sequences still
@@ -433,7 +436,8 @@ def recurrent_forward(cells: Sequence[_GatedCell],
     backward reads: per cell the flat input positions the steps read, in
     step order, how many sequences run at each step, the sequences
     longest first, and the recurrent weights as one cell's or a [D, ...]
-    stack.  :func:`recurrent` is the graph twin.
+    stack (None when no position runs).  :func:`recurrent` is the graph
+    twin.
     """
     T = inputs[0].shape[-2]
     K, D = lengths.shape[0], len(cells)
@@ -449,6 +453,9 @@ def recurrent_forward(cells: Sequence[_GatedCell],
     else:
         order, counts, flats = _running_order(lengths, T, reverses)
     P = sum(counts)  # the positions of the run
+    if not P:
+        lead_shape = inputs[0].shape[:-1 if want_states else -2]
+        return np.zeros(lead_shape + (D * H,)), (flats, counts, order, None)
     xw = []
     for x, flat, c in zip(inputs, flats, cells):
         rows = x.reshape(K * T, -1)[flat]
@@ -624,40 +631,6 @@ def recurrent(cells: Sequence[_GatedCell], x: Tensor,
         rows = lead_shape if output == "states" else lead_shape[:-1]
         return zeros(rows + (len(cells) * H,))
     return _recurrent_states(cells, x, lens, reverses, output)
-
-
-def bidirectional_last_states(pairs: Sequence[tuple[_GatedCell, _GatedCell]],
-                              inputs: Sequence[np.ndarray]
-                              ) -> list[np.ndarray]:
-    """Each (forward, backward) cell pair's [2h] last states over its own
-    input, on arrays: what ``recurrent((fwd, bwd), inputs[i], None,
-    (False, True), "last")`` gives, bit for bit.  The inputs are [T, d_i]
-    sequences of one length T; their widths may differ.  An empty
-    sequence gives zeros.
-
-    Pairs whose cells are of one kind and hidden size step together in
-    one :func:`recurrent_forward`, every pair's two directions side by
-    side on the direction axis, so several encoders of one text cost one
-    run; a pair of another kind or size runs as a group of its own.
-    """
-    T = inputs[0].shape[0]
-    if any(x.shape[0] != T for x in inputs):
-        raise ShapeMismatch(f"inputs of one run differ in length: "
-                            f"{[x.shape for x in inputs]}")
-    if T == 0:
-        return [np.zeros(2 * fwd.hidden_dim) for fwd, _ in pairs]
-    groups: dict[tuple, list[int]] = {}
-    for i, (fwd, _) in enumerate(pairs):
-        groups.setdefault((type(fwd), fwd.hidden_dim), []).append(i)
-    out: list[np.ndarray] = [None] * len(pairs)
-    for (_, H), members in groups.items():
-        last, _ = recurrent_forward(
-            [c for i in members for c in pairs[i]],
-            [inputs[i] for i in members for _ in (0, 1)], np.array([T]),
-            (False, True) * len(members), "last")
-        for j, i in enumerate(members):
-            out[i] = last[2 * H * j:2 * H * (j + 1)]
-    return out
 
 
 def _attend(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,8 +31,8 @@ from qakb.kb import KnowledgeBase, notable_type, out_degree, relations_of
 from qakb.nn.config import TrainConfig
 from qakb.nn.io import Model, new_model
 from qakb.nn.layers import (Dense, EmbeddingTable, GRUCell, LSTMCell,
-                            bidirectional_last_states, dropout_mask,
-                            recurrent, recurrent_forward, table_tokens)
+                            dropout_mask, recurrent, recurrent_forward,
+                            table_tokens)
 from qakb.nn.losses import (binary_ce_backward, binary_ce_forward,
                             loss_categorical_ce)
 from qakb.nn.optim import fit
@@ -84,12 +84,9 @@ class TaggerModel(Model):
         one-sequence case of :meth:`forward_batch`, run on the [T, d]
         sequence, which needs no padding; no tokens give [0, 2]."""
         rows = self.embedding.rows(tokens)
-        if len(rows):
-            states, _ = recurrent_forward((self.fwd, self.bwd), (rows, rows),
-                                          np.array([len(rows)]),
-                                          (False, True), "states")
-        else:
-            states = np.zeros((0, 2 * self.fwd.hidden_dim))
+        states, _ = recurrent_forward((self.fwd, self.bwd), (rows, rows),
+                                      np.array([len(rows)]), (False, True),
+                                      "states")
         return softmax_forward(self.head.forward(states))
 
     def loss(self, questions: Sequence[LabeledQuestion]) -> Tensor:
@@ -146,8 +143,10 @@ class MatcherModel(Model):
         """One token sequence's [2h] encoding on arrays: the one-row case
         of :meth:`encode_texts`, run on the [T, d] sequence, which needs
         no padding."""
-        (last,) = bidirectional_last_states([(self.fwd, self.bwd)],
-                                            [self.embedding.rows(tokens)])
+        rows = self.embedding.rows(tokens)
+        last, _ = recurrent_forward((self.fwd, self.bwd), (rows, rows),
+                                    np.array([len(rows)]), (False, True),
+                                    "last")
         return last
 
     def loss(self, pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
@@ -244,10 +243,10 @@ class MatcherModel(Model):
 class MatchEncodings:
     """The encodings of an answering session's recurrent matchers.
 
-    The question is encoded for every matcher in one recurrent run
-    (:func:`~qakb.nn.layers.bidirectional_last_states`): matchers whose
-    cells share a kind and hidden size step side by side, so two
-    matchers cost one run, with the bits each would get alone.  Only the
+    The question is encoded for every matcher in one recurrent run per
+    hidden size (:func:`~qakb.nn.layers.recurrent_forward`): the GRU
+    pairs of matchers of one size step side by side, so two matchers cost
+    one run, with the bits each would get alone.  Only the
     latest question's encodings are kept.  Relation paths and type labels
     are encoded on first use and kept for the session by
     :func:`functools.cache`, per matcher and keyed by their raw text, so
@@ -268,10 +267,17 @@ class MatchEncodings:
         """``matcher``'s encoding of the question, whose tokens are
         ``tokens``."""
         if self._question is None or self._question[0] != question:
-            vecs = bidirectional_last_states(
-                [(m.fwd, m.bwd) for m in self.matchers],
-                [m.embedding.rows(tokens) for m in self.matchers])
-            self._question = (question, dict(zip(self.matchers, vecs)))
+            sizes: dict[int, list[MatcherModel]] = {}
+            for m in self.matchers:
+                sizes.setdefault(m.fwd.hidden_dim, []).append(m)
+            vecs = {}
+            for ms in sizes.values():
+                last, _ = recurrent_forward(
+                    [c for m in ms for c in (m.fwd, m.bwd)],
+                    [x for m in ms for x in [m.embedding.rows(tokens)] * 2],
+                    np.array([len(tokens)]), (False, True) * len(ms), "last")
+                vecs.update(zip(ms, last.reshape(len(ms), -1)))
+            self._question = (question, vecs)
         return self._question[1][matcher]
 
 

@@ -186,15 +186,17 @@ class TestEncodeSequence:
         m = fresh(E2EModel, ["a"], small_cfg(), np.random.default_rng(0),
                   variant=E2EVariant())
         for texts in ([], [()], [("a",), ()]):
-            with pytest.raises(EmptySequence):
-                m.encode_text(texts, {})
+            for encode in (m.encode_texts, lambda t: m.encode_text(t, {})):
+                with pytest.raises(EmptySequence):
+                    encode(texts)
 
     def test_text_given_as_a_string_raises(self):
         m = fresh(E2EModel, ["a"], small_cfg(), np.random.default_rng(0),
                   variant=E2EVariant())
         for texts in (["a"], [("a",), "a b"]):
-            with pytest.raises(TypeError):
-                m.encode_text(texts, {})
+            for encode in (m.encode_texts, lambda t: m.encode_text(t, {})):
+                with pytest.raises(TypeError):
+                    encode(texts)
 
     def test_output_shape(self):
         m = fresh(E2EModel, ["a", "b"], small_cfg(), np.random.default_rng(0),

@@ -1,6 +1,7 @@
 """Tests for evaluation, the error taxonomy, and the synthetic benchmark."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +141,6 @@ class TestEvaluate:
         assert rep.n == 3
         assert rep.accuracy == 1.0
         assert all(v == 0 for v in rep.error_counts.values())
-        assert rep.wall_time_s >= 0.0
 
     def test_counts_partition_questions(self):
         kb, qs = self._dataset()
@@ -421,21 +421,19 @@ class TestE2EStrategyAdapter:
 
 
 class TestReportWrite:
-    def _reports(self, wall=0.5):
+    def _reports(self):
         counts = {cls: 0 for cls in ERROR_CLASSES}
         counts_b = dict(counts, same_label_entity=18)
         return {
-            "p-qa": EvalReport(n=60, accuracy=0.7, error_counts=counts_b,
-                               wall_time_s=wall),
-            "p-qa-out": EvalReport(n=60, accuracy=1.0, error_counts=counts,
-                                   wall_time_s=wall),
+            "p-qa": EvalReport(n=60, accuracy=0.7, error_counts=counts_b),
+            "p-qa-out": EvalReport(n=60, accuracy=1.0, error_counts=counts),
         }
 
     def test_json_round_trip(self, tmp_path):
         reports = self._reports()
         json_path, _ = report_write(reports, str(tmp_path))
         loaded = json.loads(Path(json_path).read_text())
-        assert loaded == {name: rep.to_dict() for name, rep in
+        assert loaded == {name: asdict(rep) for name, rep in
                           reports.items()}
 
     def test_table_formats_one_decimal(self, tmp_path):
@@ -445,13 +443,6 @@ class TestReportWrite:
         assert "70.0%" in text
         assert "100.0%" in text
         assert text.splitlines()[0].startswith("Approach")
-
-    def test_wall_time_does_not_change_bytes(self, tmp_path):
-        d1, d2 = tmp_path / "a", tmp_path / "b"
-        j1, t1 = report_write(self._reports(wall=0.1), str(d1))
-        j2, t2 = report_write(self._reports(wall=99.9), str(d2))
-        assert Path(j1).read_bytes() == Path(j2).read_bytes()
-        assert Path(t1).read_bytes() == Path(t2).read_bytes()
 
     def test_empty_reports_rejected(self, tmp_path):
         with pytest.raises(EmptyEvalSet):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (assert_fused_bits, dense, embedding, finite_diff_check,
-                      gate_block, param, rnn_cell, stack_rows)
+                      fresh, gate_block, param, rnn_cell, stack_rows)
 
 import qakb.nn.layers
 import qakb.pipeline
@@ -20,7 +20,6 @@ from qakb.nn.layers import (
     OOV_TOKEN,
     GRUCell,
     LSTMCell,
-    bidirectional_last_states,
     cosine,
     glorot,
     recurrent,
@@ -42,7 +41,8 @@ from qakb.nn.tensor import (
     zeros,
 )
 from qakb.nn.layers import dropout_mask, recurrent_forward
-from qakb.pipeline import train_matcher, train_tagger
+from qakb.pipeline import (MatchEncodings, MatcherModel, train_matcher,
+                           train_tagger)
 
 BOTH_OUTPUTS = ("states", "last")
 BIDI = (False, True)  # a forward cell, then a reverse one
@@ -766,52 +766,54 @@ class TestStackedRun:
                           BIDI, "last")
 
 
-class TestBidirectionalLastStates:
-    """``bidirectional_last_states`` gives on arrays each pair's
-    ``recurrent`` last states, running pairs of one kind and
-    size together and any other pair on its own."""
+class TestOneArrayEntry:
+    """``recurrent_forward`` is the one array entry to a recurrent run: an
+    answering session's matchers encode a question in one run per hidden
+    size, and a run in which no position runs gives zeros."""
 
-    @staticmethod
-    def _case(T=4):
-        a, c, xa, xc, _, rng = _two_pairs()
-        d = (rnn_cell(LSTMCell, rng, 3, 4, "d.f"),
-             rnn_cell(LSTMCell, rng, 3, 4, "d.b"))
-        e = (rnn_cell(GRUCell, rng, 3, 5, "e.f"),
-             rnn_cell(GRUCell, rng, 3, 5, "e.b"))
-        xd, xe = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        inputs = [xa.data[1], xd, xc.data[1], xe]
-        return [a, d, c, e], [x[:T] for x in inputs]
-
-    def test_bit_identical_to_one_run_per_pair(self, monkeypatch):
-        pairs, inputs = self._case()
+    def test_one_question_run_per_hidden_size(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        vocab = ["who", "sings", "film"]
+        a, b, c = (fresh(MatcherModel, vocab, TrainConfig(hidden_size=H),
+                         rng, name=name)
+                   for name, H in (("a", 4), ("b", 4), ("c", 5)))
         runs = []
-        forward = qakb.nn.layers.recurrent_forward
+        forward = qakb.pipeline.recurrent_forward
 
         def counting(cells, *args):
             runs.append(len(cells))
             return forward(cells, *args)
 
-        monkeypatch.setattr(qakb.nn.layers, "recurrent_forward", counting)
-        lasts = bidirectional_last_states(pairs, inputs)
+        monkeypatch.setattr(qakb.pipeline, "recurrent_forward", counting)
+        got = {}
+        for tokens in (("who", "sings", "zyzzyva"), ()):
+            runs.clear()
+            session = MatchEncodings((a, b, c))
+            got[tokens] = [session.question(m, " ".join(tokens), tokens)
+                           for m in (a, b, c)]
+            # the two matchers of size 4 together, the other alone
+            assert runs == [4, 2]
         monkeypatch.undo()
-        # the two GRU pairs of one size together, the others alone
-        assert runs == [4, 2, 2]
-        for pair, x, last in zip(pairs, inputs, lasts):
-            assert type(last) is np.ndarray
-            want = recurrent(pair, Tensor(x), None, BIDI, "last")
-            np.testing.assert_array_equal(last, want.data)
+        for tokens, vecs in got.items():
+            for m, vec in zip((a, b, c), vecs):
+                want = recurrent((m.fwd, m.bwd),
+                                 Tensor(m.embedding.rows(tokens)), None,
+                                 BIDI, "last")
+                np.testing.assert_array_equal(vec, want.data)
+                assert vec.tobytes() == m.encode(tokens).tobytes()
 
-    def test_empty_inputs_give_zeros(self):
-        pairs, inputs = self._case(T=0)
-        lasts = bidirectional_last_states(pairs, inputs)
-        assert [last.tolist() for last in lasts] == [
-            [0.0] * 2 * f.hidden_dim for f, _ in pairs]
-
-    def test_inputs_of_other_lengths_rejected(self):
-        pairs, inputs = self._case()
-        inputs[1] = inputs[1][:3]
-        with pytest.raises(ShapeMismatch):
-            bidirectional_last_states(pairs, inputs)
+    @pytest.mark.parametrize("output", BOTH_OUTPUTS)
+    def test_empty_run_gives_zeros(self, output):
+        rng = np.random.default_rng(6)
+        cells = (rnn_cell(GRUCell, rng, 3, 4), rnn_cell(GRUCell, rng, 3, 4))
+        # a [0, d] row, and K rows that all have length 0
+        for x, lengths in ((np.zeros((0, 3)), [0]),
+                           (rng.normal(size=(3, 2, 3)), [0, 0, 0])):
+            got, _ = recurrent_forward(cells, (x, x), np.array(lengths),
+                                       BIDI, output)
+            rows = x.shape[:-1] if output == "states" else x.shape[:-2]
+            assert got.shape == rows + (8,)
+            assert not got.any()
 
 
 def _train_one_step(model):

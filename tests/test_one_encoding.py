@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from qakb.e2e import VARIANTS, E2EModel
 from qakb.nn.config import TrainConfig
 from qakb.nn.layers import recurrent, recurrent_forward
-from qakb.pipeline import MatcherModel, TaggerModel
+from qakb.pipeline import MatchEncodings, MatcherModel, TaggerModel
 
 
 def _bits(a):
@@ -105,9 +105,13 @@ def test_joint_model(name, texts, data):
 @given(texts=texts_st, data=st.data())
 def test_matcher(name, texts, data):
     model = _model(MatcherModel, name)
+    both = MatchEncodings([_model(MatcherModel, n) for n in ("relation",
+                                                             "type")])
     _check(texts, _ways(data.draw, texts), model.encode,
            lambda block: model.encode_texts(block).data,
-           lambda block: [model.encode(text) for text in block])
+           lambda block: [model.encode(text) for text in block],
+           lambda block: [both.question(model, " ".join(text), text)
+                          for text in block])
 
 
 @settings(max_examples=6, deadline=None)

@@ -13,7 +13,6 @@ from conftest import (assert_fused_bits, composed_binary_ce,
                       finite_diff_check, fresh, param)
 
 import qakb.aliasindex
-import qakb.nn.layers
 import qakb.nn.tensor
 import qakb.pipeline
 from qakb.aliasindex import build_index, retrieve_candidates, tokenize
@@ -737,7 +736,7 @@ class TestSession:
         session = PipelineStrategy("p-qa-type", models, kb, index)
         calls, runs = [], []
         encode = MatcherModel.encode
-        forward = qakb.nn.layers.recurrent_forward
+        forward = qakb.pipeline.recurrent_forward
 
         def counting(self, tokens):
             calls.append((self.name, tuple(tokens)))
@@ -748,7 +747,7 @@ class TestSession:
             return forward(cells, *args)
 
         monkeypatch.setattr(MatcherModel, "encode", counting)
-        monkeypatch.setattr(qakb.nn.layers, "recurrent_forward", counting_run)
+        monkeypatch.setattr(qakb.pipeline, "recurrent_forward", counting_run)
         rel, typ = models.relation_matcher, models.type_matcher
         both = (rel.fwd, rel.bwd, typ.fwd, typ.bwd)
         question_tokens = {tuple(tokenize(q)) for q in questions}
